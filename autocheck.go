@@ -114,15 +114,21 @@ func Analyze(recs []Record, spec LoopSpec, opts Options) (*Result, error) {
 	return core.Analyze(recs, spec, opts)
 }
 
-// AnalyzeBytes parses an in-memory trace of either format (textual traces
-// decode in parallel when opts.Workers > 1; opts.Streaming avoids
-// materializing records at all) and analyzes it.
+// AnalyzeBytes analyzes an in-memory trace of either format. The bytes
+// are decoded once per engine sweep into a recycled record batch — no
+// []Record is ever materialized, so memory stays O(variables) beyond the
+// bytes themselves. The one exception is a textual trace with
+// opts.Workers > 1, which decodes in parallel chunks into a record slice
+// first (the paper's §V-A pre-processing). opts.Streaming has no effect
+// here; it tells AnalyzeFile not to load the file whole.
 func AnalyzeBytes(data []byte, spec LoopSpec, opts Options) (*Result, error) {
 	return core.AnalyzeBytes(data, spec, opts)
 }
 
 // AnalyzeFile reads and analyzes a trace file (the paper's primary usage
-// mode: trace generation and analysis as separate steps).
+// mode: trace generation and analysis as separate steps). The file is
+// loaded whole and analyzed like AnalyzeBytes; with opts.Streaming it is
+// scanned from disk once per sweep instead.
 func AnalyzeFile(path string, spec LoopSpec, opts Options) (*Result, error) {
 	return core.AnalyzeFile(path, spec, opts)
 }

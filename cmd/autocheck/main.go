@@ -126,8 +126,10 @@ func usage() {
       -start   main loop start line
       -end     main loop end line
       -workers parallel pre-processing workers (0 = serial; text format only)
-      -stream  analyze the trace in bounded streaming passes
-               (O(variables) memory instead of O(records))
+      -stream  bounded memory: scan a -trace file from disk once per
+               sweep instead of loading it whole (records are never
+               materialized either way); with -file, trace straight
+               into ACTB bytes instead of a record slice
       -online  feed the analysis engine straight from the tracer while the
                program runs: no trace bytes at all (requires -file)
       -ddg     also print the contracted DDG
@@ -276,7 +278,7 @@ func cmdAnalyze(args []string) error {
 	start := fs.Int("start", 0, "main loop start line")
 	end := fs.Int("end", 0, "main loop end line")
 	workers := fs.Int("workers", 0, "parallel pre-processing workers (0 = serial)")
-	stream := fs.Bool("stream", false, "streaming analysis (bounded memory, multiple passes)")
+	stream := fs.Bool("stream", false, "bounded memory: scan the trace file from disk per sweep instead of loading it whole")
 	online := fs.Bool("online", false, "analyze inside the tracer while the program runs (no trace bytes)")
 	ddg := fs.Bool("ddg", false, "also print the contracted DDG")
 	addr := fs.String("addr", "", "ship the trace to the ingest service at HOST:PORT instead of analyzing locally")

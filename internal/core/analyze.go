@@ -29,16 +29,19 @@ type Options struct {
 	// globals are identified by name and address, never confusable with a
 	// callee's locals.
 	IncludeGlobals bool
-	// Workers sets the pre-processing parallelism for AnalyzeBytes
-	// (the paper's 48-thread OpenMP optimization); 0 means serial.
-	// Streaming and binary traces decode serially, so Workers only
-	// affects the materialized textual path.
+	// Workers > 1 decodes a textual trace handed to AnalyzeBytes (or loaded
+	// whole by AnalyzeFile) in parallel chunks into a materialized []Record
+	// before the sweeps run — the paper's 48-thread OpenMP pre-processing
+	// (§V-A), and the only path that still builds a record slice from
+	// bytes. 0 or 1, binary traces, and Streaming files decode serially on
+	// the batch path, which materializes nothing.
 	Workers int
-	// Streaming analyzes the trace through AnalyzeStream: three bounded
-	// passes over a re-opened record stream instead of one materialized
-	// []Record. Memory stays O(variables) instead of O(records) at the
-	// cost of decoding the trace per pass; results are identical. BuildDDG
-	// still materializes the graph and is unaffected.
+	// Streaming makes AnalyzeFile scan the file from disk once per sweep
+	// instead of loading it whole: memory stays O(variables) rather than
+	// O(file size). It changes nothing else — every trace-bytes entry
+	// point runs the same bounded sweeps over a recycled record batch and
+	// never materializes a []Record (Workers > 1 aside), so AnalyzeBytes
+	// ignores it. Results are identical either way.
 	Streaming bool
 	// BuildDDG additionally constructs the complete and contracted
 	// dependency graphs (Fig. 5(c)/(d)). Intended for small traces,
@@ -176,8 +179,9 @@ func (r *Result) Find(name string) *CriticalVar {
 // AnalyzeFile reads a trace file produced by the tracer (or by LLVM-Tracer
 // with compatible encoding, text or binary) and analyzes it. This is the
 // paper's primary usage mode: trace generation and analysis as separate
-// steps. With opts.Streaming the file is scanned from disk once per
-// bounded pass (three in total) and never loaded whole.
+// steps. The file is loaded whole and handed to AnalyzeBytes; with
+// opts.Streaming it is instead scanned from disk once per sweep and never
+// held in memory.
 func AnalyzeFile(path string, spec LoopSpec, opts Options) (*Result, error) {
 	return analyzeFileIn(&scratch{}, path, spec, opts)
 }
@@ -202,34 +206,36 @@ func analyzeFileIn(sc *scratch, path string, spec LoopSpec, opts Options) (*Resu
 	return analyzeBytesIn(sc, data, spec, opts)
 }
 
-// AnalyzeBytes parses an in-memory trace — text or binary, detected by
-// magic — and analyzes it. Textual traces decode in parallel chunks when
-// opts.Workers > 1; with opts.Streaming no []Record is materialized at
-// all.
+// AnalyzeBytes analyzes an in-memory trace — text or binary, detected by
+// magic — on the streaming schedule: the bytes are decoded once per sweep
+// into a recycled record batch and no []Record is materialized. Only a
+// textual trace with opts.Workers > 1 takes the other route, decoding in
+// parallel chunks into a record slice first.
 func AnalyzeBytes(data []byte, spec LoopSpec, opts Options) (*Result, error) {
 	return analyzeBytesIn(&scratch{}, data, spec, opts)
 }
 
 func analyzeBytesIn(sc *scratch, data []byte, spec LoopSpec, opts Options) (*Result, error) {
-	if opts.Streaming {
-		res, err := analyzeStreamIn(sc, bytesReaderOpener(data), spec, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.Stats.TraceBytes = int64(len(data))
-		return res, nil
-	}
-	t0 := time.Now()
-	var recs []trace.Record
+	var res *Result
 	var err error
-	switch {
-	case trace.DetectFormat(data) == trace.FormatBinary:
-		recs, err = trace.ParseBinary(data)
-	case opts.Workers > 1:
-		recs, err = trace.ParseBytesParallel(data, opts.Workers)
-	default:
-		recs, err = trace.ParseBytes(data)
+	if opts.Workers > 1 && trace.DetectFormat(data) == trace.FormatText {
+		res, err = analyzeParallelIn(sc, data, spec, opts)
+	} else {
+		res, err = analyzeStreamIn(sc, bytesReaderOpener(data), spec, opts)
 	}
+	if err != nil {
+		return nil, err
+	}
+	res.Stats.TraceBytes = int64(len(data))
+	return res, nil
+}
+
+// analyzeParallelIn is the paper's §V-A pre-processing: decode the text in
+// opts.Workers parallel chunks into one []Record, then run the schedule
+// over the slice. The decode is booked to Timing.Pre like every other.
+func analyzeParallelIn(sc *scratch, data []byte, spec LoopSpec, opts Options) (*Result, error) {
+	t0 := time.Now()
+	recs, err := trace.ParseBytesParallel(data, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -240,7 +246,6 @@ func analyzeBytesIn(sc *scratch, data []byte, spec LoopSpec, opts Options) (*Res
 	}
 	res.Timing.Pre += parse
 	res.Timing.Total += parse
-	res.Stats.TraceBytes = int64(len(data))
 	return res, nil
 }
 

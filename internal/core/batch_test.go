@@ -64,11 +64,11 @@ func TestStepBatchEquivalence(t *testing.T) {
 		}
 
 		plain := &stepLogPass{}
-		if _, err := runSweepBatched(mk(), part, nil, nil, plain); err != nil {
+		if _, _, err := runSweepBatched(mk(), part, nil, nil, plain); err != nil {
 			t.Fatal(err)
 		}
 		batched := &batchLogPass{}
-		if _, err := runSweepBatched(mk(), part, nil, nil, batched); err != nil {
+		if _, _, err := runSweepBatched(mk(), part, nil, nil, batched); err != nil {
 			t.Fatal(err)
 		}
 		if len(plain.log) != len(recs) {
@@ -86,9 +86,11 @@ func TestStepBatchEquivalence(t *testing.T) {
 }
 
 // TestAnalyzeStreamAllocs pins the streaming arena work: analyzing an
-// in-memory trace without materializing it must cost O(variables)
-// allocations, not O(records). Before batch decoding, this trace cost
-// one-plus allocations per record per sweep.
+// in-memory trace — AnalyzeBytes with default options, which never
+// materializes — must cost O(variables) allocations, not O(records).
+// Before batch decoding, this trace cost one-plus allocations per record
+// per sweep. (The bytes-per-record pin on a full-size port lives in
+// harness.TestAnalyzeBytesNeverMaterializes: progs imports this package.)
 func TestAnalyzeStreamAllocs(t *testing.T) {
 	base, _ := traceOf(t, fig4Source)
 	recs := make([]trace.Record, 0, 4096)
@@ -96,7 +98,6 @@ func TestAnalyzeStreamAllocs(t *testing.T) {
 		recs = append(recs, base...)
 	}
 	opts := DefaultOptions()
-	opts.Streaming = true
 	for _, enc := range []struct {
 		name string
 		data []byte

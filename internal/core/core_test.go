@@ -2,6 +2,7 @@ package core
 
 import (
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -238,13 +239,46 @@ func TestRegionStats(t *testing.T) {
 	}
 }
 
+// TestTimingPopulated pins what Result.Timing means on every path: Pre is
+// trace reading (every decode, whichever sweep paid it) plus the partition
+// sweep, Dep the time inside the dependency pass, Identify module 3 — all
+// measured, disjoint, and within Total.
 func TestTimingPopulated(t *testing.T) {
-	res := analyzeFig4(t, DefaultOptions())
-	if res.Timing.Total <= 0 {
-		t.Error("total time not measured")
+	recs, mod := traceOf(t, fig4Source)
+	text, bin := trace.EncodeAll(recs), trace.EncodeBinary(recs)
+	path := filepath.Join(t.TempDir(), "trace.actb")
+	if err := os.WriteFile(path, bin, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if res.Timing.Pre <= 0 || res.Timing.Dep <= 0 {
-		t.Errorf("phase timings not measured: %+v", res.Timing)
+	opts := DefaultOptions()
+	opts.Module = mod
+	with := func(edit func(*Options)) Options { o := opts; edit(&o); return o }
+	paths := map[string]func() (*Result, error){
+		"records": func() (*Result, error) { return Analyze(recs, fig4Spec, opts) },
+		"text":    func() (*Result, error) { return AnalyzeBytes(text, fig4Spec, opts) },
+		"actb":    func() (*Result, error) { return AnalyzeBytes(bin, fig4Spec, opts) },
+		"text-parallel": func() (*Result, error) {
+			return AnalyzeBytes(text, fig4Spec, with(func(o *Options) { o.Workers = 4 }))
+		},
+		"file-streaming": func() (*Result, error) {
+			return AnalyzeFile(path, fig4Spec, with(func(o *Options) { o.Streaming = true }))
+		},
+		"text-ddg": func() (*Result, error) {
+			return AnalyzeBytes(text, fig4Spec, with(func(o *Options) { o.BuildDDG = true }))
+		},
+	}
+	for label, run := range paths {
+		res, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		tm := res.Timing
+		if tm.Pre <= 0 || tm.Dep <= 0 {
+			t.Errorf("%s: phase timings not measured: %+v", label, tm)
+		}
+		if tm.Pre+tm.Dep+tm.Identify > tm.Total {
+			t.Errorf("%s: phases exceed the total: %+v", label, tm)
+		}
 	}
 }
 

@@ -22,11 +22,13 @@ import (
 //
 // The adapters differ only in how records reach the passes:
 //
-//   - Analyze / AnalyzeStream run the offline *schedule*
+//   - Analyze (caller-owned records) and AnalyzeBytes / AnalyzeFile /
+//     AnalyzeStream (trace bytes, decoded per sweep into one recycled
+//     batch, never materialized) run the offline *schedule*
 //     (analyzeSchedule): bounded sweeps over a replayable source —
 //     a header-only partition sweep, then one fused
 //     storage+collect+depend sweep (analysisPass), batched — so
-//     streaming keeps O(variables) memory without a parallel
+//     memory stays O(variables) without a parallel
 //     implementation. With BuildDDG the split three-sweep schedule
 //     (partition, storage+collect, storage+depend+ddg) runs instead,
 //     because DDG vertex kinds need the final MLI set.
@@ -441,11 +443,14 @@ type streamSource struct {
 }
 
 func (s *streamSource) sweep(fn func(i int, r *trace.Record) error) error {
-	rd, err := s.open()
-	if err != nil {
-		return err
-	}
-	return trace.ForEach(rd, fn)
+	return s.sweepBatch(nil, func(base int, recs []trace.Record) error {
+		for k := range recs {
+			if err := fn(base+k, &recs[k]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 func (s *streamSource) sweepBatch(filter func(opcode int) bool, fn func(base int, recs []trace.Record) error) error {
@@ -481,11 +486,15 @@ func runSweep(src source, part *spanPartitioner, passes ...Pass) error {
 // for why a pass list cannot be batch-dispatched. filter narrows the
 // operand decode (nil: full records); it must admit every opcode the
 // pass reads operands of. The (possibly grown) region scratch is
-// returned for reuse.
-func runSweepBatched(src source, part *spanPartitioner, filter func(opcode int) bool, regions []Region, p Pass) ([]Region, error) {
+// returned for reuse, with the time spent inside the pass — two clock
+// reads per batch; the rest of the sweep's wall time is the source's
+// decode.
+func runSweepBatched(src source, part *spanPartitioner, filter func(opcode int) bool, regions []Region, p Pass) ([]Region, time.Duration, error) {
 	p.Begin()
 	bp, batched := p.(BatchPass)
+	var inPass time.Duration
 	err := src.sweepBatch(filter, func(base int, recs []trace.Record) error {
+		t0 := time.Now()
 		if cap(regions) < len(recs) {
 			regions = make([]Region, len(recs))
 		}
@@ -495,14 +504,15 @@ func runSweepBatched(src source, part *spanPartitioner, filter func(opcode int) 
 		}
 		if batched {
 			bp.StepBatch(recs, base, regions)
-			return nil
+		} else {
+			for k := range recs {
+				p.Step(&recs[k], base+k, regions[k])
+			}
 		}
-		for k := range recs {
-			p.Step(&recs[k], base+k, regions[k])
-		}
+		inPass += time.Since(t0)
 		return nil
 	})
-	return regions, err
+	return regions, inPass, err
 }
 
 // filterNone rejects every opcode: the partition sweep consults only
@@ -540,12 +550,13 @@ func analyzeSchedule(src source, spec LoopSpec, opts Options) (*Result, error) {
 // analyzeScheduleIn runs the offline schedule: sweep 1 locates the loop's
 // dynamic extent (building the span partitioner, decoding headers only),
 // then one fused storage+collect+depend sweep completes the analysis —
-// the same fusion the online engine runs, so two full decodes instead of
-// three, both batched. With BuildDDG the split three-sweep schedule runs
-// instead: DDG vertex kinds depend on MLI membership, which the fused
-// sweep only finalizes at the end. Analyze (materialized) and
-// AnalyzeStream (never-materialized) are thin adapters that only choose
-// the source; memory stays O(variables) whenever the source does.
+// the same fusion the online engine runs, so one header hop and one full
+// decode instead of three decodes, both batched. With BuildDDG the split
+// three-sweep schedule runs instead: DDG vertex kinds depend on MLI
+// membership, which the fused sweep only finalizes at the end. Analyze
+// (caller-owned records) and the trace-bytes entry points (never
+// materialized) are thin adapters that only choose the source; memory
+// stays O(variables) whenever the source does.
 func analyzeScheduleIn(sc *scratch, src source, spec LoopSpec, opts Options) (*Result, error) {
 	total0 := time.Now()
 	a := sc.analyzer(spec, opts)
@@ -565,22 +576,30 @@ func analyzeScheduleIn(sc *scratch, src source, spec LoopSpec, opts Options) (*R
 		return nil, err
 	}
 	if !part.sawLoop() {
+		// The header-only sweep skipped every operand line unparsed. Decode
+		// them before giving up, so a trace that is malformed reports its
+		// decode error rather than a missing loop.
+		if err := src.sweepBatch(nil, func(int, []trace.Record) error { return nil }); err != nil {
+			return nil, err
+		}
 		return nil, &NoLoopError{Spec: spec, Records: part.n}
 	}
 	res.Stats = part.stats()
 	opts.Obs.Histogram("core.sweep.partition.ns").ObserveSince(t0)
 
 	if !opts.BuildDDG {
-		// Fused sweep: storage, collect, and depend in one pass.
-		res.Timing.Pre = time.Since(t0)
+		// Fused sweep: storage, collect, and depend in one pass. Its time
+		// inside the pass is the dependency analysis; the remainder is the
+		// second decode, booked to Pre with the first (Table III's
+		// "trace reading"), whatever the source.
 		t1 := time.Now()
 		a.trackAll = true
 		ap := &analysisPass{a}
-		if sc.regions, err = runSweepBatched(src, part, nil, sc.regions, ap); err != nil {
+		if sc.regions, res.Timing.Dep, err = runSweepBatched(src, part, nil, sc.regions, ap); err != nil {
 			return nil, err
 		}
 		ap.Finish(res)
-		res.Timing.Dep = time.Since(t1)
+		res.Timing.Pre = time.Since(t0) - res.Timing.Dep
 		opts.Obs.Histogram("core.sweep.analyze.ns").ObserveSince(t1)
 	} else {
 		// Sweep 2: MLI collection (module 1).

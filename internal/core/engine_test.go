@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -47,6 +48,65 @@ func TestNoLoopErrorDescriptive(t *testing.T) {
 			if !strings.Contains(msg, want) {
 				t.Errorf("%s: error %q missing %q", label, msg, want)
 			}
+		}
+	}
+}
+
+// TestAnalyzeBytesErrorPrecedence pins the error contract of the
+// never-materialized AnalyzeBytes path against the full decoders it
+// replaced: a trace that ParseBytes/ParseBinary reject fails with that
+// same decode error — also when the fault hides in operand lines the
+// header-only partition sweep hops over, and also when the LoopSpec
+// matches nothing (a decode error is never reported as a missing loop) —
+// while a well-formed trace without the loop is a *NoLoopError counting
+// every record.
+func TestAnalyzeBytesErrorPrecedence(t *testing.T) {
+	recs, _ := traceOf(t, fig4Source)
+	text := trace.EncodeAll(recs)
+	bin := trace.EncodeBinary(recs)
+	// Splice point: the start of a block header well inside the loop, so a
+	// line inserted there lands among the previous record's operand lines.
+	cut := 0
+	for i := 0; i < len(recs)/2; i++ {
+		cut += bytes.Index(text[cut:], []byte("\n0,")) + 1
+	}
+	splice := func(line string) []byte {
+		return append(append(append([]byte{}, text[:cut]...), line...), text[cut:]...)
+	}
+	noLoop := LoopSpec{Function: "nosuch", StartLine: 900, EndLine: 950}
+
+	faulty := []struct {
+		name  string
+		data  []byte
+		parse func([]byte) ([]trace.Record, error)
+	}{
+		{"text/no-header", []byte("garbage\nmore garbage\n"), trace.ParseBytes},
+		{"text/bad-operand-after-valid-prefix", splice("1,1,64,zz,1,x\n"), trace.ParseBytes},
+		{"text/bad-header-in-skipped-record", splice("0,notanint,main,b,27,5\n"), trace.ParseBytes},
+		{"actb/truncated-body", bin[:len(bin)/2], trace.ParseBinary},
+	}
+	for _, tc := range faulty {
+		_, want := tc.parse(tc.data)
+		if want == nil {
+			t.Fatalf("%s: fixture decodes cleanly", tc.name)
+		}
+		for label, spec := range map[string]LoopSpec{"loop": fig4Spec, "no-loop": noLoop} {
+			_, err := AnalyzeBytes(tc.data, spec, DefaultOptions())
+			var nle *NoLoopError
+			if err == nil || errors.As(err, &nle) || err.Error() != want.Error() {
+				t.Errorf("%s/%s: error %v, want the decode error %v", tc.name, label, err, want)
+			}
+		}
+	}
+
+	for name, data := range map[string][]byte{"text": text, "actb": bin} {
+		_, err := AnalyzeBytes(data, noLoop, DefaultOptions())
+		var nle *NoLoopError
+		if !errors.As(err, &nle) {
+			t.Fatalf("%s: error is %T, want *NoLoopError: %v", name, err, err)
+		}
+		if nle.Records != len(recs) {
+			t.Errorf("%s: scanned %d records, want %d", name, nle.Records, len(recs))
 		}
 	}
 }

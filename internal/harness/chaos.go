@@ -532,10 +532,14 @@ func chaosOne(prep *chaosPrep, bname, stack string, sched ChaosSchedule, dir str
 	})
 	died := crashed != nil || runErr != nil
 	// Settle durability knowledge: without an async layer every counted
-	// commit is durable; with one, only a clean flush proves it.
+	// commit is durable; with one, only a clean flush proves it. A failed
+	// async flush is the same death as a failed Checkpoint: which of the
+	// two calls happens to surface the writer's deferred error is a
+	// wall-clock race, so both must classify alike for a seed to replay.
 	durable := committed > 0
 	if flushErr := ctx.Flush(); flushErr != nil && scfg.Async {
 		durable = false
+		died = true
 	}
 	ctx.Close()
 

@@ -85,8 +85,9 @@ func (p *Prepared) AnalyzeBinary() (*core.Result, error) {
 	return p.AnalyzeData(p.BinData(), 0, false)
 }
 
-// AnalyzeData runs AutoCheck over the given trace encoding, optionally
-// through the streaming (never-materialized) path.
+// AnalyzeData runs AutoCheck over the given trace encoding. Only
+// workers > 1 on text materializes records; streaming is passed through
+// as Options.Streaming, which AnalyzeBytes ignores (it is about files).
 func (p *Prepared) AnalyzeData(data []byte, workers int, streaming bool) (*core.Result, error) {
 	opts := p.opts()
 	opts.Workers = workers

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"autocheck/internal/progs"
 	"autocheck/internal/server"
 	"autocheck/internal/store"
+	"autocheck/internal/trace"
 )
 
 func TestTable2(t *testing.T) {
@@ -280,6 +282,81 @@ func TestFormatEquivalenceAllBenchmarks(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAnalyzeBytesNeverMaterializes is the memory pin beside the
+// equivalence suite: core.AnalyzeBytes on HACC's text and ACTB traces (at
+// the benchmark's scale) decodes into a recycled batch, so the bytes it
+// allocates are O(variables) — about 5 per record. Building a []Record
+// costs about 415 per record; the bound fails long before that.
+func TestAnalyzeBytesNeverMaterializes(t *testing.T) {
+	p, err := Prepare(progs.Get("HACC"), 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"text": p.Data, "actb": p.BinData()} {
+		run := func() {
+			if _, err := p.AnalyzeData(data, 0, false); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		run()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		perRecord := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(p.Records))
+		t.Logf("%s: %.1f B allocated per record (%d records)", name, perRecord, len(p.Records))
+		if perRecord > 32 {
+			t.Errorf("%s: AnalyzeBytes allocates %.1f B per record, want <= 32 — is a record slice materialized again?", name, perRecord)
+		}
+	}
+}
+
+// TestHeaderHopAllBenchmarks is the differential test of the partition
+// sweep's decode on every port: reading the text trace with a reject-all
+// filter (which hops from block header to block header) yields every
+// record of the full decode with the same header fields, at batch sizes
+// that end a batch on, before and far from a hop.
+func TestHeaderHopAllBenchmarks(t *testing.T) {
+	reject := func(int) bool { return false }
+	for _, b := range progs.All() {
+		p, err := Prepare(b, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, max := range []int{1, 2, 512} {
+			rd, _, err := trace.NewBytesReader(p.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch := trace.RecordBatch{Filter: reject}
+			i := 0
+			for {
+				n, err := rd.(trace.BatchReader).NextBatch(&batch, max)
+				if err != nil {
+					t.Fatalf("%s max=%d: %v", b.Name, max, err)
+				}
+				if n == 0 {
+					break
+				}
+				for _, h := range batch.Recs[:n] {
+					if i >= len(p.Records) {
+						t.Fatalf("%s max=%d: more than the trace's %d records", b.Name, max, len(p.Records))
+					}
+					w := p.Records[i]
+					if h.Line != w.Line || h.Func != w.Func || h.Block != w.Block || h.Opcode != w.Opcode ||
+						h.DynID != w.DynID || h.Ops != nil || h.Result != nil {
+						t.Fatalf("%s max=%d: record %d header %+v, full decode has %+v", b.Name, max, i, h, w)
+					}
+					i++
+				}
+			}
+			if i != len(p.Records) {
+				t.Errorf("%s max=%d: %d records, full decode has %d", b.Name, max, i, len(p.Records))
+			}
+		}
 	}
 }
 

@@ -3,8 +3,10 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -161,6 +163,80 @@ func TestBatchFilter(t *testing.T) {
 				}
 			} else if got[i].Ops != nil || got[i].Result != nil {
 				t.Fatalf("%s: rejected record %d still carries operands", name, i)
+			}
+		}
+	}
+}
+
+// headersOnly decodes an in-memory trace with a reject-all filter — the
+// engine's partition sweep, which on text hops from block header to block
+// header without reading the operand lines in between.
+func headersOnly(data []byte, max int) ([]Record, error) {
+	r, _, err := NewBytesReader(data)
+	if err != nil {
+		return nil, err
+	}
+	rd := r.(BatchReader)
+	b := RecordBatch{Filter: func(int) bool { return false }}
+	var out []Record
+	for {
+		n, err := rd.NextBatch(&b, max)
+		if err != nil || n == 0 {
+			return out, err
+		}
+		out = append(out, b.Recs[:n]...)
+	}
+}
+
+// sameHeaders reports how a header-only decode differs from the full
+// decode of the same bytes: it must yield every record, with identical
+// header fields and no operands.
+func sameHeaders(full, hdr []Record) error {
+	if len(hdr) != len(full) {
+		return fmt.Errorf("%d records, full decode has %d", len(hdr), len(full))
+	}
+	for i, h := range hdr {
+		w := full[i]
+		if h.Line != w.Line || h.Func != w.Func || h.Block != w.Block || h.Opcode != w.Opcode || h.DynID != w.DynID {
+			return fmt.Errorf("record %d header %+v, full decode has %+v", i, h, w)
+		}
+		if h.Ops != nil || h.Result != nil {
+			return fmt.Errorf("record %d carries operands", i)
+		}
+	}
+	return nil
+}
+
+// TestHeaderHopEdgeTraces is the differential test of the header hop on
+// hand-written shapes a byte search for the next "\n0," could get wrong,
+// at batch sizes that end a batch on, before and far from a hop. (The 14
+// ports run the same check in harness.TestHeaderHopAllBenchmarks.)
+func TestHeaderHopEdgeTraces(t *testing.T) {
+	const block = "0,17,main,for.body,27,7\n1,1,64,0x10,1,p\nr,0,64,5,1,8\n"
+	traces := map[string]string{
+		"random":              string(EncodeAll(randomRecords(rand.New(rand.NewSource(15)), 300))),
+		"crlf":                strings.ReplaceAll(block+block, "\n", "\r\n"),
+		"blank-lines":         "\n\n" + block + "\n\n\n" + block + "\n",
+		"no-trailing-newline": block + "0,18,main,for.inc,2,9\n1,1,64,0,0,",
+		"header-at-eof":       block + "0,18,main,for.inc,2,9",
+		"negative-lines":      "0,-1,main,entry,26,1\nr,0,64,0x7ff8,1,i\n0,-1,main,entry,26,2\n",
+		"prefix-function":     "0,17,mai,b,27,1\n1,1,64,0x10,1,main\n0,17,main,b,27,2\n0,17,main2,b,27,3\n",
+		"result-mid-block":    "0,17,main,b,11,1\nr,0,64,3,1,5\n1,1,64,1,1,3\n2,2,64,2,0,\n" + block,
+		"adjacent-headers":    "0,1,f,b,2,1\n0,2,f,b,2,2\n0,3,f,b,2,3\n" + block,
+		"zero-valued-fields":  "0,0,f,b,28,1\n1,1,64,0,0,\n1,2,64,0,0,0\n0,0,f,b,2,2\n",
+	}
+	for name, text := range traces {
+		full, err := ParseBytes([]byte(text))
+		if err != nil || len(full) == 0 {
+			t.Fatalf("%s: fixture does not decode: %d records, %v", name, len(full), err)
+		}
+		for _, max := range []int{1, 2, 512} {
+			hdr, err := headersOnly([]byte(text), max)
+			if err == nil {
+				err = sameHeaders(full, hdr)
+			}
+			if err != nil {
+				t.Errorf("%s max=%d: header-only decode: %v", name, max, err)
 			}
 		}
 	}

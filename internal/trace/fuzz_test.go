@@ -10,7 +10,8 @@ import (
 // FuzzParseTrace exercises both parsers — the allocation-free text
 // decoder and the binary decoder — plus the streaming scanners on
 // arbitrary bytes. None of them may panic, and for inputs every text
-// decoder accepts, the serial, parallel, and streaming paths must agree.
+// decoder accepts, the serial, parallel, streaming, and header-only
+// (filtered) paths must agree.
 func FuzzParseTrace(f *testing.F) {
 	recs := sampleRecords()
 	f.Add(EncodeAll(recs))
@@ -44,8 +45,18 @@ func FuzzParseTrace(f *testing.F) {
 				break
 			}
 		}
+		// The header-only decode hops over operand lines unread, so it may
+		// accept input the full decode rejects — but it must not panic, and
+		// on input the full decode accepts it must agree on every header.
+		hdr, herr := headersOnly(data, 3)
 		if serr != nil {
 			return
+		}
+		if herr == nil {
+			herr = sameHeaders(serial, hdr)
+		}
+		if herr != nil {
+			t.Fatalf("header-only decode of %q: %v", data, herr)
 		}
 		// Successful parses re-encode to a canonical form that parses to
 		// the same records on every path (text and binary alike).

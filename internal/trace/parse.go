@@ -21,8 +21,14 @@ import (
 // handful of function/block/operand names millions of times; interning
 // makes every repeat cost one map probe and zero allocations (the
 // map[string]X lookup keyed by string(b) does not allocate on hit).
+//
+// In front of the map sits a small direct-mapped memo: consecutive records
+// repeat the same Func, Block and operand names, so most lookups are
+// answered by one string compare against the slot's last occupant instead
+// of a full hash of the name.
 type interner struct {
-	tab map[string]string
+	tab  map[string]string
+	memo [256]string
 }
 
 func newInterner() *interner {
@@ -33,11 +39,21 @@ func (in *interner) intern(b []byte) string {
 	if len(b) == 0 {
 		return ""
 	}
-	if s, ok := in.tab[string(b)]; ok {
-		return s
+	// Length plus first, middle and last byte tell apart the names that
+	// alternate in practice ("i" / "arrayidx" / "17", "for.body.3" /
+	// "for.inc.4"); a collision only costs the map probe it would have
+	// paid anyway.
+	n := len(b)
+	slot := &in.memo[((n*31+int(b[0]))*31+int(b[n-1])*17+int(b[n/2])*5)&(len(in.memo)-1)]
+	if *slot == string(b) { // compiles to a compare, no allocation
+		return *slot
 	}
-	s := string(b)
-	in.tab[s] = s
+	s, ok := in.tab[string(b)]
+	if !ok {
+		s = string(b)
+		in.tab[s] = s
+	}
+	*slot = s
 	return s
 }
 
@@ -259,6 +275,10 @@ func nextLine(data []byte, pos int) ([]byte, int) {
 	return line, pos
 }
 
+// headerMark is what precedes every block header but the first: a line
+// break followed by the header's leading "0,".
+var headerMark = []byte("\n0,")
+
 // isHeaderLine reports whether a line starts an instruction block.
 func isHeaderLine(line []byte) bool {
 	return len(line) >= 2 && line[0] == '0' && line[1] == ','
@@ -275,14 +295,14 @@ func (d *decoder) decodeText(data []byte, dst []Record) ([]Record, error) {
 // decodeN appends up to max records (max < 0: all) from data starting at
 // pos to dst, returning the position of the first unconsumed byte. A
 // non-nil filter decodes rejected opcodes header-only: their operand
-// lines are scanned past without parsing, which is what makes a
-// header-only sweep over a trace cheap. This is the single textual decode
-// loop — ParseBytes and the batch readers differ only in the arguments.
+// lines are hopped over unread, straight to the next block header, so a
+// header-only sweep pays for one header parse per record and nothing per
+// operand. This is the single textual decode loop — ParseBytes and the
+// batch readers differ only in the arguments.
 func (d *decoder) decodeN(data []byte, pos int, dst []Record, max int, filter func(opcode int) bool) (int, []Record, error) {
 	start := len(dst)
 	var line []byte
 	cur := -1 // index in dst of the open record, -1 if none
-	skip := false
 	opStart := len(d.ops)
 	d.resIdx = d.resIdx[:0]
 	// flush attaches the open record's arena extent: its input operands as
@@ -353,13 +373,19 @@ func (d *decoder) decodeN(data []byte, pos int, dst []Record, max int, filter fu
 			}
 			dst = append(dst, rec)
 			cur = len(dst) - 1
-			skip = filter != nil && !filter(rec.Opcode)
+			if filter != nil && !filter(rec.Opcode) {
+				// Skip the operand lines in one hop: the next header is the
+				// next line starting "0,". The search starts on the newline
+				// that ended this header, so an adjacent header is found.
+				if i := bytes.Index(data[pos-1:], headerMark); i >= 0 {
+					pos += i
+				} else {
+					pos = len(data)
+				}
+			}
 		default:
 			if cur < 0 {
 				return pos, nil, fmt.Errorf("trace: expected block header, got %q", line)
-			}
-			if skip {
-				continue
 			}
 			op, err := d.parseOperand(line)
 			if err != nil {
@@ -378,7 +404,7 @@ func (d *decoder) decodeN(data []byte, pos int, dst []Record, max int, filter fu
 // CountRecords returns the number of instruction blocks in a textual
 // trace without parsing it (one block per line starting with "0,").
 func CountRecords(data []byte) int {
-	n := bytes.Count(data, []byte("\n0,"))
+	n := bytes.Count(data, headerMark)
 	if isHeaderLine(data) {
 		n++
 	}
