@@ -134,8 +134,9 @@ func AnalyzeFile(path string, spec LoopSpec, opts Options) (*Result, error) {
 }
 
 // Engine is the single incremental analysis core every mode adapts to:
-// feed it records one at a time via Observe and call Finish for the
-// Result. Analyze/AnalyzeStream run the same passes through a bounded
+// feed it records a batch at a time via ObserveBatch (or one at a time
+// via Observe — the same code) and call Finish for the Result. Records
+// need only stay valid for the duration of the call. Analyze/AnalyzeStream run the same passes through a bounded
 // multi-sweep schedule; the Engine itself is the single-sweep (online)
 // configuration.
 type Engine = core.Engine
@@ -148,12 +149,12 @@ func NewEngine(spec LoopSpec, opts Options) (*Engine, error) {
 // Collector is the Engine under its historical name — the online
 // (single-pass, no trace file) analyzer of the paper's §IX future-work
 // mode, where AutoCheck runs inside the instrumentation itself.
-type Collector = core.Collector
+type Collector = core.Engine
 
 // NewCollector prepares an online analysis session; feed it records via
-// Observe (e.g. as an interpreter Tracer callback) and call Finish.
+// Observe or ObserveBatch and call Finish.
 func NewCollector(spec LoopSpec, opts Options) (*Collector, error) {
-	return core.NewCollector(spec, opts)
+	return core.NewEngine(spec, opts)
 }
 
 // AnalyzeProgramOnline executes a module with the engine wired directly

@@ -392,9 +392,7 @@ func runEngine(r io.Reader, spec core.LoopSpec, includeGlobals bool, reg *obs.Re
 	}
 	var batch trace.RecordBatch
 	if err := trace.ForEachBatch(rd, &batch, func(_ int, recs []trace.Record) error {
-		for k := range recs {
-			eng.Observe(&recs[k])
-		}
+		eng.ObserveBatch(recs)
 		return nil
 	}); err != nil {
 		return nil, err

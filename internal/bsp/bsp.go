@@ -200,18 +200,18 @@ func (w *World) Run(barrier BarrierFunc) ([]string, error) {
 // data dependencies between MLI variables are the same in serial and
 // parallel runs (§VII "Parallel and Serial").
 func AnalyzeRank(mod *ir.Module, rank, ranks int, spec core.LoopSpec, opts core.Options) (*core.Result, error) {
-	col, err := core.NewCollector(spec, opts)
+	eng, err := core.NewEngine(spec, opts)
 	if err != nil {
 		return nil, err
 	}
 	m := interp.New(mod)
 	m.Rank = rank
 	m.Ranks = ranks
-	m.Tracer = col.Observe
+	m.TraceInto(eng)
 	if _, err := m.Run(); err != nil && !errors.Is(err, interp.ErrFailStop) {
 		return nil, err
 	}
-	return col.Finish()
+	return eng.Finish()
 }
 
 // ParallelAnalyzeRanks analyzes every rank concurrently.

@@ -20,6 +20,12 @@ type LoopSpec struct {
 	EndLine   int
 }
 
+// contains reports whether r is a record of the loop function at a line
+// inside the MCLR — what both partitioners key on.
+func (s LoopSpec) contains(r *trace.Record) bool {
+	return r.Func == s.Function && r.Line >= s.StartLine && r.Line <= s.EndLine
+}
+
 // Options tunes the analysis.
 type Options struct {
 	// IncludeGlobals collects global variables referenced inside function

@@ -32,9 +32,9 @@ import (
 //     implementation. With BuildDDG the split three-sweep schedule
 //     (partition, storage+collect, storage+depend+ddg) runs instead,
 //     because DDG vertex kinds need the final MLI set.
-//   - Engine (and its Collector alias) is the single-sweep online
-//     configuration: the scanPartitioner discovers the loop extent
-//     incrementally and the same fused pass runs on a live record feed.
+//   - Engine is the single-sweep online configuration: the
+//     scanPartitioner discovers the loop extent incrementally, a batch
+//     at a time, and the same fused pass runs on a live record feed.
 //   - AnalyzeMany (many.go) runs N independent engines concurrently over
 //     distinct traces, one reusable scratch bundle per worker.
 
@@ -96,7 +96,7 @@ func newSpanPartitioner(spec LoopSpec) *spanPartitioner {
 // observe is the partition sweep: it learns the extent record by record.
 func (p *spanPartitioner) observe(i int, r *trace.Record) error {
 	p.n = i + 1
-	if r.Func == p.spec.Function && r.Line >= p.spec.StartLine && r.Line <= p.spec.EndLine {
+	if p.spec.contains(r) {
 		if p.bStart < 0 {
 			p.bStart = i
 		}
@@ -133,86 +133,84 @@ func (p *spanPartitioner) sawLoop() bool { return p.bStart >= 0 }
 // MCLR. The last such record cannot be recognized without lookahead —
 // a callee excursion or the loop's back edge looks just like the loop's
 // exit until the MCLR is (or is never) re-entered — so once the loop has
-// started, records outside the MCLR park in a pending buffer: the next
-// in-MCLR record proves the loop continued and flushes them as region B,
-// and the end of the stream resolves the final run as region C. Memory
-// is therefore bounded by the longest single run of records away from
-// the MCLR: one callee excursion during the loop, and — the trailing run
-// — the entire program epilogue, which only flushes at Finish. Under the
-// paper's model (the main computation loop dominates the program) the
-// epilogue is a handful of records; a program that does most of its work
-// after the loop pays O(post-loop records) here and should use the
-// offline schedule instead. The exactness is what the buffering buys:
-// deferred records must be replayed with their full dependency context,
-// so they cannot be processed eagerly without diverging from offline
-// map/storage state at their position.
+// started, records outside the MCLR park: the next in-MCLR record proves
+// the loop continued and flushes them as region B, and the end of the
+// stream resolves the final run as region C. Memory is therefore bounded
+// by the longest single run of records away from the MCLR: one callee
+// excursion during the loop, and — the trailing run — the entire program
+// epilogue, which only flushes at Finish. Under the paper's model (the
+// main computation loop dominates the program) the epilogue is a handful
+// of records; a program that does most of its work after the loop pays
+// O(post-loop records) here and should use the offline schedule instead.
+// The exactness is what the parking buys: deferred records must be
+// replayed with their full dependency context, so they cannot be
+// processed eagerly without diverging from offline map/storage state at
+// their position.
 type scanPartitioner struct {
-	spec    LoopSpec
-	inLoop  bool           // region B entered
-	pending []trace.Record // records awaiting excursion/exit resolution
-	pendOps []trace.Operand // arena backing the parked records' operands
-	counts  [3]int
+	spec   LoopSpec
+	inLoop bool // region B entered
+	parked parkArena
+	counts [3]int
 }
 
-// observe classifies one record, emitting it (and any parked records
-// whose region its arrival resolves) in trace order.
-func (p *scanPartitioner) observe(r *trace.Record, emit func(*trace.Record, Region)) {
-	inRange := r.Func == p.spec.Function &&
-		r.Line >= p.spec.StartLine && r.Line <= p.spec.EndLine
+// observe classifies one batch in a single pass and emits, in trace
+// order, every run of records whose region the batch resolves. An
+// in-MCLR record anywhere in the batch decides everything before it: the
+// parked records were an excursion inside the loop (region B), and so is
+// every record of the batch between the loop's start and the batch's last
+// in-MCLR record — those go to emit as sub-slices of recs, never copied.
+// Only the tail after that record is undecided, and parks.
+func (p *scanPartitioner) observe(recs []trace.Record, emit func([]trace.Record, Region)) {
+	first, last := -1, -1
+	for k := range recs {
+		if p.spec.contains(&recs[k]) {
+			if first < 0 {
+				first = k
+			}
+			last = k
+		}
+	}
 	switch {
-	case inRange:
-		// In the MCLR: everything parked since the last such record was
-		// an excursion inside the loop, i.e. region B.
-		p.inLoop = true
-		p.flush(RegionLoop, emit)
-		p.emit(r, RegionLoop, emit)
+	case last >= 0:
+		decided := recs[:last+1]
+		if p.inLoop {
+			p.flush(RegionLoop, emit)
+		} else {
+			p.inLoop = true
+			p.emit(decided[:first], RegionBefore, emit)
+			decided = decided[first:]
+		}
+		p.emit(decided, RegionLoop, emit)
+		p.parked.add(recs[last+1:])
 	case p.inLoop:
-		p.park(r)
+		p.parked.add(recs)
 	default:
-		p.emit(r, RegionBefore, emit)
+		p.emit(recs, RegionBefore, emit)
 	}
 }
 
-// park deep-copies r into the partitioner's buffers: the caller may reuse
-// its record and operand storage between Observe calls (nothing in the
-// Observer contract forbids it), and parked records outlive the call. The
-// copy lands in a reusable arena — recycled at every flush — so steady
-// excursion traffic parks without allocating. Arena growth copies the
-// backing array but never mutates written elements, so earlier parked
-// records' aliases stay value-correct.
-func (p *scanPartitioner) park(r *trace.Record) {
-	c := *r
-	if len(r.Ops) > 0 {
-		opStart := len(p.pendOps)
-		p.pendOps = append(p.pendOps, r.Ops...)
-		c.Ops = p.pendOps[opStart:len(p.pendOps):len(p.pendOps)]
-	}
-	if r.Result != nil {
-		p.pendOps = append(p.pendOps, *r.Result)
-		c.Result = &p.pendOps[len(p.pendOps)-1]
-	}
-	p.pending = append(p.pending, c)
-}
-
-// finish resolves the trailing pending run: no later record re-entered
+// finish resolves the trailing parked run: no later record re-entered
 // the MCLR, so it was the loop's exit and the records are region C.
-func (p *scanPartitioner) finish(emit func(*trace.Record, Region)) {
+func (p *scanPartitioner) finish(emit func([]trace.Record, Region)) {
 	p.flush(RegionAfter, emit)
 }
 
-func (p *scanPartitioner) flush(reg Region, emit func(*trace.Record, Region)) {
-	for i := range p.pending {
-		p.emit(&p.pending[i], reg, emit)
+// flush emits the parked records chunk by chunk. Passes never retain
+// record pointers past a step, so the chunks are free for reuse the
+// moment the flush ends.
+func (p *scanPartitioner) flush(reg Region, emit func([]trace.Record, Region)) {
+	for _, c := range p.parked.chunks[:p.parked.used] {
+		p.emit(c.recs, reg, emit)
 	}
-	// Passes never retain record pointers past Step, so the parked
-	// storage is free for reuse the moment the flush ends.
-	p.pending = p.pending[:0]
-	p.pendOps = p.pendOps[:0]
+	p.parked.reset()
 }
 
-func (p *scanPartitioner) emit(r *trace.Record, reg Region, emit func(*trace.Record, Region)) {
-	p.counts[reg]++
-	emit(r, reg)
+func (p *scanPartitioner) emit(recs []trace.Record, reg Region, emit func([]trace.Record, Region)) {
+	if len(recs) == 0 {
+		return
+	}
+	p.counts[reg] += len(recs)
+	emit(recs, reg)
 }
 
 func (p *scanPartitioner) stats() Stats {
@@ -225,6 +223,72 @@ func (p *scanPartitioner) stats() Stats {
 }
 
 func (p *scanPartitioner) sawLoop() bool { return p.inLoop }
+
+// parkArena holds the records whose region is undecided. The caller may
+// reuse its record and operand storage between Observe calls (the
+// Observer contract says it will), and parked records outlive the call,
+// so parking deep-copies — into fixed-size chunks, each a record slice
+// plus the operand arena backing those records. A chunk is filled in
+// place and never grown, so a parked record is copied exactly once, and
+// the chunks stay with the arena from flush to flush: an engine allocates
+// its longest excursion once, chunk by chunk as the excursion first
+// reaches that length, and parks in steady state without allocating.
+type parkArena struct {
+	chunks []*parkChunk // chunks[:used] hold the parked records in trace order; the rest are spare
+	used   int
+}
+
+type parkChunk struct {
+	recs []trace.Record
+	ops  []trace.Operand // backs recs' Ops and Result; a record's operands never straddle two chunks
+}
+
+// A chunk takes parkChunkRecords records or parkChunkOps operands,
+// whichever fills first (116 KB). The 14 ports average 2.3 operands a
+// record, results included, so the two fill at about the same time; a
+// record with more operands than a whole chunk holds gets a chunk with
+// an arena of its own size.
+const (
+	parkChunkRecords = 512
+	parkChunkOps     = 1024
+)
+
+// add deep-copies recs onto the end of the parked run.
+func (a *parkArena) add(recs []trace.Record) {
+	for i := range recs {
+		c := a.tail(recs[i].NumOperands())
+		c.recs = c.recs[:len(c.recs)+1] // tail left room
+		c.ops = recs[i].CloneInto(&c.recs[len(c.recs)-1], c.ops)
+	}
+}
+
+// tail returns the chunk the next record goes into: the last one in use
+// while it has room for a record with need operands, else the next spare
+// one, else a new one.
+func (a *parkArena) tail(need int) *parkChunk {
+	if a.used > 0 {
+		if c := a.chunks[a.used-1]; len(c.recs) < cap(c.recs) && len(c.ops)+need <= cap(c.ops) {
+			return c
+		}
+	}
+	if a.used == len(a.chunks) {
+		a.chunks = append(a.chunks, &parkChunk{recs: make([]trace.Record, 0, parkChunkRecords)})
+	}
+	c := a.chunks[a.used]
+	a.used++
+	if want := max(need, parkChunkOps); cap(c.ops) < want {
+		c.ops = make([]trace.Operand, 0, want)
+	}
+	return c
+}
+
+// reset empties the arena, keeping every chunk for the next excursion.
+func (a *parkArena) reset() {
+	for _, c := range a.chunks[:a.used] {
+		c.recs, c.ops = c.recs[:0], c.ops[:0]
+	}
+	a.used = 0
+}
 
 // Pass is one composable stage of the engine. A pass consumes classified
 // records one at a time; schedules decide which passes share a sweep.
@@ -639,14 +703,15 @@ func analyzeScheduleIn(sc *scratch, src source, spec LoopSpec, opts Options) (*R
 
 // Engine is the incremental core in its single-sweep configuration — the
 // paper's §IX online mode, where analysis runs inside the instrumentation
-// itself. Records are observed as they are produced (for example by
-// wiring Observe as the interpreter's Tracer callback); no trace is
-// materialized and no record is revisited.
+// itself. Records are observed as they are produced, a batch at a time
+// (interp.Machine.TraceInto hands the emitter's batches to ObserveBatch;
+// Observe is the one-record case); no trace is materialized and no
+// record is revisited.
 //
 // The offline schedule consults MLI membership while streaming dependency
 // events; fused into one sweep, the engine instead tracks summaries for
 // every variable and intersects with the MLI set at Finish. Region
-// boundaries come from the incremental scanPartitioner, which buffers
+// boundaries come from the incremental scanPartitioner, which parks
 // just enough lookahead to classify records exactly like the offline
 // partition sweep — results are byte-identical to Analyze on the same
 // records (Timing aside, and Stats.TraceBytes stays 0: no trace bytes
@@ -656,8 +721,9 @@ type Engine struct {
 	spec  LoopSpec
 	a     *analyzer
 	part  *scanPartitioner
-	pass  *analysisPass               // the fused storage+collect+depend pass
-	emit  func(*trace.Record, Region) // e.step, bound once: a per-Observe method value would allocate
+	pass  *analysisPass                // the fused storage+collect+depend pass
+	emit  func([]trace.Record, Region) // e.step, bound once: a per-call method value would allocate
+	one   [1]trace.Record              // Observe's one-element batch
 	n     int
 	start time.Time
 }
@@ -681,19 +747,48 @@ func NewEngine(spec LoopSpec, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// Observe consumes one dynamic instruction record. The record may reach
-// the pass slightly later (copied into the partitioner's lookahead
-// buffer) when its region is not yet decidable; pass order always equals
-// trace order.
-func (e *Engine) Observe(r *trace.Record) {
-	e.part.observe(r, e.emit)
+// ObserveBatch consumes a run of consecutive dynamic instruction records
+// — a tracer's emit batch, a decoded chunk of a trace. The records, with
+// their Ops and Result storage, need only stay valid for the duration of
+// the call (the contract of trace.ForEachBatch and of the interpreter's
+// emitter): what the engine cannot classify yet it copies. Records whose
+// region the batch decides reach the fused pass as sub-slices of recs;
+// pass order always equals trace order, and how a stream is cut into
+// batches never changes the result.
+func (e *Engine) ObserveBatch(recs []trace.Record) {
+	e.part.observe(recs, e.emit)
 }
 
-// step feeds one region-resolved record through the fused pass (which
-// owns the footprint freeze at the loop's end).
-func (e *Engine) step(r *trace.Record, reg Region) {
-	e.pass.Step(r, e.n, reg)
-	e.n++
+// Observe consumes one dynamic instruction record: ObserveBatch of one.
+// The header is copied into the engine; Ops and Result still alias the
+// caller's storage, which the contract keeps valid for the call.
+func (e *Engine) Observe(r *trace.Record) {
+	e.one[0] = *r
+	e.part.observe(e.one[:], e.emit)
+}
+
+// uniformRegions classifies a run of records that share one region, for
+// StepBatch's regions argument; runs longer than a row are stepped in
+// pieces.
+var uniformRegions = func() (t [3][trace.DefaultBatchRecords]Region) {
+	for reg := range t {
+		for k := range t[reg] {
+			t[reg][k] = Region(reg)
+		}
+	}
+	return t
+}()
+
+// step feeds a run of records resolved to one region through the fused
+// pass (which owns the footprint freeze at the loop's end).
+func (e *Engine) step(recs []trace.Record, reg Region) {
+	regions := uniformRegions[reg][:]
+	for len(recs) > 0 {
+		k := min(len(recs), len(regions))
+		e.pass.StepBatch(recs[:k], e.n, regions[:k])
+		e.n += k
+		recs = recs[k:]
+	}
 }
 
 // Finish resolves the trailing records, completes the analysis, and
@@ -702,7 +797,7 @@ func (e *Engine) step(r *trace.Record, reg Region) {
 // are recorded here — once per session, never per record, so Observe's
 // hot path carries no telemetry cost when disabled or enabled.
 func (e *Engine) Finish() (*Result, error) {
-	e.part.finish(e.step)
+	e.part.finish(e.emit)
 	if !e.part.sawLoop() {
 		return nil, &NoLoopError{Spec: e.spec, Records: e.n}
 	}

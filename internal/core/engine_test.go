@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -380,5 +382,251 @@ func TestPassNames(t *testing.T) {
 			t.Errorf("pass name %q empty or duplicated", name)
 		}
 		seen[name] = true
+	}
+}
+
+// ---- ObserveBatch: the scan-partitioner under every batching ----
+
+// recycledFeed feeds recs to observe in batches ending at the given cut
+// points (ascending stream indices; the stream's end is implied), the way
+// the interpreter's emitter does: through one trace.RecordBatch that is
+// reset for every batch, with each batch's records and operands
+// overwritten as soon as the call returns. Anything the callee kept by
+// reference is garbage afterwards.
+func recycledFeed(recs []trace.Record, cuts []int, observe func([]trace.Record)) {
+	var b trace.RecordBatch
+	start := 0
+	for _, end := range append(append([]int(nil), cuts...), len(recs)) {
+		if end <= start {
+			continue
+		}
+		b.Reset()
+		for i := start; i < end; i++ {
+			r := &recs[i]
+			for _, o := range r.Ops {
+				b.AppendOperand(o)
+			}
+			if r.Result != nil {
+				b.AppendOperand(*r.Result)
+			}
+			hdr := *r
+			b.AppendRecord(hdr, r.Result != nil)
+		}
+		observe(b.Recs)
+		for i := range b.Recs {
+			for j := range b.Recs[i].Ops {
+				b.Recs[i].Ops[j] = trace.Operand{Name: "poison"}
+			}
+			if b.Recs[i].Result != nil {
+				*b.Recs[i].Result = trace.Operand{Name: "poison"}
+			}
+			b.Recs[i] = trace.Record{Func: "poison"}
+		}
+		start = end
+	}
+}
+
+// scanLog is everything a scanPartitioner emits for recs under the given
+// batching: region and complete text encoding of every record, in order.
+func scanLog(recs []trace.Record, spec LoopSpec, cuts []int) ([]string, *scanPartitioner) {
+	p := &scanPartitioner{spec: spec}
+	var log []string
+	emit := func(run []trace.Record, reg Region) {
+		for i := range run {
+			log = append(log, reg.String()+" "+run[i].String())
+		}
+	}
+	recycledFeed(recs, cuts, func(batch []trace.Record) { p.observe(batch, emit) })
+	p.finish(emit)
+	return log, p
+}
+
+// spanLog is the offline classification of the same records.
+func spanLog(recs []trace.Record, spec LoopSpec) []string {
+	part := newSpanPartitioner(spec)
+	for i := range recs {
+		part.observe(i, &recs[i])
+	}
+	log := make([]string, len(recs))
+	for i := range recs {
+		reg := RegionBefore // a loop that never starts leaves every record in region A
+		if part.sawLoop() {
+			reg = part.classify(&recs[i], i)
+		}
+		log[i] = reg.String() + " " + recs[i].String()
+	}
+	return log
+}
+
+func everyN(n, total int) []int {
+	var cuts []int
+	for c := n; c < total; c += n {
+		cuts = append(cuts, c)
+	}
+	return cuts
+}
+
+// TestScanPartitionerAnyBatching: however the stream is cut into batches,
+// the online partitioner emits every record once, in trace order, intact
+// and classified exactly like the offline partition sweep. (The 14-port,
+// whole-Result version is harness.TestObserveBatchEquivalenceAllBenchmarks.)
+func TestScanPartitionerAnyBatching(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		src  string
+		spec LoopSpec
+	}{
+		{"fig4", fig4Source, fig4Spec},
+		{"cg", cgSource, cgSpec},
+		{"halo", haloSource, haloSpec},
+	} {
+		recs, _ := traceOf(t, tc.src)
+		want := spanLog(recs, tc.spec)
+		batchings := map[string][]int{"whole": nil}
+		for _, n := range []int{1, 2, 7, 512} {
+			batchings[fmt.Sprintf("every-%d", n)] = everyN(n, len(recs))
+		}
+		rng := rand.New(rand.NewSource(1))
+		for s := 0; s < 20; s++ {
+			var cuts []int
+			for c := 0; c < len(recs); c += 1 + rng.Intn(1+rng.Intn(900)) {
+				cuts = append(cuts, c)
+			}
+			batchings[fmt.Sprintf("random-%d", s)] = cuts
+		}
+		for label, cuts := range batchings {
+			got, _ := scanLog(recs, tc.spec, cuts)
+			if len(got) != len(want) {
+				t.Fatalf("%s/%s: emitted %d records, want %d", tc.name, label, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s/%s: record %d:\ngot  %s\nwant %s", tc.name, label, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestParkOversizedRecord: a record with more operands than a parking
+// chunk holds gets a chunk of its own size, parks among ordinary records
+// and replays intact; a second, identical excursion reuses the first
+// one's chunks instead of allocating.
+func TestParkOversizedRecord(t *testing.T) {
+	spec := LoopSpec{Function: "main", StartLine: 10, EndLine: 20}
+	op := func(i int) trace.Operand {
+		return trace.Operand{Index: i, Size: 64, Value: trace.IntValue(int64(1000 + i)), IsReg: true, Name: fmt.Sprintf("a%d", i)}
+	}
+	dyn := int64(0)
+	rec := func(fn string, line, opcode, nops int, result bool) trace.Record {
+		dyn++
+		r := trace.Record{Line: line, Func: fn, Block: "b", Opcode: opcode, DynID: dyn}
+		for i := 1; i <= nops; i++ {
+			r.Ops = append(r.Ops, op(i))
+		}
+		if result {
+			res := op(0)
+			r.Result = &res
+		}
+		return r
+	}
+	var recs []trace.Record
+	recs = append(recs, rec("main", 5, trace.OpAlloca, 0, true)) // region A
+	for excursion := 0; excursion < 2; excursion++ {
+		recs = append(recs, rec("main", 12, trace.OpLoad, 1, true)) // in the MCLR
+		for i := 0; i < parkChunkRecords+3; i++ {                   // more records than one chunk takes
+			recs = append(recs, rec("callee", 40, trace.OpAdd, 2, true))
+		}
+		recs = append(recs, rec("callee", 41, trace.OpCall, parkChunkOps+9, true))
+		for i := 0; i < 70; i++ { // longer than the batches below, so the Call never shares one with the record that decides it
+			recs = append(recs, rec("callee", 42, trace.OpStore, 2, false))
+		}
+	}
+	recs = append(recs, rec("main", 12, trace.OpLoad, 1, true)) // closes the second excursion
+	recs = append(recs, rec("main", 30, trace.OpRet, 0, false)) // region C
+
+	want := spanLog(recs, spec)
+	for label, cuts := range map[string][]int{"whole": nil, "every-1": everyN(1, len(recs)), "every-64": everyN(64, len(recs))} {
+		got, p := scanLog(recs, spec, cuts)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: oversized record did not replay intact (%d records emitted, want %d)", label, len(got), len(want))
+		}
+		if label == "whole" {
+			continue // one batch decides both excursions: nothing parks but the epilogue
+		}
+		// 515 ordinary records (1,545 operands) fill two chunks by operand
+		// count, the Call takes its own, the Stores start a fourth; the
+		// second excursion must fit the same four.
+		if n := len(p.parked.chunks); n != 4 {
+			t.Errorf("%s: %d parking chunks after two identical excursions, want 4 (allocated once, reused)", label, n)
+		}
+		big := 0
+		for _, c := range p.parked.chunks {
+			if cap(c.ops) > parkChunkOps {
+				big++
+			}
+		}
+		if big != 1 {
+			t.Errorf("%s: %d chunks with an oversized arena, want 1", label, big)
+		}
+	}
+}
+
+// TestEngineLoopNeverStartsOrNeverCloses: batches that contain no in-MCLR
+// record at all. A loop that never starts is a *NoLoopError counting every
+// record; a stream that ends inside an excursion resolves the parked run
+// as region C, like the offline sweep over the same truncated records.
+func TestEngineLoopNeverStartsOrNeverCloses(t *testing.T) {
+	recs, mod := traceOf(t, haloSource)
+	opts := DefaultOptions()
+	opts.Module = mod
+
+	// The longest run away from the MCLR after the loop has started.
+	inRange := func(r *trace.Record) bool {
+		return r.Func == haloSpec.Function && r.Line >= haloSpec.StartLine && r.Line <= haloSpec.EndLine
+	}
+	bestStart, bestLen, runStart, started := 0, 0, 0, false
+	for i := range recs {
+		if inRange(&recs[i]) {
+			if started && i-runStart > bestLen {
+				bestStart, bestLen = runStart, i-runStart
+			}
+			started, runStart = true, i+1
+		}
+	}
+	if bestLen < 2 {
+		t.Fatalf("halo trace has no excursion to cut (longest %d)", bestLen)
+	}
+	truncated := recs[:bestStart+bestLen/2]
+
+	for _, batch := range []int{1, 7, 512, len(recs)} {
+		eng, err := NewEngine(LoopSpec{Function: "main", StartLine: 900, EndLine: 950}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recycledFeed(recs, everyN(batch, len(recs)), eng.ObserveBatch)
+		_, err = eng.Finish()
+		var nle *NoLoopError
+		if !errors.As(err, &nle) || nle.Records != len(recs) {
+			t.Errorf("batch %d: loop never starts: err = %v, want *NoLoopError over %d records", batch, err, len(recs))
+		}
+
+		want, err := Analyze(truncated, haloSpec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err = NewEngine(haloSpec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recycledFeed(truncated, everyN(batch, len(truncated)), eng.ObserveBatch)
+		got, err := eng.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireEquivalent(t, fmt.Sprintf("batch %d: stream ends inside an excursion", batch), want, got)
+		if got.Stats.RegionC != bestLen/2 {
+			t.Errorf("batch %d: region C = %d records, want the %d of the open excursion", batch, got.Stats.RegionC, bestLen/2)
+		}
 	}
 }

@@ -8,14 +8,15 @@ import (
 	"autocheck/internal/trace"
 )
 
-// runOnline executes a program with the collector wired as the tracer.
+// runOnline executes a program with the engine wired as the tracer's
+// per-record callback (the batch hand-off is exercised everywhere else).
 func runOnline(t *testing.T, src string, spec LoopSpec, opts Options) *Result {
 	t.Helper()
 	mod, err := interp.Compile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := NewCollector(spec, opts)
+	col, err := NewEngine(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestOnlineMatchesOffline(t *testing.T) {
 func TestOnlineRejectsBuildDDG(t *testing.T) {
 	opts := DefaultOptions()
 	opts.BuildDDG = true
-	if _, err := NewCollector(fig4Spec, opts); err == nil {
+	if _, err := NewEngine(fig4Spec, opts); err == nil {
 		t.Error("online collector should reject BuildDDG")
 	}
 }
@@ -93,7 +94,7 @@ func TestOnlineLoopNeverExecuted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := NewCollector(LoopSpec{Function: "main", StartLine: 100, EndLine: 200}, DefaultOptions())
+	col, err := NewEngine(LoopSpec{Function: "main", StartLine: 100, EndLine: 200}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,16 +96,15 @@ func (p *Prepared) AnalyzeData(data []byte, workers int, streaming bool) (*core.
 }
 
 // AnalyzeOnline runs the engine single-sweep over the prepared records,
-// feeding them one at a time as a live tracer would (§IX online mode; no
-// re-execution, the materialized records stand in for the feed).
+// through the batch entry a live tracer feeds (§IX online mode; no
+// re-execution, the materialized records stand in for the feed — here as
+// one batch; the engine's result does not depend on how a feed is cut).
 func (p *Prepared) AnalyzeOnline() (*core.Result, error) {
 	eng, err := core.NewEngine(p.Spec, p.opts())
 	if err != nil {
 		return nil, err
 	}
-	for i := range p.Records {
-		eng.Observe(&p.Records[i])
-	}
+	eng.ObserveBatch(p.Records)
 	return eng.Finish()
 }
 
@@ -452,11 +451,11 @@ func MeasureStorageRun(mod *ir.Module, res *core.Result, scfg store.Config, leve
 // the same benchmark and checkpointing its critical variables at every
 // main-loop boundary.
 type ManyClientsRun struct {
-	Clients         int
-	Checkpoints     int           // total checkpoints written across clients
-	BytesWritten    int64         // bytes handed to storage (client-observed)
-	Elapsed         time.Duration // wall clock for the concurrent phase
-	CkptsPerSec     float64
+	Clients           int
+	Checkpoints       int           // total checkpoints written across clients
+	BytesWritten      int64         // bytes handed to storage (client-observed)
+	Elapsed           time.Duration // wall clock for the concurrent phase
+	CkptsPerSec       float64
 	RestartsOK        int   // clients whose final restart recovered the last checkpoint
 	CacheHits         int64 // summed across clients (cache tier only)
 	CacheFollowerHits int64 // single-flight followers served by a leader's fetch

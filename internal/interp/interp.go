@@ -31,34 +31,45 @@ const (
 	stackBase  = 0x00007ffc00000000 // stack grows downward from here
 )
 
-// Frame is one activation record.
+// Frame is one activation record. A frame belongs to the machine: it is
+// valid while its call is active (a BlockHook may inspect it) and is
+// recycled for a later call after it returns.
 type Frame struct {
-	Fn      *ir.Function
-	blk     *ir.Block
-	idx     int
-	regs    map[*ir.Instr]trace.Value
-	args    []trace.Value
-	allocas map[*ir.Instr]uint64
-	sp      uint64 // stack pointer at frame entry (restored on return)
-	call    *ir.Instr
+	Fn   *ir.Function
+	blk  *ir.Block
+	idx  int
+	regs []trace.Value // register file, indexed by ir.Instr.ID
+	args []trace.Value
+	sp   uint64 // stack pointer at frame entry (restored on return)
+	call *ir.Instr
+}
+
+// alloca returns the executed Alloca of the named local in this frame. An
+// Alloca's register holds a pointer once it has run and the zero (integer)
+// value before.
+func (f *Frame) alloca(name string) *ir.Instr {
+	for _, blk := range f.Fn.Blocks {
+		for _, in := range blk.Instrs {
+			if in.Op == trace.OpAlloca && in.Name == name && f.regs[in.ID].Kind == trace.KindPtr {
+				return in
+			}
+		}
+	}
+	return nil
 }
 
 // AllocaAddr returns the address of the named local in this frame.
 func (f *Frame) AllocaAddr(name string) (uint64, bool) {
-	for in, addr := range f.allocas {
-		if in.Name == name {
-			return addr, true
-		}
+	if in := f.alloca(name); in != nil {
+		return f.regs[in.ID].Addr, true
 	}
 	return 0, false
 }
 
 // AllocaType returns the allocated type of the named local in this frame.
 func (f *Frame) AllocaType(name string) (ir.Type, bool) {
-	for in := range f.allocas {
-		if in.Name == name {
-			return in.AllocElem, true
-		}
+	if in := f.alloca(name); in != nil {
+		return in.AllocElem, true
 	}
 	return nil, false
 }
@@ -68,7 +79,14 @@ type Machine struct {
 	Mod *ir.Module
 	Mem map[uint64]trace.Value
 
-	// Tracer, if non-nil, receives one record per executed instruction.
+	// Tracer, if non-nil, receives one record per executed instruction, in
+	// execution order. The machine emits into one recycled batch and hands
+	// it on when it fills and when Run returns — on every exit path — so a
+	// record may arrive up to a batch later than its instruction ran, and
+	// every record has arrived by the time Run returns. The record and its
+	// Ops/Result storage are valid only for the duration of the call:
+	// the next batch overwrites them. Retain one with Record.Clone.
+	// TraceInto installs a sink that takes the batches whole instead.
 	Tracer func(*trace.Record)
 	// BlockHook, if non-nil, runs on entry to every basic block. Returning
 	// an error aborts execution with that error (use ErrFailStop to model
@@ -83,7 +101,9 @@ type Machine struct {
 	Steps   int64
 	dynID   int64
 	out     strings.Builder
-	frames  []*Frame
+	frames  []*Frame // the call stack; frames[len(frames):cap(frames)] are popped frames awaiting reuse
+	batch   trace.RecordBatch
+	sink    func([]trace.Record) // set by TraceInto for a BatchObserver; overrides Tracer
 	globals map[*ir.Global]uint64
 	nextG   uint64
 	sp      uint64
@@ -209,39 +229,63 @@ func coerce(v trace.Value, want ir.Type) trace.Value {
 	return v
 }
 
-// Run executes main to completion and returns the printed output.
+// Run executes main to completion and returns the printed output. However
+// it ends — normally, on a runtime error, ErrFailStop from a hook, or
+// ErrStepLimit — every record emitted so far has been handed to the trace
+// sink before it returns.
 func (m *Machine) Run() (string, error) {
+	err := m.run()
+	m.flush()
+	return m.Output(), err
+}
+
+func (m *Machine) run() error {
 	mainFn := m.Mod.Func("main")
 	if mainFn == nil {
-		return "", fmt.Errorf("interp: module has no main")
+		return fmt.Errorf("interp: module has no main")
 	}
 	if m.MaxSteps == 0 {
 		m.MaxSteps = 200_000_000
 	}
 	if err := m.pushFrame(mainFn, nil, nil); err != nil {
-		return m.Output(), err
+		return err
 	}
 	for len(m.frames) > 0 {
 		if m.Steps >= m.MaxSteps {
-			return m.Output(), ErrStepLimit
+			return ErrStepLimit
 		}
 		if err := m.step(); err != nil {
-			return m.Output(), err
+			return err
 		}
 	}
-	return m.Output(), nil
+	return nil
 }
 
-func (m *Machine) pushFrame(fn *ir.Function, args []trace.Value, call *ir.Instr) error {
-	f := &Frame{
-		Fn:      fn,
-		blk:     fn.Entry(),
-		regs:    make(map[*ir.Instr]trace.Value),
-		args:    args,
-		allocas: make(map[*ir.Instr]uint64),
-		sp:      m.sp,
-		call:    call,
+// pushFrame enters fn, called by the instruction call of frame caller (both
+// nil for main); the arguments are evaluated in the caller. Frame, register
+// file and argument storage are those of the last call that ran at this
+// depth, when there was one.
+func (m *Machine) pushFrame(fn *ir.Function, caller *Frame, call *ir.Instr) error {
+	var f *Frame
+	if n := len(m.frames); n < cap(m.frames) {
+		f = m.frames[:n+1][n]
 	}
+	if f == nil {
+		f = new(Frame)
+	}
+	regs, args := f.regs, f.args[:0]
+	if n := fn.NumRegs(); cap(regs) < n {
+		regs = make([]trace.Value, n)
+	} else {
+		regs = regs[:n]
+		clear(regs)
+	}
+	if call != nil {
+		for _, a := range call.Args {
+			args = append(args, m.eval(caller, a))
+		}
+	}
+	*f = Frame{Fn: fn, blk: fn.Entry(), regs: regs, args: args, sp: m.sp, call: call}
 	m.frames = append(m.frames, f)
 	if m.BlockHook != nil {
 		return m.BlockHook(m, f, f.blk)
@@ -260,40 +304,46 @@ func (m *Machine) eval(f *Frame, v ir.Value) trace.Value {
 	case *ir.Global:
 		return trace.PtrValue(m.globals[x])
 	case *ir.Param:
-		for i, p := range f.Fn.Params {
-			if p.Name == x.Name {
-				return f.args[i]
-			}
-		}
-		panic(fmt.Sprintf("interp: unknown parameter %s in %s", x.Name, f.Fn.Name))
+		return f.args[x.Index]
 	case *ir.Instr:
-		return f.regs[x]
+		return f.regs[x.ID]
 	}
 	panic(fmt.Sprintf("interp: unknown value %T", v))
 }
 
-// operandRecord builds the trace operand for an argument value.
-func (m *Machine) operandRecord(f *Frame, idx int, v ir.Value) trace.Operand {
-	val := m.eval(f, v)
-	_, isConst := v.(*ir.Const)
-	return trace.Operand{Index: idx, Size: 64, Value: val, IsReg: !isConst, Name: v.ValueName()}
-}
+// batchRecords is how many records the machine emits before handing the
+// batch to the trace sink.
+const batchRecords = trace.DefaultBatchRecords
 
-func (m *Machine) emit(f *Frame, in *ir.Instr, result *trace.Value, extra []trace.Operand) {
-	if m.Tracer == nil {
+// emit appends the record of the instruction just executed to the
+// machine's batch — one operand per argument, for a Call the callee and
+// its parameters, then the result — and hands the batch on when it is
+// full. Nothing is allocated per record: the batch's record slice and
+// operand arena are recycled by flush.
+func (m *Machine) emit(f *Frame, in *ir.Instr, result *trace.Value) {
+	if m.Tracer == nil && m.sink == nil {
 		return
 	}
-	rec := &trace.Record{
-		Line:   in.Line,
-		Func:   f.Fn.Name,
-		Block:  f.blk.Name,
-		Opcode: in.Op,
-		DynID:  m.dynID,
-	}
+	b := &m.batch
 	for i, a := range in.Args {
-		rec.Ops = append(rec.Ops, m.operandRecord(f, i+1, a))
+		_, isConst := a.(*ir.Const)
+		b.AppendOperand(trace.Operand{Index: i + 1, Size: 64, Value: m.eval(f, a), IsReg: !isConst, Name: a.ValueName()})
 	}
-	rec.Ops = append(rec.Ops, extra...)
+	if in.Op == trace.OpCall {
+		// The Fig. 6(a)/(b) call record: callee-name operand (index 0), then
+		// for a user function its parameter operands (negative indices mark
+		// parameters, standing in for LLVM-Tracer's 'f' indicator lines).
+		name := in.Builtin
+		if in.Callee != nil {
+			name = in.Callee.Name
+		}
+		b.AppendOperand(trace.Operand{Index: 0, Size: 64, Value: trace.PtrValue(m.funcAddr(name)), IsReg: false, Name: name})
+		if in.Callee != nil {
+			for i, p := range in.Callee.Params {
+				b.AppendOperand(trace.Operand{Index: -(i + 1), Size: 64, Value: m.eval(f, in.Args[i]), IsReg: true, Name: p.Name})
+			}
+		}
+	}
 	if result != nil {
 		size := 64
 		if in.Op == trace.OpAlloca {
@@ -302,9 +352,35 @@ func (m *Machine) emit(f *Frame, in *ir.Instr, result *trace.Value, extra []trac
 			// (the paper's Challenge 2 address table).
 			size = int(in.AllocElem.Size() * 8)
 		}
-		rec.Result = &trace.Operand{Index: 0, Size: size, Value: *result, IsReg: true, Name: in.ValueName()}
+		b.AppendOperand(trace.Operand{Index: 0, Size: size, Value: *result, IsReg: true, Name: in.ValueName()})
 	}
-	m.Tracer(rec)
+	b.AppendRecord(trace.Record{
+		Line:   in.Line,
+		Func:   f.Fn.Name,
+		Block:  f.blk.Name,
+		Opcode: in.Op,
+		DynID:  m.dynID,
+	}, result != nil)
+	if len(b.Recs) >= batchRecords {
+		m.flush()
+	}
+}
+
+// flush hands the emitted records to the trace sink — whole to a batch
+// sink, one by one to Tracer — and recycles the batch.
+func (m *Machine) flush() {
+	recs := m.batch.Recs
+	switch {
+	case len(recs) == 0:
+		return
+	case m.sink != nil:
+		m.sink(recs)
+	case m.Tracer != nil:
+		for i := range recs {
+			m.Tracer(&recs[i])
+		}
+	}
+	m.batch.Reset()
 }
 
 func (m *Machine) step() error {
@@ -316,46 +392,44 @@ func (m *Machine) step() error {
 	case trace.OpAlloca:
 		size := align8(in.AllocElem.Size())
 		m.sp -= size
-		addr := m.sp
-		f.allocas[in] = addr
-		f.regs[in] = trace.PtrValue(addr)
-		res := trace.PtrValue(addr)
-		m.emit(f, in, &res, nil)
+		res := trace.PtrValue(m.sp)
+		f.regs[in.ID] = res
+		m.emit(f, in, &res)
 	case trace.OpLoad:
 		ptr := m.eval(f, in.Args[0])
 		v := m.ReadCell(ptr.Addr, in.Type())
-		f.regs[in] = v
-		m.emit(f, in, &v, nil)
+		f.regs[in.ID] = v
+		m.emit(f, in, &v)
 	case trace.OpStore:
 		val := m.eval(f, in.Args[0])
 		ptr := m.eval(f, in.Args[1])
 		m.WriteCell(ptr.Addr, coerce(val, scalarOf(in.Args[0].Type())))
-		m.emit(f, in, nil, nil)
+		m.emit(f, in, nil)
 	case trace.OpGetElementPtr:
 		addr := m.gepAddr(f, in)
 		v := trace.PtrValue(addr)
-		f.regs[in] = v
-		m.emit(f, in, &v, nil)
+		f.regs[in.ID] = v
+		m.emit(f, in, &v)
 	case trace.OpBitCast:
 		v := m.eval(f, in.Args[0])
-		f.regs[in] = v
-		m.emit(f, in, &v, nil)
+		f.regs[in.ID] = v
+		m.emit(f, in, &v)
 	case trace.OpSIToFP:
 		x := m.eval(f, in.Args[0])
 		v := trace.FloatValue(float64(x.Int))
-		f.regs[in] = v
-		m.emit(f, in, &v, nil)
+		f.regs[in.ID] = v
+		m.emit(f, in, &v)
 	case trace.OpFPToSI:
 		x := m.eval(f, in.Args[0])
 		v := trace.IntValue(int64(x.Float))
-		f.regs[in] = v
-		m.emit(f, in, &v, nil)
+		f.regs[in.ID] = v
+		m.emit(f, in, &v)
 	case trace.OpICmp, trace.OpFCmp:
 		x := m.eval(f, in.Args[0])
 		y := m.eval(f, in.Args[1])
 		v := trace.IntValue(boolToInt(compare(in, x, y)))
-		f.regs[in] = v
-		m.emit(f, in, &v, nil)
+		f.regs[in.ID] = v
+		m.emit(f, in, &v)
 	case trace.OpAdd, trace.OpSub, trace.OpMul, trace.OpSDiv, trace.OpUDiv,
 		trace.OpSRem, trace.OpURem, trace.OpFAdd, trace.OpFSub, trace.OpFMul,
 		trace.OpFDiv, trace.OpFRem:
@@ -365,8 +439,8 @@ func (m *Machine) step() error {
 		if err != nil {
 			return fmt.Errorf("%w at %s line %d", err, f.Fn.Name, in.Line)
 		}
-		f.regs[in] = v
-		m.emit(f, in, &v, nil)
+		f.regs[in.ID] = v
+		m.emit(f, in, &v)
 	case trace.OpBr:
 		var target *ir.Block
 		if len(in.Args) == 1 {
@@ -379,7 +453,7 @@ func (m *Machine) step() error {
 		} else {
 			target = in.Succs[0]
 		}
-		m.emit(f, in, nil, nil)
+		m.emit(f, in, nil)
 		f.blk = target
 		f.idx = 0
 		if m.BlockHook != nil {
@@ -394,13 +468,13 @@ func (m *Machine) step() error {
 			v := m.eval(f, in.Args[0])
 			ret = &v
 		}
-		m.emit(f, in, nil, nil)
+		m.emit(f, in, nil)
 		m.sp = f.sp // pop the frame's stack storage
 		m.frames = m.frames[:len(m.frames)-1]
 		if len(m.frames) > 0 {
 			caller := m.frames[len(m.frames)-1]
 			if f.call != nil && f.call.Producer() && ret != nil {
-				caller.regs[f.call] = *ret
+				caller.regs[f.call.ID] = *ret
 			}
 			caller.idx++
 		}
@@ -556,46 +630,24 @@ func (m *Machine) execCall(f *Frame, in *ir.Instr) error {
 		if err != nil {
 			return err
 		}
-		var fnOp []trace.Operand
-		if m.Tracer != nil {
-			fnOp = []trace.Operand{{Index: 0, Size: 64, Value: trace.PtrValue(m.funcAddr(in.Builtin)), IsReg: false, Name: in.Builtin}}
-		}
 		if in.Producer() {
-			f.regs[in] = v
-			m.emit(f, in, &v, fnOp)
+			f.regs[in.ID] = v
+			m.emit(f, in, &v)
 		} else {
-			m.emit(f, in, nil, fnOp)
+			m.emit(f, in, nil)
 		}
 		f.idx++
 		return nil
 	}
-	callee := in.Callee
-	args := make([]trace.Value, len(in.Args))
-	for i, a := range in.Args {
-		args[i] = m.eval(f, a)
-	}
-	// Emit the Fig. 6(b) call record: callee-name operand (index 0),
-	// argument operands, then parameter operands (negative indices mark
-	// parameters, standing in for LLVM-Tracer's 'f' indicator lines).
-	var extra []trace.Operand
-	if m.Tracer != nil {
-		extra = append(extra, trace.Operand{
-			Index: 0, Size: 64, Value: trace.PtrValue(m.funcAddr(callee.Name)), IsReg: false, Name: callee.Name,
-		})
-		for i, p := range callee.Params {
-			extra = append(extra, trace.Operand{
-				Index: -(i + 1), Size: 64, Value: args[i], IsReg: true, Name: p.Name,
-			})
-		}
-	}
-	m.emit(f, in, nil, extra)
-	return m.pushFrame(callee, args, in)
+	m.emit(f, in, nil)
+	return m.pushFrame(in.Callee, f, in)
 }
 
 func (m *Machine) builtin(f *Frame, in *ir.Instr) (trace.Value, error) {
-	args := make([]trace.Value, len(in.Args))
-	for i, a := range in.Args {
-		args[i] = m.eval(f, a)
+	var buf [4]trace.Value // every builtin but a long print fits: no allocation per call
+	args := buf[:0]
+	for _, a := range in.Args {
+		args = append(args, m.eval(f, a))
 	}
 	switch in.Builtin {
 	case "print":

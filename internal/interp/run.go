@@ -24,13 +24,25 @@ func RunProgram(mod *ir.Module) (string, error) {
 }
 
 // TraceProgram executes a module with tracing enabled, returning the
-// dynamic instruction execution trace and the program output.
+// dynamic instruction execution trace and the program output. The records
+// are the caller's: the emitter recycles its batch, so each batch is
+// deep-copied, its operands into one slab allocated for that batch.
 func TraceProgram(mod *ir.Module) ([]trace.Record, string, error) {
 	m := New(mod)
-	var recs []trace.Record
-	m.Tracer = func(r *trace.Record) { recs = append(recs, *r) }
+	var all []trace.Record
+	m.sink = func(recs []trace.Record) {
+		n := 0
+		for i := range recs {
+			n += recs[i].NumOperands()
+		}
+		slab := make([]trace.Operand, 0, n)
+		for i := range recs {
+			all = append(all, trace.Record{})
+			slab = recs[i].CloneInto(&all[len(all)-1], slab)
+		}
+	}
 	out, err := m.Run()
-	return recs, out, err
+	return all, out, err
 }
 
 // TraceProgramTo executes a module with the tracer wired straight into a
@@ -38,7 +50,10 @@ func TraceProgram(mod *ir.Module) ([]trace.Record, string, error) {
 // produced and never materialized as a []trace.Record. The writer is
 // flushed before returning.
 func TraceProgramTo(mod *ir.Module, w trace.RecordWriter) (string, error) {
-	m := New(mod)
+	return New(mod).traceTo(w)
+}
+
+func (m *Machine) traceTo(w trace.RecordWriter) (string, error) {
 	var werr error
 	m.Tracer = func(r *trace.Record) {
 		if werr == nil {
@@ -58,8 +73,32 @@ func TraceProgramTo(mod *ir.Module, w trace.RecordWriter) (string, error) {
 // Observer consumes dynamic records as they are produced — the direct
 // tracer→analysis feed. core.Engine implements it, so an online analysis
 // needs no trace bytes at all (the paper's §IX mode).
+//
+// The record and its Ops/Result storage are valid only for the duration
+// of the call: the emitter recycles them (see Machine.Tracer). An observer
+// that keeps a record copies it with Record.Clone.
 type Observer interface {
 	Observe(r *trace.Record)
+}
+
+// BatchObserver is an Observer that also takes the emitter's batches
+// whole, one call per batch instead of one per record. The records arrive
+// in execution order and, like a single record, are valid only for the
+// duration of the call. core.Engine implements it.
+type BatchObserver interface {
+	Observer
+	ObserveBatch(recs []trace.Record)
+}
+
+// TraceInto makes obs the machine's trace sink: batches go to ObserveBatch
+// when obs is a BatchObserver and record by record to Observe otherwise.
+// The emit path is the same either way.
+func (m *Machine) TraceInto(obs Observer) {
+	if bo, ok := obs.(BatchObserver); ok {
+		m.sink = bo.ObserveBatch
+		return
+	}
+	m.Tracer = obs.Observe
 }
 
 // TraceProgramInto executes a module with the tracer wired straight into
@@ -67,7 +106,7 @@ type Observer interface {
 // encoded, written, or materialized.
 func TraceProgramInto(mod *ir.Module, obs Observer) (string, error) {
 	m := New(mod)
-	m.Tracer = obs.Observe
+	m.TraceInto(obs)
 	return m.Run()
 }
 

@@ -46,9 +46,18 @@ func (c *Const) String() string {
 type Global struct {
 	Name string
 	Elem Type // the pointee type (scalar or array)
+	typ  Type // Ptr(Elem), boxed once by Module.AddGlobal
 }
 
-func (g *Global) Type() Type        { return Ptr(g.Elem) }
+// Type returns the pointer type of the global's address. The interpreter
+// asks on every GetElementPtr over a global, so a registered global
+// answers from the value AddGlobal boxed instead of boxing a new one.
+func (g *Global) Type() Type {
+	if g.typ != nil {
+		return g.typ
+	}
+	return Ptr(g.Elem)
+}
 func (g *Global) ValueName() string { return g.Name }
 
 // Param is a formal parameter of a function. Lowering stores each incoming
@@ -56,8 +65,9 @@ func (g *Global) ValueName() string { return g.Name }
 // entry-block stores (the paper's "parameters substituted for arguments"
 // model in Fig. 6(b)).
 type Param struct {
-	Name string
-	Typ  Type
+	Name  string
+	Typ   Type
+	Index int // position in the owning function's Params, set by NewFunction
 }
 
 func (p *Param) Type() Type        { return p.Typ }
@@ -119,6 +129,7 @@ type Instr struct {
 	Line      int    // source line; -1 for synthesized instructions
 	AllocElem Type   // for Alloca: the allocated (pointee) type
 	Parent    *Block
+	regName   string // decimal ID of an unnamed producer, rendered once by Function.Number
 }
 
 func (in *Instr) Type() Type {
@@ -133,6 +144,9 @@ func (in *Instr) Type() Type {
 func (in *Instr) ValueName() string {
 	if in.Name != "" {
 		return in.Name
+	}
+	if in.regName != "" {
+		return in.regName
 	}
 	return strconv.Itoa(in.ID)
 }
@@ -201,8 +215,15 @@ type Function struct {
 
 // NewFunction creates an empty function.
 func NewFunction(name string, ret Type, params ...*Param) *Function {
+	for i, p := range params {
+		p.Index = i
+	}
 	return &Function{Name: name, Ret: ret, Params: params, nextID: 1}
 }
+
+// NumRegs returns one more than the largest register ID Number has handed
+// out: the length of a register file indexed by Instr.ID.
+func (f *Function) NumRegs() int { return f.nextID }
 
 // Entry returns the function's entry block.
 func (f *Function) Entry() *Block {
@@ -226,6 +247,11 @@ func (f *Function) Number(in *Instr) {
 	if in.Producer() {
 		in.ID = f.nextID
 		f.nextID++
+		if in.Name == "" {
+			// The trace names a temporary by its number on every execution;
+			// render it once here instead.
+			in.regName = strconv.Itoa(in.ID)
+		}
 	}
 }
 
@@ -243,6 +269,7 @@ func NewModule() *Module {
 
 // AddGlobal registers a module-level variable.
 func (m *Module) AddGlobal(g *Global) *Global {
+	g.typ = Ptr(g.Elem)
 	m.Globals = append(m.Globals, g)
 	return g
 }

@@ -38,8 +38,9 @@ func (f *Function) Verify() error {
 				return fmt.Errorf("block %s: terminator placement at instr %d (%s)", b.Name, i, in)
 			}
 			if in.Producer() {
-				if in.ID == 0 {
-					return fmt.Errorf("block %s: unnumbered producer %s", b.Name, in)
+				if in.ID <= 0 || in.ID >= f.NumRegs() {
+					// The interpreter indexes its register file by ID.
+					return fmt.Errorf("block %s: producer %s not numbered by Function.Number", b.Name, in)
 				}
 				if seen[in.ID] {
 					return fmt.Errorf("block %s: duplicate register id %d", b.Name, in.ID)

@@ -235,16 +235,14 @@ func TestOnlineAnalysisAllBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			col, err := core.NewCollector(spec, core.DefaultOptions())
+			eng, err := core.NewEngine(spec, core.DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := interp.New(mod)
-			m.Tracer = col.Observe
-			if _, err := m.Run(); err != nil {
+			if _, err := interp.TraceProgramInto(mod, eng); err != nil {
 				t.Fatal(err)
 			}
-			onlineRes, err := col.Finish()
+			onlineRes, err := eng.Finish()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,9 +11,13 @@ import "io"
 // operands into a shared arena, both recycled on every NextBatch call.
 //
 // Contract: the records of a batch (including their Ops and Result
-// storage) are valid only until the next NextBatch call on the same
-// batch. Consumers that need a record beyond that must Clone it — the
-// same rule the online engine's Observer already lives by.
+// storage) are valid only until the next NextBatch call (or Reset) on the
+// same batch. Consumers that need a record beyond that must Clone it —
+// the same rule the online engine's Observer already lives by.
+//
+// Producers that are not decoders of this package — the interpreter's
+// emitter — fill a batch through Reset / AppendOperand / AppendRecord,
+// the same append discipline the scanners here use.
 
 // RecordBatch is reusable storage for batch decoding.
 type RecordBatch struct {
@@ -23,17 +27,49 @@ type RecordBatch struct {
 	// partition sweep — skip the dominant share of the decode work.
 	Filter func(opcode int) bool
 
-	// Recs holds the records of the current batch. Managed by NextBatch;
-	// callers treat it as read-only.
+	// Recs holds the records of the current batch. Managed by NextBatch
+	// and AppendRecord; callers treat it as read-only.
 	Recs []Record
 
-	ops []Operand // arena backing Recs' Ops and Result storage
+	ops    []Operand // arena backing Recs' Ops and Result storage
+	staged int       // ops[staged:] belong to the record under construction
 }
 
-// reset recycles the batch storage for the next decode.
-func (b *RecordBatch) reset() {
+// Reset empties the batch and recycles its storage for the next fill.
+// Every record handed out before the call is invalid after it.
+func (b *RecordBatch) Reset() {
 	b.Recs = b.Recs[:0]
 	b.ops = b.ops[:0]
+	b.staged = 0
+}
+
+// AppendOperand stages one operand of the record under construction in
+// the batch's arena. Input operands come first, in order; the result, if
+// the record has one, is staged last.
+func (b *RecordBatch) AppendOperand(o Operand) {
+	b.ops = append(b.ops, o)
+}
+
+// AppendRecord completes the record under construction and adds it to
+// Recs: the operands staged since the previous AppendRecord become its
+// Ops — except, when hasResult is set, the last of them, which becomes
+// its Result. rec carries the header fields only. Arena growth moves the
+// backing array but never rewrites a written operand, so records appended
+// earlier stay value-correct.
+func (b *RecordBatch) AppendRecord(rec Record, hasResult bool) {
+	end := len(b.ops)
+	rec.Ops, rec.Result = nil, nil
+	if hasResult {
+		end--
+		rec.Result = &b.ops[end]
+	}
+	if end > b.staged {
+		// Capacity-clamped so a consumer's append cannot clobber the
+		// operands that follow.
+		rec.Ops = b.ops[b.staged:end:end]
+	}
+	b.staged = len(b.ops)
+	b.Recs = append(b.Recs, rec)
 }
 
 // wantOps reports whether a record with the given opcode needs its
@@ -64,7 +100,7 @@ const DefaultBatchRecords = 512
 // lets every consumer be written against one loop. Wrappers that embed a
 // Reader use it as the NextBatch fallback for non-batching streams.
 func GatherBatch(rd Reader, b *RecordBatch, max int) (int, error) {
-	b.reset()
+	b.Reset()
 	for len(b.Recs) < max {
 		r, err := rd.Next()
 		if err != nil {
@@ -145,7 +181,7 @@ type textBytesReader struct {
 
 // NextBatch decodes up to max records into b, recycling its storage.
 func (r *textBytesReader) NextBatch(b *RecordBatch, max int) (int, error) {
-	b.reset()
+	b.Reset()
 	r.d.ops = b.ops
 	pos, recs, err := r.d.decodeN(r.data, r.pos, b.Recs, max, b.Filter)
 	b.ops = r.d.ops
@@ -183,7 +219,7 @@ type binBytesReader struct {
 // NextBatch decodes up to max records into b, recycling its storage.
 func (r *binBytesReader) NextBatch(b *RecordBatch, max int) (int, error) {
 	d := r.d
-	b.reset()
+	b.Reset()
 	d.ops = b.ops
 	defer func() { b.ops = d.ops; d.ops = nil }()
 	for len(b.Recs) < max && d.pos < len(d.data) {

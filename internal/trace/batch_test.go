@@ -377,3 +377,69 @@ func TestBatchDecodeAllocs(t *testing.T) {
 		t.Errorf("steady-state batch decode = %.1f allocs per full pass, want <= 10", allocs)
 	}
 }
+
+// TestCloneIntoAndAppendSurface: the two ways to copy a record into
+// shared operand storage. CloneInto fills an arena in place while it has
+// room and survives the arena moving when it has not; a RecordBatch
+// filled through AppendOperand/AppendRecord hands out the same records,
+// and Reset recycles it. Neither copy aliases its source.
+func TestCloneIntoAndAppendSurface(t *testing.T) {
+	op := func(i int) Operand {
+		return Operand{Index: i, Size: 64, Value: IntValue(int64(10 * i)), IsReg: true, Name: fmt.Sprintf("r%d", i)}
+	}
+	res := op(0)
+	src := []Record{
+		{Line: 1, Func: "f", Block: "b", Opcode: OpAdd, DynID: 1, Ops: []Operand{op(1), op(2)}, Result: &res},
+		{Line: 2, Func: "f", Block: "b", Opcode: OpBr, DynID: 2},
+		{Line: 3, Func: "f", Block: "b", Opcode: OpStore, DynID: 3, Ops: []Operand{op(1), op(2)}},
+	}
+	want := make([]string, len(src))
+	total := 0
+	for i := range src {
+		want[i] = src[i].String()
+		total += src[i].NumOperands()
+	}
+	if total != 5 {
+		t.Fatalf("NumOperands sums to %d, want 5", total)
+	}
+
+	var b RecordBatch
+	for round := 0; round < 2; round++ {
+		b.Reset()
+		for i := range src {
+			for _, o := range src[i].Ops {
+				b.AppendOperand(o)
+			}
+			if src[i].Result != nil {
+				b.AppendOperand(*src[i].Result)
+			}
+			b.AppendRecord(Record{Line: src[i].Line, Func: src[i].Func, Block: src[i].Block, Opcode: src[i].Opcode, DynID: src[i].DynID}, src[i].Result != nil)
+		}
+	}
+	for name, arena := range map[string][]Operand{"roomy": make([]Operand, 0, total), "moving": nil} {
+		base := arena[:cap(arena)]
+		clones := make([]Record, len(src))
+		for i := range src {
+			arena = src[i].CloneInto(&clones[i], arena)
+		}
+		if name == "roomy" && &arena[0] != &base[0] {
+			t.Errorf("%s: arena with room was reallocated", name)
+		}
+		for i := range clones {
+			if got := clones[i].String(); got != want[i] {
+				t.Errorf("%s: clone %d = %q, want %q", name, i, got, want[i])
+			}
+		}
+		if len(clones[0].Ops) > 0 && &clones[0].Ops[0] == &src[0].Ops[0] {
+			t.Errorf("%s: clone aliases its source", name)
+		}
+	}
+	if len(b.Recs) != len(src) {
+		t.Fatalf("batch holds %d records after Reset and refill, want %d", len(b.Recs), len(src))
+	}
+	for i := range b.Recs {
+		if got := b.Recs[i].String(); got != want[i] {
+			t.Errorf("appended record %d = %q, want %q", i, got, want[i])
+		}
+	}
+}

@@ -515,7 +515,7 @@ func (sc *BinaryScanner) Next() (*Record, error) {
 // operands are still walked to keep the stateful string table in sync,
 // but not stored).
 func (sc *BinaryScanner) NextBatch(b *RecordBatch, max int) (int, error) {
-	b.reset()
+	b.Reset()
 	if !sc.started {
 		sc.started = true
 		if err := sc.readHeader(); err != nil {
@@ -563,30 +563,20 @@ func (sc *BinaryScanner) NextBatch(b *RecordBatch, max int) (int, error) {
 			return 0, sc.corrupt("operand count", fmt.Errorf("%d operands", nops))
 		}
 		store := b.wantOps(rec.Opcode)
-		opStart := len(b.ops)
+		hasRes := flags&1 != 0
+		if hasRes {
+			nops++ // the result follows the inputs, encoded like them
+		}
 		for i := uint64(0); i < nops; i++ {
 			var o Operand
 			if err := sc.readOperand(&o); err != nil {
 				return 0, err
 			}
 			if store {
-				b.ops = append(b.ops, o)
+				b.AppendOperand(o)
 			}
 		}
-		if store && nops > 0 {
-			rec.Ops = b.ops[opStart:len(b.ops):len(b.ops)]
-		}
-		if flags&1 != 0 {
-			var o Operand
-			if err := sc.readOperand(&o); err != nil {
-				return 0, err
-			}
-			if store {
-				b.ops = append(b.ops, o)
-				rec.Result = &b.ops[len(b.ops)-1]
-			}
-		}
-		b.Recs = append(b.Recs, rec)
+		b.AppendRecord(rec, store && hasRes)
 	}
 	return len(b.Recs), nil
 }

@@ -173,7 +173,7 @@ func (sc *Scanner) Next() (*Record, error) {
 // Records whose opcode b.Filter rejects are decoded header-only: their
 // operand lines are scanned past without parsing.
 func (sc *Scanner) NextBatch(b *RecordBatch, max int) (int, error) {
-	b.reset()
+	b.Reset()
 	for len(b.Recs) < max {
 		var rec Record
 		switch {
@@ -207,7 +207,6 @@ func (sc *Scanner) NextBatch(b *RecordBatch, max int) (int, error) {
 			}
 		}
 		store := b.wantOps(rec.Opcode)
-		opStart := len(b.ops)
 		var res Operand
 		hasRes := false
 		for {
@@ -243,19 +242,13 @@ func (sc *Scanner) NextBatch(b *RecordBatch, max int) (int, error) {
 				res = op
 				hasRes = true
 			} else {
-				b.ops = append(b.ops, op)
+				b.AppendOperand(op)
 			}
 		}
-		if end := len(b.ops); end > opStart {
-			// Capacity-clamped so a caller's append cannot clobber the result
-			// slot that follows.
-			rec.Ops = b.ops[opStart:end:end]
-		}
 		if hasRes {
-			b.ops = append(b.ops, res)
-			rec.Result = &b.ops[len(b.ops)-1]
+			b.AppendOperand(res)
 		}
-		b.Recs = append(b.Recs, rec)
+		b.AppendRecord(rec, hasRes)
 	}
 	return len(b.Recs), nil
 }

@@ -259,6 +259,37 @@ func (r *Record) Clone() Record {
 	return c
 }
 
+// NumOperands counts the record's operands, the result included: the
+// arena room CloneInto needs.
+func (r *Record) NumOperands() int {
+	n := len(r.Ops)
+	if r.Result != nil {
+		n++
+	}
+	return n
+}
+
+// CloneInto is Clone with the storage supplied: the copy is written to
+// *dst and its operands onto the end of arena, which is returned
+// extended — the way to retain many records without an allocation each.
+// When arena has room for NumOperands more it is filled in place;
+// otherwise append moves it, which leaves records cloned earlier pointing
+// at the old array, intact.
+func (r *Record) CloneInto(dst *Record, arena []Operand) []Operand {
+	*dst = *r
+	if len(r.Ops) > 0 {
+		start := len(arena)
+		arena = append(arena, r.Ops...)
+		// Capacity-clamped so an append to dst.Ops cannot clobber what follows.
+		dst.Ops = arena[start:len(arena):len(arena)]
+	}
+	if r.Result != nil {
+		arena = append(arena, *r.Result)
+		dst.Result = &arena[len(arena)-1]
+	}
+	return arena
+}
+
 // Opcode helpers on Record.
 
 // IsArith reports whether the record is an arithmetic instruction.
