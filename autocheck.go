@@ -50,7 +50,7 @@ import (
 type (
 	// LoopSpec locates the main computation loop (function + line range).
 	LoopSpec = core.LoopSpec
-	// Options tunes the analysis (parallel workers, DDG construction, ...).
+	// Options tunes the analysis (global collection, DDG construction, ...).
 	Options = core.Options
 	// Result is the analysis output: MLI variables, critical variables,
 	// timing breakdown, and optional DDGs.
@@ -117,10 +117,9 @@ func Analyze(recs []Record, spec LoopSpec, opts Options) (*Result, error) {
 // AnalyzeBytes analyzes an in-memory trace of either format. The bytes
 // are decoded once per engine sweep into a recycled record batch — no
 // []Record is ever materialized, so memory stays O(variables) beyond the
-// bytes themselves. The one exception is a textual trace with
-// opts.Workers > 1, which decodes in parallel chunks into a record slice
-// first (the paper's §V-A pre-processing). opts.Streaming has no effect
-// here; it tells AnalyzeFile not to load the file whole.
+// bytes themselves. opts.Streaming has no effect here; it tells
+// AnalyzeFile not to load the file whole. (The paper's §V-A parallel read
+// is across traces: AnalyzeMany.)
 func AnalyzeBytes(data []byte, spec LoopSpec, opts Options) (*Result, error) {
 	return core.AnalyzeBytes(data, spec, opts)
 }
@@ -136,9 +135,10 @@ func AnalyzeFile(path string, spec LoopSpec, opts Options) (*Result, error) {
 // Engine is the single incremental analysis core every mode adapts to:
 // feed it records a batch at a time via ObserveBatch (or one at a time
 // via Observe — the same code) and call Finish for the Result. Records
-// need only stay valid for the duration of the call. Analyze/AnalyzeStream run the same passes through a bounded
-// multi-sweep schedule; the Engine itself is the single-sweep (online)
-// configuration.
+// need only stay valid for the duration of the call. Analyze and
+// AnalyzeStream run the same fused pass behind a header-only partition
+// sweep; the Engine itself is the single-sweep (online) configuration.
+// Every Option applies to both, opts.BuildDDG included.
 type Engine = core.Engine
 
 // NewEngine prepares a single-sweep analysis session.

@@ -69,7 +69,7 @@ func BenchmarkTable2(b *testing.B) {
 			b.SetBytes(int64(len(p.Data)))
 			var critical int
 			for i := 0; i < b.N; i++ {
-				res, err := p.Analyze(0)
+				res, err := p.Analyze()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -131,7 +131,7 @@ func BenchmarkTable4_Storage(b *testing.B) {
 		b.Run(bench.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			p := prep(b, bench.Name)
-			res, err := p.Analyze(0)
+			res, err := p.Analyze()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -158,7 +158,7 @@ func BenchmarkTable4_Storage(b *testing.B) {
 // iteration (delta chunks + skipped sections).
 func BenchmarkTable4_StorageBackends(b *testing.B) {
 	p := prep(b, "IS")
-	res, err := p.Analyze(0)
+	res, err := p.Analyze()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func BenchmarkValidation(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			p := prep(b, name)
-			res, err := p.Analyze(0)
+			res, err := p.Analyze()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -386,7 +386,7 @@ func BenchmarkEngineAdapters(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(p.Data)))
 		for i := 0; i < b.N; i++ {
-			if _, err := p.AnalyzeData(p.Data, 0, true); err != nil {
+			if _, err := p.AnalyzeData(p.Data); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -395,7 +395,7 @@ func BenchmarkEngineAdapters(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(p.BinData())))
 		for i := 0; i < b.N; i++ {
-			if _, err := p.AnalyzeData(p.BinData(), 0, true); err != nil {
+			if _, err := p.AnalyzeData(p.BinData()); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -281,7 +281,7 @@ func cmdBench(args []string) error {
 		runOne("analyze-materialized", len(p.Data), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Analyze(0); err != nil {
+				if _, err := p.Analyze(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -289,7 +289,7 @@ func cmdBench(args []string) error {
 		runOne("analyze-streaming", len(p.Data), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.AnalyzeData(p.Data, 0, true); err != nil {
+				if _, err := p.AnalyzeData(p.Data); err != nil {
 					b.Fatal(err)
 				}
 			}

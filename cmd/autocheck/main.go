@@ -1,11 +1,11 @@
 // Command autocheck is the command-line front end of the AutoCheck
 // reproduction.
 //
-//	autocheck analyze  -file prog.mc -start N -end M [-func main] [-workers K] [-ddg]
+//	autocheck analyze  -file prog.mc -start N -end M [-func main] [-ddg] [-stream] [-online]
 //	autocheck explain  -file prog.mc -start N -end M [-func main]
 //	autocheck doctor   [-addr HOST:PORT | -addrs A,B,C | -dir DIR [-store KIND]]
 //	autocheck trace    -file prog.mc [-o trace.txt]
-//	autocheck table2 | table3 [-workers K] | table4
+//	autocheck table2 [-workers K] | table3 | table4
 //	autocheck validate [-store file|memory|sharded|remote|replicated]
 //	                   [-addr HOST:PORT] [-addrs A,B,C] [-write-quorum W] [-read-quorum R]
 //	                   [-cache-mb N] [-benchmark NAME] [-level L1..L4]
@@ -87,7 +87,7 @@ func main() {
 	case "table2":
 		err = cmdTable2(os.Args[2:])
 	case "table3":
-		err = cmdTable3(os.Args[2:])
+		err = cmdTable3()
 	case "table4":
 		err = cmdTable4()
 	case "validate":
@@ -119,20 +119,19 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  autocheck analyze  -file prog.mc -start N -end M [-func main] [-workers K] [-ddg] [-stream] [-online]
+  autocheck analyze  -file prog.mc -start N -end M [-func main] [-ddg] [-stream] [-online]
       -file    mini-C source file (compiled and traced)
       -trace   pre-generated trace file, text or binary (alternative to -file)
       -func    function containing the main computation loop (default main)
       -start   main loop start line
       -end     main loop end line
-      -workers parallel pre-processing workers (0 = serial; text format only)
       -stream  bounded memory: scan a -trace file from disk once per
                sweep instead of loading it whole (records are never
                materialized either way); with -file, trace straight
                into ACTB bytes instead of a record slice
       -online  feed the analysis engine straight from the tracer while the
                program runs: no trace bytes at all (requires -file)
-      -ddg     also print the contracted DDG
+      -ddg     also print the contracted DDG (any mode but -addr)
       -addr    ship the trace to a "serve -ingest" service instead of
                analyzing locally (one-shot POST by default)
       -chunk-bytes with -addr: stream through a resumable session in
@@ -174,8 +173,7 @@ func usage() {
                      key's dependency chain, plus the canary round trip
   autocheck table2 [-workers K] regenerate Table II  (critical variables)
       -workers analyze the 14 ports concurrently with K engines (0 = serial)
-  autocheck table3 [-workers K] regenerate Table III (analysis cost)
-      -workers parallel pre-processing workers (default 48)
+  autocheck table3              regenerate Table III (analysis cost)
   autocheck table4              regenerate Table IV  (checkpoint storage)
   autocheck validate [storage flags]
                                 run the fail-stop/restart validation (§VI-B)
@@ -277,7 +275,6 @@ func cmdAnalyze(args []string) error {
 	fn := fs.String("func", "main", "function containing the main computation loop")
 	start := fs.Int("start", 0, "main loop start line")
 	end := fs.Int("end", 0, "main loop end line")
-	workers := fs.Int("workers", 0, "parallel pre-processing workers (0 = serial)")
 	stream := fs.Bool("stream", false, "bounded memory: scan the trace file from disk per sweep instead of loading it whole")
 	online := fs.Bool("online", false, "analyze inside the tracer while the program runs (no trace bytes)")
 	ddg := fs.Bool("ddg", false, "also print the contracted DDG")
@@ -293,13 +290,12 @@ func cmdAnalyze(args []string) error {
 	}
 	spec := autocheck.LoopSpec{Function: *fn, StartLine: *start, EndLine: *end}
 	if *addr != "" {
-		if *online || *ddg || *stream || *workers != 0 {
-			return fmt.Errorf("analyze -addr ships the trace to a service; -online, -ddg, -stream and -workers are local modes")
+		if *online || *ddg || *stream {
+			return fmt.Errorf("analyze -addr ships the trace to a service; -online, -ddg and -stream are local modes")
 		}
 		return analyzeRemote(*addr, *namespace, *file, *traceFile, spec, *chunkBytes, *chunkDelay)
 	}
 	opts := autocheck.DefaultOptions()
-	opts.Workers = *workers
 	opts.Streaming = *stream
 	opts.BuildDDG = *ddg
 	var res *autocheck.Result
@@ -311,14 +307,8 @@ func cmdAnalyze(args []string) error {
 		if *file == "" || *traceFile != "" {
 			return fmt.Errorf("analyze -online runs the program with the engine attached and needs -file, not -trace (use -stream to analyze a pre-generated trace)")
 		}
-		if *ddg {
-			return fmt.Errorf("-ddg requires offline analysis (drop -online)")
-		}
 		if *stream {
 			return fmt.Errorf("-online and -stream are different modes: online analyzes while the program runs, -stream re-reads a trace in bounded passes")
-		}
-		if *workers != 0 {
-			return fmt.Errorf("-workers only parallelizes text-trace decoding; online mode has no trace to decode (drop -workers)")
 		}
 		var mod *autocheck.Module
 		mod, err = compileFile(*file)
@@ -545,17 +535,12 @@ func cmdTable2(args []string) error {
 	return nil
 }
 
-func cmdTable3(args []string) error {
-	fs := flag.NewFlagSet("table3", flag.ExitOnError)
-	workers := fs.Int("workers", 48, "parallel pre-processing workers")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	rows, err := harness.RunTable3(*workers)
+func cmdTable3() error {
+	rows, err := harness.RunTable3()
 	if err != nil {
 		return err
 	}
-	fmt.Print(harness.FormatTable3(rows, *workers))
+	fmt.Print(harness.FormatTable3(rows))
 	return nil
 }
 

@@ -5,7 +5,7 @@
 //
 // Every mode here is the same incremental engine behind a different
 // adapter. Offline materializes a trace, encodes it, parses it back, and
-// runs the engine's three-sweep schedule; online wires the engine's
+// runs the engine's two-sweep schedule; online wires the engine's
 // Observe straight into the tracer, so no trace bytes ever exist. The
 // demo runs both on the AMG port (the most expensive analysis row of
 // Table III), then fans the engine out across every benchmark port with

@@ -30,7 +30,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := p.Analyze(0)
+	res, err := p.Analyze()
 	if err != nil {
 		log.Fatal(err)
 	}

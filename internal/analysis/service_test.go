@@ -37,7 +37,7 @@ func prep(t *testing.T) (*harness.Prepared, string) {
 			return
 		}
 		var res *core.Result
-		if res, prepErr = prepped.Analyze(0); prepErr == nil {
+		if res, prepErr = prepped.Analyze(); prepErr == nil {
 			wantRep = report(res)
 		}
 	})

@@ -35,23 +35,18 @@ type Options struct {
 	// globals are identified by name and address, never confusable with a
 	// callee's locals.
 	IncludeGlobals bool
-	// Workers > 1 decodes a textual trace handed to AnalyzeBytes (or loaded
-	// whole by AnalyzeFile) in parallel chunks into a materialized []Record
-	// before the sweeps run — the paper's 48-thread OpenMP pre-processing
-	// (§V-A), and the only path that still builds a record slice from
-	// bytes. 0 or 1, binary traces, and Streaming files decode serially on
-	// the batch path, which materializes nothing.
-	Workers int
 	// Streaming makes AnalyzeFile scan the file from disk once per sweep
 	// instead of loading it whole: memory stays O(variables) rather than
 	// O(file size). It changes nothing else — every trace-bytes entry
 	// point runs the same bounded sweeps over a recycled record batch and
-	// never materializes a []Record (Workers > 1 aside), so AnalyzeBytes
-	// ignores it. Results are identical either way.
+	// never materializes a []Record, so AnalyzeBytes ignores it. Results
+	// are identical either way.
 	Streaming bool
 	// BuildDDG additionally constructs the complete and contracted
-	// dependency graphs (Fig. 5(c)/(d)). Intended for small traces,
-	// reports and visualization; classification itself streams.
+	// dependency graphs (Fig. 5(c)/(d)) inside the same pass, offline and
+	// online. Intended for small traces, reports and visualization: the
+	// complete graph holds a vertex per dynamic register instance, so
+	// memory is O(records); classification itself streams.
 	BuildDDG bool
 	// Module, when available, enables exact induction-variable
 	// identification via loop analysis (the paper's llvm-pass-loop API).
@@ -214,21 +209,13 @@ func analyzeFileIn(sc *scratch, path string, spec LoopSpec, opts Options) (*Resu
 
 // AnalyzeBytes analyzes an in-memory trace — text or binary, detected by
 // magic — on the streaming schedule: the bytes are decoded once per sweep
-// into a recycled record batch and no []Record is materialized. Only a
-// textual trace with opts.Workers > 1 takes the other route, decoding in
-// parallel chunks into a record slice first.
+// into a recycled record batch and no []Record is materialized.
 func AnalyzeBytes(data []byte, spec LoopSpec, opts Options) (*Result, error) {
 	return analyzeBytesIn(&scratch{}, data, spec, opts)
 }
 
 func analyzeBytesIn(sc *scratch, data []byte, spec LoopSpec, opts Options) (*Result, error) {
-	var res *Result
-	var err error
-	if opts.Workers > 1 && trace.DetectFormat(data) == trace.FormatText {
-		res, err = analyzeParallelIn(sc, data, spec, opts)
-	} else {
-		res, err = analyzeStreamIn(sc, bytesReaderOpener(data), spec, opts)
-	}
+	res, err := analyzeStreamIn(sc, bytesReaderOpener(data), spec, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -236,29 +223,10 @@ func analyzeBytesIn(sc *scratch, data []byte, spec LoopSpec, opts Options) (*Res
 	return res, nil
 }
 
-// analyzeParallelIn is the paper's §V-A pre-processing: decode the text in
-// opts.Workers parallel chunks into one []Record, then run the schedule
-// over the slice. The decode is booked to Timing.Pre like every other.
-func analyzeParallelIn(sc *scratch, data []byte, spec LoopSpec, opts Options) (*Result, error) {
-	t0 := time.Now()
-	recs, err := trace.ParseBytesParallel(data, opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-	parse := time.Since(t0)
-	res, err := analyzeScheduleIn(sc, sliceSource(recs), spec, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Timing.Pre += parse
-	res.Timing.Total += parse
-	return res, nil
-}
-
 // Analyze runs the three-module pipeline over parsed records: the
 // engine's offline schedule with a slice-backed source (see engine.go).
 func Analyze(recs []trace.Record, spec LoopSpec, opts Options) (*Result, error) {
-	return analyzeSchedule(sliceSource(recs), spec, opts)
+	return analyzeScheduleIn(&scratch{}, sliceSource(recs), spec, opts)
 }
 
 // regKey names a register within a function (registers are
@@ -303,14 +271,6 @@ type analyzer struct {
 	graph    *ddg.Graph
 	regNode  map[regKey]*ddg.Node
 	varNodes map[VarID]*ddg.Node
-	// trackAll records summaries for every variable rather than only MLI
-	// variables. The fused single-sweep configurations (the online engine
-	// and the offline fused sweep) need this: MLI membership is only final
-	// when the stream ends, so filtering happens at Finish.
-	trackAll bool
-	// frozen mirrors vt.frozen for the fused step: set at the first
-	// region-C record to match the offline footprint semantics.
-	frozen bool
 	// ivSrcs is the reusable scratch map for the per-store induction
 	// check (resolveRegVars output); cleared before each use.
 	ivSrcs map[VarID]*VarInfo
@@ -345,17 +305,19 @@ func (a *analyzer) reset(spec LoopSpec, opts Options) {
 		clear(a.rr)
 		clear(a.sums)
 	}
-	a.graph = nil
-	a.regNode = nil
-	a.varNodes = nil
-	a.trackAll = false
-	a.frozen = false
+	a.graph, a.regNode, a.varNodes = nil, nil, nil
+	if opts.BuildDDG {
+		// The graphs are handed to the Result, so a reset builds fresh ones.
+		a.graph = ddg.New()
+		a.regNode = make(map[regKey]*ddg.Node)
+		a.varNodes = make(map[VarID]*ddg.Node)
+	}
 	clear(a.ivSrcs)
 }
 
-// trackStorage processes the storage-defining records that both passes
-// need: Alloca (local intervals) and named pointer operands (global
-// discovery).
+// trackStorage processes the storage-defining records that collection and
+// dependency tracking both resolve through: Alloca (local intervals) and
+// named pointer operands (global discovery).
 func (a *analyzer) trackStorage(r *trace.Record) {
 	switch r.Opcode {
 	case trace.OpAlloca:
@@ -473,14 +435,6 @@ func (a *analyzer) mliList() []*VarInfo {
 		return out[i].Base < out[j].Base
 	})
 	return out
-}
-
-func (a *analyzer) isMLI(v *VarInfo) bool {
-	if v == nil {
-		return false
-	}
-	_, ok := a.mli[v.ID()]
-	return ok
 }
 
 func (a *analyzer) summary(v *VarInfo) *varSummary {

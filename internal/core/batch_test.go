@@ -7,81 +7,32 @@ import (
 	"autocheck/internal/trace"
 )
 
-// stepLogPass records every record it is fed — identity, order, region,
-// and operand shape — so schedules can be compared step for step.
-type stepLogPass struct {
-	log []string
-}
-
-func (p *stepLogPass) Name() string { return "steplog" }
-func (p *stepLogPass) Begin()       { p.log = p.log[:0] }
-func (p *stepLogPass) Step(r *trace.Record, i int, reg Region) {
-	res := -1
-	if r.Result != nil {
-		res = r.Result.Index
-	}
-	p.log = append(p.log, fmt.Sprintf("%d %s %s:%d op%d ops%d res%d",
-		i, reg, r.Func, r.Line, r.Opcode, len(r.Ops), res))
-}
-func (p *stepLogPass) Finish(res *Result) {}
-
-// batchLogPass is stepLogPass plus StepBatch, logging through the batch
-// entry point instead.
-type batchLogPass struct{ stepLogPass }
-
-func (p *batchLogPass) StepBatch(recs []trace.Record, base int, regions []Region) {
-	for k := range recs {
-		p.Step(&recs[k], base+k, regions[k])
-	}
-}
-
-// TestStepBatchEquivalence pins the BatchPass contract at the schedule
-// level: runSweepBatched must feed a batch-capable pass exactly the
-// records, indices, and region classifications that a plain pass sees
-// record by record — over both the materialized source and a streaming
-// source whose trace spans several decode batches.
+// TestStepBatchEquivalence pins the schedule's batching at unit level: on
+// a trace spanning several decode batches, Analyze over the records (the
+// whole trace as one batch) and AnalyzeBytes over both encodings (several
+// batches, each classified from its base index) agree — so base indices
+// and region classification hold across batch boundaries.
 func TestStepBatchEquivalence(t *testing.T) {
 	base, _ := traceOf(t, fig4Source)
-	// Big enough for several DefaultBatchRecords batches.
 	recs := make([]trace.Record, 0, 3*trace.DefaultBatchRecords)
 	for len(recs) < 3*trace.DefaultBatchRecords {
 		recs = append(recs, base...)
 	}
-	data := trace.EncodeAll(recs)
-
-	sources := map[string]func() source{
-		"slice": func() source { return sliceSource(recs) },
-		"stream": func() source {
-			return &streamSource{open: bytesReaderOpener(data), batch: &trace.RecordBatch{}}
-		},
+	// Repeating the program repeats the loop: region B runs from the first
+	// copy's loop entry to the last copy's exit, across every batch cut.
+	want, err := Analyze(recs, fig4Spec, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, mk := range sources {
-		part := newSpanPartitioner(fig4Spec)
-		if err := mk().sweep(func(i int, r *trace.Record) error {
-			return part.observe(i, r)
-		}); err != nil {
-			t.Fatal(err)
+	if want.Stats.Records != len(recs) || want.Stats.RegionB <= 2*trace.DefaultBatchRecords {
+		t.Fatalf("fixture does not span batches: %+v", want.Stats)
+	}
+	for label, data := range map[string][]byte{"text": trace.EncodeAll(recs), "actb": trace.EncodeBinary(recs)} {
+		got, err := AnalyzeBytes(data, fig4Spec, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
-
-		plain := &stepLogPass{}
-		if _, _, err := runSweepBatched(mk(), part, nil, nil, plain); err != nil {
-			t.Fatal(err)
-		}
-		batched := &batchLogPass{}
-		if _, _, err := runSweepBatched(mk(), part, nil, nil, batched); err != nil {
-			t.Fatal(err)
-		}
-		if len(plain.log) != len(recs) {
-			t.Fatalf("%s: plain pass saw %d records, want %d", name, len(plain.log), len(recs))
-		}
-		if len(plain.log) != len(batched.log) {
-			t.Fatalf("%s: StepBatch saw %d records, Step saw %d", name, len(batched.log), len(plain.log))
-		}
-		for i := range plain.log {
-			if plain.log[i] != batched.log[i] {
-				t.Fatalf("%s: step %d diverges:\nStep      %s\nStepBatch %s", name, i, plain.log[i], batched.log[i])
-			}
-		}
+		requireEquivalent(t, label, want, got)
 	}
 }
 

@@ -208,19 +208,15 @@ func TestAnalyzeBytesMatchesAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 1, 4, 48} {
-		o := opts
-		o.Workers = workers
-		viaBytes, err := AnalyzeBytes(data, fig4Spec, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(typesByName(direct), typesByName(viaBytes)) {
-			t.Errorf("workers=%d: %v != %v", workers, typesByName(viaBytes), typesByName(direct))
-		}
-		if viaBytes.Stats.TraceBytes != int64(len(data)) {
-			t.Errorf("TraceBytes = %d, want %d", viaBytes.Stats.TraceBytes, len(data))
-		}
+	viaBytes, err := AnalyzeBytes(data, fig4Spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(typesByName(direct), typesByName(viaBytes)) {
+		t.Errorf("%v != %v", typesByName(viaBytes), typesByName(direct))
+	}
+	if viaBytes.Stats.TraceBytes != int64(len(data)) {
+		t.Errorf("TraceBytes = %d, want %d", viaBytes.Stats.TraceBytes, len(data))
 	}
 }
 
@@ -239,10 +235,11 @@ func TestRegionStats(t *testing.T) {
 	}
 }
 
-// TestTimingPopulated pins what Result.Timing means on every path: Pre is
-// trace reading (every decode, whichever sweep paid it) plus the partition
-// sweep, Dep the time inside the dependency pass, Identify module 3 — all
-// measured, disjoint, and within Total.
+// TestTimingPopulated pins what Result.Timing means on every path, with
+// or without the DDG: Pre is trace reading (every decode, whichever sweep
+// paid it) plus the partition sweep, Dep the time inside the fused pass
+// (plus graph contraction), Identify module 3 — all measured, disjoint,
+// and within Total.
 func TestTimingPopulated(t *testing.T) {
 	recs, mod := traceOf(t, fig4Source)
 	text, bin := trace.EncodeAll(recs), trace.EncodeBinary(recs)
@@ -257,9 +254,6 @@ func TestTimingPopulated(t *testing.T) {
 		"records": func() (*Result, error) { return Analyze(recs, fig4Spec, opts) },
 		"text":    func() (*Result, error) { return AnalyzeBytes(text, fig4Spec, opts) },
 		"actb":    func() (*Result, error) { return AnalyzeBytes(bin, fig4Spec, opts) },
-		"text-parallel": func() (*Result, error) {
-			return AnalyzeBytes(text, fig4Spec, with(func(o *Options) { o.Workers = 4 }))
-		},
 		"file-streaming": func() (*Result, error) {
 			return AnalyzeFile(path, fig4Spec, with(func(o *Options) { o.Streaming = true }))
 		},

@@ -8,13 +8,13 @@ import (
 	"autocheck/internal/trace"
 )
 
-// This file holds the per-record logic of the engine's dependency pass
+// This file holds the dependency-tracking steps of the fused pass
 // (module 2, §IV-B): maintain the reg-var and reg-reg maps on-the-fly and
-// stream Read/Write information into per-variable summaries. With the ddg
-// pass active (Options.BuildDDG) it additionally materializes the
-// complete DDG (Fig. 5(c)): MLI vertices, local-variable vertices, and
-// one vertex per dynamic register instance, with an edge flush at every
-// Store. The dependPass in engine.go drives these steps.
+// stream Read/Write information into per-variable summaries. With
+// Options.BuildDDG they additionally materialize the complete DDG
+// (Fig. 5(c)): MLI vertices, local-variable vertices, and one vertex per
+// dynamic register instance, with an edge flush at every Store.
+// analyzer.fusedStep in engine.go drives these steps.
 
 // updateMaps maintains the reg-var map (Load/Store/GEP/BitCast/Alloca and
 // Call parameter correlation, Table I) and the reg-reg map (arithmetic and
@@ -182,20 +182,18 @@ func (a *analyzer) processLoopRecord(r *trace.Record) {
 		if v == nil {
 			return
 		}
-		if a.trackAll || a.isMLI(v) {
-			s := a.summary(v)
-			if !s.haveFirst {
-				s.haveFirst = true
-				s.firstIsRead = true
-				s.firstDyn = r.DynID
+		s := a.summary(v)
+		if !s.haveFirst {
+			s.haveFirst = true
+			s.firstIsRead = true
+			s.firstDyn = r.DynID
+		}
+		s.reads++
+		if !s.written[addr] {
+			if !s.uncoveredRead {
+				s.uncoveredDyn = r.DynID
 			}
-			s.reads++
-			if !s.written[addr] {
-				if !s.uncoveredRead {
-					s.uncoveredDyn = r.DynID
-				}
-				s.uncoveredRead = true
-			}
+			s.uncoveredRead = true
 		}
 		if a.graph != nil {
 			n := a.newRegInstance(r)
@@ -211,15 +209,13 @@ func (a *analyzer) processLoopRecord(r *trace.Record) {
 		if v == nil {
 			return
 		}
-		if a.trackAll || a.isMLI(v) {
-			s := a.summary(v)
-			if !s.haveFirst {
-				s.haveFirst = true
-				s.firstDyn = r.DynID
-			}
-			s.writes++
-			s.written[addr] = true
+		s := a.summary(v)
+		if !s.haveFirst {
+			s.haveFirst = true
+			s.firstDyn = r.DynID
 		}
+		s.writes++
+		s.written[addr] = true
 		// Induction signal: a depth-0 store to a loop-function local whose
 		// sources include the variable itself. The resolution set is a
 		// reusable scratch map — this fires for every such store, and a
@@ -293,8 +289,7 @@ func (a *analyzer) ddgArith(r *trace.Record) {
 	a.setRegNode(regKey{r.Func, r.Result.Name}, n)
 }
 
-// processAfterLoop records region-C reads of MLI variables (the Outcome
-// signal, §IV-C).
+// processAfterLoop records region-C reads (the Outcome signal, §IV-C).
 func (a *analyzer) processAfterLoop(r *trace.Record) {
 	if r.Opcode != trace.OpLoad {
 		return
@@ -303,7 +298,7 @@ func (a *analyzer) processAfterLoop(r *trace.Record) {
 	if !ok {
 		return
 	}
-	if v := a.vt.resolve(addr); v != nil && (a.trackAll || a.isMLI(v)) {
+	if v := a.vt.resolve(addr); v != nil {
 		s := a.summary(v)
 		if !s.readAfterLoop {
 			s.afterDyn = r.DynID
@@ -314,19 +309,18 @@ func (a *analyzer) processAfterLoop(r *trace.Record) {
 
 // --- DDG vertex bookkeeping ---
 
+// nodeOf returns v's vertex. MLI membership is still open while the pass
+// runs, so every variable vertex starts as KindLocal; analyzer.finish
+// stamps KindMLI on the members of the final MLI set.
 func (a *analyzer) nodeOf(v *VarInfo) *ddg.Node {
 	if n, ok := a.varNodes[v.ID()]; ok {
 		return n
-	}
-	kind := ddg.KindLocal
-	if a.isMLI(v) {
-		kind = ddg.KindMLI
 	}
 	name := v.Name
 	if a.graph.Lookup(name) != nil {
 		name = fmt.Sprintf("%s@%x", v.Name, v.Base)
 	}
-	n := a.graph.Node(name, kind)
+	n := a.graph.Node(name, ddg.KindLocal)
 	a.varNodes[v.ID()] = n
 	return n
 }

@@ -370,21 +370,6 @@ func TestRegionString(t *testing.T) {
 	}
 }
 
-// TestPassNames: every pass names itself (the schedule/diagnostic
-// contract of the Pass interface).
-func TestPassNames(t *testing.T) {
-	a := newAnalyzer(fig4Spec, DefaultOptions())
-	passes := []Pass{&storagePass{a}, &collectPass{a}, &dependPass{a}, &ddgPass{a}, &identifyPass{a}}
-	seen := map[string]bool{}
-	for _, p := range passes {
-		name := p.Name()
-		if name == "" || seen[name] {
-			t.Errorf("pass name %q empty or duplicated", name)
-		}
-		seen[name] = true
-	}
-}
-
 // ---- ObserveBatch: the scan-partitioner under every batching ----
 
 // recycledFeed feeds recs to observe in batches ending at the given cut
@@ -451,7 +436,7 @@ func spanLog(recs []trace.Record, spec LoopSpec) []string {
 	for i := range recs {
 		reg := RegionBefore // a loop that never starts leaves every record in region A
 		if part.sawLoop() {
-			reg = part.classify(&recs[i], i)
+			reg = part.classify(i)
 		}
 		log[i] = reg.String() + " " + recs[i].String()
 	}

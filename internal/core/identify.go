@@ -9,8 +9,8 @@ import (
 // identify is module 3: classify MLI variables by their dependency pattern
 // and add the induction variable of the outermost main-computation loop
 // (§IV-C, Fig. 7). It works purely off the summaries accumulated by the
-// earlier passes, which is what lets the streaming and online drivers
-// share it without a record slice.
+// fused pass, which is what lets the streaming and online drivers share
+// it without a record slice.
 func (a *analyzer) identify() []CriticalVar {
 	indexVars := a.findInductionVars()
 	isIndex := make(map[VarID]bool, len(indexVars))

@@ -9,42 +9,26 @@ import (
 )
 
 // TestAnalysisObsSweepTimings checks the offline schedule records one
-// observation per sweep plus the record counter. The default schedule is
-// the fused two-sweep form (partition + analysis); requesting a DDG
-// falls back to the split sweeps and their per-module histograms.
+// observation per sweep — partition and the fused analysis sweep — plus
+// identification and the record counter, and nothing else; requesting a
+// DDG runs the same two sweeps.
 func TestAnalysisObsSweepTimings(t *testing.T) {
-	reg := obs.New()
-	res := analyzeFig4(t, Options{IncludeGlobals: true, Obs: reg})
-	s := reg.Snapshot()
-	for _, h := range []string{
-		"core.sweep.partition.ns", "core.sweep.analyze.ns", "core.identify.ns",
-	} {
-		if got := s.Histograms[h].Count; got != 1 {
-			t.Errorf("%s count = %d, want 1", h, got)
+	for _, ddg := range []bool{false, true} {
+		reg := obs.New()
+		res := analyzeFig4(t, Options{IncludeGlobals: true, BuildDDG: ddg, Obs: reg})
+		s := reg.Snapshot()
+		want := []string{"core.sweep.partition.ns", "core.sweep.analyze.ns", "core.identify.ns"}
+		if len(s.Histograms) != len(want) {
+			t.Errorf("BuildDDG=%v: histograms %v, want exactly %v", ddg, s.Histograms, want)
 		}
-	}
-	for _, h := range []string{"core.sweep.collect.ns", "core.sweep.depend.ns"} {
-		if got := s.Histograms[h].Count; got != 0 {
-			t.Errorf("%s count = %d on the fused path, want 0", h, got)
+		for _, h := range want {
+			if got := s.Histograms[h].Count; got != 1 {
+				t.Errorf("BuildDDG=%v: %s count = %d, want 1", ddg, h, got)
+			}
 		}
-	}
-	if got := s.Counters["core.analyze.records"]; got != int64(res.Stats.Records) {
-		t.Errorf("core.analyze.records = %d, want %d", got, res.Stats.Records)
-	}
-
-	reg = obs.New()
-	res = analyzeFig4(t, Options{IncludeGlobals: true, BuildDDG: true, Obs: reg})
-	s = reg.Snapshot()
-	for _, h := range []string{
-		"core.sweep.partition.ns", "core.sweep.collect.ns",
-		"core.sweep.depend.ns", "core.identify.ns",
-	} {
-		if got := s.Histograms[h].Count; got != 1 {
-			t.Errorf("BuildDDG: %s count = %d, want 1", h, got)
+		if got := s.Counters["core.analyze.records"]; got != int64(res.Stats.Records) {
+			t.Errorf("BuildDDG=%v: core.analyze.records = %d, want %d", ddg, got, res.Stats.Records)
 		}
-	}
-	if got := s.Counters["core.analyze.records"]; got != int64(res.Stats.Records) {
-		t.Errorf("BuildDDG: core.analyze.records = %d, want %d", got, res.Stats.Records)
 	}
 }
 

@@ -81,14 +81,6 @@ func TestOnlineMatchesOffline(t *testing.T) {
 	}
 }
 
-func TestOnlineRejectsBuildDDG(t *testing.T) {
-	opts := DefaultOptions()
-	opts.BuildDDG = true
-	if _, err := NewEngine(fig4Spec, opts); err == nil {
-		t.Error("online collector should reject BuildDDG")
-	}
-}
-
 func TestOnlineLoopNeverExecuted(t *testing.T) {
 	mod, err := interp.Compile("int main() { print(1); return 0; }")
 	if err != nil {

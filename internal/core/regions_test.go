@@ -134,23 +134,6 @@ int main() {
 	}
 }
 
-func TestOptionsWorkersOnBytes(t *testing.T) {
-	recs, mod := traceOf(t, twoLoopSource)
-	data := encodeRecs(recs)
-	for _, w := range []int{0, 3} {
-		opts := DefaultOptions()
-		opts.Module = mod
-		opts.Workers = w
-		res, err := AnalyzeBytes(data, LoopSpec{Function: "main", StartLine: 8, EndLine: 12}, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Find("a") == nil {
-			t.Errorf("workers=%d: a missing", w)
-		}
-	}
-}
-
 func TestAnalyzeFile(t *testing.T) {
 	recs, mod := traceOf(t, twoLoopSource)
 	path := t.TempDir() + "/trace.txt"

@@ -12,7 +12,7 @@ import (
 // analysis sweep), never materializing a []trace.Record. It produces
 // results identical to Analyze on the same records (the equivalence is
 // pinned by tests) because both are the same schedule over the same
-// passes — only the source differs; memory stays O(variables) at the
+// pass — only the source differs; memory stays O(variables) at the
 // cost of decoding the trace once per sweep. Decoding goes through the
 // batch reader protocol (trace.BatchReader) when the reader supports it,
 // reusing one record slice and operand arena for the whole analysis.

@@ -67,16 +67,15 @@ type varTable struct {
 
 // freeze stops global-footprint growth. Resolution is unaffected —
 // globals resolve by greatest base, never by extent — so freezing changes
-// only the sizes recorded from here on. The online engine freezes at the
-// loop's end to match the offline schedule, whose collect sweep stops
-// observing footprints there.
+// only the sizes recorded from here on. The fused pass freezes at the
+// loop's end: a reported footprint is what regions A and B touched.
 func (t *varTable) freeze() { t.frozen = true }
 
 func newVarTable() *varTable {
 	return &varTable{gByName: make(map[string]*VarInfo)}
 }
 
-// reset empties the table for a fresh sweep while keeping its allocated
+// reset empties the table for a fresh trace while keeping its allocated
 // storage. The VarInfo objects the old spans pointed at are never
 // mutated, so results that retained them across a reset stay valid.
 func (t *varTable) reset() {

@@ -272,7 +272,7 @@ func chaosPrepare(name string) (*chaosPrep, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.Analyze(0)
+	res, err := p.Analyze()
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,6 @@
 // Package harness regenerates the paper's evaluation artifacts: Table II
 // (benchmarks and detected critical variables), Table III (analysis-time
-// breakdown with and without parallel pre-processing), Table IV
+// breakdown over the text and binary encodings), Table IV
 // (checkpoint storage versus a BLCR-like full snapshot), and the §VI-B
 // validation summary. Each Run* function returns structured rows; the
 // Format* functions render them as aligned text tables.
@@ -76,23 +76,18 @@ func Prepare(b *progs.Benchmark, scale int) (*Prepared, error) {
 }
 
 // Analyze runs AutoCheck over a prepared benchmark's textual trace.
-func (p *Prepared) Analyze(workers int) (*core.Result, error) {
-	return p.AnalyzeData(p.Data, workers, false)
+func (p *Prepared) Analyze() (*core.Result, error) {
+	return p.AnalyzeData(p.Data)
 }
 
 // AnalyzeBinary runs AutoCheck over the benchmark's binary trace.
 func (p *Prepared) AnalyzeBinary() (*core.Result, error) {
-	return p.AnalyzeData(p.BinData(), 0, false)
+	return p.AnalyzeData(p.BinData())
 }
 
-// AnalyzeData runs AutoCheck over the given trace encoding. Only
-// workers > 1 on text materializes records; streaming is passed through
-// as Options.Streaming, which AnalyzeBytes ignores (it is about files).
-func (p *Prepared) AnalyzeData(data []byte, workers int, streaming bool) (*core.Result, error) {
-	opts := p.opts()
-	opts.Workers = workers
-	opts.Streaming = streaming
-	return core.AnalyzeBytes(data, p.Spec, opts)
+// AnalyzeData runs AutoCheck over the given trace encoding.
+func (p *Prepared) AnalyzeData(data []byte) (*core.Result, error) {
+	return core.AnalyzeBytes(data, p.Spec, p.opts())
 }
 
 // AnalyzeOnline runs the engine single-sweep over the prepared records,
@@ -142,7 +137,7 @@ func RunTable2() ([]Table2Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := p.Analyze(0)
+		res, err := p.Analyze()
 		if err != nil {
 			return nil, err
 		}
@@ -221,30 +216,25 @@ func FormatTable2(rows []Table2Row) string {
 
 // Table3Row is one row of Table III.
 type Table3Row struct {
-	Name        string
-	PreSerial   time.Duration
-	PrePar      time.Duration
-	PreBinary   time.Duration // binary-format pre-processing (serial decode)
-	Dep         time.Duration
-	Identify    time.Duration
-	TotalSerial time.Duration
-	TotalPar    time.Duration
+	Name      string
+	Pre       time.Duration // text pre-processing
+	PreBinary time.Duration // binary-format pre-processing
+	Dep       time.Duration
+	Identify  time.Duration
+	Total     time.Duration
 }
 
-// RunTable3 regenerates Table III: per-phase analysis cost — serial text,
-// `workers`-way parallel text, and compact binary pre-processing.
-func RunTable3(workers int) ([]Table3Row, error) {
+// RunTable3 regenerates Table III: per-phase analysis cost over the text
+// trace, plus pre-processing over the compact binary one. (The paper's
+// parallel column is across traces here: RunTable2Parallel.)
+func RunTable3() ([]Table3Row, error) {
 	var rows []Table3Row
 	for _, b := range progs.All() {
 		p, err := Prepare(b, 0)
 		if err != nil {
 			return nil, err
 		}
-		serial, err := p.Analyze(0)
-		if err != nil {
-			return nil, err
-		}
-		par, err := p.Analyze(workers)
+		text, err := p.Analyze()
 		if err != nil {
 			return nil, err
 		}
@@ -253,30 +243,27 @@ func RunTable3(workers int) ([]Table3Row, error) {
 			return nil, err
 		}
 		rows = append(rows, Table3Row{
-			Name:        b.Name,
-			PreSerial:   serial.Timing.Pre,
-			PrePar:      par.Timing.Pre,
-			PreBinary:   bin.Timing.Pre,
-			Dep:         serial.Timing.Dep,
-			Identify:    serial.Timing.Identify,
-			TotalSerial: serial.Timing.Total,
-			TotalPar:    par.Timing.Total,
+			Name:      b.Name,
+			Pre:       text.Timing.Pre,
+			PreBinary: bin.Timing.Pre,
+			Dep:       text.Timing.Dep,
+			Identify:  text.Timing.Identify,
+			Total:     text.Timing.Total,
 		})
 	}
 	return rows, nil
 }
 
 // FormatTable3 renders Table III.
-func FormatTable3(rows []Table3Row, workers int) string {
+func FormatTable3(rows []Table3Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Table III: analysis cost (parallel pre-processing with %d workers)\n", workers)
+	b.WriteString("Table III: analysis cost\n")
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "Name\tPre (par / binary)\tDependency\tIdentify\tTotal (par)")
+	fmt.Fprintln(w, "Name\tPre (binary)\tDependency\tIdentify\tTotal")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%s (%s / %s)\t%s\t%s\t%s (%s)\n",
-			r.Name, fmtDur(r.PreSerial), fmtDur(r.PrePar), fmtDur(r.PreBinary),
-			fmtDur(r.Dep), fmtDur(r.Identify),
-			fmtDur(r.TotalSerial), fmtDur(r.TotalPar))
+		fmt.Fprintf(w, "%s\t%s (%s)\t%s\t%s\t%s\n",
+			r.Name, fmtDur(r.Pre), fmtDur(r.PreBinary),
+			fmtDur(r.Dep), fmtDur(r.Identify), fmtDur(r.Total))
 	}
 	w.Flush()
 	return b.String()
@@ -302,7 +289,7 @@ func RunTable4() ([]Table4Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := p.Analyze(0)
+		res, err := p.Analyze()
 		if err != nil {
 			return nil, err
 		}
@@ -501,7 +488,7 @@ func RunManyClients(benchName string, scale int, tmpl store.Config, level checkp
 				errs[i] = err
 				return
 			}
-			res, err := p.Analyze(0)
+			res, err := p.Analyze()
 			if err != nil {
 				errs[i] = err
 				return
@@ -630,7 +617,7 @@ func RunValidationBenchmarks(scratch string, opts validate.Options, names []stri
 		if err != nil {
 			return nil, err
 		}
-		res, err := p.Analyze(0)
+		res, err := p.Analyze()
 		if err != nil {
 			return nil, err
 		}

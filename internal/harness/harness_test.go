@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -45,7 +47,7 @@ func TestTable2(t *testing.T) {
 }
 
 func TestTable3(t *testing.T) {
-	rows, err := RunTable3(8)
+	rows, err := RunTable3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,16 +55,16 @@ func TestTable3(t *testing.T) {
 		t.Fatalf("Table III has %d rows, want 14", len(rows))
 	}
 	for _, r := range rows {
-		if r.TotalSerial <= 0 || r.TotalPar <= 0 {
-			t.Errorf("%s: missing totals: %+v", r.Name, r)
+		if r.Total <= 0 {
+			t.Errorf("%s: missing total: %+v", r.Name, r)
 		}
-		if r.PreSerial <= 0 {
-			t.Errorf("%s: missing pre-processing time", r.Name)
+		if r.Pre <= 0 || r.PreBinary <= 0 {
+			t.Errorf("%s: missing pre-processing time: %+v", r.Name, r)
 		}
 	}
-	out := FormatTable3(rows, 8)
-	if !strings.Contains(out, "8 workers") {
-		t.Error("formatted Table III missing worker count")
+	out := FormatTable3(rows)
+	if !strings.Contains(out, "Pre (binary)") {
+		t.Error("formatted Table III missing the pre-processing column")
 	}
 }
 
@@ -123,7 +125,7 @@ func TestStorageRunIncrementalReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Analyze(0)
+	res, err := p.Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +164,7 @@ func TestStorageRunBackendEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Analyze(0)
+	res, err := p.Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +224,11 @@ func TestFormatHelpers(t *testing.T) {
 
 // TestFormatEquivalenceAllBenchmarks pins the tentpole invariant on every
 // Table II port: the critical-variable report is byte-identical for every
-// engine adapter — materialized (text serial and parallel, binary),
-// streaming over both encodings, the single-sweep online engine, and the
-// networked ingest service (one-shot, chunked sessions, and a chunked
-// session that survives a mid-stream service kill and resumes on a
-// replacement instance over the same store).
+// engine adapter — in-memory text (the baseline) and binary, caller-owned
+// records, files of both encodings scanned from disk, the single-sweep
+// online engine, and the networked ingest service (one-shot, chunked
+// sessions, and a chunked session that survives a mid-stream service kill
+// and resumes on a replacement instance over the same store).
 func TestFormatEquivalenceAllBenchmarks(t *testing.T) {
 	isvc, its := newEquivalenceService(t)
 	defer its.Close()
@@ -245,16 +247,27 @@ func TestFormatEquivalenceAllBenchmarks(t *testing.T) {
 			if r := float64(len(p.BinData())) / float64(len(p.Data)); r > 0.7 {
 				t.Errorf("binary trace is %.0f%% of text, want <= 70%%", 100*r)
 			}
-			want, err := p.Analyze(0)
+			want, err := p.Analyze()
 			if err != nil {
 				t.Fatal(err)
 			}
 			wantReport := criticalReport(want)
+			// The streaming rows scan temp files through the bufio Scanner
+			// and BinaryScanner, the way the stream-binary workload does.
+			streamFile := func(name string, data []byte) func() (*core.Result, error) {
+				path := filepath.Join(t.TempDir(), name)
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				opts := p.opts()
+				opts.Streaming = true
+				return func() (*core.Result, error) { return core.AnalyzeFile(path, p.Spec, opts) }
+			}
 			paths := map[string]func() (*core.Result, error){
-				"text-parallel":    func() (*core.Result, error) { return p.Analyze(8) },
+				"records":          func() (*core.Result, error) { return core.Analyze(p.Records, p.Spec, p.opts()) },
 				"binary":           p.AnalyzeBinary,
-				"text-streaming":   func() (*core.Result, error) { return p.AnalyzeData(p.Data, 0, true) },
-				"binary-streaming": func() (*core.Result, error) { return p.AnalyzeData(p.BinData(), 0, true) },
+				"text-streaming":   streamFile("trace.txt", p.Data),
+				"binary-streaming": streamFile("trace.actb", p.BinData()),
 				"online":           p.AnalyzeOnline,
 				"service-oneshot": func() (*core.Result, error) {
 					return cli.Analyze(p.BinData(), p.Spec)
@@ -297,7 +310,7 @@ func TestAnalyzeBytesNeverMaterializes(t *testing.T) {
 	}
 	for name, data := range map[string][]byte{"text": p.Data, "actb": p.BinData()} {
 		run := func() {
-			if _, err := p.AnalyzeData(data, 0, false); err != nil {
+			if _, err := p.AnalyzeData(data); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}
@@ -372,7 +385,7 @@ func TestAnalyzeManyEquivalenceAllBenchmarks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := p.Analyze(0)
+		res, err := p.Analyze()
 		if err != nil {
 			t.Fatal(err)
 		}

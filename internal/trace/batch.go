@@ -89,6 +89,19 @@ type BatchReader interface {
 	NextBatch(b *RecordBatch, max int) (int, error)
 }
 
+// nextFromBatch derives Reader.Next from NextBatch, the one decode loop
+// each reader of this package has: a private one-record batch, cloned out
+// because the Reader contract lets callers retain the record.
+type nextFromBatch struct{ one RecordBatch }
+
+func (n *nextFromBatch) next(rd BatchReader) (*Record, error) {
+	if got, err := rd.NextBatch(&n.one, 1); err != nil || got == 0 {
+		return nil, err
+	}
+	rec := n.one.Recs[0].Clone()
+	return &rec, nil
+}
+
 // DefaultBatchRecords is the batch size ForEachBatch uses: large enough
 // to amortize per-batch overhead, small enough that a batch's operand
 // arena stays cache-resident.
@@ -177,6 +190,7 @@ type textBytesReader struct {
 	d    *decoder
 	data []byte
 	pos  int
+	nextFromBatch
 }
 
 // NextBatch decodes up to max records into b, recycling its storage.
@@ -194,26 +208,15 @@ func (r *textBytesReader) NextBatch(b *RecordBatch, max int) (int, error) {
 	return len(recs), nil
 }
 
-// Next returns the next record in freshly allocated storage (the Reader
-// contract lets callers retain it); batch decoding is the fast path.
-func (r *textBytesReader) Next() (*Record, error) {
-	d := decoder{in: r.d.in}
-	pos, recs, err := d.decodeN(r.data, r.pos, nil, 1, nil)
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) == 0 {
-		return nil, nil
-	}
-	r.pos = pos
-	return &recs[0], nil
-}
+// Next returns the next record in freshly allocated storage.
+func (r *textBytesReader) Next() (*Record, error) { return r.next(r) }
 
 // binBytesReader decodes an in-memory binary trace batch by batch,
 // keeping the (stateful, strictly sequential) string table across
 // batches.
 type binBytesReader struct {
 	d *binDecoder
+	nextFromBatch
 }
 
 // NextBatch decodes up to max records into b, recycling its storage.
@@ -233,17 +236,4 @@ func (r *binBytesReader) NextBatch(b *RecordBatch, max int) (int, error) {
 }
 
 // Next returns the next record in freshly allocated storage.
-func (r *binBytesReader) Next() (*Record, error) {
-	d := r.d
-	if d.pos >= len(d.data) {
-		return nil, nil
-	}
-	saved := d.ops
-	d.ops = nil
-	defer func() { d.ops = saved }()
-	var rec Record
-	if err := d.record(&rec, nil); err != nil {
-		return nil, err
-	}
-	return &rec, nil
-}
+func (r *binBytesReader) Next() (*Record, error) { return r.next(r) }

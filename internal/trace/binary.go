@@ -259,6 +259,7 @@ type BinaryScanner struct {
 	started bool
 	done    bool
 	off     int64
+	nextFromBatch
 }
 
 // NewBinaryScanner returns a streaming binary trace reader. The header is
@@ -444,71 +445,7 @@ func (sc *BinaryScanner) readOperand(o *Operand) error {
 const maxBinaryOperands = 1 << 20 // sanity cap against corrupt counts
 
 // Next returns the next record, or (nil, nil) at end of stream.
-func (sc *BinaryScanner) Next() (*Record, error) {
-	if !sc.started {
-		sc.started = true
-		if err := sc.readHeader(); err != nil {
-			sc.done = true
-			return nil, err
-		}
-	}
-	if sc.done {
-		return nil, nil
-	}
-	flags, err := sc.readByte()
-	if err != nil {
-		if err == io.EOF {
-			sc.done = true
-			return nil, nil
-		}
-		return nil, sc.corrupt("record flags", err)
-	}
-	if flags > 1 {
-		return nil, sc.corrupt("record flags", fmt.Errorf("unknown flags %#x", flags))
-	}
-	var rec Record
-	line, err := sc.readVarint("line")
-	if err != nil {
-		return nil, err
-	}
-	rec.Line = int(line)
-	if rec.Func, err = sc.readString("function name"); err != nil {
-		return nil, err
-	}
-	if rec.Block, err = sc.readString("block label"); err != nil {
-		return nil, err
-	}
-	op, err := sc.readUvarint("opcode")
-	if err != nil {
-		return nil, err
-	}
-	rec.Opcode = int(op)
-	if rec.DynID, err = sc.readVarint("dynamic id"); err != nil {
-		return nil, err
-	}
-	nops, err := sc.readUvarint("operand count")
-	if err != nil {
-		return nil, err
-	}
-	if nops > maxBinaryOperands {
-		return nil, sc.corrupt("operand count", fmt.Errorf("%d operands", nops))
-	}
-	if nops > 0 {
-		rec.Ops = make([]Operand, nops)
-		for i := range rec.Ops {
-			if err := sc.readOperand(&rec.Ops[i]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if flags&1 != 0 {
-		rec.Result = new(Operand)
-		if err := sc.readOperand(rec.Result); err != nil {
-			return nil, err
-		}
-	}
-	return &rec, nil
-}
+func (sc *BinaryScanner) Next() (*Record, error) { return sc.next(sc) }
 
 // NextBatch decodes up to max records into b, recycling its storage.
 // Records whose opcode b.Filter rejects are decoded header-only (their

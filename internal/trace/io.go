@@ -50,6 +50,7 @@ type Scanner struct {
 	havePending bool
 	done        bool
 	off         int64 // byte offset of the next unread line
+	nextFromBatch
 }
 
 // NewScanner returns a streaming trace reader.
@@ -101,77 +102,15 @@ func (sc *Scanner) scan() ([]byte, bool) {
 	return line, true
 }
 
-// Next returns the next record, or (nil, nil) at end of stream. Lines are
-// parsed straight from the scan buffer — everything a Record retains
-// (interned names, values) is copied by the field parsers, so no per-line
-// string materializes.
-func (sc *Scanner) Next() (*Record, error) {
-	var rec Record
-	switch {
-	case sc.havePending:
-		rec = sc.pending
-		sc.havePending = false
-	case sc.done:
-		return nil, nil
-	default:
-		var header []byte
-		for {
-			line, ok := sc.scan()
-			if !ok {
-				sc.done = true
-				return nil, sc.err()
-			}
-			if len(line) != 0 {
-				header = line
-				break
-			}
-		}
-		if !isHeaderLine(header) {
-			return nil, fmt.Errorf("trace: expected block header, got %q", header)
-		}
-		var err error
-		if rec, err = sc.d.parseHeader(header); err != nil {
-			return nil, err
-		}
-	}
-	for {
-		line, ok := sc.scan()
-		if !ok {
-			break
-		}
-		if len(line) == 0 {
-			continue
-		}
-		if isHeaderLine(line) {
-			next, err := sc.d.parseHeader(line)
-			if err != nil {
-				return nil, err
-			}
-			sc.pending = next
-			sc.havePending = true
-			return &rec, nil
-		}
-		op, err := sc.d.parseOperand(line)
-		if err != nil {
-			return nil, err
-		}
-		if line[0] == 'r' && line[1] == ',' {
-			res := op
-			rec.Result = &res
-		} else {
-			rec.Ops = append(rec.Ops, op)
-		}
-	}
-	sc.done = true
-	if err := sc.err(); err != nil {
-		return nil, err
-	}
-	return &rec, nil
-}
+// Next returns the next record, or (nil, nil) at end of stream.
+func (sc *Scanner) Next() (*Record, error) { return sc.next(sc) }
 
 // NextBatch decodes up to max records into b, recycling its storage.
-// Records whose opcode b.Filter rejects are decoded header-only: their
-// operand lines are scanned past without parsing.
+// Lines are parsed straight from the scan buffer — everything a Record
+// retains (interned names, values) is copied by the field parsers, so no
+// per-line string materializes. Records whose opcode b.Filter rejects are
+// decoded header-only: their operand lines are scanned past without
+// parsing.
 func (sc *Scanner) NextBatch(b *RecordBatch, max int) (int, error) {
 	b.Reset()
 	for len(b.Recs) < max {
@@ -238,7 +177,7 @@ func (sc *Scanner) NextBatch(b *RecordBatch, max int) (int, error) {
 				return 0, err
 			}
 			if line[0] == 'r' && line[1] == ',' {
-				// Any "r," line is the result, the last wins — matching Next.
+				// Any "r," line is the result, the last wins.
 				res = op
 				hasRes = true
 			} else {
