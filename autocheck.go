@@ -92,7 +92,12 @@ func NewTraceWriter(w io.Writer, f TraceFormat) RecordWriter {
 }
 
 // NewTraceReader sniffs the stream's encoding and returns a streaming
-// record reader for it, usable as the source of AnalyzeStream.
+// record reader for it, usable as the source of AnalyzeStream. The stream
+// is decoded through a bounded window, so memory does not grow with the
+// trace; a single record (one text block or one binary record) beyond
+// 4 MiB is an error naming its byte offset — load such a trace whole and
+// use AnalyzeBytes, which has no cap. After any error the reader repeats
+// it and yields no further records.
 func NewTraceReader(r io.Reader) (TraceReader, TraceFormat, error) {
 	return trace.NewAutoReader(r)
 }
@@ -221,9 +226,9 @@ func TraceProgramTo(mod *Module, w RecordWriter) (string, error) {
 }
 
 // AnalyzeStream runs the pipeline over a replayable record stream in
-// three bounded passes without materializing the trace; open is called
-// once per pass (see NewTraceReader for building readers). Results are
-// identical to Analyze.
+// bounded sweeps without materializing the trace; open is called once per
+// sweep (see NewTraceReader for building readers). Results are identical
+// to Analyze.
 func AnalyzeStream(open func() (TraceReader, error), spec LoopSpec, opts Options) (*Result, error) {
 	return core.AnalyzeStream(open, spec, opts)
 }

@@ -18,9 +18,9 @@ import (
 // reusing one record slice and operand arena for the whole analysis.
 //
 // open is called once per sweep and must return a fresh reader positioned
-// at the start of the same stream (for example a new Scanner or
-// BinaryScanner over the trace). Readers that implement io.Closer are
-// closed when their sweep ends.
+// at the start of the same stream (for example trace.NewAutoReader over a
+// reopened file). Readers that implement io.Closer are closed when their
+// sweep ends.
 func AnalyzeStream(open func() (trace.Reader, error), spec LoopSpec, opts Options) (*Result, error) {
 	return analyzeStreamIn(&scratch{}, open, spec, opts)
 }
@@ -32,8 +32,8 @@ func analyzeStreamIn(sc *scratch, open func() (trace.Reader, error), spec LoopSp
 }
 
 // bytesReaderOpener adapts an in-memory trace (either format) into the
-// replayable stream AnalyzeStream needs, on the direct slice-walking
-// batch decoders (no bufio layer, no per-line copying).
+// replayable stream AnalyzeStream needs: the whole input is the reader's
+// window, so nothing is copied or refilled.
 func bytesReaderOpener(data []byte) func() (trace.Reader, error) {
 	return func() (trace.Reader, error) {
 		rd, _, err := trace.NewBytesReader(data)
@@ -41,24 +41,14 @@ func bytesReaderOpener(data []byte) func() (trace.Reader, error) {
 	}
 }
 
-// closingReader pairs a record reader with the file it scans, so each
+// closingReader pairs a file's batch reader with the file, so each
 // streaming sweep releases its descriptor.
 type closingReader struct {
-	trace.Reader
+	trace.BatchReader
 	c io.Closer
 }
 
 func (r closingReader) Close() error { return r.c.Close() }
-
-// NextBatch forwards the batch protocol to the wrapped reader, so the
-// interface-embedding wrapper does not hide it from ForEachBatch; a
-// non-batching reader degrades to the record-at-a-time gather.
-func (r closingReader) NextBatch(b *trace.RecordBatch, max int) (int, error) {
-	if br, ok := r.Reader.(trace.BatchReader); ok {
-		return br.NextBatch(b, max)
-	}
-	return trace.GatherBatch(r.Reader, b, max)
-}
 
 // fileReaderOpener re-opens a trace file (either format) for each
 // streaming sweep.
@@ -73,6 +63,6 @@ func fileReaderOpener(path string) func() (trace.Reader, error) {
 			f.Close()
 			return nil, err
 		}
-		return closingReader{Reader: rd, c: f}, nil
+		return closingReader{BatchReader: rd, c: f}, nil
 	}
 }

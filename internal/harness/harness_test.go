@@ -252,8 +252,8 @@ func TestFormatEquivalenceAllBenchmarks(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantReport := criticalReport(want)
-			// The streaming rows scan temp files through the bufio Scanner
-			// and BinaryScanner, the way the stream-binary workload does.
+			// The streaming rows scan temp files through the stream reader's
+			// refilled window, the way the stream-binary workload does.
 			streamFile := func(name string, data []byte) func() (*core.Result, error) {
 				path := filepath.Join(t.TempDir(), name)
 				if err := os.WriteFile(path, data, 0o644); err != nil {

@@ -16,8 +16,7 @@ import "io"
 // the same rule the online engine's Observer already lives by.
 //
 // Producers that are not decoders of this package — the interpreter's
-// emitter — fill a batch through Reset / AppendOperand / AppendRecord,
-// the same append discipline the scanners here use.
+// emitter — fill a batch through Reset / AppendOperand / AppendRecord.
 
 // RecordBatch is reusable storage for batch decoding.
 type RecordBatch struct {
@@ -72,34 +71,15 @@ func (b *RecordBatch) AppendRecord(rec Record, hasResult bool) {
 	b.Recs = append(b.Recs, rec)
 }
 
-// wantOps reports whether a record with the given opcode needs its
-// operands decoded.
-func (b *RecordBatch) wantOps(opcode int) bool {
-	return b.Filter == nil || b.Filter(opcode)
-}
-
 // BatchReader is a Reader that can additionally decode records in
-// batches into caller-owned reusable storage. Both streaming scanners
-// and the in-memory readers returned by NewBytesReader implement it.
+// batches into caller-owned reusable storage; *WindowReader, the reader
+// behind every constructor of this package, implements it.
 type BatchReader interface {
 	Reader
 	// NextBatch decodes up to max records into b, recycling its storage,
 	// and returns how many were decoded. Zero with a nil error means end
 	// of stream.
 	NextBatch(b *RecordBatch, max int) (int, error)
-}
-
-// nextFromBatch derives Reader.Next from NextBatch, the one decode loop
-// each reader of this package has: a private one-record batch, cloned out
-// because the Reader contract lets callers retain the record.
-type nextFromBatch struct{ one RecordBatch }
-
-func (n *nextFromBatch) next(rd BatchReader) (*Record, error) {
-	if got, err := rd.NextBatch(&n.one, 1); err != nil || got == 0 {
-		return nil, err
-	}
-	rec := n.one.Recs[0].Clone()
-	return &rec, nil
 }
 
 // DefaultBatchRecords is the batch size ForEachBatch uses: large enough
@@ -131,9 +111,9 @@ func GatherBatch(rd Reader, b *RecordBatch, max int) (int, error) {
 // with each batch of records and the stream index of its first record.
 // Readers implementing BatchReader decode straight into b's recycled
 // storage (honoring b.Filter); other readers are adapted record by
-// record. Like ForEach, a reader that implements io.Closer is closed
-// before returning, and the records passed to fn are only valid for the
-// duration of the call.
+// record. A reader that implements io.Closer is closed before returning
+// (a close error is reported only when the sweep itself succeeded), and
+// the records passed to fn are only valid for the duration of the call.
 func ForEachBatch(rd Reader, b *RecordBatch, fn func(base int, recs []Record) error) (err error) {
 	if c, ok := rd.(io.Closer); ok {
 		defer func() {
@@ -164,76 +144,3 @@ func ForEachBatch(rd Reader, b *RecordBatch, fn func(base int, recs []Record) er
 		base += n
 	}
 }
-
-// ---- In-memory batch readers ----
-
-// NewBytesReader returns a replayable-position reader over a complete
-// in-memory trace, text or binary by magic. The returned reader
-// implements BatchReader, decoding with the same arena discipline as
-// ParseBytes/ParseBinary but into recycled batch storage — the fast
-// source for streaming analysis over bytes already in memory.
-func NewBytesReader(data []byte) (Reader, Format, error) {
-	if DetectFormat(data) == FormatBinary {
-		d := &binDecoder{data: data, strs: append(make([]string, 0, 64), "")}
-		if err := d.header(); err != nil {
-			return nil, FormatBinary, err
-		}
-		return &binBytesReader{d: d}, FormatBinary, nil
-	}
-	return &textBytesReader{d: newDecoder(), data: data}, FormatText, nil
-}
-
-// textBytesReader decodes an in-memory textual trace batch by batch on
-// the decoder's manual field-scanning path, sharing one interner across
-// the whole stream.
-type textBytesReader struct {
-	d    *decoder
-	data []byte
-	pos  int
-	nextFromBatch
-}
-
-// NextBatch decodes up to max records into b, recycling its storage.
-func (r *textBytesReader) NextBatch(b *RecordBatch, max int) (int, error) {
-	b.Reset()
-	r.d.ops = b.ops
-	pos, recs, err := r.d.decodeN(r.data, r.pos, b.Recs, max, b.Filter)
-	b.ops = r.d.ops
-	r.d.ops = nil
-	if err != nil {
-		return 0, err
-	}
-	r.pos = pos
-	b.Recs = recs
-	return len(recs), nil
-}
-
-// Next returns the next record in freshly allocated storage.
-func (r *textBytesReader) Next() (*Record, error) { return r.next(r) }
-
-// binBytesReader decodes an in-memory binary trace batch by batch,
-// keeping the (stateful, strictly sequential) string table across
-// batches.
-type binBytesReader struct {
-	d *binDecoder
-	nextFromBatch
-}
-
-// NextBatch decodes up to max records into b, recycling its storage.
-func (r *binBytesReader) NextBatch(b *RecordBatch, max int) (int, error) {
-	d := r.d
-	b.Reset()
-	d.ops = b.ops
-	defer func() { b.ops = d.ops; d.ops = nil }()
-	for len(b.Recs) < max && d.pos < len(d.data) {
-		var rec Record
-		if err := d.record(&rec, b.Filter); err != nil {
-			return 0, err
-		}
-		b.Recs = append(b.Recs, rec)
-	}
-	return len(b.Recs), nil
-}
-
-// Next returns the next record in freshly allocated storage.
-func (r *binBytesReader) Next() (*Record, error) { return r.next(r) }

@@ -4,15 +4,35 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
-// batchReaders enumerates every BatchReader implementation over the same
-// encoded trace: the two in-memory readers and the two streaming
-// scanners.
+// chunkReader serves r in seeded random Reads of 1–97 bytes, so window
+// refills land at every offset inside a record.
+type chunkReader struct {
+	r   io.Reader
+	rng *rand.Rand
+}
+
+func newChunkReader(data []byte, seed int64) *chunkReader {
+	return &chunkReader{r: bytes.NewReader(data), rng: rand.New(rand.NewSource(seed))}
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if n := 1 + c.rng.Intn(97); n < len(p) {
+		p = p[:n]
+	}
+	return c.r.Read(p)
+}
+
+// batchReaders enumerates every way to open the one reader over the same
+// encoded trace: in memory, and as a stream delivered whole, one byte per
+// Read, and in random small chunks.
 func batchReaders(t *testing.T, text, bin []byte) map[string]func() BatchReader {
 	t.Helper()
 	return map[string]func() BatchReader{
@@ -32,6 +52,10 @@ func batchReaders(t *testing.T, text, bin []byte) map[string]func() BatchReader 
 		},
 		"textScanner": func() BatchReader { return NewScanner(bytes.NewReader(text)) },
 		"binScanner":  func() BatchReader { return NewBinaryScanner(bytes.NewReader(bin)) },
+		"textOneByte": func() BatchReader { return NewScanner(iotest.OneByteReader(bytes.NewReader(text))) },
+		"binOneByte":  func() BatchReader { return NewBinaryScanner(iotest.OneByteReader(bytes.NewReader(bin))) },
+		"textChunked": func() BatchReader { return NewScanner(newChunkReader(text, 1)) },
+		"binChunked":  func() BatchReader { return NewBinaryScanner(newChunkReader(bin, 2)) },
 	}
 }
 
@@ -132,20 +156,9 @@ func TestBatchFilter(t *testing.T) {
 	}
 	keep := func(op int) bool { return op == OpLoad || op == OpStore }
 	for name, open := range batchReaders(t, text, bin) {
-		rd := open()
-		b := RecordBatch{Filter: keep}
-		var got []Record
-		for {
-			n, err := rd.NextBatch(&b, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n == 0 {
-				break
-			}
-			for i := range b.Recs[:n] {
-				got = append(got, b.Recs[i].Clone())
-			}
+		got, err := drain(open(), keep, 64)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("%s: filtered decode dropped records: %d vs %d", name, len(got), len(want))
@@ -168,6 +181,64 @@ func TestBatchFilter(t *testing.T) {
 	}
 }
 
+// TestErrorIsSticky pins that a decode error is terminal: the records
+// before the bad one are delivered, then every later Next and NextBatch
+// returns the same error and never another record — a decoder that failed
+// mid-record would otherwise resume inside it and fabricate one.
+func TestErrorIsSticky(t *testing.T) {
+	recs := randomRecords(rand.New(rand.NewSource(16)), 60)
+	const good = 40
+	// Encoding a prefix of the records yields a prefix of the bytes, so
+	// these are the offsets of record 40: its "0," header, its flags byte.
+	text, bin := EncodeAll(recs), EncodeBinary(recs)
+	text[len(EncodeAll(recs[:good]))+2] = 'x' // line number
+	bin[len(EncodeBinary(recs[:good]))] = 0xff
+	for name, open := range batchReaders(t, text, bin) {
+		rd := open()
+		n := 0
+		var first error
+		for first == nil {
+			rec, err := rd.Next()
+			if rec == nil && err == nil {
+				t.Fatalf("%s: clean end of trace after %d records, want an error", name, n)
+			}
+			if first = err; err == nil {
+				n++
+			}
+		}
+		if n != good {
+			t.Errorf("%s: %d records before the error, want %d", name, n, good)
+		}
+		var b RecordBatch
+		for i := 0; i < 3; i++ {
+			if rec, err := rd.Next(); rec != nil || err != first {
+				t.Fatalf("%s: Next after the error = (%v, %v), want the same error", name, rec, err)
+			}
+			if got, err := rd.NextBatch(&b, 8); got != 0 || len(b.Recs) != 0 || err != first {
+				t.Fatalf("%s: NextBatch after the error = (%d, %v), want the same error", name, got, err)
+			}
+		}
+	}
+}
+
+// drain reads rd to its end or first error through NextBatch under the
+// given operand filter, cloning the records out of the recycled batch.
+func drain(rd BatchReader, filter func(opcode int) bool, max int) ([]Record, error) {
+	b := RecordBatch{Filter: filter}
+	var out []Record
+	for {
+		n, err := rd.NextBatch(&b, max)
+		if err != nil || n == 0 {
+			return out, err
+		}
+		for i := range b.Recs[:n] {
+			out = append(out, b.Recs[i].Clone())
+		}
+	}
+}
+
+func rejectAll(int) bool { return false }
+
 // headersOnly decodes an in-memory trace with a reject-all filter — the
 // engine's partition sweep, which on text hops from block header to block
 // header without reading the operand lines in between.
@@ -176,16 +247,7 @@ func headersOnly(data []byte, max int) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	rd := r.(BatchReader)
-	b := RecordBatch{Filter: func(int) bool { return false }}
-	var out []Record
-	for {
-		n, err := rd.NextBatch(&b, max)
-		if err != nil || n == 0 {
-			return out, err
-		}
-		out = append(out, b.Recs[:n]...)
-	}
+	return drain(r.(BatchReader), rejectAll, max)
 }
 
 // sameHeaders reports how a header-only decode differs from the full
@@ -283,22 +345,47 @@ func TestForEachBatchFallback(t *testing.T) {
 	}
 }
 
-// closeCounter counts Close calls through a batch-capable reader.
-type closeCounter struct {
-	BatchReader
-	n *int
+// TestForEachBatchPropagatesReaderError: a decode error and a failed Read
+// of the underlying stream both end the sweep with that error.
+func TestForEachBatchPropagatesReaderError(t *testing.T) {
+	var b RecordBatch
+	ignore := func(int, []Record) error { return nil }
+	if err := ForEachBatch(NewScanner(strings.NewReader("0,notanint,f,b,27,1\n")), &b, ignore); err == nil {
+		t.Error("corrupt stream did not error")
+	}
+	boom := errors.New("boom")
+	for _, f := range []Format{FormatText, FormatBinary} {
+		src := io.MultiReader(bytes.NewReader(Encode(sampleRecords(), f)), iotest.ErrReader(boom))
+		rd, _, err := NewAutoReader(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ForEachBatch(rd, &b, ignore); !errors.Is(err, boom) {
+			t.Errorf("%v: sweep over a failing stream = %v, want boom", f, err)
+		}
+	}
 }
 
-func (c closeCounter) Close() error { *c.n++; return nil }
+// closeCounter counts Close calls through a batch-capable reader and
+// fails them with err.
+type closeCounter struct {
+	BatchReader
+	n   *int
+	err error
+}
+
+func (c closeCounter) Close() error { *c.n++; return c.err }
 
 // TestForEachBatchCloses pins the Closer contract and error propagation:
-// the reader is closed exactly once, including when fn aborts the sweep.
+// the reader is closed exactly once, including when fn aborts the sweep,
+// and a close failure surfaces after a clean sweep but never masks the
+// sweep's own error.
 func TestForEachBatchCloses(t *testing.T) {
 	data := EncodeAll(sampleRecords())
 	var b RecordBatch
 
 	closes := 0
-	rd := closeCounter{NewScanner(bytes.NewReader(data)), &closes}
+	rd := closeCounter{NewScanner(bytes.NewReader(data)), &closes, nil}
 	if err := ForEachBatch(rd, &b, func(int, []Record) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -307,13 +394,23 @@ func TestForEachBatchCloses(t *testing.T) {
 	}
 
 	closes = 0
-	rd = closeCounter{NewScanner(bytes.NewReader(data)), &closes}
+	rd = closeCounter{NewScanner(bytes.NewReader(data)), &closes, nil}
 	boom := errors.New("boom")
 	if err := ForEachBatch(rd, &b, func(int, []Record) error { return boom }); !errors.Is(err, boom) {
 		t.Errorf("aborted sweep error = %v, want boom", err)
 	}
 	if closes != 1 {
 		t.Errorf("aborted sweep: %d Close calls, want 1", closes)
+	}
+
+	closeFailed := errors.New("close failed")
+	rd = closeCounter{NewScanner(bytes.NewReader(data)), &closes, closeFailed}
+	if err := ForEachBatch(rd, &b, func(int, []Record) error { return nil }); !errors.Is(err, closeFailed) {
+		t.Errorf("clean sweep with a failing Close = %v, want the close error", err)
+	}
+	rd = closeCounter{NewScanner(bytes.NewReader(data)), &closes, closeFailed}
+	if err := ForEachBatch(rd, &b, func(int, []Record) error { return boom }); !errors.Is(err, boom) {
+		t.Errorf("sweep error masked by the close error: %v", err)
 	}
 }
 
@@ -350,7 +447,7 @@ func TestBatchDecodeAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	br := rd.(*textBytesReader)
+	br := rd.(*WindowReader)
 	var b RecordBatch
 	// Warm up: one full pass sizes Recs and the operand arena.
 	for {

@@ -93,8 +93,8 @@ type RecordWriter interface {
 	Count() int64
 }
 
-// Reader is the streaming side of a trace encoding; *Scanner (text) and
-// *BinaryScanner both implement it.
+// Reader is the streaming side of a trace encoding; *WindowReader
+// implements it for both formats.
 type Reader interface {
 	// Next returns the next record, or (nil, nil) at end of stream.
 	Next() (*Record, error)
@@ -251,285 +251,31 @@ func EncodeBinary(recs []Record) []byte {
 	return buf.Bytes()
 }
 
-// BinaryScanner reads records one at a time from a binary trace stream.
-type BinaryScanner struct {
-	br      *bufio.Reader
-	strs    []string
-	opNames map[int]string // the stream's self-description header
-	started bool
-	done    bool
-	off     int64
-	nextFromBatch
-}
+const (
+	maxBinaryString   = 1 << 24 // sanity cap against corrupt length fields
+	maxBinaryOperands = 1 << 20 // sanity cap against corrupt counts
+)
 
-// NewBinaryScanner returns a streaming binary trace reader. The header is
-// validated on the first Next call.
-func NewBinaryScanner(r io.Reader) *BinaryScanner {
-	return &BinaryScanner{br: bufio.NewReaderSize(r, 1<<16), strs: []string{""}}
-}
-
-// OpcodeTable returns the opcode number -> mnemonic mapping carried by
-// the stream's self-description header (nil before the first record is
-// read).
-func (sc *BinaryScanner) OpcodeTable() map[int]string { return sc.opNames }
-
-func (sc *BinaryScanner) corrupt(what string, err error) error {
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
-	return fmt.Errorf("trace: binary stream corrupt at byte offset %d (%s): %w", sc.off, what, err)
-}
-
-func (sc *BinaryScanner) readByte() (byte, error) {
-	c, err := sc.br.ReadByte()
-	if err == nil {
-		sc.off++
-	}
-	return c, err
-}
-
-func (sc *BinaryScanner) readUvarint(what string) (uint64, error) {
-	v, err := binary.ReadUvarint(byteCounter{sc})
-	if err != nil {
-		return 0, sc.corrupt(what, err)
-	}
-	return v, nil
-}
-
-func (sc *BinaryScanner) readVarint(what string) (int64, error) {
-	v, err := sc.readUvarint(what)
-	if err != nil {
-		return 0, err
-	}
-	return int64(v>>1) ^ -int64(v&1), nil
-}
-
-// byteCounter adapts the scanner for binary.ReadUvarint while keeping the
-// offset accurate.
-type byteCounter struct{ sc *BinaryScanner }
-
-func (bc byteCounter) ReadByte() (byte, error) { return bc.sc.readByte() }
-
-func (sc *BinaryScanner) readFull(b []byte, what string) error {
-	n, err := io.ReadFull(sc.br, b)
-	sc.off += int64(n)
-	if err != nil {
-		return sc.corrupt(what, err)
-	}
-	return nil
-}
-
-const maxBinaryString = 1 << 24 // sanity cap against corrupt length fields
-
-func (sc *BinaryScanner) readString(what string) (string, error) {
-	ref, err := sc.readUvarint(what)
-	if err != nil {
-		return "", err
-	}
-	if ref != 0 {
-		if ref > uint64(len(sc.strs)) {
-			return "", sc.corrupt(what, fmt.Errorf("string ref %d beyond table of %d", ref, len(sc.strs)))
-		}
-		return sc.strs[ref-1], nil
-	}
-	n, err := sc.readUvarint(what)
-	if err != nil {
-		return "", err
-	}
-	if n > maxBinaryString {
-		return "", sc.corrupt(what, fmt.Errorf("string length %d exceeds %d cap", n, maxBinaryString))
-	}
-	b := make([]byte, n)
-	if err := sc.readFull(b, what); err != nil {
-		return "", err
-	}
-	s := string(b)
-	sc.strs = append(sc.strs, s)
-	return s, nil
-}
-
-func (sc *BinaryScanner) readHeader() error {
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(sc.br, magic); err != nil {
-		if err == io.EOF {
-			// A completely empty stream is an empty trace.
-			sc.done = true
-			return nil
-		}
-		return sc.corrupt("magic", err)
-	}
-	sc.off += int64(len(magic))
-	if !bytes.Equal(magic, binaryMagic) {
-		return fmt.Errorf("trace: bad binary magic %q (want %q)", magic, binaryMagic)
-	}
-	ver, err := sc.readByte()
-	if err != nil {
-		return sc.corrupt("version", err)
-	}
-	if ver != binaryVersion {
-		return fmt.Errorf("trace: unsupported binary trace version %d (want %d)", ver, binaryVersion)
-	}
-	n, err := sc.readUvarint("opcode table size")
-	if err != nil {
-		return err
-	}
-	if n > 4096 {
-		return sc.corrupt("opcode table", fmt.Errorf("%d entries", n))
-	}
-	sc.opNames = make(map[int]string, n)
-	for i := uint64(0); i < n; i++ {
-		op, err := sc.readUvarint("opcode table entry")
-		if err != nil {
-			return err
-		}
-		ln, err := sc.readUvarint("opcode table entry")
-		if err != nil {
-			return err
-		}
-		if ln > maxBinaryString {
-			return sc.corrupt("opcode table entry", fmt.Errorf("name length %d", ln))
-		}
-		name := make([]byte, ln)
-		if err := sc.readFull(name, "opcode table entry"); err != nil {
-			return err
-		}
-		sc.opNames[int(op)] = string(name)
-	}
-	return nil
-}
-
-func (sc *BinaryScanner) readOperand(o *Operand) error {
-	meta, err := sc.readByte()
-	if err != nil {
-		return sc.corrupt("operand meta", err)
-	}
-	kind := ValueKind(meta & 3)
-	if kind > KindPtr {
-		return sc.corrupt("operand meta", fmt.Errorf("bad value kind %d", kind))
-	}
-	o.IsReg = meta&4 != 0
-	idx, err := sc.readVarint("operand index")
-	if err != nil {
-		return err
-	}
-	o.Index = int(idx)
-	size, err := sc.readUvarint("operand size")
-	if err != nil {
-		return err
-	}
-	o.Size = int(size)
-	switch kind {
-	case KindFloat:
-		var raw [8]byte
-		if err := sc.readFull(raw[:], "float value"); err != nil {
-			return err
-		}
-		o.Value = FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(raw[:])))
-	case KindPtr:
-		a, err := sc.readUvarint("pointer value")
-		if err != nil {
-			return err
-		}
-		o.Value = PtrValue(a)
-	default:
-		v, err := sc.readVarint("int value")
-		if err != nil {
-			return err
-		}
-		o.Value = IntValue(v)
-	}
-	o.Name, err = sc.readString("operand name")
-	return err
-}
-
-const maxBinaryOperands = 1 << 20 // sanity cap against corrupt counts
-
-// Next returns the next record, or (nil, nil) at end of stream.
-func (sc *BinaryScanner) Next() (*Record, error) { return sc.next(sc) }
-
-// NextBatch decodes up to max records into b, recycling its storage.
-// Records whose opcode b.Filter rejects are decoded header-only (their
-// operands are still walked to keep the stateful string table in sync,
-// but not stored).
-func (sc *BinaryScanner) NextBatch(b *RecordBatch, max int) (int, error) {
-	b.Reset()
-	if !sc.started {
-		sc.started = true
-		if err := sc.readHeader(); err != nil {
-			sc.done = true
-			return 0, err
-		}
-	}
-	for len(b.Recs) < max && !sc.done {
-		flags, err := sc.readByte()
-		if err == io.EOF {
-			sc.done = true
-			break
-		}
-		if err != nil {
-			return 0, sc.corrupt("record flags", err)
-		}
-		if flags > 1 {
-			return 0, sc.corrupt("record flags", fmt.Errorf("unknown flags %#x", flags))
-		}
-		var rec Record
-		line, err := sc.readVarint("line")
-		if err != nil {
-			return 0, err
-		}
-		rec.Line = int(line)
-		if rec.Func, err = sc.readString("function name"); err != nil {
-			return 0, err
-		}
-		if rec.Block, err = sc.readString("block label"); err != nil {
-			return 0, err
-		}
-		op, err := sc.readUvarint("opcode")
-		if err != nil {
-			return 0, err
-		}
-		rec.Opcode = int(op)
-		if rec.DynID, err = sc.readVarint("dynamic id"); err != nil {
-			return 0, err
-		}
-		nops, err := sc.readUvarint("operand count")
-		if err != nil {
-			return 0, err
-		}
-		if nops > maxBinaryOperands {
-			return 0, sc.corrupt("operand count", fmt.Errorf("%d operands", nops))
-		}
-		store := b.wantOps(rec.Opcode)
-		hasRes := flags&1 != 0
-		if hasRes {
-			nops++ // the result follows the inputs, encoded like them
-		}
-		for i := uint64(0); i < nops; i++ {
-			var o Operand
-			if err := sc.readOperand(&o); err != nil {
-				return 0, err
-			}
-			if store {
-				b.AppendOperand(o)
-			}
-		}
-		b.AppendRecord(rec, store && hasRes)
-	}
-	return len(b.Recs), nil
-}
-
-// binDecoder is the in-memory binary decode fast path: direct slice
-// indexing instead of buffered reads, and operand storage batched in an
-// arena like the text decoder's.
+// binDecoder is the one ACTB decoder: direct slice indexing over data (a
+// whole trace, or the window of a stream that starts at offset base), and
+// operand storage batched in an arena like the text decoder's.
 type binDecoder struct {
 	data []byte
 	pos  int
+	base int64 // stream offset of data[0], for error messages
 	strs []string
 	ops  []Operand
 }
 
 func (d *binDecoder) corrupt(what string) error {
-	return fmt.Errorf("trace: binary trace corrupt at byte offset %d (%s)", d.pos, what)
+	return fmt.Errorf("trace: binary trace corrupt at byte offset %d (%s)", d.base+int64(d.pos), what)
+}
+
+// truncated reports a field that runs past the end of data. It is the one
+// failure more bytes can cure: the stream reader refills and retries on
+// it, and at the true end of a trace it is the truncation error.
+func (d *binDecoder) truncated(what string) error {
+	return fmt.Errorf("trace: binary trace truncated at byte offset %d (%s): %w", d.base+int64(d.pos), what, io.ErrUnexpectedEOF)
 }
 
 func (d *binDecoder) uvarint(what string) (uint64, error) {
@@ -541,8 +287,11 @@ func (d *binDecoder) uvarint(what string) (uint64, error) {
 		}
 	}
 	v, n := binary.Uvarint(d.data[d.pos:])
-	if n <= 0 {
-		return 0, d.corrupt(what)
+	if n == 0 {
+		return 0, d.truncated(what)
+	}
+	if n < 0 {
+		return 0, d.corrupt(what + ": varint overflows 64 bits")
 	}
 	d.pos += n
 	return v, nil
@@ -568,10 +317,19 @@ func (d *binDecoder) str(what string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if n > maxBinaryString || uint64(len(d.data)-d.pos) < n {
+	if n > maxBinaryString {
 		return "", d.corrupt(what + ": bad string length")
 	}
-	s := string(d.data[d.pos : d.pos+int(n)])
+	if uint64(len(d.data)-d.pos) < n {
+		return "", d.truncated(what)
+	}
+	b := d.data[d.pos : d.pos+int(n)]
+	if bytes.ContainsAny(b, ",\r\n") {
+		// The text format has no way to write such a name: converted, the
+		// record would parse as a different one or not at all.
+		return "", d.corrupt(what + ": name contains a field or line separator")
+	}
+	s := string(b)
 	d.pos += int(n)
 	d.strs = append(d.strs, s)
 	return s, nil
@@ -579,7 +337,7 @@ func (d *binDecoder) str(what string) (string, error) {
 
 func (d *binDecoder) operand(o *Operand) error {
 	if d.pos >= len(d.data) {
-		return d.corrupt("operand meta")
+		return d.truncated("operand meta")
 	}
 	meta := d.data[d.pos]
 	d.pos++
@@ -601,7 +359,7 @@ func (d *binDecoder) operand(o *Operand) error {
 	switch kind {
 	case KindFloat:
 		if len(d.data)-d.pos < 8 {
-			return d.corrupt("float value")
+			return d.truncated("float value")
 		}
 		o.Value = FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(d.data[d.pos:])))
 		d.pos += 8
@@ -623,12 +381,15 @@ func (d *binDecoder) operand(o *Operand) error {
 }
 
 func (d *binDecoder) header() error {
+	if len(d.data) < len(binaryMagic) && bytes.HasPrefix(binaryMagic, d.data) {
+		return d.truncated("magic")
+	}
 	if !bytes.HasPrefix(d.data, binaryMagic) {
 		return fmt.Errorf("trace: bad binary magic (want %q)", binaryMagic)
 	}
 	d.pos = len(binaryMagic)
 	if d.pos >= len(d.data) {
-		return d.corrupt("version")
+		return d.truncated("version")
 	}
 	if v := d.data[d.pos]; v != binaryVersion {
 		return fmt.Errorf("trace: unsupported binary trace version %d (want %d)", v, binaryVersion)
@@ -649,8 +410,11 @@ func (d *binDecoder) header() error {
 		if err != nil {
 			return err
 		}
-		if ln > maxBinaryString || uint64(len(d.data)-d.pos) < ln {
+		if ln > maxBinaryString {
 			return d.corrupt("opcode table entry")
+		}
+		if uint64(len(d.data)-d.pos) < ln {
+			return d.truncated("opcode table entry")
 		}
 		d.pos += int(ln)
 	}
@@ -777,19 +541,4 @@ func NewRecordWriter(w io.Writer, f Format) RecordWriter {
 		return NewBinaryWriter(w)
 	}
 	return NewWriter(w)
-}
-
-// NewAutoReader sniffs the stream's format and returns the matching
-// streaming reader. Text is assumed when the stream is shorter than the
-// binary magic.
-func NewAutoReader(r io.Reader) (Reader, Format, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head, err := br.Peek(len(binaryMagic))
-	if err != nil && err != io.EOF {
-		return nil, 0, err
-	}
-	if bytes.Equal(head, binaryMagic) {
-		return NewBinaryScanner(br), FormatBinary, nil
-	}
-	return NewScanner(br), FormatText, nil
 }

@@ -2,11 +2,15 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -42,9 +46,6 @@ func TestBinaryScannerStreaming(t *testing.T) {
 		if err != nil || rec != nil {
 			t.Errorf("after EOF: (%v, %v), want (nil, nil)", rec, err)
 		}
-	}
-	if name := sc.OpcodeTable()[OpLoad]; name != "Load" {
-		t.Errorf("self-description header: OpcodeTable()[OpLoad] = %q, want Load", name)
 	}
 }
 
@@ -96,7 +97,7 @@ func TestQuickBinaryRecordsBinary(t *testing.T) {
 	}
 }
 
-// Property: the streaming BinaryScanner and the in-memory ParseBinary
+// Property: the streaming binary reader and the in-memory ParseBinary
 // agree.
 func TestQuickBinaryScannerEqualsParse(t *testing.T) {
 	f := func(seed int64, size uint8) bool {
@@ -131,18 +132,40 @@ func TestQuickBinaryScannerEqualsParse(t *testing.T) {
 func TestBinaryTruncated(t *testing.T) {
 	recs := sampleRecords()
 	data := EncodeBinary(recs)
-	// Every proper prefix must error or yield fewer records — never panic.
+	// Encoding a prefix of the records yields a prefix of the bytes: a cut
+	// at one of these lengths is a shorter valid trace, any other is
+	// mid-header or mid-record.
+	whole := map[int]int{}
+	for k := range recs {
+		whole[len(EncodeBinary(recs[:k]))] = k
+	}
+	// Every proper prefix must error or yield fewer records — never panic —
+	// and the stream reader, refilled a byte at a time, must reach
+	// ParseBinary's verdict.
 	for cut := 1; cut < len(data); cut++ {
 		got, err := ParseBinary(data[:cut])
 		if err == nil && len(got) >= len(recs) {
 			t.Fatalf("truncated at %d/%d bytes: parsed %d records without error",
 				cut, len(data), len(got))
 		}
-		sc := NewBinaryScanner(bytes.NewReader(data[:cut]))
-		for {
-			rec, serr := sc.Next()
-			if serr != nil || rec == nil {
-				break
+		sgot, serr := drain(NewBinaryScanner(iotest.OneByteReader(bytes.NewReader(data[:cut]))), nil, 1)
+		if (err == nil) != (serr == nil) || (err == nil && len(sgot) != len(got)) {
+			t.Fatalf("cut at %d: ParseBinary = (%d records, %v), stream = (%d records, %v)",
+				cut, len(got), err, len(sgot), serr)
+		}
+		k, ok := whole[cut]
+		if ok != (err == nil) || (ok && len(got) != k) {
+			t.Fatalf("cut at %d: ParseBinary = (%d records, %v), want %d records, error %v", cut, len(got), err, k, !ok)
+		}
+		for name, e := range map[string]error{"ParseBinary": err, "stream": serr} {
+			if ok {
+				continue
+			}
+			var off int
+			if !errors.Is(e, io.ErrUnexpectedEOF) {
+				t.Errorf("cut at %d: %s error does not wrap io.ErrUnexpectedEOF: %v", cut, name, e)
+			} else if _, perr := fmt.Sscanf(e.Error(), "trace: binary trace truncated at byte offset %d", &off); perr != nil || off < 0 || off > cut {
+				t.Errorf("cut at %d: %s error names no offset inside the prefix: %v", cut, name, e)
 			}
 		}
 	}
@@ -163,7 +186,7 @@ func TestBinaryCorruptHeader(t *testing.T) {
 		}
 		sc := NewBinaryScanner(bytes.NewReader(data))
 		if _, err := sc.Next(); err == nil {
-			t.Errorf("%s: BinaryScanner.Next succeeded, want error", name)
+			t.Errorf("%s: NewBinaryScanner Next succeeded, want error", name)
 		}
 	}
 	// An empty stream is an empty trace, not an error.
@@ -172,7 +195,19 @@ func TestBinaryCorruptHeader(t *testing.T) {
 	}
 	sc := NewBinaryScanner(bytes.NewReader(nil))
 	if rec, err := sc.Next(); err != nil || rec != nil {
-		t.Errorf("BinaryScanner over empty stream = (%v, %v), want (nil, nil)", rec, err)
+		t.Errorf("NewBinaryScanner over empty stream = (%v, %v), want (nil, nil)", rec, err)
+	}
+}
+
+// A name holding one of the text format's separators has no text
+// encoding; the ACTB decoder rejects it rather than hand out a record that
+// autocheck convert would turn into a different trace.
+func TestBinaryRejectsTextUnsafeNames(t *testing.T) {
+	for _, name := range []string{"a,b", "a\nb", "a\r"} {
+		data := EncodeBinary([]Record{{Line: 6, Func: "f", Block: name, Opcode: OpBr, DynID: 1}})
+		if recs, err := ParseBinary(data); err == nil || !strings.Contains(err.Error(), "block label") {
+			t.Errorf("name %q: ParseBinary = (%v, %v), want a block label error", name, recs, err)
+		}
 	}
 }
 

@@ -2,15 +2,17 @@ package trace
 
 import (
 	"bytes"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"testing"
 )
 
-// FuzzParseTrace exercises both parsers — the allocation-free text
-// decoder and the binary decoder — plus the streaming scanners on
-// arbitrary bytes. None of them may panic, and for inputs every text
-// decoder accepts, the serial, parallel, streaming, and header-only
+// FuzzParseTrace exercises both decoders — the allocation-free text
+// decoder and the binary decoder — on arbitrary bytes. Neither may panic;
+// whatever the bytes sniff as, a stream of them refilled in small uneven
+// Reads must decode exactly as the same bytes in memory do; and for inputs
+// the text decoder accepts, the serial, parallel and header-only
 // (filtered) paths must agree.
 func FuzzParseTrace(f *testing.F) {
 	recs := sampleRecords()
@@ -22,6 +24,9 @@ func FuzzParseTrace(f *testing.F) {
 	f.Add([]byte("0,-1,main,entry,26,0\n"))
 	f.Add([]byte("garbage\n"))
 	f.Add(append(append([]byte{}, binaryMagic...), binaryVersion, 0))
+	// An ACTB name the text format cannot carry: must be rejected, or the
+	// re-encode checks below see a trace that does not survive conversion.
+	f.Add(EncodeBinary([]Record{{Line: 6, Func: "a,b", Block: "c", Opcode: OpBr, DynID: 1}}))
 	// Fuzz inputs sit far below the parallel-parse size threshold; drop it
 	// so the chunked assembly path stays under fuzz coverage.
 	saved := parallelParseMinBytes
@@ -36,13 +41,26 @@ func FuzzParseTrace(f *testing.F) {
 		if serr == nil && len(serial) > 0 && !equalModuloNaN(serial, par) {
 			t.Fatalf("serial and parallel parse disagree on %q", data)
 		}
-		// The binary decoder and scanner must never panic either.
+		// The binary decoder must never panic either.
 		_, _ = ParseBinary(data)
-		sc := NewBinaryScanner(bytes.NewReader(data))
-		for {
-			rec, err := sc.Next()
-			if err != nil || rec == nil {
-				break
+		// Stream = bytes, full (one record per call, as Next reads) and
+		// header-only: the same records, then the same verdict.
+		for _, mode := range []struct {
+			filter func(int) bool
+			max    int
+		}{{nil, 1}, {rejectAll, 3}} {
+			var want, got []Record
+			mem, _, merr := NewBytesReader(data)
+			if merr == nil {
+				want, merr = drain(mem.(BatchReader), mode.filter, mode.max)
+			}
+			st, _, sterr := NewAutoReader(newChunkReader(data, int64(crc32.ChecksumIEEE(data))))
+			if sterr == nil {
+				got, sterr = drain(st, mode.filter, mode.max)
+			}
+			if (merr == nil) != (sterr == nil) || !equalModuloNaN(want, got) {
+				t.Fatalf("stream and in-memory reads of %q disagree (max %d): %d records, %v vs %d records, %v",
+					data, mode.max, len(got), sterr, len(want), merr)
 			}
 		}
 		// The header-only decode hops over operand lines unread, so it may

@@ -38,160 +38,6 @@ func (w *Writer) Count() int64 { return w.count }
 // Flush flushes buffered output.
 func (w *Writer) Flush() error { return w.bw.Flush() }
 
-// scannerMaxLine caps the per-line token size of the io.Reader-based
-// Scanner (the in-memory ParseBytes path has no such cap).
-const scannerMaxLine = 1 << 22
-
-// Scanner reads records one block at a time from a stream.
-type Scanner struct {
-	s           *bufio.Scanner
-	d           *decoder
-	pending     Record // header of the next block, already consumed and parsed
-	havePending bool
-	done        bool
-	off         int64 // byte offset of the next unread line
-	nextFromBatch
-}
-
-// NewScanner returns a streaming trace reader.
-func NewScanner(r io.Reader) *Scanner {
-	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 0, 1<<16), scannerMaxLine)
-	s.Split(scanLinesKeepCR)
-	return &Scanner{s: s, d: newDecoder()}
-}
-
-// scanLinesKeepCR is bufio.ScanLines without the \r stripping, so the
-// scanner's byte-offset accounting stays exact on CRLF input (the \r is
-// stripped after counting).
-func scanLinesKeepCR(data []byte, atEOF bool) (advance int, token []byte, err error) {
-	if atEOF && len(data) == 0 {
-		return 0, nil, nil
-	}
-	if i := bytes.IndexByte(data, '\n'); i >= 0 {
-		return i + 1, data[:i], nil
-	}
-	if atEOF {
-		return len(data), data, nil
-	}
-	return 0, nil, nil
-}
-
-// err wraps the underlying scanner error, adding the byte offset and a
-// hint when a pathological line overflows the token cap.
-func (sc *Scanner) err() error {
-	err := sc.s.Err()
-	if err == bufio.ErrTooLong {
-		return fmt.Errorf("trace: line at byte offset %d exceeds the %d-byte streaming line cap (parse in memory with ParseBytes, which has no cap): %w",
-			sc.off, scannerMaxLine, err)
-	}
-	return err
-}
-
-// scan advances to the next line, tracking the byte offset for error
-// context; the returned line has its trailing \r (if any) stripped.
-func (sc *Scanner) scan() ([]byte, bool) {
-	if !sc.s.Scan() {
-		return nil, false
-	}
-	line := sc.s.Bytes()
-	sc.off += int64(len(line)) + 1
-	if n := len(line); n > 0 && line[n-1] == '\r' {
-		line = line[:n-1]
-	}
-	return line, true
-}
-
-// Next returns the next record, or (nil, nil) at end of stream.
-func (sc *Scanner) Next() (*Record, error) { return sc.next(sc) }
-
-// NextBatch decodes up to max records into b, recycling its storage.
-// Lines are parsed straight from the scan buffer — everything a Record
-// retains (interned names, values) is copied by the field parsers, so no
-// per-line string materializes. Records whose opcode b.Filter rejects are
-// decoded header-only: their operand lines are scanned past without
-// parsing.
-func (sc *Scanner) NextBatch(b *RecordBatch, max int) (int, error) {
-	b.Reset()
-	for len(b.Recs) < max {
-		var rec Record
-		switch {
-		case sc.havePending:
-			rec = sc.pending
-			sc.havePending = false
-		case sc.done:
-			return len(b.Recs), nil
-		default:
-			var header []byte
-			for {
-				line, ok := sc.scan()
-				if !ok {
-					sc.done = true
-					if err := sc.err(); err != nil {
-						return 0, err
-					}
-					return len(b.Recs), nil
-				}
-				if len(line) != 0 {
-					header = line
-					break
-				}
-			}
-			if !isHeaderLine(header) {
-				return 0, fmt.Errorf("trace: expected block header, got %q", header)
-			}
-			var err error
-			if rec, err = sc.d.parseHeader(header); err != nil {
-				return 0, err
-			}
-		}
-		store := b.wantOps(rec.Opcode)
-		var res Operand
-		hasRes := false
-		for {
-			line, ok := sc.scan()
-			if !ok {
-				sc.done = true
-				if err := sc.err(); err != nil {
-					return 0, err
-				}
-				break
-			}
-			if len(line) == 0 {
-				continue
-			}
-			if isHeaderLine(line) {
-				next, err := sc.d.parseHeader(line)
-				if err != nil {
-					return 0, err
-				}
-				sc.pending = next
-				sc.havePending = true
-				break
-			}
-			if !store {
-				continue
-			}
-			op, err := sc.d.parseOperand(line)
-			if err != nil {
-				return 0, err
-			}
-			if line[0] == 'r' && line[1] == ',' {
-				// Any "r," line is the result, the last wins.
-				res = op
-				hasRes = true
-			} else {
-				b.AppendOperand(op)
-			}
-		}
-		if hasRes {
-			b.AppendOperand(res)
-		}
-		b.AppendRecord(rec, hasRes)
-	}
-	return len(b.Recs), nil
-}
-
 // ReadAll parses an entire trace stream serially.
 func ReadAll(r io.Reader) ([]Record, error) {
 	sc := NewScanner(r)

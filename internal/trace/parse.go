@@ -297,8 +297,8 @@ func (d *decoder) decodeText(data []byte, dst []Record) ([]Record, error) {
 // non-nil filter decodes rejected opcodes header-only: their operand
 // lines are hopped over unread, straight to the next block header, so a
 // header-only sweep pays for one header parse per record and nothing per
-// operand. This is the single textual decode loop — ParseBytes and the
-// batch readers differ only in the arguments.
+// operand. This is the single textual decode loop — ParseBytes and
+// WindowReader differ only in the arguments.
 func (d *decoder) decodeN(data []byte, pos int, dst []Record, max int, filter func(opcode int) bool) (int, []Record, error) {
 	start := len(dst)
 	var line []byte
@@ -307,9 +307,8 @@ func (d *decoder) decodeN(data []byte, pos int, dst []Record, max int, filter fu
 	d.resIdx = d.resIdx[:0]
 	// flush attaches the open record's arena extent: its input operands as
 	// a capacity-clamped sub-slice (so a caller's append cannot clobber the
-	// next record) and the result — matching Scanner's semantics exactly,
-	// any "r," line is the result (the last wins) and input lines may
-	// follow it. Arena growth after this point copies the backing array
+	// next record) and the result: any "r," line is the result (the last
+	// wins) and input lines may follow it. Arena growth after this point copies the backing array
 	// but never mutates already-written elements, so the aliases stay
 	// value-correct.
 	flush := func() {

@@ -319,15 +319,32 @@ func TestComputeStats(t *testing.T) {
 }
 
 func TestScannerLongLines(t *testing.T) {
-	// A record with a very long function name must fit the scanner buffer.
-	name := strings.Repeat("f", 1<<16)
-	rec := Record{Line: 1, Func: name, Block: "b", Opcode: OpBr, DynID: 1}
-	got, err := ParseBytes(EncodeAll([]Record{rec}))
-	if err != nil {
-		t.Fatal(err)
+	// A record larger than the stream window but under the record cap must
+	// be read whole: the window grows for it.
+	name := strings.Repeat("f", 1<<19)
+	if len(name) <= windowBytes || len(name) >= maxRecordBytes {
+		t.Fatal("fixture must sit between the window size and the record cap")
 	}
-	if len(got) != 1 || got[0].Func != name {
-		t.Error("long function name mangled")
+	recs := []Record{{Line: 1, Func: name, Block: "b", Opcode: OpBr, DynID: 1}, {Line: 2, Func: name, Block: "b", Opcode: OpBr, DynID: 2}}
+	for _, f := range []Format{FormatText, FormatBinary} {
+		data := Encode(recs, f)
+		got, err := ParseBytes(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd, _, err := NewAutoReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed, err := drain(rd, nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for via, got := range map[string][]Record{"ParseBytes": got, "stream": streamed} {
+			if !reflect.DeepEqual(got, recs) {
+				t.Errorf("%v %s: long function name mangled", f, via)
+			}
+		}
 	}
 }
 
@@ -376,10 +393,10 @@ func TestOpcodeByName(t *testing.T) {
 	}
 }
 
-// The io.Reader Scanner has a line cap; overflowing it must produce an
-// error with the byte offset and a hint, not a bare bufio.ErrTooLong.
+// A stream has a per-record cap; overflowing it must produce an error
+// with the byte offset and a hint, not a bare bufio.ErrTooLong.
 func TestScannerTooLongContext(t *testing.T) {
-	name := strings.Repeat("f", scannerMaxLine+16)
+	name := strings.Repeat("f", maxRecordBytes+16)
 	rec := Record{Line: 1, Func: name, Block: "b", Opcode: OpBr, DynID: 1}
 	data := EncodeAll([]Record{rec})
 	sc := NewScanner(bytes.NewReader(data))
@@ -402,12 +419,12 @@ func TestScannerTooLongContext(t *testing.T) {
 	}
 }
 
-// The byte offset in the wrapped error must point at the offending line,
+// The byte offset in the wrapped error must point at the offending record,
 // not at zero.
 func TestScannerTooLongOffset(t *testing.T) {
 	good := EncodeAll(sampleRecords())
 	bad := append(append([]byte{}, good...), []byte("0,1,")...)
-	bad = append(bad, bytes.Repeat([]byte("x"), scannerMaxLine)...)
+	bad = append(bad, bytes.Repeat([]byte("x"), maxRecordBytes)...)
 	sc := NewScanner(bytes.NewReader(bad))
 	var err error
 	for {

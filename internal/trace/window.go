@@ -1,0 +1,249 @@
+package trace
+
+import (
+	"bufio"
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+)
+
+const (
+	// windowBytes is the size of the byte window a stream is decoded
+	// through, unless a record outgrows it.
+	windowBytes = 256 << 10
+	// maxRecordBytes caps how far the window grows for a single record (one
+	// text block or one ACTB record) that does not fit it. Only streams are
+	// capped: an in-memory trace is its own window.
+	maxRecordBytes = 1 << 22
+)
+
+// WindowReader is the one trace reader: it decodes either format, in
+// batches, from a window of the trace's bytes. Over an in-memory trace
+// (NewBytesReader) the window is the whole input. Over an io.Reader it is a
+// bounded, reused buffer that slides its undecoded tail to the front and
+// refills with one Read at a time, so a live pipe is decoded as it arrives.
+// Either way the bytes go to the same two decoders, decoder.decodeN (text)
+// and binDecoder.record (ACTB).
+type WindowReader struct {
+	src    io.Reader // nil over an in-memory trace
+	buf    []byte    // the window; buf[pos:end] is read but not yet decoded
+	pos    int
+	end    int
+	base   int64 // stream offset of buf[0]
+	srcErr error // from src's last Read; io.EOF makes this the final window
+	err    error // the first decode or read error, repeated by every later call
+	format Format
+
+	text    *decoder
+	cut     int // text: buf[pos:cut] holds complete blocks only
+	scanned int // text: buf[:scanned] has been searched for the cut
+
+	bin binDecoder // binary: its data and pos stand in for buf[:end] and pos between fills
+
+	one RecordBatch // Next's private one-record batch
+}
+
+// NewScanner returns a streaming reader of a text trace.
+func NewScanner(r io.Reader) *WindowReader { return newStreamReader(r, FormatText) }
+
+// NewBinaryScanner returns a streaming reader of an ACTB trace. The header
+// is validated by the first read.
+func NewBinaryScanner(r io.Reader) *WindowReader { return newStreamReader(r, FormatBinary) }
+
+// NewAutoReader returns a streaming reader for whichever format the
+// stream's first bytes announce, reading just far enough to tell. Text is
+// assumed when the stream is shorter than the binary magic.
+func NewAutoReader(r io.Reader) (BatchReader, Format, error) {
+	w := newStreamReader(r, FormatText)
+	for w.end < len(binaryMagic) && w.srcErr == nil {
+		_ = w.fill() // a failed Read is kept in srcErr
+	}
+	if w.end < len(binaryMagic) && w.srcErr != io.EOF {
+		return nil, 0, w.srcErr
+	}
+	w.bin.data = w.buf[:w.end]
+	w.format = DetectFormat(w.bin.data)
+	return w, w.format, nil
+}
+
+// NewBytesReader returns a reader over a complete in-memory trace, text
+// or binary by magic, decoding into recycled batch storage — the fast
+// source for streaming analysis over bytes already in memory. A bad ACTB
+// header fails here rather than on the first read.
+func NewBytesReader(data []byte) (Reader, Format, error) {
+	w := newStreamReader(nil, DetectFormat(data))
+	w.buf, w.end, w.srcErr = data, len(data), io.EOF
+	if w.format == FormatBinary {
+		w.bin.data = data
+		if err := w.bin.header(); err != nil {
+			return nil, FormatBinary, err
+		}
+	}
+	return w, w.format, nil
+}
+
+func newStreamReader(r io.Reader, f Format) *WindowReader {
+	w := &WindowReader{src: r, format: f, text: newDecoder()}
+	// The string table is pre-seeded with "" (ref 1), mirroring the writer.
+	w.bin.strs = append(make([]string, 0, 64), "")
+	return w
+}
+
+// final reports whether the window holds the last bytes of the trace.
+func (w *WindowReader) final() bool { return w.srcErr == io.EOF }
+
+// fill slides the undecoded tail to the front of the window and appends one
+// Read's worth of the stream — never more, so a reader on a live pipe sees
+// each write as it lands. The window is allocated by the first fill and
+// doubles when the tail alone fills it, up to maxRecordBytes. A read error
+// that arrives with bytes is held back until those bytes are decoded.
+func (w *WindowReader) fill() error {
+	if w.srcErr != nil {
+		return w.srcErr
+	}
+	w.end = copy(w.buf, w.buf[w.pos:w.end])
+	w.base += int64(w.pos)
+	w.pos = 0
+	if w.end == len(w.buf) {
+		if len(w.buf) >= maxRecordBytes {
+			return fmt.Errorf("trace: record at byte offset %d exceeds the %d-byte streaming record cap (parse in memory with ParseBytes, which has no cap): %w",
+				w.base, maxRecordBytes, bufio.ErrTooLong)
+		}
+		w.buf = append(w.buf, make([]byte, max(len(w.buf), windowBytes))...)
+	}
+	var n int
+	var err error
+	for tries := 0; n == 0 && err == nil; tries++ {
+		if tries == 100 {
+			err = io.ErrNoProgress
+			break
+		}
+		n, err = w.src.Read(w.buf[w.end:])
+	}
+	w.end += n
+	w.srcErr = err
+	if n == 0 && err != io.EOF {
+		return err
+	}
+	return nil
+}
+
+// Next returns the next record, or (nil, nil) at end of trace. It is
+// NextBatch of one, cloned out because the Reader contract lets callers
+// retain the record.
+func (w *WindowReader) Next() (*Record, error) {
+	if n, err := w.NextBatch(&w.one, 1); err != nil || n == 0 {
+		return nil, err
+	}
+	rec := w.one.Recs[0].Clone()
+	return &rec, nil
+}
+
+// NextBatch decodes up to max records into b, recycling its storage.
+// Records whose opcode b.Filter rejects are decoded header-only. After an
+// error every call returns that error and no records: a decoder that
+// failed mid-record has no position to resume from.
+func (w *WindowReader) NextBatch(b *RecordBatch, max int) (int, error) {
+	b.Reset()
+	if w.err == nil {
+		if w.format == FormatBinary {
+			w.err = w.nextBinary(b, max)
+		} else {
+			w.err = w.nextText(b, max)
+		}
+	}
+	if w.err != nil {
+		b.Reset()
+		return 0, w.err
+	}
+	return len(b.Recs), nil
+}
+
+// nextText hands decodeN the window up to its last "\n0,": everything
+// before a block header is complete blocks, so the decoder (header hop
+// included) never sees a record the next refill would extend. The final
+// window is decoded to its end.
+func (w *WindowReader) nextText(b *RecordBatch, limit int) error {
+	d := w.text
+	d.ops = b.ops
+	defer func() { b.ops, d.ops = d.ops, nil }()
+	for len(b.Recs) < limit {
+		if w.pos < w.cut {
+			pos, recs, err := d.decodeN(w.buf[:w.cut], w.pos, b.Recs, limit-len(b.Recs), b.Filter)
+			if err != nil {
+				return err
+			}
+			w.pos, b.Recs = pos, recs
+			continue
+		}
+		if w.scanned == w.end {
+			if w.final() {
+				break
+			}
+			w.cut, w.scanned = 0, w.scanned-w.pos // fill slides pos to 0
+			if err := w.fill(); err != nil {
+				return err
+			}
+		}
+		// Only bytes not searched before are searched (less a mark's
+		// overlap), so a block of many refills costs one pass, not one per
+		// refill. The header at pos opens a block; it does not end one.
+		from := max(w.scanned-len(headerMark)+1, w.pos)
+		if i := bytes.LastIndex(w.buf[from:w.end], headerMark); i >= 0 {
+			w.cut = from + i + 1
+		}
+		if w.final() {
+			w.cut = w.end
+		}
+		w.scanned = w.end
+	}
+	return nil
+}
+
+// nextBinary decodes records until one runs off the end of a non-final
+// window; that record is rolled back — position, string table and operand
+// arena — and decoded again after a refill. In the final window running
+// off the end is the truncation error.
+func (w *WindowReader) nextBinary(b *RecordBatch, max int) error {
+	d := &w.bin
+	d.ops = b.ops
+	defer func() { b.ops, d.ops = d.ops, nil }()
+	for len(b.Recs) < max {
+		if d.pos < len(d.data) {
+			pos, nstrs, nops := d.pos, len(d.strs), len(d.ops)
+			err := w.binaryStep(b)
+			if err == nil {
+				continue
+			}
+			if w.final() || !errors.Is(err, io.ErrUnexpectedEOF) {
+				return err
+			}
+			d.pos, d.strs, d.ops = pos, d.strs[:nstrs], d.ops[:nops]
+		} else if w.final() {
+			break
+		}
+		w.pos = d.pos
+		err := w.fill()
+		d.data, d.pos, d.base = w.buf[:w.end], 0, w.base
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// binaryStep decodes what sits at d.pos: the header at stream offset 0, a
+// record anywhere else.
+func (w *WindowReader) binaryStep(b *RecordBatch) error {
+	d := &w.bin
+	if d.base == 0 && d.pos == 0 {
+		return d.header()
+	}
+	var rec Record
+	if err := d.record(&rec, b.Filter); err != nil {
+		return err
+	}
+	b.Recs = append(b.Recs, rec)
+	return nil
+}
