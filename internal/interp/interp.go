@@ -74,9 +74,26 @@ func (f *Frame) AllocaType(name string) (ir.Type, bool) {
 	return nil, false
 }
 
+// Watch counts the writes that land in one registered range of a
+// machine's memory (Machine.Watch). The checkpoint layer keeps one per
+// protected variable: an unchanged count proves the variable's cells are
+// what they were when it last read them. A Watch does not refer back to
+// its machine, so holding one keeps no memory alive.
+type Watch struct {
+	base, size uint64 // the bytes [base, base+size), modulo 2^64
+	writes     uint64
+}
+
+// Writes returns how many WriteCell and WriteRange calls have touched the
+// range since it was registered.
+func (w *Watch) Writes() uint64 { return w.writes }
+
 // Machine executes a module.
 type Machine struct {
 	Mod *ir.Module
+	// Mem is the simulated memory, one entry per 8-byte cell that was ever
+	// written. Reads may index it; writes go through WriteCell or
+	// WriteRange, which is what keeps every Watch exact.
 	Mem map[uint64]trace.Value
 
 	// Tracer, if non-nil, receives one record per executed instruction, in
@@ -102,6 +119,7 @@ type Machine struct {
 	dynID   int64
 	out     strings.Builder
 	frames  []*Frame // the call stack; frames[len(frames):cap(frames)] are popped frames awaiting reuse
+	watches []*Watch // registered ranges; empty on a machine nobody checkpoints
 	batch   trace.RecordBatch
 	sink    func([]trace.Record) // set by TraceInto for a BatchObserver; overrides Tracer
 	globals map[*ir.Global]uint64
@@ -194,7 +212,12 @@ func (m *Machine) ReadCell(addr uint64, want ir.Type) trace.Value {
 }
 
 // WriteCell writes one 8-byte cell.
-func (m *Machine) WriteCell(addr uint64, v trace.Value) { m.Mem[addr] = v }
+func (m *Machine) WriteCell(addr uint64, v trace.Value) {
+	if len(m.watches) != 0 {
+		m.noteWrite(addr, 8)
+	}
+	m.Mem[addr] = v
+}
 
 // ReadRange copies n cells starting at addr (for checkpointing).
 func (m *Machine) ReadRange(addr uint64, cells int64) []trace.Value {
@@ -211,8 +234,48 @@ func (m *Machine) ReadRange(addr uint64, cells int64) []trace.Value {
 
 // WriteRange restores cells starting at addr (for checkpoint recovery).
 func (m *Machine) WriteRange(addr uint64, vals []trace.Value) {
+	if len(m.watches) != 0 {
+		m.noteWrite(addr, uint64(len(vals))*8)
+	}
 	for i, v := range vals {
 		m.Mem[addr+uint64(i*8)] = v
+	}
+}
+
+// Watch registers the cells-long range at base and returns its write
+// counter; the same range always yields the same Watch, so several
+// checkpoint contexts over one machine share it. A watch lives as long as
+// its machine. Before the first one is registered a store pays one
+// branch; after, one range test per watch.
+func (m *Machine) Watch(base uint64, cells int64) *Watch {
+	size := uint64(cells) * 8
+	for _, w := range m.watches {
+		if w.base == base && w.size == size {
+			return w
+		}
+	}
+	w := &Watch{base: base, size: size}
+	m.watches = append(m.watches, w)
+	return w
+}
+
+// noteWrite advances every watch the bytes [addr, addr+size) touch. Two
+// ranges on the 2^64 address circle meet exactly when one starts inside
+// the other, which also covers a write that wraps past the last address.
+func (m *Machine) noteWrite(addr, size uint64) {
+	for _, w := range m.watches {
+		if addr-w.base < w.size || w.base-addr < size {
+			w.writes++
+		}
+	}
+}
+
+// Reserve sizes an empty memory for the cells a restart is about to write,
+// so the map is built once instead of grown by rehashing. A machine that
+// already holds cells is left as it is.
+func (m *Machine) Reserve(cells int) {
+	if len(m.Mem) == 0 && cells > 0 {
+		m.Mem = make(map[uint64]trace.Value, cells)
 	}
 }
 

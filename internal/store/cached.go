@@ -58,6 +58,9 @@ type flightCall struct {
 	// leader's inner read is in flight: whatever the leader got back no
 	// longer reflects the inner store and must not populate the cache.
 	stale bool
+	// waiters counts the followers sharing this flight (under c.mu); tests
+	// read it to release a leader only once its followers have joined.
+	waiters int
 }
 
 // DefaultCacheBytes is the cache bound when none is given.
@@ -218,6 +221,7 @@ func (c *Cached) get(key string) ([]Section, int64, error) {
 		if call, ok := c.flight[key]; ok {
 			// Another Get of this key is already reading the inner
 			// backend; share its result.
+			call.waiters++
 			c.mu.Unlock()
 			<-call.done
 			if call.err != nil {

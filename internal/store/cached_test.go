@@ -366,10 +366,10 @@ func TestCachedFollowersShareNotFound(t *testing.T) {
 			_, errs[i] = c.Get("missing")
 		}(i)
 	}
-	for {
-		if g, _ := inner.counts(); g >= 1 {
-			break
-		}
+	// Release the leader only once the other three have joined its flight:
+	// a reader that arrived after the flight was gone would rightly become
+	// a second leader and read the inner store again.
+	for c.flightWaiters("missing") < readers-1 {
 		time.Sleep(100 * time.Microsecond)
 	}
 	close(inner.getExit)

@@ -6,32 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
+	"strings"
 	"sync"
 
 	"autocheck/internal/faultinject"
 	"autocheck/internal/obs"
 )
 
-// Incremental decorates a backend with delta checkpoints: every Keyframe
-// puts it writes the full object (a keyframe); in between it writes only
-// the sections whose content hash changed since the previous put, and a
-// changed section larger than one chunk is stored as chunk-level patches
-// against its previous content. Restart therefore reads at most one
-// keyframe plus the deltas up to the requested key, and a checkpoint of a
-// mostly-unchanged protected set costs only the changed bytes — the
-// differential counterpart to the paper's "checkpoint only the critical
-// variables" storage argument.
-//
-// The section name "~incr" is reserved for this decorator's metadata;
-// the checkpoint layer's own names (variable names plus its "~ckpt"
-// metadata section) cannot collide with it.
-//
-// Each delta records the digest of the object it was diffed against, and
-// Get re-derives that digest while walking the chain, so a delta is bound
-// to the exact predecessor content it patched. A delta left over from an
-// earlier session whose keyframe has since been overwritten (or any other
-// base/delta mismatch) fails reconstruction with an error instead of
-// silently patching stale chunks onto new content.
 // ChainBrokenError is returned by Incremental.Get when the delta chain
 // beneath a key can no longer reconstruct it: its keyframe is gone, an
 // intermediate delta was deleted, or a link's recorded predecessor
@@ -64,6 +46,26 @@ func (e *ChainBrokenError) Error() string {
 // (errors.Is(err, ErrNotFound), an injected fault, a remote 5xx).
 func (e *ChainBrokenError) Unwrap() error { return e.Err }
 
+// Incremental decorates a backend with delta checkpoints: every Keyframe
+// puts it writes the full object (a keyframe); in between it writes only
+// the sections whose bytes differ from the previous put's, and a
+// changed section larger than one chunk is stored as chunk-level patches
+// against its previous content. Restart therefore reads at most one
+// keyframe plus the deltas up to the requested key, and a checkpoint of a
+// mostly-unchanged protected set costs only the changed bytes — the
+// differential counterpart to the paper's "checkpoint only the critical
+// variables" storage argument.
+//
+// The section name "~incr" is reserved for this decorator's metadata;
+// the checkpoint layer's own names (variable names plus its "~ckpt"
+// metadata section) cannot collide with it.
+//
+// Each delta records the digest of the object it was diffed against, and
+// Get re-derives that digest while walking the chain, so a delta is bound
+// to the exact predecessor content it patched. A delta left over from an
+// earlier session whose keyframe has since been overwritten (or any other
+// base/delta mismatch) fails reconstruction with an error instead of
+// silently patching stale chunks onto new content.
 type Incremental struct {
 	inner    Backend
 	keyframe int
@@ -79,9 +81,19 @@ type Incremental struct {
 	baseKey    string            // key of the current keyframe
 	prevKey    string            // key of the last stored object
 	prevDigest uint64            // digest of the last stored object, the next delta's predecessor
-	hash       map[string]uint64 // FNV-64a of each section's last content
-	last       map[string][]byte // last content, the diff basis for patches
-	stats      Stats             // local counters folded into inner's
+	last       map[string][]byte // each section's last stored content: change detection and patch basis
+	// ledger is every object this session stored and has not deleted, keys
+	// ascending, each with the ordinal of its delta chain: a key's
+	// dependencies are the run of its chain that ends at it. Dependencies
+	// answers from it without touching the store.
+	ledger []stored
+	chain  int
+	stats  Stats // local counters folded into inner's
+}
+
+type stored struct {
+	key   string
+	chain int
 }
 
 // Defaults for NewIncremental's parameters.
@@ -116,15 +128,8 @@ func NewIncremental(inner Backend, keyframe, chunkBytes int) *Incremental {
 		inner:    inner,
 		keyframe: keyframe,
 		chunk:    chunkBytes,
-		hash:     make(map[string]uint64),
 		last:     make(map[string][]byte),
 	}
-}
-
-func contentHash(data []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(data)
-	return h.Sum64()
 }
 
 // objectDigest fingerprints a stored object (all sections, names and
@@ -187,9 +192,13 @@ func (inc *Incremental) put(key string, sections []Section) error {
 			return err
 		}
 		for _, s := range sections {
-			inc.hash[s.Name] = contentHash(s.Data)
 			inc.last[s.Name] = append([]byte(nil), s.Data...)
 		}
+		if key <= inc.prevKey {
+			inc.ledger = nil // an overwrite: what is stored beneath older keys is no longer what this session wrote
+		}
+		inc.chain++
+		inc.ledger = append(inc.ledger, stored{key, inc.chain})
 		inc.baseKey = key
 		inc.prevKey = key
 		inc.prevDigest = objectDigest(out)
@@ -205,16 +214,10 @@ func (inc *Incremental) put(key string, sections []Section) error {
 	// Stage the diff-basis updates and apply them only after the write
 	// lands: a failed Put must not advance the basis, or the next delta
 	// would skip sections whose changes were never persisted.
-	type staged struct {
-		name string
-		hash uint64
-		data []byte
-	}
-	changed := make([]staged, 0, len(sections))
+	changed := make([]Section, 0, len(sections))
 	for _, s := range sections {
-		h := contentHash(s.Data)
 		prev, known := inc.last[s.Name]
-		if known && h == inc.hash[s.Name] && bytes.Equal(prev, s.Data) {
+		if known && bytes.Equal(prev, s.Data) {
 			inc.stats.SectionsSkipped++
 			continue
 		}
@@ -228,15 +231,15 @@ func (inc *Incremental) put(key string, sections []Section) error {
 			payload = append(payload, s.Data...)
 		}
 		out = append(out, Section{Name: s.Name, Data: payload})
-		changed = append(changed, staged{name: s.Name, hash: h, data: s.Data})
+		changed = append(changed, s)
 	}
 	if err := inc.inner.Put(key, out); err != nil {
 		return err
 	}
 	for _, s := range changed {
-		inc.hash[s.name] = s.hash
-		inc.last[s.name] = append([]byte(nil), s.data...)
+		inc.last[s.Name] = append([]byte(nil), s.Data...)
 	}
+	inc.ledger = append(inc.ledger, stored{key, inc.chain})
 	inc.prevKey = key
 	inc.prevDigest = objectDigest(out)
 	inc.stats.Deltas++
@@ -439,36 +442,37 @@ func overlay(state map[string][]byte, order []string, sections []Section) ([]str
 // uses this to never delete a keyframe (or intermediate delta) still
 // referenced by a retained chain.
 //
-// Keys inside the current session's chain (the overwhelmingly common
-// case: retention always retains the newest keys) are answered from the
-// decorator's in-memory chain bounds without reading the object — with
-// a remote base, fetching each retained object in full on every
-// post-checkpoint prune would multiply steady-state network traffic by
-// the retained-set size. Keys from earlier sessions fall back to
-// reading the stored metadata.
+// A key this session stored — retention always retains the newest keys,
+// so in steady state all of them — is answered from the ledger without a
+// List or a Get: resolving the retained set after every checkpoint would
+// otherwise list the store once per key and read every object of an
+// older chain in full just to parse its metadata. Keys from earlier
+// sessions fall back to reading the stored metadata.
 func (inc *Incremental) Dependencies(key string) ([]string, error) {
 	inc.mu.Lock()
-	base, prev := inc.baseKey, inc.prevKey
+	if i, ok := inc.find(key); ok {
+		first := i
+		for first > 0 && inc.ledger[first-1].chain == inc.ledger[i].chain {
+			first--
+		}
+		deps := make([]string, 0, i-first+1)
+		for _, s := range inc.ledger[first : i+1] {
+			deps = append(deps, s.key)
+		}
+		inc.mu.Unlock()
+		return deps, nil
+	}
 	inc.mu.Unlock()
-	baseKey := ""
-	switch {
-	case base != "" && key == base:
-		return []string{key}, nil // the current chain's keyframe
-	case base != "" && key > base && key <= prev:
-		baseKey = base // a delta of the current chain
-	default:
-		obj, err := inc.inner.Get(key)
-		if err != nil {
-			return nil, err
-		}
-		kind, b, _, _, err := parseObject(obj)
-		if err != nil {
-			return nil, err
-		}
-		if kind == kindKeyframe {
-			return []string{key}, nil
-		}
-		baseKey = b
+	obj, err := inc.inner.Get(key)
+	if err != nil {
+		return nil, err
+	}
+	kind, baseKey, _, _, err := parseObject(obj)
+	if err != nil {
+		return nil, err
+	}
+	if kind == kindKeyframe {
+		return []string{key}, nil
 	}
 	keys, err := inc.inner.List()
 	if err != nil {
@@ -483,13 +487,28 @@ func (inc *Incremental) Dependencies(key string) ([]string, error) {
 	return deps, nil
 }
 
+// find locates key in the ledger. Callers hold inc.mu.
+func (inc *Incremental) find(key string) (int, bool) {
+	return slices.BinarySearchFunc(inc.ledger, key, func(s stored, key string) int { return strings.Compare(s.key, key) })
+}
+
 // List implements Backend.
 func (inc *Incremental) List() ([]string, error) { return inc.inner.List() }
 
 // Delete implements Backend. Deleting a keyframe orphans its deltas (Get
-// on them fails cleanly); the checkpoint layer only deletes whole
-// sessions.
-func (inc *Incremental) Delete(key string) error { return inc.inner.Delete(key) }
+// on them fails cleanly), which is why retention asks Dependencies before
+// it deletes. A deleted key leaves the ledger with its object.
+func (inc *Incremental) Delete(key string) error {
+	err := inc.inner.Delete(key)
+	if err == nil || errors.Is(err, ErrNotFound) {
+		inc.mu.Lock()
+		if i, ok := inc.find(key); ok {
+			inc.ledger = slices.Delete(inc.ledger, i, i+1)
+		}
+		inc.mu.Unlock()
+	}
+	return err
+}
 
 // Stats implements Backend: the inner backend's persisted numbers plus
 // this decorator's delta accounting.

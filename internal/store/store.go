@@ -8,8 +8,8 @@
 // protected variable plus a small metadata section. Keeping sections
 // first-class lets the sharded backend write one shard per variable from
 // a worker pool, and lets the incremental decorator re-write only the
-// variables whose content hash changed since the previous checkpoint
-// (FTI-style differential checkpointing).
+// variables whose bytes changed since the previous checkpoint (FTI-style
+// differential checkpointing).
 //
 // Keys must sort lexicographically in chronological order (the checkpoint
 // layer uses zero-padded sequence numbers); the incremental decorator and

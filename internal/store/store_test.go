@@ -732,6 +732,70 @@ func TestIncrementalMissingKeyframeFails(t *testing.T) {
 	}
 }
 
+// readCounter counts the reads that reach the store under a decorator.
+type readCounter struct {
+	Backend
+	reads int
+}
+
+func (r *readCounter) Get(key string) ([]Section, error) { r.reads++; return r.Backend.Get(key) }
+func (r *readCounter) List() ([]string, error)           { r.reads++; return r.Backend.List() }
+
+// Dependencies of a key this session stored is answered from memory — no
+// List, no Get — and stays right across a Delete; a key of an earlier
+// session, or any key once an overwrite has made the session's record of
+// the store unreliable, is resolved from the stored metadata as before.
+func TestIncrementalDependenciesAnsweredFromLedger(t *testing.T) {
+	key := func(i int) string { return fmt.Sprintf("ckpt-%06d", i) }
+	mem := NewMemory()
+	earlier := NewIncremental(mem, 3, 64)
+	for i := 1; i <= 2; i++ {
+		if err := earlier.Put(key(i), sampleSections(byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inner := &readCounter{Backend: mem}
+	inc := NewIncremental(inner, 3, 64)
+	for i := 3; i <= 7; i++ { // keyframes at 3 and 6
+		if err := inc.Put(key(i), sampleSections(byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(k int, fromMemory bool, want ...int) {
+		t.Helper()
+		inner.reads = 0
+		deps, err := inc.Dependencies(key(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys []string
+		for _, w := range want {
+			keys = append(keys, key(w))
+		}
+		if fmt.Sprint(deps) != fmt.Sprint(keys) {
+			t.Errorf("Dependencies(%s) = %v, want %v", key(k), deps, keys)
+		}
+		if fromMemory != (inner.reads == 0) {
+			t.Errorf("Dependencies(%s) made %d store reads (from memory: %v)", key(k), inner.reads, fromMemory)
+		}
+	}
+	check(3, true, 3)
+	check(5, true, 3, 4, 5)
+	check(7, true, 6, 7)
+	check(2, false, 1, 2) // the earlier session's delta
+	if err := inc.Delete(key(4)); err != nil {
+		t.Fatal(err)
+	}
+	check(5, true, 3, 5)
+	// An overwrite is stored as a keyframe, so what lies beneath the
+	// session's later keys is no longer what the session wrote there.
+	if err := inc.Put(key(5), sampleSections(50)); err != nil {
+		t.Fatal(err)
+	}
+	check(5, true, 5)
+	check(7, false, 6, 7)
+}
+
 func TestEncodeDecodeSections(t *testing.T) {
 	sections := sampleSections(7)
 	blob := EncodeSections(sections)
