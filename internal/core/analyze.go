@@ -208,14 +208,19 @@ func analyzeFileIn(sc *scratch, path string, spec LoopSpec, opts Options) (*Resu
 }
 
 // AnalyzeBytes analyzes an in-memory trace — text or binary, detected by
-// magic — on the streaming schedule: the bytes are decoded once per sweep
-// into a recycled record batch and no []Record is materialized.
+// magic — on the streaming schedule: the bytes are decoded into a recycled
+// record batch (text once, ACTB once per sweep), no []Record materialized.
 func AnalyzeBytes(data []byte, spec LoopSpec, opts Options) (*Result, error) {
 	return analyzeBytesIn(&scratch{}, data, spec, opts)
 }
 
 func analyzeBytesIn(sc *scratch, data []byte, spec LoopSpec, opts Options) (*Result, error) {
-	res, err := analyzeStreamIn(sc, bytesReaderOpener(data), spec, opts)
+	stream := streamSource{open: bytesReaderOpener(data), batch: &sc.batch}
+	var src source = &stream
+	if trace.DetectFormat(data) == trace.FormatText {
+		src = &textSource{streamSource: stream, data: data}
+	}
+	res, err := analyzeScheduleIn(sc, src, spec, opts)
 	if err != nil {
 		return nil, err
 	}

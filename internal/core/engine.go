@@ -20,11 +20,12 @@ import (
 // The adapters differ only in how records reach the pass:
 //
 //   - Analyze (caller-owned records) and AnalyzeBytes / AnalyzeFile /
-//     AnalyzeStream (trace bytes, decoded per sweep into one recycled
-//     batch, never materialized) run the offline schedule
-//     (analyzeScheduleIn): a header-only partition sweep over a replayable
-//     source, then the fused sweep, both batched, so memory stays
-//     O(variables) whenever the source's does.
+//     AnalyzeStream (trace bytes, decoded into one recycled batch, never
+//     materialized) run the offline schedule (analyzeScheduleIn): the
+//     source locates the loop (source.extent: in place where it can be read
+//     from both ends, else a header-only sweep), then the fused sweep runs
+//     over the full decode, batched, so memory stays O(variables) whenever
+//     the source's does.
 //   - Engine is the single-sweep online configuration: the
 //     scanPartitioner discovers the loop extent incrementally, a batch
 //     at a time, and the same fused pass runs on a live record feed.
@@ -73,28 +74,12 @@ func (e *NoLoopError) Error() string {
 // incrementally from a live feed, with bounded lookahead buffering to
 // stay exactly offline-equivalent).
 
-// spanPartitioner classifies by the loop's dynamic extent [bStart, bEnd]:
-// every record inside that index interval is region B, including records
-// of callees invoked from the loop.
+// spanPartitioner classifies by the loop's dynamic extent [bStart, bEnd]
+// of n records, as source.extent found it: every record inside that index
+// interval is region B, including records of callees invoked from the loop.
 type spanPartitioner struct {
-	spec         LoopSpec
 	bStart, bEnd int
 	n            int
-}
-
-func newSpanPartitioner(spec LoopSpec) *spanPartitioner {
-	return &spanPartitioner{spec: spec, bStart: -1, bEnd: -1}
-}
-
-// observe is the partition sweep: it learns the extent record by record.
-func (p *spanPartitioner) observe(i int, r *trace.Record) {
-	p.n = i + 1
-	if p.spec.contains(r) {
-		if p.bStart < 0 {
-			p.bStart = i
-		}
-		p.bEnd = i
-	}
 }
 
 func (p *spanPartitioner) classify(i int) Region {
@@ -373,6 +358,11 @@ func (a *analyzer) finish(res *Result) {
 // source yields the records of one trace, replayable once per schedule
 // sweep.
 type source interface {
+	// extent is the partition sweep, by whatever read of the trace is
+	// cheapest for the source: the stream indices of the first and the last
+	// record spec contains — (-1, -1) when none does — and the record count.
+	// It validates nothing it can skip; the fused sweep decodes everything.
+	extent(spec LoopSpec) (bStart, bEnd, n int, err error)
 	// sweepBatch replays the stream in record slices; base is the stream
 	// index of recs[0]. A non-nil filter tells the source which opcodes
 	// need their operands — sources that decode per sweep skip the
@@ -384,6 +374,19 @@ type source interface {
 
 // sliceSource adapts a materialized []trace.Record without copying.
 type sliceSource []trace.Record
+
+// extent walks inward from both ends and never looks inside the loop.
+func (s sliceSource) extent(spec LoopSpec) (bStart, bEnd, n int, err error) {
+	for bStart < len(s) && !spec.contains(&s[bStart]) {
+		bStart++
+	}
+	if bStart == len(s) {
+		return -1, -1, len(s), nil
+	}
+	for bEnd = len(s) - 1; !spec.contains(&s[bEnd]); bEnd-- {
+	}
+	return bStart, bEnd, len(s), nil
+}
 
 func (s sliceSource) sweepBatch(filter func(opcode int) bool, fn func(base int, recs []trace.Record) error) error {
 	// Already materialized: the whole slice is one batch, no decode to
@@ -414,9 +417,38 @@ func (s *streamSource) sweepBatch(filter func(opcode int) bool, fn func(base int
 	return trace.ForEachBatch(rd, s.batch, fn)
 }
 
-// filterNone rejects every opcode: the partition sweep consults only
-// header fields (Func, Line), so its decode can skip every operand.
-func filterNone(int) bool { return false }
+// extent is a header-only sweep — a stateful string table (ACTB) or a pipe
+// cannot be read from the end: the filter rejects every opcode, so the
+// decode skips every operand and delivers the header fields (Func, Line).
+func (s *streamSource) extent(spec LoopSpec) (bStart, bEnd, n int, err error) {
+	bStart, bEnd = -1, -1
+	err = s.sweepBatch(func(int) bool { return false }, func(base int, recs []trace.Record) error {
+		for k := range recs {
+			if spec.contains(&recs[k]) {
+				if bStart < 0 {
+					bStart = base + k
+				}
+				bEnd = base + k
+			}
+		}
+		n = base + len(recs)
+		return nil
+	})
+	return bStart, bEnd, n, err
+}
+
+// textSource is an in-memory text trace: a streamSource over its bytes
+// whose extent is read off the block headers in place, from both ends, with
+// nothing decoded for it.
+type textSource struct {
+	streamSource
+	data []byte
+}
+
+func (s *textSource) extent(spec LoopSpec) (bStart, bEnd, n int, err error) {
+	bStart, bEnd, n = trace.TextExtent(s.data, spec.Function, spec.StartLine, spec.EndLine)
+	return bStart, bEnd, n, nil
+}
 
 // scratch bundles the reusable state of one analysis: the analyzer (maps
 // and variable table) and the record batch (decode arena). One scratch
@@ -439,34 +471,26 @@ func (sc *scratch) analyzer(spec LoopSpec, opts Options) *analyzer {
 }
 
 // analyzeScheduleIn runs the offline schedule over a caller-owned
-// (reusable) scratch bundle: sweep 1 locates the loop's dynamic extent
-// (building the span partitioner, decoding headers only), then the fused
-// sweep completes the analysis — the same pass the online engine runs, so
-// one header hop and one full decode, both batched. Analyze (caller-owned
-// records) and the trace-bytes entry points (never materialized) are thin
-// adapters that only choose the source; memory stays O(variables)
-// whenever the source does.
+// (reusable) scratch bundle: the source locates the loop's dynamic extent
+// (sweep 1: a header-only decode at most), then the fused sweep completes
+// the analysis — the same pass the online engine runs, over the one full
+// decode. Analyze (caller-owned records) and the trace-bytes entry points
+// (never materialized) are thin adapters that only choose the source;
+// memory stays O(variables) whenever the source does.
 func analyzeScheduleIn(sc *scratch, src source, spec LoopSpec, opts Options) (*Result, error) {
 	t0 := time.Now()
 	a := sc.analyzer(spec, opts)
 	res := &Result{Spec: spec}
 
-	// Sweep 1: partition (locate the loop's dynamic extent). Only header
-	// fields matter, so the decode skips every operand.
-	part := newSpanPartitioner(spec)
-	err := src.sweepBatch(filterNone, func(base int, recs []trace.Record) error {
-		for k := range recs {
-			part.observe(base+k, &recs[k])
-		}
-		return nil
-	})
+	// Sweep 1: partition (locate the loop's dynamic extent).
+	bStart, bEnd, n, err := src.extent(spec)
 	if err != nil {
 		return nil, err
 	}
+	part := &spanPartitioner{bStart: bStart, bEnd: bEnd, n: n}
 	if !part.sawLoop() {
-		// The header-only sweep skipped every operand line unparsed. Decode
-		// them before giving up, so a trace that is malformed reports its
-		// decode error rather than a missing loop.
+		// No extent parses an operand line. Decode them before giving up, so
+		// a malformed trace reports its decode error, not a missing loop.
 		if err := src.sweepBatch(nil, func(int, []trace.Record) error { return nil }); err != nil {
 			return nil, err
 		}

@@ -58,10 +58,11 @@ func TestNoLoopErrorDescriptive(t *testing.T) {
 // never-materialized AnalyzeBytes path against the full decoders it
 // replaced: a trace that ParseBytes/ParseBinary reject fails with that
 // same decode error — also when the fault hides in operand lines the
-// header-only partition sweep hops over, and also when the LoopSpec
-// matches nothing (a decode error is never reported as a missing loop) —
-// while a well-formed trace without the loop is a *NoLoopError counting
-// every record.
+// header-only partition sweep hops over, also when the LoopSpec matches
+// nothing (a decode error is never reported as a missing loop), and, of two
+// faults, the earlier one even when the later one sits in a header — while
+// a well-formed trace without the loop is a *NoLoopError counting every
+// record.
 func TestAnalyzeBytesErrorPrecedence(t *testing.T) {
 	recs, _ := traceOf(t, fig4Source)
 	text := trace.EncodeAll(recs)
@@ -85,6 +86,7 @@ func TestAnalyzeBytesErrorPrecedence(t *testing.T) {
 		{"text/no-header", []byte("garbage\nmore garbage\n"), trace.ParseBytes},
 		{"text/bad-operand-after-valid-prefix", splice("1,1,64,zz,1,x\n"), trace.ParseBytes},
 		{"text/bad-header-in-skipped-record", splice("0,notanint,main,b,27,5\n"), trace.ParseBytes},
+		{"text/bad-operand-then-bad-header", append(splice("1,1,64,zz,1,x\n"), "0,notanint,main,b,27,5\n"...), trace.ParseBytes},
 		{"actb/truncated-body", bin[:len(bin)/2], trace.ParseBinary},
 	}
 	for _, tc := range faulty {
@@ -428,10 +430,8 @@ func scanLog(recs []trace.Record, spec LoopSpec, cuts []int) ([]string, *scanPar
 
 // spanLog is the offline classification of the same records.
 func spanLog(recs []trace.Record, spec LoopSpec) []string {
-	part := newSpanPartitioner(spec)
-	for i := range recs {
-		part.observe(i, &recs[i])
-	}
+	bStart, bEnd, n, _ := sliceSource(recs).extent(spec)
+	part := &spanPartitioner{bStart: bStart, bEnd: bEnd, n: n}
 	log := make([]string, len(recs))
 	for i := range recs {
 		reg := RegionBefore // a loop that never starts leaves every record in region A

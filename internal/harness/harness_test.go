@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http/httptest"
@@ -328,10 +329,11 @@ func TestAnalyzeBytesNeverMaterializes(t *testing.T) {
 }
 
 // TestHeaderHopAllBenchmarks is the differential test of the partition
-// sweep's decode on every port: reading the text trace with a reject-all
-// filter (which hops from block header to block header) yields every
-// record of the full decode with the same header fields, at batch sizes
-// that end a batch on, before and far from a hop.
+// sweep's decode of a streamed text trace on every port (in-memory text
+// has no such sweep any more, see TestExtentAllBenchmarks): reading the
+// stream with a reject-all filter (which hops from block header to block
+// header) yields every record of the full decode with the same header
+// fields, at batch sizes that end a batch on, before and far from a hop.
 func TestHeaderHopAllBenchmarks(t *testing.T) {
 	reject := func(int) bool { return false }
 	for _, b := range progs.All() {
@@ -340,14 +342,11 @@ func TestHeaderHopAllBenchmarks(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, max := range []int{1, 2, 512} {
-			rd, _, err := trace.NewBytesReader(p.Data)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rd := trace.NewScanner(bytes.NewReader(p.Data))
 			batch := trace.RecordBatch{Filter: reject}
 			i := 0
 			for {
-				n, err := rd.(trace.BatchReader).NextBatch(&batch, max)
+				n, err := rd.NextBatch(&batch, max)
 				if err != nil {
 					t.Fatalf("%s max=%d: %v", b.Name, max, err)
 				}
@@ -368,6 +367,53 @@ func TestHeaderHopAllBenchmarks(t *testing.T) {
 			}
 			if i != len(p.Records) {
 				t.Errorf("%s max=%d: %d records, full decode has %d", b.Name, max, i, len(p.Records))
+			}
+		}
+	}
+}
+
+// TestExtentAllBenchmarks pins the partition on every port and every kind
+// of source — in-memory text (block headers read in place from both ends),
+// in-memory ACTB and a streamed text trace (header-only sweeps), and
+// caller-owned records (walked inward from both ends): each reports the
+// Stats an independent front-to-back count of the loop's records gives.
+func TestExtentAllBenchmarks(t *testing.T) {
+	for _, b := range progs.All() {
+		p, err := Prepare(b, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, last := -1, -1
+		for i, r := range p.Records {
+			if r.Func == p.Spec.Function && r.Line >= p.Spec.StartLine && r.Line <= p.Spec.EndLine {
+				if first < 0 {
+					first = i
+				}
+				last = i
+			}
+		}
+		if first <= 0 || last >= len(p.Records)-1 {
+			t.Fatalf("%s: loop spans records %d-%d of %d, want all three regions occupied", b.Name, first, last, len(p.Records))
+		}
+		want := core.Stats{Records: len(p.Records), RegionA: first, RegionB: last - first + 1, RegionC: len(p.Records) - last - 1}
+		sources := map[string]func() (*core.Result, error){
+			"text":    func() (*core.Result, error) { return p.AnalyzeData(p.Data) },
+			"actb":    p.AnalyzeBinary,
+			"records": func() (*core.Result, error) { return core.Analyze(p.Records, p.Spec, p.opts()) },
+			"stream": func() (*core.Result, error) {
+				open := func() (trace.Reader, error) { return trace.NewScanner(bytes.NewReader(p.Data)), nil }
+				return core.AnalyzeStream(open, p.Spec, p.opts())
+			},
+		}
+		for name, run := range sources {
+			res, err := run()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", b.Name, name, err)
+			}
+			got := res.Stats
+			got.TraceBytes = 0
+			if got != want {
+				t.Errorf("%s/%s: stats %+v, want %+v", b.Name, name, got, want)
 			}
 		}
 	}

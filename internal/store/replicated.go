@@ -34,8 +34,11 @@ import (
 // for latency and is allowed but stale reads become possible. Keys in
 // the checkpoint protocol are written once (zero-padded sequence
 // numbers never repeat), which is what makes the versionless majority
-// comparison sound; overwriting a key concurrently with a replica
-// failure can converge on either copy.
+// comparison sound. Overwriting a key is not: copies carry no version,
+// so until every replica has applied the overwrite (Flush is that
+// barrier) a read quorum can pair the new copy with an old one, break
+// the tie toward the lower replica index — possibly the old copy — and
+// read-repair the others to it. No replica failure is needed for that.
 //
 // Each replica has its own ordered write queue (a one-goroutine
 // replication log), so the operations one replica applies are exactly

@@ -161,6 +161,13 @@ func TestPutOverwrites(t *testing.T) {
 			if err := b.Put("k", sampleSections(9)); err != nil {
 				t.Fatal(err)
 			}
+			// The replicated tier acks the overwrite at W of N and compares
+			// copies without versions: a read could still pair the new copy
+			// with a replica that has not applied it and settle the tie on
+			// the old one. Flush is the barrier through every replica queue.
+			if err := b.Flush(); err != nil {
+				t.Fatal(err)
+			}
 			got, err := b.Get("k")
 			if err != nil {
 				t.Fatal(err)

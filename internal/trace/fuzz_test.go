@@ -10,6 +10,8 @@ import (
 
 // FuzzParseTrace exercises both decoders — the allocation-free text
 // decoder and the binary decoder — on arbitrary bytes. Neither may panic;
+// bytes that sniff as text must decode to exactly what the reference
+// decoder (reference_test.go) makes of them, records or error string;
 // whatever the bytes sniff as, a stream of them refilled in small uneven
 // Reads must decode exactly as the same bytes in memory do; and for inputs
 // the text decoder accepts, the serial, parallel and header-only
@@ -23,6 +25,10 @@ func FuzzParseTrace(f *testing.F) {
 	f.Add([]byte("0,1,f,b,27,1\n1,1,64,0x10,1,p\nr,0,64,5,1,8\n"))
 	f.Add([]byte("0,-1,main,entry,26,0\n"))
 	f.Add([]byte("garbage\n"))
+	f.Add(resultFirstBlocks(3))
+	for _, line := range malformedLines {
+		f.Add([]byte("0,1,f,b,27,1\n" + line + "\n0,2,f,b,2,2\n"))
+	}
 	f.Add(append(append([]byte{}, binaryMagic...), binaryVersion, 0))
 	// An ACTB name the text format cannot carry: must be rejected, or the
 	// re-encode checks below see a trace that does not survive conversion.
@@ -34,6 +40,11 @@ func FuzzParseTrace(f *testing.F) {
 	f.Cleanup(func() { parallelParseMinBytes = saved })
 	f.Fuzz(func(t *testing.T, data []byte) {
 		serial, serr := ParseBytes(data)
+		if DetectFormat(data) == FormatText {
+			if err := sameDecode(data, serial, serr); err != nil {
+				t.Fatalf("in-place decode of %q: %v", data, err)
+			}
+		}
 		par, perr := ParseBytesParallel(data, 4)
 		if (serr == nil) != (perr == nil) {
 			t.Fatalf("serial err %v, parallel err %v", serr, perr)

@@ -2,9 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
+	"strings"
 	"unsafe"
 )
 
@@ -68,52 +71,50 @@ func unsafeString(b []byte) string {
 	return unsafe.String(&b[0], len(b))
 }
 
-// parseIntBytes is strconv.ParseInt(s, 10, 64) over a byte slice.
-func parseIntBytes(b []byte) (int64, bool) {
-	if len(b) == 0 {
-		return 0, false
-	}
+// scanInt parses the decimal int64 field that starts at b[p] in the pass
+// that finds its end — the index of the next ',', or len(b) — by the rules
+// of strconv.ParseInt(s, 10, 64).
+func scanInt(b []byte, p int) (v int64, end int, ok bool) {
+	i := p
 	neg := false
-	i := 0
-	if b[0] == '+' || b[0] == '-' {
-		neg = b[0] == '-'
+	if i < len(b) && (b[i] == '+' || b[i] == '-') {
+		neg = b[i] == '-'
 		i++
 	}
-	if i == len(b) {
-		return 0, false
-	}
+	first := i
 	var n uint64
 	for ; i < len(b); i++ {
 		c := b[i] - '0'
 		if c > 9 {
-			return 0, false
+			break
 		}
-		if n > (math.MaxUint64-uint64(c))/10 {
-			return 0, false
+		// 18 digits fit a uint64 whatever they are.
+		if i-first >= 18 && n > (math.MaxUint64-uint64(c))/10 {
+			return 0, 0, false
 		}
 		n = n*10 + uint64(c)
 	}
+	if i == first || i < len(b) && b[i] != ',' {
+		return 0, 0, false
+	}
 	if neg {
 		if n > 1<<63 {
-			return 0, false
+			return 0, 0, false
 		}
-		return -int64(n), true
+		return -int64(n), i, true
 	}
 	if n > math.MaxInt64 {
-		return 0, false
+		return 0, 0, false
 	}
-	return int64(n), true
+	return int64(n), i, true
 }
 
-// parseHexBytes parses a bare (no 0x prefix) hexadecimal uint64.
-func parseHexBytes(b []byte) (uint64, bool) {
-	if len(b) == 0 {
-		return 0, false
-	}
-	var n uint64
-	for _, c := range b {
+// scanHex is scanInt for a bare (no 0x prefix) hexadecimal uint64.
+func scanHex(b []byte, p int) (v uint64, end int, ok bool) {
+	i := p
+	for ; i < len(b) && b[i] != ','; i++ {
 		var d uint64
-		switch {
+		switch c := b[i]; {
 		case c >= '0' && c <= '9':
 			d = uint64(c - '0')
 		case c >= 'a' && c <= 'f':
@@ -121,14 +122,24 @@ func parseHexBytes(b []byte) (uint64, bool) {
 		case c >= 'A' && c <= 'F':
 			d = uint64(c-'A') + 10
 		default:
-			return 0, false
+			return 0, 0, false
 		}
-		if n > math.MaxUint64>>4 {
-			return 0, false
+		if v > math.MaxUint64>>4 {
+			return 0, 0, false
 		}
-		n = n<<4 | d
+		v = v<<4 | d
 	}
-	return n, true
+	return v, i, i > p
+}
+
+// nextComma returns the index of the first ',' of b at or after p, or
+// len(b). The fields it ends — a tag, a flag, a name — are a few bytes
+// long, where a loop beats the call into bytes.IndexByte.
+func nextComma(b []byte, p int) int {
+	for p < len(b) && b[p] != ',' {
+		p++
+	}
+	return p
 }
 
 func hasHexPrefix(b []byte) bool {
@@ -146,8 +157,8 @@ func parseValueBytes(b []byte) (Value, error) {
 			neg = true
 			h = h[1:]
 		}
-		a, ok := parseHexBytes(h[2:])
-		if !ok {
+		a, end, ok := scanHex(h, 2)
+		if !ok || end != len(h) {
 			return Value{}, fmt.Errorf("trace: bad pointer value %q", b)
 		}
 		if neg {
@@ -162,34 +173,11 @@ func parseValueBytes(b []byte) (Value, error) {
 		}
 		return FloatValue(f), nil
 	}
-	i, ok := parseIntBytes(b)
-	if !ok {
+	i, end, ok := scanInt(b, 0)
+	if !ok || end != len(b) {
 		return Value{}, fmt.Errorf("trace: bad int value %q", b)
 	}
 	return IntValue(i), nil
-}
-
-// splitFields6 splits a trace line into exactly 6 comma-separated fields.
-// Names never contain commas (identifiers and labels only), so the plain
-// split is exact.
-func splitFields6(line []byte) (f [6][]byte, ok bool) {
-	n := 0
-	start := 0
-	for i := 0; i < len(line); i++ {
-		if line[i] == ',' {
-			if n == 5 {
-				return f, false // 7+ fields
-			}
-			f[n] = line[start:i]
-			n++
-			start = i + 1
-		}
-	}
-	if n != 5 {
-		return f, false
-	}
-	f[5] = line[start:]
-	return f, true
 }
 
 // decoder holds the reusable state of one textual decode: the name
@@ -205,56 +193,91 @@ func newDecoder() *decoder {
 	return &decoder{in: newInterner()}
 }
 
-func (d *decoder) parseOperand(line []byte) (Operand, error) {
-	f, ok := splitFields6(line)
-	if !ok {
-		return Operand{}, fmt.Errorf("trace: operand line does not have 6 fields: %q", line)
+// lineErr is the error of a line that does not decode. The 6-field rule is
+// judged first, whichever field the decoder gave up in; bad, the complaint
+// about the leftmost bad field, stands only on a line of 6.
+func lineErr(line []byte, kind string, bad error) error {
+	if bad == nil || bytes.Count(line, []byte(",")) != 5 {
+		return fmt.Errorf("trace: %s line does not have 6 fields: %q", kind, line)
 	}
-	idx, ok := parseIntBytes(f[1])
-	if !ok {
-		return Operand{}, fmt.Errorf("trace: bad operand index in %q", line)
-	}
-	size, ok := parseIntBytes(f[2])
-	if !ok {
-		return Operand{}, fmt.Errorf("trace: bad operand size in %q", line)
-	}
-	val, err := parseValueBytes(f[3])
-	if err != nil {
-		return Operand{}, err
-	}
-	return Operand{
-		Index: int(idx),
-		Size:  int(size),
-		Value: val,
-		IsReg: len(f[4]) == 1 && f[4][0] == '1',
-		Name:  d.in.intern(f[5]),
-	}, nil
+	return bad
 }
 
-func (d *decoder) parseHeader(line []byte) (Record, error) {
-	f, ok := splitFields6(line)
-	if !ok {
-		return Record{}, fmt.Errorf("trace: header line does not have 6 fields: %q", line)
+func badField(what string, line []byte) error {
+	return fmt.Errorf("trace: bad %s in %q", what, line)
+}
+
+// scanValue decodes the value field at line[p] into *v and returns where
+// the field ends. A pointer or a plain decimal — nearly every value of a
+// trace — is parsed as its end is found; a float, a negated pointer or
+// anything malformed is delimited first and left to parseValueBytes.
+func scanValue(line []byte, p int, v *Value) (int, error) {
+	if hasHexPrefix(line[p:]) {
+		if a, end, ok := scanHex(line, p+2); ok {
+			*v = PtrValue(a)
+			return end, nil
+		}
+	} else if n, end, ok := scanInt(line, p); ok {
+		*v = IntValue(n)
+		return end, nil
 	}
-	ln, ok := parseIntBytes(f[1])
-	if !ok {
-		return Record{}, fmt.Errorf("trace: bad line number in %q", line)
+	end := nextComma(line, p)
+	var err error
+	*v, err = parseValueBytes(line[p:end])
+	return end, err
+}
+
+// operand decodes "<tag>,<idx>,<size>,<value>,<isreg>,<name>" into *o, one
+// field after the other, nothing split off first. The tag is decodeN's to
+// read: every line of a block but its header is an operand.
+func (d *decoder) operand(line []byte, o *Operand) error {
+	idx, p, ok := scanInt(line, nextComma(line, 0)+1)
+	if !ok || p == len(line) {
+		return lineErr(line, "operand", badField("operand index", line))
 	}
-	op, ok := parseIntBytes(f[4])
-	if !ok {
-		return Record{}, fmt.Errorf("trace: bad opcode in %q", line)
+	size, p, ok := scanInt(line, p+1)
+	if !ok || p == len(line) {
+		return lineErr(line, "operand", badField("operand size", line))
 	}
-	dyn, ok := parseIntBytes(f[5])
-	if !ok {
-		return Record{}, fmt.Errorf("trace: bad dynamic id in %q", line)
+	p, err := scanValue(line, p+1, &o.Value)
+	if err != nil || p == len(line) {
+		return lineErr(line, "operand", err)
 	}
-	return Record{
-		Line:   int(ln),
-		Func:   d.in.intern(f[2]),
-		Block:  d.in.intern(f[3]),
-		Opcode: int(op),
-		DynID:  dyn,
-	}, nil
+	reg := p + 1
+	name := nextComma(line, reg) + 1
+	if name > len(line) || nextComma(line, name) != len(line) {
+		return lineErr(line, "operand", nil)
+	}
+	o.Index, o.Size = int(idx), int(size)
+	o.IsReg = name == reg+2 && line[reg] == '1'
+	o.Name = d.in.intern(line[name:])
+	return nil
+}
+
+// header decodes "0,<line>,<func>,<block>,<opcode>,<dynid>" into the
+// header fields of *r; Ops and Result are left as the caller made them.
+func (d *decoder) header(line []byte, r *Record) error {
+	ln, p, ok := scanInt(line, 2)
+	if !ok || p == len(line) {
+		return lineErr(line, "header", badField("line number", line))
+	}
+	fn := p + 1
+	blk := nextComma(line, fn) + 1
+	op := nextComma(line, blk) + 1 // a blk past the end lands this past it too
+	if op > len(line) {
+		return lineErr(line, "header", nil)
+	}
+	opcode, p, ok := scanInt(line, op)
+	if !ok || p == len(line) {
+		return lineErr(line, "header", badField("opcode", line))
+	}
+	dyn, p, ok := scanInt(line, p+1)
+	if !ok || p != len(line) {
+		return lineErr(line, "header", badField("dynamic id", line))
+	}
+	r.Line, r.Opcode, r.DynID = int(ln), int(opcode), dyn
+	r.Func, r.Block = d.in.intern(line[fn:blk-1]), d.in.intern(line[blk:op-1])
+	return nil
 }
 
 // nextLine returns the next line of data starting at pos and the new
@@ -326,20 +349,19 @@ func (d *decoder) decodeN(data []byte, pos int, dst []Record, max int, filter fu
 			end--
 		default:
 			// Rare shape (result mid-block or repeated): compact the input
-			// operands to the front of the extent, keep the last result.
-			// Only this block's slots [opStart:end) move, so earlier
-			// records' aliases are untouched.
+			// operands to the front of the extent — one walk, with a cursor
+			// into resIdx, which ascends — and keep the last result. Only
+			// this block's slots [opStart:end) move, so earlier records'
+			// aliases are untouched.
 			res := d.ops[d.resIdx[len(d.resIdx)-1]]
-			isRes := make(map[int]bool, len(d.resIdx))
-			for _, i := range d.resIdx {
-				isRes[i] = true
-			}
-			w := opStart
+			w, k := opStart, 0
 			for i := opStart; i < end; i++ {
-				if !isRes[i] {
-					d.ops[w] = d.ops[i]
-					w++
+				if k < len(d.resIdx) && d.resIdx[k] == i {
+					k++
+					continue
 				}
+				d.ops[w] = d.ops[i]
+				w++
 			}
 			d.ops[w] = res
 			d.ops = d.ops[:w+1]
@@ -366,13 +388,12 @@ func (d *decoder) decodeN(data []byte, pos int, dst []Record, max int, filter fu
 				return lineStart, dst, nil
 			}
 			flush()
-			rec, err := d.parseHeader(line)
-			if err != nil {
+			dst = append(dst, Record{})
+			cur = len(dst) - 1
+			if err := d.header(line, &dst[cur]); err != nil {
 				return pos, nil, err
 			}
-			dst = append(dst, rec)
-			cur = len(dst) - 1
-			if filter != nil && !filter(rec.Opcode) {
+			if filter != nil && !filter(dst[cur].Opcode) {
 				// Skip the operand lines in one hop: the next header is the
 				// next line starting "0,". The search starts on the newline
 				// that ended this header, so an adjacent header is found.
@@ -386,11 +407,10 @@ func (d *decoder) decodeN(data []byte, pos int, dst []Record, max int, filter fu
 			if cur < 0 {
 				return pos, nil, fmt.Errorf("trace: expected block header, got %q", line)
 			}
-			op, err := d.parseOperand(line)
-			if err != nil {
+			d.ops = append(d.ops, Operand{})
+			if err := d.operand(line, &d.ops[len(d.ops)-1]); err != nil {
 				return pos, nil, err
 			}
-			d.ops = append(d.ops, op)
 			if line[0] == 'r' && line[1] == ',' {
 				d.resIdx = append(d.resIdx, len(d.ops)-1)
 			}
@@ -401,11 +421,66 @@ func (d *decoder) decodeN(data []byte, pos int, dst []Record, max int, filter fu
 }
 
 // CountRecords returns the number of instruction blocks in a textual
-// trace without parsing it (one block per line starting with "0,").
+// trace without parsing it (one block per line starting with "0,"). It is
+// a pass over the whole trace beside the decode, so it looks for line
+// breaks eight bytes at a time: XORed with eight '\n's a word has a zero
+// byte where a line ends, and (w-0x01…)&^w&0x80… flags the zero bytes —
+// and sometimes the byte above one, so a flagged byte is compared again.
 func CountRecords(data []byte) int {
-	n := bytes.Count(data, headerMark)
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	n, i := 0, 0
 	if isHeaderLine(data) {
 		n++
 	}
-	return n
+	for ; i+10 <= len(data); i += 8 {
+		w := binary.LittleEndian.Uint64(data[i:]) ^ ones*'\n'
+		for m := (w - ones) &^ w & highs; m != 0; m &= m - 1 {
+			if k := i + bits.TrailingZeros64(m)/8; data[k] == '\n' && data[k+1] == '0' && data[k+2] == ',' {
+				n++
+			}
+		}
+	}
+	return n + bytes.Count(data[i:], headerMark)
+}
+
+// TextExtent locates a loop in a textual trace without decoding it: the
+// stream indices of the first and the last record whose header names
+// function fn at a line in [lo, hi] — (-1, -1) when none does — and the
+// record count. Headers are read where they lie, inward from each end of
+// data: one check per record outside the extent, plus CountRecords. On a
+// trace the decoder accepts this is what comparing its records gives; a
+// header it would reject matches nothing, and reporting it stays its job.
+func TextExtent(data []byte, fn string, lo, hi int) (first, last, n int) {
+	n = CountRecords(data)
+	// A decoded Func holds no comma, so with one ruled out of fn, match — is
+	// the header at data[p:] in the loop? — can compare the name without
+	// finding the field's end first. (A name that runs over a line break
+	// leaves a header of three fields, which does not decode.)
+	if n == 0 || strings.Contains(fn, ",") {
+		return -1, -1, n
+	}
+	match := func(p int) bool {
+		ln, end, ok := scanInt(data, p+2)
+		rest := data[end:]
+		return ok && int(ln) >= lo && int(ln) <= hi &&
+			len(rest) > len(fn)+1 && string(rest[1:1+len(fn)]) == fn && rest[1+len(fn)] == ','
+	}
+	p := 0 // the offset of the first header, then of each next one
+	if !isHeaderLine(data) {
+		p = bytes.Index(data, headerMark) + 1
+	}
+	for ; !match(p); first++ {
+		i := bytes.Index(data[p:], headerMark)
+		if i < 0 {
+			return -1, -1, n
+		}
+		p += i + 1
+	}
+	// The header found above ends the walk back, at the latest.
+	last = n - 1
+	for end := len(data); ; last-- {
+		if end = bytes.LastIndex(data[:end], headerMark); match(end + 1) {
+			return first, last, n
+		}
+	}
 }

@@ -468,6 +468,24 @@ func TestCountRecords(t *testing.T) {
 	if n := CountRecords(nil); n != 0 {
 		t.Errorf("CountRecords(nil) = %d", n)
 	}
+	// The count reads eight bytes at a time. Every cut of a trace — and of
+	// one whose "\n\v0," lines sit where the word trick flags the byte
+	// after a line break — puts marks at every lane and across the word
+	// tail; the answer is one header per line starting "0,".
+	tricky := append([]byte("0,1,f,b,2,1\n\v0,2,f,b,2,2\n\n\v0,\n\n0,3,f,b,2,3\n0,\n0"), data[:200]...)
+	for from := 0; from < 40; from++ {
+		for to := from; to <= len(tricky); to++ {
+			want := 0
+			for _, line := range bytes.Split(tricky[from:to], []byte("\n")) {
+				if bytes.HasPrefix(line, []byte("0,")) {
+					want++
+				}
+			}
+			if n := CountRecords(tricky[from:to]); n != want {
+				t.Fatalf("CountRecords(%q) = %d, want %d", tricky[from:to], n, want)
+			}
+		}
+	}
 }
 
 // forceChunkedParse drops the parallel-parse size fallback for one test,
