@@ -3,8 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"runtime"
-	"time"
 
 	"autocheck/internal/harness"
 )
@@ -12,9 +10,8 @@ import (
 // cmdLoadgen drives the multi-tenant scaling harness against a running
 // `autocheck serve`: thousands of concurrent simulated clients spread
 // across tenant namespaces, with seeded arrival and failure
-// distributions and the Put/Get priority mix, recording per-tenant
-// throughput and latency percentiles into the BENCH trajectory as
-// loadgen-* entries.
+// distributions and the Put/Get priority mix, printing per-tenant
+// throughput and latency percentiles.
 func cmdLoadgen(args []string) error {
 	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:9473", "checkpoint service address to load")
@@ -29,7 +26,6 @@ func cmdLoadgen(args []string) error {
 	schedule := fs.String("schedule", "",
 		"faultinject schedule armed per client, seeded seed+client (e.g. store.remote.do=error@p=0.05)")
 	quick := fs.Bool("quick", false, "CI smoke subset: caps clients at 16 and ops per client at 25")
-	out := fs.String("o", "BENCH_trace.json", "JSON trajectory appended with loadgen-* entries (\"\" = skip)")
 	strict := fs.Bool("strict", false,
 		"exit nonzero unless every tenant recorded throughput and no operation failed")
 	if err := fs.Parse(args); err != nil {
@@ -48,14 +44,6 @@ func cmdLoadgen(args []string) error {
 			cfg.Ops = 25
 		}
 	}
-	var history []benchReport
-	if *out != "" {
-		// Load up front so a corrupt trajectory fails before the run.
-		var err error
-		if history, err = loadTrajectory(*out); err != nil {
-			return err
-		}
-	}
 	fmt.Printf("loadgen: %d clients x %d ops across %d tenants against %s (seed %d)\n",
 		cfg.Clients, cfg.Ops, cfg.Tenants, *addr, *seed)
 	run, err := harness.RunLoadgen(cfg)
@@ -63,30 +51,6 @@ func cmdLoadgen(args []string) error {
 		return err
 	}
 	fmt.Print(harness.FormatLoadgen(run))
-
-	if *out != "" {
-		rep := benchReport{
-			Date:      time.Now().UTC().Format(time.RFC3339),
-			Benchmark: "loadgen",
-			Records:   run.Ops,
-		}
-		for _, tl := range run.Tenants {
-			e := benchEntry{
-				Name:       "loadgen-" + tl.Tenant,
-				NsPerOp:    tl.P50.Nanoseconds(),
-				P99Ns:      tl.P99.Nanoseconds(),
-				Workers:    tl.Clients,
-				Gomaxprocs: runtime.GOMAXPROCS(0),
-			}
-			if secs := run.Elapsed.Seconds(); secs > 0 {
-				e.MBPerSec = float64(tl.Bytes) / secs / 1e6
-			}
-			rep.Entries = append(rep.Entries, e)
-		}
-		if err := appendTrajectory(*out, history, rep); err != nil {
-			return err
-		}
-	}
 	if *strict {
 		for _, tl := range run.Tenants {
 			if tl.OpsPerSec <= 0 {

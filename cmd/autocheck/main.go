@@ -82,8 +82,6 @@ func main() {
 		err = cmdTrace(os.Args[2:])
 	case "convert":
 		err = cmdConvert(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "table2":
 		err = cmdTable2(os.Args[2:])
 	case "table3":
@@ -237,26 +235,18 @@ func usage() {
                      sessions recover from the store on the next request
   autocheck loadgen  -addr HOST:PORT [-tenants N] [-clients N] [-ops N]
                      [-seed N] [-put-mix F] [-value-bytes N] [-think D]
-                     [-schedule SPEC] [-quick] [-strict] [-o FILE]
+                     [-schedule SPEC] [-quick] [-strict]
                                 multi-tenant scaling harness: concurrent
                                 simulated clients spread across tenant
                                 namespaces drive seeded checkpoint
                                 Put/Get mixes (interactive vs restart
                                 admission classes) against a running
-                                serve, then per-tenant throughput and
-                                latency percentiles are appended to the
-                                JSON perf trajectory as loadgen-* entries
+                                serve and print per-tenant throughput
+                                and latency percentiles
       -schedule      client-side faultinject schedule, armed per client
                      with seed+client (e.g. store.remote.do=error@p=0.05)
       -quick         CI smoke subset (<=16 clients, <=25 ops each)
       -strict        exit nonzero on any failed op or silent tenant
-  autocheck bench [-o BENCH_trace.json] [-benchmark HACC] [-scale N]
-                                measure the trace hot path (text serial /
-                                parallel / binary parse + sizes) and the
-                                analysis engine adapters (materialized /
-                                streaming / online, plus the AnalyzeMany
-                                pool over all 14 ports) and write the
-                                JSON perf trajectory
   autocheck list                list the 14 benchmark ports`)
 }
 

@@ -1,50 +1,39 @@
-// Client is the remote side of the trace-ingest service, mirroring the
-// store.Remote idioms: one keep-alive connection pool, bounded
-// exponential backoff with a wall-clock budget, Retry-After hints
-// honored, request bodies rebuilt per attempt. On top of the transport
-// retry loop, AnalyzeChunked adds session-level resumption: when the
-// service restarts or the connection dies mid-stream, the client
-// resynchronizes on the session's next expected sequence number (from
-// the typed sequencing errors or a status probe) and continues — the
-// service replays the acknowledged prefix from its store, so the final
-// result is byte-identical to an uninterrupted run.
+// Client is the remote side of the trace-ingest service. Requests go
+// through the wire.Transport it shares with store.Remote: one keep-alive
+// connection pool, bounded exponential backoff with a wall-clock budget,
+// Retry-After hints honored, request bodies rebuilt per attempt. On top
+// of the transport's retry loop, AnalyzeChunked adds session-level
+// resumption: when the service restarts or the connection dies
+// mid-stream, the client resynchronizes on the session's next expected
+// sequence number (from the typed sequencing errors or a status probe)
+// and continues — the service replays the acknowledged prefix from its
+// store, so the final result is byte-identical to an uninterrupted run.
 package analysis
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"time"
 
 	"autocheck/internal/admission"
 	"autocheck/internal/core"
+	"autocheck/internal/wire"
 )
 
-// Client retry defaults, matching store.Remote's.
-const (
-	DefaultClientAttempts   = 4
-	DefaultClientBackoff    = 25 * time.Millisecond
-	DefaultClientMaxElapsed = 15 * time.Second
-
-	// DefaultChunkBytes is AnalyzeChunked's chunk size when the caller
-	// passes 0.
-	DefaultChunkBytes = 256 << 10
-)
+// DefaultChunkBytes is AnalyzeChunked's chunk size when the caller
+// passes 0.
+const DefaultChunkBytes = 256 << 10
 
 // Client talks to a trace-ingest service.
 type Client struct {
 	// MaxAttempts, Backoff and MaxElapsed tune the per-request retry
 	// loop; MaxElapsed also bounds AnalyzeChunked's session-level
 	// resume loop across restarts.
-	MaxAttempts int
-	Backoff     time.Duration
-	MaxElapsed  time.Duration
+	wire.Retry
 
 	// Namespace is the tenant namespace requests are accounted to
 	// ("default" when empty).
@@ -55,101 +44,30 @@ type Client struct {
 	// need a window to kill the service mid-stream.
 	ChunkDelay time.Duration
 
-	base string
-	hc   *http.Client
-
-	// Test seams; nil means the real clock.
-	sleep func(time.Duration)
-	now   func() time.Time
+	tr *wire.Transport
 }
 
 // NewClient returns a client for the service at addr (host:port or
 // URL). It does not contact the service; a service still starting is
 // absorbed by the first request's retry loop.
 func NewClient(addr string) (*Client, error) {
-	c := &Client{
-		MaxAttempts: DefaultClientAttempts,
-		Backoff:     DefaultClientBackoff,
-		MaxElapsed:  DefaultClientMaxElapsed,
-		Namespace:   "default",
-		hc: &http.Client{
-			Transport: &http.Transport{
-				MaxIdleConns:        64,
-				MaxIdleConnsPerHost: 16,
-				IdleConnTimeout:     90 * time.Second,
-			},
-			Timeout: 2 * time.Minute,
-		},
-	}
-	if err := c.SetAddr(addr); err != nil {
+	t, err := wire.New("analysis: service", addr, envelopeError)
+	if err != nil {
 		return nil, err
 	}
-	return c, nil
+	return &Client{Retry: wire.DefaultRetry(), Namespace: "default", tr: t}, nil
 }
 
 // SetAddr repoints the client (reconnect tests move a client between a
 // killed service and its replacement; production clients follow a
 // failover the same way). Sessions are service-side state recovered
 // from the store, so an existing Session keeps working after the move.
-func (c *Client) SetAddr(addr string) error {
-	if !strings.Contains(addr, "://") {
-		addr = "http://" + addr
-	}
-	u, err := url.Parse(addr)
-	if err != nil {
-		return fmt.Errorf("analysis: client address: %w", err)
-	}
-	if u.Scheme != "http" && u.Scheme != "https" {
-		return fmt.Errorf("analysis: client address %q: unsupported scheme %q", addr, u.Scheme)
-	}
-	c.base = strings.TrimSuffix(u.String(), "/")
-	return nil
-}
-
-func (c *Client) clock() (func(time.Duration), func() time.Time) {
-	sleep, now := c.sleep, c.now
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	if now == nil {
-		now = time.Now
-	}
-	return sleep, now
-}
-
-// transientStatus reports whether the retry loop may try again: 5xx
-// (including load-shed 503s) and the admission layer's 429s.
-func transientStatus(status int) bool {
-	return status >= 500 || status == http.StatusTooManyRequests
-}
-
-// parseRetryAfter interprets a Retry-After value (delay-seconds or an
-// HTTP-date) as a wait duration; ok distinguishes an explicit "retry
-// now" from an absent or unparseable header.
-func parseRetryAfter(v string, now time.Time) (_ time.Duration, ok bool) {
-	if v == "" {
-		return 0, false
-	}
-	if secs, err := strconv.Atoi(v); err == nil {
-		if secs < 0 {
-			return 0, false
-		}
-		return time.Duration(secs) * time.Second, true
-	}
-	if at, err := http.ParseTime(v); err == nil {
-		d := at.Sub(now)
-		if d < 0 {
-			d = 0
-		}
-		return d, true
-	}
-	return 0, false
-}
+func (c *Client) SetAddr(addr string) error { return c.tr.SetAddr(addr) }
 
 // envelopeError decodes a typed error envelope, falling back to a
 // generic Error for non-JSON failure bodies (the embedding server's own
 // middleware answers some requests itself).
-func envelopeError(status int, body []byte) *Error {
+func envelopeError(status int, body []byte) error {
 	var ae Error
 	if json.Unmarshal(body, &ae) == nil && ae.Code != "" {
 		ae.Status = status
@@ -159,86 +77,20 @@ func envelopeError(status int, body []byte) *Error {
 	switch {
 	case status == http.StatusNotFound:
 		code = CodeUnknownSession
-	case status >= 500 || status == http.StatusTooManyRequests:
+	case wire.Transient(status):
 		code = CodeUnavailable
 	}
 	return &Error{Status: status, Code: code, Message: strings.TrimSpace(string(body))}
 }
 
-// do performs one exchange with bounded retry/backoff and returns the
-// response body. Permanent failures come back as *Error. Every request
-// carries the tenant namespace and its admission class so the embedding
-// server's controller can account and order it.
+// do performs one exchange through the transport's retry loop and
+// returns the response body. Permanent failures come back as *Error.
+// Every request carries the tenant namespace and its admission class so
+// the embedding server's controller can account and order it.
 func (c *Client) do(method, path string, body []byte, pri admission.Priority) ([]byte, error) {
-	attempts := c.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	maxElapsed := c.MaxElapsed
-	if maxElapsed <= 0 {
-		maxElapsed = DefaultClientMaxElapsed
-	}
-	sleep, now := c.clock()
-	start := now()
-	backoff := c.Backoff
-	var lastErr error
-	var hint time.Duration
-	var hinted bool
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			wait := backoff
-			backoff *= 2
-			if hinted {
-				wait, hint, hinted = hint, 0, false
-			}
-			if elapsed := now().Sub(start); elapsed+wait > maxElapsed {
-				return nil, fmt.Errorf("analysis: retry budget %v exhausted after %v (%d attempts): %w",
-					maxElapsed, elapsed, attempt, lastErr)
-			}
-			if wait > 0 {
-				sleep(wait)
-			}
-		}
-		var reader io.Reader
-		if body != nil {
-			reader = bytes.NewReader(body)
-		}
-		req, err := http.NewRequest(method, c.base+path, reader)
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set(admission.TenantHeader, c.ns())
-		req.Header.Set(admission.PriorityHeader, pri.String())
-		if body != nil {
-			req.ContentLength = int64(len(body))
-			req.Header.Set("Content-Type", "application/octet-stream")
-			req.GetBody = func() (io.ReadCloser, error) {
-				return io.NopCloser(bytes.NewReader(body)), nil
-			}
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			lastErr = fmt.Errorf("analysis: service: %w", err) // network-level: transient
-			continue
-		}
-		// Drain in full either way so the connection is reusable.
-		data, readErr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode >= 300:
-			ae := envelopeError(resp.StatusCode, data)
-			if !transientStatus(resp.StatusCode) {
-				return nil, ae
-			}
-			hint, hinted = parseRetryAfter(resp.Header.Get("Retry-After"), now())
-			lastErr = ae
-		case readErr != nil:
-			lastErr = fmt.Errorf("analysis: reading response: %w", readErr) // truncated: transient
-		default:
-			return data, nil
-		}
-	}
-	return nil, lastErr
+	return c.tr.Do(c.Retry, wire.Request{
+		Method: method, Path: path, Body: body, Tenant: c.ns(), Priority: pri,
+	})
 }
 
 // Analyze runs the one-shot endpoint: the whole trace in one request.
@@ -352,15 +204,11 @@ func (c *Client) AnalyzeChunked(data []byte, spec core.LoopSpec, chunkBytes int)
 // streamChunks uploads data's fixed-size chunks starting at sequence
 // number from, riding out transient failures with session-level resume.
 func (c *Client) streamChunks(sess *Session, data []byte, chunkBytes, from int) error {
-	sleep, now := c.clock()
-	maxElapsed := c.MaxElapsed
-	if maxElapsed <= 0 {
-		maxElapsed = DefaultClientMaxElapsed
-	}
-	deadline := now().Add(maxElapsed)
+	sleep, now := c.tr.Clock()
+	deadline := now().Add(c.Budget())
 	wait := c.Backoff
 	if wait <= 0 {
-		wait = DefaultClientBackoff
+		wait = wire.DefaultBackoff
 	}
 	seq := from
 	for seq*chunkBytes < len(data) {
@@ -382,7 +230,7 @@ func (c *Client) streamChunks(sess *Session, data []byte, chunkBytes, from int) 
 				seq = ae.Expect
 				continue
 			}
-			if !transientStatus(ae.Status) {
+			if !wire.Transient(ae.Status) {
 				return err
 			}
 		}

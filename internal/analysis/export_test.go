@@ -5,7 +5,7 @@ import "time"
 // SetClientClock installs test clock seams on c so the package's
 // integration tests can compress retry backoffs and Retry-After waits.
 func SetClientClock(c *Client, sleep func(time.Duration), now func() time.Time) {
-	c.sleep, c.now = sleep, now
+	c.tr.SetClock(sleep, now)
 }
 
 // StreamChunks exposes the client's resumable chunk loop for tests that

@@ -15,13 +15,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
 	"autocheck/internal/admission"
 	"autocheck/internal/core"
 	"autocheck/internal/faultinject"
+	"autocheck/internal/wire"
 )
 
 // Mount registers the service's routes on mux. wrap, when non-nil,
@@ -73,7 +73,7 @@ func writeError(w http.ResponseWriter, err error) {
 
 // readBody reads a bounded upload, answering the typed error itself.
 func (s *Service) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxChunkBytes))
+	body, err := wire.ReadUpload(w, r, s.cfg.MaxChunkBytes)
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -83,11 +83,6 @@ func (s *Service) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 			writeError(w, &Error{Status: http.StatusBadRequest, Code: CodeInvalidArgument,
 				Message: fmt.Sprintf("reading upload: %v", err)})
 		}
-		return nil, false
-	}
-	if r.ContentLength >= 0 && int64(len(body)) != r.ContentLength {
-		writeError(w, &Error{Status: http.StatusBadRequest, Code: CodeInvalidArgument,
-			Message: "truncated upload"})
 		return nil, false
 	}
 	return body, true

@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,12 +35,45 @@ func TestClientHonorsComputedRetryAfter(t *testing.T) {
 	}
 	c.MaxElapsed = time.Hour
 	var waits []time.Duration
-	c.sleep = func(d time.Duration) { waits = append(waits, d) }
+	c.tr.SetClock(func(d time.Duration) { waits = append(waits, d) }, nil)
 	if _, err := c.ResumeSession("x").Status(); err != nil {
 		t.Fatal(err)
 	}
 	if len(waits) != 1 || waits[0] != 7*time.Second {
 		t.Fatalf("waits = %v, want exactly the server's computed hint [7s]", waits)
+	}
+}
+
+// TestClientBudgetErrorWrapsEnvelope: when the transport gives up on its
+// wall-clock budget, the error still wraps the decoded *Error —
+// streamChunks reads its Code and Status to choose between resuming and
+// failing.
+func TestClientBudgetErrorWrapsEnvelope(t *testing.T) {
+	var calls atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.Header().Set("Retry-After", "30")
+		w.WriteHeader(http.StatusTooManyRequests)
+		w.Write([]byte(`{"code":"quota","message":"shed"}`))
+	}))
+	defer ts.Close()
+
+	c, err := NewClient(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.MaxElapsed = 10 * time.Second
+	c.tr.SetClock(func(time.Duration) { t.Error("slept past the budget") }, nil)
+	_, err = c.ResumeSession("x").Status()
+	var ae *Error
+	if !errors.As(err, &ae) || ae.Status != http.StatusTooManyRequests || ae.Code != CodeQuota {
+		t.Fatalf("err = %v, want it to wrap the typed 429 envelope", err)
+	}
+	if !strings.Contains(err.Error(), "retry budget") {
+		t.Errorf("err = %v, want a budget-exhausted error", err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("requests = %d, want 1 (the 30s hint overruns the 10s budget)", n)
 	}
 }
 

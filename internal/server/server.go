@@ -49,6 +49,7 @@ import (
 	"autocheck/internal/faultinject"
 	"autocheck/internal/obs"
 	"autocheck/internal/store"
+	"autocheck/internal/wire"
 )
 
 // Config parameterizes a service.
@@ -405,15 +406,8 @@ func (s *Server) bound(next http.Handler) http.Handler {
 				return
 			}
 			// An injected admission.request fault: unavailability, not a
-			// shed decision — same wire shape as the SiteRequest error
-			// below.
-			if a, _ := faultinject.ActionOf(err); a == faultinject.ActionDrop {
-				panic(http.ErrAbortHandler)
-			}
-			s.rejected.Add(1)
-			s.shedC.Inc()
-			w.Header().Set("Retry-After", "0")
-			http.Error(w, "server: injected unavailability", http.StatusServiceUnavailable)
+			// shed decision.
+			s.refuseInjected(w, err)
 			return
 		}
 		s.inflight.Add(1)
@@ -423,24 +417,28 @@ func (s *Server) bound(next http.Handler) http.Handler {
 		// requests/rejected accounting stays consistent across both
 		// paths.
 		if err := s.cfg.Faults.Hit(SiteRequest); err != nil {
-			if a, _ := faultinject.ActionOf(err); a == faultinject.ActionDrop {
-				// Swallow the response: abort the connection without
-				// writing anything, which the client sees as a network
-				// error and retries.
-				panic(http.ErrAbortHandler)
-			}
-			s.rejected.Add(1)
-			s.shedC.Inc()
-			// Injected unavailability looks exactly like load shedding,
-			// with an immediate-retry hint so chaos sweeps spend their
-			// time on retries, not sleeps.
-			w.Header().Set("Retry-After", "0")
-			http.Error(w, "server: injected unavailability", http.StatusServiceUnavailable)
+			s.refuseInjected(w, err)
 			return
 		}
 		s.requests.Add(1)
 		next.ServeHTTP(w, r)
 	})
+}
+
+// refuseInjected answers a request an injected fault made unavailable. A
+// drop swallows the response: the connection is aborted without writing
+// anything, which the client sees as a network error and retries.
+// Anything else looks exactly like load shedding, with an
+// immediate-retry hint so chaos sweeps spend their time on retries, not
+// sleeps.
+func (s *Server) refuseInjected(w http.ResponseWriter, err error) {
+	if a, _ := faultinject.ActionOf(err); a == faultinject.ActionDrop {
+		panic(http.ErrAbortHandler)
+	}
+	s.rejected.Add(1)
+	s.shedC.Inc()
+	w.Header().Set("Retry-After", "0")
+	http.Error(w, "server: injected unavailability", http.StatusServiceUnavailable)
 }
 
 // Handler returns the service's HTTP handler (httptest servers, custom
@@ -616,15 +614,11 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxObjectBytes))
+	body, err := wire.ReadUpload(w, r, s.cfg.MaxObjectBytes)
 	if err != nil {
 		// Includes a client that died mid-upload (unexpected EOF against
 		// the declared Content-Length): nothing is committed.
 		http.Error(w, fmt.Sprintf("server: reading object: %v", err), http.StatusBadRequest)
-		return
-	}
-	if r.ContentLength >= 0 && int64(len(body)) != r.ContentLength {
-		http.Error(w, "server: truncated upload", http.StatusBadRequest)
 		return
 	}
 	// Verify the CRC framing before the backend sees the object: a blob

@@ -1,21 +1,17 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"autocheck/internal/admission"
 	"autocheck/internal/faultinject"
 	"autocheck/internal/obs"
+	"autocheck/internal/wire"
 )
 
 // Remote is the client backend for the networked checkpoint service of
@@ -24,29 +20,22 @@ import (
 // so many concurrent clients checkpoint into a single store without
 // sharing a filesystem.
 //
-// The HTTP client keeps connections alive and reuses them across
-// requests (every response body is fully drained so the transport can
-// recycle the connection). Transient failures — network errors and 5xx
-// responses, including the service's 503 load-shedding when its
-// in-flight bound is hit — are retried with exponential backoff, at
-// most MaxAttempts times and within a MaxElapsed wall-clock budget;
-// when a 503 carries a Retry-After hint the next wait follows the hint
-// instead of the local schedule (the service knows how long its drain
-// or shed condition lasts better than a blind doubling does). 4xx
-// responses are permanent and returned immediately. Get re-verifies the
+// Requests go through the shared wire.Transport, whose retry policy is
+// the one analysis.Client follows too: network errors, 5xx responses —
+// including the service's 503 load-shedding when its in-flight bound is
+// hit — and 429 are retried with exponential backoff, at most MaxAttempts
+// times and within a MaxElapsed wall-clock budget, and a Retry-After hint
+// replaces the local wait (the service knows how long its drain or shed
+// condition lasts better than a blind doubling does). The service itself
+// sheds store routes with 503 only; 429 is retried so that a rate-limiting
+// proxy in front of it delays a checkpoint instead of failing it. Every
+// other 4xx is permanent and returned immediately. Get re-verifies the
 // CRC framing end to end, so a torn or bit-flipped payload fails the
 // same way it would on disk and checkpoint.Restart falls back to an
 // older checkpoint.
 type Remote struct {
-	// MaxAttempts and Backoff tune the retry loop (total tries and the
-	// first retry's delay, doubling per attempt). MaxElapsed caps one
-	// operation's total wall-clock across all attempts and waits, so a
-	// Retry-After storm cannot pin a checkpointing client indefinitely.
-	// They may be adjusted before the first request; the defaults suit a
-	// LAN service.
-	MaxAttempts int
-	Backoff     time.Duration
-	MaxElapsed  time.Duration
+	// MaxAttempts, Backoff and MaxElapsed tune the retry loop.
+	wire.Retry
 
 	// FailFastDial makes a dial-level failure (connection refused, no
 	// route) final instead of retried: the endpoint is down, not busy,
@@ -55,31 +44,14 @@ type Remote struct {
 	// startup. The resulting error wraps ErrUnavailable.
 	FailFastDial bool
 
-	base   string // http://host:port/v1/<ns>, no trailing slash
-	ns     string
-	client *http.Client
-	faults *faultinject.Registry
-
-	obsReg     *obs.Registry
-	ops        opSet
-	attemptLat *obs.Histogram // one HTTP exchange, waits excluded
-	obsRetries *obs.Counter   // attempts beyond each operation's first
-
-	// Test seams for the retry loop's clock; nil means the real one.
-	sleep func(time.Duration)
-	now   func() time.Time
+	ns   string
+	root string // /v1/<ns>
+	tr   *wire.Transport
+	ops  opSet
 
 	mu    sync.Mutex
 	stats Stats
 }
-
-// Remote retry defaults: 4 attempts, 25ms first backoff (25+50+100 ms of
-// waiting before the last try), 15s total wall-clock per operation.
-const (
-	DefaultRemoteAttempts   = 4
-	DefaultRemoteBackoff    = 25 * time.Millisecond
-	DefaultRemoteMaxElapsed = 15 * time.Second
-)
 
 // NewRemote returns a client backend for the checkpoint service at addr
 // (host:port or full URL), storing under the given namespace ("" means
@@ -92,30 +64,17 @@ func NewRemote(addr, namespace string) (*Remote, error) {
 	if !ValidName(namespace) {
 		return nil, fmt.Errorf("store: invalid remote namespace %q", namespace)
 	}
-	if !strings.Contains(addr, "://") {
-		addr = "http://" + addr
-	}
-	u, err := url.Parse(addr)
+	t, err := wire.New("store: remote service", addr, remoteStatusError)
 	if err != nil {
-		return nil, fmt.Errorf("store: remote address: %w", err)
+		return nil, err
 	}
-	if u.Scheme != "http" && u.Scheme != "https" {
-		return nil, fmt.Errorf("store: remote address %q: unsupported scheme %q", addr, u.Scheme)
-	}
+	t.Site = SiteRemoteDo
+	t.SpanName = "remote.attempt"
 	return &Remote{
-		MaxAttempts: DefaultRemoteAttempts,
-		Backoff:     DefaultRemoteBackoff,
-		MaxElapsed:  DefaultRemoteMaxElapsed,
-		base:        strings.TrimSuffix(u.String(), "/") + "/v1/" + url.PathEscape(namespace),
-		ns:          namespace,
-		client: &http.Client{
-			Transport: &http.Transport{
-				MaxIdleConns:        64,
-				MaxIdleConnsPerHost: 16,
-				IdleConnTimeout:     90 * time.Second,
-			},
-			Timeout: 2 * time.Minute,
-		},
+		Retry: wire.DefaultRetry(),
+		ns:    namespace,
+		root:  "/v1/" + url.PathEscape(namespace),
+		tr:    t,
 	}, nil
 }
 
@@ -140,8 +99,7 @@ func ValidName(s string) bool {
 	return true
 }
 
-// errRemoteStatus is a non-2xx response; transient reports whether the
-// retry loop may try again.
+// errRemoteStatus is a non-2xx response other than 404.
 type errRemoteStatus struct {
 	status int
 	msg    string
@@ -152,24 +110,22 @@ func (e *errRemoteStatus) Error() string {
 		e.status, http.StatusText(e.status), strings.TrimSpace(e.msg))
 }
 
-func transientStatus(status int) bool { return status >= 500 }
+// remoteStatusError maps a non-2xx response to the store's errors.
+func remoteStatusError(status int, body []byte) error {
+	if status == http.StatusNotFound {
+		return ErrNotFound
+	}
+	return &errRemoteStatus{status: status, msg: string(body)}
+}
 
 // ErrUnavailable marks an endpoint-down failure: the TCP dial itself was
 // refused or unroutable, as opposed to a connected service misbehaving.
 // Only surfaced when FailFastDial is set; the replicated tier uses it to
 // move to the next replica without burning the whole retry budget.
-var ErrUnavailable = errors.New("store: endpoint unavailable")
-
-// isDialError reports whether err is a network-level failure in the dial
-// itself (connection refused, host unreachable) rather than on an
-// established connection.
-func isDialError(err error) bool {
-	var op *net.OpError
-	return errors.As(err, &op) && op.Op == "dial"
-}
+var ErrUnavailable = wire.ErrUnavailable
 
 // SetFaults implements FaultInjectable.
-func (r *Remote) SetFaults(reg *faultinject.Registry) { r.faults = reg }
+func (r *Remote) SetFaults(reg *faultinject.Registry) { r.tr.Faults = reg }
 
 // SetObs implements Observable. Besides the standard per-op recorders
 // (whose latency spans the whole retry loop, waits included), the remote
@@ -177,167 +133,18 @@ func (r *Remote) SetFaults(reg *faultinject.Registry) { r.faults = reg }
 // once a span sink is installed — plus an attempt-latency histogram and
 // a retry counter, so backoff behavior is observable per attempt.
 func (r *Remote) SetObs(reg *obs.Registry) {
-	r.obsReg = reg
 	r.ops = newOpSet(reg, "store.remote")
-	r.attemptLat = reg.Histogram("store.remote.attempt.ns")
-	r.obsRetries = reg.Counter("store.remote.retries")
+	r.tr.Obs = reg
+	r.tr.AttemptLat = reg.Histogram("store.remote.attempt.ns")
+	r.tr.Retries = reg.Counter("store.remote.retries")
 }
 
-func (r *Remote) clock() (func(time.Duration), func() time.Time) {
-	sleep, now := r.sleep, r.now
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	if now == nil {
-		now = time.Now
-	}
-	return sleep, now
-}
-
-// parseRetryAfter interprets a Retry-After header value — delay-seconds
-// or an HTTP-date — as a wait duration. ok distinguishes an explicit
-// "retry immediately" hint (0, true) from an absent or unparseable
-// header (0, false).
-func parseRetryAfter(v string, now time.Time) (_ time.Duration, ok bool) {
-	if v == "" {
-		return 0, false
-	}
-	if secs, err := strconv.Atoi(v); err == nil {
-		if secs < 0 {
-			return 0, false
-		}
-		return time.Duration(secs) * time.Second, true
-	}
-	if at, err := http.ParseTime(v); err == nil {
-		d := at.Sub(now)
-		if d < 0 {
-			d = 0
-		}
-		return d, true
-	}
-	return 0, false
-}
-
-// do performs one HTTP exchange with bounded retry/backoff, returning
-// the response body. body may be nil; the request is rebuilt from it on
-// every attempt (a reader consumed by a failed send is never reused),
-// and GetBody is set so the transport can replay it inside one attempt
-// too. A transient response carrying Retry-After overrides the next
-// backoff wait with the server's hint. Total retry wall-clock — waits
-// included — is capped by MaxElapsed: a wait that would overrun the
-// budget is not taken and the operation fails with the last error.
+// do performs one exchange against this namespace of the service.
 func (r *Remote) do(method, path string, body []byte, pri admission.Priority) ([]byte, error) {
-	attempts := r.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	maxElapsed := r.MaxElapsed
-	if maxElapsed <= 0 {
-		maxElapsed = DefaultRemoteMaxElapsed
-	}
-	sleep, now := r.clock()
-	start := now()
-	backoff := r.Backoff
-	var lastErr error
-	var hint time.Duration // Retry-After from the previous attempt
-	var hinted bool        // set even for an explicit "retry now" (0s) hint
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			wait := backoff
-			backoff *= 2
-			if hinted {
-				wait, hint, hinted = hint, 0, false
-			}
-			if elapsed := now().Sub(start); elapsed+wait > maxElapsed {
-				return nil, fmt.Errorf("store: remote service: retry budget %v exhausted after %v (%d attempts): %w",
-					maxElapsed, elapsed, attempt, lastErr)
-			}
-			if wait > 0 {
-				sleep(wait)
-			}
-		}
-		if attempt > 0 {
-			r.obsRetries.Inc()
-		}
-		var t0 time.Time
-		if r.attemptLat != nil {
-			t0 = time.Now()
-		}
-		sp := r.obsReg.StartSpan("remote.attempt")
-		var data []byte
-		var done bool
-		var err error
-		data, done, hint, hinted, err = r.attempt(method, path, body, pri, now)
-		if r.attemptLat != nil {
-			r.attemptLat.ObserveSince(t0)
-		}
-		if sp.Active() {
-			errText := ""
-			if err != nil {
-				errText = err.Error()
-			}
-			sp.End(fmt.Sprintf("%s %s attempt=%d/%d", method, path, attempt+1, attempts), errText)
-		}
-		if done {
-			return data, err
-		}
-		lastErr = err
-	}
-	return nil, lastErr
-}
-
-// attempt performs one HTTP exchange. done reports that the retry loop
-// must stop and return (data, err) as the operation's final answer; a
-// transient failure returns done=false with the error to remember and
-// any Retry-After hint for the next wait.
-func (r *Remote) attempt(method, path string, body []byte, pri admission.Priority, now func() time.Time) (data []byte, done bool, hint time.Duration, hinted bool, _ error) {
-	if ferr := r.faults.Hit(SiteRemoteDo); ferr != nil {
-		// Injected network failure: transient, costs an attempt.
-		return nil, false, 0, false, fmt.Errorf("store: remote service: %w", ferr)
-	}
-	var reader io.Reader
-	if body != nil {
-		reader = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, r.base+path, reader)
-	if err != nil {
-		return nil, true, 0, false, err
-	}
-	// Identity and class for the service's admission controller; old
-	// servers ignore the headers.
-	req.Header.Set(admission.TenantHeader, r.ns)
-	req.Header.Set(admission.PriorityHeader, pri.String())
-	if body != nil {
-		req.ContentLength = int64(len(body))
-		req.Header.Set("Content-Type", "application/octet-stream")
-		req.GetBody = func() (io.ReadCloser, error) {
-			return io.NopCloser(bytes.NewReader(body)), nil
-		}
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		if r.FailFastDial && isDialError(err) {
-			return nil, true, 0, false, fmt.Errorf("store: remote service %s: %w (%v)", r.base, ErrUnavailable, err)
-		}
-		return nil, false, 0, false, fmt.Errorf("store: remote service: %w", err) // network-level failure: transient
-	}
-	// Read the body in full either way so the connection is reusable.
-	data, readErr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusNotFound:
-		return nil, true, 0, false, ErrNotFound
-	case resp.StatusCode >= 300:
-		statusErr := &errRemoteStatus{status: resp.StatusCode, msg: string(data)}
-		if !transientStatus(resp.StatusCode) {
-			return nil, true, 0, false, statusErr
-		}
-		hint, hinted = parseRetryAfter(resp.Header.Get("Retry-After"), now())
-		return nil, false, hint, hinted, statusErr
-	case readErr != nil:
-		return nil, false, 0, false, fmt.Errorf("store: remote service: reading response: %w", readErr) // truncated response: transient
-	}
-	return data, true, 0, false, nil
+	return r.tr.Do(r.Retry, wire.Request{
+		Method: method, Path: r.root + path, Body: body,
+		Tenant: r.ns, Priority: pri, FailFastDial: r.FailFastDial,
+	})
 }
 
 // Put implements Backend. Checkpoint writes are foreground work.
@@ -479,6 +286,6 @@ func (r *Remote) Flush() error {
 // Close implements Backend: release pooled connections. The service's
 // objects are unaffected — closing a client never discards checkpoints.
 func (r *Remote) Close() error {
-	r.client.CloseIdleConnections()
+	r.tr.Close()
 	return nil
 }

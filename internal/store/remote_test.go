@@ -9,10 +9,12 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"autocheck/internal/faultinject"
+	"autocheck/internal/wire"
 )
 
 // fakeService is a minimal scripted stand-in for internal/server (which
@@ -315,17 +317,16 @@ type fakeClock struct {
 
 func (c *fakeClock) install(r *Remote) {
 	c.t = time.Unix(1000, 0)
-	r.sleep = func(d time.Duration) {
+	r.tr.SetClock(func(d time.Duration) {
 		c.mu.Lock()
 		c.waits = append(c.waits, d)
 		c.t = c.t.Add(d)
 		c.mu.Unlock()
-	}
-	r.now = func() time.Time {
+	}, func() time.Time {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		return c.t
-	}
+	})
 }
 
 func (c *fakeClock) slept() []time.Duration {
@@ -365,125 +366,36 @@ func TestRemoteHonorsRetryAfterHint(t *testing.T) {
 	}
 }
 
-func TestRemoteRetryAfterParsing(t *testing.T) {
-	now := time.Unix(1000, 0)
-	if d, ok := parseRetryAfter(now.Add(3*time.Second).UTC().Format(http.TimeFormat), now); !ok || d <= 0 || d > 3*time.Second {
-		t.Errorf("HTTP-date Retry-After parsed to (%v, %v)", d, ok)
-	}
-	if d, ok := parseRetryAfter("garbage", now); ok || d != 0 {
-		t.Errorf("unparseable Retry-After = (%v, %v), want (0, false)", d, ok)
-	}
-	if d, ok := parseRetryAfter("-5", now); ok || d != 0 {
-		t.Errorf("negative Retry-After = (%v, %v), want (0, false)", d, ok)
-	}
-	// An explicit 0 is a real hint ("retry now"), not an absent header.
-	if d, ok := parseRetryAfter("0", now); !ok || d != 0 {
-		t.Errorf("Retry-After: 0 = (%v, %v), want (0, true)", d, ok)
-	}
-}
-
-// TestRemoteImmediateRetryHint: a 503 carrying "Retry-After: 0" means
-// retry now — the client must not substitute its own backoff sleep.
-func TestRemoteImmediateRetryHint(t *testing.T) {
-	var mu sync.Mutex
-	shed := 2
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		s := shed > 0
-		if s {
-			shed--
-		}
-		mu.Unlock()
-		if s {
-			w.Header().Set("Retry-After", "0")
-			http.Error(w, "retry immediately", http.StatusServiceUnavailable)
+// TestRemoteRidesOut429: the service sheds store routes with 503 only,
+// but a rate-limiting proxy in front of it answers 429. Under the shared
+// transient rule the checkpoint waits out the proxy's hint and lands
+// instead of failing.
+func TestRemoteRidesOut429(t *testing.T) {
+	f := newFakeService(t)
+	var limited atomic.Bool
+	limited.Store(true)
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if limited.Swap(false) {
+			w.Header().Set("Retry-After", "4")
+			http.Error(w, "slow down", http.StatusTooManyRequests)
 			return
 		}
-		w.WriteHeader(http.StatusNoContent)
+		f.srv.Config.Handler.ServeHTTP(w, r)
 	}))
-	defer srv.Close()
-	r := fastRemote(t, srv.URL, "now")
+	defer proxy.Close()
+	r := fastRemote(t, proxy.URL, "limited")
 	defer r.Close()
 	clock := &fakeClock{}
 	clock.install(r)
-	if err := r.Put("ckpt-000001", sampleSections(1)); err != nil {
-		t.Fatalf("put: %v", err)
+	want := sampleSections(2)
+	if err := r.Put("ckpt-000001", want); err != nil {
+		t.Fatalf("put through a 429: %v", err)
 	}
-	if waits := clock.slept(); len(waits) != 0 {
-		t.Fatalf("client slept %v despite an immediate-retry hint", waits)
+	if got, want := clock.slept(), []time.Duration{4 * time.Second}; !reflect.DeepEqual(got, want) {
+		t.Errorf("waits = %v, want the proxy's hint %v", got, want)
 	}
-}
-
-func TestRemoteRetryBudgetCapsWallClock(t *testing.T) {
-	requests := 0
-	var mu sync.Mutex
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		requests++
-		mu.Unlock()
-		w.Header().Set("Retry-After", "30")
-		http.Error(w, "down for a while", http.StatusServiceUnavailable)
-	}))
-	defer srv.Close()
-	r := fastRemote(t, srv.URL, "budget")
-	defer r.Close()
-	r.MaxAttempts = 10
-	r.MaxElapsed = 10 * time.Second
-	clock := &fakeClock{}
-	clock.install(r)
-	err := r.Put("ckpt-000001", sampleSections(1))
-	if err == nil {
-		t.Fatal("put succeeded against a shedding service")
-	}
-	if !strings.Contains(err.Error(), "retry budget") || !strings.Contains(err.Error(), "503") {
-		t.Fatalf("error = %v, want budget exhaustion wrapping the last 503", err)
-	}
-	// The 30s hint overruns the 10s budget: no wait is taken, exactly one
-	// request is made, and the op fails fast instead of sleeping blindly.
-	mu.Lock()
-	got := requests
-	mu.Unlock()
-	if got != 1 {
-		t.Errorf("requests = %d, want 1", got)
-	}
-	if len(clock.slept()) != 0 {
-		t.Errorf("client slept %v past its budget", clock.slept())
-	}
-}
-
-func TestRemoteRebuildsBodyOnRetry(t *testing.T) {
-	blob := EncodeSections(sampleSections(6))
-	var mu sync.Mutex
-	var bodies [][]byte
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body, _ := io.ReadAll(r.Body)
-		mu.Lock()
-		bodies = append(bodies, body)
-		first := len(bodies) == 1
-		mu.Unlock()
-		if first {
-			// Consume the whole upload, then fail: a client reusing the
-			// spent reader would send an empty body on the retry.
-			http.Error(w, "try again", http.StatusServiceUnavailable)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	}))
-	defer srv.Close()
-	r := fastRemote(t, srv.URL, "rebuild")
-	defer r.Close()
-	if err := r.Put("ckpt-000001", sampleSections(6)); err != nil {
-		t.Fatalf("put: %v", err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(bodies) != 2 {
-		t.Fatalf("requests = %d, want 2", len(bodies))
-	}
-	for i, b := range bodies {
-		if !reflect.DeepEqual(b, blob) {
-			t.Errorf("attempt %d body has %d bytes, want the full %d-byte object", i+1, len(b), len(blob))
-		}
+	if got, err := r.Get("ckpt-000001"); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("object after the retried put: %v", err)
 	}
 }
 
@@ -529,7 +441,7 @@ func TestRemoteFailFastDial(t *testing.T) {
 	slow := fastRemote(t, addr, "dead")
 	defer slow.Close()
 	var waits int
-	slow.sleep = func(time.Duration) { waits++ }
+	slow.tr.SetClock(func(time.Duration) { waits++ }, nil)
 	_, err := slow.Get("ckpt-000001")
 	if err == nil {
 		t.Fatal("Get against a dead listener succeeded")
@@ -537,7 +449,7 @@ func TestRemoteFailFastDial(t *testing.T) {
 	if errors.Is(err, ErrUnavailable) {
 		t.Fatalf("default client classified a dial error as final: %v", err)
 	}
-	if want := DefaultRemoteAttempts - 1; waits != want {
+	if want := wire.DefaultAttempts - 1; waits != want {
 		t.Errorf("default client retried %d times, want %d", waits, want)
 	}
 
@@ -545,7 +457,7 @@ func TestRemoteFailFastDial(t *testing.T) {
 	defer fast.Close()
 	fast.FailFastDial = true
 	waits = 0
-	fast.sleep = func(time.Duration) { waits++ }
+	fast.tr.SetClock(func(time.Duration) { waits++ }, nil)
 	_, err = fast.Get("ckpt-000001")
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("fail-fast Get = %v, want ErrUnavailable", err)

@@ -439,8 +439,15 @@ func DecodeSections(buf []byte) ([]Section, error) {
 		binary.LittleEndian.Uint32(body[4:8]) != objectVersion {
 		return nil, errors.New("store: bad object magic or version")
 	}
-	n := int(binary.LittleEndian.Uint32(body[8:12]))
+	count := binary.LittleEndian.Uint32(body[8:12])
 	rest := body[12:]
+	// The count is the sender's word, and so is the CRC over it: refuse
+	// one the remaining bytes cannot hold (12 header bytes per section)
+	// before it sizes an allocation.
+	if uint64(count) > uint64(len(rest))/12 {
+		return nil, fmt.Errorf("store: object declares %d sections in %d bytes", count, len(rest))
+	}
+	n := int(count)
 	sections := make([]Section, 0, n)
 	for i := 0; i < n; i++ {
 		if len(rest) < 4 {

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -865,4 +867,111 @@ func TestOpenAndDecorate(t *testing.T) {
 			t.Errorf("Open(%+v) succeeded", cfg)
 		}
 	}
+}
+
+// sealObject frames raw body bytes the way a sender would: the CRC is
+// computed over whatever the body says, so it vouches for nothing.
+func sealObject(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(bytes.Clone(body), crc32.ChecksumIEEE(body))
+}
+
+// objectDeclaring is a correctly sealed object whose header declares
+// count sections in front of payload.
+func objectDeclaring(count uint32, payload []byte) []byte {
+	body := binary.LittleEndian.AppendUint32(nil, objectMagic)
+	body = binary.LittleEndian.AppendUint32(body, objectVersion)
+	body = binary.LittleEndian.AppendUint32(body, count)
+	return sealObject(append(body, payload...))
+}
+
+// hostileCounts are objects whose section count is a lie. The first is
+// the whole attack: 16 bytes that any client can PUT.
+func hostileCounts() map[string][]byte {
+	valid := EncodeSections(sampleSections(3))
+	payload := valid[12 : len(valid)-4]
+	return map[string][]byte{
+		"0xFFFFFFFF in 16 bytes": objectDeclaring(0xFFFFFFFF, nil),
+		"1<<31 in 16 bytes":      objectDeclaring(1<<31, nil),
+		"one more than fits":     objectDeclaring(uint32(len(payload)/12+1), payload),
+		"one, no bytes":          objectDeclaring(1, nil),
+	}
+}
+
+// TestDecodeSectionsHostileCount: a declared count the bytes cannot hold
+// is a clean error that allocates next to nothing — at the parent the
+// first two rows asked the runtime for 171 GB and 86 GB and the process
+// died, on every PUT handler, Remote.Get and file-backend read.
+func TestDecodeSectionsHostileCount(t *testing.T) {
+	for name, blob := range hostileCounts() {
+		t.Run(name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sections, err := DecodeSections(blob)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("accepted, %d sections", len(sections))
+			}
+			if errors.Is(err, ErrCorrupt) {
+				t.Fatalf("err = %v: the object must get past the CRC to test the count", err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+				t.Errorf("rejecting a %d-byte object allocated %d bytes", len(blob), got)
+			}
+		})
+	}
+	// Exact fit: as many empty sections as the bytes hold is legal.
+	const n = 100
+	sections, err := DecodeSections(objectDeclaring(n, make([]byte, 12*n)))
+	if err != nil || len(sections) != n {
+		t.Fatalf("exact-fit count: %d sections, %v", len(sections), err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { DecodeSections(objectDeclaring(0xFFFFFFFF, nil)) }); allocs > 8 {
+		t.Errorf("rejecting a hostile count takes %v allocations", allocs)
+	}
+}
+
+// FuzzDecodeSections: whatever bytes arrive, decoding ends in success or
+// a clean error, never a panic and never an allocation sized by a count
+// the object merely declares; what is accepted survives a re-encode.
+// seal appends a valid CRC, which a hostile sender would too.
+func FuzzDecodeSections(f *testing.F) {
+	for seed := byte(0); seed < 3; seed++ {
+		blob := EncodeSections(sampleSections(seed))
+		f.Add(blob, false)
+		f.Add(blob[:len(blob)-4], true)
+		for cut := 12; cut < 64; cut += 5 {
+			f.Add(blob[:cut], true)
+		}
+	}
+	f.Add(EncodeSections(nil), false)
+	for _, blob := range hostileCounts() {
+		f.Add(blob, false)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, seal bool) {
+		if seal {
+			data = sealObject(data)
+		}
+		sections, err := DecodeSections(data)
+		if err != nil {
+			if sections != nil {
+				t.Fatalf("error %v with %d sections", err, len(sections))
+			}
+			return
+		}
+		if int64(len(data)) < EncodedSize(sections) {
+			t.Fatalf("%d bytes decoded to sections that encode to %d", len(data), EncodedSize(sections))
+		}
+		again, err := DecodeSections(EncodeSections(sections))
+		if err != nil {
+			t.Fatalf("accepted sections do not re-encode: %v", err)
+		}
+		if len(again) != len(sections) {
+			t.Fatalf("re-encode: %d sections, want %d", len(again), len(sections))
+		}
+		for i := range sections {
+			if again[i].Name != sections[i].Name || !bytes.Equal(again[i].Data, sections[i].Data) {
+				t.Fatalf("section %d differs after a re-encode", i)
+			}
+		}
+	})
 }

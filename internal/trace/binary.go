@@ -325,8 +325,9 @@ func (d *binDecoder) str(what string) (string, error) {
 	}
 	b := d.data[d.pos : d.pos+int(n)]
 	if bytes.ContainsAny(b, ",\r\n") {
-		// The text format has no way to write such a name: converted, the
-		// record would parse as a different one or not at all.
+		// The text format has no way to write such a name (its decoder
+		// refuses a '\r' inside one too): converted, the record would
+		// parse as a different one or not at all.
 		return "", d.corrupt(what + ": name contains a field or line separator")
 	}
 	s := string(b)

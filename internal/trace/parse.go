@@ -38,9 +38,14 @@ func newInterner() *interner {
 	return &interner{tab: make(map[string]string, 64)}
 }
 
-func (in *interner) intern(b []byte) string {
+// intern returns the one string for name b. ok is false for a name that
+// holds a '\r': a line's terminating '\r' is stripped before its fields
+// are read, so this one sits inside the name, and ACTB — whose names are
+// this format's names — refuses it. The check runs where a name is first
+// seen, not per record.
+func (in *interner) intern(b []byte) (_ string, ok bool) {
 	if len(b) == 0 {
-		return ""
+		return "", true
 	}
 	// Length plus first, middle and last byte tell apart the names that
 	// alternate in practice ("i" / "arrayidx" / "17", "for.body.3" /
@@ -49,15 +54,18 @@ func (in *interner) intern(b []byte) string {
 	n := len(b)
 	slot := &in.memo[((n*31+int(b[0]))*31+int(b[n-1])*17+int(b[n/2])*5)&(len(in.memo)-1)]
 	if *slot == string(b) { // compiles to a compare, no allocation
-		return *slot
+		return *slot, true
 	}
-	s, ok := in.tab[string(b)]
-	if !ok {
+	s, seen := in.tab[string(b)]
+	if !seen {
+		if bytes.IndexByte(b, '\r') >= 0 {
+			return "", false
+		}
 		s = string(b)
 		in.tab[s] = s
 	}
 	*slot = s
-	return s
+	return s, true
 }
 
 // unsafeString views b as a string without copying. Callers must not
@@ -207,6 +215,10 @@ func badField(what string, line []byte) error {
 	return fmt.Errorf("trace: bad %s in %q", what, line)
 }
 
+func badName(line []byte) error {
+	return fmt.Errorf("trace: name holds a carriage return in %q", line)
+}
+
 // scanValue decodes the value field at line[p] into *v and returns where
 // the field ends. A pointer or a plain decimal — nearly every value of a
 // trace — is parsed as its end is found; a float, a negated pointer or
@@ -250,7 +262,9 @@ func (d *decoder) operand(line []byte, o *Operand) error {
 	}
 	o.Index, o.Size = int(idx), int(size)
 	o.IsReg = name == reg+2 && line[reg] == '1'
-	o.Name = d.in.intern(line[name:])
+	if o.Name, ok = d.in.intern(line[name:]); !ok {
+		return badName(line)
+	}
 	return nil
 }
 
@@ -276,7 +290,12 @@ func (d *decoder) header(line []byte, r *Record) error {
 		return lineErr(line, "header", badField("dynamic id", line))
 	}
 	r.Line, r.Opcode, r.DynID = int(ln), int(opcode), dyn
-	r.Func, r.Block = d.in.intern(line[fn:blk-1]), d.in.intern(line[blk:op-1])
+	var okFn, okBlk bool
+	r.Func, okFn = d.in.intern(line[fn : blk-1])
+	r.Block, okBlk = d.in.intern(line[blk : op-1])
+	if !okFn || !okBlk {
+		return badName(line)
+	}
 	return nil
 }
 

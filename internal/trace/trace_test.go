@@ -566,6 +566,25 @@ func TestParseCRLF(t *testing.T) {
 	}
 }
 
+// TestTextRejectsCarriageReturnInName: the two formats share one name
+// alphabet. Only a line's terminating '\r' is stripped; one inside a
+// function, block or operand name is refused (as ACTB refuses it, see
+// TestBinaryRejectsTextUnsafeNames) instead of decoding to a record that
+// has no ACTB encoding — also when the name was seen clean before.
+func TestTextRejectsCarriageReturnInName(t *testing.T) {
+	for _, data := range []string{
+		"0,1,f,b,27,1\nr,0,64,5,1,n\rm\n",
+		"0,1,f,b,27,1\n1,1,64,5,1,nm\n1,1,64,5,1,n\rm\n",
+		"0,2,ma\rin,b,2,2\n",
+		"0,2,main,b\r.1,2,2\r\n",
+	} {
+		recs, err := ParseBytes([]byte(data))
+		if err == nil || !strings.Contains(err.Error(), "carriage return") {
+			t.Errorf("ParseBytes(%q) = (%v, %v), want a name error", data, recs, err)
+		}
+	}
+}
+
 // ParseBytes must accept exactly what the streaming Scanner accepts:
 // operand lines after a result line, and repeated result lines (the last
 // wins), as LLVM-Tracer-style producers are free to order block lines.
