@@ -26,7 +26,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -251,34 +250,20 @@ func (c *Context) Flush() error { return c.backend.Flush() }
 // Close flushes and closes the storage backend.
 func (c *Context) Close() error { return c.backend.Close() }
 
-// A cell is stored as its kind byte and eight little-endian payload bytes.
+// A cell is stored as its kind byte and eight little-endian payload bytes —
+// a trace.Value's own representation, so neither direction looks at the
+// kind beyond validating it.
 const cellBytes = 9
 
-func cellBits(v trace.Value) uint64 {
-	switch v.Kind {
-	case trace.KindFloat:
-		return math.Float64bits(v.Float)
-	case trace.KindPtr:
-		return v.Addr
-	}
-	return uint64(v.Int)
-}
-
-func cellValue(kind trace.ValueKind, bits uint64) trace.Value {
-	switch kind {
-	case trace.KindFloat:
-		return trace.FloatValue(math.Float64frombits(bits))
-	case trace.KindPtr:
-		return trace.PtrValue(bits)
-	}
-	return trace.IntValue(int64(bits))
+func cellValue(cell []byte) trace.Value {
+	return trace.BitsValue(trace.ValueKind(cell[0]), binary.LittleEndian.Uint64(cell[1:cellBytes]))
 }
 
 func validKind(kind byte) bool { return trace.ValueKind(kind) <= trace.KindPtr }
 
 func encodeValue(buf []byte, v trace.Value) []byte {
 	buf = append(buf, byte(v.Kind))
-	return binary.LittleEndian.AppendUint64(buf, cellBits(v))
+	return binary.LittleEndian.AppendUint64(buf, v.Bits())
 }
 
 func decodeValue(buf []byte) (trace.Value, []byte, error) {
@@ -288,7 +273,7 @@ func decodeValue(buf []byte) (trace.Value, []byte, error) {
 	if !validKind(buf[0]) {
 		return trace.Value{}, nil, fmt.Errorf("checkpoint: bad value kind %d", buf[0])
 	}
-	return cellValue(trace.ValueKind(buf[0]), binary.LittleEndian.Uint64(buf[1:cellBytes])), buf[cellBytes:], nil
+	return cellValue(buf), buf[cellBytes:], nil
 }
 
 // encodeCheckpoint snapshots the protected cells into one section per
@@ -327,7 +312,7 @@ func (v *variable) encode(m *interp.Machine) []byte {
 	for addr := v.Base; len(cell) > 0; addr, cell = addr+8, cell[cellBytes:] {
 		c := m.Mem[addr] // a cell never written reads as integer zero
 		cell[0] = byte(c.Kind)
-		binary.LittleEndian.PutUint64(cell[1:cellBytes], cellBits(c))
+		binary.LittleEndian.PutUint64(cell[1:cellBytes], c.Bits())
 	}
 	v.watch, v.writes, v.section = w, w.Writes(), data
 	return data
@@ -383,8 +368,7 @@ func decodeCheckpoint(m *interp.Machine, sections []store.Section, skip map[stri
 		for len(cells) > 0 {
 			n := min(len(buf), len(cells)/cellBytes)
 			for i := range buf[:n] {
-				cell := cells[i*cellBytes:]
-				buf[i] = cellValue(trace.ValueKind(cell[0]), binary.LittleEndian.Uint64(cell[1:cellBytes]))
+				buf[i] = cellValue(cells[i*cellBytes:])
 			}
 			m.WriteRange(addr, buf[:n])
 			addr, cells = addr+uint64(n)*8, cells[n*cellBytes:]

@@ -43,10 +43,10 @@ func TestCheckpointRestartRoundtrip(t *testing.T) {
 		t.Errorf("restored iter = %d, want 7", iter)
 	}
 	got := m2.ReadRange(0x1000, 3)
-	if got[0].Int != 1 || got[1].Int != 2 || got[2].Int != 3 {
+	if got[0].Int() != 1 || got[1].Int() != 2 || got[2].Int() != 3 {
 		t.Errorf("arr = %v", got)
 	}
-	if v := m2.ReadRange(0x2000, 1)[0]; v.Float != 2.5 {
+	if v := m2.ReadRange(0x2000, 1)[0]; v.Float() != 2.5 {
 		t.Errorf("x = %v", v)
 	}
 }
@@ -68,10 +68,10 @@ func TestRestartSkipsDroppedVars(t *testing.T) {
 	if _, err := ctx.Restart(m2, map[string]bool{"b": true}); err != nil {
 		t.Fatal(err)
 	}
-	if m2.ReadRange(0x1000, 1)[0].Int != 42 {
+	if m2.ReadRange(0x1000, 1)[0].Int() != 42 {
 		t.Error("a not restored")
 	}
-	if m2.ReadRange(0x2000, 1)[0].Int != 0 {
+	if m2.ReadRange(0x2000, 1)[0].Int() != 0 {
 		t.Error("b restored despite skip")
 	}
 }
@@ -94,7 +94,7 @@ func TestLatestCheckpointWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if iter != 5 || m2.ReadRange(0x1000, 1)[0].Int != 50 {
+	if iter != 5 || m2.ReadRange(0x1000, 1)[0].Int() != 50 {
 		t.Errorf("iter=%d x=%v, want 5/50", iter, m2.ReadRange(0x1000, 1)[0])
 	}
 	if ctx.Count() != 5 {
@@ -132,7 +132,7 @@ func TestCorruptedPrimaryFallsBackToPartner(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restart with partner copy: %v", err)
 	}
-	if iter != 3 || m2.ReadRange(0x1000, 1)[0].Int != 123 {
+	if iter != 3 || m2.ReadRange(0x1000, 1)[0].Int() != 123 {
 		t.Errorf("partner recovery failed: iter=%d", iter)
 	}
 }
@@ -163,7 +163,7 @@ func TestCorruptedL1WithoutPartnerSkipsToOlder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if iter != 1 || m2.ReadRange(0x1000, 1)[0].Int != 1 {
+	if iter != 1 || m2.ReadRange(0x1000, 1)[0].Int() != 1 {
 		t.Errorf("fallback to older checkpoint failed: iter=%d", iter)
 	}
 }
@@ -238,7 +238,7 @@ func TestFullSnapshotRoundtrip(t *testing.T) {
 		t.Errorf("iter = %d", iter)
 	}
 	got := m2.ReadRange(0x1000, 3)
-	if got[0].Int != 1 || got[1].Float != 2.5 || got[2].Addr != 0xdead {
+	if got[0].Int() != 1 || got[1].Float() != 2.5 || got[2].Addr() != 0xdead {
 		t.Errorf("restored = %v", got)
 	}
 }

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"slices"
 	"strings"
 
 	"autocheck/internal/store"
@@ -27,6 +28,10 @@ const (
 	paritySuffix  = ".l3"
 	paritySection = "~parity"
 )
+
+// copySuffixes are the physical copies of a logical key in the order the
+// levels add them: L1 writes the first, L2 two, L3 and L4 all three.
+var copySuffixes = []string{primarySuffix, partnerSuffix, paritySuffix}
 
 func newLevelBackend(inner store.Backend, level Level) *levelBackend {
 	return &levelBackend{inner: inner, level: level}
@@ -82,12 +87,42 @@ func (l *levelBackend) List() ([]string, error) {
 // Delete implements store.Backend, removing every replica.
 func (l *levelBackend) Delete(key string) error {
 	err := l.inner.Delete(key + primarySuffix)
-	for _, suffix := range []string{partnerSuffix, paritySuffix} {
+	for _, suffix := range copySuffixes[1:] {
 		if derr := l.inner.Delete(key + suffix); derr != nil && derr != store.ErrNotFound && err == nil {
 			err = derr
 		}
 	}
 	return err
+}
+
+// Dependencies implements store.DependencyResolver: the logical keys whose
+// copies any copy of key needs, so a retention prune over an incremental
+// inner backend keeps the keyframe a retained checkpoint's chain starts
+// from.
+func (l *levelBackend) Dependencies(key string) ([]string, error) {
+	var out []string
+	for _, suffix := range copySuffixes[:min(int(l.level), len(copySuffixes))] {
+		deps, err := store.DependenciesOf(l.inner, key+suffix)
+		if err != nil {
+			return nil, err
+		}
+		for _, d := range deps {
+			if d = logicalKey(d); !slices.Contains(out, d) {
+				out = append(out, d)
+			}
+		}
+	}
+	return out, nil
+}
+
+// logicalKey maps the key of a physical copy back to its logical key.
+func logicalKey(physical string) string {
+	for _, suffix := range copySuffixes {
+		if k, ok := strings.CutSuffix(physical, suffix); ok {
+			return k
+		}
+	}
+	return physical
 }
 
 // Stats implements store.Backend.

@@ -118,7 +118,7 @@ func TestCheckpointRefusesTheUnsortableKey(t *testing.T) {
 		t.Errorf("Count = %d, Pruned = %d after a refused checkpoint", ctx.Count(), ctx.Pruned())
 	}
 	fresh := machine(t)
-	if iter, err := ctx.Restart(fresh, nil); err != nil || iter != 77 || fresh.ReadRange(0x1000, 1)[0].Int != 5 {
+	if iter, err := ctx.Restart(fresh, nil); err != nil || iter != 77 || fresh.ReadRange(0x1000, 1)[0].Int() != 5 {
 		t.Errorf("Restart = %d, %v; want checkpoint 999999's iteration 77", iter, err)
 	}
 }

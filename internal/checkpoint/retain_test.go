@@ -82,7 +82,7 @@ func TestRetainPrunesToNewestN(t *testing.T) {
 			}
 			m2 := machine(t)
 			iter, err := ctx.Restart(m2, nil)
-			if err != nil || iter != 10 || m2.ReadRange(0x1000, 1)[0].Int != 10 {
+			if err != nil || iter != 10 || m2.ReadRange(0x1000, 1)[0].Int() != 10 {
 				t.Errorf("restart after prune: iter=%d err=%v", iter, err)
 			}
 		})
@@ -114,7 +114,7 @@ func TestRetainKeepsChainOfRetainedDeltas(t *testing.T) {
 	}
 	m2 := machine(t)
 	iter, err := ctx.Restart(m2, nil)
-	if err != nil || iter != 7 || m2.ReadRange(0x1000, 1)[0].Int != 7 {
+	if err != nil || iter != 7 || m2.ReadRange(0x1000, 1)[0].Int() != 7 {
 		t.Fatalf("restart from retained chain: iter=%d err=%v", iter, err)
 	}
 
@@ -134,6 +134,43 @@ func TestRetainKeepsChainOfRetainedDeltas(t *testing.T) {
 	m3 := machine(t)
 	if iter, err := ctx.Restart(m3, nil); err != nil || iter != 2 {
 		t.Fatalf("restart after chain turnover: iter=%d err=%v", iter, err)
+	}
+}
+
+// The same floor when the incremental decorator sits under the levels
+// (NewContextBackend) rather than over them: the chain runs through the
+// physical copies, and the levels must answer for them in logical keys.
+// At L1 and L2, with the default keyframe interval of 8 puts, the retained
+// {11, 12} descend from the keyframe that starts checkpoint 9, so 1-8 go
+// and 9-12 stay. At L3 every parity copy and the primary after it are
+// keyframes (their sections differ), so 11 and 12 stand alone.
+//
+// Mutation-checked: without levelBackend.Dependencies the L1 and L2 rows
+// prune 1-10 and Restart finds no valid checkpoint; with a delta allowed
+// over a keyframe of other sections the L3 row restarts from 11.
+func TestRetainIncrementalUnderLevels(t *testing.T) {
+	for _, tc := range []struct {
+		level  Level
+		pruned int
+	}{{L1, 8}, {L2, 8}, {L3, 10}} {
+		t.Run(fmt.Sprint(tc.level), func(t *testing.T) {
+			ctx, err := NewContextBackend(store.Decorate(store.NewMemory(), store.Config{Incremental: true}), tc.level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ctx.Close()
+			ctx.Retain(2)
+			ctx.Protect("x", 0x1000, 8)
+			writeN(t, ctx, machine(t), 12)
+			if ctx.Pruned() != tc.pruned {
+				t.Errorf("Pruned = %d, want %d", ctx.Pruned(), tc.pruned)
+			}
+			m := machine(t)
+			iter, err := ctx.Restart(m, nil)
+			if err != nil || iter != 12 || m.ReadRange(0x1000, 1)[0].Int() != 12 {
+				t.Fatalf("restart after prune: iter=%d err=%v", iter, err)
+			}
+		})
 	}
 }
 

@@ -62,10 +62,10 @@ func TestRoundtripAllStoreBackends(t *testing.T) {
 			if iter != 7 {
 				t.Errorf("iter = %d, want 7", iter)
 			}
-			if got := m2.ReadRange(0x1000, 3); got[0].Int != 7 || got[1].Int != 14 || got[2].Int != 21 {
+			if got := m2.ReadRange(0x1000, 3); got[0].Int() != 7 || got[1].Int() != 14 || got[2].Int() != 21 {
 				t.Errorf("arr = %v", got)
 			}
-			if v := m2.ReadRange(0x2000, 1)[0]; v.Float != 3.5 {
+			if v := m2.ReadRange(0x2000, 1)[0]; v.Float() != 3.5 {
 				t.Errorf("x = %v", v)
 			}
 			if ctx.Count() != 7 || ctx.LastBytes() <= 0 || ctx.TotalBytes() < 7*ctx.LastBytes() {
@@ -124,7 +124,7 @@ func TestFlippedBitFallsBackToPreviousCheckpoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if iter != 1 || m2.ReadRange(0x1000, 1)[0].Int != 100 {
+			if iter != 1 || m2.ReadRange(0x1000, 1)[0].Int() != 100 {
 				t.Errorf("fallback failed: iter=%d x=%v", iter, m2.ReadRange(0x1000, 1)[0])
 			}
 		})
@@ -221,7 +221,7 @@ func TestIncrementalCorruptionFallback(t *testing.T) {
 	if err != nil || iter != 3 {
 		t.Fatalf("after keyframe corruption: iter=%d err=%v, want 3", iter, err)
 	}
-	if m3.ReadRange(0x1000, 1)[0].Int != 3 {
+	if m3.ReadRange(0x1000, 1)[0].Int() != 3 {
 		t.Errorf("x = %v, want 3", m3.ReadRange(0x1000, 1)[0])
 	}
 }
@@ -266,7 +266,7 @@ func TestReopenedContextAppendsAfterPreviousSession(t *testing.T) {
 			ctx2.Protect("x", 0x1000, 8)
 			m2 := machine(t)
 			iter, err := ctx2.Restart(m2, nil)
-			if err != nil || iter != 4 || m2.ReadRange(0x1000, 1)[0].Int != 40 {
+			if err != nil || iter != 4 || m2.ReadRange(0x1000, 1)[0].Int() != 40 {
 				t.Fatalf("restart into new session: iter=%d err=%v", iter, err)
 			}
 			m2.WriteRange(0x1000, []trace.Value{trace.IntValue(999)})
@@ -280,7 +280,7 @@ func TestReopenedContextAppendsAfterPreviousSession(t *testing.T) {
 			// overwritten), and a subsequent restart sees the new state.
 			m3 := machine(t)
 			iter, err = ctx2.Restart(m3, nil)
-			if err != nil || iter != 5 || m3.ReadRange(0x1000, 1)[0].Int != 999 {
+			if err != nil || iter != 5 || m3.ReadRange(0x1000, 1)[0].Int() != 999 {
 				t.Errorf("restart after appended checkpoint: iter=%d err=%v x=%v",
 					iter, err, m3.ReadRange(0x1000, 1)[0])
 			}
@@ -320,7 +320,7 @@ func TestShardedPartnerFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if iter != 3 || m2.ReadRange(0x1000, 1)[0].Int != 321 {
+	if iter != 3 || m2.ReadRange(0x1000, 1)[0].Int() != 321 {
 		t.Errorf("partner recovery failed: iter=%d", iter)
 	}
 }

@@ -327,7 +327,7 @@ func (a *analyzer) trackStorage(r *trace.Record) {
 	switch r.Opcode {
 	case trace.OpAlloca:
 		if r.Result != nil && r.Result.Value.Kind == trace.KindPtr {
-			a.vt.addAlloca(r.Result.Name, r.Func, r.Result.Value.Addr, int64(r.Result.Size/8), r.DynID)
+			a.vt.addAlloca(r.Result.Name, r.Func, r.Result.Value.Addr(), int64(r.Result.Size/8), r.DynID)
 		}
 	case trace.OpLoad, trace.OpStore, trace.OpGetElementPtr:
 		// A named, non-numeric pointer operand that no local span owns is a
@@ -342,8 +342,8 @@ func (a *analyzer) trackStorage(r *trace.Record) {
 		if op == nil || op.Value.Kind != trace.KindPtr || op.Name == "" || isNumeric(op.Name) {
 			return
 		}
-		if a.vt.resolveLocal(op.Value.Addr) == nil {
-			a.vt.noteGlobal(op.Name, op.Value.Addr, r.DynID, r.Line)
+		if a.vt.resolveLocal(op.Value.Addr()) == nil {
+			a.vt.noteGlobal(op.Name, op.Value.Addr(), r.DynID, r.Line)
 		}
 	}
 }
@@ -381,7 +381,7 @@ func accessAddr(r *trace.Record) (uint64, bool) {
 	if op == nil || op.Value.Kind != trace.KindPtr {
 		return 0, false
 	}
-	return op.Value.Addr, true
+	return op.Value.Addr(), true
 }
 
 // collectible resolves the variable a Load/Store record accesses if the

@@ -48,7 +48,7 @@ func (a *analyzer) updateMaps(r *trace.Record) {
 		// in every adapter.
 		var v *VarInfo
 		if r.Result.Value.Kind == trace.KindPtr {
-			v = a.vt.resolveRef(r.Result.Value.Addr)
+			v = a.vt.resolveRef(r.Result.Value.Addr())
 		}
 		if v == nil {
 			if base := r.Operand(1); base != nil && base.IsReg {
@@ -137,7 +137,7 @@ func (a *analyzer) updateCallMaps(r *trace.Record) {
 		if v == nil && arg != nil && arg.Value.Kind == trace.KindPtr {
 			// Pointer argument: resolve the pointed-to variable directly
 			// (a reference, not an access — no footprint growth).
-			v = a.vt.resolveRef(arg.Value.Addr)
+			v = a.vt.resolveRef(arg.Value.Addr())
 		}
 		if v != nil {
 			a.rv[pkey] = v

@@ -134,9 +134,9 @@ int main() {
 			continue
 		}
 		if len(first) < 21 {
-			first = append(first, r.Result.Value.Addr)
+			first = append(first, r.Result.Value.Addr())
 		} else {
-			second = append(second, r.Result.Value.Addr)
+			second = append(second, r.Result.Value.Addr())
 		}
 	}
 	if len(first) != 21 || len(second) != 21 {

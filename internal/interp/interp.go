@@ -61,7 +61,7 @@ func (f *Frame) alloca(name string) *ir.Instr {
 // AllocaAddr returns the address of the named local in this frame.
 func (f *Frame) AllocaAddr(name string) (uint64, bool) {
 	if in := f.alloca(name); in != nil {
-		return f.regs[in.ID].Addr, true
+		return f.regs[in.ID].Addr(), true
 	}
 	return 0, false
 }
@@ -92,8 +92,9 @@ func (w *Watch) Writes() uint64 { return w.writes }
 type Machine struct {
 	Mod *ir.Module
 	// Mem is the simulated memory, one entry per 8-byte cell that was ever
-	// written. Reads may index it; writes go through WriteCell or
-	// WriteRange, which is what keeps every Watch exact.
+	// written: a trace.Value, the cell's kind and its 8-byte payload (read
+	// with Int(), Float() or Addr()). Reads may index it; writes go through
+	// WriteCell or WriteRange, which is what keeps every Watch exact.
 	Mem map[uint64]trace.Value
 
 	// Tracer, if non-nil, receives one record per executed instruction, in
@@ -283,11 +284,11 @@ func coerce(v trace.Value, want ir.Type) trace.Value {
 	switch {
 	case ir.IsFloat(want) && v.Kind != trace.KindFloat:
 		if v.Kind == trace.KindPtr {
-			return trace.FloatValue(float64(v.Addr))
+			return trace.FloatValue(float64(v.Addr()))
 		}
-		return trace.FloatValue(float64(v.Int))
+		return trace.FloatValue(float64(v.Int()))
 	case ir.IsInt(want) && v.Kind == trace.KindFloat:
-		return trace.IntValue(int64(v.Float))
+		return trace.IntValue(int64(v.Float()))
 	}
 	return v
 }
@@ -460,13 +461,13 @@ func (m *Machine) step() error {
 		m.emit(f, in, &res)
 	case trace.OpLoad:
 		ptr := m.eval(f, in.Args[0])
-		v := m.ReadCell(ptr.Addr, in.Type())
+		v := m.ReadCell(ptr.Addr(), in.Type())
 		f.regs[in.ID] = v
 		m.emit(f, in, &v)
 	case trace.OpStore:
 		val := m.eval(f, in.Args[0])
 		ptr := m.eval(f, in.Args[1])
-		m.WriteCell(ptr.Addr, coerce(val, scalarOf(in.Args[0].Type())))
+		m.WriteCell(ptr.Addr(), coerce(val, scalarOf(in.Args[0].Type())))
 		m.emit(f, in, nil)
 	case trace.OpGetElementPtr:
 		addr := m.gepAddr(f, in)
@@ -479,12 +480,12 @@ func (m *Machine) step() error {
 		m.emit(f, in, &v)
 	case trace.OpSIToFP:
 		x := m.eval(f, in.Args[0])
-		v := trace.FloatValue(float64(x.Int))
+		v := trace.FloatValue(float64(x.Int()))
 		f.regs[in.ID] = v
 		m.emit(f, in, &v)
 	case trace.OpFPToSI:
 		x := m.eval(f, in.Args[0])
-		v := trace.IntValue(int64(x.Float))
+		v := trace.IntValue(int64(x.Float()))
 		f.regs[in.ID] = v
 		m.emit(f, in, &v)
 	case trace.OpICmp, trace.OpFCmp:
@@ -560,11 +561,11 @@ func scalarOf(t ir.Type) ir.Type {
 
 func (m *Machine) gepAddr(f *Frame, in *ir.Instr) uint64 {
 	base := m.eval(f, in.Args[0])
-	addr := base.Addr
+	addr := base.Addr()
 	t := ir.Pointee(in.Args[0].Type())
 	// First index: pointer arithmetic over the pointee type.
 	i0 := m.eval(f, in.Args[1])
-	addr += uint64(i0.Int * t.Size())
+	addr += uint64(i0.Int() * t.Size())
 	// Remaining indices descend array levels.
 	for _, ixv := range in.Args[2:] {
 		a, ok := t.(ir.ArrayType)
@@ -572,7 +573,7 @@ func (m *Machine) gepAddr(f *Frame, in *ir.Instr) uint64 {
 			break
 		}
 		ix := m.eval(f, ixv)
-		addr += uint64(ix.Int * a.Elem.Size())
+		addr += uint64(ix.Int() * a.Elem.Size())
 		t = a.Elem
 	}
 	return addr
@@ -581,11 +582,11 @@ func (m *Machine) gepAddr(f *Frame, in *ir.Instr) uint64 {
 func truthy(v trace.Value) bool {
 	switch v.Kind {
 	case trace.KindFloat:
-		return v.Float != 0
+		return v.Float() != 0
 	case trace.KindPtr:
-		return v.Addr != 0
+		return v.Addr() != 0
 	default:
-		return v.Int != 0
+		return v.Int() != 0
 	}
 }
 
@@ -634,22 +635,22 @@ func compare(in *ir.Instr, x, y trace.Value) bool {
 func asFloat(v trace.Value) float64 {
 	switch v.Kind {
 	case trace.KindFloat:
-		return v.Float
+		return v.Float()
 	case trace.KindPtr:
-		return float64(v.Addr)
+		return float64(v.Addr())
 	default:
-		return float64(v.Int)
+		return float64(v.Int())
 	}
 }
 
 func asInt(v trace.Value) int64 {
 	switch v.Kind {
 	case trace.KindFloat:
-		return int64(v.Float)
+		return int64(v.Float())
 	case trace.KindPtr:
-		return int64(v.Addr)
+		return int64(v.Addr())
 	default:
-		return v.Int
+		return v.Int()
 	}
 }
 

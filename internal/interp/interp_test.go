@@ -357,7 +357,7 @@ int main() { print(f() + g()); return 0; }`
 	for i := range recs {
 		r := &recs[i]
 		if r.Opcode == trace.OpAlloca && r.Result.Name == "local" {
-			addrs = append(addrs, r.Result.Value.Addr)
+			addrs = append(addrs, r.Result.Value.Addr())
 		}
 	}
 	if len(addrs) != 2 {
@@ -395,7 +395,7 @@ int main() { big[3] = 1.0; int x = 2; for (int i = 0; i < 1; i++) {} print(x); r
 	}
 	// big[3] was written at addr+24.
 	v := m.ReadCell(addr+24, ir.F64)
-	if v.Kind != trace.KindFloat || v.Float != 1.0 {
+	if v.Kind != trace.KindFloat || v.Float() != 1.0 {
 		t.Errorf("big[3] cell = %+v, want 1.0", v)
 	}
 	if typ, ok := m.GlobalType("big"); !ok || typ.String() != "[16 x f64]" {
@@ -419,7 +419,7 @@ func TestReadWriteRange(t *testing.T) {
 	}
 	// Unwritten cells read as zero.
 	z := m.ReadRange(0x2000, 2)
-	if z[0].Int != 0 || z[1].Int != 0 {
+	if z[0].Int() != 0 || z[1].Int() != 0 {
 		t.Errorf("unwritten cells = %+v", z)
 	}
 }

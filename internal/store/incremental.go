@@ -82,6 +82,7 @@ type Incremental struct {
 	prevKey    string            // key of the last stored object
 	prevDigest uint64            // digest of the last stored object, the next delta's predecessor
 	last       map[string][]byte // each section's last stored content: change detection and patch basis
+	names      []string          // the current keyframe's section names, in order
 	// ledger is every object this session stored and has not deleted, keys
 	// ascending, each with the ordinal of its delta chain: a key's
 	// dependencies are the run of its chain that ends at it. Dependencies
@@ -177,8 +178,11 @@ func (inc *Incremental) put(key string, sections []Section) error {
 	// A key that does not sort after the last stored object (e.g. an
 	// overwrite of an existing object) cannot be expressed as a delta:
 	// reconstruction walks keys in (baseKey, key] order, and a delta over
-	// an overwritten predecessor would fail the digest-chain check.
-	isKeyframe := inc.baseKey == "" || inc.puts%inc.keyframe == 0 || key <= inc.prevKey
+	// an overwritten predecessor would fail the digest-chain check. Nor can
+	// a put whose sections are not the keyframe's, name for name:
+	// reconstruction overlays a chain's sections, so a delta can change a
+	// section but never drop, add or reorder one.
+	isKeyframe := inc.baseKey == "" || inc.puts%inc.keyframe == 0 || key <= inc.prevKey || !sameNames(sections, inc.names)
 	inc.puts++
 
 	var out []Section
@@ -191,8 +195,10 @@ func (inc *Incremental) put(key string, sections []Section) error {
 		if err := inc.inner.Put(key, out); err != nil {
 			return err
 		}
+		inc.names = inc.names[:0]
 		for _, s := range sections {
 			inc.last[s.Name] = append([]byte(nil), s.Data...)
+			inc.names = append(inc.names, s.Name)
 		}
 		if key <= inc.prevKey {
 			inc.ledger = nil // an overwrite: what is stored beneath older keys is no longer what this session wrote
@@ -245,6 +251,10 @@ func (inc *Incremental) put(key string, sections []Section) error {
 	inc.stats.Deltas++
 	inc.obsDeltas.Inc()
 	return nil
+}
+
+func sameNames(sections []Section, names []string) bool {
+	return slices.EqualFunc(sections, names, func(s Section, name string) bool { return s.Name == name })
 }
 
 // diffChunks encodes the chunks of cur that differ from prev as

@@ -725,6 +725,48 @@ func TestIncrementalFailedPutDoesNotAdvanceBasis(t *testing.T) {
 	}
 }
 
+// A put whose section names differ from the keyframe's reconstructs
+// exactly what was put: a delta overlays the chain's sections, so a
+// dropped section would come back from the keyframe, an added one would
+// be kept by every later delta, and a section unchanged since before the
+// keyframe would be skipped as "known". Checkpoint.Unprotect and the
+// reliability levels' parity copies make such puts.
+//
+// Mutation-checked: with sameNames removed from the keyframe rule every
+// row but "same" fails.
+func TestIncrementalSectionSetChanges(t *testing.T) {
+	s := func(names ...string) []Section {
+		out := make([]Section, len(names))
+		for i, n := range names {
+			out[i] = Section{Name: n, Data: []byte(n + "-data")}
+		}
+		return out
+	}
+	for name, puts := range map[string][][]Section{
+		"same":      {s("a", "b"), s("a", "b"), s("a", "b")},
+		"dropped":   {s("a", "b"), s("a")},
+		"added":     {s("a"), s("a", "b"), s("a")},
+		"reordered": {s("a", "b"), s("b", "a")},
+		"disjoint":  {s("~parity"), s("~ckpt", "x")},
+		"readded":   {s("a", "b"), s("a"), s("a", "b")},
+	} {
+		t.Run(name, func(t *testing.T) {
+			inc := NewIncremental(NewMemory(), 8, 64)
+			for i, sections := range puts {
+				if err := inc.Put(fmt.Sprintf("ckpt-%06d", i), copySections(sections)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, want := range puts {
+				got, err := inc.Get(fmt.Sprintf("ckpt-%06d", i))
+				if err != nil || !reflect.DeepEqual(got, want) {
+					t.Errorf("put %d: Get = %v, %v; want %v", i, got, err, want)
+				}
+			}
+		})
+	}
+}
+
 func TestIncrementalMissingKeyframeFails(t *testing.T) {
 	inner := NewMemory()
 	inc := NewIncremental(inner, 4, 64)

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 )
 
 // Compact binary trace format ("ACTB"), the on-disk fast path beside the
@@ -180,11 +179,11 @@ func (w *BinaryWriter) appendOperand(b []byte, o *Operand) []byte {
 	b = appendUvarint(b, uint64(o.Size))
 	switch o.Value.Kind {
 	case KindFloat:
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(o.Value.Float))
+		b = binary.LittleEndian.AppendUint64(b, o.Value.bits)
 	case KindPtr:
-		b = appendUvarint(b, o.Value.Addr)
+		b = appendUvarint(b, o.Value.bits)
 	default:
-		b = appendVarint(b, o.Value.Int)
+		b = appendVarint(b, int64(o.Value.bits))
 	}
 	return w.appendString(b, o.Name)
 }
@@ -357,26 +356,25 @@ func (d *binDecoder) operand(o *Operand) error {
 		return err
 	}
 	o.Size = int(size)
+	var bits uint64
 	switch kind {
 	case KindFloat:
 		if len(d.data)-d.pos < 8 {
 			return d.truncated("float value")
 		}
-		o.Value = FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(d.data[d.pos:])))
+		bits = binary.LittleEndian.Uint64(d.data[d.pos:])
 		d.pos += 8
 	case KindPtr:
-		a, err := d.uvarint("pointer value")
-		if err != nil {
-			return err
-		}
-		o.Value = PtrValue(a)
+		bits, err = d.uvarint("pointer value")
 	default:
-		v, err := d.varint("int value")
-		if err != nil {
-			return err
-		}
-		o.Value = IntValue(v)
+		var v int64
+		v, err = d.varint("int value")
+		bits = uint64(v)
 	}
+	if err != nil {
+		return err
+	}
+	o.Value = Value{Kind: kind, bits: bits}
 	o.Name, err = d.str("operand name")
 	return err
 }

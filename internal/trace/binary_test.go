@@ -329,7 +329,7 @@ func TestBinaryExtremeValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 1 || back[0].Result == nil || !math.IsNaN(back[0].Result.Value.Float) {
+	if len(back) != 1 || back[0].Result == nil || !math.IsNaN(back[0].Result.Value.Float()) {
 		t.Errorf("NaN not preserved: %+v", back)
 	}
 }

@@ -38,22 +38,6 @@ func (w *Writer) Count() int64 { return w.count }
 // Flush flushes buffered output.
 func (w *Writer) Flush() error { return w.bw.Flush() }
 
-// ReadAll parses an entire trace stream serially.
-func ReadAll(r io.Reader) ([]Record, error) {
-	sc := NewScanner(r)
-	var recs []Record
-	for {
-		rec, err := sc.Next()
-		if err != nil {
-			return nil, err
-		}
-		if rec == nil {
-			return recs, nil
-		}
-		recs = append(recs, *rec)
-	}
-}
-
 // ParseBytes parses a complete in-memory trace serially on the
 // allocation-free manual path: no line-length cap, field scanning without
 // intermediate strings, interned identifiers, and arena-backed operands.

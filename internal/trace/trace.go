@@ -20,6 +20,7 @@
 package trace
 
 import (
+	"math"
 	"strconv"
 	"strings"
 )
@@ -146,22 +147,55 @@ const (
 	KindPtr
 )
 
-// Value is a dynamic operand value carried by a trace record.
+// Value is a dynamic operand value carried by a trace record: its kind and
+// one 8-byte payload — an int's two's-complement bits, a float's IEEE-754
+// bits, or an address. It is 16 bytes because every memory cell, register
+// and operand carries one.
 type Value struct {
-	Kind  ValueKind
-	Int   int64
-	Float float64
-	Addr  uint64
+	Kind ValueKind
+	bits uint64
 }
 
 // IntValue returns an integer trace value.
-func IntValue(v int64) Value { return Value{Kind: KindInt, Int: v} }
+func IntValue(v int64) Value { return Value{Kind: KindInt, bits: uint64(v)} }
 
 // FloatValue returns a floating-point trace value.
-func FloatValue(v float64) Value { return Value{Kind: KindFloat, Float: v} }
+func FloatValue(v float64) Value { return Value{Kind: KindFloat, bits: math.Float64bits(v)} }
 
 // PtrValue returns a pointer (address) trace value.
-func PtrValue(a uint64) Value { return Value{Kind: KindPtr, Addr: a} }
+func PtrValue(a uint64) Value { return Value{Kind: KindPtr, bits: a} }
+
+// BitsValue returns the value of the given kind whose payload is bits, the
+// inverse of Bits: the way a decoder that stores a kind byte and eight
+// payload bytes gets its value back. The caller validates kind.
+func BitsValue(kind ValueKind, bits uint64) Value { return Value{Kind: kind, bits: bits} }
+
+// Bits returns the value's 8-byte payload, whatever its kind.
+func (v Value) Bits() uint64 { return v.bits }
+
+// Int returns an integer value's payload, and 0 for any other kind.
+func (v Value) Int() int64 {
+	if v.Kind != KindInt {
+		return 0
+	}
+	return int64(v.bits)
+}
+
+// Float returns a float value's payload, and 0 for any other kind.
+func (v Value) Float() float64 {
+	if v.Kind != KindFloat {
+		return 0
+	}
+	return math.Float64frombits(v.bits)
+}
+
+// Addr returns a pointer value's address, and 0 for any other kind.
+func (v Value) Addr() uint64 {
+	if v.Kind != KindPtr {
+		return 0
+	}
+	return v.bits
+}
 
 // String formats the value using the trace encoding.
 func (v Value) String() string {
@@ -174,16 +208,16 @@ func (v Value) appendTo(b []byte) []byte {
 	switch v.Kind {
 	case KindPtr:
 		b = append(b, '0', 'x')
-		return strconv.AppendUint(b, v.Addr, 16)
+		return strconv.AppendUint(b, v.bits, 16)
 	case KindFloat:
 		start := len(b)
-		b = strconv.AppendFloat(b, v.Float, 'g', -1, 64)
+		b = strconv.AppendFloat(b, v.Float(), 'g', -1, 64)
 		if !hasFloatMarker(b[start:]) {
 			b = append(b, '.', '0')
 		}
 		return b
 	default:
-		return strconv.AppendInt(b, v.Int, 10)
+		return strconv.AppendInt(b, int64(v.bits), 10)
 	}
 }
 
@@ -202,19 +236,16 @@ func hasFloatMarker(s []byte) bool {
 
 // Equal reports whether two values are identical (exact comparison; trace
 // values are never the result of lossy formatting because the writer emits
-// full precision).
+// full precision). Floats compare as floats (−0 equals +0, a NaN equals
+// nothing); ints and pointers compare by payload.
 func (v Value) Equal(o Value) bool {
 	if v.Kind != o.Kind {
 		return false
 	}
-	switch v.Kind {
-	case KindPtr:
-		return v.Addr == o.Addr
-	case KindFloat:
-		return v.Float == o.Float
-	default:
-		return v.Int == o.Int
+	if v.Kind == KindFloat {
+		return v.Float() == o.Float()
 	}
+	return v.bits == o.bits
 }
 
 // ParseValue decodes a value from its trace encoding.
@@ -222,7 +253,9 @@ func ParseValue(s string) (Value, error) {
 	return parseValueBytes([]byte(s))
 }
 
-// Operand is one input operand or the result of a dynamic instruction.
+// Operand is one input operand or the result of a dynamic instruction:
+// 56 bytes. Index and Size stay int rather than int32 — an Alloca's result
+// carries its allocation size in bits, which overflows int32 above 256 MiB.
 type Operand struct {
 	Index int   // 1-based operand position; 0 for the result
 	Size  int   // size in bits (64 for scalars, pointer-sized for addresses)
