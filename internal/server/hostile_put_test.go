@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"autocheck/internal/store"
@@ -43,5 +45,33 @@ func TestServiceSurvivesHostileSectionCount(t *testing.T) {
 	}
 	if got, err := c.Get("ckpt-000002"); err != nil || !reflect.DeepEqual(got, sampleSections(2)) {
 		t.Errorf("object after the refused put: %v", err)
+	}
+}
+
+// TestDeclaredUploadLengthIsAHint: a PUT's Content-Length pre-sizes the
+// body buffer only up to 4 MiB. Sixteen bytes declaring the whole 1 GiB
+// object limit, or more than it, end in a 400 that allocated less than
+// twice that cap.
+func TestDeclaredUploadLengthIsAHint(t *testing.T) {
+	s, _ := memService(t, Config{})
+	for name, declared := range map[string]int64{
+		"the limit":      DefaultMaxObjectBytes,
+		"past the limit": DefaultMaxObjectBytes + 1,
+	} {
+		t.Run(name, func(t *testing.T) {
+			req := httptest.NewRequest(http.MethodPut, "/v1/ns/objects/ckpt-000001", bytes.NewReader(make([]byte, 16)))
+			req.ContentLength = declared
+			w := httptest.NewRecorder()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s.Handler().ServeHTTP(w, req)
+			runtime.ReadMemStats(&after)
+			if w.Code != http.StatusBadRequest {
+				t.Fatalf("16 bytes declaring %d = %d %s, want 400", declared, w.Code, w.Body)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 2*4<<20 {
+				t.Errorf("refusing 16 bytes declaring %d allocated %d bytes", declared, got)
+			}
+		})
 	}
 }

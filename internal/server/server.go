@@ -5,12 +5,13 @@
 // "heavy traffic, multi-backend" direction made concrete.
 //
 // The wire format is the store package's CRC-framed object encoding:
-// clients PUT/GET exactly the blob a local backend would persist. The
-// service verifies the CRC before committing a Put, so a client that
-// dies mid-upload (or a bit flip in transit) never creates an object;
-// and because the file-like backends commit with temp-file + rename (or
-// a manifest), a service killed with SIGKILL mid-Put leaves either the
-// previous object or none — never a readable torn one.
+// clients PUT/GET exactly the blob a local backend would persist, and a
+// blob backend (store.BlobStore) stores and serves those bytes without
+// decoding them. The service verifies the CRC before committing a Put, so
+// a client that dies mid-upload (or a bit flip in transit) never creates
+// an object; and because the file-like backends commit with temp-file +
+// rename (or a manifest), a service killed with SIGKILL mid-Put leaves
+// either the previous object or none — never a readable torn one.
 //
 // Keys live in namespaces — /v1/{ns}/objects/{key} — each namespace
 // backed by its own backend instance (for file-like kinds, its own
@@ -40,6 +41,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -622,9 +624,9 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Verify the CRC framing before the backend sees the object: a blob
-	// corrupted in transit must not replace a good one.
-	sections, err := store.DecodeSections(body)
-	if err != nil {
+	// corrupted in transit must not replace a good one. The verified body
+	// is then stored as it is.
+	if _, err := store.VerifySections(body); err != nil {
 		http.Error(w, fmt.Sprintf("server: rejecting object: %v", err), http.StatusBadRequest)
 		return
 	}
@@ -641,7 +643,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		// and only kills this connection, so a leaked lock would hang
 		// every later request for the key until the client times out.
 		defer lock.Unlock()
-		return b.Put(key, sections)
+		return store.PutBlob(b, key, body)
 	}()
 	if err != nil {
 		http.Error(w, fmt.Sprintf("server: put %s/%s: %v", ns, key, err), http.StatusInternalServerError)
@@ -661,10 +663,10 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	lock := s.keyLock(ns, key)
-	sections, err := func() ([]store.Section, error) {
+	blob, err := func() ([]byte, error) {
 		lock.RLock()
 		defer lock.RUnlock() // released even if the backend panics
-		return b.Get(key)
+		return store.GetBlob(b, key)
 	}()
 	if errors.Is(err, store.ErrNotFound) {
 		http.Error(w, "server: object not found", http.StatusNotFound)
@@ -677,10 +679,11 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("server: get %s/%s: %v", ns, key, err), http.StatusInternalServerError)
 		return
 	}
-	blob := store.EncodeSections(sections)
+	// The stored bytes go out as they are; a blob backend shares them, so
+	// nothing here writes to blob.
 	s.nsStats(ns).bytesOut.Add(int64(len(blob)))
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", fmt.Sprint(len(blob)))
+	w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
 	w.Write(blob)
 }
 

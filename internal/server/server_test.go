@@ -193,7 +193,8 @@ func TestServiceRejectsInvalidNames(t *testing.T) {
 }
 
 // gatedBackend blocks Puts until released (load-shedding and shutdown
-// tests).
+// tests). The service stores through PutBlob, which the embedded Memory
+// would otherwise serve ungated.
 type gatedBackend struct {
 	*store.Memory
 	gate    chan struct{}
@@ -201,10 +202,19 @@ type gatedBackend struct {
 	once    sync.Once
 }
 
-func (g *gatedBackend) Put(key string, sections []store.Section) error {
+func (g *gatedBackend) wait() {
 	g.once.Do(func() { close(g.entered) })
 	<-g.gate
+}
+
+func (g *gatedBackend) Put(key string, sections []store.Section) error {
+	g.wait()
 	return g.Memory.Put(key, sections)
+}
+
+func (g *gatedBackend) PutBlob(key string, blob []byte) error {
+	g.wait()
+	return g.Memory.PutBlob(key, blob)
 }
 
 func TestServiceShedsLoadPastInFlightBound(t *testing.T) {

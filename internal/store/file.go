@@ -50,14 +50,18 @@ func (f *File) path(key string) string { return filepath.Join(f.dir, key) }
 
 // Put implements Backend.
 func (f *File) Put(key string, sections []Section) error {
+	return f.PutBlob(key, EncodeSections(sections))
+}
+
+// PutBlob implements BlobStore: blob is the file's contents.
+func (f *File) PutBlob(key string, blob []byte) error {
 	start := f.ops.put.Start()
-	n, err := f.put(key, sections)
+	n, err := f.put(key, blob)
 	f.ops.put.Done(start, n, errClass(err))
 	return err
 }
 
-func (f *File) put(key string, sections []Section) (int64, error) {
-	blob := EncodeSections(sections)
+func (f *File) put(key string, blob []byte) (int64, error) {
 	blob, ferr := f.faults.HitBlob(SitePut, blob)
 	if ferr != nil && !faultinject.IsTorn(ferr) {
 		return 0, ferr
@@ -74,7 +78,7 @@ func (f *File) put(key string, sections []Section) (int64, error) {
 	f.mu.Lock()
 	f.stats.Puts++
 	f.stats.BytesWritten += int64(len(blob))
-	f.stats.SectionsWritten += int64(len(sections))
+	f.stats.SectionsWritten += sectionCount(blob)
 	f.mu.Unlock()
 	return int64(len(blob)), nil
 }
@@ -134,31 +138,33 @@ func syncDir(dir string) error {
 	return d.Close()
 }
 
-// Get implements Backend.
+// Get implements Backend. Each read is a fresh buffer, so the sections
+// are decoded in place.
 func (f *File) Get(key string) ([]Section, error) {
-	start := f.ops.get.Start()
-	sections, n, err := f.get(key)
-	f.ops.get.Done(start, n, errClass(err))
-	return sections, err
+	return getSections(f.ops.get, key, f.get, false)
 }
 
-func (f *File) get(key string) ([]Section, int64, error) {
+// GetBlob implements BlobStore: the file's contents, verified.
+func (f *File) GetBlob(key string) ([]byte, error) {
+	return getBlob(f.ops.get, key, f.get)
+}
+
+func (f *File) get(key string) ([]byte, error) {
 	if err := f.faults.Hit(SiteGet); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	blob, err := os.ReadFile(f.path(key))
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, 0, ErrNotFound
+		return nil, ErrNotFound
 	}
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	f.mu.Lock()
 	f.stats.Gets++
 	f.stats.BytesRead += int64(len(blob))
 	f.mu.Unlock()
-	sections, err := DecodeSections(blob)
-	return sections, int64(len(blob)), err
+	return blob, nil
 }
 
 // List implements Backend.

@@ -12,7 +12,9 @@ import (
 // blobs. It exists for tests, benchmarks that must not measure the
 // filesystem, and as the innermost tier of future caching stacks. Objects
 // keep the same CRC framing as the file backend so integrity checking and
-// byte accounting are identical across backends.
+// byte accounting are identical across backends. A stored blob is never
+// written again once it is in the map — GetBlob hands it out shared — so
+// replacing an object swaps the map entry.
 type Memory struct {
 	faults *faultinject.Registry
 	ops    opSet
@@ -35,16 +37,20 @@ func NewMemory() *Memory {
 
 // Put implements Backend.
 func (m *Memory) Put(key string, sections []Section) error {
+	return m.PutBlob(key, EncodeSections(sections))
+}
+
+// PutBlob implements BlobStore: the map holds blob itself.
+func (m *Memory) PutBlob(key string, blob []byte) error {
 	start := m.ops.put.Start()
-	n, err := m.put(key, sections)
+	n, err := m.put(key, blob)
 	m.ops.put.Done(start, n, errClass(err))
 	return err
 }
 
-// put is the uninstrumented Put; it reports the bytes committed to the
-// medium (a torn injection still commits its truncated blob).
-func (m *Memory) put(key string, sections []Section) (int64, error) {
-	blob := EncodeSections(sections)
+// put is the uninstrumented PutBlob; it reports the bytes committed to
+// the medium (a torn injection still commits its truncated blob).
+func (m *Memory) put(key string, blob []byte) (int64, error) {
 	blob, ferr := m.faults.HitBlob(SitePut, blob)
 	if ferr != nil && !faultinject.IsTorn(ferr) {
 		return 0, ferr
@@ -60,34 +66,34 @@ func (m *Memory) put(key string, sections []Section) (int64, error) {
 	}
 	m.stats.Puts++
 	m.stats.BytesWritten += int64(len(blob))
-	m.stats.SectionsWritten += int64(len(sections))
+	m.stats.SectionsWritten += sectionCount(blob)
 	return int64(len(blob)), nil
 }
 
-// Get implements Backend.
+// Get implements Backend. The sections are copied out of the stored
+// blob, which other readers share.
 func (m *Memory) Get(key string) ([]Section, error) {
-	start := m.ops.get.Start()
-	sections, n, err := m.get(key)
-	m.ops.get.Done(start, n, errClass(err))
-	return sections, err
+	return getSections(m.ops.get, key, m.get, true)
 }
 
-func (m *Memory) get(key string) ([]Section, int64, error) {
+// GetBlob implements BlobStore: the stored blob itself, verified.
+func (m *Memory) GetBlob(key string) ([]byte, error) {
+	return getBlob(m.ops.get, key, m.get)
+}
+
+func (m *Memory) get(key string) ([]byte, error) {
 	if err := m.faults.Hit(SiteGet); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	blob, ok := m.objects[key]
-	if ok {
-		m.stats.Gets++
-		m.stats.BytesRead += int64(len(blob))
-	}
-	m.mu.Unlock()
 	if !ok {
-		return nil, 0, ErrNotFound
+		return nil, ErrNotFound
 	}
-	sections, err := DecodeSections(blob)
-	return sections, int64(len(blob)), err
+	m.stats.Gets++
+	m.stats.BytesRead += int64(len(blob))
+	return blob, nil
 }
 
 // List implements Backend.
@@ -146,7 +152,9 @@ func (m *Memory) Close() error { return nil }
 
 // Corrupt flips one byte of the stored object, mirroring the paper's
 // fault-injection experiments; it reports whether the key existed. Tests
-// use it to prove the CRC framing rejects in-memory corruption too.
+// use it to prove the CRC framing rejects in-memory corruption too. The
+// flip lands in a copy that replaces the stored blob: a reader already
+// holding the old one (a GET writing it out) never sees it change.
 func (m *Memory) Corrupt(key string, offset int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -154,6 +162,8 @@ func (m *Memory) Corrupt(key string, offset int) bool {
 	if !ok || len(blob) == 0 {
 		return false
 	}
+	blob = append([]byte(nil), blob...)
 	blob[((offset%len(blob))+len(blob))%len(blob)] ^= 0xFF
+	m.objects[key] = blob
 	return true
 }

@@ -209,7 +209,8 @@ func (r *Remote) get(key string, pri admission.Priority) ([]Section, int64, erro
 	if err != nil {
 		return nil, 0, err
 	}
-	sections, err := DecodeSections(blob)
+	// The body buffer is this call's own: decode it in place.
+	sections, err := decodeSections(blob, false)
 	if err != nil {
 		return nil, 0, fmt.Errorf("store: remote object %q: %w", key, err)
 	}

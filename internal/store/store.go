@@ -402,9 +402,11 @@ const (
 	objectVersion = uint32(1)
 )
 
-// EncodeSections frames sections as a single self-verifying byte object.
+// EncodeSections frames sections as a single self-verifying byte object,
+// allocated once at its final size.
 func EncodeSections(sections []Section) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, objectMagic)
+	buf := make([]byte, 0, EncodedSize(sections))
+	buf = binary.LittleEndian.AppendUint32(buf, objectMagic)
 	buf = binary.LittleEndian.AppendUint32(buf, objectVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sections)))
 	for _, s := range sections {
@@ -426,18 +428,70 @@ func EncodedSize(sections []Section) int64 {
 }
 
 // DecodeSections verifies and parses an object produced by
-// EncodeSections.
-func DecodeSections(buf []byte) ([]Section, error) {
+// EncodeSections. The sections own their bytes: none aliases buf.
+func DecodeSections(buf []byte) ([]Section, error) { return decodeSections(buf, true) }
+
+// VerifySections checks an object exactly as DecodeSections does —
+// framing, CRC, and every section header — and reports its section
+// count, without allocating. It is the one gate between bytes that
+// arrived off the wire and a backend that stores them as they are.
+func VerifySections(buf []byte) (int, error) {
+	n, rest, err := openObject(buf)
+	if err != nil {
+		return 0, err
+	}
+	for i := 0; i < n; i++ {
+		if _, _, rest, err = nextSection(rest); err != nil {
+			return 0, err
+		}
+	}
+	return n, nil
+}
+
+// decodeSections is DecodeSections; with own unset, each non-empty
+// section's Data aliases buf (capped, so an append never reaches the next
+// section), which suits a buffer nobody else holds.
+func decodeSections(buf []byte, own bool) ([]Section, error) {
+	n, rest, err := openObject(buf)
+	if err != nil {
+		return nil, err
+	}
+	sections := make([]Section, n)
+	for i := range sections {
+		var name, data []byte
+		if name, data, rest, err = nextSection(rest); err != nil {
+			return nil, err
+		}
+		if own || len(data) == 0 {
+			data = append([]byte(nil), data...)
+		}
+		sections[i] = Section{Name: string(name), Data: data}
+	}
+	return sections, nil
+}
+
+var (
+	errObjectShort    = errors.New("store: object too short")
+	errObjectMagic    = errors.New("store: bad object magic or version")
+	errSectionHeader  = errors.New("store: truncated section header")
+	errSectionName    = errors.New("store: truncated section name")
+	errSectionPayload = errors.New("store: truncated section data")
+)
+
+// openObject checks an object's length, CRC, magic and version, and
+// returns its declared section count and the bytes that hold the
+// sections.
+func openObject(buf []byte) (int, []byte, error) {
 	if len(buf) < 16 {
-		return nil, errors.New("store: object too short")
+		return 0, nil, errObjectShort
 	}
 	body, sum := buf[:len(buf)-4], binary.LittleEndian.Uint32(buf[len(buf)-4:])
 	if crc32.ChecksumIEEE(body) != sum {
-		return nil, ErrCorrupt
+		return 0, nil, ErrCorrupt
 	}
 	if binary.LittleEndian.Uint32(body[0:4]) != objectMagic ||
 		binary.LittleEndian.Uint32(body[4:8]) != objectVersion {
-		return nil, errors.New("store: bad object magic or version")
+		return 0, nil, errObjectMagic
 	}
 	count := binary.LittleEndian.Uint32(body[8:12])
 	rest := body[12:]
@@ -445,32 +499,33 @@ func DecodeSections(buf []byte) ([]Section, error) {
 	// one the remaining bytes cannot hold (12 header bytes per section)
 	// before it sizes an allocation.
 	if uint64(count) > uint64(len(rest))/12 {
-		return nil, fmt.Errorf("store: object declares %d sections in %d bytes", count, len(rest))
+		return 0, nil, fmt.Errorf("store: object declares %d sections in %d bytes", count, len(rest))
 	}
-	n := int(count)
-	sections := make([]Section, 0, n)
-	for i := 0; i < n; i++ {
-		if len(rest) < 4 {
-			return nil, errors.New("store: truncated section header")
-		}
-		nameLen := int(binary.LittleEndian.Uint32(rest[:4]))
-		rest = rest[4:]
-		if len(rest) < nameLen+8 {
-			return nil, errors.New("store: truncated section name")
-		}
-		s := Section{Name: string(rest[:nameLen])}
-		rest = rest[nameLen:]
-		dataLen := binary.LittleEndian.Uint64(rest[:8])
-		rest = rest[8:]
-		if uint64(len(rest)) < dataLen {
-			return nil, errors.New("store: truncated section data")
-		}
-		s.Data = append([]byte(nil), rest[:dataLen]...)
-		rest = rest[dataLen:]
-		sections = append(sections, s)
-	}
-	return sections, nil
+	return int(count), rest, nil
 }
+
+// nextSection splits the first section off rest.
+func nextSection(rest []byte) (name, data, tail []byte, err error) {
+	if len(rest) < 4 {
+		return nil, nil, nil, errSectionHeader
+	}
+	nameLen := int(binary.LittleEndian.Uint32(rest[:4]))
+	rest = rest[4:]
+	if len(rest) < nameLen+8 {
+		return nil, nil, nil, errSectionName
+	}
+	name, rest = rest[:nameLen], rest[nameLen:]
+	dataLen := binary.LittleEndian.Uint64(rest[:8])
+	rest = rest[8:]
+	if uint64(len(rest)) < dataLen {
+		return nil, nil, nil, errSectionPayload
+	}
+	return name, rest[:dataLen:dataLen], rest[dataLen:], nil
+}
+
+// sectionCount reads the section count from the header of an object
+// VerifySections accepted.
+func sectionCount(blob []byte) int64 { return int64(binary.LittleEndian.Uint32(blob[8:12])) }
 
 // DependencyResolver is optionally implemented by backends whose stored
 // objects depend on other keys for reconstruction (the incremental
@@ -493,6 +548,77 @@ func DependenciesOf(b Backend, key string) ([]string, error) {
 		return r.Dependencies(key)
 	}
 	return []string{key}, nil
+}
+
+// BlobStore is optionally implemented by base backends that persist an
+// object as the sealed blob EncodeSections produces (Memory, File), so
+// the checkpoint service can store and serve the bytes it was sent
+// without decoding and re-encoding them.
+//
+// PutBlob takes ownership of blob, which must be one VerifySections
+// accepted: the caller neither checks it again nor touches it afterwards.
+// GetBlob returns a verified blob that may be shared with the store and
+// other readers, so callers must not modify it. Both keep the failpoints,
+// op recorders and Stats of Put and Get.
+type BlobStore interface {
+	PutBlob(key string, blob []byte) error
+	GetBlob(key string) ([]byte, error)
+}
+
+// PutBlob stores a verified blob under key through b, handing it over
+// as-is to a BlobStore and as sections decoded in place (aliasing blob,
+// which b then owns) to any other backend.
+func PutBlob(b Backend, key string, blob []byte) error {
+	if bs, ok := b.(BlobStore); ok {
+		return bs.PutBlob(key, blob)
+	}
+	sections, err := decodeSections(blob, false)
+	if err != nil {
+		return err
+	}
+	return b.Put(key, sections)
+}
+
+// GetBlob reads key's verified blob through b: stored bytes from a
+// BlobStore, which callers must not modify, or the re-encoded sections of
+// any other backend.
+func GetBlob(b Backend, key string) ([]byte, error) {
+	if bs, ok := b.(BlobStore); ok {
+		return bs.GetBlob(key)
+	}
+	sections, err := b.Get(key)
+	if err != nil {
+		return nil, err
+	}
+	return EncodeSections(sections), nil
+}
+
+// getSections and getBlob are a blob backend's instrumented Get and
+// GetBlob over fetch, which returns the stored bytes unverified. shared
+// says whether those bytes stay in the store, in which case Get must copy
+// the sections out of them.
+func getSections(op *obs.Op, key string, fetch func(string) ([]byte, error), shared bool) ([]Section, error) {
+	start := op.Start()
+	blob, err := fetch(key)
+	var sections []Section
+	if err == nil {
+		sections, err = decodeSections(blob, shared)
+	}
+	op.Done(start, int64(len(blob)), errClass(err))
+	return sections, err
+}
+
+func getBlob(op *obs.Op, key string, fetch func(string) ([]byte, error)) ([]byte, error) {
+	start := op.Start()
+	blob, err := fetch(key)
+	if err == nil {
+		_, err = VerifySections(blob)
+	}
+	op.Done(start, int64(len(blob)), errClass(err))
+	if err != nil {
+		return nil, err
+	}
+	return blob, nil
 }
 
 // NamespaceForDir derives a remote-service namespace from a scratch

@@ -297,7 +297,7 @@ func (t *Transport) attempt(req Request, now func() time.Time) (data []byte, don
 		return nil, false, 0, false, fmt.Errorf("%s: %w", t.name, err) // network-level failure: transient
 	}
 	// Read the body in full either way so the connection is reusable.
-	data, readErr := io.ReadAll(resp.Body)
+	data, readErr := readBody(resp.Body, resp.ContentLength)
 	resp.Body.Close()
 	switch {
 	case resp.StatusCode >= 300:
@@ -316,12 +316,16 @@ func (t *Transport) attempt(req Request, now func() time.Time) (data []byte, don
 var errTruncatedUpload = errors.New("truncated upload")
 
 // ReadUpload reads a request body of at most limit bytes. It fails with
-// an error wrapping *http.MaxBytesError when the body is larger, with the
+// an error wrapping *http.MaxBytesError when the body is larger — at once,
+// before reading a byte, when the declared length already is — with the
 // read error when the client died mid-upload, and with a "truncated
 // upload" error when fewer bytes arrived than were declared; each service
 // renders the failure in its own shape.
 func ReadUpload(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if r.ContentLength > limit {
+		return nil, fmt.Errorf("declared %d bytes: %w", r.ContentLength, &http.MaxBytesError{Limit: limit})
+	}
+	body, err := readBody(http.MaxBytesReader(w, r.Body, limit), r.ContentLength)
 	if err != nil {
 		return nil, err
 	}
@@ -329,4 +333,39 @@ func ReadUpload(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, er
 		return nil, errTruncatedUpload
 	}
 	return body, nil
+}
+
+// maxPresize caps how much of a declared length readBody allocates before
+// the bytes arrive: the declaration is the sender's word, so a body past
+// this size grows as it is read instead.
+const maxPresize = 4 << 20
+
+// readBody reads r to EOF into one buffer sized from declared, the
+// body's Content-Length (-1 when unknown). A body as long as it declared,
+// up to maxPresize, costs exactly that one allocation.
+func readBody(r io.Reader, declared int64) ([]byte, error) {
+	size := 512
+	if declared >= 0 {
+		size = int(min(declared, maxPresize))
+	}
+	buf := make([]byte, 0, size)
+	for {
+		var n int
+		var err error
+		if len(buf) < cap(buf) {
+			n, err = r.Read(buf[len(buf):cap(buf)])
+			buf = buf[:len(buf)+n]
+		} else {
+			// Full: look for EOF before growing the buffer.
+			var probe [1]byte
+			n, err = r.Read(probe[:])
+			buf = append(buf, probe[:n]...)
+		}
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -301,6 +303,67 @@ func TestStatusRule(t *testing.T) {
 				t.Errorf("requests = %d, want exactly 1", len(bodies))
 			}
 		})
+	}
+}
+
+// TestResponseDeclaredLengthIsAHint: a response declaring 1 TiB over a
+// 10-byte body is a clean error that allocated the pre-size cap, not
+// what the header claims.
+func TestResponseDeclaredLengthIsAHint(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.FormatInt(1<<40, 10))
+		w.Write([]byte("0123456789"))
+	}))
+	defer srv.Close()
+	tr, err := New("test transport", srv.URL, typed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = tr.Do(Retry{MaxAttempts: 1}, Request{Method: http.MethodGet, Path: "/objects/k"})
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "reading response") {
+		t.Fatalf("err = %v, want a failed response read", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2*maxPresize {
+		t.Errorf("a 10-byte response declaring 1 TiB allocated %d bytes", got)
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestReadUploadRefusesDeclaredOverLimit: an upload declaring more than
+// the limit is refused before a byte is read, with the error both
+// services render as "too large".
+func TestReadUploadRefusesDeclaredOverLimit(t *testing.T) {
+	body := &countingReader{r: bytes.NewReader(make([]byte, 64))}
+	r := httptest.NewRequest(http.MethodPut, "/objects/k", body)
+	r.ContentLength = 1 << 20
+	_, err := ReadUpload(httptest.NewRecorder(), r, 1024)
+	var mbe *http.MaxBytesError
+	if !errors.As(err, &mbe) || mbe.Limit != 1024 {
+		t.Fatalf("err = %v, want one wrapping *http.MaxBytesError{Limit: 1024}", err)
+	}
+	if body.n != 0 {
+		t.Errorf("read %d bytes of a refused upload", body.n)
+	}
+	// Within the limit the body is read whole, in one buffer of its size.
+	r = httptest.NewRequest(http.MethodPut, "/objects/k", bytes.NewReader(make([]byte, 64)))
+	got, err := ReadUpload(httptest.NewRecorder(), r, 1024)
+	if err != nil || len(got) != 64 || cap(got) != 64 {
+		t.Errorf("ReadUpload = %d bytes (cap %d), %v; want 64 in a 64-byte buffer", len(got), cap(got), err)
 	}
 }
 
