@@ -92,12 +92,12 @@ func NewTraceWriter(w io.Writer, f TraceFormat) RecordWriter {
 }
 
 // NewTraceReader sniffs the stream's encoding and returns a streaming
-// record reader for it, usable as the source of AnalyzeStream. The stream
-// is decoded through a bounded window, so memory does not grow with the
-// trace; a single record (one text block or one binary record) beyond
-// 4 MiB is an error naming its byte offset — load such a trace whole and
-// use AnalyzeBytes, which has no cap. After any error the reader repeats
-// it and yields no further records.
+// record reader for it. The stream is decoded through a bounded window,
+// so memory does not grow with the trace; a single record (one text
+// block or one binary record) beyond 4 MiB is an error naming its byte
+// offset — load such a trace whole and use AnalyzeBytes, which has no
+// cap. After any error the reader repeats it and yields no further
+// records.
 func NewTraceReader(r io.Reader) (TraceReader, TraceFormat, error) {
 	return trace.NewAutoReader(r)
 }
@@ -140,25 +140,16 @@ func AnalyzeFile(path string, spec LoopSpec, opts Options) (*Result, error) {
 // Engine is the single incremental analysis core every mode adapts to:
 // feed it records a batch at a time via ObserveBatch (or one at a time
 // via Observe — the same code) and call Finish for the Result. Records
-// need only stay valid for the duration of the call. Analyze and
-// AnalyzeStream run the same fused pass behind a header-only partition
-// sweep; the Engine itself is the single-sweep (online) configuration.
-// Every Option applies to both, opts.BuildDDG included.
+// need only stay valid for the duration of the call. Analyze,
+// AnalyzeBytes and AnalyzeFile run the same fused pass after locating
+// the loop; the Engine itself is the single-sweep (online)
+// configuration of the paper's §IX mode, where AutoCheck runs inside the
+// instrumentation itself. Every Option applies to both, opts.BuildDDG
+// included.
 type Engine = core.Engine
 
 // NewEngine prepares a single-sweep analysis session.
 func NewEngine(spec LoopSpec, opts Options) (*Engine, error) {
-	return core.NewEngine(spec, opts)
-}
-
-// Collector is the Engine under its historical name — the online
-// (single-pass, no trace file) analyzer of the paper's §IX future-work
-// mode, where AutoCheck runs inside the instrumentation itself.
-type Collector = core.Engine
-
-// NewCollector prepares an online analysis session; feed it records via
-// Observe or ObserveBatch and call Finish.
-func NewCollector(spec LoopSpec, opts Options) (*Collector, error) {
 	return core.NewEngine(spec, opts)
 }
 
@@ -179,7 +170,7 @@ func AnalyzeProgramOnline(mod *Module, spec LoopSpec, opts Options) (*Result, st
 }
 
 // AnalysisInput names one independent trace for AnalyzeMany: a spec plus
-// exactly one source (Records, Open, Data, or Path).
+// exactly one source (Records, Data, or Path).
 type AnalysisInput = core.Input
 
 // AnalyzeMany analyzes independent traces concurrently, one engine per
@@ -223,12 +214,4 @@ func TraceProgramBinary(mod *Module) ([]byte, string, error) {
 // trace encoder (see NewTraceWriter).
 func TraceProgramTo(mod *Module, w RecordWriter) (string, error) {
 	return interp.TraceProgramTo(mod, w)
-}
-
-// AnalyzeStream runs the pipeline over a replayable record stream in
-// bounded sweeps without materializing the trace; open is called once per
-// sweep (see NewTraceReader for building readers). Results are identical
-// to Analyze.
-func AnalyzeStream(open func() (TraceReader, error), spec LoopSpec, opts Options) (*Result, error) {
-	return core.AnalyzeStream(open, spec, opts)
 }

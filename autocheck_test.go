@@ -111,8 +111,8 @@ func TestPublicAPIOnline(t *testing.T) {
 	}
 }
 
-func TestPublicAPICollectorDirect(t *testing.T) {
-	col, err := NewCollector(exampleSpec, DefaultOptions())
+func TestPublicAPIEngineDirect(t *testing.T) {
+	eng, err := NewEngine(exampleSpec, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,14 +125,14 @@ func TestPublicAPICollectorDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range recs {
-		col.Observe(&recs[i])
+		eng.Observe(&recs[i])
 	}
-	res, err := col.Finish()
+	res, err := eng.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Find("u") == nil {
-		t.Errorf("collector missed u: %v", res.CriticalNames())
+		t.Errorf("engine missed u: %v", res.CriticalNames())
 	}
 }
 

@@ -627,7 +627,7 @@ func cmdValidate(args []string) error {
 	if *benchName != "" {
 		names = []string{*benchName}
 	}
-	rows, err := harness.RunValidationBenchmarks(dir, opts, names)
+	rows, err := harness.RunValidation(dir, opts, names)
 	if err != nil {
 		return err
 	}
@@ -674,17 +674,8 @@ func cmdServe(args []string) error {
 	if *cluster < 1 {
 		return fmt.Errorf("serve: -cluster must be at least 1")
 	}
-	adm := admission.Config{
-		TenantSlots: *tenantSlots,
-		TenantRate:  *tenantRate,
-		TenantBurst: *tenantBurst,
-		QueueDepth:  *queueDepth,
-	}
-	if *cluster > 1 {
-		if *ingest {
-			return fmt.Errorf("serve: -ingest runs on a single node (sessions are per-node state); drop -cluster")
-		}
-		return serveCluster(*cluster, *addr, kind, *dir, *syncWrites, *shardWorkers, *maxInFlight, adm)
+	if *cluster > 1 && *ingest {
+		return fmt.Errorf("serve: -ingest runs on a single node (sessions are per-node state); drop -cluster")
 	}
 	root := *dir
 	if root == "" && kind != store.KindMemory {
@@ -696,7 +687,12 @@ func cmdServe(args []string) error {
 	scfg := server.Config{
 		Store:       store.Config{Kind: kind, Dir: root, Sync: *syncWrites, Workers: *shardWorkers},
 		MaxInFlight: *maxInFlight,
-		Admission:   adm,
+		Admission: admission.Config{
+			TenantSlots: *tenantSlots,
+			TenantRate:  *tenantRate,
+			TenantBurst: *tenantBurst,
+			QueueDepth:  *queueDepth,
+		},
 	}
 	if *ingest {
 		scfg.Ingest = &analysis.Config{
@@ -705,91 +701,56 @@ func cmdServe(args []string) error {
 			IdleTTL:     *ingestTTL,
 		}
 	}
-	srv, err := server.New(scfg)
-	if err != nil {
-		return err
-	}
-	ready := make(chan string, 1)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.ListenAndServe(*addr, ready) }()
-	var bound string
-	select {
-	case bound = <-ready:
-	case err := <-serveErr:
-		return err
-	}
-	// One structured line each for startup and shutdown: greppable
-	// key=value pairs that log collectors and the doctor smoke job can
-	// consume without parsing prose.
-	fmt.Printf("serve: start addr=%s store=%s dir=%q max-inflight=%d sync=%v ingest=%v\n",
-		bound, kind, root, *maxInFlight, *syncWrites, *ingest)
-	fmt.Printf("clients: autocheck validate -store remote -addr %s\n", bound)
-	if *ingest {
-		fmt.Printf("ingest:  autocheck analyze -addr %s -trace T -start N -end M [-chunk-bytes K]\n", bound)
-	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-serveErr:
-		return err
-	case s := <-sig:
-		fmt.Printf("\n%v: draining and shutting down...\n", s)
-		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			return err
-		}
-		rep := srv.Stats()
-		fmt.Printf("serve: stop addr=%s requests=%d shed=%d namespaces=%d puts=%d gets=%d bytes-written=%d bytes-read=%d cache-hits=%d cache-follower-hits=%d cache-misses=%d\n",
-			bound, rep.Requests, rep.Rejected, rep.Namespaces,
-			rep.Store.Puts, rep.Store.Gets, rep.Store.BytesWritten, rep.Store.BytesRead,
-			rep.Store.CacheHits, rep.Store.CacheFollowerHits, rep.Store.CacheMisses)
-		return nil
-	}
+	return serveNodes(*cluster, *addr, scfg)
 }
 
-// serveCluster runs N independent checkpoint services in one process —
-// the replicated tier's development and smoke-test topology (real
-// deployments run one `autocheck serve` per node). Each node gets its
-// own storage root and listener; with a fixed base port the nodes count
-// up from it, and a `:0` base lets the kernel pick every port.
-func serveCluster(n int, addr string, kind store.Kind, dir string, syncWrites bool, shardWorkers, maxInFlight int, adm admission.Config) error {
-	host, portStr, err := net.SplitHostPort(addr)
-	if err != nil {
-		return fmt.Errorf("serve -cluster: bad -addr %q: %w", addr, err)
-	}
-	basePort, err := strconv.Atoi(portStr)
-	if err != nil {
-		return fmt.Errorf("serve -cluster: bad -addr port %q: %w", portStr, err)
-	}
-	root := dir
-	if root == "" && kind != store.KindMemory {
-		if root, err = os.MkdirTemp("", "autocheck-cluster-*"); err != nil {
-			return err
+// serveNodes runs n independent checkpoint services in one process until
+// SIGINT or SIGTERM, then drains each and prints its totals. One node is
+// the ordinary service. More are the replicated tier's development and
+// smoke-test topology (real deployments run one `autocheck serve` per
+// node): each node gets its own subdirectory of the storage root and its
+// own listener; with a fixed base port the nodes count up from it, and a
+// `:0` base lets the kernel pick every port.
+func serveNodes(n int, addr string, cfg server.Config) error {
+	addrs := []string{addr}
+	if n > 1 {
+		host, portStr, err := net.SplitHostPort(addr)
+		if err != nil {
+			return fmt.Errorf("serve -cluster: bad -addr %q: %w", addr, err)
 		}
-		fmt.Printf("storage root: %s\n", root)
+		basePort, err := strconv.Atoi(portStr)
+		if err != nil {
+			return fmt.Errorf("serve -cluster: bad -addr port %q: %w", portStr, err)
+		}
+		for i := 1; i < n; i++ {
+			nodeAddr := addr
+			if basePort != 0 {
+				nodeAddr = net.JoinHostPort(host, strconv.Itoa(basePort+i))
+			}
+			addrs = append(addrs, nodeAddr)
+		}
+	}
+	// Only a cluster's lines name the node, so a single node's keep
+	// their shape.
+	node := func(i int) string {
+		if n == 1 {
+			return ""
+		}
+		return fmt.Sprintf("node=%d ", i)
 	}
 	var (
 		srvs   []*server.Server
 		bounds []string
 	)
 	serveErr := make(chan error, n)
-	for i := 0; i < n; i++ {
-		nodeDir := ""
-		if root != "" {
-			nodeDir = filepath.Join(root, fmt.Sprintf("node%d", i))
+	for i, nodeAddr := range addrs {
+		ncfg := cfg
+		if n > 1 && cfg.Store.Dir != "" {
+			ncfg.Store.Dir = filepath.Join(cfg.Store.Dir, fmt.Sprintf("node%d", i))
 		}
-		srv, err := server.New(server.Config{
-			Store:       store.Config{Kind: kind, Dir: nodeDir, Sync: syncWrites, Workers: shardWorkers},
-			MaxInFlight: maxInFlight,
-			Admission:   adm,
-		})
+		srv, err := server.New(ncfg)
 		if err != nil {
 			return err
-		}
-		nodeAddr := addr
-		if basePort != 0 {
-			nodeAddr = net.JoinHostPort(host, strconv.Itoa(basePort+i))
 		}
 		ready := make(chan string, 1)
 		go func() { serveErr <- srv.ListenAndServe(nodeAddr, ready) }()
@@ -801,17 +762,31 @@ func serveCluster(n int, addr string, kind store.Kind, dir string, syncWrites bo
 		}
 		srvs = append(srvs, srv)
 		bounds = append(bounds, bound)
-		fmt.Printf("serve: start node=%d addr=%s store=%s dir=%q max-inflight=%d sync=%v\n",
-			i, bound, kind, nodeDir, maxInFlight, syncWrites)
+		// One structured line each for startup and shutdown: greppable
+		// key=value pairs that log collectors and the doctor smoke job can
+		// consume without parsing prose.
+		fmt.Printf("serve: start %saddr=%s store=%s dir=%q max-inflight=%d sync=%v ingest=%v\n",
+			node(i), bound, ncfg.Store.Kind, ncfg.Store.Dir, ncfg.MaxInFlight, ncfg.Store.Sync, ncfg.Ingest != nil)
 	}
-	fmt.Printf("clients: autocheck validate -store replicated -addrs %s\n", strings.Join(bounds, ","))
+	if n == 1 {
+		fmt.Printf("clients: autocheck validate -store remote -addr %s\n", bounds[0])
+	} else {
+		fmt.Printf("clients: autocheck validate -store replicated -addrs %s\n", strings.Join(bounds, ","))
+	}
+	if cfg.Ingest != nil {
+		fmt.Printf("ingest:  autocheck analyze -addr %s -trace T -start N -end M [-chunk-bytes K]\n", bounds[0])
+	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-serveErr:
 		return err
 	case s := <-sig:
-		fmt.Printf("\n%v: draining and shutting down %d nodes...\n", s, n)
+		nodes := ""
+		if n > 1 {
+			nodes = fmt.Sprintf(" %d nodes", n)
+		}
+		fmt.Printf("\n%v: draining and shutting down%s...\n", s, nodes)
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 		defer cancel()
 		var firstErr error
@@ -820,9 +795,10 @@ func serveCluster(n int, addr string, kind store.Kind, dir string, syncWrites bo
 				firstErr = err
 			}
 			rep := srv.Stats()
-			fmt.Printf("serve: stop node=%d addr=%s requests=%d shed=%d namespaces=%d puts=%d gets=%d bytes-written=%d bytes-read=%d\n",
-				i, bounds[i], rep.Requests, rep.Rejected, rep.Namespaces,
-				rep.Store.Puts, rep.Store.Gets, rep.Store.BytesWritten, rep.Store.BytesRead)
+			fmt.Printf("serve: stop %saddr=%s requests=%d shed=%d namespaces=%d puts=%d gets=%d bytes-written=%d bytes-read=%d cache-hits=%d cache-follower-hits=%d cache-misses=%d\n",
+				node(i), bounds[i], rep.Requests, rep.Rejected, rep.Namespaces,
+				rep.Store.Puts, rep.Store.Gets, rep.Store.BytesWritten, rep.Store.BytesRead,
+				rep.Store.CacheHits, rep.Store.CacheFollowerHits, rep.Store.CacheMisses)
 		}
 		return firstErr
 	}

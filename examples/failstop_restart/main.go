@@ -50,7 +50,7 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	v, err := validate.New(mod, res, dir)
+	v, err := validate.New(mod, res, dir, validate.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

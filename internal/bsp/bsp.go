@@ -21,10 +21,10 @@ import (
 	"fmt"
 	"sync"
 
-	"autocheck/internal/cfg"
 	"autocheck/internal/core"
 	"autocheck/internal/interp"
 	"autocheck/internal/ir"
+	"autocheck/internal/validate"
 )
 
 // Exchange is one barrier-time buffer copy: Cells cells from the source
@@ -48,7 +48,7 @@ type World struct {
 	Spec      core.LoopSpec
 	Ranks     []*interp.Machine
 	Exchanges []Exchange
-	header    *ir.Block
+	loop      *validate.Loop
 }
 
 // BarrierFunc runs at every global barrier, after the exchanges are
@@ -62,16 +62,11 @@ func NewWorld(mod *ir.Module, n int, spec core.LoopSpec, exchanges []Exchange) (
 	if n < 1 {
 		return nil, fmt.Errorf("bsp: need at least one rank")
 	}
-	fn := mod.Func(spec.Function)
-	if fn == nil {
-		return nil, fmt.Errorf("bsp: no function %q", spec.Function)
+	loop, err := validate.FindLoop(mod, spec)
+	if err != nil {
+		return nil, fmt.Errorf("bsp: %w", err)
 	}
-	g := cfg.New(fn)
-	loop := g.OutermostLoopInRange(spec.StartLine, spec.EndLine)
-	if loop == nil {
-		return nil, fmt.Errorf("bsp: no loop in %q lines %d-%d", spec.Function, spec.StartLine, spec.EndLine)
-	}
-	w := &World{Mod: mod, Spec: spec, Exchanges: exchanges, header: loop.Header}
+	w := &World{Mod: mod, Spec: spec, Exchanges: exchanges, loop: loop}
 	for r := 0; r < n; r++ {
 		m := interp.New(mod)
 		m.Rank = r
@@ -125,8 +120,10 @@ func (w *World) Run(barrier BarrierFunc) ([]string, error) {
 			done:    make(chan error, 1),
 		}
 		states[r] = st
-		m.BlockHook = func(mm *interp.Machine, f *interp.Frame, blk *ir.Block) error {
-			if blk != w.header || f.Fn.Name != w.Spec.Function {
+		// The lockstep barrier: each rank parks at every main-loop boundary
+		// until the master resumes it.
+		m.BlockHook = func(_ *interp.Machine, _ *interp.Frame, blk *ir.Block) error {
+			if !w.loop.AtBoundary(blk) {
 				return nil
 			}
 			st.arrived <- struct{}{}

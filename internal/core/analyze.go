@@ -193,7 +193,7 @@ func analyzeFileIn(sc *scratch, path string, spec LoopSpec, opts Options) (*Resu
 		if err != nil {
 			return nil, fmt.Errorf("core: reading trace: %w", err)
 		}
-		res, err := analyzeStreamIn(sc, fileReaderOpener(path), spec, opts)
+		res, err := analyzeScheduleIn(sc, &streamSource{open: fileReaderOpener(path), batch: &sc.batch}, spec, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -19,8 +19,8 @@ import (
 //
 // The adapters differ only in how records reach the pass:
 //
-//   - Analyze (caller-owned records) and AnalyzeBytes / AnalyzeFile /
-//     AnalyzeStream (trace bytes, decoded into one recycled batch, never
+//   - Analyze (caller-owned records) and AnalyzeBytes / AnalyzeFile
+//     (trace bytes, decoded into one recycled batch, never
 //     materialized) run the offline schedule (analyzeScheduleIn): the
 //     source locates the loop (source.extent: in place where it can be read
 //     from both ends, else a header-only sweep), then the fused sweep runs
@@ -397,8 +397,9 @@ func (s sliceSource) sweepBatch(filter func(opcode int) bool, fn func(base int, 
 	return fn(0, s)
 }
 
-// streamSource adapts an AnalyzeStream-style opener: each sweep re-opens
-// the stream and decodes it once, so no record slice ever materializes.
+// streamSource adapts a replayable trace opener (stream.go): each sweep
+// re-opens the stream and decodes it once, so no record slice ever
+// materializes.
 // Sweeps decode into the shared reusable batch — a single record slice
 // plus operand arena recycled across batches, sweeps, and (through the
 // scratch bundle) across traces.

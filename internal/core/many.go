@@ -9,18 +9,17 @@ import (
 )
 
 // Input names one independent trace for AnalyzeMany. Exactly one of the
-// four sources should be set; they are consulted in the order Records,
-// Open, Data, Path, mirroring the single-trace entry points (Analyze,
-// AnalyzeStream, AnalyzeBytes, AnalyzeFile).
+// three sources should be set; they are consulted in the order Records,
+// Data, Path, mirroring the single-trace entry points (Analyze,
+// AnalyzeBytes, AnalyzeFile).
 type Input struct {
 	Name string // label used in error messages (benchmark name, rank, shard, ...)
 	Spec LoopSpec
 	Opts Options
 
-	Records []trace.Record               // materialized records, or
-	Open    func() (trace.Reader, error) // a replayable record stream, or
-	Data    []byte                       // an encoded trace (text or binary), or
-	Path    string                       // a trace file on disk
+	Records []trace.Record // materialized records, or
+	Data    []byte         // an encoded trace (text or binary), or
+	Path    string         // a trace file on disk
 }
 
 // analyze runs the engine over whichever source the input names.
@@ -35,8 +34,6 @@ func (in *Input) analyzeIn(sc *scratch) (*Result, error) {
 	switch {
 	case in.Records != nil:
 		return analyzeScheduleIn(sc, sliceSource(in.Records), in.Spec, in.Opts)
-	case in.Open != nil:
-		return analyzeStreamIn(sc, in.Open, in.Spec, in.Opts)
 	case in.Data != nil:
 		return analyzeBytesIn(sc, in.Data, in.Spec, in.Opts)
 	case in.Path != "":

@@ -24,16 +24,15 @@ import (
 	"strings"
 	"time"
 
-	"autocheck/internal/cfg"
 	"autocheck/internal/checkpoint"
 	"autocheck/internal/core"
 	"autocheck/internal/faultinject"
 	"autocheck/internal/interp"
-	"autocheck/internal/ir"
 	"autocheck/internal/progs"
 	"autocheck/internal/server"
 	"autocheck/internal/store"
 	"autocheck/internal/trace"
+	"autocheck/internal/validate"
 )
 
 // ChaosOptions parameterizes a sweep. Zero values select the defaults.
@@ -186,6 +185,12 @@ func chaosStackConfig(stack, dir string) (store.Config, checkpoint.Level, int, e
 			return scfg, level, 0, fmt.Errorf("harness: stack %q: unknown layer %q", stack, part)
 		}
 	}
+	if scfg.Kind == store.KindMemory && (scfg.Async || scfg.Incremental) {
+		// The memory stack restarts in process over one bare backend
+		// shared by both phases (see chaosOne), so these layers would
+		// never run and the stack would pass without testing them.
+		return scfg, level, 0, fmt.Errorf("harness: stack %q: async and incr need a durable base (file, sharded, remote, replicated)", stack)
+	}
 	return scfg, level, services, nil
 }
 
@@ -235,28 +240,11 @@ type ChaosReport struct {
 
 // chaosPrep caches one benchmark's analysis and reference trajectory.
 type chaosPrep struct {
-	mod     *ir.Module
+	loop    *validate.Loop
 	res     *core.Result
-	header  *ir.Block
 	iters   int64
 	perIter map[int64]map[string][]trace.Value // critical cells at each iteration
-	final   chaosState
-}
-
-type chaosState struct {
-	output string
-	cells  map[string][]trace.Value
-}
-
-func (p *chaosPrep) capture(m *interp.Machine) map[string][]trace.Value {
-	cells := make(map[string][]trace.Value, len(p.res.Critical))
-	for _, c := range p.res.Critical {
-		if c.Base == 0 {
-			continue
-		}
-		cells[c.Name] = m.ReadRange(c.Base, (c.SizeBytes+7)/8)
-	}
-	return cells
+	final   validate.State
 }
 
 // chaosPrepare compiles, analyzes, and records the failure-free
@@ -276,34 +264,22 @@ func chaosPrepare(name string) (*chaosPrep, error) {
 	if err != nil {
 		return nil, err
 	}
-	fn := p.Mod.Func(res.Spec.Function)
-	if fn == nil {
-		return nil, fmt.Errorf("harness: no function %s", res.Spec.Function)
+	loop, err := validate.FindLoop(p.Mod, res.Spec)
+	if err != nil {
+		return nil, err
 	}
-	loop := cfg.New(fn).OutermostLoopInRange(res.Spec.StartLine, res.Spec.EndLine)
-	if loop == nil {
-		return nil, fmt.Errorf("harness: no loop for %s", res.Spec.Function)
-	}
-	prep := &chaosPrep{mod: p.Mod, res: res, header: loop.Header,
-		perIter: make(map[int64]map[string][]trace.Value)}
-	m := interp.New(p.Mod)
-	var entries int64
-	m.BlockHook = func(mm *interp.Machine, f *interp.Frame, blk *ir.Block) error {
-		if blk != prep.header || f.Fn.Name != res.Spec.Function {
-			return nil
+	prep := &chaosPrep{loop: loop, res: res, perIter: make(map[int64]map[string][]trace.Value)}
+	m, out, err := loop.Run(func(m *interp.Machine, iter int64) error {
+		if iter >= 1 {
+			prep.perIter[iter] = validate.Capture(m, res.Critical)
 		}
-		entries++
-		if entries >= 2 {
-			prep.perIter[entries-1] = prep.capture(mm)
-		}
+		prep.iters = iter
 		return nil
-	}
-	out, err := m.Run()
+	})
 	if err != nil {
 		return nil, fmt.Errorf("harness: chaos reference run: %w", err)
 	}
-	prep.iters = entries - 1
-	prep.final = chaosState{output: out, cells: prep.capture(m)}
+	prep.final = validate.State{Output: out, Cells: validate.Capture(m, res.Critical)}
 	if prep.iters < 2 {
 		return nil, fmt.Errorf("harness: %s: main loop ran only %d iterations", name, prep.iters)
 	}
@@ -511,23 +487,16 @@ func chaosOne(prep *chaosPrep, bname, stack string, sched ChaosSchedule, dir str
 	}
 	committed := 0
 	runErr, crashed := runGuarded(func() error {
-		m := interp.New(prep.mod)
-		var entries int64
-		m.BlockHook = func(mm *interp.Machine, f *interp.Frame, blk *ir.Block) error {
-			if blk != prep.header || f.Fn.Name != prep.res.Spec.Function {
+		_, _, err := prep.loop.Run(func(m *interp.Machine, iter int64) error {
+			if iter < 1 {
 				return nil
 			}
-			entries++
-			if entries < 2 {
-				return nil
-			}
-			if err := ctx.Checkpoint(mm, entries-1); err != nil {
+			if err := ctx.Checkpoint(m, iter); err != nil {
 				return err
 			}
 			committed++
 			return nil
-		}
-		_, err := m.Run()
+		})
 		return err
 	})
 	died := crashed != nil || runErr != nil
@@ -574,9 +543,9 @@ func chaosOne(prep *chaosPrep, bname, stack string, sched ChaosSchedule, dir str
 		})
 	}
 
-	var restored, finalCells map[string][]trace.Value
+	var restored map[string][]trace.Value
 	var restartIter int64
-	var out string
+	var got validate.State
 	recErr, recCrashed := runGuarded(func() error {
 		ctx2, err := openCtx()
 		if err != nil {
@@ -587,26 +556,20 @@ func chaosOne(prep *chaosPrep, bname, stack string, sched ChaosSchedule, dir str
 		for _, c := range prep.res.Critical {
 			ctx2.Protect(c.Name, c.Base, c.SizeBytes)
 		}
-		m2 := interp.New(prep.mod)
-		var entries int64
-		m2.BlockHook = func(mm *interp.Machine, f *interp.Frame, blk *ir.Block) error {
-			if blk != prep.header || f.Fn.Name != prep.res.Spec.Function {
+		m, out, err := prep.loop.Run(func(m *interp.Machine, iter int64) error {
+			if iter != 0 {
 				return nil
 			}
-			entries++
-			if entries == 1 {
-				iter, rerr := ctx2.Restart(mm, nil)
-				if rerr != nil {
-					return rerr
-				}
-				restartIter = iter
-				restored = prep.capture(mm)
+			recovered, rerr := ctx2.Restart(m, nil)
+			if rerr != nil {
+				return rerr
 			}
+			restartIter = recovered
+			restored = validate.Capture(m, prep.res.Critical)
 			return nil
-		}
-		out, err = m2.Run()
+		})
 		if err == nil {
-			finalCells = prep.capture(m2)
+			got = validate.State{Output: out, Cells: validate.Capture(m, prep.res.Critical)}
 		}
 		return err
 	})
@@ -647,10 +610,10 @@ func chaosOne(prep *chaosPrep, bname, stack string, sched ChaosSchedule, dir str
 		if !reflect.DeepEqual(restored, want) {
 			return fail("restored state at iteration %d differs from the failure-free run (silent corruption)", restartIter)
 		}
-		if out != prep.final.output {
+		if got.Output != prep.final.Output {
 			return fail("re-run output diverged after restart at iteration %d", restartIter)
 		}
-		if !reflect.DeepEqual(finalCells, prep.final.cells) {
+		if !reflect.DeepEqual(got.Cells, prep.final.Cells) {
 			return fail("final critical-variable state diverged after restart at iteration %d", restartIter)
 		}
 		run.OK = true

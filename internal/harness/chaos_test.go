@@ -112,6 +112,16 @@ func TestChaosRejectsUnknownInputs(t *testing.T) {
 	}); err == nil {
 		t.Error("unknown stack layer accepted")
 	}
+	// The memory stack restarts over a bare shared backend, so async and
+	// incr layers on it would be silently dropped.
+	for _, stack := range []string{"memory+async", "memory+incr"} {
+		_, err := RunChaosValidation(t.TempDir(), ChaosOptions{
+			Benchmarks: []string{"IS"}, Stacks: []string{stack}, Schedules: []string{"writer-crash"},
+		})
+		if err == nil || !strings.Contains(err.Error(), stack) {
+			t.Errorf("stack %s: err = %v, want a rejection naming the stack", stack, err)
+		}
+	}
 	if _, err := RunChaosValidation(t.TempDir(), ChaosOptions{
 		Benchmarks: []string{"IS"}, Schedules: []string{"nope"},
 	}); err == nil {

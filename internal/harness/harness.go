@@ -17,7 +17,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"autocheck/internal/cfg"
 	"autocheck/internal/checkpoint"
 	"autocheck/internal/core"
 	"autocheck/internal/interp"
@@ -309,41 +308,30 @@ func RunTable4() ([]Table4Row, error) {
 // captures the size of an AutoCheck variable checkpoint and a BLCR-like
 // full snapshot at that instant.
 func MeasureStorage(mod *ir.Module, res *core.Result) (autoCheck, blcr int64, err error) {
-	fn := mod.Func(res.Spec.Function)
-	if fn == nil {
-		return 0, 0, fmt.Errorf("harness: no function %s", res.Spec.Function)
-	}
-	g := cfg.New(fn)
-	loop := g.OutermostLoopInRange(res.Spec.StartLine, res.Spec.EndLine)
-	if loop == nil {
-		return 0, 0, fmt.Errorf("harness: no loop for %s", res.Spec.Function)
+	loop, err := validate.FindLoop(mod, res.Spec)
+	if err != nil {
+		return 0, 0, err
 	}
 	// Size the checkpoint in memory (no files needed for Table IV).
-	m := interp.New(mod)
-	entries := 0
-	done := fmt.Errorf("harness: measured")
-	m.BlockHook = func(mm *interp.Machine, f *interp.Frame, blk *ir.Block) error {
-		if blk != loop.Header || f.Fn.Name != res.Spec.Function {
+	done := errors.New("harness: measured")
+	_, _, err = loop.Run(func(m *interp.Machine, iter int64) error {
+		if iter < 1 {
 			return nil
 		}
-		entries++
-		if entries < 2 {
-			return nil
-		}
-		for _, c := range res.Critical {
-			autoCheck += 8 * ((c.SizeBytes + 7) / 8)
-			autoCheck += int64(len(c.Name)) + 24 // record header
-		}
-		autoCheck += 24 // file header + CRC
-		blcr = int64(len(checkpoint.FullSnapshot(mm, int64(entries-1))))
+		blcr = int64(len(checkpoint.FullSnapshot(m, iter)))
 		return done
-	}
-	if _, rerr := m.Run(); rerr != nil && rerr != done {
-		return 0, 0, rerr
+	})
+	if err != nil && !errors.Is(err, done) {
+		return 0, 0, err
 	}
 	if blcr == 0 {
 		return 0, 0, fmt.Errorf("harness: main loop boundary never reached")
 	}
+	for _, c := range res.Critical {
+		autoCheck += 8 * ((c.SizeBytes + 7) / 8)
+		autoCheck += int64(len(c.Name)) + 24 // record header
+	}
+	autoCheck += 24 // file header + CRC
 	return autoCheck, blcr, nil
 }
 
@@ -369,14 +357,9 @@ type StorageRun struct {
 // checkpoint. When withSnapshots is set it also sizes a BLCR-like full
 // snapshot at each boundary for comparison.
 func MeasureStorageRun(mod *ir.Module, res *core.Result, scfg store.Config, level checkpoint.Level, withSnapshots bool) (*StorageRun, error) {
-	fn := mod.Func(res.Spec.Function)
-	if fn == nil {
-		return nil, fmt.Errorf("harness: no function %s", res.Spec.Function)
-	}
-	g := cfg.New(fn)
-	loop := g.OutermostLoopInRange(res.Spec.StartLine, res.Spec.EndLine)
-	if loop == nil {
-		return nil, fmt.Errorf("harness: no loop for %s", res.Spec.Function)
+	loop, err := validate.FindLoop(mod, res.Spec)
+	if err != nil {
+		return nil, err
 	}
 	ctx, err := checkpoint.NewContextStore(scfg, level)
 	if err != nil {
@@ -387,25 +370,19 @@ func MeasureStorageRun(mod *ir.Module, res *core.Result, scfg store.Config, leve
 		ctx.Protect(c.Name, c.Base, c.SizeBytes)
 	}
 	out := &StorageRun{}
-	m := interp.New(mod)
-	entries := 0
-	m.BlockHook = func(mm *interp.Machine, f *interp.Frame, blk *ir.Block) error {
-		if blk != loop.Header || f.Fn.Name != res.Spec.Function {
+	_, _, err = loop.Run(func(m *interp.Machine, iter int64) error {
+		if iter < 1 {
 			return nil
 		}
-		entries++
-		if entries < 2 {
-			return nil
-		}
-		if err := ctx.Checkpoint(mm, int64(entries-1)); err != nil {
+		if err := ctx.Checkpoint(m, iter); err != nil {
 			return err
 		}
 		if withSnapshots {
-			out.SnapshotBytes += int64(len(checkpoint.FullSnapshot(mm, int64(entries-1))))
+			out.SnapshotBytes += int64(len(checkpoint.FullSnapshot(m, iter)))
 		}
 		return nil
-	}
-	if _, err := m.Run(); err != nil {
+	})
+	if err != nil {
 		return nil, fmt.Errorf("harness: storage run: %w", err)
 	}
 	if err := ctx.Flush(); err != nil {
@@ -584,23 +561,12 @@ type ValidationRow struct {
 	SnapBytes      int64
 }
 
-// RunValidation reproduces §VI-B for every benchmark with the default
-// storage setup (L1, file backend): fail-stop, restart, compare, and
-// per-variable necessity.
-func RunValidation(scratch string) ([]ValidationRow, error) {
-	return RunValidationWith(scratch, validate.Options{})
-}
-
-// RunValidationWith is RunValidation with checkpoints persisted through
-// the given backend configuration and reliability level.
-func RunValidationWith(scratch string, opts validate.Options) ([]ValidationRow, error) {
-	return RunValidationBenchmarks(scratch, opts, nil)
-}
-
-// RunValidationBenchmarks restricts RunValidationWith to the named
-// benchmark ports (nil or empty means all 14 — the CLI's smoke modes
-// validate a single port against a live checkpoint service).
-func RunValidationBenchmarks(scratch string, opts validate.Options, names []string) ([]ValidationRow, error) {
+// RunValidation reproduces §VI-B for the named benchmark ports (nil or
+// empty means all 14; the CLI's smoke modes validate a single port against
+// a live checkpoint service): fail-stop, restart, compare, and
+// per-variable necessity, with checkpoints persisted through opts (the
+// zero Options: L1 over the file backend).
+func RunValidation(scratch string, opts validate.Options, names []string) ([]ValidationRow, error) {
 	want := make(map[string]bool, len(names))
 	for _, n := range names {
 		if progs.Get(n) == nil {
@@ -621,7 +587,7 @@ func RunValidationBenchmarks(scratch string, opts validate.Options, names []stri
 		if err != nil {
 			return nil, err
 		}
-		v, err := validate.NewWithOptions(p.Mod, res, fmt.Sprintf("%s/%s", scratch, b.Name), opts)
+		v, err := validate.New(p.Mod, res, fmt.Sprintf("%s/%s", scratch, b.Name), opts)
 		if err != nil {
 			return nil, err
 		}

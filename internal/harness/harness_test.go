@@ -21,6 +21,7 @@ import (
 	"autocheck/internal/server"
 	"autocheck/internal/store"
 	"autocheck/internal/trace"
+	"autocheck/internal/validate"
 )
 
 func TestTable2(t *testing.T) {
@@ -96,7 +97,7 @@ func TestTable4ShapeHolds(t *testing.T) {
 }
 
 func TestValidationSummary(t *testing.T) {
-	rows, err := RunValidation(t.TempDir())
+	rows, err := RunValidation(t.TempDir(), validate.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,13 +397,18 @@ func TestExtentAllBenchmarks(t *testing.T) {
 			t.Fatalf("%s: loop spans records %d-%d of %d, want all three regions occupied", b.Name, first, last, len(p.Records))
 		}
 		want := core.Stats{Records: len(p.Records), RegionA: first, RegionB: last - first + 1, RegionC: len(p.Records) - last - 1}
+		path := filepath.Join(t.TempDir(), "trace.txt")
+		if err := os.WriteFile(path, p.Data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 		sources := map[string]func() (*core.Result, error){
 			"text":    func() (*core.Result, error) { return p.AnalyzeData(p.Data) },
 			"actb":    p.AnalyzeBinary,
 			"records": func() (*core.Result, error) { return core.Analyze(p.Records, p.Spec, p.opts()) },
 			"stream": func() (*core.Result, error) {
-				open := func() (trace.Reader, error) { return trace.NewScanner(bytes.NewReader(p.Data)), nil }
-				return core.AnalyzeStream(open, p.Spec, p.opts())
+				opts := p.opts()
+				opts.Streaming = true
+				return core.AnalyzeFile(path, p.Spec, opts)
 			},
 		}
 		for name, run := range sources {

@@ -144,7 +144,7 @@ func TestValidationAllBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v, err := validate.New(mod, res, t.TempDir())
+			v, err := validate.New(mod, res, t.TempDir(), validate.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,6 +11,11 @@
 // The paper's benchmarks print verification values that summarize that
 // state; comparing it directly keeps small kernels honest even when their
 // printed output happens to be recomputable.
+//
+// Every run of the protocol goes through one driver (loop.go): FindLoop
+// resolves the main loop once, Loop.Run numbers its boundaries, and
+// Capture reads the critical cells. The storage runs and the chaos sweep
+// in internal/harness drive the same loop.
 package validate
 
 import (
@@ -19,13 +24,11 @@ import (
 	"path/filepath"
 	"reflect"
 
-	"autocheck/internal/cfg"
 	"autocheck/internal/checkpoint"
 	"autocheck/internal/core"
 	"autocheck/internal/interp"
 	"autocheck/internal/ir"
 	"autocheck/internal/store"
-	"autocheck/internal/trace"
 )
 
 // Options selects how validation checkpoints are persisted. The zero
@@ -49,128 +52,70 @@ type Report struct {
 	Mismatch          string          // first mismatch description, if any
 }
 
-// state is the comparison key: printed output plus the final cells of the
-// observed variables.
-type state struct {
-	output string
-	cells  map[string][]trace.Value
-}
-
-type observed struct {
-	name  string
-	base  uint64
-	cells int64
-}
-
 // Validator runs the protocol for one program.
 type Validator struct {
-	Mod  *ir.Module
-	Spec core.LoopSpec
-	Res  *core.Result
-	Dir  string // scratch directory for checkpoint files
-	Opts Options
-
-	header  *ir.Block
-	observe []observed
+	loop *Loop
+	res  *core.Result
+	dir  string // scratch directory for checkpoint files
+	opts Options
 }
 
-// New prepares a validator with the default storage setup (L1, file
-// backend); res must come from analyzing the same module's trace.
-func New(mod *ir.Module, res *core.Result, dir string) (*Validator, error) {
-	return NewWithOptions(mod, res, dir, Options{})
-}
-
-// NewWithOptions prepares a validator whose checkpoints go through the
-// given storage backend configuration and reliability level.
-func NewWithOptions(mod *ir.Module, res *core.Result, dir string, opts Options) (*Validator, error) {
+// New prepares a validator whose checkpoints go through the given storage
+// configuration and reliability level (the zero Options: L1 over the file
+// backend, the paper's setup). res must come from analyzing the same
+// module's trace.
+func New(mod *ir.Module, res *core.Result, dir string, opts Options) (*Validator, error) {
+	loop, err := FindLoop(mod, res.Spec)
+	if err != nil {
+		return nil, err
+	}
 	if opts.Level == 0 {
 		opts.Level = checkpoint.L1
 	}
-	v := &Validator{Mod: mod, Spec: res.Spec, Res: res, Dir: dir, Opts: opts}
-	fn := mod.Func(res.Spec.Function)
-	if fn == nil {
-		return nil, fmt.Errorf("validate: no function %q", res.Spec.Function)
-	}
-	g := cfg.New(fn)
-	loop := g.OutermostLoopInRange(res.Spec.StartLine, res.Spec.EndLine)
-	if loop == nil {
-		return nil, fmt.Errorf("validate: no loop in %q lines %d-%d",
-			res.Spec.Function, res.Spec.StartLine, res.Spec.EndLine)
-	}
-	v.header = loop.Header
-	seen := map[string]bool{}
-	add := func(name string, base uint64, size int64) {
-		if seen[name] || base == 0 {
-			return
-		}
-		seen[name] = true
-		v.observe = append(v.observe, observed{name: name, base: base, cells: (size + 7) / 8})
-	}
-	// Compare printed output plus the final state of the critical
-	// variables. Non-critical MLI variables are deliberately excluded:
-	// they are either recomputed by the surviving iterations or dead after
-	// the loop (that is exactly why AutoCheck does not checkpoint them),
-	// so their cells may legitimately differ after a loop-exit restart.
-	for _, c := range res.Critical {
-		add(c.Name, c.Base, c.SizeBytes)
-	}
-	return v, nil
+	return &Validator{loop: loop, res: res, dir: dir, opts: opts}, nil
 }
 
-// run executes the module with a header hook. The hook receives the 1-based
-// header entry count and may return an error to abort.
-func (v *Validator) run(hook func(m *interp.Machine, entries int64) error) (*interp.Machine, string, error) {
-	m := interp.New(v.Mod)
-	var entries int64
-	m.BlockHook = func(mm *interp.Machine, f *interp.Frame, blk *ir.Block) error {
-		if blk == v.header && f.Fn.Name == v.Spec.Function {
-			entries++
-			if hook != nil {
-				return hook(mm, entries)
-			}
-		}
-		return nil
+// final drives one run and returns its end state. Compare printed output
+// plus the final state of the critical variables. Non-critical MLI
+// variables are deliberately excluded: they are either recomputed by the
+// surviving iterations or dead after the loop (that is exactly why
+// AutoCheck does not checkpoint them), so their cells may legitimately
+// differ after a loop-exit restart.
+func (v *Validator) final(at func(m *interp.Machine, iter int64) error) (State, error) {
+	m, out, err := v.loop.Run(at)
+	if err != nil {
+		return State{}, err
 	}
-	out, err := m.Run()
-	return m, out, err
-}
-
-func (v *Validator) capture(m *interp.Machine, out string) state {
-	st := state{output: out, cells: make(map[string][]trace.Value)}
-	for _, o := range v.observe {
-		st.cells[o.name] = m.ReadRange(o.base, o.cells)
-	}
-	return st
+	return State{Output: out, Cells: Capture(m, v.res.Critical)}, nil
 }
 
 // reference runs failure-free, returning the reference state and the
 // iteration count.
-func (v *Validator) reference() (state, int64, error) {
-	var entries int64
-	m, out, err := v.run(func(_ *interp.Machine, e int64) error {
-		entries = e
+func (v *Validator) reference() (State, int64, error) {
+	var iters int64
+	ref, err := v.final(func(_ *interp.Machine, iter int64) error {
+		iters = iter
 		return nil
 	})
 	if err != nil {
-		return state{}, 0, fmt.Errorf("validate: reference run failed: %w", err)
+		return State{}, 0, fmt.Errorf("validate: reference run failed: %w", err)
 	}
-	return v.capture(m, out), entries - 1, nil
+	return ref, iters, nil
 }
 
 // runWithFailure executes with checkpointing every iteration and a
-// fail-stop after failAt completed iterations. It returns the context for
-// the subsequent restart and the BLCR-like snapshot size at the failure
-// point.
+// fail-stop after failAt completed iterations. It returns the BLCR-like
+// snapshot size at the failure point.
 func (v *Validator) runWithFailure(ctx *checkpoint.Context, failAt int64) (int64, error) {
 	var snapBytes int64
-	_, _, err := v.run(func(m *interp.Machine, e int64) error {
-		if e >= 2 {
-			if err := ctx.Checkpoint(m, e-1); err != nil {
+	_, _, err := v.loop.Run(func(m *interp.Machine, iter int64) error {
+		if iter >= 1 {
+			if err := ctx.Checkpoint(m, iter); err != nil {
 				return err
 			}
 		}
-		if e == failAt+1 {
-			snapBytes = int64(len(checkpoint.FullSnapshot(m, e-1)))
+		if iter == failAt {
+			snapBytes = int64(len(checkpoint.FullSnapshot(m, iter)))
 			return interp.ErrFailStop
 		}
 		return nil
@@ -182,28 +127,28 @@ func (v *Validator) runWithFailure(ctx *checkpoint.Context, failAt int64) (int64
 }
 
 // restart re-executes the program, recovering the protected variables
-// (minus skip) at the first main-loop entry — the paper's "reading
-// checkpoints right before the main computation loop".
-func (v *Validator) restart(ctx *checkpoint.Context, skip map[string]bool) (state, error) {
-	m, out, err := v.run(func(mm *interp.Machine, e int64) error {
-		if e == 1 {
-			_, rerr := ctx.Restart(mm, skip)
-			return rerr
+// (minus skip) at loop entry — the paper's "reading checkpoints right
+// before the main computation loop".
+func (v *Validator) restart(ctx *checkpoint.Context, skip map[string]bool) (State, error) {
+	got, err := v.final(func(m *interp.Machine, iter int64) error {
+		if iter == 0 {
+			_, err := ctx.Restart(m, skip)
+			return err
 		}
 		return nil
 	})
 	if err != nil {
-		return state{}, fmt.Errorf("validate: restart run failed: %w", err)
+		return State{}, fmt.Errorf("validate: restart run failed: %w", err)
 	}
-	return v.capture(m, out), nil
+	return got, nil
 }
 
-func describeMismatch(ref, got state) string {
-	if ref.output != got.output {
-		return fmt.Sprintf("output mismatch: reference %q vs restart %q", ref.output, got.output)
+func describeMismatch(ref, got State) string {
+	if ref.Output != got.Output {
+		return fmt.Sprintf("output mismatch: reference %q vs restart %q", ref.Output, got.Output)
 	}
-	for name, want := range ref.cells {
-		if !reflect.DeepEqual(want, got.cells[name]) {
+	for name, want := range ref.Cells {
+		if !reflect.DeepEqual(want, got.Cells[name]) {
 			return fmt.Sprintf("final state of %s differs", name)
 		}
 	}
@@ -226,27 +171,23 @@ func (v *Validator) Run() (*Report, error) {
 		Necessary:  make(map[string]bool),
 		Sufficient: true,
 	}
-	type scenario struct {
-		ctx    *checkpoint.Context
-		failAt int64
-	}
-	var scenarios []scenario
+	var ctxs []*checkpoint.Context
 	defer func() {
 		// Release backend resources (async writer goroutines, staging
 		// buffers) once the necessity loop is done with the contexts.
-		for _, sc := range scenarios {
-			sc.ctx.Close()
+		for _, ctx := range ctxs {
+			ctx.Close()
 		}
 	}()
 	for i, failAt := range rep.FailPoints {
-		cfg := v.Opts.Store
-		cfg.Dir = filepath.Join(v.Dir, fmt.Sprintf("fail%d", i))
-		ctx, err := checkpoint.NewContextStore(cfg, v.Opts.Level)
+		cfg := v.opts.Store
+		cfg.Dir = filepath.Join(v.dir, fmt.Sprintf("fail%d", i))
+		ctx, err := checkpoint.NewContextStore(cfg, v.opts.Level)
 		if err != nil {
 			return nil, err
 		}
-		scenarios = append(scenarios, scenario{ctx: ctx, failAt: failAt})
-		for _, c := range v.Res.Critical {
+		ctxs = append(ctxs, ctx)
+		for _, c := range v.res.Critical {
 			ctx.Protect(c.Name, c.Base, c.SizeBytes)
 		}
 		snapBytes, err := v.runWithFailure(ctx, failAt)
@@ -272,16 +213,12 @@ func (v *Validator) Run() (*Report, error) {
 		}
 	}
 	// False-positive check (§VI-B): drop one variable at a time.
-	for _, c := range v.Res.Critical {
+	for _, c := range v.res.Critical {
 		necessary := false
-		for _, sc := range scenarios {
-			got, err := v.restart(sc.ctx, map[string]bool{c.Name: true})
-			if err != nil {
-				// A crash during restart also proves necessity.
-				necessary = true
-				break
-			}
-			if describeMismatch(ref, got) != "" {
+		for _, ctx := range ctxs {
+			got, err := v.restart(ctx, map[string]bool{c.Name: true})
+			// A crash during restart also proves necessity.
+			if err != nil || describeMismatch(ref, got) != "" {
 				necessary = true
 				break
 			}

@@ -2,6 +2,7 @@ package validate
 
 import (
 	"context"
+	"errors"
 	"net/http/httptest"
 	"testing"
 
@@ -67,7 +68,7 @@ func analyzed(t *testing.T, src string, spec core.LoopSpec) (*ir.Module, *core.R
 // positive.
 func TestFig4Validation(t *testing.T) {
 	mod, res := analyzed(t, fig4Source, core.LoopSpec{Function: "main", StartLine: 17, EndLine: 25})
-	v, err := New(mod, res, t.TempDir())
+	v, err := New(mod, res, t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestInsufficientSetDetected(t *testing.T) {
 		}
 	}
 	res.Critical = pruned
-	v, err := New(mod, res, t.TempDir())
+	v, err := New(mod, res, t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestStencilValidation(t *testing.T) {
 	if res.Find("u") == nil {
 		t.Fatalf("u should be critical; got %v", res.CriticalNames())
 	}
-	v, err := New(mod, res, t.TempDir())
+	v, err := New(mod, res, t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestFig4ValidationAcrossStoreBackends(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			v, err := NewWithOptions(mod, res, t.TempDir(), opts)
+			v, err := New(mod, res, t.TempDir(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,18 +230,72 @@ func TestFig4ValidationAcrossStoreBackends(t *testing.T) {
 	}
 }
 
+// TestValidatorErrors: a spec that names no function, or a line range
+// with no loop in it, fails when the loop is resolved — by FindLoop and
+// by New, which resolves it the same way.
 func TestValidatorErrors(t *testing.T) {
 	mod, res := analyzed(t, fig4Source, core.LoopSpec{Function: "main", StartLine: 17, EndLine: 25})
-	// Wrong function.
-	bad := *res
-	bad.Spec.Function = "nosuch"
-	if _, err := New(mod, &bad, t.TempDir()); err == nil {
-		t.Error("New with bad function should fail")
+	for name, spec := range map[string]core.LoopSpec{
+		"unknown function": {Function: "nosuch", StartLine: 17, EndLine: 25},
+		"no loop in range": {Function: "main", StartLine: 2, EndLine: 3},
+	} {
+		if _, err := FindLoop(mod, spec); err == nil {
+			t.Errorf("FindLoop with %s should fail", name)
+		}
+		bad := *res
+		bad.Spec = spec
+		if _, err := New(mod, &bad, t.TempDir(), Options{}); err == nil {
+			t.Errorf("New with %s should fail", name)
+		}
 	}
-	// No loop in range.
-	bad2 := *res
-	bad2.Spec.StartLine, bad2.Spec.EndLine = 2, 3
-	if _, err := New(mod, &bad2, t.TempDir()); err == nil {
-		t.Error("New with no loop in range should fail")
+}
+
+// TestLoopRunContract pins the driver every §VI-B run goes through, on
+// the Fig. 4 program: at sees iter 0..N in order, with N the iteration
+// count the validator reports, and an error from at ends Run and is
+// returned.
+func TestLoopRunContract(t *testing.T) {
+	mod, res := analyzed(t, fig4Source, core.LoopSpec{Function: "main", StartLine: 17, EndLine: 25})
+	loop, err := FindLoop(mod, res.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen []int64
+	if _, out, err := loop.Run(func(_ *interp.Machine, iter int64) error {
+		seen = append(seen, iter)
+		return nil
+	}); err != nil || out == "" {
+		t.Fatalf("failure-free run: out=%q err=%v", out, err)
+	}
+	v, err := New(mod, res, t.TempDir(), Options{Store: store.Config{Kind: store.KindMemory}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := v.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(seen)) != rep.Iterations+1 {
+		t.Fatalf("at saw %v, want 0..%d", seen, rep.Iterations)
+	}
+	for i, iter := range seen {
+		if iter != int64(i) {
+			t.Fatalf("at saw %v, want 0..%d in order", seen, rep.Iterations)
+		}
+	}
+
+	stop := errors.New("stop")
+	var last int64
+	if _, _, err := loop.Run(func(_ *interp.Machine, iter int64) error {
+		last = iter
+		if iter == 3 {
+			return stop
+		}
+		return nil
+	}); !errors.Is(err, stop) {
+		t.Errorf("Run returned %v, want the error from at", err)
+	}
+	if last != 3 {
+		t.Errorf("at ran on to iter %d after its error at 3", last)
 	}
 }
