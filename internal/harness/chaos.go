@@ -520,8 +520,8 @@ func chaosOne(prep *chaosPrep, bname, stack string, sched ChaosSchedule, dir str
 	}
 
 	// Replicated stacks run one deterministic scrub sweep between death
-	// and recovery. The background scrubber's cadence is wall-clock and
-	// would not replay, so the harness invokes the sweep explicitly at
+	// and recovery. A sweep on a wall-clock cadence would not replay, so
+	// the harness invokes the sweep explicitly at
 	// the one point it matters: after the fault phase diverged the
 	// replicas, before the restart that must not notice any of it. The
 	// restart schedule is already armed, so scrub-targeted faults

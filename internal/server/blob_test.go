@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -137,6 +139,34 @@ func TestBlobDispatchAcrossBackends(t *testing.T) {
 				t.Errorf("accounting = %#v\nwant %#v", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestPutRejectsTrailingBytes: a valid object with bytes appended after
+// its last section and the CRC resealed over them is refused with 400 and
+// never stored — a service that kept it would hold two encodings of one
+// object.
+func TestPutRejectsTrailingBytes(t *testing.T) {
+	mem := store.NewMemory()
+	s := NewWithFactory(Config{}, func(string) (store.Backend, error) { return mem, nil })
+	defer s.Shutdown(context.Background())
+	good := store.EncodeSections([]store.Section{{Name: "a", Data: []byte("xyz")}})
+	padded := append(bytes.Clone(good[:len(good)-4]), 0, 0, 0, 0)
+	padded = binary.LittleEndian.AppendUint32(padded, crc32.ChecksumIEEE(padded))
+	for _, step := range []struct {
+		method string
+		body   []byte
+		code   int
+	}{
+		{http.MethodPut, padded, http.StatusBadRequest},
+		{http.MethodGet, nil, http.StatusNotFound},
+		{http.MethodPut, good, http.StatusNoContent},
+	} {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(step.method, "/v1/ns/objects/k", bytes.NewReader(step.body)))
+		if w.Code != step.code {
+			t.Fatalf("%s = %d %s, want %d", step.method, w.Code, w.Body, step.code)
+		}
 	}
 }
 

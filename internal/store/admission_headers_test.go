@@ -40,7 +40,7 @@ func TestRemotePriorityHeaders(t *testing.T) {
 	if _, err := r.Get("k"); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.PutScrub("k", secs); err != nil {
+	if err := r.PutScrub("k", blob); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.GetScrub("k"); err != nil {

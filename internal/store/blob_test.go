@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -48,6 +49,33 @@ func TestVerifySectionsAllocatesNothing(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { VerifySections(blob) }); allocs != 0 {
 		t.Errorf("VerifySections allocates %v times per call", allocs)
+	}
+}
+
+// TestTrailingBytesRejected: an object ends at its last section. Bytes
+// appended behind it and resealed would decode to the same sections yet
+// compare unequal to the canonical encoding, so two copies of one object
+// could differ byte for byte; both gates refuse them, as framing errors.
+func TestTrailingBytesRejected(t *testing.T) {
+	blob := EncodeSections([]Section{{Name: "a", Data: []byte("xyz")}})
+	padded := sealObject(append(bytes.Clone(blob[:len(blob)-4]), 0, 0, 0, 0))
+	if _, err := VerifySections(padded); err == nil || errors.Is(err, ErrCorrupt) {
+		t.Errorf("VerifySections(padded) = %v, want a framing error", err)
+	}
+	if _, err := DecodeSections(padded); err == nil || errors.Is(err, ErrCorrupt) {
+		t.Errorf("DecodeSections(padded) = %v, want a framing error", err)
+	}
+	if _, err := decodeSections(padded, false); err == nil {
+		t.Error("the in-place decode accepted trailing bytes")
+	}
+	// A blob store that verifies what it serves refuses it too.
+	m := NewMemory()
+	m.objects["k"] = padded
+	if _, err := m.GetBlob("k"); err == nil {
+		t.Error("Memory.GetBlob served an object with trailing bytes")
+	}
+	if _, err := m.Get("k"); err == nil {
+		t.Error("Memory.Get decoded an object with trailing bytes")
 	}
 }
 

@@ -14,13 +14,16 @@ import (
 // trip: a restart that re-reads recent checkpoints (or several restarts
 // re-reading the same keyframe) is served from local memory instead.
 //
-// Entries are the encoded object blobs, so the byte bound accounts for
-// real object size and every cache hit decodes a fresh deep copy —
-// callers can never alias cached memory. Put writes through (inner
-// first, cache on success), Delete evicts, and concurrent Gets of the
-// same missing key are deduplicated: one leader performs the inner Get
-// while the others wait and share its result, so N clients restarting
-// from the same checkpoint cost one inner read.
+// Entries are sealed blobs, so the byte bound accounts for real object
+// size: the bytes a Put handed to the inner store, or those the inner
+// GetBlob returned on a miss, shared read-only with that store and never
+// re-encoded. Get decodes a fresh deep copy on every call, so section
+// callers can never alias cached memory; GetBlob hands out the blob
+// itself. Put writes through (inner first, cache on success), Delete
+// evicts, and concurrent Gets of the same missing key are deduplicated:
+// one leader performs the inner read while the others wait and share
+// its result, so N clients restarting from the same checkpoint cost one
+// inner read.
 //
 // Coherence: the cache assumes it is the only writer to its namespace
 // of the inner store, which is how the checkpoint layer uses it (one
@@ -143,27 +146,31 @@ func (c *Cached) removeElement(el *list.Element) {
 	c.size -= int64(len(e.blob))
 }
 
-// Put implements Backend: write through, then cache the encoded object.
-// The extra encode (the inner backend also frames the object) is the
-// price of populating on write, which lets a restart that re-reads the
-// newest checkpoint hit without ever touching the inner store; it is
-// only paid after the write lands.
+// Put implements Backend: the object is encoded once, for the inner
+// store and the cache alike.
 func (c *Cached) Put(key string, sections []Section) error {
+	return c.PutBlob(key, EncodeSections(sections))
+}
+
+// PutBlob implements BlobStore: write blob through, then cache the same
+// bytes. Populating on write lets a restart that re-reads the newest
+// checkpoint hit without ever touching the inner store.
+func (c *Cached) PutBlob(key string, blob []byte) error {
 	start := c.ops.put.Start()
-	err := c.put(key, sections)
+	err := c.put(key, blob)
 	var n int64
 	if err == nil {
-		n = EncodedSize(sections)
+		n = int64(len(blob))
 	}
 	c.ops.put.Done(start, n, errClass(err))
 	return err
 }
 
-func (c *Cached) put(key string, sections []Section) error {
+func (c *Cached) put(key string, blob []byte) error {
 	c.mu.Lock()
 	seq := c.delSeq
 	c.mu.Unlock()
-	if err := c.inner.Put(key, sections); err != nil {
+	if err := PutBlob(c.inner, key, blob); err != nil {
 		// The write may have partially (or wholly) replaced the inner
 		// object; a cached copy of either generation could now be wrong,
 		// and so could an in-flight leader's read of it.
@@ -173,7 +180,6 @@ func (c *Cached) put(key string, sections []Section) error {
 		c.mu.Unlock()
 		return err
 	}
-	blob := EncodeSections(sections)
 	c.mu.Lock()
 	c.invalidateFlight(key) // a leader mid-read now holds the older generation
 	// A Delete that ran between the inner write and here has already
@@ -188,21 +194,26 @@ func (c *Cached) put(key string, sections []Section) error {
 	return nil
 }
 
-// Get implements Backend: cache hit, or a single-flighted inner read.
-// When the flight leader's read fails, waiting followers do not adopt
-// that error as their own answer: the flight entry is already cleared,
-// so each follower retries from the top — one becomes the next leader —
-// and only a leader's own inner error (or a definitive ErrNotFound) is
-// ever returned to a caller. A transient blip on one read therefore
-// fails one caller's read at most, instead of every piled-up restart.
-func (c *Cached) Get(key string) ([]Section, error) {
+// Get implements Backend: the cached or fetched blob, decoded into a
+// fresh copy.
+func (c *Cached) Get(key string) ([]Section, error) { return sectionsOf(c.GetBlob(key)) }
+
+// GetBlob implements BlobStore: cache hit, or a single-flighted inner
+// read. When the flight leader's read fails, waiting followers do not
+// adopt that error as their own answer: the flight entry is already
+// cleared, so each follower retries from the top — one becomes the next
+// leader — and only a leader's own inner error (or a definitive
+// ErrNotFound) is ever returned to a caller. A transient blip on one
+// read therefore fails one caller's read at most, instead of every
+// piled-up restart.
+func (c *Cached) GetBlob(key string) ([]byte, error) {
 	start := c.ops.get.Start()
-	sections, n, err := c.get(key)
-	c.ops.get.Done(start, n, errClass(err))
-	return sections, err
+	blob, err := c.get(key)
+	c.ops.get.Done(start, int64(len(blob)), errClass(err))
+	return blob, err
 }
 
-func (c *Cached) get(key string) ([]Section, int64, error) {
+func (c *Cached) get(key string) ([]byte, error) {
 	for {
 		c.mu.Lock()
 		if el, ok := c.entries[key]; ok {
@@ -215,8 +226,7 @@ func (c *Cached) get(key string) ([]Section, int64, error) {
 			c.stats.BytesRead += int64(len(blob))
 			c.mu.Unlock()
 			c.obsHits.Inc()
-			sections, err := DecodeSections(blob)
-			return sections, int64(len(blob)), err
+			return blob, nil
 		}
 		if call, ok := c.flight[key]; ok {
 			// Another Get of this key is already reading the inner
@@ -234,7 +244,7 @@ func (c *Cached) get(key string) ([]Section, int64, error) {
 					c.stats.CacheFollowerHits++
 					c.mu.Unlock()
 					c.obsFollowers.Inc()
-					return nil, 0, call.err
+					return nil, call.err
 				}
 				// The leader failed; this Get goes back around and does
 				// its own read — nothing was avoided, nothing counted.
@@ -250,8 +260,7 @@ func (c *Cached) get(key string) ([]Section, int64, error) {
 			c.stats.BytesRead += int64(len(call.blob))
 			c.mu.Unlock()
 			c.obsFollowers.Inc()
-			sections, err := DecodeSections(call.blob)
-			return sections, int64(len(call.blob)), err
+			return call.blob, nil
 		}
 		call := &flightCall{done: make(chan struct{})}
 		c.flight[key] = call
@@ -259,7 +268,7 @@ func (c *Cached) get(key string) ([]Section, int64, error) {
 		c.mu.Unlock()
 		c.obsMisses.Inc()
 
-		sections, err := func() (_ []Section, err error) {
+		blob, err := func() (_ []byte, err error) {
 			// A panic out of the leader (an injected crash at this site
 			// or inside the inner backend) must not strand followers on
 			// a flight that will never complete: fail the flight, then
@@ -277,28 +286,22 @@ func (c *Cached) get(key string) ([]Section, int64, error) {
 			if err := c.faults.Hit(SiteCachedLeader); err != nil {
 				return nil, err
 			}
-			return c.inner.Get(key)
+			return GetBlob(c.inner, key)
 		}()
-		if err == nil {
-			call.blob = EncodeSections(sections)
-		}
-		call.err = err
+		call.blob, call.err = blob, err
 		c.mu.Lock()
 		delete(c.flight, key)
 		// A Put or Delete of this key during the inner read marked the
-		// flight stale: the sections in hand belong to a superseded
+		// flight stale: the blob in hand belongs to a superseded
 		// generation (or to an object that no longer exists) and must
-		// not repopulate the cache. The leader still returns them — its
+		// not repopulate the cache. The leader still returns it — its
 		// read was correct when it was issued.
 		if err == nil && !call.stale {
-			c.insert(key, call.blob)
+			c.insert(key, blob)
 		}
 		c.mu.Unlock()
 		close(call.done)
-		if err != nil {
-			return nil, 0, err
-		}
-		return sections, int64(len(call.blob)), nil
+		return blob, err
 	}
 }
 

@@ -176,17 +176,23 @@ func TestCachedDeleteEvicts(t *testing.T) {
 	}
 }
 
-// toggleFailBackend fails every Put while fail is set.
+// toggleFailBackend fails every Put while fail is set. The cache writes
+// through PutBlob, which the embedded Memory would otherwise serve
+// without failing.
 type toggleFailBackend struct {
 	*Memory
 	fail bool
 }
 
 func (f *toggleFailBackend) Put(key string, sections []Section) error {
+	return f.PutBlob(key, EncodeSections(sections))
+}
+
+func (f *toggleFailBackend) PutBlob(key string, blob []byte) error {
 	if f.fail {
 		return errors.New("injected write failure")
 	}
-	return f.Memory.Put(key, sections)
+	return f.Memory.PutBlob(key, blob)
 }
 
 func TestCachedFailedPutInvalidates(t *testing.T) {

@@ -13,3 +13,13 @@ func (c *Cached) flightWaiters(key string) int {
 	}
 	return 0
 }
+
+// cachedBlob returns the cache's entry for key, nil when there is none.
+func (c *Cached) cachedBlob(key string) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		return el.Value.(*cacheEntry).blob
+	}
+	return nil
+}

@@ -147,78 +147,89 @@ func (r *Remote) do(method, path string, body []byte, pri admission.Priority) ([
 	})
 }
 
-// Put implements Backend. Checkpoint writes are foreground work.
+// Put implements Backend: the one encode of a remote checkpoint.
 func (r *Remote) Put(key string, sections []Section) error {
-	return r.putPri(key, sections, admission.Interactive)
+	return r.PutBlob(key, EncodeSections(sections))
 }
 
-// PutScrub is Put announced as maintenance traffic: replica repair
+// PutBlob implements BlobStore: blob is the request body. Checkpoint
+// writes are foreground work.
+func (r *Remote) PutBlob(key string, blob []byte) error {
+	return r.put(key, blob, admission.Interactive)
+}
+
+// PutScrub is PutBlob announced as maintenance traffic: replica repair
 // writes admit at scrub priority so a loaded service drains them last
 // and they never displace a tenant's foreground checkpoints.
-func (r *Remote) PutScrub(key string, sections []Section) error {
-	return r.putPri(key, sections, admission.Scrub)
+func (r *Remote) PutScrub(key string, blob []byte) error {
+	return r.put(key, blob, admission.Scrub)
 }
 
-func (r *Remote) putPri(key string, sections []Section, pri admission.Priority) error {
+func (r *Remote) put(key string, blob []byte, pri admission.Priority) (err error) {
 	start := r.ops.put.Start()
-	n, err := r.put(key, sections, pri)
-	r.ops.put.Done(start, n, errClass(err))
-	return err
-}
-
-func (r *Remote) put(key string, sections []Section, pri admission.Priority) (int64, error) {
+	var n int64
+	defer func() { r.ops.put.Done(start, n, errClass(err)) }()
 	if !ValidName(key) {
-		return 0, fmt.Errorf("store: invalid remote key %q", key)
+		return fmt.Errorf("store: invalid remote key %q", key)
 	}
-	blob := EncodeSections(sections)
-	if _, err := r.do(http.MethodPut, "/objects/"+url.PathEscape(key), blob, pri); err != nil {
-		return 0, err
+	if _, err = r.do(http.MethodPut, "/objects/"+url.PathEscape(key), blob, pri); err != nil {
+		return err
 	}
+	n = int64(len(blob))
 	r.mu.Lock()
 	r.stats.Puts++
-	r.stats.BytesWritten += int64(len(blob))
-	r.stats.SectionsWritten += int64(len(sections))
+	r.stats.BytesWritten += n
+	r.stats.SectionsWritten += sectionCount(blob)
 	r.mu.Unlock()
-	return int64(len(blob)), nil
+	return nil
 }
 
 // Get implements Backend. Reads ride the restart path: a recovering
 // process blocks on them, so they admit at the highest class.
 func (r *Remote) Get(key string) ([]Section, error) {
-	return r.getPri(key, admission.Restart)
-}
-
-// GetScrub is Get announced as maintenance traffic (replica scrub
-// reads), admitting at the lowest class.
-func (r *Remote) GetScrub(key string) ([]Section, error) {
-	return r.getPri(key, admission.Scrub)
-}
-
-func (r *Remote) getPri(key string, pri admission.Priority) ([]Section, error) {
-	start := r.ops.get.Start()
-	sections, n, err := r.get(key, pri)
-	r.ops.get.Done(start, n, errClass(err))
+	sections, _, err := r.get(key, admission.Restart, true)
 	return sections, err
 }
 
-func (r *Remote) get(key string, pri admission.Priority) ([]Section, int64, error) {
+// GetBlob implements BlobStore: the response body, verified.
+func (r *Remote) GetBlob(key string) ([]byte, error) {
+	_, blob, err := r.get(key, admission.Restart, false)
+	return blob, err
+}
+
+// GetScrub is GetBlob announced as maintenance traffic (replica scrub
+// reads), admitting at the lowest class.
+func (r *Remote) GetScrub(key string) ([]byte, error) {
+	_, blob, err := r.get(key, admission.Scrub, false)
+	return blob, err
+}
+
+// get reads key's object and checks its framing once: decoded in place
+// into sections, or only verified when the caller wants the blob.
+func (r *Remote) get(key string, pri admission.Priority, decode bool) (sections []Section, blob []byte, err error) {
+	start := r.ops.get.Start()
+	defer func() { r.ops.get.Done(start, int64(len(blob)), errClass(err)) }()
 	if !ValidName(key) {
-		return nil, 0, fmt.Errorf("store: invalid remote key %q", key)
+		return nil, nil, fmt.Errorf("store: invalid remote key %q", key)
 	}
-	blob, err := r.do(http.MethodGet, "/objects/"+url.PathEscape(key), nil, pri)
+	body, err := r.do(http.MethodGet, "/objects/"+url.PathEscape(key), nil, pri)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
-	// The body buffer is this call's own: decode it in place.
-	sections, err := decodeSections(blob, false)
+	if decode {
+		// The body buffer is this call's own: decode it in place.
+		sections, err = decodeSections(body, false)
+	} else {
+		_, err = VerifySections(body)
+	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("store: remote object %q: %w", key, err)
+		return nil, nil, fmt.Errorf("store: remote object %q: %w", key, err)
 	}
 	r.mu.Lock()
 	r.stats.Gets++
-	r.stats.BytesRead += int64(len(blob))
+	r.stats.BytesRead += int64(len(body))
 	r.mu.Unlock()
-	return sections, int64(len(blob)), nil
+	return sections, body, nil
 }
 
 // List implements Backend.

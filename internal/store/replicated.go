@@ -19,12 +19,17 @@ import (
 // of them acked. Get collects a read quorum R of definitive answers —
 // a CRC-verified blob or a definite NotFound — picks the majority copy
 // (valid data beats absence, ties break toward the lowest replica
-// index), and read-repairs every responder that disagreed. A background
-// scrubber sweeps the key space on a cadence doing the same comparison
-// without waiting for a read to stumble over the divergence, and hedged
-// reads bound tail latency when a replica is slow rather than dead: if
-// no definitive answer arrived within a p95-derived delay, one extra
-// replica is asked and the first good answer wins.
+// index), and read-repairs every responder that disagreed. ScrubOnce
+// sweeps the key space doing the same comparison without waiting for a
+// read to stumble over the divergence, and hedged reads bound tail
+// latency when a replica is slow rather than dead: if no definitive
+// answer arrived within a p95-derived delay, one extra replica is asked
+// and the first good answer wins.
+//
+// The tier works on sealed blobs: a Put encodes the object once and
+// every replica stores those bytes, answers are compared as the bytes
+// the replicas returned, a repair ships the winner's bytes, and only
+// Get decodes — the winner, once.
 //
 // With the default majority quorums (W = R = N/2+1), W+R > N guarantees
 // every read quorum overlaps every acked write, so a Get after a
@@ -55,12 +60,11 @@ type Replicated struct {
 	hedgeAfter time.Duration  // initial hedge delay; < 0 disables hedging
 	firstLat   *obs.Histogram // first definitive answer's own service time per Get, feeds the hedge delay
 
-	// faults is read by the queue and scrub goroutines while tests and
-	// the chaos harness re-arm mid-stream, so the pointer swap must be
-	// atomic. Hit is nil-safe, so an unarmed tier costs one load.
+	// faults is read by the queue goroutines while tests and the chaos
+	// harness re-arm mid-stream, so the pointer swap must be atomic. Hit
+	// is nil-safe, so an unarmed tier costs one load.
 	faults atomic.Pointer[faultinject.Registry]
 
-	obsReg        *obs.Registry
 	ops           opSet
 	cQuorumOK     *obs.Counter
 	cQuorumFailed *obs.Counter
@@ -68,9 +72,6 @@ type Replicated struct {
 	cHedgeFired   *obs.Counter
 	cHedgeWon     *obs.Counter
 	cScrubKeys    *obs.Counter
-
-	scrubStop chan struct{}
-	scrubWG   sync.WaitGroup
 
 	closeOnce sync.Once
 	closeErr  error
@@ -90,9 +91,6 @@ type ReplicatedOptions struct {
 	// observed to derive one (after that the p95 of time-to-first-answer
 	// is used). 0 selects DefaultHedgeAfter; < 0 disables hedging.
 	HedgeAfter time.Duration
-	// ScrubEvery starts a background scrubber on this cadence; 0 leaves
-	// scrubbing to explicit ScrubOnce calls.
-	ScrubEvery time.Duration
 }
 
 // DefaultHedgeAfter is the hedge delay before the tier has observed
@@ -131,13 +129,14 @@ const (
 	opRepair
 )
 
-// repOp is one entry of a replica's write queue. onDone runs on the
-// queue goroutine; keep it light.
+// repOp is one entry of a replica's write queue; every replica it is
+// queued on reads the same blob. onDone runs on the queue goroutine;
+// keep it light.
 type repOp struct {
-	kind     opKind
-	key      string
-	sections []Section
-	onDone   func(idx int, err error)
+	kind   opKind
+	key    string
+	blob   []byte
+	onDone func(idx int, err error)
 }
 
 // NewReplicated builds the cluster tier over the given replica backends
@@ -182,11 +181,6 @@ func NewReplicated(replicas []Backend, opts ReplicatedOptions) (*Replicated, err
 		s.replicas = append(s.replicas, rep)
 		go s.runQueue(rep)
 	}
-	if opts.ScrubEvery > 0 {
-		s.scrubStop = make(chan struct{})
-		s.scrubWG.Add(1)
-		go s.scrubLoop(opts.ScrubEvery)
-	}
 	return s, nil
 }
 
@@ -208,7 +202,6 @@ func (s *Replicated) SetFaults(reg *faultinject.Registry) { s.faults.Store(reg) 
 // invisible to it, so this is their only arming point, and the remote
 // clients' per-attempt instruments usefully aggregate across replicas.
 func (s *Replicated) SetObs(reg *obs.Registry) {
-	s.obsReg = reg
 	s.ops = newOpSet(reg, "store.replicated")
 	s.cQuorumOK = reg.Counter("store.replicated.quorum.ok")
 	s.cQuorumFailed = reg.Counter("store.replicated.quorum.failed")
@@ -251,7 +244,7 @@ func (s *Replicated) applyOp(rep *replica, op *repOp) (err error) {
 		if ferr := s.faults.Load().Hit(SiteReplicaPut(rep.idx)); ferr != nil {
 			return fmt.Errorf("store: replica %d: %w", rep.idx, ferr)
 		}
-		return rep.backend.Put(op.key, op.sections)
+		return PutBlob(rep.backend, op.key, op.blob)
 	case opDelete:
 		if ferr := s.faults.Load().Hit(SiteReplicaDelete(rep.idx)); ferr != nil {
 			return fmt.Errorf("store: replica %d: %w", rep.idx, ferr)
@@ -261,97 +254,93 @@ func (s *Replicated) applyOp(rep *replica, op *repOp) (err error) {
 		return rep.backend.Flush()
 	case opRepair:
 		if sp, ok := rep.backend.(scrubPrioritized); ok {
-			return sp.PutScrub(op.key, op.sections)
+			return sp.PutScrub(op.key, op.blob)
 		}
-		return rep.backend.Put(op.key, op.sections)
+		return PutBlob(rep.backend, op.key, op.blob)
 	}
 	return fmt.Errorf("store: replicated: unknown op kind %d", op.kind)
 }
 
-// quorumWaiter decides a Put: success at W acks, failure as soon as too
-// many replicas failed for W acks to remain possible. The submitter
-// blocks only until the decision; straggler replicas keep applying the
-// write in the background (that is what makes W<N writes fast and what
-// read-repair mops up after).
-type quorumWaiter struct {
-	mu          sync.Mutex
-	need, total int
-	acks, fails int
-	firstErr    error
-	decided     chan struct{}
-	done        bool
+// tally counts the answers to one fanned-out replica operation.
+type tally struct {
+	mu         sync.Mutex
+	cond       sync.Cond
+	left       int   // answers still to come
+	ok, absent int   // successes and ErrNotFound answers
+	firstErr   error // the first other failure
 }
 
-func newQuorumWaiter(need, total int) *quorumWaiter {
-	return &quorumWaiter{need: need, total: total, decided: make(chan struct{})}
+func (t *tally) add(idx int, err error) {
+	t.mu.Lock()
+	switch {
+	case err == nil:
+		t.ok++
+	case errors.Is(err, ErrNotFound):
+		t.absent++
+	case t.firstErr == nil:
+		t.firstErr = fmt.Errorf("replica %d: %w", idx, err)
+	}
+	t.left--
+	t.mu.Unlock()
+	t.cond.Broadcast()
 }
 
-func (w *quorumWaiter) onResult(idx int, err error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err != nil {
-		w.fails++
-		if w.firstErr == nil {
-			w.firstErr = fmt.Errorf("replica %d: %w", idx, err)
-		}
-	} else {
-		w.acks++
+// fanOut queues op on every replica in to and reports the tally. With
+// need > 0 it returns as soon as need replicas succeeded or too many
+// failed for need to stay reachable — the submitter blocks only until
+// that decision, and straggler replicas keep applying the operation in
+// the background (that is what makes W<N writes fast and what
+// read-repair mops up after). With need = 0 it waits for every answer.
+func (s *Replicated) fanOut(op *repOp, to []*replica, need int) (ok, absent int, firstErr error) {
+	t := &tally{left: len(to)}
+	t.cond.L = &t.mu
+	op.onDone = t.add
+	for _, rep := range to {
+		rep.queue <- op
 	}
-	if w.done {
-		return
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for t.left > 0 && (need == 0 || t.ok < need && t.ok+t.left >= need) {
+		t.cond.Wait()
 	}
-	if w.acks >= w.need || w.fails > w.total-w.need {
-		w.done = true
-		close(w.decided)
-	}
+	return t.ok, t.absent, t.firstErr
 }
 
-func (w *quorumWaiter) result() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.acks >= w.need {
-		return nil
-	}
-	return fmt.Errorf("store: replicated: write quorum %d/%d not reached: %w (first failure: %w)",
-		w.acks, w.need, ErrUnavailable, w.firstErr)
-}
-
-// Put implements Backend.
+// Put implements Backend: the object is encoded once, for every replica.
 func (s *Replicated) Put(key string, sections []Section) error {
+	return s.PutBlob(key, EncodeSections(sections))
+}
+
+// PutBlob implements BlobStore: every replica's queue carries blob
+// itself, and the Put returns once W replicas acked it.
+func (s *Replicated) PutBlob(key string, blob []byte) error {
 	start := s.ops.put.Start()
-	n, err := s.put(key, sections)
+	n, err := s.put(key, blob)
 	s.ops.put.Done(start, n, errClass(err))
 	return err
 }
 
-func (s *Replicated) put(key string, sections []Section) (int64, error) {
-	staged := copySections(sections) // replicas only read it, one copy is shared
-	w := newQuorumWaiter(s.w, len(s.replicas))
-	op := &repOp{kind: opPut, key: key, sections: staged, onDone: w.onResult}
-	for _, rep := range s.replicas {
-		rep.queue <- op
-	}
-	<-w.decided
-	if err := w.result(); err != nil {
+func (s *Replicated) put(key string, blob []byte) (int64, error) {
+	acks, _, firstErr := s.fanOut(&repOp{kind: opPut, key: key, blob: blob}, s.replicas, s.w)
+	if acks < s.w {
 		s.cQuorumFailed.Inc()
-		return 0, err
+		return 0, fmt.Errorf("store: replicated: write quorum %d/%d not reached: %w (first failure: %w)",
+			acks, s.w, ErrUnavailable, firstErr)
 	}
 	s.cQuorumOK.Inc()
-	size := EncodedSize(sections)
 	s.mu.Lock()
 	s.stats.Puts++
-	s.stats.BytesWritten += size
-	s.stats.SectionsWritten += int64(len(sections))
+	s.stats.BytesWritten += int64(len(blob))
+	s.stats.SectionsWritten += sectionCount(blob)
 	s.mu.Unlock()
-	return size, nil
+	return int64(len(blob)), nil
 }
 
 // readResult is one replica's answer to a Get or scrub probe.
 type readResult struct {
-	idx      int
-	sections []Section
-	blob     []byte // canonical encoding, nil unless err == nil
-	err      error
+	idx  int
+	blob []byte // verified and read-only, nil unless err == nil
+	err  error
 }
 
 // definitive reports whether the answer settles the key's state on that
@@ -365,7 +354,7 @@ func (r readResult) definitive() bool {
 // concept), converting an injected crash into node death like the write
 // path does. withSite=false is the scrubber's path: its probes fire the
 // scrub site instead, so read-site hit counts stay schedule-exact.
-func (s *Replicated) readReplica(rep *replica, key string, withSite bool) (_ []Section, err error) {
+func (s *Replicated) readReplica(rep *replica, key string, withSite bool) (_ []byte, err error) {
 	if rep.down.Load() {
 		return nil, fmt.Errorf("store: replica %d: %w (node crashed)", rep.idx, ErrUnavailable)
 	}
@@ -388,7 +377,7 @@ func (s *Replicated) readReplica(rep *replica, key string, withSite bool) (_ []S
 		// traffic to a remote replica's admission controller.
 		return sp.GetScrub(key)
 	}
-	return rep.backend.Get(key)
+	return GetBlob(rep.backend, key)
 }
 
 // scrubPrioritized is implemented by backends that can tag maintenance
@@ -396,8 +385,8 @@ func (s *Replicated) readReplica(rep *replica, key string, withSite bool) (_ []S
 // store.Remote forwards the class to the service so background repair
 // never displaces a tenant's foreground checkpoints.
 type scrubPrioritized interface {
-	PutScrub(key string, sections []Section) error
-	GetScrub(key string) ([]Section, error)
+	PutScrub(key string, blob []byte) error
+	GetScrub(key string) ([]byte, error)
 }
 
 // hedgeDelay picks how long Get waits for a first definitive answer
@@ -414,15 +403,19 @@ func (s *Replicated) hedgeDelay() time.Duration {
 	return s.hedgeAfter
 }
 
-// Get implements Backend.
-func (s *Replicated) Get(key string) ([]Section, error) {
+// Get implements Backend: the winning blob, decoded once.
+func (s *Replicated) Get(key string) ([]Section, error) { return sectionsOf(s.GetBlob(key)) }
+
+// GetBlob implements BlobStore: the winning replica's blob as it
+// returned it.
+func (s *Replicated) GetBlob(key string) ([]byte, error) {
 	start := s.ops.get.Start()
-	sections, n, err := s.get(key)
-	s.ops.get.Done(start, n, errClass(err))
-	return sections, err
+	blob, err := s.get(key)
+	s.ops.get.Done(start, int64(len(blob)), errClass(err))
+	return blob, err
 }
 
-func (s *Replicated) get(key string) ([]Section, int64, error) {
+func (s *Replicated) get(key string) ([]byte, error) {
 	n := len(s.replicas)
 	results := make(chan readResult, n) // buffered: abandoned stragglers must not leak their goroutine
 	started := make([]time.Time, n)
@@ -430,12 +423,8 @@ func (s *Replicated) get(key string) ([]Section, int64, error) {
 		rep := s.replicas[i]
 		started[i] = time.Now()
 		go func() {
-			secs, err := s.readReplica(rep, key, true)
-			res := readResult{idx: rep.idx, sections: secs, err: err}
-			if err == nil {
-				res.blob = EncodeSections(secs)
-			}
-			results <- res
+			blob, err := s.readReplica(rep, key, true)
+			results <- readResult{idx: rep.idx, blob: blob, err: err}
 		}()
 	}
 
@@ -453,31 +442,35 @@ func (s *Replicated) get(key string) ([]Section, int64, error) {
 		defer t.Stop()
 		hedgeC = t.C
 	}
-	sawFirst := false
 	hedgeIdx := -1
-	var definitive, failures []readResult
-	outstanding := launched
-	for outstanding > 0 && len(definitive) < s.r {
+	hedgeWon := false
+	var answers []readResult
+	var firstFailure error
+	definitive := 0
+	for outstanding := launched; outstanding > 0 && definitive < s.r; {
 		select {
 		case res := <-results:
 			outstanding--
+			answers = append(answers, res)
 			if res.definitive() {
-				if !sawFirst {
-					sawFirst = true
+				if definitive == 0 {
 					// Measured from the answering replica's own launch, not
 					// the Get's start: a sample that included the hedge wait
 					// would feed the wait back into the p95 and ratchet the
 					// delay up until it matched the slowest replica.
 					s.firstLat.ObserveSince(started[res.idx])
 				}
-				definitive = append(definitive, res)
-			} else {
-				failures = append(failures, res)
-				if launched < n {
-					launch(launched)
-					launched++
-					outstanding++
-				}
+				definitive++
+				hedgeWon = hedgeWon || res.idx == hedgeIdx
+				continue
+			}
+			if firstFailure == nil {
+				firstFailure = res.err
+			}
+			if launched < n {
+				launch(launched)
+				launched++
+				outstanding++
 			}
 		case <-hedgeC:
 			hedgeC = nil
@@ -493,114 +486,86 @@ func (s *Replicated) get(key string) ([]Section, int64, error) {
 			}
 		}
 	}
-	if len(definitive) < s.r {
+	if definitive < s.r {
 		s.cQuorumFailed.Inc()
-		return nil, 0, fmt.Errorf("store: replicated: read quorum %d/%d not reached for %q: %w (first failure: %w)",
-			len(definitive), s.r, key, ErrUnavailable, failures[0].err)
+		return nil, fmt.Errorf("store: replicated: read quorum %d/%d not reached for %q: %w (first failure: %w)",
+			definitive, s.r, key, ErrUnavailable, firstFailure)
 	}
-	if hedgeIdx >= 0 {
-		for _, res := range definitive {
-			if res.idx == hedgeIdx {
-				s.cHedgeWon.Inc()
-				s.mu.Lock()
-				s.stats.HedgesWon++
-				s.mu.Unlock()
-				break
-			}
-		}
+	if hedgeWon {
+		s.cHedgeWon.Inc()
+		s.mu.Lock()
+		s.stats.HedgesWon++
+		s.mu.Unlock()
 	}
-
-	winner, ok := pickWinner(definitive)
-	if !ok {
+	winner, targets := s.settle(answers)
+	if winner == nil {
 		// Every definitive answer was NotFound; no repair to run from —
 		// a straggling write will land via its own queue.
-		return nil, 0, ErrNotFound
+		return nil, ErrNotFound
 	}
-	var targets []int
-	for _, res := range definitive {
-		if res.err != nil || !bytes.Equal(res.blob, winner.blob) {
-			targets = append(targets, res.idx)
-		}
-	}
-	for _, res := range failures {
-		if errors.Is(res.err, ErrCorrupt) {
-			targets = append(targets, res.idx)
-		}
-	}
-	s.repair(key, winner.sections, targets)
+	s.repair(key, winner, targets)
 	s.mu.Lock()
 	s.stats.Gets++
-	s.stats.BytesRead += int64(len(winner.blob))
+	s.stats.BytesRead += int64(len(winner))
 	s.mu.Unlock()
-	return winner.sections, int64(len(winner.blob)), nil
+	return winner, nil
 }
 
-// pickWinner chooses the authoritative copy among definitive answers:
-// the valid blob held by the most responders, ties toward the lowest
-// replica index. ok is false when every answer was NotFound.
-func pickWinner(definitive []readResult) (readResult, bool) {
+// settle decides a key from its replicas' answers: the winner is the
+// valid blob returned by the most replicas, ties toward the lowest
+// replica index, and the targets to repair toward it are every replica
+// that answered NotFound, other bytes, or a corrupt object. Other
+// failures (an unreachable replica) are left alone: repair fixes state,
+// it does not resurrect nodes. winner is nil when no answer was valid.
+func (s *Replicated) settle(answers []readResult) (winner []byte, targets []*replica) {
 	type group struct {
-		res    readResult
-		count  int
-		minIdx int
+		blob          []byte
+		votes, minIdx int
 	}
-	var groups []*group
-	for _, res := range definitive {
-		if res.err != nil {
+	var groups []group
+	groupOf := make([]int, len(answers))
+	for i, a := range answers {
+		if a.err != nil {
 			continue
 		}
-		matched := false
-		for _, g := range groups {
-			if bytes.Equal(g.res.blob, res.blob) {
-				g.count++
-				if res.idx < g.minIdx {
-					g.minIdx = res.idx
-				}
-				matched = true
-				break
-			}
+		g := 0
+		for g < len(groups) && !bytes.Equal(groups[g].blob, a.blob) {
+			g++
 		}
-		if !matched {
-			groups = append(groups, &group{res: res, count: 1, minIdx: res.idx})
+		if g == len(groups) {
+			groups = append(groups, group{blob: a.blob, minIdx: a.idx})
 		}
+		groups[g].votes++
+		groups[g].minIdx = min(groups[g].minIdx, a.idx)
+		groupOf[i] = g
 	}
 	if len(groups) == 0 {
-		return readResult{}, false
+		return nil, nil
 	}
-	best := groups[0]
-	for _, g := range groups[1:] {
-		if g.count > best.count || (g.count == best.count && g.minIdx < best.minIdx) {
+	best := 0
+	for g := range groups {
+		if groups[g].votes > groups[best].votes ||
+			groups[g].votes == groups[best].votes && groups[g].minIdx < groups[best].minIdx {
 			best = g
 		}
 	}
-	return best.res, true
+	for i, a := range answers {
+		if a.err == nil && groupOf[i] != best || errors.Is(a.err, ErrNotFound) || errors.Is(a.err, ErrCorrupt) {
+			targets = append(targets, s.replicas[a.idx])
+		}
+	}
+	return groups[best].blob, targets
 }
 
-// repair rewrites the winning copy onto the given replicas, through
-// their queues so repairs serialize with in-flight writes, and waits for
-// them (a read returns only after its repairs landed — that is what the
+// repair ships the winning blob to the given replicas, through their
+// queues so repairs serialize with in-flight writes, and waits for them
+// (a read returns only after its repairs landed — that is what the
 // divergence tests assert on). Returns how many replicas were repaired.
-func (s *Replicated) repair(key string, sections []Section, targets []int) int {
+func (s *Replicated) repair(key string, blob []byte, targets []*replica) int {
 	if len(targets) == 0 {
 		return 0
 	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	repaired := 0
-	staged := copySections(sections)
-	wg.Add(len(targets))
-	op := &repOp{kind: opRepair, key: key, sections: staged, onDone: func(idx int, err error) {
-		if err == nil {
-			mu.Lock()
-			repaired++
-			mu.Unlock()
-		}
-		wg.Done()
-	}}
-	for _, idx := range targets {
-		s.replicas[idx].queue <- op
-	}
-	wg.Wait()
+	repaired, _, _ := s.fanOut(&repOp{kind: opRepair, key: key, blob: blob}, targets, 0)
 	if repaired > 0 {
 		s.cRepairs.Add(int64(repaired))
 		s.mu.Lock()
@@ -678,33 +643,10 @@ func (s *Replicated) Delete(key string) error {
 }
 
 func (s *Replicated) del(key string) error {
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	deleted, notFound := 0, 0
-	var firstErr error
-	wg.Add(len(s.replicas))
-	op := &repOp{kind: opDelete, key: key, onDone: func(idx int, err error) {
-		mu.Lock()
-		switch {
-		case err == nil:
-			deleted++
-		case errors.Is(err, ErrNotFound):
-			notFound++
-		default:
-			if firstErr == nil {
-				firstErr = fmt.Errorf("replica %d: %w", idx, err)
-			}
-		}
-		mu.Unlock()
-		wg.Done()
-	}}
-	for _, rep := range s.replicas {
-		rep.queue <- op
-	}
-	wg.Wait()
-	if deleted+notFound < s.w {
+	deleted, absent, firstErr := s.fanOut(&repOp{kind: opDelete, key: key}, s.replicas, 0)
+	if deleted+absent < s.w {
 		return fmt.Errorf("store: replicated: delete quorum %d/%d not reached for %q: %w (first failure: %w)",
-			deleted+notFound, s.w, key, ErrUnavailable, firstErr)
+			deleted+absent, s.w, key, ErrUnavailable, firstErr)
 	}
 	if deleted == 0 {
 		return ErrNotFound
@@ -721,79 +663,29 @@ func (s *Replicated) del(key string) error {
 // copy. The sweep visits keys in sorted order and fires
 // SiteReplicatedScrub once per key, so a chaos schedule can kill the
 // scrubber at an exact point; an injected crash propagates to the
-// caller (the background loop recovers it as "the scrubber died").
-// Returns keys examined and replicas repaired.
+// caller. Returns keys examined and replicas repaired.
 func (s *Replicated) ScrubOnce() (scanned, repaired int, err error) {
 	keys, err := s.listUnion(1)
 	if err != nil {
 		return 0, 0, fmt.Errorf("store: replicated: scrub: %w", err)
 	}
+	answers := make([]readResult, len(s.replicas))
 	for _, key := range keys {
 		if ferr := s.faults.Load().Hit(SiteReplicatedScrub); ferr != nil {
 			return scanned, repaired, fmt.Errorf("store: replicated: scrub: %w", ferr)
 		}
 		scanned++
 		s.cScrubKeys.Inc()
-		var definitive []readResult
-		var targets []int
-		for _, rep := range s.replicas {
-			secs, gerr := s.readReplica(rep, key, false)
-			res := readResult{idx: rep.idx, sections: secs, err: gerr}
-			if gerr == nil {
-				res.blob = EncodeSections(secs)
-			}
-			if res.definitive() {
-				definitive = append(definitive, res)
-			} else if errors.Is(gerr, ErrCorrupt) {
-				targets = append(targets, rep.idx)
-			}
-			// Unreachable replicas are skipped: scrub repairs state, it
-			// does not resurrect nodes.
+		for i, rep := range s.replicas {
+			blob, rerr := s.readReplica(rep, key, false)
+			answers[i] = readResult{idx: rep.idx, blob: blob, err: rerr}
 		}
-		winner, ok := pickWinner(definitive)
-		if !ok {
-			continue // key exists nowhere in valid form; nothing to repair from
+		if winner, targets := s.settle(answers); winner != nil {
+			repaired += s.repair(key, winner, targets)
 		}
-		for _, res := range definitive {
-			if res.err != nil || !bytes.Equal(res.blob, winner.blob) {
-				targets = append(targets, res.idx)
-			}
-		}
-		repaired += s.repair(key, winner.sections, targets)
+		// No valid copy anywhere: nothing to repair from.
 	}
 	return scanned, repaired, nil
-}
-
-// scrubLoop is the background scrubber: ScrubOnce on a ticker until
-// Close or an injected crash kills it.
-func (s *Replicated) scrubLoop(every time.Duration) {
-	defer s.scrubWG.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.scrubStop:
-			return
-		case <-t.C:
-			if !s.scrubTick() {
-				return
-			}
-		}
-	}
-}
-
-func (s *Replicated) scrubTick() (alive bool) {
-	defer func() {
-		if v := recover(); v != nil {
-			if _, ok := faultinject.AsCrash(v); ok {
-				alive = false // the scrubber died; the store lives on
-				return
-			}
-			panic(v)
-		}
-	}()
-	s.ScrubOnce()
-	return true
 }
 
 // Stats implements Backend, reporting the tier's logical accounting:
@@ -811,25 +703,7 @@ func (s *Replicated) Stats() Stats {
 // (all previously submitted writes applied) plus the replica's own
 // Flush. A write quorum of replicas must settle for Flush to succeed.
 func (s *Replicated) Flush() error {
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	acks := 0
-	var firstErr error
-	wg.Add(len(s.replicas))
-	op := &repOp{kind: opFlush, onDone: func(idx int, err error) {
-		mu.Lock()
-		if err == nil {
-			acks++
-		} else if firstErr == nil {
-			firstErr = fmt.Errorf("replica %d: %w", idx, err)
-		}
-		mu.Unlock()
-		wg.Done()
-	}}
-	for _, rep := range s.replicas {
-		rep.queue <- op
-	}
-	wg.Wait()
+	acks, _, firstErr := s.fanOut(&repOp{kind: opFlush}, s.replicas, 0)
 	if acks < s.w {
 		return fmt.Errorf("store: replicated: flush quorum %d/%d not reached: %w (first failure: %w)",
 			acks, s.w, ErrUnavailable, firstErr)
@@ -837,14 +711,10 @@ func (s *Replicated) Flush() error {
 	return nil
 }
 
-// Close implements Backend: stop the scrubber, drain and stop every
-// replica queue, close the replicas.
+// Close implements Backend: drain and stop every replica queue, close
+// the replicas.
 func (s *Replicated) Close() error {
 	s.closeOnce.Do(func() {
-		if s.scrubStop != nil {
-			close(s.scrubStop)
-			s.scrubWG.Wait()
-		}
 		for _, rep := range s.replicas {
 			close(rep.queue)
 		}

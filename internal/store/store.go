@@ -146,12 +146,10 @@ type Config struct {
 	WriteQuorum int           // Put succeeds after this many replica acks (default majority)
 	ReadQuorum  int           // Get decides after this many definitive replica answers (default majority)
 	HedgeAfter  time.Duration // hedge a slow replica read after this long (0 = default, <0 = disabled)
-	ScrubEvery  time.Duration // background scrub cadence (0 = disabled; ScrubOnce is always available)
 
 	Async       bool // wrap with the async double-buffered decorator
 	Incremental bool // wrap with the delta/incremental decorator
 	Keyframe    int  // incremental: full checkpoint every N puts (default 8)
-	ChunkBytes  int  // incremental: intra-section diff granularity (default 256)
 
 	// Faults, when set, arms deterministic fault injection on every
 	// layer Open/Decorate construct. nil (the default) leaves the sites
@@ -203,9 +201,8 @@ const (
 	// injected failures counting as transient network errors against the
 	// retry budget.
 	SiteRemoteDo = "remote.do"
-	// SiteReplicatedScrub fires once per key the scrubber examines, on
-	// the scrub sweep goroutine; a crash aborts the sweep (the scrubber
-	// dies, the store survives).
+	// SiteReplicatedScrub fires once per key ScrubOnce examines; a crash
+	// aborts the sweep and reaches ScrubOnce's caller.
 	SiteReplicatedScrub = "store.replicated.scrub"
 )
 
@@ -370,7 +367,6 @@ func openBase(cfg Config) (Backend, error) {
 			WriteQuorum: cfg.WriteQuorum,
 			ReadQuorum:  cfg.ReadQuorum,
 			HedgeAfter:  cfg.HedgeAfter,
-			ScrubEvery:  cfg.ScrubEvery,
 		})
 	}
 	return nil, fmt.Errorf("store: unknown backend kind %d", cfg.Kind)
@@ -382,7 +378,7 @@ func openBase(cfg Config) (Backend, error) {
 // even though they run on the background writer).
 func Decorate(b Backend, cfg Config) Backend {
 	if cfg.Incremental {
-		b = NewIncremental(b, cfg.Keyframe, cfg.ChunkBytes)
+		b = NewIncremental(b, cfg.Keyframe, 0)
 		InjectFaults(b, cfg.Faults)
 		InjectObs(b, cfg.Obs)
 	}
@@ -445,6 +441,9 @@ func VerifySections(buf []byte) (int, error) {
 			return 0, err
 		}
 	}
+	if len(rest) != 0 {
+		return 0, errObjectTrailing
+	}
 	return n, nil
 }
 
@@ -467,6 +466,9 @@ func decodeSections(buf []byte, own bool) ([]Section, error) {
 		}
 		sections[i] = Section{Name: string(name), Data: data}
 	}
+	if len(rest) != 0 {
+		return nil, errObjectTrailing
+	}
 	return sections, nil
 }
 
@@ -476,6 +478,9 @@ var (
 	errSectionHeader  = errors.New("store: truncated section header")
 	errSectionName    = errors.New("store: truncated section name")
 	errSectionPayload = errors.New("store: truncated section data")
+	// An object's bytes end at its last section: one accepted with more
+	// would decode like its canonical encoding yet compare unequal to it.
+	errObjectTrailing = errors.New("store: bytes after the last section")
 )
 
 // openObject checks an object's length, CRC, magic and version, and
@@ -550,16 +555,19 @@ func DependenciesOf(b Backend, key string) ([]string, error) {
 	return []string{key}, nil
 }
 
-// BlobStore is optionally implemented by base backends that persist an
-// object as the sealed blob EncodeSections produces (Memory, File), so
-// the checkpoint service can store and serve the bytes it was sent
-// without decoding and re-encoding them.
+// BlobStore is optionally implemented by the layers that carry an object
+// as the sealed blob EncodeSections produces without reading its sections
+// (Memory, File, Remote, Replicated, Cached), so the checkpoint service
+// and the layers above them move the bytes they were sent instead of
+// decoding and re-encoding them.
 //
-// PutBlob takes ownership of blob, which must be one VerifySections
-// accepted: the caller neither checks it again nor touches it afterwards.
-// GetBlob returns a verified blob that may be shared with the store and
-// other readers, so callers must not modify it. Both keep the failpoints,
-// op recorders and Stats of Put and Get.
+// A blob is read-only from the moment it is handed on: PutBlob takes one
+// VerifySections accepted, which the store may keep and share (a
+// replicated Put hands one blob to every replica, a cache keeps what it
+// wrote), and the caller neither checks it again nor modifies it. GetBlob
+// returns a verified blob that may be shared with the store and other
+// readers, so callers must not modify it either. Both keep the
+// failpoints, op recorders and Stats of Put and Get.
 type BlobStore interface {
 	PutBlob(key string, blob []byte) error
 	GetBlob(key string) ([]byte, error)
@@ -567,7 +575,7 @@ type BlobStore interface {
 
 // PutBlob stores a verified blob under key through b, handing it over
 // as-is to a BlobStore and as sections decoded in place (aliasing blob,
-// which b then owns) to any other backend.
+// which b may keep but not modify) to any other backend.
 func PutBlob(b Backend, key string, blob []byte) error {
 	if bs, ok := b.(BlobStore); ok {
 		return bs.PutBlob(key, blob)
@@ -619,6 +627,16 @@ func getBlob(op *obs.Op, key string, fetch func(string) ([]byte, error)) ([]byte
 		return nil, err
 	}
 	return blob, nil
+}
+
+// sectionsOf is Get for a layer whose logic works on blobs: the verified
+// blob its GetBlob returned, decoded once into sections that own their
+// bytes, because the blob may be shared.
+func sectionsOf(blob []byte, err error) ([]Section, error) {
+	if err != nil {
+		return nil, err
+	}
+	return DecodeSections(blob)
 }
 
 // NamespaceForDir derives a remote-service namespace from a scratch

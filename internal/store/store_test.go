@@ -453,6 +453,8 @@ func TestShardedUncommittedObjectInvisible(t *testing.T) {
 }
 
 // failingBackend fails every Nth Put, for async error propagation tests.
+// PutBlob counts too, so a blob writer cannot slip past the embedded
+// Memory's promoted method.
 type failingBackend struct {
 	*Memory
 	mu    sync.Mutex
@@ -461,14 +463,19 @@ type failingBackend struct {
 }
 
 func (f *failingBackend) Put(key string, sections []Section) error {
+	return f.PutBlob(key, EncodeSections(sections))
+}
+
+func (f *failingBackend) PutBlob(key string, blob []byte) error {
 	f.mu.Lock()
 	f.puts++
-	fail := f.every > 0 && f.puts%f.every == 0
+	n := f.puts
+	fail := f.every > 0 && n%f.every == 0
 	f.mu.Unlock()
 	if fail {
-		return fmt.Errorf("injected write failure at put %d", f.puts)
+		return fmt.Errorf("injected write failure at put %d", n)
 	}
-	return f.Memory.Put(key, sections)
+	return f.Memory.PutBlob(key, blob)
 }
 
 func TestAsyncDeferredErrorSurfaces(t *testing.T) {
