@@ -9,12 +9,11 @@ import (
 	"autocheck/internal/harness"
 )
 
-// cmdChaos runs the deterministic fault-injection sweep: benchmark ×
-// store stack × failpoint schedule, each run restarted after its
-// injected failure and verified byte-for-byte against the failure-free
-// execution. Failures print the seed and schedule that replay them.
-func cmdChaos(args []string) error {
-	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
+const chaosNotes = `Sweeps benchmark x store stack x failpoint schedule: each run is killed by
+its injected fault, restarted, and verified byte-for-byte against the
+failure-free run. A failure prints the seed and schedule that replay it.`
+
+func cmdChaos(fs *flag.FlagSet) func() error {
 	seed := fs.Int64("seed", 1, "fault randomness root; a failure replays from its printed seed")
 	quick := fs.Bool("quick", false, "CI smoke subset (1 benchmark, 3 stacks, core schedules)")
 	benchmarks := fs.String("benchmark", "", "comma-separated ports to sweep (default: IS,EP,CG; quick: IS)")
@@ -22,64 +21,51 @@ func cmdChaos(args []string) error {
 	schedules := fs.String("schedule", "", "comma-separated schedule names (default: every applicable)")
 	list := fs.Bool("list", false, "list stacks and failpoint schedules, then exit")
 	verbose := fs.Bool("v", false, "print fired failpoints for passing runs too")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *list {
-		fmt.Println("store stacks:")
-		for _, s := range harness.ChaosStacks() {
-			fmt.Printf("  %s\n", s)
+	return func() error {
+		if *list {
+			fmt.Println("store stacks:")
+			for _, s := range harness.ChaosStacks() {
+				fmt.Printf("  %s\n", s)
+			}
+			fmt.Println("failpoint schedules:")
+			for _, s := range harness.ChaosSchedules(false) {
+				line := fmt.Sprintf("  %-20s write=%q", s.Name, s.Write)
+				if s.Restart != "" {
+					line += fmt.Sprintf(" restart=%q", s.Restart)
+				}
+				if s.Needs != "" {
+					line += fmt.Sprintf(" (needs %s)", s.Needs)
+				}
+				fmt.Println(line)
+			}
+			return nil
 		}
-		fmt.Println("failpoint schedules:")
-		for _, s := range harness.ChaosSchedules(false) {
-			line := fmt.Sprintf("  %-20s write=%q", s.Name, s.Write)
-			if s.Restart != "" {
-				line += fmt.Sprintf(" restart=%q", s.Restart)
+		dir, err := os.MkdirTemp("", "autocheck-chaos-*")
+		if err != nil {
+			return err
+		}
+		defer os.RemoveAll(dir)
+		rep, err := harness.RunChaosValidation(dir, harness.ChaosOptions{
+			Seed:       *seed,
+			Quick:      *quick,
+			Benchmarks: splitList(*benchmarks),
+			Stacks:     splitList(*stacks),
+			Schedules:  splitList(*schedules),
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Print(harness.FormatChaos(rep))
+		if *verbose {
+			for _, r := range rep.Runs {
+				if r.OK && len(r.EventLog) > 0 {
+					fmt.Printf("  %s/%s/%s fired: %s\n", r.Bench, r.Stack, r.Schedule, strings.Join(r.EventLog, ", "))
+				}
 			}
-			if s.Needs != "" {
-				line += fmt.Sprintf(" (needs %s)", s.Needs)
-			}
-			fmt.Println(line)
+		}
+		if rep.Failures > 0 {
+			return fmt.Errorf("chaos: %d of %d runs failed (replay commands above)", rep.Failures, len(rep.Runs))
 		}
 		return nil
 	}
-	split := func(s string) []string {
-		if s == "" {
-			return nil
-		}
-		var out []string
-		for _, part := range strings.Split(s, ",") {
-			if part = strings.TrimSpace(part); part != "" {
-				out = append(out, part)
-			}
-		}
-		return out
-	}
-	dir, err := os.MkdirTemp("", "autocheck-chaos-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	rep, err := harness.RunChaosValidation(dir, harness.ChaosOptions{
-		Seed:       *seed,
-		Quick:      *quick,
-		Benchmarks: split(*benchmarks),
-		Stacks:     split(*stacks),
-		Schedules:  split(*schedules),
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Print(harness.FormatChaos(rep))
-	if *verbose {
-		for _, r := range rep.Runs {
-			if r.OK && len(r.EventLog) > 0 {
-				fmt.Printf("  %s/%s/%s fired: %s\n", r.Bench, r.Stack, r.Schedule, strings.Join(r.EventLog, ", "))
-			}
-		}
-	}
-	if rep.Failures > 0 {
-		return fmt.Errorf("chaos: %d of %d runs failed (replay commands above)", rep.Failures, len(rep.Runs))
-	}
-	return nil
 }

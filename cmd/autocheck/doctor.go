@@ -2,89 +2,70 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"net/http"
-	"sort"
+	"net/url"
+	"slices"
 	"strings"
 	"time"
 
 	"autocheck/internal/server"
 	"autocheck/internal/store"
+	"autocheck/internal/wire"
 )
 
 // Doctor exit codes, one per failure class, so scripts and CI can branch
-// without parsing output. Documented in DESIGN.md ("Observability").
+// without parsing output; doctorNotes documents them.
 const (
-	doctorOK           = 0
-	doctorConnectivity = 10 // service unreachable / store stack won't open
-	doctorCanary       = 11 // write/read/delete round trip failed or returned wrong bytes
-	doctorIntegrity    = 12 // broken dependency chain or unreadable checkpoint
-	doctorMetrics      = 13 // metrics endpoint missing or malformed
-	doctorQuorum       = 14 // replica quorum unavailable, or replicas diverged
+	doctorConnectivity = 10
+	doctorCanary       = 11
+	doctorIntegrity    = 12
+	doctorMetrics      = 13
+	doctorQuorum       = 14
 )
 
-// cmdDoctor probes a checkpoint deployment's health: a live service
-// (-addr) or a local store stack (-dir/-store). Every check prints a
-// line; the first failure aborts with its class's exit code.
-func cmdDoctor(args []string) error {
-	fs := flag.NewFlagSet("doctor", flag.ExitOnError)
-	addr := fs.String("addr", "", "probe a live checkpoint service at this address")
-	addrsFlag := fs.String("addrs", "", "probe a replicated cluster at these comma-separated addresses")
-	writeQuorum := fs.Int("write-quorum", 0, "cluster mode: acks required per write (0 = majority)")
-	readQuorum := fs.Int("read-quorum", 0, "cluster mode: replicas consulted per read (0 = majority)")
-	ns := fs.String("ns", "doctor", "live mode: service namespace for the canary probe")
-	storeKind := fs.String("store", "file", "local mode: backend kind (file, memory, sharded)")
-	dir := fs.String("dir", "", "local mode: storage root to examine")
-	cacheMB := fs.Int("cache-mb", 0, "local mode: read-through cache tier (MB, 0 = off)")
-	async := fs.Bool("async", false, "local mode: async write decorator")
-	incremental := fs.Bool("incremental", false, "local mode: incremental decorator")
-	keyframe := fs.Int("keyframe", 8, "local mode: incremental keyframe interval")
-	shardWorkers := fs.Int("shard-workers", store.DefaultShardWorkers, "local mode: sharded write pool size")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	addrs := splitAddrs(*addrsFlag)
-	if *addr != "" && len(addrs) > 0 {
-		return fmt.Errorf("doctor takes -addr (one service) or -addrs (a cluster), not both")
-	}
-	if len(addrs) > 0 {
-		return doctorCluster(addrs, *ns, *writeQuorum, *readQuorum)
-	}
-	if *addr != "" {
-		return doctorLive(*addr, *ns)
-	}
-	kind, err := store.ParseKind(*storeKind)
-	if err != nil {
-		return err
-	}
-	if kind == store.KindRemote {
-		return fmt.Errorf("doctor probes a live service with -addr, not -store remote")
-	}
-	if *dir == "" && kind != store.KindMemory {
-		return fmt.Errorf("doctor needs -addr (live service) or -dir (local store)")
-	}
-	return doctorLocal(store.Config{
-		Kind:        kind,
-		Dir:         *dir,
-		CacheMB:     *cacheMB,
-		Workers:     *shardWorkers,
-		Async:       *async,
-		Incremental: *incremental,
-		Keyframe:    *keyframe,
-	})
-}
+const doctorNotes = `Probes a live service (-addr: /v1/stats, a canary write/read/delete,
+/v1/metrics), a replicated cluster (-addrs: every node, a quorum canary,
+a divergence scan) or a local stack (-dir, -store and the cache and
+decorator flags: the canary, then every stored key's dependency chain).
+Each check prints a line; the first failure exits with its class's code:
+  0   healthy
+  10  connectivity: service unreachable, or the store stack won't open
+  11  canary: the write/read/delete round trip failed or returned wrong bytes
+  12  integrity: a broken dependency chain or an unreadable checkpoint
+  13  metrics: the endpoint is missing or malformed
+  14  quorum: the replica quorum is unavailable, or the replicas diverged`
 
-// canarySections is the deterministic payload of the canary round trip.
-// The CRC spot check is implicit: a Get only succeeds if every section's
-// stored checksum still matches its bytes.
-func canarySections() []store.Section {
-	payload := bytes.Repeat([]byte("autocheck-doctor"), 16)
-	return []store.Section{
-		{Name: "canary", Data: payload},
-		{Name: "stamp", Data: []byte("doctor")},
+func cmdDoctor(fs *flag.FlagSet) func() error {
+	sf := addStorageFlags(fs, "addr", "addrs", "write-quorum", "read-quorum", "store", "dir",
+		"cache-mb", "async", "incremental", "keyframe", "shard-workers")
+	ns := fs.String("ns", "doctor", "live and cluster modes: service namespace for the canary probe")
+	return func() error {
+		addr, addrs := sf.cfg.Addr, splitList(sf.addrs)
+		if addr != "" && len(addrs) > 0 {
+			return fmt.Errorf("doctor takes -addr (one service) or -addrs (a cluster), not both")
+		}
+		if len(addrs) > 0 {
+			return doctorCluster(addrs, *ns, sf.cfg.WriteQuorum, sf.cfg.ReadQuorum)
+		}
+		if addr != "" {
+			return doctorLive(addr, *ns)
+		}
+		cfg, err := sf.config()
+		if err != nil {
+			return err
+		}
+		if cfg.Kind == store.KindRemote {
+			return fmt.Errorf("doctor probes a live service with -addr, not -store remote")
+		}
+		if cfg.Dir == "" && cfg.Kind != store.KindMemory {
+			return fmt.Errorf("doctor needs -addr (live service) or -dir (local store)")
+		}
+		return doctorLocal(cfg)
 	}
 }
 
@@ -92,9 +73,14 @@ const canaryKey = "doctor-canary"
 
 // canaryRoundTrip writes, reads back, verifies, and deletes the canary
 // key on any backend. The key carries no "ckpt-" prefix, so retention
-// and restart logic never consider it.
+// and restart logic never consider it. The CRC spot check is implicit: a
+// Get only succeeds if every section's stored checksum still matches its
+// bytes.
 func canaryRoundTrip(b store.Backend) error {
-	want := canarySections()
+	want := []store.Section{
+		{Name: "canary", Data: bytes.Repeat([]byte("autocheck-doctor"), 16)},
+		{Name: "stamp", Data: []byte("doctor")},
+	}
 	if err := b.Put(canaryKey, want); err != nil {
 		return fmt.Errorf("canary put: %w", err)
 	}
@@ -105,13 +91,8 @@ func canaryRoundTrip(b store.Backend) error {
 	if err != nil {
 		return fmt.Errorf("canary get: %w", err)
 	}
-	if len(got) != len(want) {
-		return fmt.Errorf("canary read back %d sections, wrote %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Name != want[i].Name || !bytes.Equal(got[i].Data, want[i].Data) {
-			return fmt.Errorf("canary section %q does not match what was written", want[i].Name)
-		}
+	if !slices.EqualFunc(got, want, func(g, w store.Section) bool { return g.Name == w.Name && bytes.Equal(g.Data, w.Data) }) {
+		return fmt.Errorf("canary read back sections that do not match what was written")
 	}
 	if err := b.Delete(canaryKey); err != nil {
 		return fmt.Errorf("canary delete: %w", err)
@@ -123,16 +104,9 @@ func canaryRoundTrip(b store.Backend) error {
 // /v1/stats, a canary round trip through a real client, and the metrics
 // endpoint's health.
 func doctorLive(addr, ns string) error {
-	base := addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	base = strings.TrimSuffix(base, "/")
-	client := &http.Client{Timeout: 10 * time.Second}
-
 	// Connectivity: the stats endpoint answers and decodes.
 	var stats server.StatsReport
-	if err := getJSON(client, base+"/v1/stats", &stats); err != nil {
+	if err := probe(addr, "/v1/stats", &stats); err != nil {
 		return &exitError{doctorConnectivity, fmt.Errorf("doctor: connectivity: %w", err)}
 	}
 	fmt.Printf("doctor: connectivity OK (addr=%s namespaces=%d requests=%d)\n",
@@ -145,8 +119,7 @@ func doctorLive(addr, ns string) error {
 		return &exitError{doctorCanary, fmt.Errorf("doctor: canary client: %w", err)}
 	}
 	defer r.Close()
-	r.MaxAttempts = 2
-	r.Backoff = 50 * time.Millisecond
+	r.Retry = wire.Retry{MaxAttempts: 2, Backoff: 50 * time.Millisecond}
 	if err := canaryRoundTrip(r); err != nil {
 		return &exitError{doctorCanary, fmt.Errorf("doctor: %w", err)}
 	}
@@ -155,7 +128,7 @@ func doctorLive(addr, ns string) error {
 	// Metrics: the endpoint answers, decodes, and covers the canary
 	// traffic just generated.
 	var rep server.MetricsReport
-	if err := getJSON(client, base+"/v1/metrics", &rep); err != nil {
+	if err := probe(addr, "/v1/metrics", &rep); err != nil {
 		return &exitError{doctorMetrics, fmt.Errorf("doctor: metrics: %w", err)}
 	}
 	if rep.Metrics.Histograms["server.put.ns"].Count == 0 {
@@ -198,11 +171,8 @@ func shedBreakdownText(counters map[string]int64, prefix string) string {
 			tenants = append(tenants, nsShed{strings.TrimPrefix(name, nsPrefix), n})
 		}
 	}
-	sort.Slice(tenants, func(i, j int) bool {
-		if tenants[i].n != tenants[j].n {
-			return tenants[i].n > tenants[j].n
-		}
-		return tenants[i].tenant < tenants[j].tenant
+	slices.SortFunc(tenants, func(a, b nsShed) int {
+		return cmp.Or(cmp.Compare(b.n, a.n), strings.Compare(a.tenant, b.tenant))
 	})
 	for _, t := range tenants {
 		parts = append(parts, fmt.Sprintf("%s=%d", t.tenant, t.n))
@@ -217,18 +187,22 @@ func shedBreakdownText(counters map[string]int64, prefix string) string {
 // endpoint, then a canary round trip and a cross-replica divergence scan
 // through the real quorum tier. Dead nodes are tolerated as long as the
 // healthy count still covers both quorums; anything less — and any
-// divergence the scan finds — exits with the quorum class (14).
+// divergence the scan finds — exits with the quorum class (14). An
+// out-of-range quorum is rejected before any probe.
 func doctorCluster(addrs []string, ns string, writeQuorum, readQuorum int) error {
-	n := len(addrs)
-	client := &http.Client{Timeout: 10 * time.Second}
+	b, err := store.Open(store.Config{
+		Kind: store.KindReplicated, Addrs: addrs, Namespace: ns,
+		WriteQuorum: writeQuorum, ReadQuorum: readQuorum,
+	})
+	if err != nil {
+		return err
+	}
+	defer b.Close()
+	rep := b.(*store.Replicated)
 	healthy := 0
 	for i, a := range addrs {
-		base := a
-		if !strings.Contains(base, "://") {
-			base = "http://" + base
-		}
 		var stats server.StatsReport
-		if err := getJSON(client, strings.TrimSuffix(base, "/")+"/v1/stats", &stats); err != nil {
+		if err := probe(a, "/v1/stats", &stats); err != nil {
 			fmt.Printf("doctor: node %d DOWN (addr=%s: %v)\n", i, a, err)
 			continue
 		}
@@ -236,13 +210,8 @@ func doctorCluster(addrs []string, ns string, writeQuorum, readQuorum int) error
 		fmt.Printf("doctor: node %d OK (addr=%s namespaces=%d requests=%d)\n",
 			i, a, stats.Namespaces, stats.Requests)
 	}
-	w, r := writeQuorum, readQuorum
-	if w <= 0 {
-		w = n/2 + 1
-	}
-	if r <= 0 {
-		r = n/2 + 1
-	}
+	n := len(addrs)
+	w, r := rep.Quorums()
 	need := max(w, r)
 	if healthy < need {
 		return &exitError{doctorQuorum,
@@ -250,31 +219,14 @@ func doctorCluster(addrs []string, ns string, writeQuorum, readQuorum int) error
 	}
 	fmt.Printf("doctor: quorum OK (%d/%d replicas healthy, W=%d R=%d)\n", healthy, n, w, r)
 
-	b, err := store.Open(store.Config{
-		Kind: store.KindReplicated, Addrs: addrs, Namespace: ns,
-		WriteQuorum: writeQuorum, ReadQuorum: readQuorum,
-	})
-	if err != nil {
-		return &exitError{doctorQuorum, fmt.Errorf("doctor: cluster client: %w", err)}
-	}
-	defer b.Close()
 	if err := canaryRoundTrip(b); err != nil {
-		code := doctorCanary
-		if errors.Is(err, store.ErrUnavailable) {
-			code = doctorQuorum
-		}
-		return &exitError{code, fmt.Errorf("doctor: %w", err)}
+		return &exitError{quorumOr(doctorCanary, err), fmt.Errorf("doctor: %w", err)}
 	}
 	fmt.Printf("doctor: quorum canary OK (namespace=%s key=%s)\n", ns, canaryKey)
 
-	rep := b.(*store.Replicated)
 	scanned, repaired, err := rep.ScrubOnce()
 	if err != nil {
-		code := doctorIntegrity
-		if errors.Is(err, store.ErrUnavailable) {
-			code = doctorQuorum
-		}
-		return &exitError{code, fmt.Errorf("doctor: divergence scan: %w", err)}
+		return &exitError{quorumOr(doctorIntegrity, err), fmt.Errorf("doctor: divergence scan: %w", err)}
 	}
 	if repaired > 0 {
 		return &exitError{doctorQuorum,
@@ -283,6 +235,15 @@ func doctorCluster(addrs []string, ns string, writeQuorum, readQuorum int) error
 	fmt.Printf("doctor: divergence scan OK (%d keys, replicas agree)\n", scanned)
 	fmt.Println("doctor: all checks passed")
 	return nil
+}
+
+// quorumOr is the exit code for a cluster check's failure: the quorum
+// class when replicas were unavailable, code otherwise.
+func quorumOr(code int, err error) int {
+	if errors.Is(err, store.ErrUnavailable) {
+		return doctorQuorum
+	}
+	return code
 }
 
 // doctorLocal opens a store stack and examines it in place: open,
@@ -325,7 +286,7 @@ func doctorLocal(cfg store.Config) error {
 		}
 	}
 	if len(keys) > 0 {
-		sort.Strings(keys)
+		slices.Sort(keys)
 		newest := keys[len(keys)-1]
 		if _, err := b.Get(newest); err != nil {
 			return &exitError{doctorIntegrity, fmt.Errorf("doctor: reading newest key %s: %w", newest, err)}
@@ -353,14 +314,24 @@ func cacheRateText(st store.Stats) string {
 	return fmt.Sprintf(" cache-hit-rate=%.1f%%", 100*rate)
 }
 
-func getJSON(client *http.Client, url string, into any) error {
-	resp, err := client.Get(url)
+// probe fetches path from the service at addr in one attempt through
+// the shared transport and decodes the JSON answer. A refused dial fails
+// at once, so a dead service is reported immediately.
+func probe(addr, path string, into any) error {
+	t, err := wire.New("doctor", addr, func(status int, _ []byte) error {
+		return fmt.Errorf("GET %s: %d %s", path, status, http.StatusText(status))
+	})
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: %s", url, resp.Status)
+	defer t.Close()
+	body, err := t.Do(wire.Retry{MaxAttempts: 1}, wire.Request{Method: http.MethodGet, Path: path, FailFastDial: true})
+	var uerr *url.Error
+	if errors.As(err, &uerr) {
+		return uerr // a network failure, worded as the GET reported it
 	}
-	return json.NewDecoder(resp.Body).Decode(into)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(body, into)
 }

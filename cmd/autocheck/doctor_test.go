@@ -5,7 +5,10 @@ import (
 	"context"
 	"errors"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"testing"
+	"time"
 
 	"autocheck/internal/server"
 	"autocheck/internal/store"
@@ -156,5 +159,41 @@ func TestDoctorClusterDivergence(t *testing.T) {
 	// The scan read-repaired while detecting: a second run is clean.
 	if err := doctorCluster(addrs, "doctor-test", 0, 0); err != nil {
 		t.Fatalf("doctorCluster after the repairing scan = %v, want nil", err)
+	}
+}
+
+// TestDoctorLive covers live mode against in-process services: a healthy
+// one passes, a refused port is the connectivity class at once, and a
+// service without /v1/metrics is the metrics class.
+func TestDoctorLive(t *testing.T) {
+	srv, err := server.New(server.Config{Store: store.Config{Kind: store.KindMemory}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Shutdown(context.Background()) })
+	healthy := httptest.NewServer(srv.Handler())
+	defer healthy.Close()
+	if err := doctorLive(healthy.URL, "doctor-test"); err != nil {
+		t.Fatalf("doctorLive on a healthy service = %v, want nil", err)
+	}
+
+	start := time.Now()
+	err = doctorLive(unboundAddr(t), "doctor-test")
+	var ee *exitError
+	if !errors.As(err, &ee) || ee.code != doctorConnectivity {
+		t.Fatalf("doctorLive on a refused port = %v, want exit code %d", err, doctorConnectivity)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("doctorLive on a refused port took %v, want under 1s", d)
+	}
+
+	mux := http.NewServeMux()
+	mux.Handle("/", srv.Handler())
+	mux.Handle("/v1/metrics", http.NotFoundHandler())
+	noMetrics := httptest.NewServer(mux)
+	defer noMetrics.Close()
+	err = doctorLive(noMetrics.URL, "doctor-test")
+	if !errors.As(err, &ee) || ee.code != doctorMetrics {
+		t.Fatalf("doctorLive without /v1/metrics = %v, want exit code %d", err, doctorMetrics)
 	}
 }

@@ -7,62 +7,40 @@ import (
 	"autocheck"
 )
 
-// cmdExplain runs the analysis with provenance capture and prints, after
-// the same classification listing `analyze` produces (shared
-// printAnalysis, so the two can never disagree), the per-variable trail:
-// which signals the dependency pass accumulated, at which dynamic
-// record they fired, and which §IV-C rule decided.
-func cmdExplain(args []string) error {
-	fs := flag.NewFlagSet("explain", flag.ExitOnError)
-	file := fs.String("file", "", "mini-C source file (compiled and traced)")
-	traceFile := fs.String("trace", "", "pre-generated trace file (alternative to -file)")
-	fn := fs.String("func", "main", "function containing the main computation loop")
-	start := fs.Int("start", 0, "main loop start line")
-	end := fs.Int("end", 0, "main loop end line")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if (*file == "" && *traceFile == "") || *start == 0 || *end == 0 {
-		return fmt.Errorf("explain needs -file or -trace, plus -start and -end")
-	}
-	spec := autocheck.LoopSpec{Function: *fn, StartLine: *start, EndLine: *end}
-	opts := autocheck.DefaultOptions()
-	opts.Explain = true
-	var res *autocheck.Result
-	var err error
-	if *traceFile != "" {
-		res, err = autocheck.AnalyzeFile(*traceFile, spec, opts)
-	} else {
-		var mod *autocheck.Module
-		if mod, err = compileFile(*file); err != nil {
+const explainNotes = `Prints the classification listing analyze prints (the same renderer, so
+the two can never disagree), then, for every MLI variable, the signals
+the dependency pass accumulated and the §IV-C rule that decided.`
+
+func cmdExplain(fs *flag.FlagSet) func() error {
+	loop := addLoopFlags(fs)
+	return func() error {
+		spec, err := loop.spec("explain")
+		if err != nil {
 			return err
 		}
-		opts.Module = mod
-		var recs []autocheck.Record
-		if recs, _, err = autocheck.TraceProgram(mod); err != nil {
+		opts := autocheck.DefaultOptions()
+		opts.Explain = true
+		res, err := analyzeLocal(loop, spec, opts, false)
+		if err != nil {
 			return err
 		}
-		res, err = autocheck.Analyze(recs, spec, opts)
-	}
-	if err != nil {
-		return err
-	}
-	printAnalysis(res)
-	fmt.Println("\nprovenance:")
-	for _, p := range res.Provenance {
-		verdict := "not critical"
-		if p.Critical {
-			verdict = p.Type.String()
+		printAnalysis(res)
+		fmt.Println("\nprovenance:")
+		for _, p := range res.Provenance {
+			verdict := "not critical"
+			if p.Critical {
+				verdict = p.Type.String()
+			}
+			where := p.Fn
+			if where == "" {
+				where = "global"
+			}
+			fmt.Printf("  %-24s %-12s (%s)\n", p.Name, verdict, where)
+			fmt.Printf("      rule: %s\n", p.Rule)
+			fmt.Printf("      signals: %s\n", formatSignals(p))
 		}
-		where := p.Fn
-		if where == "" {
-			where = "global"
-		}
-		fmt.Printf("  %-24s %-12s (%s)\n", p.Name, verdict, where)
-		fmt.Printf("      rule: %s\n", p.Rule)
-		fmt.Printf("      signals: %s\n", formatSignals(p))
+		return nil
 	}
-	return nil
 }
 
 // formatSignals renders the accumulated evidence for one variable,

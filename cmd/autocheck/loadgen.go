@@ -7,13 +7,12 @@ import (
 	"autocheck/internal/harness"
 )
 
-// cmdLoadgen drives the multi-tenant scaling harness against a running
-// `autocheck serve`: thousands of concurrent simulated clients spread
-// across tenant namespaces, with seeded arrival and failure
-// distributions and the Put/Get priority mix, printing per-tenant
-// throughput and latency percentiles.
-func cmdLoadgen(args []string) error {
-	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
+const loadgenNotes = `Concurrent simulated clients spread across tenant namespaces drive seeded
+checkpoint Put/Get mixes (interactive vs restart admission classes)
+against a running serve; prints per-tenant throughput and latency
+percentiles.`
+
+func cmdLoadgen(fs *flag.FlagSet) func() error {
 	addr := fs.String("addr", "127.0.0.1:9473", "checkpoint service address to load")
 	tenants := fs.Int("tenants", 4, "tenant namespaces (tenant-NN); clients are assigned round-robin")
 	clients := fs.Int("clients", 64, "concurrent simulated clients")
@@ -28,38 +27,32 @@ func cmdLoadgen(args []string) error {
 	quick := fs.Bool("quick", false, "CI smoke subset: caps clients at 16 and ops per client at 25")
 	strict := fs.Bool("strict", false,
 		"exit nonzero unless every tenant recorded throughput and no operation failed")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	cfg := harness.LoadgenConfig{
-		Addr: *addr, Tenants: *tenants, Clients: *clients, Ops: *ops,
-		Seed: *seed, PutMix: *putMix, ValueBytes: *valueBytes,
-		Think: *think, Schedule: *schedule, FailFast: true,
-	}
-	if *quick {
-		if cfg.Clients > 16 {
-			cfg.Clients = 16
+	return func() error {
+		cfg := harness.LoadgenConfig{
+			Addr: *addr, Tenants: *tenants, Clients: *clients, Ops: *ops,
+			Seed: *seed, PutMix: *putMix, ValueBytes: *valueBytes,
+			Think: *think, Schedule: *schedule, FailFast: true,
 		}
-		if cfg.Ops > 25 {
-			cfg.Ops = 25
+		if *quick {
+			cfg.Clients, cfg.Ops = min(cfg.Clients, 16), min(cfg.Ops, 25)
 		}
-	}
-	fmt.Printf("loadgen: %d clients x %d ops across %d tenants against %s (seed %d)\n",
-		cfg.Clients, cfg.Ops, cfg.Tenants, *addr, *seed)
-	run, err := harness.RunLoadgen(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(harness.FormatLoadgen(run))
-	if *strict {
-		for _, tl := range run.Tenants {
-			if tl.OpsPerSec <= 0 {
-				return &exitError{code: 1, err: fmt.Errorf("loadgen: tenant %s recorded zero throughput", tl.Tenant)}
+		fmt.Printf("loadgen: %d clients x %d ops across %d tenants against %s (seed %d)\n",
+			cfg.Clients, cfg.Ops, cfg.Tenants, *addr, *seed)
+		run, err := harness.RunLoadgen(cfg)
+		if err != nil {
+			return err
+		}
+		fmt.Print(harness.FormatLoadgen(run))
+		if *strict {
+			for _, tl := range run.Tenants {
+				if tl.OpsPerSec <= 0 {
+					return &exitError{code: 1, err: fmt.Errorf("loadgen: tenant %s recorded zero throughput", tl.Tenant)}
+				}
+			}
+			if run.Failures > 0 {
+				return &exitError{code: 1, err: fmt.Errorf("loadgen: %d/%d operations failed", run.Failures, run.Ops)}
 			}
 		}
-		if run.Failures > 0 {
-			return &exitError{code: 1, err: fmt.Errorf("loadgen: %d/%d operations failed", run.Failures, run.Ops)}
-		}
+		return nil
 	}
-	return nil
 }

@@ -292,7 +292,7 @@ func (t *Transport) attempt(req Request, now func() time.Time) (data []byte, don
 	if err != nil {
 		var op *net.OpError
 		if req.FailFastDial && errors.As(err, &op) && op.Op == "dial" {
-			return nil, true, 0, false, fmt.Errorf("%s %s: %w (%v)", t.name, t.base, ErrUnavailable, err)
+			return nil, true, 0, false, fmt.Errorf("%s %s: %w (%w)", t.name, t.base, ErrUnavailable, err)
 		}
 		return nil, false, 0, false, fmt.Errorf("%s: %w", t.name, err) // network-level failure: transient
 	}
