@@ -389,9 +389,9 @@ func decodeCheckpoint(m *interp.Machine, sections []store.Section, skip map[stri
 // pending asynchronous write first; callers stacking Retain on an async
 // backend trade some write-latency hiding for bounded storage. What is
 // traded is the background write itself, which a prune after every
-// checkpoint waits for: about 0.4 ms of CPU per checkpoint of the
-// benchmark's 288 KiB image (the file write, the delta's digest and the
-// chunk diff). The prune's own reads are one List of the store.
+// checkpoint waits for: about 0.3 ms of CPU per checkpoint of the
+// benchmark's 288 KiB image (the file write, the chunk diff and the
+// delta's digest). The prune's own reads are one List of the store.
 func (c *Context) Retain(n int) {
 	if n < 0 {
 		n = 0

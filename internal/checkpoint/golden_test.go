@@ -13,13 +13,18 @@ import (
 	"autocheck/internal/trace"
 )
 
-// The golden values were recorded at commit cbe2d9f (PR 19), before the
-// write path stopped re-reading unwritten variables: the test was copied
-// into a clone of that commit and run three times. A change that keeps
-// them wrote the same objects, byte for byte, so a store written by that
-// commit restarts under this one and Table IV's volumes have not moved.
+// goldenAccounting was recorded at commit cbe2d9f, before the write path
+// stopped re-reading unwritten variables: the test was copied into a clone
+// of that commit and run three times. goldenStoreHash was recorded, in
+// three runs, by the child of commit b74851c, which made every delta kind 3
+// (a CRC predecessor digest in place of FNV): the same objects as before
+// but for each delta's kind byte and digest, so no length and no byte
+// count moved. A change that keeps both writes the same objects, byte for
+// byte, and Table IV's volumes have not moved. Kind-2 deltas keep their
+// own golden: internal/store/testdata/kind2, pinned by kind2Golden and
+// read back by TestIncrementalReadsKind2Chain.
 const (
-	goldenStoreHash  = "f2b12c3d4d08a75460105c0003aaf95ad8b24427305c364f65f596c01eb170b3"
+	goldenStoreHash  = "619070935efd8a348e5def7cd690254038aae5299a2ad84f61b834ed1c1c2a66"
 	goldenAccounting = "files=15 last=16445 total=641355 written=239672 skipped=100 keyframes=5 deltas=34 pruned=24"
 )
 

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -285,4 +286,84 @@ func TestRetainAcrossSessions(t *testing.T) {
 	if iter, err := ctx2.Restart(m3, nil); err != nil || iter != 1 {
 		t.Fatalf("restart: iter=%d err=%v", iter, err)
 	}
+}
+
+// A store holding an FNV-digest (kind-2) delta chain and, after it, later
+// sessions' CRC-digest (kind-3) chains restarts from the newest checkpoint,
+// and Retain resolves the dependencies of both kinds from their stored
+// metadata, as it does for any earlier session's keys.
+//
+// testdata/kind2 is the first session as commit b74851c, the last
+// kind-2 writer, stored it: this test's cfg, x = i checkpointed at
+// iteration i for i = 1, 2, 3 (keyframe 1, deltas 2 and 3).
+func TestRetainAcrossDeltaKinds(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "kind2"))); err != nil {
+		t.Fatal(err)
+	}
+	cfg := store.Config{Kind: store.KindFile, Dir: dir, Incremental: true, Keyframe: 4}
+	open := func(retain int) *Context {
+		t.Helper()
+		ctx, err := NewContextStore(cfg, L1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx.Retain(retain)
+		ctx.Protect("x", 0x1000, 8)
+		return ctx
+	}
+	checkpoint := func(ctx *Context, m *interp.Machine, iters ...int64) {
+		t.Helper()
+		for _, iter := range iters {
+			m.WriteRange(0x1000, []trace.Value{trace.IntValue(iter)})
+			if err := ctx.Checkpoint(m, iter); err != nil {
+				t.Fatalf("checkpoint %d: %v", iter, err)
+			}
+		}
+	}
+	restart := func(ctx *Context, want int64) *interp.Machine {
+		t.Helper()
+		m := machine(t)
+		if iter, err := ctx.Restart(m, nil); err != nil || iter != want || m.ReadRange(0x1000, 1)[0].Int() != want {
+			t.Fatalf("restart: iter=%d err=%v, want iteration %d", iter, err, want)
+		}
+		return m
+	}
+	keys := func(seqs ...int) string {
+		var out []string
+		for _, s := range seqs {
+			out = append(out, fmt.Sprintf("ckpt-%06d", s))
+		}
+		return fmt.Sprint(out)
+	}
+
+	// Session 2 restarts from kind-2 delta 3, then writes keyframe 4 and
+	// kind-3 deltas 5 and 6. Retaining four keeps 3-6, and delta 3 pins 1
+	// and 2.
+	ctx2 := open(4)
+	checkpoint(ctx2, restart(ctx2, 3), 11, 12, 13)
+	if got := ckptFiles(t, dir); fmt.Sprint(got) != keys(1, 2, 3, 4, 5, 6) || ctx2.Pruned() != 0 {
+		t.Errorf("session 2 kept %v and pruned %d, want %s and 0", got, ctx2.Pruned(), keys(1, 2, 3, 4, 5, 6))
+	}
+	restart(ctx2, 13)
+	if err := ctx2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Session 3 wrote none of the keys, so each resolves from its metadata.
+	ctx3 := open(2)
+	defer ctx3.Close()
+	for seq, want := range map[int][]int{1: {1}, 2: {1, 2}, 3: {1, 2, 3}, 4: {4}, 5: {4, 5}, 6: {4, 5, 6}} {
+		deps, err := store.DependenciesOf(ctx3.backend, fmt.Sprintf("ckpt-%06d", seq))
+		if err != nil || fmt.Sprint(deps) != keys(want...) {
+			t.Errorf("Dependencies(%d) = %v, %v; want %s", seq, deps, err, keys(want...))
+		}
+	}
+	// Its keyframe 7 and the retained delta 6, which pins 4 and 5, leave
+	// nothing of the kind-2 chain.
+	checkpoint(ctx3, restart(ctx3, 13), 21)
+	if got := ckptFiles(t, dir); fmt.Sprint(got) != keys(4, 5, 6, 7) || ctx3.Pruned() != 3 {
+		t.Errorf("session 3 kept %v and pruned %d, want %s and 3", got, ctx3.Pruned(), keys(4, 5, 6, 7))
+	}
+	restart(ctx3, 21)
 }

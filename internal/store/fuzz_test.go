@@ -57,7 +57,9 @@ func incrementalChain(tb testing.TB) (*Memory, *Incremental, []string, map[strin
 // Keys before it and in the other chain must read back intact.
 //
 // Seeds: the stored keyframe, full delta and patched delta, each put back
-// unchanged, and a delta of the retired kindDeltaV1.
+// unchanged; a delta of the retired kindDeltaV1; and the six kind-2
+// objects of testdata/kind2, each in its own key's place, so a kindDeltaFNV
+// link sits in a kindDelta chain.
 //
 // Mutation-checked: with Get's predecessor-digest check removed, a 30 s
 // run fails in seconds on a later delta returning other sections.
@@ -83,6 +85,10 @@ func FuzzIncrementalGet(f *testing.F) {
 		{Name: "x", Data: []byte{encFull, 1, 0xAA}},
 	})
 	f.Add(uint8(1), v1[:len(v1)-4])
+	fixtureKeys, fixture := kind2Fixture(f)
+	for i, k := range fixtureKeys {
+		f.Add(uint8(i), fixture[k][:len(fixture[k])-4])
+	}
 
 	f.Fuzz(func(t *testing.T, victim uint8, body []byte) {
 		mem, inc, keys, want := incrementalChain(t)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"slices"
 	"strings"
@@ -110,9 +111,16 @@ const (
 	// only the base key. It is retired, not reused: parseObject rejects
 	// it explicitly rather than misreading key bytes as a digest.
 	kindDeltaV1 = byte(1)
-	kindDelta   = byte(2)
-	encFull     = byte(0)
-	encPatch    = byte(1)
+	// kindDeltaFNV is a delta whose predecessor digest is
+	// objectDigestFNV. Nothing writes it any more, but stores that hold it
+	// still restart.
+	kindDeltaFNV = byte(2)
+	// kindDelta is a delta whose predecessor digest is objectDigest. Its
+	// metadata is laid out as kindDeltaFNV's: the kind, the 8-byte digest,
+	// the base key.
+	kindDelta = byte(3)
+	encFull   = byte(0)
+	encPatch  = byte(1)
 )
 
 // NewIncremental wraps inner with the delta write path. keyframe is the
@@ -133,10 +141,54 @@ func NewIncremental(inner Backend, keyframe, chunkBytes int) *Incremental {
 	}
 }
 
-// objectDigest fingerprints a stored object (all sections, names and
-// data, length-framed) so a delta can be bound to the exact predecessor
-// content it was diffed against.
+// crcCastagnoli is the table crc32.Update recognises for its CRC-32C
+// hardware path (crc32.IEEETable is the IEEE one's).
+var crcCastagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// objectDigest fingerprints a stored object so a delta can be bound to the
+// exact predecessor content it was diffed against. It hashes a framed
+// stream: for each section, its name length as an 8-byte little-endian
+// word, the name, its data length likewise, and the data. The digest is
+// the stream's CRC-32 (IEEE) in the high 32 bits and its CRC-32C
+// (Castagnoli) in the low 32. The two generator polynomials are coprime,
+// so the pair acts as one degree-64 CRC: it catches every error burst of
+// up to 64 bits, and a random mismatch passes with probability 2^-64. It
+// detects accidents, such as a stale delta over a rewritten base, and
+// authenticates nothing.
+//
+// The data goes through crc32.Update's hardware paths. The framing words
+// and the names, a few bytes each, are folded in from the tables: a stack
+// buffer or a converted string handed to crc32.Update would escape to the
+// heap, and the digest allocates nothing.
 func objectDigest(sections []Section) uint64 {
+	var ieee, castagnoli uint32
+	for _, s := range sections {
+		ieee = crcFrame(ieee, crc32.IEEETable, uint64(len(s.Name)), s.Name)
+		ieee = crcFrame(ieee, crc32.IEEETable, uint64(len(s.Data)), "")
+		ieee = crc32.Update(ieee, crc32.IEEETable, s.Data)
+		castagnoli = crcFrame(castagnoli, crcCastagnoli, uint64(len(s.Name)), s.Name)
+		castagnoli = crcFrame(castagnoli, crcCastagnoli, uint64(len(s.Data)), "")
+		castagnoli = crc32.Update(castagnoli, crcCastagnoli, s.Data)
+	}
+	return uint64(ieee)<<32 | uint64(castagnoli)
+}
+
+// crcFrame extends crc, as crc32.Update would, over the 8-byte
+// little-endian word n followed by the bytes of s.
+func crcFrame(crc uint32, tab *crc32.Table, n uint64, s string) uint32 {
+	crc = ^crc
+	for i := 0; i < 8; i++ {
+		crc = tab[byte(crc)^byte(n>>(8*i))] ^ crc>>8
+	}
+	for i := 0; i < len(s); i++ {
+		crc = tab[byte(crc)^s[i]] ^ crc>>8
+	}
+	return ^crc
+}
+
+// objectDigestFNV is the predecessor digest of kindDeltaFNV: FNV-1a over
+// objectDigest's framed stream.
+func objectDigestFNV(sections []Section) uint64 {
 	h := fnv.New64a()
 	var lenBuf [8]byte
 	for _, s := range sections {
@@ -318,7 +370,7 @@ func parseObject(sections []Section) (kind byte, baseKey string, predDigest uint
 		return kind, "", 0, payload, nil
 	case kindDeltaV1:
 		return 0, "", 0, nil, errors.New("store: delta written by the obsolete pre-digest format")
-	case kindDelta:
+	case kindDeltaFNV, kindDelta:
 		if len(meta) < 9 {
 			return 0, "", 0, nil, errors.New("store: truncated delta metadata")
 		}
@@ -330,7 +382,8 @@ func parseObject(sections []Section) (kind byte, baseKey string, predDigest uint
 // Get implements Backend: reconstruct the object at key from its keyframe
 // plus every delta up to key, in List order. Each delta's recorded
 // predecessor digest is checked against the digest of the object actually
-// beneath it in the chain, so a delta diffed against content that has
+// beneath it in the chain, computed the way that delta's kind computes it
+// (kindDeltaFNV or kindDelta), so a delta diffed against content that has
 // since been replaced (e.g. a keyframe overwritten by a later session)
 // fails with an error instead of reconstructing fabricated state.
 func (inc *Incremental) Get(key string) ([]Section, error) {
@@ -366,7 +419,7 @@ func (inc *Incremental) get(key string) ([]Section, error) {
 		return nil, &ChainBrokenError{Key: key, Link: baseKey, Reason: "keyframe is gone"}
 	}
 	var order []string
-	var running uint64
+	var below []Section // the stored object beneath the next link
 	state := make(map[string][]byte)
 	for i, k := range chain {
 		prior, err := inc.inner.Get(k)
@@ -381,16 +434,16 @@ func (inc *Incremental) get(key string) ([]Section, error) {
 			if priorKind != kindKeyframe {
 				return nil, &ChainBrokenError{Key: key, Link: k, Reason: "base of the chain is not a keyframe"}
 			}
-		} else if priorKind != kindDelta || priorPred != running {
+		} else if priorKind == kindKeyframe || priorPred != predecessorDigest(priorKind, below) {
 			return nil, &ChainBrokenError{Key: key, Link: k,
 				Reason: fmt.Sprintf("delta does not descend from the stored %q (deleted intermediate, or stale delta from an earlier chain)", chain[i-1])}
 		}
-		running = objectDigest(prior)
+		below = prior
 		if order, err = overlay(state, order, sections); err != nil {
 			return nil, err
 		}
 	}
-	if predDigest != running {
+	if predDigest != predecessorDigest(kind, below) {
 		return nil, &ChainBrokenError{Key: key, Link: chain[len(chain)-1],
 			Reason: "delta does not descend from the stored predecessor (deleted intermediate, or stale delta from an earlier chain)"}
 	}
@@ -402,6 +455,16 @@ func (inc *Incremental) get(key string) ([]Section, error) {
 		out[i] = Section{Name: name, Data: state[name]}
 	}
 	return out, nil
+}
+
+// predecessorDigest is the digest a delta of the given kind records for
+// the object stored beneath it, with the algorithm that kind was written
+// with.
+func predecessorDigest(kind byte, below []Section) uint64 {
+	if kind == kindDeltaFNV {
+		return objectDigestFNV(below)
+	}
+	return objectDigest(below)
 }
 
 func decodeFull(payload []Section) ([]Section, error) {
