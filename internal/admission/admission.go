@@ -157,9 +157,9 @@ func FormatRetryAfter(d time.Duration) string {
 	return strconv.FormatInt(secs, 10)
 }
 
-// DefaultWeights is the per-class drain weighting: per full scheduler
+// drainWeights is the per-class drain weighting: per full scheduler
 // cycle, up to 8 restart grants, then 4 interactive, 2 ingest, 1 scrub.
-var DefaultWeights = [NumPriorities]int{8, 4, 2, 1}
+var drainWeights = [NumPriorities]int{8, 4, 2, 1}
 
 // Config parameterizes a Controller. Every bound is optional: a zero
 // value disables that bound (and its bookkeeping) entirely.
@@ -182,9 +182,6 @@ type Config struct {
 	// weighted priority order and the Retry-After of an overflow shed
 	// is computed from queue depth and drain rate.
 	QueueDepth int
-	// Weights overrides DefaultWeights; entries <= 0 are lifted to 1.
-	// The zero value selects DefaultWeights.
-	Weights [NumPriorities]int
 
 	// Prefix names the controller's instruments: <prefix>.shed,
 	// <prefix>.shed.<reason>, <prefix>.shed.ns.<tenant>,
@@ -221,7 +218,6 @@ type waiter struct {
 // concurrent use and on a nil receiver (which admits everything).
 type Controller struct {
 	cfg       Config
-	weights   [NumPriorities]int
 	perTenant bool // tenant bookkeeping needed on the Acquire path
 	faults    *faultinject.Registry
 	now       func() time.Time
@@ -260,15 +256,6 @@ func New(cfg Config) *Controller {
 	}
 	if c.prefix == "" {
 		c.prefix = "admission"
-	}
-	c.weights = cfg.Weights
-	if c.weights == ([NumPriorities]int{}) {
-		c.weights = DefaultWeights
-	}
-	for i, w := range c.weights {
-		if w <= 0 {
-			c.weights[i] = 1
-		}
 	}
 	if c.cfg.TenantRate > 0 && c.cfg.TenantBurst <= 0 {
 		c.cfg.TenantBurst = int(math.Ceil(c.cfg.TenantRate))
@@ -506,7 +493,7 @@ func (c *Controller) dequeueLocked() (*waiter, bool) {
 			return w, true
 		}
 		c.cur = (c.cur + 1) % NumPriorities
-		c.credit[c.cur] = c.weights[c.cur]
+		c.credit[c.cur] = drainWeights[c.cur]
 	}
 	return nil, false
 }

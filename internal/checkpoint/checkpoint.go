@@ -277,10 +277,11 @@ func decodeValue(buf []byte) (trace.Value, []byte, error) {
 }
 
 // encodeCheckpoint snapshots the protected cells into one section per
-// variable plus a metadata section. Backends may keep the sections they
-// are handed, so a buffer is never written after it leaves here: a
-// variable that was written gets a fresh one, and only the immutable
-// section of an unwritten variable is handed on again.
+// variable plus a metadata section. Under store.Backend's ownership rule
+// the sections belong to the store once handed on, so a buffer is never
+// written after it leaves here: a variable that was written gets a fresh
+// one, and only the read-only section of an unwritten variable is handed
+// on again.
 func encodeCheckpoint(m *interp.Machine, protected []variable, iter int64) []store.Section {
 	meta := make([]byte, 16)
 	binary.LittleEndian.PutUint32(meta[0:4], magic)
@@ -422,8 +423,8 @@ func (c *Context) Checkpoint(m *interp.Machine, iter int64) error {
 	if err := c.backend.Put(c.key(c.seq), sections); err != nil {
 		return err
 	}
-	// The image is with the backend (with an async decorator: snapshotted
-	// and accepted). A crash injected here models dying after the commit
+	// The image is with the backend (with an async decorator: queued and
+	// accepted). A crash injected here models dying after the commit
 	// but before acknowledging it — the sequence resumption in resumeSeq
 	// and Restart's newest-first scan must both cope with a checkpoint
 	// the writer never accounted for.

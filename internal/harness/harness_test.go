@@ -159,8 +159,10 @@ func TestStorageRunIncrementalReduction(t *testing.T) {
 	}
 }
 
-// The storage run must behave identically through the async and sharded
-// write paths (same images, same restart point).
+// The storage run must behave identically through the async, incremental
+// and sharded write paths (same images, same restart point). Under -race
+// the file+async+incr row, the ckpt-local stack, also checks that nothing
+// writes a buffer the async writer still holds.
 func TestStorageRunBackendEquivalence(t *testing.T) {
 	p, err := Prepare(progs.Get("CG"), 0)
 	if err != nil {
@@ -175,9 +177,10 @@ func TestStorageRunBackendEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, scfg := range map[string]store.Config{
-		"file":         {Kind: store.KindFile, Dir: t.TempDir()},
-		"sharded":      {Kind: store.KindSharded, Dir: t.TempDir(), Workers: 3},
-		"memory-async": {Kind: store.KindMemory, Async: true},
+		"file":            {Kind: store.KindFile, Dir: t.TempDir()},
+		"sharded":         {Kind: store.KindSharded, Dir: t.TempDir(), Workers: 3},
+		"memory-async":    {Kind: store.KindMemory, Async: true},
+		"file+async+incr": {Kind: store.KindFile, Dir: t.TempDir(), Async: true, Incremental: true},
 	} {
 		got, err := MeasureStorageRun(p.Mod, res, scfg, checkpoint.L1, false)
 		if err != nil {

@@ -10,14 +10,14 @@ import (
 	"autocheck/internal/obs"
 )
 
-// Async decorates a backend with double-buffered asynchronous writes, the
-// FTI-style dedicated-writer optimization: Put snapshots the sections
-// into a staging buffer and returns immediately while a background
-// goroutine persists them, so the application resumes computing during
-// the checkpoint write. Two staging buffers are in flight at most; a
-// third Put blocks until a buffer is reusable (i.e. the application only
-// ever waits when it outruns the storage medium by two full
-// checkpoints).
+// Async decorates a backend with asynchronous writes, the FTI-style
+// dedicated-writer optimization: Put queues the caller's sections, which
+// the store owns from then on (see Backend), and returns while a
+// background goroutine persists them, so the application resumes
+// computing during the checkpoint write. At most two checkpoints are in
+// flight, one being written and one queued; a third Put blocks until the
+// first is written (the application only ever waits when it outruns the
+// storage medium by two full checkpoints).
 //
 // Write errors are deferred: they surface on the next Put, on Flush, or
 // on Close. Reads (Get/List/Delete/Stats) flush pending writes first so
@@ -26,12 +26,11 @@ type Async struct {
 	inner  Backend
 	faults *faultinject.Registry
 	ops    opSet
-	// writerLat times the background persist of one staged buffer —
+	// writerLat times the background persist of one queued checkpoint —
 	// the half of a Put the application never waits for; ops.put times
-	// only the synchronous snapshot-and-enqueue half.
+	// only the synchronous enqueue half.
 	writerLat *obs.Histogram
-	slots     chan struct{} // staging-buffer tokens (capacity = 2)
-	jobs      chan asyncJob
+	jobs      chan asyncJob  // the one queued checkpoint; the writer holds the other
 	wg        sync.WaitGroup // pending + in-flight writes
 
 	// opMu serializes Put/Flush/Close so a Flush cannot observe a Put
@@ -49,16 +48,9 @@ type asyncJob struct {
 	sections []Section
 }
 
-// asyncBuffers is the number of staging buffers (double buffering).
-const asyncBuffers = 2
-
 // NewAsync wraps inner with the asynchronous write path.
 func NewAsync(inner Backend) *Async {
-	a := &Async{
-		inner: inner,
-		slots: make(chan struct{}, asyncBuffers),
-		jobs:  make(chan asyncJob, asyncBuffers),
-	}
+	a := &Async{inner: inner, jobs: make(chan asyncJob, 1)}
 	go a.writer()
 	return a
 }
@@ -89,12 +81,11 @@ func (a *Async) writer() {
 			}
 			a.mu.Unlock()
 		}
-		<-a.slots
 		a.wg.Done()
 	}
 }
 
-// writeJob persists one staged buffer. An injected crash panic is
+// writeJob persists one queued checkpoint. An injected crash panic is
 // contained here and converted into the decorator's sticky deferred
 // error — the dedicated writer "died", its buffered write is lost, and
 // the next Put/Flush/Close reports it — instead of taking down the
@@ -122,9 +113,10 @@ func (a *Async) deferredErr() error {
 	return a.err
 }
 
-// Put implements Backend: snapshot and enqueue, blocking only on buffer
-// reuse. The recorded latency is the synchronous half only — what the
-// application actually waits for; store.async.writer.ns has the persist.
+// Put implements Backend: enqueue, blocking only while two checkpoints
+// are in flight. The recorded latency is the synchronous half only —
+// what the application actually waits for; store.async.writer.ns has the
+// persist.
 func (a *Async) Put(key string, sections []Section) error {
 	start := a.ops.put.Start()
 	err := a.put(key, sections)
@@ -148,9 +140,8 @@ func (a *Async) put(key string, sections []Section) error {
 	if err := a.faults.Hit(SiteAsyncPut); err != nil {
 		return err
 	}
-	a.slots <- struct{}{} // blocks iff both staging buffers are in flight
 	a.wg.Add(1)
-	a.jobs <- asyncJob{key: key, sections: copySections(sections)}
+	a.jobs <- asyncJob{key: key, sections: sections} // blocks iff one is queued behind the one being written
 	return nil
 }
 

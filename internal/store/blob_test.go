@@ -65,9 +65,6 @@ func TestTrailingBytesRejected(t *testing.T) {
 	if _, err := DecodeSections(padded); err == nil || errors.Is(err, ErrCorrupt) {
 		t.Errorf("DecodeSections(padded) = %v, want a framing error", err)
 	}
-	if _, err := decodeSections(padded, false); err == nil {
-		t.Error("the in-place decode accepted trailing bytes")
-	}
 	// A blob store that verifies what it serves refuses it too.
 	m := NewMemory()
 	m.objects["k"] = padded
@@ -81,11 +78,11 @@ func TestTrailingBytesRejected(t *testing.T) {
 
 // TestDecodeInPlace: sections decoded in place alias the blob, each
 // capped at its own end so an append copies instead of overwriting the
-// next section, and an empty section is nil as DecodeSections makes it.
+// next section, and an empty section is nil.
 func TestDecodeInPlace(t *testing.T) {
 	want := append(sampleSections(5), Section{Name: "empty"})
 	blob := EncodeSections(want)
-	got, err := decodeSections(blob, false)
+	got, err := DecodeSections(blob)
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("in-place decode = %v, %v", got, err)
 	}

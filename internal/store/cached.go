@@ -17,13 +17,12 @@ import (
 // Entries are sealed blobs, so the byte bound accounts for real object
 // size: the bytes a Put handed to the inner store, or those the inner
 // GetBlob returned on a miss, shared read-only with that store and never
-// re-encoded. Get decodes a fresh deep copy on every call, so section
-// callers can never alias cached memory; GetBlob hands out the blob
-// itself. Put writes through (inner first, cache on success), Delete
-// evicts, and concurrent Gets of the same missing key are deduplicated:
-// one leader performs the inner read while the others wait and share
-// its result, so N clients restarting from the same checkpoint cost one
-// inner read.
+// re-encoded. Get decodes the blob in place and GetBlob hands it out
+// itself, both under Backend's ownership rule. Put writes through (inner
+// first, cache on success), Delete evicts, and concurrent Gets of the
+// same missing key are deduplicated: one leader performs the inner read
+// while the others wait and share its result, so N clients restarting
+// from the same checkpoint cost one inner read.
 //
 // Coherence: the cache assumes it is the only writer to its namespace
 // of the inner store, which is how the checkpoint layer uses it (one
@@ -194,8 +193,7 @@ func (c *Cached) put(key string, blob []byte) error {
 	return nil
 }
 
-// Get implements Backend: the cached or fetched blob, decoded into a
-// fresh copy.
+// Get implements Backend: the cached or fetched blob, decoded in place.
 func (c *Cached) Get(key string) ([]Section, error) { return sectionsOf(c.GetBlob(key)) }
 
 // GetBlob implements BlobStore: cache hit, or a single-flighted inner

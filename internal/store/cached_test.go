@@ -84,25 +84,6 @@ func TestCachedReadThroughPopulatesOnMiss(t *testing.T) {
 	}
 }
 
-func TestCachedReturnsIndependentCopies(t *testing.T) {
-	c := NewCached(NewMemory(), 1<<20)
-	if err := c.Put("k", sampleSections(3)); err != nil {
-		t.Fatal(err)
-	}
-	a, err := c.Get("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a[1].Data[0] ^= 0xFF // caller scribbles on its copy
-	b, err := c.Get("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(b, sampleSections(3)) {
-		t.Error("a caller's mutation leaked into the cached object")
-	}
-}
-
 func TestCachedEvictsColdEntriesAtByteBound(t *testing.T) {
 	inner := &countingBackend{Backend: NewMemory()}
 	one := EncodedSize(sampleSections(0))

@@ -97,6 +97,9 @@ func TestIncrementalReadsKind2Chain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The decoded sections share the fixture's bytes: flip a copy, so
+		// every other key still reads its link intact.
+		sections = copySections(sections)
 		sections[0].Data[1+i%8] ^= 0x10 // one byte of the recorded digest
 		mem := memoryOf(t, blobs)
 		if err := mem.Put(k, sections); err != nil {
@@ -104,8 +107,8 @@ func TestIncrementalReadsKind2Chain(t *testing.T) {
 		}
 		_, err = NewIncremental(mem, chainKeyframe, 64).Get(k)
 		var broken *ChainBrokenError
-		if !errors.As(err, &broken) {
-			t.Errorf("Get(%s) with a flipped digest byte: %v, want *ChainBrokenError", k, err)
+		if !errors.As(err, &broken) || broken.Key != k || broken.Link != keys[i-1] || broken.Err != nil {
+			t.Errorf("Get(%s) with a flipped digest byte: %v, want the digest mismatch of %s over %s", k, err, k, keys[i-1])
 		}
 	}
 }
@@ -134,6 +137,7 @@ func TestDeltaKindsDifferOnlyInDigest(t *testing.T) {
 			if got := binary.LittleEndian.Uint64(old[0].Data[1:9]); got != objectDigestFNV(below) {
 				t.Errorf("%s: fixture digest %x, want FNV of the fixture object beneath it", k, got)
 			}
+			cur = copySections(cur) // a Get result is read-only
 			copy(cur[0].Data[:9], old[0].Data[:9])
 		}
 		if blob := EncodeSections(cur); !bytes.Equal(blob, blobs[k]) {

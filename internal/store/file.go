@@ -138,10 +138,9 @@ func syncDir(dir string) error {
 	return d.Close()
 }
 
-// Get implements Backend. Each read is a fresh buffer, so the sections
-// are decoded in place.
+// Get implements Backend: the file's contents, decoded in place.
 func (f *File) Get(key string) ([]Section, error) {
-	return getSections(f.ops.get, key, f.get, false)
+	return getSections(f.ops.get, key, f.get)
 }
 
 // GetBlob implements BlobStore: the file's contents, verified.

@@ -55,7 +55,10 @@ func (e *ChainBrokenError) Unwrap() error { return e.Err }
 // keyframe plus the deltas up to the requested key, and a checkpoint of a
 // mostly-unchanged protected set costs only the changed bytes — the
 // differential counterpart to the paper's "checkpoint only the critical
-// variables" storage argument.
+// variables" storage argument. The diff basis is the previous put's
+// sections themselves, kept rather than copied since the store owns them
+// (see Backend); a section handed over again unchanged, as the checkpoint
+// layer does, is the same slice and compares equal at once.
 //
 // The section name "~incr" is reserved for this decorator's metadata;
 // the checkpoint layer's own names (variable names plus its "~ckpt"
@@ -79,11 +82,13 @@ type Incremental struct {
 
 	mu         sync.Mutex
 	puts       int
-	baseKey    string            // key of the current keyframe
-	prevKey    string            // key of the last stored object
-	prevDigest uint64            // digest of the last stored object, the next delta's predecessor
-	last       map[string][]byte // each section's last stored content: change detection and patch basis
-	names      []string          // the current keyframe's section names, in order
+	baseKey    string // key of the current keyframe
+	prevKey    string // key of the last stored object
+	prevDigest uint64 // digest of the last stored object, the next delta's predecessor
+	// prev is the last stored put's sections, as the caller handed them
+	// over (read-only under Backend's rule): a delta has their names, in
+	// order, and diffs each section against the one at its position.
+	prev []Section
 	// ledger is every object this session stored and has not deleted, keys
 	// ascending, each with the ordinal of its delta chain: a key's
 	// dependencies are the run of its chain that ends at it. Dependencies
@@ -133,12 +138,7 @@ func NewIncremental(inner Backend, keyframe, chunkBytes int) *Incremental {
 	if chunkBytes <= 0 {
 		chunkBytes = DefaultChunkBytes
 	}
-	return &Incremental{
-		inner:    inner,
-		keyframe: keyframe,
-		chunk:    chunkBytes,
-		last:     make(map[string][]byte),
-	}
+	return &Incremental{inner: inner, keyframe: keyframe, chunk: chunkBytes}
 }
 
 // crcCastagnoli is the table crc32.Update recognises for its CRC-32C
@@ -231,10 +231,10 @@ func (inc *Incremental) put(key string, sections []Section) error {
 	// overwrite of an existing object) cannot be expressed as a delta:
 	// reconstruction walks keys in (baseKey, key] order, and a delta over
 	// an overwritten predecessor would fail the digest-chain check. Nor can
-	// a put whose sections are not the keyframe's, name for name:
-	// reconstruction overlays a chain's sections, so a delta can change a
-	// section but never drop, add or reorder one.
-	isKeyframe := inc.baseKey == "" || inc.puts%inc.keyframe == 0 || key <= inc.prevKey || !sameNames(sections, inc.names)
+	// a put whose sections are not the previous put's (so the keyframe's),
+	// name for name: reconstruction overlays a chain's sections, so a delta
+	// can change a section but never drop, add or reorder one.
+	isKeyframe := inc.baseKey == "" || inc.puts%inc.keyframe == 0 || key <= inc.prevKey || !sameNames(sections, inc.prev)
 	inc.puts++
 
 	var out []Section
@@ -244,69 +244,55 @@ func (inc *Incremental) put(key string, sections []Section) error {
 		for _, s := range sections {
 			out = append(out, Section{Name: s.Name, Data: append([]byte{encFull}, s.Data...)})
 		}
-		if err := inc.inner.Put(key, out); err != nil {
-			return err
+	} else {
+		meta := []byte{kindDelta}
+		meta = binary.LittleEndian.AppendUint64(meta, inc.prevDigest)
+		meta = append(meta, inc.baseKey...)
+		out = append(out, Section{Name: incrMetaSection, Data: meta})
+		for i, s := range sections {
+			prev := inc.prev[i].Data
+			if bytes.Equal(prev, s.Data) {
+				inc.stats.SectionsSkipped++
+				continue
+			}
+			payload := []byte{encFull}
+			if len(prev) == len(s.Data) {
+				if patch, ok := diffChunks(prev, s.Data, inc.chunk); ok {
+					payload = append([]byte{encPatch}, patch...)
+				}
+			}
+			if payload[0] == encFull {
+				payload = append(payload, s.Data...)
+			}
+			out = append(out, Section{Name: s.Name, Data: payload})
 		}
-		inc.names = inc.names[:0]
-		for _, s := range sections {
-			inc.last[s.Name] = append([]byte(nil), s.Data...)
-			inc.names = append(inc.names, s.Name)
-		}
+	}
+	// The basis advances only once the write lands: after a failed Put the
+	// next delta must still carry the changes that were never persisted.
+	if err := inc.inner.Put(key, out); err != nil {
+		return err
+	}
+	if isKeyframe {
 		if key <= inc.prevKey {
 			inc.ledger = nil // an overwrite: what is stored beneath older keys is no longer what this session wrote
 		}
 		inc.chain++
-		inc.ledger = append(inc.ledger, stored{key, inc.chain})
 		inc.baseKey = key
-		inc.prevKey = key
-		inc.prevDigest = objectDigest(out)
 		inc.stats.Keyframes++
 		inc.obsKeyframes.Inc()
-		return nil
-	}
-
-	meta := []byte{kindDelta}
-	meta = binary.LittleEndian.AppendUint64(meta, inc.prevDigest)
-	meta = append(meta, inc.baseKey...)
-	out = append(out, Section{Name: incrMetaSection, Data: meta})
-	// Stage the diff-basis updates and apply them only after the write
-	// lands: a failed Put must not advance the basis, or the next delta
-	// would skip sections whose changes were never persisted.
-	changed := make([]Section, 0, len(sections))
-	for _, s := range sections {
-		prev, known := inc.last[s.Name]
-		if known && bytes.Equal(prev, s.Data) {
-			inc.stats.SectionsSkipped++
-			continue
-		}
-		payload := []byte{encFull}
-		if known && len(prev) == len(s.Data) {
-			if patch, ok := diffChunks(prev, s.Data, inc.chunk); ok {
-				payload = append([]byte{encPatch}, patch...)
-			}
-		}
-		if payload[0] == encFull {
-			payload = append(payload, s.Data...)
-		}
-		out = append(out, Section{Name: s.Name, Data: payload})
-		changed = append(changed, s)
-	}
-	if err := inc.inner.Put(key, out); err != nil {
-		return err
-	}
-	for _, s := range changed {
-		inc.last[s.Name] = append([]byte(nil), s.Data...)
+	} else {
+		inc.stats.Deltas++
+		inc.obsDeltas.Inc()
 	}
 	inc.ledger = append(inc.ledger, stored{key, inc.chain})
+	inc.prev = sections
 	inc.prevKey = key
 	inc.prevDigest = objectDigest(out)
-	inc.stats.Deltas++
-	inc.obsDeltas.Inc()
 	return nil
 }
 
-func sameNames(sections []Section, names []string) bool {
-	return slices.EqualFunc(sections, names, func(s Section, name string) bool { return s.Name == name })
+func sameNames(a, b []Section) bool {
+	return slices.EqualFunc(a, b, func(x, y Section) bool { return x.Name == y.Name })
 }
 
 // diffChunks encodes the chunks of cur that differ from prev as
@@ -340,7 +326,7 @@ func applyPatch(base, patch []byte) ([]byte, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(patch[4:8]))
 	rest := patch[8:]
-	out := append([]byte(nil), base...)
+	out := append([]byte(nil), base...) // base shares a Get result: patch a copy
 	for i := 0; i < n; i++ {
 		if len(rest) < 8 {
 			return nil, errors.New("store: truncated patch entry")

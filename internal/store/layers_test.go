@@ -313,14 +313,27 @@ func allocatedPerByte(size, n int, op func() error) (float64, error) {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n*size), nil
 }
 
+// discardPuts is a store whose Puts keep nothing, so an allocation row
+// over it prices the layer above alone.
+type discardPuts struct{ Backend }
+
+func (discardPuts) Put(string, []Section) error { return nil }
+
 // TestBlobLayerAllocations pins what moving one blob through the quorum
 // tier and the cache buys, in bytes allocated per object byte for a
 // 256 KiB object over 3 memory replicas. When every replica stored and
 // returned sections these read 4.10 (Put), 4.07 (Get), 6.10 (scrub of a
 // converged key), 5.10 (cache miss) and 1.00 (cache hit): a staging copy
 // plus one encode per replica, a decode and a re-encode per answer, and
-// an encode of the miss for the cache. Now a Put is its one encode, a Get
-// or a miss the winner's one decode, and a scrub compares bytes in place.
+// an encode of the miss for the cache. Then a Put was its one encode, and
+// a Get, a miss or a hit 1.00, a copy of the sections out of the shared
+// blob; Async Put read 1.00, a staging copy, and an Incremental keyframe
+// 2.25, its encoding plus a copy of the diff basis. Under Backend's
+// ownership rule nothing that crosses a layer is copied: a Get of any of
+// them decodes in place, Async queues the caller's sections, a keyframe is
+// its encoding alone (1.25: each 32 KiB section plus its encoding byte
+// fills five 8 KiB pages), and a delta over unchanged sections diffs the
+// previous put's own slices.
 func TestBlobLayerAllocations(t *testing.T) {
 	sections := bigSections()
 	size := int(EncodedSize(sections))
@@ -334,6 +347,15 @@ func TestBlobLayerAllocations(t *testing.T) {
 	if err := hot.Put("k", sections); err != nil {
 		t.Fatal(err)
 	}
+	mem := NewMemory()
+	if err := mem.Put("k", sections); err != nil {
+		t.Fatal(err)
+	}
+	async := NewAsync(discardPuts{NewMemory()})
+	defer async.Close()
+	keyframes := NewIncremental(discardPuts{NewMemory()}, 1, 0)
+	inc := NewIncremental(discardPuts{NewMemory()}, 1<<30, 0) // one keyframe, then deltas
+	puts := 0
 	get := func(b Backend) func() error {
 		return func() error { _, err := b.Get("k"); return err }
 	}
@@ -348,10 +370,22 @@ func TestBlobLayerAllocations(t *testing.T) {
 			}
 			return rep.Flush()
 		}, 1.25},
-		{"Replicated Get", get(rep), 1.25},
+		{"Replicated Get", get(rep), 0.1},
 		{"Replicated ScrubOnce", func() error { _, _, err := rep.ScrubOnce(); return err }, 0.1},
-		{"Cached miss", get(small), 1.25},
-		{"Cached hit", get(hot), 1.25},
+		{"Cached miss", get(small), 0.1},
+		{"Cached hit", get(hot), 0.1},
+		{"Memory Get", get(mem), 0.1},
+		{"Async Put+Flush", func() error {
+			if err := async.Put("k", sections); err != nil {
+				return err
+			}
+			return async.Flush()
+		}, 0.1},
+		{"Incremental keyframe", func() error { return keyframes.Put("k", sections) }, 1.5},
+		{"Incremental delta, unchanged sections", func() error {
+			puts++
+			return inc.Put(fmt.Sprintf("ckpt-%06d", puts), sections)
+		}, 0.1},
 	} {
 		got, err := allocatedPerByte(size, 20, row.op)
 		if err != nil {

@@ -13,8 +13,8 @@ import (
 // filesystem, and as the innermost tier of future caching stacks. Objects
 // keep the same CRC framing as the file backend so integrity checking and
 // byte accounting are identical across backends. A stored blob is never
-// written again once it is in the map — GetBlob hands it out shared — so
-// replacing an object swaps the map entry.
+// written again once it is in the map — Get and GetBlob hand it out
+// shared — so replacing an object swaps the map entry.
 type Memory struct {
 	faults *faultinject.Registry
 	ops    opSet
@@ -70,10 +70,9 @@ func (m *Memory) put(key string, blob []byte) (int64, error) {
 	return int64(len(blob)), nil
 }
 
-// Get implements Backend. The sections are copied out of the stored
-// blob, which other readers share.
+// Get implements Backend: the stored blob, decoded in place.
 func (m *Memory) Get(key string) ([]Section, error) {
-	return getSections(m.ops.get, key, m.get, true)
+	return getSections(m.ops.get, key, m.get)
 }
 
 // GetBlob implements BlobStore: the stored blob itself, verified.

@@ -217,8 +217,7 @@ func (r *Remote) get(key string, pri admission.Priority, decode bool) (sections 
 		return nil, nil, err
 	}
 	if decode {
-		// The body buffer is this call's own: decode it in place.
-		sections, err = decodeSections(body, false)
+		sections, err = DecodeSections(body)
 	} else {
 		_, err = VerifySections(body)
 	}

@@ -403,7 +403,7 @@ func (s *Replicated) hedgeDelay() time.Duration {
 	return s.hedgeAfter
 }
 
-// Get implements Backend: the winning blob, decoded once.
+// Get implements Backend: the winning blob, decoded once in place.
 func (s *Replicated) Get(key string) ([]Section, error) { return sectionsOf(s.GetBlob(key)) }
 
 // GetBlob implements BlobStore: the winning replica's blob as it

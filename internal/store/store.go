@@ -1,7 +1,8 @@
 // Package store is the checkpoint storage engine: a pluggable Backend
-// interface over keyed, sectioned objects, with three concrete backends
-// (in-memory, single-file, sharded-file) and two write-path decorators
-// (asynchronous double-buffered writes and delta/incremental objects).
+// interface over keyed, sectioned objects. The base backends hold the
+// objects (Memory, File, Sharded, and Remote and Replicated over the
+// checkpoint service); Cached is a read tier over a base; Incremental
+// (delta objects) and Async (background writes) decorate the write path.
 //
 // A checkpoint is stored as one object per key; an object is an ordered
 // list of named sections — for the checkpoint layer, one section per
@@ -10,6 +11,8 @@
 // a worker pool, and lets the incremental decorator re-write only the
 // variables whose bytes changed since the previous checkpoint (FTI-style
 // differential checkpointing).
+//
+// What crosses a layer is read-only, so no layer copies it (see Backend).
 //
 // Keys must sort lexicographically in chronological order (the checkpoint
 // layer uses zero-padded sequence numbers); the incremental decorator and
@@ -64,6 +67,15 @@ var ErrCorrupt = errors.New("store: object CRC mismatch (corrupted)")
 // integrity (every backend frames objects with a CRC-32) and fail rather
 // than return torn or bit-flipped data — the checkpoint layer's restart
 // falls back to an older checkpoint on any Get error.
+//
+// One ownership rule holds across every layer: what crosses it is
+// read-only. The sections handed to Put — the slice and every Data — and
+// the blob handed to PutBlob (BlobStore) belong to the store from the call
+// on; it may keep, share and hand them out again, and nobody writes them
+// again. Sections and blobs returned by Get and GetBlob may share memory
+// with the store and with other readers, so the caller never writes them
+// either. A layer that needs other bytes (a patch, a parity block, an
+// encoding) builds new ones.
 type Backend interface {
 	// Put persists the object under key, replacing any previous object.
 	Put(key string, sections []Section) error
@@ -179,11 +191,11 @@ const (
 	// SiteDelete guards a base backend's object removal.
 	SiteDelete = "store.delete"
 	// SiteAsyncPut fires on the synchronous half of an async Put, before
-	// the sections are staged.
+	// the sections are queued.
 	SiteAsyncPut = "async.put"
 	// SiteAsyncWriter fires on the background writer, before it hands a
-	// staged buffer to the inner backend; errors and crashes surface as
-	// the decorator's deferred write error.
+	// queued checkpoint to the inner backend; errors and crashes surface
+	// as the decorator's deferred write error.
 	SiteAsyncWriter = "async.writer"
 	// SiteAsyncDelete fires inside Async.Delete's critical section,
 	// after pending writes drained and before the inner delete — the
@@ -373,9 +385,9 @@ func openBase(cfg Config) (Backend, error) {
 }
 
 // Decorate applies the write-path decorators requested by cfg to b
-// (incremental innermost, async outermost: the async layer snapshots the
-// sections up front, so deltas are computed against a consistent copy
-// even though they run on the background writer).
+// (incremental innermost, async outermost: the sections Async hands its
+// background writer are read-only, so the deltas computed there diff
+// exactly what Put was given).
 func Decorate(b Backend, cfg Config) Backend {
 	if cfg.Incremental {
 		b = NewIncremental(b, cfg.Keyframe, 0)
@@ -424,8 +436,30 @@ func EncodedSize(sections []Section) int64 {
 }
 
 // DecodeSections verifies and parses an object produced by
-// EncodeSections. The sections own their bytes: none aliases buf.
-func DecodeSections(buf []byte) ([]Section, error) { return decodeSections(buf, true) }
+// EncodeSections, in place: each non-empty section's Data shares buf,
+// capped at its own end so an append never reaches the next section, and
+// an empty one is nil. Like a Get result, the sections are read-only.
+func DecodeSections(buf []byte) ([]Section, error) {
+	n, rest, err := openObject(buf)
+	if err != nil {
+		return nil, err
+	}
+	sections := make([]Section, n)
+	for i := range sections {
+		var name, data []byte
+		if name, data, rest, err = nextSection(rest); err != nil {
+			return nil, err
+		}
+		if len(data) == 0 {
+			data = nil
+		}
+		sections[i] = Section{Name: string(name), Data: data}
+	}
+	if len(rest) != 0 {
+		return nil, errObjectTrailing
+	}
+	return sections, nil
+}
 
 // VerifySections checks an object exactly as DecodeSections does —
 // framing, CRC, and every section header — and reports its section
@@ -445,31 +479,6 @@ func VerifySections(buf []byte) (int, error) {
 		return 0, errObjectTrailing
 	}
 	return n, nil
-}
-
-// decodeSections is DecodeSections; with own unset, each non-empty
-// section's Data aliases buf (capped, so an append never reaches the next
-// section), which suits a buffer nobody else holds.
-func decodeSections(buf []byte, own bool) ([]Section, error) {
-	n, rest, err := openObject(buf)
-	if err != nil {
-		return nil, err
-	}
-	sections := make([]Section, n)
-	for i := range sections {
-		var name, data []byte
-		if name, data, rest, err = nextSection(rest); err != nil {
-			return nil, err
-		}
-		if own || len(data) == 0 {
-			data = append([]byte(nil), data...)
-		}
-		sections[i] = Section{Name: string(name), Data: data}
-	}
-	if len(rest) != 0 {
-		return nil, errObjectTrailing
-	}
-	return sections, nil
 }
 
 var (
@@ -561,26 +570,24 @@ func DependenciesOf(b Backend, key string) ([]string, error) {
 // and the layers above them move the bytes they were sent instead of
 // decoding and re-encoding them.
 //
-// A blob is read-only from the moment it is handed on: PutBlob takes one
-// VerifySections accepted, which the store may keep and share (a
-// replicated Put hands one blob to every replica, a cache keeps what it
-// wrote), and the caller neither checks it again nor modifies it. GetBlob
-// returns a verified blob that may be shared with the store and other
-// readers, so callers must not modify it either. Both keep the
-// failpoints, op recorders and Stats of Put and Get.
+// Blobs follow Backend's ownership rule: a replicated Put hands one blob
+// to every replica, a cache keeps what it wrote, and Memory hands out its
+// stored slice. PutBlob takes one VerifySections accepted, which the
+// caller does not check again. Both keep the failpoints, op recorders and
+// Stats of Put and Get.
 type BlobStore interface {
 	PutBlob(key string, blob []byte) error
 	GetBlob(key string) ([]byte, error)
 }
 
 // PutBlob stores a verified blob under key through b, handing it over
-// as-is to a BlobStore and as sections decoded in place (aliasing blob,
-// which b may keep but not modify) to any other backend.
+// as-is to a BlobStore and as sections decoded in place to any other
+// backend.
 func PutBlob(b Backend, key string, blob []byte) error {
 	if bs, ok := b.(BlobStore); ok {
 		return bs.PutBlob(key, blob)
 	}
-	sections, err := decodeSections(blob, false)
+	sections, err := DecodeSections(blob)
 	if err != nil {
 		return err
 	}
@@ -588,8 +595,7 @@ func PutBlob(b Backend, key string, blob []byte) error {
 }
 
 // GetBlob reads key's verified blob through b: stored bytes from a
-// BlobStore, which callers must not modify, or the re-encoded sections of
-// any other backend.
+// BlobStore, or the re-encoded sections of any other backend.
 func GetBlob(b Backend, key string) ([]byte, error) {
 	if bs, ok := b.(BlobStore); ok {
 		return bs.GetBlob(key)
@@ -602,15 +608,14 @@ func GetBlob(b Backend, key string) ([]byte, error) {
 }
 
 // getSections and getBlob are a blob backend's instrumented Get and
-// GetBlob over fetch, which returns the stored bytes unverified. shared
-// says whether those bytes stay in the store, in which case Get must copy
-// the sections out of them.
-func getSections(op *obs.Op, key string, fetch func(string) ([]byte, error), shared bool) ([]Section, error) {
+// GetBlob over fetch, which returns the stored bytes unverified; Get
+// decodes them in place.
+func getSections(op *obs.Op, key string, fetch func(string) ([]byte, error)) ([]Section, error) {
 	start := op.Start()
 	blob, err := fetch(key)
 	var sections []Section
 	if err == nil {
-		sections, err = decodeSections(blob, shared)
+		sections, err = DecodeSections(blob)
 	}
 	op.Done(start, int64(len(blob)), errClass(err))
 	return sections, err
@@ -630,8 +635,7 @@ func getBlob(op *obs.Op, key string, fetch func(string) ([]byte, error)) ([]byte
 }
 
 // sectionsOf is Get for a layer whose logic works on blobs: the verified
-// blob its GetBlob returned, decoded once into sections that own their
-// bytes, because the blob may be shared.
+// blob its GetBlob returned, decoded once in place.
 func sectionsOf(blob []byte, err error) ([]Section, error) {
 	if err != nil {
 		return nil, err
@@ -666,14 +670,4 @@ func NamespaceForDir(dir string) string {
 		}
 	}
 	return fmt.Sprintf("%s-%08x", buf, sum)
-}
-
-// copySections deep-copies sections (decorator staging buffers must not
-// alias caller memory).
-func copySections(sections []Section) []Section {
-	out := make([]Section, len(sections))
-	for i, s := range sections {
-		out[i] = Section{Name: s.Name, Data: append([]byte(nil), s.Data...)}
-	}
-	return out
 }

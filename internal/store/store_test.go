@@ -15,6 +15,16 @@ import (
 	"testing"
 )
 
+// copySections deep-copies sections, for a test that keeps what it put
+// apart from what the store now owns.
+func copySections(sections []Section) []Section {
+	out := make([]Section, len(sections))
+	for i, s := range sections {
+		out[i] = Section{Name: s.Name, Data: append([]byte(nil), s.Data...)}
+	}
+	return out
+}
+
 func sampleSections(seed byte) []Section {
 	big := make([]byte, 2048)
 	for i := range big {
@@ -494,28 +504,6 @@ func TestAsyncDeferredErrorSurfaces(t *testing.T) {
 	}
 	if err := a.Close(); err == nil {
 		t.Error("Close swallowed the deferred write error")
-	}
-}
-
-func TestAsyncSnapshotsSections(t *testing.T) {
-	inner := NewMemory()
-	a := NewAsync(inner)
-	defer a.Close()
-	sections := sampleSections(1)
-	if err := a.Put("k", sections); err != nil {
-		t.Fatal(err)
-	}
-	// Mutate the caller's buffer after Put returns: the staged snapshot
-	// must be unaffected.
-	for i := range sections[2].Data {
-		sections[2].Data[i] = 0xEE
-	}
-	got, err := a.Get("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, sampleSections(1)) {
-		t.Error("async write observed caller mutation (staging buffer aliases caller memory)")
 	}
 }
 

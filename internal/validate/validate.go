@@ -173,8 +173,8 @@ func (v *Validator) Run() (*Report, error) {
 	}
 	var ctxs []*checkpoint.Context
 	defer func() {
-		// Release backend resources (async writer goroutines, staging
-		// buffers) once the necessity loop is done with the contexts.
+		// Release backend resources (async writer goroutines, queued
+		// writes) once the necessity loop is done with the contexts.
 		for _, ctx := range ctxs {
 			ctx.Close()
 		}
