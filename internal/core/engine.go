@@ -364,12 +364,12 @@ type source interface {
 	// It validates nothing it can skip; the fused sweep decodes everything.
 	extent(spec LoopSpec) (bStart, bEnd, n int, err error)
 	// sweepBatch replays the stream in record slices; base is the stream
-	// index of recs[0]. A non-nil filter tells the source which opcodes
-	// need their operands — sources that decode per sweep skip the
-	// operand decode for rejected opcodes (headers stay intact); already
-	// materialized sources ignore it, which is always a superset. The
-	// records are only valid for the duration of each fn call.
-	sweepBatch(filter func(opcode int) bool, fn func(base int, recs []trace.Record) error) error
+	// index of recs[0]. headersOnly tells the source no operand is read —
+	// sources that decode per sweep skip the operand decode (headers stay
+	// intact); already materialized sources ignore it, which is always a
+	// superset. The records are only valid for the duration of each fn
+	// call.
+	sweepBatch(headersOnly bool, fn func(base int, recs []trace.Record) error) error
 }
 
 // sliceSource adapts a materialized []trace.Record without copying.
@@ -388,9 +388,9 @@ func (s sliceSource) extent(spec LoopSpec) (bStart, bEnd, n int, err error) {
 	return bStart, bEnd, len(s), nil
 }
 
-func (s sliceSource) sweepBatch(filter func(opcode int) bool, fn func(base int, recs []trace.Record) error) error {
+func (s sliceSource) sweepBatch(headersOnly bool, fn func(base int, recs []trace.Record) error) error {
 	// Already materialized: the whole slice is one batch, no decode to
-	// filter.
+	// skip.
 	if len(s) == 0 {
 		return nil
 	}
@@ -408,22 +408,22 @@ type streamSource struct {
 	batch *trace.RecordBatch
 }
 
-func (s *streamSource) sweepBatch(filter func(opcode int) bool, fn func(base int, recs []trace.Record) error) error {
+func (s *streamSource) sweepBatch(headersOnly bool, fn func(base int, recs []trace.Record) error) error {
 	rd, err := s.open()
 	if err != nil {
 		return err
 	}
-	s.batch.Filter = filter
-	defer func() { s.batch.Filter = nil }()
+	s.batch.HeadersOnly = headersOnly
+	defer func() { s.batch.HeadersOnly = false }()
 	return trace.ForEachBatch(rd, s.batch, fn)
 }
 
 // extent is a header-only sweep — a stateful string table (ACTB) or a pipe
-// cannot be read from the end: the filter rejects every opcode, so the
-// decode skips every operand and delivers the header fields (Func, Line).
+// cannot be read from the end: the decode skips every operand and delivers
+// the header fields (Func, Line).
 func (s *streamSource) extent(spec LoopSpec) (bStart, bEnd, n int, err error) {
 	bStart, bEnd = -1, -1
-	err = s.sweepBatch(func(int) bool { return false }, func(base int, recs []trace.Record) error {
+	err = s.sweepBatch(true, func(base int, recs []trace.Record) error {
 		for k := range recs {
 			if spec.contains(&recs[k]) {
 				if bStart < 0 {
@@ -492,7 +492,7 @@ func analyzeScheduleIn(sc *scratch, src source, spec LoopSpec, opts Options) (*R
 	if !part.sawLoop() {
 		// No extent parses an operand line. Decode them before giving up, so
 		// a malformed trace reports its decode error, not a missing loop.
-		if err := src.sweepBatch(nil, func(int, []trace.Record) error { return nil }); err != nil {
+		if err := src.sweepBatch(false, func(int, []trace.Record) error { return nil }); err != nil {
 			return nil, err
 		}
 		return nil, &NoLoopError{Spec: spec, Records: part.n}
@@ -506,7 +506,7 @@ func analyzeScheduleIn(sc *scratch, src source, spec LoopSpec, opts Options) (*R
 	// (Table III's "trace reading"), whatever the source.
 	t1 := time.Now()
 	step := a.step
-	err = src.sweepBatch(nil, func(base int, recs []trace.Record) error {
+	err = src.sweepBatch(false, func(base int, recs []trace.Record) error {
 		t := time.Now()
 		part.runs(base, recs, step)
 		res.Timing.Dep += time.Since(t)

@@ -77,6 +77,25 @@ func TestAnalyzeBytesErrorPrecedence(t *testing.T) {
 		return append(append(append([]byte{}, text[:cut]...), line...), text[cut:]...)
 	}
 	noLoop := LoopSpec{Function: "nosuch", StartLine: 900, EndLine: 950}
+	// The ACTB splice point: the first operand of an in-loop record with
+	// operands past the middle of the trace, which the header-only partition
+	// sweep skips. An operand spliced in there comes with its record's
+	// operand count raised by one. (Encoding a prefix of the records yields
+	// a prefix of the bytes; the record without its operands ends where its
+	// first operand starts.)
+	in := len(recs) / 2
+	for !fig4Spec.contains(&recs[in]) || len(recs[in].Ops) == 0 {
+		in++
+	}
+	bare := recs[in]
+	bare.Ops, bare.Result = nil, nil
+	opAt := len(trace.EncodeBinary(append(recs[:in:in], bare)))
+	spliceOperand := func(op ...byte) []byte {
+		data := append(append(append([]byte{}, bin[:opAt]...), op...), bin[opAt:]...)
+		data[opAt-1]++ // the operand count, one byte
+		return data
+	}
+	overflow := append(bytes.Repeat([]byte{0x80}, 10), 1)
 
 	faulty := []struct {
 		name  string
@@ -88,6 +107,12 @@ func TestAnalyzeBytesErrorPrecedence(t *testing.T) {
 		{"text/bad-header-in-skipped-record", splice("0,notanint,main,b,27,5\n"), trace.ParseBytes},
 		{"text/bad-operand-then-bad-header", append(splice("1,1,64,zz,1,x\n"), "0,notanint,main,b,27,5\n"...), trace.ParseBytes},
 		{"actb/truncated-body", bin[:len(bin)/2], trace.ParseBinary},
+		// meta, index 1, size 64, int 0, then the name ref "" — each row
+		// breaks one field.
+		{"actb/bad-meta-kind", spliceOperand(3, 2, 64, 0, 1), trace.ParseBinary},
+		{"actb/string-ref-beyond-table", spliceOperand(0, 2, 64, 0, 0xff, 0xff, 0x7f), trace.ParseBinary},
+		{"actb/new-name-with-separator", spliceOperand(0, 2, 64, 0, 0, 3, 'a', ',', 'b'), trace.ParseBinary},
+		{"actb/11-byte-varint", spliceOperand(append(append([]byte{0, 2, 64}, overflow...), 1)...), trace.ParseBinary},
 	}
 	for _, tc := range faulty {
 		_, want := tc.parse(tc.data)

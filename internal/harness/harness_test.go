@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"autocheck/internal/analysis"
@@ -332,45 +334,70 @@ func TestAnalyzeBytesNeverMaterializes(t *testing.T) {
 	}
 }
 
+// unevenReader serves r in Reads of 1 to 97 bytes, in a fixed cycle, so
+// window refills land at every offset inside a record.
+type unevenReader struct {
+	r io.Reader
+	i int
+}
+
+func (u *unevenReader) Read(p []byte) (int, error) {
+	u.i++
+	if n := 1 + u.i*37%97; n < len(p) {
+		p = p[:n]
+	}
+	return u.r.Read(p)
+}
+
 // TestHeaderHopAllBenchmarks is the differential test of the partition
-// sweep's decode of a streamed text trace on every port (in-memory text
-// has no such sweep any more, see TestExtentAllBenchmarks): reading the
-// stream with a reject-all filter (which hops from block header to block
-// header) yields every record of the full decode with the same header
-// fields, at batch sizes that end a batch on, before and far from a hop.
+// sweep's decode of a streamed trace on every port (in-memory text has no
+// such sweep any more, see TestExtentAllBenchmarks): reading the text
+// stream header-only (which hops from block header to block header) and
+// the ACTB stream header-only (which skips every operand) — whole, one
+// byte per Read and in uneven Reads — yields every record of the full
+// decode with the same header fields and no operands, at batch sizes that
+// end a batch on, before and far from a hop.
 func TestHeaderHopAllBenchmarks(t *testing.T) {
-	reject := func(int) bool { return false }
 	for _, b := range progs.All() {
 		p, err := Prepare(b, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, max := range []int{1, 2, 512} {
-			rd := trace.NewScanner(bytes.NewReader(p.Data))
-			batch := trace.RecordBatch{Filter: reject}
-			i := 0
-			for {
-				n, err := rd.NextBatch(&batch, max)
-				if err != nil {
-					t.Fatalf("%s max=%d: %v", b.Name, max, err)
-				}
-				if n == 0 {
-					break
-				}
-				for _, h := range batch.Recs[:n] {
-					if i >= len(p.Records) {
-						t.Fatalf("%s max=%d: more than the trace's %d records", b.Name, max, len(p.Records))
+		bin := p.BinData()
+		streams := map[string]func() *trace.WindowReader{
+			"text":         func() *trace.WindowReader { return trace.NewScanner(bytes.NewReader(p.Data)) },
+			"actb":         func() *trace.WindowReader { return trace.NewBinaryScanner(bytes.NewReader(bin)) },
+			"actb-onebyte": func() *trace.WindowReader { return trace.NewBinaryScanner(iotest.OneByteReader(bytes.NewReader(bin))) },
+			"actb-uneven":  func() *trace.WindowReader { return trace.NewBinaryScanner(&unevenReader{r: bytes.NewReader(bin)}) },
+		}
+		for name, open := range streams {
+			for _, max := range []int{1, 2, 512} {
+				rd := open()
+				batch := trace.RecordBatch{HeadersOnly: true}
+				i := 0
+				for {
+					n, err := rd.NextBatch(&batch, max)
+					if err != nil {
+						t.Fatalf("%s %s max=%d: %v", b.Name, name, max, err)
 					}
-					w := p.Records[i]
-					if h.Line != w.Line || h.Func != w.Func || h.Block != w.Block || h.Opcode != w.Opcode ||
-						h.DynID != w.DynID || h.Ops != nil || h.Result != nil {
-						t.Fatalf("%s max=%d: record %d header %+v, full decode has %+v", b.Name, max, i, h, w)
+					if n == 0 {
+						break
 					}
-					i++
+					for _, h := range batch.Recs[:n] {
+						if i >= len(p.Records) {
+							t.Fatalf("%s %s max=%d: more than the trace's %d records", b.Name, name, max, len(p.Records))
+						}
+						w := p.Records[i]
+						if h.Line != w.Line || h.Func != w.Func || h.Block != w.Block || h.Opcode != w.Opcode ||
+							h.DynID != w.DynID || h.Ops != nil || h.Result != nil {
+							t.Fatalf("%s %s max=%d: record %d header %+v, full decode has %+v", b.Name, name, max, i, h, w)
+						}
+						i++
+					}
 				}
-			}
-			if i != len(p.Records) {
-				t.Errorf("%s max=%d: %d records, full decode has %d", b.Name, max, i, len(p.Records))
+				if i != len(p.Records) {
+					t.Errorf("%s %s max=%d: %d records, full decode has %d", b.Name, name, max, i, len(p.Records))
+				}
 			}
 		}
 	}

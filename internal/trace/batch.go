@@ -20,11 +20,10 @@ import "io"
 
 // RecordBatch is reusable storage for batch decoding.
 type RecordBatch struct {
-	// Filter, when non-nil, selects which opcodes need their operands:
-	// records whose opcode it rejects are decoded header-only (nil Ops,
-	// nil Result). Sweeps that consult only header fields — the engine's
-	// partition sweep — skip the dominant share of the decode work.
-	Filter func(opcode int) bool
+	// HeadersOnly decodes every record header-only (nil Ops, nil Result).
+	// Sweeps that consult only header fields — the engine's partition
+	// sweep — skip the dominant share of the decode work.
+	HeadersOnly bool
 
 	// Recs holds the records of the current batch. Managed by NextBatch
 	// and AppendRecord; callers treat it as read-only.
@@ -89,7 +88,7 @@ const DefaultBatchRecords = 512
 
 // GatherBatch adapts a plain Reader to the batch shape: records are
 // collected one Next at a time. It cannot recycle the reader's per-record
-// allocations (and ignores b.Filter — full records are a superset), but
+// allocations (and ignores b.HeadersOnly — full records are a superset), but
 // lets every consumer be written against one loop. Wrappers that embed a
 // Reader use it as the NextBatch fallback for non-batching streams.
 func GatherBatch(rd Reader, b *RecordBatch, max int) (int, error) {
@@ -110,7 +109,7 @@ func GatherBatch(rd Reader, b *RecordBatch, max int) (int, error) {
 // ForEachBatch drives rd to the end of its stream in batches, calling fn
 // with each batch of records and the stream index of its first record.
 // Readers implementing BatchReader decode straight into b's recycled
-// storage (honoring b.Filter); other readers are adapted record by
+// storage (honoring b.HeadersOnly); other readers are adapted record by
 // record. A reader that implements io.Closer is closed before returning
 // (a close error is reported only when the sweep itself succeeded), and
 // the records passed to fn are only valid for the duration of the call.

@@ -143,10 +143,11 @@ func TestNextBatchVsNext(t *testing.T) {
 	}
 }
 
-// TestBatchFilter pins the header-only decode: records whose opcode the
-// filter rejects keep exact header fields but carry no operands, while
-// admitted records are complete — and stateful decoding (the binary
-// string table) survives the skipped records.
+// TestBatchFilter pins the header-only decode, which is all or nothing:
+// with HeadersOnly set every record keeps exact header fields and carries
+// no operands, stateful decoding (the binary string table) surviving the
+// skipped operands; with it cleared again the same batch decodes complete
+// records.
 func TestBatchFilter(t *testing.T) {
 	recs := randomRecords(rand.New(rand.NewSource(13)), 400)
 	text, bin := EncodeAll(recs), EncodeBinary(recs)
@@ -154,29 +155,35 @@ func TestBatchFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keep := func(op int) bool { return op == OpLoad || op == OpStore }
+	var b RecordBatch // shared: HeadersOnly is read per NextBatch call
 	for name, open := range batchReaders(t, text, bin) {
-		got, err := drain(open(), keep, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: filtered decode dropped records: %d vs %d", name, len(got), len(want))
-		}
-		for i := range got {
-			w := want[i]
-			if got[i].Opcode != w.Opcode || got[i].Func != w.Func ||
-				got[i].Line != w.Line || got[i].DynID != w.DynID {
-				t.Fatalf("%s: record %d header differs: %+v vs %+v", name, i, got[i], w)
+		rd := open()
+		var hdr, full []Record
+		for {
+			b.HeadersOnly = len(hdr) < len(want)/2
+			n, err := rd.NextBatch(&b, 64)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if keep(w.Opcode) {
-				w2 := got[i]
-				if !equalModuloNaN([]Record{w}, []Record{w2}) {
-					t.Fatalf("%s: admitted record %d not fully decoded", name, i)
+			if n == 0 {
+				break
+			}
+			for i := range b.Recs[:n] {
+				if b.HeadersOnly {
+					hdr = append(hdr, b.Recs[i].Clone())
+				} else {
+					full = append(full, b.Recs[i].Clone())
 				}
-			} else if got[i].Ops != nil || got[i].Result != nil {
-				t.Fatalf("%s: rejected record %d still carries operands", name, i)
 			}
+		}
+		if len(hdr) < len(want)/2 || len(hdr)+len(full) != len(want) {
+			t.Fatalf("%s: %d header-only and %d full records, want %d in all", name, len(hdr), len(full), len(want))
+		}
+		if err := sameHeaders(want[:len(hdr)], hdr); err != nil {
+			t.Errorf("%s: header-only decode: %v", name, err)
+		}
+		if !equalModuloNaN(want[len(hdr):], full) {
+			t.Errorf("%s: records after HeadersOnly is cleared are not fully decoded", name)
 		}
 	}
 }
@@ -221,10 +228,10 @@ func TestErrorIsSticky(t *testing.T) {
 	}
 }
 
-// drain reads rd to its end or first error through NextBatch under the
-// given operand filter, cloning the records out of the recycled batch.
-func drain(rd BatchReader, filter func(opcode int) bool, max int) ([]Record, error) {
-	b := RecordBatch{Filter: filter}
+// drain reads rd to its end or first error through NextBatch, header-only
+// or not, cloning the records out of the recycled batch.
+func drain(rd BatchReader, headersOnly bool, max int) ([]Record, error) {
+	b := RecordBatch{HeadersOnly: headersOnly}
 	var out []Record
 	for {
 		n, err := rd.NextBatch(&b, max)
@@ -237,20 +244,17 @@ func drain(rd BatchReader, filter func(opcode int) bool, max int) ([]Record, err
 	}
 }
 
-func rejectAll(int) bool { return false }
-
-// headersOnly decodes a streamed trace with a reject-all filter — the
-// partition sweep of a source that cannot be read from its end (in-memory
-// text finds its loop with TextExtent instead), which on text hops from
-// block header to block header without reading the operand lines in
-// between. The stream arrives in small uneven Reads, so hops also meet
-// window refills.
+// headersOnly decodes a streamed trace header-only — the partition sweep
+// of a source that cannot be read from its end (in-memory text finds its
+// loop with TextExtent instead), which on text hops from block header to
+// block header without reading the operand lines in between. The stream
+// arrives in small uneven Reads, so hops also meet window refills.
 func headersOnly(data []byte, max int) ([]Record, error) {
 	rd, _, err := NewAutoReader(newChunkReader(data, int64(len(data))))
 	if err != nil {
 		return nil, err
 	}
-	return drain(rd, rejectAll, max)
+	return drain(rd, true, max)
 }
 
 // sameHeaders reports how a header-only decode differs from the full
@@ -441,8 +445,11 @@ func TestBatchOpsAppendSafe(t *testing.T) {
 }
 
 // TestBatchDecodeAllocs pins that steady-state batch decoding of an
-// in-memory text trace is allocation-free once the batch storage has
+// in-memory trace allocates nothing per record once the batch storage has
 // grown to size — the property the streaming analysis path is built on.
+// Text is allocation-free; ACTB, read by a fresh reader per pass as each
+// analysis sweep opens one, allocates its string table's strings and a
+// constant, in full and header-only alike.
 func TestBatchDecodeAllocs(t *testing.T) {
 	recs := randomRecords(rand.New(rand.NewSource(15)), 2000)
 	data := EncodeAll(recs)
@@ -475,6 +482,38 @@ func TestBatchDecodeAllocs(t *testing.T) {
 	// value strings; allow a small slack, not per-record growth.
 	if allocs > 10 {
 		t.Errorf("steady-state batch decode = %.1f allocs per full pass, want <= 10", allocs)
+	}
+
+	bin := EncodeBinary(recs)
+	strs := map[string]bool{}
+	for _, r := range recs {
+		strs[r.Func], strs[r.Block] = true, true
+		for _, o := range r.Ops {
+			strs[o.Name] = true
+		}
+		if r.Result != nil {
+			strs[r.Result.Name] = true
+		}
+	}
+	for _, headersOnly := range []bool{false, true} {
+		b := RecordBatch{HeadersOnly: headersOnly}
+		sweep := func() {
+			rd, _, err := NewBytesReader(bin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ForEachBatch(rd, &b, func(int, []Record) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sweep() // sizes Recs and the operand arena
+		// A fresh reader costs a few allocations of its own and the string
+		// table one per distinct string plus its growth.
+		allocs := testing.AllocsPerRun(20, sweep)
+		if limit := float64(len(strs) + 8); allocs > limit {
+			t.Errorf("ACTB headersOnly=%v: warmed sweep of %d records = %.1f allocs, want <= %.0f (%d distinct strings)",
+				headersOnly, len(recs), allocs, limit, len(strs))
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 )
 
 // Compact binary trace format ("ACTB"), the on-disk fast path beside the
@@ -255,234 +256,375 @@ const (
 	maxBinaryOperands = 1 << 20 // sanity cap against corrupt counts
 )
 
-// binDecoder is the one ACTB decoder: direct slice indexing over data (a
-// whole trace, or the window of a stream that starts at offset base), and
-// operand storage batched in an arena like the text decoder's.
+// binDecoder is the one ACTB decoder: one walk over data (a whole trace, or
+// the window of a stream that starts at offset base) with a local cursor,
+// and operand storage batched in an arena like the text decoder's.
+//
+// Each helper takes the position of its field and returns the position
+// after it or, negative, one of the cursor codes truncated and corrupt,
+// having noted where and why in the decoder; the walk hands the code back
+// up and err turns the note into the error. Nothing on the cursor's way
+// formats, wraps or returns an error, and d.pos moves once per record.
 type binDecoder struct {
 	data []byte
-	pos  int
+	pos  int   // the next record (or the header, at offset 0)
 	base int64 // stream offset of data[0], for error messages
 	strs []string
 	ops  []Operand
+
+	// The fault a walk stopped at: its offset in data, the field it is in
+	// and, if the field does not simply run out, what is wrong with it.
+	at        int
+	what, why string
 }
 
-func (d *binDecoder) corrupt(what string) error {
-	return fmt.Errorf("trace: binary trace corrupt at byte offset %d (%s)", d.base+int64(d.pos), what)
+// The cursor codes.
+const (
+	// truncated: the field runs past the end of data. It is the one failure
+	// more bytes can cure: the stream reader refills and retries on it, and
+	// at the true end of a trace it is the truncation error.
+	truncated = -1
+	// corrupt: no further bytes can make the field valid.
+	corrupt = -2
+)
+
+// fault notes a fault at data[at] and returns its code.
+func (d *binDecoder) fault(code, at int, what, why string) int {
+	d.at, d.what, d.why = at, what, why
+	return code
 }
 
-// truncated reports a field that runs past the end of data. It is the one
-// failure more bytes can cure: the stream reader refills and retries on
-// it, and at the true end of a trace it is the truncation error.
-func (d *binDecoder) truncated(what string) error {
-	return fmt.Errorf("trace: binary trace truncated at byte offset %d (%s): %w", d.base+int64(d.pos), what, io.ErrUnexpectedEOF)
+// in names the field a helper's noted fault is in, and returns its code.
+func (d *binDecoder) in(code int, what string) int {
+	d.what = what
+	return code
 }
 
-func (d *binDecoder) uvarint(what string) (uint64, error) {
-	// Fast path: most fields (string refs, sizes, small ints) are one byte.
-	if d.pos < len(d.data) {
-		if b := d.data[d.pos]; b < 0x80 {
-			d.pos++
-			return uint64(b), nil
+// err is the error of the walk that stopped with code.
+func (d *binDecoder) err(code int) error {
+	what := d.what
+	if d.why != "" {
+		what += ": " + d.why
+	}
+	if code == truncated {
+		return fmt.Errorf("trace: binary trace truncated at byte offset %d (%s): %w", d.base+int64(d.at), what, io.ErrUnexpectedEOF)
+	}
+	return fmt.Errorf("trace: binary trace corrupt at byte offset %d (%s)", d.base+int64(d.at), what)
+}
+
+func unzigzag(v uint64) int64 { return int64(v>>1) ^ -int64(v&1) }
+
+// uvarint reads the varint at data[p:]. Most fields — string refs, sizes,
+// small ints — are one byte.
+func (d *binDecoder) uvarint(p int) (uint64, int) {
+	if p < len(d.data) {
+		if b := d.data[p]; b < 0x80 {
+			return uint64(b), p + 1
 		}
 	}
-	v, n := binary.Uvarint(d.data[d.pos:])
+	return d.uvarintLong(p)
+}
+
+// uvarintLong reads a varint of any length. With eight bytes of data left,
+// one of up to eight bytes is decoded from one word without a branch per
+// byte (Lemire et al.: varint decoding is bound by branches, not bytes):
+// the first byte with its high bit clear ends it, and three shift-and-merge
+// steps pack its 7-bit groups.
+func (d *binDecoder) uvarintLong(p int) (uint64, int) {
+	if len(d.data)-p >= 8 {
+		w := binary.LittleEndian.Uint64(d.data[p:])
+		if m := ^w & 0x8080808080808080; m != 0 {
+			n := bits.TrailingZeros64(m) + 1 // 8 × the varint's length
+			w &= (1<<n - 1) & 0x7f7f7f7f7f7f7f7f
+			w = w&0x007f007f007f007f | w&0x7f007f007f007f00>>1
+			w = w&0x00003fff00003fff | w&0x3fff00003fff0000>>2
+			w = w&0x000000000fffffff | w&0x0fffffff00000000>>4
+			return w, p + n/8
+		}
+	}
+	v, n := binary.Uvarint(d.data[p:])
+	if n > 0 {
+		return v, p + n
+	}
 	if n == 0 {
-		return 0, d.truncated(what)
+		return 0, d.fault(truncated, p, "", "")
 	}
-	if n < 0 {
-		return 0, d.corrupt(what + ": varint overflows 64 bits")
-	}
-	d.pos += n
-	return v, nil
+	return 0, d.fault(corrupt, p, "", "varint overflows 64 bits")
 }
 
-func (d *binDecoder) varint(what string) (int64, error) {
-	v, err := d.uvarint(what)
-	return int64(v>>1) ^ -int64(v&1), err
+// str reads the string ref at data[p:]: an entry of the table, or a new
+// string, which is checked and appended to the table.
+func (d *binDecoder) str(p int) (string, int) {
+	if p < len(d.data) {
+		// One byte 1..127 within the table: the common repeated name.
+		if r := uint(d.data[p]) - 1; r < 0x7f && r < uint(len(d.strs)) {
+			return d.strs[r], p + 1
+		}
+	}
+	return d.strLong(p)
 }
 
-func (d *binDecoder) str(what string) (string, error) {
-	ref, err := d.uvarint(what)
-	if err != nil {
-		return "", err
+func (d *binDecoder) strLong(p int) (string, int) {
+	ref, p := d.uvarint(p)
+	if p < 0 {
+		return "", p
 	}
 	if ref != 0 {
 		if ref > uint64(len(d.strs)) {
-			return "", d.corrupt(what + ": string ref beyond table")
+			return "", d.fault(corrupt, p, "", "string ref beyond table")
 		}
-		return d.strs[ref-1], nil
+		return d.strs[ref-1], p
 	}
-	n, err := d.uvarint(what)
-	if err != nil {
-		return "", err
+	n, p := d.uvarint(p)
+	switch {
+	case p < 0:
+		return "", p
+	case n > maxBinaryString:
+		return "", d.fault(corrupt, p, "", "bad string length")
+	case uint64(len(d.data)-p) < n:
+		return "", d.fault(truncated, p, "", "")
 	}
-	if n > maxBinaryString {
-		return "", d.corrupt(what + ": bad string length")
-	}
-	if uint64(len(d.data)-d.pos) < n {
-		return "", d.truncated(what)
-	}
-	b := d.data[d.pos : d.pos+int(n)]
+	b := d.data[p : p+int(n)]
 	if bytes.ContainsAny(b, ",\r\n") {
 		// The text format has no way to write such a name (its decoder
 		// refuses a '\r' inside one too): converted, the record would
 		// parse as a different one or not at all.
-		return "", d.corrupt(what + ": name contains a field or line separator")
+		return "", d.fault(corrupt, p, "", "name contains a field or line separator")
 	}
 	s := string(b)
-	d.pos += int(n)
 	d.strs = append(d.strs, s)
-	return s, nil
+	return s, p + int(n)
 }
 
-func (d *binDecoder) operand(o *Operand) error {
-	if d.pos >= len(d.data) {
-		return d.truncated("operand meta")
+// operand decodes the operand at data[p:] into o, every field of which it
+// sets.
+func (d *binDecoder) operand(o *Operand, p int) int {
+	if p >= len(d.data) {
+		return d.fault(truncated, p, "operand meta", "")
 	}
-	meta := d.data[d.pos]
-	d.pos++
+	meta := d.data[p]
 	kind := ValueKind(meta & 3)
 	if kind > KindPtr {
-		return d.corrupt("operand meta: bad value kind")
+		return d.fault(corrupt, p+1, "operand meta", "bad value kind")
 	}
 	o.IsReg = meta&4 != 0
-	idx, err := d.varint("operand index")
-	if err != nil {
-		return err
+	var v uint64
+	if len(d.data)-p >= 3 && (d.data[p+1]|d.data[p+2]) < 0x80 {
+		// Index and size are one byte each, as almost always.
+		o.Index, o.Size = int(unzigzag(uint64(d.data[p+1]))), int(d.data[p+2])
+		p += 3
+	} else {
+		if v, p = d.uvarint(p + 1); p < 0 {
+			return d.in(p, "operand index")
+		}
+		o.Index = int(unzigzag(v))
+		if v, p = d.uvarint(p); p < 0 {
+			return d.in(p, "operand size")
+		}
+		o.Size = int(v)
 	}
-	o.Index = int(idx)
-	size, err := d.uvarint("operand size")
-	if err != nil {
-		return err
-	}
-	o.Size = int(size)
-	var bits uint64
 	switch kind {
 	case KindFloat:
-		if len(d.data)-d.pos < 8 {
-			return d.truncated("float value")
+		if len(d.data)-p < 8 {
+			return d.fault(truncated, p, "float value", "")
 		}
-		bits = binary.LittleEndian.Uint64(d.data[d.pos:])
-		d.pos += 8
+		v, p = binary.LittleEndian.Uint64(d.data[p:]), p+8
 	case KindPtr:
-		bits, err = d.uvarint("pointer value")
+		if v, p = d.uvarint(p); p < 0 {
+			return d.in(p, "pointer value")
+		}
 	default:
-		var v int64
-		v, err = d.varint("int value")
-		bits = uint64(v)
+		if v, p = d.uvarint(p); p < 0 {
+			return d.in(p, "int value")
+		}
+		v = uint64(unzigzag(v))
 	}
-	if err != nil {
-		return err
+	o.Value = Value{Kind: kind, bits: v}
+	if o.Name, p = d.str(p); p < 0 {
+		return d.in(p, "operand name")
 	}
-	o.Value = Value{Kind: kind, bits: bits}
-	o.Name, err = d.str("operand name")
-	return err
+	return p
 }
 
+// skipOperand moves past the operand at data[p:] with every field checked
+// and a new name appended to the string table, which later records refer
+// to. An operand whose numbers skipNumbers cannot skip — and any fault — is
+// left to operand, into a throwaway Operand, so both report the same error.
+func (d *binDecoder) skipOperand(p int) int {
+	if p < len(d.data) {
+		if kind := ValueKind(d.data[p] & 3); kind <= KindPtr {
+			if q, ok := d.skipNumbers(p+1, kind); ok {
+				if _, q = d.str(q); q < 0 {
+					return d.in(q, "operand name")
+				}
+				return q
+			}
+		}
+	}
+	var o Operand
+	return d.operand(&o, p)
+}
+
+// skipNumbers moves past an operand's index, size and value at data[p:]
+// in one step when, as almost always, their varints end within the next
+// eight bytes: each ends at a byte with its high bit clear, and none of
+// eight bytes or fewer can overflow, so there is nothing else to check.
+// When they do not, it reports false and they are walked field by field.
+func (d *binDecoder) skipNumbers(p int, kind ValueKind) (int, bool) {
+	if len(d.data)-p < 8 {
+		return 0, false
+	}
+	m := ^binary.LittleEndian.Uint64(d.data[p:]) & 0x8080808080808080
+	// m flags each varint's last byte: drop the index's, and but for a
+	// float the size's, and the lowest left ends the last varint.
+	m &= m - 1
+	if kind != KindFloat {
+		m &= m - 1
+	}
+	if m == 0 {
+		return 0, false
+	}
+	p += bits.TrailingZeros64(m)/8 + 1
+	if kind == KindFloat {
+		if len(d.data)-p < 8 {
+			return 0, false
+		}
+		p += 8
+	}
+	return p, true
+}
+
+// header checks the magic, the version and the opcode table at the start of
+// data, and moves d.pos past them.
 func (d *binDecoder) header() error {
 	if len(d.data) < len(binaryMagic) && bytes.HasPrefix(binaryMagic, d.data) {
-		return d.truncated("magic")
+		return d.err(d.fault(truncated, 0, "magic", ""))
 	}
 	if !bytes.HasPrefix(d.data, binaryMagic) {
 		return fmt.Errorf("trace: bad binary magic (want %q)", binaryMagic)
 	}
-	d.pos = len(binaryMagic)
-	if d.pos >= len(d.data) {
-		return d.truncated("version")
+	p := len(binaryMagic)
+	if p >= len(d.data) {
+		return d.err(d.fault(truncated, p, "version", ""))
 	}
-	if v := d.data[d.pos]; v != binaryVersion {
+	if v := d.data[p]; v != binaryVersion {
 		return fmt.Errorf("trace: unsupported binary trace version %d (want %d)", v, binaryVersion)
 	}
-	d.pos++
-	n, err := d.uvarint("opcode table size")
-	if err != nil {
-		return err
+	if p = d.opcodeTable(p + 1); p < 0 {
+		return d.err(p)
 	}
-	if n > 4096 {
-		return d.corrupt("opcode table size")
-	}
-	for i := uint64(0); i < n; i++ {
-		if _, err := d.uvarint("opcode table entry"); err != nil {
-			return err
-		}
-		ln, err := d.uvarint("opcode table entry")
-		if err != nil {
-			return err
-		}
-		if ln > maxBinaryString {
-			return d.corrupt("opcode table entry")
-		}
-		if uint64(len(d.data)-d.pos) < ln {
-			return d.truncated("opcode table entry")
-		}
-		d.pos += int(ln)
-	}
+	d.pos = p
 	return nil
 }
 
-// record decodes one record at d.pos into rec, batching its operands in
-// d.ops (callers must not hold d.ops aliases across arena growth — the
-// record's own Ops/Result sub-slices are safe, matching the text
-// decoder). A non-nil filter decodes rejected opcodes header-only: their
-// operands are still walked — the stateful string table demands it — but
-// not stored. The caller guarantees d.pos < len(d.data).
-func (d *binDecoder) record(rec *Record, filter func(opcode int) bool) error {
-	flags := d.data[d.pos]
-	d.pos++
+// opcodeTable walks the opcode table at data[p:]; the decoder does not
+// need the names it carries.
+func (d *binDecoder) opcodeTable(p int) int {
+	n, p := d.uvarint(p)
+	if p < 0 {
+		return d.in(p, "opcode table size")
+	}
+	if n > 4096 {
+		return d.fault(corrupt, p, "opcode table size", "")
+	}
+	for i := uint64(0); i < n; i++ {
+		if _, p = d.uvarint(p); p < 0 {
+			return d.in(p, "opcode table entry")
+		}
+		var ln uint64
+		if ln, p = d.uvarint(p); p < 0 {
+			return d.in(p, "opcode table entry")
+		}
+		if ln > maxBinaryString {
+			return d.fault(corrupt, p, "opcode table entry", "")
+		}
+		if uint64(len(d.data)-p) < ln {
+			return d.fault(truncated, p, "opcode table entry", "")
+		}
+		p += int(ln)
+	}
+	return p
+}
+
+// record decodes the record at d.pos into rec, every field of which it
+// sets, and moves d.pos past it. Its operands are decoded straight into
+// slots of the arena d.ops (callers must not hold d.ops aliases across
+// arena growth — the record's own Ops/Result sub-slices are safe, matching
+// the text decoder). A headersOnly record skips its operands instead —
+// walked and checked, not stored — and carries none. The caller guarantees
+// d.pos < len(d.data).
+func (d *binDecoder) record(rec *Record, headersOnly bool) error {
+	p := d.walk(rec, headersOnly)
+	if p < 0 {
+		return d.err(p)
+	}
+	d.pos = p
+	return nil
+}
+
+func (d *binDecoder) walk(rec *Record, headersOnly bool) int {
+	p := d.pos
+	flags := d.data[p]
 	if flags > 1 {
-		return d.corrupt("record flags")
+		return d.fault(corrupt, p+1, "record flags", "")
 	}
-	line, err := d.varint("line")
-	if err != nil {
-		return err
+	v, p := d.uvarint(p + 1)
+	if p < 0 {
+		return d.in(p, "line")
 	}
-	rec.Line = int(line)
-	if rec.Func, err = d.str("function name"); err != nil {
-		return err
+	rec.Line = int(unzigzag(v))
+	if rec.Func, p = d.str(p); p < 0 {
+		return d.in(p, "function name")
 	}
-	if rec.Block, err = d.str("block label"); err != nil {
-		return err
+	if rec.Block, p = d.str(p); p < 0 {
+		return d.in(p, "block label")
 	}
-	op, err := d.uvarint("opcode")
-	if err != nil {
-		return err
+	if v, p = d.uvarint(p); p < 0 {
+		return d.in(p, "opcode")
 	}
-	rec.Opcode = int(op)
-	if rec.DynID, err = d.varint("dynamic id"); err != nil {
-		return err
+	rec.Opcode = int(v)
+	if v, p = d.uvarint(p); p < 0 {
+		return d.in(p, "dynamic id")
 	}
-	nops, err := d.uvarint("operand count")
-	if err != nil {
-		return err
+	rec.DynID = unzigzag(v)
+	nops, p := d.uvarint(p)
+	if p < 0 {
+		return d.in(p, "operand count")
 	}
 	if nops > maxBinaryOperands {
-		return d.corrupt("operand count")
+		return d.fault(corrupt, p, "operand count", "")
 	}
-	store := filter == nil || filter(rec.Opcode)
-	opStart := len(d.ops)
-	for i := uint64(0); i < nops; i++ {
-		var o Operand
-		if err := d.operand(&o); err != nil {
-			return err
+	rec.Ops, rec.Result = nil, nil
+	if headersOnly {
+		for i := nops + uint64(flags); i > 0 && p >= 0; i-- {
+			p = d.skipOperand(p)
 		}
-		if store {
-			d.ops = append(d.ops, o)
-		}
+		return p
 	}
-	if store && nops > 0 {
-		rec.Ops = d.ops[opStart:len(d.ops):len(d.ops)]
+	start := len(d.ops)
+	for i := uint64(0); i < nops && p >= 0; i++ {
+		d.ops = extend(d.ops)
+		p = d.operand(&d.ops[len(d.ops)-1], p)
 	}
-	if flags&1 != 0 {
-		var o Operand
-		if err := d.operand(&o); err != nil {
-			return err
-		}
-		if store {
-			d.ops = append(d.ops, o)
-			rec.Result = &d.ops[len(d.ops)-1]
-		}
+	if nops > 0 && p >= 0 {
+		rec.Ops = d.ops[start:len(d.ops):len(d.ops)]
 	}
-	return nil
+	if flags != 0 && p >= 0 {
+		d.ops = extend(d.ops)
+		rec.Result = &d.ops[len(d.ops)-1]
+		p = d.operand(rec.Result, p)
+	}
+	return p
+}
+
+// extend lengthens s by one element, reusing spare capacity as it is: the
+// caller sets every field of the new element.
+func extend[T any](s []T) []T {
+	if len(s) < cap(s) {
+		return s[:len(s)+1]
+	}
+	var zero T
+	return append(s, zero)
 }
 
 // ParseBinary parses a complete in-memory binary trace.
@@ -497,7 +639,7 @@ func ParseBinary(data []byte) ([]Record, error) {
 	}
 	var recs []Record
 	for d.pos < len(data) {
-		if len(recs) == 64 && d.pos > 0 {
+		if len(recs) == 64 {
 			// Unlike the text format there is no cheap record count, so
 			// estimate the totals from the first 64 records and grow the
 			// record slice and operand arena once instead of
@@ -517,11 +659,10 @@ func ParseBinary(data []byte) ([]Record, error) {
 				d.ops = no
 			}
 		}
-		var rec Record
-		if err := d.record(&rec, nil); err != nil {
+		recs = extend(recs)
+		if err := d.record(&recs[len(recs)-1], false); err != nil {
 			return nil, err
 		}
-		recs = append(recs, rec)
 	}
 	return recs, nil
 }

@@ -148,7 +148,7 @@ func TestBinaryTruncated(t *testing.T) {
 			t.Fatalf("truncated at %d/%d bytes: parsed %d records without error",
 				cut, len(data), len(got))
 		}
-		sgot, serr := drain(NewBinaryScanner(iotest.OneByteReader(bytes.NewReader(data[:cut]))), nil, 1)
+		sgot, serr := drain(NewBinaryScanner(iotest.OneByteReader(bytes.NewReader(data[:cut]))), false, 1)
 		if (err == nil) != (serr == nil) || (err == nil && len(sgot) != len(got)) {
 			t.Fatalf("cut at %d: ParseBinary = (%d records, %v), stream = (%d records, %v)",
 				cut, len(got), err, len(sgot), serr)
@@ -331,5 +331,86 @@ func TestBinaryExtremeValues(t *testing.T) {
 	}
 	if len(back) != 1 || back[0].Result == nil || !math.IsNaN(back[0].Result.Value.Float()) {
 		t.Errorf("NaN not preserved: %+v", back)
+	}
+}
+
+// binaryHeaders decodes an in-memory ACTB trace header-only, max records
+// per batch — the partition sweep's read of it.
+func binaryHeaders(data []byte, max int) ([]Record, error) {
+	rd, _, err := NewBytesReader(data)
+	if err != nil {
+		return nil, err
+	}
+	return drain(rd.(BatchReader), true, max)
+}
+
+// varintRecords carries a varint of every length, 1 to 10 bytes, in every
+// varint field: line, dynamic id, operand index and size, int and pointer
+// values.
+func varintRecords() []Record {
+	var recs []Record
+	for s := 0; s < 64; s++ {
+		for _, v := range []uint64{1<<s - 1, 1 << s, 1<<s + 1} {
+			ops := []Operand{
+				{Index: int(v), Size: int(v), Value: PtrValue(v), Name: "p"},
+				{Index: -int(v), Size: int(v >> 1), Value: IntValue(int64(v)), IsReg: true, Name: "i"},
+				{Index: 1, Size: 64, Value: IntValue(-int64(v)), Name: "n"},
+			}
+			res := Operand{Size: 64, Value: FloatValue(float64(v)), IsReg: true, Name: "r"}
+			recs = append(recs, Record{Line: int(v >> 1), Func: "f", Block: "b", Opcode: OpAdd, DynID: int64(v), Ops: ops, Result: &res})
+		}
+	}
+	return recs
+}
+
+// TestBinaryDecodeMatchesReference is the differential test of the cursor
+// decode against the field-at-a-time reference, without the fuzzer: in
+// full and header-only, it must yield the reference's records or its exact
+// error string — on well-formed traces, on every prefix of one (each a
+// truncation somewhere), and on single-byte corruptions of every byte of
+// one (each a fault in whatever field the byte belongs to).
+func TestBinaryDecodeMatchesReference(t *testing.T) {
+	check := func(label string, data []byte) {
+		t.Helper()
+		got, err := ParseBinary(data)
+		if err := sameBinaryDecode(data, false, got, err); err != nil {
+			t.Fatalf("%s: full decode: %v", label, err)
+		}
+		if DetectFormat(data) != FormatBinary {
+			return // a prefix shorter than the magic: read as text
+		}
+		hdr, err := binaryHeaders(data, 7)
+		if err := sameBinaryDecode(data, true, hdr, err); err != nil {
+			t.Fatalf("%s: header-only decode: %v", label, err)
+		}
+	}
+	check("sampleRecords", EncodeBinary(sampleRecords()))
+	check("varintRecords", EncodeBinary(varintRecords()))
+	for seed := int64(0); seed < 8; seed++ {
+		check(fmt.Sprintf("randomRecords/%d", seed), EncodeBinary(randomRecords(rand.New(rand.NewSource(seed)), 300)))
+	}
+	// One trace with new strings among the operands, so prefixes and
+	// corruptions reach string introductions in every field.
+	recs := randomRecords(rand.New(rand.NewSource(32)), 24)
+	for i := range recs {
+		if i%3 == 0 {
+			recs[i].Func = fmt.Sprintf("fn%d", i)
+		}
+		if len(recs[i].Ops) > 0 {
+			recs[i].Ops[0].Name = fmt.Sprintf("v%d", i)
+		}
+	}
+	data := EncodeBinary(append(recs, varintRecords()[60:70]...))
+	for cut := 0; cut < len(data); cut++ {
+		check(fmt.Sprintf("prefix %d", cut), data[:cut])
+	}
+	// XOR 0x80 flips a varint between ending and continuing; the others
+	// make a bad kind, a bad flags byte, a separator, a huge ref or length.
+	for i := range data {
+		for _, b := range []byte{data[i] ^ 0x80, data[i] ^ 0x01, data[i] ^ 0xff, 0x03, ',', '\n', 0x7f} {
+			bad := append([]byte(nil), data...)
+			bad[i] = b
+			check(fmt.Sprintf("byte %d = %#x", i, b), bad)
+		}
 	}
 }

@@ -10,12 +10,13 @@ import (
 
 // FuzzParseTrace exercises both decoders — the allocation-free text
 // decoder and the binary decoder — on arbitrary bytes. Neither may panic;
-// bytes that sniff as text must decode to exactly what the reference
-// decoder (reference_test.go) makes of them, records or error string;
-// whatever the bytes sniff as, a stream of them refilled in small uneven
-// Reads must decode exactly as the same bytes in memory do; and for inputs
-// the text decoder accepts, the serial, parallel and header-only
-// (filtered) paths must agree.
+// bytes that sniff as text must decode to exactly what the reference text
+// decoder (reference_test.go) makes of them, records or error string, and
+// bytes that sniff as ACTB to what the reference ACTB decoder makes of
+// them, in full and header-only; whatever the bytes sniff as, a stream of
+// them refilled in small uneven Reads must decode exactly as the same
+// bytes in memory do; and for inputs the text decoder accepts, the
+// serial, parallel and header-only paths must agree.
 func FuzzParseTrace(f *testing.F) {
 	recs := sampleRecords()
 	f.Add(EncodeAll(recs))
@@ -44,6 +45,14 @@ func FuzzParseTrace(f *testing.F) {
 			if err := sameDecode(data, serial, serr); err != nil {
 				t.Fatalf("in-place decode of %q: %v", data, err)
 			}
+		} else {
+			if err := sameBinaryDecode(data, false, serial, serr); err != nil {
+				t.Fatalf("cursor decode of %q: %v", data, err)
+			}
+			hdr, herr := binaryHeaders(data, 3)
+			if err := sameBinaryDecode(data, true, hdr, herr); err != nil {
+				t.Fatalf("header-only cursor decode of %q: %v", data, err)
+			}
 		}
 		par, perr := ParseBytesParallel(data, 4)
 		if (serr == nil) != (perr == nil) {
@@ -57,17 +66,17 @@ func FuzzParseTrace(f *testing.F) {
 		// Stream = bytes, full (one record per call, as Next reads) and
 		// header-only: the same records, then the same verdict.
 		for _, mode := range []struct {
-			filter func(int) bool
-			max    int
-		}{{nil, 1}, {rejectAll, 3}} {
+			headersOnly bool
+			max         int
+		}{{false, 1}, {true, 3}} {
 			var want, got []Record
 			mem, _, merr := NewBytesReader(data)
 			if merr == nil {
-				want, merr = drain(mem.(BatchReader), mode.filter, mode.max)
+				want, merr = drain(mem.(BatchReader), mode.headersOnly, mode.max)
 			}
 			st, _, sterr := NewAutoReader(newChunkReader(data, int64(crc32.ChecksumIEEE(data))))
 			if sterr == nil {
-				got, sterr = drain(st, mode.filter, mode.max)
+				got, sterr = drain(st, mode.headersOnly, mode.max)
 			}
 			if (merr == nil) != (sterr == nil) || !equalModuloNaN(want, got) {
 				t.Fatalf("stream and in-memory reads of %q disagree (max %d): %d records, %v vs %d records, %v",

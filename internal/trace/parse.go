@@ -330,18 +330,18 @@ func isHeaderLine(line []byte) bool {
 // enough capacity (see CountRecords) the decode performs no slice growth,
 // which is what lets ParseBytesParallel assemble chunk results in place.
 func (d *decoder) decodeText(data []byte, dst []Record) ([]Record, error) {
-	_, recs, err := d.decodeN(data, 0, dst, -1, nil)
+	_, recs, err := d.decodeN(data, 0, dst, -1, false)
 	return recs, err
 }
 
 // decodeN appends up to max records (max < 0: all) from data starting at
-// pos to dst, returning the position of the first unconsumed byte. A
-// non-nil filter decodes rejected opcodes header-only: their operand
-// lines are hopped over unread, straight to the next block header, so a
+// pos to dst, returning the position of the first unconsumed byte. With
+// headersOnly set every record is decoded header-only: its operand lines
+// are hopped over unread, straight to the next block header, so a
 // header-only sweep pays for one header parse per record and nothing per
 // operand. This is the single textual decode loop — ParseBytes and
 // WindowReader differ only in the arguments.
-func (d *decoder) decodeN(data []byte, pos int, dst []Record, max int, filter func(opcode int) bool) (int, []Record, error) {
+func (d *decoder) decodeN(data []byte, pos int, dst []Record, max int, headersOnly bool) (int, []Record, error) {
 	start := len(dst)
 	var line []byte
 	cur := -1 // index in dst of the open record, -1 if none
@@ -412,7 +412,7 @@ func (d *decoder) decodeN(data []byte, pos int, dst []Record, max int, filter fu
 			if err := d.header(line, &dst[cur]); err != nil {
 				return pos, nil, err
 			}
-			if filter != nil && !filter(dst[cur].Opcode) {
+			if headersOnly {
 				// Skip the operand lines in one hop: the next header is the
 				// next line starting "0,". The search starts on the newline
 				// that ended this header, so an adjacent header is found.

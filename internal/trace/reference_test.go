@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -234,4 +236,280 @@ func TestDecodeMatchesReference(t *testing.T) {
 		bad[rng.Intn(len(bad))] = junk[rng.Intn(len(junk))]
 		check(bad)
 	}
+}
+
+// The reference ACTB decoder: the field-at-a-time decoder binDecoder.record
+// was before it became one walk with a local cursor, kept unchanged as the
+// oracle FuzzParseTrace and TestBinaryDecodeMatchesReference hold the
+// production decoder to — the same records, or the same error string,
+// decoded in full and header-only. Every field returns (value, error) and
+// moves d.pos itself, and a record rejected by filter walks its operands
+// through operand, building each and storing none.
+type refBinDecoder struct {
+	data []byte
+	pos  int
+	base int64 // stream offset of data[0], for error messages
+	strs []string
+	ops  []Operand
+}
+
+func (d *refBinDecoder) corrupt(what string) error {
+	return fmt.Errorf("trace: binary trace corrupt at byte offset %d (%s)", d.base+int64(d.pos), what)
+}
+
+// truncated reports a field that runs past the end of data. It is the one
+// failure more bytes can cure: the stream reader refills and retries on
+// it, and at the true end of a trace it is the truncation error.
+func (d *refBinDecoder) truncated(what string) error {
+	return fmt.Errorf("trace: binary trace truncated at byte offset %d (%s): %w", d.base+int64(d.pos), what, io.ErrUnexpectedEOF)
+}
+
+func (d *refBinDecoder) uvarint(what string) (uint64, error) {
+	// Fast path: most fields (string refs, sizes, small ints) are one byte.
+	if d.pos < len(d.data) {
+		if b := d.data[d.pos]; b < 0x80 {
+			d.pos++
+			return uint64(b), nil
+		}
+	}
+	v, n := binary.Uvarint(d.data[d.pos:])
+	if n == 0 {
+		return 0, d.truncated(what)
+	}
+	if n < 0 {
+		return 0, d.corrupt(what + ": varint overflows 64 bits")
+	}
+	d.pos += n
+	return v, nil
+}
+
+func (d *refBinDecoder) varint(what string) (int64, error) {
+	v, err := d.uvarint(what)
+	return int64(v>>1) ^ -int64(v&1), err
+}
+
+func (d *refBinDecoder) str(what string) (string, error) {
+	ref, err := d.uvarint(what)
+	if err != nil {
+		return "", err
+	}
+	if ref != 0 {
+		if ref > uint64(len(d.strs)) {
+			return "", d.corrupt(what + ": string ref beyond table")
+		}
+		return d.strs[ref-1], nil
+	}
+	n, err := d.uvarint(what)
+	if err != nil {
+		return "", err
+	}
+	if n > maxBinaryString {
+		return "", d.corrupt(what + ": bad string length")
+	}
+	if uint64(len(d.data)-d.pos) < n {
+		return "", d.truncated(what)
+	}
+	b := d.data[d.pos : d.pos+int(n)]
+	if bytes.ContainsAny(b, ",\r\n") {
+		// The text format has no way to write such a name (its decoder
+		// refuses a '\r' inside one too): converted, the record would
+		// parse as a different one or not at all.
+		return "", d.corrupt(what + ": name contains a field or line separator")
+	}
+	s := string(b)
+	d.pos += int(n)
+	d.strs = append(d.strs, s)
+	return s, nil
+}
+
+func (d *refBinDecoder) operand(o *Operand) error {
+	if d.pos >= len(d.data) {
+		return d.truncated("operand meta")
+	}
+	meta := d.data[d.pos]
+	d.pos++
+	kind := ValueKind(meta & 3)
+	if kind > KindPtr {
+		return d.corrupt("operand meta: bad value kind")
+	}
+	o.IsReg = meta&4 != 0
+	idx, err := d.varint("operand index")
+	if err != nil {
+		return err
+	}
+	o.Index = int(idx)
+	size, err := d.uvarint("operand size")
+	if err != nil {
+		return err
+	}
+	o.Size = int(size)
+	var bits uint64
+	switch kind {
+	case KindFloat:
+		if len(d.data)-d.pos < 8 {
+			return d.truncated("float value")
+		}
+		bits = binary.LittleEndian.Uint64(d.data[d.pos:])
+		d.pos += 8
+	case KindPtr:
+		bits, err = d.uvarint("pointer value")
+	default:
+		var v int64
+		v, err = d.varint("int value")
+		bits = uint64(v)
+	}
+	if err != nil {
+		return err
+	}
+	o.Value = Value{Kind: kind, bits: bits}
+	o.Name, err = d.str("operand name")
+	return err
+}
+
+func (d *refBinDecoder) header() error {
+	if len(d.data) < len(binaryMagic) && bytes.HasPrefix(binaryMagic, d.data) {
+		return d.truncated("magic")
+	}
+	if !bytes.HasPrefix(d.data, binaryMagic) {
+		return fmt.Errorf("trace: bad binary magic (want %q)", binaryMagic)
+	}
+	d.pos = len(binaryMagic)
+	if d.pos >= len(d.data) {
+		return d.truncated("version")
+	}
+	if v := d.data[d.pos]; v != binaryVersion {
+		return fmt.Errorf("trace: unsupported binary trace version %d (want %d)", v, binaryVersion)
+	}
+	d.pos++
+	n, err := d.uvarint("opcode table size")
+	if err != nil {
+		return err
+	}
+	if n > 4096 {
+		return d.corrupt("opcode table size")
+	}
+	for i := uint64(0); i < n; i++ {
+		if _, err := d.uvarint("opcode table entry"); err != nil {
+			return err
+		}
+		ln, err := d.uvarint("opcode table entry")
+		if err != nil {
+			return err
+		}
+		if ln > maxBinaryString {
+			return d.corrupt("opcode table entry")
+		}
+		if uint64(len(d.data)-d.pos) < ln {
+			return d.truncated("opcode table entry")
+		}
+		d.pos += int(ln)
+	}
+	return nil
+}
+
+// record decodes one record at d.pos into rec, batching its operands in
+// d.ops (callers must not hold d.ops aliases across arena growth — the
+// record's own Ops/Result sub-slices are safe, matching the text
+// decoder). A non-nil filter decodes rejected opcodes header-only: their
+// operands are still walked — the stateful string table demands it — but
+// not stored. The caller guarantees d.pos < len(d.data).
+func (d *refBinDecoder) record(rec *Record, filter func(opcode int) bool) error {
+	flags := d.data[d.pos]
+	d.pos++
+	if flags > 1 {
+		return d.corrupt("record flags")
+	}
+	line, err := d.varint("line")
+	if err != nil {
+		return err
+	}
+	rec.Line = int(line)
+	if rec.Func, err = d.str("function name"); err != nil {
+		return err
+	}
+	if rec.Block, err = d.str("block label"); err != nil {
+		return err
+	}
+	op, err := d.uvarint("opcode")
+	if err != nil {
+		return err
+	}
+	rec.Opcode = int(op)
+	if rec.DynID, err = d.varint("dynamic id"); err != nil {
+		return err
+	}
+	nops, err := d.uvarint("operand count")
+	if err != nil {
+		return err
+	}
+	if nops > maxBinaryOperands {
+		return d.corrupt("operand count")
+	}
+	store := filter == nil || filter(rec.Opcode)
+	opStart := len(d.ops)
+	for i := uint64(0); i < nops; i++ {
+		var o Operand
+		if err := d.operand(&o); err != nil {
+			return err
+		}
+		if store {
+			d.ops = append(d.ops, o)
+		}
+	}
+	if store && nops > 0 {
+		rec.Ops = d.ops[opStart:len(d.ops):len(d.ops)]
+	}
+	if flags&1 != 0 {
+		var o Operand
+		if err := d.operand(&o); err != nil {
+			return err
+		}
+		if store {
+			d.ops = append(d.ops, o)
+			rec.Result = &d.ops[len(d.ops)-1]
+		}
+	}
+	return nil
+}
+
+// referenceParseBinary decodes a complete in-memory ACTB trace with the
+// reference decoder, every record header-only if headersOnly is set.
+func referenceParseBinary(data []byte, headersOnly bool) ([]Record, error) {
+	if len(data) == 0 {
+		return nil, nil
+	}
+	d := &refBinDecoder{data: data, strs: []string{""}}
+	if err := d.header(); err != nil {
+		return nil, err
+	}
+	var filter func(int) bool
+	if headersOnly {
+		filter = func(int) bool { return false }
+	}
+	var recs []Record
+	for d.pos < len(data) {
+		var rec Record
+		if err := d.record(&rec, filter); err != nil {
+			return nil, err
+		}
+		recs = append(recs, rec)
+	}
+	return recs, nil
+}
+
+// sameBinaryDecode reports how a decode of ACTB bytes differs from the
+// reference's decode of them, full or header-only: the records must be
+// equal, or the error strings.
+func sameBinaryDecode(data []byte, headersOnly bool, got []Record, gerr error) error {
+	want, werr := referenceParseBinary(data, headersOnly)
+	if werr != nil || gerr != nil {
+		if werr == nil || gerr == nil || werr.Error() != gerr.Error() {
+			return fmt.Errorf("error %v, reference decoder has %v", gerr, werr)
+		}
+		return nil
+	}
+	if !equalModuloNaN(want, got) {
+		return fmt.Errorf("%d records differ from the reference decoder's %d", len(got), len(want))
+	}
+	return nil
 }

@@ -337,7 +337,7 @@ func TestScannerLongLines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		streamed, err := drain(rd, nil, 1)
+		streamed, err := drain(rd, false, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

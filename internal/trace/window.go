@@ -141,7 +141,7 @@ func (w *WindowReader) Next() (*Record, error) {
 }
 
 // NextBatch decodes up to max records into b, recycling its storage.
-// Records whose opcode b.Filter rejects are decoded header-only. After an
+// With b.HeadersOnly set the records are decoded header-only. After an
 // error every call returns that error and no records: a decoder that
 // failed mid-record has no position to resume from.
 func (w *WindowReader) NextBatch(b *RecordBatch, max int) (int, error) {
@@ -170,7 +170,7 @@ func (w *WindowReader) nextText(b *RecordBatch, limit int) error {
 	defer func() { b.ops, d.ops = d.ops, nil }()
 	for len(b.Recs) < limit {
 		if w.pos < w.cut {
-			pos, recs, err := d.decodeN(w.buf[:w.cut], w.pos, b.Recs, limit-len(b.Recs), b.Filter)
+			pos, recs, err := d.decodeN(w.buf[:w.cut], w.pos, b.Recs, limit-len(b.Recs), b.HeadersOnly)
 			if err != nil {
 				return err
 			}
@@ -202,16 +202,16 @@ func (w *WindowReader) nextText(b *RecordBatch, limit int) error {
 }
 
 // nextBinary decodes records until one runs off the end of a non-final
-// window; that record is rolled back — position, string table and operand
-// arena — and decoded again after a refill. In the final window running
-// off the end is the truncation error.
+// window; that record is rolled back — string table and operand arena (its
+// position never moved) — and decoded again after a refill. In the final
+// window running off the end is the truncation error.
 func (w *WindowReader) nextBinary(b *RecordBatch, max int) error {
 	d := &w.bin
 	d.ops = b.ops
 	defer func() { b.ops, d.ops = d.ops, nil }()
 	for len(b.Recs) < max {
 		if d.pos < len(d.data) {
-			pos, nstrs, nops := d.pos, len(d.strs), len(d.ops)
+			nstrs, nops := len(d.strs), len(d.ops)
 			err := w.binaryStep(b)
 			if err == nil {
 				continue
@@ -219,7 +219,7 @@ func (w *WindowReader) nextBinary(b *RecordBatch, max int) error {
 			if w.final() || !errors.Is(err, io.ErrUnexpectedEOF) {
 				return err
 			}
-			d.pos, d.strs, d.ops = pos, d.strs[:nstrs], d.ops[:nops]
+			d.strs, d.ops = d.strs[:nstrs], d.ops[:nops]
 		} else if w.final() {
 			break
 		}
@@ -234,16 +234,16 @@ func (w *WindowReader) nextBinary(b *RecordBatch, max int) error {
 }
 
 // binaryStep decodes what sits at d.pos: the header at stream offset 0, a
-// record anywhere else.
+// record — straight into the next slot of b.Recs — anywhere else.
 func (w *WindowReader) binaryStep(b *RecordBatch) error {
 	d := &w.bin
 	if d.base == 0 && d.pos == 0 {
 		return d.header()
 	}
-	var rec Record
-	if err := d.record(&rec, b.Filter); err != nil {
+	b.Recs = extend(b.Recs)
+	if err := d.record(&b.Recs[len(b.Recs)-1], b.HeadersOnly); err != nil {
+		b.Recs = b.Recs[:len(b.Recs)-1]
 		return err
 	}
-	b.Recs = append(b.Recs, rec)
 	return nil
 }
