@@ -262,24 +262,42 @@ type varSummary struct {
 	afterDyn     int64 // first region-C read
 }
 
+// regEntry is one register's row of the register table: the paper's
+// reg-var entry (v; nil when the register refers to no variable) and
+// reg-reg entry (srcs; empty when it was not computed from registers),
+// plus, with BuildDDG, the DDG vertex of its latest dynamic instance.
+type regEntry struct {
+	v    *VarInfo
+	srcs []regKey
+	node *ddg.Node
+}
+
+// varState is one variable identity's slot (see varTable): the
+// instance that made it a region-A candidate and the one that matched
+// it in region B — both the latest — and its summary, which keeps the
+// first instance it saw (s.v). With BuildDDG, node is its vertex.
+type varState struct {
+	inA, mli *VarInfo
+	sum      *varSummary
+	node     *ddg.Node
+}
+
 type analyzer struct {
 	spec LoopSpec
 	opts Options
 
-	vt   *varTable
-	mliA map[VarID]*VarInfo
-	mli  map[VarID]*VarInfo // matched MLI set
-
-	rv       map[regKey]*VarInfo // reg-var map (paper Fig. 5(a))
-	rr       map[regKey][]regKey // reg-reg map (paper Fig. 5(b))
-	sums     map[VarID]*varSummary
-	graph    *ddg.Graph
-	regNode  map[regKey]*ddg.Node
-	varNodes map[VarID]*ddg.Node
-	// ivSrcs is the reusable scratch map for the per-store induction
-	// check (resolveRegVars output); cleared before each use.
-	ivSrcs map[VarID]*VarInfo
+	vt    *varTable
+	vars  []varState // indexed by VarInfo.slot
+	regs  map[regKey]*regEntry
+	slab  []regEntry // unused rows, handed out by reg
+	graph *ddg.Graph
 }
+
+// regSlab is how many rows reg allocates at once. A port has a few
+// hundred registers, and a row each added 15-40 % to a port's analysis
+// allocations: from slabs, the table allocates no more than the maps it
+// replaced.
+const regSlab = 128
 
 func newAnalyzer(spec LoopSpec, opts Options) *analyzer {
 	a := &analyzer{}
@@ -297,27 +315,31 @@ func (a *analyzer) reset(spec LoopSpec, opts Options) {
 	a.opts = opts
 	if a.vt == nil {
 		a.vt = newVarTable()
-		a.mliA = make(map[VarID]*VarInfo)
-		a.mli = make(map[VarID]*VarInfo)
-		a.rv = make(map[regKey]*VarInfo)
-		a.rr = make(map[regKey][]regKey)
-		a.sums = make(map[VarID]*varSummary)
+		a.regs = make(map[regKey]*regEntry)
 	} else {
 		a.vt.reset()
-		clear(a.mliA)
-		clear(a.mli)
-		clear(a.rv)
-		clear(a.rr)
-		clear(a.sums)
+		clear(a.vars)
+		a.vars = a.vars[:0]
+		clear(a.regs)
 	}
-	a.graph, a.regNode, a.varNodes = nil, nil, nil
+	a.graph = nil
 	if opts.BuildDDG {
-		// The graphs are handed to the Result, so a reset builds fresh ones.
+		// The graph is handed to the Result, so a reset builds a fresh one.
 		a.graph = ddg.New()
-		a.regNode = make(map[regKey]*ddg.Node)
-		a.varNodes = make(map[VarID]*ddg.Node)
 	}
-	clear(a.ivSrcs)
+}
+
+// reg returns key's row, adding an empty one if the register is new.
+func (a *analyzer) reg(key regKey) *regEntry {
+	e := a.regs[key]
+	if e == nil {
+		if len(a.slab) == 0 {
+			a.slab = make([]regEntry, regSlab)
+		}
+		e, a.slab = &a.slab[0], a.slab[1:]
+		a.regs[key] = e
+	}
+	return e
 }
 
 // trackStorage processes the storage-defining records that collection and
@@ -328,6 +350,7 @@ func (a *analyzer) trackStorage(r *trace.Record) {
 	case trace.OpAlloca:
 		if r.Result != nil && r.Result.Value.Kind == trace.KindPtr {
 			a.vt.addAlloca(r.Result.Name, r.Func, r.Result.Value.Addr(), int64(r.Result.Size/8), r.DynID)
+			a.growVars()
 		}
 	case trace.OpLoad, trace.OpStore, trace.OpGetElementPtr:
 		// A named, non-numeric pointer operand that no local span owns is a
@@ -344,7 +367,15 @@ func (a *analyzer) trackStorage(r *trace.Record) {
 		}
 		if a.vt.resolveLocal(op.Value.Addr()) == nil {
 			a.vt.noteGlobal(op.Name, op.Value.Addr(), r.DynID, r.Line)
+			a.growVars()
 		}
+	}
+}
+
+// growVars gives every slot the table has assigned its state.
+func (a *analyzer) growVars() {
+	for len(a.vars) < len(a.vt.slots) {
+		a.vars = append(a.vars, varState{})
 	}
 }
 
@@ -414,7 +445,7 @@ func (a *analyzer) collectible(r *trace.Record) *VarInfo {
 // collectRegionA collects an arithmetic variable accessed before the loop.
 func (a *analyzer) collectRegionA(r *trace.Record) {
 	if v := a.collectible(r); v != nil {
-		a.mliA[v.ID()] = v
+		a.vars[v.slot].inA = v
 	}
 }
 
@@ -422,16 +453,24 @@ func (a *analyzer) collectRegionA(r *trace.Record) {
 // the region-A set: the intersection is the MLI set (§IV-A).
 func (a *analyzer) collectRegionBMatch(r *trace.Record) {
 	if v := a.collectible(r); v != nil {
-		if _, inA := a.mliA[v.ID()]; inA {
-			a.mli[v.ID()] = v
+		if st := &a.vars[v.slot]; st.inA != nil {
+			st.mli = v
 		}
 	}
 }
 
 func (a *analyzer) mliList() []*VarInfo {
-	out := make([]*VarInfo, 0, len(a.mli))
-	for _, v := range a.mli {
-		out = append(out, v)
+	n := 0
+	for i := range a.vars {
+		if a.vars[i].mli != nil {
+			n++
+		}
+	}
+	out := make([]*VarInfo, 0, n)
+	for i := range a.vars {
+		if v := a.vars[i].mli; v != nil {
+			out = append(out, v)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Name != out[j].Name {
@@ -443,11 +482,10 @@ func (a *analyzer) mliList() []*VarInfo {
 }
 
 func (a *analyzer) summary(v *VarInfo) *varSummary {
-	s, ok := a.sums[v.ID()]
-	if !ok {
-		s = &varSummary{v: v, written: make(map[uint64]bool),
+	st := &a.vars[v.slot]
+	if st.sum == nil {
+		st.sum = &varSummary{v: v, written: make(map[uint64]bool),
 			firstDyn: -1, uncoveredDyn: -1, afterDyn: -1}
-		a.sums[v.ID()] = s
 	}
-	return s
+	return st.sum
 }

@@ -186,3 +186,40 @@ func TestEngineSessionAllocs(t *testing.T) {
 			allocs, len(recs))
 	}
 }
+
+// TestReloadKeepsSourceArray pins the register row's reuse: a register
+// loaded and then rewritten by arithmetic, iteration after iteration,
+// keeps one sources array — the Load empties the row's sources without
+// dropping their storage, so the pass allocates nothing. The reference
+// pass (reference_test.go) deleted the register's reg-reg entry at the
+// Load and allocated a new array at every rewrite.
+func TestReloadKeepsSourceArray(t *testing.T) {
+	const x = 0x7f00
+	alloca := trace.Record{Func: "main", Line: 1, Opcode: trace.OpAlloca, DynID: 1,
+		Result: &trace.Operand{Size: 64, Value: trace.PtrValue(x), IsReg: true, Name: "x"}}
+	load := trace.Record{Func: "main", Line: 10, Opcode: trace.OpLoad, DynID: 2,
+		Ops:    []trace.Operand{ptrOp(1, "x", true, x)},
+		Result: resOp("%r")}
+	add := trace.Record{Func: "main", Line: 10, Opcode: trace.OpAdd, DynID: 3,
+		Ops:    []trace.Operand{regOp(1, "%a"), regOp(2, "%b")},
+		Result: resOp("%r")}
+	spec := LoopSpec{Function: "main", StartLine: 10, EndLine: 20}
+	for _, tc := range []struct {
+		name string
+		step func(*trace.Record, Region)
+		want func(float64) bool
+	}{
+		{"pass", newAnalyzer(spec, DefaultOptions()).fusedStep, func(n float64) bool { return n == 0 }},
+		{"reference", newRefAnalyzer(spec, DefaultOptions()).fusedStep, func(n float64) bool { return n >= 1 }},
+	} {
+		tc.step(&alloca, RegionBefore)
+		cycle := func() {
+			tc.step(&load, RegionLoop)
+			tc.step(&add, RegionLoop)
+		}
+		cycle()
+		if n := testing.AllocsPerRun(100, cycle); !tc.want(n) {
+			t.Errorf("%s: %.1f allocs per load-then-rewrite", tc.name, n)
+		}
+	}
+}

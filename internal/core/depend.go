@@ -18,7 +18,8 @@ import (
 
 // updateMaps maintains the reg-var map (Load/Store/GEP/BitCast/Alloca and
 // Call parameter correlation, Table I) and the reg-reg map (arithmetic and
-// the single-Call form). It runs over the whole trace because region C
+// the single-Call form): each case finds its result register's row once
+// and rewrites it in place. It runs over the whole trace because region C
 // reads and induction detection also consult the maps.
 func (a *analyzer) updateMaps(r *trace.Record) {
 	fn := r.Func
@@ -28,19 +29,13 @@ func (a *analyzer) updateMaps(r *trace.Record) {
 		if !ok || r.Result == nil {
 			return
 		}
-		v := a.vt.resolve(addr)
-		key := regKey{fn, r.Result.Name}
-		if v != nil {
-			a.rv[key] = v
-		} else {
-			delete(a.rv, key)
-		}
-		delete(a.rr, key)
+		e := a.reg(regKey{fn, r.Result.Name})
+		e.v = a.vt.resolve(addr)
+		e.srcs = e.srcs[:0]
 	case trace.OpGetElementPtr, trace.OpBitCast:
 		if r.Result == nil {
 			return
 		}
-		key := regKey{fn, r.Result.Name}
 		// Resolve by the result address first (exact), then through the
 		// base operand's name chain (the paper's approach). The result is
 		// a computed reference, not an access: resolveRef keeps reported
@@ -52,15 +47,14 @@ func (a *analyzer) updateMaps(r *trace.Record) {
 		}
 		if v == nil {
 			if base := r.Operand(1); base != nil && base.IsReg {
-				v = a.rv[regKey{fn, base.Name}]
+				if b := a.regs[regKey{fn, base.Name}]; b != nil {
+					v = b.v
+				}
 			}
 		}
-		if v != nil {
-			a.rv[key] = v
-		} else {
-			delete(a.rv, key)
-		}
-		delete(a.rr, key)
+		e := a.reg(regKey{fn, r.Result.Name})
+		e.v = v
+		e.srcs = e.srcs[:0]
 	case trace.OpCall:
 		a.updateCallMaps(r)
 	default:
@@ -68,21 +62,27 @@ func (a *analyzer) updateMaps(r *trace.Record) {
 			return
 		}
 		// Arithmetic, comparisons, casts, selects: link input registers to
-		// the output register (reg-reg map). The key's previous source
-		// slice is truncated and refilled in place — nothing else retains
-		// it — so a register rewritten every iteration stops costing one
-		// slice allocation per record.
-		key := regKey{fn, r.Result.Name}
-		srcs := a.rr[key][:0]
-		for i := range r.Ops {
-			op := &r.Ops[i]
-			if op.Index > 0 && op.IsReg {
-				srcs = append(srcs, regKey{fn, op.Name})
-			}
-		}
-		a.rr[key] = srcs
-		delete(a.rv, key)
+		// the output register (reg-reg map).
+		a.linkSources(r)
 	}
+}
+
+// linkSources makes r's result register computed from its register
+// operands. The row's previous sources are truncated and refilled in
+// place — nothing else retains them — so a register rewritten every
+// iteration, or reloaded between rewrites, costs no allocation.
+func (a *analyzer) linkSources(r *trace.Record) {
+	fn := r.Func
+	e := a.reg(regKey{fn, r.Result.Name})
+	srcs := e.srcs[:0]
+	for i := range r.Ops {
+		op := &r.Ops[i]
+		if op.Index > 0 && op.IsReg {
+			srcs = append(srcs, regKey{fn, op.Name})
+		}
+	}
+	e.srcs = srcs
+	e.v = nil
 }
 
 // updateCallMaps handles both Call forms of §IV-B. Form 1 (a lone Call
@@ -106,18 +106,9 @@ func (a *analyzer) updateCallMaps(r *trace.Record) {
 		}
 	}
 	if !hasParams {
-		// Form 1: treat as arithmetic (source slice reused like updateMaps).
+		// Form 1: treat as arithmetic.
 		if r.Result != nil {
-			key := regKey{fn, r.Result.Name}
-			srcs := a.rr[key][:0]
-			for i := range r.Ops {
-				op := &r.Ops[i]
-				if op.Index > 0 && op.IsReg {
-					srcs = append(srcs, regKey{fn, op.Name})
-				}
-			}
-			a.rr[key] = srcs
-			delete(a.rv, key)
+			a.linkSources(r)
 		}
 		return
 	}
@@ -129,44 +120,48 @@ func (a *analyzer) updateCallMaps(r *trace.Record) {
 		}
 		argIdx := -p.Index
 		arg := r.Operand(argIdx)
-		pkey := regKey{callee, p.Name}
 		var v *VarInfo
 		if arg != nil && arg.IsReg {
-			v = a.rv[regKey{fn, arg.Name}]
+			if e := a.regs[regKey{fn, arg.Name}]; e != nil {
+				v = e.v
+			}
 		}
 		if v == nil && arg != nil && arg.Value.Kind == trace.KindPtr {
 			// Pointer argument: resolve the pointed-to variable directly
 			// (a reference, not an access — no footprint growth).
 			v = a.vt.resolveRef(arg.Value.Addr())
 		}
-		if v != nil {
-			a.rv[pkey] = v
-			if a.graph != nil {
-				a.setRegNode(pkey, a.nodeOf(v))
-			}
-		} else {
-			delete(a.rv, pkey)
-			if a.graph != nil {
-				delete(a.regNode, pkey)
+		e := a.reg(regKey{callee, p.Name})
+		e.v = v
+		if a.graph != nil {
+			e.node = nil
+			if v != nil {
+				e.node = a.nodeOf(v)
 			}
 		}
 	}
 }
 
-// resolveRegVars chases a register through the reg-reg map to the set of
-// variables it was computed from (bounded depth; expression trees are
-// shallow).
-func (a *analyzer) resolveRegVars(key regKey, depth int, out map[VarID]*VarInfo) {
+// derivesFrom reports whether the register was computed from the
+// variable in slot: it chases the reg-reg rows to the variables their
+// reg-var entries name (bounded depth; expression trees are shallow).
+func (a *analyzer) derivesFrom(key regKey, slot int, depth int) bool {
 	if depth > 64 {
-		return
+		return false
 	}
-	if v, ok := a.rv[key]; ok {
-		out[v.ID()] = v
-		return
+	e := a.regs[key]
+	if e == nil {
+		return false
 	}
-	for _, src := range a.rr[key] {
-		a.resolveRegVars(src, depth+1, out)
+	if e.v != nil {
+		return e.v.slot == slot
 	}
+	for _, src := range e.srcs {
+		if a.derivesFrom(src, slot, depth+1) {
+			return true
+		}
+	}
+	return false
 }
 
 // processLoopRecord streams region-B Read/Write information into the
@@ -198,7 +193,7 @@ func (a *analyzer) processLoopRecord(r *trace.Record) {
 		if a.graph != nil {
 			n := a.newRegInstance(r)
 			a.graph.AddEdge(a.nodeOf(v), n, r.DynID)
-			a.setRegNode(regKey{r.Func, r.Result.Name}, n)
+			a.reg(regKey{r.Func, r.Result.Name}).node = n
 		}
 	case trace.OpStore:
 		addr, ok := accessAddr(r)
@@ -217,28 +212,18 @@ func (a *analyzer) processLoopRecord(r *trace.Record) {
 		s.writes++
 		s.written[addr] = true
 		// Induction signal: a depth-0 store to a loop-function local whose
-		// sources include the variable itself. The resolution set is a
-		// reusable scratch map — this fires for every such store, and a
-		// fresh map per record was a top allocation site.
+		// sources include the variable itself.
 		if r.Func == a.spec.Function && v.Fn == a.spec.Function {
-			if val := r.Operand(1); val != nil && val.IsReg {
-				if a.ivSrcs == nil {
-					a.ivSrcs = make(map[VarID]*VarInfo, 8)
-				} else {
-					clear(a.ivSrcs)
-				}
-				a.resolveRegVars(regKey{r.Func, val.Name}, 0, a.ivSrcs)
-				if _, self := a.ivSrcs[v.ID()]; self {
-					a.summary(v).selfUpdate++
-				}
+			if val := r.Operand(1); val != nil && val.IsReg && a.derivesFrom(regKey{r.Func, val.Name}, v.slot, 0) {
+				s.selfUpdate++
 			}
 		}
 		if a.graph != nil {
 			dst := a.nodeOf(v)
 			val := r.Operand(1)
 			if val != nil && val.IsReg {
-				if src, ok := a.regNode[regKey{r.Func, val.Name}]; ok {
-					a.graph.AddEdge(src, dst, r.DynID)
+				if e := a.regs[regKey{r.Func, val.Name}]; e != nil && e.node != nil {
+					a.graph.AddEdge(e.node, dst, r.DynID)
 					return
 				}
 			}
@@ -255,8 +240,8 @@ func (a *analyzer) processLoopRecord(r *trace.Record) {
 			if op.Index <= 0 || !op.IsReg {
 				continue
 			}
-			if v, ok := a.rv[regKey{r.Func, op.Name}]; ok && v.Fn == a.spec.Function {
-				a.summary(v).cmpUses++
+			if e := a.regs[regKey{r.Func, op.Name}]; e != nil && e.v != nil && e.v.Fn == a.spec.Function {
+				a.summary(e.v).cmpUses++
 			}
 		}
 		a.ddgArith(r)
@@ -281,12 +266,12 @@ func (a *analyzer) ddgArith(r *trace.Record) {
 	for i := range r.Ops {
 		op := &r.Ops[i]
 		if op.Index > 0 && op.IsReg {
-			if src, ok := a.regNode[regKey{r.Func, op.Name}]; ok {
-				a.graph.AddEdge(src, n, r.DynID)
+			if e := a.regs[regKey{r.Func, op.Name}]; e != nil && e.node != nil {
+				a.graph.AddEdge(e.node, n, r.DynID)
 			}
 		}
 	}
-	a.setRegNode(regKey{r.Func, r.Result.Name}, n)
+	a.reg(regKey{r.Func, r.Result.Name}).node = n
 }
 
 // processAfterLoop records region-C reads (the Outcome signal, §IV-C).
@@ -313,23 +298,19 @@ func (a *analyzer) processAfterLoop(r *trace.Record) {
 // runs, so every variable vertex starts as KindLocal; analyzer.finish
 // stamps KindMLI on the members of the final MLI set.
 func (a *analyzer) nodeOf(v *VarInfo) *ddg.Node {
-	if n, ok := a.varNodes[v.ID()]; ok {
-		return n
+	st := &a.vars[v.slot]
+	if st.node != nil {
+		return st.node
 	}
 	name := v.Name
 	if a.graph.Lookup(name) != nil {
 		name = fmt.Sprintf("%s@%x", v.Name, v.Base)
 	}
-	n := a.graph.Node(name, ddg.KindLocal)
-	a.varNodes[v.ID()] = n
-	return n
+	st.node = a.graph.Node(name, ddg.KindLocal)
+	return st.node
 }
 
 func (a *analyzer) newRegInstance(r *trace.Record) *ddg.Node {
 	name := r.Func + ":" + r.Result.Name + "#" + strconv.FormatInt(r.DynID, 10)
 	return a.graph.Node(name, ddg.KindRegister)
-}
-
-func (a *analyzer) setRegNode(key regKey, n *ddg.Node) {
-	a.regNode[key] = n
 }

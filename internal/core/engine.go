@@ -335,9 +335,9 @@ func (a *analyzer) finish(res *Result) {
 		// open (see nodeOf); their kinds are stamped now that it is final,
 		// and Algorithm 1 contracts to them.
 		t0 := time.Now()
-		for id := range a.mli {
-			if n := a.varNodes[id]; n != nil {
-				n.Kind = ddg.KindMLI
+		for i := range a.vars {
+			if st := &a.vars[i]; st.mli != nil && st.node != nil {
+				st.node.Kind = ddg.KindMLI
 			}
 		}
 		res.Complete = a.graph

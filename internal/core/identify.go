@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"autocheck/internal/cfg"
@@ -13,17 +14,13 @@ import (
 // it without a record slice.
 func (a *analyzer) identify() []CriticalVar {
 	indexVars := a.findInductionVars()
-	isIndex := make(map[VarID]bool, len(indexVars))
-	for _, v := range indexVars {
-		isIndex[v.ID()] = true
-	}
 
 	var out []CriticalVar
 	for _, v := range a.mliList() {
-		if isIndex[v.ID()] {
+		if slices.ContainsFunc(indexVars, func(iv *VarInfo) bool { return iv.slot == v.slot }) {
 			continue // reported as Index below
 		}
-		s := a.sums[v.ID()]
+		s := a.vars[v.slot].sum
 		if s == nil {
 			continue // matched by pre-processing but never accessed in B
 		}
@@ -100,32 +97,28 @@ func ruleText(v *VarInfo, s *varSummary, t DependencyType, crit bool) string {
 // no rule matched (sorted by name). critVars is identify's output for
 // this analyzer; index membership is recomputed the same way identify did.
 func (a *analyzer) provenance(critVars []CriticalVar) []Provenance {
-	entries := make([]Provenance, 0, len(a.mli))
-	covered := make(map[VarID]bool, len(critVars))
-	find := func(name string, fn string, base uint64) *VarInfo {
-		for _, v := range a.mliList() {
-			if v.Name == name && v.Fn == fn && v.Base == base {
-				return v
-			}
-		}
-		// Index variables need not be MLI members.
-		for _, s := range a.sums {
-			if s.v.Name == name && s.v.Fn == fn && s.v.Base == base {
-				return s.v
-			}
-		}
-		return nil
-	}
+	mli := a.mliList()
+	entries := make([]Provenance, 0, len(mli))
+	covered := make([]bool, len(a.vars))
 	for _, c := range critVars {
-		v := find(c.Name, c.Fn, c.Base)
+		slot, ok := a.vt.slots[VarID{Fn: c.Fn, Name: c.Name, Base: c.Base}]
+		if !ok {
+			continue
+		}
+		// The MLI instance, else — index variables need not be MLI
+		// members — the summary's.
+		v := a.vars[slot].mli
+		if v == nil && a.vars[slot].sum != nil {
+			v = a.vars[slot].sum.v
+		}
 		if v == nil {
 			continue
 		}
-		covered[v.ID()] = true
+		covered[slot] = true
 		entries = append(entries, a.provEntry(v, c.Type, true))
 	}
-	for _, v := range a.mliList() {
-		if covered[v.ID()] {
+	for _, v := range mli {
+		if covered[v.slot] {
 			continue
 		}
 		entries = append(entries, a.provEntry(v, 0, false))
@@ -138,7 +131,7 @@ func (a *analyzer) provEntry(v *VarInfo, t DependencyType, crit bool) Provenance
 		Name: v.Name, Fn: v.Fn, Critical: crit, Type: t,
 		FirstAccess: "none", FirstDyn: -1, UncoveredDyn: -1, AfterLoopDyn: -1,
 	}
-	s := a.sums[v.ID()]
+	s := a.vars[v.slot].sum
 	if s != nil {
 		if s.haveFirst {
 			p.FirstAccess = "write"
@@ -162,7 +155,9 @@ func (a *analyzer) provEntry(v *VarInfo, t DependencyType, crit bool) Provenance
 // dynamic heuristic over the trace: among the loop function's locals that
 // are both compared at depth 0 and self-updated (v = v ± c), the one with
 // the fewest self-updates belongs to the outermost loop (inner loops
-// iterate strictly more often).
+// iterate strictly more often). The fallback walks the slots in
+// first-seen order; ties on the count go to the earliest Alloca, so the
+// walk order never decides.
 func (a *analyzer) findInductionVars() []*VarInfo {
 	if a.opts.Module != nil {
 		if fn := a.opts.Module.Func(a.spec.Function); fn != nil {
@@ -177,8 +172,9 @@ func (a *analyzer) findInductionVars() []*VarInfo {
 	}
 	var best *VarInfo
 	var bestCount int64
-	for _, s := range a.sums {
-		if s.v.Fn != a.spec.Function || s.selfUpdate == 0 || s.cmpUses == 0 {
+	for i := range a.vars {
+		s := a.vars[i].sum
+		if s == nil || s.v.Fn != a.spec.Function || s.selfUpdate == 0 || s.cmpUses == 0 {
 			continue
 		}
 		if best == nil || s.selfUpdate < bestCount ||

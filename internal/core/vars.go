@@ -10,11 +10,25 @@
 //   - Data dependency analysis (§IV-B): maintain the on-the-fly "reg-var"
 //     and "reg-reg" maps over Load/Store/GetElementPtr/BitCast, arithmetic,
 //     and both Call forms; update the DDG at every Store; contract the DDG
-//     to MLI variables (Algorithm 1).
+//     to MLI variables (Algorithm 1). Both maps live in one register
+//     table: a register's row holds its reg-var entry (v, the variable it
+//     currently refers to, or nil) and its reg-reg entry (srcs, the
+//     registers it was computed from, empty when none), so a record finds
+//     the row of its result once and rewrites it in place.
 //   - Identification (§IV-C): classify MLI variables as Write-After-Read,
 //     Read-After-Partially-Overwritten, or Outcome from the time-ordered
 //     R/W sequence, and add the outermost loop's induction variable
 //     (Index).
+//
+// Per-variable state lives in slots: the variable table numbers every
+// distinct VarID densely, in first-seen order, when it first learns the
+// ID (an Alloca, a global's first named reference), and stamps the slot
+// on each VarInfo, so an access reaches its variable's region-A mark,
+// MLI match and summary by index. A reused stack slot — the same
+// function, name and base on a later call — is a new *VarInfo with the
+// same VarID and therefore the same slot. The MLI set reports the latest
+// instance matched (as region A marks the latest instance seen); a
+// summary keeps the first instance that reached it.
 package core
 
 import (
@@ -40,6 +54,7 @@ type VarInfo struct {
 	Global    bool
 	FirstDyn  int64 // dynamic ID of the Alloca (locals) or first access
 	FirstLine int   // source line of first non-synthesized access
+	slot      int   // the table's dense index of ID() (see varTable)
 }
 
 // ID returns the variable's identity key.
@@ -58,10 +73,15 @@ type span struct {
 // paper's reg-var map. Globals have no Alloca records; their base addresses
 // are learned from the first direct (named) reference and their extent
 // grows with the observed access footprint.
+//
+// addAlloca and noteGlobal stamp each VarInfo they create with its VarID's
+// slot (see the package comment): once per allocation, never per access,
+// and keyed by identity, never by pointer.
 type varTable struct {
 	locals  []span // sorted by lo, non-overlapping
 	globals []span // sorted by lo; hi grows with observed footprint
 	gByName map[string]*VarInfo
+	slots   map[VarID]int
 	frozen  bool // stop growing global footprints (see freeze)
 }
 
@@ -72,7 +92,19 @@ type varTable struct {
 func (t *varTable) freeze() { t.frozen = true }
 
 func newVarTable() *varTable {
-	return &varTable{gByName: make(map[string]*VarInfo)}
+	return &varTable{gByName: make(map[string]*VarInfo), slots: make(map[VarID]int)}
+}
+
+// slotOf stamps v with its identity's slot, assigning the next one to an
+// ID the table has not seen.
+func (t *varTable) slotOf(v *VarInfo) {
+	id := v.ID()
+	s, ok := t.slots[id]
+	if !ok {
+		s = len(t.slots)
+		t.slots[id] = s
+	}
+	v.slot = s
 }
 
 // reset empties the table for a fresh trace while keeping its allocated
@@ -82,6 +114,7 @@ func (t *varTable) reset() {
 	t.locals = t.locals[:0]
 	t.globals = t.globals[:0]
 	clear(t.gByName)
+	clear(t.slots)
 	t.frozen = false
 }
 
@@ -92,6 +125,7 @@ func (t *varTable) addAlloca(name, fn string, base uint64, size int64, dyn int64
 		size = 8
 	}
 	v := &VarInfo{Name: name, Fn: fn, Base: base, SizeBytes: size, FirstDyn: dyn, FirstLine: -1}
+	t.slotOf(v)
 	lo, hi := base, base+uint64(size)
 	// Find the range of spans overlapping [lo, hi).
 	i := sort.Search(len(t.locals), func(i int) bool { return t.locals[i].hi > lo })
@@ -113,6 +147,7 @@ func (t *varTable) noteGlobal(name string, base uint64, dyn int64, line int) *Va
 		return v
 	}
 	v := &VarInfo{Name: name, Fn: "", Base: base, SizeBytes: 8, Global: true, FirstDyn: dyn, FirstLine: line}
+	t.slotOf(v)
 	t.gByName[name] = v
 	sp := span{lo: base, hi: base + 8, v: v}
 	i := sort.Search(len(t.globals), func(i int) bool { return t.globals[i].lo >= base })
