@@ -11,9 +11,10 @@
 //   - Chunked sessions: create a session carrying the LoopSpec, PUT
 //     strictly ordered chunks — arbitrary byte splits of the trace, the
 //     ACTB encoding is stateful and only splits at byte granularity —
-//     and POST finish to collect the result. Each session feeds a
-//     per-session core.Engine through an io.Pipe and the batch decode
-//     path, so memory stays O(variables) regardless of trace size.
+//     and POST finish to collect the result. A chunk request decodes its
+//     bytes through the session's fed trace reader into its core.Engine
+//     before it is acknowledged: no session owns a goroutine, and memory
+//     stays O(variables) regardless of trace size.
 //
 // Sessions are durable: every chunk is persisted through the embedding
 // server's store stack *before* it is acknowledged (ack-after-persist),
@@ -29,7 +30,7 @@
 // concurrent requests, and excess traffic is shed with 429 carrying the
 // controller's computed Retry-After, which the retrying Client honors.
 // Idle sessions are evicted after IdleTTL (state stays in the store;
-// eviction only frees memory and the engine goroutine).
+// eviction only frees the session's memory).
 package analysis
 
 import (
@@ -38,7 +39,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -148,12 +148,6 @@ type Config struct {
 	Now   func() time.Time
 }
 
-// feedOutcome is the engine goroutine's single, final report.
-type feedOutcome struct {
-	res *core.Result
-	err error
-}
-
 type sessState int
 
 const (
@@ -172,34 +166,32 @@ func (st sessState) String() string {
 	return "failed"
 }
 
-// session is one chunked ingest session. The pipe writer feeds the
-// engine goroutine; pw.Write blocking until the engine consumed the
-// bytes is the service's natural backpressure.
+// session is one chunked ingest session. An active session decodes
+// each chunk inside the request that brings it, under mu: the fed reader
+// turns the bytes into records and the engine observes them, so the
+// request's ingest slot is the service's backpressure.
 type session struct {
-	id             string
-	ns             string // tenant namespace (admission accounting)
-	spec           core.LoopSpec
-	includeGlobals bool
-	back           store.Backend // "sess-<id>" namespace of the store stack
+	id   string
+	ns   string // tenant namespace (admission accounting)
+	meta sessMeta
+	back store.Backend // "sess-<id>" namespace of the store stack
 
 	mu      sync.Mutex
 	state   sessState
+	dropped bool  // evicted or shut down: a later request recovers a fresh copy
 	next    int   // next expected chunk sequence number
 	bytes   int64 // acknowledged trace bytes
 	last    time.Time
-	pw      *io.PipeWriter
-	out     chan feedOutcome // buffered(1); the engine goroutine's result
-	res     *core.Result     // set once finished
-	failErr error            // set once failed
+	res     *core.Result // set once finished
+	failErr error        // set once failed
+
+	// The decode state of an active session, released when it ends.
+	eng   *core.Engine
+	rd    *trace.WindowReader
+	batch trace.RecordBatch
 }
 
-// Sentinel errors delivered through the session pipe when the service —
-// not the trace — ends an engine.
-var (
-	errEvicted  = errors.New("analysis: session evicted while idle")
-	errShutdown = errors.New("analysis: service shutting down")
-	errDeleted  = errors.New("analysis: session deleted")
-)
+var errDeleted = errors.New("analysis: session deleted")
 
 // Service is the trace-ingest service. Create one with NewService and
 // mount its handlers (http.go) into a server mux, or call the exported
@@ -361,8 +353,6 @@ func (s *Service) admitSession(ns string, recovered bool) error {
 	return nil
 }
 
-func (s *Service) releaseLive(ns string) { s.adm.ReleaseSession(ns) }
-
 // acquire admits one in-flight ingest request for the namespace at the
 // given priority class; release the ticket when the request is done.
 func (s *Service) acquire(ns string, pri admission.Priority) (admission.Ticket, error) {
@@ -373,62 +363,34 @@ func (s *Service) acquire(ns string, pri admission.Priority) (admission.Ticket, 
 	return tkt, nil
 }
 
-// ---- Engine feeding ----
+// ---- Decoding ----
 
-// runEngine drives one core.Engine over a streaming trace reader via
-// the batch decode path; the reader's format (text or ACTB) is sniffed
-// from its first bytes.
-func runEngine(r io.Reader, spec core.LoopSpec, includeGlobals bool, reg *obs.Registry) (*core.Result, error) {
-	opts := core.DefaultOptions()
-	opts.IncludeGlobals = includeGlobals
-	opts.Obs = reg
-	eng, err := core.NewEngine(spec, opts)
-	if err != nil {
-		return nil, err
-	}
-	rd, _, err := trace.NewAutoReader(r)
-	if err != nil {
-		return nil, err
-	}
-	var batch trace.RecordBatch
-	if err := trace.ForEachBatch(rd, &batch, func(_ int, recs []trace.Record) error {
-		eng.ObserveBatch(recs)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return eng.Finish()
-}
-
-// feed is the per-session engine goroutine. It consumes the pipe until
-// EOF (finish) or a decode error; on error the pipe is closed with that
-// error so a blocked or later chunk write observes it. The outcome
-// channel is buffered, so the goroutine always exits — even when the
-// session was evicted and nobody collects the result.
-func (s *Service) feed(pr *io.PipeReader, spec core.LoopSpec, includeGlobals bool, out chan<- feedOutcome) {
-	res, err := runEngine(pr, spec, includeGlobals, s.obs)
-	if err != nil {
-		pr.CloseWithError(err)
-	} else {
-		pr.Close()
-	}
-	out <- feedOutcome{res: res, err: err}
-}
-
-// newLiveSession builds an active session with a running engine.
+// newLiveSession builds an active session with a fresh engine and reader.
 func (s *Service) newLiveSession(id string, meta sessMeta, back store.Backend) *session {
-	pr, pw := io.Pipe()
-	sess := &session{
-		id: id, ns: meta.Namespace,
-		spec:           core.LoopSpec{Function: meta.Function, StartLine: meta.StartLine, EndLine: meta.EndLine},
-		includeGlobals: meta.IncludeGlobals,
-		back:           back,
-		last:           s.now(),
-		pw:             pw,
-		out:            make(chan feedOutcome, 1),
-	}
-	go s.feed(pr, sess.spec, sess.includeGlobals, sess.out)
+	sess := &session{id: id, ns: meta.Namespace, meta: meta, back: back, last: s.now(), rd: trace.NewFedReader()}
+	opts := core.DefaultOptions()
+	opts.IncludeGlobals = meta.IncludeGlobals
+	opts.Obs = s.obs
+	spec := core.LoopSpec{Function: meta.Function, StartLine: meta.StartLine, EndLine: meta.EndLine}
+	sess.eng, _ = core.NewEngine(spec, opts) // never fails
 	return sess
+}
+
+// ingest feeds data to the session's reader and hands every record it
+// completes to the engine; an unfinished record waits in the reader.
+func (sess *session) ingest(data []byte) error {
+	sess.rd.Feed(data)
+	return trace.ForEachBatch(sess.rd, &sess.batch, func(_ int, recs []trace.Record) error {
+		sess.eng.ObserveBatch(recs)
+		return nil
+	})
+}
+
+// end moves an active session to its final state and releases its
+// decode state; the caller releases the session lease.
+func (sess *session) end(state sessState, res *core.Result, err error) {
+	sess.state, sess.res, sess.failErr = state, res, err
+	sess.eng, sess.rd, sess.batch = nil, nil, trace.RecordBatch{}
 }
 
 // analysisError maps an engine or decoder error to its typed 4xx: a
@@ -489,7 +451,7 @@ func (s *Service) Create(ns string, spec core.LoopSpec, includeGlobals bool) (Se
 		err = back.Put("meta", dataSections(mdata))
 	}
 	if err != nil {
-		s.releaseLive(ns)
+		s.adm.ReleaseSession(ns)
 		return SessionStatus{}, &Error{Status: 503, Code: CodeUnavailable,
 			Message: fmt.Sprintf("persisting session meta: %v", err)}
 	}
@@ -526,20 +488,11 @@ func (s *Service) session(id string) (*session, error) {
 		s.mu.Unlock()
 
 		sess, err := s.recover(id)
-		// Pre-publication, only this goroutine (and the engine feed, which
-		// never touches these fields) can see sess — no lock needed.
-		if sess != nil && sess.state == sessActive {
-			s.admitSession(sess.ns, true) // recovered: bypasses the quota
-		}
 		s.mu.Lock()
 		delete(s.recovering, id)
 		if sess != nil && s.closed {
-			// The service shut down mid-recovery: tear the engine back down
-			// instead of publishing a session nobody will ever drain.
-			if sess.state == sessActive {
-				sess.pw.CloseWithError(errShutdown)
-				s.releaseLive(sess.ns)
-			}
+			// The service shut down mid-recovery: the session is not
+			// published.
 			sess = nil
 			if err == nil {
 				err = &Error{Status: 503, Code: CodeUnavailable, Message: "service shutting down"}
@@ -547,6 +500,9 @@ func (s *Service) session(id string) (*session, error) {
 		}
 		if sess != nil {
 			s.sessions[id] = sess
+			if sess.state == sessActive {
+				s.admitSession(sess.ns, true) // recovered: bypasses the quota
+			}
 		}
 		s.mu.Unlock()
 		close(ch)
@@ -597,15 +553,8 @@ func (s *Service) recover(id string) (*session, error) {
 	if rsecs, rerr := back.Get("result"); rerr == nil {
 		if rdata, derr := sectionData(rsecs); derr == nil {
 			if res, derr := decodeResult(rdata); derr == nil {
-				sess := &session{
-					id: id, ns: meta.Namespace,
-					spec:           core.LoopSpec{Function: meta.Function, StartLine: meta.StartLine, EndLine: meta.EndLine},
-					includeGlobals: meta.IncludeGlobals,
-					back:           back,
-					last:           s.now(),
-					state:          sessFinished,
-					res:            res,
-				}
+				sess := s.newLiveSession(id, meta, back)
+				sess.end(sessFinished, res, nil)
 				sess.next, sess.bytes = s.chunkExtent(back)
 				return sess, nil
 			}
@@ -620,23 +569,20 @@ func (s *Service) recover(id string) (*session, error) {
 			break
 		}
 		if cerr != nil {
-			sess.pw.CloseWithError(errShutdown)
 			return nil, &Error{Status: 503, Code: CodeUnavailable,
 				Message: fmt.Sprintf("replaying session chunk %d: %v", seq, cerr)}
 		}
 		data, derr := sectionData(csecs)
 		if derr != nil {
-			sess.pw.CloseWithError(errShutdown)
 			return nil, &Error{Status: 503, Code: CodeUnavailable,
 				Message: fmt.Sprintf("replaying session chunk %d: %v", seq, derr)}
 		}
 		sess.next = seq + 1
 		sess.bytes += int64(len(data))
-		if _, werr := sess.pw.Write(data); werr != nil {
+		if ierr := sess.ingest(data); ierr != nil {
 			// The persisted prefix re-fails exactly where the original
 			// ingest failed: the session recovers into its failed state.
-			sess.state = sessFailed
-			sess.failErr = werr
+			sess.end(sessFailed, nil, ierr)
 			break
 		}
 	}
@@ -657,9 +603,9 @@ func (s *Service) chunkExtent(back store.Backend) (next int, bytes int64) {
 	}
 }
 
-// Chunk ingests one ordered chunk: persist (ack-after-persist), feed
-// the engine, advance the sequence. Sequencing violations return typed
-// errors carrying the expected sequence number.
+// Chunk ingests one ordered chunk: persist (ack-after-persist), decode
+// it into the engine, advance the sequence. Sequencing violations return
+// typed errors carrying the expected sequence number.
 func (s *Service) Chunk(id string, seq int, data []byte) (err error) {
 	start := s.chunkOp.Start()
 	defer func() { s.chunkOp.Done(start, int64(len(data)), errClassOf(err)) }()
@@ -696,6 +642,9 @@ func (s *Service) Chunk(id string, seq int, data []byte) (err error) {
 		return &Error{Status: 409, Code: CodeOutOfOrder, Expect: sess.next,
 			Message: fmt.Sprintf("chunk %d out of order; next is %d", seq, sess.next)}
 	}
+	if sess.dropped {
+		return errDropped
+	}
 	if ferr := s.cfg.Faults.Hit(SiteSessionChunk); ferr != nil {
 		return ferr // http layer maps drop/error; crash already panicked
 	}
@@ -710,29 +659,28 @@ func (s *Service) Chunk(id string, seq int, data []byte) (err error) {
 	}
 	sess.next = seq + 1
 	sess.bytes += int64(len(data))
-	if _, werr := sess.pw.Write(data); werr != nil {
-		if errors.Is(werr, errEvicted) || errors.Is(werr, errShutdown) {
-			// The engine was torn down between resolving the session and
-			// writing — the durable state is intact, so the retrying
-			// client recovers the session and resumes.
-			return &Error{Status: 503, Code: CodeUnavailable,
-				Message: fmt.Sprintf("session engine stopped: %v", werr)}
-		}
+	if ierr := sess.ingest(data); ierr != nil {
 		// A decode error is terminal: the chunk's bytes are part of the
 		// durable prefix, so recovery re-fails deterministically.
-		sess.state = sessFailed
-		sess.failErr = werr
+		sess.end(sessFailed, nil, ierr)
 		s.failedC.Inc()
-		s.releaseLive(sess.ns)
-		return analysisError(werr)
+		s.adm.ReleaseSession(sess.ns)
+		return analysisError(ierr)
 	}
 	return nil
 }
 
+// errDropped answers a request holding a session that was evicted or shut
+// down under it. Nothing was persisted, so the retrying client recovers
+// the session and resumes.
+var errDropped = &Error{Status: 503, Code: CodeUnavailable,
+	Message: "session dropped from memory; retry to recover it"}
+
 // Finish closes the session's trace stream and returns the analysis
 // result, persisting it for idempotent re-finish and post-restart
-// status queries. Decode errors still buffered in the engine surface
-// here as the same typed 4xx a chunk would have produced.
+// status queries. The bytes only the end of the trace completes are
+// decoded here, so their errors surface as the same typed 4xx a chunk
+// would have produced.
 func (s *Service) Finish(id string) (*core.Result, error) {
 	sess, err := s.session(id)
 	if err != nil {
@@ -754,26 +702,31 @@ func (s *Service) Finish(id string) (*core.Result, error) {
 		return nil, &Error{Status: 400, Code: CodeSessionFailed,
 			Message: fmt.Sprintf("session failed: %v", sess.failErr)}
 	}
-	sess.pw.Close()
-	o := <-sess.out
-	if o.err != nil {
-		sess.state = sessFailed
-		sess.failErr = o.err
+	if sess.dropped {
+		return nil, errDropped
+	}
+	sess.rd.CloseFeed()
+	err = sess.ingest(nil) // decodes what only the end of the trace completes
+	var res *core.Result
+	if err == nil {
+		res, err = sess.eng.Finish()
+	}
+	if err != nil {
+		sess.end(sessFailed, nil, err)
 		s.failedC.Inc()
-		s.releaseLive(sess.ns)
-		return nil, analysisError(o.err)
+		s.adm.ReleaseSession(sess.ns)
+		return nil, analysisError(err)
 	}
 	// The engine never saw the trace as one buffer; restore the byte
 	// accounting a local AnalyzeBytes would report.
-	o.res.Stats.TraceBytes = sess.bytes
-	sess.res = o.res
-	sess.state = sessFinished
+	res.Stats.TraceBytes = sess.bytes
+	sess.end(sessFinished, res, nil)
 	s.finishedC.Inc()
-	s.releaseLive(sess.ns)
+	s.adm.ReleaseSession(sess.ns)
 	// Best-effort persist: if this write is lost, recovery replays the
 	// chunk prefix and recomputes the identical result.
-	_ = sess.back.Put("result", dataSections(encodeResult(o.res)))
-	return sess.res, nil
+	_ = sess.back.Put("result", dataSections(encodeResult(res)))
+	return res, nil
 }
 
 // SessionStatus is the GET /v1/sessions/{id} payload.
@@ -793,8 +746,8 @@ func (sess *session) status() SessionStatus {
 	return SessionStatus{
 		ID: sess.id, Namespace: sess.ns, State: sess.state.String(),
 		NextSeq: sess.next, Bytes: sess.bytes,
-		Function: sess.spec.Function, StartLine: sess.spec.StartLine, EndLine: sess.spec.EndLine,
-		IncludeGlobals: sess.includeGlobals,
+		Function: sess.meta.Function, StartLine: sess.meta.StartLine, EndLine: sess.meta.EndLine,
+		IncludeGlobals: sess.meta.IncludeGlobals,
 	}
 }
 
@@ -812,8 +765,8 @@ func (s *Service) Status(id string) (SessionStatus, error) {
 	return sess.status(), nil
 }
 
-// Delete purges a session: its engine is stopped, its durable objects
-// are removed, and the id becomes unknown.
+// Delete purges a session: it is dropped from memory, its durable
+// objects are removed, and the id becomes unknown.
 func (s *Service) Delete(id string) error {
 	sess, err := s.session(id)
 	if err != nil {
@@ -824,10 +777,8 @@ func (s *Service) Delete(id string) error {
 	s.mu.Unlock()
 	sess.mu.Lock()
 	if sess.state == sessActive {
-		sess.state = sessFailed
-		sess.failErr = errDeleted
-		sess.pw.CloseWithError(errDeleted)
-		s.releaseLive(sess.ns)
+		sess.end(sessFailed, nil, errDeleted)
+		s.adm.ReleaseSession(sess.ns)
 	}
 	sess.mu.Unlock()
 	s.sessionsG.Dec()
@@ -884,10 +835,7 @@ func (s *Service) EvictIdle(now time.Time) int {
 		sess.mu.Lock()
 		if now.Sub(sess.last) >= s.cfg.IdleTTL {
 			delete(s.sessions, id)
-			if sess.state == sessActive {
-				sess.pw.CloseWithError(errEvicted)
-				s.releaseLive(sess.ns)
-			}
+			s.drop(sess)
 			evicted++
 			s.evictedC.Inc()
 			s.sessionsG.Dec()
@@ -896,6 +844,16 @@ func (s *Service) EvictIdle(now time.Time) int {
 	}
 	s.mu.Unlock()
 	return evicted
+}
+
+// drop marks a session that left the service's memory, under sess.mu: a
+// request still holding it gets errDropped, and an active one gives its
+// lease back.
+func (s *Service) drop(sess *session) {
+	sess.dropped = true
+	if sess.state == sessActive {
+		s.adm.ReleaseSession(sess.ns)
+	}
 }
 
 func (s *Service) janitor() {
@@ -912,9 +870,9 @@ func (s *Service) janitor() {
 	}
 }
 
-// Close stops the janitor and tears down every resident session's
-// engine. Durable session state is untouched — a service restarted over
-// the same store recovers and resumes them.
+// Close stops the janitor and drops every resident session. Durable
+// session state is untouched — a service restarted over the same store
+// recovers and resumes them.
 func (s *Service) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -931,10 +889,7 @@ func (s *Service) Close() error {
 	}
 	for _, sess := range sessions {
 		sess.mu.Lock()
-		if sess.state == sessActive {
-			sess.pw.CloseWithError(errShutdown)
-			s.releaseLive(sess.ns)
-		}
+		s.drop(sess)
 		sess.mu.Unlock()
 		s.sessionsG.Dec()
 	}

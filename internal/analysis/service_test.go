@@ -7,6 +7,7 @@ package analysis_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -254,54 +255,101 @@ func TestSessionLifecycle(t *testing.T) {
 }
 
 // TestSessionCorruptTraceFailsTyped: a corrupt upload ends the session
-// with a typed 4xx — at the chunk that broke the decoder or at finish —
-// and the session stays failed for subsequent requests.
+// with a typed 4xx, and the session stays failed for subsequent requests.
+// Each chunk is decoded inside its own request, so where the upload fails
+// is a property of its bytes alone: three fresh services fail it at the
+// same request with the same status, code and message.
 func TestSessionCorruptTraceFailsTyped(t *testing.T) {
 	p, _ := prep(t)
-	svc := analysis.NewService(analysis.Config{SweepEvery: -1})
-	defer svc.Close()
-
-	st, err := svc.Create("default", p.Spec, true)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A valid prefix, then garbage mid-stream.
 	parts := chunks(p.BinData(), 4)
-	if err := svc.Chunk(st.ID, 0, parts[0]); err != nil {
-		t.Fatal(err)
-	}
 	corrupt := append([]byte{}, parts[1]...)
 	for i := range corrupt {
 		corrupt[i] ^= 0xa5
 	}
-	// The decode error may surface on this write, a later one, or at
-	// finish, depending on pipe scheduling — but it is always a typed
-	// 4xx, never a hang or a 5xx.
-	err = svc.Chunk(st.ID, 1, corrupt)
-	if err == nil {
-		err = svc.Chunk(st.ID, 2, parts[2])
+	upload := [][]byte{parts[0], corrupt, parts[2], parts[3]}
+
+	var first *analysis.Error
+	firstAt := -1
+	for run := 0; run < 3; run++ {
+		svc := analysis.NewService(analysis.Config{SweepEvery: -1})
+		defer svc.Close()
+		st, err := svc.Create("default", p.Spec, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := 0
+		for ; at < len(upload) && err == nil; at++ {
+			err = svc.Chunk(st.ID, at, upload[at])
+		}
+		if err == nil {
+			_, err = svc.Finish(st.ID)
+		} else {
+			at-- // the chunk that failed
+		}
+		if at == 0 {
+			t.Fatalf("run %d: the valid first chunk failed: %v", run, err)
+		}
+		ae := asServiceError(t, err)
+		if ae.Status != 400 || ae.Code != analysis.CodeDecode {
+			t.Fatalf("run %d: corrupt stream error %+v, want 400 %s", run, ae, analysis.CodeDecode)
+		}
+		if run == 0 {
+			first, firstAt = ae, at
+		} else if at != firstAt || *ae != *first {
+			t.Fatalf("run %d failed at request %d with %+v; run 0 at request %d with %+v", run, at, ae, firstAt, first)
+		}
+
+		st2, err := svc.Status(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st2.State != "failed" {
+			t.Fatalf("state %q after corrupt stream, want failed", st2.State)
+		}
+		ae = asServiceError(t, svc.Chunk(st.ID, st2.NextSeq, parts[2]))
+		if ae.Status != 400 || ae.Code != analysis.CodeSessionFailed {
+			t.Fatalf("chunk-after-failure error %+v", ae)
+		}
 	}
-	if err == nil {
-		_, err = svc.Finish(st.ID)
+}
+
+// TestSessionsOwnNoGoroutine: a session is state, not a worker. Creating
+// sessions and feeding them chunks starts no goroutine, and neither does
+// evicting, recovering or shutting them down.
+func TestSessionsOwnNoGoroutine(t *testing.T) {
+	p, _ := prep(t)
+	parts := chunks(p.BinData(), 4)
+	svc := analysis.NewService(analysis.Config{SweepEvery: -1, MaxSessions: 8, Open: newSharedStore().open})
+	base := runtime.NumGoroutine()
+	grown := func(when string) {
+		t.Helper()
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("%s: %d goroutines, %d before the first session", when, n, base)
+		}
 	}
-	ae := asServiceError(t, err)
-	if ae.Status < 400 || ae.Status >= 500 {
-		t.Fatalf("corrupt stream error %+v, want 4xx", ae)
+	ids := make([]string, 8)
+	for i := range ids {
+		st, err := svc.Create("default", p.Spec, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Chunk(st.ID, 0, parts[0]); err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = st.ID
 	}
-	if ae.Code != analysis.CodeDecode && ae.Code != analysis.CodeSessionFailed {
-		t.Fatalf("corrupt stream code %q", ae.Code)
+	grown("8 sessions fed a chunk each")
+	if n := svc.EvictIdle(time.Now().Add(time.Hour)); n != len(ids) {
+		t.Fatalf("evicted %d sessions, want %d", n, len(ids))
 	}
-	st2, err := svc.Status(st.ID)
-	if err != nil {
+	grown("after EvictIdle")
+	if err := svc.Chunk(ids[0], 1, parts[1]); err != nil { // recovers by replay
 		t.Fatal(err)
 	}
-	if st2.State != "failed" {
-		t.Fatalf("state %q after corrupt stream, want failed", st2.State)
-	}
-	ae = asServiceError(t, svc.Chunk(st.ID, st2.NextSeq, parts[2]))
-	if ae.Status != 400 || ae.Code != analysis.CodeSessionFailed {
-		t.Fatalf("chunk-after-failure error %+v", ae)
-	}
+	grown("after a recovery")
+	svc.Close()
+	grown("after Close")
 }
 
 // TestRestartResume is the durability core: chunks acknowledged by one

@@ -404,7 +404,7 @@ func (s sliceSource) sweepBatch(headersOnly bool, fn func(base int, recs []trace
 // plus operand arena recycled across batches, sweeps, and (through the
 // scratch bundle) across traces.
 type streamSource struct {
-	open  func() (trace.Reader, error)
+	open  func() (trace.BatchReader, error)
 	batch *trace.RecordBatch
 }
 

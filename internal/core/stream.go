@@ -14,8 +14,8 @@ import (
 // bytesReaderOpener adapts an in-memory trace (either format) into a
 // replayable stream: the whole input is the reader's window, so nothing
 // is copied or refilled.
-func bytesReaderOpener(data []byte) func() (trace.Reader, error) {
-	return func() (trace.Reader, error) {
+func bytesReaderOpener(data []byte) func() (trace.BatchReader, error) {
+	return func() (trace.BatchReader, error) {
 		rd, _, err := trace.NewBytesReader(data)
 		return rd, err
 	}
@@ -32,8 +32,8 @@ func (r closingReader) Close() error { return r.c.Close() }
 
 // fileReaderOpener re-opens a trace file (either format) for each
 // streaming sweep.
-func fileReaderOpener(path string) func() (trace.Reader, error) {
-	return func() (trace.Reader, error) {
+func fileReaderOpener(path string) func() (trace.BatchReader, error) {
+	return func() (trace.BatchReader, error) {
 		f, err := os.Open(path)
 		if err != nil {
 			return nil, err

@@ -2,13 +2,10 @@ package trace
 
 import "io"
 
-// Batch decoding: the streaming analysis hot path. Reading a trace
-// record-at-a-time through Reader.Next costs one or more heap
-// allocations per record (a fresh Record, a fresh Ops slice, a fresh
-// Result) — three sweeps over a 35k-record trace paid ~366k allocations
-// before this file existed. A RecordBatch amortizes that to zero steady
-// state: the decoder writes records into a reusable slice and their
-// operands into a shared arena, both recycled on every NextBatch call.
+// Batch decoding: the streaming analysis hot path. Reader.Next allocates
+// per record; a RecordBatch does not in steady state: the decoder writes
+// records into a reusable slice and their operands into a shared arena,
+// both recycled on every NextBatch call.
 //
 // Contract: the records of a batch (including their Ops and Result
 // storage) are valid only until the next NextBatch call (or Reset) on the
@@ -86,34 +83,15 @@ type BatchReader interface {
 // arena stays cache-resident.
 const DefaultBatchRecords = 512
 
-// GatherBatch adapts a plain Reader to the batch shape: records are
-// collected one Next at a time. It cannot recycle the reader's per-record
-// allocations (and ignores b.HeadersOnly — full records are a superset), but
-// lets every consumer be written against one loop. Wrappers that embed a
-// Reader use it as the NextBatch fallback for non-batching streams.
-func GatherBatch(rd Reader, b *RecordBatch, max int) (int, error) {
-	b.Reset()
-	for len(b.Recs) < max {
-		r, err := rd.Next()
-		if err != nil {
-			return 0, err
-		}
-		if r == nil {
-			break
-		}
-		b.Recs = append(b.Recs, *r)
-	}
-	return len(b.Recs), nil
-}
-
 // ForEachBatch drives rd to the end of its stream in batches, calling fn
 // with each batch of records and the stream index of its first record.
-// Readers implementing BatchReader decode straight into b's recycled
-// storage (honoring b.HeadersOnly); other readers are adapted record by
-// record. A reader that implements io.Closer is closed before returning
-// (a close error is reported only when the sweep itself succeeded), and
-// the records passed to fn are only valid for the duration of the call.
-func ForEachBatch(rd Reader, b *RecordBatch, fn func(base int, recs []Record) error) (err error) {
+// The reader decodes straight into b's recycled storage (honoring
+// b.HeadersOnly). A reader that implements io.Closer is closed before
+// returning (a close error is reported only when the sweep itself
+// succeeded), and the records passed to fn are only valid for the
+// duration of the call. Over a fed reader the sweep ends where the fed
+// bytes do.
+func ForEachBatch(rd BatchReader, b *RecordBatch, fn func(base int, recs []Record) error) (err error) {
 	if c, ok := rd.(io.Closer); ok {
 		defer func() {
 			if cerr := c.Close(); cerr != nil && err == nil {
@@ -121,16 +99,9 @@ func ForEachBatch(rd Reader, b *RecordBatch, fn func(base int, recs []Record) er
 			}
 		}()
 	}
-	br, native := rd.(BatchReader)
 	base := 0
 	for {
-		var n int
-		var nerr error
-		if native {
-			n, nerr = br.NextBatch(b, DefaultBatchRecords)
-		} else {
-			n, nerr = GatherBatch(rd, b, DefaultBatchRecords)
-		}
+		n, nerr := rd.NextBatch(b, DefaultBatchRecords)
 		if nerr != nil {
 			return nerr
 		}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -30,33 +31,88 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 	return c.r.Read(p)
 }
 
+// fedReader hands data to a fed reader in cuts of cuts[0], cuts[1], …
+// bytes, the last size repeating, feeding the next cut whenever the reader
+// runs dry and closing the feed after the last one — so the tests' drain
+// loops read it as they read a stream.
+type fedReader struct {
+	*WindowReader
+	data   []byte
+	cuts   []int
+	closed bool
+	one    RecordBatch
+}
+
+func newFedReader(data []byte, cuts ...int) *fedReader {
+	return &fedReader{WindowReader: NewFedReader(), data: data, cuts: cuts}
+}
+
+func (f *fedReader) NextBatch(b *RecordBatch, max int) (int, error) {
+	for {
+		n, err := f.WindowReader.NextBatch(b, max)
+		if n > 0 || err != nil || f.closed {
+			return n, err
+		}
+		if len(f.data) == 0 {
+			f.CloseFeed()
+			f.closed = true
+			continue
+		}
+		k := min(f.cuts[0], len(f.data))
+		if len(f.cuts) > 1 {
+			f.cuts = f.cuts[1:]
+		}
+		f.Feed(f.data[:k])
+		f.data = f.data[k:]
+	}
+}
+
+// Next is NextBatch of one through the feeding loop above.
+func (f *fedReader) Next() (*Record, error) {
+	if n, err := f.NextBatch(&f.one, 1); err != nil || n == 0 {
+		return nil, err
+	}
+	rec := f.one.Recs[0].Clone()
+	return &rec, nil
+}
+
 // batchReaders enumerates every way to open the one reader over the same
-// encoded trace: in memory, and as a stream delivered whole, one byte per
-// Read, and in random small chunks.
+// encoded trace: in memory; as a stream delivered whole, one byte per
+// Read, and in random small chunks; and fed in cuts of fixed sizes, whole,
+// and with a first cut shorter than the ACTB magic.
 func batchReaders(t *testing.T, text, bin []byte) map[string]func() BatchReader {
 	t.Helper()
-	return map[string]func() BatchReader{
+	readers := map[string]func() BatchReader{
 		"textBytes": func() BatchReader {
 			rd, f, err := NewBytesReader(text)
 			if err != nil || f != FormatText {
 				t.Fatalf("NewBytesReader(text) = %v, %v", f, err)
 			}
-			return rd.(BatchReader)
+			return rd
 		},
 		"binBytes": func() BatchReader {
 			rd, f, err := NewBytesReader(bin)
 			if err != nil || f != FormatBinary {
 				t.Fatalf("NewBytesReader(bin) = %v, %v", f, err)
 			}
-			return rd.(BatchReader)
+			return rd
 		},
-		"textScanner": func() BatchReader { return NewScanner(bytes.NewReader(text)) },
-		"binScanner":  func() BatchReader { return NewBinaryScanner(bytes.NewReader(bin)) },
-		"textOneByte": func() BatchReader { return NewScanner(iotest.OneByteReader(bytes.NewReader(text))) },
-		"binOneByte":  func() BatchReader { return NewBinaryScanner(iotest.OneByteReader(bytes.NewReader(bin))) },
-		"textChunked": func() BatchReader { return NewScanner(newChunkReader(text, 1)) },
-		"binChunked":  func() BatchReader { return NewBinaryScanner(newChunkReader(bin, 2)) },
+		"textScanner":       func() BatchReader { return NewScanner(bytes.NewReader(text)) },
+		"binScanner":        func() BatchReader { return NewBinaryScanner(bytes.NewReader(bin)) },
+		"textOneByte":       func() BatchReader { return NewScanner(iotest.OneByteReader(bytes.NewReader(text))) },
+		"binOneByte":        func() BatchReader { return NewBinaryScanner(iotest.OneByteReader(bytes.NewReader(bin))) },
+		"textChunked":       func() BatchReader { return NewScanner(newChunkReader(text, 1)) },
+		"binChunked":        func() BatchReader { return NewBinaryScanner(newChunkReader(bin, 2)) },
+		"textFedShortMagic": func() BatchReader { return newFedReader(text, len(binaryMagic)-1, 512) },
+		"binFedShortMagic":  func() BatchReader { return newFedReader(bin, len(binaryMagic)-1, 512) },
 	}
+	for _, cut := range []int{1, 2, 7, 512} {
+		readers[fmt.Sprintf("fedText%d", cut)] = func() BatchReader { return newFedReader(text, cut) }
+		readers[fmt.Sprintf("fedBin%d", cut)] = func() BatchReader { return newFedReader(bin, cut) }
+	}
+	readers["fedTextWhole"] = func() BatchReader { return newFedReader(text, len(text)) }
+	readers["fedBinWhole"] = func() BatchReader { return newFedReader(bin, len(bin)) }
+	return readers
 }
 
 // drainBatches reads rd to the end through NextBatch, cloning each
@@ -311,43 +367,52 @@ func TestHeaderHopEdgeTraces(t *testing.T) {
 	}
 }
 
-// plainReader hides the NextBatch method of a reader, modeling a
-// third-party Reader implementation.
-type plainReader struct{ rd Reader }
-
-func (p plainReader) Next() (*Record, error) { return p.rd.Next() }
-
-// TestForEachBatchFallback pins that ForEachBatch adapts plain Readers
-// through GatherBatch and visits every record with correct bases.
-func TestForEachBatchFallback(t *testing.T) {
-	recs := randomRecords(rand.New(rand.NewSource(14)), DefaultBatchRecords+37)
-	data := EncodeAll(recs)
-	want, err := ParseBytes(data)
-	if err != nil {
-		t.Fatal(err)
+// TestFedReaderMatchesStream pins the fed reader on the inputs whose end
+// decides the outcome: the empty trace, traces shorter than the ACTB magic
+// (the format waits for the closed feed), and a record over the streaming
+// cap in either format. Fed in any cuts, each must give the records and
+// the error string a stream of the same bytes gives, and so must every
+// feed handed over before the first read. They are read one
+// record per call: a batch that meets an error is dropped whole, and a fed
+// reader's batches also end where its feeds do.
+func TestFedReaderMatchesStream(t *testing.T) {
+	long := Record{Line: 1, Func: strings.Repeat("f", maxRecordBytes+16), Block: "b", Opcode: OpBr, DynID: 1}
+	head := sampleRecords()
+	overCap := append(append([]Record{}, head...), long)
+	inputs := map[string][]byte{
+		"empty":           nil,
+		"short-text":      []byte("0,"),
+		"magic-prefix":    binaryMagic[:len(binaryMagic)-1],
+		"magic-only":      binaryMagic,
+		"over-cap-text":   EncodeAll(overCap),
+		"over-cap-bin":    EncodeBinary(overCap),
+		"header-only-bin": EncodeBinary(nil),
 	}
-	for name, rd := range map[string]Reader{
-		"native":   NewScanner(bytes.NewReader(data)),
-		"fallback": plainReader{NewScanner(bytes.NewReader(data))},
-	} {
-		var got []Record
-		next := 0
-		var b RecordBatch
-		err := ForEachBatch(rd, &b, func(base int, batch []Record) error {
-			if base != next {
-				t.Fatalf("%s: base = %d, want %d", name, base, next)
-			}
-			next = base + len(batch)
-			for i := range batch {
-				got = append(got, batch[i].Clone())
-			}
-			return nil
-		})
+	for name, data := range inputs {
+		st, _, err := NewAutoReader(bytes.NewReader(data))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: NewAutoReader: %v", name, err)
 		}
-		if !equalModuloNaN(want, got) {
-			t.Errorf("%s: ForEachBatch records differ from serial parse", name)
+		want, werr := drain(st, false, 1)
+		if strings.HasPrefix(name, "over-cap") && !errors.Is(werr, bufio.ErrTooLong) {
+			t.Fatalf("%s: stream error %v, want a wrapped bufio.ErrTooLong", name, werr)
+		}
+		for _, cuts := range [][]int{{1, 512}, {len(binaryMagic) - 1, 64 << 10}, {max(len(data), 1)}} {
+			got, gerr := drain(newFedReader(data, cuts...), false, 1)
+			if fmt.Sprint(gerr) != fmt.Sprint(werr) || !equalModuloNaN(want, got) {
+				t.Errorf("%s cuts %v: fed read = %d records, %v; stream = %d records, %v",
+					name, cuts, len(got), gerr, len(want), werr)
+			}
+		}
+		// Feeds that arrive before the reader has read the earlier ones
+		// queue behind them.
+		ahead := NewFedReader()
+		for i := 0; i < len(data); i += 512 {
+			ahead.Feed(data[i:min(i+512, len(data))])
+		}
+		ahead.CloseFeed()
+		if got, gerr := drain(ahead, false, 1); fmt.Sprint(gerr) != fmt.Sprint(werr) || !equalModuloNaN(want, got) {
+			t.Errorf("%s fed ahead: %d records, %v; stream = %d records, %v", name, len(got), gerr, len(want), werr)
 		}
 	}
 }
@@ -431,7 +496,7 @@ func TestBatchOpsAppendSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b RecordBatch
-	if _, err := rd.(BatchReader).NextBatch(&b, 100); err != nil {
+	if _, err := rd.NextBatch(&b, 100); err != nil {
 		t.Fatal(err)
 	}
 	if len(b.Recs) < 2 || len(b.Recs[1].Ops) == 0 {

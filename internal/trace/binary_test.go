@@ -341,7 +341,7 @@ func binaryHeaders(data []byte, max int) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	return drain(rd.(BatchReader), true, max)
+	return drain(rd, true, max)
 }
 
 // varintRecords carries a varint of every length, 1 to 10 bytes, in every

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"reflect"
@@ -15,8 +16,9 @@ import (
 // bytes that sniff as ACTB to what the reference ACTB decoder makes of
 // them, in full and header-only; whatever the bytes sniff as, a stream of
 // them refilled in small uneven Reads must decode exactly as the same
-// bytes in memory do; and for inputs the text decoder accepts, the
-// serial, parallel and header-only paths must agree.
+// bytes in memory do, and so must the same bytes fed in small uneven cuts,
+// to the same records or the same error string; and for inputs the text
+// decoder accepts, the serial, parallel and header-only paths must agree.
 func FuzzParseTrace(f *testing.F) {
 	recs := sampleRecords()
 	f.Add(EncodeAll(recs))
@@ -72,7 +74,7 @@ func FuzzParseTrace(f *testing.F) {
 			var want, got []Record
 			mem, _, merr := NewBytesReader(data)
 			if merr == nil {
-				want, merr = drain(mem.(BatchReader), mode.headersOnly, mode.max)
+				want, merr = drain(mem, mode.headersOnly, mode.max)
 			}
 			st, _, sterr := NewAutoReader(newChunkReader(data, int64(crc32.ChecksumIEEE(data))))
 			if sterr == nil {
@@ -81,6 +83,28 @@ func FuzzParseTrace(f *testing.F) {
 			if (merr == nil) != (sterr == nil) || !equalModuloNaN(want, got) {
 				t.Fatalf("stream and in-memory reads of %q disagree (max %d): %d records, %v vs %d records, %v",
 					data, mode.max, len(got), sterr, len(want), merr)
+			}
+		}
+		// Fed = bytes, full and header-only: the same records, then the
+		// same error string. Both are read one record per call, because a
+		// fed batch also ends where a feed does, and a batch that meets an
+		// error is dropped whole.
+		rng := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(data))))
+		var cuts []int
+		for n := 0; n < len(data); {
+			cuts = append(cuts, 1+rng.Intn(97))
+			n += cuts[len(cuts)-1]
+		}
+		for _, headersOnly := range []bool{false, true} {
+			var want []Record
+			mem, _, merr := NewBytesReader(data)
+			if merr == nil {
+				want, merr = drain(mem, headersOnly, 1)
+			}
+			got, ferr := drain(newFedReader(data, append(cuts, 1)...), headersOnly, 1)
+			if fmt.Sprint(merr) != fmt.Sprint(ferr) || !equalModuloNaN(want, got) {
+				t.Fatalf("fed and in-memory reads of %q disagree (headersOnly %v, cuts %v): %d records, %v vs %d records, %v",
+					data, headersOnly, cuts, len(got), ferr, len(want), merr)
 			}
 		}
 		// The header-only decode hops over operand lines unread, so it may

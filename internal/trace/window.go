@@ -20,13 +20,14 @@ const (
 
 // WindowReader is the one trace reader: it decodes either format, in
 // batches, from a window of the trace's bytes. Over an in-memory trace
-// (NewBytesReader) the window is the whole input. Over an io.Reader it is a
-// bounded, reused buffer that slides its undecoded tail to the front and
-// refills with one Read at a time, so a live pipe is decoded as it arrives.
-// Either way the bytes go to the same two decoders, decoder.decodeN (text)
-// and binDecoder.record (ACTB).
+// (NewBytesReader) the window is the whole input. Over an io.Reader, or
+// over bytes the caller feeds it (NewFedReader), it is a bounded, reused
+// buffer that slides its undecoded tail to the front and refills with one
+// Read at a time, so a trace is decoded as it arrives. Either way the
+// bytes go to the same two decoders, decoder.decodeN (text) and
+// binDecoder.record (ACTB).
 type WindowReader struct {
-	src    io.Reader // nil over an in-memory trace
+	src    io.Reader // nil over an in-memory trace; a *feed when fed
 	buf    []byte    // the window; buf[pos:end] is read but not yet decoded
 	pos    int
 	end    int
@@ -34,6 +35,7 @@ type WindowReader struct {
 	srcErr error // from src's last Read; io.EOF makes this the final window
 	err    error // the first decode or read error, repeated by every later call
 	format Format
+	sniff  bool // the format is still to be read off the first bytes
 
 	text    *decoder
 	cut     int // text: buf[pos:cut] holds complete blocks only
@@ -56,22 +58,62 @@ func NewBinaryScanner(r io.Reader) *WindowReader { return newStreamReader(r, For
 // assumed when the stream is shorter than the binary magic.
 func NewAutoReader(r io.Reader) (BatchReader, Format, error) {
 	w := newStreamReader(r, FormatText)
-	for w.end < len(binaryMagic) && w.srcErr == nil {
-		_ = w.fill() // a failed Read is kept in srcErr
+	if err := w.detect(); err != nil {
+		return nil, 0, err
 	}
-	if w.end < len(binaryMagic) && w.srcErr != io.EOF {
-		return nil, 0, w.srcErr
-	}
-	w.bin.data = w.buf[:w.end]
-	w.format = DetectFormat(w.bin.data)
 	return w, w.format, nil
+}
+
+// NewFedReader returns a reader of a trace handed over in pieces with
+// Feed, in either format (read off the first bytes once the magic's worth
+// has arrived or the feed is closed). Out of fed bytes before CloseFeed,
+// NextBatch returns what it decoded and no error; the next Feed resumes.
+func NewFedReader() *WindowReader {
+	w := newStreamReader(&feed{}, FormatText)
+	w.sniff = true
+	return w
+}
+
+// Feed hands over the next bytes of the trace. The window copies them as
+// it refills, so p must not change until NextBatch returns zero or an
+// error.
+func (w *WindowReader) Feed(p []byte) { w.src.(*feed).queue = append(w.src.(*feed).queue, p) }
+
+// CloseFeed ends the trace: the last window is final, as io.EOF makes it.
+func (w *WindowReader) CloseFeed() { w.src.(*feed).closed = true }
+
+// feed is a fed reader's source: the pieces fed and not yet in the window,
+// in order. Out of bytes with the feed open it reads errStarved, which
+// fill does not keep and NextBatch turns into "nothing more for now".
+type feed struct {
+	queue  [][]byte
+	closed bool
+}
+
+var errStarved = errors.New("trace: fed reader has no bytes")
+
+func (f *feed) Read(p []byte) (int, error) {
+	for len(f.queue) > 0 {
+		n := copy(p, f.queue[0])
+		if f.queue[0] = f.queue[0][n:]; len(f.queue[0]) == 0 {
+			f.queue[0] = nil // keep no reference to the caller's bytes
+			f.queue = f.queue[1:]
+		}
+		if n > 0 {
+			return n, nil
+		}
+	}
+	if f.closed {
+		return 0, io.EOF
+	}
+	return 0, errStarved
 }
 
 // NewBytesReader returns a reader over a complete in-memory trace, text
 // or binary by magic, decoding into recycled batch storage — the fast
 // source for streaming analysis over bytes already in memory. A bad ACTB
 // header fails here rather than on the first read.
-func NewBytesReader(data []byte) (Reader, Format, error) {
+func NewBytesReader(data []byte) (BatchReader, Format, error) {
 	w := newStreamReader(nil, DetectFormat(data))
 	w.buf, w.end, w.srcErr = data, len(data), io.EOF
 	if w.format == FormatBinary {
@@ -93,11 +135,30 @@ func newStreamReader(r io.Reader, f Format) *WindowReader {
 // final reports whether the window holds the last bytes of the trace.
 func (w *WindowReader) final() bool { return w.srcErr == io.EOF }
 
+// detect fills the window until it holds the binary magic's worth of
+// bytes or the stream ends, then fixes the format by magic (text when the
+// stream is shorter). A failed Read is kept in srcErr.
+func (w *WindowReader) detect() error {
+	for w.end < len(binaryMagic) && w.srcErr == nil {
+		if err := w.fill(); err == errStarved {
+			return err
+		}
+	}
+	if w.end < len(binaryMagic) && w.srcErr != io.EOF {
+		return w.srcErr
+	}
+	w.bin.data = w.buf[:w.end]
+	w.format = DetectFormat(w.bin.data)
+	w.sniff = false
+	return nil
+}
+
 // fill slides the undecoded tail to the front of the window and appends one
-// Read's worth of the stream — never more, so a reader on a live pipe sees
-// each write as it lands. The window is allocated by the first fill and
-// doubles when the tail alone fills it, up to maxRecordBytes. A read error
-// that arrives with bytes is held back until those bytes are decoded.
+// Read's worth of the stream — never more, so a reader on a live stream
+// sees each write as it lands. The window is allocated by the first fill
+// and doubles when the tail alone fills it, up to maxRecordBytes. A read
+// error that arrives with bytes is held back until those bytes are
+// decoded; a starved feed is returned and not kept.
 func (w *WindowReader) fill() error {
 	if w.srcErr != nil {
 		return w.srcErr
@@ -122,6 +183,9 @@ func (w *WindowReader) fill() error {
 		n, err = w.src.Read(w.buf[w.end:])
 	}
 	w.end += n
+	if err == errStarved {
+		return err
+	}
 	w.srcErr = err
 	if n == 0 && err != io.EOF {
 		return err
@@ -143,19 +207,27 @@ func (w *WindowReader) Next() (*Record, error) {
 // NextBatch decodes up to max records into b, recycling its storage.
 // With b.HeadersOnly set the records are decoded header-only. After an
 // error every call returns that error and no records: a decoder that
-// failed mid-record has no position to resume from.
+// failed mid-record has no position to resume from. A fed reader out of
+// bytes returns what it decoded, and no error.
 func (w *WindowReader) NextBatch(b *RecordBatch, max int) (int, error) {
 	b.Reset()
-	if w.err == nil {
+	err := w.err
+	if err == nil && w.sniff {
+		err = w.detect()
+	}
+	if err == nil {
 		if w.format == FormatBinary {
-			w.err = w.nextBinary(b, max)
+			err = w.nextBinary(b, max)
 		} else {
-			w.err = w.nextText(b, max)
+			err = w.nextText(b, max)
 		}
 	}
-	if w.err != nil {
+	if err == errStarved {
+		err = nil
+	}
+	if w.err = err; err != nil {
 		b.Reset()
-		return 0, w.err
+		return 0, err
 	}
 	return len(b.Recs), nil
 }
