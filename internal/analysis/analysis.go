@@ -191,8 +191,6 @@ type session struct {
 	batch trace.RecordBatch
 }
 
-var errDeleted = errors.New("analysis: session deleted")
-
 // Service is the trace-ingest service. Create one with NewService and
 // mount its handlers (http.go) into a server mux, or call the exported
 // methods directly for in-process use.
@@ -437,7 +435,7 @@ func (s *Service) Create(ns string, spec core.LoopSpec, includeGlobals bool) (Se
 	closed := s.closed
 	s.mu.Unlock()
 	if closed {
-		return SessionStatus{}, &Error{Status: 503, Code: CodeUnavailable, Message: "service shutting down"}
+		return SessionStatus{}, errClosed
 	}
 	if aerr := s.admitSession(ns, false); aerr != nil {
 		return SessionStatus{}, aerr
@@ -472,7 +470,7 @@ func (s *Service) session(id string) (*session, error) {
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
-			return nil, &Error{Status: 503, Code: CodeUnavailable, Message: "service shutting down"}
+			return nil, errClosed
 		}
 		if sess, ok := s.sessions[id]; ok {
 			s.mu.Unlock()
@@ -490,13 +488,8 @@ func (s *Service) session(id string) (*session, error) {
 		sess, err := s.recover(id)
 		s.mu.Lock()
 		delete(s.recovering, id)
-		if sess != nil && s.closed {
-			// The service shut down mid-recovery: the session is not
-			// published.
-			sess = nil
-			if err == nil {
-				err = &Error{Status: 503, Code: CodeUnavailable, Message: "service shutting down"}
-			}
+		if err == nil && s.closed {
+			sess, err = nil, errClosed // shut down mid-recovery: not published
 		}
 		if sess != nil {
 			s.sessions[id] = sess
@@ -670,11 +663,13 @@ func (s *Service) Chunk(id string, seq int, data []byte) (err error) {
 	return nil
 }
 
-// errDropped answers a request holding a session that was evicted or shut
-// down under it. Nothing was persisted, so the retrying client recovers
-// the session and resumes.
+// errDropped answers a request holding a session that was evicted, shut
+// down or deleted under it. Nothing was persisted: a retry recovers the
+// session from the store, or finds it gone.
 var errDropped = &Error{Status: 503, Code: CodeUnavailable,
 	Message: "session dropped from memory; retry to recover it"}
+
+var errClosed = &Error{Status: 503, Code: CodeUnavailable, Message: "service shutting down"}
 
 // Finish closes the session's trace stream and returns the analysis
 // result, persisting it for idempotent re-finish and post-restart
@@ -776,10 +771,7 @@ func (s *Service) Delete(id string) error {
 	delete(s.sessions, id)
 	s.mu.Unlock()
 	sess.mu.Lock()
-	if sess.state == sessActive {
-		sess.end(sessFailed, nil, errDeleted)
-		s.adm.ReleaseSession(sess.ns)
-	}
+	s.drop(sess)
 	sess.mu.Unlock()
 	s.sessionsG.Dec()
 	keys, lerr := sess.back.List()
@@ -846,9 +838,9 @@ func (s *Service) EvictIdle(now time.Time) int {
 	return evicted
 }
 
-// drop marks a session that left the service's memory, under sess.mu: a
-// request still holding it gets errDropped, and an active one gives its
-// lease back.
+// drop marks a session that left the service's memory (evicted, shut
+// down or deleted), under sess.mu: a request still holding it gets
+// errDropped, and an active one gives its lease back.
 func (s *Service) drop(sess *session) {
 	sess.dropped = true
 	if sess.state == sessActive {

@@ -325,6 +325,9 @@ func (r *Record) CloneInto(dst *Record, arena []Operand) []Operand {
 
 // Opcode helpers on Record.
 
+// IsArith reports whether the record is an arithmetic instruction.
+func (r *Record) IsArith() bool { return IsArithmetic(r.Opcode) }
+
 // Operand returns the input operand with 1-based position idx, or nil.
 func (r *Record) Operand(idx int) *Operand {
 	for i := range r.Ops {

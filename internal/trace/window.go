@@ -74,10 +74,13 @@ func NewFedReader() *WindowReader {
 	return w
 }
 
-// Feed hands over the next bytes of the trace. The window copies them as
-// it refills, so p must not change until NextBatch returns zero or an
-// error.
-func (w *WindowReader) Feed(p []byte) { w.src.(*feed).queue = append(w.src.(*feed).queue, p) }
+// Feed hands over the next bytes of the trace; only a reader from
+// NewFedReader takes them. The window copies them as it refills, so p
+// must not change until NextBatch returns zero or an error.
+func (w *WindowReader) Feed(p []byte) {
+	f := w.src.(*feed)
+	f.queue = append(f.queue, p)
+}
 
 // CloseFeed ends the trace: the last window is final, as io.EOF makes it.
 func (w *WindowReader) CloseFeed() { w.src.(*feed).closed = true }
