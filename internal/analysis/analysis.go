@@ -363,8 +363,8 @@ func (s *Service) acquire(ns string, pri admission.Priority) (admission.Ticket, 
 
 // ---- Decoding ----
 
-// newLiveSession builds an active session with a fresh engine and reader.
-func (s *Service) newLiveSession(id string, meta sessMeta, back store.Backend) *session {
+// newSession builds a session, active with a fresh engine and reader.
+func (s *Service) newSession(id string, meta sessMeta, back store.Backend) *session {
 	sess := &session{id: id, ns: meta.Namespace, meta: meta, back: back, last: s.now(), rd: trace.NewFedReader()}
 	opts := core.DefaultOptions()
 	opts.IncludeGlobals = meta.IncludeGlobals
@@ -453,7 +453,7 @@ func (s *Service) Create(ns string, spec core.LoopSpec, includeGlobals bool) (Se
 		return SessionStatus{}, &Error{Status: 503, Code: CodeUnavailable,
 			Message: fmt.Sprintf("persisting session meta: %v", err)}
 	}
-	sess := s.newLiveSession(id, meta, back)
+	sess := s.newSession(id, meta, back)
 	s.mu.Lock()
 	s.sessions[id] = sess
 	s.mu.Unlock()
@@ -546,7 +546,7 @@ func (s *Service) recover(id string) (*session, error) {
 	if rsecs, rerr := back.Get("result"); rerr == nil {
 		if rdata, derr := sectionData(rsecs); derr == nil {
 			if res, derr := decodeResult(rdata); derr == nil {
-				sess := s.newLiveSession(id, meta, back)
+				sess := s.newSession(id, meta, back)
 				sess.end(sessFinished, res, nil)
 				sess.next, sess.bytes = s.chunkExtent(back)
 				return sess, nil
@@ -555,7 +555,7 @@ func (s *Service) recover(id string) (*session, error) {
 		// A corrupt result object falls through to deterministic replay.
 	}
 
-	sess := s.newLiveSession(id, meta, back)
+	sess := s.newSession(id, meta, back)
 	for seq := 0; ; seq++ {
 		csecs, cerr := back.Get(chunkKey(seq))
 		if errors.Is(cerr, store.ErrNotFound) {
@@ -701,7 +701,7 @@ func (s *Service) Finish(id string) (*core.Result, error) {
 		return nil, errDropped
 	}
 	sess.rd.CloseFeed()
-	err = sess.ingest(nil) // decodes what only the end of the trace completes
+	err = sess.ingest(nil)
 	var res *core.Result
 	if err == nil {
 		res, err = sess.eng.Finish()
