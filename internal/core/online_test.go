@@ -8,8 +8,14 @@ import (
 	"autocheck/internal/trace"
 )
 
+// recordObserver is the engine without ObserveBatch: TraceInto hands it
+// the records one by one, through Engine.Observe.
+type recordObserver struct{ e *Engine }
+
+func (o recordObserver) Observe(r *trace.Record) { o.e.Observe(r) }
+
 // runOnline executes a program with the engine wired as the tracer's
-// per-record callback (the batch hand-off is exercised everywhere else).
+// per-record observer (the batch hand-off is exercised everywhere else).
 func runOnline(t *testing.T, src string, spec LoopSpec, opts Options) *Result {
 	t.Helper()
 	mod, err := interp.Compile(src)
@@ -21,7 +27,7 @@ func runOnline(t *testing.T, src string, spec LoopSpec, opts Options) *Result {
 		t.Fatal(err)
 	}
 	m := interp.New(mod)
-	m.Tracer = func(r *trace.Record) { col.Observe(r) }
+	m.TraceInto(recordObserver{col})
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +97,7 @@ func TestOnlineLoopNeverExecuted(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := interp.New(mod)
-	m.Tracer = func(r *trace.Record) { col.Observe(r) }
+	m.TraceInto(recordObserver{col})
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -364,15 +364,21 @@ func TestHeaderHopAllBenchmarks(t *testing.T) {
 			t.Fatal(err)
 		}
 		bin := p.BinData()
-		streams := map[string]func() *trace.WindowReader{
-			"text":         func() *trace.WindowReader { return trace.NewScanner(bytes.NewReader(p.Data)) },
-			"actb":         func() *trace.WindowReader { return trace.NewBinaryScanner(bytes.NewReader(bin)) },
-			"actb-onebyte": func() *trace.WindowReader { return trace.NewBinaryScanner(iotest.OneByteReader(bytes.NewReader(bin))) },
-			"actb-uneven":  func() *trace.WindowReader { return trace.NewBinaryScanner(&unevenReader{r: bytes.NewReader(bin)}) },
+		streams := map[string]struct {
+			format trace.Format
+			open   func() io.Reader
+		}{
+			"text":         {trace.FormatText, func() io.Reader { return bytes.NewReader(p.Data) }},
+			"actb":         {trace.FormatBinary, func() io.Reader { return bytes.NewReader(bin) }},
+			"actb-onebyte": {trace.FormatBinary, func() io.Reader { return iotest.OneByteReader(bytes.NewReader(bin)) }},
+			"actb-uneven":  {trace.FormatBinary, func() io.Reader { return &unevenReader{r: bytes.NewReader(bin)} }},
 		}
-		for name, open := range streams {
+		for name, s := range streams {
 			for _, max := range []int{1, 2, 512} {
-				rd := open()
+				rd, f, err := trace.NewAutoReader(s.open())
+				if err != nil || f != s.format {
+					t.Fatalf("%s %s: NewAutoReader = (%v, %v), want format %v", b.Name, name, f, err, s.format)
+				}
 				batch := trace.RecordBatch{HeadersOnly: true}
 				i := 0
 				for {

@@ -97,15 +97,6 @@ type Machine struct {
 	// WriteCell or WriteRange, which is what keeps every Watch exact.
 	Mem map[uint64]trace.Value
 
-	// Tracer, if non-nil, receives one record per executed instruction, in
-	// execution order. The machine emits into one recycled batch and hands
-	// it on when it fills and when Run returns — on every exit path — so a
-	// record may arrive up to a batch later than its instruction ran, and
-	// every record has arrived by the time Run returns. The record and its
-	// Ops/Result storage are valid only for the duration of the call:
-	// the next batch overwrites them. Retain one with Record.Clone.
-	// TraceInto installs a sink that takes the batches whole instead.
-	Tracer func(*trace.Record)
 	// BlockHook, if non-nil, runs on entry to every basic block. Returning
 	// an error aborts execution with that error (use ErrFailStop to model
 	// the paper's raise(SIGTERM) validation).
@@ -122,7 +113,7 @@ type Machine struct {
 	frames  []*Frame // the call stack; frames[len(frames):cap(frames)] are popped frames awaiting reuse
 	watches []*Watch // registered ranges; empty on a machine nobody checkpoints
 	batch   trace.RecordBatch
-	sink    func([]trace.Record) // set by TraceInto for a BatchObserver; overrides Tracer
+	sink    func([]trace.Record) // takes each emitted batch (see TraceInto); nil: no tracing
 	globals map[*ir.Global]uint64
 	nextG   uint64
 	sp      uint64
@@ -385,7 +376,7 @@ const batchRecords = trace.DefaultBatchRecords
 // full. Nothing is allocated per record: the batch's record slice and
 // operand arena are recycled by flush.
 func (m *Machine) emit(f *Frame, in *ir.Instr, result *trace.Value) {
-	if m.Tracer == nil && m.sink == nil {
+	if m.sink == nil {
 		return
 	}
 	b := &m.batch
@@ -430,20 +421,13 @@ func (m *Machine) emit(f *Frame, in *ir.Instr, result *trace.Value) {
 	}
 }
 
-// flush hands the emitted records to the trace sink — whole to a batch
-// sink, one by one to Tracer — and recycles the batch.
+// flush hands the emitted records to the trace sink and recycles the
+// batch.
 func (m *Machine) flush() {
-	recs := m.batch.Recs
-	switch {
-	case len(recs) == 0:
+	if len(m.batch.Recs) == 0 {
 		return
-	case m.sink != nil:
-		m.sink(recs)
-	case m.Tracer != nil:
-		for i := range recs {
-			m.Tracer(&recs[i])
-		}
 	}
+	m.sink(m.batch.Recs)
 	m.batch.Reset()
 }
 

@@ -55,9 +55,9 @@ func TraceProgramTo(mod *ir.Module, w trace.RecordWriter) (string, error) {
 
 func (m *Machine) traceTo(w trace.RecordWriter) (string, error) {
 	var werr error
-	m.Tracer = func(r *trace.Record) {
-		if werr == nil {
-			werr = w.Write(r)
+	m.sink = func(recs []trace.Record) {
+		for i := 0; i < len(recs) && werr == nil; i++ {
+			werr = w.Write(&recs[i])
 		}
 	}
 	out, err := m.Run()
@@ -75,7 +75,7 @@ func (m *Machine) traceTo(w trace.RecordWriter) (string, error) {
 // needs no trace bytes at all (the paper's §IX mode).
 //
 // The record and its Ops/Result storage are valid only for the duration
-// of the call: the emitter recycles them (see Machine.Tracer). An observer
+// of the call: the emitter recycles them (see Machine.TraceInto). An observer
 // that keeps a record copies it with Record.Clone.
 type Observer interface {
 	Observe(r *trace.Record)
@@ -92,13 +92,20 @@ type BatchObserver interface {
 
 // TraceInto makes obs the machine's trace sink: batches go to ObserveBatch
 // when obs is a BatchObserver and record by record to Observe otherwise.
-// The emit path is the same either way.
+// The emit path is the same either way. The machine emits into one
+// recycled batch and hands it on when it fills and when Run returns — on
+// every exit path — so a record may arrive up to a batch later than its
+// instruction ran, and every record has arrived by the time Run returns.
 func (m *Machine) TraceInto(obs Observer) {
 	if bo, ok := obs.(BatchObserver); ok {
 		m.sink = bo.ObserveBatch
 		return
 	}
-	m.Tracer = obs.Observe
+	m.sink = func(recs []trace.Record) {
+		for i := range recs {
+			obs.Observe(&recs[i])
+		}
+	}
 }
 
 // TraceProgramInto executes a module with the tracer wired straight into

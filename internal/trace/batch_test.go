@@ -97,12 +97,12 @@ func batchReaders(t *testing.T, text, bin []byte) map[string]func() BatchReader 
 			}
 			return rd
 		},
-		"textScanner":       func() BatchReader { return NewScanner(bytes.NewReader(text)) },
-		"binScanner":        func() BatchReader { return NewBinaryScanner(bytes.NewReader(bin)) },
-		"textOneByte":       func() BatchReader { return NewScanner(iotest.OneByteReader(bytes.NewReader(text))) },
-		"binOneByte":        func() BatchReader { return NewBinaryScanner(iotest.OneByteReader(bytes.NewReader(bin))) },
-		"textChunked":       func() BatchReader { return NewScanner(newChunkReader(text, 1)) },
-		"binChunked":        func() BatchReader { return NewBinaryScanner(newChunkReader(bin, 2)) },
+		"textScanner":       func() BatchReader { return newStreamReader(bytes.NewReader(text), FormatText) },
+		"binScanner":        func() BatchReader { return newStreamReader(bytes.NewReader(bin), FormatBinary) },
+		"textOneByte":       func() BatchReader { return newStreamReader(iotest.OneByteReader(bytes.NewReader(text)), FormatText) },
+		"binOneByte":        func() BatchReader { return newStreamReader(iotest.OneByteReader(bytes.NewReader(bin)), FormatBinary) },
+		"textChunked":       func() BatchReader { return newStreamReader(newChunkReader(text, 1), FormatText) },
+		"binChunked":        func() BatchReader { return newStreamReader(newChunkReader(bin, 2), FormatBinary) },
 		"textFedShortMagic": func() BatchReader { return newFedReader(text, len(binaryMagic)-1, 512) },
 		"binFedShortMagic":  func() BatchReader { return newFedReader(bin, len(binaryMagic)-1, 512) },
 	}
@@ -422,7 +422,7 @@ func TestFedReaderMatchesStream(t *testing.T) {
 func TestForEachBatchPropagatesReaderError(t *testing.T) {
 	var b RecordBatch
 	ignore := func(int, []Record) error { return nil }
-	if err := ForEachBatch(NewScanner(strings.NewReader("0,notanint,f,b,27,1\n")), &b, ignore); err == nil {
+	if err := ForEachBatch(newStreamReader(strings.NewReader("0,notanint,f,b,27,1\n"), FormatText), &b, ignore); err == nil {
 		t.Error("corrupt stream did not error")
 	}
 	boom := errors.New("boom")
@@ -457,7 +457,7 @@ func TestForEachBatchCloses(t *testing.T) {
 	var b RecordBatch
 
 	closes := 0
-	rd := closeCounter{NewScanner(bytes.NewReader(data)), &closes, nil}
+	rd := closeCounter{newStreamReader(bytes.NewReader(data), FormatText), &closes, nil}
 	if err := ForEachBatch(rd, &b, func(int, []Record) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +466,7 @@ func TestForEachBatchCloses(t *testing.T) {
 	}
 
 	closes = 0
-	rd = closeCounter{NewScanner(bytes.NewReader(data)), &closes, nil}
+	rd = closeCounter{newStreamReader(bytes.NewReader(data), FormatText), &closes, nil}
 	boom := errors.New("boom")
 	if err := ForEachBatch(rd, &b, func(int, []Record) error { return boom }); !errors.Is(err, boom) {
 		t.Errorf("aborted sweep error = %v, want boom", err)
@@ -476,11 +476,11 @@ func TestForEachBatchCloses(t *testing.T) {
 	}
 
 	closeFailed := errors.New("close failed")
-	rd = closeCounter{NewScanner(bytes.NewReader(data)), &closes, closeFailed}
+	rd = closeCounter{newStreamReader(bytes.NewReader(data), FormatText), &closes, closeFailed}
 	if err := ForEachBatch(rd, &b, func(int, []Record) error { return nil }); !errors.Is(err, closeFailed) {
 		t.Errorf("clean sweep with a failing Close = %v, want the close error", err)
 	}
-	rd = closeCounter{NewScanner(bytes.NewReader(data)), &closes, closeFailed}
+	rd = closeCounter{newStreamReader(bytes.NewReader(data), FormatText), &closes, closeFailed}
 	if err := ForEachBatch(rd, &b, func(int, []Record) error { return boom }); !errors.Is(err, boom) {
 		t.Errorf("sweep error masked by the close error: %v", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 )
 
 // Compact binary trace format ("ACTB"), the on-disk fast path beside the
@@ -627,44 +628,32 @@ func extend[T any](s []T) []T {
 	return append(s, zero)
 }
 
-// ParseBinary parses a complete in-memory binary trace.
+// ParseBinary parses a complete in-memory ACTB trace, as ParseBytes does
+// one whose magic says ACTB; input without the magic fails on the header.
 func ParseBinary(data []byte) ([]Record, error) {
-	if len(data) == 0 {
-		return nil, nil
+	return parse(data, FormatBinary)
+}
+
+// presize sizes b for the whole trace past the header at d.pos. Unlike
+// text there is no cheap record count, so it decodes up to 64 records on a
+// probe copy of d — its own string table and arena, d untouched — and
+// scales their record and operand counts by the share of the record bytes
+// they take, plus an eighth: records and arena are then allocated once,
+// not regrown logarithmically many times (regrowing pointer-bearing slices
+// is pure GC pressure).
+func (d *binDecoder) presize(b *RecordBatch) {
+	probe := *d
+	probe.strs, probe.ops = slices.Clone(d.strs), nil
+	var rec Record
+	n := 0
+	for ; n < 64 && probe.pos < len(d.data) && probe.record(&rec, false) == nil; n++ {
 	}
-	// The string table is pre-seeded with "" (ref 1), mirroring the writer.
-	d := &binDecoder{data: data, strs: append(make([]string, 0, 64), "")}
-	if err := d.header(); err != nil {
-		return nil, err
+	if n == 0 {
+		return
 	}
-	var recs []Record
-	for d.pos < len(data) {
-		if len(recs) == 64 {
-			// Unlike the text format there is no cheap record count, so
-			// estimate the totals from the first 64 records and grow the
-			// record slice and operand arena once instead of
-			// logarithmically many times (regrowth of pointer-bearing
-			// slices is pure GC pressure). Already-flushed Ops/Result
-			// aliases keep pointing at the old arena, whose contents never
-			// change.
-			frac := float64(len(data)) / float64(d.pos)
-			if est := int(float64(len(recs))*frac*9/8) + 64; est > cap(recs) {
-				nr := make([]Record, len(recs), est)
-				copy(nr, recs)
-				recs = nr
-			}
-			if est := int(float64(len(d.ops))*frac*9/8) + 64; est > cap(d.ops) {
-				no := make([]Operand, len(d.ops), est)
-				copy(no, d.ops)
-				d.ops = no
-			}
-		}
-		recs = extend(recs)
-		if err := d.record(&recs[len(recs)-1], false); err != nil {
-			return nil, err
-		}
-	}
-	return recs, nil
+	scale := float64(len(d.data)-d.pos) / float64(probe.pos-d.pos) * 9 / 8
+	b.Recs = make([]Record, 0, int(float64(n)*scale)+64)
+	b.ops = make([]Operand, 0, int(float64(len(probe.ops))*scale)+64)
 }
 
 // Encode renders records in the chosen format.

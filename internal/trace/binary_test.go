@@ -28,7 +28,7 @@ func TestBinaryRoundtrip(t *testing.T) {
 
 func TestBinaryScannerStreaming(t *testing.T) {
 	recs := sampleRecords()
-	sc := NewBinaryScanner(bytes.NewReader(EncodeBinary(recs)))
+	sc := newStreamReader(bytes.NewReader(EncodeBinary(recs)), FormatBinary)
 	for i := range recs {
 		rec, err := sc.Next()
 		if err != nil {
@@ -107,7 +107,7 @@ func TestQuickBinaryScannerEqualsParse(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sc := NewBinaryScanner(bytes.NewReader(bin))
+		sc := newStreamReader(bytes.NewReader(bin), FormatBinary)
 		var slow []Record
 		for {
 			rec, err := sc.Next()
@@ -148,7 +148,7 @@ func TestBinaryTruncated(t *testing.T) {
 			t.Fatalf("truncated at %d/%d bytes: parsed %d records without error",
 				cut, len(data), len(got))
 		}
-		sgot, serr := drain(NewBinaryScanner(iotest.OneByteReader(bytes.NewReader(data[:cut]))), false, 1)
+		sgot, serr := drain(newStreamReader(iotest.OneByteReader(bytes.NewReader(data[:cut])), FormatBinary), false, 1)
 		if (err == nil) != (serr == nil) || (err == nil && len(sgot) != len(got)) {
 			t.Fatalf("cut at %d: ParseBinary = (%d records, %v), stream = (%d records, %v)",
 				cut, len(got), err, len(sgot), serr)
@@ -184,18 +184,18 @@ func TestBinaryCorruptHeader(t *testing.T) {
 		if _, err := ParseBinary(data); err == nil {
 			t.Errorf("%s: ParseBinary succeeded, want error", name)
 		}
-		sc := NewBinaryScanner(bytes.NewReader(data))
+		sc := newStreamReader(bytes.NewReader(data), FormatBinary)
 		if _, err := sc.Next(); err == nil {
-			t.Errorf("%s: NewBinaryScanner Next succeeded, want error", name)
+			t.Errorf("%s: binary stream Next succeeded, want error", name)
 		}
 	}
 	// An empty stream is an empty trace, not an error.
 	if recs, err := ParseBinary(nil); err != nil || len(recs) != 0 {
 		t.Errorf("ParseBinary(nil) = (%v, %v), want empty", recs, err)
 	}
-	sc := NewBinaryScanner(bytes.NewReader(nil))
+	sc := newStreamReader(bytes.NewReader(nil), FormatBinary)
 	if rec, err := sc.Next(); err != nil || rec != nil {
-		t.Errorf("NewBinaryScanner over empty stream = (%v, %v), want (nil, nil)", rec, err)
+		t.Errorf("binary stream over empty input = (%v, %v), want (nil, nil)", rec, err)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // them refilled in small uneven Reads must decode exactly as the same
 // bytes in memory do, and so must the same bytes fed in small uneven cuts,
 // to the same records or the same error string; and for inputs the text
-// decoder accepts, the serial, parallel and header-only paths must agree.
+// decoder accepts, the full and header-only decodes must agree.
 func FuzzParseTrace(f *testing.F) {
 	recs := sampleRecords()
 	f.Add(EncodeAll(recs))
@@ -36,11 +36,6 @@ func FuzzParseTrace(f *testing.F) {
 	// An ACTB name the text format cannot carry: must be rejected, or the
 	// re-encode checks below see a trace that does not survive conversion.
 	f.Add(EncodeBinary([]Record{{Line: 6, Func: "a,b", Block: "c", Opcode: OpBr, DynID: 1}}))
-	// Fuzz inputs sit far below the parallel-parse size threshold; drop it
-	// so the chunked assembly path stays under fuzz coverage.
-	saved := parallelParseMinBytes
-	parallelParseMinBytes = 0
-	f.Cleanup(func() { parallelParseMinBytes = saved })
 	f.Fuzz(func(t *testing.T, data []byte) {
 		serial, serr := ParseBytes(data)
 		if DetectFormat(data) == FormatText {
@@ -55,13 +50,6 @@ func FuzzParseTrace(f *testing.F) {
 			if err := sameBinaryDecode(data, true, hdr, herr); err != nil {
 				t.Fatalf("header-only cursor decode of %q: %v", data, err)
 			}
-		}
-		par, perr := ParseBytesParallel(data, 4)
-		if (serr == nil) != (perr == nil) {
-			t.Fatalf("serial err %v, parallel err %v", serr, perr)
-		}
-		if serr == nil && len(serial) > 0 && !equalModuloNaN(serial, par) {
-			t.Fatalf("serial and parallel parse disagree on %q", data)
 		}
 		// The binary decoder must never panic either.
 		_, _ = ParseBinary(data)

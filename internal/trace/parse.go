@@ -326,21 +326,13 @@ func isHeaderLine(line []byte) bool {
 	return len(line) >= 2 && line[0] == '0' && line[1] == ','
 }
 
-// decodeText appends every record in data to dst. When dst has exactly
-// enough capacity (see CountRecords) the decode performs no slice growth,
-// which is what lets ParseBytesParallel assemble chunk results in place.
-func (d *decoder) decodeText(data []byte, dst []Record) ([]Record, error) {
-	_, recs, err := d.decodeN(data, 0, dst, -1, false)
-	return recs, err
-}
-
-// decodeN appends up to max records (max < 0: all) from data starting at
-// pos to dst, returning the position of the first unconsumed byte. With
-// headersOnly set every record is decoded header-only: its operand lines
-// are hopped over unread, straight to the next block header, so a
-// header-only sweep pays for one header parse per record and nothing per
-// operand. This is the single textual decode loop — ParseBytes and
-// WindowReader differ only in the arguments.
+// decodeN appends up to max records from data starting at pos to dst,
+// returning the position of the first unconsumed byte. With headersOnly
+// set every record is decoded header-only: its operand lines are hopped
+// over unread, straight to the next block header, so a header-only sweep
+// pays for one header parse per record and nothing per operand. This is
+// the single textual decode loop; WindowReader.nextText hands it its
+// window.
 func (d *decoder) decodeN(data []byte, pos int, dst []Record, max int, headersOnly bool) (int, []Record, error) {
 	start := len(dst)
 	var line []byte
@@ -402,7 +394,7 @@ func (d *decoder) decodeN(data []byte, pos int, dst []Record, max int, headersOn
 		}
 		switch {
 		case isHeaderLine(line):
-			if max >= 0 && len(dst)-start == max {
+			if len(dst)-start == max {
 				flush()
 				return lineStart, dst, nil
 			}

@@ -9,9 +9,11 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestOpcodeNames(t *testing.T) {
@@ -143,7 +145,7 @@ func TestWriteReadRoundtrip(t *testing.T) {
 
 func TestScannerStreaming(t *testing.T) {
 	recs := sampleRecords()
-	sc := NewScanner(bytes.NewReader(EncodeAll(recs)))
+	sc := newStreamReader(bytes.NewReader(EncodeAll(recs)), FormatText)
 	for i := range recs {
 		rec, err := sc.Next()
 		if err != nil {
@@ -195,10 +197,6 @@ func TestEmptyTrace(t *testing.T) {
 	recs, err := ParseBytes(nil)
 	if err != nil || len(recs) != 0 {
 		t.Errorf("ParseBytes(nil) = (%v, %v)", recs, err)
-	}
-	recs, err = ParseBytesParallel(nil, 4)
-	if err != nil || len(recs) != 0 {
-		t.Errorf("ParseBytesParallel(nil) = (%v, %v)", recs, err)
 	}
 }
 
@@ -259,63 +257,6 @@ func TestQuickRoundtrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: parallel parse equals serial parse for any worker count.
-func TestQuickParallelEqualsSerial(t *testing.T) {
-	forceChunkedParse(t)
-	f := func(seed int64, size uint16, workers uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		recs := randomRecords(rng, int(size)%2000)
-		data := EncodeAll(recs)
-		serial, err := ParseBytes(data)
-		if err != nil {
-			return false
-		}
-		par, err := ParseBytesParallel(data, int(workers)%17)
-		if err != nil {
-			return false
-		}
-		if len(serial) == 0 && len(par) == 0 {
-			return true
-		}
-		return reflect.DeepEqual(serial, par)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSplitChunksBoundaries(t *testing.T) {
-	recs := randomRecords(rand.New(rand.NewSource(7)), 500)
-	data := EncodeAll(recs)
-	for _, n := range []int{1, 2, 3, 7, 48, 1000} {
-		chunks := splitChunks(data, n)
-		total := 0
-		for i, c := range chunks {
-			total += len(c)
-			if len(c) > 0 && !bytes.HasPrefix(c, []byte("0,")) {
-				t.Errorf("n=%d chunk %d does not start at a block header", n, i)
-			}
-		}
-		if total != len(data) {
-			t.Errorf("n=%d chunks cover %d bytes, want %d", n, total, len(data))
-		}
-	}
-}
-
-func TestComputeStats(t *testing.T) {
-	recs := sampleRecords()
-	st := ComputeStats(recs)
-	if st.Records != int64(len(recs)) {
-		t.Errorf("Records = %d, want %d", st.Records, len(recs))
-	}
-	if st.ByOpcode[OpLoad] != 1 || st.ByOpcode[OpCall] != 1 {
-		t.Errorf("ByOpcode = %v", st.ByOpcode)
-	}
-	if st.Functions["main"] != 3 {
-		t.Errorf("Functions[main] = %d, want 3", st.Functions["main"])
 	}
 }
 
@@ -400,7 +341,7 @@ func TestScannerTooLongContext(t *testing.T) {
 	name := strings.Repeat("f", maxRecordBytes+16)
 	rec := Record{Line: 1, Func: name, Block: "b", Opcode: OpBr, DynID: 1}
 	data := EncodeAll([]Record{rec})
-	sc := NewScanner(bytes.NewReader(data))
+	sc := newStreamReader(bytes.NewReader(data), FormatText)
 	_, err := sc.Next()
 	if err == nil {
 		t.Fatal("Scanner accepted a line beyond the cap")
@@ -426,7 +367,7 @@ func TestScannerTooLongOffset(t *testing.T) {
 	good := EncodeAll(sampleRecords())
 	bad := append(append([]byte{}, good...), []byte("0,1,")...)
 	bad = append(bad, bytes.Repeat([]byte("x"), maxRecordBytes)...)
-	sc := NewScanner(bytes.NewReader(bad))
+	sc := newStreamReader(bytes.NewReader(bad), FormatText)
 	var err error
 	for {
 		var rec *Record
@@ -443,20 +384,39 @@ func TestScannerTooLongOffset(t *testing.T) {
 	}
 }
 
-// The textual parse hot path must stay allocation-free per record: the
-// seed parser cost ~7 allocations per line; the manual decoder amortizes
-// to well under one per record.
+// The in-memory parse must stay allocation-free per record, in either
+// format: the seed text parser cost ~7 allocations per line; the decoders
+// amortize to well under one per record. And it must size its storage up
+// front — exactly from CountRecords for text, from a sample for ACTB — so
+// the bytes it allocates stay within 1.5x of what the records and their
+// operands finally take; growing by appends costs about 3x.
 func TestParseBytesAllocs(t *testing.T) {
 	recs := randomRecords(rand.New(rand.NewSource(5)), 5000)
-	data := EncodeAll(recs)
-	allocs := testing.AllocsPerRun(5, func() {
+	final := uintptr(len(recs)) * unsafe.Sizeof(Record{})
+	for i := range recs {
+		final += uintptr(recs[i].NumOperands()) * unsafe.Sizeof(Operand{})
+	}
+	for _, f := range []Format{FormatText, FormatBinary} {
+		data := Encode(recs, f)
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := ParseBytes(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if perRecord := allocs / float64(len(recs)); perRecord > 0.05 {
+			t.Errorf("%v: ParseBytes allocates %.3f times per record (%.0f total for %d records), want amortized ~0",
+				f, perRecord, allocs, len(recs))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		if _, err := ParseBytes(data); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if perRecord := allocs / float64(len(recs)); perRecord > 0.05 {
-		t.Errorf("ParseBytes allocates %.3f times per record (%.0f total for %d records), want amortized ~0",
-			perRecord, allocs, len(recs))
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; float64(got) > 1.5*float64(final) {
+			t.Errorf("%v: ParseBytes allocates %d bytes for records and operands of %d bytes, want at most 1.5x",
+				f, got, final)
+		}
 	}
 }
 
@@ -486,58 +446,6 @@ func TestCountRecords(t *testing.T) {
 				t.Fatalf("CountRecords(%q) = %d, want %d", tricky[from:to], n, want)
 			}
 		}
-	}
-}
-
-// forceChunkedParse drops the parallel-parse size fallback for one test,
-// so small fixture traces still exercise the chunked assembly path.
-func forceChunkedParse(t *testing.T) {
-	t.Helper()
-	saved := parallelParseMinBytes
-	parallelParseMinBytes = 0
-	t.Cleanup(func() { parallelParseMinBytes = saved })
-}
-
-// Records parsed in parallel chunks land in one pre-sized slice; verify
-// against the serial parse on a trace large enough for many chunks.
-func TestParallelAssembly(t *testing.T) {
-	forceChunkedParse(t)
-	recs := randomRecords(rand.New(rand.NewSource(8)), 5000)
-	data := EncodeAll(recs)
-	serial, err := ParseBytes(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8, 48} {
-		par, err := ParseBytesParallel(data, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(serial, par) {
-			t.Fatalf("workers=%d: parallel parse differs", workers)
-		}
-	}
-}
-
-// Below the size threshold ParseBytesParallel must hand off to the serial
-// parser — chunk scheduling costs more than it saves on small traces —
-// and still return identical records.
-func TestParallelParseSmallFallback(t *testing.T) {
-	recs := randomRecords(rand.New(rand.NewSource(9)), 200)
-	data := EncodeAll(recs)
-	if len(data) >= parallelParseMinBytes {
-		t.Fatalf("fixture unexpectedly large: %d bytes", len(data))
-	}
-	serial, err := ParseBytes(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := ParseBytesParallel(data, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Fatal("fallback parse differs from serial")
 	}
 }
 
@@ -590,7 +498,6 @@ func TestTextRejectsCarriageReturnInName(t *testing.T) {
 // operand lines after a result line, and repeated result lines (the last
 // wins), as LLVM-Tracer-style producers are free to order block lines.
 func TestResultMidBlockParity(t *testing.T) {
-	forceChunkedParse(t)
 	cases := []string{
 		"0,1,main,e,27,1\nr,0,64,1,1,2\n1,1,64,0x10,0,g\n",               // operand after result
 		"0,1,main,e,27,1\nr,0,64,1,1,2\nr,0,64,5,1,3\n",                  // repeated result
@@ -609,16 +516,12 @@ func TestResultMidBlockParity(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("parsers disagree on %q:\nscanner %+v\nbytes   %+v", in, want, got)
 		}
-		par, err := ParseBytesParallel([]byte(in), 3)
-		if err != nil || !reflect.DeepEqual(want, par) {
-			t.Errorf("parallel parser disagrees on %q: %v", in, err)
-		}
 	}
 }
 
 // scanAll decodes a text trace stream record by record through Next.
 func scanAll(r io.Reader) ([]Record, error) {
-	sc := NewScanner(r)
+	sc := newStreamReader(r, FormatText)
 	var recs []Record
 	for {
 		rec, err := sc.Next()

@@ -46,13 +46,6 @@ type WindowReader struct {
 	one RecordBatch // Next's private one-record batch
 }
 
-// NewScanner returns a streaming reader of a text trace.
-func NewScanner(r io.Reader) *WindowReader { return newStreamReader(r, FormatText) }
-
-// NewBinaryScanner returns a streaming reader of an ACTB trace. The header
-// is validated by the first read.
-func NewBinaryScanner(r io.Reader) *WindowReader { return newStreamReader(r, FormatBinary) }
-
 // NewAutoReader returns a streaming reader for whichever format the
 // stream's first bytes announce, reading just far enough to tell. Text is
 // assumed when the stream is shorter than the binary magic.
@@ -117,15 +110,26 @@ func (f *feed) Read(p []byte) (int, error) {
 // source for streaming analysis over bytes already in memory. A bad ACTB
 // header fails here rather than on the first read.
 func NewBytesReader(data []byte) (BatchReader, Format, error) {
-	w := newStreamReader(nil, DetectFormat(data))
+	f := DetectFormat(data)
+	w, err := newBytesReader(data, f)
+	if err != nil {
+		return nil, f, err
+	}
+	return w, f, nil
+}
+
+// newBytesReader is NewBytesReader with the format given: data is the
+// whole, final window, and an ACTB header is checked up front.
+func newBytesReader(data []byte, f Format) (*WindowReader, error) {
+	w := newStreamReader(nil, f)
 	w.buf, w.end, w.srcErr = data, len(data), io.EOF
-	if w.format == FormatBinary {
+	if f == FormatBinary {
 		w.bin.data = data
 		if err := w.bin.header(); err != nil {
-			return nil, FormatBinary, err
+			return nil, err
 		}
 	}
-	return w, w.format, nil
+	return w, nil
 }
 
 func newStreamReader(r io.Reader, f Format) *WindowReader {
