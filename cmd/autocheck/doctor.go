@@ -42,7 +42,7 @@ Each check prints a line; the first failure exits with its class's code:
 
 func cmdDoctor(fs *flag.FlagSet) func() error {
 	sf := addStorageFlags(fs, "addr", "addrs", "write-quorum", "read-quorum", "store", "dir",
-		"cache-mb", "async", "incremental", "keyframe", "shard-workers")
+		"cache-mb", "async", "incremental", "keyframe")
 	ns := fs.String("ns", "doctor", "live and cluster modes: service namespace for the canary probe")
 	return func() error {
 		addr, addrs := sf.cfg.Addr, splitList(sf.addrs)

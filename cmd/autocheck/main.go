@@ -169,7 +169,7 @@ type storageFlags struct {
 func addStorageFlags(fs *flag.FlagSet, names ...string) *storageFlags {
 	f := &storageFlags{}
 	all := flag.NewFlagSet("storage", flag.PanicOnError)
-	all.StringVar(&f.kind, "store", "file", "checkpoint storage backend: file, memory, sharded, remote (-addr) or replicated (-addrs)")
+	all.StringVar(&f.kind, "store", "file", "checkpoint storage backend: file, memory, remote (-addr) or replicated (-addrs)")
 	all.StringVar(&f.cfg.Addr, "addr", "", "checkpoint service address")
 	all.StringVar(&f.addrs, "addrs", "", "comma-separated replica service addresses, one per node")
 	all.IntVar(&f.cfg.WriteQuorum, "write-quorum", 0, "replicated: acks required per write (0 = majority)")
@@ -181,7 +181,6 @@ func addStorageFlags(fs *flag.FlagSet, names ...string) *storageFlags {
 	all.BoolVar(&f.cfg.Async, "async", false, "double-buffered asynchronous checkpoint writes")
 	all.BoolVar(&f.cfg.Incremental, "incremental", false, "delta checkpoints: re-write only changed variables, with periodic full keyframes")
 	all.IntVar(&f.cfg.Keyframe, "keyframe", 8, "incremental: full checkpoint every N writes")
-	all.IntVar(&f.cfg.Workers, "shard-workers", store.DefaultShardWorkers, "sharded backend write pool size")
 	for _, name := range names {
 		def := all.Lookup(name)
 		fs.Var(def.Value, def.Name, def.Usage)

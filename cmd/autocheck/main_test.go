@@ -44,24 +44,25 @@ func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 
 // wantFlags is every command's flags and defaults as they stood before the
 // command table replaced the per-command FlagSets: no flag may be lost,
-// renamed or re-defaulted.
+// renamed or re-defaulted, except -shard-workers, which went with the
+// sharded backend.
 var wantFlags = map[string]map[string]string{
 	"analyze": {"addr": "", "chunk-bytes": "0", "chunk-delay": "0s", "ddg": "false", "end": "0", "file": "",
 		"func": "main", "ns": "default", "online": "false", "start": "0", "stream": "false", "trace": ""},
 	"explain": {"end": "0", "file": "", "func": "main", "start": "0", "trace": ""},
 	"doctor": {"addr": "", "addrs": "", "async": "false", "cache-mb": "0", "dir": "", "incremental": "false",
-		"keyframe": "8", "ns": "doctor", "read-quorum": "0", "shard-workers": "4", "store": "file", "write-quorum": "0"},
+		"keyframe": "8", "ns": "doctor", "read-quorum": "0", "store": "file", "write-quorum": "0"},
 	"trace":   {"file": "", "o": "", "trace-format": "text"},
 	"convert": {"in": "", "out": "", "to": ""},
 	"table2":  {"workers": "0"},
 	"table3":  {},
 	"table4":  {},
 	"validate": {"addr": "", "addrs": "", "async": "false", "benchmark": "", "cache-mb": "0", "hedge-after": "0s",
-		"incremental": "false", "keyframe": "8", "level": "L1", "read-quorum": "0", "shard-workers": "4",
+		"incremental": "false", "keyframe": "8", "level": "L1", "read-quorum": "0",
 		"store": "file", "write-quorum": "0"},
 	"chaos": {"benchmark": "", "list": "false", "quick": "false", "schedule": "", "seed": "1", "stack": "", "v": "false"},
 	"serve": {"addr": "127.0.0.1:9473", "cluster": "1", "dir": "", "ingest": "false", "ingest-inflight": "16",
-		"ingest-sessions": "8", "ingest-ttl": "2m0s", "max-inflight": "64", "queue-depth": "0", "shard-workers": "4",
+		"ingest-sessions": "8", "ingest-ttl": "2m0s", "max-inflight": "64", "queue-depth": "0",
 		"store": "file", "sync": "false", "tenant-burst": "0", "tenant-rate": "0", "tenant-slots": "0"},
 	"loadgen": {"addr": "127.0.0.1:9473", "clients": "64", "ops": "200", "put-mix": "0.7", "quick": "false",
 		"schedule": "", "seed": "1", "strict": "false", "tenants": "4", "think": "0s", "value-bytes": "4096"},

@@ -27,7 +27,7 @@ and prints its totals.`
 func cmdServe(fs *flag.FlagSet) func() error {
 	addr := fs.String("addr", "127.0.0.1:9473", "listen address")
 	cluster := fs.Int("cluster", 1, "run this many independent service nodes in one process; their ports count up from -addr's (a :0 base lets the kernel pick each) and the -addrs list for replicated clients is printed")
-	sf := addStorageFlags(fs, "store", "dir", "sync", "shard-workers")
+	sf := addStorageFlags(fs, "store", "dir", "sync")
 	maxInFlight := fs.Int("max-inflight", server.DefaultMaxInFlight, "bound on concurrently served requests; excess gets 503 + Retry-After, which clients absorb by retrying")
 	tenantSlots := fs.Int("tenant-slots", 0, "per-tenant concurrent request cap (0 = unlimited)")
 	tenantRate := fs.Float64("tenant-rate", 0, "per-tenant sustained requests/sec token-bucket rate (0 = unlimited)")

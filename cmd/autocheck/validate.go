@@ -14,7 +14,7 @@ import (
 
 func cmdValidate(fs *flag.FlagSet) func() error {
 	sf := addStorageFlags(fs, "store", "addr", "addrs", "write-quorum", "read-quorum", "hedge-after",
-		"cache-mb", "async", "incremental", "keyframe", "shard-workers")
+		"cache-mb", "async", "incremental", "keyframe")
 	benchName := fs.String("benchmark", "", "validate only this port (default: all 14)")
 	level := fs.String("level", "L1", "checkpoint reliability level 1-4 or L1-L4 (L2 adds a partner copy, L3 XOR parity, L4 fsync)")
 	return func() error {

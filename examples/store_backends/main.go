@@ -54,10 +54,9 @@ func main() {
 		{"memory", store.Config{Kind: store.KindMemory}, checkpoint.L1},
 		{"file", store.Config{Kind: store.KindFile}, checkpoint.L1},
 		{"file L2 (partner copy)", store.Config{Kind: store.KindFile}, checkpoint.L2},
-		{"sharded (4 workers)", store.Config{Kind: store.KindSharded, Workers: 4}, checkpoint.L1},
 		{"file + async", store.Config{Kind: store.KindFile, Async: true}, checkpoint.L1},
 		{"file + incremental", store.Config{Kind: store.KindFile, Incremental: true, Keyframe: 8}, checkpoint.L1},
-		{"sharded + async + incr", store.Config{Kind: store.KindSharded, Workers: 4, Async: true, Incremental: true, Keyframe: 8}, checkpoint.L1},
+		{"file + async + incr", store.Config{Kind: store.KindFile, Async: true, Incremental: true, Keyframe: 8}, checkpoint.L1},
 	}
 
 	fmt.Println("\ncheckpointing every main-loop iteration through each backend:")
@@ -86,5 +85,5 @@ func main() {
 	fmt.Println("(every backend restores the same final iteration; the incremental")
 	fmt.Println("rows persist fewer bytes than full critical-set images, and both")
 	fmt.Println("stay far below the full-snapshot baseline)")
-	fmt.Println("\nsame selection, end to end: autocheck validate -store sharded -level L2 -async -incremental")
+	fmt.Println("\nsame selection, end to end: autocheck validate -level L2 -async -incremental")
 }

@@ -43,8 +43,7 @@ func writeN(t *testing.T, ctx *Context, m *interp.Machine, n int) {
 
 func TestRetainPrunesToNewestN(t *testing.T) {
 	for name, cfg := range map[string]store.Config{
-		"file":    {Kind: store.KindFile},
-		"sharded": {Kind: store.KindSharded, Workers: 2},
+		"file": {Kind: store.KindFile},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -18,11 +18,10 @@ func contexts(t *testing.T, level Level) map[string]*Context {
 	for name, cfg := range map[string]store.Config{
 		"file":             {Kind: store.KindFile},
 		"memory":           {Kind: store.KindMemory},
-		"sharded":          {Kind: store.KindSharded, Workers: 3},
 		"file-async":       {Kind: store.KindFile, Async: true},
 		"file-incremental": {Kind: store.KindFile, Incremental: true, Keyframe: 3},
-		"sharded-async-incremental": {
-			Kind: store.KindSharded, Workers: 2, Async: true, Incremental: true, Keyframe: 3,
+		"file-async-incremental": {
+			Kind: store.KindFile, Async: true, Incremental: true, Keyframe: 3,
 		},
 	} {
 		if cfg.Kind != store.KindMemory {
@@ -99,8 +98,7 @@ func TestFlippedBitFallsBackToPreviousCheckpoint(t *testing.T) {
 		}
 	}
 	for name, cfg := range map[string]store.Config{
-		"file":    {Kind: store.KindFile},
-		"sharded": {Kind: store.KindSharded, Workers: 2},
+		"file": {Kind: store.KindFile},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -235,7 +233,6 @@ func TestIncrementalCorruptionFallback(t *testing.T) {
 func TestReopenedContextAppendsAfterPreviousSession(t *testing.T) {
 	for name, cfg := range map[string]store.Config{
 		"file":             {Kind: store.KindFile},
-		"sharded":          {Kind: store.KindSharded, Workers: 2},
 		"file-incremental": {Kind: store.KindFile, Incremental: true, Keyframe: 3},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -288,40 +285,6 @@ func TestReopenedContextAppendsAfterPreviousSession(t *testing.T) {
 				t.Errorf("Count = %d, want 1 (this session's checkpoints only)", ctx2.Count())
 			}
 		})
-	}
-}
-
-// Partner copies (L2) must survive primary corruption on the sharded
-// backend too, through the levels decorator.
-func TestShardedPartnerFallback(t *testing.T) {
-	dir := t.TempDir()
-	ctx, err := NewContextStore(store.Config{Kind: store.KindSharded, Dir: dir, Workers: 2}, L2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := machine(t)
-	m.WriteRange(0x1000, []trace.Value{trace.IntValue(321)})
-	ctx.Protect("x", 0x1000, 8)
-	if err := ctx.Checkpoint(m, 3); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt every shard of the primary object.
-	manifest := filepath.Join(dir, "ckpt-000001.l1", "manifest")
-	data, err := os.ReadFile(manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xFF
-	if err := os.WriteFile(manifest, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m2 := machine(t)
-	iter, err := ctx.Restart(m2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iter != 3 || m2.ReadRange(0x1000, 1)[0].Int() != 321 {
-		t.Errorf("partner recovery failed: iter=%d", iter)
 	}
 }
 

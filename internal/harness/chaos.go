@@ -133,7 +133,7 @@ func ChaosSchedules(quick bool) []ChaosSchedule {
 // ChaosStacks returns every store stack the full sweep covers.
 func ChaosStacks() []string {
 	return []string{
-		"memory", "file", "sharded", "file+l2",
+		"memory", "file", "file+l2",
 		"file+async", "file+incr", "file+async+incr",
 		"remote", "remote+cached",
 		"replicated", "replicated+cached",
@@ -189,7 +189,7 @@ func chaosStackConfig(stack, dir string) (store.Config, checkpoint.Level, int, e
 		// The memory stack restarts in process over one bare backend
 		// shared by both phases (see chaosOne), so these layers would
 		// never run and the stack would pass without testing them.
-		return scfg, level, 0, fmt.Errorf("harness: stack %q: async and incr need a durable base (file, sharded, remote, replicated)", stack)
+		return scfg, level, 0, fmt.Errorf("harness: stack %q: async and incr need a durable base (file, remote, replicated)", stack)
 	}
 	return scfg, level, services, nil
 }

@@ -161,8 +161,8 @@ func TestStorageRunIncrementalReduction(t *testing.T) {
 	}
 }
 
-// The storage run must behave identically through the async, incremental
-// and sharded write paths (same images, same restart point). Under -race
+// The storage run must behave identically through the async and
+// incremental write paths (same images, same restart point). Under -race
 // the file+async+incr row, the ckpt-local stack, also checks that nothing
 // writes a buffer the async writer still holds.
 func TestStorageRunBackendEquivalence(t *testing.T) {
@@ -180,7 +180,6 @@ func TestStorageRunBackendEquivalence(t *testing.T) {
 	}
 	for name, scfg := range map[string]store.Config{
 		"file":            {Kind: store.KindFile, Dir: t.TempDir()},
-		"sharded":         {Kind: store.KindSharded, Dir: t.TempDir(), Workers: 3},
 		"memory-async":    {Kind: store.KindMemory, Async: true},
 		"file+async+incr": {Kind: store.KindFile, Dir: t.TempDir(), Async: true, Incremental: true},
 	} {

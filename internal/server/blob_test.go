@@ -51,7 +51,7 @@ func accounting(b store.Backend, reg *obs.Registry) map[string]int64 {
 
 // TestBlobDispatchAcrossBackends runs one PUT/GET script over both sides
 // of the store.BlobStore dispatch — Memory and File store the uploaded
-// blob, Sharded, a cache over Memory and a bare Backend take sections —
+// blob, a cache over Memory and a bare Backend take sections —
 // and requires the same answers and the same accounting from each. The
 // wanted accounting is what the service recorded when it decoded every
 // upload and re-encoded every download.
@@ -80,13 +80,6 @@ func TestBlobDispatchAcrossBackends(t *testing.T) {
 		"store.memory.put.ns": 2, "store.memory.put.bytes": n + cut, "store.memory.put.err.injected": 1,
 		"store.memory.get.ns": 1, "store.memory.get.bytes": cut, "store.memory.get.err.corrupt": 1,
 	}
-	// Sharded counts its shards and manifest; the torn manifest fails the
-	// third get before its shards are read.
-	sharded := map[string]int64{
-		"Puts": 1, "Gets": 2, "BytesWritten": 1151, "BytesRead": 2302, "SectionsWritten": 3,
-		"store.sharded.put.ns": 2, "store.sharded.put.bytes": 1030, "store.sharded.put.err.injected": 1,
-		"store.sharded.get.ns": 3, "store.sharded.get.bytes": 2302, "store.sharded.get.err.corrupt": 1,
-	}
 	for _, tc := range []struct {
 		name string
 		cfg  store.Config
@@ -95,7 +88,6 @@ func TestBlobDispatchAcrossBackends(t *testing.T) {
 	}{
 		{"memory", store.Config{Kind: store.KindMemory}, false, base("store.memory")},
 		{"file", store.Config{Kind: store.KindFile}, false, base("store.file")},
-		{"sharded", store.Config{Kind: store.KindSharded, Workers: 2}, false, sharded},
 		{"cached memory", store.Config{Kind: store.KindMemory, CacheMB: 8}, false, cached},
 		{"bare memory", store.Config{Kind: store.KindMemory}, true, base("store.memory")},
 	} {

@@ -9,12 +9,12 @@
 // blob backend (store.BlobStore) stores and serves those bytes without
 // decoding them. The service verifies the CRC before committing a Put, so
 // a client that dies mid-upload (or a bit flip in transit) never creates
-// an object; and because the file-like backends commit with temp-file +
-// rename (or a manifest), a service killed with SIGKILL mid-Put leaves
-// either the previous object or none — never a readable torn one.
+// an object; and because the file backend commits with temp-file +
+// rename, a service killed with SIGKILL mid-Put leaves either the
+// previous object or none — never a readable torn one.
 //
 // Keys live in namespaces — /v1/{ns}/objects/{key} — each namespace
-// backed by its own backend instance (for file-like kinds, its own
+// backed by its own backend instance (for the file kind, its own
 // subdirectory of the service root), so independent clients get
 // disjoint key spaces and List order stays per-client chronological.
 //
@@ -56,10 +56,10 @@ import (
 
 // Config parameterizes a service.
 type Config struct {
-	// Store is the template for per-namespace backends. Kind, Sync and
-	// Workers apply as-is; for the file-like kinds each namespace is
-	// rooted at Dir/<namespace>. KindRemote is rejected (the service
-	// does not proxy to another service).
+	// Store is the template for per-namespace backends. Kind and Sync
+	// apply as-is; for the file kind each namespace is rooted at
+	// Dir/<namespace>. KindRemote is rejected (the service does not
+	// proxy to another service).
 	Store store.Config
 
 	// MaxInFlight bounds concurrently served requests; excess requests

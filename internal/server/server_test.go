@@ -407,7 +407,7 @@ func TestServiceNeverServesTornObjects(t *testing.T) {
 
 func TestServicePerNamespaceDirectories(t *testing.T) {
 	root := t.TempDir()
-	s, err := New(Config{Store: store.Config{Kind: store.KindSharded, Dir: root, Workers: 2}})
+	s, err := New(Config{Store: store.Config{Kind: store.KindFile, Dir: root}})
 	if err != nil {
 		t.Fatal(err)
 	}

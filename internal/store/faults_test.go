@@ -19,11 +19,7 @@ func baseBackends(t *testing.T, reg *faultinject.Registry) map[string]Backend {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := NewSharded(t.TempDir(), 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := map[string]Backend{"memory": NewMemory(), "file": file, "sharded": sharded}
+	all := map[string]Backend{"memory": NewMemory(), "file": file}
 	for _, b := range all {
 		InjectFaults(b, reg)
 	}

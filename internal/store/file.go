@@ -46,6 +46,21 @@ func NewFile(dir string, sync bool) (*File, error) {
 	return &File{dir: dir, sync: sync}, nil
 }
 
+// DefaultShardWorkers is the pool size the removed sharded backend took
+// by default.
+//
+// Deprecated: kept only because benchmark/layers.go passes it to
+// NewSharded; it goes with that call.
+const DefaultShardWorkers = 4
+
+// NewSharded returns NewFile(dir, sync); workers is ignored. The sharded
+// backend it once built is gone: File is the one on-disk base.
+//
+// Deprecated: benchmark/layers.go is the only caller; use NewFile.
+func NewSharded(dir string, workers int, sync bool) (*File, error) {
+	return NewFile(dir, sync)
+}
+
 func (f *File) path(key string) string { return filepath.Join(f.dir, key) }
 
 // Put implements Backend.
@@ -83,44 +98,37 @@ func (f *File) put(key string, blob []byte) (int64, error) {
 	return int64(len(blob)), nil
 }
 
+// writeFileAtomic writes data via a temp file + rename. Each call gets
+// its own temp file, so concurrent writers to one path never write into
+// each other's bytes; the last rename wins. With sync set it fsyncs the
+// data before the rename and the parent directory after it — the rename
+// itself is only durable once the directory entry is on stable storage,
+// and without it a power failure can roll the key back to its previous
+// object (or to nothing).
 func writeFileAtomic(path string, data []byte, sync bool) error {
-	return writeFileAtomicOpts(path, data, sync, sync)
-}
-
-// writeFileAtomicOpts writes data via temp file + rename. syncFile fsyncs
-// the data before the rename; syncParent fsyncs the parent directory
-// after it — the rename itself is only durable once the directory entry
-// is on stable storage, and without it a power failure can roll the key
-// back to its previous object (or to nothing). Callers batching many
-// files into one directory pass syncParent=false and sync the directory
-// once themselves.
-func writeFileAtomicOpts(path string, data []byte, syncFile, syncParent bool) error {
-	tmp := path + tmpSuffix
-	w, err := os.Create(tmp)
+	w, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*"+tmpSuffix)
 	if err != nil {
 		return err
 	}
-	if _, err := w.Write(data); err != nil {
-		w.Close()
+	tmp := w.Name()
+	err = w.Chmod(0o644) // CreateTemp makes the file 0600; an object is 0644
+	if err == nil {
+		_, err = w.Write(data)
+	}
+	if err == nil && sync {
+		err = w.Sync()
+	}
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if syncFile {
-		if err := w.Sync(); err != nil {
-			w.Close()
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := w.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if syncParent {
+	if sync {
 		return syncDir(filepath.Dir(path))
 	}
 	return nil

@@ -8,8 +8,8 @@ import (
 
 // TestStatsRaceUnderConcurrentOps pins the Stats() audit: every backend
 // and decorator must keep its counters (and everything else) race-free
-// under concurrent Put/Get/List/Delete/Stats — the Sharded worker pool
-// and the Async drain path included. The test asserts nothing about
+// under concurrent Put/Get/List/Delete/Stats — the Async drain path
+// included. The test asserts nothing about
 // exact counts (interleavings vary); it exists to fail under -race (the
 // CI race step runs this package) and to catch panics from torn
 // internal state. Operation errors are expected by design — e.g. a Get

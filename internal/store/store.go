@@ -1,15 +1,14 @@
 // Package store is the checkpoint storage engine: a pluggable Backend
 // interface over keyed, sectioned objects. The base backends hold the
-// objects (Memory, File, Sharded, and Remote and Replicated over the
-// checkpoint service); Cached is a read tier over a base; Incremental
-// (delta objects) and Async (background writes) decorate the write path.
+// objects (Memory, File, and Remote and Replicated over the checkpoint
+// service); Cached is a read tier over a base; Incremental (delta
+// objects) and Async (background writes) decorate the write path.
 //
 // A checkpoint is stored as one object per key; an object is an ordered
 // list of named sections — for the checkpoint layer, one section per
 // protected variable plus a small metadata section. Keeping sections
-// first-class lets the sharded backend write one shard per variable from
-// a worker pool, and lets the incremental decorator re-write only the
-// variables whose bytes changed since the previous checkpoint (FTI-style
+// first-class lets the incremental decorator re-write only the variables
+// whose bytes changed since the previous checkpoint (FTI-style
 // differential checkpointing).
 //
 // What crosses a layer is read-only, so no layer copies it (see Backend).
@@ -102,7 +101,6 @@ type Kind int
 const (
 	KindFile Kind = iota
 	KindMemory
-	KindSharded
 	KindRemote
 	KindReplicated
 )
@@ -113,8 +111,6 @@ func (k Kind) String() string {
 		return "file"
 	case KindMemory:
 		return "memory"
-	case KindSharded:
-		return "sharded"
 	case KindRemote:
 		return "remote"
 	case KindReplicated:
@@ -130,22 +126,19 @@ func ParseKind(s string) (Kind, error) {
 		return KindFile, nil
 	case "memory", "mem":
 		return KindMemory, nil
-	case "sharded", "shard":
-		return KindSharded, nil
 	case "remote":
 		return KindRemote, nil
 	case "replicated":
 		return KindReplicated, nil
 	}
-	return 0, fmt.Errorf("store: unknown backend kind %q (want file, memory, sharded, remote, or replicated)", s)
+	return 0, fmt.Errorf("store: unknown backend kind %q (want file, memory, remote, or replicated)", s)
 }
 
 // Config selects and parameterizes a backend chain.
 type Config struct {
-	Kind    Kind
-	Dir     string // root directory (file and sharded kinds); namespace seed (remote kind)
-	Sync    bool   // fsync every write (checkpoint level L4)
-	Workers int    // sharded write pool size (default 4)
+	Kind Kind
+	Dir  string // root directory (file kind); namespace seed (remote kind)
+	Sync bool   // fsync every write (checkpoint level L4)
 
 	Addr      string // remote kind: checkpoint service address (host:port or URL)
 	Namespace string // remote/replicated kinds: key namespace on the service (default: derived from Dir)
@@ -183,8 +176,7 @@ const (
 	// SitePut guards a base backend's object commit and carries the
 	// encoded blob (HitBlob): error aborts before the medium is touched,
 	// torn persists a truncated object, crash kills the goroutine
-	// mid-commit. For the sharded backend the site guards the manifest —
-	// its commit point.
+	// mid-commit.
 	SitePut = "store.put"
 	// SiteGet guards a base backend's object read.
 	SiteGet = "store.get"
@@ -338,11 +330,6 @@ func openBase(cfg Config) (Backend, error) {
 			return nil, errors.New("store: file backend needs a directory")
 		}
 		return NewFile(cfg.Dir, cfg.Sync)
-	case KindSharded:
-		if cfg.Dir == "" {
-			return nil, errors.New("store: sharded backend needs a directory")
-		}
-		return NewSharded(cfg.Dir, cfg.Workers, cfg.Sync)
 	case KindRemote:
 		if cfg.Addr == "" {
 			return nil, errors.New("store: remote backend needs a service address")

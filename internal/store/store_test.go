@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -49,18 +48,6 @@ func openAll(t *testing.T) map[string]Backend {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := NewSharded(t.TempDir(), 3, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardedSerial, err := NewSharded(t.TempDir(), 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardedSync, err := NewSharded(t.TempDir(), 2, true)
-	if err != nil {
-		t.Fatal(err)
-	}
 	asyncInner, err := NewFile(t.TempDir(), false)
 	if err != nil {
 		t.Fatal(err)
@@ -88,9 +75,6 @@ func openAll(t *testing.T) map[string]Backend {
 		"memory":             NewMemory(),
 		"file":               file,
 		"file-sync":          fileSync,
-		"sharded":            sharded,
-		"sharded-serial":     shardedSerial,
-		"sharded-sync":       shardedSync,
 		"async-file":         NewAsync(asyncInner),
 		"incremental-memory": NewIncremental(NewMemory(), 3, 64),
 		"async-incremental":  NewAsync(NewIncremental(NewMemory(), 3, 64)),
@@ -251,206 +235,71 @@ func TestMemoryBackendRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestShardedRejectsCorruptShardAndManifest(t *testing.T) {
+// Concurrent Puts to one key must each commit a whole object: the last
+// rename wins, and no Put writes into another's temp file. Concurrent
+// Gets of the committed key must see one whole object throughout.
+func TestConcurrentPutsSameKey(t *testing.T) {
+	for name, b := range baseBackends(t, nil) {
+		t.Run(name, func(t *testing.T) {
+			defer b.Close()
+			if err := b.Put("k", sampleSections(1)); err != nil {
+				t.Fatal(err)
+			}
+			// whole reports whether got is exactly one Put's sections.
+			whole := func(got []Section) bool {
+				return len(got) == 3 && len(got[0].Data) > 0 && reflect.DeepEqual(got, sampleSections(got[0].Data[0]))
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				wg.Add(2)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < 10; i++ {
+						if err := b.Put("k", sampleSections(byte(w*16+i+1))); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 10; i++ {
+						got, err := b.Get("k")
+						if err != nil {
+							t.Errorf("Get of committed key during overwrites: %v", err)
+							return
+						}
+						if !whole(got) {
+							t.Error("Get during overwrites returned a mixed object")
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			got, err := b.Get("k")
+			if err != nil {
+				t.Fatalf("object unreadable after concurrent overwrites: %v", err)
+			}
+			if !whole(got) {
+				t.Error("object after concurrent overwrites is not one Put's sections")
+			}
+		})
+	}
+}
+
+// A Put that crashed before its rename leaves only its temp file, which
+// List must not report as an object.
+func TestFileUncommittedObjectInvisible(t *testing.T) {
 	dir := t.TempDir()
-	b, err := NewSharded(dir, 2, false)
+	b, err := NewFile(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Put("ckpt-000001", sampleSections(1)); err != nil {
 		t.Fatal(err)
 	}
-	// Flip a bit in the big section's shard.
-	if !b.CorruptShard("ckpt-000001", 2, 100) {
-		t.Fatal("CorruptShard found no shard")
-	}
-	if _, err := b.Get("ckpt-000001"); err == nil {
-		t.Error("corrupted shard accepted")
-	}
-	// Fresh object; truncate a shard (torn write).
-	if err := b.Put("ckpt-000002", sampleSections(2)); err != nil {
-		t.Fatal(err)
-	}
-	shard, ok := b.ShardPath("ckpt-000002", 2)
-	if !ok {
-		t.Fatal("ShardPath found no shard")
-	}
-	data, err := os.ReadFile(shard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(shard, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Get("ckpt-000002"); err == nil {
-		t.Error("torn shard accepted")
-	}
-	// Corrupt the manifest itself.
-	if err := b.Put("ckpt-000003", sampleSections(3)); err != nil {
-		t.Fatal(err)
-	}
-	manifest := filepath.Join(dir, "ckpt-000003", "manifest")
-	mdata, err := os.ReadFile(manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mdata[len(mdata)/2] ^= 0xFF
-	if err := os.WriteFile(manifest, mdata, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Get("ckpt-000003"); err == nil {
-		t.Error("corrupted manifest accepted")
-	}
-}
-
-// Overwriting a key must leave the previously committed object readable
-// until the new manifest lands: a Put that crashes after writing its
-// shards loses only the new version, never both.
-func TestShardedOverwritePreservesOldUntilCommit(t *testing.T) {
-	dir := t.TempDir()
-	b, err := NewSharded(dir, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Put("k", sampleSections(1)); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate an overwrite that crashed after writing its new-generation
-	// shards but before committing the manifest.
-	objDir := filepath.Join(dir, "k")
-	if err := os.WriteFile(filepath.Join(objDir, "g00000002-0000.shard"), []byte("half-written"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := b.Get("k")
-	if err != nil {
-		t.Fatalf("old object lost after crashed overwrite: %v", err)
-	}
-	if !reflect.DeepEqual(got, sampleSections(1)) {
-		t.Error("old object corrupted by crashed overwrite")
-	}
-	// After a "process restart", a completed overwrite must pick a
-	// generation above both the committed object and the crashed
-	// attempt's orphans, commit the new version, and sweep every stale
-	// generation.
-	b2, err := NewSharded(dir, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b2.Put("k", sampleSections(5)); err != nil {
-		t.Fatal(err)
-	}
-	got, err = b2.Get("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, sampleSections(5)) {
-		t.Error("overwrite not visible")
-	}
-	entries, err := os.ReadDir(objDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.Name() != "manifest" && !strings.HasPrefix(e.Name(), "g00000003-") {
-			t.Errorf("stale file %s survived the committed overwrite", e.Name())
-		}
-	}
-}
-
-// A manifest that decodes with a valid CRC but holds a truncated entry
-// must fail cleanly, not panic on a short slice.
-func TestShardedShortManifestEntryRejected(t *testing.T) {
-	dir := t.TempDir()
-	b, err := NewSharded(dir, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Put("k", sampleSections(1)); err != nil {
-		t.Fatal(err)
-	}
-	bad := EncodeSections([]Section{
-		{Name: "~gen", Data: binary.LittleEndian.AppendUint64(nil, 1)},
-		{Name: "x", Data: []byte{1, 2, 3}},
-	})
-	if err := os.WriteFile(filepath.Join(dir, "k", "manifest"), bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Get("k"); err == nil {
-		t.Error("short manifest entry accepted")
-	}
-	// A manifest missing its generation section must also fail cleanly.
-	noGen := EncodeSections([]Section{{Name: "x", Data: make([]byte, 12)}})
-	if err := os.WriteFile(filepath.Join(dir, "k", "manifest"), noGen, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Get("k"); err == nil {
-		t.Error("manifest without generation accepted")
-	}
-}
-
-// Concurrent Puts to the same key must serialize: interleaved
-// generations would commit a manifest whose CRCs describe another Put's
-// shards, leaving the key unreadable despite every Put returning nil.
-// Concurrent Gets must survive the post-commit sweep of the generation
-// their manifest referenced (the sweep waits for in-flight readers, who
-// hold sweepMu's read side across their manifest and shard reads).
-func TestShardedConcurrentPutsSameKey(t *testing.T) {
-	b, err := NewSharded(t.TempDir(), 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Put("k", sampleSections(1)); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(2)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				if err := b.Put("k", sampleSections(byte(w*16+i+1))); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				if _, err := b.Get("k"); err != nil {
-					t.Errorf("Get of committed key during overwrites: %v", err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	got, err := b.Get("k")
-	if err != nil {
-		t.Fatalf("object unreadable after concurrent overwrites: %v", err)
-	}
-	if len(got) != 3 {
-		t.Errorf("Get returned %d sections, want 3", len(got))
-	}
-}
-
-func TestShardedUncommittedObjectInvisible(t *testing.T) {
-	dir := t.TempDir()
-	b, err := NewSharded(dir, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Put("ckpt-000001", sampleSections(1)); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash before the manifest landed.
-	if err := os.Remove(filepath.Join(dir, "ckpt-000002", "manifest")); !os.IsNotExist(err) && err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Join(dir, "ckpt-000002"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "ckpt-000002", "0000.shard"), []byte("partial"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "ckpt-000002.123456"+tmpSuffix), []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	keys, err := b.List()
@@ -863,14 +712,16 @@ func TestEncodeDecodeSections(t *testing.T) {
 }
 
 func TestParseKind(t *testing.T) {
-	for s, want := range map[string]Kind{"file": KindFile, "": KindFile, "memory": KindMemory, "mem": KindMemory, "sharded": KindSharded} {
+	for s, want := range map[string]Kind{"file": KindFile, "": KindFile, "memory": KindMemory, "mem": KindMemory} {
 		got, err := ParseKind(s)
 		if err != nil || got != want {
 			t.Errorf("ParseKind(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, err := ParseKind("s3"); err == nil {
-		t.Error("ParseKind(s3) succeeded")
+	for _, s := range []string{"s3", "sharded"} {
+		if _, err := ParseKind(s); err == nil {
+			t.Errorf("ParseKind(%q) succeeded", s)
+		}
 	}
 }
 
@@ -878,7 +729,6 @@ func TestOpenAndDecorate(t *testing.T) {
 	for _, cfg := range []Config{
 		{Kind: KindMemory},
 		{Kind: KindFile, Dir: t.TempDir()},
-		{Kind: KindSharded, Dir: t.TempDir(), Workers: 2},
 		{Kind: KindMemory, Async: true},
 		{Kind: KindMemory, Incremental: true, Keyframe: 2},
 		{Kind: KindFile, Dir: t.TempDir(), Async: true, Incremental: true},
@@ -899,7 +749,7 @@ func TestOpenAndDecorate(t *testing.T) {
 			t.Fatalf("%+v: Close: %v", cfg, err)
 		}
 	}
-	for _, cfg := range []Config{{Kind: KindFile}, {Kind: KindSharded}, {Kind: Kind(42)}} {
+	for _, cfg := range []Config{{Kind: KindFile}, {Kind: Kind(42)}} {
 		if _, err := Open(cfg); err == nil {
 			t.Errorf("Open(%+v) succeeded", cfg)
 		}

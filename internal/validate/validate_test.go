@@ -184,12 +184,11 @@ func TestFig4ValidationAcrossStoreBackends(t *testing.T) {
 	defer svc.Shutdown(context.Background())
 	for name, opts := range map[string]Options{
 		"memory":           {Store: store.Config{Kind: store.KindMemory}},
-		"sharded":          {Store: store.Config{Kind: store.KindSharded, Workers: 2}},
 		"file-async":       {Store: store.Config{Kind: store.KindFile, Async: true}},
 		"file-incremental": {Store: store.Config{Kind: store.KindFile, Incremental: true, Keyframe: 4}},
-		"sharded-async-incremental-L2": {
+		"file-async-incremental-L2": {
 			Level: checkpoint.L2,
-			Store: store.Config{Kind: store.KindSharded, Workers: 2, Async: true, Incremental: true, Keyframe: 4},
+			Store: store.Config{Kind: store.KindFile, Async: true, Incremental: true, Keyframe: 4},
 		},
 		"file-cached": {Store: store.Config{Kind: store.KindFile, CacheMB: 4}},
 		"remote":      {Store: store.Config{Kind: store.KindRemote, Addr: ts.URL}},
