@@ -119,36 +119,38 @@ func Analyze(recs []Record, spec LoopSpec, opts Options) (*Result, error) {
 	return core.Analyze(recs, spec, opts)
 }
 
-// AnalyzeBytes analyzes an in-memory trace of either format. The bytes
-// are decoded once per engine sweep into a recycled record batch — no
-// []Record is ever materialized, so memory stays O(variables) beyond the
-// bytes themselves. opts.Streaming has no effect here; it tells
-// AnalyzeFile not to load the file whole. (The paper's §V-A parallel read
-// is across traces: AnalyzeMany.)
+// AnalyzeBytes analyzes an in-memory trace of either format: the Engine
+// fed the bytes' records, decoded once, a batch at a time, into a
+// recycled record batch. No []Record is ever materialized, so memory
+// stays O(variables) beyond the bytes themselves, and no record size is
+// capped. (The paper's §V-A parallel read is across traces: AnalyzeMany.)
 func AnalyzeBytes(data []byte, spec LoopSpec, opts Options) (*Result, error) {
 	return core.AnalyzeBytes(data, spec, opts)
 }
 
 // AnalyzeFile reads and analyzes a trace file (the paper's primary usage
 // mode: trace generation and analysis as separate steps). The file is
-// loaded whole and analyzed like AnalyzeBytes; with opts.Streaming it is
-// scanned from disk once per sweep instead.
+// streamed from disk into the Engine through a bounded window, so memory
+// is O(variables) whatever the file's size; as with NewTraceReader, a
+// single record beyond 4 MiB is an error naming its byte offset (load
+// such a trace whole and use AnalyzeBytes, which has no cap).
 func AnalyzeFile(path string, spec LoopSpec, opts Options) (*Result, error) {
 	return core.AnalyzeFile(path, spec, opts)
 }
 
-// Engine is the single incremental analysis core every mode adapts to:
-// feed it records a batch at a time via ObserveBatch (or one at a time
-// via Observe — the same code) and call Finish for the Result. Records
-// need only stay valid for the duration of the call. Analyze,
-// AnalyzeBytes and AnalyzeFile run the same fused pass after locating
-// the loop; the Engine itself is the single-sweep (online)
-// configuration of the paper's §IX mode, where AutoCheck runs inside the
-// instrumentation itself. Every Option applies to both, opts.BuildDDG
-// included.
+// Engine is the single incremental analysis core every mode runs: feed
+// it records a batch at a time via ObserveBatch (or one at a time via
+// Observe — the same code) and call Finish for the Result. Records need
+// only stay valid for the duration of the call; the engine keeps nothing
+// of them. Analyze, AnalyzeBytes, AnalyzeFile and AnalyzeMany are
+// adapters that feed it, and fed straight from the tracer it is the
+// paper's §IX online mode, where AutoCheck runs inside the
+// instrumentation itself. Memory is O(variables) however long the loop's
+// callee excursions or the program's epilogue (with opts.BuildDDG, the
+// graph itself is O(records)).
 type Engine = core.Engine
 
-// NewEngine prepares a single-sweep analysis session.
+// NewEngine prepares an analysis session.
 func NewEngine(spec LoopSpec, opts Options) (*Engine, error) {
 	return core.NewEngine(spec, opts)
 }

@@ -36,10 +36,9 @@ func (f *loopFlags) spec(cmd string) (autocheck.LoopSpec, error) {
 }
 
 // analyzeLocal runs the analysis in this process. A -trace file is
-// analyzed as is (induction detection then uses the dynamic heuristic); a
-// -file program is compiled and traced first — into ACTB bytes under
-// opts.Streaming, into records otherwise — or, online, analyzed while it
-// runs with no trace bytes at all.
+// streamed from disk as is (induction detection then uses the dynamic
+// heuristic); a -file program is compiled and traced into records first —
+// or, online, analyzed while it runs with no trace bytes at all.
 func analyzeLocal(f *loopFlags, spec autocheck.LoopSpec, opts autocheck.Options, online bool) (*autocheck.Result, error) {
 	if f.trace != "" {
 		return autocheck.AnalyzeFile(f.trace, spec, opts)
@@ -49,16 +48,9 @@ func analyzeLocal(f *loopFlags, spec autocheck.LoopSpec, opts autocheck.Options,
 		return nil, err
 	}
 	opts.Module = mod
-	switch {
-	case online:
+	if online {
 		res, _, err := autocheck.AnalyzeProgramOnline(mod, spec, opts)
 		return res, err
-	case opts.Streaming:
-		data, _, err := autocheck.TraceProgramBinary(mod)
-		if err != nil {
-			return nil, err
-		}
-		return autocheck.AnalyzeBytes(data, spec, opts)
 	}
 	recs, _, err := autocheck.TraceProgram(mod)
 	if err != nil {
@@ -69,7 +61,6 @@ func analyzeLocal(f *loopFlags, spec autocheck.LoopSpec, opts autocheck.Options,
 
 func cmdAnalyze(fs *flag.FlagSet) func() error {
 	loop := addLoopFlags(fs)
-	stream := fs.Bool("stream", false, "bounded memory: scan a -trace file from disk once per sweep instead of loading it whole; with -file, trace straight into ACTB bytes instead of a record slice")
 	online := fs.Bool("online", false, "feed the analysis engine straight from the tracer while the program runs: no trace bytes at all (needs -file)")
 	ddg := fs.Bool("ddg", false, "also print the contracted DDG (any mode but -addr)")
 	addr := fs.String("addr", "", "ship the trace to the \"serve -ingest\" service at HOST:PORT instead of analyzing locally (one-shot POST by default)")
@@ -84,17 +75,14 @@ func cmdAnalyze(fs *flag.FlagSet) func() error {
 		var res *autocheck.Result
 		switch {
 		case *addr != "":
-			if *online || *ddg || *stream {
-				return fmt.Errorf("analyze -addr ships the trace to a service; -online, -ddg and -stream are local modes")
+			if *online || *ddg {
+				return fmt.Errorf("analyze -addr ships the trace to a service; -online and -ddg are local modes")
 			}
 			res, err = analyzeRemote(*addr, *namespace, loop, spec, *chunkBytes, *chunkDelay)
 		case *online && (loop.file == "" || loop.trace != ""):
-			return fmt.Errorf("analyze -online runs the program with the engine attached and needs -file, not -trace (use -stream to analyze a pre-generated trace)")
-		case *online && *stream:
-			return fmt.Errorf("-online and -stream are different modes: online analyzes while the program runs, -stream re-reads a trace in bounded passes")
+			return fmt.Errorf("analyze -online runs the program with the engine attached and needs -file, not -trace (without -online a pre-generated trace is streamed from disk)")
 		default:
 			opts := autocheck.DefaultOptions()
-			opts.Streaming = *stream
 			opts.BuildDDG = *ddg
 			res, err = analyzeLocal(loop, spec, opts, *online)
 		}

@@ -45,10 +45,11 @@ func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 // wantFlags is every command's flags and defaults as they stood before the
 // command table replaced the per-command FlagSets: no flag may be lost,
 // renamed or re-defaulted, except -shard-workers, which went with the
-// sharded backend.
+// sharded backend, and analyze -stream, which went when every analysis
+// began streaming its trace.
 var wantFlags = map[string]map[string]string{
 	"analyze": {"addr": "", "chunk-bytes": "0", "chunk-delay": "0s", "ddg": "false", "end": "0", "file": "",
-		"func": "main", "ns": "default", "online": "false", "start": "0", "stream": "false", "trace": ""},
+		"func": "main", "ns": "default", "online": "false", "start": "0", "trace": ""},
 	"explain": {"end": "0", "file": "", "func": "main", "start": "0", "trace": ""},
 	"doctor": {"addr": "", "addrs": "", "async": "false", "cache-mb": "0", "dir": "", "incremental": "false",
 		"keyframe": "8", "ns": "doctor", "read-quorum": "0", "store": "file", "write-quorum": "0"},

@@ -5,8 +5,8 @@
 //
 // Every mode here is the same incremental engine behind a different
 // adapter. Offline materializes a trace, encodes it, parses it back, and
-// runs the engine's two-sweep schedule; online wires the engine's
-// Observe straight into the tracer, so no trace bytes ever exist. The
+// feeds the records to the engine; online wires the engine straight into
+// the tracer, so no trace bytes ever exist. The
 // demo runs both on the AMG port (the most expensive analysis row of
 // Table III), then fans the engine out across every benchmark port with
 // AnalyzeMany to show the cross-trace dimension of §V-A parallelism.

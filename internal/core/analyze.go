@@ -21,7 +21,7 @@ type LoopSpec struct {
 }
 
 // contains reports whether r is a record of the loop function at a line
-// inside the MCLR — what both partitioners key on.
+// inside the MCLR — what the engine partitions the trace by.
 func (s LoopSpec) contains(r *trace.Record) bool {
 	return r.Func == s.Function && r.Line >= s.StartLine && r.Line <= s.EndLine
 }
@@ -35,12 +35,10 @@ type Options struct {
 	// globals are identified by name and address, never confusable with a
 	// callee's locals.
 	IncludeGlobals bool
-	// Streaming makes AnalyzeFile scan the file from disk once per sweep
-	// instead of loading it whole: memory stays O(variables) rather than
-	// O(file size). It changes nothing else — every trace-bytes entry
-	// point runs the same bounded sweeps over a recycled record batch and
-	// never materializes a []Record, so AnalyzeBytes ignores it. Results
-	// are identical either way.
+	// Streaming has no effect: AnalyzeFile always streams the file from
+	// disk, and no entry point materializes a []Record.
+	//
+	// Deprecated: every analysis streams.
 	Streaming bool
 	// BuildDDG additionally constructs the complete and contracted
 	// dependency graphs (Fig. 5(c)/(d)) inside the same pass, offline and
@@ -52,10 +50,10 @@ type Options struct {
 	// identification via loop analysis (the paper's llvm-pass-loop API).
 	// Without it a trace-based heuristic is used.
 	Module *ir.Module
-	// Obs, when non-nil, receives per-sweep timing histograms and record
-	// counters ("core.sweep.*.ns", "core.identify.ns", "core.analyze.records").
-	// Recording happens once per sweep, never per record, so the hot paths
-	// are untouched either way.
+	// Obs, when non-nil, receives per-analysis timing histograms and a
+	// record counter ("core.engine.sweep.ns", "core.identify.ns",
+	// "core.engine.records"). Recording happens once per analysis, never
+	// per record, so the hot paths are untouched either way.
 	Obs *obs.Registry
 	// Explain additionally fills Result.Provenance: one entry per MLI
 	// variable describing the accumulated signals and the rule that did
@@ -180,47 +178,49 @@ func (r *Result) Find(name string) *CriticalVar {
 // AnalyzeFile reads a trace file produced by the tracer (or by LLVM-Tracer
 // with compatible encoding, text or binary) and analyzes it. This is the
 // paper's primary usage mode: trace generation and analysis as separate
-// steps. The file is loaded whole and handed to AnalyzeBytes; with
-// opts.Streaming it is instead scanned from disk once per sweep and never
-// held in memory.
+// steps. The file is streamed from disk through a bounded window, so
+// memory does not grow with it, and a single record (one text block or
+// one binary record) beyond 4 MiB is an error naming its byte offset;
+// AnalyzeBytes has no such cap.
 func AnalyzeFile(path string, spec LoopSpec, opts Options) (*Result, error) {
 	return analyzeFileIn(&scratch{}, path, spec, opts)
 }
 
 func analyzeFileIn(sc *scratch, path string, spec LoopSpec, opts Options) (*Result, error) {
-	if opts.Streaming {
-		st, err := os.Stat(path)
-		if err != nil {
-			return nil, fmt.Errorf("core: reading trace: %w", err)
-		}
-		res, err := analyzeScheduleIn(sc, &streamSource{open: fileReaderOpener(path), batch: &sc.batch}, spec, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.Stats.TraceBytes = st.Size()
-		return res, nil
-	}
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: reading trace: %w", err)
 	}
-	return analyzeBytesIn(sc, data, spec, opts)
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("core: reading trace: %w", err)
+	}
+	rd, _, err := trace.NewAutoReader(f)
+	if err != nil {
+		return nil, err
+	}
+	res, err := sc.analyze(rd, spec, opts)
+	if err != nil {
+		return nil, err
+	}
+	res.Stats.TraceBytes = st.Size()
+	return res, nil
 }
 
 // AnalyzeBytes analyzes an in-memory trace — text or binary, detected by
-// magic — on the streaming schedule: the bytes are decoded into a recycled
-// record batch (text once, ACTB once per sweep), no []Record materialized.
+// magic. The bytes are decoded once, a batch at a time, into a recycled
+// record batch; no []Record is materialized and no record size is capped.
 func AnalyzeBytes(data []byte, spec LoopSpec, opts Options) (*Result, error) {
 	return analyzeBytesIn(&scratch{}, data, spec, opts)
 }
 
 func analyzeBytesIn(sc *scratch, data []byte, spec LoopSpec, opts Options) (*Result, error) {
-	stream := streamSource{open: bytesReaderOpener(data), batch: &sc.batch}
-	var src source = &stream
-	if trace.DetectFormat(data) == trace.FormatText {
-		src = &textSource{streamSource: stream, data: data}
+	rd, _, err := trace.NewBytesReader(data)
+	if err != nil {
+		return nil, err
 	}
-	res, err := analyzeScheduleIn(sc, src, spec, opts)
+	res, err := sc.analyze(rd, spec, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -228,10 +228,27 @@ func analyzeBytesIn(sc *scratch, data []byte, spec LoopSpec, opts Options) (*Res
 	return res, nil
 }
 
-// Analyze runs the three-module pipeline over parsed records: the
-// engine's offline schedule with a slice-backed source (see engine.go).
+// Analyze runs the three-module pipeline over parsed records: the engine
+// fed the records as one batch.
 func Analyze(recs []trace.Record, spec LoopSpec, opts Options) (*Result, error) {
-	return analyzeScheduleIn(&scratch{}, sliceSource(recs), spec, opts)
+	return analyzeRecordsIn(&scratch{}, recs, spec, opts)
+}
+
+func analyzeRecordsIn(sc *scratch, recs []trace.Record, spec LoopSpec, opts Options) (*Result, error) {
+	e := sc.engine(spec, opts)
+	e.feed(0, recs)
+	return e.result()
+}
+
+// analyze is the trace-bytes schedule: the bundle's engine fed rd's
+// batches, decoded into the bundle's batch, to the end of the stream. A
+// decode error anywhere in the trace is reported before a missing loop.
+func (sc *scratch) analyze(rd trace.BatchReader, spec LoopSpec, opts Options) (*Result, error) {
+	e := sc.engine(spec, opts)
+	if err := trace.ForEachBatch(rd, &sc.batch, e.feed); err != nil {
+		return nil, err
+	}
+	return e.result()
 }
 
 // regKey names a register within a function (registers are
@@ -275,11 +292,15 @@ type regEntry struct {
 // varState is one variable identity's slot (see varTable): the
 // instance that made it a region-A candidate and the one that matched
 // it in region B — both the latest — and its summary, which keeps the
-// first instance it saw (s.v). With BuildDDG, node is its vertex.
+// first instance it saw (s.v). With BuildDDG, node is its vertex. While
+// a fork is open, gen says whether the run logged the slot, at
+// analyzer.undo[undo] (engine.go).
 type varState struct {
 	inA, mli *VarInfo
 	sum      *varSummary
 	node     *ddg.Node
+	gen      uint32
+	undo     int
 }
 
 type analyzer struct {
@@ -291,6 +312,13 @@ type analyzer struct {
 	regs  map[regKey]*regEntry
 	slab  []regEntry // unused rows, handed out by reg
 	graph *ddg.Graph
+
+	// The open fork (engine.go): the run's generation, its undo log, and
+	// the variables whose vertices a Call asked for, in the order it asked.
+	fork  bool
+	gen   uint32
+	undo  []undoEntry
+	calls []*VarInfo
 }
 
 // regSlab is how many rows reg allocates at once. A port has a few
@@ -322,6 +350,8 @@ func (a *analyzer) reset(spec LoopSpec, opts Options) {
 		a.vars = a.vars[:0]
 		clear(a.regs)
 	}
+	a.fork = false
+	a.undo, a.calls = a.undo[:0], a.calls[:0]
 	a.graph = nil
 	if opts.BuildDDG {
 		// The graph is handed to the Result, so a reset builds a fresh one.
@@ -453,7 +483,8 @@ func (a *analyzer) collectRegionA(r *trace.Record) {
 // the region-A set: the intersection is the MLI set (§IV-A).
 func (a *analyzer) collectRegionBMatch(r *trace.Record) {
 	if v := a.collectible(r); v != nil {
-		if st := &a.vars[v.slot]; st.inA != nil {
+		if st := &a.vars[v.slot]; st.inA != nil && st.mli != v {
+			a.touch(v.slot)
 			st.mli = v
 		}
 	}
@@ -481,7 +512,10 @@ func (a *analyzer) mliList() []*VarInfo {
 	return out
 }
 
+// summary returns v's summary, creating it on first use, for the caller
+// to update: inside a fork the slot is logged first.
 func (a *analyzer) summary(v *VarInfo) *varSummary {
+	a.touch(v.slot)
 	st := &a.vars[v.slot]
 	if st.sum == nil {
 		st.sum = &varSummary{v: v, written: make(map[uint64]bool),

@@ -88,7 +88,6 @@ func TestScratchReuseAllocs(t *testing.T) {
 	}
 	data := trace.EncodeAll(recs)
 	opts := DefaultOptions()
-	opts.Streaming = true
 	in := Input{Data: data, Spec: fig4Spec, Opts: opts}
 
 	cold := testing.AllocsPerRun(5, func() {
@@ -129,7 +128,6 @@ func TestAnalyzeManyScratchAllocs(t *testing.T) {
 	}
 	data := trace.EncodeAll(recs)
 	opts := DefaultOptions()
-	opts.Streaming = true
 	const n = 8
 	inputs := make([]Input, n)
 	for i := range inputs {
@@ -158,8 +156,8 @@ func TestAnalyzeManyScratchAllocs(t *testing.T) {
 }
 
 // TestEngineSessionAllocs pins the online engine's whole-session cost on
-// a trace with heavy callee excursions: parking is arena-backed, so the
-// session must stay O(variables), not O(records).
+// a trace with heavy callee excursions: a fork logs variables, not
+// records, so the session must stay O(variables), not O(records).
 func TestEngineSessionAllocs(t *testing.T) {
 	base, _ := traceOf(t, fig4Source)
 	recs := make([]trace.Record, 0, 4096)

@@ -236,10 +236,9 @@ func TestRegionStats(t *testing.T) {
 }
 
 // TestTimingPopulated pins what Result.Timing means on every path, with
-// or without the DDG: Pre is trace reading (every decode, whichever sweep
-// paid it) plus the partition sweep, Dep the time inside the fused pass
-// (plus graph contraction), Identify module 3 — all measured, disjoint,
-// and within Total.
+// or without the DDG: Pre is trace reading (the decode around the
+// engine), Dep the time inside the engine (plus graph contraction),
+// Identify module 3 — all measured, disjoint, and within Total.
 func TestTimingPopulated(t *testing.T) {
 	recs, mod := traceOf(t, fig4Source)
 	text, bin := trace.EncodeAll(recs), trace.EncodeBinary(recs)
@@ -254,9 +253,7 @@ func TestTimingPopulated(t *testing.T) {
 		"records": func() (*Result, error) { return Analyze(recs, fig4Spec, opts) },
 		"text":    func() (*Result, error) { return AnalyzeBytes(text, fig4Spec, opts) },
 		"actb":    func() (*Result, error) { return AnalyzeBytes(bin, fig4Spec, opts) },
-		"file-streaming": func() (*Result, error) {
-			return AnalyzeFile(path, fig4Spec, with(func(o *Options) { o.Streaming = true }))
-		},
+		"file":    func() (*Result, error) { return AnalyzeFile(path, fig4Spec, opts) },
 		"text-ddg": func() (*Result, error) {
 			return AnalyzeBytes(text, fig4Spec, with(func(o *Options) { o.BuildDDG = true }))
 		},

@@ -14,13 +14,15 @@ import (
 // Options.BuildDDG they additionally materialize the complete DDG
 // (Fig. 5(c)): MLI vertices, local-variable vertices, and one vertex per
 // dynamic register instance, with an edge flush at every Store.
-// analyzer.fusedStep in engine.go drives these steps.
+// analyzer.fusedStep in engine.go drives these steps; inside a fork they
+// log what the fork's rollback needs.
 
 // updateMaps maintains the reg-var map (Load/Store/GEP/BitCast/Alloca and
 // Call parameter correlation, Table I) and the reg-reg map (arithmetic and
 // the single-Call form): each case finds its result register's row once
 // and rewrites it in place. It runs over the whole trace because region C
-// reads and induction detection also consult the maps.
+// reads and induction detection also consult the maps, and it does the
+// same whatever the record's region.
 func (a *analyzer) updateMaps(r *trace.Record) {
 	fn := r.Func
 	switch r.Opcode {
@@ -137,6 +139,11 @@ func (a *analyzer) updateCallMaps(r *trace.Record) {
 			e.node = nil
 			if v != nil {
 				e.node = a.nodeOf(v)
+				// Region C asks for the vertex too: a rollback creates it.
+				if u := a.touch(v.slot); u != nil && !u.called {
+					u.called = true
+					a.calls = append(a.calls, v)
+				}
 			}
 		}
 	}
@@ -166,6 +173,8 @@ func (a *analyzer) derivesFrom(key regKey, slot int, depth int) bool {
 
 // processLoopRecord streams region-B Read/Write information into the
 // per-variable summaries and, with BuildDDG, grows the complete DDG.
+// Inside a fork a Load also notes region C's signal, the variable's first
+// read after the loop, for the rollback to apply.
 func (a *analyzer) processLoopRecord(r *trace.Record) {
 	switch r.Opcode {
 	case trace.OpLoad:
@@ -178,6 +187,9 @@ func (a *analyzer) processLoopRecord(r *trace.Record) {
 			return
 		}
 		s := a.summary(v)
+		if u := a.touch(v.slot); u != nil && u.after == nil {
+			u.after, u.afterDyn = v, r.DynID
+		}
 		if !s.haveFirst {
 			s.haveFirst = true
 			s.firstIsRead = true
@@ -274,24 +286,6 @@ func (a *analyzer) ddgArith(r *trace.Record) {
 	a.reg(regKey{r.Func, r.Result.Name}).node = n
 }
 
-// processAfterLoop records region-C reads (the Outcome signal, §IV-C).
-func (a *analyzer) processAfterLoop(r *trace.Record) {
-	if r.Opcode != trace.OpLoad {
-		return
-	}
-	addr, ok := accessAddr(r)
-	if !ok {
-		return
-	}
-	if v := a.vt.resolve(addr); v != nil {
-		s := a.summary(v)
-		if !s.readAfterLoop {
-			s.afterDyn = r.DynID
-		}
-		s.readAfterLoop = true
-	}
-}
-
 // --- DDG vertex bookkeeping ---
 
 // nodeOf returns v's vertex. MLI membership is still open while the pass
@@ -302,6 +296,7 @@ func (a *analyzer) nodeOf(v *VarInfo) *ddg.Node {
 	if st.node != nil {
 		return st.node
 	}
+	a.touch(v.slot)
 	name := v.Name
 	if a.graph.Lookup(name) != nil {
 		name = fmt.Sprintf("%s@%x", v.Name, v.Base)

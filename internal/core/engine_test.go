@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -27,11 +26,9 @@ func TestNoLoopErrorDescriptive(t *testing.T) {
 	}
 	bad := LoopSpec{Function: "nosuch", StartLine: 900, EndLine: 950}
 	paths := map[string]func(Options) (*Result, error){
-		"Analyze":             func(o Options) (*Result, error) { return Analyze(recs, bad, o) },
-		"AnalyzeBytes":        func(o Options) (*Result, error) { return AnalyzeBytes(data, bad, o) },
-		"AnalyzeFile":         func(o Options) (*Result, error) { return AnalyzeFile(path, bad, o) },
-		"AnalyzeBytes-stream": func(o Options) (*Result, error) { o.Streaming = true; return AnalyzeBytes(data, bad, o) },
-		"AnalyzeFile-stream":  func(o Options) (*Result, error) { o.Streaming = true; return AnalyzeFile(path, bad, o) },
+		"Analyze":      func(o Options) (*Result, error) { return Analyze(recs, bad, o) },
+		"AnalyzeBytes": func(o Options) (*Result, error) { return AnalyzeBytes(data, bad, o) },
+		"AnalyzeFile":  func(o Options) (*Result, error) { return AnalyzeFile(path, bad, o) },
 	}
 	for label, run := range paths {
 		res, err := run(DefaultOptions())
@@ -250,9 +247,9 @@ func TestEngineRefResolutionNoFootprintGrowth(t *testing.T) {
 
 // TestEngineObserverBufferReuse: the Observer contract allows emitters to
 // reuse their record and operand buffers between calls (allocation-free
-// tracers do). Parked lookahead records must survive that, so the engine
-// deep-copies what it buffers. haloSource exercises parking heavily (its
-// spec excludes the loop's back-edge line).
+// tracers do), so the engine must keep nothing of a record past the call,
+// not even of one whose region it decides later. haloSource forks often
+// (its spec excludes the loop's back-edge line).
 func TestEngineObserverBufferReuse(t *testing.T) {
 	recs, mod := traceOf(t, haloSource)
 	opts := DefaultOptions()
@@ -395,7 +392,7 @@ func TestRegionString(t *testing.T) {
 	}
 }
 
-// ---- ObserveBatch: the scan-partitioner under every batching ----
+// ---- ObserveBatch under every batching ----
 
 // recycledFeed feeds recs to observe in batches ending at the given cut
 // points (ascending stream indices; the stream's end is implied), the way
@@ -436,36 +433,6 @@ func recycledFeed(recs []trace.Record, cuts []int, observe func([]trace.Record))
 	}
 }
 
-// scanLog is everything a scanPartitioner emits for recs under the given
-// batching: region and complete text encoding of every record, in order.
-func scanLog(recs []trace.Record, spec LoopSpec, cuts []int) ([]string, *scanPartitioner) {
-	p := &scanPartitioner{spec: spec}
-	var log []string
-	emit := func(run []trace.Record, reg Region) {
-		for i := range run {
-			log = append(log, reg.String()+" "+run[i].String())
-		}
-	}
-	recycledFeed(recs, cuts, func(batch []trace.Record) { p.observe(batch, emit) })
-	p.finish(emit)
-	return log, p
-}
-
-// spanLog is the offline classification of the same records.
-func spanLog(recs []trace.Record, spec LoopSpec) []string {
-	bStart, bEnd, n, _ := sliceSource(recs).extent(spec)
-	part := &spanPartitioner{bStart: bStart, bEnd: bEnd, n: n}
-	log := make([]string, len(recs))
-	for i := range recs {
-		reg := RegionBefore // a loop that never starts leaves every record in region A
-		if part.sawLoop() {
-			reg = part.classify(i)
-		}
-		log[i] = reg.String() + " " + recs[i].String()
-	}
-	return log
-}
-
 func everyN(n, total int) []int {
 	var cuts []int
 	for c := n; c < total; c += n {
@@ -474,11 +441,13 @@ func everyN(n, total int) []int {
 	return cuts
 }
 
-// TestScanPartitionerAnyBatching: however the stream is cut into batches,
-// the online partitioner emits every record once, in trace order, intact
-// and classified exactly like the offline partition sweep. (The 14-port,
-// whole-Result version is harness.TestObserveBatchEquivalenceAllBenchmarks.)
-func TestScanPartitionerAnyBatching(t *testing.T) {
+// TestEngineAnyBatching: however the stream is cut into batches, and
+// though every batch is poisoned once the engine returns, the engine
+// gives the reference pass's offline result field for field — explain
+// trail included — so a fork keeps nothing of the records it decides
+// later. (TestPassMatchesReferenceRandom cuts with BuildDDG on.) (The 14-port version is
+// harness.TestObserveBatchEquivalenceAllBenchmarks.)
+func TestEngineAnyBatching(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		src  string
@@ -488,8 +457,12 @@ func TestScanPartitionerAnyBatching(t *testing.T) {
 		{"cg", cgSource, cgSpec},
 		{"halo", haloSource, haloSpec},
 	} {
-		recs, _ := traceOf(t, tc.src)
-		want := spanLog(recs, tc.spec)
+		recs, mod := traceOf(t, tc.src)
+		opts := Options{IncludeGlobals: true, Explain: true, Module: mod}
+		want, err := refAnalyze(recs, tc.spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
 		batchings := map[string][]int{"whole": nil}
 		for _, n := range []int{1, 2, 7, 512} {
 			batchings[fmt.Sprintf("every-%d", n)] = everyN(n, len(recs))
@@ -503,87 +476,26 @@ func TestScanPartitionerAnyBatching(t *testing.T) {
 			batchings[fmt.Sprintf("random-%d", s)] = cuts
 		}
 		for label, cuts := range batchings {
-			got, _ := scanLog(recs, tc.spec, cuts)
-			if len(got) != len(want) {
-				t.Fatalf("%s/%s: emitted %d records, want %d", tc.name, label, len(got), len(want))
+			e, err := NewEngine(tc.spec, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s/%s: record %d:\ngot  %s\nwant %s", tc.name, label, i, got[i], want[i])
-				}
+			recycledFeed(recs, cuts, e.ObserveBatch)
+			got, err := e.Finish()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-}
-
-// TestParkOversizedRecord: a record with more operands than a parking
-// chunk holds gets a chunk of its own size, parks among ordinary records
-// and replays intact; a second, identical excursion reuses the first
-// one's chunks instead of allocating.
-func TestParkOversizedRecord(t *testing.T) {
-	spec := LoopSpec{Function: "main", StartLine: 10, EndLine: 20}
-	op := func(i int) trace.Operand {
-		return trace.Operand{Index: i, Size: 64, Value: trace.IntValue(int64(1000 + i)), IsReg: true, Name: fmt.Sprintf("a%d", i)}
-	}
-	dyn := int64(0)
-	rec := func(fn string, line, opcode, nops int, result bool) trace.Record {
-		dyn++
-		r := trace.Record{Line: line, Func: fn, Block: "b", Opcode: opcode, DynID: dyn}
-		for i := 1; i <= nops; i++ {
-			r.Ops = append(r.Ops, op(i))
-		}
-		if result {
-			res := op(0)
-			r.Result = &res
-		}
-		return r
-	}
-	var recs []trace.Record
-	recs = append(recs, rec("main", 5, trace.OpAlloca, 0, true)) // region A
-	for excursion := 0; excursion < 2; excursion++ {
-		recs = append(recs, rec("main", 12, trace.OpLoad, 1, true)) // in the MCLR
-		for i := 0; i < parkChunkRecords+3; i++ {                   // more records than one chunk takes
-			recs = append(recs, rec("callee", 40, trace.OpAdd, 2, true))
-		}
-		recs = append(recs, rec("callee", 41, trace.OpCall, parkChunkOps+9, true))
-		for i := 0; i < 70; i++ { // longer than the batches below, so the Call never shares one with the record that decides it
-			recs = append(recs, rec("callee", 42, trace.OpStore, 2, false))
-		}
-	}
-	recs = append(recs, rec("main", 12, trace.OpLoad, 1, true)) // closes the second excursion
-	recs = append(recs, rec("main", 30, trace.OpRet, 0, false)) // region C
-
-	want := spanLog(recs, spec)
-	for label, cuts := range map[string][]int{"whole": nil, "every-1": everyN(1, len(recs)), "every-64": everyN(64, len(recs))} {
-		got, p := scanLog(recs, spec, cuts)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: oversized record did not replay intact (%d records emitted, want %d)", label, len(got), len(want))
-		}
-		if label == "whole" {
-			continue // one batch decides both excursions: nothing parks but the epilogue
-		}
-		// 515 ordinary records (1,545 operands) fill two chunks by operand
-		// count, the Call takes its own, the Stores start a fourth; the
-		// second excursion must fit the same four.
-		if n := len(p.parked.chunks); n != 4 {
-			t.Errorf("%s: %d parking chunks after two identical excursions, want 4 (allocated once, reused)", label, n)
-		}
-		big := 0
-		for _, c := range p.parked.chunks {
-			if cap(c.ops) > parkChunkOps {
-				big++
+			for _, d := range referenceDiff(want, got) {
+				t.Errorf("%s/%s: %s", tc.name, label, d)
 			}
-		}
-		if big != 1 {
-			t.Errorf("%s: %d chunks with an oversized arena, want 1", label, big)
 		}
 	}
 }
 
 // TestEngineLoopNeverStartsOrNeverCloses: batches that contain no in-MCLR
 // record at all. A loop that never starts is a *NoLoopError counting every
-// record; a stream that ends inside an excursion resolves the parked run
-// as region C, like the offline sweep over the same truncated records.
+// record; a stream that ends inside an excursion resolves the open run as
+// region C, like the offline sweep over the same truncated records.
 func TestEngineLoopNeverStartsOrNeverCloses(t *testing.T) {
 	recs, mod := traceOf(t, haloSource)
 	opts := DefaultOptions()

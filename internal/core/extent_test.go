@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"hash/crc32"
 	"strconv"
 	"strings"
@@ -42,14 +43,13 @@ func specsFrom(data []byte) []LoopSpec {
 	return specs
 }
 
-// FuzzTextExtent holds the extent of every kind of source to the plain
-// definition — the first and the last record LoopSpec.contains accepts, and
-// the record count — on arbitrary text with specs drawn from the text
-// itself (specsFrom). Reading block headers in place from both ends
-// (textSource), walking a record slice inward (sliceSource) and the
-// header-only sweep (streamSource) must all give that answer whenever the
-// full decode succeeds; when it fails, the in-place read, which validates
-// nothing, must still not panic.
+// FuzzTextExtent holds the loop's extent in a text trace, as the engine
+// finds it, to the plain definition — the first and the last record
+// LoopSpec.contains accepts, and the record count — on arbitrary text with
+// specs drawn from the text itself (specsFrom): AnalyzeBytes reports those
+// region stats, or a *NoLoopError counting every record when no record
+// matches, and Analyze over the decoded records the same; text the decoder
+// rejects fails AnalyzeBytes with the decoder's error.
 func FuzzTextExtent(f *testing.F) {
 	const block = "0,17,main,for.body,27,7\n1,1,64,0x10,1,p\nr,0,64,5,1,8\n"
 	const pre, post = "0,3,main,entry,26,1\nr,0,64,0x7ff8,1,i\n", "0,30,main,exit,1,9\n"
@@ -80,33 +80,34 @@ func FuzzTextExtent(f *testing.F) {
 			return
 		}
 		recs, perr := trace.ParseBytes(data)
-		var sc scratch
 		for _, spec := range specsFrom(data) {
-			text := &textSource{streamSource: streamSource{open: bytesReaderOpener(data), batch: &sc.batch}, data: data}
-			bStart, bEnd, n, err := text.extent(spec)
-			if err != nil {
-				t.Fatalf("textSource.extent(%+v) of %q: %v", spec, data, err)
-			}
+			res, err := AnalyzeBytes(data, spec, DefaultOptions())
 			if perr != nil {
+				if err == nil || err.Error() != perr.Error() {
+					t.Fatalf("AnalyzeBytes(%+v) of %q: error %v, want the decode error %v", spec, data, err, perr)
+				}
 				continue
 			}
-			first, last := -1, -1
-			for i := range recs {
-				if spec.contains(&recs[i]) {
-					if first < 0 {
-						first = i
+			first, last := refExtent(recs, spec)
+			want := Stats{Records: len(recs), RegionA: first, RegionB: last - first + 1, RegionC: len(recs) - last - 1}
+			offline, oerr := Analyze(recs, spec, DefaultOptions())
+			for name, got := range map[string]struct {
+				res *Result
+				err error
+			}{"AnalyzeBytes": {res, err}, "Analyze": {offline, oerr}} {
+				var nle *NoLoopError
+				switch {
+				case first < 0:
+					if !errors.As(got.err, &nle) || nle.Records != len(recs) {
+						t.Errorf("%s(%+v) of %q: %v, want a *NoLoopError over %d records", name, spec, data, got.err, len(recs))
 					}
-					last = i
-				}
-			}
-			want := [3]int{first, last, len(recs)}
-			if got := [3]int{bStart, bEnd, n}; got != want {
-				t.Errorf("textSource.extent(%+v) of %q = %v, the decoded records have %v", spec, data, got, want)
-			}
-			for name, src := range map[string]source{"sliceSource": sliceSource(recs), "streamSource": &text.streamSource} {
-				bStart, bEnd, n, err := src.extent(spec)
-				if got := [3]int{bStart, bEnd, n}; err != nil || got != want {
-					t.Errorf("%s.extent(%+v) of %q = %v, %v, the decoded records have %v", name, spec, data, got, err, want)
+				case got.err != nil:
+					t.Errorf("%s(%+v) of %q: %v", name, spec, data, got.err)
+				default:
+					if st := got.res.Stats; st.Records != want.Records || st.RegionA != want.RegionA ||
+						st.RegionB != want.RegionB || st.RegionC != want.RegionC {
+						t.Errorf("%s(%+v) of %q: stats %+v, the decoded records have %+v", name, spec, data, st, want)
+					}
 				}
 			}
 		}

@@ -29,11 +29,11 @@ func (in *Input) analyze() (*Result, error) {
 
 // analyzeIn is analyze over a caller-owned scratch bundle. AnalyzeMany
 // hands each worker its own bundle so consecutive traces on the same
-// worker reuse one analyzer, batch arena, and region slice.
+// worker reuse one engine and batch arena.
 func (in *Input) analyzeIn(sc *scratch) (*Result, error) {
 	switch {
 	case in.Records != nil:
-		return analyzeScheduleIn(sc, sliceSource(in.Records), in.Spec, in.Opts)
+		return analyzeRecordsIn(sc, in.Records, in.Spec, in.Opts)
 	case in.Data != nil:
 		return analyzeBytesIn(sc, in.Data, in.Spec, in.Opts)
 	case in.Path != "":

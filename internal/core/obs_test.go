@@ -8,16 +8,16 @@ import (
 	"autocheck/internal/trace"
 )
 
-// TestAnalysisObsSweepTimings checks the offline schedule records one
-// observation per sweep — partition and the fused analysis sweep — plus
-// identification and the record counter, and nothing else; requesting a
-// DDG runs the same two sweeps.
+// TestAnalysisObsSweepTimings checks an entry point records one
+// observation of its one sweep — the engine's — plus identification and
+// the record counter, and nothing else; requesting a DDG runs the same
+// sweep.
 func TestAnalysisObsSweepTimings(t *testing.T) {
 	for _, ddg := range []bool{false, true} {
 		reg := obs.New()
 		res := analyzeFig4(t, Options{IncludeGlobals: true, BuildDDG: ddg, Obs: reg})
 		s := reg.Snapshot()
-		want := []string{"core.sweep.partition.ns", "core.sweep.analyze.ns", "core.identify.ns"}
+		want := []string{"core.engine.sweep.ns", "core.identify.ns"}
 		if len(s.Histograms) != len(want) {
 			t.Errorf("BuildDDG=%v: histograms %v, want exactly %v", ddg, s.Histograms, want)
 		}
@@ -26,8 +26,8 @@ func TestAnalysisObsSweepTimings(t *testing.T) {
 				t.Errorf("BuildDDG=%v: %s count = %d, want 1", ddg, h, got)
 			}
 		}
-		if got := s.Counters["core.analyze.records"]; got != int64(res.Stats.Records) {
-			t.Errorf("BuildDDG=%v: core.analyze.records = %d, want %d", ddg, got, res.Stats.Records)
+		if got := s.Counters["core.engine.records"]; got != int64(res.Stats.Records) {
+			t.Errorf("BuildDDG=%v: core.engine.records = %d, want %d", ddg, got, res.Stats.Records)
 		}
 	}
 }

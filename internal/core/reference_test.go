@@ -21,9 +21,13 @@ import (
 // sums keyed by VarID — with its variable table, kept as the oracle the
 // register-row, variable-slot pass is held to. The bodies are the old
 // ones; only the receiver and table types are renamed. It shares with the
-// production pass what that change left alone: the partitioners, the
-// summary type, the record helpers (accessAddr, isNumeric) and the §IV-C
-// rules (classifySummary, ruleText, critical).
+// production pass what that change left alone: the summary type, the
+// record helpers (accessAddr, isNumeric) and the §IV-C rules
+// (classifySummary, ruleText, critical). Its drivers keep the two region
+// partitioners the engine's fork replaced: the offline one, which knows
+// the loop's extent before the pass starts, and the online one, which
+// parks every record it cannot place yet until the loop resumes or the
+// stream ends.
 
 // refVarTable is the address table without slots.
 type refVarTable struct {
@@ -603,7 +607,7 @@ func (a *refAnalyzer) setRegNode(key regKey, n *ddg.Node) {
 }
 
 // step feeds a run of consecutive records that share one region through
-// the fused pass — what both partitioners emit. MLI membership is
+// the fused pass — what both reference partitioners emit. MLI membership is
 // incomplete while the pass runs, so summaries are kept for every variable
 // and intersected with the MLI set in finish.
 func (a *refAnalyzer) step(recs []trace.Record, reg Region) {
@@ -806,33 +810,99 @@ func (a *refAnalyzer) findInductionVars() []*VarInfo {
 
 // ---- Drivers: the reference pass on the offline schedule and online ----
 
-// refAnalyze is Analyze with the reference pass: the span partitioner
-// over the records' loop extent, then one fused sweep.
+// refExtent is the loop's dynamic extent: the indices of the first and
+// the last record spec contains, (-1, -1) when none does. Region B is
+// everything between them, callee excursions included.
+func refExtent(recs []trace.Record, spec LoopSpec) (first, last int) {
+	first, last = -1, -1
+	for i := range recs {
+		if spec.contains(&recs[i]) {
+			if first < 0 {
+				first = i
+			}
+			last = i
+		}
+	}
+	return first, last
+}
+
+// refAnalyze is Analyze with the reference pass on the offline schedule:
+// the loop's extent, then one fused sweep over the three regions.
 func refAnalyze(recs []trace.Record, spec LoopSpec, opts Options) (*Result, error) {
-	bStart, bEnd, n, _ := sliceSource(recs).extent(spec)
-	part := &spanPartitioner{bStart: bStart, bEnd: bEnd, n: n}
-	if !part.sawLoop() {
-		return nil, &NoLoopError{Spec: spec, Records: n}
+	first, last := refExtent(recs, spec)
+	if first < 0 {
+		return nil, &NoLoopError{Spec: spec, Records: len(recs)}
 	}
 	a := newRefAnalyzer(spec, opts)
-	res := &Result{Spec: spec, Stats: part.stats()}
-	part.runs(0, recs, a.step)
+	res := &Result{Spec: spec, Stats: Stats{
+		Records: len(recs),
+		RegionA: first,
+		RegionB: last - first + 1,
+		RegionC: len(recs) - last - 1,
+	}}
+	a.step(recs[:first], RegionBefore)
+	a.step(recs[first:last+1], RegionLoop)
+	a.step(recs[last+1:], RegionAfter)
 	a.finish(res)
 	return res, nil
 }
 
-// refOnline is Engine with the reference pass, fed recs in batches that
-// end before each cut.
+// refParker is the online partitioner the engine's fork replaced: once
+// the loop has started, a record outside the MCLR is copied aside
+// (parked) until the next in-MCLR record proves it an excursion inside
+// the loop (region B) or the end of the stream proves it the loop's exit
+// (region C).
+type refParker struct {
+	spec   LoopSpec
+	inLoop bool
+	parked []trace.Record
+	counts [3]int
+}
+
+func (p *refParker) observe(recs []trace.Record, emit func([]trace.Record, Region)) {
+	for i := range recs {
+		r := &recs[i]
+		switch {
+		case p.spec.contains(r):
+			p.inLoop = true
+			p.flush(RegionLoop, emit)
+			p.emit(recs[i:i+1], RegionLoop, emit)
+		case p.inLoop:
+			p.parked = append(p.parked, r.Clone())
+		default:
+			p.emit(recs[i:i+1], RegionBefore, emit)
+		}
+	}
+}
+
+func (p *refParker) flush(reg Region, emit func([]trace.Record, Region)) {
+	p.emit(p.parked, reg, emit)
+	p.parked = p.parked[:0]
+}
+
+func (p *refParker) emit(recs []trace.Record, reg Region, emit func([]trace.Record, Region)) {
+	if len(recs) > 0 {
+		p.counts[reg] += len(recs)
+		emit(recs, reg)
+	}
+}
+
+// refOnline is Engine with the reference pass and the parking
+// partitioner, fed recs in batches that end before each cut.
 func refOnline(recs []trace.Record, spec LoopSpec, opts Options, cuts []int) (*Result, error) {
 	a := newRefAnalyzer(spec, opts)
-	part := &scanPartitioner{spec: spec}
-	feedCut(recs, cuts, func(b []trace.Record) { part.observe(b, a.step) })
-	part.finish(a.step)
-	stats := part.stats()
-	if !part.sawLoop() {
-		return nil, &NoLoopError{Spec: spec, Records: stats.Records}
+	p := &refParker{spec: spec}
+	feedCut(recs, cuts, func(b []trace.Record) { p.observe(b, a.step) })
+	p.flush(RegionAfter, a.step)
+	if !p.inLoop {
+		return nil, &NoLoopError{Spec: spec, Records: p.counts[RegionBefore]}
 	}
-	res := &Result{Spec: spec, Stats: stats}
+	res := &Result{Spec: spec, Stats: Stats{
+		Records: p.counts[0] + p.counts[1] + p.counts[2],
+		RegionA: p.counts[RegionBefore],
+		RegionB: p.counts[RegionLoop],
+		RegionC: p.counts[RegionAfter],
+	}}
 	a.finish(res)
 	return res, nil
 }
@@ -997,6 +1067,14 @@ type genVar struct {
 // results after it on lines 30-40, and calls f (form 2, with a pointer
 // parameter p) and pow (form 1). The cases the reference must agree on
 // are generated on purpose:
+//   - in-loop excursions of 1 to several hundred records away from the
+//     MCLR: the back edge's one record on line 21, main's own records on
+//     lines 21-22, and calls whose bodies run from a few records to a few
+//     hundred — every seed has one of each;
+//   - a global (G3) first named, and grown, inside a callee excursion;
+//   - an epilogue that calls f, reads the loop's outputs, grows a global
+//     past its end, and names a new global (G4) at a base inside G2's
+//     grown footprint, which truncates G2;
 //   - reused stack slots: main re-allocates mloop at the same base every
 //     iteration (sometimes with another size), and every call re-allocates
 //     f's locals at one of two bases, or h's local over f's;
@@ -1057,10 +1135,13 @@ func (g *streamGen) addr(v genVar) uint64 {
 }
 
 // Addresses below the first global's base resolve to no variable; the
-// last global owns every address above its base.
+// last global owns every address above its base. genGap is where G2's
+// footprint grows past its declared 8 bytes, over the bases of G4 and G3,
+// which the stream names later.
 const (
 	genNowhere = 0x800
 	genFar     = 0x9000_0000
+	genGap     = 0x1208
 )
 
 // pointer returns the pointer operand (at index idx) of an access to v:
@@ -1069,11 +1150,13 @@ const (
 // last global.
 func (g *streamGen) pointer(fn string, line, idx int, v genVar) trace.Operand {
 	a := g.addr(v)
-	switch g.rng.Intn(12) {
+	switch g.rng.Intn(13) {
 	case 0, 1:
 		return ptrOp(idx, "", true, genNowhere+uint64(g.rng.Intn(4))*8)
 	case 2:
 		return ptrOp(idx, "", true, genFar+uint64(g.rng.Intn(4))*8)
+	case 12:
+		return g.overreach(idx)
 	case 3:
 		return ptrOp(idx, "7", false, a)
 	case 4, 5, 6:
@@ -1096,6 +1179,13 @@ func (g *streamGen) pointer(fn string, line, idx int, v genVar) trace.Operand {
 		return ptrOp(idx, r, true, a)
 	}
 	return ptrOp(idx, v.name, g.rng.Intn(2) == 0, a)
+}
+
+// overreach returns an unnamed pointer operand into the gap past G2: it
+// resolves to whichever of G2, G4 and G3 is named and nearest below it,
+// and grows that global's footprint.
+func (g *streamGen) overreach(idx int) trace.Operand {
+	return ptrOp(idx, "", true, genGap+uint64(g.rng.Intn(31))*8)
 }
 
 func (g *streamGen) load(fn string, line int, v genVar) {
@@ -1174,6 +1264,8 @@ func (g *streamGen) body(fn string, lines [2]int, vars []genVar, n int) {
 
 var (
 	genGlobals = []genVar{{"G0", 0x1000, 8}, {"G1", 0x1100, 64}, {"G2", 0x1200, 8}}
+	genLate    = genVar{"G3", 0x1240, 64} // first named inside a callee excursion
+	genTail    = genVar{"G4", 0x1220, 8}  // first named in the epilogue
 	genMain    = []genVar{{"a", 0x7f00, 8}, {"b", 0x7f40, 64}, {"i", 0x7f80, 8}, {"s", 0x7f88, 8}}
 	genMloop   = genVar{"mloop", 0x7fc0, 8}
 	genF       = []genVar{{"t", 0x6000, 8}, {"buf", 0x6008, 32}}
@@ -1181,9 +1273,20 @@ var (
 	genH       = genVar{"u", 0x6000, 16}
 )
 
-// call emits a form-2 call main → f(p) with f's body, sometimes through a
-// nested call to h that reuses f's frame.
+// call emits a form-2 call main → f(p) with a body of random length over
+// one of the globals main named.
 func (g *streamGen) call(line int, mainVars []genVar) {
+	steps := 3 + g.rng.Intn(8)
+	if g.rng.Intn(8) == 0 {
+		steps = 40 + g.rng.Intn(120)
+	}
+	g.callWith(line, mainVars, genGlobals[g.rng.Intn(len(genGlobals))], steps)
+}
+
+// callWith emits a form-2 call main → f(p) with f's body of steps random
+// steps over f's locals, p and global, sometimes through a nested call to
+// h that reuses f's frame.
+func (g *streamGen) callWith(line int, mainVars []genVar, global genVar, steps int) {
 	arg := mainVars[g.rng.Intn(len(mainVars))]
 	argOp := ptrOp(1, arg.name, true, arg.base)
 	if g.rng.Intn(3) == 0 {
@@ -1204,7 +1307,9 @@ func (g *streamGen) call(line int, mainVars []genVar) {
 		fvars = append(fvars, v)
 	}
 	pv := genVar{"p", arg.base, arg.size}
-	g.body("f", [2]int{101, 110}, append(fvars, pv, genGlobals[g.rng.Intn(len(genGlobals))]), 3+g.rng.Intn(8))
+	// A global's first reference names its base.
+	g.emit("f", 101, trace.OpStore, nil, regOp(1, g.anyReg()), ptrOp(2, global.name, true, global.base))
+	g.body("f", [2]int{101, 110}, append(fvars, pv, global), steps)
 	if g.rng.Intn(4) == 0 {
 		g.emit("f", 111, trace.OpCall, nil, trace.Operand{Index: 0, Size: 64, Value: trace.PtrValue(0x30), Name: "h"})
 		g.alloca("h", 200, genH)
@@ -1222,7 +1327,8 @@ func randomStream(seed int64) []trace.Record {
 		v.size = []uint64{8, 8, 16}[g.rng.Intn(3)]
 		return v
 	}
-	// Region A: main's locals, first references to the globals, a warm-up.
+	// Region A: main's locals, first references to the globals, a warm-up,
+	// and G2 grown over the bases of G4 and G3.
 	for _, v := range genMain {
 		g.alloca("main", 1, v)
 	}
@@ -1231,15 +1337,34 @@ func randomStream(seed int64) []trace.Record {
 	for _, v := range genGlobals {
 		g.store("main", 3, genVar{v.name, v.base, 8})
 	}
+	g.emit("main", 3, trace.OpLoad, resOp(g.anyReg()), ptrOp(1, "", true, genLate.base+16))
 	g.body("main", [2]int{3, 9}, append(vars, genGlobals...), 10+g.rng.Intn(20))
-	// Region B: the loop, with main's own reused slot every iteration.
-	for it := 1 + g.rng.Intn(5); it > 0; it-- {
+	// Region B: two or more iterations of the loop, with main's own reused
+	// slot every iteration and the back edge on line 21, outside the MCLR.
+	// The first iteration calls f for a few hundred records, naming G3 and
+	// growing it.
+	for it, n := 0, 2+g.rng.Intn(4); it < n; it++ {
 		g.alloca("main", 10, mloop())
 		g.induction("main", 11, genMain[2])
+		if it == 0 {
+			g.callWith(12, vars, genLate, 40+g.rng.Intn(120))
+		}
 		g.body("main", [2]int{10, 20}, append(vars, genGlobals...), 5+g.rng.Intn(25))
+		if g.rng.Intn(2) == 0 {
+			g.body("main", [2]int{21, 22}, append(vars, genGlobals...), 1+g.rng.Intn(3))
+			g.emit("main", 20, trace.OpBr, nil)
+		}
+		g.emit("main", 21, trace.OpBr, nil)
 	}
-	// Region C.
-	g.body("main", [2]int{30, 40}, append(vars, genGlobals...), 3+g.rng.Intn(10))
+	// Region C: a call, the loop's outputs read, a global grown past its
+	// end, G4 named inside G2's grown footprint, then random steps.
+	g.call(30, vars)
+	for _, v := range append(vars, genGlobals...) {
+		g.load("main", 31, v)
+	}
+	g.emit("main", 32, trace.OpLoad, resOp(g.anyReg()), g.overreach(1))
+	g.emit("main", 33, trace.OpStore, nil, regOp(1, g.anyReg()), ptrOp(2, genTail.name, true, genTail.base))
+	g.body("main", [2]int{34, 40}, append(append(vars, genGlobals...), genTail, genLate), 3+g.rng.Intn(10))
 	return g.recs
 }
 

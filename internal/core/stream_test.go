@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"autocheck/internal/ddg"
@@ -75,7 +78,6 @@ func TestStreamEquivalenceDDG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Streaming = true
 	got, err := AnalyzeBytes(trace.EncodeAll(recs), fig4Spec, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -126,9 +128,7 @@ func TestAnalyzeFileStreaming(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		o := opts
-		o.Streaming = true
-		got, err := AnalyzeFile(path, fig4Spec, o)
+		got, err := AnalyzeFile(path, fig4Spec, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -145,7 +145,6 @@ func TestStreamMissingLoop(t *testing.T) {
 	recs, mod := traceOf(t, fig4Source)
 	opts := DefaultOptions()
 	opts.Module = mod
-	opts.Streaming = true
 	_, err := AnalyzeBytes(trace.EncodeAll(recs), LoopSpec{Function: "nope", StartLine: 1, EndLine: 2}, opts)
 	if err == nil {
 		t.Fatal("streaming analysis of absent loop succeeded")
@@ -159,7 +158,6 @@ func TestStreamPropagatesParseError(t *testing.T) {
 	data := trace.EncodeAll(recs)
 	data = append(data, []byte("0,notanint,f,b,27,1\n")...)
 	opts := DefaultOptions()
-	opts.Streaming = true
 	if _, err := AnalyzeBytes(data, fig4Spec, opts); err == nil {
 		t.Fatal("corrupt tail did not fail the streaming analysis")
 	}
@@ -188,7 +186,6 @@ func TestStreamGlobalFootprintParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Streaming = true
 	got, err := AnalyzeBytes(trace.EncodeAll(recs), spec, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -196,5 +193,38 @@ func TestStreamGlobalFootprintParity(t *testing.T) {
 	requireEquivalent(t, "global-footprint", want, got)
 	if len(want.MLI) != 1 || want.MLI[0].SizeBytes != 8 || got.MLI[0].SizeBytes != 8 {
 		t.Fatalf("footprint is not the 8 bytes regions A and B touched: records %+v, bytes %+v", want.MLI, got.MLI)
+	}
+}
+
+// TestAnalyzeFileCapsRecords pins the one difference between the two
+// trace-bytes entry points: AnalyzeFile streams the file through a bounded
+// window, so a single record over 4 MiB is an error wrapping
+// bufio.ErrTooLong, while AnalyzeBytes reads bytes already in memory and
+// analyzes the same trace like Analyze does.
+func TestAnalyzeFileCapsRecords(t *testing.T) {
+	recs, mod := traceOf(t, fig4Source)
+	opts := DefaultOptions()
+	opts.Module = mod
+	// A region-A record whose function name alone is past the cap.
+	long := trace.Record{Line: 1, Func: strings.Repeat("f", 4<<20+16), Block: "b", Opcode: trace.OpBr, DynID: 0}
+	recs = append([]trace.Record{long}, recs...)
+	want, err := Analyze(recs, fig4Spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for label, data := range map[string][]byte{"text": trace.EncodeAll(recs), "binary": trace.EncodeBinary(recs)} {
+		got, err := AnalyzeBytes(data, fig4Spec, opts)
+		if err != nil {
+			t.Fatalf("%s: AnalyzeBytes: %v", label, err)
+		}
+		requireEquivalent(t, label, want, got)
+		path := filepath.Join(dir, "trace."+label)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := AnalyzeFile(path, fig4Spec, opts); !errors.Is(err, bufio.ErrTooLong) {
+			t.Errorf("%s: AnalyzeFile error %v, want one wrapping bufio.ErrTooLong", label, err)
+		}
 	}
 }

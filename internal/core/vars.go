@@ -61,9 +61,11 @@ type VarInfo struct {
 func (v *VarInfo) ID() VarID { return VarID{Fn: v.Fn, Name: v.Name, Base: v.Base} }
 
 // span is a half-open address interval [lo, hi) owned by a variable.
+// For a global, hi is its footprint's end, and bhi the end its growth
+// inside an open fork reached (see varTable.fork); bhi == hi otherwise.
 type span struct {
-	lo, hi uint64
-	v      *VarInfo
+	lo, hi, bhi uint64
+	v           *VarInfo
 }
 
 // varTable resolves memory addresses to variables. Local variables are
@@ -77,19 +79,31 @@ type span struct {
 // addAlloca and noteGlobal stamp each VarInfo they create with its VarID's
 // slot (see the package comment): once per allocation, never per access,
 // and keyed by identity, never by pointer.
+//
+// A reported footprint is what regions A and B touched. While a fork is
+// open (engine.go) the run may still turn out to be region C, so its
+// growth is held aside in bhi: commit applies it, and a rollback leaves
+// it unapplied, as region C grows nothing. A new global's base truncates
+// both ends, each as it stands. Resolution is unaffected either way —
+// globals resolve by greatest base, never by extent.
 type varTable struct {
 	locals  []span // sorted by lo, non-overlapping
 	globals []span // sorted by lo; hi grows with observed footprint
 	gByName map[string]*VarInfo
 	slots   map[VarID]int
-	frozen  bool // stop growing global footprints (see freeze)
+	fork    bool // hold growth aside in bhi
 }
 
-// freeze stops global-footprint growth. Resolution is unaffected —
-// globals resolve by greatest base, never by extent — so freezing changes
-// only the sizes recorded from here on. The fused pass freezes at the
-// loop's end: a reported footprint is what regions A and B touched.
-func (t *varTable) freeze() { t.frozen = true }
+// commit applies the growth held aside and ends the fork.
+func (t *varTable) commit() {
+	t.fork = false
+	for i := range t.globals {
+		if g := &t.globals[i]; g.hi != g.bhi {
+			g.hi = g.bhi
+			g.v.SizeBytes = int64(g.hi - g.lo)
+		}
+	}
+}
 
 func newVarTable() *varTable {
 	return &varTable{gByName: make(map[string]*VarInfo), slots: make(map[VarID]int)}
@@ -115,7 +129,7 @@ func (t *varTable) reset() {
 	t.globals = t.globals[:0]
 	clear(t.gByName)
 	clear(t.slots)
-	t.frozen = false
+	t.fork = false
 }
 
 // addAlloca registers a local variable's storage, evicting any previous
@@ -149,12 +163,15 @@ func (t *varTable) noteGlobal(name string, base uint64, dyn int64, line int) *Va
 	v := &VarInfo{Name: name, Fn: "", Base: base, SizeBytes: 8, Global: true, FirstDyn: dyn, FirstLine: line}
 	t.slotOf(v)
 	t.gByName[name] = v
-	sp := span{lo: base, hi: base + 8, v: v}
+	sp := span{lo: base, hi: base + 8, bhi: base + 8, v: v}
 	i := sort.Search(len(t.globals), func(i int) bool { return t.globals[i].lo >= base })
-	if i > 0 && t.globals[i-1].hi > base {
+	if i > 0 {
 		prev := &t.globals[i-1]
-		prev.hi = base
-		prev.v.SizeBytes = int64(prev.hi - prev.lo)
+		prev.bhi = min(prev.bhi, base)
+		if prev.hi > base {
+			prev.hi = base
+			prev.v.SizeBytes = int64(prev.hi - prev.lo)
+		}
 	}
 	t.globals = append(t.globals[:i], append([]span{sp}, t.globals[i:]...)...)
 	return v
@@ -202,9 +219,12 @@ func (t *varTable) lookup(addr uint64, access bool) *VarInfo {
 	if j < len(t.globals) && addr >= t.globals[j].lo {
 		return nil // inside the next global's territory (defensive; unreachable)
 	}
-	if access && addr >= g.hi && !t.frozen {
-		g.hi = addr + 8
-		if g.v.SizeBytes < int64(g.hi-g.lo) {
+	if access && addr >= g.bhi {
+		// A global's size is always hi - lo: it starts at 8 bytes and moves
+		// only with hi.
+		g.bhi = addr + 8
+		if !t.fork {
+			g.hi = g.bhi
 			g.v.SizeBytes = int64(g.hi - g.lo)
 		}
 	}

@@ -67,6 +67,12 @@ type Graph struct {
 	in      map[*Node][]Edge
 	writes  []writeMark
 	nameIdx map[string]*Node
+
+	// Between Mark and Commit or Rollback: the vertex and write-mark
+	// counts at Mark, and every edge added since.
+	marked             bool
+	markNodes, markWrs int
+	journal            []Edge
 }
 
 // New returns an empty graph.
@@ -101,6 +107,45 @@ func (g *Graph) AddEdge(from, to *Node, t int64) {
 	e := Edge{From: from, To: to, Time: t}
 	g.out[from] = append(g.out[from], e)
 	g.in[to] = append(g.in[to], e)
+	if g.marked {
+		g.journal = append(g.journal, e)
+	}
+}
+
+// Mark starts growing the graph tentatively: Commit keeps what is added
+// from here on, Rollback takes it out again, leaving the graph as it was
+// at Mark — vertex IDs included, so the next vertex gets the ID it would
+// have got.
+func (g *Graph) Mark() {
+	g.marked, g.markNodes, g.markWrs = true, len(g.nodes), len(g.writes)
+	g.journal = g.journal[:0]
+}
+
+// Commit keeps what was added since Mark.
+func (g *Graph) Commit() {
+	g.marked = false
+	g.journal = g.journal[:0]
+}
+
+// Rollback removes every vertex, edge and write mark added since Mark.
+func (g *Graph) Rollback() {
+	// Edges are appended to both lists, so the journal pops them in
+	// reverse.
+	for i := len(g.journal) - 1; i >= 0; i-- {
+		e := g.journal[i]
+		g.out[e.From] = g.out[e.From][:len(g.out[e.From])-1]
+		g.in[e.To] = g.in[e.To][:len(g.in[e.To])-1]
+	}
+	for _, n := range g.nodes[g.markNodes:] {
+		delete(g.nameIdx, n.Name)
+		delete(g.out, n)
+		delete(g.in, n)
+	}
+	clear(g.nodes[g.markNodes:])
+	g.nodes = g.nodes[:g.markNodes]
+	clear(g.writes[g.markWrs:])
+	g.writes = g.writes[:g.markWrs]
+	g.Commit()
 }
 
 // MarkWrite records that node was overwritten at time t (used for stores

@@ -1,6 +1,7 @@
 package ddg
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -326,5 +327,44 @@ func TestQuickEventsOrdered(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// listing renders a graph exactly: vertices with IDs in insertion order,
+// then the R/W sequence.
+func listing(g *Graph) string {
+	var b strings.Builder
+	for _, n := range g.Nodes() {
+		fmt.Fprintf(&b, "%d:%s/%s ", n.ID, n.Name, n.Kind)
+	}
+	return b.String() + FormatEvents(g.Events())
+}
+
+// TestRollbackRestoresMark: Rollback takes out every vertex, edge and
+// write mark added since Mark — onto old vertices too — so the graph, and
+// the ID the next vertex gets, are what they were; Commit keeps them.
+func TestRollbackRestoresMark(t *testing.T) {
+	g := New()
+	a, b := g.Node("a", KindLocal), g.Node("b", KindLocal)
+	g.AddEdge(a, b, 1)
+	want := listing(g)
+	grow := func() {
+		r := g.Node("r#2", KindRegister)
+		g.AddEdge(a, r, 2)
+		g.AddEdge(r, b, 2)
+		g.AddEdge(b, a, 3)
+		g.MarkWrite(a, 4)
+	}
+	g.Mark()
+	grow()
+	g.Rollback()
+	if got := listing(g); got != want || g.EdgeCount() != 1 || g.Lookup("r#2") != nil {
+		t.Fatalf("after Rollback: %s, %d edges; want %s, 1 edge", got, g.EdgeCount(), want)
+	}
+	g.Mark()
+	grow()
+	g.Commit()
+	if r := g.Lookup("r#2"); r == nil || r.ID != 2 || g.EdgeCount() != 4 {
+		t.Fatalf("after Commit: %s, %d edges; want r#2 with ID 2 and 4 edges", listing(g), g.EdgeCount())
 	}
 }

@@ -306,19 +306,31 @@ func RunTable4() ([]Table4Row, error) {
 
 // MeasureStorage runs a module until the second main-loop boundary and
 // captures the size of an AutoCheck variable checkpoint and a BLCR-like
-// full snapshot at that instant.
+// full snapshot at that instant. Both images are real ones, sized in
+// memory (no files needed for Table IV): the AutoCheck image is what an L1
+// checkpoint of the critical set encodes to.
 func MeasureStorage(mod *ir.Module, res *core.Result) (autoCheck, blcr int64, err error) {
 	loop, err := validate.FindLoop(mod, res.Spec)
 	if err != nil {
 		return 0, 0, err
 	}
-	// Size the checkpoint in memory (no files needed for Table IV).
+	ctx, err := checkpoint.NewContextBackend(store.NewMemory(), checkpoint.L1)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer ctx.Close()
+	for _, c := range res.Critical {
+		ctx.Protect(c.Name, c.Base, c.SizeBytes)
+	}
 	done := errors.New("harness: measured")
 	_, _, err = loop.Run(func(m *interp.Machine, iter int64) error {
 		if iter < 1 {
 			return nil
 		}
 		blcr = int64(len(checkpoint.FullSnapshot(m, iter)))
+		if err := ctx.Checkpoint(m, iter); err != nil {
+			return err
+		}
 		return done
 	})
 	if err != nil && !errors.Is(err, done) {
@@ -327,12 +339,7 @@ func MeasureStorage(mod *ir.Module, res *core.Result) (autoCheck, blcr int64, er
 	if blcr == 0 {
 		return 0, 0, fmt.Errorf("harness: main loop boundary never reached")
 	}
-	for _, c := range res.Critical {
-		autoCheck += 8 * ((c.SizeBytes + 7) / 8)
-		autoCheck += int64(len(c.Name)) + 24 // record header
-	}
-	autoCheck += 24 // file header + CRC
-	return autoCheck, blcr, nil
+	return ctx.LastBytes(), blcr, nil
 }
 
 // StorageRun is the outcome of checkpointing one full benchmark run

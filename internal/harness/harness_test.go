@@ -1,10 +1,8 @@
 package harness
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -13,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"testing/iotest"
 	"time"
 
 	"autocheck/internal/analysis"
@@ -22,7 +19,6 @@ import (
 	"autocheck/internal/progs"
 	"autocheck/internal/server"
 	"autocheck/internal/store"
-	"autocheck/internal/trace"
 	"autocheck/internal/validate"
 )
 
@@ -95,6 +91,37 @@ func TestTable4ShapeHolds(t *testing.T) {
 	out := FormatTable4(rows)
 	if !strings.Contains(out, "Reduction") {
 		t.Error("formatted Table IV missing reduction column")
+	}
+}
+
+// TestTable4MatchesValidatedCheckpoint: Table IV's AutoCheck column is the
+// size of a real checkpoint image — at the same scale, exactly what the
+// §VI-B validation's L1 checkpoints of the same critical set measure.
+func TestTable4MatchesValidatedCheckpoint(t *testing.T) {
+	names := []string{"CG", "IS", "EP", "HACC"}
+	rows, err := RunValidation(t.TempDir(), validate.Options{}, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		p, err := Prepare(progs.Get(row.Name), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Analyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ac, _, err := MeasureStorage(p.Mod, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ac != row.CkptBytes {
+			t.Errorf("%s: Table IV sizes the AutoCheck checkpoint at %d B, validation's checkpoints are %d B", row.Name, ac, row.CkptBytes)
+		}
+	}
+	if len(rows) != len(names) {
+		t.Errorf("validated %d ports, want %d", len(rows), len(names))
 	}
 }
 
@@ -265,9 +292,7 @@ func TestFormatEquivalenceAllBenchmarks(t *testing.T) {
 				if err := os.WriteFile(path, data, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				opts := p.opts()
-				opts.Streaming = true
-				return func() (*core.Result, error) { return core.AnalyzeFile(path, p.Spec, opts) }
+				return func() (*core.Result, error) { return core.AnalyzeFile(path, p.Spec, p.opts()) }
 			}
 			paths := map[string]func() (*core.Result, error){
 				"records":          func() (*core.Result, error) { return core.Analyze(p.Records, p.Spec, p.opts()) },
@@ -333,86 +358,10 @@ func TestAnalyzeBytesNeverMaterializes(t *testing.T) {
 	}
 }
 
-// unevenReader serves r in Reads of 1 to 97 bytes, in a fixed cycle, so
-// window refills land at every offset inside a record.
-type unevenReader struct {
-	r io.Reader
-	i int
-}
-
-func (u *unevenReader) Read(p []byte) (int, error) {
-	u.i++
-	if n := 1 + u.i*37%97; n < len(p) {
-		p = p[:n]
-	}
-	return u.r.Read(p)
-}
-
-// TestHeaderHopAllBenchmarks is the differential test of the partition
-// sweep's decode of a streamed trace on every port (in-memory text has no
-// such sweep any more, see TestExtentAllBenchmarks): reading the text
-// stream header-only (which hops from block header to block header) and
-// the ACTB stream header-only (which skips every operand) — whole, one
-// byte per Read and in uneven Reads — yields every record of the full
-// decode with the same header fields and no operands, at batch sizes that
-// end a batch on, before and far from a hop.
-func TestHeaderHopAllBenchmarks(t *testing.T) {
-	for _, b := range progs.All() {
-		p, err := Prepare(b, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bin := p.BinData()
-		streams := map[string]struct {
-			format trace.Format
-			open   func() io.Reader
-		}{
-			"text":         {trace.FormatText, func() io.Reader { return bytes.NewReader(p.Data) }},
-			"actb":         {trace.FormatBinary, func() io.Reader { return bytes.NewReader(bin) }},
-			"actb-onebyte": {trace.FormatBinary, func() io.Reader { return iotest.OneByteReader(bytes.NewReader(bin)) }},
-			"actb-uneven":  {trace.FormatBinary, func() io.Reader { return &unevenReader{r: bytes.NewReader(bin)} }},
-		}
-		for name, s := range streams {
-			for _, max := range []int{1, 2, 512} {
-				rd, f, err := trace.NewAutoReader(s.open())
-				if err != nil || f != s.format {
-					t.Fatalf("%s %s: NewAutoReader = (%v, %v), want format %v", b.Name, name, f, err, s.format)
-				}
-				batch := trace.RecordBatch{HeadersOnly: true}
-				i := 0
-				for {
-					n, err := rd.NextBatch(&batch, max)
-					if err != nil {
-						t.Fatalf("%s %s max=%d: %v", b.Name, name, max, err)
-					}
-					if n == 0 {
-						break
-					}
-					for _, h := range batch.Recs[:n] {
-						if i >= len(p.Records) {
-							t.Fatalf("%s %s max=%d: more than the trace's %d records", b.Name, name, max, len(p.Records))
-						}
-						w := p.Records[i]
-						if h.Line != w.Line || h.Func != w.Func || h.Block != w.Block || h.Opcode != w.Opcode ||
-							h.DynID != w.DynID || h.Ops != nil || h.Result != nil {
-							t.Fatalf("%s %s max=%d: record %d header %+v, full decode has %+v", b.Name, name, max, i, h, w)
-						}
-						i++
-					}
-				}
-				if i != len(p.Records) {
-					t.Errorf("%s %s max=%d: %d records, full decode has %d", b.Name, name, max, i, len(p.Records))
-				}
-			}
-		}
-	}
-}
-
 // TestExtentAllBenchmarks pins the partition on every port and every kind
-// of source — in-memory text (block headers read in place from both ends),
-// in-memory ACTB and a streamed text trace (header-only sweeps), and
-// caller-owned records (walked inward from both ends): each reports the
-// Stats an independent front-to-back count of the loop's records gives.
+// of source — in-memory text and ACTB, caller-owned records and a text
+// file streamed from disk: each reports the Stats an independent
+// front-to-back count of the loop's records gives.
 func TestExtentAllBenchmarks(t *testing.T) {
 	for _, b := range progs.All() {
 		p, err := Prepare(b, 0)
@@ -440,11 +389,7 @@ func TestExtentAllBenchmarks(t *testing.T) {
 			"text":    func() (*core.Result, error) { return p.AnalyzeData(p.Data) },
 			"actb":    p.AnalyzeBinary,
 			"records": func() (*core.Result, error) { return core.Analyze(p.Records, p.Spec, p.opts()) },
-			"stream": func() (*core.Result, error) {
-				opts := p.opts()
-				opts.Streaming = true
-				return core.AnalyzeFile(path, p.Spec, opts)
-			},
+			"stream":  func() (*core.Result, error) { return core.AnalyzeFile(path, p.Spec, p.opts()) },
 		}
 		for name, run := range sources {
 			res, err := run()

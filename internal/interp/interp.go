@@ -66,14 +66,6 @@ func (f *Frame) AllocaAddr(name string) (uint64, bool) {
 	return 0, false
 }
 
-// AllocaType returns the allocated type of the named local in this frame.
-func (f *Frame) AllocaType(name string) (ir.Type, bool) {
-	if in := f.alloca(name); in != nil {
-		return in.AllocElem, true
-	}
-	return nil, false
-}
-
 // Watch counts the writes that land in one registered range of a
 // machine's memory (Machine.Watch). The checkpoint layer keeps one per
 // protected variable: an unchanged count proves the variable's cells are
@@ -181,14 +173,6 @@ func (m *Machine) GlobalType(name string) (ir.Type, bool) {
 		return g.Elem, true
 	}
 	return nil, false
-}
-
-// TopFrame returns the currently executing frame (nil when stopped).
-func (m *Machine) TopFrame() *Frame {
-	if len(m.frames) == 0 {
-		return nil
-	}
-	return m.frames[len(m.frames)-1]
 }
 
 // ReadCell reads one 8-byte cell, coercing to the wanted scalar type.

@@ -12,10 +12,7 @@
 // variable and '%8' for a temporary.
 package ir
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Type is the type of an IR value. Scalars are 8 bytes (i64 and f64),
 // which matches the 64-bit operand sizes the paper's traces show.
@@ -95,14 +92,6 @@ func Pointee(t Type) Type {
 	return nil
 }
 
-// ElemType returns the element type of an array, or nil.
-func ElemType(t Type) Type {
-	if a, ok := t.(ArrayType); ok {
-		return a.Elem
-	}
-	return nil
-}
-
 // ScalarBase returns the ultimate scalar element type of a (possibly
 // nested) array or scalar type.
 func ScalarBase(t Type) Type {
@@ -132,13 +121,4 @@ func TypeEqual(a, b Type) bool {
 		return ok && at.Len == bt.Len && TypeEqual(at.Elem, bt.Elem)
 	}
 	return false
-}
-
-// FormatTypeList renders a parameter type list for diagnostics.
-func FormatTypeList(ts []Type) string {
-	parts := make([]string, len(ts))
-	for i, t := range ts {
-		parts[i] = t.String()
-	}
-	return "(" + strings.Join(parts, ", ") + ")"
 }

@@ -20,11 +20,6 @@ import "io"
 
 // RecordBatch is reusable storage for batch decoding.
 type RecordBatch struct {
-	// HeadersOnly decodes every record header-only (nil Ops, nil Result).
-	// Sweeps that consult only header fields — the engine's partition
-	// sweep — skip the dominant share of the decode work.
-	HeadersOnly bool
-
 	// Recs holds the records of the current batch. Managed by NextBatch
 	// and AppendRecord; callers treat it as read-only.
 	Recs []Record
@@ -88,8 +83,7 @@ const DefaultBatchRecords = 512
 
 // ForEachBatch drives rd to the end of its stream in batches, calling fn
 // with each batch of records and the stream index of its first record.
-// The reader decodes straight into b's recycled storage (honoring
-// b.HeadersOnly). A reader that implements io.Closer is closed before
+// The reader decodes straight into b's recycled storage. A reader that implements io.Closer is closed before
 // returning (a close error is reported only when the sweep itself
 // succeeded), and the records passed to fn are only valid for the
 // duration of the call. Over a fed reader the sweep ends where the fed

@@ -199,51 +199,6 @@ func TestNextBatchVsNext(t *testing.T) {
 	}
 }
 
-// TestBatchFilter pins the header-only decode, which is all or nothing:
-// with HeadersOnly set every record keeps exact header fields and carries
-// no operands, stateful decoding (the binary string table) surviving the
-// skipped operands; with it cleared again the same batch decodes complete
-// records.
-func TestBatchFilter(t *testing.T) {
-	recs := randomRecords(rand.New(rand.NewSource(13)), 400)
-	text, bin := EncodeAll(recs), EncodeBinary(recs)
-	want, err := ParseBytes(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b RecordBatch // shared: HeadersOnly is read per NextBatch call
-	for name, open := range batchReaders(t, text, bin) {
-		rd := open()
-		var hdr, full []Record
-		for {
-			b.HeadersOnly = len(hdr) < len(want)/2
-			n, err := rd.NextBatch(&b, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n == 0 {
-				break
-			}
-			for i := range b.Recs[:n] {
-				if b.HeadersOnly {
-					hdr = append(hdr, b.Recs[i].Clone())
-				} else {
-					full = append(full, b.Recs[i].Clone())
-				}
-			}
-		}
-		if len(hdr) < len(want)/2 || len(hdr)+len(full) != len(want) {
-			t.Fatalf("%s: %d header-only and %d full records, want %d in all", name, len(hdr), len(full), len(want))
-		}
-		if err := sameHeaders(want[:len(hdr)], hdr); err != nil {
-			t.Errorf("%s: header-only decode: %v", name, err)
-		}
-		if !equalModuloNaN(want[len(hdr):], full) {
-			t.Errorf("%s: records after HeadersOnly is cleared are not fully decoded", name)
-		}
-	}
-}
-
 // TestErrorIsSticky pins that a decode error is terminal: the records
 // before the bad one are delivered, then every later Next and NextBatch
 // returns the same error and never another record — a decoder that failed
@@ -284,10 +239,10 @@ func TestErrorIsSticky(t *testing.T) {
 	}
 }
 
-// drain reads rd to its end or first error through NextBatch, header-only
-// or not, cloning the records out of the recycled batch.
-func drain(rd BatchReader, headersOnly bool, max int) ([]Record, error) {
-	b := RecordBatch{HeadersOnly: headersOnly}
+// drain reads rd to its end or first error through NextBatch, cloning the
+// records out of the recycled batch.
+func drain(rd BatchReader, max int) ([]Record, error) {
+	var b RecordBatch
 	var out []Record
 	for {
 		n, err := rd.NextBatch(&b, max)
@@ -296,73 +251,6 @@ func drain(rd BatchReader, headersOnly bool, max int) ([]Record, error) {
 		}
 		for i := range b.Recs[:n] {
 			out = append(out, b.Recs[i].Clone())
-		}
-	}
-}
-
-// headersOnly decodes a streamed trace header-only — the partition sweep
-// of a source that cannot be read from its end (in-memory text finds its
-// loop with TextExtent instead), which on text hops from block header to
-// block header without reading the operand lines in between. The stream
-// arrives in small uneven Reads, so hops also meet window refills.
-func headersOnly(data []byte, max int) ([]Record, error) {
-	rd, _, err := NewAutoReader(newChunkReader(data, int64(len(data))))
-	if err != nil {
-		return nil, err
-	}
-	return drain(rd, true, max)
-}
-
-// sameHeaders reports how a header-only decode differs from the full
-// decode of the same bytes: it must yield every record, with identical
-// header fields and no operands.
-func sameHeaders(full, hdr []Record) error {
-	if len(hdr) != len(full) {
-		return fmt.Errorf("%d records, full decode has %d", len(hdr), len(full))
-	}
-	for i, h := range hdr {
-		w := full[i]
-		if h.Line != w.Line || h.Func != w.Func || h.Block != w.Block || h.Opcode != w.Opcode || h.DynID != w.DynID {
-			return fmt.Errorf("record %d header %+v, full decode has %+v", i, h, w)
-		}
-		if h.Ops != nil || h.Result != nil {
-			return fmt.Errorf("record %d carries operands", i)
-		}
-	}
-	return nil
-}
-
-// TestHeaderHopEdgeTraces is the differential test of the header hop on
-// hand-written shapes a byte search for the next "\n0," could get wrong,
-// at batch sizes that end a batch on, before and far from a hop. (The 14
-// ports run the same check in harness.TestHeaderHopAllBenchmarks.)
-func TestHeaderHopEdgeTraces(t *testing.T) {
-	const block = "0,17,main,for.body,27,7\n1,1,64,0x10,1,p\nr,0,64,5,1,8\n"
-	traces := map[string]string{
-		"random":              string(EncodeAll(randomRecords(rand.New(rand.NewSource(15)), 300))),
-		"crlf":                strings.ReplaceAll(block+block, "\n", "\r\n"),
-		"blank-lines":         "\n\n" + block + "\n\n\n" + block + "\n",
-		"no-trailing-newline": block + "0,18,main,for.inc,2,9\n1,1,64,0,0,",
-		"header-at-eof":       block + "0,18,main,for.inc,2,9",
-		"negative-lines":      "0,-1,main,entry,26,1\nr,0,64,0x7ff8,1,i\n0,-1,main,entry,26,2\n",
-		"prefix-function":     "0,17,mai,b,27,1\n1,1,64,0x10,1,main\n0,17,main,b,27,2\n0,17,main2,b,27,3\n",
-		"result-mid-block":    "0,17,main,b,11,1\nr,0,64,3,1,5\n1,1,64,1,1,3\n2,2,64,2,0,\n" + block,
-		"adjacent-headers":    "0,1,f,b,2,1\n0,2,f,b,2,2\n0,3,f,b,2,3\n" + block,
-		"zero-valued-fields":  "0,0,f,b,28,1\n1,1,64,0,0,\n1,2,64,0,0,0\n0,0,f,b,2,2\n",
-	}
-	for name, text := range traces {
-		full, err := ParseBytes([]byte(text))
-		if err != nil || len(full) == 0 {
-			t.Fatalf("%s: fixture does not decode: %d records, %v", name, len(full), err)
-		}
-		for _, max := range []int{1, 2, 512} {
-			hdr, err := headersOnly([]byte(text), max)
-			if err == nil {
-				err = sameHeaders(full, hdr)
-			}
-			if err != nil {
-				t.Errorf("%s max=%d: header-only decode: %v", name, max, err)
-			}
 		}
 	}
 }
@@ -393,12 +281,12 @@ func TestFedReaderMatchesStream(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: NewAutoReader: %v", name, err)
 		}
-		want, werr := drain(st, false, 1)
+		want, werr := drain(st, 1)
 		if strings.HasPrefix(name, "over-cap") && !errors.Is(werr, bufio.ErrTooLong) {
 			t.Fatalf("%s: stream error %v, want a wrapped bufio.ErrTooLong", name, werr)
 		}
 		for _, cuts := range [][]int{{1, 512}, {len(binaryMagic) - 1, 64 << 10}, {max(len(data), 1)}} {
-			got, gerr := drain(newFedReader(data, cuts...), false, 1)
+			got, gerr := drain(newFedReader(data, cuts...), 1)
 			if fmt.Sprint(gerr) != fmt.Sprint(werr) || !equalModuloNaN(want, got) {
 				t.Errorf("%s cuts %v: fed read = %d records, %v; stream = %d records, %v",
 					name, cuts, len(got), gerr, len(want), werr)
@@ -411,7 +299,7 @@ func TestFedReaderMatchesStream(t *testing.T) {
 			ahead.Feed(data[i:min(i+512, len(data))])
 		}
 		ahead.CloseFeed()
-		if got, gerr := drain(ahead, false, 1); fmt.Sprint(gerr) != fmt.Sprint(werr) || !equalModuloNaN(want, got) {
+		if got, gerr := drain(ahead, 1); fmt.Sprint(gerr) != fmt.Sprint(werr) || !equalModuloNaN(want, got) {
 			t.Errorf("%s fed ahead: %d records, %v; stream = %d records, %v", name, len(got), gerr, len(want), werr)
 		}
 	}
@@ -513,8 +401,7 @@ func TestBatchOpsAppendSafe(t *testing.T) {
 // in-memory trace allocates nothing per record once the batch storage has
 // grown to size — the property the streaming analysis path is built on.
 // Text is allocation-free; ACTB, read by a fresh reader per pass as each
-// analysis sweep opens one, allocates its string table's strings and a
-// constant, in full and header-only alike.
+// analysis opens one, allocates its string table's strings and a constant.
 func TestBatchDecodeAllocs(t *testing.T) {
 	recs := randomRecords(rand.New(rand.NewSource(15)), 2000)
 	data := EncodeAll(recs)
@@ -560,25 +447,23 @@ func TestBatchDecodeAllocs(t *testing.T) {
 			strs[r.Result.Name] = true
 		}
 	}
-	for _, headersOnly := range []bool{false, true} {
-		b := RecordBatch{HeadersOnly: headersOnly}
-		sweep := func() {
-			rd, _, err := NewBytesReader(bin)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ForEachBatch(rd, &b, func(int, []Record) error { return nil }); err != nil {
-				t.Fatal(err)
-			}
+	b = RecordBatch{}
+	sweep := func() {
+		rd, _, err := NewBytesReader(bin)
+		if err != nil {
+			t.Fatal(err)
 		}
-		sweep() // sizes Recs and the operand arena
-		// A fresh reader costs a few allocations of its own and the string
-		// table one per distinct string plus its growth.
-		allocs := testing.AllocsPerRun(20, sweep)
-		if limit := float64(len(strs) + 8); allocs > limit {
-			t.Errorf("ACTB headersOnly=%v: warmed sweep of %d records = %.1f allocs, want <= %.0f (%d distinct strings)",
-				headersOnly, len(recs), allocs, limit, len(strs))
+		if err := ForEachBatch(rd, &b, func(int, []Record) error { return nil }); err != nil {
+			t.Fatal(err)
 		}
+	}
+	sweep() // sizes Recs and the operand arena
+	// A fresh reader costs a few allocations of its own and the string
+	// table one per distinct string plus its growth.
+	allocs = testing.AllocsPerRun(20, sweep)
+	if limit := float64(len(strs) + 8); allocs > limit {
+		t.Errorf("ACTB: warmed sweep of %d records = %.1f allocs, want <= %.0f (%d distinct strings)",
+			len(recs), allocs, limit, len(strs))
 	}
 }
 

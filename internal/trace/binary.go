@@ -447,54 +447,6 @@ func (d *binDecoder) operand(o *Operand, p int) int {
 	return p
 }
 
-// skipOperand moves past the operand at data[p:] with every field checked
-// and a new name appended to the string table, which later records refer
-// to. An operand whose numbers skipNumbers cannot skip — and any fault — is
-// left to operand, into a throwaway Operand, so both report the same error.
-func (d *binDecoder) skipOperand(p int) int {
-	if p < len(d.data) {
-		if kind := ValueKind(d.data[p] & 3); kind <= KindPtr {
-			if q, ok := d.skipNumbers(p+1, kind); ok {
-				if _, q = d.str(q); q < 0 {
-					return d.in(q, "operand name")
-				}
-				return q
-			}
-		}
-	}
-	var o Operand
-	return d.operand(&o, p)
-}
-
-// skipNumbers moves past an operand's index, size and value at data[p:]
-// in one step when, as almost always, their varints end within the next
-// eight bytes: each ends at a byte with its high bit clear, and none of
-// eight bytes or fewer can overflow, so there is nothing else to check.
-// When they do not, it reports false and they are walked field by field.
-func (d *binDecoder) skipNumbers(p int, kind ValueKind) (int, bool) {
-	if len(d.data)-p < 8 {
-		return 0, false
-	}
-	m := ^binary.LittleEndian.Uint64(d.data[p:]) & 0x8080808080808080
-	// m flags each varint's last byte: drop the index's, and but for a
-	// float the size's, and the lowest left ends the last varint.
-	m &= m - 1
-	if kind != KindFloat {
-		m &= m - 1
-	}
-	if m == 0 {
-		return 0, false
-	}
-	p += bits.TrailingZeros64(m)/8 + 1
-	if kind == KindFloat {
-		if len(d.data)-p < 8 {
-			return 0, false
-		}
-		p += 8
-	}
-	return p, true
-}
-
 // header checks the magic, the version and the opcode table at the start of
 // data, and moves d.pos past them.
 func (d *binDecoder) header() error {
@@ -551,11 +503,9 @@ func (d *binDecoder) opcodeTable(p int) int {
 // sets, and moves d.pos past it. Its operands are decoded straight into
 // slots of the arena d.ops (callers must not hold d.ops aliases across
 // arena growth — the record's own Ops/Result sub-slices are safe, matching
-// the text decoder). A headersOnly record skips its operands instead —
-// walked and checked, not stored — and carries none. The caller guarantees
-// d.pos < len(d.data).
-func (d *binDecoder) record(rec *Record, headersOnly bool) error {
-	p := d.walk(rec, headersOnly)
+// the text decoder). The caller guarantees d.pos < len(d.data).
+func (d *binDecoder) record(rec *Record) error {
+	p := d.walk(rec)
 	if p < 0 {
 		return d.err(p)
 	}
@@ -563,7 +513,7 @@ func (d *binDecoder) record(rec *Record, headersOnly bool) error {
 	return nil
 }
 
-func (d *binDecoder) walk(rec *Record, headersOnly bool) int {
+func (d *binDecoder) walk(rec *Record) int {
 	p := d.pos
 	flags := d.data[p]
 	if flags > 1 {
@@ -596,12 +546,6 @@ func (d *binDecoder) walk(rec *Record, headersOnly bool) int {
 		return d.fault(corrupt, p, "operand count", "")
 	}
 	rec.Ops, rec.Result = nil, nil
-	if headersOnly {
-		for i := nops + uint64(flags); i > 0 && p >= 0; i-- {
-			p = d.skipOperand(p)
-		}
-		return p
-	}
 	start := len(d.ops)
 	for i := uint64(0); i < nops && p >= 0; i++ {
 		d.ops = extend(d.ops)
@@ -646,7 +590,7 @@ func (d *binDecoder) presize(b *RecordBatch) {
 	probe.strs, probe.ops = slices.Clone(d.strs), nil
 	var rec Record
 	n := 0
-	for ; n < 64 && probe.pos < len(d.data) && probe.record(&rec, false) == nil; n++ {
+	for ; n < 64 && probe.pos < len(d.data) && probe.record(&rec) == nil; n++ {
 	}
 	if n == 0 {
 		return

@@ -148,7 +148,7 @@ func TestBinaryTruncated(t *testing.T) {
 			t.Fatalf("truncated at %d/%d bytes: parsed %d records without error",
 				cut, len(data), len(got))
 		}
-		sgot, serr := drain(newStreamReader(iotest.OneByteReader(bytes.NewReader(data[:cut])), FormatBinary), false, 1)
+		sgot, serr := drain(newStreamReader(iotest.OneByteReader(bytes.NewReader(data[:cut])), FormatBinary), 1)
 		if (err == nil) != (serr == nil) || (err == nil && len(sgot) != len(got)) {
 			t.Fatalf("cut at %d: ParseBinary = (%d records, %v), stream = (%d records, %v)",
 				cut, len(got), err, len(sgot), serr)
@@ -334,16 +334,6 @@ func TestBinaryExtremeValues(t *testing.T) {
 	}
 }
 
-// binaryHeaders decodes an in-memory ACTB trace header-only, max records
-// per batch — the partition sweep's read of it.
-func binaryHeaders(data []byte, max int) ([]Record, error) {
-	rd, _, err := NewBytesReader(data)
-	if err != nil {
-		return nil, err
-	}
-	return drain(rd, true, max)
-}
-
 // varintRecords carries a varint of every length, 1 to 10 bytes, in every
 // varint field: line, dynamic id, operand index and size, int and pointer
 // values.
@@ -364,24 +354,16 @@ func varintRecords() []Record {
 }
 
 // TestBinaryDecodeMatchesReference is the differential test of the cursor
-// decode against the field-at-a-time reference, without the fuzzer: in
-// full and header-only, it must yield the reference's records or its exact
-// error string — on well-formed traces, on every prefix of one (each a
+// decode against the field-at-a-time reference, without the fuzzer: it
+// must yield the reference's records or its exact error string — on well-formed traces, on every prefix of one (each a
 // truncation somewhere), and on single-byte corruptions of every byte of
 // one (each a fault in whatever field the byte belongs to).
 func TestBinaryDecodeMatchesReference(t *testing.T) {
 	check := func(label string, data []byte) {
 		t.Helper()
 		got, err := ParseBinary(data)
-		if err := sameBinaryDecode(data, false, got, err); err != nil {
+		if err := sameBinaryDecode(data, got, err); err != nil {
 			t.Fatalf("%s: full decode: %v", label, err)
-		}
-		if DetectFormat(data) != FormatBinary {
-			return // a prefix shorter than the magic: read as text
-		}
-		hdr, err := binaryHeaders(data, 7)
-		if err := sameBinaryDecode(data, true, hdr, err); err != nil {
-			t.Fatalf("%s: header-only decode: %v", label, err)
 		}
 	}
 	check("sampleRecords", EncodeBinary(sampleRecords()))

@@ -14,11 +14,10 @@ import (
 // bytes that sniff as text must decode to exactly what the reference text
 // decoder (reference_test.go) makes of them, records or error string, and
 // bytes that sniff as ACTB to what the reference ACTB decoder makes of
-// them, in full and header-only; whatever the bytes sniff as, a stream of
+// them; whatever the bytes sniff as, a stream of
 // them refilled in small uneven Reads must decode exactly as the same
 // bytes in memory do, and so must the same bytes fed in small uneven cuts,
-// to the same records or the same error string; and for inputs the text
-// decoder accepts, the full and header-only decodes must agree.
+// to the same records or the same error string.
 func FuzzParseTrace(f *testing.F) {
 	recs := sampleRecords()
 	f.Add(EncodeAll(recs))
@@ -43,70 +42,50 @@ func FuzzParseTrace(f *testing.F) {
 				t.Fatalf("in-place decode of %q: %v", data, err)
 			}
 		} else {
-			if err := sameBinaryDecode(data, false, serial, serr); err != nil {
+			if err := sameBinaryDecode(data, serial, serr); err != nil {
 				t.Fatalf("cursor decode of %q: %v", data, err)
-			}
-			hdr, herr := binaryHeaders(data, 3)
-			if err := sameBinaryDecode(data, true, hdr, herr); err != nil {
-				t.Fatalf("header-only cursor decode of %q: %v", data, err)
 			}
 		}
 		// The binary decoder must never panic either.
 		_, _ = ParseBinary(data)
-		// Stream = bytes, full (one record per call, as Next reads) and
-		// header-only: the same records, then the same verdict.
-		for _, mode := range []struct {
-			headersOnly bool
-			max         int
-		}{{false, 1}, {true, 3}} {
+		// Stream = bytes, one record per call (as Next reads) and three: the
+		// same records, then the same verdict.
+		for _, max := range []int{1, 3} {
 			var want, got []Record
 			mem, _, merr := NewBytesReader(data)
 			if merr == nil {
-				want, merr = drain(mem, mode.headersOnly, mode.max)
+				want, merr = drain(mem, max)
 			}
 			st, _, sterr := NewAutoReader(newChunkReader(data, int64(crc32.ChecksumIEEE(data))))
 			if sterr == nil {
-				got, sterr = drain(st, mode.headersOnly, mode.max)
+				got, sterr = drain(st, max)
 			}
 			if (merr == nil) != (sterr == nil) || !equalModuloNaN(want, got) {
 				t.Fatalf("stream and in-memory reads of %q disagree (max %d): %d records, %v vs %d records, %v",
-					data, mode.max, len(got), sterr, len(want), merr)
+					data, max, len(got), sterr, len(want), merr)
 			}
 		}
-		// Fed = bytes, full and header-only: the same records, then the
-		// same error string. Both are read one record per call, because a
-		// fed batch also ends where a feed does, and a batch that meets an
-		// error is dropped whole.
+		// Fed = bytes: the same records, then the same error string. Both
+		// are read one record per call, because a fed batch also ends where
+		// a feed does, and a batch that meets an error is dropped whole.
 		rng := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(data))))
 		var cuts []int
 		for n := 0; n < len(data); {
 			cuts = append(cuts, 1+rng.Intn(97))
 			n += cuts[len(cuts)-1]
 		}
-		for _, headersOnly := range []bool{false, true} {
-			var want []Record
-			mem, _, merr := NewBytesReader(data)
-			if merr == nil {
-				want, merr = drain(mem, headersOnly, 1)
-			}
-			got, ferr := drain(newFedReader(data, append(cuts, 1)...), headersOnly, 1)
-			if fmt.Sprint(merr) != fmt.Sprint(ferr) || !equalModuloNaN(want, got) {
-				t.Fatalf("fed and in-memory reads of %q disagree (headersOnly %v, cuts %v): %d records, %v vs %d records, %v",
-					data, headersOnly, cuts, len(got), ferr, len(want), merr)
-			}
+		var want []Record
+		mem, _, merr := NewBytesReader(data)
+		if merr == nil {
+			want, merr = drain(mem, 1)
 		}
-		// The header-only decode hops over operand lines unread, so it may
-		// accept input the full decode rejects — but it must not panic, and
-		// on input the full decode accepts it must agree on every header.
-		hdr, herr := headersOnly(data, 3)
+		got, ferr := drain(newFedReader(data, append(cuts, 1)...), 1)
+		if fmt.Sprint(merr) != fmt.Sprint(ferr) || !equalModuloNaN(want, got) {
+			t.Fatalf("fed and in-memory reads of %q disagree (cuts %v): %d records, %v vs %d records, %v",
+				data, cuts, len(got), ferr, len(want), merr)
+		}
 		if serr != nil {
 			return
-		}
-		if herr == nil {
-			herr = sameHeaders(serial, hdr)
-		}
-		if herr != nil {
-			t.Fatalf("header-only decode of %q: %v", data, herr)
 		}
 		// Successful parses re-encode to a canonical form that parses to
 		// the same records on every path (text and binary alike).

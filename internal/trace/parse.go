@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/bits"
 	"strconv"
-	"strings"
 	"unsafe"
 )
 
@@ -327,13 +326,9 @@ func isHeaderLine(line []byte) bool {
 }
 
 // decodeN appends up to max records from data starting at pos to dst,
-// returning the position of the first unconsumed byte. With headersOnly
-// set every record is decoded header-only: its operand lines are hopped
-// over unread, straight to the next block header, so a header-only sweep
-// pays for one header parse per record and nothing per operand. This is
-// the single textual decode loop; WindowReader.nextText hands it its
-// window.
-func (d *decoder) decodeN(data []byte, pos int, dst []Record, max int, headersOnly bool) (int, []Record, error) {
+// returning the position of the first unconsumed byte. This is the single
+// textual decode loop; WindowReader.nextText hands it its window.
+func (d *decoder) decodeN(data []byte, pos int, dst []Record, max int) (int, []Record, error) {
 	start := len(dst)
 	var line []byte
 	cur := -1 // index in dst of the open record, -1 if none
@@ -404,16 +399,6 @@ func (d *decoder) decodeN(data []byte, pos int, dst []Record, max int, headersOn
 			if err := d.header(line, &dst[cur]); err != nil {
 				return pos, nil, err
 			}
-			if headersOnly {
-				// Skip the operand lines in one hop: the next header is the
-				// next line starting "0,". The search starts on the newline
-				// that ended this header, so an adjacent header is found.
-				if i := bytes.Index(data[pos-1:], headerMark); i >= 0 {
-					pos += i
-				} else {
-					pos = len(data)
-				}
-			}
 		default:
 			if cur < 0 {
 				return pos, nil, fmt.Errorf("trace: expected block header, got %q", line)
@@ -452,46 +437,4 @@ func CountRecords(data []byte) int {
 		}
 	}
 	return n + bytes.Count(data[i:], headerMark)
-}
-
-// TextExtent locates a loop in a textual trace without decoding it: the
-// stream indices of the first and the last record whose header names
-// function fn at a line in [lo, hi] — (-1, -1) when none does — and the
-// record count. Headers are read where they lie, inward from each end of
-// data: one check per record outside the extent, plus CountRecords. On a
-// trace the decoder accepts this is what comparing its records gives; a
-// header it would reject matches nothing, and reporting it stays its job.
-func TextExtent(data []byte, fn string, lo, hi int) (first, last, n int) {
-	n = CountRecords(data)
-	// A decoded Func holds no comma, so with one ruled out of fn, match — is
-	// the header at data[p:] in the loop? — can compare the name without
-	// finding the field's end first. (A name that runs over a line break
-	// leaves a header of three fields, which does not decode.)
-	if n == 0 || strings.Contains(fn, ",") {
-		return -1, -1, n
-	}
-	match := func(p int) bool {
-		ln, end, ok := scanInt(data, p+2)
-		rest := data[end:]
-		return ok && int(ln) >= lo && int(ln) <= hi &&
-			len(rest) > len(fn)+1 && string(rest[1:1+len(fn)]) == fn && rest[1+len(fn)] == ','
-	}
-	p := 0 // the offset of the first header, then of each next one
-	if !isHeaderLine(data) {
-		p = bytes.Index(data, headerMark) + 1
-	}
-	for ; !match(p); first++ {
-		i := bytes.Index(data[p:], headerMark)
-		if i < 0 {
-			return -1, -1, n
-		}
-		p += i + 1
-	}
-	// The header found above ends the walk back, at the latest.
-	last = n - 1
-	for end := len(data); ; last-- {
-		if end = bytes.LastIndex(data[:end], headerMark); match(end + 1) {
-			return first, last, n
-		}
-	}
 }

@@ -473,8 +473,8 @@ func (d *refBinDecoder) record(rec *Record, filter func(opcode int) bool) error 
 }
 
 // referenceParseBinary decodes a complete in-memory ACTB trace with the
-// reference decoder, every record header-only if headersOnly is set.
-func referenceParseBinary(data []byte, headersOnly bool) ([]Record, error) {
+// reference decoder.
+func referenceParseBinary(data []byte) ([]Record, error) {
 	if len(data) == 0 {
 		return nil, nil
 	}
@@ -482,14 +482,10 @@ func referenceParseBinary(data []byte, headersOnly bool) ([]Record, error) {
 	if err := d.header(); err != nil {
 		return nil, err
 	}
-	var filter func(int) bool
-	if headersOnly {
-		filter = func(int) bool { return false }
-	}
 	var recs []Record
 	for d.pos < len(data) {
 		var rec Record
-		if err := d.record(&rec, filter); err != nil {
+		if err := d.record(&rec, nil); err != nil {
 			return nil, err
 		}
 		recs = append(recs, rec)
@@ -498,10 +494,10 @@ func referenceParseBinary(data []byte, headersOnly bool) ([]Record, error) {
 }
 
 // sameBinaryDecode reports how a decode of ACTB bytes differs from the
-// reference's decode of them, full or header-only: the records must be
-// equal, or the error strings.
-func sameBinaryDecode(data []byte, headersOnly bool, got []Record, gerr error) error {
-	want, werr := referenceParseBinary(data, headersOnly)
+// reference's decode of them: the records must be equal, or the error
+// strings.
+func sameBinaryDecode(data []byte, got []Record, gerr error) error {
+	want, werr := referenceParseBinary(data)
 	if werr != nil || gerr != nil {
 		if werr == nil || gerr == nil || werr.Error() != gerr.Error() {
 			return fmt.Errorf("error %v, reference decoder has %v", gerr, werr)

@@ -131,13 +131,6 @@ func OpcodeByName(name string) (int, bool) {
 	return 0, false
 }
 
-// IsArithmetic reports whether op is one of the arithmetic instructions
-// AutoCheck analyzes (paper Table I: Add..FDiv; we include the Rem family,
-// which LLVM groups with division).
-func IsArithmetic(op int) bool {
-	return op >= OpAdd && op <= OpFRem
-}
-
 // ValueKind discriminates the three value encodings in a trace.
 type ValueKind uint8
 
@@ -322,11 +315,6 @@ func (r *Record) CloneInto(dst *Record, arena []Operand) []Operand {
 	}
 	return arena
 }
-
-// Opcode helpers on Record.
-
-// IsArith reports whether the record is an arithmetic instruction.
-func (r *Record) IsArith() bool { return IsArithmetic(r.Opcode) }
 
 // Operand returns the input operand with 1-based position idx, or nil.
 func (r *Record) Operand(idx int) *Operand {

@@ -45,19 +45,6 @@ func TestPaperOpcodeNumbers(t *testing.T) {
 	}
 }
 
-func TestIsArithmetic(t *testing.T) {
-	for _, op := range []int{OpAdd, OpFAdd, OpSub, OpFSub, OpMul, OpFMul, OpUDiv, OpSDiv, OpFDiv, OpSRem} {
-		if !IsArithmetic(op) {
-			t.Errorf("IsArithmetic(%s) = false, want true", OpcodeName(op))
-		}
-	}
-	for _, op := range []int{OpLoad, OpStore, OpAlloca, OpCall, OpBr, OpRet, OpICmp, OpGetElementPtr} {
-		if IsArithmetic(op) {
-			t.Errorf("IsArithmetic(%s) = true, want false", OpcodeName(op))
-		}
-	}
-}
-
 func TestValueStringParse(t *testing.T) {
 	cases := []Value{
 		IntValue(0), IntValue(42), IntValue(-7), IntValue(math.MaxInt64), IntValue(math.MinInt64),
@@ -278,7 +265,7 @@ func TestScannerLongLines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		streamed, err := drain(rd, false, 1)
+		streamed, err := drain(rd, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

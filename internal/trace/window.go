@@ -212,9 +212,8 @@ func (w *WindowReader) Next() (*Record, error) {
 }
 
 // NextBatch decodes up to max records into b, recycling its storage.
-// With b.HeadersOnly set the records are decoded header-only. After an
-// error every call returns that error and no records: a decoder that
-// failed mid-record has no position to resume from. A fed reader out of
+// After an error every call returns that error and no records: a decoder
+// that failed mid-record has no position to resume from. A fed reader out of
 // bytes returns what it decoded, and no error.
 func (w *WindowReader) NextBatch(b *RecordBatch, max int) (int, error) {
 	b.Reset()
@@ -240,8 +239,8 @@ func (w *WindowReader) NextBatch(b *RecordBatch, max int) (int, error) {
 }
 
 // nextText hands decodeN the window up to its last "\n0,": everything
-// before a block header is complete blocks, so the decoder (header hop
-// included) never sees a record the next refill would extend. The final
+// before a block header is complete blocks, so the decoder never sees a
+// record the next refill would extend. The final
 // window is decoded to its end.
 func (w *WindowReader) nextText(b *RecordBatch, limit int) error {
 	d := w.text
@@ -249,7 +248,7 @@ func (w *WindowReader) nextText(b *RecordBatch, limit int) error {
 	defer func() { b.ops, d.ops = d.ops, nil }()
 	for len(b.Recs) < limit {
 		if w.pos < w.cut {
-			pos, recs, err := d.decodeN(w.buf[:w.cut], w.pos, b.Recs, limit-len(b.Recs), b.HeadersOnly)
+			pos, recs, err := d.decodeN(w.buf[:w.cut], w.pos, b.Recs, limit-len(b.Recs))
 			if err != nil {
 				return err
 			}
@@ -320,7 +319,7 @@ func (w *WindowReader) binaryStep(b *RecordBatch) error {
 		return d.header()
 	}
 	b.Recs = extend(b.Recs)
-	if err := d.record(&b.Recs[len(b.Recs)-1], b.HeadersOnly); err != nil {
+	if err := d.record(&b.Recs[len(b.Recs)-1]); err != nil {
 		b.Recs = b.Recs[:len(b.Recs)-1]
 		return err
 	}
