@@ -12,7 +12,8 @@
 // may never do is restart from fabricated state. Every run derives its
 // fault randomness from the sweep seed, so a failure is replayed
 // exactly from the (seed, benchmark, stack, schedule) triple the report
-// prints.
+// prints. Each run is one validate.FailStop: the protocol §VI-B
+// validation and the storage runs use too.
 package harness
 
 import (
@@ -20,18 +21,14 @@ import (
 	"fmt"
 	"hash/fnv"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"time"
 
 	"autocheck/internal/checkpoint"
-	"autocheck/internal/core"
 	"autocheck/internal/faultinject"
-	"autocheck/internal/interp"
 	"autocheck/internal/progs"
 	"autocheck/internal/server"
 	"autocheck/internal/store"
-	"autocheck/internal/trace"
 	"autocheck/internal/validate"
 )
 
@@ -186,9 +183,10 @@ func chaosStackConfig(stack, dir string) (store.Config, checkpoint.Level, int, e
 		}
 	}
 	if scfg.Kind == store.KindMemory && (scfg.Async || scfg.Incremental) {
-		// The memory stack restarts in process over one bare backend
-		// shared by both phases (see chaosOne), so these layers would
-		// never run and the stack would pass without testing them.
+		// The memory stack restarts in process through the Context that
+		// checkpointed (see validate.FailStop), so the async queue and the
+		// incremental basis would outlive the "death" and the stack would
+		// pass without testing them.
 		return scfg, level, 0, fmt.Errorf("harness: stack %q: async and incr need a durable base (file, remote, replicated)", stack)
 	}
 	return scfg, level, services, nil
@@ -238,52 +236,34 @@ type ChaosReport struct {
 	Failures int
 }
 
-// chaosPrep caches one benchmark's analysis and reference trajectory.
+// chaosPrep caches one benchmark's protocol, its stack still unset, and
+// its failure-free trajectory.
 type chaosPrep struct {
-	loop    *validate.Loop
-	res     *core.Result
-	iters   int64
-	perIter map[int64]map[string][]trace.Value // critical cells at each iteration
-	final   validate.State
+	fs  *validate.FailStop
+	ref *validate.Reference
 }
 
 // chaosPrepare compiles, analyzes, and records the failure-free
-// trajectory of one benchmark: the critical cells at every main-loop
-// iteration (what a checkpoint at that iteration must restore) and the
-// final state (what any recovery must converge back to).
+// trajectory of one benchmark, which every run's recovery is checked
+// against.
 func chaosPrepare(name string) (*chaosPrep, error) {
 	bench := progs.Get(name)
 	if bench == nil {
 		return nil, fmt.Errorf("harness: unknown benchmark %q", name)
 	}
-	p, err := Prepare(bench, 0)
+	p, res, err := analyzed(bench, 0)
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.Analyze()
+	fs, err := validate.NewFailStop(p.Mod, res, store.Config{}, 0)
 	if err != nil {
 		return nil, err
 	}
-	loop, err := validate.FindLoop(p.Mod, res.Spec)
+	ref, err := validate.Record(fs.Loop, fs.Critical)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("harness: %s: %w", name, err)
 	}
-	prep := &chaosPrep{loop: loop, res: res, perIter: make(map[int64]map[string][]trace.Value)}
-	m, out, err := loop.Run(func(m *interp.Machine, iter int64) error {
-		if iter >= 1 {
-			prep.perIter[iter] = validate.Capture(m, res.Critical)
-		}
-		prep.iters = iter
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: chaos reference run: %w", err)
-	}
-	prep.final = validate.State{Output: out, Cells: validate.Capture(m, res.Critical)}
-	if prep.iters < 2 {
-		return nil, fmt.Errorf("harness: %s: main loop ran only %d iterations", name, prep.iters)
-	}
-	return prep, nil
+	return &chaosPrep{fs: fs, ref: ref}, nil
 }
 
 // chaosSeed derives one combination's fault seed from the sweep seed.
@@ -295,21 +275,6 @@ func chaosSeed(seed int64, bench, stack, schedule string) int64 {
 		derived = 1
 	}
 	return derived
-}
-
-// runGuarded executes fn, converting an injected-crash panic into a
-// process-death marker; any other panic propagates.
-func runGuarded(fn func() error) (err error, crashed *faultinject.Crash) {
-	defer func() {
-		if p := recover(); p != nil {
-			c, ok := faultinject.AsCrash(p)
-			if !ok {
-				panic(p)
-			}
-			crashed = c
-		}
-	}()
-	return fn(), nil
 }
 
 // chaosService is the per-run checkpoint service of the remote stacks:
@@ -451,68 +416,26 @@ func chaosOne(prep *chaosPrep, bname, stack string, sched ChaosSchedule, dir str
 		scfg.Addrs = addrs
 	}
 
-	// The memory backend is volatile: nothing survives process death, so
-	// its chaos scenario is the in-process restart — the store outlives
-	// the checkpointing Context (a failed worker re-attaching to a live
-	// embedded store) rather than the process. One backend instance is
-	// shared by both phases; the durable kinds re-open from the medium.
-	volatile := scfg.Kind == store.KindMemory
-	var sharedBase store.Backend
-	openCtx := func() (*checkpoint.Context, error) {
-		if !volatile {
-			return checkpoint.NewContextStore(scfg, level)
-		}
-		if sharedBase == nil {
-			b, err := store.Open(scfg)
-			if err != nil {
-				return nil, err
-			}
-			sharedBase = b
-		}
-		return checkpoint.NewContextBackend(sharedBase, level)
-	}
+	f := *prep.fs
+	f.Store, f.Level, f.Retain = scfg, level, sched.Retain
+	defer f.Close()
 
 	// ---- fault phase: checkpoint every iteration until the schedule
 	// kills the "process" (error or crash) or the run completes.
-	ctx, err := openCtx()
+	d, err := f.Run(0, nil)
 	if err != nil {
 		return fail("open context: %v", err)
 	}
-	ctx.SetFaults(reg)
-	for _, c := range prep.res.Critical {
-		ctx.Protect(c.Name, c.Base, c.SizeBytes)
-	}
-	if sched.Retain > 0 {
-		ctx.Retain(sched.Retain)
-	}
-	committed := 0
-	runErr, crashed := runGuarded(func() error {
-		_, _, err := prep.loop.Run(func(m *interp.Machine, iter int64) error {
-			if iter < 1 {
-				return nil
-			}
-			if err := ctx.Checkpoint(m, iter); err != nil {
-				return err
-			}
-			committed++
-			return nil
-		})
-		return err
-	})
-	died := crashed != nil || runErr != nil
 	// Settle durability knowledge: without an async layer every counted
 	// commit is durable; with one, only a clean flush proves it. A failed
 	// async flush is the same death as a failed Checkpoint: which of the
 	// two calls happens to surface the writer's deferred error is a
 	// wall-clock race, so both must classify alike for a seed to replay.
-	durable := committed > 0
-	if flushErr := ctx.Flush(); flushErr != nil && scfg.Async {
-		durable = false
-		died = true
-	}
-	ctx.Close()
+	lost := scfg.Async && d.FlushErr != nil
+	died := d.Err != nil || lost
+	durable := d.Committed > 0 && !lost
 
-	// ---- recovery phase: fresh context over the surviving store, the
+	// ---- recovery phase: a Context over the surviving store, the
 	// restart schedule (if any) armed on the same registry.
 	reg.DisarmAll()
 	if err := reg.ArmSchedule(sched.Restart); err != nil {
@@ -530,7 +453,7 @@ func chaosOne(prep *chaosPrep, bname, stack string, sched ChaosSchedule, dir str
 	if scfg.Kind == store.KindReplicated {
 		scrubCfg := scfg
 		scrubCfg.CacheMB = 0
-		_, _ = runGuarded(func() error {
+		_ = validate.Guard(func() error {
 			b, err := store.Open(scrubCfg)
 			if err != nil {
 				return err
@@ -543,78 +466,37 @@ func chaosOne(prep *chaosPrep, bname, stack string, sched ChaosSchedule, dir str
 		})
 	}
 
-	var restored map[string][]trace.Value
-	var restartIter int64
-	var got validate.State
-	recErr, recCrashed := runGuarded(func() error {
-		ctx2, err := openCtx()
-		if err != nil {
-			return err
-		}
-		defer ctx2.Close()
-		ctx2.SetFaults(reg)
-		for _, c := range prep.res.Critical {
-			ctx2.Protect(c.Name, c.Base, c.SizeBytes)
-		}
-		m, out, err := prep.loop.Run(func(m *interp.Machine, iter int64) error {
-			if iter != 0 {
-				return nil
-			}
-			recovered, rerr := ctx2.Restart(m, nil)
-			if rerr != nil {
-				return rerr
-			}
-			restartIter = recovered
-			restored = validate.Capture(m, prep.res.Critical)
-			return nil
-		})
-		if err == nil {
-			got = validate.State{Output: out, Cells: validate.Capture(m, prep.res.Critical)}
-		}
-		return err
-	})
+	rec := f.Recover(nil)
 	run.Events = reg.Fired()
 	for _, e := range reg.Events() {
 		run.EventLog = append(run.EventLog, e.String())
 	}
 
+	crash, crashed := rec.Err.(*faultinject.Crash)
 	switch {
-	case recCrashed != nil:
+	case crashed:
 		// A crash during recovery is only legitimate if the restart
 		// schedule armed one.
 		if sched.Restart == "" {
-			return fail("recovery crashed with no restart schedule armed: %v", recCrashed)
+			return fail("recovery crashed with no restart schedule armed: %v", crash)
 		}
 		run.OK = true
 		run.Outcome = "clean-error"
-		run.Detail = recCrashed.Error()
-	case recErr != nil:
+		run.Detail = crash.Error()
+	case rec.Err != nil:
 		// Recovery refused. That is the contract — a typed error, never
 		// fabricated state — but only when there was genuinely nothing
 		// durable to recover, or the recovery path itself was under
 		// injected fire.
 		if durable && sched.Restart == "" {
-			return fail("restart failed despite %d durable checkpoints: %v", committed, recErr)
+			return fail("restart failed despite %d durable checkpoints: %v", d.Committed, rec.Err)
 		}
 		run.OK = true
 		run.Outcome = "clean-error"
-		run.Detail = recErr.Error()
+		run.Detail = rec.Err.Error()
 	default:
-		if restartIter < 1 || restartIter > prep.iters {
-			return fail("restart recovered impossible iteration %d (run had %d)", restartIter, prep.iters)
-		}
-		want, ok := prep.perIter[restartIter]
-		if !ok {
-			return fail("no reference state for recovered iteration %d", restartIter)
-		}
-		if !reflect.DeepEqual(restored, want) {
-			return fail("restored state at iteration %d differs from the failure-free run (silent corruption)", restartIter)
-		}
-		if got.Output != prep.final.Output {
-			return fail("re-run output diverged after restart at iteration %d", restartIter)
-		}
-		if !reflect.DeepEqual(got.Cells, prep.final.Cells) {
-			return fail("final critical-variable state diverged after restart at iteration %d", restartIter)
+		if msg := rec.Check(prep.ref); msg != "" {
+			return fail("%s", msg)
 		}
 		run.OK = true
 		switch {
@@ -622,10 +504,10 @@ func chaosOne(prep *chaosPrep, bname, stack string, sched ChaosSchedule, dir str
 			run.Outcome = "no-fire"
 		case died:
 			run.Outcome = "recovered"
-			run.Detail = fmt.Sprintf("died after %d commits, recovered iteration %d", committed, restartIter)
+			run.Detail = fmt.Sprintf("died after %d commits, recovered iteration %d", d.Committed, rec.Iter)
 		default:
 			run.Outcome = "absorbed"
-			run.Detail = fmt.Sprintf("%d faults absorbed; recovery verified at iteration %d", run.Events, restartIter)
+			run.Detail = fmt.Sprintf("%d faults absorbed; recovery verified at iteration %d", run.Events, rec.Iter)
 		}
 	}
 	return run

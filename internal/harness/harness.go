@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"text/tabwriter"
 	"time"
@@ -74,6 +73,16 @@ func Prepare(b *progs.Benchmark, scale int) (*Prepared, error) {
 	}, nil
 }
 
+// analyzed prepares a benchmark and analyzes its textual trace.
+func analyzed(b *progs.Benchmark, scale int) (*Prepared, *core.Result, error) {
+	p, err := Prepare(b, scale)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := p.Analyze()
+	return p, res, err
+}
+
 // Analyze runs AutoCheck over a prepared benchmark's textual trace.
 func (p *Prepared) Analyze() (*core.Result, error) {
 	return p.AnalyzeData(p.Data)
@@ -128,28 +137,15 @@ type Table2Row struct {
 	MCLR        string
 }
 
-// RunTable2 regenerates Table II over all 14 benchmarks.
-func RunTable2() ([]Table2Row, error) {
-	var rows []Table2Row
-	for _, b := range progs.All() {
-		p, err := Prepare(b, 0)
-		if err != nil {
-			return nil, err
-		}
-		res, err := p.Analyze()
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, table2Row(p, res))
-	}
-	return rows, nil
-}
+// RunTable2 regenerates Table II over all 14 benchmarks, one at a time:
+// RunTable2Parallel with one worker.
+func RunTable2() ([]Table2Row, error) { return RunTable2Parallel(1) }
 
 // RunTable2Parallel regenerates Table II with the whole per-benchmark
 // pipeline fanned out over a worker pool: preparation (compile + trace)
 // runs workers-wide, then all 14 analyses run concurrently through
-// core.AnalyzeMany — one engine per trace. Rows are identical to
-// RunTable2 apart from timings.
+// core.AnalyzeMany — one engine per trace. Rows do not depend on
+// workers apart from timings.
 func RunTable2Parallel(workers int) ([]Table2Row, error) {
 	benches := progs.All()
 	preps := make([]*Prepared, len(benches))
@@ -284,11 +280,7 @@ type Table4Row struct {
 func RunTable4() ([]Table4Row, error) {
 	var rows []Table4Row
 	for _, b := range progs.All() {
-		p, err := Prepare(b, b.LargeScale)
-		if err != nil {
-			return nil, err
-		}
-		res, err := p.Analyze()
+		p, res, err := analyzed(b, b.LargeScale)
 		if err != nil {
 			return nil, err
 		}
@@ -304,42 +296,30 @@ func RunTable4() ([]Table4Row, error) {
 	return rows, nil
 }
 
-// MeasureStorage runs a module until the second main-loop boundary and
+// MeasureStorage runs a module until the first main-loop checkpoint and
 // captures the size of an AutoCheck variable checkpoint and a BLCR-like
-// full snapshot at that instant. Both images are real ones, sized in
-// memory (no files needed for Table IV): the AutoCheck image is what an L1
-// checkpoint of the critical set encodes to.
+// full snapshot at that instant: the §VI-B protocol failing after
+// checkpoint 1. Both images are real ones, sized in memory (no files
+// needed for Table IV): the AutoCheck image is what an L1 checkpoint of
+// the critical set encodes to.
 func MeasureStorage(mod *ir.Module, res *core.Result) (autoCheck, blcr int64, err error) {
-	loop, err := validate.FindLoop(mod, res.Spec)
+	f, err := validate.NewFailStop(mod, res, store.Config{Kind: store.KindMemory}, checkpoint.L1)
 	if err != nil {
 		return 0, 0, err
 	}
-	ctx, err := checkpoint.NewContextBackend(store.NewMemory(), checkpoint.L1)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer ctx.Close()
-	for _, c := range res.Critical {
-		ctx.Protect(c.Name, c.Base, c.SizeBytes)
-	}
-	done := errors.New("harness: measured")
-	_, _, err = loop.Run(func(m *interp.Machine, iter int64) error {
-		if iter < 1 {
-			return nil
-		}
+	defer f.Close()
+	d, err := f.Run(1, func(m *interp.Machine, iter int64) {
 		blcr = int64(len(checkpoint.FullSnapshot(m, iter)))
-		if err := ctx.Checkpoint(m, iter); err != nil {
-			return err
-		}
-		return done
 	})
-	if err != nil && !errors.Is(err, done) {
+	switch {
+	case err != nil:
 		return 0, 0, err
-	}
-	if blcr == 0 {
+	case d.Err == nil:
 		return 0, 0, fmt.Errorf("harness: main loop boundary never reached")
+	case !errors.Is(d.Err, interp.ErrFailStop):
+		return 0, 0, d.Err
 	}
-	return ctx.LastBytes(), blcr, nil
+	return d.LastBytes, blcr, nil
 }
 
 // StorageRun is the outcome of checkpointing one full benchmark run
@@ -360,56 +340,47 @@ type StorageRun struct {
 
 // MeasureStorageRun executes the module to completion, checkpointing the
 // AutoCheck-critical variables at every main-loop boundary through the
-// backend selected by cfg, and verifies a restart recovers the final
-// checkpoint. When withSnapshots is set it also sizes a BLCR-like full
-// snapshot at each boundary for comparison.
+// backend selected by cfg, then restarts it from what the store kept:
+// the §VI-B protocol with no failure. When withSnapshots is set it also
+// sizes a BLCR-like full snapshot at each boundary for comparison.
 func MeasureStorageRun(mod *ir.Module, res *core.Result, scfg store.Config, level checkpoint.Level, withSnapshots bool) (*StorageRun, error) {
-	loop, err := validate.FindLoop(mod, res.Spec)
+	f, err := validate.NewFailStop(mod, res, scfg, level)
 	if err != nil {
 		return nil, err
 	}
-	ctx, err := checkpoint.NewContextStore(scfg, level)
-	if err != nil {
+	defer f.Close()
+	var snapshots int64
+	var at func(*interp.Machine, int64)
+	if withSnapshots {
+		at = func(m *interp.Machine, iter int64) {
+			snapshots += int64(len(checkpoint.FullSnapshot(m, iter)))
+		}
+	}
+	d, err := f.Run(0, at)
+	switch {
+	case err != nil:
 		return nil, err
+	case d.Err != nil:
+		return nil, fmt.Errorf("harness: storage run: %w", d.Err)
+	case d.FlushErr != nil:
+		return nil, fmt.Errorf("harness: storage flush: %w", d.FlushErr)
 	}
-	defer ctx.Close()
-	for _, c := range res.Critical {
-		ctx.Protect(c.Name, c.Base, c.SizeBytes)
+	out := &StorageRun{
+		Checkpoints:     d.Committed,
+		LogicalBytes:    d.TotalBytes,
+		PersistedBytes:  d.Stats.BytesWritten,
+		SnapshotBytes:   snapshots,
+		SectionsSkipped: d.Stats.SectionsSkipped,
+		Keyframes:       d.Stats.Keyframes,
+		Deltas:          d.Stats.Deltas,
+		Stats:           d.Stats,
 	}
-	out := &StorageRun{}
-	_, _, err = loop.Run(func(m *interp.Machine, iter int64) error {
-		if iter < 1 {
-			return nil
-		}
-		if err := ctx.Checkpoint(m, iter); err != nil {
-			return err
-		}
-		if withSnapshots {
-			out.SnapshotBytes += int64(len(checkpoint.FullSnapshot(m, iter)))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: storage run: %w", err)
-	}
-	if err := ctx.Flush(); err != nil {
-		return nil, fmt.Errorf("harness: storage flush: %w", err)
-	}
-	out.Checkpoints = ctx.Count()
-	out.LogicalBytes = ctx.TotalBytes()
-	st := ctx.StoreStats()
-	out.Stats = st
-	out.PersistedBytes = st.BytesWritten
-	out.SectionsSkipped = st.SectionsSkipped
-	out.Keyframes = st.Keyframes
-	out.Deltas = st.Deltas
 	if out.Checkpoints > 0 {
-		m2 := interp.New(mod)
-		iter, err := ctx.Restart(m2, nil)
-		if err != nil {
-			return nil, fmt.Errorf("harness: restart after storage run: %w", err)
+		rec := f.Recover(nil)
+		if rec.Err != nil {
+			return nil, fmt.Errorf("harness: restart after storage run: %w", rec.Err)
 		}
-		out.RestartIter = iter
+		out.RestartIter = rec.Iter
 	}
 	return out, nil
 }
@@ -456,31 +427,12 @@ func RunManyClients(benchName string, scale int, tmpl store.Config, level checkp
 	if bench == nil {
 		return nil, fmt.Errorf("harness: unknown benchmark %q", benchName)
 	}
-	type client struct {
-		p   *Prepared
-		res *core.Result
-	}
-	cls := make([]client, clients)
+	preps := make([]*Prepared, clients)
+	results := make([]*core.Result, clients)
 	errs := make([]error, clients)
-	var wg sync.WaitGroup
-	for i := range cls {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			p, err := Prepare(bench, scale)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			res, err := p.Analyze()
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			cls[i] = client{p: p, res: res}
-		}(i)
-	}
-	wg.Wait()
+	pool.ForEach(clients, clients, func(i int) {
+		preps[i], results[i], errs[i] = analyzed(bench, scale)
+	})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
@@ -488,35 +440,26 @@ func RunManyClients(benchName string, scale int, tmpl store.Config, level checkp
 	runID := manyClientsRunSeq.Add(1)
 	out := &ManyClientsRun{Clients: clients}
 	runs := make([]*StorageRun, clients)
-	stats := make([]store.Stats, clients)
 	t0 := time.Now()
-	for i := range cls {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cfg := tmpl
-			cfg.Dir = filepath.Join(tmpl.Dir, fmt.Sprintf("mc%06d", runID), fmt.Sprintf("client-%03d", i))
-			run, err := MeasureStorageRun(cls[i].p.Mod, cls[i].res, cfg, level, false)
-			if err != nil {
-				errs[i] = fmt.Errorf("harness: client %d: %w", i, err)
-				return
-			}
-			runs[i] = run
-			stats[i] = run.Stats
-		}(i)
-	}
-	wg.Wait()
+	pool.ForEach(clients, clients, func(i int) {
+		cfg := tmpl
+		cfg.Dir = filepath.Join(tmpl.Dir, fmt.Sprintf("mc%06d", runID), fmt.Sprintf("client-%03d", i))
+		var err error
+		if runs[i], err = MeasureStorageRun(preps[i].Mod, results[i], cfg, level, false); err != nil {
+			errs[i] = fmt.Errorf("harness: client %d: %w", i, err)
+		}
+	})
 	out.Elapsed = time.Since(t0)
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-	for i, run := range runs {
+	for _, run := range runs {
 		out.Checkpoints += run.Checkpoints
 		out.BytesWritten += run.PersistedBytes
-		out.SectionsWritten += stats[i].SectionsWritten
-		out.CacheHits += stats[i].CacheHits
-		out.CacheFollowerHits += stats[i].CacheFollowerHits
-		out.CacheMisses += stats[i].CacheMisses
+		out.SectionsWritten += run.Stats.SectionsWritten
+		out.CacheHits += run.Stats.CacheHits
+		out.CacheFollowerHits += run.Stats.CacheFollowerHits
+		out.CacheMisses += run.Stats.CacheMisses
 		// A restart that fell back to an older checkpoint (torn/corrupt
 		// newest object) is recovery, but not the "recovered the last
 		// checkpoint" this scenario promises — count only exact recovery.
@@ -586,11 +529,7 @@ func RunValidation(scratch string, opts validate.Options, names []string) ([]Val
 		if len(want) > 0 && !want[b.Name] {
 			continue
 		}
-		p, err := Prepare(b, 0)
-		if err != nil {
-			return nil, err
-		}
-		res, err := p.Analyze()
+		p, res, err := analyzed(b, 0)
 		if err != nil {
 			return nil, err
 		}

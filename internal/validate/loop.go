@@ -12,7 +12,7 @@ import (
 
 // Loop is a module's main computation loop, resolved once. Its header is
 // the boundary the §VI-B protocol works at: every run that checkpoints,
-// fail-stops or restarts the module drives it through Run.
+// fail-stops or restarts the module (FailStop) drives it through Run.
 type Loop struct {
 	mod    *ir.Module
 	header *ir.Block
@@ -74,4 +74,35 @@ func Capture(m *interp.Machine, critical []core.CriticalVar) map[string][]trace.
 		cells[c.Name] = m.ReadRange(c.Base, (c.SizeBytes+7)/8)
 	}
 	return cells
+}
+
+// Reference is a program's failure-free trajectory: the critical cells
+// after every iteration k ≥ 1 (what checkpoint k must restore) and the
+// final state (what every recovery must converge back to).
+type Reference struct {
+	Iterations int64
+	Cells      map[int64]map[string][]trace.Value
+	Final      State
+}
+
+// Record runs the loop failure-free once and records its Reference. A
+// loop of fewer than 2 iterations has no fail point inside it, so it is
+// an error.
+func Record(l *Loop, critical []core.CriticalVar) (*Reference, error) {
+	ref := &Reference{Cells: make(map[int64]map[string][]trace.Value)}
+	m, out, err := l.Run(func(m *interp.Machine, iter int64) error {
+		if iter >= 1 {
+			ref.Cells[iter] = Capture(m, critical)
+		}
+		ref.Iterations = iter
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("validate: reference run failed: %w", err)
+	}
+	if ref.Iterations < 2 {
+		return nil, fmt.Errorf("validate: main loop ran only %d iterations; need at least 2", ref.Iterations)
+	}
+	ref.Final = State{Output: out, Cells: Capture(m, critical)}
+	return ref, nil
 }
