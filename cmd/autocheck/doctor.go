@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"autocheck/internal/checkpoint"
 	"autocheck/internal/server"
 	"autocheck/internal/store"
 	"autocheck/internal/wire"
@@ -237,6 +238,22 @@ func doctorCluster(addrs []string, ns string, writeQuorum, readQuorum int) error
 	return nil
 }
 
+// openLocal opens the stack doctorLocal examines. A store holding a
+// checkpoint Context's level-suffixed keys opens through the chain the
+// Context writes through, whose deltas name logical keys; L1 reads it,
+// since every level writes the primary copy.
+func openLocal(cfg store.Config) (store.Backend, error) {
+	b, err := store.Open(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if keys, err := b.List(); err == nil && checkpoint.HasLevelKeys(keys) {
+		b.Close()
+		return checkpoint.OpenStore(cfg, checkpoint.L1)
+	}
+	return store.Decorate(b, cfg), nil
+}
+
 // quorumOr is the exit code for a cluster check's failure: the quorum
 // class when replicas were unavailable, code otherwise.
 func quorumOr(code int, err error) int {
@@ -249,11 +266,10 @@ func quorumOr(code int, err error) int {
 // doctorLocal opens a store stack and examines it in place: open,
 // canary round trip, then an integrity walk over every stored key.
 func doctorLocal(cfg store.Config) error {
-	b, err := store.Open(cfg)
+	b, err := openLocal(cfg)
 	if err != nil {
 		return &exitError{doctorConnectivity, fmt.Errorf("doctor: open: %w", err)}
 	}
-	b = store.Decorate(b, cfg)
 	defer b.Close()
 	fmt.Printf("doctor: open OK (store=%s dir=%q async=%v incremental=%v)\n",
 		cfg.Kind, cfg.Dir, cfg.Async, cfg.Incremental)

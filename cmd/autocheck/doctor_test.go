@@ -10,8 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"autocheck/internal/checkpoint"
+	"autocheck/internal/interp"
 	"autocheck/internal/server"
 	"autocheck/internal/store"
+	"autocheck/internal/trace"
 )
 
 func TestDoctorLocalHealthy(t *testing.T) {
@@ -60,6 +63,40 @@ func TestDoctorLocalBrokenChain(t *testing.T) {
 	var ee *exitError
 	if !errors.As(err, &ee) || ee.code != doctorIntegrity {
 		t.Fatalf("doctorLocal over broken chain = %v, want exit code %d", err, doctorIntegrity)
+	}
+}
+
+// TestDoctorLocalContextStore runs the integrity walk over healthy
+// incremental stores a checkpoint.Context wrote at L1 and at L2: the
+// level-suffixed keys open through the Context's own chain, so every
+// delta finds its keyframe.
+func TestDoctorLocalContextStore(t *testing.T) {
+	mod, err := interp.Compile(`int main() { return 0; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, level := range []checkpoint.Level{checkpoint.L1, checkpoint.L2} {
+		cfg := store.Config{Kind: store.KindFile, Dir: t.TempDir(), Incremental: true, Keyframe: 8}
+		ctx, err := checkpoint.NewContextStore(cfg, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := interp.New(mod)
+		ctx.Protect("x", 0x1000, 8)
+		ctx.Protect("y", 0x2000, 8)
+		m.WriteRange(0x2000, []trace.Value{trace.IntValue(7)})
+		for i := int64(1); i <= 5; i++ {
+			m.WriteRange(0x1000, []trace.Value{trace.IntValue(100 * i)})
+			if err := ctx.Checkpoint(m, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ctx.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := doctorLocal(cfg); err != nil {
+			t.Errorf("L%d: doctorLocal on a healthy Context store = %v, want nil", level, err)
+		}
 	}
 }
 

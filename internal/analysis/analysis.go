@@ -19,8 +19,8 @@
 // Sessions are durable: every chunk is persisted through the embedding
 // server's store stack *before* it is acknowledged (ack-after-persist),
 // so a server restart or an idle eviction never loses acknowledged
-// bytes — an unknown session id is recovered lazily from its store
-// namespace by replaying the acknowledged chunk prefix into a fresh
+// bytes — an unknown session id is recovered lazily from its keys in
+// the store by replaying the acknowledged chunk prefix into a fresh
 // engine, and the client resumes at the next sequence number. Because
 // the engine is deterministic, a resumed session's result is
 // byte-identical to an uninterrupted run.
@@ -39,6 +39,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -127,11 +128,13 @@ type Config struct {
 	// MaxChunkBytes bounds one chunk (or one-shot body) upload.
 	MaxChunkBytes int64
 
-	// Open returns the store backend for a session namespace — the
-	// embedding server passes its own per-namespace factory so session
-	// checkpoints flow through the exact store stack the service is
-	// configured with. nil falls back to fresh in-memory backends
-	// (standalone use; no restart recovery).
+	// Open returns the store backend for a namespace. The service asks
+	// only for one, "sessions", which holds every session's objects —
+	// the embedding server passes its own per-namespace factory so
+	// session chunks flow through the exact store stack the service is
+	// configured with. nil falls back to one in-memory backend for the
+	// service's life (standalone use: idle eviction recovers, a new
+	// service starts empty).
 	Open func(ns string) (store.Backend, error)
 
 	// Faults arms the session failpoints; nil leaves ingest fault-free.
@@ -142,8 +145,8 @@ type Config struct {
 	// private registry.
 	Obs *obs.Registry
 
-	// NewID and Now are test seams; nil means crypto/rand ids and the
-	// real clock.
+	// NewID and Now are test seams; nil means crypto/rand hex ids and
+	// the real clock. An id must be a store name without a '.'.
 	NewID func() string
 	Now   func() time.Time
 }
@@ -174,7 +177,7 @@ type session struct {
 	id   string
 	ns   string // tenant namespace (admission accounting)
 	meta sessMeta
-	back store.Backend // "sess-<id>" namespace of the store stack
+	back store.Backend // the store stack's sessions namespace
 
 	mu      sync.Mutex
 	state   sessState
@@ -240,9 +243,8 @@ func NewService(cfg Config) *Service {
 		cfg.MaxChunkBytes = DefaultMaxChunkBytes
 	}
 	if cfg.Open == nil {
-		cfg.Open = func(string) (store.Backend, error) {
-			return store.Open(store.Config{Kind: store.KindMemory})
-		}
+		mem := store.NewMemory()
+		cfg.Open = func(string) (store.Backend, error) { return mem, nil }
 	}
 	if cfg.Obs == nil {
 		cfg.Obs = obs.New()
@@ -296,11 +298,15 @@ func (s *Service) Obs() *obs.Registry { return s.obs }
 
 func (s *Service) now() time.Time { return s.cfg.Now() }
 
-// sessNS is the store namespace holding one session's durable state:
-// a "meta" object, "chunk-%08d" objects, and a "result" object.
-func sessNS(id string) string { return "sess-" + id }
+// sessionsNS is the one store namespace holding every session's
+// durable state: "<id>.meta", "<id>.chunk-%08d" and "<id>.result"
+// objects. The ingest routes shadow the name on the wire, so no tenant
+// reaches it through the store API.
+const sessionsNS = "sessions"
 
-func chunkKey(seq int) string { return fmt.Sprintf("chunk-%08d", seq) }
+func metaKey(id string) string           { return id + ".meta" }
+func resultKey(id string) string         { return id + ".result" }
+func chunkKey(id string, seq int) string { return fmt.Sprintf("%s.chunk-%08d", id, seq) }
 
 const maxChunkSeq = 99999999 // chunkKey's zero-padding keeps List order numeric
 
@@ -314,8 +320,12 @@ type sessMeta struct {
 	IncludeGlobals bool   `json:"include_globals"`
 }
 
-// sectionData extracts the single "data" section of a session object.
-func sectionData(secs []store.Section) ([]byte, error) {
+// getData reads the single "data" section of a session object.
+func getData(back store.Backend, key string) ([]byte, error) {
+	secs, err := back.Get(key)
+	if err != nil {
+		return nil, err
+	}
 	for i := range secs {
 		if secs[i].Name == "data" {
 			return secs[i].Data, nil
@@ -332,7 +342,7 @@ func dataSections(data []byte) []store.Section {
 
 // shedError translates an admission refusal into the service's typed
 // 429 quota error, carrying the controller's computed Retry-After.
-// Injected faults pass through untouched for the HTTP layer to map.
+// Injected faults and nil pass through untouched.
 func shedError(err error) error {
 	sh, ok := admission.AsShed(err)
 	if !ok {
@@ -341,24 +351,11 @@ func shedError(err error) error {
 	return &Error{Status: 429, Code: CodeQuota, Message: sh.Error(), RetryAfter: sh.RetryAfter}
 }
 
-// admitSession takes one of the namespace's session leases. Recovered
-// sessions were admitted by their original create and only re-enter
-// memory, so they bypass the bound (but still hold a lease).
-func (s *Service) admitSession(ns string, recovered bool) error {
-	if err := s.adm.AcquireSession(ns, recovered); err != nil {
-		return shedError(err)
-	}
-	return nil
-}
-
 // acquire admits one in-flight ingest request for the namespace at the
 // given priority class; release the ticket when the request is done.
 func (s *Service) acquire(ns string, pri admission.Priority) (admission.Ticket, error) {
 	tkt, err := s.adm.Acquire(ns, pri)
-	if err != nil {
-		return admission.Ticket{}, shedError(err)
-	}
-	return tkt, nil
+	return tkt, shedError(err)
 }
 
 // ---- Decoding ----
@@ -417,19 +414,28 @@ func errClassOf(err error) string {
 	return "error"
 }
 
+// checkRequest validates the tenant namespace and loop spec of a create
+// or one-shot request.
+func checkRequest(ns string, spec core.LoopSpec) error {
+	if !store.ValidName(ns) {
+		return &Error{Status: 400, Code: CodeInvalidArgument,
+			Message: fmt.Sprintf("invalid namespace %q", ns)}
+	}
+	if spec.Function == "" || spec.StartLine <= 0 || spec.EndLine < spec.StartLine {
+		return &Error{Status: 400, Code: CodeInvalidArgument,
+			Message: fmt.Sprintf("invalid loop spec %+v", spec)}
+	}
+	return nil
+}
+
 // ---- Session lifecycle ----
 
 // Create opens a new chunked session for the tenant namespace ns. The
 // session's meta object is persisted before the create is acknowledged,
 // so a created session is always recoverable.
 func (s *Service) Create(ns string, spec core.LoopSpec, includeGlobals bool) (SessionStatus, error) {
-	if !store.ValidName(ns) {
-		return SessionStatus{}, &Error{Status: 400, Code: CodeInvalidArgument,
-			Message: fmt.Sprintf("invalid namespace %q", ns)}
-	}
-	if spec.Function == "" || spec.StartLine <= 0 || spec.EndLine < spec.StartLine {
-		return SessionStatus{}, &Error{Status: 400, Code: CodeInvalidArgument,
-			Message: fmt.Sprintf("invalid loop spec %+v", spec)}
+	if err := checkRequest(ns, spec); err != nil {
+		return SessionStatus{}, err
 	}
 	s.mu.Lock()
 	closed := s.closed
@@ -437,16 +443,16 @@ func (s *Service) Create(ns string, spec core.LoopSpec, includeGlobals bool) (Se
 	if closed {
 		return SessionStatus{}, errClosed
 	}
-	if aerr := s.admitSession(ns, false); aerr != nil {
+	if aerr := shedError(s.adm.AcquireSession(ns, false)); aerr != nil {
 		return SessionStatus{}, aerr
 	}
 	id := s.cfg.NewID()
 	meta := sessMeta{Namespace: ns, Function: spec.Function,
 		StartLine: spec.StartLine, EndLine: spec.EndLine, IncludeGlobals: includeGlobals}
-	back, err := s.cfg.Open(sessNS(id))
+	back, err := s.cfg.Open(sessionsNS)
 	if err == nil {
 		mdata, _ := json.Marshal(meta)
-		err = back.Put("meta", dataSections(mdata))
+		err = back.Put(metaKey(id), dataSections(mdata))
 	}
 	if err != nil {
 		s.adm.ReleaseSession(ns)
@@ -494,7 +500,10 @@ func (s *Service) session(id string) (*session, error) {
 		if sess != nil {
 			s.sessions[id] = sess
 			if sess.state == sessActive {
-				s.admitSession(sess.ns, true) // recovered: bypasses the quota
+				// Admitted by its original create, a recovered session
+				// only re-enters memory: it bypasses the bound but still
+				// holds a lease.
+				s.adm.AcquireSession(sess.ns, true)
 			}
 		}
 		s.mu.Unlock()
@@ -508,67 +517,69 @@ func (s *Service) session(id string) (*session, error) {
 	}
 }
 
-// recover rebuilds a session from its store namespace: a finished
+// recover rebuilds a session from its keys in the store: a finished
 // session from its persisted result, an interrupted one by replaying
 // the acknowledged chunk prefix into a fresh engine. Replay is
 // deterministic, so the rebuilt engine state — and any eventual result
 // — is byte-identical to the uninterrupted run.
 func (s *Service) recover(id string) (*session, error) {
-	if !store.ValidName(sessNS(id)) {
+	// Every id Create hands out is a store name that leaves room for its
+	// longest key; any other id has no keys to recover.
+	if !store.ValidName(chunkKey(id, 0)) {
 		return nil, &Error{Status: 404, Code: CodeUnknownSession,
 			Message: fmt.Sprintf("no session %q", id)}
 	}
-	back, err := s.cfg.Open(sessNS(id))
+	back, err := s.cfg.Open(sessionsNS)
 	if err != nil {
 		return nil, &Error{Status: 503, Code: CodeUnavailable,
 			Message: fmt.Sprintf("opening session store: %v", err)}
 	}
-	msecs, err := back.Get("meta")
+	mdata, err := getData(back, metaKey(id))
 	if errors.Is(err, store.ErrNotFound) {
 		return nil, &Error{Status: 404, Code: CodeUnknownSession,
 			Message: fmt.Sprintf("no session %q", id)}
 	}
-	if err != nil {
-		return nil, &Error{Status: 503, Code: CodeUnavailable,
-			Message: fmt.Sprintf("reading session meta: %v", err)}
-	}
-	mdata, err := sectionData(msecs)
 	var meta sessMeta
 	if err == nil {
 		err = json.Unmarshal(mdata, &meta)
 	}
 	if err != nil {
 		return nil, &Error{Status: 503, Code: CodeUnavailable,
-			Message: fmt.Sprintf("decoding session meta: %v", err)}
+			Message: fmt.Sprintf("reading session meta: %v", err)}
 	}
 
-	// A persisted result short-circuits replay entirely.
-	if rsecs, rerr := back.Get("result"); rerr == nil {
-		if rdata, derr := sectionData(rsecs); derr == nil {
-			if res, derr := decodeResult(rdata); derr == nil {
-				sess := s.newSession(id, meta, back)
-				sess.end(sessFinished, res, nil)
-				sess.next, sess.bytes = s.chunkExtent(back)
-				return sess, nil
+	// A persisted result short-circuits replay: the chunk count comes
+	// from the key list and the byte total from the result's TraceBytes,
+	// so no chunk is read. A missing or unreadable result falls through
+	// to deterministic replay.
+	sess := s.newSession(id, meta, back)
+	rdata, err := getData(back, resultKey(id))
+	var res *core.Result
+	if err == nil {
+		res, err = decodeResult(rdata)
+	}
+	var keys []string
+	if err == nil {
+		keys, err = back.List()
+	}
+	if err == nil {
+		sess.end(sessFinished, res, nil)
+		sess.bytes = res.Stats.TraceBytes
+		for _, k := range keys {
+			if strings.HasPrefix(k, id+".chunk-") {
+				sess.next++
 			}
 		}
-		// A corrupt result object falls through to deterministic replay.
+		return sess, nil
 	}
-
-	sess := s.newSession(id, meta, back)
 	for seq := 0; ; seq++ {
-		csecs, cerr := back.Get(chunkKey(seq))
-		if errors.Is(cerr, store.ErrNotFound) {
+		data, err := getData(back, chunkKey(id, seq))
+		if errors.Is(err, store.ErrNotFound) {
 			break
 		}
-		if cerr != nil {
+		if err != nil {
 			return nil, &Error{Status: 503, Code: CodeUnavailable,
-				Message: fmt.Sprintf("replaying session chunk %d: %v", seq, cerr)}
-		}
-		data, derr := sectionData(csecs)
-		if derr != nil {
-			return nil, &Error{Status: 503, Code: CodeUnavailable,
-				Message: fmt.Sprintf("replaying session chunk %d: %v", seq, derr)}
+				Message: fmt.Sprintf("replaying session chunk %d: %v", seq, err)}
 		}
 		sess.next = seq + 1
 		sess.bytes += int64(len(data))
@@ -580,20 +591,6 @@ func (s *Service) recover(id string) (*session, error) {
 		}
 	}
 	return sess, nil
-}
-
-// chunkExtent reports the acknowledged chunk count and byte total of a
-// session namespace (status fields of a recovered finished session).
-func (s *Service) chunkExtent(back store.Backend) (next int, bytes int64) {
-	for seq := 0; ; seq++ {
-		secs, err := back.Get(chunkKey(seq))
-		if err != nil {
-			return seq, bytes
-		}
-		if data, derr := sectionData(secs); derr == nil {
-			bytes += int64(len(data))
-		}
-	}
 }
 
 // Chunk ingests one ordered chunk: persist (ack-after-persist), decode
@@ -644,7 +641,7 @@ func (s *Service) Chunk(id string, seq int, data []byte) (err error) {
 	if ferr := s.cfg.Faults.Hit(SiteSessionCkpt); ferr != nil {
 		return ferr
 	}
-	if perr := sess.back.Put(chunkKey(seq), dataSections(data)); perr != nil {
+	if perr := sess.back.Put(chunkKey(sess.id, seq), dataSections(data)); perr != nil {
 		// Not persisted, therefore not acknowledged: the client retries
 		// the same sequence number against unchanged session state.
 		return &Error{Status: 503, Code: CodeUnavailable,
@@ -720,7 +717,7 @@ func (s *Service) Finish(id string) (*core.Result, error) {
 	s.adm.ReleaseSession(sess.ns)
 	// Best-effort persist: if this write is lost, recovery replays the
 	// chunk prefix and recomputes the identical result.
-	_ = sess.back.Put("result", dataSections(encodeResult(res)))
+	_ = sess.back.Put(resultKey(sess.id), dataSections(encodeResult(res)))
 	return res, nil
 }
 
@@ -760,8 +757,8 @@ func (s *Service) Status(id string) (SessionStatus, error) {
 	return sess.status(), nil
 }
 
-// Delete purges a session: it is dropped from memory, its durable
-// objects are removed, and the id becomes unknown.
+// Delete purges a session: it is dropped from memory, its "<id>." keys
+// are removed, and the id becomes unknown.
 func (s *Service) Delete(id string) error {
 	sess, err := s.session(id)
 	if err != nil {
@@ -780,6 +777,9 @@ func (s *Service) Delete(id string) error {
 			Message: fmt.Sprintf("listing session objects: %v", lerr)}
 	}
 	for _, k := range keys {
+		if !strings.HasPrefix(k, id+".") {
+			continue
+		}
 		if derr := sess.back.Delete(k); derr != nil && !errors.Is(derr, store.ErrNotFound) {
 			return &Error{Status: 503, Code: CodeUnavailable,
 				Message: fmt.Sprintf("deleting session object %q: %v", k, derr)}
@@ -794,13 +794,8 @@ func (s *Service) Delete(id string) error {
 func (s *Service) OneShot(ns string, spec core.LoopSpec, data []byte, includeGlobals bool) (res *core.Result, err error) {
 	start := s.oneshotOp.Start()
 	defer func() { s.oneshotOp.Done(start, int64(len(data)), errClassOf(err)) }()
-	if !store.ValidName(ns) {
-		return nil, &Error{Status: 400, Code: CodeInvalidArgument,
-			Message: fmt.Sprintf("invalid namespace %q", ns)}
-	}
-	if spec.Function == "" || spec.StartLine <= 0 || spec.EndLine < spec.StartLine {
-		return nil, &Error{Status: 400, Code: CodeInvalidArgument,
-			Message: fmt.Sprintf("invalid loop spec %+v", spec)}
+	if err := checkRequest(ns, spec); err != nil {
+		return nil, err
 	}
 	tkt, aerr := s.acquire(ns, admission.Interactive)
 	if aerr != nil {

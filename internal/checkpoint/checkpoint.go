@@ -140,12 +140,12 @@ func NewContext(dir string, level Level) (*Context, error) {
 	return NewContextStore(store.Config{Kind: store.KindFile, Dir: dir}, level)
 }
 
-// NewContextStore creates a checkpoint context over the backend selected
-// by cfg. The reliability level is layered as a decorator over the base
-// backend, below cfg's incremental/async decorators, so deltas and
-// staging buffers see logical checkpoint keys while replicas and parity
-// land next to the primary copy. L4 forces cfg.Sync.
-func NewContextStore(cfg store.Config, level Level) (*Context, error) {
+// OpenStore opens the store stack a Context at the given level writes
+// through. The reliability level is layered as a decorator over the
+// backend selected by cfg, below cfg's incremental/async decorators, so
+// deltas and staging buffers see logical checkpoint keys while replicas
+// and parity land next to the primary copy. L4 forces cfg.Sync.
+func OpenStore(cfg store.Config, level Level) (store.Backend, error) {
 	if level < L1 || level > L4 {
 		return nil, fmt.Errorf("checkpoint: invalid level %d", level)
 	}
@@ -154,7 +154,16 @@ func NewContextStore(cfg store.Config, level Level) (*Context, error) {
 	if err != nil {
 		return nil, err
 	}
-	backend := store.Decorate(store.Backend(newLevelBackend(base, level)), cfg)
+	return store.Decorate(store.Backend(newLevelBackend(base, level)), cfg), nil
+}
+
+// NewContextStore creates a checkpoint context over the stack OpenStore
+// builds.
+func NewContextStore(cfg store.Config, level Level) (*Context, error) {
+	backend, err := OpenStore(cfg, level)
+	if err != nil {
+		return nil, err
+	}
 	c := &Context{backend: backend, level: level, faults: cfg.Faults}
 	if err := c.resumeSeq(); err != nil {
 		backend.Close()

@@ -33,6 +33,12 @@ const (
 // levels add them: L1 writes the first, L2 two, L3 and L4 all three.
 var copySuffixes = []string{primarySuffix, partnerSuffix, paritySuffix}
 
+// HasLevelKeys reports whether keys, a base backend's listing, hold the
+// level-suffixed objects a Context writes.
+func HasLevelKeys(keys []string) bool {
+	return slices.ContainsFunc(keys, func(k string) bool { return strings.HasSuffix(k, primarySuffix) })
+}
+
 func newLevelBackend(inner store.Backend, level Level) *levelBackend {
 	return &levelBackend{inner: inner, level: level}
 }

@@ -251,11 +251,11 @@ func chaosPrepare(name string) (*chaosPrep, error) {
 	if bench == nil {
 		return nil, fmt.Errorf("harness: unknown benchmark %q", name)
 	}
-	p, res, err := analyzed(bench, 0)
+	mod, res, err := analyzed(bench, 0)
 	if err != nil {
 		return nil, err
 	}
-	fs, err := validate.NewFailStop(p.Mod, res, store.Config{}, 0)
+	fs, err := validate.NewFailStop(mod, res, store.Config{}, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -52,12 +52,7 @@ func (p *Prepared) BinData() []byte {
 // Prepare compiles, runs, and traces a benchmark at the given scale
 // (0 = default).
 func Prepare(b *progs.Benchmark, scale int) (*Prepared, error) {
-	src := b.Source(scale)
-	mod, err := interp.Compile(src)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s: %w", b.Name, err)
-	}
-	spec, err := b.Spec(scale)
+	mod, spec, err := compiled(b, scale)
 	if err != nil {
 		return nil, err
 	}
@@ -73,14 +68,36 @@ func Prepare(b *progs.Benchmark, scale int) (*Prepared, error) {
 	}, nil
 }
 
-// analyzed prepares a benchmark and analyzes its textual trace.
-func analyzed(b *progs.Benchmark, scale int) (*Prepared, *core.Result, error) {
-	p, err := Prepare(b, scale)
+// compiled compiles a benchmark at the given scale (0 = default) and
+// returns its main-loop spec.
+func compiled(b *progs.Benchmark, scale int) (*ir.Module, core.LoopSpec, error) {
+	mod, err := interp.Compile(b.Source(scale))
+	if err != nil {
+		return nil, core.LoopSpec{}, fmt.Errorf("harness: %s: %w", b.Name, err)
+	}
+	spec, err := b.Spec(scale)
+	return mod, spec, err
+}
+
+// analyzed compiles a benchmark and analyzes it inside the tracer: the
+// engine observes the records as the interpreter emits them, so no
+// trace is materialized, encoded or parsed (§IX online mode).
+func analyzed(b *progs.Benchmark, scale int) (*ir.Module, *core.Result, error) {
+	mod, spec, err := compiled(b, scale)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := p.Analyze()
-	return p, res, err
+	opts := core.DefaultOptions()
+	opts.Module = mod
+	eng, err := core.NewEngine(spec, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := interp.TraceProgramInto(mod, eng); err != nil {
+		return nil, nil, fmt.Errorf("harness: %s: trace: %w", b.Name, err)
+	}
+	res, err := eng.Finish()
+	return mod, res, err
 }
 
 // Analyze runs AutoCheck over a prepared benchmark's textual trace.
@@ -280,11 +297,11 @@ type Table4Row struct {
 func RunTable4() ([]Table4Row, error) {
 	var rows []Table4Row
 	for _, b := range progs.All() {
-		p, res, err := analyzed(b, b.LargeScale)
+		mod, res, err := analyzed(b, b.LargeScale)
 		if err != nil {
 			return nil, err
 		}
-		acBytes, blcrBytes, err := MeasureStorage(p.Mod, res)
+		acBytes, blcrBytes, err := MeasureStorage(mod, res)
 		if err != nil {
 			return nil, err
 		}
@@ -427,11 +444,11 @@ func RunManyClients(benchName string, scale int, tmpl store.Config, level checkp
 	if bench == nil {
 		return nil, fmt.Errorf("harness: unknown benchmark %q", benchName)
 	}
-	preps := make([]*Prepared, clients)
+	mods := make([]*ir.Module, clients)
 	results := make([]*core.Result, clients)
 	errs := make([]error, clients)
 	pool.ForEach(clients, clients, func(i int) {
-		preps[i], results[i], errs[i] = analyzed(bench, scale)
+		mods[i], results[i], errs[i] = analyzed(bench, scale)
 	})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
@@ -445,7 +462,7 @@ func RunManyClients(benchName string, scale int, tmpl store.Config, level checkp
 		cfg := tmpl
 		cfg.Dir = filepath.Join(tmpl.Dir, fmt.Sprintf("mc%06d", runID), fmt.Sprintf("client-%03d", i))
 		var err error
-		if runs[i], err = MeasureStorageRun(preps[i].Mod, results[i], cfg, level, false); err != nil {
+		if runs[i], err = MeasureStorageRun(mods[i], results[i], cfg, level, false); err != nil {
 			errs[i] = fmt.Errorf("harness: client %d: %w", i, err)
 		}
 	})
@@ -529,11 +546,11 @@ func RunValidation(scratch string, opts validate.Options, names []string) ([]Val
 		if len(want) > 0 && !want[b.Name] {
 			continue
 		}
-		p, res, err := analyzed(b, 0)
+		mod, res, err := analyzed(b, 0)
 		if err != nil {
 			return nil, err
 		}
-		v, err := validate.New(p.Mod, res, fmt.Sprintf("%s/%s", scratch, b.Name), opts)
+		v, err := validate.New(mod, res, fmt.Sprintf("%s/%s", scratch, b.Name), opts)
 		if err != nil {
 			return nil, err
 		}

@@ -81,6 +81,29 @@ func TestTable2VerdictsAcrossScale(t *testing.T) {
 	}
 }
 
+// TestTracerFedMatchesTextTrace: the tracer-fed analysis Table IV,
+// validation and chaos run reports the same critical list, field for
+// field, as the paper's offline path over the encoded text trace.
+func TestTracerFedMatchesTextTrace(t *testing.T) {
+	for _, b := range progs.All() {
+		p, err := Prepare(b, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := p.Analyze()
+		if err != nil {
+			t.Fatalf("%s: text trace: %v", b.Name, err)
+		}
+		_, fed, err := analyzed(b, 0)
+		if err != nil {
+			t.Fatalf("%s: tracer-fed: %v", b.Name, err)
+		}
+		if !reflect.DeepEqual(fed.Critical, text.Critical) {
+			t.Errorf("%s: tracer-fed critical %+v, text trace %+v", b.Name, fed.Critical, text.Critical)
+		}
+	}
+}
+
 func TestTable3(t *testing.T) {
 	rows, err := RunTable3()
 	if err != nil {

@@ -235,9 +235,9 @@ func NewWithFactory(cfg Config, factory func(ns string) (store.Backend, error)) 
 	if cfg.Ingest != nil {
 		icfg := *cfg.Ingest
 		if icfg.Open == nil {
-			// Session checkpoints flow through the server's own store
-			// stack: one "sess-<id>" namespace per session, flushed and
-			// closed with every other namespace at Shutdown.
+			// Session chunks flow through the server's own store stack:
+			// every session's keys live in the one "sessions" namespace,
+			// flushed and closed with every other namespace at Shutdown.
 			icfg.Open = s.backend
 		}
 		if icfg.Obs == nil {
@@ -252,7 +252,8 @@ func NewWithFactory(cfg Config, factory func(ns string) (store.Backend, error)) 
 		// are ambiguous against the store API's "/v1/{ns}/..." patterns
 		// under ServeMux precedence, so the two APIs cannot share one.
 		// Store namespaces named "analyze" or "sessions" are shadowed on
-		// the wire as a consequence.
+		// the wire as a consequence, which keeps the ingest sessions'
+		// own namespace out of every tenant's reach.
 		imux := http.NewServeMux()
 		s.ingest.Mount(imux, s.route)
 		s.handler = s.bound(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
