@@ -757,8 +757,12 @@ func (s *Service) Status(id string) (SessionStatus, error) {
 	return sess.status(), nil
 }
 
-// Delete purges a session: it is dropped from memory, its "<id>." keys
-// are removed, and the id becomes unknown.
+// Delete purges a session: it is dropped from memory, its keys are
+// removed, and the id becomes unknown. The keys are deleted by name —
+// one probe past the acknowledged chunks, the chunks from the last down,
+// the result, the meta last — so the namespace is never listed, and a
+// Delete that fails part way leaves a session that recovers with the
+// chunks still stored and can be deleted again.
 func (s *Service) Delete(id string) error {
 	sess, err := s.session(id)
 	if err != nil {
@@ -769,17 +773,15 @@ func (s *Service) Delete(id string) error {
 	s.mu.Unlock()
 	sess.mu.Lock()
 	s.drop(sess)
+	chunks := sess.next
 	sess.mu.Unlock()
 	s.sessionsG.Dec()
-	keys, lerr := sess.back.List()
-	if lerr != nil {
-		return &Error{Status: 503, Code: CodeUnavailable,
-			Message: fmt.Sprintf("listing session objects: %v", lerr)}
+	keys := make([]string, 0, chunks+3)
+	for seq := chunks; seq >= 0; seq-- {
+		keys = append(keys, chunkKey(id, seq))
 	}
+	keys = append(keys, resultKey(id), metaKey(id))
 	for _, k := range keys {
-		if !strings.HasPrefix(k, id+".") {
-			continue
-		}
 		if derr := sess.back.Delete(k); derr != nil && !errors.Is(derr, store.ErrNotFound) {
 			return &Error{Status: 503, Code: CodeUnavailable,
 				Message: fmt.Sprintf("deleting session object %q: %v", k, derr)}

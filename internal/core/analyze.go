@@ -372,10 +372,22 @@ func (a *analyzer) reg(key regKey) *regEntry {
 	return e
 }
 
+// access is a Load's or Store's memory access, resolved once per record
+// by trackStorage and handed to every later step of the fused pass.
+// That is exact: nothing after trackStorage changes the variable table,
+// and resolving one address again would grow no footprint further, so
+// each step gets the variable its own resolve would have returned.
+type access struct {
+	addr uint64
+	ok   bool     // the record has a pointer address operand
+	v    *VarInfo // the variable at addr, or nil
+}
+
 // trackStorage processes the storage-defining records that collection and
-// dependency tracking both resolve through: Alloca (local intervals) and
-// named pointer operands (global discovery).
-func (a *analyzer) trackStorage(r *trace.Record) {
+// dependency tracking both resolve through — Alloca (local intervals) and
+// named pointer operands (global discovery) — and returns a Load's or
+// Store's access.
+func (a *analyzer) trackStorage(r *trace.Record) (acc access) {
 	switch r.Opcode {
 	case trace.OpAlloca:
 		if r.Result != nil && r.Result.Value.Kind == trace.KindPtr {
@@ -383,23 +395,31 @@ func (a *analyzer) trackStorage(r *trace.Record) {
 			a.growVars()
 		}
 	case trace.OpLoad, trace.OpStore, trace.OpGetElementPtr:
-		// A named, non-numeric pointer operand that no local span owns is a
-		// global reference at its base address. This must not consult the
-		// footprint-growing resolver: the named base is authoritative and
-		// truncates any neighbor whose estimated footprint overgrew it.
-		idx := 1
-		if r.Opcode == trace.OpStore {
-			idx = 2
+		op := accessOperand(r)
+		if op == nil || op.Value.Kind != trace.KindPtr {
+			return acc
 		}
-		op := r.Operand(idx)
-		if op == nil || op.Value.Kind != trace.KindPtr || op.Name == "" || isNumeric(op.Name) {
-			return
+		addr := op.Value.Addr()
+		var local *VarInfo
+		if op.Name != "" && !isNumeric(op.Name) {
+			// A named, non-numeric pointer operand that no local span owns is a
+			// global reference at its base address. This must not consult the
+			// footprint-growing resolver: the named base is authoritative and
+			// truncates any neighbor whose estimated footprint overgrew it.
+			if local = a.vt.resolveLocal(addr); local == nil {
+				a.vt.noteGlobal(op.Name, addr, r.DynID, r.Line)
+				a.growVars()
+			}
 		}
-		if a.vt.resolveLocal(op.Value.Addr()) == nil {
-			a.vt.noteGlobal(op.Name, op.Value.Addr(), r.DynID, r.Line)
-			a.growVars()
+		if r.Opcode != trace.OpGetElementPtr {
+			// resolve finds a local by the search resolveLocal just made.
+			acc = access{addr: addr, ok: true, v: local}
+			if local == nil {
+				acc.v = a.vt.resolve(addr)
+			}
 		}
 	}
+	return acc
 }
 
 // growVars gives every slot the table has assigned its state.
@@ -432,34 +452,32 @@ func isNumeric(s string) bool {
 	return true
 }
 
-// accessAddr returns the memory address a Load or Store touches, or 0.
-func accessAddr(r *trace.Record) (uint64, bool) {
-	idx := 1
+// accessOperand returns a Load's or Store's pointer operand, or a GEP's
+// base, or nil.
+func accessOperand(r *trace.Record) *trace.Operand {
 	if r.Opcode == trace.OpStore {
-		idx = 2
+		return r.Operand(2)
 	}
-	op := r.Operand(idx)
+	return r.Operand(1)
+}
+
+// accessAddr returns the memory address a Load or Store touches, or 0.
+// The fused pass finds it in trackStorage; the map-keyed reference pass
+// (reference_test.go) calls this.
+func accessAddr(r *trace.Record) (uint64, bool) {
+	op := accessOperand(r)
 	if op == nil || op.Value.Kind != trace.KindPtr {
 		return 0, false
 	}
 	return op.Value.Addr(), true
 }
 
-// collectible resolves the variable a Load/Store record accesses if the
-// record participates in MLI collection: records executed in the loop
-// function (call depth zero), plus — with IncludeGlobals — global accesses
-// at any depth (the automated FT workaround, §V-B Challenge 1).
-func (a *analyzer) collectible(r *trace.Record) *VarInfo {
-	switch r.Opcode {
-	case trace.OpLoad, trace.OpStore:
-	default:
-		return nil
-	}
-	addr, ok := accessAddr(r)
-	if !ok {
-		return nil
-	}
-	v := a.vt.resolve(addr)
+// collectible returns v, the variable a Load/Store record accesses (nil
+// for any other record), if the record participates in MLI collection:
+// records executed in the loop function (call depth zero), plus — with
+// IncludeGlobals — global accesses at any depth (the automated FT
+// workaround, §V-B Challenge 1).
+func (a *analyzer) collectible(r *trace.Record, v *VarInfo) *VarInfo {
 	if v == nil {
 		return nil
 	}
@@ -473,16 +491,16 @@ func (a *analyzer) collectible(r *trace.Record) *VarInfo {
 }
 
 // collectRegionA collects an arithmetic variable accessed before the loop.
-func (a *analyzer) collectRegionA(r *trace.Record) {
-	if v := a.collectible(r); v != nil {
+func (a *analyzer) collectRegionA(r *trace.Record, v *VarInfo) {
+	if v := a.collectible(r, v); v != nil {
 		a.vars[v.slot].inA = v
 	}
 }
 
 // collectRegionBMatch matches a variable accessed inside the loop against
 // the region-A set: the intersection is the MLI set (§IV-A).
-func (a *analyzer) collectRegionBMatch(r *trace.Record) {
-	if v := a.collectible(r); v != nil {
+func (a *analyzer) collectRegionBMatch(r *trace.Record, v *VarInfo) {
+	if v := a.collectible(r, v); v != nil {
 		if st := &a.vars[v.slot]; st.inA != nil && st.mli != v {
 			a.touch(v.slot)
 			st.mli = v

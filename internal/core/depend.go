@@ -22,17 +22,16 @@ import (
 // the single-Call form): each case finds its result register's row once
 // and rewrites it in place. It runs over the whole trace because region C
 // reads and induction detection also consult the maps, and it does the
-// same whatever the record's region.
-func (a *analyzer) updateMaps(r *trace.Record) {
+// same whatever the record's region. acc is a Load's resolved access.
+func (a *analyzer) updateMaps(r *trace.Record, acc *access) {
 	fn := r.Func
 	switch r.Opcode {
 	case trace.OpLoad:
-		addr, ok := accessAddr(r)
-		if !ok || r.Result == nil {
+		if !acc.ok || r.Result == nil {
 			return
 		}
 		e := a.reg(regKey{fn, r.Result.Name})
-		e.v = a.vt.resolve(addr)
+		e.v = acc.v
 		e.srcs = e.srcs[:0]
 	case trace.OpGetElementPtr, trace.OpBitCast:
 		if r.Result == nil {
@@ -174,15 +173,12 @@ func (a *analyzer) derivesFrom(key regKey, slot int, depth int) bool {
 // processLoopRecord streams region-B Read/Write information into the
 // per-variable summaries and, with BuildDDG, grows the complete DDG.
 // Inside a fork a Load also notes region C's signal, the variable's first
-// read after the loop, for the rollback to apply.
-func (a *analyzer) processLoopRecord(r *trace.Record) {
+// read after the loop, for the rollback to apply. acc is a Load's or
+// Store's resolved access.
+func (a *analyzer) processLoopRecord(r *trace.Record, acc *access) {
+	addr, v := acc.addr, acc.v
 	switch r.Opcode {
 	case trace.OpLoad:
-		addr, ok := accessAddr(r)
-		if !ok {
-			return
-		}
-		v := a.vt.resolve(addr)
 		if v == nil {
 			return
 		}
@@ -208,11 +204,6 @@ func (a *analyzer) processLoopRecord(r *trace.Record) {
 			a.reg(regKey{r.Func, r.Result.Name}).node = n
 		}
 	case trace.OpStore:
-		addr, ok := accessAddr(r)
-		if !ok {
-			return
-		}
-		v := a.vt.resolve(addr)
 		if v == nil {
 			return
 		}

@@ -71,16 +71,19 @@ func (e *NoLoopError) Error() string {
 // MLI set in finish. Region C never reaches it: a record after the loop's
 // last record is stepped as region B inside a fork (see below), whose
 // rollback leaves what region C would have.
+//
+// A Load or Store resolves its address once, in trackStorage, and every
+// step after it is handed the access (see access).
 func (a *analyzer) fusedStep(r *trace.Record, reg Region) {
-	a.trackStorage(r)
+	acc := a.trackStorage(r)
 	if reg == RegionBefore {
-		a.collectRegionA(r)
+		a.collectRegionA(r, acc.v)
 	} else {
-		a.collectRegionBMatch(r)
+		a.collectRegionBMatch(r, acc.v)
 	}
-	a.updateMaps(r)
+	a.updateMaps(r, &acc)
 	if reg == RegionLoop {
-		a.processLoopRecord(r)
+		a.processLoopRecord(r, &acc)
 	}
 }
 

@@ -42,6 +42,7 @@ type Frame struct {
 	args []trace.Value
 	sp   uint64 // stack pointer at frame entry (restored on return)
 	call *ir.Instr
+	tmpl []recordTemplate // the record templates of blk's instructions; nil until blk's first record
 }
 
 // alloca returns the executed Alloca of the named local in this frame. An
@@ -112,6 +113,7 @@ type Machine struct {
 	rng     uint64
 	fnAddr  map[string]uint64
 	nextFn  uint64
+	tmpls   map[*ir.Block][]recordTemplate // per block, indexed like its Instrs (see emit)
 }
 
 // funcAddr returns a stable fake code address for a function name, used in
@@ -354,19 +356,90 @@ func (m *Machine) eval(f *Frame, v ir.Value) trace.Value {
 // batch to the trace sink.
 const batchRecords = trace.DefaultBatchRecords
 
+// recordTemplate is the static half of every record one instruction
+// emits: the header but its DynID, and the operands — one per argument,
+// for a Call the callee and its parameters, then the result — with every
+// index, size, kind and name, and every value that cannot change between
+// executions: constants, global addresses and the callee's code address.
+// dyn lists the operands whose value each execution reads from its frame.
+type recordTemplate struct {
+	hdr       trace.Record
+	ops       []trace.Operand
+	dyn       []dynOperand
+	hasResult bool // the last of ops is the Result
+	built     bool
+}
+
+// dynOperand says where the value of ops[pos] lives in the emitting
+// frame: its register file at src, or its arguments when param is set.
+type dynOperand struct {
+	pos, src int
+	param    bool
+}
+
 // emit appends the record of the instruction just executed to the
-// machine's batch — one operand per argument, for a Call the callee and
-// its parameters, then the result — and hands the batch on when it is
-// full. Nothing is allocated per record: the batch's record slice and
-// operand arena are recycled by flush.
+// machine's batch and hands the batch on when it is full. The record is
+// a copy of the instruction's template plus the values only this
+// execution knows: the register and parameter arguments (a Call's
+// parameters repeat its arguments), the result and the dynamic id. The
+// frame keeps its block's templates, so finding one is an index, and the
+// machine builds each the first time it emits the instruction: the
+// callee's code address is assigned then, in the order calls are first
+// emitted, which a machine that built its templates ahead would change.
+// Nothing is allocated per record: the batch's record slice and operand
+// arena are recycled by flush.
 func (m *Machine) emit(f *Frame, in *ir.Instr, result *trace.Value) {
 	if m.sink == nil {
 		return
 	}
-	b := &m.batch
+	if f.tmpl == nil {
+		f.tmpl = m.blockTemplates(f.blk)
+	}
+	t := &f.tmpl[f.idx]
+	if !t.built {
+		m.buildTemplate(t, f, in, result != nil)
+	}
+	t.hdr.DynID = m.dynID
+	ops := m.batch.AppendTemplate(&t.hdr, t.ops, t.hasResult)
+	for _, d := range t.dyn {
+		if d.param {
+			ops[d.pos].Value = f.args[d.src]
+		} else {
+			ops[d.pos].Value = f.regs[d.src]
+		}
+	}
+	if t.hasResult {
+		ops[len(ops)-1].Value = *result
+	}
+	if len(m.batch.Recs) >= batchRecords {
+		m.flush()
+	}
+}
+
+// blockTemplates returns the templates of blk's instructions, unbuilt
+// until each is first emitted.
+func (m *Machine) blockTemplates(blk *ir.Block) []recordTemplate {
+	ts := m.tmpls[blk]
+	if ts == nil {
+		if m.tmpls == nil {
+			m.tmpls = make(map[*ir.Block][]recordTemplate)
+		}
+		ts = make([]recordTemplate, len(blk.Instrs))
+		m.tmpls[blk] = ts
+	}
+	return ts
+}
+
+// buildTemplate fills t for in, executed in frame f.
+func (m *Machine) buildTemplate(t *recordTemplate, f *Frame, in *ir.Instr, hasResult bool) {
+	*t = recordTemplate{
+		hdr:       trace.Record{Line: in.Line, Func: f.Fn.Name, Block: f.blk.Name, Opcode: in.Op},
+		hasResult: hasResult,
+		built:     true,
+	}
 	for i, a := range in.Args {
 		_, isConst := a.(*ir.Const)
-		b.AppendOperand(trace.Operand{Index: i + 1, Size: 64, Value: m.eval(f, a), IsReg: !isConst, Name: a.ValueName()})
+		m.addOperand(t, trace.Operand{Index: i + 1, Size: 64, IsReg: !isConst, Name: a.ValueName()}, a)
 	}
 	if in.Op == trace.OpCall {
 		// The Fig. 6(a)/(b) call record: callee-name operand (index 0), then
@@ -376,14 +449,14 @@ func (m *Machine) emit(f *Frame, in *ir.Instr, result *trace.Value) {
 		if in.Callee != nil {
 			name = in.Callee.Name
 		}
-		b.AppendOperand(trace.Operand{Index: 0, Size: 64, Value: trace.PtrValue(m.funcAddr(name)), IsReg: false, Name: name})
+		t.ops = append(t.ops, trace.Operand{Index: 0, Size: 64, Value: trace.PtrValue(m.funcAddr(name)), IsReg: false, Name: name})
 		if in.Callee != nil {
 			for i, p := range in.Callee.Params {
-				b.AppendOperand(trace.Operand{Index: -(i + 1), Size: 64, Value: m.eval(f, in.Args[i]), IsReg: true, Name: p.Name})
+				m.addOperand(t, trace.Operand{Index: -(i + 1), Size: 64, IsReg: true, Name: p.Name}, in.Args[i])
 			}
 		}
 	}
-	if result != nil {
+	if hasResult {
 		size := 64
 		if in.Op == trace.OpAlloca {
 			// Alloca result size carries the allocation size in bits, so the
@@ -391,18 +464,22 @@ func (m *Machine) emit(f *Frame, in *ir.Instr, result *trace.Value) {
 			// (the paper's Challenge 2 address table).
 			size = int(in.AllocElem.Size() * 8)
 		}
-		b.AppendOperand(trace.Operand{Index: 0, Size: size, Value: *result, IsReg: true, Name: in.ValueName()})
+		t.ops = append(t.ops, trace.Operand{Index: 0, Size: size, IsReg: true, Name: in.ValueName()})
 	}
-	b.AppendRecord(trace.Record{
-		Line:   in.Line,
-		Func:   f.Fn.Name,
-		Block:  f.blk.Name,
-		Opcode: in.Op,
-		DynID:  m.dynID,
-	}, result != nil)
-	if len(b.Recs) >= batchRecords {
-		m.flush()
+}
+
+// addOperand appends o, whose value is that of a, to t: filled in when a
+// is a constant or a global, listed in t.dyn when the frame holds it.
+func (m *Machine) addOperand(t *recordTemplate, o trace.Operand, a ir.Value) {
+	switch x := a.(type) {
+	case *ir.Param:
+		t.dyn = append(t.dyn, dynOperand{pos: len(t.ops), src: x.Index, param: true})
+	case *ir.Instr:
+		t.dyn = append(t.dyn, dynOperand{pos: len(t.ops), src: x.ID})
+	default:
+		o.Value = m.eval(nil, a)
 	}
+	t.ops = append(t.ops, o)
 }
 
 // flush hands the emitted records to the trace sink and recycles the
@@ -486,8 +563,7 @@ func (m *Machine) step() error {
 			target = in.Succs[0]
 		}
 		m.emit(f, in, nil)
-		f.blk = target
-		f.idx = 0
+		f.blk, f.idx, f.tmpl = target, 0, nil
 		if m.BlockHook != nil {
 			if err := m.BlockHook(m, f, target); err != nil {
 				return err

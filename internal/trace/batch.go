@@ -16,7 +16,8 @@ import "io"
 // the same rule the online engine's Observer already lives by.
 //
 // Producers that are not decoders of this package — the interpreter's
-// emitter — fill a batch through Reset / AppendOperand / AppendRecord.
+// emitter — fill a batch through Reset / AppendOperand / AppendRecord, or
+// AppendTemplate when a record's static half is prebuilt.
 
 // RecordBatch is reusable storage for batch decoding.
 type RecordBatch struct {
@@ -50,6 +51,12 @@ func (b *RecordBatch) AppendOperand(o Operand) {
 // backing array but never rewrites a written operand, so records appended
 // earlier stay value-correct.
 func (b *RecordBatch) AppendRecord(rec Record, hasResult bool) {
+	b.seal(&rec, hasResult)
+	b.Recs = append(b.Recs, rec)
+}
+
+// seal gives rec the operands staged since the previous record.
+func (b *RecordBatch) seal(rec *Record, hasResult bool) {
 	end := len(b.ops)
 	rec.Ops, rec.Result = nil, nil
 	if hasResult {
@@ -62,7 +69,25 @@ func (b *RecordBatch) AppendRecord(rec Record, hasResult bool) {
 		rec.Ops = b.ops[b.staged:end:end]
 	}
 	b.staged = len(b.ops)
-	b.Recs = append(b.Recs, rec)
+}
+
+// AppendTemplate is AppendOperand for each of ops followed by
+// AppendRecord(*hdr, hasResult), in one bulk copy. It returns the
+// arena's copy of ops, for the caller to write the record's dynamic
+// values into; the slice is valid until the next append to the batch.
+func (b *RecordBatch) AppendTemplate(hdr *Record, ops []Operand, hasResult bool) []Operand {
+	start := len(b.ops)
+	b.ops = append(b.ops, ops...)
+	n := len(b.Recs)
+	if n < cap(b.Recs) {
+		b.Recs = b.Recs[:n+1]
+	} else {
+		b.Recs = append(b.Recs, Record{})
+	}
+	rec := &b.Recs[n]
+	*rec = *hdr
+	b.seal(rec, hasResult)
+	return b.ops[start:]
 }
 
 // BatchReader is a Reader that can additionally decode records in

@@ -505,11 +505,13 @@ func TestRareShapeDecodeAllocs(t *testing.T) {
 	}
 }
 
-// TestCloneIntoAndAppendSurface: the two ways to copy a record into
-// shared operand storage. CloneInto fills an arena in place while it has
-// room and survives the arena moving when it has not; a RecordBatch
-// filled through AppendOperand/AppendRecord hands out the same records,
-// and Reset recycles it. Neither copy aliases its source.
+// TestCloneIntoAndAppendSurface: the ways to copy a record into shared
+// operand storage. CloneInto fills an arena in place while it has room
+// and survives the arena moving when it has not; a RecordBatch filled
+// through AppendOperand/AppendRecord hands out the same records, and so
+// does one filled through AppendTemplate from value-less templates whose
+// values are written into the slice it returns; Reset recycles a batch.
+// No copy aliases its source.
 func TestCloneIntoAndAppendSurface(t *testing.T) {
 	op := func(i int) Operand {
 		return Operand{Index: i, Size: 64, Value: IntValue(int64(10 * i)), IsReg: true, Name: fmt.Sprintf("r%d", i)}
@@ -541,6 +543,38 @@ func TestCloneIntoAndAppendSurface(t *testing.T) {
 				b.AppendOperand(*src[i].Result)
 			}
 			b.AppendRecord(Record{Line: src[i].Line, Func: src[i].Func, Block: src[i].Block, Opcode: src[i].Opcode, DynID: src[i].DynID}, src[i].Result != nil)
+		}
+	}
+	var tb RecordBatch
+	for round := 0; round < 2; round++ {
+		tb.Reset()
+		for i := range src {
+			tmpl := append([]Operand(nil), src[i].Ops...)
+			if src[i].Result != nil {
+				tmpl = append(tmpl, *src[i].Result)
+			}
+			for k := range tmpl {
+				tmpl[k].Value = Value{}
+			}
+			hdr := Record{Line: src[i].Line, Func: src[i].Func, Block: src[i].Block, Opcode: src[i].Opcode, DynID: src[i].DynID}
+			ops := tb.AppendTemplate(&hdr, tmpl, src[i].Result != nil)
+			if len(ops) != len(tmpl) || (len(ops) > 0 && &ops[0] == &tmpl[0]) {
+				t.Fatalf("record %d: AppendTemplate returned %d operands, want a copy of %d", i, len(ops), len(tmpl))
+			}
+			for k := range src[i].Ops {
+				ops[k].Value = src[i].Ops[k].Value
+			}
+			if src[i].Result != nil {
+				ops[len(ops)-1].Value = src[i].Result.Value
+			}
+		}
+	}
+	if len(tb.Recs) != len(src) {
+		t.Fatalf("template batch holds %d records after Reset and refill, want %d", len(tb.Recs), len(src))
+	}
+	for i := range tb.Recs {
+		if got := tb.Recs[i].String(); got != want[i] {
+			t.Errorf("record %d appended from a template = %q, want %q", i, got, want[i])
 		}
 	}
 	for name, arena := range map[string][]Operand{"roomy": make([]Operand, 0, total), "moving": nil} {
