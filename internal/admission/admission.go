@@ -529,39 +529,6 @@ func (c *Controller) ReleaseSession(tenant string) {
 	c.mu.Unlock()
 }
 
-// Sessions reports the tenant's live lease count (test observability).
-func (c *Controller) Sessions(tenant string) int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ts := c.tenants[tenant]; ts != nil {
-		return ts.live
-	}
-	return 0
-}
-
-// Queued reports how many acquires are parked across all tenants.
-func (c *Controller) Queued() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.queuedTotal
-}
-
-// InUse reports the granted admission count (test observability).
-func (c *Controller) InUse() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.inUse
-}
-
 // SetDraining flips drain mode. Entering it sheds every queued waiter
 // with a drain refusal; subsequent acquires shed immediately until it
 // is cleared.
@@ -590,14 +557,4 @@ func (c *Controller) SetDraining(on bool) {
 		c.queuedTotal = 0
 	}
 	c.mu.Unlock()
-}
-
-// Draining reports drain mode.
-func (c *Controller) Draining() bool {
-	if c == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.draining
 }

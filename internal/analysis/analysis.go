@@ -99,12 +99,15 @@ func (e *Error) Error() string {
 
 // Config defaults.
 const (
-	DefaultMaxSessions   = 8
-	DefaultMaxInFlight   = 16
-	DefaultIdleTTL       = 2 * time.Minute
-	DefaultSweepEvery    = 15 * time.Second
-	DefaultMaxChunkBytes = int64(64) << 20
+	DefaultMaxSessions = 8
+	DefaultMaxInFlight = 16
+	DefaultIdleTTL     = 2 * time.Minute
+	DefaultSweepEvery  = 15 * time.Second
 )
+
+// DefaultMaxChunkBytes bounds one chunk (or one-shot body) upload; a
+// larger one is refused with a too-large error.
+const DefaultMaxChunkBytes = int64(64) << 20
 
 // Config parameterizes a Service.
 type Config struct {
@@ -124,9 +127,6 @@ type Config struct {
 	// the janitor (tests drive EvictIdle directly).
 	IdleTTL    time.Duration
 	SweepEvery time.Duration
-
-	// MaxChunkBytes bounds one chunk (or one-shot body) upload.
-	MaxChunkBytes int64
 
 	// Open returns the store backend for a namespace. The service asks
 	// only for one, "sessions", which holds every session's objects —
@@ -238,9 +238,6 @@ func NewService(cfg Config) *Service {
 	}
 	if cfg.SweepEvery == 0 {
 		cfg.SweepEvery = DefaultSweepEvery
-	}
-	if cfg.MaxChunkBytes <= 0 {
-		cfg.MaxChunkBytes = DefaultMaxChunkBytes
 	}
 	if cfg.Open == nil {
 		mem := store.NewMemory()

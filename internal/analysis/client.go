@@ -134,12 +134,6 @@ func (c *Client) NewSession(spec core.LoopSpec) (*Session, error) {
 	return &Session{ID: st.ID, c: c}, nil
 }
 
-// ResumeSession returns a handle on an existing session id (a client
-// process reattaching after its own restart).
-func (c *Client) ResumeSession(id string) *Session {
-	return &Session{ID: id, c: c}
-}
-
 // SendChunk uploads the chunk with the given sequence number.
 // Sequencing violations return an *Error whose Expect field is the
 // session's resume point.

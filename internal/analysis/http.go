@@ -73,7 +73,7 @@ func writeError(w http.ResponseWriter, err error) {
 
 // readBody reads a bounded upload, answering the typed error itself.
 func (s *Service) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := wire.ReadUpload(w, r, s.cfg.MaxChunkBytes)
+	body, err := wire.ReadUpload(w, r, DefaultMaxChunkBytes)
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {

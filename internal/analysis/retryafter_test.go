@@ -36,7 +36,7 @@ func TestClientHonorsComputedRetryAfter(t *testing.T) {
 	c.MaxElapsed = time.Hour
 	var waits []time.Duration
 	c.tr.SetClock(func(d time.Duration) { waits = append(waits, d) }, nil)
-	if _, err := c.ResumeSession("x").Status(); err != nil {
+	if _, err := (&Session{ID: "x", c: c}).Status(); err != nil {
 		t.Fatal(err)
 	}
 	if len(waits) != 1 || waits[0] != 7*time.Second {
@@ -64,7 +64,7 @@ func TestClientBudgetErrorWrapsEnvelope(t *testing.T) {
 	}
 	c.MaxElapsed = 10 * time.Second
 	c.tr.SetClock(func(time.Duration) { t.Error("slept past the budget") }, nil)
-	_, err = c.ResumeSession("x").Status()
+	_, err = (&Session{ID: "x", c: c}).Status()
 	var ae *Error
 	if !errors.As(err, &ae) || ae.Status != http.StatusTooManyRequests || ae.Code != CodeQuota {
 		t.Fatalf("err = %v, want it to wrap the typed 429 envelope", err)
@@ -102,7 +102,7 @@ func TestClientPriorityHeaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Namespace = "tenant-x"
-	sess := c.ResumeSession("x")
+	sess := &Session{ID: "x", c: c}
 	if err := sess.SendChunk(0, []byte("data")); err != nil {
 		t.Fatal(err)
 	}

@@ -110,9 +110,6 @@ func (g *Graph) intersect(a, b *ir.Block) *ir.Block {
 	return a
 }
 
-// IDom returns the immediate dominator of b (entry dominates itself).
-func (g *Graph) IDom(b *ir.Block) *ir.Block { return g.idom[b] }
-
 // Dominates reports whether a dominates b.
 func (g *Graph) Dominates(a, b *ir.Block) bool {
 	for {

@@ -206,7 +206,7 @@ func TestStraightLineNoLoops(t *testing.T) {
 	if len(g.Loops()) != 0 {
 		t.Error("straight-line code should have no loops")
 	}
-	if g.IDom(f.Entry()) != f.Entry() {
+	if g.idom[f.Entry()] != f.Entry() {
 		t.Error("entry must be its own idom")
 	}
 }
@@ -241,8 +241,8 @@ func TestDominatorsDiamond(t *testing.T) {
 	b.SetBlock(join)
 	b.Ret(nil, 4)
 	g := New(f)
-	if g.IDom(join) != f.Entry() {
-		t.Errorf("idom(join) = %s, want entry", g.IDom(join).Name)
+	if g.idom[join] != f.Entry() {
+		t.Errorf("idom(join) = %s, want entry", g.idom[join].Name)
 	}
 	if g.Dominates(ta, join) {
 		t.Error("a should not dominate join")

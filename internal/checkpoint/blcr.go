@@ -2,12 +2,10 @@ package checkpoint
 
 import (
 	"encoding/binary"
-	"errors"
 	"hash/crc32"
 	"sort"
 
 	"autocheck/internal/interp"
-	"autocheck/internal/trace"
 )
 
 // FullSnapshot is the BLCR-like baseline: a system-level checkpoint of the
@@ -31,37 +29,4 @@ func FullSnapshot(m *interp.Machine, iter int64) []byte {
 		buf = encodeValue(buf, m.Mem[a])
 	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-}
-
-// FullRestore writes a full snapshot back into a machine's memory and
-// returns the snapshot's iteration number.
-func FullRestore(m *interp.Machine, snap []byte) (int64, error) {
-	if len(snap) < 28 {
-		return 0, errors.New("checkpoint: snapshot too short")
-	}
-	body, sum := snap[:len(snap)-4], binary.LittleEndian.Uint32(snap[len(snap)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return 0, errors.New("checkpoint: snapshot CRC mismatch")
-	}
-	if binary.LittleEndian.Uint32(body[0:4]) != magic || binary.LittleEndian.Uint32(body[4:8]) != version+1000 {
-		return 0, errors.New("checkpoint: bad snapshot header")
-	}
-	iter := int64(binary.LittleEndian.Uint64(body[8:16]))
-	n := binary.LittleEndian.Uint64(body[16:24])
-	rest := body[24:]
-	for i := uint64(0); i < n; i++ {
-		if len(rest) < 8 {
-			return 0, errors.New("checkpoint: truncated snapshot")
-		}
-		addr := binary.LittleEndian.Uint64(rest[:8])
-		rest = rest[8:]
-		var v trace.Value
-		var err error
-		v, rest, err = decodeValue(rest)
-		if err != nil {
-			return 0, err
-		}
-		m.WriteCell(addr, v)
-	}
-	return iter, nil
 }

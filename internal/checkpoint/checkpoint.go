@@ -214,27 +214,6 @@ func (c *Context) Protect(name string, base uint64, sizeBytes int64) {
 	c.protected = append(c.protected, variable{Protected: Protected{Name: name, Base: base, Cells: cells}})
 }
 
-// Unprotect removes a registered variable by name (used by the
-// false-positive validation of §VI-B, which drops variables one at a time).
-func (c *Context) Unprotect(name string) bool {
-	for i := range c.protected {
-		if c.protected[i].Name == name {
-			c.protected = append(c.protected[:i], c.protected[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// Protected returns the registered variables.
-func (c *Context) ProtectedVars() []Protected {
-	out := make([]Protected, len(c.protected))
-	for i := range c.protected {
-		out[i] = c.protected[i].Protected
-	}
-	return out
-}
-
 // LastBytes returns the size of the most recent checkpoint's primary
 // image (the paper's Table IV reports checkpoint data volume, not
 // replication overhead; with the incremental decorator the bytes actually
@@ -408,10 +387,6 @@ func (c *Context) Retain(n int) {
 	}
 	c.retain = n
 }
-
-// Pruned returns the number of checkpoints deleted by the retention
-// policy so far.
-func (c *Context) Pruned() int { return c.pruned }
 
 // Checkpoint writes a checkpoint of all protected variables at the given
 // iteration number. With an asynchronous backend it returns as soon as

@@ -154,20 +154,6 @@ func (g *Graph) MarkWrite(node *Node, t int64) {
 	g.writes = append(g.writes, writeMark{node: node, time: t})
 }
 
-// Parents returns the distinct source vertices of edges into n. A
-// self-dependency (like r→r from "r++" in Fig. 5(d)) reports n itself.
-func (g *Graph) Parents(n *Node) []*Node {
-	seen := make(map[*Node]bool)
-	var out []*Node
-	for _, e := range g.in[n] {
-		if !seen[e.From] {
-			seen[e.From] = true
-			out = append(out, e.From)
-		}
-	}
-	return out
-}
-
 // Children returns the distinct destination vertices of edges out of n.
 func (g *Graph) Children(n *Node) []*Node {
 	seen := make(map[*Node]bool)
@@ -432,15 +418,6 @@ func (g *Graph) Events() []Event {
 		out = append(out, e)
 	}
 	return out
-}
-
-// String renders the sequence like the paper's Fig. 5(e).
-func FormatEvents(evs []Event) string {
-	parts := make([]string, len(evs))
-	for i, e := range evs {
-		parts[i] = fmt.Sprintf("%d: %s-%s", i+1, e.Node.Name, e.Kind)
-	}
-	return strings.Join(parts, "; ")
 }
 
 // DOT renders the graph in Graphviz format (used by examples and docs).

@@ -115,19 +115,6 @@ func (p *Prepared) AnalyzeData(data []byte) (*core.Result, error) {
 	return core.AnalyzeBytes(data, p.Spec, p.opts())
 }
 
-// AnalyzeOnline runs the engine single-sweep over the prepared records,
-// through the batch entry a live tracer feeds (§IX online mode; no
-// re-execution, the materialized records stand in for the feed — here as
-// one batch; the engine's result does not depend on how a feed is cut).
-func (p *Prepared) AnalyzeOnline() (*core.Result, error) {
-	eng, err := core.NewEngine(p.Spec, p.opts())
-	if err != nil {
-		return nil, err
-	}
-	eng.ObserveBatch(p.Records)
-	return eng.Finish()
-}
-
 // Input adapts the prepared benchmark into a core.AnalyzeMany input over
 // its materialized records.
 func (p *Prepared) Input() core.Input {

@@ -357,7 +357,10 @@ func TestFormatEquivalenceAllBenchmarks(t *testing.T) {
 				"binary":           p.AnalyzeBinary,
 				"text-streaming":   streamFile("trace.txt", p.Data),
 				"binary-streaming": streamFile("trace.actb", p.BinData()),
-				"online":           p.AnalyzeOnline,
+				"online": func() (*core.Result, error) {
+					_, res, err := analyzed(p.Bench, 0)
+					return res, err
+				},
 				"service-oneshot": func() (*core.Result, error) {
 					return cli.Analyze(p.BinData(), p.Spec)
 				},

@@ -111,7 +111,7 @@ func TestIntegerSemantics(t *testing.T) {
 func TestDeepRecursionStackDiscipline(t *testing.T) {
 	// Each recursion level allocates locals; on return the stack pointer
 	// must be fully restored so iterative reuse stays at one frame depth.
-	recs, _, err := TraceSource(`
+	recs, _, err := traceSource(`
 int down(int n) {
   int local = n;
   if (n == 0) return 0;

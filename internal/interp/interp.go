@@ -59,14 +59,6 @@ func (f *Frame) alloca(name string) *ir.Instr {
 	return nil
 }
 
-// AllocaAddr returns the address of the named local in this frame.
-func (f *Frame) AllocaAddr(name string) (uint64, bool) {
-	if in := f.alloca(name); in != nil {
-		return f.regs[in.ID].Addr(), true
-	}
-	return 0, false
-}
-
 // Watch counts the writes that land in one registered range of a
 // machine's memory (Machine.Watch). The checkpoint layer keeps one per
 // protected variable: an unchanged count proves the variable's cells are
@@ -167,14 +159,6 @@ func (m *Machine) GlobalAddr(name string) (uint64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// GlobalType returns the value type of a named global.
-func (m *Machine) GlobalType(name string) (ir.Type, bool) {
-	if g := m.Mod.Global(name); g != nil {
-		return g.Elem, true
-	}
-	return nil, false
 }
 
 // ReadCell reads one 8-byte cell, coercing to the wanted scalar type.

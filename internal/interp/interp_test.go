@@ -23,6 +23,15 @@ func run(t *testing.T, src string) string {
 	return out
 }
 
+// traceSource compiles and traces a source program in one step.
+func traceSource(src string) ([]trace.Record, string, error) {
+	mod, err := Compile(src)
+	if err != nil {
+		return nil, "", err
+	}
+	return TraceProgram(mod)
+}
+
 func TestArithmeticAndLoops(t *testing.T) {
 	out := run(t, `int main() {
   int s = 0;
@@ -270,7 +279,7 @@ func TestFailStopInjection(t *testing.T) {
 }
 
 func TestTraceRecordsShape(t *testing.T) {
-	recs, out, err := TraceSource(fig4)
+	recs, out, err := traceSource(fig4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,11 +332,11 @@ func TestTraceRecordsShape(t *testing.T) {
 }
 
 func TestTraceDeterministic(t *testing.T) {
-	recs1, _, err := TraceSource(fig4)
+	recs1, _, err := traceSource(fig4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs2, _, err := TraceSource(fig4)
+	recs2, _, err := traceSource(fig4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +358,7 @@ func TestStackAddressReuse(t *testing.T) {
 int f() { int local = 1; return local; }
 int g() { int local = 2; return local; }
 int main() { print(f() + g()); return 0; }`
-	recs, _, err := TraceSource(src)
+	recs, _, err := traceSource(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,8 +391,8 @@ int main() { big[3] = 1.0; int x = 2; for (int i = 0; i < 1; i++) {} print(x); r
 	}
 	var xAddr uint64
 	m.BlockHook = func(mm *Machine, f *Frame, blk *ir.Block) error {
-		if a, ok := f.AllocaAddr("x"); ok {
-			xAddr = a
+		if in := f.alloca("x"); in != nil {
+			xAddr = f.regs[in.ID].Addr()
 		}
 		return nil
 	}
@@ -398,8 +407,8 @@ int main() { big[3] = 1.0; int x = 2; for (int i = 0; i < 1; i++) {} print(x); r
 	if v.Kind != trace.KindFloat || v.Float() != 1.0 {
 		t.Errorf("big[3] cell = %+v, want 1.0", v)
 	}
-	if typ, ok := m.GlobalType("big"); !ok || typ.String() != "[16 x f64]" {
-		t.Errorf("GlobalType(big) = %v, %v", typ, ok)
+	if typ := m.Mod.Global("big").Elem; typ.String() != "[16 x f64]" {
+		t.Errorf("type of big = %v", typ)
 	}
 }
 

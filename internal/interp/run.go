@@ -128,12 +128,3 @@ func TraceProgramBinary(mod *ir.Module) ([]byte, string, error) {
 	}
 	return buf.Bytes(), out, nil
 }
-
-// TraceSource compiles and traces a source program in one step.
-func TraceSource(src string) ([]trace.Record, string, error) {
-	mod, err := Compile(src)
-	if err != nil {
-		return nil, "", err
-	}
-	return TraceProgram(mod)
-}

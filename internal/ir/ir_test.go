@@ -45,9 +45,6 @@ func TestTypePredicates(t *testing.T) {
 	if Pointee(I64) != nil {
 		t.Error("Pointee of scalar should be nil")
 	}
-	if ScalarBase(Array(Array(F64, 3), 2)) != Type(F64) {
-		t.Error("ScalarBase")
-	}
 }
 
 func TestTypeEqual(t *testing.T) {

@@ -92,18 +92,6 @@ func Pointee(t Type) Type {
 	return nil
 }
 
-// ScalarBase returns the ultimate scalar element type of a (possibly
-// nested) array or scalar type.
-func ScalarBase(t Type) Type {
-	for {
-		a, ok := t.(ArrayType)
-		if !ok {
-			return t
-		}
-		t = a.Elem
-	}
-}
-
 // TypeEqual reports structural type equality.
 func TypeEqual(a, b Type) bool {
 	switch at := a.(type) {

@@ -15,7 +15,7 @@ func TestLexerBasics(t *testing.T) {
 	}
 	kinds := []Kind{KwInt, IDENT, Assign, INTLIT, Semi, KwFloat, IDENT, Semi, IDENT, PlusAssign, FLOATLIT, Semi, EOF}
 	if len(toks) != len(kinds) {
-		t.Fatalf("got %d tokens, want %d: %s", len(toks), len(kinds), FormatTokens(toks))
+		t.Fatalf("got %d tokens, want %d: %+v", len(toks), len(kinds), toks)
 	}
 	for i, k := range kinds {
 		if toks[i].Kind != k {
@@ -398,17 +398,6 @@ func TestErrorPositionsReported(t *testing.T) {
 func TestVoidParamSyntax(t *testing.T) {
 	if _, err := CompileSource("int f(void) { return 1; } int main() { print(f()); return 0; }"); err != nil {
 		t.Errorf("f(void): %v", err)
-	}
-}
-
-func TestFormatTokensOutput(t *testing.T) {
-	toks, err := Tokenize("int a = 1;")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := FormatTokens(toks)
-	if !strings.Contains(s, "int a = 1 ;") {
-		t.Errorf("FormatTokens = %q", s)
 	}
 }
 

@@ -10,7 +10,6 @@ package minic
 
 import (
 	"fmt"
-	"strings"
 	"unicode"
 )
 
@@ -334,20 +333,4 @@ func Tokenize(src string) ([]Token, error) {
 			return toks, nil
 		}
 	}
-}
-
-// FormatTokens renders tokens for debugging.
-func FormatTokens(toks []Token) string {
-	var b strings.Builder
-	for i, t := range toks {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		if t.Text != "" {
-			b.WriteString(t.Text)
-		} else {
-			b.WriteString(t.Kind.String())
-		}
-	}
-	return b.String()
 }

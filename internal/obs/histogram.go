@@ -79,14 +79,6 @@ type HistogramSnapshot struct {
 	P99Ns int64 `json:"p99_ns"`
 }
 
-// Mean returns the average observation in nanoseconds (0 when empty).
-func (s HistogramSnapshot) Mean() int64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.SumNs / s.Count
-}
-
 // Snapshot digests the histogram. Count is derived from the bucket counts
 // read in one pass, so the quantiles are always consistent with it even
 // while other goroutines record; sum and max are read independently and

@@ -1,15 +1,14 @@
 // Package obs is the telemetry substrate for the repo: atomic counters
-// and gauges, fixed-bucket latency histograms with quantile snapshots,
-// and lightweight spans with a pluggable sink. It is dependency-free and
-// allocation-conscious by design — every method on every type is safe on
-// a nil receiver and does nothing, exactly like faultinject, so a layer
-// whose telemetry is disabled pays one nil check per operation and zero
-// allocations. Enabling observation is a matter of threading a *Registry
-// through a Config; nothing else changes.
+// and gauges, and fixed-bucket latency histograms with quantile
+// snapshots. It is dependency-free and allocation-conscious by design —
+// every method on every type is safe on a nil receiver and does nothing,
+// exactly like faultinject, so a layer whose telemetry is disabled pays
+// one nil check per operation and zero allocations. Enabling observation
+// is a matter of threading a *Registry through a Config; nothing else
+// changes.
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,12 +86,7 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-
-	sink atomic.Value // holds sinkBox
 }
-
-// sinkBox wraps Sink so atomic.Value tolerates differing concrete types.
-type sinkBox struct{ s Sink }
 
 // New returns an empty registry.
 func New() *Registry {
@@ -210,24 +204,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Names returns the sorted instrument names of each kind — stable
-// ordering for reports and tests.
-func (s Snapshot) Names() (counters, gauges, histograms []string) {
-	for n := range s.Counters {
-		counters = append(counters, n)
-	}
-	for n := range s.Gauges {
-		gauges = append(gauges, n)
-	}
-	for n := range s.Histograms {
-		histograms = append(histograms, n)
-	}
-	sort.Strings(counters)
-	sort.Strings(gauges)
-	sort.Strings(histograms)
-	return
-}
-
 // Op bundles the instruments of one named operation — a latency
 // histogram, a byte counter, and lazily-created error-class counters —
 // so an instrumented call site is two calls: start := op.Start() before
@@ -280,130 +256,4 @@ func (o *Op) Done(start time.Time, n int64, class string) {
 	if class != "" {
 		o.reg.Counter(o.name + ".err." + class).Inc()
 	}
-}
-
-// SpanEvent is one finished span as delivered to a Sink.
-type SpanEvent struct {
-	Name     string
-	Detail   string
-	Start    time.Time
-	Duration time.Duration
-	Err      string
-}
-
-// Sink receives finished spans. Implementations must be safe for
-// concurrent use; they run inline on the recording goroutine, so they
-// should be fast (buffer, don't block).
-type Sink interface {
-	Span(SpanEvent)
-}
-
-// SetSink installs (or, with nil, removes) the span sink. Safe on a nil
-// registry.
-func (r *Registry) SetSink(s Sink) {
-	if r == nil {
-		return
-	}
-	r.sink.Store(sinkBox{s})
-}
-
-func (r *Registry) loadSink() Sink {
-	if r == nil {
-		return nil
-	}
-	if b, ok := r.sink.Load().(sinkBox); ok {
-		return b.s
-	}
-	return nil
-}
-
-// Span is a lightweight in-progress trace span, held by value so starting
-// one allocates nothing. A Span from a nil registry — or from a registry
-// with no sink installed — is inactive: End is a no-op, and Active lets
-// call sites skip building detail strings entirely.
-type Span struct {
-	reg   *Registry
-	name  string
-	start time.Time
-}
-
-// StartSpan begins a span. When the registry is nil or has no sink the
-// returned span is inactive and the clock is not read: spans cost nothing
-// unless someone is listening.
-func (r *Registry) StartSpan(name string) Span {
-	if r == nil || r.loadSink() == nil {
-		return Span{}
-	}
-	return Span{reg: r, name: name, start: time.Now()}
-}
-
-// Active reports whether End will emit. Call sites use it to avoid
-// formatting detail strings for spans nobody receives.
-func (sp Span) Active() bool { return sp.reg != nil }
-
-// End finishes the span and delivers it to the sink installed when the
-// span started (or the current one if it changed since). errText is the
-// error rendering, empty for success; detail is free-form call-site
-// context.
-func (sp Span) End(detail, errText string) {
-	if sp.reg == nil {
-		return
-	}
-	s := sp.reg.loadSink()
-	if s == nil {
-		return
-	}
-	s.Span(SpanEvent{
-		Name:     sp.name,
-		Detail:   detail,
-		Start:    sp.start,
-		Duration: time.Since(sp.start),
-		Err:      errText,
-	})
-}
-
-// BufferSink is a bounded in-memory Sink for tests and interactive
-// tooling. Once cap spans are held, further spans are counted but
-// dropped.
-type BufferSink struct {
-	mu      sync.Mutex
-	cap     int
-	events  []SpanEvent
-	dropped int64
-}
-
-// NewBufferSink returns a sink retaining up to capacity spans
-// (<= 0 selects 1024).
-func NewBufferSink(capacity int) *BufferSink {
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	return &BufferSink{cap: capacity}
-}
-
-// Span implements Sink.
-func (b *BufferSink) Span(e SpanEvent) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.events) >= b.cap {
-		b.dropped++
-		return
-	}
-	b.events = append(b.events, e)
-}
-
-// Events returns a copy of the retained spans in arrival order.
-func (b *BufferSink) Events() []SpanEvent {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]SpanEvent, len(b.events))
-	copy(out, b.events)
-	return out
-}
-
-// Dropped reports how many spans arrived after the buffer filled.
-func (b *BufferSink) Dropped() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dropped
 }

@@ -56,10 +56,14 @@ import (
 
 // Config parameterizes a service.
 type Config struct {
-	// Store is the template for per-namespace backends. Kind and Sync
-	// apply as-is; for the file kind each namespace is rooted at
-	// Dir/<namespace>. KindRemote is rejected (the service does not
-	// proxy to another service).
+	// Store is the template for per-namespace backends, each opened with
+	// store.Open. Kind, Sync and CacheMB apply as-is; for the file kind
+	// each namespace is rooted at Dir/<namespace>. KindRemote and
+	// KindReplicated are rejected (the service does not proxy to another
+	// service). Incremental, Async and Keyframe are ignored: store.Open
+	// never decorates, so no delta chains across the keys of a namespace
+	// (ingest sessions share one). A client that wants those decorators
+	// adds them on its own side.
 	Store store.Config
 
 	// MaxInFlight bounds concurrently served requests; excess requests
@@ -73,10 +77,6 @@ type Config struct {
 	// server's own configuration; the zero value reproduces the classic
 	// global-semaphore behavior with a fixed 1s Retry-After.
 	Admission admission.Config
-
-	// MaxObjectBytes bounds one object upload (default
-	// DefaultMaxObjectBytes).
-	MaxObjectBytes int64
 
 	// Faults arms deterministic fault injection on the request path (the
 	// SiteRequest failpoint); backend-side faults travel in Store.Faults.
@@ -109,11 +109,12 @@ type Config struct {
 // connection error).
 const SiteRequest = "server.request"
 
-// Config defaults.
-const (
-	DefaultMaxInFlight    = 64
-	DefaultMaxObjectBytes = int64(1) << 30
-)
+// DefaultMaxInFlight is Config.MaxInFlight's default.
+const DefaultMaxInFlight = 64
+
+// DefaultMaxObjectBytes bounds one object upload; a larger one is
+// refused with 400.
+const DefaultMaxObjectBytes = int64(1) << 30
 
 // Server is one checkpoint service instance.
 type Server struct {
@@ -198,9 +199,6 @@ func New(cfg Config) (*Server, error) {
 func NewWithFactory(cfg Config, factory func(ns string) (store.Backend, error)) *Server {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = DefaultMaxInFlight
-	}
-	if cfg.MaxObjectBytes <= 0 {
-		cfg.MaxObjectBytes = DefaultMaxObjectBytes
 	}
 	if cfg.Obs == nil {
 		cfg.Obs = obs.New()
@@ -617,7 +615,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body, err := wire.ReadUpload(w, r, s.cfg.MaxObjectBytes)
+	body, err := wire.ReadUpload(w, r, DefaultMaxObjectBytes)
 	if err != nil {
 		// Includes a client that died mid-upload (unexpected EOF against
 		// the declared Content-Length): nothing is committed.

@@ -355,14 +355,6 @@ func (c *Cached) Close() error {
 	return c.inner.Close()
 }
 
-// CachedBytes reports the current cache occupancy (tests and the
-// examples walkthrough).
-func (c *Cached) CachedBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.size
-}
-
 // Dependencies forwards to the inner backend's resolver, if any.
 func (c *Cached) Dependencies(key string) ([]string, error) {
 	return DependenciesOf(c.inner, key)

@@ -93,7 +93,7 @@ func TestCachedEvictsColdEntriesAtByteBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := c.CachedBytes(); got > 2*one {
+	if got := cachedBytes(c); got > 2*one {
 		t.Errorf("cache holds %d bytes, bound is %d", got, 2*one)
 	}
 	// "a" was coldest and must have been evicted; reading it goes inner.
@@ -135,7 +135,7 @@ func TestCachedSkipsObjectsLargerThanBound(t *testing.T) {
 	if err := c.Put("big", sampleSections(9)); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.CachedBytes(); got != 0 {
+	if got := cachedBytes(c); got != 0 {
 		t.Errorf("oversized object cached (%d bytes)", got)
 	}
 	if _, err := c.Get("big"); err != nil {
@@ -404,7 +404,7 @@ func TestCachedGetRacingDeleteDoesNotRepopulate(t *testing.T) {
 		// before the delete) — but never an error here.
 		t.Fatalf("leader: %v", err)
 	}
-	if n := c.CachedBytes(); n != 0 {
+	if n := cachedBytes(c); n != 0 {
 		t.Fatalf("cache holds %d bytes of a deleted object", n)
 	}
 	if _, err := c.Get("k"); !errors.Is(err, ErrNotFound) {
@@ -436,10 +436,17 @@ func TestCachedPutRacingDeleteDoesNotRepopulate(t *testing.T) {
 	if err := <-putDone; err != nil {
 		t.Fatalf("put: %v", err)
 	}
-	if n := c.CachedBytes(); n != 0 {
+	if n := cachedBytes(c); n != 0 {
 		t.Fatalf("cache holds %d bytes of a deleted object", n)
 	}
 	if _, err := c.Get("k"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("deleted object still served from cache (err=%v)", err)
 	}
+}
+
+// cachedBytes reports c's current occupancy.
+func cachedBytes(c *Cached) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.size
 }

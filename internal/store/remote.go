@@ -69,7 +69,6 @@ func NewRemote(addr, namespace string) (*Remote, error) {
 		return nil, err
 	}
 	t.Site = SiteRemoteDo
-	t.SpanName = "remote.attempt"
 	return &Remote{
 		Retry: wire.DefaultRetry(),
 		ns:    namespace,
@@ -129,12 +128,10 @@ func (r *Remote) SetFaults(reg *faultinject.Registry) { r.tr.Faults = reg }
 
 // SetObs implements Observable. Besides the standard per-op recorders
 // (whose latency spans the whole retry loop, waits included), the remote
-// client records each HTTP exchange as a "remote.attempt" span — visible
-// once a span sink is installed — plus an attempt-latency histogram and
-// a retry counter, so backoff behavior is observable per attempt.
+// client records each HTTP exchange in an attempt-latency histogram and
+// counts retries, so backoff behavior is observable per attempt.
 func (r *Remote) SetObs(reg *obs.Registry) {
 	r.ops = newOpSet(reg, "store.remote")
-	r.tr.Obs = reg
 	r.tr.AttemptLat = reg.Histogram("store.remote.attempt.ns")
 	r.tr.Retries = reg.Counter("store.remote.retries")
 }

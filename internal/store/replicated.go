@@ -184,9 +184,6 @@ func NewReplicated(replicas []Backend, opts ReplicatedOptions) (*Replicated, err
 	return s, nil
 }
 
-// Replicas reports the cluster size.
-func (s *Replicated) Replicas() int { return len(s.replicas) }
-
 // Quorums reports the effective write and read quorums.
 func (s *Replicated) Quorums() (w, r int) { return s.w, s.r }
 

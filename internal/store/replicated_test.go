@@ -48,8 +48,8 @@ func TestReplicatedOptionsValidation(t *testing.T) {
 	if w, r := rep.Quorums(); w != 2 || r != 2 {
 		t.Errorf("default quorums = %d/%d, want majority 2/2", w, r)
 	}
-	if rep.Replicas() != 3 {
-		t.Errorf("Replicas() = %d", rep.Replicas())
+	if len(rep.replicas) != 3 {
+		t.Errorf("replicas = %d, want 3", len(rep.replicas))
 	}
 }
 

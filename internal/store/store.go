@@ -162,7 +162,7 @@ type Config struct {
 	Faults *faultinject.Registry
 
 	// Obs, when set, arms per-operation telemetry (latency histograms,
-	// byte counters, error-class counters, retry spans) on every layer
+	// byte counters, error-class counters, retry counters) on every layer
 	// Open/Decorate construct. nil (the default) leaves each call site
 	// as a nil check — disabled telemetry costs nothing on hot paths.
 	Obs *obs.Registry

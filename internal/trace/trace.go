@@ -22,7 +22,6 @@ package trace
 import (
 	"math"
 	"strconv"
-	"strings"
 )
 
 // LLVM 3.4 instruction opcode numbers, as used by LLVM-Tracer and shown in
@@ -97,38 +96,12 @@ var opcodeNames = [...]string{
 	OpSelect:        "Select",
 }
 
-// opcodeByName is the reverse mapping, used when decoding a binary trace's
-// self-description header.
-var opcodeByName = func() map[string]int {
-	m := make(map[string]int, len(opcodeNames))
-	for op, name := range opcodeNames {
-		if name != "" {
-			m[name] = op
-		}
-	}
-	return m
-}()
-
 // OpcodeName returns a human-readable mnemonic for an opcode number.
 func OpcodeName(op int) string {
 	if op >= 0 && op < len(opcodeNames) && opcodeNames[op] != "" {
 		return opcodeNames[op]
 	}
 	return "Op" + strconv.Itoa(op)
-}
-
-// OpcodeByName returns the opcode number for a mnemonic, reversing
-// OpcodeName. Mnemonics of the form "OpN" resolve to N.
-func OpcodeByName(name string) (int, bool) {
-	if op, ok := opcodeByName[name]; ok {
-		return op, true
-	}
-	if strings.HasPrefix(name, "Op") {
-		if op, err := strconv.Atoi(name[2:]); err == nil {
-			return op, true
-		}
-	}
-	return 0, false
 }
 
 // ValueKind discriminates the three value encodings in a trace.
@@ -239,11 +212,6 @@ func (v Value) Equal(o Value) bool {
 		return v.Float() == o.Float()
 	}
 	return v.bits == o.bits
-}
-
-// ParseValue decodes a value from its trace encoding.
-func ParseValue(s string) (Value, error) {
-	return parseValueBytes([]byte(s))
 }
 
 // Operand is one input operand or the result of a dynamic instruction:

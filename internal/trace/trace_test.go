@@ -53,9 +53,9 @@ func TestValueStringParse(t *testing.T) {
 	}
 	for _, v := range cases {
 		s := v.String()
-		got, err := ParseValue(s)
+		got, err := parseValueBytes([]byte(s))
 		if err != nil {
-			t.Fatalf("ParseValue(%q): %v", s, err)
+			t.Fatalf("parseValueBytes(%q): %v", s, err)
 		}
 		if !got.Equal(v) {
 			t.Errorf("roundtrip %v -> %q -> %v", v, s, got)
@@ -70,7 +70,7 @@ func TestValueKindsDistinguishable(t *testing.T) {
 	if !strings.ContainsAny(s, ".eE") {
 		t.Fatalf("FloatValue(3).String() = %q lacks float marker", s)
 	}
-	got, err := ParseValue(s)
+	got, err := parseValueBytes([]byte(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +81,8 @@ func TestValueKindsDistinguishable(t *testing.T) {
 
 func TestParseValueErrors(t *testing.T) {
 	for _, s := range []string{"0xzz", "1.2.3", "abc", ""} {
-		if _, err := ParseValue(s); err == nil {
-			t.Errorf("ParseValue(%q) succeeded, want error", s)
+		if _, err := parseValueBytes([]byte(s)); err == nil {
+			t.Errorf("parseValueBytes(%q) succeeded, want error", s)
 		}
 	}
 }
@@ -306,19 +306,6 @@ func TestRecordStringIsBlockEncoding(t *testing.T) {
 	back, err := ParseBytes([]byte(s))
 	if err != nil || len(back) != 1 {
 		t.Fatalf("block encoding did not reparse: %v", err)
-	}
-}
-
-func TestOpcodeByName(t *testing.T) {
-	for op := 0; op < 64; op++ {
-		name := OpcodeName(op)
-		back, ok := OpcodeByName(name)
-		if !ok || back != op {
-			t.Errorf("OpcodeByName(OpcodeName(%d)=%q) = (%d, %v)", op, name, back, ok)
-		}
-	}
-	if _, ok := OpcodeByName("NotAnOpcode"); ok {
-		t.Error("OpcodeByName accepted garbage")
 	}
 }
 

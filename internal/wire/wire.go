@@ -82,12 +82,9 @@ type Transport struct {
 	Faults *faultinject.Registry
 	Site   string
 
-	// Per-attempt telemetry, all optional: each HTTP exchange is a Span
-	// named SpanName on Obs, its latency (waits excluded) lands in
-	// AttemptLat, and attempts beyond an operation's first count in
-	// Retries.
-	Obs        *obs.Registry
-	SpanName   string
+	// Per-attempt telemetry, all optional: each HTTP exchange's latency
+	// (waits excluded) lands in AttemptLat, and attempts beyond an
+	// operation's first count in Retries.
 	AttemptLat *obs.Histogram
 	Retries    *obs.Counter
 
@@ -240,20 +237,12 @@ func (t *Transport) Do(retry Retry, req Request) ([]byte, error) {
 		if t.AttemptLat != nil {
 			t0 = time.Now()
 		}
-		sp := t.Obs.StartSpan(t.SpanName)
 		var data []byte
 		var done bool
 		var err error
 		data, done, hint, hinted, err = t.attempt(req, now)
 		if t.AttemptLat != nil {
 			t.AttemptLat.ObserveSince(t0)
-		}
-		if sp.Active() {
-			errText := ""
-			if err != nil {
-				errText = err.Error()
-			}
-			sp.End(fmt.Sprintf("%s %s attempt=%d/%d", req.Method, req.Path, attempt+1, attempts), errText)
 		}
 		if done {
 			return data, err
