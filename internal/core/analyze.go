@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -236,7 +237,7 @@ func Analyze(recs []trace.Record, spec LoopSpec, opts Options) (*Result, error) 
 
 func analyzeRecordsIn(sc *scratch, recs []trace.Record, spec LoopSpec, opts Options) (*Result, error) {
 	e := sc.engine(spec, opts)
-	e.feed(0, recs)
+	e.feed(recs, nil)
 	return e.result()
 }
 
@@ -245,7 +246,7 @@ func analyzeRecordsIn(sc *scratch, recs []trace.Record, spec LoopSpec, opts Opti
 // decode error anywhere in the trace is reported before a missing loop.
 func (sc *scratch) analyze(rd trace.BatchReader, spec LoopSpec, opts Options) (*Result, error) {
 	e := sc.engine(spec, opts)
-	if err := trace.ForEachBatch(rd, &sc.batch, e.feed); err != nil {
+	if err := trace.ForEachBatch(rd, &sc.batch, sc.feed); err != nil {
 		return nil, err
 	}
 	return e.result()
@@ -289,6 +290,21 @@ type regEntry struct {
 	node *ddg.Node
 }
 
+// shape is what the fused pass needs of a template's static half (see
+// trace.RecordBatch.TemplateIDs), resolved once, from the first record
+// with the template's id: the rows of its registers, whether it lies in
+// the MCLR, and where its access operand is. Every record with that id
+// then indexes where a record without one hashes register names.
+type shape struct {
+	loop   bool        // spec.contains: in the loop function, inside the MCLR
+	loopFn bool        // in the loop function
+	res    *regEntry   // the result's row; nil without a result
+	rows   []*regEntry // per input operand, its register's row (a parameter's in the callee); nil for a non-register
+	srcs   []regKey    // linkSources' sources: the register inputs with Index > 0, in order
+	acc    int         // the position in Ops of a Load's or Store's pointer or a GEP's base; -1 if none
+	named  bool        // that operand has a name that is not a number
+}
+
 // varState is one variable identity's slot (see varTable): the
 // instance that made it a region-A candidate and the one that matched
 // it in region B — both the latest — and its summary, which keeps the
@@ -313,6 +329,13 @@ type analyzer struct {
 	slab  []regEntry // unused rows, handed out by reg
 	graph *ddg.Graph
 
+	// The shapes of the templates seen so far, indexed by template id,
+	// and the slabs they and their row lists are cut from.
+	shapes    []*shape
+	shapeSlab []shape
+	rowSlab   []*regEntry
+	keySlab   []regKey
+
 	// The open fork (engine.go): the run's generation, its undo log, and
 	// the variables whose vertices a Call asked for, in the order it asked.
 	fork  bool
@@ -324,8 +347,12 @@ type analyzer struct {
 // regSlab is how many rows reg allocates at once. A port has a few
 // hundred registers, and a row each added 15-40 % to a port's analysis
 // allocations: from slabs, the table allocates no more than the maps it
-// replaced.
-const regSlab = 128
+// replaced. Shapes and their row and source lists come from slabs of
+// listSlab (cut) for the same reason: a port has a few hundred templates.
+const (
+	regSlab  = 128
+	listSlab = 512
+)
 
 func newAnalyzer(spec LoopSpec, opts Options) *analyzer {
 	a := &analyzer{}
@@ -349,6 +376,8 @@ func (a *analyzer) reset(spec LoopSpec, opts Options) {
 		clear(a.vars)
 		a.vars = a.vars[:0]
 		clear(a.regs)
+		clear(a.shapes)
+		a.shapes = a.shapes[:0]
 	}
 	a.fork = false
 	a.undo, a.calls = a.undo[:0], a.calls[:0]
@@ -372,6 +401,117 @@ func (a *analyzer) reg(key regKey) *regEntry {
 	return e
 }
 
+// shapeOf returns the shape of template id, resolving it from r — the
+// first record with the id — on first sight; a record with no template
+// (trace.NoTemplate) has no shape.
+func (a *analyzer) shapeOf(id uint32, r *trace.Record) *shape {
+	if int(id) < len(a.shapes) {
+		if sh := a.shapes[id]; sh != nil {
+			return sh
+		}
+	} else if id == trace.NoTemplate {
+		return nil
+	} else {
+		if int(id) >= cap(a.shapes) {
+			a.shapes = slices.Grow(a.shapes, max(int(id)+1, 2*cap(a.shapes), 256)-len(a.shapes))
+		}
+		a.shapes = a.shapes[:id+1]
+	}
+	sh := &cut(&a.shapeSlab, 1)[0]
+	a.shapes[id] = sh
+
+	fn := r.Func
+	*sh = shape{loop: a.spec.contains(r), loopFn: fn == a.spec.Function, acc: -1}
+	if r.Result != nil {
+		sh.res = a.reg(regKey{fn, r.Result.Name})
+	}
+	callee := ""
+	if op := r.Operand(0); op != nil {
+		callee = op.Name
+	}
+	sh.rows = cut(&a.rowSlab, len(r.Ops))
+	nsrc := 0
+	for i := range r.Ops {
+		switch op := &r.Ops[i]; {
+		case op.Index < 0:
+			sh.rows[i] = a.reg(regKey{callee, op.Name})
+		case op.IsReg:
+			sh.rows[i] = a.reg(regKey{fn, op.Name})
+			if op.Index > 0 {
+				nsrc++
+			}
+		}
+	}
+	sh.srcs = cut(&a.keySlab, nsrc)[:0]
+	for i := range r.Ops {
+		if op := &r.Ops[i]; op.Index > 0 && op.IsReg {
+			sh.srcs = append(sh.srcs, regKey{fn, op.Name})
+		}
+	}
+	switch r.Opcode {
+	case trace.OpLoad, trace.OpGetElementPtr:
+		sh.acc = operandPos(r, 1)
+	case trace.OpStore:
+		sh.acc = operandPos(r, 2)
+	}
+	if sh.acc >= 0 {
+		name := r.Ops[sh.acc].Name
+		sh.named = name != "" && !isNumeric(name)
+	}
+	return sh
+}
+
+// cut returns n elements cut from the front of *slab, which a fresh slab
+// replaces when it has not the room.
+func cut[T any](slab *[]T, n int) []T {
+	if len(*slab) < n {
+		*slab = make([]T, max(n, listSlab))
+	}
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
+// The row accessors: a record with a shape indexes it, one without hashes
+// its register names, which finds the same row.
+
+// resultRow returns the row of r's result, adding it if it is new.
+func (a *analyzer) resultRow(r *trace.Record, sh *shape) *regEntry {
+	if sh != nil {
+		return sh.res
+	}
+	return a.reg(regKey{r.Func, r.Result.Name})
+}
+
+// operandRow returns the row of the register r.Ops[i] (Index >= 0, a
+// register) names, or nil: a register nothing has written has no row, or
+// an empty one, and the pass treats the two alike.
+func (a *analyzer) operandRow(r *trace.Record, sh *shape, i int) *regEntry {
+	if sh != nil {
+		return sh.rows[i]
+	}
+	return a.regs[regKey{r.Func, r.Ops[i].Name}]
+}
+
+// inLoopFn reports whether r runs in the loop function.
+func (a *analyzer) inLoopFn(r *trace.Record, sh *shape) bool {
+	if sh != nil {
+		return sh.loopFn
+	}
+	return r.Func == a.spec.Function
+}
+
+// operandPos returns the position in r.Ops of the operand with 1-based
+// position idx, or -1.
+func operandPos(r *trace.Record, idx int) int {
+	for i := range r.Ops {
+		if r.Ops[i].Index == idx {
+			return i
+		}
+	}
+	return -1
+}
+
 // access is a Load's or Store's memory access, resolved once per record
 // by trackStorage and handed to every later step of the fused pass.
 // That is exact: nothing after trackStorage changes the variable table,
@@ -387,7 +527,7 @@ type access struct {
 // dependency tracking both resolve through — Alloca (local intervals) and
 // named pointer operands (global discovery) — and returns a Load's or
 // Store's access.
-func (a *analyzer) trackStorage(r *trace.Record) (acc access) {
+func (a *analyzer) trackStorage(r *trace.Record, sh *shape) (acc access) {
 	switch r.Opcode {
 	case trace.OpAlloca:
 		if r.Result != nil && r.Result.Value.Kind == trace.KindPtr {
@@ -395,13 +535,21 @@ func (a *analyzer) trackStorage(r *trace.Record) (acc access) {
 			a.growVars()
 		}
 	case trace.OpLoad, trace.OpStore, trace.OpGetElementPtr:
-		op := accessOperand(r)
+		var op *trace.Operand
+		var named bool
+		if sh != nil {
+			if sh.acc >= 0 {
+				op, named = &r.Ops[sh.acc], sh.named
+			}
+		} else if op = accessOperand(r); op != nil {
+			named = op.Name != "" && !isNumeric(op.Name)
+		}
 		if op == nil || op.Value.Kind != trace.KindPtr {
 			return acc
 		}
 		addr := op.Value.Addr()
 		var local *VarInfo
-		if op.Name != "" && !isNumeric(op.Name) {
+		if named {
 			// A named, non-numeric pointer operand that no local span owns is a
 			// global reference at its base address. This must not consult the
 			// footprint-growing resolver: the named base is authoritative and
@@ -477,11 +625,11 @@ func accessAddr(r *trace.Record) (uint64, bool) {
 // records executed in the loop function (call depth zero), plus — with
 // IncludeGlobals — global accesses at any depth (the automated FT
 // workaround, §V-B Challenge 1).
-func (a *analyzer) collectible(r *trace.Record, v *VarInfo) *VarInfo {
+func (a *analyzer) collectible(r *trace.Record, sh *shape, v *VarInfo) *VarInfo {
 	if v == nil {
 		return nil
 	}
-	if r.Func != a.spec.Function && !(a.opts.IncludeGlobals && v.Global) {
+	if !a.inLoopFn(r, sh) && !(a.opts.IncludeGlobals && v.Global) {
 		return nil
 	}
 	if v.FirstLine < 0 {
@@ -491,16 +639,16 @@ func (a *analyzer) collectible(r *trace.Record, v *VarInfo) *VarInfo {
 }
 
 // collectRegionA collects an arithmetic variable accessed before the loop.
-func (a *analyzer) collectRegionA(r *trace.Record, v *VarInfo) {
-	if v := a.collectible(r, v); v != nil {
+func (a *analyzer) collectRegionA(r *trace.Record, sh *shape, v *VarInfo) {
+	if v := a.collectible(r, sh, v); v != nil {
 		a.vars[v.slot].inA = v
 	}
 }
 
 // collectRegionBMatch matches a variable accessed inside the loop against
 // the region-A set: the intersection is the MLI set (§IV-A).
-func (a *analyzer) collectRegionBMatch(r *trace.Record, v *VarInfo) {
-	if v := a.collectible(r, v); v != nil {
+func (a *analyzer) collectRegionBMatch(r *trace.Record, sh *shape, v *VarInfo) {
+	if v := a.collectible(r, sh, v); v != nil {
 		if st := &a.vars[v.slot]; st.inA != nil && st.mli != v {
 			a.touch(v.slot)
 			st.mli = v

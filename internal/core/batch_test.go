@@ -202,12 +202,16 @@ func TestReloadKeepsSourceArray(t *testing.T) {
 		Ops:    []trace.Operand{regOp(1, "%a"), regOp(2, "%b")},
 		Result: resOp("%r")}
 	spec := LoopSpec{Function: "main", StartLine: 10, EndLine: 20}
+	pass, shaped := newAnalyzer(spec, DefaultOptions()), newAnalyzer(spec, DefaultOptions())
 	for _, tc := range []struct {
 		name string
 		step func(*trace.Record, Region)
 		want func(float64) bool
 	}{
-		{"pass", newAnalyzer(spec, DefaultOptions()).fusedStep, func(n float64) bool { return n == 0 }},
+		{"pass", func(r *trace.Record, reg Region) { pass.fusedStep(r, nil, reg) }, func(n float64) bool { return n == 0 }},
+		{"pass with template ids", func(r *trace.Record, reg Region) {
+			shaped.fusedStep(r, shaped.shapeOf(uint32(r.DynID), r), reg)
+		}, func(n float64) bool { return n == 0 }},
 		{"reference", newRefAnalyzer(spec, DefaultOptions()).fusedStep, func(n float64) bool { return n >= 1 }},
 	} {
 		tc.step(&alloca, RegionBefore)

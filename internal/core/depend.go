@@ -22,15 +22,15 @@ import (
 // the single-Call form): each case finds its result register's row once
 // and rewrites it in place. It runs over the whole trace because region C
 // reads and induction detection also consult the maps, and it does the
-// same whatever the record's region. acc is a Load's resolved access.
-func (a *analyzer) updateMaps(r *trace.Record, acc *access) {
-	fn := r.Func
+// same whatever the record's region. acc is a Load's resolved access, and
+// sh the record's shape, or nil.
+func (a *analyzer) updateMaps(r *trace.Record, sh *shape, acc *access) {
 	switch r.Opcode {
 	case trace.OpLoad:
 		if !acc.ok || r.Result == nil {
 			return
 		}
-		e := a.reg(regKey{fn, r.Result.Name})
+		e := a.resultRow(r, sh)
 		e.v = acc.v
 		e.srcs = e.srcs[:0]
 	case trace.OpGetElementPtr, trace.OpBitCast:
@@ -47,24 +47,24 @@ func (a *analyzer) updateMaps(r *trace.Record, acc *access) {
 			v = a.vt.resolveRef(r.Result.Value.Addr())
 		}
 		if v == nil {
-			if base := r.Operand(1); base != nil && base.IsReg {
-				if b := a.regs[regKey{fn, base.Name}]; b != nil {
+			if i := operandPos(r, 1); i >= 0 && r.Ops[i].IsReg {
+				if b := a.operandRow(r, sh, i); b != nil {
 					v = b.v
 				}
 			}
 		}
-		e := a.reg(regKey{fn, r.Result.Name})
+		e := a.resultRow(r, sh)
 		e.v = v
 		e.srcs = e.srcs[:0]
 	case trace.OpCall:
-		a.updateCallMaps(r)
+		a.updateCallMaps(r, sh)
 	default:
 		if r.Result == nil {
 			return
 		}
 		// Arithmetic, comparisons, casts, selects: link input registers to
 		// the output register (reg-reg map).
-		a.linkSources(r)
+		a.linkSources(r, sh)
 	}
 }
 
@@ -72,17 +72,20 @@ func (a *analyzer) updateMaps(r *trace.Record, acc *access) {
 // operands. The row's previous sources are truncated and refilled in
 // place — nothing else retains them — so a register rewritten every
 // iteration, or reloaded between rewrites, costs no allocation.
-func (a *analyzer) linkSources(r *trace.Record) {
-	fn := r.Func
-	e := a.reg(regKey{fn, r.Result.Name})
-	srcs := e.srcs[:0]
-	for i := range r.Ops {
-		op := &r.Ops[i]
-		if op.Index > 0 && op.IsReg {
-			srcs = append(srcs, regKey{fn, op.Name})
+func (a *analyzer) linkSources(r *trace.Record, sh *shape) {
+	e := a.resultRow(r, sh)
+	if sh != nil {
+		e.srcs = append(e.srcs[:0], sh.srcs...)
+	} else {
+		srcs := e.srcs[:0]
+		for i := range r.Ops {
+			op := &r.Ops[i]
+			if op.Index > 0 && op.IsReg {
+				srcs = append(srcs, regKey{r.Func, op.Name})
+			}
 		}
+		e.srcs = srcs
 	}
-	e.srcs = srcs
 	e.v = nil
 }
 
@@ -93,12 +96,7 @@ func (a *analyzer) linkSources(r *trace.Record) {
 // register resolves through the caller's reg-var map, and the triplet
 // (argument variable, argument register, parameter) makes the callee's
 // parameter name resolve to the caller's variable.
-func (a *analyzer) updateCallMaps(r *trace.Record) {
-	fn := r.Func
-	callee := ""
-	if op := r.Operand(0); op != nil {
-		callee = op.Name
-	}
+func (a *analyzer) updateCallMaps(r *trace.Record, sh *shape) {
 	hasParams := false
 	for i := range r.Ops {
 		if r.Ops[i].Index < 0 {
@@ -109,30 +107,42 @@ func (a *analyzer) updateCallMaps(r *trace.Record) {
 	if !hasParams {
 		// Form 1: treat as arithmetic.
 		if r.Result != nil {
-			a.linkSources(r)
+			a.linkSources(r, sh)
 		}
 		return
 	}
 	// Form 2: parameter correlation.
+	callee := ""
+	if sh == nil {
+		if op := r.Operand(0); op != nil {
+			callee = op.Name
+		}
+	}
 	for i := range r.Ops {
 		p := &r.Ops[i]
 		if p.Index >= 0 {
 			continue
 		}
-		argIdx := -p.Index
-		arg := r.Operand(argIdx)
 		var v *VarInfo
-		if arg != nil && arg.IsReg {
-			if e := a.regs[regKey{fn, arg.Name}]; e != nil {
-				v = e.v
+		if j := operandPos(r, -p.Index); j >= 0 {
+			arg := &r.Ops[j]
+			if arg.IsReg {
+				if e := a.operandRow(r, sh, j); e != nil {
+					v = e.v
+				}
+			}
+			if v == nil && arg.Value.Kind == trace.KindPtr {
+				// Pointer argument: resolve the pointed-to variable directly
+				// (a reference, not an access — no footprint growth).
+				v = a.vt.resolveRef(arg.Value.Addr())
 			}
 		}
-		if v == nil && arg != nil && arg.Value.Kind == trace.KindPtr {
-			// Pointer argument: resolve the pointed-to variable directly
-			// (a reference, not an access — no footprint growth).
-			v = a.vt.resolveRef(arg.Value.Addr())
+		var e *regEntry
+		if sh != nil {
+			e = sh.rows[i]
+		} else {
+			e = a.reg(regKey{callee, p.Name})
 		}
-		e := a.reg(regKey{callee, p.Name})
 		e.v = v
 		if a.graph != nil {
 			e.node = nil
@@ -174,8 +184,8 @@ func (a *analyzer) derivesFrom(key regKey, slot int, depth int) bool {
 // per-variable summaries and, with BuildDDG, grows the complete DDG.
 // Inside a fork a Load also notes region C's signal, the variable's first
 // read after the loop, for the rollback to apply. acc is a Load's or
-// Store's resolved access.
-func (a *analyzer) processLoopRecord(r *trace.Record, acc *access) {
+// Store's resolved access, and sh the record's shape, or nil.
+func (a *analyzer) processLoopRecord(r *trace.Record, sh *shape, acc *access) {
 	addr, v := acc.addr, acc.v
 	switch r.Opcode {
 	case trace.OpLoad:
@@ -201,7 +211,7 @@ func (a *analyzer) processLoopRecord(r *trace.Record, acc *access) {
 		if a.graph != nil {
 			n := a.newRegInstance(r)
 			a.graph.AddEdge(a.nodeOf(v), n, r.DynID)
-			a.reg(regKey{r.Func, r.Result.Name}).node = n
+			a.resultRow(r, sh).node = n
 		}
 	case trace.OpStore:
 		if v == nil {
@@ -216,16 +226,19 @@ func (a *analyzer) processLoopRecord(r *trace.Record, acc *access) {
 		s.written[addr] = true
 		// Induction signal: a depth-0 store to a loop-function local whose
 		// sources include the variable itself.
-		if r.Func == a.spec.Function && v.Fn == a.spec.Function {
-			if val := r.Operand(1); val != nil && val.IsReg && a.derivesFrom(regKey{r.Func, val.Name}, v.slot, 0) {
+		val := operandPos(r, 1)
+		if val >= 0 && !r.Ops[val].IsReg {
+			val = -1
+		}
+		if a.inLoopFn(r, sh) && v.Fn == a.spec.Function {
+			if val >= 0 && a.derivesFrom(regKey{r.Func, r.Ops[val].Name}, v.slot, 0) {
 				s.selfUpdate++
 			}
 		}
 		if a.graph != nil {
 			dst := a.nodeOf(v)
-			val := r.Operand(1)
-			if val != nil && val.IsReg {
-				if e := a.regs[regKey{r.Func, val.Name}]; e != nil && e.node != nil {
+			if val >= 0 {
+				if e := a.operandRow(r, sh, val); e != nil && e.node != nil {
 					a.graph.AddEdge(e.node, dst, r.DynID)
 					return
 				}
@@ -235,7 +248,7 @@ func (a *analyzer) processLoopRecord(r *trace.Record, acc *access) {
 	case trace.OpICmp, trace.OpFCmp:
 		// Induction signal: comparisons at depth 0 over loop-function
 		// locals.
-		if r.Func != a.spec.Function {
+		if !a.inLoopFn(r, sh) {
 			break
 		}
 		for i := range r.Ops {
@@ -243,21 +256,21 @@ func (a *analyzer) processLoopRecord(r *trace.Record, acc *access) {
 			if op.Index <= 0 || !op.IsReg {
 				continue
 			}
-			if e := a.regs[regKey{r.Func, op.Name}]; e != nil && e.v != nil && e.v.Fn == a.spec.Function {
+			if e := a.operandRow(r, sh, i); e != nil && e.v != nil && e.v.Fn == a.spec.Function {
 				a.summary(e.v).cmpUses++
 			}
 		}
-		a.ddgArith(r)
+		a.ddgArith(r, sh)
 	default:
 		if r.Result != nil {
-			a.ddgArith(r)
+			a.ddgArith(r, sh)
 		}
 	}
 }
 
 // ddgArith adds the register-to-register DDG vertices and edges for a
 // value-producing record (arithmetic, casts, comparisons, form-1 calls).
-func (a *analyzer) ddgArith(r *trace.Record) {
+func (a *analyzer) ddgArith(r *trace.Record, sh *shape) {
 	if a.graph == nil || r.Result == nil {
 		return
 	}
@@ -269,12 +282,12 @@ func (a *analyzer) ddgArith(r *trace.Record) {
 	for i := range r.Ops {
 		op := &r.Ops[i]
 		if op.Index > 0 && op.IsReg {
-			if e := a.regs[regKey{r.Func, op.Name}]; e != nil && e.node != nil {
+			if e := a.operandRow(r, sh, i); e != nil && e.node != nil {
 				a.graph.AddEdge(e.node, n, r.DynID)
 			}
 		}
 	}
-	a.reg(regKey{r.Func, r.Result.Name}).node = n
+	a.resultRow(r, sh).node = n
 }
 
 // --- DDG vertex bookkeeping ---

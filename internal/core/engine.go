@@ -24,7 +24,7 @@ import (
 //   - AnalyzeBytes and AnalyzeFile decode the trace into one recycled
 //     batch (analyze.go), so no []Record is materialized;
 //   - online, the tracer's emit batches or an ingest session's decoded
-//     chunks reach ObserveBatch directly;
+//     chunks reach ObserveTemplated directly, with their template ids;
 //   - AnalyzeMany (many.go) runs N independent engines concurrently over
 //     distinct traces, one reusable scratch bundle per worker.
 
@@ -73,17 +73,18 @@ func (e *NoLoopError) Error() string {
 // rollback leaves what region C would have.
 //
 // A Load or Store resolves its address once, in trackStorage, and every
-// step after it is handed the access (see access).
-func (a *analyzer) fusedStep(r *trace.Record, reg Region) {
-	acc := a.trackStorage(r)
+// step after it is handed the access (see access). sh is the shape of the
+// record's template, or nil for a record that came without a template id.
+func (a *analyzer) fusedStep(r *trace.Record, sh *shape, reg Region) {
+	acc := a.trackStorage(r, sh)
 	if reg == RegionBefore {
-		a.collectRegionA(r, acc.v)
+		a.collectRegionA(r, sh, acc.v)
 	} else {
-		a.collectRegionBMatch(r, acc.v)
+		a.collectRegionBMatch(r, sh, acc.v)
 	}
-	a.updateMaps(r, &acc)
+	a.updateMaps(r, sh, &acc)
 	if reg == RegionLoop {
-		a.processLoopRecord(r, &acc)
+		a.processLoopRecord(r, sh, &acc)
 	}
 }
 
@@ -232,8 +233,8 @@ func (a *analyzer) finish(res *Result) {
 // paper's §IX online mode, where analysis runs inside the instrumentation
 // itself, and the offline entry points alike. Records are observed as
 // they are produced or decoded, a batch at a time
-// (interp.Machine.TraceInto hands the emitter's batches to ObserveBatch;
-// Observe is the one-record case); no trace is materialized and no
+// (interp.Machine.TraceInto hands the emitter's batches and their template
+// ids to ObserveTemplated; Observe is the one-record case); no trace is materialized and no
 // record is revisited or copied. How a stream is cut into batches never
 // changes the result.
 type Engine struct {
@@ -272,11 +273,36 @@ func (e *Engine) reset(spec LoopSpec, opts Options) {
 // the call (the contract of trace.ForEachBatch and of the interpreter's
 // emitter): the engine keeps nothing of them.
 func (e *Engine) ObserveBatch(recs []trace.Record) {
+	e.ObserveTemplated(recs, nil)
+}
+
+// ObserveTemplated is ObserveBatch with each record's template id, ids[i]
+// being recs[i]'s (trace.RecordBatch.TemplateIDs): the engine resolves a
+// template's register rows, MCLR membership and access operand once, on
+// the first record with its id, and every later record with the id
+// indexes them instead of hashing register names. The ids must name the
+// same static halves for the whole session — they do when one producer,
+// one machine or one decoder, feeds it. ids shorter than recs (none, from
+// the text and version-1 decoders) are ignored.
+func (e *Engine) ObserveTemplated(recs []trace.Record, ids []uint32) {
 	a := e.a
+	if len(ids) < len(recs) {
+		ids = nil
+	}
 	for k := range recs {
 		r := &recs[k]
+		var sh *shape
+		if ids != nil {
+			sh = a.shapeOf(ids[k], r)
+		}
+		var loop bool
+		if sh != nil {
+			loop = sh.loop
+		} else {
+			loop = e.spec.contains(r)
+		}
 		switch {
-		case e.spec.contains(r):
+		case loop:
 			if a.fork {
 				a.commit()
 				e.counts[RegionLoop] += e.run
@@ -284,16 +310,16 @@ func (e *Engine) ObserveBatch(recs []trace.Record) {
 			}
 			e.inLoop = true
 			e.counts[RegionLoop]++
-			a.fusedStep(r, RegionLoop)
+			a.fusedStep(r, sh, RegionLoop)
 		case e.inLoop:
 			if !a.fork {
 				a.openFork()
 			}
 			e.run++
-			a.fusedStep(r, RegionLoop)
+			a.fusedStep(r, sh, RegionLoop)
 		default:
 			e.counts[RegionBefore]++
-			a.fusedStep(r, RegionBefore)
+			a.fusedStep(r, sh, RegionBefore)
 		}
 	}
 }
@@ -306,14 +332,13 @@ func (e *Engine) Observe(r *trace.Record) {
 	e.ObserveBatch(e.one[:])
 }
 
-// feed is ObserveBatch as a trace.ForEachBatch callback, with its time
-// booked to Timing.Dep: two clock reads per batch. What the sweep spends
-// outside it is the decode, Timing.Pre.
-func (e *Engine) feed(_ int, recs []trace.Record) error {
+// feed is ObserveTemplated with its time booked to Timing.Dep: two clock
+// reads per batch. What the sweep spends outside it is the decode,
+// Timing.Pre.
+func (e *Engine) feed(recs []trace.Record, ids []uint32) {
 	t := time.Now()
-	e.ObserveBatch(recs)
+	e.ObserveTemplated(recs, ids)
 	e.dep += time.Since(t)
-	return nil
 }
 
 // result finishes a session that feed drove, booking the time the sweep
@@ -363,6 +388,13 @@ func (e *Engine) Finish() (*Result, error) {
 type scratch struct {
 	e     Engine
 	batch trace.RecordBatch
+}
+
+// feed is the bundle's engine fed a batch decoded into the bundle's batch,
+// with its template ids, as a trace.ForEachBatch callback.
+func (sc *scratch) feed(_ int, recs []trace.Record) error {
+	sc.e.feed(recs, sc.batch.TemplateIDs)
+	return nil
 }
 
 // engine returns the bundle's engine readied for a fresh trace.

@@ -1,0 +1,88 @@
+package core_test
+
+import (
+	"testing"
+
+	"autocheck/internal/core"
+	"autocheck/internal/interp"
+	"autocheck/internal/ir"
+	"autocheck/internal/progs"
+	"autocheck/internal/trace"
+)
+
+// collector keeps what the tracer hands a TemplateObserver: the records,
+// copied out of the recycled batch, and their template ids.
+type collector struct {
+	recs []trace.Record
+	ids  []uint32
+}
+
+func (c *collector) Observe(r *trace.Record)          { c.recs = append(c.recs, r.Clone()) }
+func (c *collector) ObserveBatch(recs []trace.Record) { c.ObserveTemplated(recs, nil) }
+func (c *collector) ObserveTemplated(recs []trace.Record, ids []uint32) {
+	for i := range recs {
+		c.recs = append(c.recs, recs[i].Clone())
+	}
+	c.ids = append(c.ids, ids...)
+}
+
+// BenchmarkEngine feeds the engine the traces of the 14 ports at scale 24,
+// one port's records in memory at a time (materialising them is not
+// timed): one op is the 14 analyses, default options with the module. The
+// records come as one batch with the tracer's template ids (ids) or
+// without them (no-ids), so the two report the engine in ns/record on the
+// template rows and on the register-name maps.
+//
+//	go test -run '^$' -bench Engine -benchmem ./internal/core/
+func BenchmarkEngine(b *testing.B) {
+	type port struct {
+		mod  *ir.Module
+		spec core.LoopSpec
+	}
+	var ports []port
+	for _, p := range progs.All() {
+		mod, err := interp.Compile(p.Source(24))
+		if err != nil {
+			b.Fatalf("%s: %v", p.Name, err)
+		}
+		spec, err := p.Spec(24)
+		if err != nil {
+			b.Fatalf("%s: %v", p.Name, err)
+		}
+		ports = append(ports, port{mod, spec})
+	}
+	for _, withIDs := range []bool{false, true} {
+		name := "no-ids"
+		if withIDs {
+			name = "ids"
+		}
+		b.Run(name, func(b *testing.B) {
+			records := 0
+			for i := 0; i < b.N; i++ {
+				for _, p := range ports {
+					b.StopTimer()
+					c := &collector{}
+					if _, err := interp.TraceProgramInto(p.mod, c); err != nil {
+						b.Fatal(err)
+					}
+					if !withIDs {
+						c.ids = nil
+					}
+					opts := core.DefaultOptions()
+					opts.Module = p.mod
+					b.StartTimer()
+					e, err := core.NewEngine(p.spec, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					e.ObserveTemplated(c.recs, c.ids)
+					if _, err := e.Finish(); err != nil {
+						b.Fatal(err)
+					}
+					records += len(c.recs)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
+		})
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
+	"os"
 	"reflect"
 	"testing"
 
@@ -181,3 +183,118 @@ type writerSink struct{ obs Observer }
 func (w writerSink) Write(r *trace.Record) error { w.obs.Observe(r); return nil }
 func (w writerSink) Flush() error                { return nil }
 func (w writerSink) Count() int64                { return 0 }
+
+// v1Fixture is IS's ACTB trace at DefaultScale in the legacy version-1
+// layout, written by the version-1 writer before version 2 existed.
+const v1Fixture = "../trace/testdata/is_v1.actb"
+
+// TestV1FixtureDecodesToGoldenText: the version-1 fixture still decodes
+// to IS's golden trace — re-encoded as text it has goldenTraces' hash and
+// record count — and so does the same trace written again as version 2.
+func TestV1FixtureDecodesToGoldenText(t *testing.T) {
+	data, err := os.ReadFile(v1Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := goldenTraces["IS"]
+	recs, err := trace.ParseBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := trace.ParseBytes(trace.EncodeBinary(recs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label, recs := range map[string][]trace.Record{"version 1": recs, "version 2": again} {
+		sum := sha256.Sum256(trace.EncodeAll(recs))
+		if got := hex.EncodeToString(sum[:]); got != want.sha256 || int64(len(recs)) != want.records {
+			t.Errorf("%s: text trace %s (%d records), want %s (%d)", label, got, len(recs), want.sha256, want.records)
+		}
+	}
+}
+
+// templateSink keeps the records a TemplateObserver is given and their
+// template ids.
+type templateSink struct {
+	batchSink
+	ids []uint32
+}
+
+func (s *templateSink) ObserveTemplated(recs []trace.Record, ids []uint32) {
+	s.ObserveBatch(recs)
+	s.ids = append(s.ids, ids...)
+}
+
+// staticHalf renders what a template id stands for: the record with its
+// DynID and the values of its register operands zeroed.
+func staticHalf(r *trace.Record) string {
+	c := r.Clone()
+	c.DynID = 0
+	for i := range c.Ops {
+		if c.Ops[i].IsReg {
+			c.Ops[i].Value = trace.Value{}
+		}
+	}
+	if c.Result != nil && c.Result.IsReg {
+		c.Result.Value = trace.Value{}
+	}
+	return c.String()
+}
+
+// sameStaticHalves reports the first record whose static half differs
+// from that of the first record with its template id.
+func sameStaticHalves(recs []trace.Record, ids []uint32) error {
+	if len(ids) != len(recs) {
+		return fmt.Errorf("%d template ids for %d records", len(ids), len(recs))
+	}
+	first := map[uint32]string{}
+	for i := range recs {
+		h := staticHalf(&recs[i])
+		if f, ok := first[ids[i]]; !ok {
+			first[ids[i]] = h
+		} else if f != h {
+			return fmt.Errorf("record %d: template %d is %q, and %q before", i, ids[i], h, f)
+		}
+	}
+	return nil
+}
+
+// TestTemplateIDsNameStaticHalves is the template id contract on every
+// port, for both producers of ids: in the batches TraceProgramInto hands a
+// TemplateObserver and in those the ACTB version-2 decoder fills, records
+// that share an id have one static half.
+func TestTemplateIDsNameStaticHalves(t *testing.T) {
+	for _, b := range progs.All() {
+		mod := compilePort(t, b)
+		var sink templateSink
+		if _, err := TraceProgramInto(mod, &sink); err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		if err := sameStaticHalves(sink.recs, sink.ids); err != nil {
+			t.Errorf("%s: tracer: %v", b.Name, err)
+		}
+		bin, _, err := TraceProgramBinary(mod)
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		rd, _, err := trace.NewBytesReader(bin)
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		var batch trace.RecordBatch
+		var recs []trace.Record
+		var ids []uint32
+		if err := trace.ForEachBatch(rd, &batch, func(_ int, rs []trace.Record) error {
+			for i := range rs {
+				recs = append(recs, rs[i].Clone())
+			}
+			ids = append(ids, batch.TemplateIDs...)
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		if err := sameStaticHalves(recs, ids); err != nil {
+			t.Errorf("%s: decoder: %v", b.Name, err)
+		}
+	}
+}

@@ -98,7 +98,7 @@ type Machine struct {
 	frames  []*Frame // the call stack; frames[len(frames):cap(frames)] are popped frames awaiting reuse
 	watches []*Watch // registered ranges; empty on a machine nobody checkpoints
 	batch   trace.RecordBatch
-	sink    func([]trace.Record) // takes each emitted batch (see TraceInto); nil: no tracing
+	sink    func([]trace.Record, []uint32) // takes each emitted batch and its template ids (see TraceInto); nil: no tracing
 	globals map[*ir.Global]uint64
 	nextG   uint64
 	sp      uint64
@@ -106,7 +106,16 @@ type Machine struct {
 	fnAddr  map[string]uint64
 	nextFn  uint64
 	tmpls   map[*ir.Block][]recordTemplate // per block, indexed like its Instrs (see emit)
+	ntmpl   uint32                         // templates built: the next one's id
+	// Slabs the templates and their operand lists are cut from, so a
+	// machine allocates per slab, not per instruction.
+	tmplSlab []recordTemplate
+	opSlab   []trace.Operand
+	dynSlab  []dynOperand
 }
+
+// templateSlab is the least a template slab holds.
+const templateSlab = 256
 
 // funcAddr returns a stable fake code address for a function name, used in
 // Call records the way LLVM-Tracer prints the callee's address+name
@@ -346,10 +355,13 @@ const batchRecords = trace.DefaultBatchRecords
 // index, size, kind and name, and every value that cannot change between
 // executions: constants, global addresses and the callee's code address.
 // dyn lists the operands whose value each execution reads from its frame.
+// id numbers the template in the order the machine built it; the emitter
+// hands it on with every record (trace.RecordBatch.TemplateIDs).
 type recordTemplate struct {
 	hdr       trace.Record
 	ops       []trace.Operand
 	dyn       []dynOperand
+	id        uint32
 	hasResult bool // the last of ops is the Result
 	built     bool
 }
@@ -384,7 +396,7 @@ func (m *Machine) emit(f *Frame, in *ir.Instr, result *trace.Value) {
 		m.buildTemplate(t, f, in, result != nil)
 	}
 	t.hdr.DynID = m.dynID
-	ops := m.batch.AppendTemplate(&t.hdr, t.ops, t.hasResult)
+	ops := m.batch.AppendTemplate(&t.hdr, t.ops, t.hasResult, t.id)
 	for _, d := range t.dyn {
 		if d.param {
 			ops[d.pos].Value = f.args[d.src]
@@ -408,19 +420,44 @@ func (m *Machine) blockTemplates(blk *ir.Block) []recordTemplate {
 		if m.tmpls == nil {
 			m.tmpls = make(map[*ir.Block][]recordTemplate)
 		}
-		ts = make([]recordTemplate, len(blk.Instrs))
+		ts = cut(&m.tmplSlab, len(blk.Instrs))[:len(blk.Instrs)]
 		m.tmpls[blk] = ts
 	}
 	return ts
 }
 
+// cut returns an empty slice with room for n cut from the front of
+// *slab, which a fresh slab replaces when it has not the room.
+func cut[T any](slab *[]T, n int) []T {
+	if cap(*slab) < n {
+		*slab = make([]T, max(n, templateSlab))
+	}
+	s := (*slab)[:0:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
 // buildTemplate fills t for in, executed in frame f.
 func (m *Machine) buildTemplate(t *recordTemplate, f *Frame, in *ir.Instr, hasResult bool) {
+	n := len(in.Args) // the operands: arguments, callee and parameters, result
+	if in.Op == trace.OpCall {
+		n++
+		if in.Callee != nil {
+			n += len(in.Callee.Params)
+		}
+	}
+	if hasResult {
+		n++
+	}
 	*t = recordTemplate{
 		hdr:       trace.Record{Line: in.Line, Func: f.Fn.Name, Block: f.blk.Name, Opcode: in.Op},
+		ops:       cut(&m.opSlab, n),
+		dyn:       cut(&m.dynSlab, n),
+		id:        m.ntmpl,
 		hasResult: hasResult,
 		built:     true,
 	}
+	m.ntmpl++
 	for i, a := range in.Args {
 		_, isConst := a.(*ir.Const)
 		m.addOperand(t, trace.Operand{Index: i + 1, Size: 64, IsReg: !isConst, Name: a.ValueName()}, a)
@@ -472,7 +509,7 @@ func (m *Machine) flush() {
 	if len(m.batch.Recs) == 0 {
 		return
 	}
-	m.sink(m.batch.Recs)
+	m.sink(m.batch.Recs, m.batch.TemplateIDs)
 	m.batch.Reset()
 }
 

@@ -30,7 +30,7 @@ func RunProgram(mod *ir.Module) (string, error) {
 func TraceProgram(mod *ir.Module) ([]trace.Record, string, error) {
 	m := New(mod)
 	var all []trace.Record
-	m.sink = func(recs []trace.Record) {
+	m.sink = func(recs []trace.Record, _ []uint32) {
 		n := 0
 		for i := range recs {
 			n += recs[i].NumOperands()
@@ -55,7 +55,7 @@ func TraceProgramTo(mod *ir.Module, w trace.RecordWriter) (string, error) {
 
 func (m *Machine) traceTo(w trace.RecordWriter) (string, error) {
 	var werr error
-	m.sink = func(recs []trace.Record) {
+	m.sink = func(recs []trace.Record, _ []uint32) {
 		for i := 0; i < len(recs) && werr == nil; i++ {
 			werr = w.Write(&recs[i])
 		}
@@ -90,20 +90,35 @@ type BatchObserver interface {
 	ObserveBatch(recs []trace.Record)
 }
 
-// TraceInto makes obs the machine's trace sink: batches go to ObserveBatch
-// when obs is a BatchObserver and record by record to Observe otherwise.
-// The emit path is the same either way. The machine emits into one
-// recycled batch and hands it on when it fills and when Run returns — on
-// every exit path — so a record may arrive up to a batch later than its
-// instruction ran, and every record has arrived by the time Run returns.
+// TemplateObserver is a BatchObserver that also takes each record's
+// template id: records with one id, on one machine, have the same static
+// half (trace.RecordBatch.TemplateIDs), so an observer can work out what
+// depends on that half once per template instead of once per record.
+// ids[i] is recs[i]'s. core.Engine implements it.
+type TemplateObserver interface {
+	BatchObserver
+	ObserveTemplated(recs []trace.Record, ids []uint32)
+}
+
+// TraceInto makes obs the machine's trace sink: batches go to
+// ObserveTemplated, with their template ids, when obs is a
+// TemplateObserver, to ObserveBatch when it is a BatchObserver, and
+// record by record to Observe otherwise. The emit path is the same either
+// way. The machine emits into one recycled batch and hands it on when it
+// fills and when Run returns — on every exit path — so a record may
+// arrive up to a batch later than its instruction ran, and every record
+// has arrived by the time Run returns.
 func (m *Machine) TraceInto(obs Observer) {
-	if bo, ok := obs.(BatchObserver); ok {
-		m.sink = bo.ObserveBatch
-		return
-	}
-	m.sink = func(recs []trace.Record) {
-		for i := range recs {
-			obs.Observe(&recs[i])
+	switch o := obs.(type) {
+	case TemplateObserver:
+		m.sink = o.ObserveTemplated
+	case BatchObserver:
+		m.sink = func(recs []trace.Record, _ []uint32) { o.ObserveBatch(recs) }
+	default:
+		m.sink = func(recs []trace.Record, _ []uint32) {
+			for i := range recs {
+				obs.Observe(&recs[i])
+			}
 		}
 	}
 }

@@ -24,15 +24,27 @@ type RecordBatch struct {
 	// Recs holds the records of the current batch. Managed by NextBatch
 	// and AppendRecord; callers treat it as read-only.
 	Recs []Record
+	// TemplateIDs, when it is as long as Recs, holds each record's template
+	// id: records of one stream with the same id have the same static half
+	// — every field but DynID and the values of register operands — and a
+	// record with none has NoTemplate. The ACTB version-2 decoder and
+	// AppendTemplate fill it; the text and version-1 decoders, which know
+	// no templates, leave it empty.
+	TemplateIDs []uint32
 
 	ops    []Operand // arena backing Recs' Ops and Result storage
 	staged int       // ops[staged:] belong to the record under construction
 }
 
+// NoTemplate is the template id of a record that has no template: in
+// ACTB, a one-off record too wide for one.
+const NoTemplate = ^uint32(0)
+
 // Reset empties the batch and recycles its storage for the next fill.
 // Every record handed out before the call is invalid after it.
 func (b *RecordBatch) Reset() {
 	b.Recs = b.Recs[:0]
+	b.TemplateIDs = b.TemplateIDs[:0]
 	b.ops = b.ops[:0]
 	b.staged = 0
 }
@@ -72,10 +84,12 @@ func (b *RecordBatch) seal(rec *Record, hasResult bool) {
 }
 
 // AppendTemplate is AppendOperand for each of ops followed by
-// AppendRecord(*hdr, hasResult), in one bulk copy. It returns the
-// arena's copy of ops, for the caller to write the record's dynamic
-// values into; the slice is valid until the next append to the batch.
-func (b *RecordBatch) AppendTemplate(hdr *Record, ops []Operand, hasResult bool) []Operand {
+// AppendRecord(*hdr, hasResult), in one bulk copy, with id, the
+// template's, appended to TemplateIDs. It returns the arena's copy of ops,
+// for the caller to write the record's dynamic values into; the slice is
+// valid until the next append to the batch.
+func (b *RecordBatch) AppendTemplate(hdr *Record, ops []Operand, hasResult bool, id uint32) []Operand {
+	b.TemplateIDs = append(b.TemplateIDs, id)
 	start := len(b.ops)
 	b.ops = append(b.ops, ops...)
 	n := len(b.Recs)

@@ -557,7 +557,7 @@ func TestCloneIntoAndAppendSurface(t *testing.T) {
 				tmpl[k].Value = Value{}
 			}
 			hdr := Record{Line: src[i].Line, Func: src[i].Func, Block: src[i].Block, Opcode: src[i].Opcode, DynID: src[i].DynID}
-			ops := tb.AppendTemplate(&hdr, tmpl, src[i].Result != nil)
+			ops := tb.AppendTemplate(&hdr, tmpl, src[i].Result != nil, uint32(i))
 			if len(ops) != len(tmpl) || (len(ops) > 0 && &ops[0] == &tmpl[0]) {
 				t.Fatalf("record %d: AppendTemplate returned %d operands, want a copy of %d", i, len(ops), len(tmpl))
 			}
@@ -569,8 +569,13 @@ func TestCloneIntoAndAppendSurface(t *testing.T) {
 			}
 		}
 	}
-	if len(tb.Recs) != len(src) {
-		t.Fatalf("template batch holds %d records after Reset and refill, want %d", len(tb.Recs), len(src))
+	if len(tb.Recs) != len(src) || len(tb.TemplateIDs) != len(src) {
+		t.Fatalf("template batch holds %d records and %d template ids after Reset and refill, want %d", len(tb.Recs), len(tb.TemplateIDs), len(src))
+	}
+	for i, id := range tb.TemplateIDs {
+		if id != uint32(i) {
+			t.Fatalf("record %d has template id %d, want %d", i, id, i)
+		}
 	}
 	for i := range tb.Recs {
 		if got := tb.Recs[i].String(); got != want[i] {

@@ -1,0 +1,53 @@
+package trace_test
+
+import (
+	"testing"
+
+	"autocheck/internal/interp"
+	"autocheck/internal/progs"
+	"autocheck/internal/trace"
+)
+
+// BenchmarkDecodeACTB decodes the ACTB traces of the 14 ports at scale 24,
+// written by this package's BinaryWriter, into one recycled batch: one op
+// is the 14 traces. It reports the decode in ns/record and the encoding's
+// size in B/record.
+//
+//	go test -run '^$' -bench DecodeACTB -benchmem ./internal/trace/
+func BenchmarkDecodeACTB(b *testing.B) {
+	var traces [][]byte
+	size := 0
+	for _, p := range progs.All() {
+		mod, err := interp.Compile(p.Source(24))
+		if err != nil {
+			b.Fatalf("%s: %v", p.Name, err)
+		}
+		data, _, err := interp.TraceProgramBinary(mod)
+		if err != nil {
+			b.Fatalf("%s: %v", p.Name, err)
+		}
+		traces = append(traces, data)
+		size += len(data)
+	}
+	var batch trace.RecordBatch
+	records := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		records = 0
+		for _, data := range traces {
+			rd, _, err := trace.NewBytesReader(data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := trace.ForEachBatch(rd, &batch, func(_ int, recs []trace.Record) error {
+				records += len(recs)
+				return nil
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records*b.N), "ns/record")
+	b.ReportMetric(float64(size)/float64(records), "B/record")
+}

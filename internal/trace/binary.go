@@ -11,43 +11,75 @@ import (
 )
 
 // Compact binary trace format ("ACTB"), the on-disk fast path beside the
-// LLVM-Tracer-style text format. Layout:
+// LLVM-Tracer-style text format. A trace repeats few record shapes — the
+// 14 ports at scale 24 run 1,524,329 records of 2,325 — so version 2, the
+// one BinaryWriter writes, sends each shape once, as a template, and a
+// record as a reference to its template plus the values only it carries
+// (the per-instruction tables of VPC trace compression, Burtscher et al.,
+// IEEE TC 2005). Layout:
 //
 //	magic   "ACTB" (4 bytes)
-//	version 1 byte (currently 1)
+//	version 1 byte (2)
 //	opcode table: uvarint count, then per entry
 //	        uvarint opcode, uvarint len, name bytes
 //	        (self-description: a reader can name opcodes without this
 //	        package's opcode constants)
 //	records until EOF, each:
-//	        flags   1 byte (bit 0: has result)
+//	        template  uvarint t; t == 0 defines a new template, appended to
+//	                  the table, t >= 1 is table[t-1]
+//	        dynid     zigzag varint: DynID minus the previous record's (0
+//	                  before the first)
+//	        values    one per register operand of the template, in order,
+//	                  the result last: int: zigzag varint | float: 8-byte LE
+//	                  IEEE-754 | ptr: zigzag varint of the value minus this
+//	                  template slot's previous value (0 before its first),
+//	                  modulo 2^64
+//	template definition (the record's static half):
+//	        flags   1 byte (bit 0: has result, bit 1: one-off)
 //	        line    zigzag varint
 //	        func    string ref
 //	        block   string ref
 //	        opcode  uvarint
-//	        dynid   zigzag varint
 //	        nops    uvarint, then nops operands, then the result if flagged
 //	operand:
 //	        meta    1 byte (bits 0-1: value kind, bit 2: is-register)
 //	        index   zigzag varint
 //	        size    uvarint
-//	        value   int: zigzag varint | float: 8-byte LE IEEE-754 |
-//	                ptr: uvarint
+//	        value   non-register operands only, as in version 1
 //	        name    string ref
+//	one-off definition (flags bit 1): a record of more than 64 input
+//	        operands is no template — a 2-byte reference to one would decode
+//	        to all of them — but a definition that carries every operand's
+//	        value, joins no table and is followed by the dynid delta alone
 //	string ref:
 //	        uvarint v; v == 0 introduces a new string (uvarint len + bytes)
 //	        appended to the table, v >= 1 references table[v-1]. The table
 //	        is pre-seeded with "" at index 0, so every repeated identifier
 //	        costs exactly one small integer.
 //
-// The format is written and read strictly sequentially (the string table
-// is stateful), so unlike the text format it is not chunk-splittable; its
-// decoder is far faster than even the parallel text path, so nothing is
-// lost.
+// The writer keys templates by the record's whole static half — every
+// field but DynID and the values of register operands, value kinds
+// included — so decoding and encoding again reproduces any record stream
+// byte for byte.
+//
+// Version 1, the legacy layout, is still read. It has no templates: a
+// record is its flags byte, line, func and block refs, opcode, dynid (zigzag
+// varint, not a delta), nops, then its operands and result in full, each
+// operand's value written before its name whether it is a register or not.
+//
+// The format is written and read strictly sequentially (the string and
+// template tables and the pointer deltas are stateful), so unlike the text
+// format it is not chunk-splittable; its decoder is far faster than even
+// the parallel text path, so nothing is lost.
 
 var binaryMagic = []byte("ACTB")
 
-const binaryVersion = 1
+// The format versions: BinaryWriter writes templateVersion; the decoder
+// reads both.
+const (
+	binaryVersion   = 1 // the legacy layout: every record in full
+	templateVersion = 2 // a record is a template reference plus its values
+)
 
 // Format discriminates the two trace encodings.
 type Format int
@@ -111,12 +143,16 @@ func appendVarint(b []byte, v int64) []byte {
 	return binary.AppendUvarint(b, uint64(v)<<1^uint64(v>>63))
 }
 
-// BinaryWriter emits records in the compact binary format. Like Writer it
-// is single-threaded.
+// BinaryWriter emits records in the compact binary format, version 2.
+// Like Writer it is single-threaded.
 type BinaryWriter struct {
 	bw      *bufio.Writer
 	scratch []byte
+	key     []byte            // the static half of the record being written
 	strs    map[string]uint64 // interned string -> table index (1-based ref)
+	tmpls   map[string]wtmpl  // static half -> its template
+	prev    []uint64          // the templates' pointer slots' previous values
+	dyn     int64             // the previous record's DynID
 	count   int64
 	started bool
 	err     error
@@ -127,10 +163,15 @@ type BinaryWriter struct {
 // free.
 func NewBinaryWriter(w io.Writer) *BinaryWriter {
 	return &BinaryWriter{
-		bw:   bufio.NewWriterSize(w, 1<<16),
-		strs: map[string]uint64{"": 1},
+		bw:    bufio.NewWriterSize(w, 1<<16),
+		strs:  map[string]uint64{"": 1},
+		tmpls: map[string]wtmpl{},
 	}
 }
+
+// wtmpl is a template as the writer knows it: its reference and where its
+// pointer slots start in prev.
+type wtmpl struct{ ref, prev int }
 
 func (w *BinaryWriter) start() error {
 	if w.started {
@@ -138,7 +179,7 @@ func (w *BinaryWriter) start() error {
 	}
 	w.started = true
 	b := append(w.scratch[:0], binaryMagic...)
-	b = append(b, binaryVersion)
+	b = append(b, templateVersion)
 	n := 0
 	for _, name := range opcodeNames {
 		if name != "" {
@@ -171,26 +212,131 @@ func (w *BinaryWriter) appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func (w *BinaryWriter) appendOperand(b []byte, o *Operand) []byte {
+// appendValue appends a value's payload as version 1 writes every operand's
+// and version 2 a non-register operand's.
+func appendValue(b []byte, v Value) []byte {
+	switch v.Kind {
+	case KindFloat:
+		return binary.LittleEndian.AppendUint64(b, v.bits)
+	case KindPtr:
+		return appendUvarint(b, v.bits)
+	default:
+		return appendVarint(b, int64(v.bits))
+	}
+}
+
+// operandMeta is an operand's meta byte.
+func operandMeta(o *Operand) byte {
 	meta := byte(o.Value.Kind) & 3
 	if o.IsReg {
 		meta |= 4
 	}
-	b = append(b, meta)
+	return meta
+}
+
+// appendKey appends r's static half to b, strings by length and bytes: the
+// template table's key, unambiguous without the string table.
+func appendKey(b []byte, r *Record) []byte {
+	var flags byte
+	if r.Result != nil {
+		flags = 1
+	}
+	b = append(b, flags)
+	b = appendVarint(b, int64(r.Line))
+	b = appendUvarint(b, uint64(len(r.Func)))
+	b = append(b, r.Func...)
+	b = appendUvarint(b, uint64(len(r.Block)))
+	b = append(b, r.Block...)
+	b = appendUvarint(b, uint64(r.Opcode))
+	b = appendUvarint(b, uint64(len(r.Ops)))
+	for i := range r.Ops {
+		b = appendKeyOperand(b, &r.Ops[i])
+	}
+	if r.Result != nil {
+		b = appendKeyOperand(b, r.Result)
+	}
+	return b
+}
+
+func appendKeyOperand(b []byte, o *Operand) []byte {
+	b = append(b, operandMeta(o))
 	b = appendVarint(b, int64(o.Index))
 	b = appendUvarint(b, uint64(o.Size))
-	switch o.Value.Kind {
-	case KindFloat:
-		b = binary.LittleEndian.AppendUint64(b, o.Value.bits)
-	case KindPtr:
-		b = appendUvarint(b, o.Value.bits)
-	default:
-		b = appendVarint(b, int64(o.Value.bits))
+	if !o.IsReg {
+		b = appendValue(b, o.Value)
+	}
+	b = appendUvarint(b, uint64(len(o.Name)))
+	return append(b, o.Name...)
+}
+
+// appendDefinition appends r's template definition, or its one-off
+// definition, which carries every operand's value.
+func (w *BinaryWriter) appendDefinition(b []byte, r *Record, oneOff bool) []byte {
+	var flags byte
+	if r.Result != nil {
+		flags = 1
+	}
+	if oneOff {
+		flags |= 2
+	}
+	b = append(b, flags)
+	b = appendVarint(b, int64(r.Line))
+	b = w.appendString(b, r.Func)
+	b = w.appendString(b, r.Block)
+	b = appendUvarint(b, uint64(r.Opcode))
+	b = appendUvarint(b, uint64(len(r.Ops)))
+	for i := range r.Ops {
+		b = w.appendDefOperand(b, &r.Ops[i], oneOff)
+	}
+	if r.Result != nil {
+		b = w.appendDefOperand(b, r.Result, oneOff)
+	}
+	return b
+}
+
+func (w *BinaryWriter) appendDefOperand(b []byte, o *Operand, values bool) []byte {
+	b = append(b, operandMeta(o))
+	b = appendVarint(b, int64(o.Index))
+	b = appendUvarint(b, uint64(o.Size))
+	if values || !o.IsReg {
+		b = appendValue(b, o.Value)
 	}
 	return w.appendString(b, o.Name)
 }
 
-// Write appends one record to the trace.
+// appendRegValue appends a register operand's value; prev is the
+// template slot's previous pointer value, which a pointer replaces.
+func appendRegValue(b []byte, v Value, prev []uint64, j int) ([]byte, int) {
+	switch v.Kind {
+	case KindFloat:
+		return binary.LittleEndian.AppendUint64(b, v.bits), j
+	case KindPtr:
+		b = appendVarint(b, int64(v.bits-prev[j]))
+		prev[j] = v.bits
+		return b, j + 1
+	default:
+		return appendVarint(b, int64(v.bits)), j
+	}
+}
+
+// ptrSlots counts r's register operands that hold pointers: its template's
+// delta slots.
+func ptrSlots(r *Record) int {
+	n := 0
+	for i := range r.Ops {
+		if o := &r.Ops[i]; o.IsReg && o.Value.Kind == KindPtr {
+			n++
+		}
+	}
+	if o := r.Result; o != nil && o.IsReg && o.Value.Kind == KindPtr {
+		n++
+	}
+	return n
+}
+
+// Write appends one record to the trace: a reference to the template of
+// its static half, defined here on first use, then its DynID delta and
+// register values.
 func (w *BinaryWriter) Write(r *Record) error {
 	if w.err != nil {
 		return w.err
@@ -200,23 +346,40 @@ func (w *BinaryWriter) Write(r *Record) error {
 		return err
 	}
 	b := w.scratch[:0]
-	var flags byte
-	if r.Result != nil {
-		flags |= 1
+	if len(r.Ops) > maxTemplateOperands {
+		b = append(b, 0)
+		b = w.appendDefinition(b, r, true)
+		b = appendVarint(b, r.DynID-w.dyn)
+		w.dyn = r.DynID
+		return w.emit(b)
 	}
-	b = append(b, flags)
-	b = appendVarint(b, int64(r.Line))
-	b = w.appendString(b, r.Func)
-	b = w.appendString(b, r.Block)
-	b = appendUvarint(b, uint64(r.Opcode))
-	b = appendVarint(b, r.DynID)
-	b = appendUvarint(b, uint64(len(r.Ops)))
+	w.key = appendKey(w.key[:0], r)
+	t, ok := w.tmpls[string(w.key)]
+	if ok {
+		b = appendUvarint(b, uint64(t.ref))
+	} else {
+		t = wtmpl{ref: len(w.tmpls) + 1, prev: len(w.prev)}
+		w.tmpls[string(w.key)] = t
+		w.prev = append(w.prev, make([]uint64, ptrSlots(r))...)
+		b = append(b, 0)
+		b = w.appendDefinition(b, r, false)
+	}
+	b = appendVarint(b, r.DynID-w.dyn)
+	w.dyn = r.DynID
+	prev, j := w.prev[t.prev:], 0
 	for i := range r.Ops {
-		b = w.appendOperand(b, &r.Ops[i])
+		if o := &r.Ops[i]; o.IsReg {
+			b, j = appendRegValue(b, o.Value, prev, j)
+		}
 	}
-	if r.Result != nil {
-		b = w.appendOperand(b, r.Result)
+	if o := r.Result; o != nil && o.IsReg {
+		b, _ = appendRegValue(b, o.Value, prev, j)
 	}
+	return w.emit(b)
+}
+
+// emit writes the encoded record b.
+func (w *BinaryWriter) emit(b []byte) error {
 	w.scratch = b
 	w.count++
 	if _, err := w.bw.Write(b); err != nil {
@@ -255,6 +418,9 @@ func EncodeBinary(recs []Record) []byte {
 const (
 	maxBinaryString   = 1 << 24 // sanity cap against corrupt length fields
 	maxBinaryOperands = 1 << 20 // sanity cap against corrupt counts
+	// maxTemplateOperands caps a template's input operands, so what one
+	// reference decodes to stays within a small multiple of its bytes.
+	maxTemplateOperands = 64
 )
 
 // binDecoder is the one ACTB decoder: one walk over data (a whole trace, or
@@ -273,11 +439,56 @@ type binDecoder struct {
 	strs []string
 	ops  []Operand
 
+	// Version 2 (see the format comment): the template table, each
+	// template's pointer slots' previous values, and the previous DynID.
+	v2    bool
+	tmpls []tmpl
+	prev  []uint64
+	dyn   int64
+	// A template's definition is decoded again when a record first refers
+	// to it, into a home: from data when stable — data is the whole trace
+	// and never slides — and otherwise from the copy of it kept in defs.
+	stable bool
+	defs   []byte
+	homes  []tmplHome // the current slab of homes
+	hops   []Operand  // the homes' operands
+	// replay is set on the decoder that decodes a definition again: a new
+	// string the definition introduced is strs[next], not a new entry.
+	replay bool
+	next   int
+
 	// The fault a walk stopped at: its offset in data, the field it is in
 	// and, if the field does not simply run out, what is wrong with it.
 	at        int
 	what, why string
 }
+
+// tmpl is one entry of the template table: where its definition starts,
+// how long the string table was before it, where its pointer slots start
+// in prev, and its home once a record referred to it. It stays this small
+// because a trace of records of distinct shapes has a template each.
+type tmpl struct {
+	def   int
+	strs0 uint32
+	prev  uint32
+	home  *tmplHome
+}
+
+// tmplHome is a template's static half, decoded once: the header but
+// DynID, and the operands, the result last, with the value of each
+// non-register operand and the kind of every one.
+type tmplHome struct {
+	hdr       Record
+	ops       []Operand
+	hasResult bool
+}
+
+// tableSize is the template table's first capacity, and that of the
+// pointer slots; homeSlab is how many homes are allocated at once.
+const (
+	tableSize = 1024
+	homeSlab  = 64
+)
 
 // The cursor codes.
 const (
@@ -384,6 +595,9 @@ func (d *binDecoder) strLong(p int) (string, int) {
 		return "", d.fault(corrupt, p, "", "bad string length")
 	case uint64(len(d.data)-p) < n:
 		return "", d.fault(truncated, p, "", "")
+	case d.replay:
+		d.next++
+		return d.strs[d.next-1], p + int(n)
 	}
 	b := d.data[p : p+int(n)]
 	if bytes.ContainsAny(b, ",\r\n") {
@@ -398,8 +612,9 @@ func (d *binDecoder) strLong(p int) (string, int) {
 }
 
 // operand decodes the operand at data[p:] into o, every field of which it
-// sets.
-func (d *binDecoder) operand(o *Operand, p int) int {
+// sets. Without values, as in a version-2 definition, a register operand
+// carries no value: it gets its kind and a zero payload.
+func (d *binDecoder) operand(o *Operand, p int, values bool) int {
 	if p >= len(d.data) {
 		return d.fault(truncated, p, "operand meta", "")
 	}
@@ -424,13 +639,15 @@ func (d *binDecoder) operand(o *Operand, p int) int {
 		}
 		o.Size = int(v)
 	}
-	switch kind {
-	case KindFloat:
+	switch {
+	case !values && o.IsReg:
+		v = 0
+	case kind == KindFloat:
 		if len(d.data)-p < 8 {
 			return d.fault(truncated, p, "float value", "")
 		}
 		v, p = binary.LittleEndian.Uint64(d.data[p:]), p+8
-	case KindPtr:
+	case kind == KindPtr:
 		if v, p = d.uvarint(p); p < 0 {
 			return d.in(p, "pointer value")
 		}
@@ -460,8 +677,11 @@ func (d *binDecoder) header() error {
 	if p >= len(d.data) {
 		return d.err(d.fault(truncated, p, "version", ""))
 	}
-	if v := d.data[p]; v != binaryVersion {
-		return fmt.Errorf("trace: unsupported binary trace version %d (want %d)", v, binaryVersion)
+	switch v := d.data[p]; v {
+	case binaryVersion, templateVersion:
+		d.v2 = v == templateVersion
+	default:
+		return fmt.Errorf("trace: unsupported binary trace version %d (want %d or %d)", v, binaryVersion, templateVersion)
 	}
 	if p = d.opcodeTable(p + 1); p < 0 {
 		return d.err(p)
@@ -503,19 +723,49 @@ func (d *binDecoder) opcodeTable(p int) int {
 // sets, and moves d.pos past it. Its operands are decoded straight into
 // slots of the arena d.ops (callers must not hold d.ops aliases across
 // arena growth — the record's own Ops/Result sub-slices are safe, matching
-// the text decoder). The caller guarantees d.pos < len(d.data).
-func (d *binDecoder) record(rec *Record) error {
-	p := d.walk(rec)
+// the text decoder). It returns the record's template id, or -1 in a
+// version-1 trace. The caller guarantees d.pos < len(d.data).
+//
+// A record that fails leaves the decoder as it found it — string and
+// template tables, pointer slots, kept definitions, operand arena (its
+// position, its DynID and its slots' values never moved) — so the stream
+// reader can decode it again from its start once more bytes are in.
+func (d *binDecoder) record(rec *Record) (int, error) {
+	id, p, nops := -1, 0, len(d.ops)
+	if d.v2 {
+		id, p = d.walk2(rec)
+	} else {
+		nstrs := len(d.strs)
+		if p = d.walk(rec); p < 0 {
+			d.strs = d.strs[:nstrs]
+		}
+	}
 	if p < 0 {
-		return d.err(p)
+		d.ops = d.ops[:nops]
+		return -1, d.err(p)
 	}
 	d.pos = p
-	return nil
+	return id, nil
 }
 
+// walk decodes a version-1 record.
 func (d *binDecoder) walk(rec *Record) int {
 	p := d.pos
 	flags := d.data[p]
+	if p = d.head(rec, flags, p); p < 0 {
+		return p
+	}
+	v, p := d.uvarint(p)
+	if p < 0 {
+		return d.in(p, "dynamic id")
+	}
+	rec.DynID = unzigzag(v)
+	return d.body(rec, flags, p, true, maxBinaryOperands)
+}
+
+// head decodes the header fields at data[p:] — flags, whose byte the
+// caller read, line, function, block and opcode — into rec.
+func (d *binDecoder) head(rec *Record, flags byte, p int) int {
 	if flags > 1 {
 		return d.fault(corrupt, p+1, "record flags", "")
 	}
@@ -534,22 +784,24 @@ func (d *binDecoder) walk(rec *Record) int {
 		return d.in(p, "opcode")
 	}
 	rec.Opcode = int(v)
-	if v, p = d.uvarint(p); p < 0 {
-		return d.in(p, "dynamic id")
-	}
-	rec.DynID = unzigzag(v)
+	return p
+}
+
+// body decodes the operand count and the operands at data[p:] into rec,
+// the result too if flags has it, each into a new slot of d.ops.
+func (d *binDecoder) body(rec *Record, flags byte, p int, values bool, limit uint64) int {
 	nops, p := d.uvarint(p)
 	if p < 0 {
 		return d.in(p, "operand count")
 	}
-	if nops > maxBinaryOperands {
+	if nops > limit {
 		return d.fault(corrupt, p, "operand count", "")
 	}
 	rec.Ops, rec.Result = nil, nil
 	start := len(d.ops)
 	for i := uint64(0); i < nops && p >= 0; i++ {
 		d.ops = extend(d.ops)
-		p = d.operand(&d.ops[len(d.ops)-1], p)
+		p = d.operand(&d.ops[len(d.ops)-1], p, values)
 	}
 	if nops > 0 && p >= 0 {
 		rec.Ops = d.ops[start:len(d.ops):len(d.ops)]
@@ -557,9 +809,214 @@ func (d *binDecoder) walk(rec *Record) int {
 	if flags != 0 && p >= 0 {
 		d.ops = extend(d.ops)
 		rec.Result = &d.ops[len(d.ops)-1]
-		p = d.operand(rec.Result, p)
+		p = d.operand(rec.Result, p, values)
 	}
 	return p
+}
+
+// walk2 decodes a version-2 record: its template — defined here, or
+// copied from the template's home — then its DynID delta and register
+// values. The template's pointer slots and the previous DynID move only
+// once the whole record has decoded, so a record cut short leaves no trace
+// in them.
+func (d *binDecoder) walk2(rec *Record) (int, int) {
+	p := d.pos
+	ref := uint64(d.data[p])
+	if ref < 0x80 {
+		p++
+	} else if ref, p = d.uvarint(p); p < 0 {
+		return -1, d.in(p, "template ref")
+	}
+	start := len(d.ops)
+	var id int
+	var t *tmpl
+	var defined *tables // the tables before the record's definition, if it has one
+	if ref == 0 {
+		mark := d.tables()
+		var oneOff bool
+		if p, oneOff = d.define(rec, p); p < 0 {
+			d.truncate(mark)
+			return -1, p
+		}
+		if oneOff {
+			v, q := d.uvarint(p)
+			if q < 0 {
+				d.truncate(mark)
+				return -1, d.in(q, "dynamic id")
+			}
+			rec.DynID = d.dyn + unzigzag(v)
+			d.dyn = rec.DynID
+			return int(NoTemplate), q
+		}
+		defined = &mark
+		id = len(d.tmpls) - 1
+		t = &d.tmpls[id]
+		// The arena may have moved under the operands define pointed rec
+		// at; the values go into where they are now.
+		n := len(d.ops)
+		if rec.Result != nil {
+			n--
+			rec.Result = &d.ops[n]
+		}
+		if n > start {
+			rec.Ops = d.ops[start:n:n]
+		}
+	} else {
+		if ref > uint64(len(d.tmpls)) {
+			return -1, d.fault(corrupt, p, "template ref", "beyond table")
+		}
+		id = int(ref - 1)
+		t = &d.tmpls[id]
+		h := t.home
+		if h == nil {
+			h = d.materialize(t)
+		}
+		*rec = h.hdr
+		d.ops = append(d.ops, h.ops...)
+		n := len(d.ops)
+		if h.hasResult {
+			n--
+			rec.Result = &d.ops[n]
+		}
+		if n > start {
+			rec.Ops = d.ops[start:n:n]
+		}
+	}
+	v, p := d.uvarint(p)
+	if p >= 0 {
+		rec.DynID = d.dyn + unzigzag(v)
+		p = d.values(d.ops[start:], d.prev[t.prev:], p)
+	} else {
+		p = d.in(p, "dynamic id")
+	}
+	if p < 0 {
+		if defined != nil {
+			d.truncate(*defined)
+		}
+		return -1, p
+	}
+	d.dyn = rec.DynID
+	ops, prev := d.ops[start:], d.prev[t.prev:]
+	j := 0
+	for i := range ops {
+		if o := &ops[i]; o.IsReg && o.Value.Kind == KindPtr {
+			prev[j] = o.Value.bits
+			j++
+		}
+	}
+	return id, p
+}
+
+// define decodes the template definition at data[p:] into rec's header
+// and operand slots appended to d.ops and, unless it is a one-off, adds the
+// template to the table.
+func (d *binDecoder) define(rec *Record, p int) (int, bool) {
+	def, strs0 := p, len(d.strs)
+	if p >= len(d.data) {
+		return d.fault(truncated, p, "record flags", ""), false
+	}
+	flags := d.data[p]
+	if flags > 3 {
+		return d.fault(corrupt, p+1, "record flags", ""), false
+	}
+	oneOff, limit := flags&2 != 0, uint64(maxTemplateOperands)
+	if oneOff {
+		flags, limit = flags&1, maxBinaryOperands
+	}
+	if p = d.head(rec, flags, p); p < 0 {
+		return p, false
+	}
+	start := len(d.ops)
+	if p = d.body(rec, flags, p, oneOff, limit); p < 0 || oneOff {
+		return p, oneOff
+	}
+	if cap(d.tmpls) == 0 {
+		// Sized for a program's instructions: a port has a few hundred.
+		d.tmpls, d.prev = make([]tmpl, 0, tableSize), make([]uint64, 0, tableSize)
+	}
+	t := tmpl{def: def, strs0: uint32(strs0), prev: uint32(len(d.prev))}
+	if !d.stable {
+		t.def = len(d.defs)
+		d.defs = append(d.defs, d.data[def:p]...)
+	}
+	for _, o := range d.ops[start:] {
+		if o.IsReg && o.Value.Kind == KindPtr {
+			d.prev = append(d.prev, 0)
+		}
+	}
+	d.tmpls = append(d.tmpls, t)
+	return p, false
+}
+
+// materialize decodes t's definition again, into a new home: the first
+// reference to a template pays for its home, so a template used once —
+// as every one of a trace of distinct shapes is — never has one.
+func (d *binDecoder) materialize(t *tmpl) *tmplHome {
+	if len(d.homes) == cap(d.homes) {
+		d.homes = make([]tmplHome, 0, homeSlab)
+	}
+	d.homes = d.homes[:len(d.homes)+1]
+	h := &d.homes[len(d.homes)-1]
+	r := binDecoder{data: d.defs, strs: d.strs, ops: d.hops, replay: true, next: int(t.strs0)}
+	if d.stable {
+		r.data = d.data
+	}
+	// The definition decoded once already: it cannot fail.
+	flags := r.data[t.def]
+	p := r.head(&h.hdr, flags, t.def)
+	start := len(r.ops)
+	r.body(&h.hdr, flags, p, false, maxTemplateOperands)
+	h.ops = r.ops[start:len(r.ops):len(r.ops)]
+	h.hdr.Ops, h.hdr.Result = nil, nil
+	h.hasResult = flags != 0
+	d.hops = r.ops
+	t.home = h
+	return h
+}
+
+// values decodes a version-2 record's register values at data[p:] into
+// ops, its template's operands; prev holds the template's pointer slots.
+func (d *binDecoder) values(ops []Operand, prev []uint64, p int) int {
+	j := 0
+	for i := range ops {
+		o := &ops[i]
+		if !o.IsReg {
+			continue
+		}
+		var v uint64
+		switch o.Value.Kind {
+		case KindFloat:
+			if len(d.data)-p < 8 {
+				return d.fault(truncated, p, "float value", "")
+			}
+			o.Value.bits, p = binary.LittleEndian.Uint64(d.data[p:]), p+8
+		case KindPtr:
+			if v, p = d.uvarint(p); p < 0 {
+				return d.in(p, "pointer value")
+			}
+			o.Value.bits = prev[j] + uint64(unzigzag(v))
+			j++
+		default:
+			if v, p = d.uvarint(p); p < 0 {
+				return d.in(p, "int value")
+			}
+			o.Value.bits = uint64(unzigzag(v))
+		}
+	}
+	return p
+}
+
+// tables is the length of each of the decoder's growing tables: what a
+// record that defines a template and fails rolls back to.
+type tables struct{ strs, ops, tmpls, prev, defs int }
+
+func (d *binDecoder) tables() tables {
+	return tables{len(d.strs), len(d.ops), len(d.tmpls), len(d.prev), len(d.defs)}
+}
+
+func (d *binDecoder) truncate(t tables) {
+	d.strs, d.ops, d.tmpls = d.strs[:t.strs], d.ops[:t.ops], d.tmpls[:t.tmpls]
+	d.prev, d.defs = d.prev[:t.prev], d.defs[:t.defs]
 }
 
 // extend lengthens s by one element, reusing spare capacity as it is: the
@@ -588,16 +1045,26 @@ func ParseBinary(data []byte) ([]Record, error) {
 func (d *binDecoder) presize(b *RecordBatch) {
 	probe := *d
 	probe.strs, probe.ops = slices.Clone(d.strs), nil
+	probe.tmpls, probe.prev, probe.defs = slices.Clone(d.tmpls), slices.Clone(d.prev), nil
+	probe.homes, probe.hops = nil, nil
 	var rec Record
 	n := 0
-	for ; n < 64 && probe.pos < len(d.data) && probe.record(&rec) == nil; n++ {
+	for ; n < 64 && probe.pos < len(d.data); n++ {
+		if _, err := probe.record(&rec); err != nil {
+			break
+		}
 	}
 	if n == 0 {
 		return
 	}
 	scale := float64(len(d.data)-d.pos) / float64(probe.pos-d.pos) * 9 / 8
-	b.Recs = make([]Record, 0, int(float64(n)*scale)+64)
+	nrec := int(float64(n)*scale) + 64
+	b.Recs = make([]Record, 0, nrec)
 	b.ops = make([]Operand, 0, int(float64(len(probe.ops))*scale)+64)
+	if d.v2 {
+		b.TemplateIDs = make([]uint32, 0, nrec)
+		d.tmpls = make([]tmpl, 0, int(float64(len(probe.tmpls))*scale)+64)
+	}
 }
 
 // Encode renders records in the chosen format.

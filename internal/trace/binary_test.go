@@ -354,22 +354,26 @@ func varintRecords() []Record {
 }
 
 // TestBinaryDecodeMatchesReference is the differential test of the cursor
-// decode against the field-at-a-time reference, without the fuzzer: it
-// must yield the reference's records or its exact error string — on well-formed traces, on every prefix of one (each a
-// truncation somewhere), and on single-byte corruptions of every byte of
-// one (each a fault in whatever field the byte belongs to).
+// decode against the field-at-a-time reference of the trace's version
+// (sameACTBDecode), without the fuzzer: it must yield the reference's
+// records or its exact error string — on well-formed traces of both
+// versions, on every prefix of one of each (each a truncation somewhere),
+// and on single-byte corruptions of every byte of them (each a fault in
+// whatever field the byte belongs to).
 func TestBinaryDecodeMatchesReference(t *testing.T) {
 	check := func(label string, data []byte) {
 		t.Helper()
 		got, err := ParseBinary(data)
-		if err := sameBinaryDecode(data, got, err); err != nil {
+		if err := sameACTBDecode(data, got, err); err != nil {
 			t.Fatalf("%s: full decode: %v", label, err)
 		}
 	}
-	check("sampleRecords", EncodeBinary(sampleRecords()))
-	check("varintRecords", EncodeBinary(varintRecords()))
-	for seed := int64(0); seed < 8; seed++ {
-		check(fmt.Sprintf("randomRecords/%d", seed), EncodeBinary(randomRecords(rand.New(rand.NewSource(seed)), 300)))
+	for version, encode := range map[int]func([]Record) []byte{1: encodeBinaryV1, 2: EncodeBinary} {
+		check(fmt.Sprintf("v%d sampleRecords", version), encode(sampleRecords()))
+		check(fmt.Sprintf("v%d varintRecords", version), encode(varintRecords()))
+		for seed := int64(0); seed < 8; seed++ {
+			check(fmt.Sprintf("v%d randomRecords/%d", version, seed), encode(randomRecords(rand.New(rand.NewSource(seed)), 300)))
+		}
 	}
 	// One trace with new strings among the operands, so prefixes and
 	// corruptions reach string introductions in every field.
@@ -382,17 +386,22 @@ func TestBinaryDecodeMatchesReference(t *testing.T) {
 			recs[i].Ops[0].Name = fmt.Sprintf("v%d", i)
 		}
 	}
-	data := EncodeBinary(append(recs, varintRecords()[60:70]...))
-	for cut := 0; cut < len(data); cut++ {
-		check(fmt.Sprintf("prefix %d", cut), data[:cut])
-	}
-	// XOR 0x80 flips a varint between ending and continuing; the others
-	// make a bad kind, a bad flags byte, a separator, a huge ref or length.
-	for i := range data {
-		for _, b := range []byte{data[i] ^ 0x80, data[i] ^ 0x01, data[i] ^ 0xff, 0x03, ',', '\n', 0x7f} {
-			bad := append([]byte(nil), data...)
-			bad[i] = b
-			check(fmt.Sprintf("byte %d = %#x", i, b), bad)
+	recs = append(recs, varintRecords()[60:70]...)
+	// Version 2 with templates used again, pointer deltas and a one-off
+	// record, so prefixes and corruptions reach references, definitions,
+	// deltas and one-off definitions too.
+	for version, data := range map[int][]byte{1: encodeBinaryV1(recs), 2: EncodeBinary(append(append(recs, repeatedRecords(3)...), wideRecords()[2]))} {
+		for cut := 0; cut < len(data); cut++ {
+			check(fmt.Sprintf("v%d prefix %d", version, cut), data[:cut])
+		}
+		// XOR 0x80 flips a varint between ending and continuing; the others
+		// make a bad kind, a bad flags byte, a separator, a huge ref or length.
+		for i := range data {
+			for _, b := range []byte{data[i] ^ 0x80, data[i] ^ 0x01, data[i] ^ 0xff, 0x03, ',', '\n', 0x7f} {
+				bad := append([]byte(nil), data...)
+				bad[i] = b
+				check(fmt.Sprintf("v%d byte %d = %#x", version, i, b), bad)
+			}
 		}
 	}
 }

@@ -124,7 +124,7 @@ func newBytesReader(data []byte, f Format) (*WindowReader, error) {
 	w := newStreamReader(nil, f)
 	w.buf, w.end, w.srcErr = data, len(data), io.EOF
 	if f == FormatBinary {
-		w.bin.data = data
+		w.bin.data, w.bin.stable = data, true
 		if err := w.bin.header(); err != nil {
 			return nil, err
 		}
@@ -280,16 +280,15 @@ func (w *WindowReader) nextText(b *RecordBatch, limit int) error {
 }
 
 // nextBinary decodes records until one runs off the end of a non-final
-// window; that record is rolled back — string table and operand arena (its
-// position never moved) — and decoded again after a refill. In the final
-// window running off the end is the truncation error.
+// window; that record, which the decoder has rolled back (see
+// binDecoder.record), is decoded again after a refill. In the final window
+// running off the end is the truncation error.
 func (w *WindowReader) nextBinary(b *RecordBatch, max int) error {
 	d := &w.bin
 	d.ops = b.ops
 	defer func() { b.ops, d.ops = d.ops, nil }()
 	for len(b.Recs) < max {
 		if d.pos < len(d.data) {
-			nstrs, nops := len(d.strs), len(d.ops)
 			err := w.binaryStep(b)
 			if err == nil {
 				continue
@@ -297,7 +296,6 @@ func (w *WindowReader) nextBinary(b *RecordBatch, max int) error {
 			if w.final() || !errors.Is(err, io.ErrUnexpectedEOF) {
 				return err
 			}
-			d.strs, d.ops = d.strs[:nstrs], d.ops[:nops]
 		} else if w.final() {
 			break
 		}
@@ -312,16 +310,21 @@ func (w *WindowReader) nextBinary(b *RecordBatch, max int) error {
 }
 
 // binaryStep decodes what sits at d.pos: the header at stream offset 0, a
-// record — straight into the next slot of b.Recs — anywhere else.
+// record — straight into the next slot of b.Recs, its template id, in a
+// version-2 trace, onto b.TemplateIDs — anywhere else.
 func (w *WindowReader) binaryStep(b *RecordBatch) error {
 	d := &w.bin
 	if d.base == 0 && d.pos == 0 {
 		return d.header()
 	}
 	b.Recs = extend(b.Recs)
-	if err := d.record(&b.Recs[len(b.Recs)-1]); err != nil {
+	id, err := d.record(&b.Recs[len(b.Recs)-1])
+	if err != nil {
 		b.Recs = b.Recs[:len(b.Recs)-1]
 		return err
+	}
+	if id >= 0 {
+		b.TemplateIDs = append(b.TemplateIDs, uint32(id))
 	}
 	return nil
 }
