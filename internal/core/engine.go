@@ -22,7 +22,8 @@ import (
 //
 //   - Analyze hands it the caller's records as one batch;
 //   - AnalyzeBytes and AnalyzeFile decode the trace into one recycled
-//     batch (analyze.go), so no []Record is materialized;
+//     batch (analyze.go), so no []Record is materialized, and hand it to
+//     ObserveTemplated with the decoder's template ids;
 //   - online, the tracer's emit batches or an ingest session's decoded
 //     chunks reach ObserveTemplated directly, with their template ids;
 //   - AnalyzeMany (many.go) runs N independent engines concurrently over
@@ -233,8 +234,9 @@ func (a *analyzer) finish(res *Result) {
 // paper's §IX online mode, where analysis runs inside the instrumentation
 // itself, and the offline entry points alike. Records are observed as
 // they are produced or decoded, a batch at a time
-// (interp.Machine.TraceInto hands the emitter's batches and their template
-// ids to ObserveTemplated; Observe is the one-record case); no trace is materialized and no
+// (interp.Machine.TraceInto, the sweep over a text or ACTB trace and an
+// ingest session hand their batches and template ids to ObserveTemplated;
+// Observe is the one-record case); no trace is materialized and no
 // record is revisited or copied. How a stream is cut into batches never
 // changes the result.
 type Engine struct {
@@ -282,8 +284,9 @@ func (e *Engine) ObserveBatch(recs []trace.Record) {
 // the first record with its id, and every later record with the id
 // indexes them instead of hashing register names. The ids must name the
 // same static halves for the whole session — they do when one producer,
-// one machine or one decoder, feeds it. ids shorter than recs (none, from
-// the text and version-1 decoders) are ignored.
+// one machine or one decoder (text or ACTB), feeds it. ids shorter than
+// recs (none, from the version-1 decoder) are ignored, and a record with
+// id trace.NoTemplate takes the map path.
 func (e *Engine) ObserveTemplated(recs []trace.Record, ids []uint32) {
 	a := e.a
 	if len(ids) < len(recs) {

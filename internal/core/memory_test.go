@@ -8,6 +8,7 @@ import (
 
 	"autocheck/internal/core"
 	"autocheck/internal/interp"
+	"autocheck/internal/ir"
 	"autocheck/internal/progs"
 	"autocheck/internal/trace"
 )
@@ -38,8 +39,9 @@ func allocPerPass(t *testing.T, pass func() error) uint64 {
 // the variables and their footprint need, not what the trace's length
 // does — so scale 32 may allocate at most 1.5× scale 8. The rows are the
 // engine fed an ACTB trace batch by batch (what the online and ingest
-// paths do), AnalyzeBytes over the same bytes, and AnalyzeFile streaming
-// them from disk.
+// paths do), AnalyzeBytes over the same bytes, AnalyzeFile streaming
+// them from disk, and AnalyzeFile streaming the text trace, whose decoder
+// keeps a table of block templates.
 func TestAnalysisMemoryIsFootprintBound(t *testing.T) {
 	var b *progs.Benchmark
 	for _, p := range progs.All() {
@@ -50,7 +52,7 @@ func TestAnalysisMemoryIsFootprintBound(t *testing.T) {
 	if b == nil {
 		t.Fatal("no CG port")
 	}
-	rows := []string{"Engine.ObserveBatch", "AnalyzeBytes", "AnalyzeFile"}
+	rows := []string{"Engine.ObserveBatch", "AnalyzeBytes", "AnalyzeFile", "AnalyzeFile text"}
 	alloc := map[string][]uint64{}
 	for _, scale := range memoryScales {
 		mod, err := interp.Compile(b.Source(scale))
@@ -67,6 +69,10 @@ func TestAnalysisMemoryIsFootprintBound(t *testing.T) {
 		}
 		path := filepath.Join(t.TempDir(), "cg.actb")
 		if err := os.WriteFile(path, bin, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		textPath := filepath.Join(t.TempDir(), "cg.trace")
+		if err := writeTextTrace(textPath, mod); err != nil {
 			t.Fatal(err)
 		}
 		opts := core.DefaultOptions()
@@ -93,6 +99,10 @@ func TestAnalysisMemoryIsFootprintBound(t *testing.T) {
 			},
 			"AnalyzeBytes": func() error { _, err := core.AnalyzeBytes(bin, spec, opts); return err },
 			"AnalyzeFile":  func() error { _, err := core.AnalyzeFile(path, spec, opts); return err },
+			"AnalyzeFile text": func() error {
+				_, err := core.AnalyzeFile(textPath, spec, opts)
+				return err
+			},
 		}
 		for _, row := range rows {
 			alloc[row] = append(alloc[row], allocPerPass(t, passes[row]))
@@ -107,4 +117,17 @@ func TestAnalysisMemoryIsFootprintBound(t *testing.T) {
 				row, last, memoryScales[len(a)-1], last/first, first, memoryScales[0])
 		}
 	}
+}
+
+// writeTextTrace writes mod's text trace to path.
+func writeTextTrace(path string, mod *ir.Module) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if _, err := interp.TraceProgramTo(mod, trace.NewRecordWriter(f, trace.FormatText)); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -10,39 +10,42 @@ import (
 
 // TestPassMatchesReferenceRandomACTB holds the pass on template rows to
 // the reference pass: every stream TestPassMatchesReferenceRandom
-// generates (its -pass.seeds flag sets how many) is written as ACTB and
-// analyzed by AnalyzeBytes, and fed in random byte cuts to a fed reader
-// whose batches, template ids with them, go to ObserveTemplated — so the
-// forks, excursions and epilogues of the generator run on shapes, resolved
-// from the first record with each id, across every batch boundary.
+// generates (its -pass.seeds flag sets how many) is written as ACTB and as
+// text, and each encoding is analyzed by AnalyzeBytes and fed in random
+// byte cuts to a fed reader whose batches, template ids with them, go to
+// ObserveTemplated — so the forks, excursions and epilogues of the
+// generator run on shapes, resolved from the first record with each id,
+// across every batch boundary, with ids from both decoders.
 func TestPassMatchesReferenceRandomACTB(t *testing.T) {
 	for seed := int64(1); seed <= int64(*passSeeds); seed++ {
 		recs := randomStream(seed)
 		if seed%7 == 0 {
 			widen(recs)
 		}
-		data := trace.EncodeBinary(recs)
-		cuts := randomCuts(rand.New(rand.NewSource(seed)), len(data))
-		for _, globals := range []bool{true, false} {
-			opts := Options{IncludeGlobals: globals, Explain: true, BuildDDG: true}
-			label := fmt.Sprintf("seed %d globals=%v", seed, globals)
-			want, wantErr := refAnalyze(recs, randomSpec, opts)
-			got, gotErr := AnalyzeBytes(data, randomSpec, opts)
-			if got != nil {
-				got.Stats.TraceBytes = 0
+		for _, f := range []trace.Format{trace.FormatBinary, trace.FormatText} {
+			data := trace.Encode(recs, f)
+			cuts := randomCuts(rand.New(rand.NewSource(seed)), len(data))
+			for _, globals := range []bool{true, false} {
+				opts := Options{IncludeGlobals: globals, Explain: true, BuildDDG: true}
+				label := fmt.Sprintf("seed %d %v globals=%v", seed, f, globals)
+				want, wantErr := refAnalyze(recs, randomSpec, opts)
+				got, gotErr := AnalyzeBytes(data, randomSpec, opts)
+				if got != nil {
+					got.Stats.TraceBytes = 0
+				}
+				checkReference(t, label+" AnalyzeBytes", want, got, wantErr, gotErr)
+				got, gotErr = fedTemplated(data, cuts, randomSpec, opts)
+				checkReference(t, label+" fed", want, got, wantErr, gotErr)
 			}
-			checkReference(t, label+" AnalyzeBytes", want, got, wantErr, gotErr)
-			got, gotErr = fedTemplated(data, cuts, randomSpec, opts)
-			checkReference(t, label+" fed", want, got, wantErr, gotErr)
-		}
-		if t.Failed() {
-			t.Fatalf("seed %d: ACTB of %d records analyzes differently from the reference", seed, len(recs))
+			if t.Failed() {
+				t.Fatalf("seed %d: %v of %d records analyzes differently from the reference", seed, f, len(recs))
+			}
 		}
 	}
 }
 
 // widen gives every fifth arithmetic record with register inputs 70 more
-// of them — more than an ACTB template takes, so they are one-off records
+// of them — more than an ACTB or text template takes, so they are records
 // without a template id, which the engine steps on the register maps.
 func widen(recs []trace.Record) {
 	k := 0
@@ -64,8 +67,8 @@ func widen(recs []trace.Record) {
 	}
 }
 
-// fedTemplated analyzes an ACTB trace fed to a fed reader in the pieces
-// that end at each cut, the way an ingest session takes its chunks.
+// fedTemplated analyzes a trace, ACTB or text, fed to a fed reader in the
+// pieces that end at each cut, the way an ingest session takes its chunks.
 func fedTemplated(data []byte, cuts []int, spec LoopSpec, opts Options) (*Result, error) {
 	e, err := NewEngine(spec, opts)
 	if err != nil {

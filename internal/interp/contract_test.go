@@ -1,10 +1,12 @@
 package interp
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"reflect"
 	"testing"
@@ -242,13 +244,17 @@ func staticHalf(r *trace.Record) string {
 }
 
 // sameStaticHalves reports the first record whose static half differs
-// from that of the first record with its template id.
+// from that of the first record with its template id. Records without a
+// template (trace.NoTemplate) share no id.
 func sameStaticHalves(recs []trace.Record, ids []uint32) error {
 	if len(ids) != len(recs) {
 		return fmt.Errorf("%d template ids for %d records", len(ids), len(recs))
 	}
 	first := map[uint32]string{}
 	for i := range recs {
+		if ids[i] == trace.NoTemplate {
+			continue
+		}
 		h := staticHalf(&recs[i])
 		if f, ok := first[ids[i]]; !ok {
 			first[ids[i]] = h
@@ -260,9 +266,12 @@ func sameStaticHalves(recs []trace.Record, ids []uint32) error {
 }
 
 // TestTemplateIDsNameStaticHalves is the template id contract on every
-// port, for both producers of ids: in the batches TraceProgramInto hands a
-// TemplateObserver and in those the ACTB version-2 decoder fills, records
-// that share an id have one static half.
+// port, for every producer of ids: in the batches TraceProgramInto hands a
+// TemplateObserver, in those the ACTB version-2 decoder fills and in those
+// the text decoder fills — over the trace in memory, and fed in random
+// byte cuts so that templates are made and used across window refills —
+// records that share an id have one static half, every batch has an id
+// per record, and nearly every record has a template.
 func TestTemplateIDsNameStaticHalves(t *testing.T) {
 	for _, b := range progs.All() {
 		mod := compilePort(t, b)
@@ -277,24 +286,72 @@ func TestTemplateIDsNameStaticHalves(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
-		rd, _, err := trace.NewBytesReader(bin)
-		if err != nil {
+		var text bytes.Buffer
+		if _, err := TraceProgramTo(mod, trace.NewRecordWriter(&text, trace.FormatText)); err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
-		var batch trace.RecordBatch
-		var recs []trace.Record
-		var ids []uint32
-		if err := trace.ForEachBatch(rd, &batch, func(_ int, rs []trace.Record) error {
-			for i := range rs {
-				recs = append(recs, rs[i].Clone())
+		for _, in := range []struct {
+			name string
+			data []byte
+			fed  bool
+		}{
+			{"ACTB decoder", bin, false},
+			{"text decoder", text.Bytes(), false},
+			{"fed text decoder", text.Bytes(), true},
+		} {
+			var rd trace.BatchReader
+			if in.fed {
+				fr := trace.NewFedReader()
+				rng := rand.New(rand.NewSource(int64(len(in.data))))
+				for p := 0; p < len(in.data); {
+					n := min(len(in.data)-p, 1+rng.Intn(64<<10))
+					fr.Feed(in.data[p : p+n])
+					p += n
+				}
+				fr.CloseFeed()
+				rd = fr
+			} else if rd, _, err = trace.NewBytesReader(in.data); err != nil {
+				t.Fatalf("%s: %v", b.Name, err)
 			}
-			ids = append(ids, batch.TemplateIDs...)
-			return nil
-		}); err != nil {
-			t.Fatalf("%s: %v", b.Name, err)
-		}
-		if err := sameStaticHalves(recs, ids); err != nil {
-			t.Errorf("%s: decoder: %v", b.Name, err)
+			recs, ids, err := drainTemplated(rd)
+			if err == nil {
+				err = sameStaticHalves(recs, ids)
+			}
+			none := 0
+			for _, id := range ids {
+				if id == trace.NoTemplate {
+					none++
+				}
+			}
+			switch {
+			case err != nil:
+				t.Errorf("%s: %s: %v", b.Name, in.name, err)
+			case len(recs) != int(goldenTraces[b.Name].records):
+				t.Errorf("%s: %s: %d records, want %d", b.Name, in.name, len(recs), goldenTraces[b.Name].records)
+			case none*10 > len(recs):
+				// A program repeats a few hundred shapes: all but their first
+				// sightings have a template.
+				t.Errorf("%s: %s: %d of %d records without a template", b.Name, in.name, none, len(recs))
+			}
 		}
 	}
+}
+
+// drainTemplated reads rd to its end in batches, checking that every batch
+// has a template id per record, and returns the records, cloned, and ids.
+func drainTemplated(rd trace.BatchReader) ([]trace.Record, []uint32, error) {
+	var batch trace.RecordBatch
+	var recs []trace.Record
+	var ids []uint32
+	err := trace.ForEachBatch(rd, &batch, func(base int, rs []trace.Record) error {
+		if len(batch.TemplateIDs) != len(rs) {
+			return fmt.Errorf("batch at record %d: %d template ids for %d records", base, len(batch.TemplateIDs), len(rs))
+		}
+		for i := range rs {
+			recs = append(recs, rs[i].Clone())
+		}
+		ids = append(ids, batch.TemplateIDs...)
+		return nil
+	})
+	return recs, ids, err
 }

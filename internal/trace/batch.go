@@ -27,9 +27,9 @@ type RecordBatch struct {
 	// TemplateIDs, when it is as long as Recs, holds each record's template
 	// id: records of one stream with the same id have the same static half
 	// — every field but DynID and the values of register operands — and a
-	// record with none has NoTemplate. The ACTB version-2 decoder and
-	// AppendTemplate fill it; the text and version-1 decoders, which know
-	// no templates, leave it empty.
+	// record with none has NoTemplate. The text decoder, the ACTB version-2
+	// decoder and AppendTemplate fill it; the version-1 decoder, which
+	// knows no templates, leaves it empty.
 	TemplateIDs []uint32
 
 	ops    []Operand // arena backing Recs' Ops and Result storage
@@ -37,7 +37,8 @@ type RecordBatch struct {
 }
 
 // NoTemplate is the template id of a record that has no template: in
-// ACTB, a one-off record too wide for one.
+// ACTB, a one-off record too wide for one; in text, a block whose shape
+// the decoder has not seen before, or one it does not make templates of.
 const NoTemplate = ^uint32(0)
 
 // Reset empties the batch and recycles its storage for the next fill.

@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"bytes"
 	"testing"
 
 	"autocheck/internal/interp"
@@ -29,6 +30,36 @@ func BenchmarkDecodeACTB(b *testing.B) {
 		traces = append(traces, data)
 		size += len(data)
 	}
+	decodeAll(b, traces, size)
+}
+
+// BenchmarkDecodeText is BenchmarkDecodeACTB for the text traces of the
+// same 14 ports at scale 24, written by NewRecordWriter(…, FormatText):
+// the decode in ns/record and the encoding's size in B/record.
+//
+//	go test -run '^$' -bench DecodeText -benchmem ./internal/trace/
+func BenchmarkDecodeText(b *testing.B) {
+	var traces [][]byte
+	size := 0
+	for _, p := range progs.All() {
+		mod, err := interp.Compile(p.Source(24))
+		if err != nil {
+			b.Fatalf("%s: %v", p.Name, err)
+		}
+		var buf bytes.Buffer
+		w := trace.NewRecordWriter(&buf, trace.FormatText)
+		if _, err := interp.TraceProgramTo(mod, w); err != nil {
+			b.Fatalf("%s: %v", p.Name, err)
+		}
+		traces = append(traces, buf.Bytes())
+		size += buf.Len()
+	}
+	decodeAll(b, traces, size)
+}
+
+// decodeAll times decoding traces, size bytes together, into one recycled
+// batch: one op is every trace once.
+func decodeAll(b *testing.B, traces [][]byte, size int) {
 	var batch trace.RecordBatch
 	records := 0
 	b.ReportAllocs()

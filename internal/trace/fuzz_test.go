@@ -13,7 +13,8 @@ import (
 // FuzzParseTrace exercises both decoders — the allocation-free text
 // decoder and the binary decoder — on arbitrary bytes. Neither may panic;
 // bytes that sniff as text must decode to exactly what the reference text
-// decoder (reference_test.go) makes of them, records or error string, and
+// decoder (reference_test.go) makes of them, records or error string, with
+// a template id per record, one static half per id (textIDContract), and
 // bytes that sniff as ACTB to what the reference ACTB decoder of the
 // version they announce (sameACTBDecode) makes of them; whatever the bytes
 // sniff as, a stream of
@@ -51,11 +52,20 @@ func FuzzParseTrace(f *testing.F) {
 	// An ACTB name the text format cannot carry: must be rejected, or the
 	// re-encode checks below see a trace that does not survive conversion.
 	f.Add(EncodeBinary([]Record{{Line: 6, Func: "a,b", Block: "c", Opcode: OpBr, DynID: 1}}))
+	// Blocks that try to fool a text template: each follows three copies of
+	// the block whose shape it nearly has — the second makes the template,
+	// the third decodes from it — and is followed by one more.
+	for _, fool := range templateFools {
+		f.Add([]byte(fool.base + fool.base + fool.base + fool.block + fool.base))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		serial, serr := ParseBytes(data)
 		if DetectFormat(data) == FormatText {
 			if err := sameDecode(data, serial, serr); err != nil {
 				t.Fatalf("in-place decode of %q: %v", data, err)
+			}
+			if err := textIDContract(data); err != nil {
+				t.Fatalf("template ids of %q: %v", data, err)
 			}
 		} else {
 			if err := sameACTBDecode(data, serial, serr); err != nil {
@@ -123,6 +133,72 @@ func FuzzParseTrace(f *testing.F) {
 			}
 		}
 	})
+}
+
+// templateFools are the blocks FuzzParseTrace seeds its corpus with to
+// fool a text template: each block nearly has the shape of base.
+var templateFools = []struct{ base, block string }{
+	// A repeated header followed by other operand lists.
+	{"0,5,f,b,27,1\n1,1,64,0x10,1,p\nr,0,64,7,1,q\n", "0,5,f,b,27,9\n1,1,64,0x10,1,s\nr,0,64,7,1,q\n"},
+	{"0,5,f,b,27,1\n1,1,64,0x10,1,p\nr,0,64,7,1,q\n", "0,5,f,b,27,9\n1,1,64,0x10,1,p\n"},
+	{"0,5,f,b,27,1\n1,1,64,0x10,1,p\n", "0,5,f,b,27,9\n1,1,64,0x10,1,p\n1,2,64,0x10,1,p\n"},
+	{"0,5,f,b,27,1\n1,1,64,0x10,1,p\n", "0,5,f,b,27,9\n1,1,64,0x10,0,p\n"},
+	// A value field holding a comma, running into the next line, or of
+	// another kind; a DynID that does not end the line.
+	{"0,5,f,b,27,1\n1,1,64,7,1,p\n", "0,5,f,b,27,9\n1,1,64,7,1,1,p\n"},
+	{"0,5,f,b,27,1\n1,1,64,7,1,p\n", "0,5,f,b,27,9\n1,1,64,7\n1,p\n"},
+	{"0,5,f,b,27,1\n1,1,64,7,1,p\n", "0,5,f,b,27,9\n1,1,64,-0x7,1,p\n0,5,f,b,27,9\n1,1,64,1.5e3,1,p\n0,5,f,b,27,9\n1,1,64,+7,1,p\n"},
+	{"0,5,f,b,27,1\n1,1,64,7,1,p\n", "0,5,f,b,27,9,1\n1,1,64,7,1,p\n"},
+	{"0,5,f,b,27,1\n1,1,64,7,1,p\n", "0,5,f,b,27,9x\n1,1,64,7,1,p\n"},
+	// CRLF line ends after an LF-defined template.
+	{"0,5,f,b,27,1\n1,1,64,0x10,1,p\nr,0,64,7,1,q\n", "0,5,f,b,27,9\r\n1,1,64,0x10,1,p\r\nr,0,64,7,1,q\r\n"},
+	{"0,5,f,b,27,1\n1,1,64,0x10,1,p\nr,0,64,7,1,q\n", "0,5,f,b,27,9\n1,1,64,0x10,1,p\nr,0,64,7,1,q\r\n"},
+	// An empty line inside a block, and after one.
+	{"0,5,f,b,27,1\n1,1,64,0x10,1,p\nr,0,64,7,1,q\n", "0,5,f,b,27,9\n1,1,64,0x10,1,p\n\nr,0,64,7,1,q\n"},
+	{"0,5,f,b,27,1\n1,1,64,0x10,1,p\nr,0,64,7,1,q\n", "0,5,f,b,27,9\n1,1,64,0x10,1,p\nr,0,64,7,1,q\n\n"},
+	// A result mid-block, and a repeated result.
+	{"0,5,f,b,27,1\n1,1,64,0x10,1,p\nr,0,64,7,1,q\n", "0,5,f,b,27,9\nr,0,64,7,1,q\n1,1,64,0x10,1,p\n"},
+	{"0,5,f,b,27,1\n1,1,64,0x10,1,p\nr,0,64,7,1,q\n", "0,5,f,b,27,9\n1,1,64,0x10,1,p\nr,0,64,7,1,q\nr,0,64,8,1,q\n"},
+	// A non-register operand whose constant changes.
+	{"0,6,f,b,28,1\n1,1,64,5,0,\n1,2,64,0x20,1,p\n", "0,6,f,b,28,9\n1,1,64,6,0,\n1,2,64,0x20,1,p\n"},
+}
+
+// textIDContract reads a text trace in batches of three, in memory and fed
+// in small uneven cuts, up to its end or its first error, and reports
+// where a batch has not an id per record or two records share an id but
+// not a static half.
+func textIDContract(data []byte) error {
+	mem, _, err := NewBytesReader(data)
+	if err != nil {
+		return err
+	}
+	rng := rand.New(rand.NewSource(int64(len(data))))
+	var cuts []int
+	for n := 0; n < len(data); n += cuts[len(cuts)-1] {
+		cuts = append(cuts, 1+rng.Intn(29))
+	}
+	for _, rd := range []BatchReader{mem, newFedReader(data, append(cuts, 1)...)} {
+		var b RecordBatch
+		var recs []Record
+		var ids []uint32
+		for {
+			n, err := rd.NextBatch(&b, 3)
+			if err != nil || n == 0 {
+				break
+			}
+			if len(b.TemplateIDs) != n {
+				return fmt.Errorf("batch of %d records has %d template ids", n, len(b.TemplateIDs))
+			}
+			for i := range b.Recs {
+				recs = append(recs, b.Recs[i].Clone())
+			}
+			ids = append(ids, b.TemplateIDs...)
+		}
+		if err := sameStaticHalves(recs, ids); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // equalModuloNaN is reflect.DeepEqual except that NaN values (which

@@ -68,7 +68,7 @@ func parse(data []byte, f Format) ([]Record, error) {
 	if f == FormatBinary {
 		w.bin.presize(&b)
 	} else if n := CountRecords(data); n > 0 {
-		b.Recs, b.ops = make([]Record, 0, n), make([]Operand, 0, 2*n)
+		b.Recs, b.ops, b.TemplateIDs = make([]Record, 0, n), make([]Operand, 0, 2*n), make([]uint32, 0, n)
 	}
 	if _, err := w.NextBatch(&b, math.MaxInt); err != nil || len(b.Recs) == 0 {
 		return nil, err

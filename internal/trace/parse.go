@@ -82,6 +82,16 @@ func unsafeString(b []byte) string {
 // that finds its end — the index of the next ',', or len(b) — by the rules
 // of strconv.ParseInt(s, 10, 64).
 func scanInt(b []byte, p int) (v int64, end int, ok bool) {
+	v, end, ok = scanDigits(b, p)
+	if !ok || end < len(b) && b[end] != ',' {
+		return 0, 0, false
+	}
+	return v, end, true
+}
+
+// scanDigits is scanInt for a number that ends at whatever byte is not a
+// digit: it returns the index of that byte.
+func scanDigits(b []byte, p int) (v int64, end int, ok bool) {
 	i := p
 	neg := false
 	if i < len(b) && (b[i] == '+' || b[i] == '-') {
@@ -101,7 +111,7 @@ func scanInt(b []byte, p int) (v int64, end int, ok bool) {
 		}
 		n = n*10 + uint64(c)
 	}
-	if i == first || i < len(b) && b[i] != ',' {
+	if i == first {
 		return 0, 0, false
 	}
 	if neg {
@@ -188,12 +198,14 @@ func parseValueBytes(b []byte) (Value, error) {
 }
 
 // decoder holds the reusable state of one textual decode: the name
-// interner and the operand arena the records' Ops/Result slices point
-// into.
+// interner, the operand arena the records' Ops/Result slices point into,
+// the template id of each record (see texttemplate.go) and the templates.
 type decoder struct {
 	in     *interner
 	ops    []Operand
+	ids    []uint32
 	resIdx []int // arena indices of the open block's "r," lines
+	tt     textTemplates
 }
 
 func newDecoder() *decoder {
@@ -325,13 +337,17 @@ func isHeaderLine(line []byte) bool {
 	return len(line) >= 2 && line[0] == '0' && line[1] == ','
 }
 
-// decodeN appends up to max records from data starting at pos to dst,
-// returning the position of the first unconsumed byte. This is the single
-// textual decode loop; WindowReader.nextText hands it its window.
+// decodeN appends up to max records from data starting at pos to dst, and
+// their template ids to d.ids, returning the position of the first
+// unconsumed byte. This is the single textual decode loop;
+// WindowReader.nextText hands it its window. A block a template matches is
+// decoded from it; any other is parsed field by field, and may become a
+// template.
 func (d *decoder) decodeN(data []byte, pos int, dst []Record, max int) (int, []Record, error) {
 	start := len(dst)
 	var line []byte
 	cur := -1 // index in dst of the open record, -1 if none
+	block := 0
 	opStart := len(d.ops)
 	d.resIdx = d.resIdx[:0]
 	// flush attaches the open record's arena extent: its input operands as
@@ -339,18 +355,23 @@ func (d *decoder) decodeN(data []byte, pos int, dst []Record, max int) (int, []R
 	// next record) and the result: any "r," line is the result (the last
 	// wins) and input lines may follow it. Arena growth after this point copies the backing array
 	// but never mutates already-written elements, so the aliases stay
-	// value-correct.
-	flush := func() {
+	// value-correct. A block whose result, if any, is its last line is
+	// handed to learn, which may make it a template; its bytes run up to
+	// next, where the next block starts.
+	flush := func(next int) {
 		if cur < 0 {
 			return
 		}
 		r := &dst[cur]
 		end := len(d.ops)
+		var t *textTmpl
 		switch {
 		case len(d.resIdx) == 0:
 			// No result: the whole extent is input operands.
+			t = d.learn(data[block:next], r, d.ops[opStart:end], false)
 		case len(d.resIdx) == 1 && d.resIdx[0] == end-1:
 			// Common case: a single result line closing the block.
+			t = d.learn(data[block:next], r, d.ops[opStart:end], true)
 			r.Result = &d.ops[end-1]
 			end--
 		default:
@@ -377,42 +398,51 @@ func (d *decoder) decodeN(data []byte, pos int, dst []Record, max int) (int, []R
 		if end > opStart {
 			r.Ops = d.ops[opStart:end:end]
 		}
-		opStart = len(d.ops)
+		id := NoTemplate
+		if t != nil {
+			id = t.id
+		}
+		d.ids = append(d.ids, id)
+		d.follow(t)
 		cur = -1
 		d.resIdx = d.resIdx[:0]
 	}
 	for pos < len(data) {
-		lineStart := pos
-		line, pos = nextLine(data, pos)
-		if len(line) == 0 {
-			continue
-		}
-		switch {
-		case isHeaderLine(line):
+		if isHeaderLine(data[pos:]) {
+			flush(pos)
 			if len(dst)-start == max {
-				flush()
-				return lineStart, dst, nil
+				return pos, dst, nil
 			}
-			flush()
+			var end int
+			if dst, end = d.templated(data, pos, dst); end >= 0 {
+				pos = end
+				continue
+			}
+			block, opStart = pos, len(d.ops)
+			line, pos = nextLine(data, pos)
 			dst = append(dst, Record{})
 			cur = len(dst) - 1
 			if err := d.header(line, &dst[cur]); err != nil {
 				return pos, nil, err
 			}
-		default:
-			if cur < 0 {
-				return pos, nil, fmt.Errorf("trace: expected block header, got %q", line)
-			}
-			d.ops = append(d.ops, Operand{})
-			if err := d.operand(line, &d.ops[len(d.ops)-1]); err != nil {
-				return pos, nil, err
-			}
-			if line[0] == 'r' && line[1] == ',' {
-				d.resIdx = append(d.resIdx, len(d.ops)-1)
-			}
+			continue
+		}
+		line, pos = nextLine(data, pos)
+		if len(line) == 0 {
+			continue
+		}
+		if cur < 0 {
+			return pos, nil, fmt.Errorf("trace: expected block header, got %q", line)
+		}
+		d.ops = append(d.ops, Operand{})
+		if err := d.operand(line, &d.ops[len(d.ops)-1]); err != nil {
+			return pos, nil, err
+		}
+		if line[0] == 'r' && line[1] == ',' {
+			d.resIdx = append(d.resIdx, len(d.ops)-1)
 		}
 	}
-	flush()
+	flush(pos)
 	return pos, dst, nil
 }
 

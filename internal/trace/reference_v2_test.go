@@ -489,13 +489,17 @@ func staticHalf(r *Record) string {
 }
 
 // sameStaticHalves reports the first record whose static half differs
-// from that of the first record with its template id.
+// from that of the first record with its template id. Records without a
+// template (NoTemplate) share no id.
 func sameStaticHalves(recs []Record, ids []uint32) error {
 	if len(ids) != len(recs) {
 		return fmt.Errorf("%d template ids for %d records", len(ids), len(recs))
 	}
 	first := map[uint32]string{}
 	for i := range recs {
+		if ids[i] == NoTemplate {
+			continue
+		}
 		h := staticHalf(&recs[i])
 		if f, ok := first[ids[i]]; !ok {
 			first[ids[i]] = h

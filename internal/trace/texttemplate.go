@@ -1,0 +1,338 @@
+package trace
+
+import (
+	"bytes"
+	"encoding/binary"
+)
+
+// Text templates: the text decoder's way around parsing the static half of
+// a block it has seen before. A block is its header up to the DynID, then
+// the DynID, then its operand lines; of those bytes only the DynID and the
+// value field of each register operand vary from one execution of an
+// instruction to the next. A template holds the rest — the static bytes —
+// and the record they decode to, so a block that matches it is checked
+// with a memory compare per static run and scans only its variable
+// fields, each of which must end where the next static run begins:
+//
+//	0,12,main,for.body,27,|DynID|\n1,1,64,|value|,1,arrayidx\nr,0,64,|value|,1,7\n
+//
+// A block that does not match byte for byte is parsed field by field, so
+// a template can only ever decide how fast a block decodes, never what it
+// decodes to or which error it fails with.
+//
+// Templates are made from parsed blocks, and only from plain ones: LF line
+// ends, no empty line, the result (if any) last, at most
+// maxTemplateOperands operands. A shape becomes a template the second time
+// it is seen, through a fixed first-sight memo, so a trace of distinct
+// shapes costs the memo and no templates. The templates' storage comes
+// from slabs, and their number is capped.
+//
+// The template that decodes a block is looked for first as the successor
+// of the previous block's template — the instruction that followed it
+// last time — and then in a table keyed by the header up to the DynID.
+// A template's id is its index in the order templates are made; the
+// records it decodes carry it in RecordBatch.TemplateIDs.
+
+// textTmpl is one block shape.
+type textTmpl struct {
+	hdr       Record    // the header fields but DynID; no Ops, no Result
+	ops       []Operand // the operands, the result last; non-register values set
+	hasResult bool
+	id        uint32
+	head      int       // static[:head] is the header line up to the DynID
+	static    []byte    // the block's bytes less its variable fields
+	vars      []textVar // the register value fields, in block order
+	next      *textTmpl // the template of the block that followed this one's last
+	sib       *textTmpl // the next template whose header matches this one's
+}
+
+// textVar is a register value field of a template: it sits at static[at]
+// and is the value of ops[op].
+type textVar struct{ at, op int32 }
+
+// textTemplates is the decoder's template state.
+type textTemplates struct {
+	byHead map[string]*textTmpl // header up to the DynID -> its templates
+	n      int                  // templates made
+	last   *textTmpl            // the previous block's template, or nil
+	clock  int64                // blocks decoded, the memo's clock
+	memo   [256]memoSlot
+
+	sbuf []byte // a block's static bytes, while learn looks at them
+	vbuf []textVar
+
+	tslab []textTmpl
+	bslab []byte
+	vslab []textVar
+	oslab []Operand
+}
+
+// memoSlot holds the fingerprint of a shape seen once, and when it was.
+type memoSlot struct {
+	fp uint64
+	at int64
+}
+
+const (
+	// maxTextTemplates caps the templates of one decoder, so a hostile
+	// trace of many repeated shapes holds a bounded table; a program has
+	// a few hundred.
+	maxTextTemplates = 1 << 14
+	// maxSiblings caps the templates that share one header.
+	maxSiblings = 32
+	// memoAge is how many blocks a memo slot keeps the shape it holds from
+	// other shapes, so that two shapes of one loop that share a slot do
+	// not evict each other for ever; after it, a one-off shape's slot is
+	// free again.
+	memoAge = 1 << 10
+	// The slab sizes: templates, static bytes, fields and operands.
+	tmplSlab, byteSlab, varSlab, opSlab = 64, 8 << 10, 256, 256
+)
+
+// templated decodes the block at data[pos:], which starts with a header
+// line, from a template that matches it, appending its record to dst and
+// its id to d.ids. It returns the position after the block, or -1 if no
+// template matches.
+func (d *decoder) templated(data []byte, pos int, dst []Record) ([]Record, int) {
+	tt := &d.tt
+	var tried *textTmpl
+	if tt.last != nil {
+		if t := tt.last.next; t != nil && bytes.HasPrefix(data[pos:], t.static[:t.head]) {
+			if dst, end := d.apply(t, data, pos, dst); end >= 0 {
+				return dst, end
+			}
+			tried = t
+		}
+	}
+	if tt.n == 0 {
+		return dst, -1
+	}
+	head, commas := pos, 0
+	for ; commas < 5 && head < len(data) && data[head] != '\n'; head++ {
+		if data[head] == ',' {
+			commas++
+		}
+	}
+	if commas < 5 {
+		return dst, -1
+	}
+	for t := tt.byHead[string(data[pos:head])]; t != nil; t = t.sib {
+		if t == tried {
+			continue
+		}
+		if dst, end := d.apply(t, data, pos, dst); end >= 0 {
+			return dst, end
+		}
+	}
+	return dst, -1
+}
+
+// apply decodes the block at data[pos:], whose header up to the DynID is
+// t's, as an instance of t: it walks the block once, comparing each static
+// run and scanning each variable field, and writes the values into a copy
+// of t's operands. The block must end where t does, at the end of data or
+// at the next header. It returns the position after the block, or -1 —
+// with nothing appended — if the block is not t's.
+func (d *decoder) apply(t *textTmpl, data []byte, pos int, dst []Record) ([]Record, int) {
+	start := len(d.ops)
+	d.ops = append(d.ops, t.ops...)
+	dyn, p, ok := t.match(data, pos, d.ops[start:])
+	if !ok {
+		d.ops = d.ops[:start]
+		return dst, -1
+	}
+	dst = append(dst, t.hdr)
+	r := &dst[len(dst)-1]
+	r.DynID = dyn
+	end := len(d.ops)
+	if t.hasResult {
+		end--
+		r.Result = &d.ops[end]
+	}
+	if end > start {
+		r.Ops = d.ops[start:end:end]
+	}
+	d.ids = append(d.ids, t.id)
+	d.follow(t)
+	return dst, p
+}
+
+// match checks the block at data[pos:] against t and decodes its variable
+// fields: the DynID, returned, and the register values, written into ops,
+// a copy of t's operands. It returns the position after the block.
+func (t *textTmpl) match(data []byte, pos int, ops []Operand) (dyn int64, p int, ok bool) {
+	if dyn, p, ok = scanDigits(data, pos+t.head); !ok {
+		return 0, 0, false
+	}
+	from := t.head
+	for _, v := range t.vars {
+		run := t.static[from:v.at]
+		if !bytes.HasPrefix(data[p:], run) {
+			return 0, 0, false
+		}
+		if p, ok = scanRegister(data, p+len(run), &ops[v.op].Value); !ok {
+			return 0, 0, false
+		}
+		from = int(v.at)
+	}
+	run := t.static[from:]
+	if !bytes.HasPrefix(data[p:], run) {
+		return 0, 0, false
+	}
+	p += len(run)
+	return dyn, p, p == len(data) || isHeaderLine(data[p:])
+}
+
+// follow notes that a block of template t (nil: of none) was decoded.
+func (d *decoder) follow(t *textTmpl) {
+	tt := &d.tt
+	if tt.last != nil && t != nil {
+		tt.last.next = t
+	}
+	tt.last = t
+	tt.clock++
+}
+
+// scanRegister decodes the register value at data[p], in a block being
+// checked against a template, into *v, exactly as scanValue decodes the
+// same field of the line, and returns where the field ends. It never reads
+// past the line's end: ok is false where the field does not end at a
+// comma within its line, or where scanValue would fail.
+func scanRegister(data []byte, p int, v *Value) (int, bool) {
+	if hasHexPrefix(data[p:]) {
+		a, end, ok := scanHex(data, p+2)
+		*v = PtrValue(a)
+		return end, ok
+	}
+	if n, end, ok := scanInt(data, p); ok {
+		*v = IntValue(n)
+		return end, true
+	}
+	end := p
+	for end < len(data) && data[end] != ',' && data[end] != '\n' {
+		end++
+	}
+	if end == len(data) || data[end] != ',' {
+		return 0, false
+	}
+	var err error
+	*v, err = parseValueBytes(data[p:end])
+	return end, err == nil
+}
+
+// learn is handed each block the decoder parsed field by field whose
+// result, if it has one, is its last line: block, its bytes up to the next
+// header, and rec and ops, what they decoded to (ops holds the result
+// last). A plain block whose shape the first-sight memo holds becomes a
+// template, which learn returns; any other block, nil.
+func (d *decoder) learn(block []byte, rec *Record, ops []Operand, hasResult bool) *textTmpl {
+	tt := &d.tt
+	nl := bytes.IndexByte(block, '\n')
+	if len(ops) > maxTemplateOperands || tt.n == maxTextTemplates || nl < 0 || block[nl-1] == '\r' {
+		return nil
+	}
+	// The header parsed, so its fields are comma-free and it has five
+	// commas, the last one before the DynID; an operand line's value is
+	// the field after its third comma.
+	head := afterCommas(block, 0, 5)
+	s, vars := append(tt.sbuf[:0], block[:head]...), tt.vbuf[:0]
+	p, q := nl, nl+1 // block[p:] is static from here on; q starts a line
+	for i := range ops {
+		e := bytes.IndexByte(block[q:], '\n')
+		if e <= 0 || block[q+e-1] == '\r' {
+			return nil
+		}
+		if ops[i].IsReg {
+			v := afterCommas(block, q, 3)
+			s = append(s, block[p:v]...)
+			vars = append(vars, textVar{at: int32(len(s)), op: int32(i)})
+			p = nextComma(block, v)
+		}
+		q += e + 1
+	}
+	if q != len(block) {
+		return nil
+	}
+	s = append(s, block[p:]...)
+	tt.sbuf, tt.vbuf = s, vars
+	// Only a repeat is promoted; two shapes whose fingerprints collide
+	// only cost a template made early.
+	h := fingerprint(s, vars)
+	slot, fp := &tt.memo[h>>56], h|1
+	if slot.fp != fp {
+		if slot.fp == 0 || tt.clock-slot.at > memoAge {
+			*slot = memoSlot{fp: fp, at: tt.clock}
+		}
+		return nil
+	}
+	*slot = memoSlot{}
+	sib, n := tt.byHead[string(s[:head])], 0
+	for o := sib; o != nil; o = o.sib {
+		if n++; n == maxSiblings {
+			return nil
+		}
+	}
+	t := &carve(&tt.tslab, 1, tmplSlab)[0]
+	*t = textTmpl{
+		hdr:       *rec,
+		ops:       carve(&tt.oslab, len(ops), opSlab),
+		hasResult: hasResult,
+		id:        uint32(tt.n),
+		head:      head,
+		static:    carve(&tt.bslab, len(s), byteSlab),
+		vars:      carve(&tt.vslab, len(vars), varSlab),
+		sib:       sib,
+	}
+	t.hdr.DynID, t.hdr.Ops, t.hdr.Result = 0, nil, nil
+	copy(t.ops, ops)
+	copy(t.static, s)
+	copy(t.vars, vars)
+	if tt.byHead == nil {
+		tt.byHead = make(map[string]*textTmpl, 64)
+	}
+	// The key views the template's own static bytes, which never change.
+	tt.byHead[unsafeString(t.static[:head])] = t
+	tt.n++
+	return t
+}
+
+// fingerprint hashes a block's static bytes, eight at a time, and its
+// field positions. It is the same every run, so a trace decodes to the
+// same template ids every time.
+func fingerprint(s []byte, vars []textVar) uint64 {
+	const m = 0x9e3779b97f4a7c15
+	h := uint64(len(s))
+	for ; len(s) >= 8; s = s[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(s)) * m
+		h ^= h >> 32
+	}
+	for _, c := range s {
+		h = (h ^ uint64(c)) * m
+	}
+	for _, v := range vars {
+		h = (h ^ uint64(v.at)) * m
+	}
+	return h ^ h>>29
+}
+
+// afterCommas returns the index after the n-th comma of b at or after p;
+// the caller knows there are n.
+func afterCommas(b []byte, p, n int) int {
+	for ; n > 0; p++ {
+		if b[p] == ',' {
+			n--
+		}
+	}
+	return p
+}
+
+// carve returns n elements cut from the front of *slab, which a fresh slab
+// of max(n, size) elements replaces when it has not the room.
+func carve[T any](slab *[]T, n, size int) []T {
+	if len(*slab) < n {
+		*slab = make([]T, max(n, size))
+	}
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
+}

@@ -244,8 +244,8 @@ func (w *WindowReader) NextBatch(b *RecordBatch, max int) (int, error) {
 // window is decoded to its end.
 func (w *WindowReader) nextText(b *RecordBatch, limit int) error {
 	d := w.text
-	d.ops = b.ops
-	defer func() { b.ops, d.ops = d.ops, nil }()
+	d.ops, d.ids = b.ops, b.TemplateIDs
+	defer func() { b.ops, b.TemplateIDs, d.ops, d.ids = d.ops, d.ids, nil, nil }()
 	for len(b.Recs) < limit {
 		if w.pos < w.cut {
 			pos, recs, err := d.decodeN(w.buf[:w.cut], w.pos, b.Recs, limit-len(b.Recs))
