@@ -139,9 +139,9 @@ func AnalyzeFile(path string, spec LoopSpec, opts Options) (*Result, error) {
 }
 
 // Engine is the single incremental analysis core every mode runs: feed
-// it records a batch at a time via ObserveBatch, or ObserveTemplated with
-// the batch's template ids (or one at a time via Observe — the same code),
-// and call Finish for the Result. Records need
+// it records a batch at a time via ObserveBatch, with the batch's
+// template ids or nil (or one at a time via Observe — the same code), and
+// call Finish for the Result. Records need
 // only stay valid for the duration of the call; the engine keeps nothing
 // of them. Analyze, AnalyzeBytes, AnalyzeFile and AnalyzeMany are
 // adapters that feed it, and fed straight from the tracer it is the

@@ -373,7 +373,7 @@ func (s *Service) newSession(id string, meta sessMeta, back store.Backend) *sess
 func (sess *session) ingest(data []byte) error {
 	sess.rd.Feed(data)
 	return trace.ForEachBatch(sess.rd, &sess.batch, func(_ int, recs []trace.Record) error {
-		sess.eng.ObserveTemplated(recs, sess.batch.TemplateIDs)
+		sess.eng.ObserveBatch(recs, sess.batch.TemplateIDs)
 		return nil
 	})
 }

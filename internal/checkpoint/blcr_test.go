@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 
 	"autocheck/internal/interp"
@@ -42,4 +43,16 @@ func FullRestore(m *interp.Machine, snap []byte) (int64, error) {
 		m.WriteCell(addr, v)
 	}
 	return iter, nil
+}
+
+// decodeValue reads a cell as encodeValue writes it and returns the rest
+// of buf.
+func decodeValue(buf []byte) (trace.Value, []byte, error) {
+	if len(buf) < cellBytes {
+		return trace.Value{}, nil, errors.New("checkpoint: truncated value")
+	}
+	if !validKind(buf[0]) {
+		return trace.Value{}, nil, fmt.Errorf("checkpoint: bad value kind %d", buf[0])
+	}
+	return cellValue(buf), buf[cellBytes:], nil
 }

@@ -254,16 +254,6 @@ func encodeValue(buf []byte, v trace.Value) []byte {
 	return binary.LittleEndian.AppendUint64(buf, v.Bits())
 }
 
-func decodeValue(buf []byte) (trace.Value, []byte, error) {
-	if len(buf) < cellBytes {
-		return trace.Value{}, nil, errors.New("checkpoint: truncated value")
-	}
-	if !validKind(buf[0]) {
-		return trace.Value{}, nil, fmt.Errorf("checkpoint: bad value kind %d", buf[0])
-	}
-	return cellValue(buf), buf[cellBytes:], nil
-}
-
 // encodeCheckpoint snapshots the protected cells into one section per
 // variable plus a metadata section. Under store.Backend's ownership rule
 // the sections belong to the store once handed on, so a buffer is never

@@ -609,17 +609,6 @@ func accessOperand(r *trace.Record) *trace.Operand {
 	return r.Operand(1)
 }
 
-// accessAddr returns the memory address a Load or Store touches, or 0.
-// The fused pass finds it in trackStorage; the map-keyed reference pass
-// (reference_test.go) calls this.
-func accessAddr(r *trace.Record) (uint64, bool) {
-	op := accessOperand(r)
-	if op == nil || op.Value.Kind != trace.KindPtr {
-		return 0, false
-	}
-	return op.Value.Addr(), true
-}
-
 // collectible returns v, the variable a Load/Store record accesses (nil
 // for any other record), if the record participates in MLI collection:
 // records executed in the loop function (call depth zero), plus — with

@@ -23,9 +23,9 @@ import (
 //   - Analyze hands it the caller's records as one batch;
 //   - AnalyzeBytes and AnalyzeFile decode the trace into one recycled
 //     batch (analyze.go), so no []Record is materialized, and hand it to
-//     ObserveTemplated with the decoder's template ids;
+//     ObserveBatch with the decoder's template ids;
 //   - online, the tracer's emit batches or an ingest session's decoded
-//     chunks reach ObserveTemplated directly, with their template ids;
+//     chunks reach ObserveBatch directly, with their template ids;
 //   - AnalyzeMany (many.go) runs N independent engines concurrently over
 //     distinct traces, one reusable scratch bundle per worker.
 
@@ -235,7 +235,7 @@ func (a *analyzer) finish(res *Result) {
 // itself, and the offline entry points alike. Records are observed as
 // they are produced or decoded, a batch at a time
 // (interp.Machine.TraceInto, the sweep over a text or ACTB trace and an
-// ingest session hand their batches and template ids to ObserveTemplated;
+// ingest session hand their batches and template ids to ObserveBatch;
 // Observe is the one-record case); no trace is materialized and no
 // record is revisited or copied. How a stream is cut into batches never
 // changes the result.
@@ -270,24 +270,22 @@ func (e *Engine) reset(spec LoopSpec, opts Options) {
 }
 
 // ObserveBatch consumes a run of consecutive dynamic instruction records
-// — a tracer's emit batch, a decoded chunk of a trace. The records, with
-// their Ops and Result storage, need only stay valid for the duration of
-// the call (the contract of trace.ForEachBatch and of the interpreter's
-// emitter): the engine keeps nothing of them.
-func (e *Engine) ObserveBatch(recs []trace.Record) {
-	e.ObserveTemplated(recs, nil)
-}
-
-// ObserveTemplated is ObserveBatch with each record's template id, ids[i]
-// being recs[i]'s (trace.RecordBatch.TemplateIDs): the engine resolves a
-// template's register rows, MCLR membership and access operand once, on
-// the first record with its id, and every later record with the id
-// indexes them instead of hashing register names. The ids must name the
-// same static halves for the whole session — they do when one producer,
-// one machine or one decoder (text or ACTB), feeds it. ids shorter than
-// recs (none, from the version-1 decoder) are ignored, and a record with
-// id trace.NoTemplate takes the map path.
-func (e *Engine) ObserveTemplated(recs []trace.Record, ids []uint32) {
+// — a tracer's emit batch, a decoded chunk of a trace — with each
+// record's template id, ids[i] being recs[i]'s
+// (trace.RecordBatch.TemplateIDs). The records, with their Ops and Result
+// storage, need only stay valid for the duration of the call (the
+// contract of trace.ForEachBatch and of the interpreter's emitter): the
+// engine keeps nothing of them.
+//
+// The engine resolves a template's register rows, MCLR membership and
+// access operand once, on the first record with its id, and every later
+// record with the id indexes them instead of hashing register names. The
+// ids must name the same static halves for the whole session — they do
+// when one producer, one machine or one decoder (text or ACTB), feeds it.
+// ids shorter than recs (nil, or none from the version-1 decoder) are
+// ignored, and a record without an id, or with id trace.NoTemplate, takes
+// the register-name map path.
+func (e *Engine) ObserveBatch(recs []trace.Record, ids []uint32) {
 	a := e.a
 	if len(ids) < len(recs) {
 		ids = nil
@@ -332,15 +330,15 @@ func (e *Engine) ObserveTemplated(recs []trace.Record, ids []uint32) {
 // caller's storage, which the contract keeps valid for the call.
 func (e *Engine) Observe(r *trace.Record) {
 	e.one[0] = *r
-	e.ObserveBatch(e.one[:])
+	e.ObserveBatch(e.one[:], nil)
 }
 
-// feed is ObserveTemplated with its time booked to Timing.Dep: two clock
+// feed is ObserveBatch with its time booked to Timing.Dep: two clock
 // reads per batch. What the sweep spends outside it is the decode,
 // Timing.Pre.
 func (e *Engine) feed(recs []trace.Record, ids []uint32) {
 	t := time.Now()
-	e.ObserveTemplated(recs, ids)
+	e.ObserveBatch(recs, ids)
 	e.dep += time.Since(t)
 }
 

@@ -10,16 +10,15 @@ import (
 	"autocheck/internal/trace"
 )
 
-// collector keeps what the tracer hands a TemplateObserver: the records,
+// collector keeps what the tracer hands a BatchObserver: the records,
 // copied out of the recycled batch, and their template ids.
 type collector struct {
 	recs []trace.Record
 	ids  []uint32
 }
 
-func (c *collector) Observe(r *trace.Record)          { c.recs = append(c.recs, r.Clone()) }
-func (c *collector) ObserveBatch(recs []trace.Record) { c.ObserveTemplated(recs, nil) }
-func (c *collector) ObserveTemplated(recs []trace.Record, ids []uint32) {
+func (c *collector) Observe(r *trace.Record) { c.recs = append(c.recs, r.Clone()) }
+func (c *collector) ObserveBatch(recs []trace.Record, ids []uint32) {
 	for i := range recs {
 		c.recs = append(c.recs, recs[i].Clone())
 	}
@@ -75,7 +74,7 @@ func BenchmarkEngine(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					e.ObserveTemplated(c.recs, c.ids)
+					e.ObserveBatch(c.recs, c.ids)
 					if _, err := e.Finish(); err != nil {
 						b.Fatal(err)
 					}

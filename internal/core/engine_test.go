@@ -400,7 +400,7 @@ func TestRegionString(t *testing.T) {
 // reset for every batch, with each batch's records and operands
 // overwritten as soon as the call returns. Anything the callee kept by
 // reference is garbage afterwards.
-func recycledFeed(recs []trace.Record, cuts []int, observe func([]trace.Record)) {
+func recycledFeed(recs []trace.Record, cuts []int, observe func([]trace.Record, []uint32)) {
 	var b trace.RecordBatch
 	start := 0
 	for _, end := range append(append([]int(nil), cuts...), len(recs)) {
@@ -419,7 +419,7 @@ func recycledFeed(recs []trace.Record, cuts []int, observe func([]trace.Record))
 			hdr := *r
 			b.AppendRecord(hdr, r.Result != nil)
 		}
-		observe(b.Recs)
+		observe(b.Recs, nil)
 		for i := range b.Recs {
 			for j := range b.Recs[i].Ops {
 				b.Recs[i].Ops[j] = trace.Operand{Name: "poison"}

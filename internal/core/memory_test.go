@@ -89,7 +89,7 @@ func TestAnalysisMemoryIsFootprintBound(t *testing.T) {
 					return err
 				}
 				if err := trace.ForEachBatch(rd, &batch, func(_ int, recs []trace.Record) error {
-					e.ObserveBatch(recs)
+					e.ObserveBatch(recs, nil)
 					return nil
 				}); err != nil {
 					return err

@@ -89,7 +89,7 @@ func TestPortAnalysisAllocs(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			e.ObserveBatch(p.recs)
+			e.ObserveBatch(p.recs, nil)
 			_, err = e.Finish()
 			return err
 		}, 559},

@@ -22,7 +22,7 @@ import (
 // register-row, variable-slot pass is held to. The bodies are the old
 // ones; only the receiver and table types are renamed. It shares with the
 // production pass what that change left alone: the summary type, the
-// record helpers (accessAddr, isNumeric) and the §IV-C rules
+// record helper isNumeric and the §IV-C rules
 // (classifySummary, ruleText, critical). Its drivers keep the two region
 // partitioners the engine's fork replaced: the offline one, which knows
 // the loop's extent before the pass starts, and the online one, which
@@ -192,6 +192,16 @@ func (a *refAnalyzer) reset(spec LoopSpec, opts Options) {
 		a.varNodes = make(map[VarID]*ddg.Node)
 	}
 	clear(a.ivSrcs)
+}
+
+// accessAddr returns the memory address a Load or Store touches, or 0.
+// The fused pass finds it in trackStorage, from the record's shape.
+func accessAddr(r *trace.Record) (uint64, bool) {
+	op := accessOperand(r)
+	if op == nil || op.Value.Kind != trace.KindPtr {
+		return 0, false
+	}
+	return op.Value.Addr(), true
 }
 
 // trackStorage processes the storage-defining records that collection and
@@ -913,7 +923,7 @@ func engineOnline(recs []trace.Record, spec LoopSpec, opts Options, cuts []int) 
 	if err != nil {
 		return nil, err
 	}
-	feedCut(recs, cuts, e.ObserveBatch)
+	feedCut(recs, cuts, func(b []trace.Record) { e.ObserveBatch(b, nil) })
 	return e.Finish()
 }
 

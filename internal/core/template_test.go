@@ -13,7 +13,7 @@ import (
 // generates (its -pass.seeds flag sets how many) is written as ACTB and as
 // text, and each encoding is analyzed by AnalyzeBytes and fed in random
 // byte cuts to a fed reader whose batches, template ids with them, go to
-// ObserveTemplated — so the forks, excursions and epilogues of the
+// ObserveBatch — so the forks, excursions and epilogues of the
 // generator run on shapes, resolved from the first record with each id,
 // across every batch boundary, with ids from both decoders.
 func TestPassMatchesReferenceRandomACTB(t *testing.T) {
@@ -87,7 +87,7 @@ func fedTemplated(data []byte, cuts []int, spec LoopSpec, opts Options) (*Result
 			if len(b.TemplateIDs) != len(recs) {
 				return fmt.Errorf("batch of %d records has %d template ids", len(recs), len(b.TemplateIDs))
 			}
-			e.ObserveTemplated(recs, b.TemplateIDs)
+			e.ObserveBatch(recs, b.TemplateIDs)
 			return nil
 		}); err != nil {
 			return nil, err

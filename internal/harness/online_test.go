@@ -25,7 +25,7 @@ func observeCut(t *testing.T, p *Prepared, opts core.Options, cuts []int) *core.
 	start := 0
 	for _, end := range append(append([]int(nil), cuts...), len(p.Records)) {
 		if end > start {
-			eng.ObserveBatch(p.Records[start:end])
+			eng.ObserveBatch(p.Records[start:end], nil)
 			start = end
 		}
 	}

@@ -12,8 +12,8 @@ import (
 // traced run costs the interpreter and the emitter only.
 type discardBatches struct{ records *int }
 
-func (d discardBatches) Observe(*trace.Record)          { *d.records++ }
-func (d discardBatches) ObserveBatch(rs []trace.Record) { *d.records += len(rs) }
+func (d discardBatches) Observe(*trace.Record)                      { *d.records++ }
+func (d discardBatches) ObserveBatch(rs []trace.Record, _ []uint32) { *d.records += len(rs) }
 
 // BenchmarkTraceProgramInto traces the 14 ports at scale 24, compiled
 // once, into a discarding BatchObserver: one op is the 14 traced runs.

@@ -105,7 +105,8 @@ func TestTraceProgramOwnsItsRecords(t *testing.T) {
 }
 
 // cloneSink is a plain Observer; batchSink is a BatchObserver. Both keep
-// what they are given the only way the contract allows.
+// what they are given the only way the contract allows, batchSink the
+// template ids too.
 type cloneSink struct{ recs []trace.Record }
 
 func (s *cloneSink) Observe(r *trace.Record) { s.recs = append(s.recs, r.Clone()) }
@@ -113,13 +114,15 @@ func (s *cloneSink) Observe(r *trace.Record) { s.recs = append(s.recs, r.Clone()
 type batchSink struct {
 	cloneSink
 	batches int
+	ids     []uint32
 }
 
-func (s *batchSink) ObserveBatch(recs []trace.Record) {
+func (s *batchSink) ObserveBatch(recs []trace.Record, ids []uint32) {
 	s.batches++
 	for i := range recs {
 		s.Observe(&recs[i])
 	}
+	s.ids = append(s.ids, ids...)
 }
 
 // TestFailStopDeliversEveryEmittedRecord: Run hands the partial batch on
@@ -215,18 +218,6 @@ func TestV1FixtureDecodesToGoldenText(t *testing.T) {
 	}
 }
 
-// templateSink keeps the records a TemplateObserver is given and their
-// template ids.
-type templateSink struct {
-	batchSink
-	ids []uint32
-}
-
-func (s *templateSink) ObserveTemplated(recs []trace.Record, ids []uint32) {
-	s.ObserveBatch(recs)
-	s.ids = append(s.ids, ids...)
-}
-
 // staticHalf renders what a template id stands for: the record with its
 // DynID and the values of its register operands zeroed.
 func staticHalf(r *trace.Record) string {
@@ -267,7 +258,7 @@ func sameStaticHalves(recs []trace.Record, ids []uint32) error {
 
 // TestTemplateIDsNameStaticHalves is the template id contract on every
 // port, for every producer of ids: in the batches TraceProgramInto hands a
-// TemplateObserver, in those the ACTB version-2 decoder fills and in those
+// BatchObserver, in those the ACTB version-2 decoder fills and in those
 // the text decoder fills — over the trace in memory, and fed in random
 // byte cuts so that templates are made and used across window refills —
 // records that share an id have one static half, every batch has an id
@@ -275,7 +266,7 @@ func sameStaticHalves(recs []trace.Record, ids []uint32) error {
 func TestTemplateIDsNameStaticHalves(t *testing.T) {
 	for _, b := range progs.All() {
 		mod := compilePort(t, b)
-		var sink templateSink
+		var sink batchSink
 		if _, err := TraceProgramInto(mod, &sink); err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}

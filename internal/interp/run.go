@@ -82,43 +82,33 @@ type Observer interface {
 }
 
 // BatchObserver is an Observer that also takes the emitter's batches
-// whole, one call per batch instead of one per record. The records arrive
-// in execution order and, like a single record, are valid only for the
-// duration of the call. core.Engine implements it.
+// whole, one call per batch instead of one per record, with each record's
+// template id: ids[i] is recs[i]'s, and records with one id, on one
+// machine, have the same static half (trace.RecordBatch.TemplateIDs), so
+// an observer can work out what depends on that half once per template
+// instead of once per record. The records arrive in execution order and,
+// like a single record, are valid only for the duration of the call.
+// core.Engine implements it.
 type BatchObserver interface {
 	Observer
-	ObserveBatch(recs []trace.Record)
-}
-
-// TemplateObserver is a BatchObserver that also takes each record's
-// template id: records with one id, on one machine, have the same static
-// half (trace.RecordBatch.TemplateIDs), so an observer can work out what
-// depends on that half once per template instead of once per record.
-// ids[i] is recs[i]'s. core.Engine implements it.
-type TemplateObserver interface {
-	BatchObserver
-	ObserveTemplated(recs []trace.Record, ids []uint32)
+	ObserveBatch(recs []trace.Record, ids []uint32)
 }
 
 // TraceInto makes obs the machine's trace sink: batches go to
-// ObserveTemplated, with their template ids, when obs is a
-// TemplateObserver, to ObserveBatch when it is a BatchObserver, and
+// ObserveBatch, with their template ids, when obs is a BatchObserver, and
 // record by record to Observe otherwise. The emit path is the same either
 // way. The machine emits into one recycled batch and hands it on when it
 // fills and when Run returns — on every exit path — so a record may
 // arrive up to a batch later than its instruction ran, and every record
 // has arrived by the time Run returns.
 func (m *Machine) TraceInto(obs Observer) {
-	switch o := obs.(type) {
-	case TemplateObserver:
-		m.sink = o.ObserveTemplated
-	case BatchObserver:
-		m.sink = func(recs []trace.Record, _ []uint32) { o.ObserveBatch(recs) }
-	default:
-		m.sink = func(recs []trace.Record, _ []uint32) {
-			for i := range recs {
-				obs.Observe(&recs[i])
-			}
+	if o, ok := obs.(BatchObserver); ok {
+		m.sink = o.ObserveBatch
+		return
+	}
+	m.sink = func(recs []trace.Record, _ []uint32) {
+		for i := range recs {
+			obs.Observe(&recs[i])
 		}
 	}
 }

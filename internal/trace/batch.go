@@ -15,9 +15,17 @@ import "io"
 // same batch. Consumers that need a record beyond that must Clone it —
 // the same rule the online engine's Observer already lives by.
 //
-// Producers that are not decoders of this package — the interpreter's
-// emitter — fill a batch through Reset / AppendOperand / AppendRecord, or
-// AppendTemplate when a record's static half is prebuilt.
+// A RecordBatch is also the one record assembler: every producer — the
+// text decoder, the ACTB decoder and the interpreter's emitter — lays its
+// records out in the batch's arena through it, so the layout rule, stated
+// once in seal, holds for all of them. A record decoded field by field is
+// opened, its operands staged one by one, the result last, and sealed
+// once all of them are in; a record copied from a template's static half
+// goes through AppendTemplate, and its producer writes the values only it
+// carries into the copy. A record that fails, or a template that turns out
+// not to match, is taken back with rollback. Producers outside this
+// package fill a batch through Reset / AppendOperand / AppendRecord, or
+// AppendTemplate.
 
 // RecordBatch is reusable storage for batch decoding.
 type RecordBatch struct {
@@ -54,55 +62,139 @@ func (b *RecordBatch) Reset() {
 // the batch's arena. Input operands come first, in order; the result, if
 // the record has one, is staged last.
 func (b *RecordBatch) AppendOperand(o Operand) {
-	b.ops = append(b.ops, o)
+	*b.stage() = o
 }
 
 // AppendRecord completes the record under construction and adds it to
-// Recs: the operands staged since the previous AppendRecord become its
-// Ops — except, when hasResult is set, the last of them, which becomes
-// its Result. rec carries the header fields only. Arena growth moves the
-// backing array but never rewrites a written operand, so records appended
-// earlier stay value-correct.
+// Recs: the operands staged since the previous record become its Ops —
+// except, when hasResult is set, the last of them, which becomes its
+// Result. rec carries the header fields only.
 func (b *RecordBatch) AppendRecord(rec Record, hasResult bool) {
-	b.seal(&rec, hasResult)
-	b.Recs = append(b.Recs, rec)
+	*b.open() = rec
+	b.seal(&b.Recs[len(b.Recs)-1], hasResult)
 }
 
-// seal gives rec the operands staged since the previous record.
+// open adds a record to Recs for a decoder to fill field by field: the
+// caller sets the header fields of the slot returned, stages the
+// operands and seals it. The slot stays put until the next record is
+// added.
+func (b *RecordBatch) open() *Record {
+	b.Recs = extend(b.Recs)
+	return &b.Recs[len(b.Recs)-1]
+}
+
+// stage adds an operand to the record under construction and returns it,
+// for the caller to set every field of.
+func (b *RecordBatch) stage() *Operand {
+	b.ops = extend(b.ops)
+	return &b.ops[len(b.ops)-1]
+}
+
+// staging returns the operands staged for the record under construction.
+func (b *RecordBatch) staging() []Operand { return b.ops[b.staged:] }
+
+// seal gives rec, the record under construction, the operands staged for
+// it: its inputs and, when hasResult is set, the last of them as its
+// Result. This is the one place a record's Ops and Result are pointed
+// into the arena, and it runs only once every operand is in, so arena
+// growth while a record is staged cannot leave it pointing at a stale
+// array. Growth after it moves the backing array but never rewrites a
+// written operand, so records sealed earlier stay value-correct.
 func (b *RecordBatch) seal(rec *Record, hasResult bool) {
-	end := len(b.ops)
-	rec.Ops, rec.Result = nil, nil
+	start, end := b.staged, len(b.ops)
+	b.staged = end
+	var res *Operand
 	if hasResult {
 		end--
-		rec.Result = &b.ops[end]
+		res = &b.ops[end]
 	}
-	if end > b.staged {
+	var ops []Operand
+	if end > start {
 		// Capacity-clamped so a consumer's append cannot clobber the
 		// operands that follow.
-		rec.Ops = b.ops[b.staged:end:end]
+		ops = b.ops[start:end:end]
 	}
-	b.staged = len(b.ops)
+	rec.Ops, rec.Result = ops, res
 }
 
-// AppendTemplate is AppendOperand for each of ops followed by
-// AppendRecord(*hdr, hasResult), in one bulk copy, with id, the
-// template's, appended to TemplateIDs. It returns the arena's copy of ops,
-// for the caller to write the record's dynamic values into; the slice is
-// valid until the next append to the batch.
+// AppendTemplate adds the record whose header fields are *hdr's and whose
+// operands, the result last when hasResult is set, are a copy of ops, in
+// one bulk copy, with id, the template's, appended to TemplateIDs. It returns the arena's copy of ops, for the caller to
+// write the record's dynamic values into; the slice is valid until the
+// next append to the batch.
 func (b *RecordBatch) AppendTemplate(hdr *Record, ops []Operand, hasResult bool, id uint32) []Operand {
 	b.TemplateIDs = append(b.TemplateIDs, id)
 	start := len(b.ops)
 	b.ops = append(b.ops, ops...)
-	n := len(b.Recs)
-	if n < cap(b.Recs) {
-		b.Recs = b.Recs[:n+1]
-	} else {
-		b.Recs = append(b.Recs, Record{})
-	}
-	rec := &b.Recs[n]
+	rec := b.open()
 	*rec = *hdr
 	b.seal(rec, hasResult)
 	return b.ops[start:]
+}
+
+// mark is how far a batch is filled at a record boundary.
+type mark struct{ recs, ops int }
+
+func (b *RecordBatch) mark() mark { return mark{len(b.Recs), len(b.ops)} }
+
+// rollback takes back every record, template id and operand, staged or
+// sealed, added since m.
+func (b *RecordBatch) rollback(m mark) {
+	b.Recs, b.ops, b.staged = b.Recs[:m.recs], b.ops[:m.ops], m.ops
+	if len(b.TemplateIDs) > m.recs {
+		b.TemplateIDs = b.TemplateIDs[:m.recs]
+	}
+}
+
+// home is a template's static half as a decoder keeps it, for
+// AppendTemplate to copy: the header but DynID, and the operands, the
+// result last, with the value of each non-register operand and the kind
+// of every one. The ACTB decoder's templates and the text decoder's have
+// one each.
+type home struct {
+	hdr       Record // no DynID, Ops or Result
+	ops       []Operand
+	hasResult bool
+}
+
+// homeSlabs is where a decoder's homes and their operands are carved.
+type homeSlabs struct {
+	homes []home
+	ops   []Operand
+}
+
+// The slab sizes: homes and operands.
+const homeSlab, opSlab = 64, 256
+
+// newHome returns a home for the static half of rec, whose operands, the
+// result last when hasResult is set, are ops.
+func (s *homeSlabs) newHome(rec *Record, ops []Operand, hasResult bool) *home {
+	h := &carve(&s.homes, 1, homeSlab)[0]
+	*h = home{hdr: *rec, ops: carve(&s.ops, len(ops), opSlab), hasResult: hasResult}
+	h.hdr.DynID, h.hdr.Ops, h.hdr.Result = 0, nil, nil
+	copy(h.ops, ops)
+	return h
+}
+
+// carve returns n elements cut from the front of *slab, which a fresh slab
+// of max(n, size) elements replaces when it has not the room.
+func carve[T any](slab *[]T, n, size int) []T {
+	if len(*slab) < n {
+		*slab = make([]T, max(n, size))
+	}
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
+// extend lengthens s by one element, reusing spare capacity as it is: the
+// caller sets every field of the new element.
+func extend[T any](s []T) []T {
+	if len(s) < cap(s) {
+		return s[:len(s)+1]
+	}
+	var zero T
+	return append(s, zero)
 }
 
 // BatchReader is a Reader that can additionally decode records in

@@ -375,26 +375,115 @@ func TestForEachBatchCloses(t *testing.T) {
 }
 
 // TestBatchOpsAppendSafe mirrors TestParsedOpsAppendSafe for the arena
-// behind a batch: appending to one record's Ops must not clobber its
-// neighbor.
+// behind a batch, on every path RecordBatch assembles records by: a text
+// block parsed field by field and one matched to a template, an ACTB
+// version-1 record, a version-2 definition, one-off and reference, and a
+// tracer's batch (AppendTemplate, values written after). Each batch must
+// decode to the records encoded — so the values of a version-2
+// definition whose operands straddle an arena growth land in its Ops —
+// and appending to one record's Ops must not clobber any record.
 func TestBatchOpsAppendSafe(t *testing.T) {
-	data := EncodeAll(sampleRecords())
-	rd, _, err := NewBytesReader(data)
-	if err != nil {
-		t.Fatal(err)
+	recs := appendSafeRecords()
+	tracer := func() *RecordBatch {
+		var b RecordBatch
+		for i := range recs {
+			r := &recs[i]
+			tmpl := append([]Operand(nil), r.Ops...)
+			if r.Result != nil {
+				tmpl = append(tmpl, *r.Result)
+			}
+			hdr := Record{Line: r.Line, Func: r.Func, Block: r.Block, Opcode: r.Opcode, DynID: r.DynID}
+			vals := make([]Value, len(tmpl))
+			for j := range tmpl {
+				vals[j], tmpl[j].Value = tmpl[j].Value, Value{Kind: tmpl[j].Value.Kind}
+			}
+			ops := b.AppendTemplate(&hdr, tmpl, r.Result != nil, uint32(i))
+			for j := range ops {
+				ops[j].Value = vals[j]
+			}
+		}
+		return &b
+	}()
+	for _, in := range []struct {
+		name string
+		data []byte
+		b    *RecordBatch // already filled, or nil: decode data
+	}{
+		{"text", EncodeAll(recs), nil},
+		{"ACTB v1", encodeBinaryV1(recs), nil},
+		{"ACTB v2", EncodeBinary(recs), nil},
+		{"tracer", nil, tracer},
+	} {
+		b := in.b
+		if b == nil {
+			rd, _, err := NewBytesReader(in.data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b = &RecordBatch{}
+			if _, err := rd.NextBatch(b, len(recs)+1); err != nil {
+				t.Fatalf("%s: %v", in.name, err)
+			}
+		}
+		if !equalModuloNaN(b.Recs, recs) {
+			t.Fatalf("%s: batch decodes to other records than were encoded", in.name)
+		}
+		// The paths taken: in text, the shape seen three times is parsed,
+		// made a template and then matched; in version 2 the wide record
+		// is a one-off.
+		if ids := b.TemplateIDs; in.name == "text" && (ids[0] != NoTemplate || ids[1] == NoTemplate || ids[2] != ids[1]) ||
+			in.name == "ACTB v2" && (ids[1] != ids[0] || ids[3] != NoTemplate) {
+			t.Fatalf("%s: template ids %v do not take every path", in.name, ids)
+		}
+		want := make([]Record, len(b.Recs))
+		for i := range b.Recs {
+			want[i] = b.Recs[i].Clone()
+		}
+		for i := range b.Recs {
+			_ = append(b.Recs[i].Ops, Operand{Index: 99, Name: "evil"})
+			if !reflect.DeepEqual(b.Recs, want) {
+				t.Fatalf("%s: append to record %d's Ops clobbered a record", in.name, i)
+			}
+		}
 	}
-	var b RecordBatch
-	if _, err := rd.NextBatch(&b, 100); err != nil {
-		t.Fatal(err)
+
+	// The first template defined into an empty arena, of each width up to
+	// 20 register inputs and a result: every one straddles a growth of the
+	// arena while its operands are staged, one of them at the result.
+	for n := 1; n <= 20; n++ {
+		def := []Record{shapeRecord(n, 7)}
+		rd, _, err := NewBytesReader(EncodeBinary(def))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b RecordBatch
+		if _, err := rd.NextBatch(&b, 2); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(b.Recs, def) {
+			t.Fatalf("definition of %d inputs decodes as %s, want %s", n, b.Recs[0].String(), def[0].String())
+		}
 	}
-	if len(b.Recs) < 2 || len(b.Recs[1].Ops) == 0 {
-		t.Fatal("fixture needs two records with operands")
+}
+
+// shapeRecord is a record of n register inputs and a result whose values
+// depend on v, so that records of one n share a static half.
+func shapeRecord(n int, v int64) Record {
+	r := Record{Line: 40 + n, Func: "main", Block: "body", Opcode: OpCall, DynID: 100*v + int64(n),
+		Result: &Operand{Size: 64, Value: IntValue(-v), IsReg: true, Name: fmt.Sprint("r", n)}}
+	for i := 0; i < n; i++ {
+		r.Ops = append(r.Ops, Operand{Index: i + 1, Size: 64, Value: PtrValue(uint64(0x1000*v) + uint64(8*i)), IsReg: true, Name: fmt.Sprint("a", i)})
 	}
-	want := b.Recs[1].Ops[0]
-	b.Recs[0].Ops = append(b.Recs[0].Ops, Operand{Index: 99, Name: "evil"})
-	if !reflect.DeepEqual(b.Recs[1].Ops[0], want) {
-		t.Error("append to one batch record's Ops clobbered the next record")
-	}
+	return r
+}
+
+// appendSafeRecords is a trace with a record on every assembly path: a
+// shape seen three times (text: parsed, parsed and made a template,
+// matched; ACTB version 2: defined, then referred to twice), one too wide
+// for a template (a version-2 one-off), and each of sampleRecords.
+func appendSafeRecords() []Record {
+	recs := []Record{shapeRecord(3, 1), shapeRecord(3, 2), shapeRecord(3, 3), shapeRecord(maxTemplateOperands+6, 4)}
+	return append(recs, sampleRecords()...)
 }
 
 // TestBatchDecodeAllocs pins that steady-state batch decoding of an

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"autocheck/internal/interp"
@@ -11,13 +12,14 @@ import (
 
 // BenchmarkDecodeACTB decodes the ACTB traces of the 14 ports at scale 24,
 // written by this package's BinaryWriter, into one recycled batch: one op
-// is the 14 traces. It reports the decode in ns/record and the encoding's
-// size in B/record.
+// of /ports is the 14 traces. /distinct-shapes is one trace of 20,000
+// random records, whose shapes hardly repeat, so nearly every record is a
+// template definition. It reports the decode in ns/record and the
+// encoding's size in B/record.
 //
 //	go test -run '^$' -bench DecodeACTB -benchmem ./internal/trace/
 func BenchmarkDecodeACTB(b *testing.B) {
 	var traces [][]byte
-	size := 0
 	for _, p := range progs.All() {
 		mod, err := interp.Compile(p.Source(24))
 		if err != nil {
@@ -28,19 +30,22 @@ func BenchmarkDecodeACTB(b *testing.B) {
 			b.Fatalf("%s: %v", p.Name, err)
 		}
 		traces = append(traces, data)
-		size += len(data)
 	}
-	decodeAll(b, traces, size)
+	b.Run("ports", func(b *testing.B) { decodeAll(b, traces) })
+	b.Run("distinct-shapes", func(b *testing.B) {
+		decodeAll(b, [][]byte{trace.EncodeBinary(distinctShapes())})
+	})
 }
 
 // BenchmarkDecodeText is BenchmarkDecodeACTB for the text traces of the
-// same 14 ports at scale 24, written by NewRecordWriter(…, FormatText):
-// the decode in ns/record and the encoding's size in B/record.
+// same 14 ports at scale 24, written by NewRecordWriter(…, FormatText),
+// and of the same 20,000 random records, whose blocks the decoder parses
+// field by field: the decode in ns/record and the encoding's size in
+// B/record.
 //
 //	go test -run '^$' -bench DecodeText -benchmem ./internal/trace/
 func BenchmarkDecodeText(b *testing.B) {
 	var traces [][]byte
-	size := 0
 	for _, p := range progs.All() {
 		mod, err := interp.Compile(p.Source(24))
 		if err != nil {
@@ -52,14 +57,25 @@ func BenchmarkDecodeText(b *testing.B) {
 			b.Fatalf("%s: %v", p.Name, err)
 		}
 		traces = append(traces, buf.Bytes())
-		size += buf.Len()
 	}
-	decodeAll(b, traces, size)
+	b.Run("ports", func(b *testing.B) { decodeAll(b, traces) })
+	b.Run("distinct-shapes", func(b *testing.B) {
+		decodeAll(b, [][]byte{trace.EncodeAll(distinctShapes())})
+	})
 }
 
-// decodeAll times decoding traces, size bytes together, into one recycled
-// batch: one op is every trace once.
-func decodeAll(b *testing.B, traces [][]byte, size int) {
+// distinctShapes is the trace of the distinct-shapes cases.
+func distinctShapes() []trace.Record {
+	return trace.RandomRecords(rand.New(rand.NewSource(1)), 20000)
+}
+
+// decodeAll times decoding traces into one recycled batch: one op is
+// every trace once.
+func decodeAll(b *testing.B, traces [][]byte) {
+	size := 0
+	for _, data := range traces {
+		size += len(data)
+	}
 	var batch trace.RecordBatch
 	records := 0
 	b.ReportAllocs()

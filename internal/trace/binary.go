@@ -425,7 +425,7 @@ const (
 
 // binDecoder is the one ACTB decoder: one walk over data (a whole trace, or
 // the window of a stream that starts at offset base) with a local cursor,
-// and operand storage batched in an arena like the text decoder's.
+// into the RecordBatch it is handed.
 //
 // Each helper takes the position of its field and returns the position
 // after it or, negative, one of the cursor codes truncated and corrupt,
@@ -437,7 +437,6 @@ type binDecoder struct {
 	pos  int   // the next record (or the header, at offset 0)
 	base int64 // stream offset of data[0], for error messages
 	strs []string
-	ops  []Operand
 
 	// Version 2 (see the format comment): the template table, each
 	// template's pointer slots' previous values, and the previous DynID.
@@ -448,10 +447,10 @@ type binDecoder struct {
 	// A template's definition is decoded again when a record first refers
 	// to it, into a home: from data when stable — data is the whole trace
 	// and never slides — and otherwise from the copy of it kept in defs.
-	stable bool
-	defs   []byte
-	homes  []tmplHome // the current slab of homes
-	hops   []Operand  // the homes' operands
+	stable  bool
+	defs    []byte
+	slabs   homeSlabs
+	scratch RecordBatch // where a definition is decoded again
 	// replay is set on the decoder that decodes a definition again: a new
 	// string the definition introduced is strs[next], not a new entry.
 	replay bool
@@ -471,24 +470,12 @@ type tmpl struct {
 	def   int
 	strs0 uint32
 	prev  uint32
-	home  *tmplHome
-}
-
-// tmplHome is a template's static half, decoded once: the header but
-// DynID, and the operands, the result last, with the value of each
-// non-register operand and the kind of every one.
-type tmplHome struct {
-	hdr       Record
-	ops       []Operand
-	hasResult bool
+	home  *home
 }
 
 // tableSize is the template table's first capacity, and that of the
-// pointer slots; homeSlab is how many homes are allocated at once.
-const (
-	tableSize = 1024
-	homeSlab  = 64
-)
+// pointer slots.
+const tableSize = 1024
 
 // The cursor codes.
 const (
@@ -719,39 +706,37 @@ func (d *binDecoder) opcodeTable(p int) int {
 	return p
 }
 
-// record decodes the record at d.pos into rec, every field of which it
-// sets, and moves d.pos past it. Its operands are decoded straight into
-// slots of the arena d.ops (callers must not hold d.ops aliases across
-// arena growth — the record's own Ops/Result sub-slices are safe, matching
-// the text decoder). It returns the record's template id, or -1 in a
-// version-1 trace. The caller guarantees d.pos < len(d.data).
+// record decodes the record at d.pos into b, and its template id too in
+// a version-2 trace, and moves d.pos past it. The caller guarantees
+// d.pos < len(d.data).
 //
-// A record that fails leaves the decoder as it found it — string and
-// template tables, pointer slots, kept definitions, operand arena (its
-// position, its DynID and its slots' values never moved) — so the stream
-// reader can decode it again from its start once more bytes are in.
-func (d *binDecoder) record(rec *Record) (int, error) {
-	id, p, nops := -1, 0, len(d.ops)
+// A record that fails leaves the decoder and b as it found them — string
+// and template tables, pointer slots, kept definitions, records, ids and
+// operands (its position, its DynID and its slots' values never moved) —
+// so the stream reader can decode it again from its start once more bytes
+// are in.
+func (d *binDecoder) record(b *RecordBatch) error {
+	m, tabs := b.mark(), d.tables()
+	var p int
 	if d.v2 {
-		id, p = d.walk2(rec)
+		p = d.walk2(b)
 	} else {
-		nstrs := len(d.strs)
-		if p = d.walk(rec); p < 0 {
-			d.strs = d.strs[:nstrs]
-		}
+		p = d.walk(b)
 	}
 	if p < 0 {
-		d.ops = d.ops[:nops]
-		return -1, d.err(p)
+		b.rollback(m)
+		d.truncate(tabs)
+		return d.err(p)
 	}
 	d.pos = p
-	return id, nil
+	return nil
 }
 
 // walk decodes a version-1 record.
-func (d *binDecoder) walk(rec *Record) int {
+func (d *binDecoder) walk(b *RecordBatch) int {
 	p := d.pos
 	flags := d.data[p]
+	rec := b.open()
 	if p = d.head(rec, flags, p); p < 0 {
 		return p
 	}
@@ -760,7 +745,10 @@ func (d *binDecoder) walk(rec *Record) int {
 		return d.in(p, "dynamic id")
 	}
 	rec.DynID = unzigzag(v)
-	return d.body(rec, flags, p, true, maxBinaryOperands)
+	if p = d.body(b, flags, p, true, maxBinaryOperands); p >= 0 {
+		b.seal(rec, flags != 0)
+	}
+	return p
 }
 
 // head decodes the header fields at data[p:] — flags, whose byte the
@@ -787,9 +775,9 @@ func (d *binDecoder) head(rec *Record, flags byte, p int) int {
 	return p
 }
 
-// body decodes the operand count and the operands at data[p:] into rec,
-// the result too if flags has it, each into a new slot of d.ops.
-func (d *binDecoder) body(rec *Record, flags byte, p int, values bool, limit uint64) int {
+// body stages in b the operands at data[p:], as many as their count says,
+// then the result if flags has it.
+func (d *binDecoder) body(b *RecordBatch, flags byte, p int, values bool, limit uint64) int {
 	nops, p := d.uvarint(p)
 	if p < 0 {
 		return d.in(p, "operand count")
@@ -797,106 +785,67 @@ func (d *binDecoder) body(rec *Record, flags byte, p int, values bool, limit uin
 	if nops > limit {
 		return d.fault(corrupt, p, "operand count", "")
 	}
-	rec.Ops, rec.Result = nil, nil
-	start := len(d.ops)
+	nops += uint64(flags)
 	for i := uint64(0); i < nops && p >= 0; i++ {
-		d.ops = extend(d.ops)
-		p = d.operand(&d.ops[len(d.ops)-1], p, values)
-	}
-	if nops > 0 && p >= 0 {
-		rec.Ops = d.ops[start:len(d.ops):len(d.ops)]
-	}
-	if flags != 0 && p >= 0 {
-		d.ops = extend(d.ops)
-		rec.Result = &d.ops[len(d.ops)-1]
-		p = d.operand(rec.Result, p, values)
+		p = d.operand(b.stage(), p, values)
 	}
 	return p
 }
 
-// walk2 decodes a version-2 record: its template — defined here, or
-// copied from the template's home — then its DynID delta and register
-// values. The template's pointer slots and the previous DynID move only
-// once the whole record has decoded, so a record cut short leaves no trace
-// in them.
-func (d *binDecoder) walk2(rec *Record) (int, int) {
+// walk2 decodes a version-2 record: its template — defined here, its
+// operands staged as the definition decodes, or copied from the
+// template's home — then its DynID delta and register values. A one-off
+// definition carries its values and is followed by its DynID delta alone.
+// The template's pointer slots and the previous DynID move only once the
+// whole record has decoded, so a record cut short leaves no trace in them.
+func (d *binDecoder) walk2(b *RecordBatch) int {
 	p := d.pos
 	ref := uint64(d.data[p])
 	if ref < 0x80 {
 		p++
 	} else if ref, p = d.uvarint(p); p < 0 {
-		return -1, d.in(p, "template ref")
+		return d.in(p, "template ref")
 	}
-	start := len(d.ops)
-	var id int
-	var t *tmpl
-	var defined *tables // the tables before the record's definition, if it has one
+	var rec *Record
+	var ops []Operand // the operands the values go into
+	var prev []uint64 // their template's pointer slots
+	id, flags := NoTemplate, byte(0)
 	if ref == 0 {
-		mark := d.tables()
-		var oneOff bool
-		if p, oneOff = d.define(rec, p); p < 0 {
-			d.truncate(mark)
-			return -1, p
+		rec = b.open()
+		if p, flags = d.define(b, rec, p); p < 0 {
+			return p
 		}
-		if oneOff {
-			v, q := d.uvarint(p)
-			if q < 0 {
-				d.truncate(mark)
-				return -1, d.in(q, "dynamic id")
-			}
-			rec.DynID = d.dyn + unzigzag(v)
-			d.dyn = rec.DynID
-			return int(NoTemplate), q
-		}
-		defined = &mark
-		id = len(d.tmpls) - 1
-		t = &d.tmpls[id]
-		// The arena may have moved under the operands define pointed rec
-		// at; the values go into where they are now.
-		n := len(d.ops)
-		if rec.Result != nil {
-			n--
-			rec.Result = &d.ops[n]
-		}
-		if n > start {
-			rec.Ops = d.ops[start:n:n]
+		if flags&2 == 0 {
+			id, ops = uint32(len(d.tmpls)-1), b.staging()
 		}
 	} else {
 		if ref > uint64(len(d.tmpls)) {
-			return -1, d.fault(corrupt, p, "template ref", "beyond table")
+			return d.fault(corrupt, p, "template ref", "beyond table")
 		}
-		id = int(ref - 1)
-		t = &d.tmpls[id]
-		h := t.home
+		id = uint32(ref - 1)
+		h := d.tmpls[id].home
 		if h == nil {
-			h = d.materialize(t)
+			h = d.materialize(&d.tmpls[id])
 		}
-		*rec = h.hdr
-		d.ops = append(d.ops, h.ops...)
-		n := len(d.ops)
-		if h.hasResult {
-			n--
-			rec.Result = &d.ops[n]
-		}
-		if n > start {
-			rec.Ops = d.ops[start:n:n]
-		}
+		ops = b.AppendTemplate(&h.hdr, h.ops, h.hasResult, id)
+		rec = &b.Recs[len(b.Recs)-1]
+	}
+	if id != NoTemplate {
+		prev = d.prev[d.tmpls[id].prev:]
 	}
 	v, p := d.uvarint(p)
-	if p >= 0 {
-		rec.DynID = d.dyn + unzigzag(v)
-		p = d.values(d.ops[start:], d.prev[t.prev:], p)
-	} else {
-		p = d.in(p, "dynamic id")
-	}
 	if p < 0 {
-		if defined != nil {
-			d.truncate(*defined)
-		}
-		return -1, p
+		return d.in(p, "dynamic id")
+	}
+	rec.DynID = d.dyn + unzigzag(v)
+	if p = d.values(ops, prev, p); p < 0 {
+		return p
+	}
+	if ref == 0 {
+		b.seal(rec, flags&1 != 0)
+		b.TemplateIDs = append(b.TemplateIDs, id)
 	}
 	d.dyn = rec.DynID
-	ops, prev := d.ops[start:], d.prev[t.prev:]
 	j := 0
 	for i := range ops {
 		if o := &ops[i]; o.IsReg && o.Value.Kind == KindPtr {
@@ -904,31 +853,31 @@ func (d *binDecoder) walk2(rec *Record) (int, int) {
 			j++
 		}
 	}
-	return id, p
+	return p
 }
 
 // define decodes the template definition at data[p:] into rec's header
-// and operand slots appended to d.ops and, unless it is a one-off, adds the
-// template to the table.
-func (d *binDecoder) define(rec *Record, p int) (int, bool) {
+// and operands staged in b and, unless it is a one-off, adds the template
+// to the table. It returns the definition's flags: bit 0, has result; bit
+// 1, one-off.
+func (d *binDecoder) define(b *RecordBatch, rec *Record, p int) (int, byte) {
 	def, strs0 := p, len(d.strs)
 	if p >= len(d.data) {
-		return d.fault(truncated, p, "record flags", ""), false
+		return d.fault(truncated, p, "record flags", ""), 0
 	}
 	flags := d.data[p]
 	if flags > 3 {
-		return d.fault(corrupt, p+1, "record flags", ""), false
+		return d.fault(corrupt, p+1, "record flags", ""), 0
 	}
 	oneOff, limit := flags&2 != 0, uint64(maxTemplateOperands)
 	if oneOff {
-		flags, limit = flags&1, maxBinaryOperands
+		limit = maxBinaryOperands
 	}
-	if p = d.head(rec, flags, p); p < 0 {
-		return p, false
+	if p = d.head(rec, flags&1, p); p < 0 {
+		return p, 0
 	}
-	start := len(d.ops)
-	if p = d.body(rec, flags, p, oneOff, limit); p < 0 || oneOff {
-		return p, oneOff
+	if p = d.body(b, flags&1, p, oneOff, limit); p < 0 || oneOff {
+		return p, flags
 	}
 	if cap(d.tmpls) == 0 {
 		// Sized for a program's instructions: a port has a few hundred.
@@ -939,39 +888,31 @@ func (d *binDecoder) define(rec *Record, p int) (int, bool) {
 		t.def = len(d.defs)
 		d.defs = append(d.defs, d.data[def:p]...)
 	}
-	for _, o := range d.ops[start:] {
+	for _, o := range b.staging() {
 		if o.IsReg && o.Value.Kind == KindPtr {
 			d.prev = append(d.prev, 0)
 		}
 	}
 	d.tmpls = append(d.tmpls, t)
-	return p, false
+	return p, flags
 }
 
 // materialize decodes t's definition again, into a new home: the first
 // reference to a template pays for its home, so a template used once —
 // as every one of a trace of distinct shapes is — never has one.
-func (d *binDecoder) materialize(t *tmpl) *tmplHome {
-	if len(d.homes) == cap(d.homes) {
-		d.homes = make([]tmplHome, 0, homeSlab)
-	}
-	d.homes = d.homes[:len(d.homes)+1]
-	h := &d.homes[len(d.homes)-1]
-	r := binDecoder{data: d.defs, strs: d.strs, ops: d.hops, replay: true, next: int(t.strs0)}
+func (d *binDecoder) materialize(t *tmpl) *home {
+	r := binDecoder{data: d.defs, strs: d.strs, replay: true, next: int(t.strs0)}
 	if d.stable {
 		r.data = d.data
 	}
 	// The definition decoded once already: it cannot fail.
 	flags := r.data[t.def]
-	p := r.head(&h.hdr, flags, t.def)
-	start := len(r.ops)
-	r.body(&h.hdr, flags, p, false, maxTemplateOperands)
-	h.ops = r.ops[start:len(r.ops):len(r.ops)]
-	h.hdr.Ops, h.hdr.Result = nil, nil
-	h.hasResult = flags != 0
-	d.hops = r.ops
-	t.home = h
-	return h
+	var hdr Record
+	p := r.head(&hdr, flags, t.def)
+	d.scratch.Reset()
+	r.body(&d.scratch, flags, p, false, maxTemplateOperands)
+	t.home = d.slabs.newHome(&hdr, d.scratch.ops, flags != 0)
+	return t.home
 }
 
 // values decodes a version-2 record's register values at data[p:] into
@@ -1007,26 +948,16 @@ func (d *binDecoder) values(ops []Operand, prev []uint64, p int) int {
 }
 
 // tables is the length of each of the decoder's growing tables: what a
-// record that defines a template and fails rolls back to.
-type tables struct{ strs, ops, tmpls, prev, defs int }
+// record that fails rolls back to.
+type tables struct{ strs, tmpls, prev, defs int }
 
 func (d *binDecoder) tables() tables {
-	return tables{len(d.strs), len(d.ops), len(d.tmpls), len(d.prev), len(d.defs)}
+	return tables{len(d.strs), len(d.tmpls), len(d.prev), len(d.defs)}
 }
 
 func (d *binDecoder) truncate(t tables) {
-	d.strs, d.ops, d.tmpls = d.strs[:t.strs], d.ops[:t.ops], d.tmpls[:t.tmpls]
+	d.strs, d.tmpls = d.strs[:t.strs], d.tmpls[:t.tmpls]
 	d.prev, d.defs = d.prev[:t.prev], d.defs[:t.defs]
-}
-
-// extend lengthens s by one element, reusing spare capacity as it is: the
-// caller sets every field of the new element.
-func extend[T any](s []T) []T {
-	if len(s) < cap(s) {
-		return s[:len(s)+1]
-	}
-	var zero T
-	return append(s, zero)
 }
 
 // ParseBinary parses a complete in-memory ACTB trace, as ParseBytes does
@@ -1044,23 +975,23 @@ func ParseBinary(data []byte) ([]Record, error) {
 // is pure GC pressure).
 func (d *binDecoder) presize(b *RecordBatch) {
 	probe := *d
-	probe.strs, probe.ops = slices.Clone(d.strs), nil
+	probe.strs = slices.Clone(d.strs)
 	probe.tmpls, probe.prev, probe.defs = slices.Clone(d.tmpls), slices.Clone(d.prev), nil
-	probe.homes, probe.hops = nil, nil
-	var rec Record
-	n := 0
-	for ; n < 64 && probe.pos < len(d.data); n++ {
-		if _, err := probe.record(&rec); err != nil {
+	probe.slabs, probe.scratch = homeSlabs{}, RecordBatch{}
+	var pb RecordBatch
+	for len(pb.Recs) < 64 && probe.pos < len(d.data) {
+		if err := probe.record(&pb); err != nil {
 			break
 		}
 	}
+	n := len(pb.Recs)
 	if n == 0 {
 		return
 	}
 	scale := float64(len(d.data)-d.pos) / float64(probe.pos-d.pos) * 9 / 8
 	nrec := int(float64(n)*scale) + 64
 	b.Recs = make([]Record, 0, nrec)
-	b.ops = make([]Operand, 0, int(float64(len(probe.ops))*scale)+64)
+	b.ops = make([]Operand, 0, int(float64(len(pb.ops))*scale)+64)
 	if d.v2 {
 		b.TemplateIDs = make([]uint32, 0, nrec)
 		d.tmpls = make([]tmpl, 0, int(float64(len(probe.tmpls))*scale)+64)

@@ -15,9 +15,10 @@ import (
 // one field slice, and six field strings per trace line — the decoder
 // walks the input byte slice directly, parses integers and pointers
 // without materializing strings, interns the few distinct identifier
-// strings (function names, block labels, operand names), and batches
-// operand storage in a shared arena so a record block costs amortized
-// zero heap allocations. There is no line-length cap on this path.
+// strings (function names, block labels, operand names), and decodes
+// into a RecordBatch, whose shared operand arena makes a record block
+// cost amortized zero heap allocations. There is no line-length cap on
+// this path.
 
 // interner deduplicates identifier strings. A trace repeats the same
 // handful of function/block/operand names millions of times; interning
@@ -198,14 +199,10 @@ func parseValueBytes(b []byte) (Value, error) {
 }
 
 // decoder holds the reusable state of one textual decode: the name
-// interner, the operand arena the records' Ops/Result slices point into,
-// the template id of each record (see texttemplate.go) and the templates.
+// interner and the templates (see texttemplate.go).
 type decoder struct {
-	in     *interner
-	ops    []Operand
-	ids    []uint32
-	resIdx []int // arena indices of the open block's "r," lines
-	tt     textTemplates
+	in *interner
+	tt textTemplates
 }
 
 func newDecoder() *decoder {
@@ -337,93 +334,59 @@ func isHeaderLine(line []byte) bool {
 	return len(line) >= 2 && line[0] == '0' && line[1] == ','
 }
 
-// decodeN appends up to max records from data starting at pos to dst, and
-// their template ids to d.ids, returning the position of the first
+// decodeN decodes up to max records from data, starting at pos, into b,
+// with their template ids, and returns the position of the first
 // unconsumed byte. This is the single textual decode loop;
 // WindowReader.nextText hands it its window. A block a template matches is
 // decoded from it; any other is parsed field by field, and may become a
 // template.
-func (d *decoder) decodeN(data []byte, pos int, dst []Record, max int) (int, []Record, error) {
-	start := len(dst)
+func (d *decoder) decodeN(b *RecordBatch, data []byte, pos, max int) (int, error) {
+	start := len(b.Recs)
 	var line []byte
-	cur := -1 // index in dst of the open record, -1 if none
+	var rec *Record // the open record, nil if none
 	block := 0
-	opStart := len(d.ops)
-	d.resIdx = d.resIdx[:0]
-	// flush attaches the open record's arena extent: its input operands as
-	// a capacity-clamped sub-slice (so a caller's append cannot clobber the
-	// next record) and the result: any "r," line is the result (the last
-	// wins) and input lines may follow it. Arena growth after this point copies the backing array
-	// but never mutates already-written elements, so the aliases stay
-	// value-correct. A block whose result, if any, is its last line is
-	// handed to learn, which may make it a template; its bytes run up to
-	// next, where the next block starts.
+	// The open record's result: any "r," line is the result (the last
+	// wins), and input lines may follow it, so it is held aside and staged
+	// last, when the record is sealed.
+	var res Operand
+	nres, resLast := 0, false
+	// flush seals the open record. A block whose result, if any, is its
+	// last line is handed to learn, which may make it a template; its
+	// bytes run up to next, where the next block starts.
 	flush := func(next int) {
-		if cur < 0 {
+		if rec == nil {
 			return
 		}
-		r := &dst[cur]
-		end := len(d.ops)
+		if nres > 0 {
+			*b.stage() = res
+		}
 		var t *textTmpl
-		switch {
-		case len(d.resIdx) == 0:
-			// No result: the whole extent is input operands.
-			t = d.learn(data[block:next], r, d.ops[opStart:end], false)
-		case len(d.resIdx) == 1 && d.resIdx[0] == end-1:
-			// Common case: a single result line closing the block.
-			t = d.learn(data[block:next], r, d.ops[opStart:end], true)
-			r.Result = &d.ops[end-1]
-			end--
-		default:
-			// Rare shape (result mid-block or repeated): compact the input
-			// operands to the front of the extent — one walk, with a cursor
-			// into resIdx, which ascends — and keep the last result. Only
-			// this block's slots [opStart:end) move, so earlier records'
-			// aliases are untouched.
-			res := d.ops[d.resIdx[len(d.resIdx)-1]]
-			w, k := opStart, 0
-			for i := opStart; i < end; i++ {
-				if k < len(d.resIdx) && d.resIdx[k] == i {
-					k++
-					continue
-				}
-				d.ops[w] = d.ops[i]
-				w++
-			}
-			d.ops[w] = res
-			d.ops = d.ops[:w+1]
-			r.Result = &d.ops[w]
-			end = w
-		}
-		if end > opStart {
-			r.Ops = d.ops[opStart:end:end]
-		}
 		id := NoTemplate
-		if t != nil {
-			id = t.id
+		if nres == 0 || nres == 1 && resLast {
+			if t = d.learn(data[block:next], rec, b.staging(), nres > 0); t != nil {
+				id = t.id
+			}
 		}
-		d.ids = append(d.ids, id)
+		b.seal(rec, nres > 0)
+		b.TemplateIDs = append(b.TemplateIDs, id)
 		d.follow(t)
-		cur = -1
-		d.resIdx = d.resIdx[:0]
+		rec = nil
 	}
 	for pos < len(data) {
 		if isHeaderLine(data[pos:]) {
 			flush(pos)
-			if len(dst)-start == max {
-				return pos, dst, nil
+			if len(b.Recs)-start == max {
+				return pos, nil
 			}
-			var end int
-			if dst, end = d.templated(data, pos, dst); end >= 0 {
+			if end := d.templated(b, data, pos); end >= 0 {
 				pos = end
 				continue
 			}
-			block, opStart = pos, len(d.ops)
+			block = pos
 			line, pos = nextLine(data, pos)
-			dst = append(dst, Record{})
-			cur = len(dst) - 1
-			if err := d.header(line, &dst[cur]); err != nil {
-				return pos, nil, err
+			rec, nres, resLast = b.open(), 0, false
+			if err := d.header(line, rec); err != nil {
+				return pos, err
 			}
 			continue
 		}
@@ -431,19 +394,21 @@ func (d *decoder) decodeN(data []byte, pos int, dst []Record, max int) (int, []R
 		if len(line) == 0 {
 			continue
 		}
-		if cur < 0 {
-			return pos, nil, fmt.Errorf("trace: expected block header, got %q", line)
+		if rec == nil {
+			return pos, fmt.Errorf("trace: expected block header, got %q", line)
 		}
-		d.ops = append(d.ops, Operand{})
-		if err := d.operand(line, &d.ops[len(d.ops)-1]); err != nil {
-			return pos, nil, err
+		o := &res
+		if resLast = len(line) > 1 && line[0] == 'r' && line[1] == ','; resLast {
+			nres++
+		} else {
+			o = b.stage()
 		}
-		if line[0] == 'r' && line[1] == ',' {
-			d.resIdx = append(d.resIdx, len(d.ops)-1)
+		if err := d.operand(line, o); err != nil {
+			return pos, err
 		}
 	}
 	flush(pos)
-	return pos, dst, nil
+	return pos, nil
 }
 
 // CountRecords returns the number of instruction blocks in a textual

@@ -24,8 +24,9 @@ import (
 // ends, no empty line, the result (if any) last, at most
 // maxTemplateOperands operands. A shape becomes a template the second time
 // it is seen, through a fixed first-sight memo, so a trace of distinct
-// shapes costs the memo and no templates. The templates' storage comes
-// from slabs, and their number is capped.
+// shapes costs the memo and no templates. A template's static half is a
+// home, as an ACTB template's is, which RecordBatch.AppendTemplate copies;
+// the templates' storage comes from slabs, and their number is capped.
 //
 // The template that decodes a block is looked for first as the successor
 // of the previous block's template — the instruction that followed it
@@ -35,15 +36,13 @@ import (
 
 // textTmpl is one block shape.
 type textTmpl struct {
-	hdr       Record    // the header fields but DynID; no Ops, no Result
-	ops       []Operand // the operands, the result last; non-register values set
-	hasResult bool
-	id        uint32
-	head      int       // static[:head] is the header line up to the DynID
-	static    []byte    // the block's bytes less its variable fields
-	vars      []textVar // the register value fields, in block order
-	next      *textTmpl // the template of the block that followed this one's last
-	sib       *textTmpl // the next template whose header matches this one's
+	*home
+	id     uint32
+	head   int       // static[:head] is the header line up to the DynID
+	static []byte    // the block's bytes less its variable fields
+	vars   []textVar // the register value fields, in block order
+	next   *textTmpl // the template of the block that followed this one's last
+	sib    *textTmpl // the next template whose header matches this one's
 }
 
 // textVar is a register value field of a template: it sits at static[at]
@@ -61,10 +60,10 @@ type textTemplates struct {
 	sbuf []byte // a block's static bytes, while learn looks at them
 	vbuf []textVar
 
+	slabs homeSlabs
 	tslab []textTmpl
 	bslab []byte
 	vslab []textVar
-	oslab []Operand
 }
 
 // memoSlot holds the fingerprint of a shape seen once, and when it was.
@@ -85,27 +84,26 @@ const (
 	// not evict each other for ever; after it, a one-off shape's slot is
 	// free again.
 	memoAge = 1 << 10
-	// The slab sizes: templates, static bytes, fields and operands.
-	tmplSlab, byteSlab, varSlab, opSlab = 64, 8 << 10, 256, 256
+	// The slab sizes: templates, static bytes and fields.
+	tmplSlab, byteSlab, varSlab = 64, 8 << 10, 256
 )
 
 // templated decodes the block at data[pos:], which starts with a header
-// line, from a template that matches it, appending its record to dst and
-// its id to d.ids. It returns the position after the block, or -1 if no
-// template matches.
-func (d *decoder) templated(data []byte, pos int, dst []Record) ([]Record, int) {
+// line, from a template that matches it, into b. It returns the position
+// after the block, or -1 if no template matches.
+func (d *decoder) templated(b *RecordBatch, data []byte, pos int) int {
 	tt := &d.tt
 	var tried *textTmpl
 	if tt.last != nil {
 		if t := tt.last.next; t != nil && bytes.HasPrefix(data[pos:], t.static[:t.head]) {
-			if dst, end := d.apply(t, data, pos, dst); end >= 0 {
-				return dst, end
+			if end := d.apply(b, t, data, pos); end >= 0 {
+				return end
 			}
 			tried = t
 		}
 	}
 	if tt.n == 0 {
-		return dst, -1
+		return -1
 	}
 	head, commas := pos, 0
 	for ; commas < 5 && head < len(data) && data[head] != '\n'; head++ {
@@ -114,47 +112,35 @@ func (d *decoder) templated(data []byte, pos int, dst []Record) ([]Record, int) 
 		}
 	}
 	if commas < 5 {
-		return dst, -1
+		return -1
 	}
 	for t := tt.byHead[string(data[pos:head])]; t != nil; t = t.sib {
 		if t == tried {
 			continue
 		}
-		if dst, end := d.apply(t, data, pos, dst); end >= 0 {
-			return dst, end
+		if end := d.apply(b, t, data, pos); end >= 0 {
+			return end
 		}
 	}
-	return dst, -1
+	return -1
 }
 
 // apply decodes the block at data[pos:], whose header up to the DynID is
-// t's, as an instance of t: it walks the block once, comparing each static
-// run and scanning each variable field, and writes the values into a copy
-// of t's operands. The block must end where t does, at the end of data or
+// t's, as an instance of t: it copies t's record into b and walks the
+// block once, comparing each static run and scanning each variable field
+// into the copy. The block must end where t does, at the end of data or
 // at the next header. It returns the position after the block, or -1 —
-// with nothing appended — if the block is not t's.
-func (d *decoder) apply(t *textTmpl, data []byte, pos int, dst []Record) ([]Record, int) {
-	start := len(d.ops)
-	d.ops = append(d.ops, t.ops...)
-	dyn, p, ok := t.match(data, pos, d.ops[start:])
+// with the copy taken back — if the block is not t's.
+func (d *decoder) apply(b *RecordBatch, t *textTmpl, data []byte, pos int) int {
+	m := b.mark()
+	dyn, p, ok := t.match(data, pos, b.AppendTemplate(&t.hdr, t.ops, t.hasResult, t.id))
 	if !ok {
-		d.ops = d.ops[:start]
-		return dst, -1
+		b.rollback(m)
+		return -1
 	}
-	dst = append(dst, t.hdr)
-	r := &dst[len(dst)-1]
-	r.DynID = dyn
-	end := len(d.ops)
-	if t.hasResult {
-		end--
-		r.Result = &d.ops[end]
-	}
-	if end > start {
-		r.Ops = d.ops[start:end:end]
-	}
-	d.ids = append(d.ids, t.id)
+	b.Recs[len(b.Recs)-1].DynID = dyn
 	d.follow(t)
-	return dst, p
+	return p
 }
 
 // match checks the block at data[pos:] against t and decodes its variable
@@ -274,17 +260,13 @@ func (d *decoder) learn(block []byte, rec *Record, ops []Operand, hasResult bool
 	}
 	t := &carve(&tt.tslab, 1, tmplSlab)[0]
 	*t = textTmpl{
-		hdr:       *rec,
-		ops:       carve(&tt.oslab, len(ops), opSlab),
-		hasResult: hasResult,
-		id:        uint32(tt.n),
-		head:      head,
-		static:    carve(&tt.bslab, len(s), byteSlab),
-		vars:      carve(&tt.vslab, len(vars), varSlab),
-		sib:       sib,
+		home:   tt.slabs.newHome(rec, ops, hasResult),
+		id:     uint32(tt.n),
+		head:   head,
+		static: carve(&tt.bslab, len(s), byteSlab),
+		vars:   carve(&tt.vslab, len(vars), varSlab),
+		sib:    sib,
 	}
-	t.hdr.DynID, t.hdr.Ops, t.hdr.Result = 0, nil, nil
-	copy(t.ops, ops)
 	copy(t.static, s)
 	copy(t.vars, vars)
 	if tt.byHead == nil {
@@ -324,15 +306,4 @@ func afterCommas(b []byte, p, n int) int {
 		}
 	}
 	return p
-}
-
-// carve returns n elements cut from the front of *slab, which a fresh slab
-// of max(n, size) elements replaces when it has not the room.
-func carve[T any](slab *[]T, n, size int) []T {
-	if len(*slab) < n {
-		*slab = make([]T, max(n, size))
-	}
-	s := (*slab)[:n:n]
-	*slab = (*slab)[n:]
-	return s
 }

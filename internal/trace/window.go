@@ -25,7 +25,7 @@ const (
 // buffer that slides its undecoded tail to the front and refills with one
 // Read at a time, so a trace is decoded as it arrives. Either way the
 // bytes go to the same two decoders, decoder.decodeN (text) and
-// binDecoder.record (ACTB).
+// binDecoder.record (ACTB), which decode into the caller's batch.
 type WindowReader struct {
 	src    io.Reader // nil over an in-memory trace; a *feed when fed
 	buf    []byte    // the window; buf[pos:end] is read but not yet decoded
@@ -243,16 +243,13 @@ func (w *WindowReader) NextBatch(b *RecordBatch, max int) (int, error) {
 // record the next refill would extend. The final
 // window is decoded to its end.
 func (w *WindowReader) nextText(b *RecordBatch, limit int) error {
-	d := w.text
-	d.ops, d.ids = b.ops, b.TemplateIDs
-	defer func() { b.ops, b.TemplateIDs, d.ops, d.ids = d.ops, d.ids, nil, nil }()
 	for len(b.Recs) < limit {
 		if w.pos < w.cut {
-			pos, recs, err := d.decodeN(w.buf[:w.cut], w.pos, b.Recs, limit-len(b.Recs))
+			pos, err := w.text.decodeN(b, w.buf[:w.cut], w.pos, limit-len(b.Recs))
 			if err != nil {
 				return err
 			}
-			w.pos, b.Recs = pos, recs
+			w.pos = pos
 			continue
 		}
 		if w.scanned == w.end {
@@ -285,8 +282,6 @@ func (w *WindowReader) nextText(b *RecordBatch, limit int) error {
 // running off the end is the truncation error.
 func (w *WindowReader) nextBinary(b *RecordBatch, max int) error {
 	d := &w.bin
-	d.ops = b.ops
-	defer func() { b.ops, d.ops = d.ops, nil }()
 	for len(b.Recs) < max {
 		if d.pos < len(d.data) {
 			err := w.binaryStep(b)
@@ -310,21 +305,11 @@ func (w *WindowReader) nextBinary(b *RecordBatch, max int) error {
 }
 
 // binaryStep decodes what sits at d.pos: the header at stream offset 0, a
-// record — straight into the next slot of b.Recs, its template id, in a
-// version-2 trace, onto b.TemplateIDs — anywhere else.
+// record into b anywhere else.
 func (w *WindowReader) binaryStep(b *RecordBatch) error {
 	d := &w.bin
 	if d.base == 0 && d.pos == 0 {
 		return d.header()
 	}
-	b.Recs = extend(b.Recs)
-	id, err := d.record(&b.Recs[len(b.Recs)-1])
-	if err != nil {
-		b.Recs = b.Recs[:len(b.Recs)-1]
-		return err
-	}
-	if id >= 0 {
-		b.TemplateIDs = append(b.TemplateIDs, uint32(id))
-	}
-	return nil
+	return d.record(b)
 }
