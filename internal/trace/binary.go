@@ -473,10 +473,6 @@ type tmpl struct {
 	home  *home
 }
 
-// tableSize is the template table's first capacity, and that of the
-// pointer slots.
-const tableSize = 1024
-
 // The cursor codes.
 const (
 	// truncated: the field runs past the end of data. It is the one failure
@@ -673,7 +669,11 @@ func (d *binDecoder) header() error {
 	if p = d.opcodeTable(p + 1); p < 0 {
 		return d.err(p)
 	}
-	d.pos = p
+	// The string table is pre-seeded with "" (ref 1), mirroring the writer.
+	if d.strs == nil {
+		d.strs = make([]string, 0, 64)
+	}
+	d.strs, d.pos = append(d.strs[:0], ""), p
 	return nil
 }
 
@@ -879,22 +879,35 @@ func (d *binDecoder) define(b *RecordBatch, rec *Record, p int) (int, byte) {
 	if p = d.body(b, flags&1, p, oneOff, limit); p < 0 || oneOff {
 		return p, flags
 	}
-	if cap(d.tmpls) == 0 {
-		// Sized for a program's instructions: a port has a few hundred.
-		d.tmpls, d.prev = make([]tmpl, 0, tableSize), make([]uint64, 0, tableSize)
-	}
 	t := tmpl{def: def, strs0: uint32(strs0), prev: uint32(len(d.prev))}
 	if !d.stable {
 		t.def = len(d.defs)
 		d.defs = append(d.defs, d.data[def:p]...)
 	}
+	slots := 0
 	for _, o := range b.staging() {
 		if o.IsReg && o.Value.Kind == KindPtr {
-			d.prev = append(d.prev, 0)
+			slots++
 		}
 	}
-	d.tmpls = append(d.tmpls, t)
+	n := len(d.prev)
+	d.prev = growTable(d.prev, slots)[:n+slots]
+	clear(d.prev[n:])
+	d.tmpls = append(growTable(d.tmpls, 1), t)
 	return p, flags
+}
+
+// growTable makes room for n more entries in one of the tables a
+// definition adds to, which a trace of distinct shapes adds to every
+// record: it starts at 64 entries, so a short trace holds a short table,
+// and quadruples, so a long one is regrown a few times, not many.
+func growTable[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	t := make([]T, len(s), len(s)+max(n, 3*len(s), 64))
+	copy(t, s)
+	return t
 }
 
 // materialize decodes t's definition again, into a new home: the first

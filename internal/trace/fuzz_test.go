@@ -58,6 +58,15 @@ func FuzzParseTrace(f *testing.F) {
 	for _, fool := range templateFools {
 		f.Add([]byte(fool.base + fool.base + fool.base + fool.block + fool.base))
 	}
+	// A register value whose kind changes under one template — the kind a
+	// template's value had is only the form scanned first — or that takes
+	// a form the float scan leaves to strconv.
+	for _, c := range kindChanges {
+		base, block := kindBlock(1, c.from), kindBlock(9, c.to)
+		f.Add([]byte(base + base + base + block + base))
+	}
+	// A header too short to be a template's, once there are templates.
+	f.Add([]byte("0,5,f,b,27,0\n1,1,64,0,1,p\n0,5,f,b,27,0\n1,1,64,0,1,p\n0,,,,,"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		serial, serr := ParseBytes(data)
 		if DetectFormat(data) == FormatText {
@@ -161,6 +170,21 @@ var templateFools = []struct{ base, block string }{
 	{"0,5,f,b,27,1\n1,1,64,0x10,1,p\nr,0,64,7,1,q\n", "0,5,f,b,27,9\n1,1,64,0x10,1,p\nr,0,64,7,1,q\nr,0,64,8,1,q\n"},
 	// A non-register operand whose constant changes.
 	{"0,6,f,b,28,1\n1,1,64,5,0,\n1,2,64,0x20,1,p\n", "0,6,f,b,28,9\n1,1,64,6,0,\n1,2,64,0x20,1,p\n"},
+}
+
+// kindChanges are the register values FuzzParseTrace seeds its corpus
+// with under a template learned with another: int to float, and float to
+// a negated pointer, to forms strconv alone reads and to ones it rejects.
+var kindChanges = []struct{ from, to string }{
+	{"7", "2.5"}, {"2.5", "7"}, {"2.5", "0x10"}, {"2.5", "-0x7"}, {"2.5", "+1.5"}, {"2.5", "5."}, {"2.5", ".5"},
+	{"2.5", "1e400"}, {"2.5", "1e-400"}, {"2.5", "NaN"}, {"2.5", "-Inf"}, {"2.5", "123456789012345678901.5"},
+	{"2.5", "1.5e"}, {"0x10", "2.5"},
+}
+
+// kindBlock is a block of one shape whose register input and result hold
+// v.
+func kindBlock(dyn int, v string) string {
+	return fmt.Sprintf("0,5,f,b,27,%d\n1,1,64,%s,1,p\nr,0,64,%s,1,q\n", dyn, v, v)
 }
 
 // textIDContract reads a text trace in batches of three, in memory and fed

@@ -101,7 +101,12 @@ func scanDigits(b []byte, p int) (v int64, end int, ok bool) {
 	}
 	first := i
 	var n uint64
-	for ; i < len(b); i++ {
+	k := 8 // less than 8: the number ended within the word digitRun read
+	if i+8 <= len(b) {
+		n, k = digitRun(b, i)
+		i += k
+	}
+	for ; k == 8 && i < len(b); i++ {
 		c := b[i] - '0'
 		if c > 9 {
 			break
@@ -125,6 +130,28 @@ func scanDigits(b []byte, p int) (v int64, end int, ok bool) {
 		return 0, 0, false
 	}
 	return int64(n), i, true
+}
+
+// digitRun reads the run of decimal digits that starts b[p:p+8] as one
+// number: it returns the value of its first k digits, k ≤ 8, where k is 8
+// or the index of the first byte of the eight that is not a digit. The
+// caller has eight bytes at p. The eight are tested and converted
+// together (Lemire, "Number Parsing at a Gigabyte per Second", SP&E 2021):
+// a byte is a digit when its high nibble is 3 before and after adding 6;
+// the digits, moved to the top of the word, become four two-digit values
+// by one multiply and the whole number by two more.
+func digitRun(b []byte, p int) (v uint64, k int) {
+	const ones, nibbles, zeros = 0x0101010101010101, 0xF0F0F0F0F0F0F0F0, 0x3030303030303030
+	w := binary.LittleEndian.Uint64(b[p:])
+	// A carry out of a non-digit byte only reaches the bytes after it.
+	notDigit := (w&nibbles ^ zeros) | ((w+6*ones)&nibbles ^ zeros)
+	if k = bits.TrailingZeros64(notDigit) / 8; k == 0 {
+		return 0, 0
+	}
+	w = (w - zeros) << (64 - 8*k) // the k digits, after 8-k zeros
+	w = w*10 + w>>8
+	w = ((w&0x000000FF000000FF)*(100+1000000<<32) + (w>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
+	return w, k
 }
 
 // scanHex is scanInt for a bare (no 0x prefix) hexadecimal uint64.
@@ -227,18 +254,13 @@ func badName(line []byte) error {
 	return fmt.Errorf("trace: name holds a carriage return in %q", line)
 }
 
-// scanValue decodes the value field at line[p] into *v and returns where
-// the field ends. A pointer or a plain decimal — nearly every value of a
-// trace — is parsed as its end is found; a float, a negated pointer or
-// anything malformed is delimited first and left to parseValueBytes.
+// scanValue decodes the value field at line[p:] into *v and returns where
+// the field ends. A pointer, a plain decimal or a float scanFloat reads —
+// nearly every value of a trace — is decoded as its end is found; a
+// negated pointer or anything else is delimited first and left to
+// parseValueBytes.
 func scanValue(line []byte, p int, v *Value) (int, error) {
-	if hasHexPrefix(line[p:]) {
-		if a, end, ok := scanHex(line, p+2); ok {
-			*v = PtrValue(a)
-			return end, nil
-		}
-	} else if n, end, ok := scanInt(line, p); ok {
-		*v = IntValue(n)
+	if end, ok := scanNumber(line, p, KindInt, v); ok {
 		return end, nil
 	}
 	end := nextComma(line, p)
@@ -247,64 +269,201 @@ func scanValue(line []byte, p int, v *Value) (int, error) {
 	return end, err
 }
 
+// scanNumber decodes the value field at b[p:] into *v in the pass that
+// finds its end — the index of the next ',', or len(b) — if it is a
+// pointer, a plain decimal or a float scanFloat reads, trying kind's form
+// first: a template's register keeps the kind it had. ok is false for any
+// other field, which parseValueBytes decides. The three forms exclude each
+// other (only a pointer holds an 'x', only a float a '.', 'e' or 'E'), so
+// kind changes how fast a field decodes, never what to.
+func scanNumber(b []byte, p int, kind ValueKind, v *Value) (end int, ok bool) {
+	if kind == KindFloat {
+		if f, end, ok := scanFloat(b, p); ok {
+			*v = FloatValue(f)
+			return end, true
+		}
+	}
+	if hasHexPrefix(b[p:]) {
+		a, end, ok := scanHex(b, p+2)
+		*v = PtrValue(a)
+		return end, ok
+	}
+	if n, end, ok := scanInt(b, p); ok {
+		*v = IntValue(n)
+		return end, true
+	}
+	if kind != KindFloat {
+		if f, end, ok := scanFloat(b, p); ok {
+			*v = FloatValue(f)
+			return end, true
+		}
+	}
+	return 0, false
+}
+
+// scanFloat reads the float field at b[p:], -?digits[.digits][(e|E)[+-]digits]
+// with a '.', an 'e' or an 'E', in one pass, and returns the value
+// strconv.ParseFloat gives it, bit for bit, and where the field ends: at a
+// ',' or at len(b). The significant digits, at most 19, make a uint64
+// mantissa and the rest a decimal exponent; a mantissa below 2^53 with an
+// exponent within ±22 is one correctly rounded multiply or divide
+// (Clinger's fast path: both operands are exact), and any other is
+// eiselLemire64's. ok is false for any other field, and for one of more
+// than 19 significant digits or one Eisel-Lemire cannot decide (a
+// subnormal, an overflow, a halfway case); parseValueBytes decides those.
+// Every float the writer writes has at most 17 significant digits.
+func scanFloat(b []byte, p int) (f float64, end int, ok bool) {
+	i := p
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	from := i
+	man, exp := uint64(0), 0 // the significant digits; the exponent of the last
+	if i, man, ok = scanMantissa(b, i, 0); !ok || i == from {
+		return 0, 0, false
+	}
+	marked := false
+	if i < len(b) && b[i] == '.' {
+		from = i + 1
+		if i, man, ok = scanMantissa(b, from, man); !ok || i == from {
+			return 0, 0, false
+		}
+		exp, marked = from-i, true
+	}
+	if i < len(b) && b[i]|0x20 == 'e' {
+		i++
+		eneg := i < len(b) && b[i] == '-'
+		if i < len(b) && (eneg || b[i] == '+') {
+			i++
+		}
+		from = i
+		e := 0
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			if e < 10000 { // far past any exponent Eisel-Lemire takes
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if i == from {
+			return 0, 0, false
+		}
+		if eneg {
+			e = -e
+		}
+		exp, marked = exp+e, true
+	}
+	if !marked || i < len(b) && b[i] != ',' {
+		return 0, 0, false
+	}
+	if man < 1<<53 && -22 <= exp && exp <= 22 {
+		f = float64(man)
+		if neg {
+			f = -f
+		}
+		if exp < 0 {
+			return f / exactPow10[-exp], i, true
+		}
+		return f * exactPow10[exp], i, true
+	}
+	f, ok = eiselLemire64(man, exp, neg)
+	return f, i, ok
+}
+
+// scanMantissa appends the run of decimal digits at b[i:] to man and
+// returns where the run ends and the new man. Leading zeros are not
+// significant digits: ok is false where man would hold more than 19,
+// which is where it would reach 10^19.
+func scanMantissa(b []byte, i int, man uint64) (_ int, _ uint64, ok bool) {
+	// Eight digits at a time while man has at most 11 significant ones.
+	for i+8 <= len(b) && man < 1e11 {
+		v, k := digitRun(b, i)
+		man, i = man*exactPow10u[k]+v, i+k
+		if k < 8 {
+			return i, man, true
+		}
+	}
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		if man >= 1e18 {
+			return 0, 0, false
+		}
+		man = man*10 + uint64(b[i]-'0')
+	}
+	return i, man, true
+}
+
+// exactPow10u holds the powers of ten digitRun's runs take.
+var exactPow10u = [9]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
+
+// exactPow10 holds the powers of ten a float64 represents exactly.
+var exactPow10 = [23]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+	1e20, 1e21, 1e22,
+}
+
 // operand decodes "<tag>,<idx>,<size>,<value>,<isreg>,<name>" into *o, one
-// field after the other, nothing split off first. The tag is decodeN's to
-// read: every line of a block but its header is an operand.
-func (d *decoder) operand(line []byte, o *Operand) error {
+// field after the other, nothing split off first, and returns where its
+// value field sits in line. The tag is decodeN's to read: every line of a
+// block but its header is an operand.
+func (d *decoder) operand(line []byte, o *Operand) (span, error) {
 	idx, p, ok := scanInt(line, nextComma(line, 0)+1)
 	if !ok || p == len(line) {
-		return lineErr(line, "operand", badField("operand index", line))
+		return span{}, lineErr(line, "operand", badField("operand index", line))
 	}
 	size, p, ok := scanInt(line, p+1)
 	if !ok || p == len(line) {
-		return lineErr(line, "operand", badField("operand size", line))
+		return span{}, lineErr(line, "operand", badField("operand size", line))
 	}
-	p, err := scanValue(line, p+1, &o.Value)
+	val := span{from: p + 1}
+	p, err := scanValue(line, val.from, &o.Value)
 	if err != nil || p == len(line) {
-		return lineErr(line, "operand", err)
+		return span{}, lineErr(line, "operand", err)
 	}
+	val.to = p
 	reg := p + 1
 	name := nextComma(line, reg) + 1
 	if name > len(line) || nextComma(line, name) != len(line) {
-		return lineErr(line, "operand", nil)
+		return span{}, lineErr(line, "operand", nil)
 	}
 	o.Index, o.Size = int(idx), int(size)
 	o.IsReg = name == reg+2 && line[reg] == '1'
 	if o.Name, ok = d.in.intern(line[name:]); !ok {
-		return badName(line)
+		return span{}, badName(line)
 	}
-	return nil
+	return val, nil
 }
 
 // header decodes "0,<line>,<func>,<block>,<opcode>,<dynid>" into the
-// header fields of *r; Ops and Result are left as the caller made them.
-func (d *decoder) header(line []byte, r *Record) error {
+// header fields of *r, and returns where its DynID field sits in line; Ops
+// and Result are left as the caller made them.
+func (d *decoder) header(line []byte, r *Record) (span, error) {
 	ln, p, ok := scanInt(line, 2)
 	if !ok || p == len(line) {
-		return lineErr(line, "header", badField("line number", line))
+		return span{}, lineErr(line, "header", badField("line number", line))
 	}
 	fn := p + 1
 	blk := nextComma(line, fn) + 1
 	op := nextComma(line, blk) + 1 // a blk past the end lands this past it too
 	if op > len(line) {
-		return lineErr(line, "header", nil)
+		return span{}, lineErr(line, "header", nil)
 	}
 	opcode, p, ok := scanInt(line, op)
 	if !ok || p == len(line) {
-		return lineErr(line, "header", badField("opcode", line))
+		return span{}, lineErr(line, "header", badField("opcode", line))
 	}
-	dyn, p, ok := scanInt(line, p+1)
+	dynAt := p + 1
+	dyn, p, ok := scanInt(line, dynAt)
 	if !ok || p != len(line) {
-		return lineErr(line, "header", badField("dynamic id", line))
+		return span{}, lineErr(line, "header", badField("dynamic id", line))
 	}
 	r.Line, r.Opcode, r.DynID = int(ln), int(opcode), dyn
 	var okFn, okBlk bool
 	r.Func, okFn = d.in.intern(line[fn : blk-1])
 	r.Block, okBlk = d.in.intern(line[blk : op-1])
 	if !okFn || !okBlk {
-		return badName(line)
+		return span{}, badName(line)
 	}
-	return nil
+	return span{dynAt, len(line)}, nil
 }
 
 // nextLine returns the next line of data starting at pos and the new
@@ -350,8 +509,13 @@ func (d *decoder) decodeN(b *RecordBatch, data []byte, pos, max int) (int, error
 	// last, when the record is sealed.
 	var res Operand
 	nres, resLast := 0, false
-	// flush seals the open record. A block whose result, if any, is its
-	// last line is handed to learn, which may make it a template; its
+	// plain: every line of the open block so far ends in a bare LF, and it
+	// has at most maxTemplateOperands operands; the parse of a plain block
+	// notes where its DynID and value fields sit in tt.dyn and tt.vals,
+	// from the block's start, for learn.
+	plain, tt := false, &d.tt
+	// flush seals the open record. A plain block whose result, if any, is
+	// its last line is handed to learn, which may make it a template; its
 	// bytes run up to next, where the next block starts.
 	flush := func(next int) {
 		if rec == nil {
@@ -362,7 +526,7 @@ func (d *decoder) decodeN(b *RecordBatch, data []byte, pos, max int) (int, error
 		}
 		var t *textTmpl
 		id := NoTemplate
-		if nres == 0 || nres == 1 && resLast {
+		if plain && (nres == 0 || nres == 1 && resLast) {
 			if t = d.learn(data[block:next], rec, b.staging(), nres > 0); t != nil {
 				id = t.id
 			}
@@ -385,13 +549,18 @@ func (d *decoder) decodeN(b *RecordBatch, data []byte, pos, max int) (int, error
 			block = pos
 			line, pos = nextLine(data, pos)
 			rec, nres, resLast = b.open(), 0, false
-			if err := d.header(line, rec); err != nil {
+			dyn, err := d.header(line, rec)
+			if err != nil {
 				return pos, err
 			}
+			plain = bareLF(data, block, pos, line)
+			tt.dyn, tt.vals = dyn, tt.vals[:0]
 			continue
 		}
+		from := pos
 		line, pos = nextLine(data, pos)
 		if len(line) == 0 {
+			plain = false
 			continue
 		}
 		if rec == nil {
@@ -403,12 +572,23 @@ func (d *decoder) decodeN(b *RecordBatch, data []byte, pos, max int) (int, error
 		} else {
 			o = b.stage()
 		}
-		if err := d.operand(line, o); err != nil {
+		val, err := d.operand(line, o)
+		if err != nil {
 			return pos, err
+		}
+		if plain = plain && bareLF(data, from, pos, line) && len(tt.vals) < maxTemplateOperands; plain {
+			at := from - block
+			tt.vals = append(tt.vals, span{at + val.from, at + val.to})
 		}
 	}
 	flush(pos)
 	return pos, nil
+}
+
+// bareLF reports whether line, which nextLine read from data[from:pos],
+// ended in a '\n' with no '\r' before it.
+func bareLF(data []byte, from, pos int, line []byte) bool {
+	return data[pos-1] == '\n' && pos-from == len(line)+1
 }
 
 // CountRecords returns the number of instruction blocks in a textual

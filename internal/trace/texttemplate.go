@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
 )
 
 // Text templates: the text decoder's way around parsing the static half of
@@ -18,20 +19,24 @@ import (
 //
 // A block that does not match byte for byte is parsed field by field, so
 // a template can only ever decide how fast a block decodes, never what it
-// decodes to or which error it fails with.
+// decodes to or which error it fails with. A register value is scanned
+// first in the form of the kind it had when the template was made; a value
+// of another kind takes the generic scan.
 //
 // Templates are made from parsed blocks, and only from plain ones: LF line
 // ends, no empty line, the result (if any) last, at most
 // maxTemplateOperands operands. A shape becomes a template the second time
 // it is seen, through a fixed first-sight memo, so a trace of distinct
-// shapes costs the memo and no templates. A template's static half is a
-// home, as an ACTB template's is, which RecordBatch.AppendTemplate copies;
-// the templates' storage comes from slabs, and their number is capped.
+// shapes costs the memo and no templates; the parse hands learn the spans
+// of the variable fields, so a block is not walked twice. A template's
+// static half is a home, as an ACTB template's is, which
+// RecordBatch.AppendTemplate copies; the templates' storage comes from
+// slabs, and their number is capped.
 //
 // The template that decodes a block is looked for first as the successor
 // of the previous block's template — the instruction that followed it
-// last time — and then in a table keyed by the header up to the DynID.
-// A template's id is its index in the order templates are made; the
+// last time — and then in a table keyed by the header up to the DynID,
+// behind a filter of the headers that have templates. A template's id is its index in the order templates are made; the
 // records it decodes carry it in RecordBatch.TemplateIDs.
 
 // textTmpl is one block shape.
@@ -49,13 +54,22 @@ type textTmpl struct {
 // and is the value of ops[op].
 type textVar struct{ at, op int32 }
 
+// span is where a field sits in a line or a block: [from, to).
+type span struct{ from, to int }
+
 // textTemplates is the decoder's template state.
 type textTemplates struct {
 	byHead map[string]*textTmpl // header up to the DynID -> its templates
+	heads  headFilter           // the headers byHead holds, to test first
 	n      int                  // templates made
 	last   *textTmpl            // the previous block's template, or nil
 	clock  int64                // blocks decoded, the memo's clock
 	memo   [256]memoSlot
+
+	// Where the DynID and each operand's value field sit in the block
+	// decodeN is parsing, from the block's start: learn's map of it.
+	dyn  span
+	vals []span
 
 	sbuf []byte // a block's static bytes, while learn looks at them
 	vbuf []textVar
@@ -111,7 +125,7 @@ func (d *decoder) templated(b *RecordBatch, data []byte, pos int) int {
 			commas++
 		}
 	}
-	if commas < 5 {
+	if commas < 5 || !tt.heads.has(data[pos:head]) {
 		return -1
 	}
 	for t := tt.byHead[string(data[pos:head])]; t != nil; t = t.sib {
@@ -179,19 +193,14 @@ func (d *decoder) follow(t *textTmpl) {
 	tt.clock++
 }
 
-// scanRegister decodes the register value at data[p], in a block being
+// scanRegister decodes the register value at data[p:], in a block being
 // checked against a template, into *v, exactly as scanValue decodes the
-// same field of the line, and returns where the field ends. It never reads
-// past the line's end: ok is false where the field does not end at a
-// comma within its line, or where scanValue would fail.
+// same field of the line, and returns where the field ends. *v holds the
+// template's value, whose kind scanNumber tries first. It never reads past
+// the line's end: ok is false where the field does not end at a comma
+// within its line, or where scanValue would fail.
 func scanRegister(data []byte, p int, v *Value) (int, bool) {
-	if hasHexPrefix(data[p:]) {
-		a, end, ok := scanHex(data, p+2)
-		*v = PtrValue(a)
-		return end, ok
-	}
-	if n, end, ok := scanInt(data, p); ok {
-		*v = IntValue(n)
+	if end, ok := scanNumber(data, p, v.Kind, v); ok {
 		return end, true
 	}
 	end := p
@@ -206,38 +215,27 @@ func scanRegister(data []byte, p int, v *Value) (int, bool) {
 	return end, err == nil
 }
 
-// learn is handed each block the decoder parsed field by field whose
-// result, if it has one, is its last line: block, its bytes up to the next
-// header, and rec and ops, what they decoded to (ops holds the result
-// last). A plain block whose shape the first-sight memo holds becomes a
+// learn is handed each plain block the decoder parsed field by field —
+// LF line ends, no empty line, the result (if any) last, at most
+// maxTemplateOperands operands: block, its bytes up to the next header;
+// rec and ops, what they decoded to (ops holds the result last); and in
+// tt.dyn and tt.vals, where the parse found its DynID and each operand's
+// value field. A block whose shape the first-sight memo holds becomes a
 // template, which learn returns; any other block, nil.
 func (d *decoder) learn(block []byte, rec *Record, ops []Operand, hasResult bool) *textTmpl {
 	tt := &d.tt
-	nl := bytes.IndexByte(block, '\n')
-	if len(ops) > maxTemplateOperands || tt.n == maxTextTemplates || nl < 0 || block[nl-1] == '\r' {
+	if tt.n == maxTextTemplates {
 		return nil
 	}
-	// The header parsed, so its fields are comma-free and it has five
-	// commas, the last one before the DynID; an operand line's value is
-	// the field after its third comma.
-	head := afterCommas(block, 0, 5)
+	head := tt.dyn.from
 	s, vars := append(tt.sbuf[:0], block[:head]...), tt.vbuf[:0]
-	p, q := nl, nl+1 // block[p:] is static from here on; q starts a line
-	for i := range ops {
-		e := bytes.IndexByte(block[q:], '\n')
-		if e <= 0 || block[q+e-1] == '\r' {
-			return nil
-		}
+	p := tt.dyn.to // block[p:] is static from here on
+	for i, v := range tt.vals {
 		if ops[i].IsReg {
-			v := afterCommas(block, q, 3)
-			s = append(s, block[p:v]...)
+			s = append(s, block[p:v.from]...)
 			vars = append(vars, textVar{at: int32(len(s)), op: int32(i)})
-			p = nextComma(block, v)
+			p = v.to
 		}
-		q += e + 1
-	}
-	if q != len(block) {
-		return nil
 	}
 	s = append(s, block[p:]...)
 	tt.sbuf, tt.vbuf = s, vars
@@ -274,6 +272,7 @@ func (d *decoder) learn(block []byte, rec *Record, ops []Operand, hasResult bool
 	}
 	// The key views the template's own static bytes, which never change.
 	tt.byHead[unsafeString(t.static[:head])] = t
+	tt.heads.add(t.static[:head])
 	tt.n++
 	return t
 }
@@ -297,13 +296,33 @@ func fingerprint(s []byte, vars []textVar) uint64 {
 	return h ^ h>>29
 }
 
-// afterCommas returns the index after the n-th comma of b at or after p;
-// the caller knows there are n.
-func afterCommas(b []byte, p, n int) int {
-	for ; n > 0; p++ {
-		if b[p] == ',' {
-			n--
-		}
+// headFilter is a header's first-sight check: a bit per hash of the
+// header bytes up to the DynID, set when a template of that header is
+// made. A block whose header's bit is clear has no template, so it costs
+// templated a short hash instead of a probe of byHead; a trace of few
+// shapes sets few bits.
+type headFilter [64]uint64
+
+func (f *headFilter) add(head []byte) {
+	h := headHash(head)
+	f[h/64%64] |= 1 << (h % 64)
+}
+
+// has reports whether head may be the header of a template. A header
+// that parses has at least eight bytes up to its DynID — "0,", a digit,
+// four more commas and a digit — so a shorter one is no template's.
+func (f *headFilter) has(head []byte) bool {
+	if len(head) < 8 {
+		return false
 	}
-	return p
+	h := headHash(head)
+	return f[h/64%64]&(1<<(h%64)) != 0
+}
+
+// headHash mixes a header's length and its first and last eight bytes,
+// of at least eight, into the 12 bits headFilter indexes: the line number
+// sits at the front, the block and opcode at the back.
+func headHash(head []byte) uint32 {
+	w := binary.LittleEndian.Uint64(head) ^ bits.RotateLeft64(binary.LittleEndian.Uint64(head[len(head)-8:]), 31)
+	return uint32((w + uint64(len(head))) * 0x9e3779b97f4a7c15 >> 52)
 }

@@ -10,8 +10,12 @@ import (
 
 const (
 	// windowBytes is the size of the byte window a stream is decoded
-	// through, unless a record outgrows it.
-	windowBytes = 256 << 10
+	// through, unless a record outgrows it. The window starts at
+	// firstWindowBytes, so a short stream holds a short window, and the
+	// first Read that fills it grows it to windowBytes in one step:
+	// doubling up to it would allocate it about twice over.
+	windowBytes      = 256 << 10
+	firstWindowBytes = 4 << 10
 	// maxRecordBytes caps how far the window grows for a single record (one
 	// text block or one ACTB record) that does not fit it. Only streams are
 	// capped: an in-memory trace is its own window.
@@ -37,9 +41,9 @@ type WindowReader struct {
 	format Format
 	sniff  bool // the format is still to be read off the first bytes
 
-	text    *decoder
-	cut     int // text: buf[pos:cut] holds complete blocks only
-	scanned int // text: buf[:scanned] has been searched for the cut
+	text    *decoder // made by the first text decode
+	cut     int      // text: buf[pos:cut] holds complete blocks only
+	scanned int      // text: buf[:scanned] has been searched for the cut
 
 	bin binDecoder // binary: its data and pos stand in for buf[:end] and pos between fills
 
@@ -133,10 +137,7 @@ func newBytesReader(data []byte, f Format) (*WindowReader, error) {
 }
 
 func newStreamReader(r io.Reader, f Format) *WindowReader {
-	w := &WindowReader{src: r, format: f, text: newDecoder()}
-	// The string table is pre-seeded with "" (ref 1), mirroring the writer.
-	w.bin.strs = append(make([]string, 0, 64), "")
-	return w
+	return &WindowReader{src: r, format: f}
 }
 
 // final reports whether the window holds the last bytes of the trace.
@@ -162,23 +163,29 @@ func (w *WindowReader) detect() error {
 
 // fill slides the undecoded tail to the front of the window and appends one
 // Read's worth of the stream — never more, so a reader on a live stream
-// sees each write as it lands. The window is allocated by the first fill
-// and doubles when the tail alone fills it, up to maxRecordBytes. A read
-// error that arrives with bytes is held back until those bytes are
+// sees each write as it lands. The window is allocated by the first fill,
+// grows to windowBytes after a Read filled it to its end, and doubles
+// beyond that only when the tail alone fills it, up to maxRecordBytes. A
+// read error that arrives with bytes is held back until those bytes are
 // decoded; a starved feed is returned and not kept.
 func (w *WindowReader) fill() error {
 	if w.srcErr != nil {
 		return w.srcErr
 	}
+	filled := w.end == len(w.buf)
 	w.end = copy(w.buf, w.buf[w.pos:w.end])
 	w.base += int64(w.pos)
 	w.pos = 0
-	if w.end == len(w.buf) {
+	if w.end == len(w.buf) || filled && len(w.buf) < windowBytes {
 		if len(w.buf) >= maxRecordBytes {
 			return fmt.Errorf("trace: record at byte offset %d exceeds the %d-byte streaming record cap (parse in memory with ParseBytes, which has no cap): %w",
 				w.base, maxRecordBytes, bufio.ErrTooLong)
 		}
-		w.buf = append(w.buf, make([]byte, max(len(w.buf), windowBytes))...)
+		grow := firstWindowBytes
+		if len(w.buf) > 0 {
+			grow = max(len(w.buf), windowBytes-len(w.buf))
+		}
+		w.buf = append(w.buf, make([]byte, grow)...)
 	}
 	var n int
 	var err error
@@ -243,6 +250,9 @@ func (w *WindowReader) NextBatch(b *RecordBatch, max int) (int, error) {
 // record the next refill would extend. The final
 // window is decoded to its end.
 func (w *WindowReader) nextText(b *RecordBatch, limit int) error {
+	if w.text == nil {
+		w.text = newDecoder()
+	}
 	for len(b.Recs) < limit {
 		if w.pos < w.cut {
 			pos, err := w.text.decodeN(b, w.buf[:w.cut], w.pos, limit-len(b.Recs))
