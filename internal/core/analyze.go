@@ -267,7 +267,7 @@ type varSummary struct {
 	firstIsRead   bool
 	haveFirst     bool
 	reads, writes int64
-	written       map[uint64]bool // element addresses written in region B
+	written       map[uint64]bool // element addresses written in region B, until uncoveredRead
 	uncoveredRead bool            // read an element not yet written in B
 	readAfterLoop bool            // read in region C
 	selfUpdate    int64           // stores of v computed from v (induction signal)
@@ -284,9 +284,12 @@ type varSummary struct {
 // reg-var entry (v; nil when the register refers to no variable) and
 // reg-reg entry (srcs; empty when it was not computed from registers),
 // plus, with BuildDDG, the DDG vertex of its latest dynamic instance.
+// srcs is read-only: it is a shape's sources, shared, or own, the buffer a
+// record without a shape fills (see linkSources).
 type regEntry struct {
 	v    *VarInfo
 	srcs []regKey
+	own  []regKey
 	node *ddg.Node
 }
 
@@ -303,6 +306,8 @@ type shape struct {
 	srcs   []regKey    // linkSources' sources: the register inputs with Index > 0, in order
 	acc    int         // the position in Ops of a Load's or Store's pointer or a GEP's base; -1 if none
 	named  bool        // that operand has a name that is not a number
+	at     resolution  // what that operand's address last resolved to (see trackStorage)
+	ref    resolution  // what a GEP's or BitCast's result address last resolved to
 }
 
 // varState is one variable identity's slot (see varTable): the
@@ -526,7 +531,12 @@ type access struct {
 // trackStorage processes the storage-defining records that collection and
 // dependency tracking both resolve through — Alloca (local intervals) and
 // named pointer operands (global discovery) — and returns a Load's or
-// Store's access.
+// Store's access. A record with a shape first asks the shape's last
+// resolution (see resolution): when it holds the address, resolving again
+// would find the same variable, grow no footprint and discover no global —
+// a named operand that resolved to a global has been noted, and one that
+// resolved to a local is in a span no global discovery looks past — so
+// the record skips all three.
 func (a *analyzer) trackStorage(r *trace.Record, sh *shape) (acc access) {
 	switch r.Opcode {
 	case trace.OpAlloca:
@@ -548,23 +558,38 @@ func (a *analyzer) trackStorage(r *trace.Record, sh *shape) (acc access) {
 			return acc
 		}
 		addr := op.Value.Addr()
-		var local *VarInfo
+		gep := r.Opcode == trace.OpGetElementPtr
+		if sh != nil {
+			if v := a.vt.at(&sh.at, addr); v != nil {
+				if !gep {
+					acc = access{addr: addr, ok: true, v: v}
+				}
+				return acc
+			}
+		}
+		var res resolution
 		if named {
 			// A named, non-numeric pointer operand that no local span owns is a
 			// global reference at its base address. This must not consult the
 			// footprint-growing resolver: the named base is authoritative and
 			// truncates any neighbor whose estimated footprint overgrew it.
-			if local = a.vt.resolveLocal(addr); local == nil {
+			if res = a.vt.resolveLocal(addr); res.v == nil {
 				a.vt.noteGlobal(op.Name, addr, r.DynID, r.Line)
 				a.growVars()
+				if gep && sh != nil {
+					res = a.vt.lookup(addr, false)
+				}
 			}
 		}
-		if r.Opcode != trace.OpGetElementPtr {
-			// resolve finds a local by the search resolveLocal just made.
-			acc = access{addr: addr, ok: true, v: local}
-			if local == nil {
-				acc.v = a.vt.resolve(addr)
+		if !gep {
+			// lookup finds a local by the search resolveLocal just made.
+			if res.v == nil {
+				res = a.vt.lookup(addr, true)
 			}
+			acc = access{addr: addr, ok: true, v: res.v}
+		}
+		if sh != nil {
+			sh.at = res
 		}
 	}
 	return acc

@@ -187,8 +187,9 @@ func TestEngineSessionAllocs(t *testing.T) {
 
 // TestReloadKeepsSourceArray pins the register row's reuse: a register
 // loaded and then rewritten by arithmetic, iteration after iteration,
-// keeps one sources array — the Load empties the row's sources without
-// dropping their storage, so the pass allocates nothing. The reference
+// keeps one sources array — the Load empties the row's sources, and the
+// row keeps its own buffer for the next rewrite, so the pass allocates
+// nothing. The reference
 // pass (reference_test.go) deleted the register's reg-reg entry at the
 // Load and allocated a new array at every rewrite.
 func TestReloadKeepsSourceArray(t *testing.T) {

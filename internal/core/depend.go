@@ -32,7 +32,7 @@ func (a *analyzer) updateMaps(r *trace.Record, sh *shape, acc *access) {
 		}
 		e := a.resultRow(r, sh)
 		e.v = acc.v
-		e.srcs = e.srcs[:0]
+		e.srcs = nil
 	case trace.OpGetElementPtr, trace.OpBitCast:
 		if r.Result == nil {
 			return
@@ -44,7 +44,13 @@ func (a *analyzer) updateMaps(r *trace.Record, sh *shape, acc *access) {
 		// in every adapter.
 		var v *VarInfo
 		if r.Result.Value.Kind == trace.KindPtr {
-			v = a.vt.resolveRef(r.Result.Value.Addr())
+			addr := r.Result.Value.Addr()
+			if sh == nil {
+				v = a.vt.resolveRef(addr)
+			} else if v = a.vt.at(&sh.ref, addr); v == nil {
+				sh.ref = a.vt.lookup(addr, false)
+				v = sh.ref.v
+			}
 		}
 		if v == nil {
 			if i := operandPos(r, 1); i >= 0 && r.Ops[i].IsReg {
@@ -55,7 +61,7 @@ func (a *analyzer) updateMaps(r *trace.Record, sh *shape, acc *access) {
 		}
 		e := a.resultRow(r, sh)
 		e.v = v
-		e.srcs = e.srcs[:0]
+		e.srcs = nil
 	case trace.OpCall:
 		a.updateCallMaps(r, sh)
 	default:
@@ -69,22 +75,24 @@ func (a *analyzer) updateMaps(r *trace.Record, sh *shape, acc *access) {
 }
 
 // linkSources makes r's result register computed from its register
-// operands. The row's previous sources are truncated and refilled in
-// place — nothing else retains them — so a register rewritten every
-// iteration, or reloaded between rewrites, costs no allocation.
+// operands. A record with a shape shares the shape's sources, which never
+// change: no copy. One without fills the row's own buffer, truncated and
+// refilled in place — nothing else retains it — so a register rewritten
+// every iteration, or reloaded between rewrites, costs no allocation, and
+// no row ever writes into a shape's sources.
 func (a *analyzer) linkSources(r *trace.Record, sh *shape) {
 	e := a.resultRow(r, sh)
 	if sh != nil {
-		e.srcs = append(e.srcs[:0], sh.srcs...)
+		e.srcs = sh.srcs
 	} else {
-		srcs := e.srcs[:0]
+		srcs := e.own[:0]
 		for i := range r.Ops {
 			op := &r.Ops[i]
 			if op.Index > 0 && op.IsReg {
 				srcs = append(srcs, regKey{r.Func, op.Name})
 			}
 		}
-		e.srcs = srcs
+		e.own, e.srcs = srcs, srcs
 	}
 	e.v = nil
 }
@@ -202,10 +210,10 @@ func (a *analyzer) processLoopRecord(r *trace.Record, sh *shape, acc *access) {
 			s.firstDyn = r.DynID
 		}
 		s.reads++
-		if !s.written[addr] {
-			if !s.uncoveredRead {
-				s.uncoveredDyn = r.DynID
-			}
+		// Once a read is uncovered the written set is never read again: a
+		// fork that set the flag is rolled back only at the stream's end.
+		if !s.uncoveredRead && !s.written[addr] {
+			s.uncoveredDyn = r.DynID
 			s.uncoveredRead = true
 		}
 		if a.graph != nil {
@@ -223,7 +231,9 @@ func (a *analyzer) processLoopRecord(r *trace.Record, sh *shape, acc *access) {
 			s.firstDyn = r.DynID
 		}
 		s.writes++
-		s.written[addr] = true
+		if !s.uncoveredRead {
+			s.written[addr] = true
+		}
 		// Induction signal: a depth-0 store to a loop-function local whose
 		// sources include the variable itself.
 		val := operandPos(r, 1)

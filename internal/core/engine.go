@@ -24,8 +24,9 @@ import (
 //   - AnalyzeBytes and AnalyzeFile decode the trace into one recycled
 //     batch (analyze.go), so no []Record is materialized, and hand it to
 //     ObserveBatch with the decoder's template ids;
-//   - online, the tracer's emit batches or an ingest session's decoded
-//     chunks reach ObserveBatch directly, with their template ids;
+//   - online, the tracer's records, one per call and each written in
+//     place into its instruction's template, or an ingest session's
+//     decoded chunks reach ObserveBatch directly, with their template ids;
 //   - AnalyzeMany (many.go) runs N independent engines concurrently over
 //     distinct traces, one reusable scratch bundle per worker.
 
@@ -234,8 +235,9 @@ func (a *analyzer) finish(res *Result) {
 // paper's §IX online mode, where analysis runs inside the instrumentation
 // itself, and the offline entry points alike. Records are observed as
 // they are produced or decoded, a batch at a time
-// (interp.Machine.TraceInto, the sweep over a text or ACTB trace and an
-// ingest session hand their batches and template ids to ObserveBatch;
+// (interp.Machine.TraceInto hands each record and its template id to
+// ObserveBatch as it is emitted; the sweep over a text or ACTB trace and
+// an ingest session hand their batches and template ids to it;
 // Observe is the one-record case); no trace is materialized and no
 // record is revisited or copied. How a stream is cut into batches never
 // changes the result.
@@ -270,18 +272,22 @@ func (e *Engine) reset(spec LoopSpec, opts Options) {
 }
 
 // ObserveBatch consumes a run of consecutive dynamic instruction records
-// — a tracer's emit batch, a decoded chunk of a trace — with each
+// — a tracer's one record, a decoded chunk of a trace — with each
 // record's template id, ids[i] being recs[i]'s
 // (trace.RecordBatch.TemplateIDs). The records, with their Ops and Result
 // storage, need only stay valid for the duration of the call (the
-// contract of trace.ForEachBatch and of the interpreter's emitter): the
-// engine keeps nothing of them.
+// contract of trace.ForEachBatch and of the interpreter's emitter, which
+// rewrites a record in place at its instruction's next emission): the
+// engine keeps nothing of them and writes nothing into them.
 //
 // The engine resolves a template's register rows, MCLR membership and
 // access operand once, on the first record with its id, and every later
-// record with the id indexes them instead of hashing register names. The
-// ids must name the same static halves for the whole session — they do
-// when one producer, one machine or one decoder (text or ACTB), feeds it.
+// record with the id indexes them instead of hashing register names; the
+// shape also keeps what its access last resolved to, so a record whose
+// address falls in the same variable skips the address search (see
+// resolution). The ids must name the same static halves for the whole
+// session — they do when one producer, one machine or one decoder (text
+// or ACTB), feeds it.
 // ids shorter than recs (nil, or none from the version-1 decoder) are
 // ignored, and a record without an id, or with id trace.NoTemplate, takes
 // the register-name map path.

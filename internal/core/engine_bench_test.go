@@ -85,3 +85,51 @@ func BenchmarkEngine(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAnalyzeOnline is the online analysis of the 14 ports at scale
+// 24, as the paper's §IX mode runs it: one op is, per port, Compile,
+// NewEngine, TraceProgramInto into the engine and Finish, default options
+// with the module, all timed. It reports ns/record and, with -benchmem,
+// the allocations of the whole op.
+//
+//	go test -run '^$' -bench AnalyzeOnline -benchmem ./internal/core/
+func BenchmarkAnalyzeOnline(b *testing.B) {
+	type port struct {
+		src  string
+		spec core.LoopSpec
+	}
+	var ports []port
+	for _, p := range progs.All() {
+		spec, err := p.Spec(24)
+		if err != nil {
+			b.Fatalf("%s: %v", p.Name, err)
+		}
+		ports = append(ports, port{p.Source(24), spec})
+	}
+	records := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range ports {
+			mod, err := interp.Compile(p.src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opts := core.DefaultOptions()
+			opts.Module = mod
+			e, err := core.NewEngine(p.spec, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := interp.TraceProgramInto(mod, e); err != nil {
+				b.Fatal(err)
+			}
+			res, err := e.Finish()
+			if err != nil {
+				b.Fatal(err)
+			}
+			records += res.Stats.Records
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
+}

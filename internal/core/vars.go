@@ -32,6 +32,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 )
 
@@ -86,12 +87,76 @@ type span struct {
 // it unapplied, as region C grows nothing. A new global's base truncates
 // both ends, each as it stands. Resolution is unaffected either way —
 // globals resolve by greatest base, never by extent.
+//
+// The table also vouches for the resolutions it hands out (see
+// resolution): live holds, per slot, the span its local has in locals
+// (the zero span when it has none), gen counts the changes that can make
+// a global's resolution stale, and [glo, ghi) is the hull of the global
+// resolutions handed out since the last.
 type varTable struct {
-	locals  []span // sorted by lo, non-overlapping
-	globals []span // sorted by lo; hi grows with observed footprint
-	gByName map[string]*VarInfo
-	slots   map[VarID]int
-	fork    bool // hold growth aside in bhi
+	locals   []span // sorted by lo, non-overlapping
+	globals  []span // sorted by lo; hi grows with observed footprint
+	gByName  map[string]*VarInfo
+	slots    map[VarID]int
+	fork     bool // hold growth aside in bhi
+	live     []span
+	gen      uint32
+	glo, ghi uint64
+}
+
+// resolution is an address resolved together with its neighbourhood:
+// every address in [lo, hi) resolves as the one resolved did, without
+// growing any footprint, for as long as the resolution holds. A template
+// keeps the last one its access resolved to (shape.at), which makes
+// resolving the next access of the template a range check (at) whenever
+// it falls in the same variable: an inline cache. Keeping it exact takes
+// three rules:
+//
+//   - a local's range is its span, and holds while its slot's live span is
+//     that span; the variable is the live one, so a callee re-entered with
+//     its locals where they were resolves to their new instances;
+//   - a global's range ends at bhi, where the next access would grow it,
+//     and is clipped to the next global's base and the local spans around
+//     it; growth only moves bhi up, so it never makes the range stale;
+//   - a global's resolution holds while the table's generation is gen: a
+//     new global, which can truncate any range, and an Alloca whose span
+//     overlaps [glo, ghi), which could take addresses of a global's range,
+//     start a new generation.
+//
+// So a callee's Allocas, which overlap no global, leave every global's
+// resolution standing and change a local's only when they move its span.
+// The zero resolution holds no address.
+type resolution struct {
+	v      *VarInfo
+	lo, hi uint64
+	gen    uint32
+	local  bool
+}
+
+// at returns the variable c resolves addr to, or nil when c does not hold
+// addr.
+func (t *varTable) at(c *resolution, addr uint64) *VarInfo {
+	if addr-c.lo >= c.hi-c.lo {
+		return nil
+	}
+	if !c.local {
+		if c.gen != t.gen {
+			return nil
+		}
+		return c.v
+	}
+	sp := &t.live[c.v.slot]
+	if sp.lo != c.lo || sp.hi != c.hi {
+		return nil
+	}
+	return sp.v
+}
+
+// invalidate starts a new generation: no global's resolution handed out so
+// far holds.
+func (t *varTable) invalidate() {
+	t.gen++
+	t.glo, t.ghi = math.MaxUint64, 0
 }
 
 // commit applies the growth held aside and ends the fork.
@@ -106,7 +171,7 @@ func (t *varTable) commit() {
 }
 
 func newVarTable() *varTable {
-	return &varTable{gByName: make(map[string]*VarInfo), slots: make(map[VarID]int)}
+	return &varTable{gByName: make(map[string]*VarInfo), slots: make(map[VarID]int), glo: math.MaxUint64}
 }
 
 // slotOf stamps v with its identity's slot, assigning the next one to an
@@ -129,7 +194,9 @@ func (t *varTable) reset() {
 	t.globals = t.globals[:0]
 	clear(t.gByName)
 	clear(t.slots)
+	t.live = t.live[:0]
 	t.fork = false
+	t.invalidate()
 }
 
 // addAlloca registers a local variable's storage, evicting any previous
@@ -145,10 +212,18 @@ func (t *varTable) addAlloca(name, fn string, base uint64, size int64, dyn int64
 	i := sort.Search(len(t.locals), func(i int) bool { return t.locals[i].hi > lo })
 	j := i
 	for j < len(t.locals) && t.locals[j].lo < hi {
+		t.live[t.locals[j].v.slot] = span{}
 		j++
 	}
-	repl := []span{{lo: lo, hi: hi, v: v}}
-	t.locals = append(t.locals[:i], append(repl, t.locals[j:]...)...)
+	if lo < t.ghi && hi > t.glo {
+		t.invalidate()
+	}
+	sp := span{lo: lo, hi: hi, v: v}
+	for len(t.live) <= v.slot {
+		t.live = append(t.live, span{})
+	}
+	t.live[v.slot] = sp
+	t.locals = append(t.locals[:i], append([]span{sp}, t.locals[j:]...)...)
 	return v
 }
 
@@ -163,6 +238,7 @@ func (t *varTable) noteGlobal(name string, base uint64, dyn int64, line int) *Va
 	v := &VarInfo{Name: name, Fn: "", Base: base, SizeBytes: 8, Global: true, FirstDyn: dyn, FirstLine: line}
 	t.slotOf(v)
 	t.gByName[name] = v
+	t.invalidate()
 	sp := span{lo: base, hi: base + 8, bhi: base + 8, v: v}
 	i := sort.Search(len(t.globals), func(i int) bool { return t.globals[i].lo >= base })
 	if i > 0 {
@@ -178,13 +254,14 @@ func (t *varTable) noteGlobal(name string, base uint64, dyn int64, line int) *Va
 }
 
 // resolveLocal maps an address to a local variable's span without any
-// global-footprint side effects.
-func (t *varTable) resolveLocal(addr uint64) *VarInfo {
+// global-footprint side effects; its v is nil when no span holds addr.
+func (t *varTable) resolveLocal(addr uint64) resolution {
 	i := sort.Search(len(t.locals), func(i int) bool { return t.locals[i].hi > addr })
 	if i < len(t.locals) && t.locals[i].lo <= addr {
-		return t.locals[i].v
+		sp := &t.locals[i]
+		return resolution{sp.v, sp.lo, sp.hi, t.gen, true}
 	}
-	return nil
+	return resolution{}
 }
 
 // resolve maps an accessed address to its owning variable, or nil.
@@ -193,7 +270,7 @@ func (t *varTable) resolveLocal(addr uint64) *VarInfo {
 // element *accesses* (Load/Store), so use resolveRef for addresses that
 // are merely computed or passed around.
 func (t *varTable) resolve(addr uint64) *VarInfo {
-	return t.lookup(addr, true)
+	return t.lookup(addr, true).v
 }
 
 // resolveRef maps a referenced address — a GetElementPtr result, a
@@ -201,23 +278,26 @@ func (t *varTable) resolve(addr uint64) *VarInfo {
 // footprint. Resolution is identical to resolve (globals resolve by
 // greatest base, never by extent); only the size bookkeeping differs.
 func (t *varTable) resolveRef(addr uint64) *VarInfo {
-	return t.lookup(addr, false)
+	return t.lookup(addr, false).v
 }
 
-func (t *varTable) lookup(addr uint64, access bool) *VarInfo {
+// lookup resolves addr, growing a global's footprint to it when access is
+// set; its v is nil when addr belongs to no variable.
+func (t *varTable) lookup(addr uint64, access bool) resolution {
 	// Locals: exact span containment.
 	i := sort.Search(len(t.locals), func(i int) bool { return t.locals[i].hi > addr })
 	if i < len(t.locals) && t.locals[i].lo <= addr {
-		return t.locals[i].v
+		sp := &t.locals[i]
+		return resolution{sp.v, sp.lo, sp.hi, t.gen, true}
 	}
 	// Globals: greatest base <= addr, bounded by the next global's base.
 	j := sort.Search(len(t.globals), func(i int) bool { return t.globals[i].lo > addr })
 	if j == 0 {
-		return nil
+		return resolution{}
 	}
 	g := &t.globals[j-1]
 	if j < len(t.globals) && addr >= t.globals[j].lo {
-		return nil // inside the next global's territory (defensive; unreachable)
+		return resolution{} // inside the next global's territory (defensive; unreachable)
 	}
 	if access && addr >= g.bhi {
 		// A global's size is always hi - lo: it starts at 8 bytes and moves
@@ -228,7 +308,20 @@ func (t *varTable) lookup(addr uint64, access bool) *VarInfo {
 			g.v.SizeBytes = int64(g.hi - g.lo)
 		}
 	}
-	return g.v
+	// The range: the global's, less what the next global and the local
+	// spans on either side of addr hold.
+	lo, hi := g.lo, g.bhi
+	if j < len(t.globals) {
+		hi = min(hi, t.globals[j].lo)
+	}
+	if i > 0 {
+		lo = max(lo, t.locals[i-1].hi)
+	}
+	if i < len(t.locals) {
+		hi = min(hi, t.locals[i].lo)
+	}
+	t.glo, t.ghi = min(t.glo, lo), max(t.ghi, hi)
+	return resolution{g.v, lo, hi, t.gen, false}
 }
 
 // lookupLocal finds the (latest) local with the given name in the given

@@ -16,8 +16,9 @@ import (
 	"autocheck/internal/trace"
 )
 
-// The emitter contract: the machine writes every record into one recycled
-// batch, so a record is valid only for the call that delivers it, every
+// The emitter contract: the machine writes every record in place into its
+// instruction's template, so a record is valid only for the call that
+// delivers it, every
 // sink sees the same records, and the records themselves are those of the
 // allocating emitter this one replaced.
 
@@ -75,7 +76,7 @@ func TestGoldenTraceHashes(t *testing.T) {
 }
 
 // TestTraceProgramOwnsItsRecords: TraceProgram's records must not alias
-// the emitter's recycled batch. Field for field they equal the records
+// the emitter's templates, which every emission rewrites. Field for field they equal the records
 // decoded from TraceProgramBinary's bytes, which were serialized while
 // each record was still valid.
 func TestTraceProgramOwnsItsRecords(t *testing.T) {
@@ -125,9 +126,10 @@ func (s *batchSink) ObserveBatch(recs []trace.Record, ids []uint32) {
 	s.ids = append(s.ids, ids...)
 }
 
-// TestFailStopDeliversEveryEmittedRecord: Run hands the partial batch on
-// when a hook aborts it, so every kind of sink holds exactly the records
-// emitted before the failure — the count the per-record emitter delivered,
+// TestFailStopDeliversEveryEmittedRecord: the tracer hands every record
+// on as it is emitted, one ObserveBatch call each, so when a hook aborts
+// Run every kind of sink holds exactly the records emitted before the
+// failure — the count the per-record emitter delivered,
 // and a prefix of the full trace. bsp.AnalyzeRank calls Finish after
 // ErrFailStop and depends on it.
 func TestFailStopDeliversEveryEmittedRecord(t *testing.T) {
@@ -167,7 +169,7 @@ func TestFailStopDeliversEveryEmittedRecord(t *testing.T) {
 			t.Fatalf("%s: TraceProgramTo: err = %v, want ErrFailStop", b.Name, err)
 		}
 
-		if batched.batches != (want+batchRecords-1)/batchRecords {
+		if batched.batches != want {
 			t.Errorf("%s: %d records arrived in %d batches", b.Name, want, batched.batches)
 		}
 		for label, got := range map[string][]trace.Record{"plain observer": plain.recs, "batch observer": batched.recs, "TraceProgramTo": sunk.recs} {

@@ -95,10 +95,9 @@ type Machine struct {
 	Steps   int64
 	dynID   int64
 	out     strings.Builder
-	frames  []*Frame // the call stack; frames[len(frames):cap(frames)] are popped frames awaiting reuse
-	watches []*Watch // registered ranges; empty on a machine nobody checkpoints
-	batch   trace.RecordBatch
-	sink    func([]trace.Record, []uint32) // takes each emitted batch and its template ids (see TraceInto); nil: no tracing
+	frames  []*Frame                       // the call stack; frames[len(frames):cap(frames)] are popped frames awaiting reuse
+	watches []*Watch                       // registered ranges; empty on a machine nobody checkpoints
+	sink    func([]trace.Record, []uint32) // takes each emitted record and its template id (see TraceInto); nil: no tracing
 	globals map[*ir.Global]uint64
 	nextG   uint64
 	sp      uint64
@@ -263,13 +262,12 @@ func coerce(v trace.Value, want ir.Type) trace.Value {
 	return v
 }
 
-// Run executes main to completion and returns the printed output. However
-// it ends — normally, on a runtime error, ErrFailStop from a hook, or
-// ErrStepLimit — every record emitted so far has been handed to the trace
-// sink before it returns.
+// Run executes main to completion and returns the printed output. The
+// trace sink is handed each record as its instruction runs, so however Run
+// ends — normally, on a runtime error, ErrFailStop from a hook, or
+// ErrStepLimit — every record emitted has been delivered.
 func (m *Machine) Run() (string, error) {
 	err := m.run()
-	m.flush()
 	return m.Output(), err
 }
 
@@ -345,12 +343,9 @@ func (m *Machine) eval(f *Frame, v ir.Value) trace.Value {
 	panic(fmt.Sprintf("interp: unknown value %T", v))
 }
 
-// batchRecords is how many records the machine emits before handing the
-// batch to the trace sink.
-const batchRecords = trace.DefaultBatchRecords
-
 // recordTemplate is the static half of every record one instruction
-// emits: the header but its DynID, and the operands — one per argument,
+// emits, laid out as the record itself: rec's header is all but its
+// DynID, and its Ops and Result point at ops — one operand per argument,
 // for a Call the callee and its parameters, then the result — with every
 // index, size, kind and name, and every value that cannot change between
 // executions: constants, global addresses and the callee's code address.
@@ -358,12 +353,11 @@ const batchRecords = trace.DefaultBatchRecords
 // id numbers the template in the order the machine built it; the emitter
 // hands it on with every record (trace.RecordBatch.TemplateIDs).
 type recordTemplate struct {
-	hdr       trace.Record
-	ops       []trace.Operand
-	dyn       []dynOperand
-	id        uint32
-	hasResult bool // the last of ops is the Result
-	built     bool
+	rec   [1]trace.Record
+	id    [1]uint32
+	ops   []trace.Operand
+	dyn   []dynOperand
+	built bool
 }
 
 // dynOperand says where the value of ops[pos] lives in the emitting
@@ -373,17 +367,18 @@ type dynOperand struct {
 	param    bool
 }
 
-// emit appends the record of the instruction just executed to the
-// machine's batch and hands the batch on when it is full. The record is
-// a copy of the instruction's template plus the values only this
-// execution knows: the register and parameter arguments (a Call's
-// parameters repeat its arguments), the result and the dynamic id. The
-// frame keeps its block's templates, so finding one is an index, and the
-// machine builds each the first time it emits the instruction: the
-// callee's code address is assigned then, in the order calls are first
-// emitted, which a machine that built its templates ahead would change.
-// Nothing is allocated per record: the batch's record slice and operand
-// arena are recycled by flush.
+// emit hands the record of the instruction just executed to the trace
+// sink. The record is the instruction's template, with the values only
+// this execution knows written into it in place: the register and
+// parameter arguments (a Call's parameters repeat its arguments), the
+// result and the dynamic id. So a record costs its dynamic half only, and
+// nothing is allocated per record; the next emission of the instruction,
+// from this frame or a nested one, overwrites it, which is why a sink may
+// use a record only for the call that delivers it. The frame keeps its
+// block's templates, so finding one is an index, and the machine builds
+// each the first time it emits the instruction: the callee's code address
+// is assigned then, in the order calls are first emitted, which a machine
+// that built its templates ahead would change.
 func (m *Machine) emit(f *Frame, in *ir.Instr, result *trace.Value) {
 	if m.sink == nil {
 		return
@@ -395,21 +390,19 @@ func (m *Machine) emit(f *Frame, in *ir.Instr, result *trace.Value) {
 	if !t.built {
 		m.buildTemplate(t, f, in, result != nil)
 	}
-	t.hdr.DynID = m.dynID
-	ops := m.batch.AppendTemplate(&t.hdr, t.ops, t.hasResult, t.id)
 	for _, d := range t.dyn {
 		if d.param {
-			ops[d.pos].Value = f.args[d.src]
+			t.ops[d.pos].Value = f.args[d.src]
 		} else {
-			ops[d.pos].Value = f.regs[d.src]
+			t.ops[d.pos].Value = f.regs[d.src]
 		}
 	}
-	if t.hasResult {
-		ops[len(ops)-1].Value = *result
+	r := &t.rec[0]
+	if result != nil {
+		r.Result.Value = *result
 	}
-	if len(m.batch.Recs) >= batchRecords {
-		m.flush()
-	}
+	r.DynID = m.dynID
+	m.sink(t.rec[:], t.id[:])
 }
 
 // blockTemplates returns the templates of blk's instructions, unbuilt
@@ -450,12 +443,11 @@ func (m *Machine) buildTemplate(t *recordTemplate, f *Frame, in *ir.Instr, hasRe
 		n++
 	}
 	*t = recordTemplate{
-		hdr:       trace.Record{Line: in.Line, Func: f.Fn.Name, Block: f.blk.Name, Opcode: in.Op},
-		ops:       cut(&m.opSlab, n),
-		dyn:       cut(&m.dynSlab, n),
-		id:        m.ntmpl,
-		hasResult: hasResult,
-		built:     true,
+		rec:   [1]trace.Record{{Line: in.Line, Func: f.Fn.Name, Block: f.blk.Name, Opcode: in.Op}},
+		id:    [1]uint32{m.ntmpl},
+		ops:   cut(&m.opSlab, n),
+		dyn:   cut(&m.dynSlab, n),
+		built: true,
 	}
 	m.ntmpl++
 	for i, a := range in.Args {
@@ -487,6 +479,16 @@ func (m *Machine) buildTemplate(t *recordTemplate, f *Frame, in *ir.Instr, hasRe
 		}
 		t.ops = append(t.ops, trace.Operand{Index: 0, Size: size, IsReg: true, Name: in.ValueName()})
 	}
+	// The layout trace.RecordBatch seals: the inputs, capacity-clamped and
+	// nil when there are none, then the result.
+	r, ins := &t.rec[0], len(t.ops)
+	if hasResult {
+		ins--
+		r.Result = &t.ops[ins]
+	}
+	if ins > 0 {
+		r.Ops = t.ops[:ins:ins]
+	}
 }
 
 // addOperand appends o, whose value is that of a, to t: filled in when a
@@ -501,16 +503,6 @@ func (m *Machine) addOperand(t *recordTemplate, o trace.Operand, a ir.Value) {
 		o.Value = m.eval(nil, a)
 	}
 	t.ops = append(t.ops, o)
-}
-
-// flush hands the emitted records to the trace sink and recycles the
-// batch.
-func (m *Machine) flush() {
-	if len(m.batch.Recs) == 0 {
-		return
-	}
-	m.sink(m.batch.Recs, m.batch.TemplateIDs)
-	m.batch.Reset()
 }
 
 func (m *Machine) step() error {

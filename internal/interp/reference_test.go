@@ -257,3 +257,96 @@ func FuzzCompileTrace(f *testing.F) {
 		checkAgainstReference(t, "traced run", mod, func(m *Machine) { m.MaxSteps = 20_000 })
 	})
 }
+
+// inPlaceSink is a BatchObserver that checks each record while the call
+// that delivers it lasts — the only time the contract keeps it valid —
+// against the reference emitter's record at the same position. The
+// tracer writes a record into its instruction's template, so a record
+// compared after its call would already hold a later emission's values.
+type inPlaceSink struct {
+	want  []trace.Record
+	n     int    // records delivered
+	diffs string // the first mismatch, or ""
+}
+
+func (s *inPlaceSink) Observe(*trace.Record) {
+	panic("the tracer calls ObserveBatch on a BatchObserver")
+}
+
+func (s *inPlaceSink) ObserveBatch(recs []trace.Record, ids []uint32) {
+	if s.diffs != "" {
+		return
+	}
+	switch {
+	case len(recs) != 1 || len(ids) != 1:
+		s.diffs = fmt.Sprintf("call %d: %d records and %d ids, want one of each", s.n, len(recs), len(ids))
+	case s.n >= len(s.want):
+		s.diffs = fmt.Sprintf("record %d = %s beyond the reference's %d", s.n, recs[0].String(), len(s.want))
+	case !reflect.DeepEqual(recs[0], s.want[s.n]):
+		s.diffs = fmt.Sprintf("record %d = %s, reference %s", s.n, recs[0].String(), s.want[s.n].String())
+	}
+	s.n++
+}
+
+// TestRecordsInPlaceMatchReference: inside every ObserveBatch call the
+// tracer's one record is the reference emitter's record, field for field,
+// on the 14 ports at scales 0 and 4 traced to the end, cut by the step
+// limit and cut by a fail-stop, and on a recursive program, whose
+// instructions emit from nested frames of one function into one template.
+func TestRecordsInPlaceMatchReference(t *testing.T) {
+	type run struct {
+		label string
+		mod   *ir.Module
+		setup func(*Machine)
+		cut   error // the error the run must end with
+	}
+	var runs []run
+	for _, b := range progs.All() {
+		for _, scale := range []int{0, 4} {
+			mod, err := Compile(b.Source(scale))
+			if err != nil {
+				t.Fatalf("%s: %v", b.Name, err)
+			}
+			label := fmt.Sprintf("%s scale %d", b.Name, scale)
+			runs = append(runs,
+				run{label, mod, noSetup, nil},
+				run{label + " step limit", mod, func(m *Machine) { m.MaxSteps = 2500 }, ErrStepLimit},
+				run{label + " fail-stop", mod, failAfter(300), ErrFailStop})
+		}
+	}
+	rec, err := Compile(`
+int down(int n, int acc) {
+  int local = n * 2;
+  if (n == 0) return acc;
+  return down(n - 1, acc + local) + local;
+}
+int main() {
+  print(down(12, 0));
+  print(down(7, 1));
+  return 0;
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs = append(runs, run{"recursion", rec, noSetup, nil}, run{"recursion fail-stop", rec, failAfter(20), ErrFailStop})
+
+	for _, r := range runs {
+		rm, tm := New(r.mod), New(r.mod)
+		r.setup(rm)
+		r.setup(tm)
+		want, wantOut, wantErr := referenceRun(rm)
+		sink := &inPlaceSink{want: want}
+		tm.TraceInto(sink)
+		out, err := tm.Run()
+		switch {
+		case !errors.Is(err, r.cut):
+			t.Errorf("%s: err %v, want %v", r.label, err, r.cut)
+		case sink.diffs != "":
+			t.Errorf("%s: %s", r.label, sink.diffs)
+		case sink.n != len(want):
+			t.Errorf("%s: %d records, reference %d", r.label, sink.n, len(want))
+		case out != wantOut || fmt.Sprint(err) != fmt.Sprint(wantErr):
+			t.Errorf("%s: output %q error %v, reference %q %v", r.label, out, err, wantOut, wantErr)
+		}
+	}
+}

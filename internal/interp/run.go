@@ -25,21 +25,15 @@ func RunProgram(mod *ir.Module) (string, error) {
 
 // TraceProgram executes a module with tracing enabled, returning the
 // dynamic instruction execution trace and the program output. The records
-// are the caller's: the emitter recycles its batch, so each batch is
-// deep-copied, its operands into one slab allocated for that batch.
+// are the caller's: each is cloned as it is emitted, its operands onto
+// one growing slab.
 func TraceProgram(mod *ir.Module) ([]trace.Record, string, error) {
 	m := New(mod)
 	var all []trace.Record
+	var slab []trace.Operand
 	m.sink = func(recs []trace.Record, _ []uint32) {
-		n := 0
-		for i := range recs {
-			n += recs[i].NumOperands()
-		}
-		slab := make([]trace.Operand, 0, n)
-		for i := range recs {
-			all = append(all, trace.Record{})
-			slab = recs[i].CloneInto(&all[len(all)-1], slab)
-		}
+		all = append(all, trace.Record{})
+		slab = recs[0].CloneInto(&all[len(all)-1], slab)
 	}
 	out, err := m.Run()
 	return all, out, err
@@ -56,8 +50,8 @@ func TraceProgramTo(mod *ir.Module, w trace.RecordWriter) (string, error) {
 func (m *Machine) traceTo(w trace.RecordWriter) (string, error) {
 	var werr error
 	m.sink = func(recs []trace.Record, _ []uint32) {
-		for i := 0; i < len(recs) && werr == nil; i++ {
-			werr = w.Write(&recs[i])
+		if werr == nil {
+			werr = w.Write(&recs[0])
 		}
 	}
 	out, err := m.Run()
@@ -74,43 +68,40 @@ func (m *Machine) traceTo(w trace.RecordWriter) (string, error) {
 // tracer→analysis feed. core.Engine implements it, so an online analysis
 // needs no trace bytes at all (the paper's §IX mode).
 //
-// The record and its Ops/Result storage are valid only for the duration
-// of the call: the emitter recycles them (see Machine.TraceInto). An observer
-// that keeps a record copies it with Record.Clone.
+// The record and its Ops/Result storage are the emitting instruction's
+// template, valid only for the duration of the call and read-only: the
+// next emission of the same instruction overwrites it in place (see
+// Machine.TraceInto). An observer that keeps a record copies it with
+// Record.Clone.
 type Observer interface {
 	Observe(r *trace.Record)
 }
 
-// BatchObserver is an Observer that also takes the emitter's batches
-// whole, one call per batch instead of one per record, with each record's
-// template id: ids[i] is recs[i]'s, and records with one id, on one
-// machine, have the same static half (trace.RecordBatch.TemplateIDs), so
-// an observer can work out what depends on that half once per template
-// instead of once per record. The records arrive in execution order and,
-// like a single record, are valid only for the duration of the call.
-// core.Engine implements it.
+// BatchObserver is an Observer that also takes each record's template id:
+// ObserveBatch gets recs and ids, ids[i] being recs[i]'s, and records with
+// one id, on one machine, have the same static half
+// (trace.RecordBatch.TemplateIDs), so an observer can work out what
+// depends on that half once per template instead of once per record. The
+// tracer calls it once per record, a one-record recs, in execution order;
+// like a single record, recs and ids are valid only for the duration of
+// the call. core.Engine implements it.
 type BatchObserver interface {
 	Observer
 	ObserveBatch(recs []trace.Record, ids []uint32)
 }
 
-// TraceInto makes obs the machine's trace sink: batches go to
-// ObserveBatch, with their template ids, when obs is a BatchObserver, and
-// record by record to Observe otherwise. The emit path is the same either
-// way. The machine emits into one recycled batch and hands it on when it
-// fills and when Run returns — on every exit path — so a record may
-// arrive up to a batch later than its instruction ran, and every record
-// has arrived by the time Run returns.
+// TraceInto makes obs the machine's trace sink: each record goes to
+// ObserveBatch, with its template id, when obs is a BatchObserver, and to
+// Observe otherwise. The emit path is the same either way. A record is
+// handed on as its instruction runs, written in place into the
+// instruction's template, so every record has arrived by the time Run
+// returns, on every exit path.
 func (m *Machine) TraceInto(obs Observer) {
 	if o, ok := obs.(BatchObserver); ok {
 		m.sink = o.ObserveBatch
 		return
 	}
-	m.sink = func(recs []trace.Record, _ []uint32) {
-		for i := range recs {
-			obs.Observe(&recs[i])
-		}
-	}
+	m.sink = func(recs []trace.Record, _ []uint32) { obs.Observe(&recs[0]) }
 }
 
 // TraceProgramInto executes a module with the tracer wired straight into

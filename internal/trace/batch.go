@@ -15,17 +15,18 @@ import "io"
 // same batch. Consumers that need a record beyond that must Clone it —
 // the same rule the online engine's Observer already lives by.
 //
-// A RecordBatch is also the one record assembler: every producer — the
-// text decoder, the ACTB decoder and the interpreter's emitter — lays its
-// records out in the batch's arena through it, so the layout rule, stated
-// once in seal, holds for all of them. A record decoded field by field is
-// opened, its operands staged one by one, the result last, and sealed
-// once all of them are in; a record copied from a template's static half
-// goes through AppendTemplate, and its producer writes the values only it
-// carries into the copy. A record that fails, or a template that turns out
-// not to match, is taken back with rollback. Producers outside this
-// package fill a batch through Reset / AppendOperand / AppendRecord, or
-// AppendTemplate.
+// A RecordBatch is also the decoders' one record assembler: the text
+// decoder and the ACTB decoder lay their records out in the batch's arena
+// through it, so the layout rule, stated once in seal, holds for both.
+// (The interpreter's emitter keeps no batch: each instruction's template
+// is laid out the same way and handed on in place.) A record decoded
+// field by field is opened, its operands staged one by one, the result
+// last, and sealed once all of them are in; a record copied from a
+// template's static half goes through AppendTemplate, and its decoder
+// writes the values only it carries into the copy. A record that fails,
+// or a template that turns out not to match, is taken back with rollback.
+// Code outside this package fills a batch through Reset / AppendOperand /
+// AppendRecord.
 
 // RecordBatch is reusable storage for batch decoding.
 type RecordBatch struct {
@@ -119,9 +120,11 @@ func (b *RecordBatch) seal(rec *Record, hasResult bool) {
 
 // AppendTemplate adds the record whose header fields are *hdr's and whose
 // operands, the result last when hasResult is set, are a copy of ops, in
-// one bulk copy, with id, the template's, appended to TemplateIDs. It returns the arena's copy of ops, for the caller to
-// write the record's dynamic values into; the slice is valid until the
-// next append to the batch.
+// one bulk copy, with id, the template's, appended to TemplateIDs: an
+// ACTB template reference or a text block its template matches. It
+// returns the arena's copy of ops, for the decoder to write the record's
+// dynamic values into; the slice is valid until the next append to the
+// batch.
 func (b *RecordBatch) AppendTemplate(hdr *Record, ops []Operand, hasResult bool, id uint32) []Operand {
 	b.TemplateIDs = append(b.TemplateIDs, id)
 	start := len(b.ops)
