@@ -282,28 +282,28 @@ type varSummary struct {
 
 // regEntry is one register's row of the register table: the paper's
 // reg-var entry (v; nil when the register refers to no variable) and
-// reg-reg entry (srcs; empty when it was not computed from registers),
-// plus, with BuildDDG, the DDG vertex of its latest dynamic instance.
-// srcs is read-only: it is a shape's sources, shared, or own, the buffer a
-// record without a shape fills (see linkSources).
+// reg-reg entry (srcs, the rows of the registers it was computed from;
+// empty when none), plus, with BuildDDG, the DDG vertex of its latest
+// dynamic instance. srcs is a shape's sources, shared and read-only (see
+// linkSources).
 type regEntry struct {
 	v    *VarInfo
-	srcs []regKey
-	own  []regKey
+	srcs []*regEntry
 	node *ddg.Node
 }
 
-// shape is what the fused pass needs of a template's static half (see
-// trace.RecordBatch.TemplateIDs), resolved once, from the first record
-// with the template's id: the rows of its registers, whether it lies in
-// the MCLR, and where its access operand is. Every record with that id
-// then indexes where a record without one hashes register names.
+// shape is what the fused pass needs of a record's static half, resolved
+// once, from the first record with it (newShape): the rows of its
+// registers, whether it lies in the MCLR, and where its access operand
+// is. A record finds its shape by its template id (see
+// trace.RecordBatch.TemplateIDs) or, without one, by its static half
+// (keyed.go), and every step of the pass indexes it.
 type shape struct {
 	loop   bool        // spec.contains: in the loop function, inside the MCLR
 	loopFn bool        // in the loop function
 	res    *regEntry   // the result's row; nil without a result
 	rows   []*regEntry // per input operand, its register's row (a parameter's in the callee); nil for a non-register
-	srcs   []regKey    // linkSources' sources: the register inputs with Index > 0, in order
+	srcs   []*regEntry // linkSources' sources: the rows of the register inputs with Index > 0, in order
 	acc    int         // the position in Ops of a Load's or Store's pointer or a GEP's base; -1 if none
 	named  bool        // that operand has a name that is not a number
 	at     resolution  // what that operand's address last resolved to (see trackStorage)
@@ -329,17 +329,21 @@ type analyzer struct {
 	opts Options
 
 	vt    *varTable
-	vars  []varState // indexed by VarInfo.slot
-	regs  map[regKey]*regEntry
-	slab  []regEntry // unused rows, handed out by reg
+	vars  []varState           // indexed by VarInfo.slot
+	regs  map[regKey]*regEntry // names a row when a shape is resolved
+	slab  []regEntry           // unused rows, handed out by reg
 	graph *ddg.Graph
 
-	// The shapes of the templates seen so far, indexed by template id,
-	// and the slabs they and their row lists are cut from.
+	// The shapes of the templates seen so far, indexed by template id;
+	// those of the static halves of records without one (keyed.go); and
+	// the slabs they and their lists are cut from.
 	shapes    []*shape
+	recent    *[1 << recentBits]*keyed
+	chains    map[head]*keyed
 	shapeSlab []shape
 	rowSlab   []*regEntry
-	keySlab   []regKey
+	keyedSlab []keyed
+	opSlab    []trace.Operand
 
 	// The open fork (engine.go): the run's generation, its undo log, and
 	// the variables whose vertices a Call asked for, in the order it asked.
@@ -376,6 +380,7 @@ func (a *analyzer) reset(spec LoopSpec, opts Options) {
 	if a.vt == nil {
 		a.vt = newVarTable()
 		a.regs = make(map[regKey]*regEntry)
+		a.chains = make(map[head]*keyed)
 	} else {
 		a.vt.reset()
 		clear(a.vars)
@@ -383,6 +388,10 @@ func (a *analyzer) reset(spec LoopSpec, opts Options) {
 		clear(a.regs)
 		clear(a.shapes)
 		a.shapes = a.shapes[:0]
+		clear(a.chains)
+		if a.recent != nil {
+			clear(a.recent[:])
+		}
 	}
 	a.fork = false
 	a.undo, a.calls = a.undo[:0], a.calls[:0]
@@ -406,25 +415,30 @@ func (a *analyzer) reg(key regKey) *regEntry {
 	return e
 }
 
-// shapeOf returns the shape of template id, resolving it from r — the
-// first record with the id — on first sight; a record with no template
-// (trace.NoTemplate) has no shape.
+// shapeOf returns the shape of r's static half: by template id,
+// resolving it from r, the first record with the id, on first sight, or,
+// for a record with no template (trace.NoTemplate), by the static half
+// itself (keyedShape).
 func (a *analyzer) shapeOf(id uint32, r *trace.Record) *shape {
-	if int(id) < len(a.shapes) {
-		if sh := a.shapes[id]; sh != nil {
-			return sh
-		}
-	} else if id == trace.NoTemplate {
-		return nil
-	} else {
+	if id == trace.NoTemplate {
+		return a.keyedShape(r)
+	}
+	if int(id) >= len(a.shapes) {
 		if int(id) >= cap(a.shapes) {
 			a.shapes = slices.Grow(a.shapes, max(int(id)+1, 2*cap(a.shapes), 256)-len(a.shapes))
 		}
 		a.shapes = a.shapes[:id+1]
 	}
-	sh := &cut(&a.shapeSlab, 1)[0]
-	a.shapes[id] = sh
+	p := &a.shapes[id]
+	if *p == nil {
+		*p = a.newShape(r)
+	}
+	return *p
+}
 
+// newShape resolves the shape of r's static half.
+func (a *analyzer) newShape(r *trace.Record) *shape {
+	sh := &cut(&a.shapeSlab, 1)[0]
 	fn := r.Func
 	*sh = shape{loop: a.spec.contains(r), loopFn: fn == a.spec.Function, acc: -1}
 	if r.Result != nil {
@@ -447,10 +461,10 @@ func (a *analyzer) shapeOf(id uint32, r *trace.Record) *shape {
 			}
 		}
 	}
-	sh.srcs = cut(&a.keySlab, nsrc)[:0]
+	sh.srcs = cut(&a.rowSlab, nsrc)[:0]
 	for i := range r.Ops {
 		if op := &r.Ops[i]; op.Index > 0 && op.IsReg {
-			sh.srcs = append(sh.srcs, regKey{fn, op.Name})
+			sh.srcs = append(sh.srcs, sh.rows[i])
 		}
 	}
 	switch r.Opcode {
@@ -475,35 +489,6 @@ func cut[T any](slab *[]T, n int) []T {
 	s := (*slab)[:n:n]
 	*slab = (*slab)[n:]
 	return s
-}
-
-// The row accessors: a record with a shape indexes it, one without hashes
-// its register names, which finds the same row.
-
-// resultRow returns the row of r's result, adding it if it is new.
-func (a *analyzer) resultRow(r *trace.Record, sh *shape) *regEntry {
-	if sh != nil {
-		return sh.res
-	}
-	return a.reg(regKey{r.Func, r.Result.Name})
-}
-
-// operandRow returns the row of the register r.Ops[i] (Index >= 0, a
-// register) names, or nil: a register nothing has written has no row, or
-// an empty one, and the pass treats the two alike.
-func (a *analyzer) operandRow(r *trace.Record, sh *shape, i int) *regEntry {
-	if sh != nil {
-		return sh.rows[i]
-	}
-	return a.regs[regKey{r.Func, r.Ops[i].Name}]
-}
-
-// inLoopFn reports whether r runs in the loop function.
-func (a *analyzer) inLoopFn(r *trace.Record, sh *shape) bool {
-	if sh != nil {
-		return sh.loopFn
-	}
-	return r.Func == a.spec.Function
 }
 
 // operandPos returns the position in r.Ops of the operand with 1-based
@@ -531,12 +516,12 @@ type access struct {
 // trackStorage processes the storage-defining records that collection and
 // dependency tracking both resolve through — Alloca (local intervals) and
 // named pointer operands (global discovery) — and returns a Load's or
-// Store's access. A record with a shape first asks the shape's last
-// resolution (see resolution): when it holds the address, resolving again
-// would find the same variable, grow no footprint and discover no global —
-// a named operand that resolved to a global has been noted, and one that
-// resolved to a local is in a span no global discovery looks past — so
-// the record skips all three.
+// Store's access. A record first asks its shape's last resolution (see
+// resolution): when it holds the address, resolving again would find the
+// same variable, grow no footprint and discover no global — a named
+// operand that resolved to a global has been noted, and one that resolved
+// to a local is in a span no global discovery looks past — so the record
+// skips all three.
 func (a *analyzer) trackStorage(r *trace.Record, sh *shape) (acc access) {
 	switch r.Opcode {
 	case trace.OpAlloca:
@@ -545,30 +530,20 @@ func (a *analyzer) trackStorage(r *trace.Record, sh *shape) (acc access) {
 			a.growVars()
 		}
 	case trace.OpLoad, trace.OpStore, trace.OpGetElementPtr:
-		var op *trace.Operand
-		var named bool
-		if sh != nil {
-			if sh.acc >= 0 {
-				op, named = &r.Ops[sh.acc], sh.named
-			}
-		} else if op = accessOperand(r); op != nil {
-			named = op.Name != "" && !isNumeric(op.Name)
-		}
-		if op == nil || op.Value.Kind != trace.KindPtr {
+		if sh.acc < 0 || r.Ops[sh.acc].Value.Kind != trace.KindPtr {
 			return acc
 		}
+		op := &r.Ops[sh.acc]
 		addr := op.Value.Addr()
 		gep := r.Opcode == trace.OpGetElementPtr
-		if sh != nil {
-			if v := a.vt.at(&sh.at, addr); v != nil {
-				if !gep {
-					acc = access{addr: addr, ok: true, v: v}
-				}
-				return acc
+		if v := a.vt.at(&sh.at, addr); v != nil {
+			if !gep {
+				acc = access{addr: addr, ok: true, v: v}
 			}
+			return acc
 		}
 		var res resolution
-		if named {
+		if sh.named {
 			// A named, non-numeric pointer operand that no local span owns is a
 			// global reference at its base address. This must not consult the
 			// footprint-growing resolver: the named base is authoritative and
@@ -576,7 +551,7 @@ func (a *analyzer) trackStorage(r *trace.Record, sh *shape) (acc access) {
 			if res = a.vt.resolveLocal(addr); res.v == nil {
 				a.vt.noteGlobal(op.Name, addr, r.DynID, r.Line)
 				a.growVars()
-				if gep && sh != nil {
+				if gep {
 					res = a.vt.lookup(addr, false)
 				}
 			}
@@ -588,9 +563,7 @@ func (a *analyzer) trackStorage(r *trace.Record, sh *shape) (acc access) {
 			}
 			acc = access{addr: addr, ok: true, v: res.v}
 		}
-		if sh != nil {
-			sh.at = res
-		}
+		sh.at = res
 	}
 	return acc
 }
@@ -625,15 +598,6 @@ func isNumeric(s string) bool {
 	return true
 }
 
-// accessOperand returns a Load's or Store's pointer operand, or a GEP's
-// base, or nil.
-func accessOperand(r *trace.Record) *trace.Operand {
-	if r.Opcode == trace.OpStore {
-		return r.Operand(2)
-	}
-	return r.Operand(1)
-}
-
 // collectible returns v, the variable a Load/Store record accesses (nil
 // for any other record), if the record participates in MLI collection:
 // records executed in the loop function (call depth zero), plus — with
@@ -643,7 +607,7 @@ func (a *analyzer) collectible(r *trace.Record, sh *shape, v *VarInfo) *VarInfo 
 	if v == nil {
 		return nil
 	}
-	if !a.inLoopFn(r, sh) && !(a.opts.IncludeGlobals && v.Global) {
+	if !sh.loopFn && !(a.opts.IncludeGlobals && v.Global) {
 		return nil
 	}
 	if v.FirstLine < 0 {

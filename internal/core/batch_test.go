@@ -188,8 +188,8 @@ func TestEngineSessionAllocs(t *testing.T) {
 // TestReloadKeepsSourceArray pins the register row's reuse: a register
 // loaded and then rewritten by arithmetic, iteration after iteration,
 // keeps one sources array — the Load empties the row's sources, and the
-// row keeps its own buffer for the next rewrite, so the pass allocates
-// nothing. The reference
+// rewrite points them at its shape's again, keyed or by id, so the pass
+// allocates nothing. The reference
 // pass (reference_test.go) deleted the register's reg-reg entry at the
 // Load and allocated a new array at every rewrite.
 func TestReloadKeepsSourceArray(t *testing.T) {
@@ -209,7 +209,7 @@ func TestReloadKeepsSourceArray(t *testing.T) {
 		step func(*trace.Record, Region)
 		want func(float64) bool
 	}{
-		{"pass", func(r *trace.Record, reg Region) { pass.fusedStep(r, nil, reg) }, func(n float64) bool { return n == 0 }},
+		{"pass", func(r *trace.Record, reg Region) { pass.fusedStep(r, pass.shapeOf(trace.NoTemplate, r), reg) }, func(n float64) bool { return n == 0 }},
 		{"pass with template ids", func(r *trace.Record, reg Region) {
 			shaped.fusedStep(r, shaped.shapeOf(uint32(r.DynID), r), reg)
 		}, func(n float64) bool { return n == 0 }},

@@ -23,16 +23,14 @@ import (
 // and rewrites it in place. It runs over the whole trace because region C
 // reads and induction detection also consult the maps, and it does the
 // same whatever the record's region. acc is a Load's resolved access, and
-// sh the record's shape, or nil.
+// sh the record's shape.
 func (a *analyzer) updateMaps(r *trace.Record, sh *shape, acc *access) {
 	switch r.Opcode {
 	case trace.OpLoad:
 		if !acc.ok || r.Result == nil {
 			return
 		}
-		e := a.resultRow(r, sh)
-		e.v = acc.v
-		e.srcs = nil
+		sh.res.v, sh.res.srcs = acc.v, nil
 	case trace.OpGetElementPtr, trace.OpBitCast:
 		if r.Result == nil {
 			return
@@ -45,23 +43,17 @@ func (a *analyzer) updateMaps(r *trace.Record, sh *shape, acc *access) {
 		var v *VarInfo
 		if r.Result.Value.Kind == trace.KindPtr {
 			addr := r.Result.Value.Addr()
-			if sh == nil {
-				v = a.vt.resolveRef(addr)
-			} else if v = a.vt.at(&sh.ref, addr); v == nil {
+			if v = a.vt.at(&sh.ref, addr); v == nil {
 				sh.ref = a.vt.lookup(addr, false)
 				v = sh.ref.v
 			}
 		}
 		if v == nil {
 			if i := operandPos(r, 1); i >= 0 && r.Ops[i].IsReg {
-				if b := a.operandRow(r, sh, i); b != nil {
-					v = b.v
-				}
+				v = sh.rows[i].v
 			}
 		}
-		e := a.resultRow(r, sh)
-		e.v = v
-		e.srcs = nil
+		sh.res.v, sh.res.srcs = v, nil
 	case trace.OpCall:
 		a.updateCallMaps(r, sh)
 	default:
@@ -70,31 +62,16 @@ func (a *analyzer) updateMaps(r *trace.Record, sh *shape, acc *access) {
 		}
 		// Arithmetic, comparisons, casts, selects: link input registers to
 		// the output register (reg-reg map).
-		a.linkSources(r, sh)
+		linkSources(sh)
 	}
 }
 
-// linkSources makes r's result register computed from its register
-// operands. A record with a shape shares the shape's sources, which never
-// change: no copy. One without fills the row's own buffer, truncated and
-// refilled in place — nothing else retains it — so a register rewritten
-// every iteration, or reloaded between rewrites, costs no allocation, and
-// no row ever writes into a shape's sources.
-func (a *analyzer) linkSources(r *trace.Record, sh *shape) {
-	e := a.resultRow(r, sh)
-	if sh != nil {
-		e.srcs = sh.srcs
-	} else {
-		srcs := e.own[:0]
-		for i := range r.Ops {
-			op := &r.Ops[i]
-			if op.Index > 0 && op.IsReg {
-				srcs = append(srcs, regKey{r.Func, op.Name})
-			}
-		}
-		e.own, e.srcs = srcs, srcs
-	}
-	e.v = nil
+// linkSources makes the record's result register computed from its
+// register operands. The row shares the shape's sources, which never
+// change, by reference: a register rewritten every iteration, or reloaded
+// between rewrites, costs no allocation, and no row writes into them.
+func linkSources(sh *shape) {
+	sh.res.v, sh.res.srcs = nil, sh.srcs
 }
 
 // updateCallMaps handles both Call forms of §IV-B. Form 1 (a lone Call
@@ -115,17 +92,11 @@ func (a *analyzer) updateCallMaps(r *trace.Record, sh *shape) {
 	if !hasParams {
 		// Form 1: treat as arithmetic.
 		if r.Result != nil {
-			a.linkSources(r, sh)
+			linkSources(sh)
 		}
 		return
 	}
 	// Form 2: parameter correlation.
-	callee := ""
-	if sh == nil {
-		if op := r.Operand(0); op != nil {
-			callee = op.Name
-		}
-	}
 	for i := range r.Ops {
 		p := &r.Ops[i]
 		if p.Index >= 0 {
@@ -135,9 +106,7 @@ func (a *analyzer) updateCallMaps(r *trace.Record, sh *shape) {
 		if j := operandPos(r, -p.Index); j >= 0 {
 			arg := &r.Ops[j]
 			if arg.IsReg {
-				if e := a.operandRow(r, sh, j); e != nil {
-					v = e.v
-				}
+				v = sh.rows[j].v
 			}
 			if v == nil && arg.Value.Kind == trace.KindPtr {
 				// Pointer argument: resolve the pointed-to variable directly
@@ -145,12 +114,7 @@ func (a *analyzer) updateCallMaps(r *trace.Record, sh *shape) {
 				v = a.vt.resolveRef(arg.Value.Addr())
 			}
 		}
-		var e *regEntry
-		if sh != nil {
-			e = sh.rows[i]
-		} else {
-			e = a.reg(regKey{callee, p.Name})
-		}
+		e := sh.rows[i]
 		e.v = v
 		if a.graph != nil {
 			e.node = nil
@@ -166,22 +130,18 @@ func (a *analyzer) updateCallMaps(r *trace.Record, sh *shape) {
 	}
 }
 
-// derivesFrom reports whether the register was computed from the
-// variable in slot: it chases the reg-reg rows to the variables their
-// reg-var entries name (bounded depth; expression trees are shallow).
-func (a *analyzer) derivesFrom(key regKey, slot int, depth int) bool {
+// derivesFrom reports whether e's register was computed from the variable
+// in slot: it chases the reg-reg rows to the variables their reg-var
+// entries name (bounded depth; expression trees are shallow).
+func derivesFrom(e *regEntry, slot int, depth int) bool {
 	if depth > 64 {
-		return false
-	}
-	e := a.regs[key]
-	if e == nil {
 		return false
 	}
 	if e.v != nil {
 		return e.v.slot == slot
 	}
 	for _, src := range e.srcs {
-		if a.derivesFrom(src, slot, depth+1) {
+		if derivesFrom(src, slot, depth+1) {
 			return true
 		}
 	}
@@ -192,7 +152,7 @@ func (a *analyzer) derivesFrom(key regKey, slot int, depth int) bool {
 // per-variable summaries and, with BuildDDG, grows the complete DDG.
 // Inside a fork a Load also notes region C's signal, the variable's first
 // read after the loop, for the rollback to apply. acc is a Load's or
-// Store's resolved access, and sh the record's shape, or nil.
+// Store's resolved access, and sh the record's shape.
 func (a *analyzer) processLoopRecord(r *trace.Record, sh *shape, acc *access) {
 	addr, v := acc.addr, acc.v
 	switch r.Opcode {
@@ -219,7 +179,7 @@ func (a *analyzer) processLoopRecord(r *trace.Record, sh *shape, acc *access) {
 		if a.graph != nil {
 			n := a.newRegInstance(r)
 			a.graph.AddEdge(a.nodeOf(v), n, r.DynID)
-			a.resultRow(r, sh).node = n
+			sh.res.node = n
 		}
 	case trace.OpStore:
 		if v == nil {
@@ -240,25 +200,23 @@ func (a *analyzer) processLoopRecord(r *trace.Record, sh *shape, acc *access) {
 		if val >= 0 && !r.Ops[val].IsReg {
 			val = -1
 		}
-		if a.inLoopFn(r, sh) && v.Fn == a.spec.Function {
-			if val >= 0 && a.derivesFrom(regKey{r.Func, r.Ops[val].Name}, v.slot, 0) {
+		if sh.loopFn && v.Fn == a.spec.Function {
+			if val >= 0 && derivesFrom(sh.rows[val], v.slot, 0) {
 				s.selfUpdate++
 			}
 		}
 		if a.graph != nil {
 			dst := a.nodeOf(v)
-			if val >= 0 {
-				if e := a.operandRow(r, sh, val); e != nil && e.node != nil {
-					a.graph.AddEdge(e.node, dst, r.DynID)
-					return
-				}
+			if val >= 0 && sh.rows[val].node != nil {
+				a.graph.AddEdge(sh.rows[val].node, dst, r.DynID)
+				return
 			}
 			a.graph.MarkWrite(dst, r.DynID)
 		}
 	case trace.OpICmp, trace.OpFCmp:
 		// Induction signal: comparisons at depth 0 over loop-function
 		// locals.
-		if !a.inLoopFn(r, sh) {
+		if !sh.loopFn {
 			break
 		}
 		for i := range r.Ops {
@@ -266,7 +224,7 @@ func (a *analyzer) processLoopRecord(r *trace.Record, sh *shape, acc *access) {
 			if op.Index <= 0 || !op.IsReg {
 				continue
 			}
-			if e := a.operandRow(r, sh, i); e != nil && e.v != nil && e.v.Fn == a.spec.Function {
+			if e := sh.rows[i]; e.v != nil && e.v.Fn == a.spec.Function {
 				a.summary(e.v).cmpUses++
 			}
 		}
@@ -292,12 +250,12 @@ func (a *analyzer) ddgArith(r *trace.Record, sh *shape) {
 	for i := range r.Ops {
 		op := &r.Ops[i]
 		if op.Index > 0 && op.IsReg {
-			if e := a.operandRow(r, sh, i); e != nil && e.node != nil {
+			if e := sh.rows[i]; e.node != nil {
 				a.graph.AddEdge(e.node, n, r.DynID)
 			}
 		}
 	}
-	a.resultRow(r, sh).node = n
+	sh.res.node = n
 }
 
 // --- DDG vertex bookkeeping ---

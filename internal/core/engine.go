@@ -76,7 +76,7 @@ func (e *NoLoopError) Error() string {
 //
 // A Load or Store resolves its address once, in trackStorage, and every
 // step after it is handed the access (see access). sh is the shape of the
-// record's template, or nil for a record that came without a template id.
+// record's static half (shapeOf).
 func (a *analyzer) fusedStep(r *trace.Record, sh *shape, reg Region) {
 	acc := a.trackStorage(r, sh)
 	if reg == RegionBefore {
@@ -280,17 +280,16 @@ func (e *Engine) reset(spec LoopSpec, opts Options) {
 // rewrites a record in place at its instruction's next emission): the
 // engine keeps nothing of them and writes nothing into them.
 //
-// The engine resolves a template's register rows, MCLR membership and
-// access operand once, on the first record with its id, and every later
-// record with the id indexes them instead of hashing register names; the
-// shape also keeps what its access last resolved to, so a record whose
-// address falls in the same variable skips the address search (see
-// resolution). The ids must name the same static halves for the whole
-// session — they do when one producer, one machine or one decoder (text
-// or ACTB), feeds it.
-// ids shorter than recs (nil, or none from the version-1 decoder) are
-// ignored, and a record without an id, or with id trace.NoTemplate, takes
-// the register-name map path.
+// The engine resolves a static half's register rows, MCLR membership and
+// access operand once, into a shape, and every later record with it
+// indexes them instead of hashing register names; the shape also keeps
+// what its access last resolved to, so a record whose address falls in
+// the same variable skips the address search (see resolution). A record
+// finds its shape by its id; ids must name the same static halves for the
+// whole session — they do when one producer, one machine or one decoder
+// (text or ACTB), feeds it. A record with id trace.NoTemplate, and every
+// record when ids is shorter than recs (nil, or none from the version-1
+// decoder), finds it by its static half instead (keyed.go).
 func (e *Engine) ObserveBatch(recs []trace.Record, ids []uint32) {
 	a := e.a
 	if len(ids) < len(recs) {
@@ -298,18 +297,13 @@ func (e *Engine) ObserveBatch(recs []trace.Record, ids []uint32) {
 	}
 	for k := range recs {
 		r := &recs[k]
-		var sh *shape
+		id := trace.NoTemplate
 		if ids != nil {
-			sh = a.shapeOf(ids[k], r)
+			id = ids[k]
 		}
-		var loop bool
-		if sh != nil {
-			loop = sh.loop
-		} else {
-			loop = e.spec.contains(r)
-		}
+		sh := a.shapeOf(id, r)
 		switch {
-		case loop:
+		case sh.loop:
 			if a.fork {
 				a.commit()
 				e.counts[RegionLoop] += e.run

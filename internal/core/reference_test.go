@@ -194,6 +194,15 @@ func (a *refAnalyzer) reset(spec LoopSpec, opts Options) {
 	clear(a.ivSrcs)
 }
 
+// accessOperand returns a Load's or Store's pointer operand, or a GEP's
+// base, or nil.
+func accessOperand(r *trace.Record) *trace.Operand {
+	if r.Opcode == trace.OpStore {
+		return r.Operand(2)
+	}
+	return r.Operand(1)
+}
+
 // accessAddr returns the memory address a Load or Store touches, or 0.
 // The fused pass finds it in trackStorage, from the record's shape.
 func accessAddr(r *trace.Record) (uint64, bool) {
@@ -1087,7 +1096,14 @@ type genVar struct {
 //     grown footprint, which truncates G2;
 //   - reused stack slots: main re-allocates mloop at the same base every
 //     iteration (sometimes with another size), and every call re-allocates
-//     f's locals at one of two bases, or h's local over f's;
+//     f's locals at one of two bases, buf with one of two sizes, or h's
+//     local over f's;
+//   - one template that reads buf through a register on every call of f,
+//     at an element only the larger buf has, before and after h's local
+//     takes buf's span: a stale cached local (staleRead);
+//   - an Alloca of main's over an element of G1 that one template reads
+//     before and after it: a local in the hull of the cached global
+//     resolutions (overGlobal);
 //   - registers reloaded between arithmetic rewrites: a small register
 //     pool per function, so results overwrite rows of every kind;
 //   - loads from addresses no variable owns, which must drop a register's
@@ -1313,20 +1329,45 @@ func (g *streamGen) callWith(line int, mainVars []genVar, global genVar, steps i
 	var fvars []genVar
 	for _, v := range genF {
 		v.base += base - genF[0].base
+		if v.name == "buf" && g.rng.Intn(2) == 0 {
+			v.size /= 2
+		}
 		g.alloca("f", 100, v)
 		fvars = append(fvars, v)
 	}
 	pv := genVar{"p", arg.base, arg.size}
 	// A global's first reference names its base.
 	g.emit("f", 101, trace.OpStore, nil, regOp(1, g.anyReg()), ptrOp(2, global.name, true, global.base))
+	g.staleRead(fvars[1])
 	g.body("f", [2]int{101, 110}, append(fvars, pv, global), steps)
 	if g.rng.Intn(4) == 0 {
 		g.emit("f", 111, trace.OpCall, nil, trace.Operand{Index: 0, Size: 64, Value: trace.PtrValue(0x30), Name: "h"})
 		g.alloca("h", 200, genH)
 		g.body("h", [2]int{201, 205}, []genVar{genH, genGlobals[0]}, 1+g.rng.Intn(4))
 		g.emit("h", 206, trace.OpRet, nil)
+		g.staleRead(fvars[1])
 	}
 	g.emit("f", 112, trace.OpRet, nil)
+}
+
+// staleRead reads buf's element at offset 16 (past the end of the smaller
+// buf) through register %7 on line 102: one template on every call of f,
+// whose access cache holds buf's span from the last read while a call
+// re-allocates buf with the other size, or h's local evicts it.
+func (g *streamGen) staleRead(buf genVar) {
+	g.emit("f", 102, trace.OpLoad, resOp(genReg(1)), ptrOp(1, genReg(7), true, buf.base+16))
+}
+
+// overGlobal reads an element of G1 through register %7 on line, allocates
+// a local of main's over it, inside the hull of the global resolutions
+// the access cache has handed out, and reads it again through the same
+// template: the second read is the local's.
+func (g *streamGen) overGlobal(line int) {
+	addr := genGlobals[1].base + 8*uint64(1+g.rng.Intn(6))
+	read := func() { g.emit("main", line, trace.OpLoad, resOp(genReg(0)), ptrOp(1, genReg(7), true, addr)) }
+	read()
+	g.alloca("main", line, genVar{"o", addr, 8})
+	read()
 }
 
 // randomStream generates one stream from seed.
@@ -1358,6 +1399,9 @@ func randomStream(seed int64) []trace.Record {
 		g.induction("main", 11, genMain[2])
 		if it == 0 {
 			g.callWith(12, vars, genLate, 40+g.rng.Intn(120))
+		}
+		if it == 1 && g.rng.Intn(2) == 0 {
+			g.overGlobal(13)
 		}
 		g.body("main", [2]int{10, 20}, append(vars, genGlobals...), 5+g.rng.Intn(25))
 		if g.rng.Intn(2) == 0 {

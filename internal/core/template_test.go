@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"autocheck/internal/trace"
@@ -361,5 +362,114 @@ func TestSharedSourcesStayTheShapes(t *testing.T) {
 	checkReference(t, "ids and no ids on one register", want, got, wantErr, gotErr)
 	if p := want.Provenance; len(p) == 0 || p[0].Name != "i" || p[0].SelfUpdates != 4 {
 		t.Fatalf("the reference's provenance %+v: want i first, with 4 self-updates", p)
+	}
+}
+
+// ---- Hash-consed shapes ----
+
+// keyedBase is a record of every key field's kind: a register and a named
+// constant operand, and a result.
+func keyedBase() trace.Record {
+	return trace.Record{Line: 12, Func: "main", Block: "b", Opcode: trace.OpAdd, DynID: 7,
+		Ops:    []trace.Operand{regOp(1, "%1"), {Index: 2, Size: 64, Value: trace.IntValue(3), Name: "c"}},
+		Result: resOp("%2")}
+}
+
+// TestKeyedShapesFollowTheKey holds the hash-consing of records without a
+// template id (keyed.go) to its key: a record that differs from another
+// in one key field gets a shape of its own, and records that differ only
+// outside the key share one. Each record is asked for its shape twice,
+// the second time through a fresh copy, so a key is found again by value.
+func TestKeyedShapesFollowTheKey(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		edit  func(r *trace.Record)
+		share bool
+	}{
+		{"Func", func(r *trace.Record) { r.Func = "f" }, false},
+		{"Line", func(r *trace.Record) { r.Line = 13 }, false},
+		{"Opcode", func(r *trace.Record) { r.Opcode = trace.OpMul }, false},
+		{"an operand's Index", func(r *trace.Record) { r.Ops[1].Index = 3 }, false},
+		{"an operand's IsReg", func(r *trace.Record) { r.Ops[1].IsReg = true }, false},
+		{"an operand's Name", func(r *trace.Record) { r.Ops[0].Name = "%9" }, false},
+		{"one more operand", func(r *trace.Record) { r.Ops = append(r.Ops, regOp(3, "%3")) }, false},
+		{"the result's presence", func(r *trace.Record) { r.Result = nil }, false},
+		{"the result's name", func(r *trace.Record) { r.Result.Name = "%3" }, false},
+		{"Block", func(r *trace.Record) { r.Block = "c" }, true},
+		{"sizes", func(r *trace.Record) { r.Ops[0].Size, r.Ops[1].Size, r.Result.Size = 32, 8, 1 }, true},
+		{"DynID", func(r *trace.Record) { r.DynID = 99 }, true},
+		{"values", func(r *trace.Record) {
+			r.Ops[0].Value, r.Ops[1].Value, r.Result.Value = trace.FloatValue(2.5), trace.IntValue(4), trace.PtrValue(0x10)
+		}, true},
+		{"strings in separate storage", func(r *trace.Record) {
+			r.Func, r.Ops[0].Name, r.Ops[1].Name, r.Result.Name =
+				strings.Clone(r.Func), strings.Clone(r.Ops[0].Name), strings.Clone(r.Ops[1].Name), strings.Clone(r.Result.Name)
+		}, true},
+	} {
+		a := newAnalyzer(randomSpec, DefaultOptions())
+		shapes := func(edit bool) [2]*shape {
+			var out [2]*shape
+			for i := range out {
+				r := keyedBase()
+				if edit {
+					tc.edit(&r)
+				}
+				out[i] = a.shapeOf(trace.NoTemplate, &r)
+			}
+			return out
+		}
+		base, other := shapes(false), shapes(true)
+		if base[0] != base[1] || other[0] != other[1] {
+			t.Errorf("%s: a record found no shape again by its key", tc.name)
+		}
+		if same := base[0] == other[0]; same != tc.share {
+			t.Errorf("%s: records that differ in it share a shape: %v, want %v", tc.name, same, tc.share)
+		}
+	}
+}
+
+// TestMixedIDsMatchReference feeds one stream with template ids on some
+// records and trace.NoTemplate on the others, so the same static halves
+// are reached by id and by key and share their rows, in random cuts of
+// which every third comes without ids at all. It must analyze as the
+// reference pass does and as the stream fed with every id does.
+func TestMixedIDsMatchReference(t *testing.T) {
+	for seed := int64(1); seed <= 25; seed++ {
+		recs := randomStream(seed)
+		ids := staticIDs(recs)
+		rng := rand.New(rand.NewSource(seed))
+		mixed := append([]uint32(nil), ids...)
+		for i := range mixed {
+			if rng.Intn(2) == 0 {
+				mixed[i] = trace.NoTemplate
+			}
+		}
+		cuts := append(randomCuts(rng, len(recs)), len(recs))
+		feed := func(ids []uint32, opts Options, dropSome bool) (*Result, error) {
+			e, _ := NewEngine(randomSpec, opts)
+			prev := 0
+			for k, c := range cuts {
+				part := ids[prev:c]
+				if dropSome && k%3 == 0 {
+					part = nil
+				}
+				e.ObserveBatch(recs[prev:c], part)
+				prev = c
+			}
+			return e.Finish()
+		}
+		for _, globals := range []bool{true, false} {
+			opts := Options{IncludeGlobals: globals, Explain: true, BuildDDG: true}
+			label := fmt.Sprintf("seed %d globals=%v", seed, globals)
+			want, wantErr := refAnalyze(recs, randomSpec, opts)
+			all, allErr := feed(ids, opts, false)
+			checkReference(t, label+" every id", want, all, wantErr, allErr)
+			got, gotErr := feed(mixed, opts, true)
+			checkReference(t, label+" mixed", want, got, wantErr, gotErr)
+			checkReference(t, label+" mixed against every id", all, got, allErr, gotErr)
+		}
+		if t.Failed() {
+			t.Fatalf("seed %d: a stream of %d records fed with mixed ids differs", seed, len(recs))
+		}
 	}
 }

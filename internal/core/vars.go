@@ -264,19 +264,9 @@ func (t *varTable) resolveLocal(addr uint64) resolution {
 	return resolution{}
 }
 
-// resolve maps an accessed address to its owning variable, or nil.
-// Accesses beyond a global's currently known footprint extend it (the
-// next global's base bounds the growth) — footprints record observed
-// element *accesses* (Load/Store), so use resolveRef for addresses that
-// are merely computed or passed around.
-func (t *varTable) resolve(addr uint64) *VarInfo {
-	return t.lookup(addr, true).v
-}
-
-// resolveRef maps a referenced address — a GetElementPtr result, a
-// pointer argument — to its owning variable without growing any
-// footprint. Resolution is identical to resolve (globals resolve by
-// greatest base, never by extent); only the size bookkeeping differs.
+// resolveRef maps a referenced address — a pointer argument — to its
+// owning variable, or nil, without growing any footprint: footprints
+// record observed element accesses (Load/Store, lookup with access set).
 func (t *varTable) resolveRef(addr uint64) *VarInfo {
 	return t.lookup(addr, false).v
 }
@@ -337,6 +327,3 @@ func (t *varTable) lookupLocal(fn, name string) *VarInfo {
 	}
 	return best
 }
-
-// global returns a known global by name.
-func (t *varTable) global(name string) *VarInfo { return t.gByName[name] }

@@ -556,10 +556,11 @@ func TestBatchDecodeAllocs(t *testing.T) {
 	}
 }
 
-// TestRareShapeDecodeAllocs pins the same for the block shape flush has to
-// compact — result lines first, one more that wins, an input after each
-// run: 1,000 such blocks decode, correctly, without one allocation per
-// block (the compaction once built a map for each).
+// TestRareShapeDecodeAllocs pins the same for the block shape whose result
+// the decoder holds aside until the block ends — result lines first, one
+// more that wins, an input after each run: 1,000 such blocks decode,
+// correctly, without one allocation per block (a compaction of the staged
+// lines once built a map for each).
 func TestRareShapeDecodeAllocs(t *testing.T) {
 	data := resultFirstBlocks(1000)
 	rd, _, err := NewBytesReader(data)

@@ -201,9 +201,10 @@ var malformedLines = []string{
 	"0,2,ma\rin,b,2,2", "0,2,main,b\rb,2,2", "0,2,\r,\r,2,2", "0,2,ma\rin,b,2,x",
 }
 
-// resultFirstBlocks is n blocks of the rare shape the decoder compacts:
-// result lines first (eight of them: a map of that many is too big for the
-// stack), an input after them, one more result, which wins, and an input.
+// resultFirstBlocks is n blocks of the rare shape whose result the decoder
+// holds aside until the block ends: result lines first (eight of them: a
+// map of that many is too big for the stack), an input after them, one
+// more result, which wins, and an input.
 func resultFirstBlocks(n int) []byte {
 	block := "0,17,main,b,11,1\n" + strings.Repeat("r,0,64,3,1,5\n", 8) + "1,1,64,1,1,3\nr,0,64,4,1,6\n2,2,64,2,0,\n"
 	return bytes.Repeat([]byte(block), n)
