@@ -189,9 +189,8 @@ type session struct {
 	failErr error        // set once failed
 
 	// The decode state of an active session, released when it ends.
-	eng   *core.Engine
-	rd    *trace.WindowReader
-	batch trace.RecordBatch
+	eng *core.Engine
+	rd  *trace.WindowReader
 }
 
 // Service is the trace-ingest service. Create one with NewService and
@@ -369,20 +368,18 @@ func (s *Service) newSession(id string, meta sessMeta, back store.Backend) *sess
 }
 
 // ingest feeds data to the session's reader and hands every record it
-// completes to the engine; an unfinished record waits in the reader.
+// completes to the engine, in place; an unfinished record waits in the
+// reader.
 func (sess *session) ingest(data []byte) error {
 	sess.rd.Feed(data)
-	return trace.ForEachBatch(sess.rd, &sess.batch, func(_ int, recs []trace.Record) error {
-		sess.eng.ObserveBatch(recs, sess.batch.TemplateIDs)
-		return nil
-	})
+	return sess.rd.ReadInto(sess.eng.ObserveBatch)
 }
 
 // end moves an active session to its final state and releases its
 // decode state; the caller releases the session lease.
 func (sess *session) end(state sessState, res *core.Result, err error) {
 	sess.state, sess.res, sess.failErr = state, res, err
-	sess.eng, sess.rd, sess.batch = nil, nil, trace.RecordBatch{}
+	sess.eng, sess.rd = nil, nil
 }
 
 // analysisError maps an engine or decoder error to its typed 4xx: a

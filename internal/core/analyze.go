@@ -98,7 +98,19 @@ type CriticalVar struct {
 	Type      DependencyType
 }
 
-// Timing is the per-phase cost breakdown reported in Table III.
+// Timing is the per-phase cost breakdown reported in Table III. Over
+// trace bytes the decoder hands the engine one record per call, and two
+// clock reads per call would cost as much as the record's analysis, so
+// Dep is sampled: each of the first 256 calls is timed, where most of a
+// trace's static halves are first seen and resolved, and after them one
+// call in about 64, each timed call followed by 47 to 78 untimed ones
+// drawn by a fixed-seed generator, so that a loop whose body is a divisor
+// or a multiple of 64 records does not time the same instruction each
+// time. The later calls' time is their timed calls' time per record times
+// their records; the clock reads' own median cost is taken off each timed
+// call, and a timed call is booked at most at the first calls' mean, so a
+// collection or a preemption it met is not booked some 64 times over. Dep
+// is at most the sweep's time, and Pre is the rest of it.
 type Timing struct {
 	Pre      time.Duration // trace reading + MLI identification
 	Dep      time.Duration // data dependency analysis
@@ -241,12 +253,12 @@ func analyzeRecordsIn(sc *scratch, recs []trace.Record, spec LoopSpec, opts Opti
 	return e.result()
 }
 
-// analyze is the trace-bytes schedule: the bundle's engine fed rd's
-// batches, decoded into the bundle's batch, to the end of the stream. A
+// analyze is the trace-bytes schedule: the bundle's engine fed each of
+// rd's records as it is decoded, in place, to the end of the stream. A
 // decode error anywhere in the trace is reported before a missing loop.
 func (sc *scratch) analyze(rd trace.BatchReader, spec LoopSpec, opts Options) (*Result, error) {
 	e := sc.engine(spec, opts)
-	if err := trace.ForEachBatch(rd, &sc.batch, sc.feed); err != nil {
+	if err := rd.ReadInto(e.feed); err != nil {
 		return nil, err
 	}
 	return e.result()
@@ -415,10 +427,12 @@ func (a *analyzer) reg(key regKey) *regEntry {
 	return e
 }
 
-// shapeOf returns the shape of r's static half: by template id,
-// resolving it from r, the first record with the id, on first sight, or,
-// for a record with no template (trace.NoTemplate), by the static half
-// itself (keyedShape).
+// shapeOf returns the shape of r's static half: by template id, or, for
+// a record with no template (trace.NoTemplate), by the static half itself
+// (keyedShape). Once the session has keyed shapes, a new id's shape is
+// looked up by r, the first record with the id, through keyedShape too,
+// so each static half is resolved once however its records reach the
+// engine.
 func (a *analyzer) shapeOf(id uint32, r *trace.Record) *shape {
 	if id == trace.NoTemplate {
 		return a.keyedShape(r)
@@ -430,7 +444,13 @@ func (a *analyzer) shapeOf(id uint32, r *trace.Record) *shape {
 		a.shapes = a.shapes[:id+1]
 	}
 	p := &a.shapes[id]
-	if *p == nil {
+	switch {
+	case *p != nil:
+	case len(a.chains) > 0:
+		// Through the key: a text template's first block, decoded before
+		// its template was made, had no id, and the two share one shape.
+		*p = a.keyedShape(r)
+	default:
 		*p = a.newShape(r)
 	}
 	return *p

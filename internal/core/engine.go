@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"autocheck/internal/ddg"
@@ -17,16 +19,19 @@ import (
 // Options.BuildDDG — the complete DDG of Fig. 5. Module 3 (§IV-C) consumes
 // no records: analyzer.finish classifies from the accumulated summaries.
 //
-// Every entry point is the Engine fed a batch at a time; they differ only
-// in where the batches come from:
+// Every entry point is the Engine fed through ObserveBatch; they differ
+// only in where the records come from:
 //
 //   - Analyze hands it the caller's records as one batch;
-//   - AnalyzeBytes and AnalyzeFile decode the trace into one recycled
-//     batch (analyze.go), so no []Record is materialized, and hand it to
-//     ObserveBatch with the decoder's template ids;
+//   - AnalyzeBytes and AnalyzeFile hand it the decoder's records one per
+//     call, with their template ids (trace.BatchReader.ReadInto): each
+//     one written in place into its template's home, or decoded field by
+//     field into the decoder's loose record, so no []Record is materialized
+//     and no record copied (analyze.go);
 //   - online, the tracer's records, one per call and each written in
-//     place into its instruction's template, or an ingest session's
-//     decoded chunks reach ObserveBatch directly, with their template ids;
+//     place into its instruction's template, and an ingest session's
+//     records, decoded from each chunk as the trace bytes are, reach
+//     ObserveBatch directly, with their template ids;
 //   - AnalyzeMany (many.go) runs N independent engines concurrently over
 //     distinct traces, one reusable scratch bundle per worker.
 
@@ -234,13 +239,14 @@ func (a *analyzer) finish(res *Result) {
 // Engine is the incremental core that every entry point runs — the
 // paper's §IX online mode, where analysis runs inside the instrumentation
 // itself, and the offline entry points alike. Records are observed as
-// they are produced or decoded, a batch at a time
-// (interp.Machine.TraceInto hands each record and its template id to
-// ObserveBatch as it is emitted; the sweep over a text or ACTB trace and
-// an ingest session hand their batches and template ids to it;
-// Observe is the one-record case); no trace is materialized and no
-// record is revisited or copied. How a stream is cut into batches never
-// changes the result.
+// they are produced or decoded, through ObserveBatch: the tracer
+// (interp.Machine.TraceInto) and the decoders of a text or ACTB trace,
+// offline or in an ingest session (trace.BatchReader.ReadInto), hand it
+// each record and its template id as they emit or decode it, written in
+// place; Analyze hands it the caller's records as one batch, and Observe
+// is the one-record case. No trace is materialized and no record is
+// revisited or copied. How a stream is cut into calls never changes the
+// result.
 type Engine struct {
 	spec   LoopSpec
 	a      *analyzer
@@ -249,6 +255,7 @@ type Engine struct {
 	run    int    // records of the open fork's run
 	one    [1]trace.Record
 	start  time.Time
+	clock  depClock
 	dep    time.Duration // time inside ObserveBatch, when feed booked it
 }
 
@@ -276,9 +283,9 @@ func (e *Engine) reset(spec LoopSpec, opts Options) {
 // record's template id, ids[i] being recs[i]'s
 // (trace.RecordBatch.TemplateIDs). The records, with their Ops and Result
 // storage, need only stay valid for the duration of the call (the
-// contract of trace.ForEachBatch and of the interpreter's emitter, which
-// rewrites a record in place at its instruction's next emission): the
-// engine keeps nothing of them and writes nothing into them.
+// contract of trace.Sink: the tracer and the decoders rewrite a record in
+// place at its template's next record): the engine keeps nothing of them
+// and writes nothing into them.
 //
 // The engine resolves a static half's register rows, MCLR membership and
 // access operand once, into a shape, and every later record with it
@@ -333,24 +340,70 @@ func (e *Engine) Observe(r *trace.Record) {
 	e.ObserveBatch(e.one[:], nil)
 }
 
-// feed is ObserveBatch with its time booked to Timing.Dep: two clock
-// reads per batch. What the sweep spends outside it is the decode,
+// feed is ObserveBatch with its time booked to Timing.Dep, by sampling
+// (see Timing). What the sweep spends outside it is the decode,
 // Timing.Pre.
 func (e *Engine) feed(recs []trace.Record, ids []uint32) {
+	c := &e.clock
+	if c.calls++; c.calls > exactCalls {
+		c.rest += len(recs)
+		if c.skip > 0 {
+			c.skip--
+			e.ObserveBatch(recs, ids)
+			return
+		}
+	}
 	t := time.Now()
 	e.ObserveBatch(recs, ids)
-	e.dep += time.Since(t)
+	d := max(time.Since(t)-clockCost(), 0)
+	if c.calls <= exactCalls {
+		c.exact += d
+		return
+	}
+	c.sampled += min(d, c.exact/exactCalls*time.Duration(len(recs)))
+	c.timed += len(recs)
+	c.state = c.state*1664525 + 1013904223 // Numerical Recipes' LCG
+	c.skip = 47 + int(c.state>>27)
 }
+
+// exactCalls is how many of a session's first calls feed times each.
+const exactCalls = 256
+
+// depClock is feed's account of the time inside ObserveBatch.
+type depClock struct {
+	exact, sampled time.Duration // inside the first calls; inside the later timed ones
+	calls          int           // calls fed
+	rest, timed    int           // records of the later calls; of the timed ones among them
+	skip           int           // calls before the next timed one
+	state          uint32        // the stride generator's state
+}
+
+// clockCost is the median time.Since of an empty span: what timing a call
+// adds to its time.
+var clockCost = sync.OnceValue(func() time.Duration {
+	var d [63]time.Duration
+	for i := range d {
+		t := time.Now()
+		d[i] = time.Since(t)
+	}
+	slices.Sort(d[:])
+	return d[len(d)/2]
+})
 
 // result finishes a session that feed drove, booking the time the sweep
 // spent outside the pass to Timing.Pre.
 func (e *Engine) result() (*Result, error) {
-	pre := time.Since(e.start) - e.dep
+	sweep, c := time.Since(e.start), &e.clock
+	e.dep = c.exact
+	if c.timed > 0 {
+		e.dep += time.Duration(float64(c.sampled) * float64(c.rest) / float64(c.timed))
+	}
+	e.dep = min(e.dep, sweep)
 	res, err := e.Finish()
 	if err != nil {
 		return nil, err
 	}
-	res.Timing.Pre = pre
+	res.Timing.Pre = sweep - e.dep
 	return res, nil
 }
 
@@ -381,21 +434,12 @@ func (e *Engine) Finish() (*Result, error) {
 	return res, nil
 }
 
-// scratch bundles the reusable state of one analysis: the engine (its
-// analyzer's maps and variable table) and the record batch (decode
-// arena). One scratch serves any number of analyses sequentially;
-// AnalyzeMany keeps one per worker so concurrent engines stop hammering
-// the shared allocator.
+// scratch bundles the reusable state of one analysis: the engine, its
+// analyzer's maps and variable table. One scratch serves any number of
+// analyses sequentially; AnalyzeMany keeps one per worker so concurrent
+// engines stop hammering the shared allocator.
 type scratch struct {
-	e     Engine
-	batch trace.RecordBatch
-}
-
-// feed is the bundle's engine fed a batch decoded into the bundle's batch,
-// with its template ids, as a trace.ForEachBatch callback.
-func (sc *scratch) feed(_ int, recs []trace.Record) error {
-	sc.e.feed(recs, sc.batch.TemplateIDs)
-	return nil
+	e Engine
 }
 
 // engine returns the bundle's engine readied for a fresh trace.

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"autocheck/internal/core"
@@ -135,4 +137,69 @@ func BenchmarkAnalyzeOnline(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
+}
+
+// BenchmarkAnalyzeFile is the offline analysis of the 14 ports' trace
+// files at scale 24, written by the tracer in ACTB (actb) and in text
+// (text): one op is AnalyzeFile of each of the 14 files, default options
+// with the module. It is the go test twin of the stream-binary and
+// offline-text workloads of benchmark/run.sh, and reports ns/record and,
+// with -benchmem, the allocations of the whole op. The files are written
+// before the timer starts.
+//
+//	go test -run '^$' -bench AnalyzeFile -benchmem ./internal/core/
+func BenchmarkAnalyzeFile(b *testing.B) {
+	type port struct {
+		path string
+		spec core.LoopSpec
+		mod  *ir.Module
+	}
+	dir := b.TempDir()
+	for _, f := range []trace.Format{trace.FormatBinary, trace.FormatText} {
+		var ports []port
+		for _, p := range progs.All() {
+			spec, err := p.Spec(24)
+			if err != nil {
+				b.Fatalf("%s: %v", p.Name, err)
+			}
+			mod, err := interp.Compile(p.Source(24))
+			if err != nil {
+				b.Fatalf("%s: %v", p.Name, err)
+			}
+			path := filepath.Join(dir, p.Name+"."+f.String())
+			file, err := os.Create(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			_, err = interp.TraceProgramTo(mod, trace.NewRecordWriter(file, f))
+			if cerr := file.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				b.Fatalf("%s: %v", p.Name, err)
+			}
+			ports = append(ports, port{path, spec, mod})
+		}
+		name := "text"
+		if f == trace.FormatBinary {
+			name = "actb"
+		}
+		b.Run(name, func(b *testing.B) {
+			records := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, p := range ports {
+					opts := core.DefaultOptions()
+					opts.Module = p.mod
+					res, err := core.AnalyzeFile(p.path, p.spec, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					records += res.Stats.Records
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
+		})
+	}
 }

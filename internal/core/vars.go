@@ -33,6 +33,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -223,7 +224,7 @@ func (t *varTable) addAlloca(name, fn string, base uint64, size int64, dyn int64
 		t.live = append(t.live, span{})
 	}
 	t.live[v.slot] = sp
-	t.locals = append(t.locals[:i], append([]span{sp}, t.locals[j:]...)...)
+	t.locals = slices.Replace(t.locals, i, j, sp)
 	return v
 }
 

@@ -95,9 +95,9 @@ type Machine struct {
 	Steps   int64
 	dynID   int64
 	out     strings.Builder
-	frames  []*Frame                       // the call stack; frames[len(frames):cap(frames)] are popped frames awaiting reuse
-	watches []*Watch                       // registered ranges; empty on a machine nobody checkpoints
-	sink    func([]trace.Record, []uint32) // takes each emitted record and its template id (see TraceInto); nil: no tracing
+	frames  []*Frame   // the call stack; frames[len(frames):cap(frames)] are popped frames awaiting reuse
+	watches []*Watch   // registered ranges; empty on a machine nobody checkpoints
+	sink    trace.Sink // takes each emitted record and its template id (see TraceInto); nil: no tracing
 	globals map[*ir.Global]uint64
 	nextG   uint64
 	sp      uint64

@@ -2,31 +2,22 @@ package trace
 
 import "io"
 
-// Batch decoding: the streaming analysis hot path. Reading a trace
-// record-at-a-time through Reader.Next costs one or more heap
-// allocations per record (a fresh Record, a fresh Ops slice, a fresh
-// Result) — three sweeps over a 35k-record trace paid ~366k allocations
-// before this file existed. A RecordBatch amortizes that to zero steady
-// state: the decoder writes records into a reusable slice and their
-// operands into a shared arena, both recycled on every NextBatch call.
+// Decoding hands records on as the tracer does: ReadInto, the analysis
+// hot path, calls a Sink with each record as it is decoded. A record a
+// template decodes to — an ACTB template reference, or a text block its
+// template matches — is its template's home with its DynID and register
+// values written in; any other is decoded field by field into the
+// decoder's loose record. Nothing is copied or allocated per record, and
+// a record is valid only for the call. NextBatch, Next, ParseBytes and
+// ForEachBatch are the materialising consumer of the same decode: their
+// sink clones each record into a RecordBatch, whose records stay valid
+// until its next fill (or Reset).
 //
-// Contract: the records of a batch (including their Ops and Result
-// storage) are valid only until the next NextBatch call (or Reset) on the
-// same batch. Consumers that need a record beyond that must Clone it —
-// the same rule the online engine's Observer already lives by.
-//
-// A RecordBatch is also the decoders' one record assembler: the text
-// decoder and the ACTB decoder lay their records out in the batch's arena
-// through it, so the layout rule, stated once in seal, holds for both.
-// (The interpreter's emitter keeps no batch: each instruction's template
-// is laid out the same way and handed on in place.) A record decoded
-// field by field is opened, its operands staged one by one, the result
-// last, and sealed once all of them are in; a record copied from a
-// template's static half goes through AppendTemplate, and its decoder
-// writes the values only it carries into the copy. A record that fails,
-// or a template that turns out not to match, is taken back with rollback.
-// Code outside this package fills a batch through Reset / AppendOperand /
-// AppendRecord.
+// seal states the one layout rule of a record's operands, which a loose
+// record, a home and a batch's records all follow: a record decoded field
+// by field has its operands staged one by one, the result last, and is
+// sealed once all of them are in. Code outside this package fills a batch
+// through Reset / AppendOperand / AppendRecord.
 
 // RecordBatch is reusable storage for batch decoding.
 type RecordBatch struct {
@@ -36,9 +27,8 @@ type RecordBatch struct {
 	// TemplateIDs, when it is as long as Recs, holds each record's template
 	// id: records of one stream with the same id have the same static half
 	// — every field but DynID and the values of register operands — and a
-	// record with none has NoTemplate. The text decoder, the ACTB version-2
-	// decoder and AppendTemplate fill it; the version-1 decoder, which
-	// knows no templates, leaves it empty.
+	// record with none has NoTemplate, as every record of an ACTB
+	// version-1 trace has. NextBatch fills it.
 	TemplateIDs []uint32
 
 	ops    []Operand // arena backing Recs' Ops and Result storage
@@ -46,8 +36,9 @@ type RecordBatch struct {
 }
 
 // NoTemplate is the template id of a record that has no template: in
-// ACTB, a one-off record too wide for one; in text, a block whose shape
-// the decoder has not seen before, or one it does not make templates of.
+// ACTB, a one-off record too wide for one, or a version-1 record; in text,
+// a block whose shape the decoder has not seen before, or one it does not
+// make templates of.
 const NoTemplate = ^uint32(0)
 
 // Reset empties the batch and recycles its storage for the next fill.
@@ -71,17 +62,8 @@ func (b *RecordBatch) AppendOperand(o Operand) {
 // except, when hasResult is set, the last of them, which becomes its
 // Result. rec carries the header fields only.
 func (b *RecordBatch) AppendRecord(rec Record, hasResult bool) {
-	*b.open() = rec
+	b.Recs = append(b.Recs, rec)
 	b.seal(&b.Recs[len(b.Recs)-1], hasResult)
-}
-
-// open adds a record to Recs for a decoder to fill field by field: the
-// caller sets the header fields of the slot returned, stages the
-// operands and seals it. The slot stays put until the next record is
-// added.
-func (b *RecordBatch) open() *Record {
-	b.Recs = extend(b.Recs)
-	return &b.Recs[len(b.Recs)-1]
 }
 
 // stage adds an operand to the record under construction and returns it,
@@ -102,62 +84,67 @@ func (b *RecordBatch) staging() []Operand { return b.ops[b.staged:] }
 // array. Growth after it moves the backing array but never rewrites a
 // written operand, so records sealed earlier stay value-correct.
 func (b *RecordBatch) seal(rec *Record, hasResult bool) {
-	start, end := b.staged, len(b.ops)
-	b.staged = end
-	var res *Operand
-	if hasResult {
-		end--
-		res = &b.ops[end]
-	}
-	var ops []Operand
-	if end > start {
-		// Capacity-clamped so a consumer's append cannot clobber the
-		// operands that follow.
-		ops = b.ops[start:end:end]
-	}
-	rec.Ops, rec.Result = ops, res
+	lay(rec, b.ops[b.staged:], hasResult)
+	b.staged = len(b.ops)
 }
 
-// AppendTemplate adds the record whose header fields are *hdr's and whose
-// operands, the result last when hasResult is set, are a copy of ops, in
-// one bulk copy, with id, the template's, appended to TemplateIDs: an
-// ACTB template reference or a text block its template matches. It
-// returns the arena's copy of ops, for the decoder to write the record's
-// dynamic values into; the slice is valid until the next append to the
+// lay points rec's Ops at ops, but for the last of them when hasResult is
+// set, which becomes its Result: capacity-clamped so a consumer's append
+// cannot clobber the operands that follow, and nil when there are none.
+func lay(rec *Record, ops []Operand, hasResult bool) {
+	rec.Result = nil
+	if n := len(ops) - 1; hasResult {
+		rec.Result, ops = &ops[n], ops[:n]
+	}
+	rec.Ops = nil
+	if n := len(ops); n > 0 {
+		rec.Ops = ops[:n:n]
+	}
+}
+
+// add is the materialising sink: it clones recs and their ids into the
 // batch.
-func (b *RecordBatch) AppendTemplate(hdr *Record, ops []Operand, hasResult bool, id uint32) []Operand {
-	b.TemplateIDs = append(b.TemplateIDs, id)
-	start := len(b.ops)
-	b.ops = append(b.ops, ops...)
-	rec := b.open()
-	*rec = *hdr
-	b.seal(rec, hasResult)
-	return b.ops[start:]
-}
-
-// mark is how far a batch is filled at a record boundary.
-type mark struct{ recs, ops int }
-
-func (b *RecordBatch) mark() mark { return mark{len(b.Recs), len(b.ops)} }
-
-// rollback takes back every record, template id and operand, staged or
-// sealed, added since m.
-func (b *RecordBatch) rollback(m mark) {
-	b.Recs, b.ops, b.staged = b.Recs[:m.recs], b.ops[:m.ops], m.ops
-	if len(b.TemplateIDs) > m.recs {
-		b.TemplateIDs = b.TemplateIDs[:m.recs]
+func (b *RecordBatch) add(recs []Record, ids []uint32) {
+	for i := range recs {
+		b.Recs = extend(b.Recs)
+		b.ops = recs[i].CloneInto(&b.Recs[len(b.Recs)-1], b.ops)
 	}
+	b.staged = len(b.ops)
+	b.TemplateIDs = append(b.TemplateIDs, ids...)
 }
 
-// home is a template's static half as a decoder keeps it, for
-// AppendTemplate to copy: the header but DynID, and the operands, the
-// result last, with the value of each non-register operand and the kind
-// of every one. The ACTB decoder's templates and the text decoder's have
-// one each.
+// Sink takes records as a producer hands them on — the tracer
+// (interp.Machine.TraceInto) and the decoders (BatchReader.ReadInto) —
+// with each record's template id, ids[i] being recs[i]'s. The records,
+// with their Ops and Result storage, are valid only for the call, and a
+// sink writes nothing into them: the producer rewrites them in place.
+type Sink func(recs []Record, ids []uint32)
+
+// home is a template's static half as a decoder keeps it, laid out as the
+// record it decodes to, by seal's rule: the header but DynID, and the
+// operands, the result last, with the value of each non-register operand
+// and the kind of every one. A record of the template is its home with
+// its DynID and register values written in, handed on with id. The ACTB
+// decoder's templates and the text decoder's have one each.
 type home struct {
-	hdr       Record // no DynID, Ops or Result
-	ops       []Operand
-	hasResult bool
+	rec [1]Record
+	id  [1]uint32
+	ops []Operand
+}
+
+// loose is a record a decoder decodes field by field, handed on from its
+// home as a template's record is: begin opens it, its operands are staged
+// in the batch's arena, and seal lays them out.
+type loose struct {
+	home
+	RecordBatch
+}
+
+// begin empties l for a record of no template and returns the record.
+func (l *loose) begin() *Record {
+	l.Reset()
+	l.id[0] = NoTemplate
+	return &l.rec[0]
 }
 
 // homeSlabs is where a decoder's homes and their operands are carved.
@@ -169,13 +156,16 @@ type homeSlabs struct {
 // The slab sizes: homes and operands.
 const homeSlab, opSlab = 64, 256
 
-// newHome returns a home for the static half of rec, whose operands, the
-// result last when hasResult is set, are ops.
-func (s *homeSlabs) newHome(rec *Record, ops []Operand, hasResult bool) *home {
+// newHome returns the home of template id, whose static half is rec's:
+// rec's header, and ops, its operands, the result last when hasResult is
+// set.
+func (s *homeSlabs) newHome(rec *Record, ops []Operand, hasResult bool, id uint32) *home {
 	h := &carve(&s.homes, 1, homeSlab)[0]
-	*h = home{hdr: *rec, ops: carve(&s.ops, len(ops), opSlab), hasResult: hasResult}
-	h.hdr.DynID, h.hdr.Ops, h.hdr.Result = 0, nil, nil
+	h.ops = carve(&s.ops, len(ops), opSlab)
 	copy(h.ops, ops)
+	h.rec[0] = Record{Line: rec.Line, Func: rec.Func, Block: rec.Block, Opcode: rec.Opcode}
+	lay(&h.rec[0], h.ops, hasResult)
+	h.id[0] = id
 	return h
 }
 
@@ -200,11 +190,16 @@ func extend[T any](s []T) []T {
 	return append(s, zero)
 }
 
-// BatchReader is a Reader that can additionally decode records in
-// batches into caller-owned reusable storage; *WindowReader, the reader
-// behind every constructor of this package, implements it.
+// BatchReader is a Reader that can additionally hand each record to a
+// sink in place, or decode records in batches into caller-owned reusable
+// storage; *WindowReader, the reader behind every constructor of this
+// package, implements it.
 type BatchReader interface {
 	Reader
+	// ReadInto decodes to the end of the stream, or of the bytes fed so
+	// far, handing each record and its template id to sink as it is
+	// decoded (see Sink).
+	ReadInto(sink Sink) error
 	// NextBatch decodes up to max records into b, recycling its storage,
 	// and returns how many were decoded. Zero with a nil error means end
 	// of stream.
@@ -216,10 +211,10 @@ type BatchReader interface {
 // arena stays cache-resident.
 const DefaultBatchRecords = 512
 
-// ForEachBatch drives rd to the end of its stream in batches, calling fn
-// with each batch of records and the stream index of its first record.
-// The reader decodes straight into b's recycled storage. A reader that implements io.Closer is closed before
-// returning (a close error is reported only when the sweep itself
+// ForEachBatch drives rd to the end of its stream in batches decoded into
+// b (NextBatch), calling fn with each batch of records and the stream
+// index of its first record. A reader that implements io.Closer is closed
+// before returning (a close error is reported only when the sweep itself
 // succeeded), and the records passed to fn are only valid for the
 // duration of the call. Over a fed reader the sweep ends where the fed
 // bytes do.
@@ -231,18 +226,12 @@ func ForEachBatch(rd BatchReader, b *RecordBatch, fn func(base int, recs []Recor
 			}
 		}()
 	}
-	base := 0
-	for {
-		n, nerr := rd.NextBatch(b, DefaultBatchRecords)
-		if nerr != nil {
-			return nerr
+	for base := 0; ; base += len(b.Recs) {
+		if n, err := rd.NextBatch(b, DefaultBatchRecords); n == 0 || err != nil {
+			return err
 		}
-		if n == 0 {
-			return nil
+		if err := fn(base, b.Recs); err != nil {
+			return err
 		}
-		if ferr := fn(base, b.Recs[:n]); ferr != nil {
-			return ferr
-		}
-		base += n
 	}
 }

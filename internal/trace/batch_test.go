@@ -375,55 +375,29 @@ func TestForEachBatchCloses(t *testing.T) {
 }
 
 // TestBatchOpsAppendSafe mirrors TestParsedOpsAppendSafe for the arena
-// behind a batch, on every path RecordBatch assembles records by: a text
+// behind a batch, on every path a decoder hands records on by: a text
 // block parsed field by field and one matched to a template, an ACTB
-// version-1 record, a version-2 definition, one-off and reference, and a
-// tracer's batch (AppendTemplate, values written after). Each batch must
-// decode to the records encoded — so the values of a version-2
-// definition whose operands straddle an arena growth land in its Ops —
-// and appending to one record's Ops must not clobber any record.
+// version-1 record, and a version-2 definition, one-off and reference.
+// Each batch must decode to the records encoded — so the values of a
+// version-2 definition whose operands straddle an arena growth land in its
+// Ops — and appending to one record's Ops must not clobber any record.
 func TestBatchOpsAppendSafe(t *testing.T) {
 	recs := appendSafeRecords()
-	tracer := func() *RecordBatch {
-		var b RecordBatch
-		for i := range recs {
-			r := &recs[i]
-			tmpl := append([]Operand(nil), r.Ops...)
-			if r.Result != nil {
-				tmpl = append(tmpl, *r.Result)
-			}
-			hdr := Record{Line: r.Line, Func: r.Func, Block: r.Block, Opcode: r.Opcode, DynID: r.DynID}
-			vals := make([]Value, len(tmpl))
-			for j := range tmpl {
-				vals[j], tmpl[j].Value = tmpl[j].Value, Value{Kind: tmpl[j].Value.Kind}
-			}
-			ops := b.AppendTemplate(&hdr, tmpl, r.Result != nil, uint32(i))
-			for j := range ops {
-				ops[j].Value = vals[j]
-			}
-		}
-		return &b
-	}()
 	for _, in := range []struct {
 		name string
 		data []byte
-		b    *RecordBatch // already filled, or nil: decode data
 	}{
-		{"text", EncodeAll(recs), nil},
-		{"ACTB v1", encodeBinaryV1(recs), nil},
-		{"ACTB v2", EncodeBinary(recs), nil},
-		{"tracer", nil, tracer},
+		{"text", EncodeAll(recs)},
+		{"ACTB v1", encodeBinaryV1(recs)},
+		{"ACTB v2", EncodeBinary(recs)},
 	} {
-		b := in.b
-		if b == nil {
-			rd, _, err := NewBytesReader(in.data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b = &RecordBatch{}
-			if _, err := rd.NextBatch(b, len(recs)+1); err != nil {
-				t.Fatalf("%s: %v", in.name, err)
-			}
+		rd, _, err := NewBytesReader(in.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := &RecordBatch{}
+		if _, err := rd.NextBatch(b, len(recs)+1); err != nil {
+			t.Fatalf("%s: %v", in.name, err)
 		}
 		if !equalModuloNaN(b.Recs, recs) {
 			t.Fatalf("%s: batch decodes to other records than were encoded", in.name)
@@ -598,10 +572,8 @@ func TestRareShapeDecodeAllocs(t *testing.T) {
 // TestCloneIntoAndAppendSurface: the ways to copy a record into shared
 // operand storage. CloneInto fills an arena in place while it has room
 // and survives the arena moving when it has not; a RecordBatch filled
-// through AppendOperand/AppendRecord hands out the same records, and so
-// does one filled through AppendTemplate from value-less templates whose
-// values are written into the slice it returns; Reset recycles a batch.
-// No copy aliases its source.
+// through AppendOperand/AppendRecord hands out the same records; Reset
+// recycles a batch. No copy aliases its source.
 func TestCloneIntoAndAppendSurface(t *testing.T) {
 	op := func(i int) Operand {
 		return Operand{Index: i, Size: 64, Value: IntValue(int64(10 * i)), IsReg: true, Name: fmt.Sprintf("r%d", i)}
@@ -633,43 +605,6 @@ func TestCloneIntoAndAppendSurface(t *testing.T) {
 				b.AppendOperand(*src[i].Result)
 			}
 			b.AppendRecord(Record{Line: src[i].Line, Func: src[i].Func, Block: src[i].Block, Opcode: src[i].Opcode, DynID: src[i].DynID}, src[i].Result != nil)
-		}
-	}
-	var tb RecordBatch
-	for round := 0; round < 2; round++ {
-		tb.Reset()
-		for i := range src {
-			tmpl := append([]Operand(nil), src[i].Ops...)
-			if src[i].Result != nil {
-				tmpl = append(tmpl, *src[i].Result)
-			}
-			for k := range tmpl {
-				tmpl[k].Value = Value{}
-			}
-			hdr := Record{Line: src[i].Line, Func: src[i].Func, Block: src[i].Block, Opcode: src[i].Opcode, DynID: src[i].DynID}
-			ops := tb.AppendTemplate(&hdr, tmpl, src[i].Result != nil, uint32(i))
-			if len(ops) != len(tmpl) || (len(ops) > 0 && &ops[0] == &tmpl[0]) {
-				t.Fatalf("record %d: AppendTemplate returned %d operands, want a copy of %d", i, len(ops), len(tmpl))
-			}
-			for k := range src[i].Ops {
-				ops[k].Value = src[i].Ops[k].Value
-			}
-			if src[i].Result != nil {
-				ops[len(ops)-1].Value = src[i].Result.Value
-			}
-		}
-	}
-	if len(tb.Recs) != len(src) || len(tb.TemplateIDs) != len(src) {
-		t.Fatalf("template batch holds %d records and %d template ids after Reset and refill, want %d", len(tb.Recs), len(tb.TemplateIDs), len(src))
-	}
-	for i, id := range tb.TemplateIDs {
-		if id != uint32(i) {
-			t.Fatalf("record %d has template id %d, want %d", i, id, i)
-		}
-	}
-	for i := range tb.Recs {
-		if got := tb.Recs[i].String(); got != want[i] {
-			t.Errorf("record %d appended from a template = %q, want %q", i, got, want[i])
 		}
 	}
 	for name, arena := range map[string][]Operand{"roomy": make([]Operand, 0, total), "moving": nil} {

@@ -425,7 +425,8 @@ const (
 
 // binDecoder is the one ACTB decoder: one walk over data (a whole trace, or
 // the window of a stream that starts at offset base) with a local cursor,
-// into the RecordBatch it is handed.
+// handing each record to a sink: a template reference written in place
+// into its template's home, any other record decoded into loose.
 //
 // Each helper takes the position of its field and returns the position
 // after it or, negative, one of the cursor codes truncated and corrupt,
@@ -447,10 +448,10 @@ type binDecoder struct {
 	// A template's definition is decoded again when a record first refers
 	// to it, into a home: from data when stable — data is the whole trace
 	// and never slides — and otherwise from the copy of it kept in defs.
-	stable  bool
-	defs    []byte
-	slabs   homeSlabs
-	scratch RecordBatch // where a definition is decoded again
+	stable bool
+	defs   []byte
+	slabs  homeSlabs
+	loose  loose // a record decoded field by field, or a definition decoded again
 	// replay is set on the decoder that decodes a definition again: a new
 	// string the definition introduced is strs[next], not a new entry.
 	replay bool
@@ -706,49 +707,50 @@ func (d *binDecoder) opcodeTable(p int) int {
 	return p
 }
 
-// record decodes the record at d.pos into b, and its template id too in
-// a version-2 trace, and moves d.pos past it. The caller guarantees
+// record decodes the record at d.pos, moves d.pos past it and hands it to
+// sink, with its template id in a version-2 trace. The caller guarantees
 // d.pos < len(d.data).
 //
-// A record that fails leaves the decoder and b as it found them — string
-// and template tables, pointer slots, kept definitions, records, ids and
-// operands (its position, its DynID and its slots' values never moved) —
-// so the stream reader can decode it again from its start once more bytes
-// are in.
-func (d *binDecoder) record(b *RecordBatch) error {
-	m, tabs := b.mark(), d.tables()
-	var p int
-	if d.v2 {
-		p = d.walk2(b)
-	} else {
-		p = d.walk(b)
-	}
+// A record that fails is not handed on, and leaves the decoder as it found
+// it — string and template tables, pointer slots, kept definitions (its
+// position, its DynID and its slots' values never moved) — so the stream
+// reader can decode it again from its start once more bytes are in. What
+// it wrote of its values into its template's home, the record's next
+// decode writes again.
+func (d *binDecoder) record(sink Sink) error {
+	tabs := d.tables()
+	h, p := d.walk()
 	if p < 0 {
-		b.rollback(m)
 		d.truncate(tabs)
 		return d.err(p)
 	}
 	d.pos = p
+	sink(h.rec[:], h.id[:])
 	return nil
 }
 
-// walk decodes a version-1 record.
-func (d *binDecoder) walk(b *RecordBatch) int {
-	p := d.pos
+// walk decodes the record at d.pos and returns where it is: a version-2
+// record through walk2, a version-1 one, which has no template, into
+// loose.
+func (d *binDecoder) walk() (*home, int) {
+	if d.v2 {
+		return d.walk2()
+	}
+	l := &d.loose
+	rec, p := l.begin(), d.pos
 	flags := d.data[p]
-	rec := b.open()
 	if p = d.head(rec, flags, p); p < 0 {
-		return p
+		return nil, p
 	}
 	v, p := d.uvarint(p)
 	if p < 0 {
-		return d.in(p, "dynamic id")
+		return nil, d.in(p, "dynamic id")
 	}
 	rec.DynID = unzigzag(v)
-	if p = d.body(b, flags, p, true, maxBinaryOperands); p >= 0 {
-		b.seal(rec, flags != 0)
+	if p = d.body(&l.RecordBatch, flags, p, true, maxBinaryOperands); p >= 0 {
+		l.seal(rec, flags != 0)
 	}
-	return p
+	return &l.home, p
 }
 
 // head decodes the header fields at data[p:] — flags, whose byte the
@@ -792,60 +794,53 @@ func (d *binDecoder) body(b *RecordBatch, flags byte, p int, values bool, limit 
 	return p
 }
 
-// walk2 decodes a version-2 record: its template — defined here, its
-// operands staged as the definition decodes, or copied from the
-// template's home — then its DynID delta and register values. A one-off
-// definition carries its values and is followed by its DynID delta alone.
-// The template's pointer slots and the previous DynID move only once the
-// whole record has decoded, so a record cut short leaves no trace in them.
-func (d *binDecoder) walk2(b *RecordBatch) int {
+// walk2 decodes a version-2 record: a definition, into loose as it
+// decodes, or a reference, written into its template's home; then its
+// DynID delta and register values. It returns where the record is. A
+// one-off definition carries its values and is followed by its DynID
+// delta alone. The template's pointer slots and the previous DynID move
+// only once the whole record has decoded, so a record cut short leaves no
+// trace in them.
+func (d *binDecoder) walk2() (*home, int) {
 	p := d.pos
 	ref := uint64(d.data[p])
 	if ref < 0x80 {
 		p++
 	} else if ref, p = d.uvarint(p); p < 0 {
-		return d.in(p, "template ref")
+		return nil, d.in(p, "template ref")
 	}
-	var rec *Record
+	h, flags := &d.loose.home, byte(0)
 	var ops []Operand // the operands the values go into
 	var prev []uint64 // their template's pointer slots
-	id, flags := NoTemplate, byte(0)
 	if ref == 0 {
-		rec = b.open()
-		if p, flags = d.define(b, rec, p); p < 0 {
-			return p
+		if p, flags = d.define(&d.loose.RecordBatch, d.loose.begin(), p); p < 0 {
+			return nil, p
 		}
-		if flags&2 == 0 {
-			id, ops = uint32(len(d.tmpls)-1), b.staging()
+		if id := len(d.tmpls) - 1; flags&2 == 0 {
+			h.id[0], ops, prev = uint32(id), d.loose.staging(), d.prev[d.tmpls[id].prev:]
 		}
 	} else {
 		if ref > uint64(len(d.tmpls)) {
-			return d.fault(corrupt, p, "template ref", "beyond table")
+			return nil, d.fault(corrupt, p, "template ref", "beyond table")
 		}
-		id = uint32(ref - 1)
-		h := d.tmpls[id].home
-		if h == nil {
-			h = d.materialize(&d.tmpls[id])
+		t := &d.tmpls[ref-1]
+		if h = t.home; h == nil {
+			h = d.materialize(uint32(ref - 1))
 		}
-		ops = b.AppendTemplate(&h.hdr, h.ops, h.hasResult, id)
-		rec = &b.Recs[len(b.Recs)-1]
-	}
-	if id != NoTemplate {
-		prev = d.prev[d.tmpls[id].prev:]
+		ops, prev = h.ops, d.prev[t.prev:]
 	}
 	v, p := d.uvarint(p)
 	if p < 0 {
-		return d.in(p, "dynamic id")
+		return nil, d.in(p, "dynamic id")
 	}
-	rec.DynID = d.dyn + unzigzag(v)
+	dyn := d.dyn + unzigzag(v)
 	if p = d.values(ops, prev, p); p < 0 {
-		return p
+		return nil, p
 	}
 	if ref == 0 {
-		b.seal(rec, flags&1 != 0)
-		b.TemplateIDs = append(b.TemplateIDs, id)
+		d.loose.seal(&h.rec[0], flags&1 != 0)
 	}
-	d.dyn = rec.DynID
+	h.rec[0].DynID, d.dyn = dyn, dyn
 	j := 0
 	for i := range ops {
 		if o := &ops[i]; o.IsReg && o.Value.Kind == KindPtr {
@@ -853,7 +848,7 @@ func (d *binDecoder) walk2(b *RecordBatch) int {
 			j++
 		}
 	}
-	return p
+	return h, p
 }
 
 // define decodes the template definition at data[p:] into rec's header
@@ -913,7 +908,8 @@ func growTable[T any](s []T, n int) []T {
 // materialize decodes t's definition again, into a new home: the first
 // reference to a template pays for its home, so a template used once —
 // as every one of a trace of distinct shapes is — never has one.
-func (d *binDecoder) materialize(t *tmpl) *home {
+func (d *binDecoder) materialize(id uint32) *home {
+	t := &d.tmpls[id]
 	r := binDecoder{data: d.defs, strs: d.strs, replay: true, next: int(t.strs0)}
 	if d.stable {
 		r.data = d.data
@@ -922,9 +918,9 @@ func (d *binDecoder) materialize(t *tmpl) *home {
 	flags := r.data[t.def]
 	var hdr Record
 	p := r.head(&hdr, flags, t.def)
-	d.scratch.Reset()
-	r.body(&d.scratch, flags, p, false, maxTemplateOperands)
-	t.home = d.slabs.newHome(&hdr, d.scratch.ops, flags != 0)
+	d.loose.Reset()
+	r.body(&d.loose.RecordBatch, flags, p, false, maxTemplateOperands)
+	t.home = d.slabs.newHome(&hdr, d.loose.staging(), flags != 0, id)
 	return t.home
 }
 
@@ -979,9 +975,10 @@ func ParseBinary(data []byte) ([]Record, error) {
 	return parse(data, FormatBinary)
 }
 
-// presize sizes b for the whole trace past the header at d.pos. Unlike
-// text there is no cheap record count, so it decodes up to 64 records on a
-// probe copy of d — its own string table and arena, d untouched — and
+// presize sizes b for the whole trace past the header at d.pos, before
+// any record. Unlike text there is no cheap record count, so it decodes up
+// to 64 records on a probe copy of d — its own tables and homes, d
+// untouched — and
 // scales their record and operand counts by the share of the record bytes
 // they take, plus an eighth: records and arena are then allocated once,
 // not regrown logarithmically many times (regrowing pointer-bearing slices
@@ -990,23 +987,22 @@ func (d *binDecoder) presize(b *RecordBatch) {
 	probe := *d
 	probe.strs = slices.Clone(d.strs)
 	probe.tmpls, probe.prev, probe.defs = slices.Clone(d.tmpls), slices.Clone(d.prev), nil
-	probe.slabs, probe.scratch = homeSlabs{}, RecordBatch{}
-	var pb RecordBatch
-	for len(pb.Recs) < 64 && probe.pos < len(d.data) {
-		if err := probe.record(&pb); err != nil {
+	probe.slabs, probe.loose = homeSlabs{}, loose{}
+	n, nops := 0, 0
+	count := func(recs []Record, _ []uint32) { n, nops = n+1, nops+recs[0].NumOperands() }
+	for n < 64 && probe.pos < len(d.data) {
+		if err := probe.record(count); err != nil {
 			break
 		}
 	}
-	n := len(pb.Recs)
 	if n == 0 {
 		return
 	}
 	scale := float64(len(d.data)-d.pos) / float64(probe.pos-d.pos) * 9 / 8
 	nrec := int(float64(n)*scale) + 64
-	b.Recs = make([]Record, 0, nrec)
-	b.ops = make([]Operand, 0, int(float64(len(pb.ops))*scale)+64)
+	b.Recs, b.TemplateIDs = make([]Record, 0, nrec), make([]uint32, 0, nrec)
+	b.ops = make([]Operand, 0, int(float64(nops)*scale)+64)
 	if d.v2 {
-		b.TemplateIDs = make([]uint32, 0, nrec)
 		d.tmpls = make([]tmpl, 0, int(float64(len(probe.tmpls))*scale)+64)
 	}
 }

@@ -20,7 +20,8 @@ import (
 // sniff as, a stream of
 // them refilled in small uneven Reads must decode exactly as the same
 // bytes in memory do, and so must the same bytes fed in small uneven cuts,
-// to the same records or the same error string.
+// and the same bytes read through the sink path (ReadInto), each record
+// cloned inside its call, to the same records or the same error string.
 func FuzzParseTrace(f *testing.F) {
 	recs := sampleRecords()
 	f.Add(EncodeAll(recs))
@@ -118,6 +119,21 @@ func FuzzParseTrace(f *testing.F) {
 		if fmt.Sprint(merr) != fmt.Sprint(ferr) || !equalModuloNaN(want, got) {
 			t.Fatalf("fed and in-memory reads of %q disagree (cuts %v): %d records, %v vs %d records, %v",
 				data, cuts, len(got), ferr, len(want), merr)
+		}
+		// Sink = batches: the records handed on in place, cloned inside
+		// each call, then the same error string.
+		var sunk []Record
+		rd, _, kerr := NewBytesReader(data)
+		if kerr == nil {
+			kerr = rd.ReadInto(func(recs []Record, _ []uint32) {
+				for i := range recs {
+					sunk = append(sunk, recs[i].Clone())
+				}
+			})
+		}
+		if fmt.Sprint(merr) != fmt.Sprint(kerr) || !equalModuloNaN(want, sunk) {
+			t.Fatalf("sink and batch reads of %q disagree: %d records, %v vs %d records, %v",
+				data, len(sunk), kerr, len(want), merr)
 		}
 		if serr != nil {
 			return

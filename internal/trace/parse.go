@@ -15,10 +15,10 @@ import (
 // one field slice, and six field strings per trace line — the decoder
 // walks the input byte slice directly, parses integers and pointers
 // without materializing strings, interns the few distinct identifier
-// strings (function names, block labels, operand names), and decodes
-// into a RecordBatch, whose shared operand arena makes a record block
-// cost amortized zero heap allocations. There is no line-length cap on
-// this path.
+// strings (function names, block labels, operand names), and hands each
+// block on as it decodes it, from its template's home or from the
+// decoder's loose record, so a record block costs amortized zero heap
+// allocations. There is no line-length cap on this path.
 
 // interner deduplicates identifier strings. A trace repeats the same
 // handful of function/block/operand names millions of times; interning
@@ -226,10 +226,12 @@ func parseValueBytes(b []byte) (Value, error) {
 }
 
 // decoder holds the reusable state of one textual decode: the name
-// interner and the templates (see texttemplate.go).
+// interner, the templates (see texttemplate.go) and a block parsed field
+// by field.
 type decoder struct {
-	in *interner
-	tt textTemplates
+	in    *interner
+	tt    textTemplates
+	loose loose
 }
 
 func newDecoder() *decoder {
@@ -493,14 +495,14 @@ func isHeaderLine(line []byte) bool {
 	return len(line) >= 2 && line[0] == '0' && line[1] == ','
 }
 
-// decodeN decodes up to max records from data, starting at pos, into b,
-// with their template ids, and returns the position of the first
-// unconsumed byte. This is the single textual decode loop;
-// WindowReader.nextText hands it its window. A block a template matches is
-// decoded from it; any other is parsed field by field, and may become a
-// template.
-func (d *decoder) decodeN(b *RecordBatch, data []byte, pos, max int) (int, error) {
-	start := len(b.Recs)
+// decodeN decodes up to max records from data, starting at pos, handing
+// each to sink with its template id, and returns the position of the first
+// unconsumed byte and how many records it handed on. This is the single
+// textual decode loop; WindowReader.nextText hands it its window. A block a
+// template matches is decoded from it, in place; any other is parsed field
+// by field into loose, and may become a template.
+func (d *decoder) decodeN(sink Sink, data []byte, pos, max int) (int, int, error) {
+	b, n := &d.loose, 0
 	var line []byte
 	var rec *Record // the open record, nil if none
 	block := 0
@@ -525,33 +527,33 @@ func (d *decoder) decodeN(b *RecordBatch, data []byte, pos, max int) (int, error
 			*b.stage() = res
 		}
 		var t *textTmpl
-		id := NoTemplate
 		if plain && (nres == 0 || nres == 1 && resLast) {
 			if t = d.learn(data[block:next], rec, b.staging(), nres > 0); t != nil {
-				id = t.id
+				b.id[0] = t.id[0]
 			}
 		}
 		b.seal(rec, nres > 0)
-		b.TemplateIDs = append(b.TemplateIDs, id)
 		d.follow(t)
 		rec = nil
+		sink(b.rec[:], b.id[:])
+		n++
 	}
 	for pos < len(data) {
 		if isHeaderLine(data[pos:]) {
 			flush(pos)
-			if len(b.Recs)-start == max {
-				return pos, nil
+			if n == max {
+				return pos, n, nil
 			}
-			if end := d.templated(b, data, pos); end >= 0 {
-				pos = end
+			if end := d.templated(sink, data, pos); end >= 0 {
+				pos, n = end, n+1
 				continue
 			}
 			block = pos
 			line, pos = nextLine(data, pos)
-			rec, nres, resLast = b.open(), 0, false
+			rec, nres, resLast = b.begin(), 0, false
 			dyn, err := d.header(line, rec)
 			if err != nil {
-				return pos, err
+				return pos, n, err
 			}
 			plain = bareLF(data, block, pos, line)
 			tt.dyn, tt.vals = dyn, tt.vals[:0]
@@ -564,7 +566,7 @@ func (d *decoder) decodeN(b *RecordBatch, data []byte, pos, max int) (int, error
 			continue
 		}
 		if rec == nil {
-			return pos, fmt.Errorf("trace: expected block header, got %q", line)
+			return pos, n, fmt.Errorf("trace: expected block header, got %q", line)
 		}
 		o := &res
 		if resLast = len(line) > 1 && line[0] == 'r' && line[1] == ','; resLast {
@@ -574,7 +576,7 @@ func (d *decoder) decodeN(b *RecordBatch, data []byte, pos, max int) (int, error
 		}
 		val, err := d.operand(line, o)
 		if err != nil {
-			return pos, err
+			return pos, n, err
 		}
 		if plain = plain && bareLF(data, from, pos, line) && len(tt.vals) < maxTemplateOperands; plain {
 			at := from - block
@@ -582,7 +584,7 @@ func (d *decoder) decodeN(b *RecordBatch, data []byte, pos, max int) (int, error
 		}
 	}
 	flush(pos)
-	return pos, nil
+	return pos, n, nil
 }
 
 // bareLF reports whether line, which nextLine read from data[from:pos],

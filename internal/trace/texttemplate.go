@@ -29,20 +29,20 @@ import (
 // it is seen, through a fixed first-sight memo, so a trace of distinct
 // shapes costs the memo and no templates; the parse hands learn the spans
 // of the variable fields, so a block is not walked twice. A template's
-// static half is a home, as an ACTB template's is, which
-// RecordBatch.AppendTemplate copies; the templates' storage comes from
-// slabs, and their number is capped.
+// static half is a home, as an ACTB template's is, into which a block that
+// matches is decoded in place, and which is handed on as its record; the
+// templates' storage comes from slabs, and their number is capped.
 //
 // The template that decodes a block is looked for first as the successor
 // of the previous block's template — the instruction that followed it
 // last time — and then in a table keyed by the header up to the DynID,
-// behind a filter of the headers that have templates. A template's id is its index in the order templates are made; the
-// records it decodes carry it in RecordBatch.TemplateIDs.
+// behind a filter of the headers that have templates. A template's id is
+// its index in the order templates are made; the records it decodes are
+// handed on with it.
 
 // textTmpl is one block shape.
 type textTmpl struct {
 	*home
-	id     uint32
 	head   int       // static[:head] is the header line up to the DynID
 	static []byte    // the block's bytes less its variable fields
 	vars   []textVar // the register value fields, in block order
@@ -103,14 +103,14 @@ const (
 )
 
 // templated decodes the block at data[pos:], which starts with a header
-// line, from a template that matches it, into b. It returns the position
-// after the block, or -1 if no template matches.
-func (d *decoder) templated(b *RecordBatch, data []byte, pos int) int {
+// line, from a template that matches it, and hands it to sink. It returns
+// the position after the block, or -1 if no template matches.
+func (d *decoder) templated(sink Sink, data []byte, pos int) int {
 	tt := &d.tt
 	var tried *textTmpl
 	if tt.last != nil {
 		if t := tt.last.next; t != nil && bytes.HasPrefix(data[pos:], t.static[:t.head]) {
-			if end := d.apply(b, t, data, pos); end >= 0 {
+			if end := d.apply(sink, t, data, pos); end >= 0 {
 				return end
 			}
 			tried = t
@@ -132,7 +132,7 @@ func (d *decoder) templated(b *RecordBatch, data []byte, pos int) int {
 		if t == tried {
 			continue
 		}
-		if end := d.apply(b, t, data, pos); end >= 0 {
+		if end := d.apply(sink, t, data, pos); end >= 0 {
 			return end
 		}
 	}
@@ -140,27 +140,26 @@ func (d *decoder) templated(b *RecordBatch, data []byte, pos int) int {
 }
 
 // apply decodes the block at data[pos:], whose header up to the DynID is
-// t's, as an instance of t: it copies t's record into b and walks the
-// block once, comparing each static run and scanning each variable field
-// into the copy. The block must end where t does, at the end of data or
-// at the next header. It returns the position after the block, or -1 —
-// with the copy taken back — if the block is not t's.
-func (d *decoder) apply(b *RecordBatch, t *textTmpl, data []byte, pos int) int {
-	m := b.mark()
-	dyn, p, ok := t.match(data, pos, b.AppendTemplate(&t.hdr, t.ops, t.hasResult, t.id))
+// t's, into t's home, and hands the home's record to sink. It returns the
+// position after the block, or -1 if the block is not t's: the values
+// match wrote by then, the next block t matches writes again.
+func (d *decoder) apply(sink Sink, t *textTmpl, data []byte, pos int) int {
+	dyn, p, ok := t.match(data, pos)
 	if !ok {
-		b.rollback(m)
 		return -1
 	}
-	b.Recs[len(b.Recs)-1].DynID = dyn
+	t.rec[0].DynID = dyn
 	d.follow(t)
+	sink(t.rec[:], t.id[:])
 	return p
 }
 
-// match checks the block at data[pos:] against t and decodes its variable
-// fields: the DynID, returned, and the register values, written into ops,
-// a copy of t's operands. It returns the position after the block.
-func (t *textTmpl) match(data []byte, pos int, ops []Operand) (dyn int64, p int, ok bool) {
+// match walks the block at data[pos:] once, comparing each of t's static
+// runs and decoding each variable field: the DynID, returned, and the
+// register values, written into t's operands. The block must end where t
+// does, at the end of data or at the next header. It returns the position
+// after the block.
+func (t *textTmpl) match(data []byte, pos int) (dyn int64, p int, ok bool) {
 	if dyn, p, ok = scanDigits(data, pos+t.head); !ok {
 		return 0, 0, false
 	}
@@ -170,7 +169,7 @@ func (t *textTmpl) match(data []byte, pos int, ops []Operand) (dyn int64, p int,
 		if !bytes.HasPrefix(data[p:], run) {
 			return 0, 0, false
 		}
-		if p, ok = scanRegister(data, p+len(run), &ops[v.op].Value); !ok {
+		if p, ok = scanRegister(data, p+len(run), &t.ops[v.op].Value); !ok {
 			return 0, 0, false
 		}
 		from = int(v.at)
@@ -258,8 +257,7 @@ func (d *decoder) learn(block []byte, rec *Record, ops []Operand, hasResult bool
 	}
 	t := &carve(&tt.tslab, 1, tmplSlab)[0]
 	*t = textTmpl{
-		home:   tt.slabs.newHome(rec, ops, hasResult),
-		id:     uint32(tt.n),
+		home:   tt.slabs.newHome(rec, ops, hasResult, uint32(tt.n)),
 		head:   head,
 		static: carve(&tt.bslab, len(s), byteSlab),
 		vars:   carve(&tt.vslab, len(vars), varSlab),

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 const (
@@ -29,7 +30,9 @@ const (
 // buffer that slides its undecoded tail to the front and refills with one
 // Read at a time, so a trace is decoded as it arrives. Either way the
 // bytes go to the same two decoders, decoder.decodeN (text) and
-// binDecoder.record (ACTB), which decode into the caller's batch.
+// binDecoder.record (ACTB), which hand each record to a sink: the
+// caller's (ReadInto), or one that clones it into the caller's batch
+// (NextBatch).
 type WindowReader struct {
 	src    io.Reader // nil over an in-memory trace; a *feed when fed
 	buf    []byte    // the window; buf[pos:end] is read but not yet decoded
@@ -46,8 +49,6 @@ type WindowReader struct {
 	scanned int      // text: buf[:scanned] has been searched for the cut
 
 	bin binDecoder // binary: its data and pos stand in for buf[:end] and pos between fills
-
-	one RecordBatch // Next's private one-record batch
 }
 
 // NewAutoReader returns a streaming reader for whichever format the
@@ -207,57 +208,75 @@ func (w *WindowReader) fill() error {
 	return nil
 }
 
-// Next returns the next record, or (nil, nil) at end of trace. It is
-// NextBatch of one, cloned out because the Reader contract lets callers
-// retain the record.
+// Next returns the next record, or (nil, nil) at end of trace: NextBatch
+// of one into a batch of its own, because the Reader contract lets
+// callers retain the record.
 func (w *WindowReader) Next() (*Record, error) {
-	if n, err := w.NextBatch(&w.one, 1); err != nil || n == 0 {
+	var b RecordBatch
+	if n, err := w.NextBatch(&b, 1); n == 0 {
 		return nil, err
 	}
-	rec := w.one.Recs[0].Clone()
-	return &rec, nil
+	return &b.Recs[0], nil
 }
 
-// NextBatch decodes up to max records into b, recycling its storage.
-// After an error every call returns that error and no records: a decoder
-// that failed mid-record has no position to resume from. A fed reader out of
-// bytes returns what it decoded, and no error.
+// NextBatch decodes up to max records into b, recycling its storage: the
+// materialising consumer of read, whose sink clones each record into b.
+// A batch that meets an error is dropped whole. A fed reader out of bytes
+// returns what it decoded, and no error.
 func (w *WindowReader) NextBatch(b *RecordBatch, max int) (int, error) {
 	b.Reset()
+	n, err := w.read(b.add, max)
+	if err != nil {
+		b.Reset()
+		return 0, err
+	}
+	return n, nil
+}
+
+// ReadInto decodes to the end of the trace, or of the bytes fed so far,
+// handing each record to sink as it is decoded, in place (see Sink).
+func (w *WindowReader) ReadInto(sink Sink) error {
+	_, err := w.read(sink, math.MaxInt)
+	return err
+}
+
+// read decodes up to max records, handing each to sink, and returns how
+// many it handed on. After an error every call returns that error and
+// hands on nothing: a decoder that failed mid-record has no position to
+// resume from. A fed reader out of bytes returns no error.
+func (w *WindowReader) read(sink Sink, max int) (int, error) {
 	err := w.err
 	if err == nil && w.sniff {
 		err = w.detect()
 	}
+	n := 0
 	if err == nil {
 		if w.format == FormatBinary {
-			err = w.nextBinary(b, max)
+			n, err = w.nextBinary(sink, max)
 		} else {
-			err = w.nextText(b, max)
+			n, err = w.nextText(sink, max)
 		}
 	}
 	if err == errStarved {
 		err = nil
 	}
-	if w.err = err; err != nil {
-		b.Reset()
-		return 0, err
-	}
-	return len(b.Recs), nil
+	w.err = err
+	return n, err
 }
 
 // nextText hands decodeN the window up to its last "\n0,": everything
 // before a block header is complete blocks, so the decoder never sees a
 // record the next refill would extend. The final
 // window is decoded to its end.
-func (w *WindowReader) nextText(b *RecordBatch, limit int) error {
+func (w *WindowReader) nextText(sink Sink, limit int) (n int, err error) {
 	if w.text == nil {
 		w.text = newDecoder()
 	}
-	for len(b.Recs) < limit {
+	for n < limit {
 		if w.pos < w.cut {
-			pos, err := w.text.decodeN(b, w.buf[:w.cut], w.pos, limit-len(b.Recs))
-			if err != nil {
-				return err
+			pos, k, err := w.text.decodeN(sink, w.buf[:w.cut], w.pos, limit-n)
+			if n += k; err != nil {
+				return n, err
 			}
 			w.pos = pos
 			continue
@@ -268,7 +287,7 @@ func (w *WindowReader) nextText(b *RecordBatch, limit int) error {
 			}
 			w.cut, w.scanned = 0, w.scanned-w.pos // fill slides pos to 0
 			if err := w.fill(); err != nil {
-				return err
+				return n, err
 			}
 		}
 		// Only bytes not searched before are searched (less a mark's
@@ -283,43 +302,37 @@ func (w *WindowReader) nextText(b *RecordBatch, limit int) error {
 		}
 		w.scanned = w.end
 	}
-	return nil
+	return n, nil
 }
 
 // nextBinary decodes records until one runs off the end of a non-final
 // window; that record, which the decoder has rolled back (see
 // binDecoder.record), is decoded again after a refill. In the final window
 // running off the end is the truncation error.
-func (w *WindowReader) nextBinary(b *RecordBatch, max int) error {
+func (w *WindowReader) nextBinary(sink Sink, max int) (n int, err error) {
 	d := &w.bin
-	for len(b.Recs) < max {
+	for n < max {
 		if d.pos < len(d.data) {
-			err := w.binaryStep(b)
+			if d.base == 0 && d.pos == 0 {
+				err = d.header()
+			} else if err = d.record(sink); err == nil {
+				n++
+			}
 			if err == nil {
 				continue
 			}
 			if w.final() || !errors.Is(err, io.ErrUnexpectedEOF) {
-				return err
+				return n, err
 			}
 		} else if w.final() {
 			break
 		}
 		w.pos = d.pos
-		err := w.fill()
+		err = w.fill()
 		d.data, d.pos, d.base = w.buf[:w.end], 0, w.base
 		if err != nil {
-			return err
+			return n, err
 		}
 	}
-	return nil
-}
-
-// binaryStep decodes what sits at d.pos: the header at stream offset 0, a
-// record into b anywhere else.
-func (w *WindowReader) binaryStep(b *RecordBatch) error {
-	d := &w.bin
-	if d.base == 0 && d.pos == 0 {
-		return d.header()
-	}
-	return d.record(b)
+	return n, nil
 }

@@ -25,6 +25,7 @@ var surfaceAllowlist = map[string]string{
 	// that follows the benchmark's own (ROADMAP item 1).
 	"checkpoint.NewContextBackend": "benchmark-only: benchmark/layers.go",
 	"trace.ParseBinary":            "benchmark-only: benchmark/layers.go",
+	"trace.ForEachBatch":           "benchmark-only: benchmark/layers.go",
 	"trace.ParseBytesParallel":     "benchmark-only: benchmark/layers.go; Deprecated",
 	"store.NewSharded":             "benchmark-only: benchmark/layers.go; Deprecated",
 	"store.DefaultShardWorkers":    "benchmark-only: benchmark/layers.go; Deprecated",
