@@ -36,28 +36,17 @@ const (
 // recycled for a later call after it returns.
 type Frame struct {
 	Fn   *ir.Function
-	blk  *ir.Block
-	idx  int
-	regs []trace.Value // register file, indexed by ir.Instr.ID
-	args []trace.Value
-	sp   uint64 // stack pointer at frame entry (restored on return)
-	call *ir.Instr
-	tmpl []recordTemplate // the record templates of blk's instructions; nil until blk's first record
+	code *funcCode
+	bi   int           // the block being executed, by number in code
+	cur  []instr       // its entries: code.blocks[bi].code
+	idx  int           // the next instruction's index in the block
+	regs []trace.Value // register file: indexed by ir.Instr.ID, then the parameters from code.nregs on
+	sp   uint64        // stack pointer at frame entry (restored on return)
+	call *instr        // the caller's Call; nil for main
 }
 
-// alloca returns the executed Alloca of the named local in this frame. An
-// Alloca's register holds a pointer once it has run and the zero (integer)
-// value before.
-func (f *Frame) alloca(name string) *ir.Instr {
-	for _, blk := range f.Fn.Blocks {
-		for _, in := range blk.Instrs {
-			if in.Op == trace.OpAlloca && in.Name == name && f.regs[in.ID].Kind == trace.KindPtr {
-				return in
-			}
-		}
-	}
-	return nil
-}
+// block is the block f is executing.
+func (f *Frame) block() *ir.Block { return f.code.blocks[f.bi].blk }
 
 // Watch counts the writes that land in one registered range of a
 // machine's memory (Machine.Watch). The checkpoint layer keeps one per
@@ -98,23 +87,21 @@ type Machine struct {
 	frames  []*Frame   // the call stack; frames[len(frames):cap(frames)] are popped frames awaiting reuse
 	watches []*Watch   // registered ranges; empty on a machine nobody checkpoints
 	sink    trace.Sink // takes each emitted record and its template id (see TraceInto); nil: no tracing
-	globals map[*ir.Global]uint64
-	nextG   uint64
+	globals []uint64   // the address of each of Mod.Globals, by position
 	sp      uint64
 	rng     uint64
 	fnAddr  map[string]uint64
 	nextFn  uint64
-	tmpls   map[*ir.Block][]recordTemplate // per block, indexed like its Instrs (see emit)
-	ntmpl   uint32                         // templates built: the next one's id
-	// Slabs the templates and their operand lists are cut from, so a
-	// machine allocates per slab, not per instruction.
-	tmplSlab []recordTemplate
-	opSlab   []trace.Operand
-	dynSlab  []dynOperand
+	codes   map[*ir.Function]*funcCode // each function's code table, once called or called from built code
+	ntmpl   uint32                     // templates built: the next one's id
+	// Slabs the code tables and the templates are cut from, so a machine
+	// allocates per slab, not per instruction.
+	codeSlab   []instr
+	argSlab    []operand
+	strideSlab []int64
+	opSlab     []trace.Operand
+	dynSlab    []dynOperand
 }
-
-// templateSlab is the least a template slab holds.
-const templateSlab = 256
 
 // funcAddr returns a stable fake code address for a function name, used in
 // Call records the way LLVM-Tracer prints the callee's address+name
@@ -137,14 +124,14 @@ func New(mod *ir.Module) *Machine {
 	m := &Machine{
 		Mod:     mod,
 		Mem:     make(map[uint64]trace.Value),
-		globals: make(map[*ir.Global]uint64),
-		nextG:   globalBase,
+		globals: make([]uint64, len(mod.Globals)),
 		sp:      stackBase,
 		rng:     0x9E3779B97F4A7C15,
 	}
-	for _, g := range mod.Globals {
-		m.globals[g] = m.nextG
-		m.nextG += align8(g.Elem.Size())
+	next := uint64(globalBase)
+	for i, g := range mod.Globals {
+		m.globals[i] = next
+		next += align8(g.Elem.Size())
 	}
 	return m
 }
@@ -161,24 +148,25 @@ func (m *Machine) Output() string { return m.out.String() }
 
 // GlobalAddr returns the address of a named global variable.
 func (m *Machine) GlobalAddr(name string) (uint64, bool) {
-	for g, addr := range m.globals {
+	for i, g := range m.Mod.Globals {
 		if g.Name == name {
-			return addr, true
+			return m.globals[i], true
 		}
 	}
 	return 0, false
 }
 
-// ReadCell reads one 8-byte cell, coercing to the wanted scalar type.
-func (m *Machine) ReadCell(addr uint64, want ir.Type) trace.Value {
+// readCell reads one 8-byte cell, coerced to class c; a cell never
+// written reads as zero of c's kind (an integer unless c is a float).
+func (m *Machine) readCell(addr uint64, c valueClass) trace.Value {
 	v, ok := m.Mem[addr]
 	if !ok {
-		if ir.IsFloat(want) {
+		if c == classFloat {
 			return trace.FloatValue(0)
 		}
 		return trace.IntValue(0)
 	}
-	return coerce(v, want)
+	return c.coerce(v)
 }
 
 // WriteCell writes one 8-byte cell.
@@ -249,19 +237,6 @@ func (m *Machine) Reserve(cells int) {
 	}
 }
 
-func coerce(v trace.Value, want ir.Type) trace.Value {
-	switch {
-	case ir.IsFloat(want) && v.Kind != trace.KindFloat:
-		if v.Kind == trace.KindPtr {
-			return trace.FloatValue(float64(v.Addr()))
-		}
-		return trace.FloatValue(float64(v.Int()))
-	case ir.IsInt(want) && v.Kind == trace.KindFloat:
-		return trace.IntValue(int64(v.Float()))
-	}
-	return v
-}
-
 // Run executes main to completion and returns the printed output. The
 // trace sink is handed each record as its instruction runs, so however Run
 // ends — normally, on a runtime error, ErrFailStop from a hook, or
@@ -272,14 +247,7 @@ func (m *Machine) Run() (string, error) {
 }
 
 func (m *Machine) run() error {
-	mainFn := m.Mod.Func("main")
-	if mainFn == nil {
-		return fmt.Errorf("interp: module has no main")
-	}
-	if m.MaxSteps == 0 {
-		m.MaxSteps = 200_000_000
-	}
-	if err := m.pushFrame(mainFn, nil, nil); err != nil {
+	if err := m.enterMain(); err != nil {
 		return err
 	}
 	for len(m.frames) > 0 {
@@ -293,11 +261,26 @@ func (m *Machine) run() error {
 	return nil
 }
 
-// pushFrame enters fn, called by the instruction call of frame caller (both
-// nil for main); the arguments are evaluated in the caller. Frame, register
-// file and argument storage are those of the last call that ran at this
-// depth, when there was one.
-func (m *Machine) pushFrame(fn *ir.Function, caller *Frame, call *ir.Instr) error {
+// enterMain sets the default step limit and pushes main's frame.
+func (m *Machine) enterMain() error {
+	mainFn := m.Mod.Func("main")
+	if mainFn == nil {
+		return fmt.Errorf("interp: module has no main")
+	}
+	if m.MaxSteps == 0 {
+		m.MaxSteps = 200_000_000
+	}
+	return m.pushFrame(m.codeOf(mainFn), nil, nil)
+}
+
+// pushFrame enters the function of c, called by the instruction call of
+// frame caller (both nil for main); the arguments are evaluated in the
+// caller, into the callee's parameter registers. Frame and register file
+// are those of the last call that ran at this depth, when there was one.
+func (m *Machine) pushFrame(c *funcCode, caller *Frame, call *instr) error {
+	if c.blocks == nil {
+		m.build(c)
+	}
 	var f *Frame
 	if n := len(m.frames); n < cap(m.frames) {
 		f = m.frames[:n+1][n]
@@ -305,42 +288,24 @@ func (m *Machine) pushFrame(fn *ir.Function, caller *Frame, call *ir.Instr) erro
 	if f == nil {
 		f = new(Frame)
 	}
-	regs, args := f.regs, f.args[:0]
-	if n := fn.NumRegs(); cap(regs) < n {
+	regs := f.regs
+	if n := c.nregs + len(c.fn.Params); cap(regs) < n {
 		regs = make([]trace.Value, n)
 	} else {
 		regs = regs[:n]
 		clear(regs)
 	}
 	if call != nil {
-		for _, a := range call.Args {
-			args = append(args, m.eval(caller, a))
+		for i := range call.args {
+			regs[c.nregs+i] = caller.value(&call.args[i])
 		}
 	}
-	*f = Frame{Fn: fn, blk: fn.Entry(), regs: regs, args: args, sp: m.sp, call: call}
+	*f = Frame{Fn: c.fn, code: c, cur: c.blocks[0].code, regs: regs, sp: m.sp, call: call}
 	m.frames = append(m.frames, f)
 	if m.BlockHook != nil {
-		return m.BlockHook(m, f, f.blk)
+		return m.BlockHook(m, f, c.blocks[0].blk)
 	}
 	return nil
-}
-
-// eval resolves an IR value to its runtime value in frame f.
-func (m *Machine) eval(f *Frame, v ir.Value) trace.Value {
-	switch x := v.(type) {
-	case *ir.Const:
-		if ir.IsFloat(x.Typ) {
-			return trace.FloatValue(x.F)
-		}
-		return trace.IntValue(x.I)
-	case *ir.Global:
-		return trace.PtrValue(m.globals[x])
-	case *ir.Param:
-		return f.args[x.Index]
-	case *ir.Instr:
-		return f.regs[x.ID]
-	}
-	panic(fmt.Sprintf("interp: unknown value %T", v))
 }
 
 // recordTemplate is the static half of every record one instruction
@@ -360,42 +325,34 @@ type recordTemplate struct {
 	built bool
 }
 
-// dynOperand says where the value of ops[pos] lives in the emitting
-// frame: its register file at src, or its arguments when param is set.
+// dynOperand says that the value of ops[pos] is the emitting frame's
+// register src.
 type dynOperand struct {
 	pos, src int
-	param    bool
 }
 
-// emit hands the record of the instruction just executed to the trace
+// emit hands the record of e, the instruction just executed, to the trace
 // sink. The record is the instruction's template, with the values only
 // this execution knows written into it in place: the register and
 // parameter arguments (a Call's parameters repeat its arguments), the
 // result and the dynamic id. So a record costs its dynamic half only, and
 // nothing is allocated per record; the next emission of the instruction,
 // from this frame or a nested one, overwrites it, which is why a sink may
-// use a record only for the call that delivers it. The frame keeps its
-// block's templates, so finding one is an index, and the machine builds
-// each the first time it emits the instruction: the callee's code address
-// is assigned then, in the order calls are first emitted, which a machine
-// that built its templates ahead would change.
-func (m *Machine) emit(f *Frame, in *ir.Instr, result *trace.Value) {
+// use a record only for the call that delivers it. The template lives in
+// the instruction's code entry, and the machine builds it the first time
+// it emits the instruction: the callee's code address is assigned then,
+// in the order calls are first emitted, which a machine that built its
+// templates ahead would change.
+func (m *Machine) emit(f *Frame, e *instr, result *trace.Value) {
 	if m.sink == nil {
 		return
 	}
-	if f.tmpl == nil {
-		f.tmpl = m.blockTemplates(f.blk)
-	}
-	t := &f.tmpl[f.idx]
+	t := &e.tmpl
 	if !t.built {
-		m.buildTemplate(t, f, in, result != nil)
+		m.buildTemplate(f, e, result != nil)
 	}
 	for _, d := range t.dyn {
-		if d.param {
-			t.ops[d.pos].Value = f.args[d.src]
-		} else {
-			t.ops[d.pos].Value = f.regs[d.src]
-		}
+		t.ops[d.pos].Value = f.regs[d.src]
 	}
 	r := &t.rec[0]
 	if result != nil {
@@ -405,33 +362,9 @@ func (m *Machine) emit(f *Frame, in *ir.Instr, result *trace.Value) {
 	m.sink(t.rec[:], t.id[:])
 }
 
-// blockTemplates returns the templates of blk's instructions, unbuilt
-// until each is first emitted.
-func (m *Machine) blockTemplates(blk *ir.Block) []recordTemplate {
-	ts := m.tmpls[blk]
-	if ts == nil {
-		if m.tmpls == nil {
-			m.tmpls = make(map[*ir.Block][]recordTemplate)
-		}
-		ts = cut(&m.tmplSlab, len(blk.Instrs))[:len(blk.Instrs)]
-		m.tmpls[blk] = ts
-	}
-	return ts
-}
-
-// cut returns an empty slice with room for n cut from the front of
-// *slab, which a fresh slab replaces when it has not the room.
-func cut[T any](slab *[]T, n int) []T {
-	if cap(*slab) < n {
-		*slab = make([]T, max(n, templateSlab))
-	}
-	s := (*slab)[:0:n]
-	*slab = (*slab)[n:]
-	return s
-}
-
-// buildTemplate fills t for in, executed in frame f.
-func (m *Machine) buildTemplate(t *recordTemplate, f *Frame, in *ir.Instr, hasResult bool) {
+// buildTemplate fills e's template, e executed in frame f.
+func (m *Machine) buildTemplate(f *Frame, e *instr, hasResult bool) {
+	in := e.in
 	n := len(in.Args) // the operands: arguments, callee and parameters, result
 	if in.Op == trace.OpCall {
 		n++
@@ -442,8 +375,9 @@ func (m *Machine) buildTemplate(t *recordTemplate, f *Frame, in *ir.Instr, hasRe
 	if hasResult {
 		n++
 	}
+	t := &e.tmpl
 	*t = recordTemplate{
-		rec:   [1]trace.Record{{Line: in.Line, Func: f.Fn.Name, Block: f.blk.Name, Opcode: in.Op}},
+		rec:   [1]trace.Record{{Line: in.Line, Func: f.Fn.Name, Block: f.block().Name, Opcode: in.Op}},
 		id:    [1]uint32{m.ntmpl},
 		ops:   cut(&m.opSlab, n),
 		dyn:   cut(&m.dynSlab, n),
@@ -452,7 +386,7 @@ func (m *Machine) buildTemplate(t *recordTemplate, f *Frame, in *ir.Instr, hasRe
 	m.ntmpl++
 	for i, a := range in.Args {
 		_, isConst := a.(*ir.Const)
-		m.addOperand(t, trace.Operand{Index: i + 1, Size: 64, IsReg: !isConst, Name: a.ValueName()}, a)
+		t.add(trace.Operand{Index: i + 1, Size: 64, IsReg: !isConst, Name: a.ValueName()}, e.args[i])
 	}
 	if in.Op == trace.OpCall {
 		// The Fig. 6(a)/(b) call record: callee-name operand (index 0), then
@@ -465,7 +399,7 @@ func (m *Machine) buildTemplate(t *recordTemplate, f *Frame, in *ir.Instr, hasRe
 		t.ops = append(t.ops, trace.Operand{Index: 0, Size: 64, Value: trace.PtrValue(m.funcAddr(name)), IsReg: false, Name: name})
 		if in.Callee != nil {
 			for i, p := range in.Callee.Params {
-				m.addOperand(t, trace.Operand{Index: -(i + 1), Size: 64, IsReg: true, Name: p.Name}, in.Args[i])
+				t.add(trace.Operand{Index: -(i + 1), Size: 64, IsReg: true, Name: p.Name}, e.args[i])
 			}
 		}
 	}
@@ -491,149 +425,110 @@ func (m *Machine) buildTemplate(t *recordTemplate, f *Frame, in *ir.Instr, hasRe
 	}
 }
 
-// addOperand appends o, whose value is that of a, to t: filled in when a
-// is a constant or a global, listed in t.dyn when the frame holds it.
-func (m *Machine) addOperand(t *recordTemplate, o trace.Operand, a ir.Value) {
-	switch x := a.(type) {
-	case *ir.Param:
-		t.dyn = append(t.dyn, dynOperand{pos: len(t.ops), src: x.Index, param: true})
-	case *ir.Instr:
-		t.dyn = append(t.dyn, dynOperand{pos: len(t.ops), src: x.ID})
-	default:
-		o.Value = m.eval(nil, a)
+// add appends o, whose value is that of a: filled in when a is a
+// constant, listed in t.dyn when the frame holds it.
+func (t *recordTemplate) add(o trace.Operand, a operand) {
+	if a.reg >= 0 {
+		t.dyn = append(t.dyn, dynOperand{pos: len(t.ops), src: a.reg})
+	} else {
+		o.Value = a.val
 	}
 	t.ops = append(t.ops, o)
 }
 
 func (m *Machine) step() error {
 	f := m.frames[len(m.frames)-1]
-	in := f.blk.Instrs[f.idx]
+	e := &f.cur[f.idx]
 	m.Steps++
 	m.dynID++
-	switch in.Op {
+	switch e.op {
 	case trace.OpAlloca:
-		size := align8(in.AllocElem.Size())
-		m.sp -= size
+		m.sp -= e.size
 		res := trace.PtrValue(m.sp)
-		f.regs[in.ID] = res
-		m.emit(f, in, &res)
+		f.regs[e.dst] = res
+		m.emit(f, e, &res)
 	case trace.OpLoad:
-		ptr := m.eval(f, in.Args[0])
-		v := m.ReadCell(ptr.Addr(), in.Type())
-		f.regs[in.ID] = v
-		m.emit(f, in, &v)
+		v := m.readCell(f.value(&e.args[0]).Addr(), e.class)
+		f.regs[e.dst] = v
+		m.emit(f, e, &v)
 	case trace.OpStore:
-		val := m.eval(f, in.Args[0])
-		ptr := m.eval(f, in.Args[1])
-		m.WriteCell(ptr.Addr(), coerce(val, scalarOf(in.Args[0].Type())))
-		m.emit(f, in, nil)
+		val := f.value(&e.args[0])
+		m.WriteCell(f.value(&e.args[1]).Addr(), e.class.coerce(val))
+		m.emit(f, e, nil)
 	case trace.OpGetElementPtr:
-		addr := m.gepAddr(f, in)
+		addr := f.value(&e.args[0]).Addr()
+		for k, s := range e.strides {
+			addr += uint64(f.value(&e.args[k+1]).Int() * s)
+		}
 		v := trace.PtrValue(addr)
-		f.regs[in.ID] = v
-		m.emit(f, in, &v)
+		f.regs[e.dst] = v
+		m.emit(f, e, &v)
 	case trace.OpBitCast:
-		v := m.eval(f, in.Args[0])
-		f.regs[in.ID] = v
-		m.emit(f, in, &v)
+		v := f.value(&e.args[0])
+		f.regs[e.dst] = v
+		m.emit(f, e, &v)
 	case trace.OpSIToFP:
-		x := m.eval(f, in.Args[0])
-		v := trace.FloatValue(float64(x.Int()))
-		f.regs[in.ID] = v
-		m.emit(f, in, &v)
+		v := trace.FloatValue(float64(f.value(&e.args[0]).Int()))
+		f.regs[e.dst] = v
+		m.emit(f, e, &v)
 	case trace.OpFPToSI:
-		x := m.eval(f, in.Args[0])
-		v := trace.IntValue(int64(x.Float()))
-		f.regs[in.ID] = v
-		m.emit(f, in, &v)
+		v := trace.IntValue(int64(f.value(&e.args[0]).Float()))
+		f.regs[e.dst] = v
+		m.emit(f, e, &v)
 	case trace.OpICmp, trace.OpFCmp:
-		x := m.eval(f, in.Args[0])
-		y := m.eval(f, in.Args[1])
-		v := trace.IntValue(boolToInt(compare(in, x, y)))
-		f.regs[in.ID] = v
-		m.emit(f, in, &v)
+		x := f.value(&e.args[0])
+		y := f.value(&e.args[1])
+		v := trace.IntValue(boolToInt(compare(e.in, x, y)))
+		f.regs[e.dst] = v
+		m.emit(f, e, &v)
 	case trace.OpAdd, trace.OpSub, trace.OpMul, trace.OpSDiv, trace.OpUDiv,
 		trace.OpSRem, trace.OpURem, trace.OpFAdd, trace.OpFSub, trace.OpFMul,
 		trace.OpFDiv, trace.OpFRem:
-		x := m.eval(f, in.Args[0])
-		y := m.eval(f, in.Args[1])
-		v, err := arith(in.Op, x, y)
+		x := f.value(&e.args[0])
+		y := f.value(&e.args[1])
+		v, err := arith(e.op, x, y)
 		if err != nil {
-			return fmt.Errorf("%w at %s line %d", err, f.Fn.Name, in.Line)
+			return fmt.Errorf("%w at %s line %d", err, f.Fn.Name, e.in.Line)
 		}
-		f.regs[in.ID] = v
-		m.emit(f, in, &v)
+		f.regs[e.dst] = v
+		m.emit(f, e, &v)
 	case trace.OpBr:
-		var target *ir.Block
-		if len(in.Args) == 1 {
-			cond := m.eval(f, in.Args[0])
-			if truthy(cond) {
-				target = in.Succs[0]
-			} else {
-				target = in.Succs[1]
-			}
-		} else {
-			target = in.Succs[0]
+		target := e.succ[0]
+		if len(e.args) == 1 && !truthy(f.value(&e.args[0])) {
+			target = e.succ[1]
 		}
-		m.emit(f, in, nil)
-		f.blk, f.idx, f.tmpl = target, 0, nil
+		m.emit(f, e, nil)
+		f.bi, f.cur, f.idx = target, f.code.blocks[target].code, 0
 		if m.BlockHook != nil {
-			if err := m.BlockHook(m, f, target); err != nil {
+			if err := m.BlockHook(m, f, f.block()); err != nil {
 				return err
 			}
 		}
 		return nil
 	case trace.OpRet:
 		var ret *trace.Value
-		if len(in.Args) == 1 {
-			v := m.eval(f, in.Args[0])
+		if len(e.args) == 1 {
+			v := f.value(&e.args[0])
 			ret = &v
 		}
-		m.emit(f, in, nil)
+		m.emit(f, e, nil)
 		m.sp = f.sp // pop the frame's stack storage
 		m.frames = m.frames[:len(m.frames)-1]
 		if len(m.frames) > 0 {
 			caller := m.frames[len(m.frames)-1]
-			if f.call != nil && f.call.Producer() && ret != nil {
-				caller.regs[f.call.ID] = *ret
+			if f.call != nil && f.call.dst >= 0 && ret != nil {
+				caller.regs[f.call.dst] = *ret
 			}
 			caller.idx++
 		}
 		return nil
 	case trace.OpCall:
-		return m.execCall(f, in)
+		return m.execCall(f, e)
 	default:
-		return fmt.Errorf("interp: unsupported opcode %s", trace.OpcodeName(in.Op))
+		return fmt.Errorf("interp: unsupported opcode %s", trace.OpcodeName(e.op))
 	}
 	f.idx++
 	return nil
-}
-
-func scalarOf(t ir.Type) ir.Type {
-	if ir.IsFloat(t) {
-		return ir.F64
-	}
-	return t
-}
-
-func (m *Machine) gepAddr(f *Frame, in *ir.Instr) uint64 {
-	base := m.eval(f, in.Args[0])
-	addr := base.Addr()
-	t := ir.Pointee(in.Args[0].Type())
-	// First index: pointer arithmetic over the pointee type.
-	i0 := m.eval(f, in.Args[1])
-	addr += uint64(i0.Int() * t.Size())
-	// Remaining indices descend array levels.
-	for _, ixv := range in.Args[2:] {
-		a, ok := t.(ir.ArrayType)
-		if !ok {
-			break
-		}
-		ix := m.eval(f, ixv)
-		addr += uint64(ix.Int() * a.Elem.Size())
-		t = a.Elem
-	}
-	return addr
 }
 
 func truthy(v trace.Value) bool {
@@ -745,32 +640,32 @@ func arith(op int, x, y trace.Value) (trace.Value, error) {
 	return trace.Value{}, fmt.Errorf("interp: bad arithmetic opcode %d", op)
 }
 
-func (m *Machine) execCall(f *Frame, in *ir.Instr) error {
-	if in.Builtin != "" {
-		v, err := m.builtin(f, in)
+func (m *Machine) execCall(f *Frame, e *instr) error {
+	if e.callee == nil {
+		v, err := m.builtin(f, e)
 		if err != nil {
 			return err
 		}
-		if in.Producer() {
-			f.regs[in.ID] = v
-			m.emit(f, in, &v)
+		if e.dst >= 0 {
+			f.regs[e.dst] = v
+			m.emit(f, e, &v)
 		} else {
-			m.emit(f, in, nil)
+			m.emit(f, e, nil)
 		}
 		f.idx++
 		return nil
 	}
-	m.emit(f, in, nil)
-	return m.pushFrame(in.Callee, f, in)
+	m.emit(f, e, nil)
+	return m.pushFrame(e.callee, f, e)
 }
 
-func (m *Machine) builtin(f *Frame, in *ir.Instr) (trace.Value, error) {
+func (m *Machine) builtin(f *Frame, e *instr) (trace.Value, error) {
 	var buf [4]trace.Value // every builtin but a long print fits: no allocation per call
 	args := buf[:0]
-	for _, a := range in.Args {
-		args = append(args, m.eval(f, a))
+	for i := range e.args {
+		args = append(args, f.value(&e.args[i]))
 	}
-	switch in.Builtin {
+	switch e.in.Builtin {
 	case "print":
 		parts := make([]string, len(args))
 		for i, a := range args {
@@ -801,5 +696,5 @@ func (m *Machine) builtin(f *Frame, in *ir.Instr) (trace.Value, error) {
 		}
 		return trace.IntValue(int64(m.Ranks)), nil
 	}
-	return trace.Value{}, fmt.Errorf("interp: unknown builtin %s", in.Builtin)
+	return trace.Value{}, fmt.Errorf("interp: unknown builtin %s", e.in.Builtin)
 }

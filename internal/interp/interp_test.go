@@ -377,6 +377,20 @@ int main() { print(f() + g()); return 0; }`
 	}
 }
 
+// alloca returns the executed Alloca of the named local in this frame. An
+// Alloca's register holds a pointer once it has run and the zero (integer)
+// value before.
+func (f *Frame) alloca(name string) *ir.Instr {
+	for _, blk := range f.Fn.Blocks {
+		for _, in := range blk.Instrs {
+			if in.Op == trace.OpAlloca && in.Name == name && f.regs[in.ID].Kind == trace.KindPtr {
+				return in
+			}
+		}
+	}
+	return nil
+}
+
 func TestGlobalAndFrameAddressLookups(t *testing.T) {
 	mod, err := Compile(`
 float big[16];
@@ -403,7 +417,7 @@ int main() { big[3] = 1.0; int x = 2; for (int i = 0; i < 1; i++) {} print(x); r
 		t.Error("never saw frame alloca for x")
 	}
 	// big[3] was written at addr+24.
-	v := m.ReadCell(addr+24, ir.F64)
+	v := m.readCell(addr+24, classFloat)
 	if v.Kind != trace.KindFloat || v.Float() != 1.0 {
 		t.Errorf("big[3] cell = %+v, want 1.0", v)
 	}

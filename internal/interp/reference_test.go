@@ -35,7 +35,7 @@ func (rt *refTracer) emit(f *Frame, in *ir.Instr, result *trace.Value) {
 	b := &rt.batch
 	for i, a := range in.Args {
 		_, isConst := a.(*ir.Const)
-		b.AppendOperand(trace.Operand{Index: i + 1, Size: 64, Value: m.eval(f, a), IsReg: !isConst, Name: a.ValueName()})
+		b.AppendOperand(trace.Operand{Index: i + 1, Size: 64, Value: eval(m, f, a), IsReg: !isConst, Name: a.ValueName()})
 	}
 	if in.Op == trace.OpCall {
 		// The Fig. 6(a)/(b) call record: callee-name operand (index 0), then
@@ -48,7 +48,7 @@ func (rt *refTracer) emit(f *Frame, in *ir.Instr, result *trace.Value) {
 		b.AppendOperand(trace.Operand{Index: 0, Size: 64, Value: trace.PtrValue(m.funcAddr(name)), IsReg: false, Name: name})
 		if in.Callee != nil {
 			for i, p := range in.Callee.Params {
-				b.AppendOperand(trace.Operand{Index: -(i + 1), Size: 64, Value: m.eval(f, in.Args[i]), IsReg: true, Name: p.Name})
+				b.AppendOperand(trace.Operand{Index: -(i + 1), Size: 64, Value: eval(m, f, in.Args[i]), IsReg: true, Name: p.Name})
 			}
 		}
 	}
@@ -65,10 +65,35 @@ func (rt *refTracer) emit(f *Frame, in *ir.Instr, result *trace.Value) {
 	b.AppendRecord(trace.Record{
 		Line:   in.Line,
 		Func:   f.Fn.Name,
-		Block:  f.blk.Name,
+		Block:  f.block().Name,
 		Opcode: in.Op,
 		DynID:  m.dynID,
 	}, result != nil)
+}
+
+// eval is the value of v in frame f, read from the IR: a constant's own,
+// a global's address by its position in the module, and a parameter's or
+// an instruction's register.
+func eval(m *Machine, f *Frame, v ir.Value) trace.Value {
+	switch x := v.(type) {
+	case *ir.Const:
+		if ir.IsFloat(x.Typ) {
+			return trace.FloatValue(x.F)
+		}
+		return trace.IntValue(x.I)
+	case *ir.Global:
+		for i, g := range m.Mod.Globals {
+			if g == x {
+				return trace.PtrValue(m.globals[i])
+			}
+		}
+		return trace.PtrValue(0)
+	case *ir.Param:
+		return f.regs[f.Fn.NumRegs()+x.Index]
+	case *ir.Instr:
+		return f.regs[x.ID]
+	}
+	panic(fmt.Sprintf("interp: unknown value %T", v))
 }
 
 // referenceRun is Machine.Run for a machine without a trace sink, with
@@ -90,14 +115,7 @@ func referenceRun(m *Machine) ([]trace.Record, string, error) {
 		}
 	}
 	err := func() error {
-		mainFn := m.Mod.Func("main")
-		if mainFn == nil {
-			return fmt.Errorf("interp: module has no main")
-		}
-		if m.MaxSteps == 0 {
-			m.MaxSteps = 200_000_000
-		}
-		if err := m.pushFrame(mainFn, nil, nil); err != nil {
+		if err := m.enterMain(); err != nil {
 			return err
 		}
 		for len(m.frames) > 0 {
@@ -105,7 +123,7 @@ func referenceRun(m *Machine) ([]trace.Record, string, error) {
 				return ErrStepLimit
 			}
 			pre := *m.frames[len(m.frames)-1]
-			in := pre.blk.Instrs[pre.idx]
+			in := pre.block().Instrs[pre.idx]
 			hookFailed = false
 			err := m.step()
 			if err == nil || hookFailed {

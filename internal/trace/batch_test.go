@@ -305,6 +305,35 @@ func TestFedReaderMatchesStream(t *testing.T) {
 	}
 }
 
+// TestFeedQueueKeepsItsArray: a fed reader's queue that empties keeps its
+// array, so after the first Feed a Feed and the reads that drain it
+// allocate nothing for the queue, and the drained slot lets go of the
+// caller's bytes.
+func TestFeedQueueKeepsItsArray(t *testing.T) {
+	w := NewFedReader()
+	f := w.src.(*feed)
+	piece := []byte("0,1,f,b,2,1\n")
+	buf := make([]byte, 5)
+	cycle := func() {
+		w.Feed(piece)
+		for {
+			if _, err := f.Read(buf); err != nil {
+				if err != errStarved {
+					t.Fatalf("drained feed reads %v, want errStarved", err)
+				}
+				return
+			}
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("a Feed/drain cycle allocates %.1f times, want 0", allocs)
+	}
+	if len(f.queue) != 0 || cap(f.queue) == 0 || f.queue[:1][0] != nil {
+		t.Errorf("drained queue: %d pieces, room for %d, first slot kept: %v", len(f.queue), cap(f.queue), cap(f.queue) > 0 && f.queue[:1][0] != nil)
+	}
+}
+
 // TestForEachBatchPropagatesReaderError: a decode error and a failed Read
 // of the underlying stream both end the sweep with that error.
 func TestForEachBatchPropagatesReaderError(t *testing.T) {

@@ -11,9 +11,9 @@ import (
 )
 
 // BenchmarkDecodeACTB decodes the ACTB traces of the 14 ports at scale 24,
-// written by this package's BinaryWriter, into one recycled batch: one op
-// of /ports is the 14 traces. /distinct-shapes is one trace of 20,000
-// random records, whose shapes hardly repeat, so nearly every record is a
+// written by this package's BinaryWriter, through ReadInto: one op of
+// /ports is the 14 traces. /distinct-shapes is one trace of 20,000 random
+// records, whose shapes hardly repeat, so nearly every record is a
 // template definition. It reports the decode in ns/record and the
 // encoding's size in B/record.
 //
@@ -69,15 +69,16 @@ func distinctShapes() []trace.Record {
 	return trace.RandomRecords(rand.New(rand.NewSource(1)), 20000)
 }
 
-// decodeAll times decoding traces into one recycled batch: one op is
-// every trace once.
+// decodeAll times decoding traces the way the analysis reads them,
+// through ReadInto, each record handed in place to a sink that counts it:
+// one op is every trace once.
 func decodeAll(b *testing.B, traces [][]byte) {
 	size := 0
 	for _, data := range traces {
 		size += len(data)
 	}
-	var batch trace.RecordBatch
 	records := 0
+	count := func(recs []trace.Record, _ []uint32) { records += len(recs) }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -87,10 +88,7 @@ func decodeAll(b *testing.B, traces [][]byte) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := trace.ForEachBatch(rd, &batch, func(_ int, recs []trace.Record) error {
-				records += len(recs)
-				return nil
-			}); err != nil {
+			if err := rd.ReadInto(count); err != nil {
 				b.Fatal(err)
 			}
 		}

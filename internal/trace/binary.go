@@ -708,25 +708,26 @@ func (d *binDecoder) opcodeTable(p int) int {
 }
 
 // record decodes the record at d.pos, moves d.pos past it and hands it to
-// sink, with its template id in a version-2 trace. The caller guarantees
-// d.pos < len(d.data).
+// sink, with its template id in a version-2 trace, and returns 0. The
+// caller guarantees d.pos < len(d.data).
 //
-// A record that fails is not handed on, and leaves the decoder as it found
+// A record that fails returns its cursor code, which err turns into the
+// error; it is not handed on, and leaves the decoder as it found
 // it — string and template tables, pointer slots, kept definitions (its
 // position, its DynID and its slots' values never moved) — so the stream
 // reader can decode it again from its start once more bytes are in. What
 // it wrote of its values into its template's home, the record's next
 // decode writes again.
-func (d *binDecoder) record(sink Sink) error {
+func (d *binDecoder) record(sink Sink) int {
 	tabs := d.tables()
 	h, p := d.walk()
 	if p < 0 {
 		d.truncate(tabs)
-		return d.err(p)
+		return p
 	}
 	d.pos = p
 	sink(h.rec[:], h.id[:])
-	return nil
+	return 0
 }
 
 // walk decodes the record at d.pos and returns where it is: a version-2
@@ -991,7 +992,7 @@ func (d *binDecoder) presize(b *RecordBatch) {
 	n, nops := 0, 0
 	count := func(recs []Record, _ []uint32) { n, nops = n+1, nops+recs[0].NumOperands() }
 	for n < 64 && probe.pos < len(d.data) {
-		if err := probe.record(count); err != nil {
+		if probe.record(count) < 0 {
 			break
 		}
 	}

@@ -98,7 +98,11 @@ func (f *feed) Read(p []byte) (int, error) {
 		n := copy(p, f.queue[0])
 		if f.queue[0] = f.queue[0][n:]; len(f.queue[0]) == 0 {
 			f.queue[0] = nil // keep no reference to the caller's bytes
-			f.queue = f.queue[1:]
+			if len(f.queue) == 1 {
+				f.queue = f.queue[:0] // empty: the next Feed reuses the array
+			} else {
+				f.queue = f.queue[1:]
+			}
 		}
 		if n > 0 {
 			return n, nil
@@ -307,22 +311,25 @@ func (w *WindowReader) nextText(sink Sink, limit int) (n int, err error) {
 
 // nextBinary decodes records until one runs off the end of a non-final
 // window; that record, which the decoder has rolled back (see
-// binDecoder.record), is decoded again after a refill. In the final window
-// running off the end is the truncation error.
+// binDecoder.record), is decoded again after a refill, and no error is
+// formatted for it. In the final window running off the end is the
+// truncation error.
 func (w *WindowReader) nextBinary(sink Sink, max int) (n int, err error) {
 	d := &w.bin
 	for n < max {
 		if d.pos < len(d.data) {
 			if d.base == 0 && d.pos == 0 {
-				err = d.header()
-			} else if err = d.record(sink); err == nil {
+				if err = d.header(); err == nil {
+					continue
+				}
+				if w.final() || !errors.Is(err, io.ErrUnexpectedEOF) {
+					return n, err
+				}
+			} else if code := d.record(sink); code == 0 {
 				n++
-			}
-			if err == nil {
 				continue
-			}
-			if w.final() || !errors.Is(err, io.ErrUnexpectedEOF) {
-				return n, err
+			} else if w.final() || code != truncated {
+				return n, d.err(code)
 			}
 		} else if w.final() {
 			break
