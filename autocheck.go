@@ -91,13 +91,13 @@ func NewTraceWriter(w io.Writer, f TraceFormat) RecordWriter {
 	return trace.NewRecordWriter(w, f)
 }
 
-// NewTraceReader sniffs the stream's encoding and returns a streaming
-// record reader for it. The stream is decoded through a bounded window,
-// so memory does not grow with the trace; a single record (one text
-// block or one binary record) beyond 4 MiB is an error naming its byte
-// offset — load such a trace whole and use AnalyzeBytes, which has no
-// cap. After any error the reader repeats it and yields no further
-// records.
+// NewTraceReader sniffs the stream's encoding and returns a reader whose
+// ReadInto hands each record, with its template id, to a sink as it is
+// decoded; a record is valid only during that call (a sink that keeps
+// one keeps a Record.Clone). The stream is decoded through a bounded
+// window, so memory does not grow with the trace; a record beyond 4 MiB
+// is an error naming its byte offset (AnalyzeBytes has no cap). After
+// any error the reader repeats it and hands on no further records.
 func NewTraceReader(r io.Reader) (TraceReader, TraceFormat, error) {
 	return trace.NewAutoReader(r)
 }
@@ -120,10 +120,10 @@ func Analyze(recs []Record, spec LoopSpec, opts Options) (*Result, error) {
 }
 
 // AnalyzeBytes analyzes an in-memory trace of either format: the Engine
-// fed the bytes' records, decoded once, a batch at a time, into a
-// recycled record batch. No []Record is ever materialized, so memory
-// stays O(variables) beyond the bytes themselves, and no record size is
-// capped. (The paper's §V-A parallel read is across traces: AnalyzeMany.)
+// fed each of the bytes' records in place as it is decoded. No []Record
+// is ever materialized, so memory stays O(variables) beyond the bytes
+// themselves, and no record size is capped. (The paper's §V-A parallel
+// read is across traces: AnalyzeMany.)
 func AnalyzeBytes(data []byte, spec LoopSpec, opts Options) (*Result, error) {
 	return core.AnalyzeBytes(data, spec, opts)
 }

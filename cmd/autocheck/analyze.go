@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -208,11 +209,24 @@ func cmdConvert(fs *flag.FlagSet) func() error {
 		if *in == "" || *out == "" {
 			return fmt.Errorf("convert needs -in and -out")
 		}
-		data, err := os.ReadFile(*in)
+		src, err := os.Open(*in)
 		if err != nil {
 			return err
 		}
-		from := trace.DetectFormat(data)
+		defer src.Close()
+		inInfo, err := src.Stat()
+		if err != nil {
+			return err
+		}
+		// The trace streams from one file to the other: creating the
+		// output over the input would truncate it before it is read.
+		if outInfo, err := os.Stat(*out); err == nil && os.SameFile(inInfo, outInfo) {
+			return fmt.Errorf("convert: -in and -out name the same file")
+		}
+		rd, from, err := trace.NewAutoReader(src)
+		if err != nil {
+			return err
+		}
 		target := trace.FormatText
 		if from == trace.FormatText {
 			target = trace.FormatBinary
@@ -222,17 +236,31 @@ func cmdConvert(fs *flag.FlagSet) func() error {
 				return err
 			}
 		}
-		recs, err := trace.ParseBytes(data)
+		dst, err := os.Create(*out)
 		if err != nil {
 			return err
 		}
-		converted := trace.Encode(recs, target)
-		if err := os.WriteFile(*out, converted, 0o644); err != nil {
+		// Each record is encoded as it is decoded: no []Record is
+		// materialized.
+		w := trace.NewRecordWriter(dst, target)
+		var werr error
+		err = rd.ReadInto(func(recs []trace.Record, _ []uint32) {
+			for i := range recs {
+				if werr == nil {
+					werr = w.Write(&recs[i])
+				}
+			}
+		})
+		err = cmp.Or(err, werr, w.Flush())
+		outInfo, serr := dst.Stat()
+		if err = cmp.Or(err, serr, dst.Close()); err != nil {
+			// Don't leave a well-formed-looking prefix of the trace behind.
+			os.Remove(*out)
 			return err
 		}
 		fmt.Printf("%s (%s, %d bytes) -> %s (%s, %d bytes): %d records, %.2fx size\n",
-			*in, from, len(data), *out, target, len(converted), len(recs),
-			float64(len(converted))/float64(len(data)))
+			*in, from, inInfo.Size(), *out, target, outInfo.Size(), w.Count(),
+			float64(outInfo.Size())/float64(inInfo.Size()))
 		return nil
 	}
 }

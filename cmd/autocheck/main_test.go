@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"maps"
 	"os"
@@ -11,7 +12,10 @@ import (
 	"strings"
 	"testing"
 
+	"autocheck/internal/interp"
+	"autocheck/internal/progs"
 	"autocheck/internal/store"
+	"autocheck/internal/trace"
 )
 
 // runCLI runs args as main does and returns the exit code and what the
@@ -198,5 +202,60 @@ func TestOutOfRangeQuorumRejected(t *testing.T) {
 	w, r, err := quorums(store.Config{Addrs: strings.Split(addrs, ","), ReadQuorum: 3})
 	if err != nil || w != 2 || r != 3 {
 		t.Errorf("quorums(3 replicas, W=0, R=3) = %d, %d, %v; want 2, 3, nil", w, r, err)
+	}
+}
+
+// TestConvertStreamsTheEncoding: convert writes, in each direction, the
+// bytes Encode gives for the records ParseBytes reads off its input — on
+// a port's trace — and counts those records; it refuses to write over its
+// input.
+func TestConvertStreamsTheEncoding(t *testing.T) {
+	mod, err := interp.Compile(progs.Get("CG").Source(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := interp.TraceProgram(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	text := filepath.Join(dir, "cg.trace")
+	if err := os.WriteFile(text, trace.EncodeAll(recs), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bin := filepath.Join(dir, "cg.actb")
+	back := filepath.Join(dir, "cg.back.trace")
+	for _, c := range []struct {
+		in, out string
+		target  trace.Format
+	}{{text, bin, trace.FormatBinary}, {bin, back, trace.FormatText}} {
+		code, stdout, stderr := runCLI(t, "convert", "-in", c.in, "-out", c.out)
+		if code != 0 {
+			t.Fatalf("convert %s: exit %d, %s", c.in, code, stderr)
+		}
+		data, err := os.ReadFile(c.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed, err := trace.ParseBytes(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(c.out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := trace.Encode(parsed, c.target); !bytes.Equal(got, want) {
+			t.Errorf("convert %s -> %v: %d bytes differ from Encode(ParseBytes(in))'s %d", c.in, c.target, len(got), len(want))
+		}
+		if want := fmt.Sprintf(": %d records,", len(parsed)); !strings.Contains(stdout, want) {
+			t.Errorf("convert %s summary %q lacks %q", c.in, stdout, want)
+		}
+	}
+	if code, _, stderr := runCLI(t, "convert", "-in", text, "-out", text); code == 0 || !strings.Contains(stderr, "same file") {
+		t.Errorf("convert over its own input: exit %d, stderr %q; want a refusal", code, stderr)
+	}
+	if data, err := os.ReadFile(text); err != nil || !bytes.Equal(data, trace.EncodeAll(recs)) {
+		t.Errorf("convert over its own input changed it (%v)", err)
 	}
 }

@@ -222,8 +222,8 @@ func analyzeFileIn(sc *scratch, path string, spec LoopSpec, opts Options) (*Resu
 }
 
 // AnalyzeBytes analyzes an in-memory trace — text or binary, detected by
-// magic. The bytes are decoded once, a batch at a time, into a recycled
-// record batch; no []Record is materialized and no record size is capped.
+// magic — each record handed to the engine in place as it is decoded; no
+// []Record is materialized and no record size is capped.
 func AnalyzeBytes(data []byte, spec LoopSpec, opts Options) (*Result, error) {
 	return analyzeBytesIn(&scratch{}, data, spec, opts)
 }
@@ -256,7 +256,7 @@ func analyzeRecordsIn(sc *scratch, recs []trace.Record, spec LoopSpec, opts Opti
 // analyze is the trace-bytes schedule: the bundle's engine fed each of
 // rd's records as it is decoded, in place, to the end of the stream. A
 // decode error anywhere in the trace is reported before a missing loop.
-func (sc *scratch) analyze(rd trace.BatchReader, spec LoopSpec, opts Options) (*Result, error) {
+func (sc *scratch) analyze(rd trace.Reader, spec LoopSpec, opts Options) (*Result, error) {
 	e := sc.engine(spec, opts)
 	if err := rd.ReadInto(e.feed); err != nil {
 		return nil, err

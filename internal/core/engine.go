@@ -24,10 +24,10 @@ import (
 //
 //   - Analyze hands it the caller's records as one batch;
 //   - AnalyzeBytes and AnalyzeFile hand it the decoder's records one per
-//     call, with their template ids (trace.BatchReader.ReadInto): each
-//     one written in place into its template's home, or decoded field by
-//     field into the decoder's loose record, so no []Record is materialized
-//     and no record copied (analyze.go);
+//     call, with their template ids (trace.Reader.ReadInto): each one
+//     written in place into its trace.Template, or decoded field by field
+//     into the decoder's loose record, so no []Record is materialized and
+//     no record copied (analyze.go);
 //   - online, the tracer's records, one per call and each written in
 //     place into its instruction's template, and an ingest session's
 //     records, decoded from each chunk as the trace bytes are, reach
@@ -241,7 +241,7 @@ func (a *analyzer) finish(res *Result) {
 // itself, and the offline entry points alike. Records are observed as
 // they are produced or decoded, through ObserveBatch: the tracer
 // (interp.Machine.TraceInto) and the decoders of a text or ACTB trace,
-// offline or in an ingest session (trace.BatchReader.ReadInto), hand it
+// offline or in an ingest session (trace.Reader.ReadInto), hand it
 // each record and its template id as they emit or decode it, written in
 // place; Analyze hands it the caller's records as one batch, and Observe
 // is the one-record case. No trace is materialized and no record is

@@ -105,7 +105,7 @@ func fedTemplated(data []byte, cuts []int, spec LoopSpec, opts Options) (*Result
 // (see resolution), so a stale one would hand the next access the wrong
 // variable, the wrong instance of it, or skip a footprint's growth. Every
 // case is analyzed on template ids fed a record per call, as the tracer
-// feeds the engine, and as one batch, on the register-name maps
+// feeds the engine, and as one batch, without ids, on keyed shapes
 // (Analyze), and by the reference pass; all must agree field for field.
 
 // cacheStream builds a hand-written record stream.
@@ -174,7 +174,7 @@ func staticIDs(recs []trace.Record) []uint32 {
 }
 
 // checkCacheCase holds the engine on template ids, fed a record at a time
-// and in one batch, and on the register-name maps, to the reference.
+// and in one batch, and without ids, on keyed shapes, to the reference.
 func checkCacheCase(t *testing.T, label string, recs []trace.Record) {
 	t.Helper()
 	ids := staticIDs(recs)
@@ -326,8 +326,9 @@ func TestAccessCacheIsExact(t *testing.T) {
 }
 
 // TestSharedSourcesStayTheShapes: a row takes a shape's sources by
-// reference, so a record without an id that rewrites the same register
-// must fill the row's own buffer, never the shape's. Here register 30 is
+// reference, so a record of another shape — here one without an id, so a
+// keyed one — that rewrites the same register must point the row at its
+// own shape's sources, never write into the first's. Here register 30 is
 // computed from 21 by a template and from 22 by records fed without ids,
 // in turn, and each value is stored to i: only the template's stores are
 // self-updates of i, which the provenance counts.

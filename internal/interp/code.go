@@ -97,14 +97,31 @@ func (c valueClass) coerce(v trace.Value) trace.Value {
 	return v
 }
 
-// codeSlab is the least a slab of entries, operands or strides holds.
-const codeSlab = 256
+// slabLens is how many code entries, operands (and strides) and template
+// operands a machine's slabs hold: as many as its module's functions take
+// at most, so that a machine cuts each kind from one slab its size.
+type slabLens struct{ code, args, ops int }
+
+func slabLensOf(mod *ir.Module) (n slabLens) {
+	for _, fn := range mod.Funcs {
+		for _, blk := range fn.Blocks {
+			for _, in := range blk.Instrs {
+				k := len(in.Args) + 1 // a template's operands: the arguments, the result
+				if in.Op == trace.OpCall {
+					k *= 2 // and the callee and its parameters, one per argument
+				}
+				n.code, n.args, n.ops = n.code+1, n.args+len(in.Args), n.ops+k
+			}
+		}
+	}
+	return n
+}
 
 // cut returns an empty slice with room for n cut from the front of
-// *slab, which a fresh slab replaces when it has not the room.
-func cut[T any](slab *[]T, n int) []T {
+// *slab, which a fresh slab of max(n, size) replaces when short of room.
+func cut[T any](slab *[]T, n, size int) []T {
 	if cap(*slab) < n {
-		*slab = make([]T, max(n, codeSlab))
+		*slab = make([]T, max(n, size))
 	}
 	s := (*slab)[:0:n]
 	*slab = (*slab)[n:]
@@ -134,14 +151,14 @@ func (m *Machine) build(c *funcCode) {
 	}
 	c.blocks = make([]codeBlock, len(c.fn.Blocks))
 	for bi, blk := range c.fn.Blocks {
-		code := cut(&m.codeSlab, len(blk.Instrs))[:len(blk.Instrs)]
+		code := cut(&m.codeSlab, len(blk.Instrs), m.lens.code)[:len(blk.Instrs)]
 		for i, in := range blk.Instrs {
 			e := &code[i]
 			e.in, e.op, e.dst = in, in.Op, -1
 			if in.Producer() {
 				e.dst = in.ID
 			}
-			e.args = cut(&m.argSlab, len(in.Args))
+			e.args = cut(&m.argSlab, len(in.Args), m.lens.args)
 			for _, a := range in.Args {
 				e.args = append(e.args, m.resolve(c, a))
 			}
@@ -208,7 +225,7 @@ func (m *Machine) globalAddr(g *ir.Global) uint64 {
 // array; the indices after it are not applied.
 func (m *Machine) strides(in *ir.Instr) []int64 {
 	t := ir.Pointee(in.Args[0].Type())
-	s := append(cut(&m.strideSlab, len(in.Args)-1), t.Size())
+	s := append(cut(&m.strideSlab, len(in.Args)-1, m.lens.args), t.Size())
 	for range in.Args[2:] {
 		a, ok := t.(ir.ArrayType)
 		if !ok {

@@ -292,7 +292,7 @@ func TestTemplateIDsNameStaticHalves(t *testing.T) {
 			{"text decoder", text.Bytes(), false},
 			{"fed text decoder", text.Bytes(), true},
 		} {
-			var rd trace.BatchReader
+			var rd trace.Reader
 			if in.fed {
 				fr := trace.NewFedReader()
 				rng := rand.New(rand.NewSource(int64(len(in.data))))
@@ -330,21 +330,15 @@ func TestTemplateIDsNameStaticHalves(t *testing.T) {
 	}
 }
 
-// drainTemplated reads rd to its end in batches, checking that every batch
-// has a template id per record, and returns the records, cloned, and ids.
-func drainTemplated(rd trace.BatchReader) ([]trace.Record, []uint32, error) {
-	var batch trace.RecordBatch
-	var recs []trace.Record
-	var ids []uint32
-	err := trace.ForEachBatch(rd, &batch, func(base int, rs []trace.Record) error {
-		if len(batch.TemplateIDs) != len(rs) {
-			return fmt.Errorf("batch at record %d: %d template ids for %d records", base, len(batch.TemplateIDs), len(rs))
-		}
-		for i := range rs {
-			recs = append(recs, rs[i].Clone())
-		}
-		ids = append(ids, batch.TemplateIDs...)
-		return nil
-	})
-	return recs, ids, err
+// drainTemplated reads rd to its end, checking that it hands on a template
+// id per record, and returns the records, cloned, and ids.
+func drainTemplated(rd trace.Reader) ([]trace.Record, []uint32, error) {
+	var b trace.RecordBatch
+	if err := rd.ReadInto(b.Add); err != nil {
+		return nil, nil, err
+	}
+	if len(b.TemplateIDs) != len(b.Recs) {
+		return nil, nil, fmt.Errorf("%d template ids for %d records", len(b.TemplateIDs), len(b.Recs))
+	}
+	return b.Recs, b.TemplateIDs, nil
 }

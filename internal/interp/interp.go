@@ -96,6 +96,7 @@ type Machine struct {
 	ntmpl   uint32                     // templates built: the next one's id
 	// Slabs the code tables and the templates are cut from, so a machine
 	// allocates per slab, not per instruction.
+	lens       slabLens
 	codeSlab   []instr
 	argSlab    []operand
 	strideSlab []int64
@@ -125,6 +126,7 @@ func New(mod *ir.Module) *Machine {
 		Mod:     mod,
 		Mem:     make(map[uint64]trace.Value),
 		globals: make([]uint64, len(mod.Globals)),
+		lens:    slabLensOf(mod),
 		sp:      stackBase,
 		rng:     0x9E3779B97F4A7C15,
 	}
@@ -309,23 +311,20 @@ func (m *Machine) pushFrame(c *funcCode, caller *Frame, call *instr) error {
 }
 
 // recordTemplate is the static half of every record one instruction
-// emits, laid out as the record itself: rec's header is all but its
-// DynID, and its Ops and Result point at ops — one operand per argument,
-// for a Call the callee and its parameters, then the result — with every
-// index, size, kind and name, and every value that cannot change between
-// executions: constants, global addresses and the callee's code address.
-// dyn lists the operands whose value each execution reads from its frame.
-// id numbers the template in the order the machine built it; the emitter
+// emits, a trace.Template: its operands are one per argument, for a Call
+// the callee and its parameters, then the result, with every index, size,
+// kind and name, and every value that cannot change between executions:
+// constants, global addresses and the callee's code address. dyn lists
+// the operands whose value each execution reads from its frame. The
+// template's id numbers it in the order the machine built it; the emitter
 // hands it on with every record (trace.RecordBatch.TemplateIDs).
 type recordTemplate struct {
-	rec   [1]trace.Record
-	id    [1]uint32
-	ops   []trace.Operand
+	trace.Template
 	dyn   []dynOperand
 	built bool
 }
 
-// dynOperand says that the value of ops[pos] is the emitting frame's
+// dynOperand says that the value of Ops[pos] is the emitting frame's
 // register src.
 type dynOperand struct {
 	pos, src int
@@ -352,14 +351,14 @@ func (m *Machine) emit(f *Frame, e *instr, result *trace.Value) {
 		m.buildTemplate(f, e, result != nil)
 	}
 	for _, d := range t.dyn {
-		t.ops[d.pos].Value = f.regs[d.src]
+		t.Ops[d.pos].Value = f.regs[d.src]
 	}
-	r := &t.rec[0]
+	r := &t.Rec[0]
 	if result != nil {
 		r.Result.Value = *result
 	}
 	r.DynID = m.dynID
-	m.sink(t.rec[:], t.id[:])
+	m.sink(t.Rec[:], t.ID[:])
 }
 
 // buildTemplate fills e's template, e executed in frame f.
@@ -376,14 +375,7 @@ func (m *Machine) buildTemplate(f *Frame, e *instr, hasResult bool) {
 		n++
 	}
 	t := &e.tmpl
-	*t = recordTemplate{
-		rec:   [1]trace.Record{{Line: in.Line, Func: f.Fn.Name, Block: f.block().Name, Opcode: in.Op}},
-		id:    [1]uint32{m.ntmpl},
-		ops:   cut(&m.opSlab, n),
-		dyn:   cut(&m.dynSlab, n),
-		built: true,
-	}
-	m.ntmpl++
+	t.Ops, t.dyn = cut(&m.opSlab, n, m.lens.ops), cut(&m.dynSlab, n, m.lens.ops)
 	for i, a := range in.Args {
 		_, isConst := a.(*ir.Const)
 		t.add(trace.Operand{Index: i + 1, Size: 64, IsReg: !isConst, Name: a.ValueName()}, e.args[i])
@@ -396,7 +388,7 @@ func (m *Machine) buildTemplate(f *Frame, e *instr, hasResult bool) {
 		if in.Callee != nil {
 			name = in.Callee.Name
 		}
-		t.ops = append(t.ops, trace.Operand{Index: 0, Size: 64, Value: trace.PtrValue(m.funcAddr(name)), IsReg: false, Name: name})
+		t.Ops = append(t.Ops, trace.Operand{Index: 0, Size: 64, Value: trace.PtrValue(m.funcAddr(name)), IsReg: false, Name: name})
 		if in.Callee != nil {
 			for i, p := range in.Callee.Params {
 				t.add(trace.Operand{Index: -(i + 1), Size: 64, IsReg: true, Name: p.Name}, e.args[i])
@@ -411,29 +403,22 @@ func (m *Machine) buildTemplate(f *Frame, e *instr, hasResult bool) {
 			// (the paper's Challenge 2 address table).
 			size = int(in.AllocElem.Size() * 8)
 		}
-		t.ops = append(t.ops, trace.Operand{Index: 0, Size: size, IsReg: true, Name: in.ValueName()})
+		t.Ops = append(t.Ops, trace.Operand{Index: 0, Size: size, IsReg: true, Name: in.ValueName()})
 	}
-	// The layout trace.RecordBatch seals: the inputs, capacity-clamped and
-	// nil when there are none, then the result.
-	r, ins := &t.rec[0], len(t.ops)
-	if hasResult {
-		ins--
-		r.Result = &t.ops[ins]
-	}
-	if ins > 0 {
-		r.Ops = t.ops[:ins:ins]
-	}
+	t.Lay(&trace.Record{Line: in.Line, Func: f.Fn.Name, Block: f.block().Name, Opcode: in.Op}, t.Ops, hasResult, m.ntmpl)
+	t.built = true
+	m.ntmpl++
 }
 
 // add appends o, whose value is that of a: filled in when a is a
 // constant, listed in t.dyn when the frame holds it.
 func (t *recordTemplate) add(o trace.Operand, a operand) {
 	if a.reg >= 0 {
-		t.dyn = append(t.dyn, dynOperand{pos: len(t.ops), src: a.reg})
+		t.dyn = append(t.dyn, dynOperand{pos: len(t.Ops), src: a.reg})
 	} else {
 		o.Value = a.val
 	}
-	t.ops = append(t.ops, o)
+	t.Ops = append(t.Ops, o)
 }
 
 func (m *Machine) step() error {

@@ -25,18 +25,14 @@ func RunProgram(mod *ir.Module) (string, error) {
 
 // TraceProgram executes a module with tracing enabled, returning the
 // dynamic instruction execution trace and the program output. The records
-// are the caller's: each is cloned as it is emitted, its operands onto
-// one growing slab.
+// are the caller's: each is cloned into a trace.RecordBatch as it is
+// emitted.
 func TraceProgram(mod *ir.Module) ([]trace.Record, string, error) {
 	m := New(mod)
-	var all []trace.Record
-	var slab []trace.Operand
-	m.sink = func(recs []trace.Record, _ []uint32) {
-		all = append(all, trace.Record{})
-		slab = recs[0].CloneInto(&all[len(all)-1], slab)
-	}
+	var b trace.RecordBatch
+	m.sink = b.Add
 	out, err := m.Run()
-	return all, out, err
+	return b.Recs, out, err
 }
 
 // TraceProgramTo executes a module with the tracer wired straight into a

@@ -1,38 +1,32 @@
 package trace
 
-import "io"
+// Decoding hands records on as the tracer does: ReadInto, the one way
+// records leave a Reader, calls a Sink with each record as it is decoded.
+// A record a template decodes to — an ACTB template reference, or a text
+// block its template matches — is its Template's record with its DynID and
+// register values written in; any other is decoded field by field into
+// the decoder's loose record, its operands staged one by one, the result
+// last, and sealed once all are in. Nothing is copied or allocated per
+// record, and a record is valid only for the call; a consumer that keeps
+// records reads into a RecordBatch's Add. lay states the one layout rule
+// of a record's operands, which a loose record, a Template and a batch's
+// records all follow: the inputs, then the result.
 
-// Decoding hands records on as the tracer does: ReadInto, the analysis
-// hot path, calls a Sink with each record as it is decoded. A record a
-// template decodes to — an ACTB template reference, or a text block its
-// template matches — is its template's home with its DynID and register
-// values written in; any other is decoded field by field into the
-// decoder's loose record. Nothing is copied or allocated per record, and
-// a record is valid only for the call. NextBatch, Next, ParseBytes and
-// ForEachBatch are the materialising consumer of the same decode: their
-// sink clones each record into a RecordBatch, whose records stay valid
-// until its next fill (or Reset).
-//
-// seal states the one layout rule of a record's operands, which a loose
-// record, a home and a batch's records all follow: a record decoded field
-// by field has its operands staged one by one, the result last, and is
-// sealed once all of them are in. Code outside this package fills a batch
-// through Reset / AppendOperand / AppendRecord.
-
-// RecordBatch is reusable storage for batch decoding.
+// RecordBatch is reusable storage for records kept past their sink call.
 type RecordBatch struct {
-	// Recs holds the records of the current batch. Managed by NextBatch
-	// and AppendRecord; callers treat it as read-only.
+	// Recs holds the records of the current batch. Managed by Add and
+	// AppendRecord; callers treat it as read-only.
 	Recs []Record
 	// TemplateIDs, when it is as long as Recs, holds each record's template
 	// id: records of one stream with the same id have the same static half
 	// — every field but DynID and the values of register operands — and a
 	// record with none has NoTemplate, as every record of an ACTB
-	// version-1 trace has. NextBatch fills it.
+	// version-1 trace has. Add fills it.
 	TemplateIDs []uint32
 
 	ops    []Operand // arena backing Recs' Ops and Result storage
 	staged int       // ops[staged:] belong to the record under construction
+	sweep  *sweep    // ForEachBatch's state, kept for the batch's next sweep
 }
 
 // NoTemplate is the template id of a record that has no template: in
@@ -102,9 +96,9 @@ func lay(rec *Record, ops []Operand, hasResult bool) {
 	}
 }
 
-// add is the materialising sink: it clones recs and their ids into the
-// batch.
-func (b *RecordBatch) add(recs []Record, ids []uint32) {
+// Add is the materialising sink, the one way to keep records past their
+// call: it clones recs and their ids onto the end of the batch.
+func (b *RecordBatch) Add(recs []Record, ids []uint32) {
 	for i := range recs {
 		b.Recs = extend(b.Recs)
 		b.ops = recs[i].CloneInto(&b.Recs[len(b.Recs)-1], b.ops)
@@ -114,59 +108,68 @@ func (b *RecordBatch) add(recs []Record, ids []uint32) {
 }
 
 // Sink takes records as a producer hands them on — the tracer
-// (interp.Machine.TraceInto) and the decoders (BatchReader.ReadInto) —
-// with each record's template id, ids[i] being recs[i]'s. The records,
-// with their Ops and Result storage, are valid only for the call, and a
-// sink writes nothing into them: the producer rewrites them in place.
+// (interp.Machine.TraceInto) and the decoders (Reader.ReadInto) — with
+// each record's template id, ids[i] being recs[i]'s. The records, with
+// their Ops and Result storage, are valid only for the call, and a sink
+// writes nothing into them: the producer rewrites them in place.
 type Sink func(recs []Record, ids []uint32)
 
-// home is a template's static half as a decoder keeps it, laid out as the
-// record it decodes to, by seal's rule: the header but DynID, and the
-// operands, the result last, with the value of each non-register operand
-// and the kind of every one. A record of the template is its home with
-// its DynID and register values written in, handed on with id. The ACTB
-// decoder's templates and the text decoder's have one each.
-type home struct {
-	rec [1]Record
-	id  [1]uint32
-	ops []Operand
+// Template is the static half of every record of one template, laid out
+// as the record itself by lay's rule: Rec's header is all but its DynID,
+// and its Ops and Result point into Ops, which holds every operand's
+// index, size, kind and name and the value of each non-register one. A
+// producer hands on a record of the template as Rec, with its DynID and
+// its register values written in, and ID with it. The tracer keeps one
+// per instruction, the decoders one per ACTB template or text block
+// shape.
+type Template struct {
+	Rec [1]Record
+	ID  [1]uint32
+	Ops []Operand
 }
 
-// loose is a record a decoder decodes field by field, handed on from its
-// home as a template's record is: begin opens it, its operands are staged
-// in the batch's arena, and seal lays them out.
+// Lay makes t template id, whose record has hdr's header but DynID and
+// ops for its operands, the result last when hasResult is set; t keeps
+// ops as its Ops.
+func (t *Template) Lay(hdr *Record, ops []Operand, hasResult bool, id uint32) {
+	t.Rec[0] = Record{Line: hdr.Line, Func: hdr.Func, Block: hdr.Block, Opcode: hdr.Opcode}
+	t.ID[0] = id
+	t.Ops = ops
+	lay(&t.Rec[0], ops, hasResult)
+}
+
+// loose is a record a decoder decodes field by field, handed on as a
+// template's record is: begin opens it, its operands are staged in the
+// batch's arena, and seal lays them out.
 type loose struct {
-	home
+	Template
 	RecordBatch
 }
 
 // begin empties l for a record of no template and returns the record.
 func (l *loose) begin() *Record {
 	l.Reset()
-	l.id[0] = NoTemplate
-	return &l.rec[0]
+	l.ID[0] = NoTemplate
+	return &l.Rec[0]
 }
 
-// homeSlabs is where a decoder's homes and their operands are carved.
-type homeSlabs struct {
-	homes []home
+// templateSlabs is where a decoder's templates and operands are carved.
+type templateSlabs struct {
+	tmpls []Template
 	ops   []Operand
 }
 
-// The slab sizes: homes and operands.
-const homeSlab, opSlab = 64, 256
+// The slab sizes: templates and operands.
+const templateSlab, opSlab = 64, 256
 
-// newHome returns the home of template id, whose static half is rec's:
-// rec's header, and ops, its operands, the result last when hasResult is
-// set.
-func (s *homeSlabs) newHome(rec *Record, ops []Operand, hasResult bool, id uint32) *home {
-	h := &carve(&s.homes, 1, homeSlab)[0]
-	h.ops = carve(&s.ops, len(ops), opSlab)
-	copy(h.ops, ops)
-	h.rec[0] = Record{Line: rec.Line, Func: rec.Func, Block: rec.Block, Opcode: rec.Opcode}
-	lay(&h.rec[0], h.ops, hasResult)
-	h.id[0] = id
-	return h
+// newTemplate returns template id, whose static half is rec's: rec's
+// header, and ops, its operands, the result last when hasResult is set.
+func (s *templateSlabs) newTemplate(rec *Record, ops []Operand, hasResult bool, id uint32) *Template {
+	t := &carve(&s.tmpls, 1, templateSlab)[0]
+	own := carve(&s.ops, len(ops), opSlab)
+	copy(own, ops)
+	t.Lay(rec, own, hasResult, id)
+	return t
 }
 
 // carve returns n elements cut from the front of *slab, which a fresh slab
@@ -190,48 +193,53 @@ func extend[T any](s []T) []T {
 	return append(s, zero)
 }
 
-// BatchReader is a Reader that can additionally hand each record to a
-// sink in place, or decode records in batches into caller-owned reusable
-// storage; *WindowReader, the reader behind every constructor of this
-// package, implements it.
-type BatchReader interface {
-	Reader
-	// ReadInto decodes to the end of the stream, or of the bytes fed so
-	// far, handing each record and its template id to sink as it is
-	// decoded (see Sink).
-	ReadInto(sink Sink) error
-	// NextBatch decodes up to max records into b, recycling its storage,
-	// and returns how many were decoded. Zero with a nil error means end
-	// of stream.
-	NextBatch(b *RecordBatch, max int) (int, error)
-}
-
 // DefaultBatchRecords is the batch size ForEachBatch uses: large enough
 // to amortize per-batch overhead, small enough that a batch's operand
 // arena stays cache-resident.
 const DefaultBatchRecords = 512
 
-// ForEachBatch drives rd to the end of its stream in batches decoded into
-// b (NextBatch), calling fn with each batch of records and the stream
-// index of its first record. A reader that implements io.Closer is closed
-// before returning (a close error is reported only when the sweep itself
-// succeeded), and the records passed to fn are only valid for the
-// duration of the call. Over a fed reader the sweep ends where the fed
-// bytes do.
-func ForEachBatch(rd BatchReader, b *RecordBatch, fn func(base int, recs []Record) error) (err error) {
-	if c, ok := rd.(io.Closer); ok {
-		defer func() {
-			if cerr := c.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}()
+// ForEachBatch reads rd to the end of its stream, cloning its records
+// into b (Add), and calls fn with every DefaultBatchRecords of them, then
+// once with the rest, each time with the stream index of the batch's
+// first record. The records passed to fn are only valid for the duration
+// of the call. An error from fn stops the calls, not the decode, and is
+// returned; a decode error drops the batch it cut short. Over a fed
+// reader the sweep ends where the fed bytes do.
+func ForEachBatch(rd Reader, b *RecordBatch, fn func(base int, recs []Record) error) error {
+	if b.sweep == nil {
+		b.sweep = new(sweep)
+		b.sweep.sink = b.sweep.add
 	}
-	for base := 0; ; base += len(b.Recs) {
-		if n, err := rd.NextBatch(b, DefaultBatchRecords); n == 0 || err != nil {
-			return err
-		}
-		if err := fn(base, b.Recs); err != nil {
-			return err
-		}
+	s := b.sweep
+	*s = sweep{b: b, fn: fn, sink: s.sink}
+	b.Reset()
+	err := rd.ReadInto(s.sink)
+	if s.fn = nil; s.err != nil {
+		return s.err
+	}
+	if err != nil || len(b.Recs) == 0 {
+		return err
+	}
+	return fn(s.base, b.Recs)
+}
+
+// sweep is one ForEachBatch over b. A batch keeps its sweep, and the
+// sweep its sink, so a batch's later sweeps allocate nothing for them.
+type sweep struct {
+	b    *RecordBatch
+	fn   func(base int, recs []Record) error
+	base int   // the stream index of b's first record
+	err  error // fn's
+	sink Sink  // add
+}
+
+func (s *sweep) add(recs []Record, ids []uint32) {
+	if s.err != nil {
+		return
+	}
+	if s.b.Add(recs, ids); len(s.b.Recs) >= DefaultBatchRecords {
+		s.err = s.fn(s.base, s.b.Recs)
+		s.base += len(s.b.Recs)
+		s.b.Reset()
 	}
 }

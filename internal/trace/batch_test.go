@@ -33,25 +33,23 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 
 // fedReader hands data to a fed reader in cuts of cuts[0], cuts[1], …
 // bytes, the last size repeating, feeding the next cut whenever the reader
-// runs dry and closing the feed after the last one — so the tests' drain
-// loops read it as they read a stream.
+// runs dry and closing the feed after the last one — so one ReadInto reads
+// it to its end, as it reads a stream.
 type fedReader struct {
 	*WindowReader
 	data   []byte
 	cuts   []int
 	closed bool
-	one    RecordBatch
 }
 
 func newFedReader(data []byte, cuts ...int) *fedReader {
 	return &fedReader{WindowReader: NewFedReader(), data: data, cuts: cuts}
 }
 
-func (f *fedReader) NextBatch(b *RecordBatch, max int) (int, error) {
+func (f *fedReader) ReadInto(sink Sink) error {
 	for {
-		n, err := f.WindowReader.NextBatch(b, max)
-		if n > 0 || err != nil || f.closed {
-			return n, err
+		if err := f.WindowReader.ReadInto(sink); err != nil || f.closed {
+			return err
 		}
 		if len(f.data) == 0 {
 			f.CloseFeed()
@@ -67,78 +65,49 @@ func (f *fedReader) NextBatch(b *RecordBatch, max int) (int, error) {
 	}
 }
 
-// Next is NextBatch of one through the feeding loop above.
-func (f *fedReader) Next() (*Record, error) {
-	if n, err := f.NextBatch(&f.one, 1); err != nil || n == 0 {
-		return nil, err
-	}
-	rec := f.one.Recs[0].Clone()
-	return &rec, nil
-}
-
 // batchReaders enumerates every way to open the one reader over the same
 // encoded trace: in memory; as a stream delivered whole, one byte per
 // Read, and in random small chunks; and fed in cuts of fixed sizes, whole,
 // and with a first cut shorter than the ACTB magic.
-func batchReaders(t *testing.T, text, bin []byte) map[string]func() BatchReader {
+func batchReaders(t *testing.T, text, bin []byte) map[string]func() Reader {
 	t.Helper()
-	readers := map[string]func() BatchReader{
-		"textBytes": func() BatchReader {
+	readers := map[string]func() Reader{
+		"textBytes": func() Reader {
 			rd, f, err := NewBytesReader(text)
 			if err != nil || f != FormatText {
 				t.Fatalf("NewBytesReader(text) = %v, %v", f, err)
 			}
 			return rd
 		},
-		"binBytes": func() BatchReader {
+		"binBytes": func() Reader {
 			rd, f, err := NewBytesReader(bin)
 			if err != nil || f != FormatBinary {
 				t.Fatalf("NewBytesReader(bin) = %v, %v", f, err)
 			}
 			return rd
 		},
-		"textScanner":       func() BatchReader { return newStreamReader(bytes.NewReader(text), FormatText) },
-		"binScanner":        func() BatchReader { return newStreamReader(bytes.NewReader(bin), FormatBinary) },
-		"textOneByte":       func() BatchReader { return newStreamReader(iotest.OneByteReader(bytes.NewReader(text)), FormatText) },
-		"binOneByte":        func() BatchReader { return newStreamReader(iotest.OneByteReader(bytes.NewReader(bin)), FormatBinary) },
-		"textChunked":       func() BatchReader { return newStreamReader(newChunkReader(text, 1), FormatText) },
-		"binChunked":        func() BatchReader { return newStreamReader(newChunkReader(bin, 2), FormatBinary) },
-		"textFedShortMagic": func() BatchReader { return newFedReader(text, len(binaryMagic)-1, 512) },
-		"binFedShortMagic":  func() BatchReader { return newFedReader(bin, len(binaryMagic)-1, 512) },
+		"textScanner":       func() Reader { return newStreamReader(bytes.NewReader(text), FormatText) },
+		"binScanner":        func() Reader { return newStreamReader(bytes.NewReader(bin), FormatBinary) },
+		"textOneByte":       func() Reader { return newStreamReader(iotest.OneByteReader(bytes.NewReader(text)), FormatText) },
+		"binOneByte":        func() Reader { return newStreamReader(iotest.OneByteReader(bytes.NewReader(bin)), FormatBinary) },
+		"textChunked":       func() Reader { return newStreamReader(newChunkReader(text, 1), FormatText) },
+		"binChunked":        func() Reader { return newStreamReader(newChunkReader(bin, 2), FormatBinary) },
+		"textFedShortMagic": func() Reader { return newFedReader(text, len(binaryMagic)-1, 512) },
+		"binFedShortMagic":  func() Reader { return newFedReader(bin, len(binaryMagic)-1, 512) },
 	}
 	for _, cut := range []int{1, 2, 7, 512} {
-		readers[fmt.Sprintf("fedText%d", cut)] = func() BatchReader { return newFedReader(text, cut) }
-		readers[fmt.Sprintf("fedBin%d", cut)] = func() BatchReader { return newFedReader(bin, cut) }
+		readers[fmt.Sprintf("fedText%d", cut)] = func() Reader { return newFedReader(text, cut) }
+		readers[fmt.Sprintf("fedBin%d", cut)] = func() Reader { return newFedReader(bin, cut) }
 	}
-	readers["fedTextWhole"] = func() BatchReader { return newFedReader(text, len(text)) }
-	readers["fedBinWhole"] = func() BatchReader { return newFedReader(bin, len(bin)) }
+	readers["fedTextWhole"] = func() Reader { return newFedReader(text, len(text)) }
+	readers["fedBinWhole"] = func() Reader { return newFedReader(bin, len(bin)) }
 	return readers
 }
 
-// drainBatches reads rd to the end through NextBatch, cloning each
-// batch's records (batch storage is recycled between calls).
-func drainBatches(t *testing.T, rd BatchReader, b *RecordBatch, max int) []Record {
-	t.Helper()
-	var out []Record
-	for {
-		n, err := rd.NextBatch(b, max)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 {
-			return out
-		}
-		for i := range b.Recs[:n] {
-			out = append(out, b.Recs[i].Clone())
-		}
-	}
-}
-
-// TestNextBatchParity pins that every batch reader yields the same
-// records as the serial parser, across batch sizes that do and do not
-// divide the trace evenly — and that one RecordBatch can be reused
-// across readers and formats without cross-contamination.
-func TestNextBatchParity(t *testing.T) {
+// TestReadIntoParity pins that every reader yields the same records as
+// the serial parser — and that one RecordBatch can be reused across
+// readers and formats without cross-contamination.
+func TestReadIntoParity(t *testing.T) {
 	recs := randomRecords(rand.New(rand.NewSource(11)), 700)
 	text, bin := EncodeAll(recs), EncodeBinary(recs)
 	want, err := ParseBytes(text)
@@ -147,61 +116,19 @@ func TestNextBatchParity(t *testing.T) {
 	}
 	var b RecordBatch // shared across every subtest on purpose
 	for name, open := range batchReaders(t, text, bin) {
-		for _, max := range []int{1, 7, 256, 100000} {
-			got := drainBatches(t, open(), &b, max)
-			if !equalModuloNaN(want, got) {
-				t.Errorf("%s max=%d: batch records differ from serial parse", name, max)
-			}
+		b.Reset()
+		if err := open().ReadInto(b.Add); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-	}
-}
-
-// TestNextBatchVsNext pins that interleaving Next and NextBatch on the
-// same reader walks the same stream: batch decoding is a protocol
-// extension, not a separate cursor.
-func TestNextBatchVsNext(t *testing.T) {
-	recs := randomRecords(rand.New(rand.NewSource(12)), 120)
-	text, bin := EncodeAll(recs), EncodeBinary(recs)
-	want, err := ParseBytes(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, open := range batchReaders(t, text, bin) {
-		rd := open()
-		var got []Record
-		var b RecordBatch
-		for i := 0; len(got) < len(want); i++ {
-			if i%2 == 0 {
-				r, err := rd.Next()
-				if err != nil {
-					t.Fatalf("%s: Next: %v", name, err)
-				}
-				if r == nil {
-					break
-				}
-				got = append(got, r.Clone())
-			} else {
-				n, err := rd.NextBatch(&b, 5)
-				if err != nil {
-					t.Fatalf("%s: NextBatch: %v", name, err)
-				}
-				if n == 0 {
-					break
-				}
-				for k := range b.Recs[:n] {
-					got = append(got, b.Recs[k].Clone())
-				}
-			}
-		}
-		if !equalModuloNaN(want, got) {
-			t.Errorf("%s: interleaved Next/NextBatch differs from serial parse", name)
+		if !equalModuloNaN(want, b.Recs) {
+			t.Errorf("%s: records differ from serial parse", name)
 		}
 	}
 }
 
 // TestErrorIsSticky pins that a decode error is terminal: the records
-// before the bad one are delivered, then every later Next and NextBatch
-// returns the same error and never another record — a decoder that failed
+// before the bad one are delivered, then every later ReadInto returns the
+// same error and never hands on another record — a decoder that failed
 // mid-record would otherwise resume inside it and fabricate one.
 func TestErrorIsSticky(t *testing.T) {
 	recs := randomRecords(rand.New(rand.NewSource(16)), 60)
@@ -214,45 +141,28 @@ func TestErrorIsSticky(t *testing.T) {
 	for name, open := range batchReaders(t, text, bin) {
 		rd := open()
 		n := 0
-		var first error
-		for first == nil {
-			rec, err := rd.Next()
-			if rec == nil && err == nil {
-				t.Fatalf("%s: clean end of trace after %d records, want an error", name, n)
-			}
-			if first = err; err == nil {
-				n++
-			}
+		count := func([]Record, []uint32) { n++ }
+		first := rd.ReadInto(count)
+		if first == nil {
+			t.Fatalf("%s: clean end of trace after %d records, want an error", name, n)
 		}
 		if n != good {
 			t.Errorf("%s: %d records before the error, want %d", name, n, good)
 		}
-		var b RecordBatch
 		for i := 0; i < 3; i++ {
-			if rec, err := rd.Next(); rec != nil || err != first {
-				t.Fatalf("%s: Next after the error = (%v, %v), want the same error", name, rec, err)
-			}
-			if got, err := rd.NextBatch(&b, 8); got != 0 || len(b.Recs) != 0 || err != first {
-				t.Fatalf("%s: NextBatch after the error = (%d, %v), want the same error", name, got, err)
+			if err := rd.ReadInto(count); n != good || err != first {
+				t.Fatalf("%s: ReadInto after the error = %d more records, %v; want none and the same error", name, n-good, err)
 			}
 		}
 	}
 }
 
-// drain reads rd to its end or first error through NextBatch, cloning the
-// records out of the recycled batch.
-func drain(rd BatchReader, max int) ([]Record, error) {
+// drain reads rd to its end or first error, cloning the records it hands
+// on: those before an error too.
+func drain(rd Reader) ([]Record, error) {
 	var b RecordBatch
-	var out []Record
-	for {
-		n, err := rd.NextBatch(&b, max)
-		if err != nil || n == 0 {
-			return out, err
-		}
-		for i := range b.Recs[:n] {
-			out = append(out, b.Recs[i].Clone())
-		}
-	}
+	err := rd.ReadInto(b.Add)
+	return b.Recs, err
 }
 
 // TestFedReaderMatchesStream pins the fed reader on the inputs whose end
@@ -260,9 +170,7 @@ func drain(rd BatchReader, max int) ([]Record, error) {
 // (the format waits for the closed feed), and a record over the streaming
 // cap in either format. Fed in any cuts, each must give the records and
 // the error string a stream of the same bytes gives, and so must every
-// feed handed over before the first read. They are read one
-// record per call: a batch that meets an error is dropped whole, and a fed
-// reader's batches also end where its feeds do.
+// feed handed over before the first read.
 func TestFedReaderMatchesStream(t *testing.T) {
 	long := Record{Line: 1, Func: strings.Repeat("f", maxRecordBytes+16), Block: "b", Opcode: OpBr, DynID: 1}
 	head := sampleRecords()
@@ -281,12 +189,12 @@ func TestFedReaderMatchesStream(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: NewAutoReader: %v", name, err)
 		}
-		want, werr := drain(st, 1)
+		want, werr := drain(st)
 		if strings.HasPrefix(name, "over-cap") && !errors.Is(werr, bufio.ErrTooLong) {
 			t.Fatalf("%s: stream error %v, want a wrapped bufio.ErrTooLong", name, werr)
 		}
 		for _, cuts := range [][]int{{1, 512}, {len(binaryMagic) - 1, 64 << 10}, {max(len(data), 1)}} {
-			got, gerr := drain(newFedReader(data, cuts...), 1)
+			got, gerr := drain(newFedReader(data, cuts...))
 			if fmt.Sprint(gerr) != fmt.Sprint(werr) || !equalModuloNaN(want, got) {
 				t.Errorf("%s cuts %v: fed read = %d records, %v; stream = %d records, %v",
 					name, cuts, len(got), gerr, len(want), werr)
@@ -299,7 +207,7 @@ func TestFedReaderMatchesStream(t *testing.T) {
 			ahead.Feed(data[i:min(i+512, len(data))])
 		}
 		ahead.CloseFeed()
-		if got, gerr := drain(ahead, 1); fmt.Sprint(gerr) != fmt.Sprint(werr) || !equalModuloNaN(want, got) {
+		if got, gerr := drain(ahead); fmt.Sprint(gerr) != fmt.Sprint(werr) || !equalModuloNaN(want, got) {
 			t.Errorf("%s fed ahead: %d records, %v; stream = %d records, %v", name, len(got), gerr, len(want), werr)
 		}
 	}
@@ -355,51 +263,49 @@ func TestForEachBatchPropagatesReaderError(t *testing.T) {
 	}
 }
 
-// closeCounter counts Close calls through a batch-capable reader and
-// fails them with err.
-type closeCounter struct {
-	BatchReader
-	n   *int
-	err error
-}
-
-func (c closeCounter) Close() error { *c.n++; return c.err }
-
-// TestForEachBatchCloses pins the Closer contract and error propagation:
-// the reader is closed exactly once, including when fn aborts the sweep,
-// and a close failure surfaces after a clean sweep but never masks the
-// sweep's own error.
-func TestForEachBatchCloses(t *testing.T) {
-	data := EncodeAll(sampleRecords())
-	var b RecordBatch
-
-	closes := 0
-	rd := closeCounter{newStreamReader(bytes.NewReader(data), FormatText), &closes, nil}
-	if err := ForEachBatch(rd, &b, func(int, []Record) error { return nil }); err != nil {
+// TestForEachBatchCutsTheStream pins ForEachBatch's calls: every
+// DefaultBatchRecords records and then the rest, each with its stream
+// index; an error from fn ends the calls and is returned; a decode error
+// drops the batch it cut short.
+func TestForEachBatchCutsTheStream(t *testing.T) {
+	recs := randomRecords(rand.New(rand.NewSource(17)), 2*DefaultBatchRecords+276)
+	data := EncodeAll(recs)
+	want, err := ParseBytes(data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if closes != 1 {
-		t.Errorf("clean sweep: %d Close calls, want 1", closes)
-	}
-
-	closes = 0
-	rd = closeCounter{newStreamReader(bytes.NewReader(data), FormatText), &closes, nil}
+	var b RecordBatch
 	boom := errors.New("boom")
-	if err := ForEachBatch(rd, &b, func(int, []Record) error { return boom }); !errors.Is(err, boom) {
-		t.Errorf("aborted sweep error = %v, want boom", err)
+	sweep := func(data []byte, fail int) (bases, sizes []int, got []Record, err error) {
+		rd, _, rerr := NewBytesReader(data)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		err = ForEachBatch(rd, &b, func(base int, rs []Record) error {
+			bases, sizes = append(bases, base), append(sizes, len(rs))
+			for i := range rs {
+				got = append(got, rs[i].Clone())
+			}
+			if len(bases) == fail {
+				return boom
+			}
+			return nil
+		})
+		return bases, sizes, got, err
 	}
-	if closes != 1 {
-		t.Errorf("aborted sweep: %d Close calls, want 1", closes)
+	bases, sizes, got, err := sweep(data, 0)
+	if err != nil || !reflect.DeepEqual(bases, []int{0, 512, 1024}) || !reflect.DeepEqual(sizes, []int{512, 512, 276}) {
+		t.Fatalf("sweep: bases %v, sizes %v, %v; want [0 512 1024], [512 512 276], no error", bases, sizes, err)
 	}
-
-	closeFailed := errors.New("close failed")
-	rd = closeCounter{newStreamReader(bytes.NewReader(data), FormatText), &closes, closeFailed}
-	if err := ForEachBatch(rd, &b, func(int, []Record) error { return nil }); !errors.Is(err, closeFailed) {
-		t.Errorf("clean sweep with a failing Close = %v, want the close error", err)
+	if !equalModuloNaN(want, got) {
+		t.Fatal("sweep's records differ from serial parse")
 	}
-	rd = closeCounter{newStreamReader(bytes.NewReader(data), FormatText), &closes, closeFailed}
-	if err := ForEachBatch(rd, &b, func(int, []Record) error { return boom }); !errors.Is(err, boom) {
-		t.Errorf("sweep error masked by the close error: %v", err)
+	if bases, _, _, err = sweep(data, 1); !errors.Is(err, boom) || len(bases) != 1 {
+		t.Errorf("fn failing at its first call: %d calls, %v; want 1 and its error", len(bases), err)
+	}
+	bad := append(EncodeAll(recs[:DefaultBatchRecords+10]), "0,x\n"...)
+	if bases, _, _, err = sweep(bad, 0); err == nil || len(bases) != 1 {
+		t.Errorf("a decode error after %d records: %d calls, %v; want 1 and the error", DefaultBatchRecords+10, len(bases), err)
 	}
 }
 
@@ -425,7 +331,7 @@ func TestBatchOpsAppendSafe(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := &RecordBatch{}
-		if _, err := rd.NextBatch(b, len(recs)+1); err != nil {
+		if err := rd.ReadInto(b.Add); err != nil {
 			t.Fatalf("%s: %v", in.name, err)
 		}
 		if !equalModuloNaN(b.Recs, recs) {
@@ -460,7 +366,7 @@ func TestBatchOpsAppendSafe(t *testing.T) {
 			t.Fatal(err)
 		}
 		var b RecordBatch
-		if _, err := rd.NextBatch(&b, 2); err != nil {
+		if err := rd.ReadInto(b.Add); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(b.Recs, def) {
@@ -503,25 +409,16 @@ func TestBatchDecodeAllocs(t *testing.T) {
 	}
 	br := rd.(*WindowReader)
 	var b RecordBatch
-	// Warm up: one full pass sizes Recs and the operand arena.
-	for {
-		n, err := br.NextBatch(&b, DefaultBatchRecords)
-		if err != nil {
+	add := b.Add
+	pass := func() {
+		br.pos = 0
+		b.Reset()
+		if err := br.ReadInto(add); err != nil {
 			t.Fatal(err)
 		}
-		if n == 0 {
-			break
-		}
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		br.pos = 0
-		for {
-			n, err := br.NextBatch(&b, DefaultBatchRecords)
-			if err != nil || n == 0 {
-				return
-			}
-		}
-	})
+	pass() // sizes Recs and the operand arena
+	allocs := testing.AllocsPerRun(20, pass)
 	// The interner may still intern a handful of previously unseen
 	// value strings; allow a small slack, not per-record growth.
 	if allocs > 10 {
@@ -571,26 +468,21 @@ func TestRareShapeDecodeAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := rd.(*WindowReader)
-	var b RecordBatch
-	pass := func() (n int) {
-		br.pos = 0
-		for {
-			k, err := br.NextBatch(&b, DefaultBatchRecords)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if k == 0 {
-				return n
-			}
-			for _, r := range b.Recs[:k] {
-				if len(r.Ops) != 2 || r.Ops[0].Name != "3" || r.Ops[1].Index != 2 || r.Result == nil || r.Result.Name != "6" {
-					t.Fatalf("record %d decoded as %s", n, r.String())
-				}
-				n++
-			}
+	n := 0
+	check := func(recs []Record, _ []uint32) {
+		if r := &recs[0]; len(r.Ops) != 2 || r.Ops[0].Name != "3" || r.Ops[1].Index != 2 || r.Result == nil || r.Result.Name != "6" {
+			t.Fatalf("record %d decoded as %s", n, r.String())
 		}
+		n++
 	}
-	if n := pass(); n != 1000 { // also sizes Recs and the operand arena
+	pass := func() int {
+		br.pos, n = 0, 0
+		if err := br.ReadInto(check); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if n := pass(); n != 1000 {
 		t.Fatalf("%d records, want 1000", n)
 	}
 	if allocs := testing.AllocsPerRun(20, func() { pass() }); allocs > 0 {

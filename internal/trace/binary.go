@@ -126,11 +126,13 @@ type RecordWriter interface {
 	Count() int64
 }
 
-// Reader is the streaming side of a trace encoding; *WindowReader
+// Reader is the decoding side of a trace encoding; *WindowReader
 // implements it for both formats.
 type Reader interface {
-	// Next returns the next record, or (nil, nil) at end of stream.
-	Next() (*Record, error)
+	// ReadInto decodes to the end of the stream, or of the bytes fed so
+	// far, handing each record and its template id to sink as it is
+	// decoded (see Sink).
+	ReadInto(sink Sink) error
 }
 
 // zigzag / varint helpers (protobuf-style).
@@ -426,7 +428,7 @@ const (
 // binDecoder is the one ACTB decoder: one walk over data (a whole trace, or
 // the window of a stream that starts at offset base) with a local cursor,
 // handing each record to a sink: a template reference written in place
-// into its template's home, any other record decoded into loose.
+// into its Template, any other record decoded into loose.
 //
 // Each helper takes the position of its field and returns the position
 // after it or, negative, one of the cursor codes truncated and corrupt,
@@ -446,11 +448,11 @@ type binDecoder struct {
 	prev  []uint64
 	dyn   int64
 	// A template's definition is decoded again when a record first refers
-	// to it, into a home: from data when stable — data is the whole trace
+	// to it, into a Template: from data when stable — data is the whole trace
 	// and never slides — and otherwise from the copy of it kept in defs.
 	stable bool
 	defs   []byte
-	slabs  homeSlabs
+	slabs  templateSlabs
 	loose  loose // a record decoded field by field, or a definition decoded again
 	// replay is set on the decoder that decodes a definition again: a new
 	// string the definition introduced is strs[next], not a new entry.
@@ -465,13 +467,13 @@ type binDecoder struct {
 
 // tmpl is one entry of the template table: where its definition starts,
 // how long the string table was before it, where its pointer slots start
-// in prev, and its home once a record referred to it. It stays this small
+// in prev, and its Template once a record referred to it. It stays this small
 // because a trace of records of distinct shapes has a template each.
 type tmpl struct {
 	def   int
 	strs0 uint32
 	prev  uint32
-	home  *home
+	tpl   *Template
 }
 
 // The cursor codes.
@@ -716,7 +718,7 @@ func (d *binDecoder) opcodeTable(p int) int {
 // it — string and template tables, pointer slots, kept definitions (its
 // position, its DynID and its slots' values never moved) — so the stream
 // reader can decode it again from its start once more bytes are in. What
-// it wrote of its values into its template's home, the record's next
+// it wrote of its values into its Template, the record's next
 // decode writes again.
 func (d *binDecoder) record(sink Sink) int {
 	tabs := d.tables()
@@ -726,14 +728,14 @@ func (d *binDecoder) record(sink Sink) int {
 		return p
 	}
 	d.pos = p
-	sink(h.rec[:], h.id[:])
+	sink(h.Rec[:], h.ID[:])
 	return 0
 }
 
 // walk decodes the record at d.pos and returns where it is: a version-2
 // record through walk2, a version-1 one, which has no template, into
 // loose.
-func (d *binDecoder) walk() (*home, int) {
+func (d *binDecoder) walk() (*Template, int) {
 	if d.v2 {
 		return d.walk2()
 	}
@@ -751,7 +753,7 @@ func (d *binDecoder) walk() (*home, int) {
 	if p = d.body(&l.RecordBatch, flags, p, true, maxBinaryOperands); p >= 0 {
 		l.seal(rec, flags != 0)
 	}
-	return &l.home, p
+	return &l.Template, p
 }
 
 // head decodes the header fields at data[p:] — flags, whose byte the
@@ -796,13 +798,13 @@ func (d *binDecoder) body(b *RecordBatch, flags byte, p int, values bool, limit 
 }
 
 // walk2 decodes a version-2 record: a definition, into loose as it
-// decodes, or a reference, written into its template's home; then its
+// decodes, or a reference, written into its Template; then its
 // DynID delta and register values. It returns where the record is. A
 // one-off definition carries its values and is followed by its DynID
 // delta alone. The template's pointer slots and the previous DynID move
 // only once the whole record has decoded, so a record cut short leaves no
 // trace in them.
-func (d *binDecoder) walk2() (*home, int) {
+func (d *binDecoder) walk2() (*Template, int) {
 	p := d.pos
 	ref := uint64(d.data[p])
 	if ref < 0x80 {
@@ -810,7 +812,7 @@ func (d *binDecoder) walk2() (*home, int) {
 	} else if ref, p = d.uvarint(p); p < 0 {
 		return nil, d.in(p, "template ref")
 	}
-	h, flags := &d.loose.home, byte(0)
+	h, flags := &d.loose.Template, byte(0)
 	var ops []Operand // the operands the values go into
 	var prev []uint64 // their template's pointer slots
 	if ref == 0 {
@@ -818,17 +820,17 @@ func (d *binDecoder) walk2() (*home, int) {
 			return nil, p
 		}
 		if id := len(d.tmpls) - 1; flags&2 == 0 {
-			h.id[0], ops, prev = uint32(id), d.loose.staging(), d.prev[d.tmpls[id].prev:]
+			h.ID[0], ops, prev = uint32(id), d.loose.staging(), d.prev[d.tmpls[id].prev:]
 		}
 	} else {
 		if ref > uint64(len(d.tmpls)) {
 			return nil, d.fault(corrupt, p, "template ref", "beyond table")
 		}
 		t := &d.tmpls[ref-1]
-		if h = t.home; h == nil {
+		if h = t.tpl; h == nil {
 			h = d.materialize(uint32(ref - 1))
 		}
-		ops, prev = h.ops, d.prev[t.prev:]
+		ops, prev = h.Ops, d.prev[t.prev:]
 	}
 	v, p := d.uvarint(p)
 	if p < 0 {
@@ -839,9 +841,9 @@ func (d *binDecoder) walk2() (*home, int) {
 		return nil, p
 	}
 	if ref == 0 {
-		d.loose.seal(&h.rec[0], flags&1 != 0)
+		d.loose.seal(&h.Rec[0], flags&1 != 0)
 	}
-	h.rec[0].DynID, d.dyn = dyn, dyn
+	h.Rec[0].DynID, d.dyn = dyn, dyn
 	j := 0
 	for i := range ops {
 		if o := &ops[i]; o.IsReg && o.Value.Kind == KindPtr {
@@ -906,10 +908,10 @@ func growTable[T any](s []T, n int) []T {
 	return t
 }
 
-// materialize decodes t's definition again, into a new home: the first
-// reference to a template pays for its home, so a template used once —
+// materialize decodes t's definition again, into a new Template: the
+// first reference to a template pays for it, so a template used once —
 // as every one of a trace of distinct shapes is — never has one.
-func (d *binDecoder) materialize(id uint32) *home {
+func (d *binDecoder) materialize(id uint32) *Template {
 	t := &d.tmpls[id]
 	r := binDecoder{data: d.defs, strs: d.strs, replay: true, next: int(t.strs0)}
 	if d.stable {
@@ -921,8 +923,8 @@ func (d *binDecoder) materialize(id uint32) *home {
 	p := r.head(&hdr, flags, t.def)
 	d.loose.Reset()
 	r.body(&d.loose.RecordBatch, flags, p, false, maxTemplateOperands)
-	t.home = d.slabs.newHome(&hdr, d.loose.staging(), flags != 0, id)
-	return t.home
+	t.tpl = d.slabs.newTemplate(&hdr, d.loose.staging(), flags != 0, id)
+	return t.tpl
 }
 
 // values decodes a version-2 record's register values at data[p:] into
@@ -978,7 +980,7 @@ func ParseBinary(data []byte) ([]Record, error) {
 
 // presize sizes b for the whole trace past the header at d.pos, before
 // any record. Unlike text there is no cheap record count, so it decodes up
-// to 64 records on a probe copy of d — its own tables and homes, d
+// to 64 records on a probe copy of d — its own tables and Templates, d
 // untouched — and
 // scales their record and operand counts by the share of the record bytes
 // they take, plus an eighth: records and arena are then allocated once,
@@ -988,7 +990,7 @@ func (d *binDecoder) presize(b *RecordBatch) {
 	probe := *d
 	probe.strs = slices.Clone(d.strs)
 	probe.tmpls, probe.prev, probe.defs = slices.Clone(d.tmpls), slices.Clone(d.prev), nil
-	probe.slabs, probe.loose = homeSlabs{}, loose{}
+	probe.slabs, probe.loose = templateSlabs{}, loose{}
 	n, nops := 0, 0
 	count := func(recs []Record, _ []uint32) { n, nops = n+1, nops+recs[0].NumOperands() }
 	for n < 64 && probe.pos < len(d.data) {

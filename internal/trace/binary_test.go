@@ -29,22 +29,16 @@ func TestBinaryRoundtrip(t *testing.T) {
 func TestBinaryScannerStreaming(t *testing.T) {
 	recs := sampleRecords()
 	sc := newStreamReader(bytes.NewReader(EncodeBinary(recs)), FormatBinary)
-	for i := range recs {
-		rec, err := sc.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec == nil {
-			t.Fatalf("premature EOF at record %d", i)
-		}
-		if !reflect.DeepEqual(*rec, recs[i]) {
-			t.Errorf("record %d mismatch:\nwant %+v\ngot  %+v", i, recs[i], *rec)
-		}
+	got, err := drain(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, recs) {
+		t.Errorf("stream mismatch:\nwant %+v\ngot  %+v", recs, got)
 	}
 	for range 2 {
-		rec, err := sc.Next()
-		if err != nil || rec != nil {
-			t.Errorf("after EOF: (%v, %v), want (nil, nil)", rec, err)
+		if rest, err := drain(sc); err != nil || len(rest) != 0 {
+			t.Errorf("after EOF: (%d records, %v), want (0, nil)", len(rest), err)
 		}
 	}
 }
@@ -107,17 +101,9 @@ func TestQuickBinaryScannerEqualsParse(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sc := newStreamReader(bytes.NewReader(bin), FormatBinary)
-		var slow []Record
-		for {
-			rec, err := sc.Next()
-			if err != nil {
-				return false
-			}
-			if rec == nil {
-				break
-			}
-			slow = append(slow, *rec)
+		slow, err := drain(newStreamReader(bytes.NewReader(bin), FormatBinary))
+		if err != nil {
+			return false
 		}
 		if len(fast) == 0 && len(slow) == 0 {
 			return true
@@ -148,7 +134,7 @@ func TestBinaryTruncated(t *testing.T) {
 			t.Fatalf("truncated at %d/%d bytes: parsed %d records without error",
 				cut, len(data), len(got))
 		}
-		sgot, serr := drain(newStreamReader(iotest.OneByteReader(bytes.NewReader(data[:cut])), FormatBinary), 1)
+		sgot, serr := drain(newStreamReader(iotest.OneByteReader(bytes.NewReader(data[:cut])), FormatBinary))
 		if (err == nil) != (serr == nil) || (err == nil && len(sgot) != len(got)) {
 			t.Fatalf("cut at %d: ParseBinary = (%d records, %v), stream = (%d records, %v)",
 				cut, len(got), err, len(sgot), serr)
@@ -184,18 +170,16 @@ func TestBinaryCorruptHeader(t *testing.T) {
 		if _, err := ParseBinary(data); err == nil {
 			t.Errorf("%s: ParseBinary succeeded, want error", name)
 		}
-		sc := newStreamReader(bytes.NewReader(data), FormatBinary)
-		if _, err := sc.Next(); err == nil {
-			t.Errorf("%s: binary stream Next succeeded, want error", name)
+		if _, err := drain(newStreamReader(bytes.NewReader(data), FormatBinary)); err == nil {
+			t.Errorf("%s: binary stream read succeeded, want error", name)
 		}
 	}
 	// An empty stream is an empty trace, not an error.
 	if recs, err := ParseBinary(nil); err != nil || len(recs) != 0 {
 		t.Errorf("ParseBinary(nil) = (%v, %v), want empty", recs, err)
 	}
-	sc := newStreamReader(bytes.NewReader(nil), FormatBinary)
-	if rec, err := sc.Next(); err != nil || rec != nil {
-		t.Errorf("binary stream over empty input = (%v, %v), want (nil, nil)", rec, err)
+	if recs, err := drain(newStreamReader(bytes.NewReader(nil), FormatBinary)); err != nil || len(recs) != 0 {
+		t.Errorf("binary stream over empty input = (%d records, %v), want (0, nil)", len(recs), err)
 	}
 }
 
@@ -260,15 +244,8 @@ func TestNewAutoReader(t *testing.T) {
 			t.Fatalf("NewAutoReader(%v) = format %v, err %v", format, got, err)
 		}
 		n := 0
-		for {
-			rec, err := rd.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rec == nil {
-				break
-			}
-			n++
+		if err := rd.ReadInto(func([]Record, []uint32) { n++ }); err != nil {
+			t.Fatal(err)
 		}
 		if n != len(recs) {
 			t.Errorf("%v: read %d records, want %d", format, n, len(recs))

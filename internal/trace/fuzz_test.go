@@ -84,56 +84,31 @@ func FuzzParseTrace(f *testing.F) {
 		}
 		// The binary decoder must never panic either.
 		_, _ = ParseBinary(data)
-		// Stream = bytes, one record per call (as Next reads) and three: the
-		// same records, then the same verdict.
-		for _, max := range []int{1, 3} {
-			var want, got []Record
-			mem, _, merr := NewBytesReader(data)
-			if merr == nil {
-				want, merr = drain(mem, max)
-			}
-			st, _, sterr := NewAutoReader(newChunkReader(data, int64(crc32.ChecksumIEEE(data))))
-			if sterr == nil {
-				got, sterr = drain(st, max)
-			}
-			if (merr == nil) != (sterr == nil) || !equalModuloNaN(want, got) {
-				t.Fatalf("stream and in-memory reads of %q disagree (max %d): %d records, %v vs %d records, %v",
-					data, max, len(got), sterr, len(want), merr)
-			}
+		// Stream = bytes: the same records, then the same verdict.
+		var want, got []Record
+		mem, _, merr := NewBytesReader(data)
+		if merr == nil {
+			want, merr = drain(mem)
 		}
-		// Fed = bytes: the same records, then the same error string. Both
-		// are read one record per call, because a fed batch also ends where
-		// a feed does, and a batch that meets an error is dropped whole.
+		st, _, sterr := NewAutoReader(newChunkReader(data, int64(crc32.ChecksumIEEE(data))))
+		if sterr == nil {
+			got, sterr = drain(st)
+		}
+		if (merr == nil) != (sterr == nil) || !equalModuloNaN(want, got) {
+			t.Fatalf("stream and in-memory reads of %q disagree: %d records, %v vs %d records, %v",
+				data, len(got), sterr, len(want), merr)
+		}
+		// Fed = bytes: the same records, then the same error string.
 		rng := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(data))))
 		var cuts []int
 		for n := 0; n < len(data); {
 			cuts = append(cuts, 1+rng.Intn(97))
 			n += cuts[len(cuts)-1]
 		}
-		var want []Record
-		mem, _, merr := NewBytesReader(data)
-		if merr == nil {
-			want, merr = drain(mem, 1)
-		}
-		got, ferr := drain(newFedReader(data, append(cuts, 1)...), 1)
+		got, ferr := drain(newFedReader(data, append(cuts, 1)...))
 		if fmt.Sprint(merr) != fmt.Sprint(ferr) || !equalModuloNaN(want, got) {
 			t.Fatalf("fed and in-memory reads of %q disagree (cuts %v): %d records, %v vs %d records, %v",
 				data, cuts, len(got), ferr, len(want), merr)
-		}
-		// Sink = batches: the records handed on in place, cloned inside
-		// each call, then the same error string.
-		var sunk []Record
-		rd, _, kerr := NewBytesReader(data)
-		if kerr == nil {
-			kerr = rd.ReadInto(func(recs []Record, _ []uint32) {
-				for i := range recs {
-					sunk = append(sunk, recs[i].Clone())
-				}
-			})
-		}
-		if fmt.Sprint(merr) != fmt.Sprint(kerr) || !equalModuloNaN(want, sunk) {
-			t.Fatalf("sink and batch reads of %q disagree: %d records, %v vs %d records, %v",
-				data, len(sunk), kerr, len(want), merr)
 		}
 		if serr != nil {
 			return
@@ -203,10 +178,10 @@ func kindBlock(dyn int, v string) string {
 	return fmt.Sprintf("0,5,f,b,27,%d\n1,1,64,%s,1,p\nr,0,64,%s,1,q\n", dyn, v, v)
 }
 
-// textIDContract reads a text trace in batches of three, in memory and fed
-// in small uneven cuts, up to its end or its first error, and reports
-// where a batch has not an id per record or two records share an id but
-// not a static half.
+// textIDContract reads a text trace, in memory and fed in small uneven
+// cuts, up to its end or its first error, and reports where the reader
+// has not handed on an id per record or two records share an id but not
+// a static half.
 func textIDContract(data []byte) error {
 	mem, _, err := NewBytesReader(data)
 	if err != nil {
@@ -217,24 +192,13 @@ func textIDContract(data []byte) error {
 	for n := 0; n < len(data); n += cuts[len(cuts)-1] {
 		cuts = append(cuts, 1+rng.Intn(29))
 	}
-	for _, rd := range []BatchReader{mem, newFedReader(data, append(cuts, 1)...)} {
+	for _, rd := range []Reader{mem, newFedReader(data, append(cuts, 1)...)} {
 		var b RecordBatch
-		var recs []Record
-		var ids []uint32
-		for {
-			n, err := rd.NextBatch(&b, 3)
-			if err != nil || n == 0 {
-				break
-			}
-			if len(b.TemplateIDs) != n {
-				return fmt.Errorf("batch of %d records has %d template ids", n, len(b.TemplateIDs))
-			}
-			for i := range b.Recs {
-				recs = append(recs, b.Recs[i].Clone())
-			}
-			ids = append(ids, b.TemplateIDs...)
+		_ = rd.ReadInto(b.Add)
+		if len(b.TemplateIDs) != len(b.Recs) {
+			return fmt.Errorf("%d records have %d template ids", len(b.Recs), len(b.TemplateIDs))
 		}
-		if err := sameStaticHalves(recs, ids); err != nil {
+		if err := sameStaticHalves(b.Recs, b.TemplateIDs); err != nil {
 			return err
 		}
 	}
@@ -260,13 +224,7 @@ func mustParse(f *testing.F, data []byte) []Record {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var recs []Record
 	var b RecordBatch
-	for {
-		n, err := rd.NextBatch(&b, 1)
-		if n == 0 || err != nil {
-			return recs
-		}
-		recs = append(recs, b.Recs[0].Clone())
-	}
+	_ = rd.ReadInto(b.Add)
+	return b.Recs
 }

@@ -11,18 +11,16 @@ import (
 )
 
 // inPlaceSink checks each record a decoder hands ReadInto against want,
-// the reference decoder's records, inside the call that delivers it, and
-// the template id against ids, NextBatch's. It counts the records handed
-// on under each template id at each address: a template's records are
-// written in place into its home, so an id is handed on from at most two
-// places, its home and the decoder's loose record (an ACTB definition, or
-// the text block that made the template).
+// the reference decoder's records, inside the call that delivers it. It
+// counts the records handed on under each template id at each address: a
+// template's records are written in place into its Template, so an id is
+// handed on from at most two places, its Template and the decoder's loose
+// record (an ACTB definition, or the text block that made the template).
 type inPlaceSink struct {
-	want  []trace.Record
-	ids   []uint32
-	n     int
-	diffs string
-	homes map[uint32][2]*trace.Record
+	want   []trace.Record
+	n      int
+	diffs  string
+	places map[uint32][2]*trace.Record
 }
 
 func (s *inPlaceSink) observe(recs []trace.Record, ids []uint32) {
@@ -34,19 +32,17 @@ func (s *inPlaceSink) observe(recs []trace.Record, ids []uint32) {
 		s.diffs = fmt.Sprintf("record %d = %s beyond the reference's %d", s.n, recs[0].String(), len(s.want))
 	case !sameRecord(&recs[0], &s.want[s.n]):
 		s.diffs = fmt.Sprintf("record %d = %s, reference %s", s.n, recs[0].String(), s.want[s.n].String())
-	case ids[0] != s.ids[s.n]:
-		s.diffs = fmt.Sprintf("record %d: template id %d, NextBatch's %d", s.n, ids[0], s.ids[s.n])
 	case ids[0] != trace.NoTemplate:
-		at, r := s.homes[ids[0]], &recs[0]
+		at, r := s.places[ids[0]], &recs[0]
 		switch {
 		case at[0] == nil || at[0] == r:
 			at[0] = r
 		case at[1] == nil || at[1] == r:
 			at[1] = r
 		default:
-			s.diffs = fmt.Sprintf("record %d: template %d handed on from a third place, want its home and the loose record at most", s.n, ids[0])
+			s.diffs = fmt.Sprintf("record %d: template %d handed on from a third place, want its Template and the loose record at most", s.n, ids[0])
 		}
-		s.homes[ids[0]] = at
+		s.places[ids[0]] = at
 	}
 	s.n++
 }
@@ -76,12 +72,11 @@ type inPlaceTrace struct {
 
 // TestDecodersInPlaceMatchReference: inside every sink call of ReadInto,
 // the ACTB version-2 decoder's and the text decoder's one record is the
-// reference decoder's record, field for field, with NextBatch's template
-// id, on the 14 ports at scales 0 and 4 and on random records of distinct
+// reference decoder's record, field for field, on the 14 ports at scales 0 and 4 and on random records of distinct
 // shapes, read in memory and fed in random cuts. The ACTB traces of scale
 // 4, the smaller, and of the random records are also fed one byte at a time, so that
 // every record is cut at every byte: a template reference starved partway
-// has written some of its values into its home, and is decoded again once
+// has written some of its values into its Template, and is decoded again once
 // the rest arrive. (The text reader hands its decoder whole blocks only.)
 func TestDecodersInPlaceMatchReference(t *testing.T) {
 	var traces []inPlaceTrace
@@ -115,16 +110,12 @@ func TestDecodersInPlaceMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reference: %v", tr.label, err)
 		}
-		ids := batchIDs(t, tr.data)
-		if len(ids) != len(want) {
-			t.Fatalf("%s: NextBatch gives %d ids for %d records", tr.label, len(ids), len(want))
-		}
 		feeds := map[string]*rand.Rand{"random cuts": rand.New(rand.NewSource(int64(len(tr.data))))}
 		if tr.byByte {
 			feeds["one byte at a time"] = nil
 		}
 		check := func(how string, read func(trace.Sink) error) {
-			s := &inPlaceSink{want: want, ids: ids, homes: map[uint32][2]*trace.Record{}}
+			s := &inPlaceSink{want: want, places: map[uint32][2]*trace.Record{}}
 			switch err := read(s.observe); {
 			case err != nil:
 				t.Errorf("%s %s: %v", tr.label, how, err)
@@ -159,27 +150,5 @@ func TestDecodersInPlaceMatchReference(t *testing.T) {
 				return rd.ReadInto(sink)
 			})
 		}
-	}
-}
-
-// batchIDs reads data to its end through NextBatch and returns the
-// template ids of its records.
-func batchIDs(t *testing.T, data []byte) []uint32 {
-	t.Helper()
-	rd, _, err := trace.NewBytesReader(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b trace.RecordBatch
-	var ids []uint32
-	for {
-		n, err := rd.NextBatch(&b, trace.DefaultBatchRecords)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 {
-			return ids
-		}
-		ids = append(ids, b.TemplateIDs...)
 	}
 }

@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"io"
-	"math"
 )
 
 // Writer emits instruction blocks to an underlying io.Writer.
@@ -51,11 +50,11 @@ func ParseBytesParallel(data []byte, workers int) ([]Record, error) {
 	return ParseBytes(data)
 }
 
-// parse materialises a whole in-memory trace of format f: one NextBatch
-// of the in-memory WindowReader into a batch sized up front and never
-// reset again, whose arena backs every record's Ops and Result. Text is
-// sized exactly by CountRecords (two operands a record), ACTB by
-// binDecoder.presize.
+// parse materialises a whole in-memory trace of format f: the in-memory
+// WindowReader read into a batch (Add) whose arena backs every record's
+// Ops and Result. The batch is sized up front, text exactly by
+// CountRecords (two operands a record), ACTB by binDecoder.presize: one
+// grown as it filled would allocate a multiple of its final size.
 func parse(data []byte, f Format) ([]Record, error) {
 	if len(data) == 0 {
 		return nil, nil
@@ -70,7 +69,7 @@ func parse(data []byte, f Format) ([]Record, error) {
 	} else if n := CountRecords(data); n > 0 {
 		b.Recs, b.ops, b.TemplateIDs = make([]Record, 0, n), make([]Operand, 0, 2*n), make([]uint32, 0, n)
 	}
-	if _, err := w.NextBatch(&b, math.MaxInt); err != nil || len(b.Recs) == 0 {
+	if err := w.ReadInto(b.Add); err != nil || len(b.Recs) == 0 {
 		return nil, err
 	}
 	return b.Recs, nil

@@ -16,7 +16,7 @@ import (
 // walks the input byte slice directly, parses integers and pointers
 // without materializing strings, interns the few distinct identifier
 // strings (function names, block labels, operand names), and hands each
-// block on as it decodes it, from its template's home or from the
+// block on as it decodes it, from its template or from the
 // decoder's loose record, so a record block costs amortized zero heap
 // allocations. There is no line-length cap on this path.
 
@@ -405,7 +405,7 @@ var exactPow10 = [23]float64{
 
 // operand decodes "<tag>,<idx>,<size>,<value>,<isreg>,<name>" into *o, one
 // field after the other, nothing split off first, and returns where its
-// value field sits in line. The tag is decodeN's to read: every line of a
+// value field sits in line. The tag is decode's to read: every line of a
 // block but its header is an operand.
 func (d *decoder) operand(line []byte, o *Operand) (span, error) {
 	idx, p, ok := scanInt(line, nextComma(line, 0)+1)
@@ -495,14 +495,14 @@ func isHeaderLine(line []byte) bool {
 	return len(line) >= 2 && line[0] == '0' && line[1] == ','
 }
 
-// decodeN decodes up to max records from data, starting at pos, handing
-// each to sink with its template id, and returns the position of the first
-// unconsumed byte and how many records it handed on. This is the single
-// textual decode loop; WindowReader.nextText hands it its window. A block a
-// template matches is decoded from it, in place; any other is parsed field
-// by field into loose, and may become a template.
-func (d *decoder) decodeN(sink Sink, data []byte, pos, max int) (int, int, error) {
-	b, n := &d.loose, 0
+// decode decodes the records of data from pos on, handing each to sink
+// with its template id, and returns the position of the first unconsumed
+// byte. This is the single textual decode loop; WindowReader.nextText
+// hands it its window. A block a template matches is decoded from it, in
+// place; any other is parsed field by field into loose, and may become a
+// template.
+func (d *decoder) decode(sink Sink, data []byte, pos int) (int, error) {
+	b := &d.loose
 	var line []byte
 	var rec *Record // the open record, nil if none
 	block := 0
@@ -529,23 +529,19 @@ func (d *decoder) decodeN(sink Sink, data []byte, pos, max int) (int, int, error
 		var t *textTmpl
 		if plain && (nres == 0 || nres == 1 && resLast) {
 			if t = d.learn(data[block:next], rec, b.staging(), nres > 0); t != nil {
-				b.id[0] = t.id[0]
+				b.ID[0] = t.ID[0]
 			}
 		}
 		b.seal(rec, nres > 0)
 		d.follow(t)
 		rec = nil
-		sink(b.rec[:], b.id[:])
-		n++
+		sink(b.Rec[:], b.ID[:])
 	}
 	for pos < len(data) {
 		if isHeaderLine(data[pos:]) {
 			flush(pos)
-			if n == max {
-				return pos, n, nil
-			}
 			if end := d.templated(sink, data, pos); end >= 0 {
-				pos, n = end, n+1
+				pos = end
 				continue
 			}
 			block = pos
@@ -553,7 +549,7 @@ func (d *decoder) decodeN(sink Sink, data []byte, pos, max int) (int, int, error
 			rec, nres, resLast = b.begin(), 0, false
 			dyn, err := d.header(line, rec)
 			if err != nil {
-				return pos, n, err
+				return pos, err
 			}
 			plain = bareLF(data, block, pos, line)
 			tt.dyn, tt.vals = dyn, tt.vals[:0]
@@ -566,7 +562,7 @@ func (d *decoder) decodeN(sink Sink, data []byte, pos, max int) (int, int, error
 			continue
 		}
 		if rec == nil {
-			return pos, n, fmt.Errorf("trace: expected block header, got %q", line)
+			return pos, fmt.Errorf("trace: expected block header, got %q", line)
 		}
 		o := &res
 		if resLast = len(line) > 1 && line[0] == 'r' && line[1] == ','; resLast {
@@ -576,7 +572,7 @@ func (d *decoder) decodeN(sink Sink, data []byte, pos, max int) (int, int, error
 		}
 		val, err := d.operand(line, o)
 		if err != nil {
-			return pos, n, err
+			return pos, err
 		}
 		if plain = plain && bareLF(data, from, pos, line) && len(tt.vals) < maxTemplateOperands; plain {
 			at := from - block
@@ -584,7 +580,7 @@ func (d *decoder) decodeN(sink Sink, data []byte, pos, max int) (int, int, error
 		}
 	}
 	flush(pos)
-	return pos, n, nil
+	return pos, nil
 }
 
 // bareLF reports whether line, which nextLine read from data[from:pos],

@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-// The reference text decoder: the split-then-parse functions decodeN used
+// The reference text decoder: the split-then-parse functions decode used
 // before it decoded lines in place, kept as the oracle FuzzParseTrace and
 // TestDecodeMatchesReference hold the production decoder to — the same
 // records, or the same error string. It is written for obviousness, not

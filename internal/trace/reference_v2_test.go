@@ -419,7 +419,7 @@ func TestV2CutAnywhere(t *testing.T) {
 	}
 }
 
-func mustBytesReader(t *testing.T, data []byte) BatchReader {
+func mustBytesReader(t *testing.T, data []byte) Reader {
 	t.Helper()
 	rd, _, err := NewBytesReader(data)
 	if err != nil {
@@ -428,29 +428,18 @@ func mustBytesReader(t *testing.T, data []byte) BatchReader {
 	return rd
 }
 
-// drainIDs reads rd to its end in batches of three, cloning the records
-// and collecting their template ids.
-func drainIDs(t *testing.T, rd BatchReader) ([]Record, []uint32) {
+// drainIDs reads rd to its end, cloning the records and collecting their
+// template ids.
+func drainIDs(t *testing.T, rd Reader) ([]Record, []uint32) {
 	t.Helper()
 	var b RecordBatch
-	var recs []Record
-	var ids []uint32
-	for {
-		n, err := rd.NextBatch(&b, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 {
-			return recs, ids
-		}
-		if len(b.TemplateIDs) != n {
-			t.Fatalf("batch of %d records has %d template ids", n, len(b.TemplateIDs))
-		}
-		for i := range b.Recs {
-			recs = append(recs, b.Recs[i].Clone())
-		}
-		ids = append(ids, b.TemplateIDs...)
+	if err := rd.ReadInto(b.Add); err != nil {
+		t.Fatal(err)
 	}
+	if len(b.TemplateIDs) != len(b.Recs) {
+		t.Fatalf("%d records have %d template ids", len(b.Recs), len(b.TemplateIDs))
+	}
+	return b.Recs, b.TemplateIDs
 }
 
 // TestV2TemplateIDsNameStaticHalves: in a version-2 decode, records with

@@ -29,8 +29,8 @@ import (
 // it is seen, through a fixed first-sight memo, so a trace of distinct
 // shapes costs the memo and no templates; the parse hands learn the spans
 // of the variable fields, so a block is not walked twice. A template's
-// static half is a home, as an ACTB template's is, into which a block that
-// matches is decoded in place, and which is handed on as its record; the
+// static half is a Template, as an ACTB template's is, into which a block
+// that matches is decoded in place, and which is handed on as its record; the
 // templates' storage comes from slabs, and their number is capped.
 //
 // The template that decodes a block is looked for first as the successor
@@ -42,7 +42,7 @@ import (
 
 // textTmpl is one block shape.
 type textTmpl struct {
-	*home
+	*Template
 	head   int       // static[:head] is the header line up to the DynID
 	static []byte    // the block's bytes less its variable fields
 	vars   []textVar // the register value fields, in block order
@@ -51,7 +51,7 @@ type textTmpl struct {
 }
 
 // textVar is a register value field of a template: it sits at static[at]
-// and is the value of ops[op].
+// and is the value of Ops[op].
 type textVar struct{ at, op int32 }
 
 // span is where a field sits in a line or a block: [from, to).
@@ -67,14 +67,14 @@ type textTemplates struct {
 	memo   [256]memoSlot
 
 	// Where the DynID and each operand's value field sit in the block
-	// decodeN is parsing, from the block's start: learn's map of it.
+	// decode is parsing, from the block's start: learn's map of it.
 	dyn  span
 	vals []span
 
 	sbuf []byte // a block's static bytes, while learn looks at them
 	vbuf []textVar
 
-	slabs homeSlabs
+	slabs templateSlabs
 	tslab []textTmpl
 	bslab []byte
 	vslab []textVar
@@ -140,7 +140,7 @@ func (d *decoder) templated(sink Sink, data []byte, pos int) int {
 }
 
 // apply decodes the block at data[pos:], whose header up to the DynID is
-// t's, into t's home, and hands the home's record to sink. It returns the
+// t's, into t's Template, and hands its record to sink. It returns the
 // position after the block, or -1 if the block is not t's: the values
 // match wrote by then, the next block t matches writes again.
 func (d *decoder) apply(sink Sink, t *textTmpl, data []byte, pos int) int {
@@ -148,9 +148,9 @@ func (d *decoder) apply(sink Sink, t *textTmpl, data []byte, pos int) int {
 	if !ok {
 		return -1
 	}
-	t.rec[0].DynID = dyn
+	t.Rec[0].DynID = dyn
 	d.follow(t)
-	sink(t.rec[:], t.id[:])
+	sink(t.Rec[:], t.ID[:])
 	return p
 }
 
@@ -169,7 +169,7 @@ func (t *textTmpl) match(data []byte, pos int) (dyn int64, p int, ok bool) {
 		if !bytes.HasPrefix(data[p:], run) {
 			return 0, 0, false
 		}
-		if p, ok = scanRegister(data, p+len(run), &t.ops[v.op].Value); !ok {
+		if p, ok = scanRegister(data, p+len(run), &t.Ops[v.op].Value); !ok {
 			return 0, 0, false
 		}
 		from = int(v.at)
@@ -257,11 +257,11 @@ func (d *decoder) learn(block []byte, rec *Record, ops []Operand, hasResult bool
 	}
 	t := &carve(&tt.tslab, 1, tmplSlab)[0]
 	*t = textTmpl{
-		home:   tt.slabs.newHome(rec, ops, hasResult, uint32(tt.n)),
-		head:   head,
-		static: carve(&tt.bslab, len(s), byteSlab),
-		vars:   carve(&tt.vslab, len(vars), varSlab),
-		sib:    sib,
+		Template: tt.slabs.newTemplate(rec, ops, hasResult, uint32(tt.n)),
+		head:     head,
+		static:   carve(&tt.bslab, len(s), byteSlab),
+		vars:     carve(&tt.vslab, len(vars), varSlab),
+		sib:      sib,
 	}
 	copy(t.static, s)
 	copy(t.vars, vars)

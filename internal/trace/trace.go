@@ -242,14 +242,8 @@ type Record struct {
 // the callback that delivered it — emitters are free to reuse their
 // record and operand buffers between emissions.
 func (r *Record) Clone() Record {
-	c := *r
-	if len(r.Ops) > 0 {
-		c.Ops = append([]Operand(nil), r.Ops...)
-	}
-	if r.Result != nil {
-		res := *r.Result
-		c.Result = &res
-	}
+	var c Record
+	r.CloneInto(&c, make([]Operand, 0, r.NumOperands()))
 	return c
 }
 

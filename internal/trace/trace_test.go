@@ -133,26 +133,23 @@ func TestWriteReadRoundtrip(t *testing.T) {
 func TestScannerStreaming(t *testing.T) {
 	recs := sampleRecords()
 	sc := newStreamReader(bytes.NewReader(EncodeAll(recs)), FormatText)
+	got, err := drain(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(recs) {
+		t.Fatalf("%d records, want %d", len(got), len(recs))
+	}
 	for i := range recs {
-		rec, err := sc.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec == nil {
-			t.Fatalf("premature EOF at record %d", i)
-		}
-		if rec.DynID != recs[i].DynID {
-			t.Errorf("record %d: DynID = %d, want %d", i, rec.DynID, recs[i].DynID)
+		if got[i].DynID != recs[i].DynID {
+			t.Errorf("record %d: DynID = %d, want %d", i, got[i].DynID, recs[i].DynID)
 		}
 	}
-	rec, err := sc.Next()
-	if err != nil || rec != nil {
-		t.Errorf("after EOF: (%v, %v), want (nil, nil)", rec, err)
-	}
-	// Next after EOF must stay nil.
-	rec, err = sc.Next()
-	if err != nil || rec != nil {
-		t.Errorf("repeated EOF: (%v, %v), want (nil, nil)", rec, err)
+	// A read after EOF, and another, hand on nothing.
+	for range 2 {
+		if rest, err := drain(sc); err != nil || len(rest) != 0 {
+			t.Errorf("after EOF: (%d records, %v), want (0, nil)", len(rest), err)
+		}
 	}
 }
 
@@ -265,7 +262,7 @@ func TestScannerLongLines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		streamed, err := drain(rd, 1)
+		streamed, err := drain(rd)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,8 +312,7 @@ func TestScannerTooLongContext(t *testing.T) {
 	name := strings.Repeat("f", maxRecordBytes+16)
 	rec := Record{Line: 1, Func: name, Block: "b", Opcode: OpBr, DynID: 1}
 	data := EncodeAll([]Record{rec})
-	sc := newStreamReader(bytes.NewReader(data), FormatText)
-	_, err := sc.Next()
+	_, err := drain(newStreamReader(bytes.NewReader(data), FormatText))
 	if err == nil {
 		t.Fatal("Scanner accepted a line beyond the cap")
 	}
@@ -341,15 +337,7 @@ func TestScannerTooLongOffset(t *testing.T) {
 	good := EncodeAll(sampleRecords())
 	bad := append(append([]byte{}, good...), []byte("0,1,")...)
 	bad = append(bad, bytes.Repeat([]byte("x"), maxRecordBytes)...)
-	sc := newStreamReader(bytes.NewReader(bad), FormatText)
-	var err error
-	for {
-		var rec *Record
-		rec, err = sc.Next()
-		if rec == nil || err != nil {
-			break
-		}
-	}
+	_, err := drain(newStreamReader(bytes.NewReader(bad), FormatText))
 	if err == nil || !errors.Is(err, bufio.ErrTooLong) {
 		t.Fatalf("want wrapped ErrTooLong, got %v", err)
 	}
@@ -493,17 +481,9 @@ func TestResultMidBlockParity(t *testing.T) {
 	}
 }
 
-// scanAll decodes a text trace stream record by record through Next.
+// scanAll decodes a text trace stream to its end or first error.
 func scanAll(r io.Reader) ([]Record, error) {
-	sc := newStreamReader(r, FormatText)
-	var recs []Record
-	for {
-		rec, err := sc.Next()
-		if rec == nil || err != nil {
-			return recs, err
-		}
-		recs = append(recs, rec.Clone())
-	}
+	return drain(newStreamReader(r, FormatText))
 }
 
 func TestScannerCRLF(t *testing.T) {

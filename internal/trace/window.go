@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 )
 
 const (
@@ -23,16 +22,15 @@ const (
 	maxRecordBytes = 1 << 22
 )
 
-// WindowReader is the one trace reader: it decodes either format, in
-// batches, from a window of the trace's bytes. Over an in-memory trace
+// WindowReader is the one trace reader: it decodes either format from a
+// window of the trace's bytes. Over an in-memory trace
 // (NewBytesReader) the window is the whole input. Over an io.Reader, or
 // over bytes the caller feeds it (NewFedReader), it is a bounded, reused
 // buffer that slides its undecoded tail to the front and refills with one
 // Read at a time, so a trace is decoded as it arrives. Either way the
-// bytes go to the same two decoders, decoder.decodeN (text) and
-// binDecoder.record (ACTB), which hand each record to a sink: the
-// caller's (ReadInto), or one that clones it into the caller's batch
-// (NextBatch).
+// bytes go to the same two decoders, decoder.decode (text) and
+// binDecoder.record (ACTB), which hand each record to the caller's sink
+// (ReadInto).
 type WindowReader struct {
 	src    io.Reader // nil over an in-memory trace; a *feed when fed
 	buf    []byte    // the window; buf[pos:end] is read but not yet decoded
@@ -54,7 +52,7 @@ type WindowReader struct {
 // NewAutoReader returns a streaming reader for whichever format the
 // stream's first bytes announce, reading just far enough to tell. Text is
 // assumed when the stream is shorter than the binary magic.
-func NewAutoReader(r io.Reader) (BatchReader, Format, error) {
+func NewAutoReader(r io.Reader) (Reader, Format, error) {
 	w := newStreamReader(r, FormatText)
 	if err := w.detect(); err != nil {
 		return nil, 0, err
@@ -65,7 +63,8 @@ func NewAutoReader(r io.Reader) (BatchReader, Format, error) {
 // NewFedReader returns a reader of a trace handed over in pieces with
 // Feed, in either format (read off the first bytes once the magic's worth
 // has arrived or the feed is closed). Out of fed bytes before CloseFeed,
-// NextBatch returns what it decoded and no error; the next Feed resumes.
+// ReadInto returns with no error, having handed on every record the fed
+// bytes complete; the next Feed and ReadInto resume.
 func NewFedReader() *WindowReader {
 	w := newStreamReader(&feed{}, FormatText)
 	w.sniff = true
@@ -74,7 +73,7 @@ func NewFedReader() *WindowReader {
 
 // Feed hands over the next bytes of the trace; only a reader from
 // NewFedReader takes them. The window copies them as it refills, so p
-// must not change until NextBatch returns zero or an error.
+// must not change until the next ReadInto returns.
 func (w *WindowReader) Feed(p []byte) {
 	f := w.src.(*feed)
 	f.queue = append(f.queue, p)
@@ -85,7 +84,7 @@ func (w *WindowReader) CloseFeed() { w.src.(*feed).closed = true }
 
 // feed is a fed reader's source: the pieces fed and not yet in the window,
 // in order. Out of bytes with the feed open it reads errStarved, which
-// fill does not keep and NextBatch turns into "nothing more for now".
+// fill does not keep and ReadInto turns into "nothing more for now".
 type feed struct {
 	queue  [][]byte
 	closed bool
@@ -115,10 +114,10 @@ func (f *feed) Read(p []byte) (int, error) {
 }
 
 // NewBytesReader returns a reader over a complete in-memory trace, text
-// or binary by magic, decoding into recycled batch storage — the fast
-// source for streaming analysis over bytes already in memory. A bad ACTB
-// header fails here rather than on the first read.
-func NewBytesReader(data []byte) (BatchReader, Format, error) {
+// or binary by magic, whose window is the input itself — the fast source
+// for streaming analysis over bytes already in memory. A bad ACTB header
+// fails here rather than on the first read.
+func NewBytesReader(data []byte) (Reader, Format, error) {
 	f := DetectFormat(data)
 	w, err := newBytesReader(data, f)
 	if err != nil {
@@ -212,86 +211,54 @@ func (w *WindowReader) fill() error {
 	return nil
 }
 
-// Next returns the next record, or (nil, nil) at end of trace: NextBatch
-// of one into a batch of its own, because the Reader contract lets
-// callers retain the record.
-func (w *WindowReader) Next() (*Record, error) {
-	var b RecordBatch
-	if n, err := w.NextBatch(&b, 1); n == 0 {
-		return nil, err
-	}
-	return &b.Recs[0], nil
-}
-
-// NextBatch decodes up to max records into b, recycling its storage: the
-// materialising consumer of read, whose sink clones each record into b.
-// A batch that meets an error is dropped whole. A fed reader out of bytes
-// returns what it decoded, and no error.
-func (w *WindowReader) NextBatch(b *RecordBatch, max int) (int, error) {
-	b.Reset()
-	n, err := w.read(b.add, max)
-	if err != nil {
-		b.Reset()
-		return 0, err
-	}
-	return n, nil
-}
-
 // ReadInto decodes to the end of the trace, or of the bytes fed so far,
 // handing each record to sink as it is decoded, in place (see Sink).
+// After an error every call returns that error and hands on nothing: a
+// decoder that failed mid-record has no position to resume from. A fed
+// reader out of bytes returns no error.
 func (w *WindowReader) ReadInto(sink Sink) error {
-	_, err := w.read(sink, math.MaxInt)
-	return err
-}
-
-// read decodes up to max records, handing each to sink, and returns how
-// many it handed on. After an error every call returns that error and
-// hands on nothing: a decoder that failed mid-record has no position to
-// resume from. A fed reader out of bytes returns no error.
-func (w *WindowReader) read(sink Sink, max int) (int, error) {
 	err := w.err
 	if err == nil && w.sniff {
 		err = w.detect()
 	}
-	n := 0
 	if err == nil {
 		if w.format == FormatBinary {
-			n, err = w.nextBinary(sink, max)
+			err = w.nextBinary(sink)
 		} else {
-			n, err = w.nextText(sink, max)
+			err = w.nextText(sink)
 		}
 	}
 	if err == errStarved {
 		err = nil
 	}
 	w.err = err
-	return n, err
+	return err
 }
 
-// nextText hands decodeN the window up to its last "\n0,": everything
+// nextText hands decode the window up to its last "\n0,": everything
 // before a block header is complete blocks, so the decoder never sees a
 // record the next refill would extend. The final
 // window is decoded to its end.
-func (w *WindowReader) nextText(sink Sink, limit int) (n int, err error) {
+func (w *WindowReader) nextText(sink Sink) error {
 	if w.text == nil {
 		w.text = newDecoder()
 	}
-	for n < limit {
+	for {
 		if w.pos < w.cut {
-			pos, k, err := w.text.decodeN(sink, w.buf[:w.cut], w.pos, limit-n)
-			if n += k; err != nil {
-				return n, err
+			pos, err := w.text.decode(sink, w.buf[:w.cut], w.pos)
+			if err != nil {
+				return err
 			}
 			w.pos = pos
 			continue
 		}
 		if w.scanned == w.end {
 			if w.final() {
-				break
+				return nil
 			}
 			w.cut, w.scanned = 0, w.scanned-w.pos // fill slides pos to 0
 			if err := w.fill(); err != nil {
-				return n, err
+				return err
 			}
 		}
 		// Only bytes not searched before are searched (less a mark's
@@ -306,7 +273,6 @@ func (w *WindowReader) nextText(sink Sink, limit int) (n int, err error) {
 		}
 		w.scanned = w.end
 	}
-	return n, nil
 }
 
 // nextBinary decodes records until one runs off the end of a non-final
@@ -314,32 +280,31 @@ func (w *WindowReader) nextText(sink Sink, limit int) (n int, err error) {
 // binDecoder.record), is decoded again after a refill, and no error is
 // formatted for it. In the final window running off the end is the
 // truncation error.
-func (w *WindowReader) nextBinary(sink Sink, max int) (n int, err error) {
+func (w *WindowReader) nextBinary(sink Sink) error {
 	d := &w.bin
-	for n < max {
+	for {
 		if d.pos < len(d.data) {
 			if d.base == 0 && d.pos == 0 {
-				if err = d.header(); err == nil {
+				err := d.header()
+				if err == nil {
 					continue
 				}
 				if w.final() || !errors.Is(err, io.ErrUnexpectedEOF) {
-					return n, err
+					return err
 				}
 			} else if code := d.record(sink); code == 0 {
-				n++
 				continue
 			} else if w.final() || code != truncated {
-				return n, d.err(code)
+				return d.err(code)
 			}
 		} else if w.final() {
-			break
+			return nil
 		}
 		w.pos = d.pos
-		err = w.fill()
+		err := w.fill()
 		d.data, d.pos, d.base = w.buf[:w.end], 0, w.base
 		if err != nil {
-			return n, err
+			return err
 		}
 	}
-	return n, nil
 }
