@@ -88,9 +88,11 @@ func envelopeError(status int, body []byte) error {
 // Every request carries the tenant namespace and its admission class so
 // the embedding server's controller can account and order it.
 func (c *Client) do(method, path string, body []byte, pri admission.Priority) ([]byte, error) {
-	return c.tr.Do(c.Retry, wire.Request{
-		Method: method, Path: path, Body: body, Tenant: c.ns(), Priority: pri,
-	})
+	req := wire.Request{Method: method, Path: path, Tenant: c.ns(), Priority: pri}
+	if body != nil {
+		req.Body = [][]byte{body}
+	}
+	return c.tr.Do(c.Retry, req)
 }
 
 // Analyze runs the one-shot endpoint: the whole trace in one request.

@@ -3,8 +3,11 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
+
+	"autocheck/internal/faultinject"
 )
 
 // FuzzVerifySections: VerifySections is the only check between the wire
@@ -116,4 +119,97 @@ func TestMemoryCorruptIsCopyOnWrite(t *testing.T) {
 	if _, err := m.GetBlob("k"); err == nil {
 		t.Error("the corrupted object was served")
 	}
+}
+
+// TestMemoryVerifiesAStoredBlobOnce: Memory.GetBlob verifies a stored blob
+// on its first read and trusts it until the key's entry is replaced. The
+// test breaks the read-only rule on purpose, flipping stored bytes in
+// place, to see which reads verify: a trusted blob is served as it is —
+// the rule the trust rests on — while each write of the entry makes the
+// next read check again.
+func TestMemoryVerifiesAStoredBlobOnce(t *testing.T) {
+	m := NewMemory()
+	sections := objectSections(8, 4<<10)
+	flip := func() {
+		blob := m.objects["k"]
+		blob[len(blob)/2] ^= 0xFF
+	}
+	trusted := func() {
+		t.Helper()
+		if err := m.Put("k", sections); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.GetBlob("k"); err != nil {
+			t.Fatalf("first GET = %v", err)
+		}
+		if !m.verified["k"] {
+			t.Fatal("a verified blob is not remembered")
+		}
+	}
+
+	trusted()
+	flip()
+	got, err := m.GetBlob("k")
+	if err != nil || !bytes.Equal(got, m.objects["k"]) {
+		t.Fatalf("GET of a trusted blob flipped in place = %v, want the stored bytes served", err)
+	}
+	if _, err := VerifySections(got); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("the flip did not break the blob: %v", err)
+	}
+
+	reg := faultinject.NewRegistry(7)
+	for _, tc := range []struct {
+		name    string
+		replace func() error
+		corrupt bool // the new entry is itself corrupt
+	}{
+		{"Put", func() error { return m.Put("k", sections) }, false},
+		{"PutBlob", func() error { return m.PutBlob("k", EncodeSections(sections)) }, false},
+		{"Delete then Put", func() error {
+			if err := m.Delete("k"); err != nil {
+				return err
+			}
+			return m.Put("k", sections)
+		}, false},
+		{"Corrupt", func() error {
+			m.Corrupt("k", 100)
+			return nil
+		}, true},
+		{"torn put", func() error {
+			reg.Arm(faultinject.Failpoint{Site: SitePut, Action: faultinject.ActionTorn, Nth: 1})
+			m.SetFaults(reg)
+			defer m.SetFaults(nil)
+			if err := m.Put("k", sections); !faultinject.IsTorn(err) {
+				return fmt.Errorf("put = %v, want a torn write", err)
+			}
+			return nil
+		}, true},
+	} {
+		trusted()
+		if err := tc.replace(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if m.verified["k"] {
+			t.Errorf("%s: the replaced entry is still trusted", tc.name)
+		}
+		if !tc.corrupt {
+			flip() // only a read that verifies again sees it
+		}
+		if _, err := m.GetBlob("k"); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: next GET = %v, want ErrCorrupt from a fresh verification", tc.name, err)
+		}
+	}
+}
+
+// objectSections is an object of n sections of size bytes each.
+func objectSections(n, size int) []Section {
+	sections := make([]Section, n)
+	for i := range sections {
+		data := make([]byte, size)
+		for j := range data {
+			data[j] = byte(i*31 + j*7)
+		}
+		sections[i] = Section{Name: fmt.Sprintf("s%d", i), Data: data}
+	}
+	return sections
 }

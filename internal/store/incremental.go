@@ -242,7 +242,7 @@ func (inc *Incremental) put(key string, sections []Section) error {
 		out = make([]Section, 0, len(sections)+1)
 		out = append(out, Section{Name: incrMetaSection, Data: []byte{kindKeyframe}})
 		for _, s := range sections {
-			out = append(out, Section{Name: s.Name, Data: append([]byte{encFull}, s.Data...)})
+			out = append(out, Section{Name: s.Name, Data: fullPayload(s.Data)})
 		}
 	} else {
 		meta := []byte{kindDelta}
@@ -255,16 +255,7 @@ func (inc *Incremental) put(key string, sections []Section) error {
 				inc.stats.SectionsSkipped++
 				continue
 			}
-			payload := []byte{encFull}
-			if len(prev) == len(s.Data) {
-				if patch, ok := diffChunks(prev, s.Data, inc.chunk); ok {
-					payload = append([]byte{encPatch}, patch...)
-				}
-			}
-			if payload[0] == encFull {
-				payload = append(payload, s.Data...)
-			}
-			out = append(out, Section{Name: s.Name, Data: payload})
+			out = append(out, Section{Name: s.Name, Data: deltaPayload(prev, s.Data, inc.chunk)})
 		}
 	}
 	// The basis advances only once the write lands: after a failed Put the
@@ -295,52 +286,64 @@ func sameNames(a, b []Section) bool {
 	return slices.EqualFunc(a, b, func(x, y Section) bool { return x.Name == y.Name })
 }
 
-// diffChunks encodes the chunks of cur that differ from prev as
-// (offset, length, bytes) patches. It reports false when patching would
-// not be smaller than re-writing cur outright.
-func diffChunks(prev, cur []byte, chunk int) ([]byte, bool) {
-	var patches []byte
-	n := 0
-	for off := 0; off < len(cur); off += chunk {
-		end := off + chunk
-		if end > len(cur) {
-			end = len(cur)
-		}
-		if bytes.Equal(prev[off:end], cur[off:end]) {
-			continue
-		}
-		patches = binary.LittleEndian.AppendUint32(patches, uint32(off))
-		patches = binary.LittleEndian.AppendUint32(patches, uint32(end-off))
-		patches = append(patches, cur[off:end]...)
-		n++
-	}
-	blob := binary.LittleEndian.AppendUint32(nil, uint32(chunk))
-	blob = binary.LittleEndian.AppendUint32(blob, uint32(n))
-	blob = append(blob, patches...)
-	return blob, len(blob) < len(cur)
+// fullPayload is a section stored whole: encFull, then its bytes.
+func fullPayload(data []byte) []byte {
+	return append(append(make([]byte, 0, 1+len(data)), encFull), data...)
 }
 
-func applyPatch(base, patch []byte) ([]byte, error) {
+// deltaPayload is a delta's payload for a section whose bytes changed from
+// prev: the chunks of cur that differ, as encPatch and a patch, when prev
+// has cur's length and the patch is smaller than cur; cur whole otherwise.
+// The chunks are compared before anything is built, so the one payload is
+// built in a buffer of its exact size.
+func deltaPayload(prev, cur []byte, chunk int) []byte {
+	if len(prev) != len(cur) {
+		return fullPayload(cur)
+	}
+	size, n := 8, 0 // the patch: chunk size and count, then (offset, length, bytes) per chunk
+	for off := 0; off < len(cur) && size < len(cur); off += chunk {
+		if end := min(off+chunk, len(cur)); !bytes.Equal(prev[off:end], cur[off:end]) {
+			size += 8 + end - off
+			n++
+		}
+	}
+	if size >= len(cur) {
+		return fullPayload(cur)
+	}
+	buf := append(make([]byte, 0, 1+size), encPatch)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(chunk))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+	for off := 0; off < len(cur); off += chunk {
+		if end := min(off+chunk, len(cur)); !bytes.Equal(prev[off:end], cur[off:end]) {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(off))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(end-off))
+			buf = append(buf, cur[off:end]...)
+		}
+	}
+	return buf
+}
+
+// applyPatch writes patch's chunks over out, in place.
+func applyPatch(out, patch []byte) error {
 	if len(patch) < 8 {
-		return nil, errors.New("store: truncated patch header")
+		return errors.New("store: truncated patch header")
 	}
 	n := int(binary.LittleEndian.Uint32(patch[4:8]))
 	rest := patch[8:]
-	out := append([]byte(nil), base...) // base shares a Get result: patch a copy
 	for i := 0; i < n; i++ {
 		if len(rest) < 8 {
-			return nil, errors.New("store: truncated patch entry")
+			return errors.New("store: truncated patch entry")
 		}
 		off := int(binary.LittleEndian.Uint32(rest[:4]))
 		length := int(binary.LittleEndian.Uint32(rest[4:8]))
 		rest = rest[8:]
 		if length < 0 || len(rest) < length || off < 0 || off+length > len(out) {
-			return nil, errors.New("store: patch out of bounds")
+			return errors.New("store: patch out of bounds")
 		}
 		copy(out[off:off+length], rest[:length])
 		rest = rest[length:]
 	}
-	return out, nil
+	return nil
 }
 
 // parseObject splits a stored object into its kind, base key, predecessor
@@ -406,7 +409,7 @@ func (inc *Incremental) get(key string) ([]Section, error) {
 	}
 	var order []string
 	var below []Section // the stored object beneath the next link
-	state := make(map[string][]byte)
+	state := make(map[string]rebuilt)
 	for i, k := range chain {
 		prior, err := inc.inner.Get(k)
 		if err != nil {
@@ -438,7 +441,7 @@ func (inc *Incremental) get(key string) ([]Section, error) {
 	}
 	out := make([]Section, len(order))
 	for i, name := range order {
-		out[i] = Section{Name: name, Data: state[name]}
+		out[i] = Section{Name: name, Data: state[name].data}
 	}
 	return out, nil
 }
@@ -464,9 +467,17 @@ func decodeFull(payload []Section) ([]Section, error) {
 	return out, nil
 }
 
+// rebuilt is one section of a reconstruction: its bytes, and whether they
+// are the Get's own copy, which a patch writes in place. Bytes a link
+// stored whole are shared with the link until a patch first needs them.
+type rebuilt struct {
+	data []byte
+	own  bool
+}
+
 // overlay applies one stored object's sections onto the reconstruction
 // state, returning the updated section order.
-func overlay(state map[string][]byte, order []string, sections []Section) ([]string, error) {
+func overlay(state map[string]rebuilt, order []string, sections []Section) ([]string, error) {
 	for _, s := range sections {
 		if len(s.Data) < 1 {
 			return nil, fmt.Errorf("store: empty payload for section %q", s.Name)
@@ -477,17 +488,19 @@ func overlay(state map[string][]byte, order []string, sections []Section) ([]str
 			if _, ok := state[s.Name]; !ok {
 				order = append(order, s.Name)
 			}
-			state[s.Name] = data
+			state[s.Name] = rebuilt{data: data}
 		case encPatch:
-			base, ok := state[s.Name]
+			r, ok := state[s.Name]
 			if !ok {
 				return nil, fmt.Errorf("store: patch for unknown section %q", s.Name)
 			}
-			patched, err := applyPatch(base, data)
-			if err != nil {
+			if !r.own {
+				r = rebuilt{data: append([]byte(nil), r.data...), own: true} // shares a Get result: patch a copy
+			}
+			if err := applyPatch(r.data, data); err != nil {
 				return nil, fmt.Errorf("store: section %q: %w", s.Name, err)
 			}
-			state[s.Name] = patched
+			state[s.Name] = r
 		default:
 			return nil, fmt.Errorf("store: section %q: bad encoding %d", s.Name, enc)
 		}

@@ -14,14 +14,19 @@ import (
 // keep the same CRC framing as the file backend so integrity checking and
 // byte accounting are identical across backends. A stored blob is never
 // written again once it is in the map — Get and GetBlob hand it out
-// shared — so replacing an object swaps the map entry.
+// shared — so replacing an object swaps the map entry, and a blob GetBlob
+// verified once stays verified until then.
 type Memory struct {
 	faults *faultinject.Registry
 	ops    opSet
 
 	mu      sync.Mutex
 	objects map[string][]byte
-	stats   Stats
+	// verified holds the keys whose stored blob a GetBlob verified. Every
+	// write of a key's entry — Put, PutBlob, a torn put, Corrupt, Delete —
+	// drops the key from it.
+	verified map[string]bool
+	stats    Stats
 }
 
 // SetFaults implements FaultInjectable.
@@ -32,7 +37,7 @@ func (m *Memory) SetObs(r *obs.Registry) { m.ops = newOpSet(r, "store.memory") }
 
 // NewMemory creates an empty in-memory backend.
 func NewMemory() *Memory {
-	return &Memory{objects: make(map[string][]byte)}
+	return &Memory{objects: make(map[string][]byte), verified: make(map[string]bool)}
 }
 
 // Put implements Backend.
@@ -61,6 +66,7 @@ func (m *Memory) put(key string, blob []byte) (int64, error) {
 	// "reached the medium" half-done and the CRC framing must catch it
 	// on Get — but fails the Put and is not counted as a good write.
 	m.objects[key] = blob
+	delete(m.verified, key)
 	if ferr != nil {
 		return int64(len(blob)), ferr
 	}
@@ -75,24 +81,47 @@ func (m *Memory) Get(key string) ([]Section, error) {
 	return getSections(m.ops.get, key, m.get)
 }
 
-// GetBlob implements BlobStore: the stored blob itself, verified.
+// GetBlob implements BlobStore: the stored blob itself, verified by the
+// first GetBlob that reads it. The check runs outside the lock, and its
+// verdict is kept only if the key still holds the blob it checked.
 func (m *Memory) GetBlob(key string) ([]byte, error) {
-	return getBlob(m.ops.get, key, m.get)
+	start := m.ops.get.Start()
+	blob, verified, err := m.lookup(key)
+	if err == nil && !verified {
+		if _, err = VerifySections(blob); err == nil {
+			m.mu.Lock()
+			if cur := m.objects[key]; len(cur) == len(blob) && &cur[0] == &blob[0] {
+				m.verified[key] = true
+			}
+			m.mu.Unlock()
+		}
+	}
+	m.ops.get.Done(start, int64(len(blob)), errClass(err))
+	if err != nil {
+		return nil, err
+	}
+	return blob, nil
 }
 
 func (m *Memory) get(key string) ([]byte, error) {
+	blob, _, err := m.lookup(key)
+	return blob, err
+}
+
+// lookup returns key's stored blob and whether a GetBlob verified it.
+func (m *Memory) lookup(key string) ([]byte, bool, error) {
 	if err := m.faults.Hit(SiteGet); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	blob, ok := m.objects[key]
 	if !ok {
-		return nil, ErrNotFound
+		return nil, false, ErrNotFound
 	}
 	m.stats.Gets++
 	m.stats.BytesRead += int64(len(blob))
-	return blob, nil
+	return blob, m.verified[key], nil
 }
 
 // List implements Backend.
@@ -132,6 +161,7 @@ func (m *Memory) del(key string) error {
 		return ErrNotFound
 	}
 	delete(m.objects, key)
+	delete(m.verified, key)
 	m.stats.Deletes++
 	return nil
 }
@@ -164,5 +194,6 @@ func (m *Memory) Corrupt(key string, offset int) bool {
 	blob = append([]byte(nil), blob...)
 	blob[((offset%len(blob))+len(blob))%len(blob)] ^= 0xFF
 	m.objects[key] = blob
+	delete(m.verified, key)
 	return true
 }

@@ -137,46 +137,51 @@ func (r *Remote) SetObs(reg *obs.Registry) {
 }
 
 // do performs one exchange against this namespace of the service.
-func (r *Remote) do(method, path string, body []byte, pri admission.Priority) ([]byte, error) {
+func (r *Remote) do(method, path string, body [][]byte, pri admission.Priority) ([]byte, error) {
 	return r.tr.Do(r.Retry, wire.Request{
 		Method: method, Path: r.root + path, Body: body,
 		Tenant: r.ns, Priority: pri, FailFastDial: r.FailFastDial,
 	})
 }
 
-// Put implements Backend: the one encode of a remote checkpoint.
+// Put implements Backend: the request body is the object's framing read
+// straight from the sections, which are never copied into a blob.
 func (r *Remote) Put(key string, sections []Section) error {
-	return r.PutBlob(key, EncodeSections(sections))
+	return r.put(key, frame(sections), admission.Interactive)
 }
 
 // PutBlob implements BlobStore: blob is the request body. Checkpoint
 // writes are foreground work.
 func (r *Remote) PutBlob(key string, blob []byte) error {
-	return r.put(key, blob, admission.Interactive)
+	return r.put(key, [][]byte{blob}, admission.Interactive)
 }
 
 // PutScrub is PutBlob announced as maintenance traffic: replica repair
 // writes admit at scrub priority so a loaded service drains them last
 // and they never displace a tenant's foreground checkpoints.
 func (r *Remote) PutScrub(key string, blob []byte) error {
-	return r.put(key, blob, admission.Scrub)
+	return r.put(key, [][]byte{blob}, admission.Scrub)
 }
 
-func (r *Remote) put(key string, blob []byte, pri admission.Priority) (err error) {
+// put sends an object as the pieces of its encoding, the first of which
+// holds the header.
+func (r *Remote) put(key string, object [][]byte, pri admission.Priority) (err error) {
 	start := r.ops.put.Start()
 	var n int64
 	defer func() { r.ops.put.Done(start, n, errClass(err)) }()
 	if !ValidName(key) {
 		return fmt.Errorf("store: invalid remote key %q", key)
 	}
-	if _, err = r.do(http.MethodPut, "/objects/"+url.PathEscape(key), blob, pri); err != nil {
+	if _, err = r.do(http.MethodPut, "/objects/"+url.PathEscape(key), object, pri); err != nil {
 		return err
 	}
-	n = int64(len(blob))
+	for _, p := range object {
+		n += int64(len(p))
+	}
 	r.mu.Lock()
 	r.stats.Puts++
 	r.stats.BytesWritten += n
-	r.stats.SectionsWritten += sectionCount(blob)
+	r.stats.SectionsWritten += sectionCount(object[0])
 	r.mu.Unlock()
 	return nil
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
@@ -478,5 +479,77 @@ func TestRemoteFailFastDialStillRetriesServerErrors(t *testing.T) {
 	f.setFailNext(2)
 	if err := r.Put("ckpt-000001", sampleSections(1)); err != nil {
 		t.Fatalf("put should ride out 503s even with FailFastDial: %v", err)
+	}
+}
+
+// TestRemotePutStreamsTheEncoding: Put sends an object's encoding read
+// straight from its sections, and every attempt sends EncodeSections'
+// bytes exactly — a retry after a 503 too, since the sections it reads
+// again are read-only. Its Stats are what the blob path counts.
+func TestRemotePutStreamsTheEncoding(t *testing.T) {
+	var mu sync.Mutex
+	var bodies [][]byte
+	shed := 0
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil || r.ContentLength != int64(len(body)) {
+			t.Errorf("body: %d bytes of %d declared, %v", len(body), r.ContentLength, err)
+		}
+		mu.Lock()
+		bodies = append(bodies, body)
+		refuse := shed > 0
+		shed--
+		mu.Unlock()
+		if refuse {
+			http.Error(w, "shed", http.StatusServiceUnavailable)
+			return
+		}
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	defer srv.Close()
+	big := objectSections(8, 32<<10)
+	for _, tc := range []struct {
+		name     string
+		sections []Section
+		shed     int
+	}{
+		{"no sections", nil, 0},
+		{"empty data", []Section{{Name: "a"}, {Name: "b", Data: []byte{}}, {Name: "", Data: []byte("xyz")}, {Name: "d"}}, 0},
+		{"8x32KiB", big, 0},
+		{"retried after 503", big, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := EncodeSections(tc.sections)
+			mu.Lock()
+			bodies, shed = nil, tc.shed
+			mu.Unlock()
+			r := fastRemote(t, srv.URL, "ns")
+			defer r.Close()
+			if err := r.Put("k", tc.sections); err != nil {
+				t.Fatal(err)
+			}
+			mu.Lock()
+			sent := bodies
+			bodies = nil
+			mu.Unlock()
+			if len(sent) != tc.shed+1 {
+				t.Fatalf("%d requests, want %d", len(sent), tc.shed+1)
+			}
+			for i, body := range sent {
+				if !bytes.Equal(body, want) {
+					t.Errorf("attempt %d sent %d bytes unequal to the %d of EncodeSections", i, len(body), len(want))
+				}
+			}
+			blob := fastRemote(t, srv.URL, "ns")
+			defer blob.Close()
+			if err := blob.PutBlob("k", want); err != nil {
+				t.Fatal(err)
+			}
+			got, exp := r.Stats(), blob.Stats()
+			if got.Puts != exp.Puts || got.BytesWritten != exp.BytesWritten || got.SectionsWritten != exp.SectionsWritten {
+				t.Errorf("Put counts %d puts, %d bytes, %d sections; PutBlob %d, %d, %d",
+					got.Puts, got.BytesWritten, got.SectionsWritten, exp.Puts, exp.BytesWritten, exp.SectionsWritten)
+			}
+		})
 	}
 }

@@ -397,20 +397,49 @@ const (
 	objectVersion = uint32(1)
 )
 
-// EncodeSections frames sections as a single self-verifying byte object,
-// allocated once at its final size.
+// EncodeSections frames sections as a single self-verifying byte object:
+// frame's pieces copied into one buffer of exactly their size.
 func EncodeSections(sections []Section) []byte {
 	buf := make([]byte, 0, EncodedSize(sections))
-	buf = binary.LittleEndian.AppendUint32(buf, objectMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, objectVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sections)))
-	for _, s := range sections {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Name)))
-		buf = append(buf, s.Name...)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s.Data)))
-		buf = append(buf, s.Data...)
+	for _, p := range frame(sections) {
+		buf = append(buf, p...)
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	return buf
+}
+
+// frame is the one definition of an object's encoding, laid out as the
+// pieces that make it up when read back to back: the header, each
+// section's name and lengths followed by its Data exactly as the caller
+// handed it over, and the CRC-32 trailer computed over the pieces in
+// order. The framing bytes share one buffer of their exact size; the
+// section data is not copied, so under Backend's ownership rule every
+// reading of the pieces reads the same bytes.
+func frame(sections []Section) [][]byte {
+	n := 16 // header + CRC
+	for _, s := range sections {
+		n += 12 + len(s.Name)
+	}
+	head := make([]byte, 0, n)
+	head = binary.LittleEndian.AppendUint32(head, objectMagic)
+	head = binary.LittleEndian.AppendUint32(head, objectVersion)
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(sections)))
+	pieces := make([][]byte, 0, 2*len(sections)+1)
+	var crc uint32
+	from := 0 // where the framing not yet in pieces starts
+	for _, s := range sections {
+		head = binary.LittleEndian.AppendUint32(head, uint32(len(s.Name)))
+		head = append(head, s.Name...)
+		head = binary.LittleEndian.AppendUint64(head, uint64(len(s.Data)))
+		if len(s.Data) == 0 {
+			continue
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, head[from:])
+		crc = crc32.Update(crc, crc32.IEEETable, s.Data)
+		pieces = append(pieces, head[from:], s.Data)
+		from = len(head)
+	}
+	crc = crc32.Update(crc, crc32.IEEETable, head[from:])
+	return append(pieces, binary.LittleEndian.AppendUint32(head, crc)[from:])
 }
 
 // EncodedSize returns len(EncodeSections(sections)) without encoding.

@@ -673,8 +673,11 @@ func (d *binDecoder) header() error {
 		return d.err(p)
 	}
 	// The string table is pre-seeded with "" (ref 1), mirroring the writer.
+	// The loose record's arena starts with room for 16 operands, more than
+	// most records have, so a fresh reader seldom regrows it.
 	if d.strs == nil {
 		d.strs = make([]string, 0, 64)
+		d.loose.ops = make([]Operand, 0, 16)
 	}
 	d.strs, d.pos = append(d.strs[:0], ""), p
 	return nil
@@ -897,13 +900,14 @@ func (d *binDecoder) define(b *RecordBatch, rec *Record, p int) (int, byte) {
 
 // growTable makes room for n more entries in one of the tables a
 // definition adds to, which a trace of distinct shapes adds to every
-// record: it starts at 64 entries, so a short trace holds a short table,
-// and quadruples, so a long one is regrown a few times, not many.
+// record: it starts at 256 entries, about as many templates as a program
+// of a few hundred instructions defines, so a short trace holds a short
+// table, and quadruples, so a long one is regrown a few times, not many.
 func growTable[T any](s []T, n int) []T {
 	if len(s)+n <= cap(s) {
 		return s
 	}
-	t := make([]T, len(s), len(s)+max(n, 3*len(s), 64))
+	t := make([]T, len(s), len(s)+max(n, 3*len(s), 256))
 	copy(t, s)
 	return t
 }

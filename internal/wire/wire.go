@@ -9,7 +9,6 @@
 package wire
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -191,7 +190,7 @@ func parseRetryAfter(v string, now time.Time) (_ time.Duration, ok bool) {
 type Request struct {
 	Method   string
 	Path     string
-	Body     []byte // nil for none
+	Body     [][]byte // the body's pieces, sent back to back; nil for none
 	Tenant   string
 	Priority admission.Priority
 
@@ -201,12 +200,13 @@ type Request struct {
 }
 
 // Do performs one HTTP exchange with bounded retry/backoff, returning the
-// response body. The request is rebuilt from req.Body on every attempt (a
-// reader consumed by a failed send is never reused), and GetBody is set
-// so the HTTP client can replay it inside one attempt too. A transient
-// response carrying Retry-After overrides the next backoff wait with the
-// server's hint. Total wall-clock — waits included — is capped by the
-// budget: a wait that would overrun it is not taken and the operation
+// response body. Every attempt reads req.Body's pieces afresh, through a
+// reader of its own (a reader consumed by a failed send is never reused),
+// and GetBody replays the same pieces so the HTTP client can resend them
+// inside one attempt too; the pieces are read, never copied or written. A
+// transient response carrying Retry-After overrides the next backoff wait
+// with the server's hint. Total wall-clock — waits included — is capped by
+// the budget: a wait that would overrun it is not taken and the operation
 // fails with an error wrapping the last one.
 func (t *Transport) Do(retry Retry, req Request) ([]byte, error) {
 	attempts := max(retry.MaxAttempts, 1)
@@ -260,21 +260,25 @@ func (t *Transport) attempt(req Request, now func() time.Time) (data []byte, don
 	if ferr := t.Faults.Hit(t.Site); ferr != nil {
 		return nil, false, 0, false, fmt.Errorf("%s: %w", t.name, ferr)
 	}
-	var reader io.Reader
-	if req.Body != nil {
-		reader = bytes.NewReader(req.Body)
-	}
-	hreq, err := http.NewRequest(req.Method, t.base+req.Path, reader)
+	hreq, err := http.NewRequest(req.Method, t.base+req.Path, nil)
 	if err != nil {
 		return nil, true, 0, false, err
 	}
 	hreq.Header.Set(admission.TenantHeader, req.Tenant)
 	hreq.Header.Set(admission.PriorityHeader, req.Priority.String())
 	if req.Body != nil {
-		hreq.ContentLength = int64(len(req.Body))
 		hreq.Header.Set("Content-Type", "application/octet-stream")
-		hreq.GetBody = func() (io.ReadCloser, error) {
-			return io.NopCloser(bytes.NewReader(req.Body)), nil
+		for _, p := range req.Body {
+			hreq.ContentLength += int64(len(p))
+		}
+		if hreq.ContentLength > 0 {
+			hreq.GetBody = func() (io.ReadCloser, error) {
+				// net.Buffers consumes the list it reads from: each reader
+				// gets its own copy of it.
+				body := append(net.Buffers(nil), req.Body...)
+				return io.NopCloser(&body), nil
+			}
+			hreq.Body, _ = hreq.GetBody()
 		}
 	}
 	resp, err := t.client.Do(hreq)

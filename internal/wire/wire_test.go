@@ -205,7 +205,7 @@ func TestLadder(t *testing.T) {
 				tr.Faults.Arm(faultinject.Failpoint{Site: tr.Site, Action: faultinject.ActionError, Nth: 1})
 			}
 			_, err = tr.Do(tc.retry, Request{
-				Method: http.MethodPut, Path: "/objects/k", Body: payload,
+				Method: http.MethodPut, Path: "/objects/k", Body: [][]byte{payload},
 				Tenant: "tenant-a", Priority: admission.Ingest, FailFastDial: tc.failFast,
 			})
 			if (err != nil) != (tc.wantErr != nil) {
