@@ -1,15 +1,16 @@
 // BSP multi-rank demo (paper §VII "MPI programs"): an SPMD diffusion
 // kernel runs on 4 simulated ranks with halo exchanges at global barriers.
 // AutoCheck analyzes each rank locally — no inter-process analysis — and
-// the per-rank variable sets are checkpointed synchronously at a barrier.
-// A node loss mid-run is recovered by a global restart whose outputs match
-// the failure-free execution.
+// the per-rank variable sets are checkpointed synchronously at every
+// barrier through the §VI-B fail-stop protocol. The run dies between two
+// ranks' checkpoints of one barrier; the restart puts every rank back at
+// the recovery line, the newest barrier every rank checkpointed, and
+// must match the failure-free execution, or the demo exits non-zero.
 //
 //	go run ./examples/bsp_halo
 package main
 
 import (
-	"errors"
 	"fmt"
 	"log"
 	"os"
@@ -18,7 +19,9 @@ import (
 	"autocheck/internal/bsp"
 	"autocheck/internal/checkpoint"
 	"autocheck/internal/core"
-	"autocheck/internal/interp"
+	"autocheck/internal/faultinject"
+	"autocheck/internal/store"
+	"autocheck/internal/validate"
 )
 
 const src = `
@@ -52,12 +55,16 @@ func main() {
 	}
 	// Ring halo exchange: each rank's right interior cell feeds the right
 	// neighbor's left ghost, and vice versa.
-	var exchanges []bsp.Exchange
+	var exchanges []validate.Exchange
 	for r := 0; r < ranks-1; r++ {
 		exchanges = append(exchanges,
-			bsp.Exchange{SrcRank: r, SrcVar: "u", SrcOff: 8, DstRank: r + 1, DstVar: "u", DstOff: 0, Cells: 1},
-			bsp.Exchange{SrcRank: r + 1, SrcVar: "u", SrcOff: 1, DstRank: r, DstVar: "u", DstOff: 9, Cells: 1},
+			validate.Exchange{SrcRank: r, SrcVar: "u", SrcOff: 8, DstRank: r + 1, DstVar: "u", DstOff: 0, Cells: 1},
+			validate.Exchange{SrcRank: r + 1, SrcVar: "u", SrcOff: 1, DstRank: r, DstVar: "u", DstOff: 9, Cells: 1},
 		)
+	}
+	loop, err := validate.FindWorld(mod, spec, ranks, exchanges)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	fmt.Println("per-rank AutoCheck analysis (local work, §VII):")
@@ -65,19 +72,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	critical := make([][]core.CriticalVar, ranks)
 	for r, res := range results {
 		fmt.Printf("  rank %d: %v\n", r, res.CriticalNames())
+		critical[r] = res.Critical
 	}
-
-	world := func() *bsp.World {
-		w, err := bsp.NewWorld(mod, ranks, spec, exchanges)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return w
-	}
-
-	refOuts, err := world().Run(nil)
+	ref, err := validate.Record(loop, critical)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,57 +87,34 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	ctxs := make([]*checkpoint.Context, ranks)
-	for r := range ctxs {
-		ctx, err := checkpoint.NewContext(fmt.Sprintf("%s/rank%d", dir, r), checkpoint.L1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, c := range results[r].Critical {
-			ctx.Protect(c.Name, c.Base, c.SizeBytes)
-		}
-		ctxs[r] = ctx
+	// Iteration 3's checkpoints are Puts 9-12, one per rank. The process
+	// dies right after the 10th commits: ranks 0 and 1 hold checkpoint 3,
+	// ranks 2 and 3 do not, and the recovery line is iteration 2.
+	faults := faultinject.NewRegistry(1)
+	if err := faults.ArmSchedule("ckpt.committed=crash@nth=10"); err != nil {
+		log.Fatal(err)
 	}
-
-	fmt.Println("\nrunning with synchronous checkpoints; injecting node loss at barrier 4...")
-	_, err = world().Run(func(w *bsp.World, entry int64) error {
-		if entry >= 2 {
-			for r, m := range w.Ranks {
-				if err := ctxs[r].Checkpoint(m, entry-1); err != nil {
-					return err
-				}
-			}
-		}
-		if entry == 4 {
-			return interp.ErrFailStop
-		}
-		return nil
-	})
-	if !errors.Is(err, interp.ErrFailStop) {
-		log.Fatalf("expected fail-stop, got %v", err)
-	}
-
-	fmt.Println("global restart from the latest synchronized checkpoints...")
-	outs, err := world().Run(func(w *bsp.World, entry int64) error {
-		if entry == 1 {
-			for r, m := range w.Ranks {
-				if _, err := ctxs[r].Restart(m, nil); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
+	f := &validate.FailStop{Loop: loop, Critical: critical, Level: checkpoint.L1,
+		Store: store.Config{Kind: store.KindFile, Dir: dir, Faults: faults}}
+	fmt.Println("\nrunning with synchronous checkpoints; the process dies between two ranks' checkpoints of iteration 3...")
+	d, err := f.Run(0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("  died after %d acknowledged checkpoints: %v\n", d.Committed, d.Err)
+	faults.DisarmAll()
 
-	match := true
-	for r := range outs {
-		if outs[r] != refOuts[r] {
-			match = false
-		}
-		fmt.Printf("  rank %d output: %s", r, outs[r])
+	fmt.Println("global restart at the recovery line...")
+	rec := f.Recover(nil)
+	if rec.Err != nil {
+		log.Fatal(rec.Err)
 	}
-	fmt.Printf("\nrestarted world matches failure-free run: %v\n", match)
+	fmt.Printf("  every rank restored iteration %d\n", rec.Iter)
+	for r, final := range rec.Final {
+		fmt.Printf("  rank %d output: %s", r, final.Output)
+	}
+	if msg := rec.Check(ref); msg != "" {
+		log.Fatalf("restarted world diverged from the failure-free run: %s", msg)
+	}
+	fmt.Println("\nrestarted world matches failure-free run: true")
 }

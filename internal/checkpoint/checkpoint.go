@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -132,13 +133,6 @@ type Context struct {
 // commit-point sites. NewContextStore arms it from store.Config.Faults;
 // NewContextBackend callers set it here.
 func (c *Context) SetFaults(r *faultinject.Registry) { c.faults = r }
-
-// NewContext creates a checkpoint context writing one file per replica
-// into dir with the given reliability level — the original on-disk
-// behavior, now expressed as the file backend of internal/store.
-func NewContext(dir string, level Level) (*Context, error) {
-	return NewContextStore(store.Config{Kind: store.KindFile, Dir: dir}, level)
-}
 
 // OpenStore opens the store stack a Context at the given level writes
 // through. The reliability level is layered as a decorator over the
@@ -304,17 +298,9 @@ func (v *variable) encode(m *interp.Machine) []byte {
 // count the object merely declares, and an object that fails leaves m
 // exactly as it was.
 func decodeCheckpoint(m *interp.Machine, sections []store.Section, skip map[string]bool) (iter int64, err error) {
-	if len(sections) == 0 || sections[0].Name != metaSection {
-		return 0, errors.New("checkpoint: missing metadata section")
+	if iter, err = iterOf(sections); err != nil {
+		return 0, err
 	}
-	meta := sections[0].Data
-	if len(meta) < 16 {
-		return 0, errors.New("checkpoint: truncated metadata")
-	}
-	if binary.LittleEndian.Uint32(meta[0:4]) != magic || binary.LittleEndian.Uint32(meta[4:8]) != version {
-		return 0, errors.New("checkpoint: bad magic or version")
-	}
-	iter = int64(binary.LittleEndian.Uint64(meta[8:16]))
 	restored := 0
 	for _, s := range sections[1:] {
 		if strings.HasPrefix(s.Name, "~") {
@@ -354,6 +340,22 @@ func decodeCheckpoint(m *interp.Machine, sections []store.Section, skip map[stri
 		}
 	}
 	return iter, nil
+}
+
+// iterOf checks a checkpoint object's metadata section and returns the
+// checkpoint's iteration.
+func iterOf(sections []store.Section) (int64, error) {
+	if len(sections) == 0 || sections[0].Name != metaSection {
+		return 0, errors.New("checkpoint: missing metadata section")
+	}
+	meta := sections[0].Data
+	if len(meta) < 16 {
+		return 0, errors.New("checkpoint: truncated metadata")
+	}
+	if binary.LittleEndian.Uint32(meta[0:4]) != magic || binary.LittleEndian.Uint32(meta[4:8]) != version {
+		return 0, errors.New("checkpoint: bad magic or version")
+	}
+	return int64(binary.LittleEndian.Uint64(meta[8:16])), nil
 }
 
 // Retain sets the retention policy: after every successful Checkpoint,
@@ -465,8 +467,16 @@ func (c *Context) key(seq int) string { return fmt.Sprintf("%s%06d", keyPrefix, 
 // the partner copy when the primary is corrupted and the level wrote one)
 // and restores all protected variables into the machine's memory,
 // skipping any names in the skip set. It returns the checkpoint's
-// iteration number.
+// iteration number. It is RestartAt with no bound.
 func (c *Context) Restart(m *interp.Machine, skip map[string]bool) (int64, error) {
+	return c.RestartAt(m, skip, math.MaxInt64)
+}
+
+// RestartAt is Restart restricted to checkpoints of an iteration no later
+// than atMost: the newest valid one among them is restored, and newer
+// ones are read but left unwritten. A run of many ranks restarts each at
+// the recovery line through it (validate.FailStop.Recover).
+func (c *Context) RestartAt(m *interp.Machine, skip map[string]bool, atMost int64) (int64, error) {
 	keys, err := c.backend.List()
 	if err != nil {
 		return 0, err
@@ -482,6 +492,9 @@ func (c *Context) Restart(m *interp.Machine, skip map[string]bool) (int64, error
 		sections, err := c.backend.Get(key)
 		if err != nil {
 			continue // corrupted or torn: fall back to the previous checkpoint
+		}
+		if iter, err := iterOf(sections); err != nil || iter > atMost {
+			continue // past the bound, or no metadata: fall back likewise
 		}
 		iter, err := decodeCheckpoint(m, sections, skip)
 		if err != nil {

@@ -8,8 +8,14 @@ import (
 	"testing/quick"
 
 	"autocheck/internal/interp"
+	"autocheck/internal/store"
 	"autocheck/internal/trace"
 )
+
+// newFileContext opens a Context over the plain file backend in dir.
+func newFileContext(dir string, level Level) (*Context, error) {
+	return NewContextStore(store.Config{Kind: store.KindFile, Dir: dir}, level)
+}
 
 func machine(t *testing.T) *interp.Machine {
 	t.Helper()
@@ -24,7 +30,7 @@ func TestCheckpointRestartRoundtrip(t *testing.T) {
 	m := machine(t)
 	m.WriteRange(0x1000, []trace.Value{trace.IntValue(1), trace.IntValue(2), trace.IntValue(3)})
 	m.WriteRange(0x2000, []trace.Value{trace.FloatValue(2.5)})
-	ctx, err := NewContext(t.TempDir(), L1)
+	ctx, err := newFileContext(t.TempDir(), L1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +61,7 @@ func TestRestartSkipsDroppedVars(t *testing.T) {
 	m := machine(t)
 	m.WriteRange(0x1000, []trace.Value{trace.IntValue(42)})
 	m.WriteRange(0x2000, []trace.Value{trace.IntValue(99)})
-	ctx, err := NewContext(t.TempDir(), L1)
+	ctx, err := newFileContext(t.TempDir(), L1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +84,7 @@ func TestRestartSkipsDroppedVars(t *testing.T) {
 
 func TestLatestCheckpointWins(t *testing.T) {
 	m := machine(t)
-	ctx, err := NewContext(t.TempDir(), L1)
+	ctx, err := newFileContext(t.TempDir(), L1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +115,7 @@ func TestCorruptedPrimaryFallsBackToPartner(t *testing.T) {
 	dir := t.TempDir()
 	m := machine(t)
 	m.WriteRange(0x1000, []trace.Value{trace.IntValue(123)})
-	ctx, err := NewContext(dir, L2)
+	ctx, err := newFileContext(dir, L2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +146,7 @@ func TestCorruptedPrimaryFallsBackToPartner(t *testing.T) {
 func TestCorruptedL1WithoutPartnerSkipsToOlder(t *testing.T) {
 	dir := t.TempDir()
 	m := machine(t)
-	ctx, err := NewContext(dir, L1)
+	ctx, err := newFileContext(dir, L1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +175,7 @@ func TestCorruptedL1WithoutPartnerSkipsToOlder(t *testing.T) {
 }
 
 func TestNoCheckpoint(t *testing.T) {
-	ctx, err := NewContext(t.TempDir(), L1)
+	ctx, err := newFileContext(t.TempDir(), L1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +190,7 @@ func TestLevels(t *testing.T) {
 		dir := t.TempDir()
 		m := machine(t)
 		m.WriteRange(0x1000, []trace.Value{trace.IntValue(5)})
-		ctx, err := NewContext(dir, lvl)
+		ctx, err := newFileContext(dir, lvl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,13 +208,13 @@ func TestLevels(t *testing.T) {
 			t.Errorf("%v restart: %v", lvl, err)
 		}
 	}
-	if _, err := NewContext(t.TempDir(), Level(9)); err == nil {
+	if _, err := newFileContext(t.TempDir(), Level(9)); err == nil {
 		t.Error("invalid level accepted")
 	}
 }
 
 func TestUnprotect(t *testing.T) {
-	ctx, err := NewContext(t.TempDir(), L1)
+	ctx, err := newFileContext(t.TempDir(), L1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +283,7 @@ func TestQuickRoundtrip(t *testing.T) {
 			vals = []trace.Value{trace.IntValue(0)}
 		}
 		m.WriteRange(0x4000, vals)
-		ctx, err := NewContext(filepath.Join(dir, "q", strconv.Itoa(seq)), L1)
+		ctx, err := newFileContext(filepath.Join(dir, "q", strconv.Itoa(seq)), L1)
 		if err != nil {
 			return false
 		}

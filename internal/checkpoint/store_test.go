@@ -147,7 +147,7 @@ func containsSeq(name, seq string) bool {
 // A truncated (torn) newest checkpoint must also fall back.
 func TestTornWriteFallsBackToPreviousCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	ctx, err := NewContext(dir, L1)
+	ctx, err := newFileContext(dir, L1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -498,7 +498,7 @@ func VerifySections(buf []byte) (int, error) {
 }
 
 var (
-	errObjectShort    = errors.New("store: object too short")
+	errObjectShort    = fmt.Errorf("%w: object too short", ErrCorrupt) // torn short of its framing
 	errObjectMagic    = errors.New("store: bad object magic or version")
 	errSectionHeader  = errors.New("store: truncated section header")
 	errSectionName    = errors.New("store: truncated section name")

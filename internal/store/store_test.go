@@ -222,6 +222,40 @@ func TestFileBackendRejectsTornWrite(t *testing.T) {
 	}
 }
 
+// TestTornObjectsReadCorrupt: an object cut anywhere short of its end —
+// inside its 16-byte framing or after it — reads as ErrCorrupt, the class
+// a restart falls back past and a replicated read repairs, and never as
+// an I/O error.
+func TestTornObjectsReadCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	b, err := NewFile(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, sections := range map[string][]Section{
+		"empty":   nil,
+		"one":     {{Name: "x", Data: []byte{1}}},
+		"sampled": sampleSections(1),
+	} {
+		if err := b.Put(name, sections); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := 1; cut < len(data); cut++ {
+			if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.Get(name); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s cut to %d of %d bytes: Get = %v, want ErrCorrupt", name, cut, len(data), err)
+			}
+		}
+	}
+}
+
 func TestMemoryBackendRejectsCorruption(t *testing.T) {
 	m := NewMemory()
 	if err := m.Put("k", sampleSections(1)); err != nil {

@@ -15,12 +15,14 @@
 // kernels honest even when their printed output happens to be
 // recomputable.
 //
-// The protocol exists once, as FailStop (failstop.go), over one loop
-// driver (loop.go): FindLoop resolves the main loop once, Loop.Run
-// numbers its boundaries, Capture reads the critical cells, and Record
-// keeps the failure-free trajectory a restart is checked against. The
-// storage runs and the chaos sweep in internal/harness are FailStop's
-// other callers.
+// The protocol exists once, as FailStop (failstop.go), for one rank and
+// for many, over one loop driver (loop.go): FindLoop, or FindWorld for
+// ranks in BSP lockstep with barrier exchanges, resolves the main loop;
+// Loop.Run runs every rank to each boundary and numbers it; Record keeps
+// the failure-free trajectory a restart is checked against. Every rank
+// restarts at one recovery line, the newest barrier every rank
+// checkpointed (§VII: synchronous checkpoints rule out the Domino effect
+// only if the ranks restart together).
 package validate
 
 import (
@@ -133,7 +135,7 @@ func (v *Validator) Run() (*Report, error) {
 		}
 	}
 	// False-positive check (§VI-B): drop one variable at a time.
-	for _, c := range v.fs.Critical {
+	for _, c := range v.fs.Critical[0] {
 		necessary := false
 		for _, f := range runs {
 			// A crash during restart also proves necessity.

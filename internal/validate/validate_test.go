@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"autocheck/internal/checkpoint"
 	"autocheck/internal/core"
+	"autocheck/internal/faultinject"
 	"autocheck/internal/interp"
 	"autocheck/internal/ir"
 	"autocheck/internal/server"
@@ -229,9 +231,45 @@ func TestFig4ValidationAcrossStoreBackends(t *testing.T) {
 	}
 }
 
+// haloSource is an SPMD diffusion kernel: each rank owns u[10] with ghost
+// cells at u[0] and u[9], refreshed by barrier exchanges. Ranks initialize
+// differently via myrank(). Main loop: lines 10-17.
+const haloSource = `
+float u[10];
+float tmp[10];
+int main() {
+  int rank = myrank();
+  for (int i = 0; i < 10; i++) {
+    u[i] = rank * 10 + i;
+    tmp[i] = 0.0;
+  }
+  for (int step = 0; step < 6; step++) {
+    for (int i = 1; i < 9; i++) {
+      tmp[i] = (u[i - 1] + u[i + 1]) * 0.5;
+    }
+    for (int i = 1; i < 9; i++) {
+      u[i] = u[i] * 0.5 + tmp[i] * 0.5;
+    }
+  }
+  print(rank, u[2], u[7]);
+  return 0;
+}`
+
+var haloSpec = core.LoopSpec{Function: "main", StartLine: 10, EndLine: 17}
+
+// haloExchanges wires two ranks: rank 0's last interior cell feeds rank
+// 1's left ghost and vice versa (an MPI_Sendrecv halo swap).
+var haloExchanges = []Exchange{
+	{SrcRank: 0, SrcVar: "u", SrcOff: 8, DstRank: 1, DstVar: "u", DstOff: 0, Cells: 1},
+	{SrcRank: 1, SrcVar: "u", SrcOff: 1, DstRank: 0, DstVar: "u", DstOff: 9, Cells: 1},
+}
+
 // TestValidatorErrors: a spec that names no function, or a line range
 // with no loop in it, fails when the loop is resolved — by FindLoop and
-// by New, which resolves it the same way.
+// by New, which resolves it the same way — and so does a world of no
+// ranks, an exchange naming a rank outside it, or critical sets that do
+// not match its ranks. An exchange naming no global fails the run at its
+// first barrier.
 func TestValidatorErrors(t *testing.T) {
 	mod, res := analyzed(t, fig4Source, core.LoopSpec{Function: "main", StartLine: 17, EndLine: 25})
 	for name, spec := range map[string]core.LoopSpec{
@@ -241,60 +279,162 @@ func TestValidatorErrors(t *testing.T) {
 		if _, err := FindLoop(mod, spec); err == nil {
 			t.Errorf("FindLoop with %s should fail", name)
 		}
+		if _, err := FindWorld(mod, spec, 2, nil); err == nil {
+			t.Errorf("FindWorld of 2 ranks with %s should fail", name)
+		}
 		bad := *res
 		bad.Spec = spec
 		if _, err := New(mod, &bad, t.TempDir(), Options{}); err == nil {
 			t.Errorf("New with %s should fail", name)
 		}
 	}
+
+	halo, err := interp.Compile(haloSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, world := range map[string]struct {
+		ranks     int
+		exchanges []Exchange
+	}{
+		"zero ranks":             {0, nil},
+		"out-of-range exchange":  {2, []Exchange{{SrcRank: 5, DstRank: 0, SrcVar: "u", DstVar: "u", Cells: 1}}},
+		"negative exchange rank": {2, []Exchange{{SrcRank: 0, DstRank: -1, SrcVar: "u", DstVar: "u", Cells: 1}}},
+		"exchange past one rank": {1, haloExchanges},
+	} {
+		if _, err := FindWorld(halo, haloSpec, world.ranks, world.exchanges); err == nil {
+			t.Errorf("FindWorld with %s accepted", name)
+		}
+	}
+	loop, err := FindWorld(halo, haloSpec, 2, []Exchange{{SrcRank: 0, DstRank: 1, SrcVar: "nope", DstVar: "u", Cells: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := loop.Run(func([]*interp.Machine, int64) error { return nil }); err == nil {
+		t.Error("unknown exchange variable did not fail")
+	}
+	if _, err := Record(loop, [][]core.CriticalVar{nil}); err == nil {
+		t.Error("Record of 2 ranks with 1 critical set accepted")
+	}
+	f := FailStop{Loop: loop, Critical: [][]core.CriticalVar{nil}, Store: store.Config{Kind: store.KindMemory}, Level: checkpoint.L1}
+	if _, err := f.Run(0, nil); err == nil {
+		t.Error("FailStop of 2 ranks with 1 critical set accepted")
+	}
 }
 
-// TestLoopRunContract pins the driver every §VI-B run goes through, on
-// the Fig. 4 program: at sees iter 0..N in order, with N the iteration
-// count the validator reports, and an error from at ends Run and is
-// returned.
+// TestLoopRunContract pins the driver every §VI-B run goes through. On
+// the Fig. 4 program (one rank), at sees iter 0..N in order, with N the
+// iteration count the validator reports. On the halo world (two ranks),
+// at sees every rank stopped at the same barrier, and the exchanges
+// couple the ranks. Either way an error from at ends Run and is
+// returned, and an injected crash inside at unwinds through Run with
+// every rank ended.
 func TestLoopRunContract(t *testing.T) {
-	mod, res := analyzed(t, fig4Source, core.LoopSpec{Function: "main", StartLine: 17, EndLine: 25})
-	loop, err := FindLoop(mod, res.Spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seen []int64
-	if _, out, err := loop.Run(func(_ *interp.Machine, iter int64) error {
-		seen = append(seen, iter)
-		return nil
-	}); err != nil || out == "" {
-		t.Fatalf("failure-free run: out=%q err=%v", out, err)
-	}
-	v, err := New(mod, res, t.TempDir(), Options{Store: store.Config{Kind: store.KindMemory}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := v.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(seen)) != rep.Iterations+1 {
-		t.Fatalf("at saw %v, want 0..%d", seen, rep.Iterations)
-	}
-	for i, iter := range seen {
-		if iter != int64(i) {
-			t.Fatalf("at saw %v, want 0..%d in order", seen, rep.Iterations)
+	stopsAtError := func(t *testing.T, loop *Loop) {
+		stop := errors.New("stop")
+		var last int64
+		if _, _, err := loop.Run(func(_ []*interp.Machine, iter int64) error {
+			last = iter
+			if iter == 3 {
+				return stop
+			}
+			return nil
+		}); !errors.Is(err, stop) {
+			t.Errorf("Run returned %v, want the error from at", err)
+		}
+		if last != 3 {
+			t.Errorf("at ran on to iter %d after its error at 3", last)
+		}
+
+		baseline := runtime.NumGoroutine()
+		faults := faultinject.NewRegistry(1)
+		faults.Arm(faultinject.Failpoint{Site: "test.at", Action: faultinject.ActionCrash, Nth: 3})
+		err := Guard(func() error {
+			_, _, err := loop.Run(func([]*interp.Machine, int64) error { return faults.Hit("test.at") })
+			return err
+		})
+		var crash *faultinject.Crash
+		if !errors.As(err, &crash) {
+			t.Errorf("Guard returned %v, want the crash injected inside at", err)
+		}
+		if n := runtime.NumGoroutine(); n > baseline {
+			t.Errorf("%d goroutines after the crash, %d before: a rank outlived Run", n, baseline)
 		}
 	}
 
-	stop := errors.New("stop")
-	var last int64
-	if _, _, err := loop.Run(func(_ *interp.Machine, iter int64) error {
-		last = iter
-		if iter == 3 {
-			return stop
+	t.Run("ranks=1", func(t *testing.T) {
+		mod, res := analyzed(t, fig4Source, core.LoopSpec{Function: "main", StartLine: 17, EndLine: 25})
+		loop, err := FindLoop(mod, res.Spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	}); !errors.Is(err, stop) {
-		t.Errorf("Run returned %v, want the error from at", err)
-	}
-	if last != 3 {
-		t.Errorf("at ran on to iter %d after its error at 3", last)
-	}
+		var seen []int64
+		if _, outs, err := loop.Run(func(ms []*interp.Machine, iter int64) error {
+			if len(ms) != 1 {
+				t.Fatalf("at saw %d machines, want 1", len(ms))
+			}
+			seen = append(seen, iter)
+			return nil
+		}); err != nil || len(outs) != 1 || outs[0] == "" {
+			t.Fatalf("failure-free run: outs=%q err=%v", outs, err)
+		}
+		v, err := New(mod, res, t.TempDir(), Options{Store: store.Config{Kind: store.KindMemory}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := v.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(seen)) != rep.Iterations+1 {
+			t.Fatalf("at saw %v, want 0..%d", seen, rep.Iterations)
+		}
+		for i, iter := range seen {
+			if iter != int64(i) {
+				t.Fatalf("at saw %v, want 0..%d in order", seen, rep.Iterations)
+			}
+		}
+		stopsAtError(t, loop)
+	})
+
+	t.Run("ranks=2", func(t *testing.T) {
+		mod, err := interp.Compile(haloSource)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loop, err := FindWorld(mod, haloSpec, 2, haloExchanges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seen []int64
+		_, coupled, err := loop.Run(func(ms []*interp.Machine, iter int64) error {
+			seen = append(seen, iter)
+			// The ranks run the same instructions between barriers, so in
+			// lockstep they have run the same number at every barrier.
+			if len(ms) != 2 || ms[0].Steps != ms[1].Steps || ms[0].Rank != 0 || ms[1].Rank != 1 {
+				t.Fatalf("barrier %d: ranks not in lockstep", iter)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 6 iterations: 7 header entries (the last evaluates the exit).
+		if len(seen) != 7 || seen[6] != 6 {
+			t.Errorf("at saw %v, want 0..6", seen)
+		}
+		if len(coupled) != 2 || coupled[0] == "" || coupled[0] == coupled[1] {
+			t.Fatalf("outputs = %q; want one per rank, different (different init)", coupled)
+		}
+		// Without the exchanges the ghost cells keep their initial values
+		// instead of the neighbor's halo, and rank 0 evolves differently.
+		lone, err := FindWorld(mod, haloSpec, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, uncoupled, err := lone.Run(func([]*interp.Machine, int64) error { return nil }); err != nil || uncoupled[0] == coupled[0] {
+			t.Errorf("halo exchange had no observable effect on rank 0 (%v)", err)
+		}
+		stopsAtError(t, loop)
+	})
 }
