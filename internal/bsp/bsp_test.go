@@ -206,9 +206,10 @@ func TestBSPCheckpointRestart(t *testing.T) {
 			row{fmt.Sprintf("ckpt.committed=crash@nth=%d", i), 0, committed})
 	}
 	// Rank 1 dies before its checkpoint 3, after rank 0 took checkpoint 3
-	// and pruned. Retain(2) keeps iteration 2 on both ranks; Retain(1)
-	// leaves rank 0 with only 3 and rank 1 with only 2, which is no line.
-	rows = append(rows, row{"ckpt.put=crash@nth=6", 2, 2}, row{"ckpt.put=crash@nth=6", 1, 0})
+	// and pruned. Over two ranks each keeps one checkpoint more than
+	// Retain(n) asks, so even Retain(1) keeps iteration 2 on both ranks:
+	// rank 0 holds 2 and 3, rank 1 holds 2.
+	rows = append(rows, row{"ckpt.put=crash@nth=6", 2, 2}, row{"ckpt.put=crash@nth=6", 1, 2})
 
 	for _, kind := range []store.Kind{store.KindFile, store.KindMemory} {
 		for _, tc := range rows {

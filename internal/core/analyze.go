@@ -305,22 +305,45 @@ type regEntry struct {
 }
 
 // shape is what the fused pass needs of a record's static half, resolved
-// once, from the first record with it (newShape): the rows of its
-// registers, whether it lies in the MCLR, and where its access operand
-// is. A record finds its shape by its template id (see
+// once, from the first record with it (newShape): the step it runs, the
+// rows of its registers, whether it lies in the MCLR, and where its
+// operands are. A record finds its shape by its template id (see
 // trace.RecordBatch.TemplateIDs) or, without one, by its static half
 // (keyed.go), and every step of the pass indexes it.
 type shape struct {
+	step   step        // what a record of the shape does (fusedStep)
 	loop   bool        // spec.contains: in the loop function, inside the MCLR
 	loopFn bool        // in the loop function
 	res    *regEntry   // the result's row; nil without a result
 	rows   []*regEntry // per input operand, its register's row (a parameter's in the callee); nil for a non-register
 	srcs   []*regEntry // linkSources' sources: the rows of the register inputs with Index > 0, in order
+	params []param     // a form-2 Call's parameters, in operand order
 	acc    int         // the position in Ops of a Load's or Store's pointer or a GEP's base; -1 if none
-	named  bool        // that operand has a name that is not a number
-	at     resolution  // what that operand's address last resolved to (see trackStorage)
+	val    int         // the position in Ops of operand 1 — a Store's value, a GEP's or BitCast's base — when a register; -1 if not
+	named  bool        // the acc operand has a name that is not a number
+	at     resolution  // what the acc operand's address last resolved to (see access)
 	ref    resolution  // what a GEP's or BitCast's result address last resolved to
 }
+
+// step is the kind of work a record does in the fused pass. It is a
+// function of the static half's key (keyed.go): the opcode, whether there
+// is a result, and, for a Call, whether any operand is a parameter.
+type step uint8
+
+const (
+	stepNone   step = iota // nothing: a record with no result, e.g. a branch
+	stepAlloca             // an Alloca with a result: a local's span
+	stepLoad               // a Load: an access, a read
+	stepStore              // a Store: an access, a write
+	stepRef                // a GEP or BitCast: a computed reference, not data flow
+	stepArith              // a value computed from its register inputs (form-1 Calls too)
+	stepCmp                // a comparison: arithmetic, and in the loop function an induction signal
+	stepParams             // a form-2 Call: parameter correlation
+)
+
+// param is one parameter operand of a form-2 Call: its position in Ops
+// and that of the argument it correlates with, -1 if the record has none.
+type param struct{ at, arg int }
 
 // varState is one variable identity's slot (see varTable): the
 // instance that made it a region-A candidate and the one that matched
@@ -354,6 +377,7 @@ type analyzer struct {
 	chains    map[head]*keyed
 	shapeSlab []shape
 	rowSlab   []*regEntry
+	paramSlab []param
 	keyedSlab []keyed
 	opSlab    []trace.Operand
 
@@ -456,11 +480,15 @@ func (a *analyzer) shapeOf(id uint32, r *trace.Record) *shape {
 	return *p
 }
 
-// newShape resolves the shape of r's static half.
+// newShape resolves the shape of r's static half: its step, its rows,
+// and the positions of the operands the step reads.
 func (a *analyzer) newShape(r *trace.Record) *shape {
 	sh := &cut(&a.shapeSlab, 1)[0]
 	fn := r.Func
-	*sh = shape{loop: a.spec.contains(r), loopFn: fn == a.spec.Function, acc: -1}
+	*sh = shape{loop: a.spec.contains(r), loopFn: fn == a.spec.Function, acc: -1, val: operandPos(r, 1)}
+	if sh.val >= 0 && !r.Ops[sh.val].IsReg {
+		sh.val = -1
+	}
 	if r.Result != nil {
 		sh.res = a.reg(regKey{fn, r.Result.Name})
 	}
@@ -469,11 +497,12 @@ func (a *analyzer) newShape(r *trace.Record) *shape {
 		callee = op.Name
 	}
 	sh.rows = cut(&a.rowSlab, len(r.Ops))
-	nsrc := 0
+	nsrc, nparam := 0, 0
 	for i := range r.Ops {
 		switch op := &r.Ops[i]; {
 		case op.Index < 0:
 			sh.rows[i] = a.reg(regKey{callee, op.Name})
+			nparam++
 		case op.IsReg:
 			sh.rows[i] = a.reg(regKey{fn, op.Name})
 			if op.Index > 0 {
@@ -482,16 +511,34 @@ func (a *analyzer) newShape(r *trace.Record) *shape {
 		}
 	}
 	sh.srcs = cut(&a.rowSlab, nsrc)[:0]
+	sh.params = cut(&a.paramSlab, nparam)[:0]
 	for i := range r.Ops {
-		if op := &r.Ops[i]; op.Index > 0 && op.IsReg {
+		switch op := &r.Ops[i]; {
+		case op.Index > 0 && op.IsReg:
 			sh.srcs = append(sh.srcs, sh.rows[i])
+		case op.Index < 0:
+			sh.params = append(sh.params, param{i, operandPos(r, -op.Index)})
 		}
 	}
-	switch r.Opcode {
-	case trace.OpLoad, trace.OpGetElementPtr:
-		sh.acc = operandPos(r, 1)
-	case trace.OpStore:
-		sh.acc = operandPos(r, 2)
+	switch op := r.Opcode; {
+	case op == trace.OpAlloca:
+		if r.Result != nil {
+			sh.step = stepAlloca
+		}
+	case op == trace.OpLoad:
+		sh.step, sh.acc = stepLoad, operandPos(r, 1)
+	case op == trace.OpStore:
+		sh.step, sh.acc = stepStore, operandPos(r, 2)
+	case op == trace.OpGetElementPtr:
+		sh.step, sh.acc = stepRef, operandPos(r, 1)
+	case op == trace.OpBitCast:
+		sh.step = stepRef
+	case op == trace.OpICmp || op == trace.OpFCmp:
+		sh.step = stepCmp
+	case op == trace.OpCall && nparam > 0:
+		sh.step = stepParams
+	case r.Result != nil:
+		sh.step = stepArith
 	}
 	if sh.acc >= 0 {
 		name := r.Ops[sh.acc].Name
@@ -522,70 +569,50 @@ func operandPos(r *trace.Record, idx int) int {
 	return -1
 }
 
-// access is a Load's or Store's memory access, resolved once per record
-// by trackStorage and handed to every later step of the fused pass.
-// That is exact: nothing after trackStorage changes the variable table,
-// and resolving one address again would grow no footprint further, so
-// each step gets the variable its own resolve would have returned.
-type access struct {
-	addr uint64
-	ok   bool     // the record has a pointer address operand
-	v    *VarInfo // the variable at addr, or nil
-}
-
-// trackStorage processes the storage-defining records that collection and
-// dependency tracking both resolve through — Alloca (local intervals) and
-// named pointer operands (global discovery) — and returns a Load's or
-// Store's access. A record first asks its shape's last resolution (see
-// resolution): when it holds the address, resolving again would find the
-// same variable, grow no footprint and discover no global — a named
-// operand that resolved to a global has been noted, and one that resolved
-// to a local is in a span no global discovery looks past — so the record
-// skips all three.
-func (a *analyzer) trackStorage(r *trace.Record, sh *shape) (acc access) {
-	switch r.Opcode {
-	case trace.OpAlloca:
-		if r.Result != nil && r.Result.Value.Kind == trace.KindPtr {
-			a.vt.addAlloca(r.Result.Name, r.Func, r.Result.Value.Addr(), int64(r.Result.Size/8), r.DynID)
-			a.growVars()
-		}
-	case trace.OpLoad, trace.OpStore, trace.OpGetElementPtr:
-		if sh.acc < 0 || r.Ops[sh.acc].Value.Kind != trace.KindPtr {
-			return acc
-		}
-		op := &r.Ops[sh.acc]
-		addr := op.Value.Addr()
-		gep := r.Opcode == trace.OpGetElementPtr
-		if v := a.vt.at(&sh.at, addr); v != nil {
-			if !gep {
-				acc = access{addr: addr, ok: true, v: v}
-			}
-			return acc
-		}
-		var res resolution
-		if sh.named {
-			// A named, non-numeric pointer operand that no local span owns is a
-			// global reference at its base address. This must not consult the
-			// footprint-growing resolver: the named base is authoritative and
-			// truncates any neighbor whose estimated footprint overgrew it.
-			if res = a.vt.resolveLocal(addr); res.v == nil {
-				a.vt.noteGlobal(op.Name, addr, r.DynID, r.Line)
-				a.growVars()
-				if gep {
-					res = a.vt.lookup(addr, false)
-				}
-			}
-		}
-		if !gep {
-			// lookup finds a local by the search resolveLocal just made.
-			if res.v == nil {
-				res = a.vt.lookup(addr, true)
-			}
-			acc = access{addr: addr, ok: true, v: res.v}
-		}
-		sh.at = res
+// access resolves the address of the record's access operand (shape.acc)
+// and returns it with its variable, nil when it belongs to none; ok is
+// false when the operand is missing or not a pointer. A Load or Store
+// resolves as an access, growing a global's footprint; a GEP only
+// discovers globals. Nothing later in the step changes the variable
+// table, so each of the step's uses gets the variable its own resolve
+// would have returned.
+//
+// A named, non-numeric operand that no local span owns is a global
+// reference at its base address (global discovery). A record first asks
+// its shape's last resolution (see resolution): when it holds the
+// address, resolving again would find the same variable, grow no
+// footprint and discover no global — a named operand that resolved to a
+// global has been noted, and one that resolved to a local is in a span no
+// global discovery looks past — so the record skips all three.
+func (a *analyzer) access(r *trace.Record, sh *shape) (addr uint64, v *VarInfo, ok bool) {
+	if sh.acc < 0 || r.Ops[sh.acc].Value.Kind != trace.KindPtr {
+		return 0, nil, false
 	}
-	return acc
+	op := &r.Ops[sh.acc]
+	addr = op.Value.Addr()
+	if v := a.vt.at(&sh.at, addr); v != nil {
+		return addr, v, true
+	}
+	ref := sh.step == stepRef
+	var res resolution
+	if sh.named {
+		// This must not consult the footprint-growing resolver: the named
+		// base is authoritative and truncates any neighbor whose estimated
+		// footprint overgrew it.
+		if res = a.vt.resolveLocal(addr); res.v == nil {
+			a.vt.noteGlobal(op.Name, addr, r.DynID, r.Line)
+			a.growVars()
+			if ref {
+				res = a.vt.lookup(addr, false)
+			}
+		}
+	}
+	if !ref && res.v == nil {
+		// lookup finds a local by the search resolveLocal just made.
+		res = a.vt.lookup(addr, true)
+	}
+	sh.at = res
+	return addr, res.v, true
 }
 
 // growVars gives every slot the table has assigned its state.
@@ -596,9 +623,8 @@ func (a *analyzer) growVars() {
 }
 
 // isNumeric reports whether s is an (optionally signed) decimal integer.
-// Hand-rolled rather than strconv.Atoi: this runs for every named operand
-// of every Load/Store/GEP, and Atoi's error return allocates on the
-// non-numeric names that dominate real traces.
+// Hand-rolled rather than strconv.Atoi, whose error return allocates on
+// the non-numeric names that dominate real traces.
 func isNumeric(s string) bool {
 	if s == "" {
 		return false
@@ -618,39 +644,25 @@ func isNumeric(s string) bool {
 	return true
 }
 
-// collectible returns v, the variable a Load/Store record accesses (nil
-// for any other record), if the record participates in MLI collection:
-// records executed in the loop function (call depth zero), plus — with
-// IncludeGlobals — global accesses at any depth (the automated FT
-// workaround, §V-B Challenge 1).
-func (a *analyzer) collectible(r *trace.Record, sh *shape, v *VarInfo) *VarInfo {
-	if v == nil {
-		return nil
-	}
-	if !sh.loopFn && !(a.opts.IncludeGlobals && v.Global) {
-		return nil
+// collect takes v, the variable a Load or Store accesses, into MLI
+// collection (§IV-A) if the record participates: records executed in the
+// loop function (call depth zero), plus — with IncludeGlobals — global
+// accesses at any depth (the automated FT workaround, §V-B Challenge 1).
+// Region A marks it a candidate; region B matches it against the
+// candidates, and the intersection is the MLI set.
+func (a *analyzer) collect(r *trace.Record, sh *shape, v *VarInfo, reg Region) {
+	if v == nil || !sh.loopFn && !(a.opts.IncludeGlobals && v.Global) {
+		return
 	}
 	if v.FirstLine < 0 {
 		v.FirstLine = r.Line
 	}
-	return v
-}
-
-// collectRegionA collects an arithmetic variable accessed before the loop.
-func (a *analyzer) collectRegionA(r *trace.Record, sh *shape, v *VarInfo) {
-	if v := a.collectible(r, sh, v); v != nil {
-		a.vars[v.slot].inA = v
-	}
-}
-
-// collectRegionBMatch matches a variable accessed inside the loop against
-// the region-A set: the intersection is the MLI set (§IV-A).
-func (a *analyzer) collectRegionBMatch(r *trace.Record, sh *shape, v *VarInfo) {
-	if v := a.collectible(r, sh, v); v != nil {
-		if st := &a.vars[v.slot]; st.inA != nil && st.mli != v {
-			a.touch(v.slot)
-			st.mli = v
-		}
+	switch st := &a.vars[v.slot]; {
+	case reg == RegionBefore:
+		st.inA = v
+	case st.inA != nil && st.mli != v:
+		a.touch(v.slot)
+		st.mli = v
 	}
 }
 

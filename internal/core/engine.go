@@ -13,11 +13,13 @@ import (
 // This file is the single incremental analysis core that every mode of
 // AutoCheck adapts to. The pipeline of the paper's Fig. 2 is expressed
 // once, as the Engine's region state machine plus one fused pass over
-// classified records (analyzer.fusedStep): per record, in trace order,
-// address→variable table maintenance, module 1 (MLI collection, §IV-A),
-// module 2 (on-the-fly dependency tracking, §IV-B) and — with
-// Options.BuildDDG — the complete DDG of Fig. 5. Module 3 (§IV-C) consumes
-// no records: analyzer.finish classifies from the accumulated summaries.
+// classified records (analyzer.fusedStep). Per record the pass makes one
+// dispatch, on the step its static half's shape resolved once, and that
+// step runs, in trace order, the record's address→variable table
+// maintenance, module 1 (MLI collection, §IV-A), module 2 (on-the-fly
+// dependency tracking, §IV-B) and — with Options.BuildDDG — the complete
+// DDG of Fig. 5. Module 3 (§IV-C) consumes no records: analyzer.finish
+// classifies from the accumulated summaries.
 //
 // Every entry point is the Engine fed through ObserveBatch; they differ
 // only in where the records come from:
@@ -72,26 +74,67 @@ func (e *NoLoopError) Error() string {
 
 // ---- The fused pass ----
 
-// fusedStep is the fused pass over one record: storage, collect, and
-// depend in trace order. MLI membership is incomplete while the pass
+// fusedStep is the fused pass over one record: one dispatch on the step
+// its shape resolved (newShape), whose case runs, in trace order, that
+// kind's storage upkeep (access, Alloca spans), MLI collection (module 1),
+// register-map update (module 2) and, in region B, Read/Write summaries
+// and DDG growth (depend.go). MLI membership is incomplete while the pass
 // runs, so summaries are kept for every variable and intersected with the
 // MLI set in finish. Region C never reaches it: a record after the loop's
 // last record is stepped as region B inside a fork (see below), whose
 // rollback leaves what region C would have.
-//
-// A Load or Store resolves its address once, in trackStorage, and every
-// step after it is handed the access (see access). sh is the shape of the
-// record's static half (shapeOf).
 func (a *analyzer) fusedStep(r *trace.Record, sh *shape, reg Region) {
-	acc := a.trackStorage(r, sh)
-	if reg == RegionBefore {
-		a.collectRegionA(r, sh, acc.v)
-	} else {
-		a.collectRegionBMatch(r, sh, acc.v)
-	}
-	a.updateMaps(r, sh, &acc)
-	if reg == RegionLoop {
-		a.processLoopRecord(r, sh, &acc)
+	loop := reg == RegionLoop
+	switch sh.step {
+	case stepAlloca:
+		if res := r.Result; res.Value.Kind == trace.KindPtr {
+			a.vt.addAlloca(res.Name, r.Func, res.Value.Addr(), int64(res.Size/8), r.DynID)
+			a.growVars()
+		}
+		linkSources(sh)
+	case stepLoad:
+		addr, v, ok := a.access(r, sh)
+		a.collect(r, sh, v, reg)
+		if ok && sh.res != nil {
+			sh.res.v, sh.res.srcs = v, nil
+		}
+		if loop && v != nil {
+			a.loopLoad(r, sh, addr, v)
+		}
+	case stepStore:
+		addr, v, _ := a.access(r, sh)
+		a.collect(r, sh, v, reg)
+		linkSources(sh) // a Store with a result links it like arithmetic
+		if loop && v != nil {
+			a.loopStore(r, sh, addr, v)
+		}
+	case stepRef:
+		a.access(r, sh)
+		if sh.res != nil {
+			a.mapRef(r, sh)
+		}
+	case stepArith:
+		linkSources(sh)
+		if loop {
+			a.ddgArith(r, sh)
+		}
+	case stepCmp:
+		linkSources(sh)
+		if loop && sh.loopFn {
+			// Induction signal: comparisons at depth 0 over loop-function
+			// locals. Outside it a comparison has no signal and no vertex.
+			for _, e := range sh.srcs {
+				if e.v != nil && e.v.Fn == a.spec.Function {
+					a.summary(e.v).cmpUses++
+				}
+			}
+			a.ddgArith(r, sh)
+		}
+	case stepParams:
+		a.correlate(r, sh)
+		if loop {
+			a.ddgArith(r, sh)
+		}
 	}
 }
 

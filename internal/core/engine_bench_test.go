@@ -34,7 +34,8 @@ func (c *collector) ObserveBatch(recs []trace.Record, ids []uint32) {
 // feed. The records come as one batch with the tracer's template ids
 // (ids) or without them (no-ids), so the two report the engine in
 // ns/record on the tracer's templates and on shapes the engine
-// hash-conses from the records' static halves.
+// hash-conses from the records' static halves. Like every benchmark of
+// this file it also reports what the collector cost an op (gcMeter).
 //
 //	go test -run '^$' -bench Engine -benchmem ./internal/core/
 func BenchmarkEngine(b *testing.B) {
@@ -67,26 +68,30 @@ func BenchmarkEngine(b *testing.B) {
 			name = "ids"
 		}
 		b.Run(name, func(b *testing.B) {
+			gc := newGCMeter()
 			for i := 0; i < b.N; i++ {
-				for k := range ports {
-					p := &ports[k]
-					ids := p.c.ids
-					if !withIDs {
-						ids = nil
+				gc.op(func() {
+					for k := range ports {
+						p := &ports[k]
+						ids := p.c.ids
+						if !withIDs {
+							ids = nil
+						}
+						opts := core.DefaultOptions()
+						opts.Module = p.mod
+						e, err := core.NewEngine(p.spec, opts)
+						if err != nil {
+							b.Fatal(err)
+						}
+						e.ObserveBatch(p.c.recs, ids)
+						if _, err := e.Finish(); err != nil {
+							b.Fatal(err)
+						}
 					}
-					opts := core.DefaultOptions()
-					opts.Module = p.mod
-					e, err := core.NewEngine(p.spec, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					e.ObserveBatch(p.c.recs, ids)
-					if _, err := e.Finish(); err != nil {
-						b.Fatal(err)
-					}
-				}
+				})
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
+			gc.report(b)
 		})
 	}
 }
@@ -112,31 +117,35 @@ func BenchmarkAnalyzeOnline(b *testing.B) {
 		ports = append(ports, port{p.Source(24), spec})
 	}
 	records := 0
+	gc := newGCMeter()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, p := range ports {
-			mod, err := interp.Compile(p.src)
-			if err != nil {
-				b.Fatal(err)
+		gc.op(func() {
+			for _, p := range ports {
+				mod, err := interp.Compile(p.src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				opts := core.DefaultOptions()
+				opts.Module = mod
+				e, err := core.NewEngine(p.spec, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := interp.TraceProgramInto(mod, e); err != nil {
+					b.Fatal(err)
+				}
+				res, err := e.Finish()
+				if err != nil {
+					b.Fatal(err)
+				}
+				records += res.Stats.Records
 			}
-			opts := core.DefaultOptions()
-			opts.Module = mod
-			e, err := core.NewEngine(p.spec, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := interp.TraceProgramInto(mod, e); err != nil {
-				b.Fatal(err)
-			}
-			res, err := e.Finish()
-			if err != nil {
-				b.Fatal(err)
-			}
-			records += res.Stats.Records
-		}
+		})
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
+	gc.report(b)
 }
 
 // BenchmarkAnalyzeFile is the offline analysis of the 14 ports' trace
@@ -186,20 +195,24 @@ func BenchmarkAnalyzeFile(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			records := 0
+			gc := newGCMeter()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, p := range ports {
-					opts := core.DefaultOptions()
-					opts.Module = p.mod
-					res, err := core.AnalyzeFile(p.path, p.spec, opts)
-					if err != nil {
-						b.Fatal(err)
+				gc.op(func() {
+					for _, p := range ports {
+						opts := core.DefaultOptions()
+						opts.Module = p.mod
+						res, err := core.AnalyzeFile(p.path, p.spec, opts)
+						if err != nil {
+							b.Fatal(err)
+						}
+						records += res.Stats.Records
 					}
-					records += res.Stats.Records
-				}
+				})
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
+			gc.report(b)
 		})
 	}
 }

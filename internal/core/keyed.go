@@ -11,10 +11,11 @@ import (
 // decoder made no template of — gets the shape of its static half,
 // hash-consed (Filliâtre and Conchon, "Type-Safe Modular Hash-Consing",
 // 2006). The key is what newShape reads: Func, Line, Opcode, each
-// operand's Index, IsReg and Name, and the result's presence and name.
-// Records that differ only in Block, sizes, DynID, values or where their
-// strings are stored share a shape, and its access cache; any other
-// difference gets a shape of its own. Rows come from reg, so a keyed
+// operand's Index, IsReg and Name, and the result's presence and name, so
+// a shape's step, rows and operand positions are its key's. Records that
+// differ only in Block, sizes, DynID, values or where their strings are
+// stored share a shape, and its access cache; any other difference gets
+// a shape of its own. Rows come from reg, so a keyed
 // shape and a template id's shape share a register's row.
 //
 // A key is looked up in a direct-mapped table of recent keys, hashed on

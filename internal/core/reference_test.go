@@ -204,7 +204,7 @@ func accessOperand(r *trace.Record) *trace.Operand {
 }
 
 // accessAddr returns the memory address a Load or Store touches, or 0.
-// The fused pass finds it in trackStorage, from the record's shape.
+// The fused pass finds it in access, from the record's shape.
 func accessAddr(r *trace.Record) (uint64, bool) {
 	op := accessOperand(r)
 	if op == nil || op.Value.Kind != trace.KindPtr {
@@ -1084,8 +1084,8 @@ type genVar struct {
 // streamGen writes a random but well-formed record stream: main allocates
 // its locals before the loop, runs the loop on lines 10-20 and reads
 // results after it on lines 30-40, and calls f (form 2, with a pointer
-// parameter p) and pow (form 1). The cases the reference must agree on
-// are generated on purpose:
+// parameter p and sometimes a result) and pow (form 1). The cases the
+// reference must agree on are generated on purpose:
 //   - in-loop excursions of 1 to several hundred records away from the
 //     MCLR: the back edge's one record on line 21, main's own records on
 //     lines 21-22, and calls whose bodies run from a few records to a few
@@ -1309,9 +1309,9 @@ func (g *streamGen) call(line int, mainVars []genVar) {
 	g.callWith(line, mainVars, genGlobals[g.rng.Intn(len(genGlobals))], steps)
 }
 
-// callWith emits a form-2 call main → f(p) with f's body of steps random
-// steps over f's locals, p and global, sometimes through a nested call to
-// h that reuses f's frame.
+// callWith emits a form-2 call main → f(p), sometimes with a result, with
+// f's body of steps random steps over f's locals, p and global, sometimes
+// through a nested call to h that reuses f's frame.
 func (g *streamGen) callWith(line int, mainVars []genVar, global genVar, steps int) {
 	arg := mainVars[g.rng.Intn(len(mainVars))]
 	argOp := ptrOp(1, arg.name, true, arg.base)
@@ -1320,7 +1320,12 @@ func (g *streamGen) callWith(line int, mainVars []genVar, global genVar, steps i
 	}
 	param := argOp
 	param.Index, param.Name = -1, "p"
-	g.emit("main", line, trace.OpCall, nil, argOp,
+	var res *trace.Operand
+	if g.rng.Intn(3) == 0 {
+		// A call with a result: in region B, a register vertex of the DDG.
+		res = resOp(g.anyReg())
+	}
+	g.emit("main", line, trace.OpCall, res, argOp,
 		trace.Operand{Index: 0, Size: 64, Value: trace.PtrValue(0x20), Name: "f"}, param)
 	base := genF[0].base
 	if g.rng.Intn(3) == 0 {

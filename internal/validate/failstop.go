@@ -38,7 +38,7 @@ type FailStop struct {
 	Critical [][]core.CriticalVar // one critical set per rank
 	Store    store.Config
 	Level    checkpoint.Level
-	Retain   int // retention policy of every rank's checkpointing (0: keep all)
+	Retain   int // retention policy of every rank's checkpointing (0: keep all); over many ranks each keeps one more
 
 	shared []*checkpoint.Context // the memory kind's Contexts; copy a FailStop only before its Run
 }
@@ -123,9 +123,9 @@ type Recovery struct {
 // main computation loop" — and running on to the end. Every rank
 // restores the recovery line: the newest iteration at which every rank
 // has a valid checkpoint. Without one Recover fails with
-// checkpoint.ErrNoCheckpoint. Over many ranks Retain(1) cannot keep a
-// line through a death between two ranks' Puts (the earlier rank has
-// pruned its previous checkpoint); Retain(n ≥ 2) can.
+// checkpoint.ErrNoCheckpoint. Over many ranks each keeps a checkpoint more
+// than Retain asks, so a death between two ranks' Puts, which leaves some
+// ranks one iteration ahead of the line, has pruned nothing at or above it.
 func (f *FailStop) Recover(skip map[string]bool) *Recovery {
 	rec := &Recovery{}
 	rec.Err = Guard(func() error {
@@ -242,7 +242,11 @@ func (f *FailStop) open() ([]*checkpoint.Context, error) {
 		for _, c := range critical {
 			ctx.Protect(c.Name, c.Base, c.SizeBytes)
 		}
-		ctx.Retain(f.Retain)
+		if len(f.Critical) > 1 && f.Retain > 0 {
+			ctx.Retain(f.Retain + 1)
+		} else {
+			ctx.Retain(f.Retain)
+		}
 		ctxs = append(ctxs, ctx)
 	}
 	if f.Store.Kind == store.KindMemory {
