@@ -111,8 +111,15 @@ type CriticalVar struct {
 // call, and a timed call is booked at most at the first calls' mean, so a
 // collection or a preemption it met is not booked some 64 times over. Dep
 // is at most the sweep's time, and Pre is the rest of it.
+//
+// A text trace is decoded ahead of the engine, on a goroutine of its own,
+// so its two stages overlap. Dep is then the time the engine's goroutine
+// spent in the pass, and Pre the rest of the sweep's wall time on it: the
+// waits for decoded records and their unpacking from the ring, not the
+// decode's own CPU time, most of which the pass hides. Pre + Dep +
+// Identify still adds up to Total.
 type Timing struct {
-	Pre      time.Duration // trace reading + MLI identification
+	Pre      time.Duration // trace reading (the wait for it, when decoded ahead) + MLI identification
 	Dep      time.Duration // data dependency analysis
 	Identify time.Duration // critical-variable identification
 	Total    time.Duration
@@ -209,11 +216,11 @@ func analyzeFileIn(sc *scratch, path string, spec LoopSpec, opts Options) (*Resu
 	if err != nil {
 		return nil, fmt.Errorf("core: reading trace: %w", err)
 	}
-	rd, _, err := trace.NewAutoReader(f)
+	rd, format, err := trace.NewAutoReader(f)
 	if err != nil {
 		return nil, err
 	}
-	res, err := sc.analyze(rd, spec, opts)
+	res, err := sc.analyze(rd, format, spec, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -229,11 +236,11 @@ func AnalyzeBytes(data []byte, spec LoopSpec, opts Options) (*Result, error) {
 }
 
 func analyzeBytesIn(sc *scratch, data []byte, spec LoopSpec, opts Options) (*Result, error) {
-	rd, _, err := trace.NewBytesReader(data)
+	rd, format, err := trace.NewBytesReader(data)
 	if err != nil {
 		return nil, err
 	}
-	res, err := sc.analyze(rd, spec, opts)
+	res, err := sc.analyze(rd, format, spec, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -254,11 +261,22 @@ func analyzeRecordsIn(sc *scratch, recs []trace.Record, spec LoopSpec, opts Opti
 }
 
 // analyze is the trace-bytes schedule: the bundle's engine fed each of
-// rd's records as it is decoded, in place, to the end of the stream. A
+// rd's records, to the end of the stream. An ACTB trace's records are fed
+// in place as they are decoded; a text trace is decoded ahead of the
+// engine, on a goroutine of its own (readahead.go), unless the bundle is
+// one of AnalyzeMany's, whose workers already keep every core busy. A
 // decode error anywhere in the trace is reported before a missing loop.
-func (sc *scratch) analyze(rd trace.Reader, spec LoopSpec, opts Options) (*Result, error) {
+func (sc *scratch) analyze(rd trace.Reader, format trace.Format, spec LoopSpec, opts Options) (*Result, error) {
 	e := sc.engine(spec, opts)
-	if err := rd.ReadInto(e.feed); err != nil {
+	var err error
+	if format == trace.FormatText && !sc.serial {
+		ra := rings.Get().(*readAhead)
+		err = ra.run(rd, e.feed)
+		rings.Put(ra)
+	} else {
+		err = rd.ReadInto(e.feed)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return e.result()

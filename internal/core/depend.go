@@ -110,9 +110,9 @@ func derivesFrom(e *regEntry, slot int, depth int) bool {
 }
 
 // loopLoad streams a region-B read of v at addr into v's summary and,
-// with BuildDDG, adds the Load's register vertex. Inside a fork it also
-// notes region C's signal, the variable's first read after the loop, for
-// the rollback to apply.
+// with BuildDDG, adds the Load's register vertex, if it has a result.
+// Inside a fork it also notes region C's signal, the variable's first
+// read after the loop, for the rollback to apply.
 func (a *analyzer) loopLoad(r *trace.Record, sh *shape, addr uint64, v *VarInfo) {
 	s := a.summary(v)
 	if u := a.touch(v.slot); u != nil && u.after == nil {
@@ -130,7 +130,7 @@ func (a *analyzer) loopLoad(r *trace.Record, sh *shape, addr uint64, v *VarInfo)
 		s.uncoveredDyn = r.DynID
 		s.uncoveredRead = true
 	}
-	if a.graph != nil {
+	if a.graph != nil && sh.res != nil {
 		n := a.newRegInstance(r)
 		a.graph.AddEdge(a.nodeOf(v), n, r.DynID)
 		sh.res.node = n

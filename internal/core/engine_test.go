@@ -550,3 +550,48 @@ func TestEngineLoopNeverStartsOrNeverCloses(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadWithoutResultHasNoVertex pins a region-B Load whose block has no
+// result line: it reads its variable, and with BuildDDG it gets no
+// register vertex — the step once took the missing result's name and
+// panicked. A three-line loop's trace, one loop-body Load's result
+// dropped, through AnalyzeBytes in both formats against the reference
+// pass.
+func TestLoadWithoutResultHasNoVertex(t *testing.T) {
+	const src = `
+int main() {
+  int s = 0;
+  for (int i = 0; i < 4; ++i) {
+    s = s + i;
+  }
+  print(s);
+  return 0;
+}`
+	spec := LoopSpec{Function: "main", StartLine: 4, EndLine: 6}
+	recs, _ := traceOf(t, src)
+	dropped := -1
+	for i := range recs {
+		if r := &recs[i]; r.Opcode == trace.OpLoad && r.Line == 5 && r.Result != nil {
+			r.Result, dropped = nil, i
+			break
+		}
+	}
+	if dropped < 0 {
+		t.Fatal("no loop-body Load in the trace")
+	}
+	opts := Options{IncludeGlobals: true, BuildDDG: true}
+	want, wantErr := refAnalyze(recs, spec, opts)
+	if wantErr != nil {
+		t.Fatal(wantErr)
+	}
+	if want.Stats.RegionB == 0 || dropped < want.Stats.RegionA || dropped >= want.Stats.RegionA+want.Stats.RegionB {
+		t.Fatalf("record %d is not in region B: %+v", dropped, want.Stats)
+	}
+	for _, f := range []trace.Format{trace.FormatText, trace.FormatBinary} {
+		got, gotErr := AnalyzeBytes(trace.Encode(recs, f), spec, opts)
+		if got != nil {
+			got.Stats.TraceBytes = 0
+		}
+		checkReference(t, fmt.Sprintf("%v", f), want, got, wantErr, gotErr)
+	}
+}

@@ -488,7 +488,7 @@ func (a *refAnalyzer) processLoopRecord(r *trace.Record) {
 			}
 			s.uncoveredRead = true
 		}
-		if a.graph != nil {
+		if a.graph != nil && r.Result != nil {
 			n := a.newRegInstance(r)
 			a.graph.AddEdge(a.nodeOf(v), n, r.DynID)
 			a.setRegNode(regKey{r.Func, r.Result.Name}, n)

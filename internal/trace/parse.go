@@ -154,9 +154,23 @@ func digitRun(b []byte, p int) (v uint64, k int) {
 	return w, k
 }
 
-// scanHex is scanInt for a bare (no 0x prefix) hexadecimal uint64.
+// scanHex is scanInt for a bare (no 0x prefix) hexadecimal uint64: digits
+// of either case, leading zeros, up to the next ',' or len(b), and not
+// past 64 bits. While eight bytes are left it reads them at once
+// (hexRun); the bytes after the run's end, a byte at a time.
 func scanHex(b []byte, p int) (v uint64, end int, ok bool) {
 	i := p
+	for i+8 <= len(b) {
+		x, k := hexRun(b, i)
+		// k digits shift v's top 4k bits out (for k = 0, by 64: none).
+		if v>>(64-4*k) != 0 {
+			return 0, 0, false
+		}
+		v, i = v<<(4*k)|x, i+k
+		if k < 8 {
+			break
+		}
+	}
 	for ; i < len(b) && b[i] != ','; i++ {
 		var d uint64
 		switch c := b[i]; {
@@ -175,6 +189,27 @@ func scanHex(b []byte, p int) (v uint64, end int, ok bool) {
 		v = v<<4 | d
 	}
 	return v, i, i > p
+}
+
+// hexRun is digitRun for hexadecimal digits, of either case: it returns
+// the value of the first k digits of b[p:p+8], k ≤ 8, where k is 8 or the
+// index of the first byte of the eight that is not a digit. The caller
+// has eight bytes at p. A byte is range-tested by the high bits of two
+// adds, and one with its high bit set is no digit; a carry out of it only
+// reaches the bytes after it. A digit's value is its low nibble, plus 9
+// for a letter, and the digits, moved to the top of the word, are packed
+// two, four and eight at a time.
+func hexRun(b []byte, p int) (v uint64, k int) {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	w := binary.LittleEndian.Uint64(b[p:])
+	l := w | 0x20*ones // letters in lower case
+	digit := (w + (0x80-'0')*ones) &^ (w + (0x7f-'9')*ones)
+	letter := (l + (0x80-'a')*ones) &^ (l + (0x7f-'f')*ones)
+	k = bits.TrailingZeros64(^((digit|letter)&^w)&highs) / 8
+	w = (w&(0x0f*ones) + letter>>7&ones*9) << (64 - 8*k) // the k digits, after 8-k zeros
+	w = (w&0x00FF00FF00FF00FF)<<4 | w>>8&0x00FF00FF00FF00FF
+	w = (w&0x0000FFFF0000FFFF)<<8 | w>>16&0x0000FFFF0000FFFF
+	return (w&0xFFFFFFFF)<<16 | w>>32, k
 }
 
 // nextComma returns the index of the first ',' of b at or after p, or
