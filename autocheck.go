@@ -120,10 +120,10 @@ func Analyze(recs []Record, spec LoopSpec, opts Options) (*Result, error) {
 }
 
 // AnalyzeBytes analyzes an in-memory trace of either format: the Engine
-// fed each of the bytes' records in place as it is decoded. No []Record
-// is ever materialized, so memory stays O(variables) beyond the bytes
-// themselves, and no record size is capped. (The paper's §V-A parallel
-// read is across traces: AnalyzeMany.)
+// fed each record as it is decoded (with a second P, a text trace is
+// decoded on a goroutine of its own and crosses a small ring). No []Record
+// is ever materialized, so memory stays O(variables) beyond the bytes,
+// and no record size is capped. (§V-A's parallel read: AnalyzeMany.)
 func AnalyzeBytes(data []byte, spec LoopSpec, opts Options) (*Result, error) {
 	return core.AnalyzeBytes(data, spec, opts)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"slices"
 	"sort"
 	"time"
@@ -112,12 +113,12 @@ type CriticalVar struct {
 // collection or a preemption it met is not booked some 64 times over. Dep
 // is at most the sweep's time, and Pre is the rest of it.
 //
-// A text trace is decoded ahead of the engine, on a goroutine of its own,
-// so its two stages overlap. Dep is then the time the engine's goroutine
-// spent in the pass, and Pre the rest of the sweep's wall time on it: the
-// waits for decoded records and their unpacking from the ring, not the
-// decode's own CPU time, most of which the pass hides. Pre + Dep +
-// Identify still adds up to Total.
+// With a second P a text trace is decoded ahead of the engine, on a
+// goroutine of its own, and the two overlap. Dep is then the time the
+// engine's goroutine spent in the pass, and Pre the rest of the sweep's
+// wall time on it: the waits for decoded records and their unpacking from
+// the ring, not the decode's own CPU time, most of which the pass hides.
+// Pre + Dep + Identify still adds up to Total.
 type Timing struct {
 	Pre      time.Duration // trace reading (the wait for it, when decoded ahead) + MLI identification
 	Dep      time.Duration // data dependency analysis
@@ -229,7 +230,9 @@ func analyzeFileIn(sc *scratch, path string, spec LoopSpec, opts Options) (*Resu
 }
 
 // AnalyzeBytes analyzes an in-memory trace — text or binary, detected by
-// magic — each record handed to the engine in place as it is decoded; no
+// magic — each record handed to the engine as it is decoded: an ACTB
+// record in place, a text one, with a second P, after it crosses the
+// read-ahead ring from the decoder's goroutine (readahead.go). No
 // []Record is materialized and no record size is capped.
 func AnalyzeBytes(data []byte, spec LoopSpec, opts Options) (*Result, error) {
 	return analyzeBytesIn(&scratch{}, data, spec, opts)
@@ -263,13 +266,14 @@ func analyzeRecordsIn(sc *scratch, recs []trace.Record, spec LoopSpec, opts Opti
 // analyze is the trace-bytes schedule: the bundle's engine fed each of
 // rd's records, to the end of the stream. An ACTB trace's records are fed
 // in place as they are decoded; a text trace is decoded ahead of the
-// engine, on a goroutine of its own (readahead.go), unless the bundle is
-// one of AnalyzeMany's, whose workers already keep every core busy. A
-// decode error anywhere in the trace is reported before a missing loop.
+// engine, on a goroutine of its own (readahead.go), when there is a
+// second P to run it on — with one, the hand-over costs more than it
+// hides, and the text trace is read like an ACTB one. A decode error
+// anywhere in the trace is reported before a missing loop.
 func (sc *scratch) analyze(rd trace.Reader, format trace.Format, spec LoopSpec, opts Options) (*Result, error) {
 	e := sc.engine(spec, opts)
 	var err error
-	if format == trace.FormatText && !sc.serial {
+	if format == trace.FormatText && runtime.GOMAXPROCS(0) > 1 {
 		ra := rings.Get().(*readAhead)
 		err = ra.run(rd, e.feed)
 		rings.Put(ra)

@@ -29,10 +29,10 @@ import (
 //     call, with their template ids (trace.Reader.ReadInto), and no
 //     []Record is materialized. An ACTB decoder writes each one in place
 //     into its trace.Template, or field by field into its loose record,
-//     and no record is copied (analyze.go); a text trace is decoded ahead,
-//     on a goroutine of its own, and crosses a ring as each record's id,
-//     DynID and values, which the engine writes into its own copy of the
-//     template's record (readahead.go);
+//     and no record is copied (analyze.go); with a second P, a text trace
+//     is decoded ahead, on a goroutine of its own, and crosses a ring as
+//     each record's id, DynID and values, which the engine writes into its
+//     own copy of the template's record (readahead.go);
 //   - online, the tracer's records, one per call and each written in
 //     place into its instruction's template, and an ingest session's
 //     records, decoded from each chunk as the trace bytes are, reach
@@ -289,10 +289,11 @@ func (a *analyzer) finish(res *Result) {
 // (interp.Machine.TraceInto) and the decoders of a text or ACTB trace,
 // offline or in an ingest session (trace.Reader.ReadInto), hand it
 // each record and its template id as they emit or decode it, written in
-// place — offline, a text trace's records after they cross the read-ahead
-// ring; Analyze hands it the caller's records as one batch, and Observe
-// is the one-record case. No trace is materialized and no record is
-// revisited. How a stream is cut into calls never changes the result.
+// place — offline with a second P, a text trace's records after they
+// cross the read-ahead ring; Analyze hands it the caller's records as one
+// batch, and Observe is the one-record case. No trace is materialized and
+// no record is revisited. How a stream is cut into calls never changes
+// the result.
 type Engine struct {
 	spec   LoopSpec
 	a      *analyzer
@@ -483,12 +484,9 @@ func (e *Engine) Finish() (*Result, error) {
 // scratch bundles the reusable state of one analysis: the engine, its
 // analyzer's maps and variable table. One scratch serves any number of
 // analyses sequentially; AnalyzeMany keeps one per worker so concurrent
-// engines stop hammering the shared allocator, and marks it serial: its
-// workers already keep every core busy, so a text trace is decoded on the
-// worker's goroutine, not ahead of it (readahead.go).
+// engines stop hammering the shared allocator.
 type scratch struct {
-	e      Engine
-	serial bool
+	e Engine
 }
 
 // engine returns the bundle's engine readied for a fresh trace.

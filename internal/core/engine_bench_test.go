@@ -153,8 +153,9 @@ func BenchmarkAnalyzeOnline(b *testing.B) {
 // (text): one op is AnalyzeFile of each of the 14 files, default options
 // with the module. It is the go test twin of the stream-binary and
 // offline-text workloads of benchmark/run.sh, and reports ns/record and,
-// with -benchmem, the allocations of the whole op. The files are written
-// before the timer starts.
+// with -benchmem, the allocations of the whole op. The -many variants are
+// one AnalyzeMany of the 14 files with GOMAXPROCS workers. The files are
+// written before the timer starts.
 //
 //	go test -run '^$' -bench AnalyzeFile -benchmem ./internal/core/
 func BenchmarkAnalyzeFile(b *testing.B) {
@@ -212,6 +213,25 @@ func BenchmarkAnalyzeFile(b *testing.B) {
 				})
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
+			gc.report(b)
+		})
+		b.Run(name+"-many", func(b *testing.B) {
+			inputs := make([]core.Input, len(ports))
+			for i, p := range ports {
+				opts := core.DefaultOptions()
+				opts.Module = p.mod
+				inputs[i] = core.Input{Name: p.path, Spec: p.spec, Opts: opts, Path: p.path}
+			}
+			gc := newGCMeter()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				gc.op(func() {
+					if _, err := core.AnalyzeMany(inputs, 0); err != nil {
+						b.Fatal(err)
+					}
+				})
+			}
 			gc.report(b)
 		})
 	}

@@ -66,7 +66,7 @@ func AnalyzeMany(inputs []Input, workers int) ([]*Result, error) {
 	scratches := make([]*scratch, pool.Resolve(len(inputs), workers))
 	pool.ForEachWorker(len(inputs), workers, func(w, i int) {
 		if scratches[w] == nil {
-			scratches[w] = &scratch{serial: true}
+			scratches[w] = &scratch{}
 		}
 		res, err := inputs[i].analyzeIn(scratches[w])
 		if err != nil {

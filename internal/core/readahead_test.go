@@ -24,14 +24,36 @@ func fig4Text(t *testing.T, n int) ([]trace.Record, []byte) {
 	return recs, trace.EncodeAll(recs)
 }
 
-// serialBytes and serialFile are AnalyzeBytes and AnalyzeFile on the
-// serial schedule: the engine fed on the decoder's goroutine.
-func serialBytes(data []byte, spec LoopSpec, opts Options) (*Result, error) {
-	return analyzeBytesIn(&scratch{serial: true}, data, spec, opts)
-}
-
-func serialFile(path string, spec LoopSpec, opts Options) (*Result, error) {
-	return analyzeFileIn(&scratch{serial: true}, path, spec, opts)
+// schedule analyzes in, a text trace, as AnalyzeBytes does — or, with
+// a path, as AnalyzeFile does, streamed from disk — on the schedule named:
+// the engine fed on the decoder's goroutine (serial) or across a ring
+// from rings (ahead), whatever the number of Ps.
+func schedule(in []byte, path string, ahead bool, spec LoopSpec, opts Options) (*Result, error) {
+	var rd trace.Reader
+	var err error
+	if path == "" {
+		rd, _, err = trace.NewBytesReader(in)
+	} else {
+		var f *os.File
+		if f, err = os.Open(path); err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		rd, _, err = trace.NewAutoReader(f)
+	}
+	if err != nil {
+		return nil, err
+	}
+	e := (&scratch{}).engine(spec, opts)
+	if ahead {
+		err = rings.Get().(*readAhead).run(rd, e.feed)
+	} else {
+		err = rd.ReadInto(e.feed)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return e.result()
 }
 
 // requireSameOutcome holds a read-ahead analysis to the serial one: the
@@ -63,7 +85,8 @@ func settleGoroutines(t *testing.T, n int) {
 // one on text traces at the edges of the ring: empty, one record, a slot
 // and a record, and a decode error in the middle of a trace — before the
 // loop, in the first slot and several slots in — in memory and on disk.
-// Every call leaves no goroutine behind.
+// AnalyzeBytes and AnalyzeFile, on whichever schedule the number of Ps
+// picks, agree with both. Every call leaves no goroutine behind.
 func TestReadAheadMatchesSerial(t *testing.T) {
 	recs, data := fig4Text(t, 5*aheadRecords)
 	one := trace.EncodeAll(recs[:1])
@@ -95,17 +118,22 @@ func TestReadAheadMatchesSerial(t *testing.T) {
 		for _, spec := range []LoopSpec{fig4Spec, {Function: recs[0].Func, StartLine: recs[0].Line, EndLine: recs[0].Line}} {
 			label := fmt.Sprintf("%s, loop %d-%d", name, spec.StartLine, spec.EndLine)
 			opts := DefaultOptions()
-			want, wantErr := serialBytes(in, spec, opts)
-			got, gotErr := AnalyzeBytes(in, spec, opts)
-			requireSameOutcome(t, label+" bytes", want, got, wantErr, gotErr)
-
 			path := filepath.Join(dir, "t.trace")
 			if err := os.WriteFile(path, in, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			want, wantErr = serialFile(path, spec, opts)
-			got, gotErr = AnalyzeFile(path, spec, opts)
-			requireSameOutcome(t, label+" file", want, got, wantErr, gotErr)
+			for _, from := range []struct{ name, path string }{{"bytes", ""}, {"file", path}} {
+				label := label + " " + from.name
+				want, wantErr := schedule(in, from.path, false, spec, opts)
+				got, gotErr := schedule(in, from.path, true, spec, opts)
+				requireSameOutcome(t, label, want, got, wantErr, gotErr)
+				if from.path == "" {
+					got, gotErr = AnalyzeBytes(in, spec, opts)
+				} else {
+					got, gotErr = AnalyzeFile(path, spec, opts)
+				}
+				requireSameOutcome(t, label+" (entry point)", want, got, wantErr, gotErr)
+			}
 		}
 	}
 	if _, err := AnalyzeBytes(corrupt(3000), fig4Spec, DefaultOptions()); err == nil {
